@@ -9,18 +9,13 @@ backends and annotate each row with its wall-clock speedup over the
 sequential baseline, turning the fig5 scalability figures from simulations
 into measurements.
 
-Every row also records whether the run consumed the resident
-:class:`repro.graph.index.FragmentIndex` (the ``index`` field of the JSON
-output); :func:`run_matching_index_comparison` and
-:func:`run_eip_index_comparison` run the same workload with the index on and
-off and annotate the indexed rows with the measured ``index_speedup``, so
-the index's effect is measured rather than asserted.  The columnar kernel
-gets the same treatment: :func:`run_matching_columnar_comparison`,
-:func:`run_eip_columnar_comparison` and :func:`run_dmine_columnar_comparison`
-run with the :class:`repro.graph.columnar.ColumnarFragment` off and on and
-annotate the columnar rows with ``columnar_speedup`` (the index-comparison
-runners pin ``use_columnar=False`` so each optimisation is measured in
-isolation).
+Every runner executes the one production matching path: fragments are
+probed through their resident :class:`repro.graph.index.FragmentIndex` and
+:class:`repro.graph.columnar.ColumnarFragment`, levelwise mining through the
+fragment's match store.  Equality with the naive reference is the
+equivalence test suites' job and speed is guarded from outside by
+``BENCHMARK.json``; :func:`run_matching_traffic` keeps the matching hot path
+measurable in isolation (and is the ``match`` family's 100k-node row).
 """
 
 from __future__ import annotations
@@ -32,8 +27,8 @@ from typing import Iterable, Sequence
 
 from repro.bench.reporting import wall_speedups
 from repro.graph.graph import Graph
-from repro.graph.columnar import discard_columnar
-from repro.graph.index import discard_index
+from repro.graph.columnar import columnar_view, discard_columnar
+from repro.graph.index import discard_index, graph_index
 from repro.identification import EIPConfig, identify_entities
 from repro.matching import GuidedMatcher, SimulationMatcher, VF2Matcher
 from repro.mining import DMine, DMineConfig
@@ -77,18 +72,6 @@ class DMineRow:
     objective: float
     backend: str = "sequential"
     wall_speedup: float | None = None
-    use_index: bool = True
-    # Indexed wall-clock gain over the matching unindexed run (only set by
-    # the index-comparison runners, on the indexed rows).
-    index_speedup: float | None = None
-    use_incremental: bool = True
-    # Incremental wall-clock gain over the matching from-scratch run (only
-    # set by the incremental-comparison runners, on the incremental rows).
-    incremental_speedup: float | None = None
-    use_columnar: bool = True
-    # Columnar wall-clock gain over the matching dict-path run (only set by
-    # the columnar-comparison runners, on the columnar rows).
-    columnar_speedup: float | None = None
     # Content hash of the mined rule set (structure + support + confidence);
     # two rows with equal fingerprints mined *the same rules*, not merely
     # the same number of rules.
@@ -100,9 +83,6 @@ class DMineRow:
             "algorithm": self.algorithm,
             self.parameter: self.value,
             "backend": self.backend,
-            "index": "on" if self.use_index else "off",
-            "incremental": "on" if self.use_incremental else "off",
-            "columnar": "on" if self.use_columnar else "off",
             "sim_parallel_s": round(self.simulated_parallel_time, 3),
             "wall_s": round(self.wall_time, 3),
             "rules": self.rules_discovered,
@@ -112,12 +92,6 @@ class DMineRow:
         }
         if self.wall_speedup is not None:
             row["wall_speedup"] = round(self.wall_speedup, 2)
-        if self.index_speedup is not None:
-            row["index_speedup"] = round(self.index_speedup, 2)
-        if self.incremental_speedup is not None:
-            row["incremental_speedup"] = round(self.incremental_speedup, 2)
-        if self.columnar_speedup is not None:
-            row["columnar_speedup"] = round(self.columnar_speedup, 2)
         return row
 
 
@@ -135,15 +109,8 @@ class EIPRow:
     candidates_examined: int
     backend: str = "sequential"
     wall_speedup: float | None = None
-    use_index: bool = True
-    index_speedup: float | None = None
-    use_incremental: bool = True
-    incremental_speedup: float | None = None
-    use_columnar: bool = True
-    columnar_speedup: float | None = None
-    # Prefix-trie pool applications summed over all fragments; the
-    # incremental smoke gate requires > 0 on incremental-on rows (proof the
-    # shared-prefix path ran, census-split rules included).
+    # Prefix-trie pool applications summed over all fragments (> 0: rules of
+    # Σ shared antecedent-prefix match sets, census-split rules included).
     prefix_pool_hits: int = 0
     # Content hash of the identified entities + per-rule confidences.
     fingerprint: str = ""
@@ -154,9 +121,6 @@ class EIPRow:
             "algorithm": self.algorithm,
             self.parameter: self.value,
             "backend": self.backend,
-            "index": "on" if self.use_index else "off",
-            "incremental": "on" if self.use_incremental else "off",
-            "columnar": "on" if self.use_columnar else "off",
             "sim_parallel_s": round(self.simulated_parallel_time, 3),
             "wall_s": round(self.wall_time, 3),
             "identified": self.identified,
@@ -166,12 +130,6 @@ class EIPRow:
         }
         if self.wall_speedup is not None:
             row["wall_speedup"] = round(self.wall_speedup, 2)
-        if self.index_speedup is not None:
-            row["index_speedup"] = round(self.index_speedup, 2)
-        if self.incremental_speedup is not None:
-            row["incremental_speedup"] = round(self.incremental_speedup, 2)
-        if self.columnar_speedup is not None:
-            row["columnar_speedup"] = round(self.columnar_speedup, 2)
         return row
 
 
@@ -198,9 +156,6 @@ def run_dmine_config(
     value: object = None,
     backend: str = "sequential",
     executor_workers: int | None = None,
-    use_index: bool = True,
-    use_incremental: bool = True,
-    use_columnar: bool = True,
     **overrides,
 ) -> DMineRow:
     """Run one DMine / DMineno configuration and return its measured row."""
@@ -210,9 +165,6 @@ def run_dmine_config(
         sigma=sigma,
         backend=backend,
         executor_workers=executor_workers,
-        use_index=use_index,
-        use_incremental=use_incremental,
-        use_columnar=use_columnar,
         **settings,
     )
     if not optimized:
@@ -229,9 +181,6 @@ def run_dmine_config(
         candidates_generated=result.candidates_generated,
         objective=result.objective_value,
         backend=config.backend,
-        use_index=use_index,
-        use_incremental=use_incremental,
-        use_columnar=use_columnar,
         fingerprint=_digest(
             f"{canonical_code(rule.pr_pattern())}|{info.support}|{round(info.confidence, 9)}"
             for rule, info in result.all_rules.items()
@@ -250,9 +199,6 @@ def run_eip_config(
     value: object = None,
     backend: str = "sequential",
     executor_workers: int | None = None,
-    use_index: bool = True,
-    use_incremental: bool = True,
-    use_columnar: bool = True,
 ) -> EIPRow:
     """Run one Match / Matchc / disVF2 configuration and return its row."""
     result = identify_entities(
@@ -263,9 +209,6 @@ def run_eip_config(
         algorithm=algorithm,
         backend=backend,
         executor_workers=executor_workers,
-        use_index=use_index,
-        use_incremental=use_incremental,
-        use_columnar=use_columnar,
     )
     return EIPRow(
         dataset=dataset,
@@ -277,9 +220,6 @@ def run_eip_config(
         identified=len(result.identified),
         candidates_examined=result.candidates_examined,
         backend=backend,
-        use_index=use_index,
-        use_incremental=use_incremental,
-        use_columnar=use_columnar,
         prefix_pool_hits=result.prefix_pool_hits,
         fingerprint=_eip_result_fingerprint(result),
     )
@@ -361,64 +301,42 @@ def run_eip_backends(
 
 
 # ----------------------------------------------------------------------
-# indexed-vs-unindexed comparison
+# matching traffic in isolation
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class MatchingRow:
-    """One measured point of an indexed-vs-unindexed matching series.
+    """One measured point of a matching-traffic series.
 
     Measures the paper's matching hot path in isolation: *reps* batches of
     anchored ``match_set`` queries over one resident graph, each batch served
-    by a freshly constructed matcher (exactly what one EIP/DMine call does).
-    Unindexed batches re-derive label pools, adjacency profiles and k-hop
-    sketches from the raw graph; indexed batches probe the resident
-    :class:`~repro.graph.index.FragmentIndex`.
+    by a freshly constructed matcher (exactly what one EIP/DMine call does)
+    probing the graph's resident index and columnar view.
     """
 
     dataset: str
-    algorithm: str  # matcher kind: "vf2" | "guided"
+    algorithm: str  # matcher kind: "vf2" | "guided" | "simulation"
     parameter: str
     value: object
     wall_time: float
     patterns_matched: int
     total_matches: int
-    use_index: bool = True
-    index_speedup: float | None = None
-    use_columnar: bool = True
-    columnar_speedup: float | None = None
     backend: str = "in-process"
     fingerprint: str = ""
 
     def as_dict(self) -> dict:
-        row = {
+        return {
             "dataset": self.dataset,
             "algorithm": self.algorithm,
             self.parameter: self.value,
             "backend": self.backend,
-            "index": "on" if self.use_index else "off",
-            "columnar": "on" if self.use_columnar else "off",
             "wall_s": round(self.wall_time, 3),
             "patterns": self.patterns_matched,
             "matches": self.total_matches,
             "fingerprint": self.fingerprint,
         }
-        if self.index_speedup is not None:
-            row["index_speedup"] = round(self.index_speedup, 2)
-        if self.columnar_speedup is not None:
-            row["columnar_speedup"] = round(self.columnar_speedup, 2)
-        return row
 
 
-def _matcher_for(kind: str, use_index: bool, use_columnar: bool = True):
-    if kind == "guided":
-        return GuidedMatcher(use_index=use_index, use_columnar=use_columnar)
-    if kind == "vf2":
-        return VF2Matcher(use_index=use_index, use_columnar=use_columnar)
-    if kind == "simulation":
-        return SimulationMatcher(use_index=use_index, use_columnar=use_columnar)
-    raise ValueError(
-        f"unknown matcher kind {kind!r}; expected 'vf2', 'guided' or 'simulation'"
-    )
+_MATCHER_KINDS = {"vf2": VF2Matcher, "guided": GuidedMatcher, "simulation": SimulationMatcher}
 
 
 def run_matching_traffic(
@@ -426,20 +344,25 @@ def run_matching_traffic(
     graph: Graph,
     rules: Sequence[GPAR],
     kind: str,
-    use_index: bool,
-    use_columnar: bool = True,
     reps: int = 3,
-    parameter: str = "index",
+    parameter: str = "reps",
     value: object = None,
 ) -> MatchingRow:
     """Run *reps* fresh-matcher batches of match-set queries; return one row.
 
     Each batch computes ``Q(x, G)`` for every rule's antecedent and PR
     pattern with a newly constructed matcher, modelling *reps* successive
-    algorithm calls against the same resident fragment.  The graph's
-    registered index and columnar view are dropped first so each enabled
-    run pays its own build.
+    algorithm calls against the same resident fragment.  The graph's index
+    and columnar view are dropped first and rebuilt inside the timed window
+    — as an executor does when it starts on a fragment — so the row pays
+    for its own builds.
     """
+    try:
+        make_matcher = _MATCHER_KINDS[kind]
+    except KeyError:
+        raise ValueError(
+            f"unknown matcher kind {kind!r}; expected one of {sorted(_MATCHER_KINDS)}"
+        ) from None
     patterns: list[Pattern] = []
     for rule in rules:
         patterns.append(rule.antecedent)
@@ -449,8 +372,10 @@ def run_matching_traffic(
     match_counts: list[str] = []
     total_matches = 0
     started = time.perf_counter()
+    graph_index(graph)
+    columnar_view(graph)
     for _ in range(reps):
-        matcher = _matcher_for(kind, use_index, use_columnar)
+        matcher = make_matcher()
         for position, pattern in enumerate(patterns):
             matches = matcher.match_set(graph, pattern)
             total_matches += len(matches)
@@ -458,324 +383,15 @@ def run_matching_traffic(
                 f"{position}|{len(matches)}|{'/'.join(sorted(map(str, matches)))}"
             )
     elapsed = time.perf_counter() - started
-    if value is None:
-        value = "on" if use_index else "off"
     return MatchingRow(
         dataset=dataset,
         algorithm=kind,
         parameter=parameter,
-        value=value,
+        value=value if value is not None else reps,
         wall_time=elapsed,
         patterns_matched=len(patterns) * reps,
         total_matches=total_matches,
-        use_index=use_index,
-        use_columnar=use_columnar,
         fingerprint=_digest(match_counts),
-    )
-
-
-def run_matching_index_comparison(
-    dataset: str,
-    graph: Graph,
-    rules: Sequence[GPAR],
-    kinds: Sequence[str] = ("vf2", "guided"),
-    reps: int = 3,
-) -> list[MatchingRow]:
-    """Indexed-vs-unindexed matching comparison for each matcher kind.
-
-    Returns two rows per kind (index off, then on); the indexed row carries
-    ``index_speedup`` = unindexed wall time / indexed wall time.  Raises
-    ``AssertionError`` if any kind's match sets differ between the modes.
-    Both rows run with the columnar kernel off so the index's effect is
-    measured in isolation (the ``columnar`` family measures the kernel's).
-    """
-    rows: list[MatchingRow] = []
-    for kind in kinds:
-        unindexed = run_matching_traffic(
-            dataset, graph, rules, kind, use_index=False, use_columnar=False, reps=reps
-        )
-        indexed = run_matching_traffic(
-            dataset, graph, rules, kind, use_index=True, use_columnar=False, reps=reps
-        )
-        if indexed.fingerprint != unindexed.fingerprint:
-            raise AssertionError(
-                f"indexed {kind} matching diverged from unindexed: "
-                f"{indexed.fingerprint} != {unindexed.fingerprint}"
-            )
-        speedup = unindexed.wall_time / indexed.wall_time if indexed.wall_time else float("inf")
-        rows.append(unindexed)
-        rows.append(replace(indexed, index_speedup=speedup))
-    return rows
-
-
-def run_matching_columnar_comparison(
-    dataset: str,
-    graph: Graph,
-    rules: Sequence[GPAR],
-    kinds: Sequence[str] = ("vf2", "guided", "simulation"),
-    reps: int = 3,
-) -> list[MatchingRow]:
-    """Columnar-vs-dict matching comparison for each matcher kind.
-
-    Both rows keep the resident index on (the production configuration);
-    only the columnar kernel toggles, so ``columnar_speedup`` on the
-    columnar row isolates what the CSR/profile-matrix path buys on top of
-    the dict-backed index.  Raises ``AssertionError`` if any kind's match
-    sets differ between the modes.
-    """
-    rows: list[MatchingRow] = []
-    for kind in kinds:
-        dict_row = run_matching_traffic(
-            dataset,
-            graph,
-            rules,
-            kind,
-            use_index=True,
-            use_columnar=False,
-            reps=reps,
-            parameter="columnar",
-            value="off",
-        )
-        columnar_row = run_matching_traffic(
-            dataset,
-            graph,
-            rules,
-            kind,
-            use_index=True,
-            use_columnar=True,
-            reps=reps,
-            parameter="columnar",
-            value="on",
-        )
-        if columnar_row.fingerprint != dict_row.fingerprint:
-            raise AssertionError(
-                f"columnar {kind} matching diverged from the dict path: "
-                f"{columnar_row.fingerprint} != {dict_row.fingerprint}"
-            )
-        speedup = (
-            dict_row.wall_time / columnar_row.wall_time
-            if columnar_row.wall_time
-            else float("inf")
-        )
-        rows.append(dict_row)
-        rows.append(replace(columnar_row, columnar_speedup=speedup))
-    return rows
-
-
-def _run_onoff_comparison(
-    run_one, backends: Sequence[str], speedup_field: str, diverged_label: str
-) -> list:
-    """Shared off/on-per-backend comparison shape of the smoke gates.
-
-    ``run_one(backend, enabled)`` produces one measured row; for every
-    backend the off row is emitted first and the on row is annotated with
-    *speedup_field* = off wall time / on wall time.  All ``2 × |backends|``
-    rows must carry one identical result fingerprint.
-    """
-    rows: list = []
-    for backend in backends:
-        off_row = run_one(backend, False)
-        on_row = run_one(backend, True)
-        speedup = (
-            off_row.wall_time / on_row.wall_time if on_row.wall_time else float("inf")
-        )
-        rows.append(off_row)
-        rows.append(replace(on_row, **{speedup_field: speedup}))
-    fingerprints = {row.fingerprint for row in rows}
-    if len(fingerprints) > 1:
-        raise AssertionError(
-            f"{diverged_label} results diverged across backends/modes: "
-            f"{sorted(fingerprints)}"
-        )
-    return rows
-
-
-def run_eip_index_comparison(
-    dataset: str,
-    graph: Graph,
-    rules: tuple[GPAR, ...],
-    num_workers: int,
-    algorithm: str = "match",
-    eta: float = 1.0,
-    backends: Sequence[str] = ("sequential", "threads", "processes"),
-    executor_workers: int | None = None,
-) -> list[EIPRow]:
-    """Run one EIP configuration with the index off and on, per backend.
-
-    The cross-backend × cross-mode equivalence gate of the index smoke: all
-    2 × len(backends) rows must carry the same result fingerprint.  Indexed
-    rows are annotated with their backend's ``index_speedup``.
-    """
-
-    def run_one(backend: str, enabled: bool) -> EIPRow:
-        return run_eip_config(
-            dataset,
-            graph,
-            rules,
-            num_workers,
-            algorithm,
-            eta=eta,
-            parameter="backend",
-            value=backend,
-            backend=backend,
-            executor_workers=executor_workers,
-            use_index=enabled,
-        )
-
-    return _run_onoff_comparison(run_one, backends, "index_speedup", "EIP (index)")
-
-
-# ----------------------------------------------------------------------
-# columnar-vs-dict comparison
-# ----------------------------------------------------------------------
-def run_eip_columnar_comparison(
-    dataset: str,
-    graph: Graph,
-    rules: tuple[GPAR, ...],
-    num_workers: int,
-    algorithm: str = "match",
-    eta: float = 1.0,
-    backends: Sequence[str] = ("sequential", "threads", "processes"),
-    executor_workers: int | None = None,
-) -> list[EIPRow]:
-    """Run one EIP configuration with the columnar kernel off and on, per backend.
-
-    The cross-backend × cross-mode equivalence gate of the columnar smoke:
-    all ``2 × len(backends)`` rows must carry the same result fingerprint.
-    Columnar rows are annotated with their backend's ``columnar_speedup``.
-    """
-
-    def run_one(backend: str, enabled: bool) -> EIPRow:
-        return run_eip_config(
-            dataset,
-            graph,
-            rules,
-            num_workers,
-            algorithm,
-            eta=eta,
-            parameter="backend",
-            value=backend,
-            backend=backend,
-            executor_workers=executor_workers,
-            use_columnar=enabled,
-        )
-
-    return _run_onoff_comparison(
-        run_one, backends, "columnar_speedup", "EIP (columnar)"
-    )
-
-
-def run_dmine_columnar_comparison(
-    dataset: str,
-    graph: Graph,
-    predicate: Pattern,
-    num_workers: int,
-    sigma: int,
-    backends: Sequence[str] = ("sequential", "threads", "processes"),
-    executor_workers: int | None = None,
-    **overrides,
-) -> list[DMineRow]:
-    """Run one DMine configuration columnar-off and -on, per backend.
-
-    All ``2 × len(backends)`` rows must mine the same rule fingerprint;
-    columnar rows carry ``columnar_speedup`` = dict-path wall time /
-    columnar wall time on their backend.
-    """
-
-    def run_one(backend: str, enabled: bool) -> DMineRow:
-        return run_dmine_config(
-            dataset,
-            graph,
-            predicate,
-            num_workers,
-            sigma,
-            parameter="backend",
-            value=backend,
-            backend=backend,
-            executor_workers=executor_workers,
-            use_columnar=enabled,
-            **overrides,
-        )
-
-    return _run_onoff_comparison(
-        run_one, backends, "columnar_speedup", "DMine (columnar)"
-    )
-
-
-# ----------------------------------------------------------------------
-# incremental-vs-from-scratch comparison
-# ----------------------------------------------------------------------
-def run_dmine_incremental_comparison(
-    dataset: str,
-    graph: Graph,
-    predicate: Pattern,
-    num_workers: int,
-    sigma: int,
-    backends: Sequence[str] = ("sequential", "threads", "processes"),
-    executor_workers: int | None = None,
-    **overrides,
-) -> list[DMineRow]:
-    """Run one DMine configuration incremental-off and -on, per backend.
-
-    The cross-backend × cross-mode equivalence gate of the incremental
-    smoke: all ``2 × len(backends)`` rows must mine the same rule
-    fingerprint.  Incremental rows carry ``incremental_speedup`` =
-    from-scratch wall time / incremental wall time on their backend.
-    """
-
-    def run_one(backend: str, enabled: bool) -> DMineRow:
-        return run_dmine_config(
-            dataset,
-            graph,
-            predicate,
-            num_workers,
-            sigma,
-            parameter="backend",
-            value=backend,
-            backend=backend,
-            executor_workers=executor_workers,
-            use_incremental=enabled,
-            **overrides,
-        )
-
-    return _run_onoff_comparison(
-        run_one, backends, "incremental_speedup", "DMine (incremental)"
-    )
-
-
-def run_eip_incremental_comparison(
-    dataset: str,
-    graph: Graph,
-    rules: tuple[GPAR, ...],
-    num_workers: int,
-    algorithm: str = "match",
-    eta: float = 1.0,
-    backends: Sequence[str] = ("sequential", "threads", "processes"),
-    executor_workers: int | None = None,
-) -> list[EIPRow]:
-    """Run one EIP configuration incremental-off and -on, per backend.
-
-    Gates on one identical result fingerprint across every backend × mode;
-    incremental (prefix-trie) rows carry their ``incremental_speedup``.
-    """
-
-    def run_one(backend: str, enabled: bool) -> EIPRow:
-        return run_eip_config(
-            dataset,
-            graph,
-            rules,
-            num_workers,
-            algorithm,
-            eta=eta,
-            parameter="backend",
-            value=backend,
-            backend=backend,
-            executor_workers=executor_workers,
-            use_incremental=enabled,
-        )
-
-    return _run_onoff_comparison(
-        run_one, backends, "incremental_speedup", "EIP (incremental)"
     )
 
 
@@ -1737,11 +1353,11 @@ def run_matchview_stream_comparison(
 ) -> list[StreamRow]:
     """Maintained match sets vs from-scratch re-matching, per matcher kind.
 
-    The matcher-level half of the ``stream`` smoke (mirroring how the
-    ``index`` family isolates the resident index): every rule's PR pattern
+    The matcher-level half of the ``stream`` smoke: every rule's PR pattern
     is kept current by :meth:`MatchStore.repair` across the update
     sequence, against a baseline that re-runs ``match_set`` for the whole
-    pattern family after each batch.  Gates on identical match sets.
+    pattern family after each batch (both sides on a resident graph).
+    Gates on identical match sets.
     """
     from repro.stream import MaintainedMatchView
 
@@ -1750,12 +1366,14 @@ def run_matchview_stream_comparison(
     rows: list[StreamRow] = []
     for kind in kinds:
         baseline_graph = graph.copy()
+        graph_index(baseline_graph)
+        columnar_view(baseline_graph)
         baseline_wall = 0.0
         baseline_sets: list[str] = []
         total_baseline = 0
         for batch in batches:
             batch.apply(baseline_graph)
-            matcher = _matcher_for(kind, use_index=True)
+            matcher = _MATCHER_KINDS[kind]()
             started = time.perf_counter()
             for position, pattern in enumerate(patterns):
                 matches = matcher.match_set(baseline_graph, pattern)
@@ -1781,7 +1399,7 @@ def run_matchview_stream_comparison(
         )
 
         view_graph = graph.copy()
-        view = MaintainedMatchView(view_graph, patterns, _matcher_for(kind, use_index=True))
+        view = MaintainedMatchView(view_graph, patterns, _MATCHER_KINDS[kind]())
         view_wall = 0.0
         view_sets: list[str] = []
         total_view = 0
@@ -2125,7 +1743,6 @@ def run_storm_suite(
                 num_workers=num_workers,
                 seed=seed,
                 backends=(backend,),
-                index_modes=(True,),
             )
             report = oracle.run(graph, batches)
             shrunk_ops = 0
@@ -2150,7 +1767,6 @@ def run_storm_suite(
                         "num_workers": num_workers,
                         "seed": seed,
                         "backend": backend,
-                        "use_index": True,
                     },
                 )
                 write_case(case, target_dir)

@@ -77,13 +77,13 @@ def dense_mining_workload(scale: int = 4000) -> tuple[Graph, Pattern]:
 def dense_eip_workload(
     scale: int = 4000, num_rules: int = 16
 ) -> tuple[Graph, tuple[GPAR, ...]]:
-    """Rule set Σ over the dense workload (EIP half of the incremental smoke).
+    """Rule set Σ over the dense workload (rule pool of the tenant smoke).
 
     Σ is *mined* by DMine rather than sampled: a mined rule set shares
     antecedent prefixes by construction (levelwise growth from one seed) and
     actually identifies entities on its own graph, so the smoke's
-    cross-mode fingerprint gate exercises the identification outcome too —
-    randomly sampled rules match nothing at this label density.
+    fingerprint gates exercise the identification outcome too — randomly
+    sampled rules match nothing at this label density.
     """
     from repro.mining import DMineConfig, dmine
 
@@ -160,8 +160,8 @@ def _census_split_variant(base: GPAR, predicate: Pattern) -> GPAR:
     splits into the (shared) connected-from-x part plus a global label
     census.  Its chain prefixes are exactly *base*'s, which keeps the
     prefix-trie sharing of ``MultiPatternMatcher`` live under census
-    substitution — the ``incremental`` smoke gate asserts that via
-    ``prefix_pool_hits``.
+    substitution (``tests/test_incremental_equivalence.py`` asserts that via
+    ``prefix_pool_hits``).
     """
     expanded = base.antecedent.expanded()
     free = "census_free"

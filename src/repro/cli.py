@@ -78,9 +78,6 @@ def _cmd_mine(args: argparse.Namespace) -> int:
         max_edges=args.max_edges,
         backend=args.backend,
         executor_workers=args.pool_size,
-        use_index=not args.no_index,
-        use_columnar=not args.no_columnar,
-        use_incremental=not args.no_incremental,
     )
     result = api.mine(graph, args.predicate, config)
     print(
@@ -105,9 +102,6 @@ def _eip_config_from_args(args: argparse.Namespace, seed: int = 0) -> EIPConfig:
         seed=seed,
         backend=args.backend,
         executor_workers=args.pool_size,
-        use_index=not args.no_index,
-        use_columnar=not args.no_columnar,
-        use_incremental=not args.no_incremental,
     )
 
 
@@ -453,29 +447,6 @@ def _add_backend_arguments(subparser: argparse.ArgumentParser) -> None:
         default=None,
         dest="pool_size",
         help="thread/process pool size (default: min(workers, cpu count))",
-    )
-    subparser.add_argument(
-        "--no-index",
-        action="store_true",
-        dest="no_index",
-        help="disable the resident fragment index (unindexed baseline; "
-        "identical results, more per-probe work — see docs/indexing.md)",
-    )
-    subparser.add_argument(
-        "--no-columnar",
-        action="store_true",
-        dest="no_columnar",
-        help="disable the resident columnar fragment kernel (dict-path "
-        "baseline; identical results, slower label/profile filtering — "
-        "see docs/columnar.md)",
-    )
-    subparser.add_argument(
-        "--no-incremental",
-        action="store_true",
-        dest="no_incremental",
-        help="disable incremental match materialization (re-match every "
-        "levelwise candidate from scratch / evaluate EIP rule-at-a-time; "
-        "identical results, more matching work — see docs/incremental.md)",
     )
     subparser.add_argument(
         "--trace-out",

@@ -416,7 +416,7 @@ def apply_census(graph: Graph, rules: Sequence[GPAR], reports, plan: CensusPlan,
         if matcher is None:
             from repro.matching.vf2 import VF2Matcher
 
-            matcher = VF2Matcher(use_index=False)
+            matcher = VF2Matcher()
         censuses: dict[Pattern, frozenset] = {}
         for entry in component_entries:
             for shape in entry.components + entry.pr_components:

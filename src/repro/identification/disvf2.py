@@ -29,7 +29,7 @@ class DisVF2(MatchC):
     def _make_matcher(self, max_radius: int) -> Matcher:
         # No locality wrapper and no degree filtering: the whole fragment is
         # searched for every candidate, as a naive port of VF2 would.
-        return VF2Matcher(use_degree_filter=False, use_index=self.config.use_index)
+        return VF2Matcher(use_degree_filter=False)
 
     def _verify_fragment(
         self,

@@ -38,26 +38,6 @@ class EIPConfig:
     executor_workers:
         Pool size for the thread/process backends; ``None`` sizes the pool
         to ``min(num_workers, cpu_count)``.
-    use_index:
-        Serve matcher probes from each fragment's resident
-        :class:`repro.graph.index.FragmentIndex` (built in the worker-pool
-        initializer on the process backend).  ``False`` re-derives label
-        sets, profiles and sketches per probe; both settings identify
-        identical entities (see docs/indexing.md).
-    use_columnar:
-        Serve label-bucket candidate pools and the shared profile filter
-        from each fragment's resident
-        :class:`repro.graph.columnar.ColumnarFragment` (CSR adjacency and
-        interned-label profile matrix, vectorized when numpy is available).
-        ``False`` keeps the dict/per-probe path; both settings identify
-        identical entities (see docs/columnar.md).
-    use_incremental:
-        Evaluate Σ through the prefix-trie mode of
-        :class:`repro.matching.MultiPatternMatcher`: rules with a shared
-        consequent share their antecedent-prefix match sets instead of being
-        matched rule-at-a-time.  Consumed by the ``Match`` solver (the
-        baselines keep their paper cost profiles); both settings identify
-        identical entities (see docs/incremental.md).
     """
 
     eta: float = 1.0
@@ -65,9 +45,6 @@ class EIPConfig:
     seed: int = 0
     backend: str = "sequential"
     executor_workers: int | None = None
-    use_index: bool = True
-    use_columnar: bool = True
-    use_incremental: bool = True
 
     def __post_init__(self) -> None:
         if self.eta <= 0:
@@ -151,9 +128,8 @@ class EIPResult:
     accepted_rules: list[GPAR] = field(default_factory=list)
     timings: RunTimings = field(default_factory=RunTimings)
     candidates_examined: int = 0
-    #: Prefix-trie pool applications across all fragments; > 0 proves the
-    #: shared-prefix path actually ran (the ``incremental`` bench family
-    #: gates on this for census-split Σ).
+    #: Prefix-trie pool applications across all fragments; > 0 proves rules
+    #: of Σ actually shared antecedent-prefix match sets.
     prefix_pool_hits: int = 0
 
     def confidence_of(self, rule: GPAR) -> float:
@@ -256,9 +232,6 @@ def identify_entities(
     seed: int = 0,
     backend: str = "sequential",
     executor_workers: int | None = None,
-    use_index: bool = True,
-    use_columnar: bool = True,
-    use_incremental: bool = True,
 ) -> EIPResult:
     """Solve EIP with the named algorithm (``match``, ``matchc`` or ``disvf2``)."""
     from repro.identification.disvf2 import DisVF2
@@ -271,9 +244,6 @@ def identify_entities(
         seed=seed,
         backend=backend,
         executor_workers=executor_workers,
-        use_index=use_index,
-        use_columnar=use_columnar,
-        use_incremental=use_incremental,
     )
     algorithms = {"match": Match, "matchc": MatchC, "disvf2": DisVF2}
     try:

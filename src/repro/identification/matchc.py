@@ -110,10 +110,10 @@ class MatchC:
     """Parallel EIP solver without the Section 5.2 optimisations."""
 
     #: Whether this solver's matcher probes the fragments' *resident* index.
-    #: MatchC searches exclusively inside extracted d-balls, where
-    #: :class:`LocalityMatcher` suspends index use, so building the
-    #: per-fragment indexes would be pure overhead; Match and DisVF2 run
-    #: directly on the fragment graphs and override this to ``True``.
+    #: MatchC searches exclusively inside extracted d-balls, which are
+    #: transient and never indexed, so building the per-fragment indexes
+    #: would be pure overhead; Match and DisVF2 run directly on the fragment
+    #: graphs and override this to ``True``.
     _consumes_resident_index = False
     #: Likewise for the resident columnar views: only ``Match`` routes its
     #: profile filtering and ``match_set`` pools through them (MatchC probes
@@ -126,9 +126,7 @@ class MatchC:
     # -- hooks overridden by Match / DisVF2 --------------------------------
     def _make_matcher(self, max_radius: int) -> Matcher:
         """Anchored matcher used per fragment (plain VF2 inside the d-ball)."""
-        return LocalityMatcher(
-            VF2Matcher(use_index=self.config.use_index), radius=max_radius
-        )
+        return LocalityMatcher(VF2Matcher(), radius=max_radius)
 
     def _verify_fragment(
         self,
@@ -199,8 +197,8 @@ class MatchC:
         executor = make_executor(
             self.config.backend,
             self.config.executor_workers,
-            build_indexes=self.config.use_index and self._consumes_resident_index,
-            build_columnar=self.config.use_columnar and self._consumes_columnar,
+            build_indexes=self._consumes_resident_index,
+            build_columnar=self._consumes_columnar,
         )
         runtime = BSPRuntime(fragments, executor)
         runtime.start_run()

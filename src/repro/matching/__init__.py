@@ -6,17 +6,23 @@ the role of the designated node x* (``Q(x, G)``).  The matchers therefore
 expose anchored, early-terminating queries in addition to full enumeration
 (which is retained for the ``disVF2`` baseline and as a test oracle).
 
-All matchers accept ``use_index`` (default on): probes for label candidate
-sets, adjacency profiles, labelled neighbour sets and k-hop sketches are
-then served by the data graph's resident
-:class:`repro.graph.index.FragmentIndex` instead of being re-derived from
-the raw graph per call — identical results, measured ≥2× faster on repeated
-matching traffic (docs/indexing.md).  They also accept ``use_columnar``
-(default on): anchored ``match_set`` pools are then label-bucketed and
-profile-prefiltered against the graph's resident
-:class:`repro.graph.columnar.ColumnarFragment` — interned label ids, CSR
-adjacency and a precomputed profile matrix, vectorized when numpy is
-available — and dual simulation runs over CSR ranges (docs/columnar.md).
+No matcher takes an indexing option.  A query consults whatever is
+*resident* for the data graph it is handed: on a fragment whose owner
+registered a :class:`repro.graph.index.FragmentIndex` (the executors do, for
+every fragment they start) label candidate sets, adjacency profiles,
+labelled neighbour sets and k-hop sketches are dict lookups
+(docs/indexing.md), and with a registered
+:class:`repro.graph.columnar.ColumnarFragment` anchored ``match_set`` pools
+are label-bucketed and profile-prefiltered against interned label ids and a
+precomputed profile matrix — vectorized when numpy is available — and dual
+simulation runs over CSR ranges (docs/columnar.md).  A transient graph with
+nothing registered (an extracted d-ball, the coordinator's authoritative
+graph) is probed raw; inside an open ``batch_update`` the whole-pool
+columnar kernels and the indexed ball BFS stand down to the raw graph (a
+half-applied state is never compiled or cached) while a resident index
+refuses to answer from it.  The answers are identical; ``tests/test_index_equivalence.py`` and
+``tests/test_columnar_equivalence.py`` hold every matcher to the naive
+:class:`repro.testing.ReferenceMatcher`.
 
 Matchers
 --------
@@ -30,9 +36,9 @@ Matchers
     Restricts an anchored search to the d-neighbourhood ``Gd(vx)``, the data
     locality both DMine and Match rely on.
 :class:`MultiPatternMatcher`
-    Shares work across a set Σ of GPARs (adjacency profiles of candidates are
-    computed once per candidate and reused by every rule; the prefix-trie
-    mode additionally shares antecedent-prefix match sets).
+    Shares work across a set Σ of GPARs: antecedent-prefix match sets are
+    computed once per shared prefix and every pool is profile-filtered
+    before the anchored search runs.
 :class:`MatchStore` / :class:`DeltaMatcher`
     Incremental match materialization for levelwise mining: parent match
     sets and embeddings are kept per fragment and a one-edge child is

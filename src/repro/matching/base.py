@@ -7,9 +7,9 @@ from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Iterator
 
 from repro.exceptions import MatchingError
-from repro.graph.columnar import ColumnarFragment, columnar_view
+from repro.graph.columnar import ColumnarFragment, registered_columnar
 from repro.graph.graph import Graph
-from repro.graph.index import FragmentIndex, graph_index
+from repro.graph.index import FragmentIndex, registered_index
 from repro.matching.candidates import label_candidates
 from repro.obs.stats import StatisticsBase
 from repro.pattern.pattern import Pattern, PatternEdge
@@ -97,49 +97,38 @@ def build_search_plan(pattern: Pattern, anchor) -> _SearchPlan:
 class Matcher(ABC):
     """Common interface of all subgraph-isomorphism matchers.
 
-    Parameters
-    ----------
-    use_index:
-        When ``True`` (default) anchored searches consult the resident
-        :class:`repro.graph.index.FragmentIndex` of the data graph (label
-        buckets, adjacency profiles, frozen adjacency views, sketch cache);
-        ``False`` re-derives everything from the raw graph per probe — the
-        measured-but-slower baseline of the index benchmarks.  The two modes
-        return identical matches.
-    use_columnar:
-        When ``True`` (default) ``match_set`` prefilters its candidate pool
-        against the resident :class:`repro.graph.columnar.ColumnarFragment`
-        (interned-label + profile-matrix domination, vectorized with numpy).
-        The filter is a necessary condition for an isomorphism match, so the
-        resulting match set is identical; only the per-candidate search work
-        shrinks.  Matchers whose baseline semantics forbid the profile
-        filter (``disVF2``: ``use_degree_filter=False``) suspend it via
-        ``_columnar_prefilter``.
+    A matcher keeps no opinion about indexing: every query consults whatever
+    is *resident* for the data graph it is handed.  A fragment whose owner
+    registered a :class:`repro.graph.index.FragmentIndex` /
+    :class:`repro.graph.columnar.ColumnarFragment` (the executors do, for
+    every fragment they start) is probed through them; a transient graph
+    with nothing registered (an extracted d-ball, the coordinator's
+    authoritative graph) is probed raw.  The answers are identical either
+    way — the resident structures are memoisations of the raw probes (and,
+    for the columnar pool prefilter of ``match_set``, a necessary condition
+    of a match).
+    Matchers whose baseline semantics forbid the profile filter
+    (``disVF2``: ``use_degree_filter=False``) suspend the prefilter via
+    ``_columnar_prefilter``.
     """
 
-    #: Whether match_set may profile-prefilter the pool (see use_columnar).
+    #: Whether match_set may profile-prefilter the pool against a resident view.
     _columnar_prefilter = True
 
-    def __init__(self, use_index: bool = True, use_columnar: bool = True) -> None:
+    def __init__(self) -> None:
         self.statistics = MatchStatistics()
-        self.use_index = use_index
-        self.use_columnar = use_columnar
 
     def reset_statistics(self) -> None:
         """Zero the work counters."""
         self.statistics = MatchStatistics()
 
     def _index(self, graph: Graph) -> FragmentIndex | None:
-        """The data graph's resident index, or ``None`` when disabled."""
-        if not self.use_index:
-            return None
-        return graph_index(graph)
+        """The data graph's resident index (``None``: probe the raw graph)."""
+        return registered_index(graph)
 
     def _columnar(self, graph: Graph) -> ColumnarFragment | None:
-        """The data graph's resident columnar view, or ``None`` when disabled."""
-        if not self.use_columnar:
-            return None
-        return columnar_view(graph)
+        """The data graph's resident columnar view (``None``: no prefilter)."""
+        return registered_columnar(graph)
 
     # -- anchored queries -------------------------------------------------
     @abstractmethod

@@ -34,21 +34,17 @@ class GuidedMatcher(Matcher):
     use_sketch_pruning:
         If ``True`` candidates whose sketch cannot dominate the pattern
         node's sketch are discarded before the recursive search.
-    use_index:
-        Serve data-node sketches, adjacency profiles and frozen adjacency
-        views from the graph's resident :class:`FragmentIndex` — the sketch
-        cache is then shared by every matcher probing the same graph in the
-        process, instead of being private to this instance.
+
+    Notes
+    -----
+    On a graph with a resident :class:`FragmentIndex` data-node sketches
+    come from the index's cache, shared by every matcher probing that graph
+    in the process; on a transient graph (an extracted d-ball) they are
+    cached privately, pinned to the ``Graph.version`` they were built at.
     """
 
-    def __init__(
-        self,
-        sketch_hops: int = 2,
-        use_sketch_pruning: bool = True,
-        use_index: bool = True,
-        use_columnar: bool = True,
-    ) -> None:
-        super().__init__(use_index=use_index, use_columnar=use_columnar)
+    def __init__(self, sketch_hops: int = 2, use_sketch_pruning: bool = True) -> None:
+        super().__init__()
         if sketch_hops < 1:
             raise ValueError(f"sketch_hops must be >= 1, got {sketch_hops}")
         self.sketch_hops = sketch_hops
@@ -57,8 +53,8 @@ class GuidedMatcher(Matcher):
         # id(): holding the object avoids id reuse after garbage collection),
         # pinned to the Graph.version it was filled at — a graph mutated
         # between probes (repro.stream update batches) starts a fresh cache
-        # instead of serving stale sketches.  Only used when the resident
-        # index is disabled.
+        # instead of serving stale sketches.  Only used on graphs without
+        # a resident index.
         self._data_sketches: dict[Graph, tuple[int, dict[NodeId, KHopSketch]]] = {}
         # Pattern sketches keyed by (pattern, node); Pattern hashes by
         # structure, so transient expanded copies reuse the right entry.

@@ -12,9 +12,9 @@ turns matching into an incremental computation:
 * :class:`DeltaMatcher` produces a child pattern's matches from a parent
   entry and a :class:`DeltaEdge` by probing only the new edge's endpoints:
   a *closing* edge (both endpoints already in the parent) is one
-  ``has_edge`` probe per stored embedding, a *growing* edge (one fresh
-  node) is one adjacency-bucket probe per stored embedding, answered by the
-  resident :class:`repro.graph.index.FragmentIndex` when one is in use.
+  membership probe per stored embedding, a *growing* edge (one fresh
+  node) is one adjacency-bucket probe per stored embedding, both answered
+  by the graph's resident :class:`repro.graph.index.FragmentIndex`.
 
 Laziness
 --------
@@ -62,6 +62,7 @@ from typing import Hashable, Iterable, Iterator, Mapping
 
 from repro.exceptions import GraphError, PatternError
 from repro.graph.graph import Graph
+from repro.graph.index import graph_index
 from repro.matching.base import Matcher
 from repro.obs.stats import StatisticsBase
 from repro.pattern.canonical import canonical_code
@@ -534,8 +535,9 @@ class DeltaMatcher:
         self.matcher = matcher
         self.store = store
         self.probe_depth = min(probe_depth, store.cap)
-        index_of = getattr(matcher, "_index", None)
-        self._index = index_of(graph) if callable(index_of) else None
+        # A match store makes *graph* resident by definition: pin its index
+        # (built here unless the executor already did) for the delta probes.
+        self._index = graph_index(graph)
 
     # ------------------------------------------------------------------
     def supports(self, pattern: Pattern) -> bool:
@@ -699,34 +701,19 @@ class DeltaMatcher:
 
     def _extensions(self, embedding: tuple, positions: dict, delta: DeltaEdge):
         """Yield the child embeddings extending one parent *embedding*."""
-        graph = self.graph
         index = self._index
         if delta.closing:
             source = embedding[positions[delta.source]]
             target = embedding[positions[delta.target]]
-            if index is not None:
-                present = target in index.out_neighbors(source, delta.label)
-            else:
-                present = graph.has_edge(source, target, delta.label)
-            if present:
+            if target in index.out_neighbors(source, delta.label):
                 yield embedding
             return
         if delta.new_node == delta.target:
-            anchor = embedding[positions[delta.source]]
-            neighbors = (
-                index.out_neighbors(anchor, delta.label)
-                if index is not None
-                else graph.out_neighbors(anchor, delta.label)
-            )
+            neighbors = index.out_neighbors(embedding[positions[delta.source]], delta.label)
         else:
-            anchor = embedding[positions[delta.target]]
-            neighbors = (
-                index.in_neighbors(anchor, delta.label)
-                if index is not None
-                else graph.in_neighbors(anchor, delta.label)
-            )
+            neighbors = index.in_neighbors(embedding[positions[delta.target]], delta.label)
         used = set(embedding)
-        label_of = index.node_label if index is not None else graph.node_label
+        label_of = index.node_label
         for neighbor in neighbors:
             if neighbor in used:
                 continue  # embeddings are injective

@@ -38,13 +38,14 @@ class LocalityMatcher(Matcher):
     The resident :class:`repro.graph.index.FragmentIndex` machinery is
     *fragment*-resident: extracted d-balls are transient per-candidate
     subgraphs, and eagerly indexing each one costs more than the handful of
-    probes it would serve.  The inner matcher's index use is therefore
-    suspended while it searches inside a ball (the label pool of anchored
-    ``match_set`` queries still comes from the data graph's resident index).
+    probes it would serve.  Balls are therefore never registered, and the
+    inner matcher — which probes whatever is resident for the graph it is
+    handed — searches them raw (the label pool of anchored ``match_set``
+    queries still comes from the data graph's resident index).
     """
 
     def __init__(self, inner: Matcher, radius: int | None = None, cache_balls: bool = True) -> None:
-        super().__init__(use_columnar=getattr(inner, "use_columnar", True))
+        super().__init__()
         self.inner = inner
         self.radius = radius
         self.cache_balls = cache_balls
@@ -60,7 +61,7 @@ class LocalityMatcher(Matcher):
 
     def _ball(self, graph: Graph, anchor_value: NodeId, radius: int) -> Graph:
         # The BFS half of the extraction runs on the resident index's
-        # memoised frozen-neighbourhood view when the index is enabled
+        # memoised frozen-neighbourhood view when the graph has one
         # (Graph.neighbors allocates a fresh set per visited node).
         index = None if graph.in_batch else self._index(graph)
         if not self.cache_balls:
@@ -84,12 +85,7 @@ class LocalityMatcher(Matcher):
         expanded = pattern.expanded()
         radius = self.radius if self.radius is not None else pattern_radius(expanded, expanded.x)
         ball = self._ball(graph, anchor_value, radius)
-        inner_use_index = self.inner.use_index
-        self.inner.use_index = False  # balls are transient; see the class docstring
-        try:
-            mapping = self.inner.find_match_at(ball, expanded, anchor_value)
-        finally:
-            self.inner.use_index = inner_use_index
+        mapping = self.inner.find_match_at(ball, expanded, anchor_value)
         self.statistics.merge(self.inner.statistics)
         self.inner.reset_statistics()
         return mapping

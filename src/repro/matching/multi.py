@@ -1,22 +1,19 @@
 """Multi-pattern matching for a set Σ of GPARs.
 
 When EIP is posed with many rules over the same predicate, much of the
-per-candidate work is shared: the labelled adjacency profile of a candidate
-``vx`` is computed once and checked against every rule's required profile
-(a necessary condition), and only the surviving (rule, candidate) pairs run
-the expensive anchored isomorphism search.  This mirrors the paper's use of
-common sub-pattern extraction [32] in ``Match``.
-
-The *prefix-trie* mode (``use_prefix_trie``) shares the matching work
-itself, not just the filter: each pattern's edges are ordered into a
-deterministic connectivity-respecting chain from ``x``, and the match set
-of every chain prefix shared by two or more patterns is computed once and
-reused as the candidate pool of everything below it in the trie.  Because a
-full match restricted to a prefix's nodes is a prefix match, pool
-restriction by prefix match sets is lossless — the per-pattern results are
-identical to rule-at-a-time evaluation.  EIP rule sets share their
-consequent (and, having been grown levelwise from common seeds, usually
-long antecedent prefixes), which is exactly the shape the trie rewards.
+per-candidate work is shared, mirroring the paper's use of common
+sub-pattern extraction [32] in ``Match``.  Each pattern's edges are ordered
+into a deterministic connectivity-respecting chain from ``x``, and the match
+set of every chain prefix shared by two or more patterns is computed once
+and reused as the candidate pool of everything below it in the trie; the
+surviving pool is then filtered by the labelled adjacency profile the full
+pattern requires of ``x`` (a necessary condition) before the anchored
+isomorphism search runs.  Because a full match restricted to a prefix's
+nodes is a prefix match, pool restriction by prefix match sets is lossless —
+the per-pattern results are identical to rule-at-a-time evaluation.  EIP
+rule sets share their consequent (and, having been grown levelwise from
+common seeds, usually long antecedent prefixes), which is exactly the shape
+the trie rewards.
 """
 
 from __future__ import annotations
@@ -24,9 +21,9 @@ from __future__ import annotations
 from collections import Counter
 from typing import Hashable, Iterable, Mapping, Sequence
 
-from repro.graph.columnar import columnar_view
+from repro.graph.columnar import registered_columnar
 from repro.graph.graph import Graph
-from repro.graph.index import graph_index
+from repro.graph.index import registered_index
 from repro.matching.base import Matcher, MatchStatistics
 from repro.matching.candidates import adjacency_profile, profile_satisfies, required_profile
 from repro.pattern.gpar import GPAR
@@ -53,45 +50,21 @@ class MultiPatternMatcher:
         The anchored matcher used for the exact checks (typically a
         :class:`repro.matching.GuidedMatcher`, possibly wrapped in a
         :class:`repro.matching.LocalityMatcher`).
-    use_profile_filter:
-        Enable the shared adjacency-profile necessary condition.
-    use_index:
-        Serve candidate pools and adjacency profiles from the data graph's
-        resident :class:`repro.graph.index.FragmentIndex`.
-    use_prefix_trie:
-        Share antecedent-prefix match sets across the workload (see the
-        module docstring); identical results either way.
-    use_columnar:
-        Run the shared profile filter against the data graph's resident
-        :class:`repro.graph.columnar.ColumnarFragment` — one interned-id
-        pool mask per rule instead of a python profile comparison per
-        ``(candidate, rule)`` pair.  The filter remains a necessary
-        condition, so the match sets are identical.
+
+    Notes
+    -----
+    The shared profile filter runs against the data graph's resident
+    :class:`repro.graph.columnar.ColumnarFragment` when it has one — one
+    interned-id pool mask per rule — and as a python profile comparison per
+    candidate otherwise (transient graph, open ``batch_update``).  The
+    filter is a necessary condition either way, so the match sets are
+    identical.
     """
 
-    def __init__(
-        self,
-        matcher: Matcher,
-        use_profile_filter: bool = True,
-        use_index: bool = True,
-        use_prefix_trie: bool = False,
-        use_columnar: bool = True,
-    ) -> None:
+    def __init__(self, matcher: Matcher) -> None:
         self.matcher = matcher
-        self.use_profile_filter = use_profile_filter
-        self.use_index = use_index
-        self.use_prefix_trie = use_prefix_trie
-        self.use_columnar = use_columnar
         self.statistics = MatchStatistics()
 
-    def _columnar(self, graph: Graph):
-        if not (self.use_columnar and self.use_profile_filter) or graph.in_batch:
-            return None
-        return columnar_view(graph)
-
-    # ------------------------------------------------------------------
-    # prefix-trie mode
-    # ------------------------------------------------------------------
     @staticmethod
     def _prefix_chain(pattern: Pattern) -> tuple[Pattern, ...]:
         """Cumulative connected-from-x sub-patterns of *pattern*, memoised.
@@ -161,7 +134,8 @@ class MultiPatternMatcher:
             for prefix in chain[:-1]:
                 shared[prefix] += 1
         pool_cache: dict[Pattern, frozenset] = {}
-        index = graph_index(graph) if self.use_index else None
+        index = registered_index(graph)
+        columnar = None if graph.in_batch else registered_columnar(graph)
         base = None if candidates is None else list(candidates)
         results: dict[Hashable, set[NodeId]] = {}
         for key, pattern in patterns.items():
@@ -177,9 +151,8 @@ class MultiPatternMatcher:
                     pool_cache[prefix] = cached
                 pool = cached
                 self.statistics.prefix_pool_hits += 1
-            if self.use_profile_filter and pool is not None:
+            if pool is not None:
                 expanded = pattern.expanded()
-                columnar = self._columnar(graph)
                 if columnar is not None:
                     requirement = columnar.compile_requirement(expanded, expanded.x)
                     pool = columnar.filter_candidates(pool, requirement)
@@ -198,7 +171,6 @@ class MultiPatternMatcher:
         self.matcher.reset_statistics()
         return results
 
-    # ------------------------------------------------------------------
     def match_sets(
         self,
         graph: Graph,
@@ -211,76 +183,9 @@ class MultiPatternMatcher:
         centre nodes of a fragment); by default all nodes carrying the rule's
         x-label are probed.
         """
-        results: dict[GPAR, set[NodeId]] = {rule: set() for rule in rules}
-        if not rules:
-            return results
-        if self.use_prefix_trie:
-            return self.shared_match_sets(
-                graph,
-                {rule: rule.pr_pattern() for rule in rules},
-                candidates=candidates,
-            )
-
-        # Group candidate pools by x-label so the label index is hit once.
-        by_x_label: dict[str, list[GPAR]] = {}
-        for rule in rules:
-            by_x_label.setdefault(rule.x_label, []).append(rule)
-
-        # Pre-compute the required adjacency profile of x for every rule.
-        needed_profiles = {
-            rule: required_profile(rule.pr_pattern().expanded(), rule.x) for rule in rules
-        }
-
-        index = graph_index(graph) if self.use_index else None
-        columnar = self._columnar(graph)
-        candidate_list = None if candidates is None else list(candidates)
-        for x_label, label_rules in by_x_label.items():
-            if candidate_list is None:
-                if index is not None:
-                    pool: Iterable[NodeId] = index.nodes_with_label(x_label)
-                else:
-                    pool = graph.nodes_with_label(x_label)
-            else:
-                pool = [
-                    node
-                    for node in candidate_list
-                    if graph.has_node(node) and graph.node_label(node) == x_label
-                ]
-            if columnar is not None:
-                # One interned-id mask per rule over the whole pool instead of
-                # a python profile comparison per (candidate, rule) pair.  The
-                # statistics keep the pairwise accounting of the dict path.
-                pool = list(pool)
-                for rule in label_rules:
-                    expanded = rule.pr_pattern().expanded()
-                    requirement = columnar.compile_requirement(expanded, expanded.x)
-                    survivors = columnar.filter_candidates(pool, requirement)
-                    self.statistics.candidates_considered += len(pool)
-                    self.statistics.profile_prunes += len(pool) - len(survivors)
-                    for candidate in survivors:
-                        if self.matcher.exists_match_at(
-                            graph, rule.pr_pattern(), candidate
-                        ):
-                            results[rule].add(candidate)
-                continue
-            for candidate in pool:
-                profile = (
-                    adjacency_profile(graph, candidate, index)
-                    if self.use_profile_filter
-                    else None
-                )
-                for rule in label_rules:
-                    self.statistics.candidates_considered += 1
-                    if profile is not None and not profile_satisfies(
-                        profile, needed_profiles[rule]
-                    ):
-                        self.statistics.profile_prunes += 1
-                        continue
-                    if self.matcher.exists_match_at(graph, rule.pr_pattern(), candidate):
-                        results[rule].add(candidate)
-        self.statistics.merge(self.matcher.statistics)
-        self.matcher.reset_statistics()
-        return results
+        return self.shared_match_sets(
+            graph, {rule: rule.pr_pattern() for rule in rules}, candidates=candidates
+        )
 
     def antecedent_match_sets(
         self,
@@ -289,16 +194,6 @@ class MultiPatternMatcher:
         candidates: Iterable[NodeId] | None = None,
     ) -> dict[GPAR, set[NodeId]]:
         """Return ``{rule: Q(x, G)}`` (antecedent-only match sets)."""
-        if self.use_prefix_trie:
-            return self.shared_match_sets(
-                graph,
-                {rule: rule.antecedent for rule in rules},
-                candidates=candidates,
-            )
-        results: dict[GPAR, set[NodeId]] = {}
-        for rule in rules:
-            pool = candidates
-            results[rule] = self.matcher.match_set(graph, rule.antecedent, candidates=pool)
-        self.statistics.merge(self.matcher.statistics)
-        self.matcher.reset_statistics()
-        return results
+        return self.shared_match_sets(
+            graph, {rule: rule.antecedent for rule in rules}, candidates=candidates
+        )

@@ -22,9 +22,9 @@ from __future__ import annotations
 
 from typing import Hashable
 
-from repro.graph.columnar import ColumnarFragment, columnar_view
+from repro.graph.columnar import ColumnarFragment, registered_columnar
 from repro.graph.graph import Graph
-from repro.graph.index import FragmentIndex, graph_index
+from repro.graph.index import FragmentIndex, registered_index
 from repro.pattern.pattern import Pattern
 
 NodeId = Hashable
@@ -112,9 +112,7 @@ class SimulationMatcher:
     maximum simulation rather than by per-candidate search.
     """
 
-    def __init__(self, use_index: bool = True, use_columnar: bool = True) -> None:
-        self.use_index = use_index
-        self.use_columnar = use_columnar
+    def __init__(self) -> None:
         # Cache of maximum simulations keyed by (pattern, graph identity),
         # each entry pinned to the Graph.version it was computed at: a
         # mutated graph (e.g. under repro.stream update batches) recomputes
@@ -127,10 +125,8 @@ class SimulationMatcher:
         entry = self._cache.get(key)
         if entry is not None and entry[0] == graph.version and not graph.in_batch:
             return entry[1]
-        index = graph_index(graph) if self.use_index else None
-        columnar = (
-            columnar_view(graph) if self.use_columnar and not graph.in_batch else None
-        )
+        index = registered_index(graph)
+        columnar = None if graph.in_batch else registered_columnar(graph)
         simulation = maximum_dual_simulation(pattern, graph, index, columnar)
         if not graph.in_batch:  # a half-applied batch state must not linger
             self._cache[key] = (graph.version, simulation)

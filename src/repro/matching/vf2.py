@@ -28,24 +28,13 @@ class VF2Matcher(Matcher):
         When ``True`` (default) candidates failing the labelled-degree
         necessary condition are rejected before the recursive search; the
         ``disVF2`` baseline of the paper disables every extra filter.
-    use_index:
-        Consult the data graph's resident :class:`FragmentIndex` for label
-        buckets, adjacency profiles and frozen adjacency views (see
-        :class:`repro.matching.base.Matcher`).
-    use_columnar:
-        Prefilter ``match_set`` pools against the resident columnar view
-        (see :class:`repro.matching.base.Matcher`).  Suspended automatically
-        when *use_degree_filter* is off: the ``disVF2`` baseline must pay
-        the full per-candidate search the paper measures.
+        With the filter off the columnar pool prefilter of ``match_set`` is
+        suspended too: the baseline must pay the full per-candidate search
+        the paper measures.
     """
 
-    def __init__(
-        self,
-        use_degree_filter: bool = True,
-        use_index: bool = True,
-        use_columnar: bool = True,
-    ) -> None:
-        super().__init__(use_index=use_index, use_columnar=use_columnar)
+    def __init__(self, use_degree_filter: bool = True) -> None:
+        super().__init__()
         self.use_degree_filter = use_degree_filter
         if not use_degree_filter:
             self._columnar_prefilter = False

@@ -43,28 +43,6 @@ class DMineConfig:
         ``"vf2"`` (plain backtracking, the default — DMine's optimisations
         are orthogonal to the matcher) or ``"guided"`` (sketch-guided
         search, mainly useful on graphs with very skewed label frequencies).
-    use_index:
-        Serve matcher probes from each fragment's resident
-        :class:`repro.graph.index.FragmentIndex` (built in the worker-pool
-        initializer on the process backend).  ``False`` re-derives label
-        sets, profiles and sketches from the raw graph per probe; both
-        settings mine identical rules (see docs/indexing.md).
-    use_columnar:
-        Serve label-bucket candidate pools and the shared profile filter
-        from each fragment's resident
-        :class:`repro.graph.columnar.ColumnarFragment` (CSR adjacency and
-        interned-label profile matrix, vectorized when numpy is available).
-        ``False`` keeps the dict/per-probe path; both settings mine
-        identical rules (see docs/columnar.md).
-    use_incremental:
-        Delta-extend matches across DMine levels: each fragment materializes
-        the match sets and witness embeddings of the rules it evaluates in a
-        resident :class:`repro.matching.incremental.MatchStore`, and the
-        next level's candidates (parent + one edge) are matched by probing
-        only the new edge's endpoints, with exact fallback to full matching
-        on any store miss.  ``False`` re-matches every candidate from
-        scratch; both settings mine identical rules (see
-        docs/incremental.md).
     use_incremental_diversification:
         incDiv on/off — off means "discover then diversify" at the end.
     use_reduction_rules:
@@ -92,9 +70,6 @@ class DMineConfig:
     max_extensions_per_rule: int = 30
     max_rules_per_round: int = 60
     matcher: str = "vf2"
-    use_index: bool = True
-    use_columnar: bool = True
-    use_incremental: bool = True
     use_incremental_diversification: bool = True
     use_reduction_rules: bool = True
     use_bisimulation_filter: bool = True
@@ -148,13 +123,6 @@ class DMineConfig:
             max_extensions_per_rule=self.max_extensions_per_rule,
             max_rules_per_round=self.max_rules_per_round,
             matcher="vf2",
-            use_index=self.use_index,
-            # The columnar kernel, like the index and the incremental
-            # materialization, is an implementation-level representation
-            # choice, not one of the paper's mining optimisations — DMineno
-            # keeps whatever the caller chose.
-            use_columnar=self.use_columnar,
-            use_incremental=self.use_incremental,
             use_incremental_diversification=False,
             use_reduction_rules=False,
             use_bisimulation_filter=False,

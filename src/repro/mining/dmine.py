@@ -118,12 +118,7 @@ class DMine:
             d=config.d,
             seed=config.seed,
         )
-        executor = make_executor(
-            config.backend,
-            config.executor_workers,
-            build_indexes=config.use_index,
-            build_columnar=config.use_columnar,
-        )
+        executor = make_executor(config.backend, config.executor_workers)
         runtime = BSPRuntime(fragments, executor)
         runtime.start_run()
 
@@ -211,7 +206,7 @@ class DMine:
                                 pools=pools,
                                 predicate=predicate,
                                 config=config,
-                                parents=parents if config.use_incremental else (),
+                                parents=parents,
                             )
                         )
 

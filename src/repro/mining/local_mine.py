@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from typing import Hashable, Sequence
 
-from repro.graph.index import graph_index
 from repro.matching.base import Matcher
 from repro.matching.guided import GuidedMatcher
 from repro.matching.incremental import DeltaMatcher, MatchStore, single_edge_delta
@@ -45,11 +44,9 @@ from repro.pattern.pattern import Pattern
 NodeId = Hashable
 
 
-def make_matcher(kind: str, use_index: bool = True, use_columnar: bool = True) -> Matcher:
+def make_matcher(kind: str) -> Matcher:
     """Instantiate the anchored matcher named by a config string."""
-    if kind == "guided":
-        return GuidedMatcher(use_index=use_index, use_columnar=use_columnar)
-    return VF2Matcher(use_index=use_index, use_columnar=use_columnar)
+    return GuidedMatcher() if kind == "guided" else VF2Matcher()
 
 
 def seed_rule(predicate: Pattern, name: str = "seed") -> GPAR:
@@ -81,26 +78,15 @@ class LocalMiner:
         self.fragment = fragment
         self.predicate = predicate
         self.config = config
-        self.matcher = make_matcher(
-            config.matcher,
-            use_index=config.use_index,
-            use_columnar=config.use_columnar,
-        )
-        # Pin the fragment's resident index so every probe this miner makes
-        # (and every other consumer in the process) shares one build; on the
-        # process backend the build already happened in the pool initializer.
-        self.index = graph_index(fragment.graph) if config.use_index else None
+        self.matcher = make_matcher(config.matcher)
         # Fragment-resident match materialization: parent levels' match sets
         # and embeddings live here between rounds so children are matched by
-        # delta extension.  Like the index, the store never crosses a pickle
-        # boundary — a cold worker process simply starts with an empty store
-        # and the evaluation falls back to full matching (identical results).
-        self.store = MatchStore(fragment.graph) if config.use_incremental else None
-        self.delta = (
-            DeltaMatcher(fragment.graph, self.matcher, self.store)
-            if self.store is not None
-            else None
-        )
+        # delta extension.  Like the fragment's index, the store never
+        # crosses a pickle boundary — a cold worker process simply starts
+        # with an empty store and the evaluation falls back to full matching
+        # (identical results).
+        self.store = MatchStore(fragment.graph)
+        self.delta = DeltaMatcher(fragment.graph, self.matcher, self.store)
 
         stats = predicate_stats_over(fragment.graph, predicate, fragment.owned_centers)
         # Candidate centres C_i: owned nodes satisfying the search condition on x.
@@ -143,7 +129,7 @@ class LocalMiner:
             if not centers:
                 continue
             witnesses = None
-            if self.store is not None and rule.antecedent.num_edges > 0:
+            if rule.antecedent.num_edges > 0:
                 entry = self.store.get(rule.antecedent)
                 # Only canonical entries are safe to reuse: their first
                 # embedding per centre *is* the mapping find_match_at would
@@ -177,9 +163,9 @@ class LocalMiner:
         result, only the work.  ``None`` entries fall back to the fragment's
         full candidate set.
 
-        *parents* (parallel to *rules*, incremental mode only) names the
-        rule each entry was proposed from at this fragment.  When the
-        parent's matches are materialized in the fragment's
+        *parents* (parallel to *rules*) names the rule each entry was
+        proposed from at this fragment.  When the parent's matches are
+        materialized in the fragment's
         :class:`~repro.matching.incremental.MatchStore`, the child's
         antecedent and PR match sets are produced by delta-extending the
         parent's embeddings through the one new edge instead of re-matching
@@ -218,15 +204,14 @@ class LocalMiner:
                     upper_support=len(rule_matches),
                 )
             )
-        if self.store is not None:
-            # The only parents the next level can need are this level's
-            # children: evict everything else.  The store itself then holds
-            # one level of entries; note that a child's lazy embedding
-            # streams keep their ancestors' streams reachable (they pull
-            # parent embeddings on demand), so resident embedding memory is
-            # bounded by ancestry depth (<= max_edges) x matched centres x
-            # the per-centre cap, not by the entry count alone.
-            self.store.retain(materialized)
+        # The only parents the next level can need are this level's
+        # children: evict everything else.  The store itself then holds one
+        # level of entries; note that a child's lazy embedding streams keep
+        # their ancestors' streams reachable (they pull parent embeddings on
+        # demand), so resident embedding memory is bounded by ancestry depth
+        # (<= max_edges) x matched centres x the per-centre cap, not by the
+        # entry count alone.
+        self.store.retain(materialized)
         return messages
 
     def _match_rule(
@@ -238,20 +223,10 @@ class LocalMiner:
     ) -> tuple[set[NodeId], set[NodeId]]:
         """Antecedent and PR match sets of *rule* over *pool* (owned centres).
 
-        The incremental path and the plain path return identical sets; the
-        incremental one merely routes through the fragment's match store.
+        Routed through the fragment's match store: delta-extended from the
+        parent's materialized embeddings when they are resident, matched in
+        full (and materialized for the next level) otherwise.
         """
-        graph = self.fragment.graph
-        if self.store is None:
-            antecedent_matches = self.matcher.match_set(
-                graph, rule.antecedent, candidates=pool
-            )
-            rule_pool = antecedent_matches & self.local_positives
-            rule_matches = self.matcher.match_set(
-                graph, rule.pr_pattern(), candidates=rule_pool
-            )
-            return antecedent_matches, rule_matches
-
         # Materialize embeddings only for rules whose children can still be
         # proposed: a rule at the edge budget is never extended, so storing
         # its embeddings would be pure overhead.

@@ -297,10 +297,9 @@ def make_executor(
 
     *build_indexes* controls whether the backend builds the fragments'
     resident :class:`repro.graph.index.FragmentIndex` at start (see
-    :class:`Executor`); algorithm configs pass their ``use_index`` flag here
-    so unindexed baseline runs skip the build entirely.  *build_columnar*
-    does the same for the resident columnar views (the ``use_columnar``
-    flag of the algorithm configs).
+    :class:`Executor`) and *build_columnar* the resident columnar views;
+    solvers whose matchers never probe the fragment graphs directly
+    (``MatchC`` searches extracted d-balls) skip the builds.
     """
     if backend == "sequential":
         executor: Executor = SequentialExecutor()

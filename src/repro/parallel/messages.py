@@ -98,10 +98,10 @@ class EvaluatePayload:
 
     ``pools`` is parallel to ``rules``: the inherited candidate pool for each
     representative at this fragment (``None`` → the fragment's full
-    candidate set).  ``parents`` (also parallel to ``rules``, empty when the
-    incremental path is off) names the message-set rule each representative
-    was proposed from *at this fragment*, so the worker can delta-extend the
-    parent's materialized matches instead of re-matching from scratch; a
+    candidate set).  ``parents`` (also parallel to ``rules``) names the
+    message-set rule each representative was proposed from *at this
+    fragment*, so the worker can delta-extend the parent's materialized
+    matches instead of re-matching from scratch; a
     ``None`` parent means "no materialized lineage here — full match".
     Only rule objects travel, never match stores: the stores are
     fragment-resident and rebuilt from the fragment on a cache miss.

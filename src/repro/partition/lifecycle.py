@@ -57,7 +57,9 @@ from pathlib import Path
 from typing import Hashable, Mapping, Sequence
 
 from repro.exceptions import StreamError
+from repro.graph.columnar import columnar_view, registered_columnar
 from repro.graph.graph import Graph
+from repro.graph.index import graph_index, registered_index
 from repro.graph.neighborhood import ball
 from repro.obs.tracing import event as trace_event
 from repro.partition.fragment import Fragment
@@ -202,8 +204,19 @@ class FragmentCheckpoint:
         )
 
     def install(self, fragment: Fragment) -> None:
-        """Replace *fragment*'s resident state with this snapshot in place."""
+        """Replace *fragment*'s resident state with this snapshot in place.
+
+        Residency belongs to the fragment, not to the graph object it holds:
+        whichever of the index / columnar view the replaced graph had
+        registered is rebuilt for the new one, so matching stays on the
+        resident structures across a checkpoint install.
+        """
+        replaced = fragment.graph
         fragment.graph = self.build_graph()
+        if registered_index(replaced) is not None:
+            graph_index(fragment.graph)
+        if registered_columnar(replaced) is not None:
+            columnar_view(fragment.graph)
         fragment.owned_centers = set(self.owned_centers)
         fragment.sequence = self.sequence
 

@@ -476,8 +476,6 @@ class ReproService:
                 seed=int(body.get("seed", 0)),
                 backend=body.get("backend", "sequential"),
                 executor_workers=body.get("pool_size"),
-                use_index=bool(body.get("use_index", True)),
-                use_incremental=bool(body.get("use_incremental", True)),
             )
 
         def build_rules(graph):
@@ -546,8 +544,6 @@ class ReproService:
                 "seed": int(body.get("seed", 0)),
                 "backend": body.get("backend", "sequential"),
                 "pool_size": body.get("pool_size"),
-                "use_index": bool(body.get("use_index", True)),
-                "use_incremental": bool(body.get("use_incremental", True)),
                 "stream": body.get("stream", {}),
             },
             sort_keys=True,

@@ -47,7 +47,6 @@ from __future__ import annotations
 import pickle
 import threading
 import time
-import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Hashable, Sequence
@@ -284,25 +283,10 @@ class StreamingIdentifier:
         algorithm: str = "match",
         stream_config: StreamConfig | None = None,
         radius_floor: int = 0,
-        **config_overrides,
     ) -> None:
-        if config_overrides:
-            if config is not None:
-                raise StreamError(
-                    "pass either an explicit EIPConfig or keyword overrides, "
-                    f"not both (got config and {sorted(config_overrides)})"
-                )
-            warnings.warn(
-                "passing EIPConfig fields as keyword arguments to "
-                "StreamingIdentifier is deprecated and will be removed in the "
-                "next release; build an explicit EIPConfig (or use "
-                "repro.api.open_session, which owns config construction)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
         self.graph = graph
         self.rules = tuple(rules)
-        self.config = config if config is not None else EIPConfig(**config_overrides)
+        self.config = config if config is not None else EIPConfig()
         self.algorithm = algorithm
         self.stream_config = stream_config if stream_config is not None else StreamConfig()
         # Floor on the verification radius: fragments are partitioned (and
@@ -407,8 +391,8 @@ class StreamingIdentifier:
         executor = make_executor(
             self.config.backend,
             self.config.executor_workers,
-            build_indexes=self.config.use_index and solver_cls._consumes_resident_index,
-            build_columnar=self.config.use_columnar and solver_cls._consumes_columnar,
+            build_indexes=solver_cls._consumes_resident_index,
+            build_columnar=solver_cls._consumes_columnar,
         )
         self.runtime = BSPRuntime(self.fragments, executor)
         self.runtime.start_run()
@@ -941,9 +925,6 @@ class StreamingIdentifier:
             seed=self.config.seed,
             backend=self.config.backend,
             executor_workers=self.config.executor_workers,
-            use_index=self.config.use_index,
-            use_columnar=self.config.use_columnar,
-            use_incremental=self.config.use_incremental,
         )
 
     def close(self) -> None:

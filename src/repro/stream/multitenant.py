@@ -311,9 +311,6 @@ class MultiTenantIdentifier:
             seed=config.seed,
             backend=config.backend,
             executor_workers=config.executor_workers,
-            use_index=config.use_index,
-            use_columnar=config.use_columnar,
-            use_incremental=config.use_incremental,
         )
 
     # ------------------------------------------------------------------

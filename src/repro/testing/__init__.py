@@ -10,6 +10,9 @@ this package supplies the adversarial half (see ``docs/adversarial.md``):
   and reports the first :class:`Divergence` per configuration, plus
   :func:`multi_tenant_check`, the cross-Σ oracle asserting shared-core
   tenant projections stay byte-identical to independent runs;
+* :mod:`repro.testing.reference` — :class:`ReferenceMatcher` /
+  :func:`reference_identify`: the one deliberately naive implementation
+  every production matching path is held equal to;
 * :mod:`repro.testing.distill` — greedy delta-debugging
   (:func:`distill`) plus MinHash dedup of counterexamples;
 * :mod:`repro.testing.cases` — the ``tests/regressions/*.json`` corpus:
@@ -40,6 +43,7 @@ from repro.testing.oracle import (
     eip_fingerprint,
     multi_tenant_check,
 )
+from repro.testing.reference import ReferenceMatcher, reference_identify
 from repro.testing.storms import (
     STORM_FAMILIES,
     ball_burst_storm,
@@ -54,6 +58,7 @@ __all__ = [
     "DistilledCase",
     "Divergence",
     "OracleReport",
+    "ReferenceMatcher",
     "RegressionCase",
     "STORM_FAMILIES",
     "TenantDivergence",
@@ -71,5 +76,6 @@ __all__ = [
     "load_case",
     "minhash_signature",
     "multi_tenant_check",
+    "reference_identify",
     "write_case",
 ]

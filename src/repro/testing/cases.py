@@ -9,7 +9,7 @@ A case file (format 1) is fully self-contained:
       "name": "census-component-edges",
       "description": "why this case exists / what bug it pinned",
       "config": {"algorithm": "match", "eta": 0.5, "num_workers": 2,
-                 "seed": 0, "backend": "sequential", "use_index": true},
+                 "seed": 0, "backend": "sequential"},
       "graph": {"name": ..., "nodes": [...], "edges": [...]},
       "rules": [{"name": ..., "consequent_label": ...,
                  "antecedent": {"nodes": {...}, "edges": [[s, t, l], ...],
@@ -139,7 +139,6 @@ class RegressionCase:
             num_workers=config.get("num_workers", 2),
             seed=config.get("seed", 0),
             backends=(config.get("backend", "sequential"),),
-            index_modes=(config.get("use_index", True),),
         )
         return oracle.check(self.graph, list(self.batches))
 
@@ -217,7 +216,6 @@ def from_distilled(
             "batch_index": divergence.batch_index,
             "component": divergence.component,
             "backend": divergence.backend,
-            "use_index": divergence.use_index,
             "detail": divergence.detail,
         }
         if isinstance(divergence, Divergence)

@@ -1,23 +1,23 @@
 """Differential oracle: maintained streaming state vs fresh recomputes.
 
 The oracle's contract (see ``docs/adversarial.md``): after **every** update
-batch, on every configured ``backend × index-mode`` combination,
+batch, on every configured backend,
 
 * a :class:`~repro.stream.StreamingIdentifier` maintained across the
   batches must report an :func:`eip_fingerprint` byte-identical to
   ``identify_entities`` re-run from scratch on a pristine copy of the
   mutated graph, and
 * a :class:`~repro.stream.MaintainedMatchView` over the maintainable
-  antecedent patterns must report match sets equal to a fresh index-free
-  matcher's ``match_set`` on the live graph.
+  antecedent patterns must report match sets equal to the naive
+  :class:`~repro.testing.reference.ReferenceMatcher`'s ``match_set`` on
+  the live graph.
 
 Any exception raised by the maintained side is itself a divergence
 (``component="error"``) — a streaming path that rejects a workload the
 static path accepts is exactly the kind of semantics gap this harness
-exists to catch.  The oracle reports the **first** divergence per
-combination and keeps combinations independent (each gets its own graph
-copy), so a reported batch index is the true minimal failing prefix for
-that combination.
+exists to catch.  The oracle reports the **first** divergence per backend
+and keeps backends independent (each gets its own graph copy), so a
+reported batch index is the true minimal failing prefix for that backend.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from repro.identification.eip import EIPConfig, EIPResult
 from repro.matching import DeltaMatcher, MatchStore, VF2Matcher
 from repro.pattern.gpar import GPAR
 from repro.stream import MaintainedMatchView, StreamingIdentifier, UpdateBatch
+from repro.testing.reference import ReferenceMatcher
 
 #: batch_index used for the pre-batch (initial assembly) check.
 INITIAL = -1
@@ -65,17 +66,13 @@ class Divergence:
     batch_index: int  #: batch after which it surfaced (-1 = initial state)
     component: str  #: "identifier", "matchview" or "error"
     backend: str
-    use_index: bool
     detail: str
     expected: object = None  #: fresh-recompute side (fingerprint / sets)
     actual: object = None  #: maintained side
 
     def describe(self) -> str:
         where = "initial state" if self.batch_index == INITIAL else f"batch {self.batch_index}"
-        return (
-            f"[{self.component}] {where} on backend={self.backend} "
-            f"index={'on' if self.use_index else 'off'}: {self.detail}"
-        )
+        return f"[{self.component}] {where} on backend={self.backend}: {self.detail}"
 
 
 @dataclass
@@ -108,9 +105,9 @@ class DifferentialOracle:
         Forwarded to both the maintained identifier and the fresh
         ``identify_entities`` runs (the two sides must answer the same
         question).
-    backends, index_modes:
-        The grid of streaming configurations to exercise; the fresh side
-        always recomputes sequentially on a pristine graph copy.
+    backends:
+        The streaming backends to exercise; the fresh side always
+        recomputes sequentially on a pristine graph copy.
     view_matcher_factory:
         Zero-argument callable building the matcher that backs the
         maintained match view.  The default is the real enumerating VF2
@@ -126,7 +123,6 @@ class DifferentialOracle:
         num_workers: int = 2,
         seed: int = 0,
         backends: Sequence[str] = ("sequential",),
-        index_modes: Sequence[bool] = (True,),
         view_matcher_factory: Callable[[], object] | None = None,
     ) -> None:
         self.rules = tuple(rules)
@@ -135,31 +131,26 @@ class DifferentialOracle:
         self.num_workers = num_workers
         self.seed = seed
         self.backends = tuple(backends)
-        self.index_modes = tuple(bool(mode) for mode in index_modes)
-        self.view_matcher_factory = view_matcher_factory or (
-            lambda: VF2Matcher(use_index=False)
-        )
+        self.view_matcher_factory = view_matcher_factory or VF2Matcher
 
     # -- configuration ----------------------------------------------------
     def narrowed(self, divergence: Divergence) -> "DifferentialOracle":
-        """A single-combination oracle replaying *divergence*'s config —
-        what the distiller iterates with."""
-        clone = DifferentialOracle(
+        """A single-backend oracle replaying *divergence*'s config — what
+        the distiller iterates with."""
+        return DifferentialOracle(
             self.rules,
             algorithm=self.algorithm,
             eta=self.eta,
             num_workers=self.num_workers,
             seed=self.seed,
             backends=(divergence.backend,),
-            index_modes=(divergence.use_index,),
             view_matcher_factory=self.view_matcher_factory,
         )
-        return clone
 
     def checker_for(self, divergence: Divergence):
         """A distillation predicate pinned to *divergence*.
 
-        Replays only the failing combination and only accepts a failure of
+        Replays only the failing backend and only accepts a failure of
         the same ``component`` — delta debugging must shrink towards the
         *original* bug, not towards whatever new failure (e.g. an op made
         invalid by dropping its predecessor) a reduction introduces.
@@ -174,15 +165,9 @@ class DifferentialOracle:
 
         return check
 
-    def _config(self, backend: str, use_index: bool):
-        from repro.identification.eip import EIPConfig
-
+    def _config(self, backend: str) -> EIPConfig:
         return EIPConfig(
-            eta=self.eta,
-            num_workers=self.num_workers,
-            seed=self.seed,
-            backend=backend,
-            use_index=use_index,
+            eta=self.eta, num_workers=self.num_workers, seed=self.seed, backend=backend
         )
 
     # -- fresh side -------------------------------------------------------
@@ -223,29 +208,28 @@ class DifferentialOracle:
         batches: Sequence[UpdateBatch],
         stop_at_first: bool = False,
     ) -> OracleReport:
-        """Replay *batches* on every combination; report first divergences.
+        """Replay *batches* on every backend; report first divergences.
 
-        *graph* itself is never mutated — every combination maintains its
-        own copy.  With ``stop_at_first`` the run short-circuits at the
+        *graph* itself is never mutated — every backend maintains its own
+        copy.  With ``stop_at_first`` the run short-circuits at the
         first divergence found (the distiller's mode).
         """
         report = OracleReport()
         started = time.perf_counter()
         for backend in self.backends:
-            for use_index in self.index_modes:
-                report.combos_run += 1
-                divergence = self._run_combo(graph, batches, backend, use_index, report)
-                if divergence is not None:
-                    report.divergences.append(divergence)
-                    if stop_at_first:
-                        report.wall_time = time.perf_counter() - started
-                        return report
+            report.combos_run += 1
+            divergence = self._run_combo(graph, batches, backend, report)
+            if divergence is not None:
+                report.divergences.append(divergence)
+                if stop_at_first:
+                    report.wall_time = time.perf_counter() - started
+                    return report
         report.batches_checked = len(batches)
         report.wall_time = time.perf_counter() - started
         return report
 
     def check(self, graph: Graph, batches: Sequence[UpdateBatch]) -> Divergence | None:
-        """First divergence on the configured grid, or ``None`` — the
+        """First divergence on the configured backends, or ``None`` — the
         predicate the distiller shrinks against."""
         report = self.run(graph, batches, stop_at_first=True)
         return report.divergences[0] if report.divergences else None
@@ -256,16 +240,15 @@ class DifferentialOracle:
         graph: Graph,
         batches: Sequence[UpdateBatch],
         backend: str,
-        use_index: bool,
         report: OracleReport,
     ) -> Divergence | None:
         live = graph.copy()
-        mark = lambda **kw: Divergence(backend=backend, use_index=use_index, **kw)  # noqa: E731
+        mark = lambda **kw: Divergence(backend=backend, **kw)  # noqa: E731
         try:
             identifier = StreamingIdentifier(
                 live,
                 list(self.rules),
-                config=self._config(backend, use_index),
+                config=self._config(backend),
                 algorithm=self.algorithm,
             )
         except Exception as error:  # semantics gap: streaming rejects Σ
@@ -319,7 +302,7 @@ class DifferentialOracle:
                 actual=maintained,
             )
         if view is not None:
-            oracle_matcher = VF2Matcher(use_index=False)
+            oracle_matcher = ReferenceMatcher()
             for pattern in patterns:
                 report.checks += 1
                 kept = view.match_set(pattern)
@@ -348,17 +331,13 @@ class TenantDivergence:
     batch_index: int  #: batch after which it surfaced (-1 = initial state)
     tenant: str  #: "*" for failures not attributable to one tenant
     backend: str
-    use_columnar: bool
     detail: str
     expected: object = None  #: independent ``identify_entities`` fingerprint
     actual: object = None  #: shared-core projection fingerprint
 
     def describe(self) -> str:
         where = "initial state" if self.batch_index == INITIAL else f"batch {self.batch_index}"
-        return (
-            f"[tenant {self.tenant}] {where} on backend={self.backend} "
-            f"columnar={'on' if self.use_columnar else 'off'}: {self.detail}"
-        )
+        return f"[tenant {self.tenant}] {where} on backend={self.backend}: {self.detail}"
 
 
 def multi_tenant_check(
@@ -371,49 +350,38 @@ def multi_tenant_check(
     algorithm: str = "match",
     seed: int = 0,
     backends: Sequence[str] = ("sequential",),
-    columnar_modes: Sequence[bool] = (True,),
     radius_floor: int = 0,
 ) -> list[TenantDivergence]:
     """Cross-Σ correctness: shared-core projections vs independent runs.
 
-    For every ``backend × columnar`` combination, admits every tenant into
+    For every backend, admits every tenant into
     one :class:`~repro.stream.MultiTenantIdentifier` over a copy of *graph*,
     then — initially and after **each** batch — asserts every tenant's
     :meth:`result_for` projection is :func:`eip_fingerprint`-identical to an
     independent ``identify_entities`` run with that tenant's rules on the
-    same (mutated) graph.  Combinations stay independent (own graph copy);
-    the first divergence per combination is reported, one entry per
-    combination at most, and an empty list means the shared substrate is
-    answer-preserving across the whole grid.
+    same (mutated) graph.  Backends stay independent (own graph copy); the
+    first divergence per backend is reported, one entry per backend at most,
+    and an empty list means the shared substrate is answer-preserving on
+    all of them.
     """
     from repro.stream import MultiTenantIdentifier
 
     divergences: list[TenantDivergence] = []
     for backend in backends:
-        for use_columnar in columnar_modes:
-            use_columnar = bool(use_columnar)
-            config = EIPConfig(
-                eta=eta,
-                num_workers=num_workers,
-                seed=seed,
-                backend=backend,
-                use_columnar=use_columnar,
-            )
-            mark = lambda **kw: TenantDivergence(  # noqa: E731
-                backend=backend, use_columnar=use_columnar, **kw
-            )
-            multi = MultiTenantIdentifier(
-                graph.copy(),
-                config=config,
-                algorithm=algorithm,
-                radius_floor=radius_floor,
-            )
-            try:
-                divergence = _run_tenant_combo(multi, tenants, batches, mark)
-            finally:
-                multi.close()
-            if divergence is not None:
-                divergences.append(divergence)
+        config = EIPConfig(eta=eta, num_workers=num_workers, seed=seed, backend=backend)
+        mark = lambda **kw: TenantDivergence(backend=backend, **kw)  # noqa: E731
+        multi = MultiTenantIdentifier(
+            graph.copy(),
+            config=config,
+            algorithm=algorithm,
+            radius_floor=radius_floor,
+        )
+        try:
+            divergence = _run_tenant_combo(multi, tenants, batches, mark)
+        finally:
+            multi.close()
+        if divergence is not None:
+            divergences.append(divergence)
     return divergences
 
 

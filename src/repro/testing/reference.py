@@ -1,0 +1,129 @@
+"""The reference oracle: one deliberately naive matcher, nothing resident.
+
+Every production matcher answers from whatever is resident for the graph it
+is handed (index, columnar view, sketches, match store, private caches).
+:class:`ReferenceMatcher` is the fixed point they are all held to: plain
+backtracking over ``Graph.out_neighbors`` / ``in_neighbors`` /
+``nodes_with_label``, no filter beyond labels and edges, no state between
+calls.  It is slow on purpose and lives here, not in a production config —
+the equivalence suites (``tests/test_index_equivalence.py``,
+``test_columnar_equivalence.py``, ``test_incremental_equivalence.py``,
+``test_stream_equivalence.py``) and the differential oracle compare the
+production path against it.
+"""
+
+from __future__ import annotations
+
+from typing import Hashable, Iterable, Iterator, Sequence
+
+from repro.graph.graph import Graph
+from repro.identification.eip import EIPResult
+from repro.identification.sequential import identify_sequential
+from repro.pattern.gpar import GPAR
+from repro.pattern.pattern import Pattern
+
+NodeId = Hashable
+
+
+class ReferenceMatcher:
+    """Non-induced subgraph isomorphism by plain backtracking.
+
+    Implements the query surface of :class:`repro.matching.base.Matcher`
+    (anchored, match-set and full-enumeration queries) so it can stand in
+    wherever a matcher is accepted, e.g. ``evaluate_rule(..., matcher=...)``.
+    """
+
+    def iter_matches_at(
+        self, graph: Graph, pattern: Pattern, anchor_value: NodeId
+    ) -> Iterator[dict]:
+        """Every injective, label- and edge-preserving mapping with x ↦ anchor."""
+        expanded = pattern.expanded()
+        if not graph.has_node(anchor_value):
+            return
+        if graph.node_label(anchor_value) != expanded.label(expanded.x):
+            return
+        order = [expanded.x] + sorted(
+            (node for node in expanded.nodes() if node != expanded.x), key=str
+        )
+        yield from self._extend(graph, expanded, order, {expanded.x: anchor_value})
+
+    @staticmethod
+    def _neighbor_pool(graph: Graph, pattern: Pattern, node, mapping: dict):
+        """Data neighbours along one pattern edge into the mapped part, if any."""
+        for edge in pattern.out_edges(node):
+            if edge.target in mapping:
+                return graph.in_neighbors(mapping[edge.target], edge.label)
+        for edge in pattern.in_edges(node):
+            if edge.source in mapping:
+                return graph.out_neighbors(mapping[edge.source], edge.label)
+        return None
+
+    def _extend(self, graph: Graph, pattern: Pattern, order: list, mapping: dict):
+        if len(mapping) == len(order):
+            yield dict(mapping)
+            return
+        # Prefer a pattern node tied to the mapped part: its candidates are
+        # one neighbour set instead of a whole label bucket.
+        unmapped = [node for node in order if node not in mapping]
+        pools = {node: self._neighbor_pool(graph, pattern, node, mapping) for node in unmapped}
+        node = next((n for n in unmapped if pools[n] is not None), unmapped[0])
+        pool = pools[node]
+        if pool is None:  # free node of a disconnected pattern
+            pool = graph.nodes_with_label(pattern.label(node))
+        used = set(mapping.values())
+        for data_node in sorted(pool, key=str):
+            if data_node in used or graph.node_label(data_node) != pattern.label(node):
+                continue
+            if any(
+                edge.target in mapping
+                and not graph.has_edge(data_node, mapping[edge.target], edge.label)
+                for edge in pattern.out_edges(node)
+            ) or any(
+                edge.source in mapping
+                and not graph.has_edge(mapping[edge.source], data_node, edge.label)
+                for edge in pattern.in_edges(node)
+            ):
+                continue
+            mapping[node] = data_node
+            yield from self._extend(graph, pattern, order, mapping)
+            del mapping[node]
+
+    def find_match_at(self, graph: Graph, pattern: Pattern, anchor_value: NodeId) -> dict | None:
+        """One mapping with ``pattern.x -> anchor_value``, or ``None``."""
+        return next(self.iter_matches_at(graph, pattern, anchor_value), None)
+
+    def exists_match_at(self, graph: Graph, pattern: Pattern, anchor_value: NodeId) -> bool:
+        """Whether some match maps the designated node x to *anchor_value*."""
+        return self.find_match_at(graph, pattern, anchor_value) is not None
+
+    def match_set(
+        self,
+        graph: Graph,
+        pattern: Pattern,
+        candidates: Iterable[NodeId] | None = None,
+    ) -> set[NodeId]:
+        """``Q(x, G)`` restricted to *candidates* (default: x's label bucket)."""
+        if candidates is None:
+            candidates = graph.nodes_with_label(pattern.label(pattern.x))
+        return {node for node in candidates if self.exists_match_at(graph, pattern, node)}
+
+    def find_all(self, graph: Graph, pattern: Pattern, limit: int | None = None) -> list[dict]:
+        """Every mapping of *pattern* into *graph* (at most *limit*)."""
+        results: list[dict] = []
+        for anchor in sorted(graph.nodes_with_label(pattern.label(pattern.x)), key=str):
+            for mapping in self.iter_matches_at(graph, pattern, anchor):
+                results.append(mapping)
+                if limit is not None and len(results) >= limit:
+                    return results
+        return results
+
+
+def reference_identify(graph: Graph, rules: Sequence[GPAR], eta: float) -> EIPResult:
+    """``Σ(x, G, η)`` straight from the definition, on the whole graph.
+
+    No partitioning, no workers, no sharing across Σ: the sequential
+    evaluation (:func:`repro.identification.identify_sequential`, one
+    :func:`repro.metrics.evaluate_rule` per rule) with a
+    :class:`ReferenceMatcher` doing all the matching.
+    """
+    return identify_sequential(graph, rules, eta=eta, matcher=ReferenceMatcher())

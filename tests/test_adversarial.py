@@ -158,7 +158,7 @@ class StaleRepairMatcher(VF2Matcher):
     """
 
     def __init__(self) -> None:
-        super().__init__(use_index=False)
+        super().__init__()
         self._frozen_version: int | None = None
 
     def iter_matches_at(self, graph, pattern, anchor_value):
@@ -226,7 +226,7 @@ def test_oracle_catches_buggy_matcher_and_distills_it():
         "synthetic: stale repair matcher misses restored matches",
         distilled,
         rules,
-        config={"num_workers": 1, "backend": "sequential", "use_index": True},
+        config={"num_workers": 1, "backend": "sequential"},
     )
     document = case_to_dict(case)
     loaded = case_from_dict(document)
@@ -249,7 +249,7 @@ def test_case_json_roundtrip(tmp_path):
         graph=graph,
         rules=tuple(rules),
         batches=tuple(batches),
-        config={"num_workers": 1, "backend": "sequential", "use_index": True},
+        config={"num_workers": 1, "backend": "sequential"},
         signature=minhash_signature(batches),
         divergence={"component": "matchview", "batch_index": 1},
     )

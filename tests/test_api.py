@@ -125,20 +125,6 @@ class TestFacades:
 
 
 class TestConfigDeprecation:
-    def test_kwargs_warn_but_still_work(self):
-        graph, rules = _workload()
-        with pytest.warns(DeprecationWarning):
-            identifier = StreamingIdentifier(graph, rules, eta=0.1, num_workers=2)
-        try:
-            assert identifier.config == EIPConfig(eta=0.1, num_workers=2)
-        finally:
-            identifier.close()
-
-    def test_config_and_kwargs_together_is_an_error(self):
-        graph, rules = _workload()
-        with pytest.raises(StreamError, match="not both"):
-            StreamingIdentifier(graph, rules, config=EIPConfig(), eta=0.1)
-
     def test_open_session_never_warns(self, recwarn):
         graph, rules = _workload()
         with api.open_session(graph, rules, config=EIPConfig(eta=0.1)):

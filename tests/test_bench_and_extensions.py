@@ -8,12 +8,15 @@ from repro.bench import format_rows, print_series, rows_as_json, wall_speedups
 from repro.bench.harness import (
     DMineRow,
     EIPRow,
+    MatchingRow,
     run_dmine_backends,
     run_dmine_config,
     run_eip_config,
+    run_matching_traffic,
 )
 from repro.bench.workloads import eip_workload, mining_workload, synthetic_mining_workload
 from repro.datasets import most_frequent_predicates
+from repro.graph import registered_columnar, registered_index
 from repro.mining import DMineConfig, dmine_auto, dmine_for_predicates
 
 
@@ -121,6 +124,18 @@ class TestHarnessRunners:
         assert isinstance(row, EIPRow)
         assert row.identified >= 0
         assert row.as_dict()["algorithm"] == "match"
+
+    def test_rows_carry_no_implementation_mode_columns(self):
+        graph, rules = eip_workload("pokec", num_rules=3, scale=120, seed=3)
+        eip = run_eip_config("pokec", graph, rules, num_workers=2, algorithm="match")
+        traffic = run_matching_traffic("pokec", graph, rules, "guided", reps=1)
+        assert isinstance(traffic, MatchingRow)
+        assert traffic.patterns_matched == 2 * len(rules)
+        for row in (eip.as_dict(), traffic.as_dict()):
+            assert not {"index", "columnar", "incremental"} & set(row)
+        # The traffic row made the graph resident, as an executor would.
+        assert registered_index(graph) is not None
+        assert registered_columnar(graph) is not None
 
     def test_run_dmine_backends_annotates_speedup(self):
         graph, predicate = mining_workload("pokec", scale=120)

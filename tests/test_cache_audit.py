@@ -24,7 +24,13 @@ from __future__ import annotations
 import pytest
 
 from repro.datasets import generate_gpars, most_frequent_predicates, synthetic_graph
-from repro.graph import graph_index, registered_index
+from repro.graph import (
+    columnar_view,
+    discard_columnar,
+    discard_index,
+    graph_index,
+    registered_index,
+)
 from repro.matching import (
     GuidedMatcher,
     LocalityMatcher,
@@ -115,35 +121,33 @@ def _workload(seed: int):
     return graph, patterns
 
 
-@pytest.mark.parametrize("use_index", [True, False])
+@pytest.mark.parametrize("resident", [True, False])
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("name", sorted(AUDITED_CACHES))
-def test_warm_matcher_survives_mutations(name, seed, use_index):
+def test_warm_matcher_survives_mutations(name, seed, resident):
     """Warm caches across update batches == a fresh matcher every time.
 
-    ``use_index=False`` forces each matcher's *private* caches to carry the
-    staleness burden (the resident index otherwise absorbs most probes) —
+    ``resident=False`` runs the same matchers on a graph with no registered
+    index or columnar view — how production reaches them on transient
+    graphs — which forces each matcher's *private* caches to carry the
+    staleness burden (the resident index otherwise absorbs most probes):
     the configuration that exposed the original three bugs.
     """
     factory, pinned, _exempt = AUDITED_CACHES[name]
     graph, patterns = _workload(seed)
-    warm = factory()
-    if hasattr(warm, "use_index"):
-        warm.use_index = use_index
-    if hasattr(warm, "inner") and hasattr(warm.inner, "use_index"):
-        warm.inner.use_index = use_index
-    if use_index:
+    if resident:
         graph_index(graph)
+        columnar_view(graph)
+    else:
+        discard_index(graph)
+        discard_columnar(graph)
+    warm = factory()
     for pattern in patterns:  # warm every cache with real traffic
         warm.match_set(graph, pattern)
     for position in range(3):
         batch = random_update_batch(graph, size=6, seed=seed * 50 + position)
         batch.apply(graph)
         fresh = factory()
-        if hasattr(fresh, "use_index"):
-            fresh.use_index = use_index
-        if hasattr(fresh, "inner") and hasattr(fresh.inner, "use_index"):
-            fresh.inner.use_index = use_index
         for pattern in patterns:
             assert warm.match_set(graph, pattern) == fresh.match_set(graph, pattern), (
                 name,
@@ -158,15 +162,16 @@ def test_warm_matcher_survives_mutations(name, seed, use_index):
         # is the proof).
         for attribute in pinned:
             cache = getattr(warm, attribute)
-            if not use_index:
-                # With the resident index off, every private cache must have
-                # seen traffic — an empty cache means the audit went blind.
+            if not resident:
+                # With nothing resident, every private cache must have seen
+                # traffic — an empty cache means the audit went blind.
                 assert cache, f"{name}.{attribute} was never exercised by the audit"
             for value in cache.values():
                 assert isinstance(value, tuple) and isinstance(value[0], int), (
                     f"{name}.{attribute} entries must be (version, payload) "
                     f"tuples, got {type(value)}"
                 )
+    assert (registered_index(graph) is not None) == resident
 
 
 def test_match_store_entries_are_version_pinned():

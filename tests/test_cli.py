@@ -102,6 +102,21 @@ class TestCommands:
                 ]
             )
 
+    @pytest.mark.parametrize("structure", ["index", "columnar", "incremental"])
+    @pytest.mark.parametrize("command", ["mine", "identify", "stream"])
+    def test_retired_implementation_switches_are_rejected(
+        self, graph_file, command, structure
+    ):
+        """One matching path: the per-structure off switches no longer parse."""
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                [
+                    command, str(graph_file),
+                    "--predicate", "user:like_book:personal development",
+                    f"--no-{structure}",
+                ]
+            )
+
     def test_stream_maintains_and_verifies(self, graph_file, capsys):
         exit_code = main(
             [

@@ -1,4 +1,4 @@
-"""Randomized equivalence: columnar matching == dict matching, always.
+"""Randomized equivalence: columnar matching == the naive reference, always.
 
 The resident :class:`repro.graph.columnar.ColumnarFragment` is a frozen
 re-encoding of the fragment (interned label ids, CSR adjacency, a
@@ -11,11 +11,12 @@ definitions byte for byte.  Three layers of evidence:
   dict-path oracles after every step, on both the numpy and the pure-array
   backend;
 * ~50 seeded random graph/pattern pairs run VF2, dual simulation and guided
-  search with the columnar kernel on and off, requiring identical matches;
+  search on a graph with a resident index and columnar view, requiring the
+  matches of :class:`repro.testing.ReferenceMatcher` (raw probes, nothing
+  resident);
 * full DMine / EIP pipelines run across all three execution backends ×
-  columnar {on, off} × numpy {available, disabled}, requiring one single
-  result fingerprint everywhere (the cross-backend gate the bench smoke
-  also enforces).
+  numpy {available, disabled}, each held to the reference evaluation of the
+  same rules.
 """
 
 from __future__ import annotations
@@ -28,16 +29,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.datasets import generate_gpars, most_frequent_predicates, synthetic_graph
-from repro.graph import Graph
-from repro.graph.columnar import ColumnarFragment, numpy_or_none
+from repro.graph import Graph, graph_index
+from repro.graph.columnar import ColumnarFragment, columnar_view, numpy_or_none
 from repro.identification import identify_entities
 from repro.matching import GuidedMatcher, SimulationMatcher, VF2Matcher
 from repro.matching.candidates import degree_consistent
 from repro.matching.simulation import maximum_dual_simulation
+from repro.metrics import evaluate_rule
 from repro.mining import DMineConfig, dmine
 from repro.parallel.executor import BACKENDS
 from repro.pattern import Pattern, PatternEdge
 from repro.stream import random_update_batch
+from repro.testing import ReferenceMatcher, reference_identify
 
 SEEDS = range(50)
 
@@ -195,10 +198,14 @@ def test_batch_update_then_recompile_equals_fresh_compile(use_numpy, graph, seed
 
 
 # ----------------------------------------------------------------------
-# 50 seeds: every matcher, columnar on == columnar off
+# 50 seeds: every matcher on a columnar-resident graph == the reference
 # ----------------------------------------------------------------------
 def _workload(seed: int):
-    """One seeded random (graph, patterns) pair, small enough to enumerate."""
+    """One seeded random (graph, patterns) pair, small enough to enumerate.
+
+    The graph comes back resident the way an executor leaves a fragment:
+    index and columnar view registered.
+    """
     graph = synthetic_graph(
         num_nodes=40 + (seed % 5) * 10,
         num_edges=120 + (seed % 7) * 30,
@@ -211,6 +218,8 @@ def _workload(seed: int):
         graph, predicate, count=2, max_pattern_edges=3, d=2, seed=seed
     )
     patterns = [rule.antecedent for rule in rules] + [rule.pr_pattern() for rule in rules]
+    graph_index(graph)
+    columnar_view(graph)
     return graph, patterns
 
 
@@ -224,8 +233,8 @@ def _canonical_mappings(mappings: list[dict]) -> list[tuple]:
 @pytest.mark.parametrize("seed", SEEDS)
 def test_vf2_columnar_equals_dict(seed):
     graph, patterns = _workload(seed)
-    plain = VF2Matcher(use_columnar=False)
-    columnar = VF2Matcher(use_columnar=True)
+    plain = ReferenceMatcher()
+    columnar = VF2Matcher()
     for pattern in patterns:
         assert columnar.match_set(graph, pattern) == plain.match_set(graph, pattern)
         expected = plain.find_all(graph, pattern)
@@ -236,23 +245,30 @@ def test_vf2_columnar_equals_dict(seed):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_simulation_columnar_equals_dict(seed):
     graph, patterns = _workload(seed)
-    plain = SimulationMatcher(use_columnar=False)
-    columnar = SimulationMatcher(use_columnar=True)
+    # No isomorphism reference for dual simulation: the CSR refinement must
+    # equal the raw dict fixpoint (same matcher, a copy with nothing
+    # resident) and contain every reference isomorphism match.
+    bare = graph.copy()
+    plain = SimulationMatcher()
+    columnar = SimulationMatcher()
+    reference = ReferenceMatcher()
     for pattern in patterns:
-        assert columnar.match_set(graph, pattern) == plain.match_set(graph, pattern)
+        simulated = columnar.match_set(graph, pattern)
+        assert simulated == plain.match_set(bare, pattern)
+        assert reference.match_set(graph, pattern) <= simulated
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_guided_columnar_equals_dict(seed):
     graph, patterns = _workload(seed)
-    plain = GuidedMatcher(use_columnar=False)
-    columnar = GuidedMatcher(use_columnar=True)
+    plain = ReferenceMatcher()
+    columnar = GuidedMatcher()
     for pattern in patterns:
         assert columnar.match_set(graph, pattern) == plain.match_set(graph, pattern)
 
 
 # ----------------------------------------------------------------------
-# full pipelines: backends × columnar modes × numpy modes, one fingerprint
+# full pipelines: backends × numpy modes, each equal to the reference
 # ----------------------------------------------------------------------
 def _eip_fingerprint(result):
     return (
@@ -273,56 +289,45 @@ def test_eip_one_fingerprint_across_backends_columnar_and_numpy_modes():
     predicate = most_frequent_predicates(graph, top=1)[0]
     rules = generate_gpars(graph, predicate, count=3, max_pattern_edges=3, d=2, seed=0)
 
-    fingerprints = set()
+    expected = _eip_fingerprint(reference_identify(graph, rules, eta=0.5))
     for use_numpy in NUMPY_MODES:
         with numpy_disabled(not use_numpy):
             for backend in BACKENDS:
-                for use_columnar in (False, True):
-                    result = identify_entities(
-                        graph,
-                        rules,
-                        eta=0.5,
-                        num_workers=2,
-                        algorithm="match",
-                        backend=backend,
-                        executor_workers=2,
-                        use_columnar=use_columnar,
-                    )
-                    fingerprints.add(repr(_eip_fingerprint(result)))
-    assert len(fingerprints) == 1
-
-
-def _dmine_fingerprint(result):
-    return sorted(
-        (
-            rule.name,
-            info.support,
-            round(info.confidence, 9),
-            tuple(sorted(map(str, info.matches))),
-        )
-        for rule, info in result.all_rules.items()
-    )
+                result = identify_entities(
+                    graph,
+                    rules,
+                    eta=0.5,
+                    num_workers=2,
+                    algorithm="match",
+                    backend=backend,
+                    executor_workers=2,
+                )
+                assert _eip_fingerprint(result) == expected, (use_numpy, backend)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_dmine_equivalent_across_columnar_modes(backend):
+    """Mined rules carry their reference supports, numpy on or off."""
     graph = synthetic_graph(150, 450, num_node_labels=6, num_edge_labels=4, seed=2)
     predicate = most_frequent_predicates(graph, top=1)[0]
-    fingerprints = set()
+    config = DMineConfig(
+        k=3,
+        d=2,
+        sigma=1,
+        num_workers=2,
+        max_edges=2,
+        max_extensions_per_rule=6,
+        max_rules_per_round=10,
+        backend=backend,
+        executor_workers=2,
+    )
+    reference = ReferenceMatcher()
     for use_numpy in NUMPY_MODES:
         with numpy_disabled(not use_numpy):
-            for use_columnar in (False, True):
-                config = DMineConfig(
-                    k=3,
-                    d=2,
-                    sigma=1,
-                    num_workers=2,
-                    max_edges=2,
-                    max_extensions_per_rule=6,
-                    max_rules_per_round=10,
-                    backend=backend,
-                    executor_workers=2,
-                    use_columnar=use_columnar,
-                )
-                fingerprints.add(repr(_dmine_fingerprint(dmine(graph, predicate, config))))
-    assert len(fingerprints) == 1
+            result = dmine(graph, predicate, config)
+        assert result.all_rules
+        for rule, info in result.all_rules.items():
+            evaluation = evaluate_rule(graph, rule, matcher=reference)
+            assert info.support == evaluation.supp_r, (use_numpy, rule.name)
+            assert frozenset(info.matches) == evaluation.rule_matches, rule.name
+            assert info.confidence == pytest.approx(evaluation.confidence), rule.name

@@ -6,8 +6,9 @@ probing only the new edge — with exact fallback whenever it can't.  This
 suite drives ~50 seeded random graph/pattern pairs through VF2, guided
 search and dual simulation, asserting the delta-extended match sets are
 byte-identical to a full re-match, and additionally runs DMine / EIP
-pipelines across all three execution backends × incremental on/off,
-requiring identical results everywhere.  A dedicated class exercises the
+pipelines across all three execution backends, holding the store-routed /
+prefix-shared results to the naive reference evaluation of the same rules
+(:mod:`repro.testing.reference`).  A dedicated class exercises the
 :class:`MatchStore` lifecycle: ``Graph.version`` invalidation, canonical
 witness reuse, truncation fallback and round-based retention.
 """
@@ -26,9 +27,13 @@ from repro.matching import (
     VF2Matcher,
     single_edge_delta,
 )
+from repro.metrics import evaluate_rule
 from repro.mining import DMineConfig, dmine
 from repro.mining.expansion import candidate_extensions
 from repro.parallel.executor import BACKENDS
+from repro.pattern.gpar import GPAR
+from repro.pattern.pattern import Pattern
+from repro.testing import ReferenceMatcher, reference_identify
 
 SEEDS = range(50)
 
@@ -279,39 +284,31 @@ class TestMatchStoreLifecycle:
         assert store.get(pattern) is not None
 
 
-def _dmine_fingerprint(result):
-    return sorted(
-        (
-            rule.name,
-            info.support,
-            round(info.confidence, 9),
-            tuple(sorted(map(str, info.matches))),
-        )
-        for rule, info in result.all_rules.items()
-    )
-
-
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_dmine_equivalent_across_incremental_modes(backend):
-    """DMine mines identical rules on each backend, incremental on or off."""
+    """Rules mined through the match store carry their reference supports."""
     graph = synthetic_graph(150, 450, num_node_labels=6, num_edge_labels=4, seed=2)
     predicate = most_frequent_predicates(graph, top=1)[0]
-    results = []
-    for use_incremental in (False, True):
-        config = DMineConfig(
-            k=3,
-            d=2,
-            sigma=1,
-            num_workers=2,
-            max_edges=3,
-            max_extensions_per_rule=6,
-            max_rules_per_round=10,
-            backend=backend,
-            executor_workers=2,
-            use_incremental=use_incremental,
-        )
-        results.append(_dmine_fingerprint(dmine(graph, predicate, config)))
-    assert results[0] == results[1]
+    config = DMineConfig(
+        k=3,
+        d=2,
+        sigma=1,
+        num_workers=2,
+        max_edges=3,
+        max_extensions_per_rule=6,
+        max_rules_per_round=10,
+        backend=backend,
+        executor_workers=2,
+    )
+    result = dmine(graph, predicate, config)
+    # Three levels deep: levels two and three were delta-extended.
+    assert max(rule.antecedent.num_edges for rule in result.all_rules) == 3
+    reference = ReferenceMatcher()
+    for rule, info in result.all_rules.items():
+        evaluation = evaluate_rule(graph, rule, matcher=reference)
+        assert info.support == evaluation.supp_r, rule.name
+        assert frozenset(info.matches) == evaluation.rule_matches, rule.name
+        assert info.confidence == pytest.approx(evaluation.confidence), rule.name
 
 
 def _eip_fingerprint(result):
@@ -325,29 +322,62 @@ def _eip_fingerprint(result):
             (rule.name, tuple(sorted(map(str, matches))))
             for rule, matches in result.rule_matches.items()
         ),
-        result.candidates_examined,
     )
 
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_eip_equivalent_across_backends_and_incremental_modes(seed):
-    """Match results (counts included) are identical in prefix-trie mode."""
+    """Prefix-shared Match results equal the reference; counts agree across backends."""
     graph = synthetic_graph(150, 450, num_node_labels=6, num_edge_labels=4, seed=seed)
     predicate = most_frequent_predicates(graph, top=1)[0]
     rules = generate_gpars(graph, predicate, count=4, max_pattern_edges=3, d=2, seed=seed)
 
-    fingerprints = set()
+    expected = _eip_fingerprint(reference_identify(graph, rules, eta=0.5))
+    examined = set()
     for backend in BACKENDS:
-        for use_incremental in (False, True):
-            result = identify_entities(
-                graph,
-                rules,
-                eta=0.5,
-                num_workers=2,
-                algorithm="match",
-                backend=backend,
-                executor_workers=2,
-                use_incremental=use_incremental,
-            )
-            fingerprints.add(repr(_eip_fingerprint(result)))
-    assert len(fingerprints) == 1
+        result = identify_entities(
+            graph,
+            rules,
+            eta=0.5,
+            num_workers=2,
+            algorithm="match",
+            backend=backend,
+            executor_workers=2,
+        )
+        assert _eip_fingerprint(result) == expected, backend
+        examined.add(result.candidates_examined)
+    assert len(examined) == 1
+
+
+def test_eip_shares_prefix_pools_including_census_split_rules():
+    """Σ with common antecedent prefixes actually takes the shared pools.
+
+    Zero ``prefix_pool_hits`` would mean trie sharing silently died (e.g. a
+    pattern rewrite broke chain prefixes) — including for a census-split
+    twin, whose x-part is matched through ``CensusMatcher`` substitution.
+    """
+    graph = synthetic_graph(150, 450, num_node_labels=6, num_edge_labels=4, seed=0)
+    predicate = most_frequent_predicates(graph, top=1)[0]
+    rules = generate_gpars(graph, predicate, count=4, max_pattern_edges=3, d=2, seed=0)
+    base = next(rule for rule in rules if rule.antecedent.num_edges >= 2)
+    expanded = base.antecedent.expanded()
+    census_twin = GPAR(
+        Pattern(
+            nodes={
+                **{node: expanded.label(node) for node in expanded.nodes()},
+                "census_free": predicate.label(predicate.y),
+            },
+            edges=list(expanded.edges()),
+            x=expanded.x,
+            y=expanded.y,
+        ),
+        consequent_label=base.consequent_label,
+        name=f"{base.name}+census",
+        validate=False,
+    )
+    sigma = [base, census_twin]
+    result = identify_entities(graph, sigma, eta=0.5, num_workers=2, algorithm="match")
+    assert result.prefix_pool_hits > 0
+    assert _eip_fingerprint(result) == _eip_fingerprint(
+        reference_identify(graph, sigma, eta=0.5)
+    )

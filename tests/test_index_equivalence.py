@@ -1,11 +1,13 @@
-"""Randomized equivalence: indexed matching == unindexed matching, always.
+"""Randomized equivalence: indexed matching == the naive reference, always.
 
 The resident :class:`repro.graph.index.FragmentIndex` is a pure memoisation,
-so every matcher must return byte-identical matches and match counts with
-the index on and off.  This suite drives ~50 seeded random graph/pattern
-pairs through VF2, dual simulation and guided search in both modes, and
-additionally runs full DMine / EIP pipelines across all three execution
-backends × both index modes, requiring identical results everywhere.
+so every matcher probing a graph with a registered index must return
+byte-identical matches and match counts to
+:class:`repro.testing.ReferenceMatcher`, which probes the raw graph and
+keeps nothing.  This suite drives ~50 seeded random graph/pattern pairs
+through VF2, dual simulation and guided search on an index-resident graph,
+and additionally runs full DMine / EIP pipelines across all three execution
+backends, holding each to the reference evaluation of the same rules.
 """
 
 from __future__ import annotations
@@ -13,16 +15,23 @@ from __future__ import annotations
 import pytest
 
 from repro.datasets import generate_gpars, most_frequent_predicates, synthetic_graph
+from repro.graph import discard_columnar, graph_index
 from repro.identification import identify_entities
 from repro.matching import GuidedMatcher, SimulationMatcher, VF2Matcher
+from repro.metrics import evaluate_rule
 from repro.mining import DMineConfig, dmine
 from repro.parallel.executor import BACKENDS
+from repro.testing import ReferenceMatcher, reference_identify
 
 SEEDS = range(50)
 
 
 def _workload(seed: int):
-    """One seeded random (graph, patterns) pair, small enough to enumerate."""
+    """One seeded random (graph, patterns) pair, small enough to enumerate.
+
+    The graph comes back with a resident index and no columnar view, so the
+    production matchers below run their index-served probes.
+    """
     graph = synthetic_graph(
         num_nodes=40 + (seed % 5) * 10,
         num_edges=120 + (seed % 7) * 30,
@@ -35,6 +44,8 @@ def _workload(seed: int):
         graph, predicate, count=2, max_pattern_edges=3, d=2, seed=seed
     )
     patterns = [rule.antecedent for rule in rules] + [rule.pr_pattern() for rule in rules]
+    graph_index(graph)
+    discard_columnar(graph)
     return graph, patterns
 
 
@@ -49,8 +60,8 @@ def _canonical_mappings(mappings: list[dict]) -> list[tuple]:
 @pytest.mark.parametrize("seed", SEEDS)
 def test_vf2_indexed_equals_unindexed(seed):
     graph, patterns = _workload(seed)
-    plain = VF2Matcher(use_index=False)
-    indexed = VF2Matcher(use_index=True)
+    plain = ReferenceMatcher()
+    indexed = VF2Matcher()
     for pattern in patterns:
         assert indexed.match_set(graph, pattern) == plain.match_set(graph, pattern)
         expected = plain.find_all(graph, pattern)
@@ -62,17 +73,24 @@ def test_vf2_indexed_equals_unindexed(seed):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_simulation_indexed_equals_unindexed(seed):
     graph, patterns = _workload(seed)
-    plain = SimulationMatcher(use_index=False)
-    indexed = SimulationMatcher(use_index=True)
+    # Dual simulation has no isomorphism reference: hold the index-served
+    # fixpoint to the same matcher on a copy with nothing resident (the raw
+    # path transient graphs take), and to the containment it must satisfy.
+    bare = graph.copy()
+    plain = SimulationMatcher()
+    indexed = SimulationMatcher()
+    reference = ReferenceMatcher()
     for pattern in patterns:
-        assert indexed.match_set(graph, pattern) == plain.match_set(graph, pattern)
+        simulated = indexed.match_set(graph, pattern)
+        assert simulated == plain.match_set(bare, pattern)
+        assert reference.match_set(graph, pattern) <= simulated
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_guided_indexed_equals_unindexed(seed):
     graph, patterns = _workload(seed)
-    plain = GuidedMatcher(use_index=False)
-    indexed = GuidedMatcher(use_index=True)
+    plain = ReferenceMatcher()
+    indexed = GuidedMatcher()
     for pattern in patterns:
         assert indexed.match_set(graph, pattern) == plain.match_set(graph, pattern)
         # Anchored enumeration must agree mapping-for-mapping as well.
@@ -104,58 +122,46 @@ def _eip_fingerprint(result):
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_eip_equivalent_across_backends_and_index_modes(seed):
-    """Match results are identical on every backend with the index on or off."""
+    """Match results on every backend equal the whole-graph reference answer."""
     graph = synthetic_graph(150, 450, num_node_labels=6, num_edge_labels=4, seed=seed)
     predicate = most_frequent_predicates(graph, top=1)[0]
     rules = generate_gpars(graph, predicate, count=3, max_pattern_edges=3, d=2, seed=seed)
 
-    fingerprints = set()
+    expected = _eip_fingerprint(reference_identify(graph, rules, eta=0.5))
     for backend in BACKENDS:
-        for use_index in (False, True):
-            result = identify_entities(
-                graph,
-                rules,
-                eta=0.5,
-                num_workers=2,
-                algorithm="match",
-                backend=backend,
-                executor_workers=2,
-                use_index=use_index,
-            )
-            fingerprints.add(repr(_eip_fingerprint(result)))
-    assert len(fingerprints) == 1
-
-
-def _dmine_fingerprint(result):
-    return sorted(
-        (
-            rule.name,
-            info.support,
-            round(info.confidence, 9),
-            tuple(sorted(map(str, info.matches))),
+        result = identify_entities(
+            graph,
+            rules,
+            eta=0.5,
+            num_workers=2,
+            algorithm="match",
+            backend=backend,
+            executor_workers=2,
         )
-        for rule, info in result.all_rules.items()
-    )
+        assert _eip_fingerprint(result) == expected, backend
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_dmine_equivalent_across_index_modes(backend):
-    """DMine mines the same rules on each backend with the index on or off."""
+    """Every rule DMine reports carries its reference support and matches."""
     graph = synthetic_graph(150, 450, num_node_labels=6, num_edge_labels=4, seed=2)
     predicate = most_frequent_predicates(graph, top=1)[0]
-    results = []
-    for use_index in (False, True):
-        config = DMineConfig(
-            k=3,
-            d=2,
-            sigma=1,
-            num_workers=2,
-            max_edges=2,
-            max_extensions_per_rule=6,
-            max_rules_per_round=10,
-            backend=backend,
-            executor_workers=2,
-            use_index=use_index,
-        )
-        results.append(_dmine_fingerprint(dmine(graph, predicate, config)))
-    assert results[0] == results[1]
+    config = DMineConfig(
+        k=3,
+        d=2,
+        sigma=1,
+        num_workers=2,
+        max_edges=2,
+        max_extensions_per_rule=6,
+        max_rules_per_round=10,
+        backend=backend,
+        executor_workers=2,
+    )
+    result = dmine(graph, predicate, config)
+    assert result.all_rules
+    reference = ReferenceMatcher()
+    for rule, info in result.all_rules.items():
+        evaluation = evaluate_rule(graph, rule, matcher=reference)
+        assert info.support == evaluation.supp_r, rule.name
+        assert frozenset(info.matches) == evaluation.rule_matches, rule.name
+        assert info.confidence == pytest.approx(evaluation.confidence), rule.name

@@ -16,7 +16,15 @@ import pytest
 
 from repro.datasets import generate_gpars, most_frequent_predicates, synthetic_graph
 from repro.exceptions import GraphError, StreamError
-from repro.graph import FragmentIndex, Graph
+from repro.graph import (
+    FragmentIndex,
+    Graph,
+    columnar_view,
+    graph_index,
+    registered_columnar,
+    registered_index,
+)
+from repro.identification.eip import EIPConfig
 from repro.partition import Fragment, partition_graph
 from repro.partition.lifecycle import (
     APPLIED_SEQUENCE_KEY,
@@ -187,6 +195,28 @@ class TestFragmentCheckpoint:
         assert fragment.graph.structure_equal(resident)
         assert cold.state[APPLIED_SEQUENCE_KEY] == 5
 
+    def test_install_carries_residency_to_the_new_graph(self):
+        """Matchers probe what is registered: an install must not drop it."""
+        graph, fragments, _manager = self._manager()
+        indexed, bare = fragments[0], fragments[1]
+        graph_index(indexed.graph)
+        columnar_view(indexed.graph)
+        for fragment in (indexed, bare):
+            replaced = fragment.graph
+            FragmentCheckpoint.capture(
+                graph,
+                set(replaced.nodes()),
+                fragment.owned_centers,
+                fragment.index,
+                sequence=1,
+                name=replaced.name,
+            ).install(fragment)
+            assert fragment.graph is not replaced
+        assert registered_index(indexed.graph) is not None
+        assert registered_columnar(indexed.graph) is not None
+        assert registered_index(bare.graph) is None
+        assert registered_columnar(bare.graph) is None
+
     def test_catch_up_requires_a_checkpoint_reference(self):
         _graph, fragments, _manager = self._manager()
         context = WorkerContext(fragments[0])
@@ -226,8 +256,7 @@ class TestFragmentManager:
         identifier = StreamingIdentifier(
             graph,
             rules,
-            eta=0.5,
-            num_workers=num_workers,
+            config=EIPConfig(eta=0.5, num_workers=num_workers),
             stream_config=config,
             **overrides,
         )
@@ -398,13 +427,11 @@ class TestFragmentManager:
 
 
 class TestSaveRestore:
-    def _identifier(self, **overrides):
+    def _identifier(self, config=EIPConfig(eta=0.5, num_workers=2), **overrides):
         graph = synthetic_graph(100, 300, num_node_labels=5, num_edge_labels=3, seed=8)
         predicate = most_frequent_predicates(graph, top=1)[0]
         rules = generate_gpars(graph, predicate, count=3, max_pattern_edges=3, d=2, seed=8)
-        return graph, StreamingIdentifier(
-            graph, rules, eta=0.5, num_workers=2, **overrides
-        )
+        return graph, StreamingIdentifier(graph, rules, config=config, **overrides)
 
     @staticmethod
     def _fingerprint(result):
@@ -459,8 +486,9 @@ class TestSaveRestore:
         monkeypatch.delenv("REPRO_DELTA_REBUILD_FRACTION", raising=False)
         monkeypatch.delenv("REPRO_DELTA_LOG_SIZE", raising=False)
         graph, identifier = self._identifier(
-            backend="processes",
-            executor_workers=2,
+            config=EIPConfig(
+                eta=0.5, num_workers=2, backend="processes", executor_workers=2
+            ),
             stream_config=StreamConfig(delta_rebuild_fraction=0.9, delta_log_size=48),
         )
         with identifier:
@@ -658,7 +686,9 @@ class TestMeasuredCostRebalance:
             "record_round_timing",
             lambda self, seconds: (recorded.append(dict(seconds)), original(self, seconds))[1],
         )
-        with StreamingIdentifier(graph, rules, eta=0.5, num_workers=3) as identifier:
+        with StreamingIdentifier(
+            graph, rules, config=EIPConfig(eta=0.5, num_workers=3)
+        ) as identifier:
             identifier.apply(random_update_batch(graph, size=6, seed=11))
             # Every round reports one measured time per fragment...
             assert recorded

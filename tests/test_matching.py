@@ -10,7 +10,7 @@ from itertools import permutations
 import pytest
 
 from repro.datasets import graph_g1
-from repro.graph import Graph
+from repro.graph import Graph, columnar_view
 from repro.matching import (
     GuidedMatcher,
     LocalityMatcher,
@@ -275,12 +275,21 @@ class TestMultiPatternMatcher:
             assert combined[rule] == single.match_set(g1, rule.pr_pattern())
 
     def test_profile_filter_only_prunes_impossible(self, g1, g1_rules):
-        with_filter = MultiPatternMatcher(VF2Matcher(), use_profile_filter=True)
-        without_filter = MultiPatternMatcher(VF2Matcher(), use_profile_filter=False)
-        assert with_filter.match_sets(g1, list(g1_rules)) == without_filter.match_sets(
-            g1, list(g1_rules)
-        )
-        assert with_filter.statistics.profile_prunes >= 0
+        from repro.testing import ReferenceMatcher
+
+        # The shared profile filter is a necessary condition: with and
+        # without a resident columnar view to run it on, the match sets are
+        # the unfiltered reference's.
+        reference = ReferenceMatcher()
+        expected = {
+            rule: reference.match_set(g1, rule.pr_pattern()) for rule in g1_rules
+        }
+        candidates = sorted(g1.nodes_with_label(g1_rules[0].x_label))
+        multi = MultiPatternMatcher(VF2Matcher())
+        assert multi.match_sets(g1, list(g1_rules), candidates=candidates) == expected
+        resident = g1.copy()
+        columnar_view(resident)
+        assert multi.match_sets(resident, list(g1_rules), candidates=candidates) == expected
 
     def test_candidate_restriction(self, g1, r1):
         multi = MultiPatternMatcher(VF2Matcher())

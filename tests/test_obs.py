@@ -384,10 +384,13 @@ class TestCrossBackendCounters:
                     num_workers=3,
                     max_edges=2,
                     backend=backend,
-                    # The incremental store's hit rates depend on pool
-                    # routing; matching counters are the deterministic,
-                    # backend-independent aggregate this test pins.
-                    use_incremental=False,
+                    # The fragment match stores' hit rates depend on pool
+                    # routing (a cold process re-matches in full), so pin
+                    # the pool to one process: every fragment's store then
+                    # sees the in-process hit sequence and the matching
+                    # counters are the deterministic aggregate this test
+                    # pins — still shipped across the process boundary.
+                    executor_workers=1,
                 ),
             )
         finally:

@@ -483,6 +483,38 @@ class TestSharedCores:
         _status, health = _call("GET", f"{server.base_url}/healthz")
         assert health["shared_cores"] == 0
 
+    def test_retired_implementation_fields_do_not_fork_the_core(self, server, tmp_path):
+        """Bodies differing only by the retired index/incremental switches share.
+
+        Those fields used to take part in the core key, so a tenant sending
+        one silently got a second resident copy of the graph.
+        """
+        from repro.graph.io import save_graph_json
+
+        graph, _rules, predicate_text = _workload(seed=33)
+        path = tmp_path / "one-core.json"
+        save_graph_json(graph, path)
+        body = {
+            "graph_path": str(path),
+            "predicate": predicate_text,
+            "rules": 3,
+            "seed": 33,
+            "eta": 0.1,
+            "workers": 2,
+        }
+        retired = {f"use_{name}": False for name in ("index", "incremental")}
+        urls = []
+        for tenant, extra in (("plain", {}), ("legacy", retired)):
+            status, created = _call(
+                "POST", f"{server.base_url}/sessions", {**body, **extra, "tenant": tenant}
+            )
+            assert status == 201 and created["shared_core"] is True
+            urls.append(f"{server.base_url}/sessions/{created['session']}")
+        _status, health = _call("GET", f"{server.base_url}/healthz")
+        assert health["shared_cores"] == 1
+        for url in urls:
+            assert _call("DELETE", url)[0] == 200
+
     def test_inline_graph_sessions_stay_private(self, server):
         graph, _rules, predicate_text = _workload(seed=32)
         _status, created = _call(

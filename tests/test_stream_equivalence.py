@@ -24,6 +24,7 @@ import pytest
 from repro.datasets import generate_gpars, most_frequent_predicates, synthetic_graph
 from repro.graph import FragmentIndex, graph_index
 from repro.identification import identify_entities
+from repro.identification.eip import EIPConfig
 from repro.matching import (
     DeltaMatcher,
     GuidedMatcher,
@@ -34,6 +35,7 @@ from repro.matching import (
 from repro.mining import DMineConfig, dmine
 from repro.parallel.executor import BACKENDS
 from repro.stream import MaintainedMatchView, StreamingIdentifier, random_update_batch
+from repro.testing import ReferenceMatcher, reference_identify
 
 SEEDS = range(50)
 
@@ -109,7 +111,7 @@ def test_patched_index_is_byte_identical_to_fresh_build(seed):
 @pytest.mark.parametrize("kind", ["vf2", "guided", "simulation"])
 @pytest.mark.parametrize("seed", range(0, 50, 2))
 def test_matchers_agree_on_patched_index(seed, kind):
-    """Match sets probed through a patched index == through a fresh one."""
+    """Match sets probed through a patched index == raw probes of a fresh copy."""
     graph = _workload_graph(seed)
     predicate = most_frequent_predicates(graph, top=1)[0]
     rules = generate_gpars(graph, predicate, count=2, max_pattern_edges=3, d=2, seed=seed)
@@ -119,7 +121,7 @@ def test_matchers_agree_on_patched_index(seed, kind):
         matcher.match_set(graph, rule.pr_pattern())
     _apply_batches(graph, seed, count=2)
     oracle = _matcher(kind)
-    pristine = graph.copy()  # fresh graph object => fresh resident index
+    pristine = graph.copy()  # fresh graph object, nothing resident => raw probes
     for rule in rules:
         for pattern in (rule.antecedent, rule.pr_pattern()):
             patched = matcher.match_set(graph, pattern)
@@ -210,7 +212,7 @@ def test_streaming_identifier_equals_recompute(seed):
     predicate = most_frequent_predicates(graph, top=1)[0]
     rules = generate_gpars(graph, predicate, count=3, max_pattern_edges=3, d=2, seed=seed)
     with StreamingIdentifier(
-        graph, rules, eta=0.5, num_workers=2 + seed % 3, seed=0
+        graph, rules, config=EIPConfig(eta=0.5, num_workers=2 + seed % 3, seed=0)
     ) as identifier:
         assert _eip_fingerprint(identifier.result) == _eip_fingerprint(
             identifier.recompute()
@@ -223,15 +225,18 @@ def test_streaming_identifier_equals_recompute(seed):
             ), (seed, position)
 
 
-@pytest.mark.parametrize("use_index", [True, False])
+@pytest.mark.parametrize("against_reference", [True, False])
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("algorithm", ["match", "matchc"])
-def test_streaming_identifier_across_backends(backend, algorithm, use_index):
+def test_streaming_identifier_across_backends(backend, algorithm, against_reference):
     """Every backend and solver maintains the same answer over one sequence.
 
-    ``use_index=False`` additionally exercises the matchers' private
-    (non-resident) caches across mutations — the warm-matcher staleness
-    path that worker contexts keep alive between batches.
+    One leg holds the maintained answer to the naive whole-graph reference
+    (``reference_identify``), the other to a sequential from-scratch run of
+    the production solver: one fingerprint across backend x solver x both.
+    The ``matchc`` legs keep the matchers' private (non-resident) caches
+    warm across mutations — its d-balls are never indexed — which is the
+    staleness path worker contexts keep alive between batches.
     """
     base = synthetic_graph(120, 360, num_node_labels=5, num_edge_labels=3, seed=9)
     predicate = most_frequent_predicates(base, top=1)[0]
@@ -240,27 +245,25 @@ def test_streaming_identifier_across_backends(backend, algorithm, use_index):
     with StreamingIdentifier(
         graph,
         rules,
-        eta=0.5,
-        num_workers=3,
-        seed=0,
-        backend=backend,
-        executor_workers=2,
+        config=EIPConfig(
+            eta=0.5, num_workers=3, seed=0, backend=backend, executor_workers=2
+        ),
         algorithm=algorithm,
-        use_index=use_index,
     ) as identifier:
         for position in range(2):
             batch = random_update_batch(graph, size=7, seed=900 + position)
             identifier.apply(batch)
         maintained = _eip_fingerprint(identifier.result)
-        # Compare against a sequential from-scratch run on an equal mutated
-        # copy: one fingerprint across every backend x solver x mode.
-        fresh = identify_entities(
-            identifier.graph,
-            list(rules),
-            eta=0.5,
-            num_workers=3,
-            algorithm=algorithm,
-        )
+        if against_reference:
+            fresh = reference_identify(identifier.graph, rules, eta=0.5)
+        else:
+            fresh = identify_entities(
+                identifier.graph,
+                list(rules),
+                eta=0.5,
+                num_workers=3,
+                algorithm=algorithm,
+            )
     assert maintained == _eip_fingerprint(fresh), (backend, algorithm)
 
 
@@ -280,7 +283,7 @@ def _dmine_fingerprint(result):
 # free-y (census-maintained) rules: whole-graph matching semantics
 # ----------------------------------------------------------------------
 def _census_oracle_check(identifier, rules):
-    """Maintained antecedent verdicts == whole-graph VF2 on the full pattern.
+    """Maintained antecedent verdicts == whole-graph reference matching.
 
     The oracle matches each rule's *full* antecedent (free y included)
     against the whole graph — the semantics the census decomposition claims
@@ -289,7 +292,7 @@ def _census_oracle_check(identifier, rules):
     from repro.stream.identifier import census_feasible
 
     graph = identifier.graph
-    oracle = VF2Matcher(use_index=False)
+    oracle = ReferenceMatcher()
     counts = graph.node_label_counts()
     for rule in rules:
         expected = {
@@ -344,7 +347,7 @@ def test_census_maintained_free_y_rules_equal_whole_graph_matching(seed):
     if not rules:
         pytest.skip("this seed mined no free-y rules")
     with StreamingIdentifier(
-        graph, rules, eta=0.5, num_workers=2 + seed % 3, seed=0
+        graph, rules, config=EIPConfig(eta=0.5, num_workers=2 + seed % 3, seed=0)
     ) as identifier:
         assert identifier._census_parts, "mined free-y rules must census-split"
         _census_oracle_check(identifier, rules)
@@ -372,8 +375,10 @@ def test_census_injectivity_couples_free_and_anchored_labels():
         y="y",
     )
     rule = GPAR(antecedent, consequent_label="buys", validate=False)
-    oracle = VF2Matcher(use_index=False)
-    with StreamingIdentifier(graph, [rule], eta=0.5, num_workers=1) as identifier:
+    oracle = ReferenceMatcher()
+    with StreamingIdentifier(
+        graph, [rule], config=EIPConfig(eta=0.5, num_workers=1)
+    ) as identifier:
         # One cust total: the x-part matches at c1, but the isolated free y
         # (also cust-labelled) has no injective completion.
         assert not oracle.exists_match_at(graph, antecedent, "c1")
@@ -410,8 +415,10 @@ def test_census_rule_with_extra_isolated_free_node():
         y="y",  # y AND z are isolated: PR (with the wins edge) stays disconnected
     )
     rule = GPAR(antecedent, consequent_label="wins", validate=False)
-    oracle = VF2Matcher(use_index=False)
-    with StreamingIdentifier(graph, [rule], eta=0.5, num_workers=1) as identifier:
+    oracle = ReferenceMatcher()
+    with StreamingIdentifier(
+        graph, [rule], config=EIPConfig(eta=0.5, num_workers=1)
+    ) as identifier:
         assert rule in identifier._census_pr_requirements
         assert oracle.exists_match_at(graph, antecedent, "c1")
         assert oracle.exists_match_at(graph, rule.pr_pattern(), "c1")
@@ -443,11 +450,9 @@ def test_census_rules_agree_across_backends(backend):
     with StreamingIdentifier(
         graph,
         rules,
-        eta=0.5,
-        num_workers=3,
-        seed=0,
-        backend=backend,
-        executor_workers=2,
+        config=EIPConfig(
+            eta=0.5, num_workers=3, seed=0, backend=backend, executor_workers=2
+        ),
     ) as identifier:
         for position in range(2):
             identifier.apply(random_update_batch(graph, size=7, seed=600 + position))
@@ -509,7 +514,7 @@ def test_static_and_streaming_agree_on_free_pattern_rules():
         validate=False,
     )
     rules = [free_y, edged]
-    oracle = VF2Matcher(use_index=False)
+    oracle = ReferenceMatcher()
     # Whole-graph truth: both antecedents match at both customers (pz1 and
     # p1→pz1 are global witnesses), while only c1 carries the consequent.
     for rule in rules:
@@ -525,7 +530,10 @@ def test_static_and_streaming_agree_on_free_pattern_rules():
             assert static.rule_matches[rule] == frozenset({"c1"}), algorithm
             assert static.rule_confidences[rule] == 1.0, algorithm
         with StreamingIdentifier(
-            graph.copy(), rules, eta=0.5, num_workers=2, algorithm=algorithm
+            graph.copy(),
+            rules,
+            config=EIPConfig(eta=0.5, num_workers=2),
+            algorithm=algorithm,
         ) as identifier:
             assert _eip_fingerprint(static) == _eip_fingerprint(identifier.result)
             assert static.rule_confidences == identifier.result.rule_confidences
@@ -540,7 +548,7 @@ def test_static_and_streaming_agree_on_mined_free_y_workload(algorithm):
     assert rules, "seed 40 must mine free-y rules (workload drifted?)"
     graph = base.copy()
     with StreamingIdentifier(
-        graph, rules, eta=0.5, num_workers=3, algorithm=algorithm
+        graph, rules, config=EIPConfig(eta=0.5, num_workers=3), algorithm=algorithm
     ) as identifier:
         identifier.apply(random_update_batch(graph, size=7, seed=601))
         static = identify_entities(

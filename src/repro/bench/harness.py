@@ -10,10 +10,10 @@ sequential baseline, turning the fig5 scalability figures from simulations
 into measurements.
 
 Every runner executes the one production matching path: fragments are
-probed through their resident :class:`repro.graph.index.FragmentIndex` and
-:class:`repro.graph.columnar.ColumnarFragment`, levelwise mining through the
-fragment's match store.  Equality with the naive reference is the
-equivalence test suites' job and speed is guarded from outside by
+probed through their resident :class:`repro.graph.columnar.ColumnarFragment`,
+levelwise mining through the fragment's match store.  Equality with the
+naive reference is the equivalence test suites' job and speed is guarded
+from outside by
 ``BENCHMARK.json``; :func:`run_matching_traffic` keeps the matching hot path
 measurable in isolation (and is the ``match`` family's 100k-node row).
 """
@@ -28,7 +28,6 @@ from typing import Iterable, Sequence
 from repro.bench.reporting import wall_speedups
 from repro.graph.graph import Graph
 from repro.graph.columnar import columnar_view, discard_columnar
-from repro.graph.index import discard_index, graph_index
 from repro.identification import EIPConfig, identify_entities
 from repro.matching import GuidedMatcher, SimulationMatcher, VF2Matcher
 from repro.mining import DMine, DMineConfig
@@ -310,7 +309,7 @@ class MatchingRow:
     Measures the paper's matching hot path in isolation: *reps* batches of
     anchored ``match_set`` queries over one resident graph, each batch served
     by a freshly constructed matcher (exactly what one EIP/DMine call does)
-    probing the graph's resident index and columnar view.
+    probing the graph's resident structure.
     """
 
     dataset: str
@@ -352,10 +351,10 @@ def run_matching_traffic(
 
     Each batch computes ``Q(x, G)`` for every rule's antecedent and PR
     pattern with a newly constructed matcher, modelling *reps* successive
-    algorithm calls against the same resident fragment.  The graph's index
-    and columnar view are dropped first and rebuilt inside the timed window
-    — as an executor does when it starts on a fragment — so the row pays
-    for its own builds.
+    algorithm calls against the same resident fragment.  The graph's
+    resident structure is dropped first and recompiled inside the timed
+    window — as an executor does when it starts on a fragment — so the row
+    pays for its own build.
     """
     try:
         make_matcher = _MATCHER_KINDS[kind]
@@ -367,12 +366,10 @@ def run_matching_traffic(
     for rule in rules:
         patterns.append(rule.antecedent)
         patterns.append(rule.pr_pattern())
-    discard_index(graph)
     discard_columnar(graph)
     match_counts: list[str] = []
     total_matches = 0
     started = time.perf_counter()
-    graph_index(graph)
     columnar_view(graph)
     for _ in range(reps):
         matcher = make_matcher()
@@ -1366,7 +1363,6 @@ def run_matchview_stream_comparison(
     rows: list[StreamRow] = []
     for kind in kinds:
         baseline_graph = graph.copy()
-        graph_index(baseline_graph)
         columnar_view(baseline_graph)
         baseline_wall = 0.0
         baseline_sets: list[str] = []

@@ -19,8 +19,8 @@ trajectory; CI uploads them as workflow artifacts.
 
 The ``match`` family additionally runs one large-regime scenario: matching
 traffic on a dense graph 250× the smoke scale (100k nodes by default)
-through the resident index and columnar view; completing under the smoke
-timeout is that row's whole gate.
+through the resident structure; completing under the smoke timeout is that
+row's whole gate.
 
 The ``stream`` family is the repair-vs-recompute gate of :mod:`repro.stream`:
 one sampled update sequence on the dense workload replayed in *repair* mode

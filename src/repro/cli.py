@@ -128,7 +128,7 @@ def _stream_config_from_args(args: argparse.Namespace):
 
     CLI values beat environment variables beat defaults; the chosen values
     are also exported back into the environment so worker processes (which
-    build fragment indexes with process-wide defaults) agree with the
+    compile fragment structures with process-wide defaults) agree with the
     coordinator.
     """
     from repro.stream import StreamConfig
@@ -353,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         dest="rebuild_fraction",
-        help="FragmentIndex rebuilds instead of delta-patching above this "
+        help="resident structures recompile instead of delta-patching above this "
         "touched fraction (default: REPRO_DELTA_REBUILD_FRACTION or 0.25)",
     )
     stream.add_argument(

@@ -43,27 +43,6 @@ class EdgeNotFoundError(GraphError, KeyError):
         )
 
 
-class StaleIndexError(GraphError):
-    """Raised when a :class:`repro.graph.index.FragmentIndex` in ``"raise"``
-    invalidation mode is probed after its graph was mutated.
-
-    Carries the version the index was built at and the graph's current
-    version so the caller can tell how far the index has drifted.
-    """
-
-    def __init__(self, graph_name: str, built_version: int, current_version: int):
-        super().__init__(graph_name, built_version, current_version)
-        self.graph_name = graph_name
-        self.built_version = built_version
-        self.current_version = current_version
-
-    def __str__(self) -> str:
-        return (
-            f"index over graph {self.graph_name!r} is stale: built at version "
-            f"{self.built_version}, graph is now at version {self.current_version}"
-        )
-
-
 class PatternError(ReproError):
     """Raised for malformed patterns or GPARs."""
 

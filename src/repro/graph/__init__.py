@@ -8,12 +8,11 @@ model with the indexes the mining and matching algorithms need:
 * per-label adjacency (``out_neighbors(v, label)``) used by the matchers,
 * bounded BFS for ``Gd(vx)`` d-neighbourhood extraction (:mod:`neighborhood`),
 * k-hop label-frequency sketches used by guided search (:mod:`sketch`),
-* the fragment-resident :class:`FragmentIndex` bundling label buckets,
-  adjacency profiles and a sketch cache for the matching hot path
-  (:mod:`index`),
-* the frozen columnar kernel — CSR adjacency over interned label ids plus a
-  precomputed profile matrix, vectorized when numpy is available — that the
-  matchers' pool filtering and dual simulation run on (:mod:`columnar`).
+* the one fragment-resident structure of the matching hot path,
+  :class:`ColumnarFragment` — label buckets, a profile matrix and CSR
+  adjacency over interned label ids (vectorized when numpy is available),
+  plus memoised frozen adjacency views and a k-hop sketch cache
+  (:mod:`columnar`).
 """
 
 from repro.graph.graph import DELTA_LOG_SIZE, Edge, Graph, GraphBatch, GraphDelta
@@ -26,13 +25,6 @@ from repro.graph.columnar import (
     discard_columnar,
     numpy_active,
     registered_columnar,
-)
-from repro.graph.index import (
-    FragmentIndex,
-    IndexStatistics,
-    discard_index,
-    graph_index,
-    registered_index,
 )
 from repro.graph.neighborhood import (
     ball,
@@ -74,11 +66,6 @@ __all__ = [
     "empty_sketch",
     "sketch_dominates",
     "sketch_score",
-    "FragmentIndex",
-    "IndexStatistics",
-    "graph_index",
-    "discard_index",
-    "registered_index",
     "ColumnarFragment",
     "ColumnarStatistics",
     "LabelTable",

@@ -1,35 +1,80 @@
-"""Columnar (array-backed) fragment views for the matching hot path.
+"""The fragment-resident structure of the matching hot path.
 
 The authoritative :class:`~repro.graph.graph.Graph` is a dict-of-dict-of-set
 structure: perfect for mutation, wasteful to *probe* — every adjacency read
-hashes strings and every ``neighbors`` call allocates a set.  This module
-compiles a graph down to a frozen columnar view:
+hashes strings and copies a set, every profile or sketch is re-derived in
+O(degree) or O(|ball|).  A :class:`ColumnarFragment` is the **one** derived
+structure a process keeps beside a resident graph; every matcher probe on
+that graph is answered from it.
 
-* **interned labels** — every node/edge label becomes a small integer through
-  a shared, append-only :class:`LabelTable` (exposed as ``Graph.label_table``),
-  so hot-path comparisons are int equality instead of string hashing;
-* **CSR adjacency** — one compressed-sparse-row block per edge label and
-  direction (``indptr``/``indices`` over dense node positions), built on
-  stdlib ``array('q')`` buffers with an optional ``numpy`` fast path behind a
-  feature probe (the core stays dependency-free; set ``REPRO_NO_NUMPY=1`` to
-  force the stdlib path even when numpy is importable);
+Stores (eager, one per quantity)
+--------------------------------
+* **interned labels + label buckets** — every node/edge label becomes a
+  small integer through a shared, append-only :class:`LabelTable` (exposed
+  as ``Graph.label_table``); a dense ``label id`` column over node positions
+  plus one frozen ``label id -> nodes`` bucket map answer ``node_label`` and
+  ``nodes_with_label`` without a per-probe copy;
 * **profile matrix** — the labelled adjacency profiles of
-  :func:`repro.matching.candidates.adjacency_profile`, laid out as one
-  ``|V| x |columns|`` count matrix whose columns are the observed
-  ``(direction, edge label, neighbour label)`` triples.  Candidate filtering
-  becomes a row (or, with numpy, whole-pool) comparison.
+  :func:`repro.matching.candidates.adjacency_profile`, laid out as one flat
+  ``|V| x |columns|`` count buffer whose columns are the observed
+  ``(direction, edge label, neighbour label)`` triples.  The per-node check
+  of the search loop (:meth:`ColumnarFragment.degree_consistent`) reads
+  python ints off one row; with numpy the same buffer is viewed as a matrix
+  and a whole candidate pool is masked at once;
+* **CSR adjacency** — one compressed-sparse-row block per edge label and
+  direction (``indptr``/``indices`` over dense node positions), the substrate
+  of the dual-simulation fixpoint.
 
-Invalidation mirrors :class:`repro.graph.index.FragmentIndex`: the view pins
-``Graph.version`` at compile time, every probe goes through a ``_check`` that
-refreshes on mismatch, and ``refresh()`` prefers delta-driven patching
-(:meth:`ColumnarFragment.apply_delta`) over a full recompile while the
-touched region stays under ``rebuild_fraction``.  A patch does not rewrite
-the frozen arrays; touched nodes (and the profile rows of their neighbours)
-move into small dict *overlays* that every probe consults first.  Fully
-vectorized operations (the whole-pool candidate mask and the CSR simulation
-fixpoint) require a pristine view — consumers fall back to the dict path
-while overlays are present and regain the fast path at the next compile
-boundary (fragment lease install, checkpoint capture, index build/refresh).
+All buffers are stdlib ``array('q')``; the optional ``numpy`` fast path
+(behind a feature probe — the core stays dependency-free; set
+``REPRO_NO_NUMPY=1`` to force the stdlib path even when numpy is importable)
+wraps the *same* buffers, it does not copy them.
+
+Caches (lazy, version-pinned)
+-----------------------------
+* **frozen adjacency views** — per ``(node, direction, edge label)``
+  neighbour sets and per-node undirected neighbourhoods as frozensets,
+  memoised on first use; the matchers intersect these millions of times;
+* **k-hop sketch cache** — memoised
+  :class:`~repro.graph.sketch.KHopSketch` per ``(node, hops)``, with an
+  explicit empty-neighbourhood fast path (an isolated node's sketch is
+  materialised without a BFS round-trip);
+* **compiled requirements** — a pattern node's required profile in
+  id/column space, memoised per pattern object.
+
+Invalidation
+------------
+The structure pins ``graph.version`` (a monotonic mutation counter) at
+compile time and compares it on **every** probe; a stale probe refreshes
+first, so a stale read is impossible.  A probe made while a
+``Graph.batch_update`` block is open *and dirty* raises
+:class:`~repro.exceptions.GraphError` instead of refreshing from a
+half-applied state (matchers never get there: while a batch is open they
+probe the raw graph, see :func:`repro.matching.base.resident_view`).
+
+``refresh()`` prefers in-place delta patching: while the graph's bounded
+delta log (:meth:`repro.graph.graph.Graph.deltas_since`) reaches back to the
+pinned version and the touched region stays under ``rebuild_fraction`` of
+the graph, :meth:`ColumnarFragment.apply_delta` patches forward — label
+buckets are rewritten, touched nodes (and the profile rows of their
+neighbours) move into small dict *overlays* every per-node probe consults
+first, memoised adjacency views of touched nodes are dropped, and cached
+sketches are invalidated only inside the k-hop balls of the touched nodes
+(computed on the post-update graph; ``docs/streaming.md`` shows that is
+exact).  The frozen arrays are not rewritten, so the whole-array operations
+(the pool mask and the CSR simulation fixpoint) require a
+:attr:`~ColumnarFragment.pristine` structure: consumers fall back to
+per-node probes while overlays are present and regain the fast path at the
+next compile boundary (fragment lease install, checkpoint capture, a
+refresh that rebuilds).
+
+Residency
+---------
+:func:`columnar_view` memoises one structure per graph object in a
+per-process weak registry, so it lives exactly as long as its graph and
+never crosses a pickle boundary.  The process execution backend compiles its
+fragments' structures inside the worker-pool initializer
+(:func:`repro.parallel.worker.init_worker`).
 """
 
 from __future__ import annotations
@@ -42,19 +87,47 @@ from array import array
 from dataclasses import dataclass
 from typing import Hashable, Iterable
 
-from repro.exceptions import GraphError
+from repro.exceptions import GraphError, NodeNotFoundError
 from repro.graph.graph import Graph, GraphDelta
-from repro.graph.index import default_rebuild_fraction
+from repro.graph.neighborhood import multi_source_distances
+from repro.graph.sketch import KHopSketch, build_sketch, empty_sketch
 from repro.obs.stats import StatisticsBase
 from repro.obs.tracing import span
 
 NodeId = Hashable
 Label = str
 
-#: Direction codes used in id-space profile triples.
+#: Direction codes used in id-space profile triples, and their spelling in
+#: the string-keyed profiles of :mod:`repro.matching.candidates`.
 OUT, IN = 0, 1
+_DIRECTIONS = ("out", "in")
+
+#: When the touched nodes of a pending delta chain exceed this fraction of
+#: the graph, ``refresh()`` prefers one full O(|V| + |E|) recompile over
+#: patching most of the structure anyway.  Per-structure override: the
+#: ``rebuild_fraction`` constructor argument; process-wide override: the
+#: ``REPRO_DELTA_REBUILD_FRACTION`` environment variable (also the default
+#: of :class:`repro.stream.StreamConfig`, and inherited by forked worker
+#: processes).
+DELTA_REBUILD_FRACTION = 0.25
+
+#: Compiled requirements memoised per structure before the memo is cleared.
+_REQUIREMENT_MEMO_LIMIT = 4096
 
 _EMPTY_FROZEN: frozenset = frozenset()
+
+
+def default_rebuild_fraction() -> float:
+    """Effective rebuild fraction: ``REPRO_DELTA_REBUILD_FRACTION`` or the constant."""
+    raw = os.environ.get("REPRO_DELTA_REBUILD_FRACTION")
+    if raw is None:
+        return DELTA_REBUILD_FRACTION
+    fraction = float(raw)
+    if not 0.0 <= fraction <= 1.0:
+        raise ValueError(
+            f"REPRO_DELTA_REBUILD_FRACTION must be in [0, 1], got {fraction}"
+        )
+    return fraction
 
 
 def numpy_or_none():
@@ -129,18 +202,19 @@ class CompiledRequirement:
     """A pattern node's anchor requirement compiled into id/column space.
 
     ``label_id`` is the required node label (``-1`` when the label is unknown
-    to the table — then no data node can match).  ``cols``/``needs`` cover
-    the needed triples that have a profile-matrix column; ``missing`` holds
-    needed triples without one (no array-resident node can satisfy those,
-    only overlay nodes possibly can).  ``triples`` is the full id-space
-    required profile used for overlay (dict) checks.
+    to the table — then no data node can match).  ``triples`` is the full
+    id-space required profile, checked against overlay (dict) rows; a label
+    the table has never seen compiles to a ``None`` id, which no row carries.
+    ``pairs`` are the ``(column, need)`` cells of the needed triples that
+    have a profile-matrix column, pre-zipped for the per-node row check;
+    ``missing`` says some needed triple has none (no array-resident node can
+    satisfy it, only an overlay row possibly can).
     """
 
     label_id: int
-    cols: tuple[int, ...]
-    needs: tuple[int, ...]
-    missing: tuple[tuple[int, int, int], ...]
-    triples: tuple[tuple[tuple[int, int, int], int], ...]
+    pairs: tuple[tuple[int, int], ...]
+    missing: bool
+    triples: tuple[tuple[tuple, int], ...]
 
 
 @dataclass
@@ -148,10 +222,22 @@ class ColumnarStatistics(StatisticsBase):
     """Build/probe counters of one :class:`ColumnarFragment` (used by tests).
 
     Snapshot/merge via :class:`repro.obs.stats.StatisticsBase`; collected as
-    ``repro_columnar_*_total`` when ``REPRO_OBS`` is on.
+    ``repro_columnar_*_total`` when ``REPRO_OBS`` is on — except the delta
+    and sketch-cache counters, which keep the ``repro_index_*_total`` names
+    the repo benchmark's layer table (``benchmarks/e2e/layers.py``) reads.
     """
 
     _metric_kind = "columnar"
+    _field_kinds = dict.fromkeys(
+        (
+            "delta_applies",
+            "sketches_built",
+            "sketch_fast_paths",
+            "sketches_invalidated",
+            "stale_probes",
+        ),
+        "index",
+    )
 
     builds: int = 0
     refreshes: int = 0
@@ -160,6 +246,10 @@ class ColumnarStatistics(StatisticsBase):
     row_filters: int = 0
     simulations: int = 0
     fallbacks: int = 0
+    sketches_built: int = 0
+    sketch_fast_paths: int = 0
+    sketches_invalidated: int = 0
+    stale_probes: int = 0
 
 
 def _csr_from_pairs(num_nodes: int, sources, targets, np):
@@ -188,7 +278,16 @@ def _csr_from_pairs(num_nodes: int, sources, targets, np):
 
 
 class ColumnarFragment:
-    """Frozen array-backed view of one graph (see the module docstring)."""
+    """The resident structure of one graph (see the module docstring).
+
+    Parameters
+    ----------
+    graph:
+        The graph (typically one fragment's local graph) to compile.
+    rebuild_fraction:
+        ``refresh()`` recompiles instead of patching above this fraction of
+        touched nodes (default: :func:`default_rebuild_fraction`).
+    """
 
     __slots__ = (
         "_graph_ref",
@@ -197,6 +296,7 @@ class ColumnarFragment:
         "labels",
         "_np",
         "_built_version",
+        # stores
         "_node_ids",
         "_pos",
         "_label_ids",
@@ -206,11 +306,18 @@ class ColumnarFragment:
         "_columns",
         "_num_columns",
         "_counts",
-        "_positions_by_label",
         "_overlay_labels",
         "_overlay_profiles",
-        "_overlay_out",
-        "_overlay_in",
+        # numpy views over the _label_ids / _counts buffers (None without numpy)
+        "_label_array",
+        "_count_matrix",
+        # caches
+        "_positions_by_label",
+        "_requirements",
+        "_out_frozen",
+        "_in_frozen",
+        "_neighbors_frozen",
+        "_sketches",
         "__weakref__",
     )
 
@@ -222,9 +329,11 @@ class ColumnarFragment:
         self.rebuild_fraction = (
             rebuild_fraction if rebuild_fraction is not None else default_rebuild_fraction()
         )
-        # Weak reference for the same reason as FragmentIndex: the registry
-        # maps graph -> view with weak keys, and the view must never keep a
-        # transient graph alive.
+        # Weak reference only: the process-wide registry maps graph ->
+        # structure with weak keys, so a strong graph reference here would
+        # keep every resident graph (e.g. per-run fragment graphs) alive
+        # forever.  The structure lives exactly as long as its graph, never
+        # the other way around; callers always hold the graph while probing.
         self._graph_ref = weakref.ref(graph)
         self.statistics = ColumnarStatistics()
         self._build()
@@ -295,33 +404,36 @@ class ColumnarFragment:
             observed.update(profile)
         columns = {triple: column for column, triple in enumerate(sorted(observed))}
         num_columns = len(columns)
+        counts = array("q", bytes(8 * num_nodes * num_columns))
+        for position, profile in enumerate(profiles):
+            base = position * num_columns
+            for triple, count in profile.items():
+                counts[base + columns[triple]] = count
         if np is not None:
-            counts = np.zeros((num_nodes, num_columns), dtype=np.int64)
-            for position, profile in enumerate(profiles):
-                row = counts[position]
-                for triple, count in profile.items():
-                    row[columns[triple]] = count
-            label_array = np.asarray(label_ids, dtype=np.int64)
+            # Views, not copies: per-node probes read python ints off the
+            # array('q') buffers, whole-pool operations go through these.
+            self._label_array = np.frombuffer(label_ids, dtype=np.int64)
+            self._count_matrix = np.frombuffer(counts, dtype=np.int64).reshape(
+                num_nodes, num_columns
+            )
         else:
-            counts = array("q", bytes(8 * num_nodes * num_columns))
-            for position, profile in enumerate(profiles):
-                base = position * num_columns
-                for triple, count in profile.items():
-                    counts[base + columns[triple]] = count
-            label_array = label_ids
+            self._label_array = self._count_matrix = None
         self.labels = table
         self._node_ids = node_ids
         self._pos = pos
-        self._label_ids = label_array
+        self._label_ids = label_ids
         self._buckets = buckets
         self._columns = columns
         self._num_columns = num_columns
         self._counts = counts
-        self._positions_by_label: dict[int, object] = {}
         self._overlay_labels: dict[NodeId, int] = {}
         self._overlay_profiles: dict[NodeId, dict[tuple[int, int, int], int]] = {}
-        self._overlay_out: dict[NodeId, dict[int, tuple[int, ...]]] = {}
-        self._overlay_in: dict[NodeId, dict[int, tuple[int, ...]]] = {}
+        self._positions_by_label: dict[int, object] = {}
+        self._requirements: dict[tuple[int, object], tuple[object, CompiledRequirement]] = {}
+        self._out_frozen: dict[tuple[NodeId, Label], frozenset] = {}
+        self._in_frozen: dict[tuple[NodeId, Label], frozenset] = {}
+        self._neighbors_frozen: dict[NodeId, frozenset] = {}
+        self._sketches: dict[tuple[NodeId, int], KHopSketch] = {}
         self._built_version = graph.version
         self.statistics.builds += 1
 
@@ -332,7 +444,7 @@ class ColumnarFragment:
 
     @property
     def is_stale(self) -> bool:
-        """Whether the graph has mutated since the view was (re)compiled."""
+        """Whether the graph has mutated since the last compile or patch."""
         return self.graph.version != self._built_version
 
     @property
@@ -341,51 +453,50 @@ class ColumnarFragment:
         return not (self._overlay_labels or self._overlay_profiles)
 
     def refresh(self) -> None:
-        """Bring the view up to date: patch forward from deltas or recompile."""
+        """Bring every store and cache up to date with the graph.
+
+        Prefers in-place delta patching: when the graph's recorded delta log
+        still reaches back to :attr:`built_version` and the touched region is
+        small relative to the graph, every pending
+        :class:`~repro.graph.graph.GraphDelta` is applied via
+        :meth:`apply_delta`; otherwise the structure recompiles from scratch.
+        """
         graph = self.graph
         if graph.in_batch:
             raise GraphError(
-                f"cannot refresh the columnar view of graph {graph.name!r} while "
-                "a batch_update is open: the graph is in a half-applied state"
+                f"cannot refresh the resident structure of graph {graph.name!r} "
+                "while a batch_update is open: the graph is in a half-applied state"
             )
         with span("columnar.refresh", graph=str(graph.name)) as trace:
             deltas = graph.deltas_since(self._built_version)
-            if deltas is not None:
-                touched_total = sum(len(delta.touched) for delta in deltas)
-                if touched_total <= self.rebuild_fraction * max(1, graph.num_nodes):
-                    for delta in deltas:
-                        if not self.apply_delta(delta):  # pragma: no cover - chain guard
-                            deltas = None
-                            break
-                    if deltas is not None:
-                        self.statistics.refreshes += 1
-                        trace.set(decision="patch", touched=touched_total)
-                        return
-                else:
-                    deltas = None
-            trace.set(decision="recompile")
-            self._build()
+            touched_total = sum(len(delta.touched) for delta in deltas or ())
+            if (
+                deltas is not None
+                and touched_total <= self.rebuild_fraction * max(1, graph.num_nodes)
+                and all(self.apply_delta(delta) for delta in deltas)
+            ):
+                trace.set(decision="patch", touched=touched_total)
+            else:
+                trace.set(decision="rebuild")
+                self._build()
             self.statistics.refreshes += 1
 
     def apply_delta(self, delta: GraphDelta) -> bool:
-        """Patch the view in place with one recorded graph delta.
+        """Patch the structure in place with one recorded graph delta.
 
         Requires ``delta.base_version`` to equal :attr:`built_version`
-        (returns ``False``, leaving the view untouched, otherwise).  Label
-        buckets are patched like ``FragmentIndex``; touched nodes — and the
-        profile rows of their current neighbours — move into dict overlays
-        that every probe consults before the frozen arrays.  After the patch
-        every probe answers exactly as a fresh compile would; only the
-        whole-array fast paths (:attr:`pristine`) are suspended until the
-        next recompile.
+        (returns ``False``, leaving everything untouched, otherwise).  After
+        the patch every probe answers exactly as a fresh compile at
+        ``delta.result_version`` would; only the whole-array fast paths
+        (:attr:`pristine`) are suspended until the next recompile.
         """
         if delta.base_version != self._built_version:
             return False
         graph = self.graph
         if graph.in_batch:
             raise GraphError(
-                f"cannot patch the columnar view of graph {graph.name!r} while "
-                "a batch_update is open: the graph is in a half-applied state"
+                f"cannot patch the resident structure of graph {graph.name!r} "
+                "while a batch_update is open: the graph is in a half-applied state"
             )
         if not delta.net_empty:
             self._patch(delta.touched)
@@ -394,6 +505,14 @@ class ColumnarFragment:
         return True
 
     def _patch(self, touched: frozenset) -> None:
+        """Recompute the touched region of every store and cache.
+
+        Later deltas of a chain may already be reflected in the graph; that
+        is fine — patching reads the *current* state, so applying a chain in
+        order converges on exactly the fresh-compile contents (every entry
+        is a pure function of the current graph restricted to the patched
+        region).
+        """
         graph = self.graph
         table = graph.label_table
         labels = graph._labels
@@ -412,9 +531,9 @@ class ColumnarFragment:
                 if new_id >= 0:
                     self._buckets[new_id] = self._buckets.get(new_id, _EMPTY_FROZEN) | {node}
             self._overlay_labels[node] = new_id
-        # Profiles of the touched nodes and their current neighbours;
-        # adjacency overlays for the touched nodes only (an untouched node's
-        # neighbour sets are unchanged by definition).
+        # Profile rows of the touched nodes and their current neighbours (a
+        # relabelled node changes the profiles of everything adjacent to it;
+        # removed endpoints are touched already).
         recompute: set = set()
         for node in touched:
             if node in labels:
@@ -422,8 +541,6 @@ class ColumnarFragment:
                 recompute.update(graph.neighbors(node))
             else:
                 self._overlay_profiles.pop(node, None)
-                self._overlay_out.pop(node, None)
-                self._overlay_in.pop(node, None)
         for node in recompute:
             profile: dict[tuple[int, int, int], int] = {}
             for edge_label, targets in graph._out[node].items():
@@ -437,28 +554,40 @@ class ColumnarFragment:
                     key = (IN, edge_label_id, table.intern(labels[source]))
                     profile[key] = profile.get(key, 0) + 1
             self._overlay_profiles[node] = profile
+        # Memoised adjacency views of touched nodes only: an untouched
+        # node's neighbour sets are unchanged by definition (every edge
+        # change touches both endpoints; a relabel changes no neighbour set).
+        for frozen in (self._out_frozen, self._in_frozen):
+            for key in [key for key in frozen if key[0] in touched]:
+                del frozen[key]
         for node in touched:
-            if node not in labels:
-                continue
-            self._overlay_out[node] = {
-                table.intern(edge_label): tuple(targets)
-                for edge_label, targets in graph._out[node].items()
-            }
-            self._overlay_in[node] = {
-                table.intern(edge_label): tuple(sources)
-                for edge_label, sources in graph._in[node].items()
-            }
-        self._positions_by_label = {}
+            self._neighbors_frozen.pop(node, None)
+        # Sketches within the k-hop balls of the touched nodes, computed on
+        # the *post-update* graph (exact; docs/streaming.md).
+        if self._sketches:
+            max_hops = max(hops for _node, hops in self._sketches)
+            distances = multi_source_distances(graph, touched, max_hops)
+            stale_sketches = [
+                key
+                for key in self._sketches
+                if key[0] in touched or distances.get(key[0], max_hops + 1) <= key[1]
+            ]
+            for key in stale_sketches:
+                del self._sketches[key]
+            self.statistics.sketches_invalidated += len(stale_sketches)
+        # A patch can intern labels a compiled requirement saw as unknown.
+        self._requirements.clear()
 
     def _check(self) -> None:
         """Probe guard: refresh if the graph has mutated since compile."""
-        graph = self._graph_ref()
+        graph = self._graph_ref()  # inlined self.graph: this runs per probe
         if graph is None:
             raise GraphError("the graph of this ColumnarFragment no longer exists")
         if graph._version == self._built_version:
             recorder = graph._recorder
             if recorder is None or not recorder.dirty:
                 return
+        self.statistics.stale_probes += 1
         self.refresh()
 
     # ------------------------------------------------------------------
@@ -475,60 +604,126 @@ class ColumnarFragment:
         return self._label_ids[position]
 
     def nodes_with_label(self, label: Label) -> frozenset:
-        """Frozen set of node ids carrying *label* (interned bucket probe)."""
+        """Frozen set of node ids carrying *label* (no per-call copy)."""
         self._check()
         label_id = self.labels.id_of(label)
         if label_id is None:
             return _EMPTY_FROZEN
         return self._buckets.get(label_id, _EMPTY_FROZEN)
 
+    def node_label(self, node: NodeId) -> Label:
+        """Label of *node* (same contract as ``Graph.node_label``)."""
+        self._check()
+        label_id = self._label_id_of(node)
+        if label_id is None or label_id < 0:
+            raise NodeNotFoundError(node)
+        return self.labels.label_of(label_id)
+
     # ------------------------------------------------------------------
     # probes: profile matrix
     # ------------------------------------------------------------------
-    def compile_requirement(self, pattern, pattern_node) -> CompiledRequirement:
-        """Compile a pattern node's required profile into id/column space."""
+    def profile(self, node: NodeId) -> dict:
+        """Labelled adjacency profile of *node*, decoded from the store.
+
+        Spelled like :func:`repro.matching.candidates.adjacency_profile`
+        (string-keyed); the matchers never decode — they compare in id space
+        through :meth:`degree_consistent` / :meth:`filter_candidates`.
+        """
         self._check()
+        cells = self._overlay_profiles.get(node)
+        if cells is None:
+            position = self._pos.get(node)
+            if position is None or self._overlay_labels.get(node) == -1:
+                raise NodeNotFoundError(node)
+            base = position * self._num_columns
+            counts = self._counts
+            cells = {
+                triple: counts[base + column] for triple, column in self._columns.items()
+            }
+        label_of = self.labels.label_of
+        return {
+            (_DIRECTIONS[direction], label_of(edge_id), label_of(neighbour_id)): count
+            for (direction, edge_id, neighbour_id), count in cells.items()
+            if count
+        }
+
+    def compile_requirement(self, pattern, pattern_node) -> CompiledRequirement:
+        """A pattern node's required profile in id/column space, memoised.
+
+        The memo is keyed by the pattern *object* (entries hold the pattern,
+        so an id is never reused while its entry lives) — ``Pattern`` hashes
+        by structure, too slow for a probe made once per search state.
+        """
+        self._check()
+        key = (id(pattern), pattern_node)
+        entry = self._requirements.get(key)
+        if entry is None:
+            if len(self._requirements) >= _REQUIREMENT_MEMO_LIMIT:
+                self._requirements.clear()
+            entry = self._requirements[key] = (
+                pattern,
+                self._compile_requirement(pattern, pattern_node),
+            )
+        return entry[1]
+
+    def _compile_requirement(self, pattern, pattern_node) -> CompiledRequirement:
         id_of = self.labels.id_of
-        anchor_label_id = id_of(pattern.label(pattern_node))
-        needed: dict[tuple[int, int, int], int] = {}
-        unknown = False
+        needed: dict[tuple, int] = {}
         for edge in pattern.out_edges(pattern_node):
-            edge_id = id_of(edge.label)
-            target_id = id_of(pattern.label(edge.target))
-            if edge_id is None or target_id is None:
-                unknown = True
-                continue
-            key = (OUT, edge_id, target_id)
+            key = (OUT, id_of(edge.label), id_of(pattern.label(edge.target)))
             needed[key] = needed.get(key, 0) + 1
         for edge in pattern.in_edges(pattern_node):
-            edge_id = id_of(edge.label)
-            source_id = id_of(pattern.label(edge.source))
-            if edge_id is None or source_id is None:
-                unknown = True
-                continue
-            key = (IN, edge_id, source_id)
+            key = (IN, id_of(edge.label), id_of(pattern.label(edge.source)))
             needed[key] = needed.get(key, 0) + 1
-        if unknown or anchor_label_id is None:
-            # Some required label never occurs in the graph's table, so no
-            # data node (array or overlay) can satisfy the requirement.
-            return CompiledRequirement(-1, (), (), (), ())
-        cols: list[int] = []
-        needs: list[int] = []
-        missing: list[tuple[int, int, int]] = []
-        for triple, count in needed.items():
-            column = self._columns.get(triple)
-            if column is None:
-                missing.append(triple)
-            else:
-                cols.append(column)
-                needs.append(count)
+        columns = self._columns
+        label_id = id_of(pattern.label(pattern_node))
         return CompiledRequirement(
-            anchor_label_id,
-            tuple(cols),
-            tuple(needs),
-            tuple(missing),
-            tuple(needed.items()),
+            label_id=-1 if label_id is None else label_id,
+            pairs=tuple(
+                (columns[triple], need) for triple, need in needed.items() if triple in columns
+            ),
+            missing=any(triple not in columns for triple in needed),
+            triples=tuple(needed.items()),
         )
+
+    def degree_consistent(self, node: NodeId, pattern, pattern_node) -> bool:
+        """Whether *node*'s profile dominates what *pattern_node* requires.
+
+        The resident form of :func:`repro.matching.candidates.degree_consistent`
+        (profile only — callers have compared labels already).  It runs once
+        per expanded search state, so the staleness guard and the
+        requirement memo are inlined.
+        """
+        graph = self._graph_ref()
+        if graph is None or graph._version != self._built_version or graph._recorder is not None:
+            self._check()
+        entry = self._requirements.get((id(pattern), pattern_node))
+        requirement = (
+            entry[1] if entry is not None else self.compile_requirement(pattern, pattern_node)
+        )
+        return self._profile_dominates(node, requirement)
+
+    def _profile_dominates(self, node: NodeId, requirement: CompiledRequirement) -> bool:
+        if self._overlay_labels:  # patched: touched nodes answer from overlays
+            profile = self._overlay_profiles.get(node)
+            if profile is not None:
+                for triple, need in requirement.triples:
+                    if profile.get(triple, 0) < need:
+                        return False
+                return True
+            if self._overlay_labels.get(node) == -1:
+                raise NodeNotFoundError(node)
+        position = self._pos.get(node)
+        if position is None:
+            raise NodeNotFoundError(node)
+        if requirement.missing:
+            return False
+        base = position * self._num_columns
+        counts = self._counts
+        for column, need in requirement.pairs:
+            if counts[base + column] < need:
+                return False
+        return True
 
     def dominates(self, node: NodeId, requirement: CompiledRequirement) -> bool:
         """Whether *node*'s label + profile satisfy *requirement*."""
@@ -536,27 +731,10 @@ class ColumnarFragment:
         return self._dominates_unchecked(node, requirement)
 
     def _dominates_unchecked(self, node: NodeId, requirement: CompiledRequirement) -> bool:
-        if requirement.label_id < 0:
-            return False
-        label_id = self._label_id_of(node)
-        if label_id != requirement.label_id:
-            return False
-        overlay = self._overlay_profiles.get(node)
-        if overlay is not None:
-            return all(overlay.get(triple, 0) >= count for triple, count in requirement.triples)
-        position = self._pos.get(node)
-        if position is None:
-            return False
-        if requirement.missing:
-            return False
-        counts = self._counts
-        if self._np is not None:
-            row = counts[position]
-            return all(row[column] >= count for column, count in zip(requirement.cols, requirement.needs))
-        base = position * self._num_columns
-        return all(
-            counts[base + column] >= count
-            for column, count in zip(requirement.cols, requirement.needs)
+        return (
+            requirement.label_id >= 0
+            and self._label_id_of(node) == requirement.label_id
+            and self._profile_dominates(node, requirement)
         )
 
     def filter_candidates(
@@ -566,9 +744,9 @@ class ColumnarFragment:
 
         A necessary-condition filter: every returned node may still fail the
         full search, but no dropped node could have matched.  With numpy and
-        a pristine view the whole pool is masked in a few array operations;
-        otherwise each member gets an int row comparison (still no string
-        hashing).
+        a pristine structure the whole pool is masked in a few array
+        operations; otherwise each member gets an int row comparison (still
+        no string hashing).
         """
         self._check()
         if requirement.label_id < 0:
@@ -583,15 +761,86 @@ class ColumnarFragment:
             )
             known = positions >= 0
             safe = np.where(known, positions, 0)
-            keep = known & (self._label_ids[safe] == requirement.label_id)
-            if requirement.cols:
-                cols = np.asarray(requirement.cols, dtype=np.int64)
-                needs = np.asarray(requirement.needs, dtype=np.int64)
-                keep &= (self._counts[safe][:, cols] >= needs).all(axis=1)
+            keep = known & (self._label_array[safe] == requirement.label_id)
+            if requirement.pairs:
+                cols, needs = zip(*requirement.pairs)
+                keep &= (
+                    self._count_matrix[safe][:, np.asarray(cols, dtype=np.int64)]
+                    >= np.asarray(needs, dtype=np.int64)
+                ).all(axis=1)
             self.statistics.mask_filters += 1
             return [node for node, ok in zip(pool_list, keep) if ok]
         self.statistics.row_filters += 1
         return [node for node in pool if self._dominates_unchecked(node, requirement)]
+
+    # ------------------------------------------------------------------
+    # caches: frozen adjacency views
+    # ------------------------------------------------------------------
+    def out_neighbors(self, node: NodeId, label: Label) -> frozenset:
+        """Frozen ``{target : node --label--> target}`` view, memoised."""
+        self._check()
+        key = (node, label)
+        view = self._out_frozen.get(key)
+        if view is None:
+            by_label = self.graph._out.get(node)
+            if by_label is None:
+                raise NodeNotFoundError(node)
+            view = self._out_frozen[key] = frozenset(by_label.get(label, ()))
+        return view
+
+    def in_neighbors(self, node: NodeId, label: Label) -> frozenset:
+        """Frozen ``{source : source --label--> node}`` view, memoised."""
+        self._check()
+        key = (node, label)
+        view = self._in_frozen.get(key)
+        if view is None:
+            by_label = self.graph._in.get(node)
+            if by_label is None:
+                raise NodeNotFoundError(node)
+            view = self._in_frozen[key] = frozenset(by_label.get(label, ()))
+        return view
+
+    def neighbors(self, node: NodeId) -> frozenset:
+        """Frozen undirected neighbourhood of *node*, memoised.
+
+        ``Graph.neighbors`` allocates a fresh set (out ∪ in) on every call;
+        ball extraction and the multi-source BFS helpers probe the same nodes
+        over and over, so this view answers repeats with one dict read.
+        Version-pinned like everything else: a mutation drops exactly the
+        touched entries (:meth:`_patch`) or the whole cache (recompile).
+        """
+        self._check()
+        view = self._neighbors_frozen.get(node)
+        if view is None:
+            view = self._neighbors_frozen[node] = frozenset(self.graph.neighbors(node))
+        return view
+
+    # ------------------------------------------------------------------
+    # caches: k-hop sketches
+    # ------------------------------------------------------------------
+    def sketch(self, node: NodeId, hops: int) -> KHopSketch:
+        """Memoised *hops*-hop sketch of *node*.
+
+        Isolated nodes take the explicit empty-neighbourhood fast path: their
+        sketch is materialised directly (all-empty hop histograms) without a
+        BFS round-trip.
+        """
+        self._check()
+        key = (node, hops)
+        sketch = self._sketches.get(key)
+        if sketch is None:
+            graph = self.graph
+            by_label = graph._out.get(node)
+            if by_label is None:
+                raise NodeNotFoundError(node)
+            if not by_label and not graph._in[node]:
+                sketch = empty_sketch(node, hops)
+                self.statistics.sketch_fast_paths += 1
+            else:
+                sketch = build_sketch(graph, node, hops)
+                self.statistics.sketches_built += 1
+            self._sketches[key] = sketch
+        return sketch
 
     # ------------------------------------------------------------------
     # probes: CSR dual simulation
@@ -601,7 +850,7 @@ class ColumnarFragment:
         if entry is None:
             np = self._np
             if np is not None:
-                entry = np.flatnonzero(self._label_ids == label_id)
+                entry = np.flatnonzero(self._label_array == label_id)
             else:
                 entry = [
                     position
@@ -635,7 +884,7 @@ class ColumnarFragment:
     def _dual_simulation_numpy(self, pattern) -> dict:
         np = self._np
         num_nodes = len(self._node_ids)
-        label_ids = self._label_ids
+        label_ids = self._label_array
         simulation: dict = {}
         for node in pattern.nodes():
             label_id = self.labels.id_of(pattern.label(node))
@@ -755,8 +1004,11 @@ class ColumnarFragment:
 
 
 # ----------------------------------------------------------------------
-# per-process registry (mirrors repro.graph.index.graph_index)
+# per-process registry
 # ----------------------------------------------------------------------
+# One structure per graph object; weak keys keep transient graphs (extracted
+# d-balls, test fixtures) collectable.  The lock only guards get-or-create:
+# probes on a built structure are plain reads under the GIL.
 _REGISTRY: "weakref.WeakKeyDictionary[Graph, ColumnarFragment]" = weakref.WeakKeyDictionary()
 _REGISTRY_LOCK = threading.Lock()
 

@@ -31,9 +31,9 @@ NodeId = Hashable
 Label = str
 
 #: How many finished :class:`GraphDelta` records a graph retains.  Derived
-#: structures (``FragmentIndex``, ``MatchStore``) repair themselves from this
-#: log; once a consumer falls further behind than the log reaches, it rebuilds
-#: from scratch instead.  Per-graph override: the ``delta_log_size``
+#: structures (``ColumnarFragment``, ``MatchStore``) repair themselves from
+#: this log; once a consumer falls further behind than the log reaches, it
+#: rebuilds from scratch instead.  Per-graph override: the ``delta_log_size``
 #: constructor argument / :meth:`Graph.configure_delta_log`; process-wide
 #: override: the ``REPRO_DELTA_LOG_SIZE`` environment variable (also the
 #: default of :class:`repro.stream.StreamConfig`).
@@ -172,10 +172,11 @@ class GraphBatch:
     the block exits.  Nested batches join the outermost one (one tick in
     total).
 
-    Derived structures must not be probed *inside* the block: the
-    :class:`~repro.graph.index.FragmentIndex` treats an open batch as stale
-    (``"raise"`` mode raises :class:`~repro.exceptions.StaleIndexError`,
-    ``"refresh"`` mode refuses to rebuild from a half-applied state).
+    Derived structures must not be probed *inside* the block: the resident
+    :class:`~repro.graph.columnar.ColumnarFragment` treats an open, dirty
+    batch as stale and refuses (``GraphError``) to refresh from a
+    half-applied state — which is why matchers probe the raw graph while a
+    batch is open (:func:`repro.matching.base.resident_view`).
     """
 
     __slots__ = ("_graph", "_owns", "_delta")
@@ -282,7 +283,7 @@ class Graph:
         self._edge_label_counts: dict[Label, int] = {}
         # Mutation counter: bumped by every version tick — one per single
         # mutator call *or* per whole batch_update() block — so derived
-        # structures (e.g. repro.graph.index.FragmentIndex) can detect
+        # structures (e.g. repro.graph.columnar.ColumnarFragment) can detect
         # staleness with a single integer comparison.
         self._version = 0
         # Open _DeltaRecorder while a tick is in progress, else None.
@@ -545,7 +546,7 @@ class Graph:
 
     @property
     def version(self) -> int:
-        """Monotonic mutation counter (see :mod:`repro.graph.index`)."""
+        """Monotonic mutation counter (see :mod:`repro.graph.columnar`)."""
         return self._version
 
     @property

@@ -22,7 +22,7 @@ def bfs_distances(
     source: NodeId,
     radius: int | None = None,
     directed: bool = False,
-    index=None,
+    resident=None,
 ) -> dict[NodeId, int]:
     """Map each node within *radius* of *source* to its hop distance.
 
@@ -37,8 +37,8 @@ def bfs_distances(
     directed:
         If ``True`` follow out-edges only; otherwise treat edges as
         undirected (the paper's notion of radius and ``Nr(vx)``).
-    index:
-        Optional resident :class:`repro.graph.index.FragmentIndex` of
+    resident:
+        Optional resident :class:`repro.graph.columnar.ColumnarFragment` of
         *graph*; undirected frontiers are then served from its memoised
         frozen neighbourhood view instead of a fresh set per visited node.
     """
@@ -53,8 +53,8 @@ def bfs_distances(
             continue
         if directed:
             frontier = graph.out_neighbors(current)
-        elif index is not None:
-            frontier = index.neighbors(current)
+        elif resident is not None:
+            frontier = resident.neighbors(current)
         else:
             frontier = graph.neighbors(current)
         for neighbor in frontier:
@@ -68,14 +68,14 @@ def multi_source_distances(
     graph: Graph,
     sources,
     radius: int,
-    index=None,
+    resident=None,
 ) -> dict[NodeId, int]:
     """Hop distance to the nearest of *sources*, for nodes within *radius*.
 
     Sources absent from the graph are skipped (streaming deltas legitimately
     name removed nodes).  Edges are treated as undirected, matching the
     paper's ball notion — and the ball-scoped invalidation lemma of
-    ``docs/streaming.md``, whose consumers (`FragmentIndex.apply_delta`,
+    ``docs/streaming.md``, whose consumers (`ColumnarFragment.apply_delta`,
     `MatchStore.repair`, `StreamingIdentifier`) all derive their affected
     regions through this one helper.
     """
@@ -85,7 +85,7 @@ def multi_source_distances(
         source: 0 for source in sources if graph.has_node(source)
     }
     frontier = list(distances)
-    neighbors = graph.neighbors if index is None else index.neighbors
+    neighbors = graph.neighbors if resident is None else resident.neighbors
     for hop in range(1, radius + 1):
         next_frontier: list[NodeId] = []
         for node in frontier:
@@ -99,29 +99,29 @@ def multi_source_distances(
     return distances
 
 
-def multi_source_ball(graph: Graph, sources, radius: int, index=None) -> set[NodeId]:
+def multi_source_ball(graph: Graph, sources, radius: int, resident=None) -> set[NodeId]:
     """Nodes within *radius* hops of any of *sources* (undirected)."""
-    return set(multi_source_distances(graph, sources, radius, index=index))
+    return set(multi_source_distances(graph, sources, radius, resident=resident))
 
 
-def ball(graph: Graph, center: NodeId, radius: int, index=None) -> set[NodeId]:
+def ball(graph: Graph, center: NodeId, radius: int, resident=None) -> set[NodeId]:
     """``Nr(vx)``: the set of nodes within *radius* hops of *center*.
 
     Includes *center* itself (distance 0).
     """
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
-    return set(bfs_distances(graph, center, radius=radius, index=index))
+    return set(bfs_distances(graph, center, radius=radius, resident=resident))
 
 
 def d_neighborhood(
-    graph: Graph, center: NodeId, d: int, name: str | None = None, index=None
+    graph: Graph, center: NodeId, d: int, name: str | None = None, resident=None
 ) -> Graph:
     """``Gd(vx)``: the subgraph induced by ``Nd(vx)``.
 
     This is the unit of work shipped to a worker in both DMine and Match.
     """
-    nodes = ball(graph, center, d, index=index)
+    nodes = ball(graph, center, d, resident=resident)
     return graph.induced_subgraph(nodes, name=name or f"{graph.name}|G{d}({center})")
 
 

@@ -48,8 +48,8 @@ class KHopSketch:
 def empty_sketch(node: NodeId, hops: int) -> KHopSketch:
     """The sketch of a node with no neighbours: all-empty hop histograms.
 
-    Used by the :class:`repro.graph.index.FragmentIndex` sketch cache as a
-    fast path for isolated nodes, skipping the BFS round-trip entirely.
+    Used by the :class:`repro.graph.columnar.ColumnarFragment` sketch cache as
+    a fast path for isolated nodes, skipping the BFS round-trip entirely.
     """
     if hops < 1:
         raise ValueError(f"hops must be >= 1, got {hops}")

@@ -23,8 +23,8 @@ class DisVF2(MatchC):
     """Distributed full-enumeration VF2 baseline."""
 
     # Full enumeration runs directly on the fragment graphs, so the resident
-    # index (label buckets, frozen adjacency views) is consumed.
-    _consumes_resident_index = True
+    # structure (label buckets, frozen adjacency views) is consumed.
+    _consumes_resident = True
 
     def _make_matcher(self, max_radius: int) -> Matcher:
         # No locality wrapper and no degree filtering: the whole fragment is

@@ -32,10 +32,9 @@ class Match(MatchC):
     """Optimised parallel EIP solver (the paper's ``Match``)."""
 
     # The guided matcher runs directly on each fragment graph, so the
-    # worker-initializer index build pays off here (unlike MatchC's
+    # worker-initializer compile pays off here (unlike MatchC's
     # ball-restricted search).
-    _consumes_resident_index = True
-    _consumes_columnar = True
+    _consumes_resident = True
 
     def __init__(self, config: EIPConfig, sketch_hops: int = 2) -> None:
         super().__init__(config)

@@ -109,16 +109,12 @@ class _FragmentReport:
 class MatchC:
     """Parallel EIP solver without the Section 5.2 optimisations."""
 
-    #: Whether this solver's matcher probes the fragments' *resident* index.
-    #: MatchC searches exclusively inside extracted d-balls, which are
-    #: transient and never indexed, so building the per-fragment indexes
-    #: would be pure overhead; Match and DisVF2 run directly on the fragment
-    #: graphs and override this to ``True``.
-    _consumes_resident_index = False
-    #: Likewise for the resident columnar views: only ``Match`` routes its
-    #: profile filtering and ``match_set`` pools through them (MatchC probes
-    #: anchored existence only; disVF2's unfiltered matcher never prunes).
-    _consumes_columnar = False
+    #: Whether this solver's matcher probes the fragments' *resident*
+    #: structure.  MatchC searches exclusively inside extracted d-balls,
+    #: which are transient and never compiled, so building the per-fragment
+    #: structures would be pure overhead; Match and DisVF2 run directly on
+    #: the fragment graphs and override this to ``True``.
+    _consumes_resident = False
 
     def __init__(self, config: EIPConfig) -> None:
         self.config = config
@@ -197,8 +193,7 @@ class MatchC:
         executor = make_executor(
             self.config.backend,
             self.config.executor_workers,
-            build_indexes=self._consumes_resident_index,
-            build_columnar=self._consumes_columnar,
+            build_resident=self._consumes_resident,
         )
         runtime = BSPRuntime(fragments, executor)
         runtime.start_run()

@@ -7,20 +7,19 @@ expose anchored, early-terminating queries in addition to full enumeration
 (which is retained for the ``disVF2`` baseline and as a test oracle).
 
 No matcher takes an indexing option.  A query consults whatever is
-*resident* for the data graph it is handed: on a fragment whose owner
-registered a :class:`repro.graph.index.FragmentIndex` (the executors do, for
-every fragment they start) label candidate sets, adjacency profiles,
-labelled neighbour sets and k-hop sketches are dict lookups
-(docs/indexing.md), and with a registered
-:class:`repro.graph.columnar.ColumnarFragment` anchored ``match_set`` pools
-are label-bucketed and profile-prefiltered against interned label ids and a
-precomputed profile matrix — vectorized when numpy is available — and dual
-simulation runs over CSR ranges (docs/columnar.md).  A transient graph with
-nothing registered (an extracted d-ball, the coordinator's authoritative
-graph) is probed raw; inside an open ``batch_update`` the whole-pool
-columnar kernels and the indexed ball BFS stand down to the raw graph (a
-half-applied state is never compiled or cached) while a resident index
-refuses to answer from it.  The answers are identical; ``tests/test_index_equivalence.py`` and
+*resident* for the data graph it is handed
+(:func:`repro.matching.base.resident_view`): on a fragment whose owner
+registered a :class:`repro.graph.columnar.ColumnarFragment` (the executors
+do, for every fragment they start) label candidate sets, labelled neighbour
+sets and k-hop sketches are dict lookups, the per-state degree check is an
+int row comparison against a precomputed profile matrix, anchored
+``match_set`` pools are label-bucketed and profile-prefiltered — vectorized
+when numpy is available — and dual simulation runs over CSR ranges
+(docs/columnar.md).  A transient graph with nothing registered (an
+extracted d-ball, the coordinator's authoritative graph) is probed raw, and
+so is any graph while a ``batch_update`` is open on it (a half-applied
+state is never compiled or cached).  The answers are identical;
+``tests/test_index_equivalence.py`` and
 ``tests/test_columnar_equivalence.py`` hold every matcher to the naive
 :class:`repro.testing.ReferenceMatcher`.
 

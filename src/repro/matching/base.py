@@ -9,8 +9,7 @@ from typing import Hashable, Iterable, Iterator
 from repro.exceptions import MatchingError
 from repro.graph.columnar import ColumnarFragment, registered_columnar
 from repro.graph.graph import Graph
-from repro.graph.index import FragmentIndex, registered_index
-from repro.matching.candidates import label_candidates
+from repro.matching.candidates import columnar_filter_candidates, label_candidates
 from repro.obs.stats import StatisticsBase
 from repro.pattern.pattern import Pattern, PatternEdge
 
@@ -94,19 +93,28 @@ def build_search_plan(pattern: Pattern, anchor) -> _SearchPlan:
     return _SearchPlan(order=order, connections=connections)
 
 
+def resident_view(graph: Graph) -> ColumnarFragment | None:
+    """What a matcher probes *graph* through (``None``: the raw graph).
+
+    The one residency rule of every matcher: a graph whose owner registered
+    a :class:`repro.graph.columnar.ColumnarFragment` (the executors do, for
+    every fragment they start) is probed through it; a transient graph with
+    nothing registered (an extracted d-ball, the coordinator's authoritative
+    graph) is probed raw — and so is *any* graph while a ``batch_update`` is
+    open on it, because the structure refuses to refresh from a half-applied
+    state.  An open batch therefore never changes whether a query answers.
+    """
+    return None if graph.in_batch else registered_columnar(graph)
+
+
 class Matcher(ABC):
     """Common interface of all subgraph-isomorphism matchers.
 
     A matcher keeps no opinion about indexing: every query consults whatever
-    is *resident* for the data graph it is handed.  A fragment whose owner
-    registered a :class:`repro.graph.index.FragmentIndex` /
-    :class:`repro.graph.columnar.ColumnarFragment` (the executors do, for
-    every fragment they start) is probed through them; a transient graph
-    with nothing registered (an extracted d-ball, the coordinator's
-    authoritative graph) is probed raw.  The answers are identical either
-    way — the resident structures are memoisations of the raw probes (and,
-    for the columnar pool prefilter of ``match_set``, a necessary condition
-    of a match).
+    is *resident* for the data graph it is handed (:func:`resident_view`).
+    The answers are identical either way — the resident structure is a
+    re-encoding of the raw probes (and, for the pool prefilter of
+    ``match_set``, a necessary condition of a match).
     Matchers whose baseline semantics forbid the profile filter
     (``disVF2``: ``use_degree_filter=False``) suspend the prefilter via
     ``_columnar_prefilter``.
@@ -121,14 +129,6 @@ class Matcher(ABC):
     def reset_statistics(self) -> None:
         """Zero the work counters."""
         self.statistics = MatchStatistics()
-
-    def _index(self, graph: Graph) -> FragmentIndex | None:
-        """The data graph's resident index (``None``: probe the raw graph)."""
-        return registered_index(graph)
-
-    def _columnar(self, graph: Graph) -> ColumnarFragment | None:
-        """The data graph's resident columnar view (``None``: no prefilter)."""
-        return registered_columnar(graph)
 
     # -- anchored queries -------------------------------------------------
     @abstractmethod
@@ -152,22 +152,19 @@ class Matcher(ABC):
         label-index candidates or a previously computed superset).
         """
         expanded = pattern.expanded()
-        columnar = self._columnar(graph) if self._columnar_prefilter else None
+        resident = resident_view(graph)
         if candidates is None:
-            # With a resident index this is the index's frozen bucket —
+            # On a resident graph this is the structure's frozen bucket —
             # no per-probe copy; it is only iterated here, never mutated.
-            pool: Iterable[NodeId] = label_candidates(
-                graph, expanded, expanded.x, self._index(graph), columnar
-            )
+            pool: Iterable[NodeId] = label_candidates(graph, expanded, expanded.x, resident)
         else:
             pool = candidates
-        if columnar is not None:
+        if resident is not None and self._columnar_prefilter:
             # Interned-id label + profile-domination mask over the whole
             # pool: a necessary condition, so dropped candidates could never
             # have matched — the match set is unchanged by construction.
-            requirement = columnar.compile_requirement(expanded, expanded.x)
             before = len(pool) if hasattr(pool, "__len__") else None
-            pool = columnar.filter_candidates(pool, requirement)
+            pool = columnar_filter_candidates(resident, expanded, expanded.x, pool)
             if before is not None:
                 self.statistics.profile_prunes += before - len(pool)
         matched: set[NodeId] = set()
@@ -190,7 +187,7 @@ class Matcher(ABC):
         anchored early-terminating queries instead.
         """
         expanded = pattern.expanded()
-        anchors = label_candidates(graph, expanded, expanded.x, self._index(graph))
+        anchors = label_candidates(graph, expanded, expanded.x, resident_view(graph))
         results: list[dict] = []
         for candidate in sorted(anchors, key=str):
             for mapping in self.iter_matches_at(graph, expanded, candidate):

@@ -1,17 +1,14 @@
 """Candidate generation and cheap necessary-condition filters.
 
-Every helper accepts an optional :class:`repro.graph.index.FragmentIndex`;
-when one is supplied the probe is answered from the resident index (a dict
-lookup) instead of being re-derived from the raw graph (an O(degree) walk).
-The results are identical by construction — the index is a memoisation of
-exactly these quantities.
-
-The pool-level filter (:func:`columnar_filter_candidates`) additionally
-accepts a :class:`repro.graph.columnar.ColumnarFragment`: the label check
-and the profile-domination check then run in interned-id space against the
-precomputed profile matrix — with numpy, as one mask over the whole pool.
-Both checks are necessary conditions for an isomorphism match, so filtering
-never changes a match set, only the work done to compute it.
+Every helper accepts the graph's optional resident structure
+(:class:`repro.graph.columnar.ColumnarFragment`); when one is supplied the
+probe is answered from it — a frozen label bucket, an int row comparison
+against the precomputed profile matrix, with numpy one mask over a whole
+pool — instead of being re-derived from the raw graph (an O(degree) walk).
+The results are identical by construction: the structure is a re-encoding
+of exactly these quantities, and the label and profile-domination checks
+are necessary conditions for an isomorphism match, so filtering never
+changes a match set, only the work done to compute it.
 """
 
 from __future__ import annotations
@@ -21,7 +18,6 @@ from typing import Hashable, Iterable
 
 from repro.graph.columnar import ColumnarFragment
 from repro.graph.graph import Graph
-from repro.graph.index import FragmentIndex
 from repro.pattern.pattern import Pattern
 
 NodeId = Hashable
@@ -35,21 +31,18 @@ def label_candidates(
     graph: Graph,
     pattern: Pattern,
     pattern_node,
-    index: FragmentIndex | None = None,
-    columnar: ColumnarFragment | None = None,
+    resident: ColumnarFragment | None = None,
 ) -> frozenset | set[NodeId]:
     """Data nodes whose label satisfies the search condition of *pattern_node*.
 
-    With an *index* (or a *columnar* view) this returns a frozen label bucket
+    With a *resident* structure this returns a frozen label bucket
     **directly** — no per-probe copy; callers that need to mutate the result
-    must copy it themselves (``set(...)``).  Without either the graph already
+    must copy it themselves (``set(...)``).  Without one the graph already
     hands out a fresh mutable set.
     """
     label = pattern.label(pattern_node)
-    if columnar is not None:
-        return columnar.nodes_with_label(label)
-    if index is not None:
-        return index.nodes_with_label(label)
+    if resident is not None:
+        return resident.nodes_with_label(label)
     return graph.nodes_with_label(label)
 
 
@@ -83,15 +76,18 @@ def required_profile(pattern: Pattern, pattern_node) -> Profile:
     return dict(profile)
 
 
-def adjacency_profile(graph: Graph, node: NodeId, index: FragmentIndex | None = None) -> Profile:
+def adjacency_profile(
+    graph: Graph, node: NodeId, resident: ColumnarFragment | None = None
+) -> Profile:
     """Labelled adjacency profile of a data node.
 
     This is the quantity :class:`repro.matching.MultiPatternMatcher` caches
-    per candidate so that every rule in Σ reuses it.  With an *index* the
-    precomputed profile is returned directly (treat it as read-only).
+    per candidate so that every rule in Σ reuses it.  With a *resident*
+    structure the profile is decoded from its profile store instead of
+    walking the node's edges.
     """
-    if index is not None:
-        return index.profile(node)
+    if resident is not None:
+        return resident.profile(node)
     profile: Counter = Counter()
     for edge in graph.out_edges(node):
         profile[("out", edge.label, graph.node_label(edge.target))] += 1
@@ -113,13 +109,17 @@ def degree_consistent(
     data_node: NodeId,
     pattern: Pattern,
     pattern_node,
-    index: FragmentIndex | None = None,
+    resident: ColumnarFragment | None = None,
 ) -> bool:
     """Cheap degree-based necessary condition for ``data_node`` to match.
 
     For every (direction, edge label, neighbour label) the pattern requires,
-    the data node must have at least as many such neighbours.
+    the data node must have at least as many such neighbours.  With a
+    *resident* structure this is one int row comparison against a memoised
+    compiled requirement (it runs once per expanded search state).
     """
+    if resident is not None:
+        return resident.degree_consistent(data_node, pattern, pattern_node)
     return profile_satisfies(
-        adjacency_profile(graph, data_node, index), required_profile(pattern, pattern_node)
+        adjacency_profile(graph, data_node), required_profile(pattern, pattern_node)
     )

@@ -17,7 +17,7 @@ from typing import Hashable, Iterator
 
 from repro.graph.graph import Graph
 from repro.graph.sketch import KHopSketch, build_sketch, sketch_dominates, sketch_score
-from repro.matching.base import Matcher, build_search_plan
+from repro.matching.base import Matcher, build_search_plan, resident_view
 from repro.matching.candidates import degree_consistent
 from repro.pattern.pattern import Pattern
 
@@ -37,10 +37,10 @@ class GuidedMatcher(Matcher):
 
     Notes
     -----
-    On a graph with a resident :class:`FragmentIndex` data-node sketches
-    come from the index's cache, shared by every matcher probing that graph
-    in the process; on a transient graph (an extracted d-ball) they are
-    cached privately, pinned to the ``Graph.version`` they were built at.
+    On a resident graph data-node sketches come from the resident
+    structure's cache, shared by every matcher probing that graph in the
+    process; on a transient graph (an extracted d-ball) they are cached
+    privately, pinned to the ``Graph.version`` they were built at.
     """
 
     def __init__(self, sketch_hops: int = 2, use_sketch_pruning: bool = True) -> None:
@@ -53,8 +53,8 @@ class GuidedMatcher(Matcher):
         # id(): holding the object avoids id reuse after garbage collection),
         # pinned to the Graph.version it was filled at — a graph mutated
         # between probes (repro.stream update batches) starts a fresh cache
-        # instead of serving stale sketches.  Only used on graphs without
-        # a resident index.
+        # instead of serving stale sketches.  Only used on graphs with
+        # nothing resident.
         self._data_sketches: dict[Graph, tuple[int, dict[NodeId, KHopSketch]]] = {}
         # Pattern sketches keyed by (pattern, node); Pattern hashes by
         # structure, so transient expanded copies reuse the right entry.
@@ -65,9 +65,9 @@ class GuidedMatcher(Matcher):
     # ------------------------------------------------------------------
     # sketch caches
     # ------------------------------------------------------------------
-    def _data_sketch(self, graph: Graph, index, node: NodeId) -> KHopSketch:
-        if index is not None:
-            return index.sketch(node, self.sketch_hops)
+    def _data_sketch(self, graph: Graph, resident, node: NodeId) -> KHopSketch:
+        if resident is not None:
+            return resident.sketch(node, self.sketch_hops)
         if graph.in_batch:  # half-applied state: compute, never cache
             return build_sketch(graph, node, self.sketch_hops)
         entry = self._data_sketches.get(graph)
@@ -126,12 +126,12 @@ class GuidedMatcher(Matcher):
             return
         if graph.node_label(anchor_value) != pattern.label(pattern.x):
             return
-        index = self._index(graph)
-        if not degree_consistent(graph, anchor_value, pattern, pattern.x, index):
+        resident = resident_view(graph)
+        if not degree_consistent(graph, anchor_value, pattern, pattern.x, resident):
             return
         pattern_graph = self._pattern_graph(pattern)
         if self.use_sketch_pruning:
-            anchor_sketch = self._data_sketch(graph, index, anchor_value)
+            anchor_sketch = self._data_sketch(graph, resident, anchor_value)
             needed = self._pattern_sketch(pattern, pattern_graph, pattern.x)
             if not sketch_dominates(anchor_sketch, needed):
                 self.statistics.sketch_prunes += 1
@@ -140,24 +140,24 @@ class GuidedMatcher(Matcher):
         mapping: dict = {pattern.x: anchor_value}
         used: set[NodeId] = {anchor_value}
         yield from self._extend(
-            graph, index, pattern, pattern_graph, plan, 1, mapping, used, first_only
+            graph, resident, pattern, pattern_graph, plan, 1, mapping, used, first_only
         )
 
-    def _ranked_candidates(self, graph, index, pattern, pattern_graph, plan, position, mapping):
+    def _ranked_candidates(self, graph, resident, pattern, pattern_graph, plan, position, mapping):
         node = plan.order[position]
         node_label = pattern.label(node)
         candidate_set = None
         for edge, placed_is_source in plan.connections[position]:
             if placed_is_source:
                 neighbors = (
-                    index.out_neighbors(mapping[edge.source], edge.label)
-                    if index is not None
+                    resident.out_neighbors(mapping[edge.source], edge.label)
+                    if resident is not None
                     else graph.out_neighbors(mapping[edge.source], edge.label)
                 )
             else:
                 neighbors = (
-                    index.in_neighbors(mapping[edge.target], edge.label)
-                    if index is not None
+                    resident.in_neighbors(mapping[edge.target], edge.label)
+                    if resident is not None
                     else graph.in_neighbors(mapping[edge.target], edge.label)
                 )
             candidate_set = neighbors if candidate_set is None else candidate_set & neighbors
@@ -166,8 +166,8 @@ class GuidedMatcher(Matcher):
         if candidate_set is None:
             # Free node of a disconnected pattern: fall back to the label index.
             candidate_set = (
-                index.nodes_with_label(node_label)
-                if index is not None
+                resident.nodes_with_label(node_label)
+                if resident is not None
                 else graph.nodes_with_label(node_label)
             )
         filtered = [c for c in candidate_set if graph.node_label(c) == node_label]
@@ -176,7 +176,7 @@ class GuidedMatcher(Matcher):
         needed = self._pattern_sketch(pattern, pattern_graph, node)
         ranked: list[tuple[int, NodeId]] = []
         for candidate in filtered:
-            sketch = self._data_sketch(graph, index, candidate)
+            sketch = self._data_sketch(graph, resident, candidate)
             if self.use_sketch_pruning and not sketch_dominates(sketch, needed):
                 self.statistics.sketch_prunes += 1
                 continue
@@ -197,7 +197,7 @@ class GuidedMatcher(Matcher):
     def _extend(
         self,
         graph: Graph,
-        index,
+        resident,
         pattern: Pattern,
         pattern_graph: Graph,
         plan,
@@ -212,7 +212,7 @@ class GuidedMatcher(Matcher):
             return
         node = plan.order[position]
         for data_node in self._ranked_candidates(
-            graph, index, pattern, pattern_graph, plan, position, mapping
+            graph, resident, pattern, pattern_graph, plan, position, mapping
         ):
             if data_node in used:
                 continue
@@ -224,7 +224,7 @@ class GuidedMatcher(Matcher):
             used.add(data_node)
             produced = False
             for result in self._extend(
-                graph, index, pattern, pattern_graph, plan, position + 1, mapping, used, first_only
+                graph, resident, pattern, pattern_graph, plan, position + 1, mapping, used, first_only
             ):
                 produced = True
                 yield result

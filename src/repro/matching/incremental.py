@@ -14,7 +14,7 @@ turns matching into an incremental computation:
   a *closing* edge (both endpoints already in the parent) is one
   membership probe per stored embedding, a *growing* edge (one fresh
   node) is one adjacency-bucket probe per stored embedding, both answered
-  by the graph's resident :class:`repro.graph.index.FragmentIndex`.
+  by the graph's resident :class:`repro.graph.columnar.ColumnarFragment`.
 
 Laziness
 --------
@@ -61,9 +61,10 @@ from dataclasses import dataclass
 from typing import Hashable, Iterable, Iterator, Mapping
 
 from repro.exceptions import GraphError, PatternError
+from repro.graph.columnar import columnar_view
 from repro.graph.graph import Graph
-from repro.graph.index import graph_index
-from repro.matching.base import Matcher
+from repro.matching.base import Matcher, resident_view
+from repro.matching.candidates import columnar_filter_candidates
 from repro.obs.stats import StatisticsBase
 from repro.pattern.canonical import canonical_code
 from repro.pattern.pattern import Pattern
@@ -415,7 +416,8 @@ class MatchStore:
 
         graph = self.graph
         stats = self.statistics
-        affected = multi_source_ball(graph, touched, entry.repair_radius)
+        resident = resident_view(graph)
+        affected = multi_source_ball(graph, touched, entry.repair_radius, resident=resident)
         labels = graph._labels
         matches = set()
         streams: dict[NodeId, _EmbeddingStream] = {}
@@ -430,8 +432,14 @@ class MatchStore:
         # have gained or lost matches; each costs one anchored search.
         x_label = entry.pattern.label(entry.pattern.x)
         node_order = entry.node_order
-        for center in affected & graph._nodes_by_label.get(x_label, set()):
-            stats.repair_rechecks += 1
+        centers = affected & graph._nodes_by_label.get(x_label, set())
+        stats.repair_rechecks += len(centers)
+        if resident is not None and getattr(matcher, "_columnar_prefilter", True):
+            # The pool prefilter of Matcher.match_set: a centre failing the
+            # profile condition has no match, hence no stream to build.
+            expanded = entry.pattern.expanded()
+            centers = columnar_filter_candidates(resident, expanded, expanded.x, centers)
+        for center in centers:
             producer = (
                 tuple(mapping[node] for node in node_order)
                 for mapping in matcher.iter_matches_at(graph, entry.pattern, center)
@@ -535,9 +543,10 @@ class DeltaMatcher:
         self.matcher = matcher
         self.store = store
         self.probe_depth = min(probe_depth, store.cap)
-        # A match store makes *graph* resident by definition: pin its index
-        # (built here unless the executor already did) for the delta probes.
-        self._index = graph_index(graph)
+        # A match store makes *graph* resident by definition: pin its
+        # resident structure (compiled here unless the executor already did)
+        # for the delta probes.
+        self._resident = columnar_view(graph)
 
     # ------------------------------------------------------------------
     def supports(self, pattern: Pattern) -> bool:
@@ -701,19 +710,19 @@ class DeltaMatcher:
 
     def _extensions(self, embedding: tuple, positions: dict, delta: DeltaEdge):
         """Yield the child embeddings extending one parent *embedding*."""
-        index = self._index
+        resident = self._resident
         if delta.closing:
             source = embedding[positions[delta.source]]
             target = embedding[positions[delta.target]]
-            if target in index.out_neighbors(source, delta.label):
+            if target in resident.out_neighbors(source, delta.label):
                 yield embedding
             return
         if delta.new_node == delta.target:
-            neighbors = index.out_neighbors(embedding[positions[delta.source]], delta.label)
+            neighbors = resident.out_neighbors(embedding[positions[delta.source]], delta.label)
         else:
-            neighbors = index.in_neighbors(embedding[positions[delta.target]], delta.label)
+            neighbors = resident.in_neighbors(embedding[positions[delta.target]], delta.label)
         used = set(embedding)
-        label_of = index.node_label
+        label_of = resident.node_label
         for neighbor in neighbors:
             if neighbor in used:
                 continue  # embeddings are injective

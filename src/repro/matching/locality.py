@@ -12,7 +12,7 @@ from typing import Hashable
 
 from repro.graph.graph import Graph
 from repro.graph.neighborhood import d_neighborhood
-from repro.matching.base import Matcher
+from repro.matching.base import Matcher, resident_view
 from repro.pattern.pattern import Pattern
 from repro.pattern.radius import pattern_radius
 
@@ -35,13 +35,13 @@ class LocalityMatcher(Matcher):
 
     Notes
     -----
-    The resident :class:`repro.graph.index.FragmentIndex` machinery is
+    The resident :class:`repro.graph.columnar.ColumnarFragment` machinery is
     *fragment*-resident: extracted d-balls are transient per-candidate
-    subgraphs, and eagerly indexing each one costs more than the handful of
+    subgraphs, and eagerly compiling each one costs more than the handful of
     probes it would serve.  Balls are therefore never registered, and the
     inner matcher — which probes whatever is resident for the graph it is
     handed — searches them raw (the label pool of anchored ``match_set``
-    queries still comes from the data graph's resident index).
+    queries still comes from the data graph's resident structure).
     """
 
     def __init__(self, inner: Matcher, radius: int | None = None, cache_balls: bool = True) -> None:
@@ -60,17 +60,17 @@ class LocalityMatcher(Matcher):
         self._ball_cache: dict[tuple[Graph, NodeId, int], tuple[int, Graph]] = {}
 
     def _ball(self, graph: Graph, anchor_value: NodeId, radius: int) -> Graph:
-        # The BFS half of the extraction runs on the resident index's
+        # The BFS half of the extraction runs on the resident structure's
         # memoised frozen-neighbourhood view when the graph has one
         # (Graph.neighbors allocates a fresh set per visited node).
-        index = None if graph.in_batch else self._index(graph)
+        resident = resident_view(graph)
         if not self.cache_balls:
-            return d_neighborhood(graph, anchor_value, radius, index=index)
+            return d_neighborhood(graph, anchor_value, radius, resident=resident)
         key = (graph, anchor_value, radius)
         entry = self._ball_cache.get(key)
         if entry is not None and entry[0] == graph.version and not graph.in_batch:
             return entry[1]
-        ball = d_neighborhood(graph, anchor_value, radius, index=index)
+        ball = d_neighborhood(graph, anchor_value, radius, resident=resident)
         if not graph.in_batch:  # never pin a half-applied batch state
             self._ball_cache[key] = (graph.version, ball)
         return ball

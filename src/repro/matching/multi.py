@@ -21,11 +21,14 @@ from __future__ import annotations
 from collections import Counter
 from typing import Hashable, Iterable, Mapping, Sequence
 
-from repro.graph.columnar import registered_columnar
 from repro.graph.graph import Graph
-from repro.graph.index import registered_index
-from repro.matching.base import Matcher, MatchStatistics
-from repro.matching.candidates import adjacency_profile, profile_satisfies, required_profile
+from repro.matching.base import Matcher, MatchStatistics, resident_view
+from repro.matching.candidates import (
+    adjacency_profile,
+    columnar_filter_candidates,
+    profile_satisfies,
+    required_profile,
+)
 from repro.pattern.gpar import GPAR
 from repro.pattern.pattern import Pattern, PatternEdge
 
@@ -35,7 +38,7 @@ NodeId = Hashable
 # workloads re-evaluate the same Σ once per fragment.  Bounded so a
 # long-lived process (persistent pool worker, embedding service) cannot
 # accumulate chains across unrelated rule sets forever — unlike MatchStore
-# (round retention) and FragmentIndex (weakref registry) this cache has no
+# (round retention) and ColumnarFragment (weakref registry) this cache has no
 # natural lifetime, so it is simply cleared when full.
 _CHAIN_CACHE: dict[Pattern, tuple] = {}
 _CHAIN_CACHE_LIMIT = 4096
@@ -134,8 +137,7 @@ class MultiPatternMatcher:
             for prefix in chain[:-1]:
                 shared[prefix] += 1
         pool_cache: dict[Pattern, frozenset] = {}
-        index = registered_index(graph)
-        columnar = None if graph.in_batch else registered_columnar(graph)
+        resident = resident_view(graph)
         base = None if candidates is None else list(candidates)
         results: dict[Hashable, set[NodeId]] = {}
         for key, pattern in patterns.items():
@@ -153,18 +155,15 @@ class MultiPatternMatcher:
                 self.statistics.prefix_pool_hits += 1
             if pool is not None:
                 expanded = pattern.expanded()
-                if columnar is not None:
-                    requirement = columnar.compile_requirement(expanded, expanded.x)
-                    pool = columnar.filter_candidates(pool, requirement)
+                if resident is not None:
+                    pool = columnar_filter_candidates(resident, expanded, expanded.x, pool)
                 else:
                     needed = required_profile(expanded, expanded.x)
                     pool = [
                         node
                         for node in pool
                         if graph.has_node(node)
-                        and profile_satisfies(
-                            adjacency_profile(graph, node, index), needed
-                        )
+                        and profile_satisfies(adjacency_profile(graph, node), needed)
                     ]
             results[key] = self.matcher.match_set(graph, pattern, candidates=pool)
         self.statistics.merge(self.matcher.statistics)

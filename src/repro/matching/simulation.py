@@ -22,9 +22,9 @@ from __future__ import annotations
 
 from typing import Hashable
 
-from repro.graph.columnar import ColumnarFragment, registered_columnar
+from repro.graph.columnar import ColumnarFragment
 from repro.graph.graph import Graph
-from repro.graph.index import FragmentIndex, registered_index
+from repro.matching.base import resident_view
 from repro.pattern.pattern import Pattern
 
 NodeId = Hashable
@@ -33,37 +33,31 @@ NodeId = Hashable
 def maximum_dual_simulation(
     pattern: Pattern,
     graph: Graph,
-    index: FragmentIndex | None = None,
-    columnar: ColumnarFragment | None = None,
+    resident: ColumnarFragment | None = None,
 ) -> dict[Hashable, set[NodeId]]:
     """Compute the maximum dual simulation of *pattern* into *graph*.
 
     Returns a mapping ``pattern node -> set of data nodes`` that simulate it;
     all sets are empty when no total simulation exists (some pattern node has
-    no simulating data node).  With an *index* the label seeding and the
-    per-candidate neighbour probes of the refinement loop are answered from
-    the resident :class:`FragmentIndex` instead of copying adjacency sets.
-    With a *columnar* view the whole refinement runs over CSR ranges in
-    interned-id space (vectorized when numpy is available); the maximum
-    simulation is unique, so the result is identical to the dict fixpoint.
-    The columnar path requires a pristine (overlay-free) view — a patched
-    view returns ``None`` from ``dual_simulation`` and the dict path below
-    takes over until the next compile boundary.
+    no simulating data node).  With the graph's *resident* structure the
+    whole refinement runs over CSR ranges in interned-id space (vectorized
+    when numpy is available); the maximum simulation is unique, so the
+    result is identical to the dict fixpoint.  The CSR path requires a
+    pristine (overlay-free) structure — a patched one returns ``None`` from
+    ``dual_simulation`` and the loop below takes over until the next compile
+    boundary, with its label seeding and per-candidate neighbour probes
+    answered from the structure's frozen views instead of copied sets.
     """
     expanded = pattern.expanded()
-    if columnar is not None:
-        result = columnar.dual_simulation(expanded)
+    if resident is not None:
+        result = resident.dual_simulation(expanded)
         if result is not None:
             return result
     # Initial candidates: label agreement.
-    if index is not None:
-        simulation: dict[Hashable, set[NodeId]] = {
-            node: set(index.nodes_with_label(expanded.label(node))) for node in expanded.nodes()
-        }
-    else:
-        simulation = {
-            node: set(graph.nodes_with_label(expanded.label(node))) for node in expanded.nodes()
-        }
+    labelled = resident.nodes_with_label if resident is not None else graph.nodes_with_label
+    simulation: dict[Hashable, set[NodeId]] = {
+        node: set(labelled(expanded.label(node))) for node in expanded.nodes()
+    }
     if any(not candidates for candidates in simulation.values()):
         return {node: set() for node in expanded.nodes()}
 
@@ -76,8 +70,8 @@ def maximum_dual_simulation(
                 consistent = True
                 for edge in expanded.out_edges(node):
                     successors = (
-                        index.out_neighbors(candidate, edge.label)
-                        if index is not None
+                        resident.out_neighbors(candidate, edge.label)
+                        if resident is not None
                         else graph.out_neighbors(candidate, edge.label)
                     )
                     if not (successors & simulation[edge.target]):
@@ -86,8 +80,8 @@ def maximum_dual_simulation(
                 if consistent:
                     for edge in expanded.in_edges(node):
                         predecessors = (
-                            index.in_neighbors(candidate, edge.label)
-                            if index is not None
+                            resident.in_neighbors(candidate, edge.label)
+                            if resident is not None
                             else graph.in_neighbors(candidate, edge.label)
                         )
                         if not (predecessors & simulation[edge.source]):
@@ -125,9 +119,7 @@ class SimulationMatcher:
         entry = self._cache.get(key)
         if entry is not None and entry[0] == graph.version and not graph.in_batch:
             return entry[1]
-        index = registered_index(graph)
-        columnar = None if graph.in_batch else registered_columnar(graph)
-        simulation = maximum_dual_simulation(pattern, graph, index, columnar)
+        simulation = maximum_dual_simulation(pattern, graph, resident_view(graph))
         if not graph.in_batch:  # a half-applied batch state must not linger
             self._cache[key] = (graph.version, simulation)
             self._graphs[id(graph)] = graph  # keep the graph alive for id stability

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Hashable, Iterator
 
 from repro.graph.graph import Graph
-from repro.matching.base import Matcher, build_search_plan
+from repro.matching.base import Matcher, build_search_plan, resident_view
 from repro.matching.candidates import degree_consistent
 from repro.pattern.pattern import Pattern
 
@@ -62,17 +62,17 @@ class VF2Matcher(Matcher):
             return
         if graph.node_label(anchor_value) != pattern.label(pattern.x):
             return
-        index = self._index(graph)
+        resident = resident_view(graph)
         if self.use_degree_filter and not degree_consistent(
-            graph, anchor_value, pattern, pattern.x, index
+            graph, anchor_value, pattern, pattern.x, resident
         ):
             return
         plan = build_search_plan(pattern, pattern.x)
         mapping: dict = {pattern.x: anchor_value}
         used: set[NodeId] = {anchor_value}
-        yield from self._extend(graph, index, pattern, plan, 1, mapping, used, first_only)
+        yield from self._extend(graph, resident, pattern, plan, 1, mapping, used, first_only)
 
-    def _candidates_for(self, graph: Graph, index, pattern: Pattern, plan, position, mapping):
+    def _candidates_for(self, graph: Graph, resident, pattern: Pattern, plan, position, mapping):
         """Candidate data nodes for the pattern node at *position* in the plan."""
         node = plan.order[position]
         node_label = pattern.label(node)
@@ -81,15 +81,15 @@ class VF2Matcher(Matcher):
             if placed_is_source:
                 placed_data = mapping[edge.source]
                 neighbors = (
-                    index.out_neighbors(placed_data, edge.label)
-                    if index is not None
+                    resident.out_neighbors(placed_data, edge.label)
+                    if resident is not None
                     else graph.out_neighbors(placed_data, edge.label)
                 )
             else:
                 placed_data = mapping[edge.target]
                 neighbors = (
-                    index.in_neighbors(placed_data, edge.label)
-                    if index is not None
+                    resident.in_neighbors(placed_data, edge.label)
+                    if resident is not None
                     else graph.in_neighbors(placed_data, edge.label)
                 )
             if candidate_set is None:
@@ -100,8 +100,8 @@ class VF2Matcher(Matcher):
                 return set()
         if candidate_set is None:
             # Free node of a disconnected pattern: fall back to the label index.
-            if index is not None:
-                return index.nodes_with_label(node_label)
+            if resident is not None:
+                return resident.nodes_with_label(node_label)
             return graph.nodes_with_label(node_label)
         return {node_id for node_id in candidate_set if graph.node_label(node_id) == node_label}
 
@@ -118,7 +118,7 @@ class VF2Matcher(Matcher):
     def _extend(
         self,
         graph: Graph,
-        index,
+        resident,
         pattern: Pattern,
         plan,
         position: int,
@@ -131,13 +131,13 @@ class VF2Matcher(Matcher):
             yield dict(mapping)
             return
         node = plan.order[position]
-        candidates = self._candidates_for(graph, index, pattern, plan, position, mapping)
+        candidates = self._candidates_for(graph, resident, pattern, plan, position, mapping)
         for data_node in sorted(candidates, key=str):
             if data_node in used:
                 continue
             self.statistics.states_expanded += 1
             if self.use_degree_filter and not degree_consistent(
-                graph, data_node, pattern, node, index
+                graph, data_node, pattern, node, resident
             ):
                 continue
             if not self._consistent(graph, pattern, node, data_node, mapping):
@@ -147,7 +147,7 @@ class VF2Matcher(Matcher):
             used.add(data_node)
             produced = False
             for result in self._extend(
-                graph, index, pattern, plan, position + 1, mapping, used, first_only
+                graph, resident, pattern, plan, position + 1, mapping, used, first_only
             ):
                 produced = True
                 yield result

@@ -2,7 +2,6 @@
 
 :class:`StatisticsBase` is the mixin behind every ``*Statistics`` dataclass
 (:class:`~repro.matching.base.MatchStatistics`,
-:class:`~repro.graph.index.IndexStatistics`,
 :class:`~repro.graph.columnar.ColumnarStatistics`,
 :class:`~repro.matching.incremental.StoreStatistics`): ``snapshot()`` is a
 plain field dict, ``merge()`` adds one field-wise — replacing the ad-hoc
@@ -115,8 +114,9 @@ def collect_process_metrics() -> dict[str, float] | None:
             if stats is None:
                 continue
             alive.append((kind, ref))
+            field_kinds = stats._field_kinds
             for name, value in stats.snapshot().items():
-                key = (kind, name)
+                key = (field_kinds.get(name, kind), name)
                 totals[key] = totals.get(key, 0) + value
         _collectors[:] = alive
         delta: dict[str, float] = {}
@@ -154,6 +154,9 @@ class StatisticsBase:
     """
 
     _metric_kind = "stats"
+    #: ``field -> kind`` for counters published under another namespace than
+    #: ``_metric_kind`` (a merged class keeping the metric names of its parts).
+    _field_kinds = {}
 
     def __post_init__(self) -> None:
         if collection_enabled():

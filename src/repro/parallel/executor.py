@@ -57,37 +57,29 @@ class WorkerTask:
 class Executor(ABC):
     """Runs batches of :class:`WorkerTask` and reports per-task durations.
 
-    ``build_indexes`` (default ``True``) makes :meth:`start` build each
-    fragment's resident :class:`repro.graph.index.FragmentIndex` up front —
-    in the worker-pool initializer for the process backend, in-process for
-    the sequential/thread backends — so every backend begins its first round
-    with warm fragment indexes.  ``build_columnar`` does the same for the
-    resident :class:`repro.graph.columnar.ColumnarFragment` views.
+    ``build_resident`` (default ``True``) makes :meth:`start` compile each
+    fragment's resident :class:`repro.graph.columnar.ColumnarFragment` up
+    front — in the worker-pool initializer for the process backend,
+    in-process for the sequential/thread backends — so every backend begins
+    its first round with warm fragments.
     """
 
     name = "abstract"
-    build_indexes = True
-    build_columnar = True
-    # The process backend builds indexes inside its pool initializer instead
-    # of in the coordinator process (where the fragments are never matched).
-    _warm_indexes_in_parent = True
+    build_resident = True
+    # The process backend compiles inside its pool initializer instead of
+    # in the coordinator process (where the fragments are never matched).
+    _warm_in_parent = True
 
     def start(self, fragments: Sequence[Fragment]) -> None:
         """Receive the run's fragments; called once before the first round."""
         self._contexts = {
             fragment.index: WorkerContext(fragment) for fragment in fragments
         }
-        if self._warm_indexes_in_parent:
-            if self.build_indexes:
-                from repro.graph.index import graph_index
+        if self._warm_in_parent and self.build_resident:
+            from repro.graph.columnar import columnar_view
 
-                for fragment in fragments:
-                    graph_index(fragment.graph)
-            if self.build_columnar:
-                from repro.graph.columnar import columnar_view
-
-                for fragment in fragments:
-                    columnar_view(fragment.graph)
+            for fragment in fragments:
+                columnar_view(fragment.graph)
 
     def shutdown(self) -> None:
         """Release pooled resources; called once after the last round."""
@@ -225,7 +217,7 @@ class ProcessPoolExecutorBackend(Executor):
     """
 
     name = "processes"
-    _warm_indexes_in_parent = False
+    _warm_in_parent = False
 
     def __init__(self, max_workers: int | None = None, start_method: str | None = None) -> None:
         self.max_workers = max_workers
@@ -248,7 +240,7 @@ class ProcessPoolExecutorBackend(Executor):
             max_workers=processes,
             mp_context=context,
             initializer=init_worker,
-            initargs=(fragment_list, self.build_indexes, self.build_columnar),
+            initargs=(fragment_list, self.build_resident),
         )
 
     def shutdown(self) -> None:
@@ -290,16 +282,14 @@ class ProcessPoolExecutorBackend(Executor):
 def make_executor(
     backend: str,
     max_workers: int | None = None,
-    build_indexes: bool = True,
-    build_columnar: bool = True,
+    build_resident: bool = True,
 ) -> Executor:
     """Instantiate the execution backend named by a config/CLI string.
 
-    *build_indexes* controls whether the backend builds the fragments'
-    resident :class:`repro.graph.index.FragmentIndex` at start (see
-    :class:`Executor`) and *build_columnar* the resident columnar views;
-    solvers whose matchers never probe the fragment graphs directly
-    (``MatchC`` searches extracted d-balls) skip the builds.
+    *build_resident* controls whether the backend compiles the fragments'
+    resident :class:`repro.graph.columnar.ColumnarFragment` at start (see
+    :class:`Executor`); solvers whose matchers never probe the fragment
+    graphs directly (``MatchC`` searches extracted d-balls) skip it.
     """
     if backend == "sequential":
         executor: Executor = SequentialExecutor()
@@ -309,6 +299,5 @@ def make_executor(
         executor = ProcessPoolExecutorBackend(max_workers=max_workers)
     else:
         raise ExecutorError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
-    executor.build_indexes = build_indexes
-    executor.build_columnar = build_columnar
+    executor.build_resident = build_resident
     return executor

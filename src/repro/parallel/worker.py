@@ -7,16 +7,16 @@ registry.  Every subsequent round ships only a small picklable
 ``(worker_fn, fragment_id, payload)`` descriptor — never the graph — and the
 worker resolves ``fragment_id`` against its local registry.
 
-The initializer also builds each fragment's resident
-:class:`repro.graph.index.FragmentIndex` (label buckets, adjacency profiles,
-sketch cache) unless index building was disabled, so the matching hot path
-probes a warm index that lives with the fragment for the pool's lifetime and
-never crosses the pickle boundary.
+The initializer also compiles each fragment's resident
+:class:`repro.graph.columnar.ColumnarFragment` (label buckets, profile
+matrix, CSR adjacency, sketch cache) unless the solver opted out, so the
+matching hot path probes a warm structure that lives with the fragment for
+the pool's lifetime and never crosses the pickle boundary.
 
 Per-fragment scratch state (a ``LocalMiner``, a matcher with warm caches,
 the incremental :class:`repro.matching.incremental.MatchStore` holding the
 previous level's materialized matches) lives in a :class:`WorkerContext`
-that survives across rounds for the lifetime of the pool; like the index,
+that survives across rounds for the lifetime of the pool; like the structure,
 a match store is fragment-resident and never pickled — it fills during
 evaluation and a cold worker simply falls back to full matching.  Because a pool may route any fragment's task to any
 of its processes, worker functions must treat that state strictly as a
@@ -65,29 +65,20 @@ class WorkerContext:
             return value
 
 
-def init_worker(
-    fragments: Sequence[Fragment],
-    build_indexes: bool = True,
-    build_columnar: bool = True,
-) -> None:
+def init_worker(fragments: Sequence[Fragment], build_resident: bool = True) -> None:
     """Pool initializer: install *fragments* in this process's registry.
 
-    With *build_indexes* (the default) each fragment's resident
-    :class:`~repro.graph.index.FragmentIndex` is built here, once per worker
-    process, so every round's matching work starts from a warm index;
-    *build_columnar* does the same for the resident
-    :class:`~repro.graph.columnar.ColumnarFragment` views.
+    With *build_resident* (the default) each fragment's resident
+    :class:`~repro.graph.columnar.ColumnarFragment` is compiled here, once
+    per worker process, so every round's matching work starts warm.
     """
     from repro.graph.columnar import columnar_view
-    from repro.graph.index import graph_index
 
     _FRAGMENTS.clear()
     _CONTEXTS.clear()
     for fragment in fragments:
         _FRAGMENTS[fragment.index] = fragment
-        if build_indexes:
-            graph_index(fragment.graph)
-        if build_columnar:
+        if build_resident:
             columnar_view(fragment.graph)
 
 

@@ -14,7 +14,7 @@ forever.  :class:`FragmentManager` owns the whole life of a fragment now:
   ball for the new one; nodes whose refcount drops to zero are *shed* from
   the resident fragment (the slice carries them in
   :attr:`FragmentUpdate.shed`), which also evicts them from the resident
-  :class:`~repro.graph.index.FragmentIndex` (via the graph's delta log) and
+  :class:`~repro.graph.columnar.ColumnarFragment` (via the graph's delta log) and
   from any repaired :class:`~repro.matching.incremental.MatchStore` entry.
   Shedding is exact: anchored matching of a ball-local pattern at an owned
   centre only inspects the centre's d-ball (``docs/streaming.md``), and a
@@ -59,7 +59,6 @@ from typing import Hashable, Mapping, Sequence
 from repro.exceptions import StreamError
 from repro.graph.columnar import columnar_view, registered_columnar
 from repro.graph.graph import Graph
-from repro.graph.index import graph_index, registered_index
 from repro.graph.neighborhood import ball
 from repro.obs.tracing import event as trace_event
 from repro.partition.fragment import Fragment
@@ -207,14 +206,12 @@ class FragmentCheckpoint:
         """Replace *fragment*'s resident state with this snapshot in place.
 
         Residency belongs to the fragment, not to the graph object it holds:
-        whichever of the index / columnar view the replaced graph had
-        registered is rebuilt for the new one, so matching stays on the
-        resident structures across a checkpoint install.
+        if the replaced graph had a resident structure registered, one is
+        compiled for the new graph, so matching stays resident across a
+        checkpoint install.
         """
         replaced = fragment.graph
         fragment.graph = self.build_graph()
-        if registered_index(replaced) is not None:
-            graph_index(fragment.graph)
         if registered_columnar(replaced) is not None:
             columnar_view(fragment.graph)
         fragment.owned_centers = set(self.owned_centers)

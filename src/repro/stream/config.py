@@ -2,7 +2,7 @@
 
 Before this module the knobs of the streaming subsystem were module
 constants (``repro.graph.graph.DELTA_LOG_SIZE``,
-``repro.graph.index.DELTA_REBUILD_FRACTION``) and the lifecycle layer —
+``repro.graph.columnar.DELTA_REBUILD_FRACTION``) and the lifecycle layer —
 checkpointing, shedding, re-partitioning — had none.  :class:`StreamConfig`
 promotes all of them to per-run fields with a uniform override story:
 
@@ -24,7 +24,7 @@ from pathlib import Path
 
 from repro.exceptions import StreamError
 from repro.graph.graph import default_delta_log_size
-from repro.graph.index import default_rebuild_fraction
+from repro.graph.columnar import default_rebuild_fraction
 
 #: Compact a fragment's update-slice log once its shipped-operation weight
 #: exceeds this fraction of the fragment's own size ``|V_i| + |E_i|`` —
@@ -73,9 +73,9 @@ class StreamConfig:
         (authoritative graph *and* fragment-resident graphs); consumers
         that fall further behind rebuild instead of patching.
     delta_rebuild_fraction:
-        A :class:`~repro.graph.index.FragmentIndex` rebuilds from scratch
-        instead of delta-patching once a pending chain touches more than
-        this fraction of its graph.
+        A :class:`~repro.graph.columnar.ColumnarFragment` recompiles from
+        scratch instead of delta-patching once a pending chain touches more
+        than this fraction of its graph.
     checkpoint_log_fraction:
         Compaction trigger of the per-fragment update-slice log (see
         :data:`CHECKPOINT_LOG_FRACTION`).
@@ -123,7 +123,7 @@ class StreamConfig:
     def export_env(self) -> None:
         """Export the graph/index thresholds as env vars for worker processes.
 
-        Worker pools build fragment indexes in their initializer with the
+        Worker pools compile fragment structures in their initializer with the
         process-wide defaults; the spawned/forked children inherit these
         variables, so a per-run override reaches them without widening the
         executor protocol.

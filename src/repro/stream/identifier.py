@@ -17,8 +17,8 @@ recomputing:
 * each worker catches its resident copy up through
   :func:`~repro.partition.lifecycle.catch_up` — installing the newest
   compaction checkpoint if it is behind it, replaying the slice tail —
-  lets the resident :class:`~repro.graph.index.FragmentIndex` patch itself
-  forward from the graph's recorded deltas, and re-verifies **only** the
+  lets the resident :class:`~repro.graph.columnar.ColumnarFragment` patch
+  itself forward from the graph's recorded deltas, and re-verifies **only** the
   owned centres within ``d`` hops of a touched node — every other centre's
   verdict is provably unchanged (see ``docs/streaming.md``);
 * the coordinator splices the partial reports into its per-fragment state
@@ -54,7 +54,6 @@ from typing import Hashable, Sequence
 from repro.exceptions import StreamError
 from repro.graph.columnar import registered_columnar
 from repro.graph.graph import Graph, GraphDelta
-from repro.graph.index import registered_index
 from repro.graph.neighborhood import multi_source_ball
 from repro.identification.census import (
     CensusMatcher,
@@ -187,13 +186,13 @@ def stream_update_worker(
     resident copy behind the lease's base checkpoint installs it, then the
     missed slice tail replays (the applied-sequence counter lives in the
     pool-lifetime :class:`~repro.parallel.worker.WorkerContext`).  The
-    resident index is patched forward from the graph's recorded deltas
+    resident structure is patched forward from the graph's recorded deltas
     rather than rebuilt.
 
     When the payload asks for tracing, the worker records its phases into a
     fragment-local :class:`~repro.obs.tracing.Tracer` (installed as the
-    thread-local override, so nested module-level spans — the index/columnar
-    refreshes — land in it too, on every backend) and ships the records back
+    thread-local override, so nested module-level spans — the resident
+    structure's refresh — land in it too, on every backend) and ships the records back
     on ``report.spans`` for the coordinator to adopt.
     """
     if not payload.traced:
@@ -212,14 +211,10 @@ def _stream_verify(
     with span("stream.worker.catch_up", fragment=context.fragment.index):
         fragment = catch_up(context, payload.lease)
 
-    index = registered_index(fragment.graph)
-    if index is not None and index.is_stale:
+    resident = registered_columnar(fragment.graph)
+    if resident is not None and resident.is_stale:
         with span("stream.worker.index_refresh"):
-            index.refresh()
-    columnar = registered_columnar(fragment.graph)
-    if columnar is not None and columnar.is_stale:
-        with span("stream.worker.columnar_refresh"):
-            columnar.refresh()
+            resident.refresh()
 
     config = payload.config
     solver = payload.solver_cls(config)
@@ -384,31 +379,24 @@ class StreamingIdentifier:
     def _start_runtime(self) -> None:
         solver_cls = type(self._solver)
         if self.config.backend == "processes":
-            # Pool workers build fragment indexes with the process-wide
+            # Pool workers compile fragment structures with the process-wide
             # defaults; exporting before the pool forks/spawns is what makes
             # a programmatic StreamConfig override reach them.
             self.stream_config.export_env()
         executor = make_executor(
             self.config.backend,
             self.config.executor_workers,
-            build_indexes=solver_cls._consumes_resident_index,
-            build_columnar=solver_cls._consumes_columnar,
+            build_resident=solver_cls._consumes_resident,
         )
         self.runtime = BSPRuntime(self.fragments, executor)
         self.runtime.start_run()
-        # In-process backends share the coordinator's fragment indexes and
-        # columnar views; honour the configured rebuild fraction on them
-        # directly (process pools inherit it through the exported
-        # environment variable).
+        # In-process backends share the coordinator's resident structures;
+        # honour the configured rebuild fraction on them directly (process
+        # pools inherit it through the exported environment variable).
         for fragment in self.fragments:
-            resident = registered_index(fragment.graph)
+            resident = registered_columnar(fragment.graph)
             if resident is not None:
                 resident.rebuild_fraction = self.stream_config.delta_rebuild_fraction
-            resident_columnar = registered_columnar(fragment.graph)
-            if resident_columnar is not None:
-                resident_columnar.rebuild_fraction = (
-                    self.stream_config.delta_rebuild_fraction
-                )
         self._closed = False
         # apply() is not re-entrant: it mutates the authoritative graph, the
         # lifecycle manager and the stored reports in sequence, so a second

@@ -21,7 +21,6 @@ from typing import Hashable, Sequence
 from repro.exceptions import StreamError
 from repro.graph.columnar import columnar_view
 from repro.graph.graph import Graph
-from repro.graph.index import graph_index
 from repro.matching.incremental import DeltaMatcher, MatchStore
 from repro.pattern.pattern import Pattern
 from repro.stream.updates import UpdateBatch
@@ -62,10 +61,9 @@ class MaintainedMatchView:
         if config is not None:
             config.apply_to_graph(graph)
         self.patterns = list(patterns)
-        # The view keeps *graph* resident for its whole life, so it builds
-        # the resident structures the way an executor does for a fragment;
-        # the matcher then probes them, and refreshes patch them per batch.
-        graph_index(graph)
+        # The view keeps *graph* resident for its whole life, so it compiles
+        # the resident structure the way an executor does for a fragment;
+        # the matcher then probes it, and refreshes patch it per batch.
         columnar_view(graph)
         self.store = MatchStore(graph)
         self._delta = DeltaMatcher(graph, matcher, self.store)

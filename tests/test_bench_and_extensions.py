@@ -16,7 +16,7 @@ from repro.bench.harness import (
 )
 from repro.bench.workloads import eip_workload, mining_workload, synthetic_mining_workload
 from repro.datasets import most_frequent_predicates
-from repro.graph import registered_columnar, registered_index
+from repro.graph import registered_columnar
 from repro.mining import DMineConfig, dmine_auto, dmine_for_predicates
 
 
@@ -134,7 +134,6 @@ class TestHarnessRunners:
         for row in (eip.as_dict(), traffic.as_dict()):
             assert not {"index", "columnar", "incremental"} & set(row)
         # The traffic row made the graph resident, as an executor would.
-        assert registered_index(graph) is not None
         assert registered_columnar(graph) is not None
 
     def test_run_dmine_backends_annotates_speedup(self):

@@ -24,13 +24,7 @@ from __future__ import annotations
 import pytest
 
 from repro.datasets import generate_gpars, most_frequent_predicates, synthetic_graph
-from repro.graph import (
-    columnar_view,
-    discard_columnar,
-    discard_index,
-    graph_index,
-    registered_index,
-)
+from repro.graph import columnar_view, discard_columnar, registered_columnar
 from repro.matching import (
     GuidedMatcher,
     LocalityMatcher,
@@ -59,9 +53,8 @@ AUDITED_CACHES = {
 #: their own dedicated suites, noted here so discovery stays exhaustive).
 AUDITED_ELSEWHERE = {
     "MatchStore",  # entry.version pinning: tests/test_stream.py, this file below
-    "FragmentIndex",  # built_version pinning: tests/test_index.py, this file below
     "MultiPatternMatcher",  # pattern-keyed chain memo only (immutable keys)
-    "ColumnarFragment",  # built_version pinning: tests/test_columnar.py, below
+    "ColumnarFragment",  # built_version pinning: tests/test_index.py + test_columnar.py, below
 }
 
 _CACHE_HINTS = ("cache", "sketch", "memo", "graphs", "store")
@@ -127,19 +120,17 @@ def _workload(seed: int):
 def test_warm_matcher_survives_mutations(name, seed, resident):
     """Warm caches across update batches == a fresh matcher every time.
 
-    ``resident=False`` runs the same matchers on a graph with no registered
-    index or columnar view — how production reaches them on transient
-    graphs — which forces each matcher's *private* caches to carry the
-    staleness burden (the resident index otherwise absorbs most probes):
+    ``resident=False`` runs the same matchers on a graph with nothing
+    registered — how production reaches them on transient graphs — which
+    forces each matcher's *private* caches to carry the staleness burden
+    (the resident structure otherwise absorbs most probes):
     the configuration that exposed the original three bugs.
     """
     factory, pinned, _exempt = AUDITED_CACHES[name]
     graph, patterns = _workload(seed)
     if resident:
-        graph_index(graph)
         columnar_view(graph)
     else:
-        discard_index(graph)
         discard_columnar(graph)
     warm = factory()
     for pattern in patterns:  # warm every cache with real traffic
@@ -171,7 +162,49 @@ def test_warm_matcher_survives_mutations(name, seed, resident):
                     f"{name}.{attribute} entries must be (version, payload) "
                     f"tuples, got {type(value)}"
                 )
-    assert (registered_index(graph) is not None) == resident
+    assert (registered_columnar(graph) is not None) == resident
+
+
+def _open_batch_query(name):
+    """``(rules, run)``: one of the four ``match_set`` surfaces on G1's rules."""
+    from repro.datasets.paper_graphs import rule_r1, rule_r5
+    from repro.matching import MultiPatternMatcher
+
+    rules = [rule_r1(), rule_r5()]
+    if name == "multi":
+        multi = MultiPatternMatcher(VF2Matcher())
+        return rules, lambda graph: list(multi.match_sets(graph, rules).values())
+    matcher = AUDITED_CACHES[name][0]()
+    return rules, lambda graph: [
+        matcher.match_set(graph, rule.pr_pattern()) for rule in rules
+    ]
+
+
+@pytest.mark.parametrize("resident", [False, True], ids=["raw", "resident"])
+@pytest.mark.parametrize("name", ["vf2", "guided", "simulation", "multi"])
+def test_open_batch_never_changes_whether_a_query_answers(name, resident):
+    """Inside an open, dirty ``batch_update`` every matcher probes raw.
+
+    The same call used to answer when nothing was resident and raise
+    ``GraphError`` ("cannot refresh ... while a batch_update is open") when
+    something was; residency must change neither the answer nor whether
+    there is one.
+    """
+    from repro.datasets.paper_graphs import graph_g1
+
+    graph = graph_g1()
+    if resident:
+        columnar_view(graph)
+    _rules, run = _open_batch_query(name)
+    before = run(graph)  # warm every cache on the pre-batch state
+    with graph.batch_update():
+        graph.add_node("batch-probe", "cust")
+        graph.add_edge("batch-probe", "NewYork", "live_in")
+        inside = run(graph)
+    after = run(graph)
+    assert inside == after == _open_batch_query(name)[1](graph.copy())
+    assert any(before)  # the gate is not vacuous: G1 has matches
+    assert (registered_columnar(graph) is not None) == resident
 
 
 def test_match_store_entries_are_version_pinned():
@@ -191,27 +224,35 @@ def test_match_store_entries_are_version_pinned():
 
 
 def test_resident_index_never_serves_stale_reads():
-    """FragmentIndex's version guard runs on *every* probe (both modes)."""
+    """The version guard runs on *every* probe, the lazy caches included."""
+    from repro.graph import build_sketch
+
     graph, _patterns = _workload(seed=2)
-    index = graph_index(graph)
+    index = columnar_view(graph)
     label = sorted(graph.node_labels())[0]
+    anchor = sorted(graph.nodes(), key=str)[0]
     before = set(index.nodes_with_label(label))
+    index.sketch(anchor, 2)  # warm the caches the mutation must reach
+    index.in_neighbors(anchor, "audit-edge")
     fresh_node = "audit-fresh"
     graph.add_node(fresh_node, label)
-    assert fresh_node in index.nodes_with_label(label)
+    graph.add_edge(fresh_node, anchor, "audit-edge")
     assert set(index.nodes_with_label(label)) == before | {fresh_node}
-    assert registered_index(graph) is index
+    assert index.node_label(fresh_node) == label
+    assert index.in_neighbors(anchor, "audit-edge") == {fresh_node}
+    assert index.sketch(anchor, 2) == build_sketch(graph, anchor, 2)
+    assert registered_columnar(graph) is index
 
 
 def test_frozen_neighbors_view_never_serves_stale_reads():
-    """FragmentIndex.neighbors memoises frozensets but tracks mutations.
+    """ColumnarFragment.neighbors memoises frozensets but tracks mutations.
 
-    The memo is version-pinned like every other index probe: a touched
+    The memo is version-pinned like every other probe: a touched
     node's entry is dropped by the delta patch, an untouched node's entry
     is reused, and both must equal the graph's live adjacency afterwards.
     """
     graph, _patterns = _workload(seed=3)
-    index = graph_index(graph)
+    index = columnar_view(graph)
     nodes = sorted(graph.nodes(), key=str)[:10]
     for node in nodes:  # warm the memo
         assert index.neighbors(node) == frozenset(graph.neighbors(node))
@@ -224,9 +265,7 @@ def test_frozen_neighbors_view_never_serves_stale_reads():
 
 
 def test_resident_columnar_view_never_serves_stale_reads():
-    """ColumnarFragment's version guard runs on every probe, like the index."""
-    from repro.graph.columnar import columnar_view, registered_columnar
-
+    """ColumnarFragment's version guard runs on every store probe."""
     graph, _patterns = _workload(seed=4)
     view = columnar_view(graph)
     label = sorted(graph.node_labels())[0]

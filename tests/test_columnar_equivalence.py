@@ -8,10 +8,11 @@ definitions byte for byte.  Three layers of evidence:
 * a hypothesis suite drives random graphs through compile → random update
   batches → refresh (both the patch and the recompile policy) and checks
   label buckets, candidate filtering and dual simulation against the
-  dict-path oracles after every step, on both the numpy and the pure-array
-  backend;
+  dict-path oracles after every step — and, after a chain of patches, every
+  probe (stores and lazily filled caches alike) against a fresh compile of
+  the final graph — on both the numpy and the pure-array backend;
 * ~50 seeded random graph/pattern pairs run VF2, dual simulation and guided
-  search on a graph with a resident index and columnar view, requiring the
+  search on a resident graph, requiring the
   matches of :class:`repro.testing.ReferenceMatcher` (raw probes, nothing
   resident);
 * full DMine / EIP pipelines run across all three execution backends ×
@@ -29,7 +30,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.datasets import generate_gpars, most_frequent_predicates, synthetic_graph
-from repro.graph import Graph, graph_index
+from repro.exceptions import NodeNotFoundError
+from repro.graph import Graph
 from repro.graph.columnar import ColumnarFragment, columnar_view, numpy_or_none
 from repro.identification import identify_entities
 from repro.matching import GuidedMatcher, SimulationMatcher, VF2Matcher
@@ -197,6 +199,67 @@ def test_batch_update_then_recompile_equals_fresh_compile(use_numpy, graph, seed
             assert view.dual_simulation(expanded) == fresh.dual_simulation(expanded)
 
 
+def _warm_caches(graph: Graph, view: ColumnarFragment) -> None:
+    """Fill every lazy cache, so the next patch has entries to invalidate."""
+    for node in graph.nodes():
+        view.neighbors(node)
+        view.sketch(node, 1)
+        view.sketch(node, 2)
+        for label in EDGE_LABELS:
+            view.out_neighbors(node, label)
+            view.in_neighbors(node, label)
+
+
+@pytest.mark.parametrize("use_numpy", NUMPY_MODES)
+@given(graph=random_graphs(), seed=st.integers(min_value=0, max_value=10_000))
+@settings(max_examples=25, deadline=None)
+def test_patched_structure_equals_fresh_compile_on_every_probe(use_numpy, graph, seed):
+    """A chain of patches leaves *every* probe equal to a fresh compile's.
+
+    Stores and caches alike: label buckets, node labels, decoded profiles
+    and per-node profile domination, the three frozen adjacency views and
+    sketches at two depths — with all caches warm before each batch, so a
+    missed invalidation would surface as a stale entry.
+    """
+    rng = random.Random(seed)
+    removed: set = set()
+    with numpy_disabled(not use_numpy):
+        # 1.0: patch unless a batch touches more nodes than the graph keeps.
+        view = ColumnarFragment(graph, rebuild_fraction=1.0)
+        for _ in range(3):
+            _warm_caches(graph, view)
+            before = set(graph.nodes())
+            random_update_batch(
+                graph, size=rng.randint(1, 8), seed=rng.randrange(10_000)
+            ).apply(graph)
+            removed |= before - set(graph.nodes())
+            view.refresh()
+        fresh = ColumnarFragment(graph)
+    removed -= set(graph.nodes())
+    for label in NODE_LABELS:
+        assert view.nodes_with_label(label) == fresh.nodes_with_label(label)
+    pattern = _pattern_from_graph(graph, rng)
+    expanded = pattern.expanded() if pattern is not None else None
+    for node in sorted(graph.nodes(), key=str):
+        assert view.node_label(node) == fresh.node_label(node) == graph.node_label(node)
+        assert view.profile(node) == fresh.profile(node)
+        assert view.neighbors(node) == fresh.neighbors(node)
+        for label in EDGE_LABELS:
+            assert view.out_neighbors(node, label) == fresh.out_neighbors(node, label)
+            assert view.in_neighbors(node, label) == fresh.in_neighbors(node, label)
+        for hops in (1, 2):
+            assert view.sketch(node, hops) == fresh.sketch(node, hops)
+        if expanded is not None:
+            for pattern_node in expanded.nodes():
+                verdict = degree_consistent(graph, node, expanded, pattern_node)
+                assert view.degree_consistent(node, expanded, pattern_node) == verdict
+                assert fresh.degree_consistent(node, expanded, pattern_node) == verdict
+    for node in removed:
+        for probe in (view.node_label, view.profile, view.neighbors):
+            with pytest.raises(NodeNotFoundError):
+                probe(node)
+
+
 # ----------------------------------------------------------------------
 # 50 seeds: every matcher on a columnar-resident graph == the reference
 # ----------------------------------------------------------------------
@@ -204,7 +267,7 @@ def _workload(seed: int):
     """One seeded random (graph, patterns) pair, small enough to enumerate.
 
     The graph comes back resident the way an executor leaves a fragment:
-    index and columnar view registered.
+    its (pristine) structure registered.
     """
     graph = synthetic_graph(
         num_nodes=40 + (seed % 5) * 10,
@@ -218,7 +281,6 @@ def _workload(seed: int):
         graph, predicate, count=2, max_pattern_edges=3, d=2, seed=seed
     )
     patterns = [rule.antecedent for rule in rules] + [rule.pr_pattern() for rule in rules]
-    graph_index(graph)
     columnar_view(graph)
     return graph, patterns
 

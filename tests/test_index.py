@@ -1,19 +1,26 @@
-"""Unit tests of the fragment-resident graph index (repro.graph.index)."""
+"""Unit tests of the resident structure's index role (repro.graph.columnar).
+
+Label buckets, decoded profiles, the memoised frozen adjacency views, the
+k-hop sketch cache with its isolated-node fast path, probe-time
+invalidation and the per-process registry of
+:class:`repro.graph.columnar.ColumnarFragment`; the array kernels (CSR,
+pool masks, patch overlays) are covered in tests/test_columnar.py.
+"""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.datasets import synthetic_graph
-from repro.exceptions import NodeNotFoundError, StaleIndexError
+from repro.exceptions import GraphError, NodeNotFoundError
 from repro.graph import (
-    FragmentIndex,
+    ColumnarFragment,
     Graph,
     build_sketch,
-    discard_index,
+    columnar_view,
+    discard_columnar,
     empty_sketch,
-    graph_index,
-    registered_index,
+    registered_columnar,
 )
 from repro.matching.candidates import adjacency_profile
 
@@ -72,9 +79,9 @@ class TestVersionCounter:
 class TestIndexLayers:
     def test_label_layer_matches_graph(self):
         g = toy_graph()
-        index = FragmentIndex(g)
+        index = ColumnarFragment(g)
         assert index.nodes_with_label("cust") == g.nodes_with_label("cust")
-        assert index.count_nodes_with_label("restaurant") == 1
+        assert len(index.nodes_with_label("restaurant")) == 1
         assert index.nodes_with_label("missing") == frozenset()
         assert index.node_label("cafe") == "restaurant"
         with pytest.raises(NodeNotFoundError):
@@ -82,24 +89,31 @@ class TestIndexLayers:
 
     def test_profiles_match_unindexed_computation(self):
         g = synthetic_graph(60, 180, num_node_labels=5, num_edge_labels=3, seed=11)
-        index = FragmentIndex(g)
+        index = ColumnarFragment(g)
         for node in g.nodes():
-            assert dict(index.profile(node)) == adjacency_profile(g, node)
+            assert index.profile(node) == adjacency_profile(g, node)
+            assert adjacency_profile(g, node, index) == adjacency_profile(g, node)
         with pytest.raises(NodeNotFoundError):
             index.profile("ghost")
 
     def test_adjacency_views_match_graph(self):
         g = toy_graph()
-        index = FragmentIndex(g)
+        index = ColumnarFragment(g)
         assert index.out_neighbors("alice", "visit") == g.out_neighbors("alice", "visit")
         assert index.in_neighbors("cafe", "visit") == {"alice", "bob"}
         assert index.out_neighbors("loner", "visit") == frozenset()
+        assert index.neighbors("alice") == g.neighbors("alice")
+        # Memoised: the same frozen object answers every repeat.
+        assert index.out_neighbors("alice", "visit") is index.out_neighbors("alice", "visit")
+        assert index.neighbors("alice") is index.neighbors("alice")
         with pytest.raises(NodeNotFoundError):
             index.out_neighbors("ghost", "visit")
+        with pytest.raises(NodeNotFoundError):
+            index.neighbors("ghost")
 
     def test_sketches_match_direct_builds(self):
         g = synthetic_graph(40, 120, num_node_labels=4, num_edge_labels=2, seed=3)
-        index = FragmentIndex(g)
+        index = ColumnarFragment(g)
         for node in list(g.nodes())[:10]:
             assert index.sketch(node, 2) == build_sketch(g, node, 2)
         # Memoised: the same object comes back.
@@ -108,20 +122,21 @@ class TestIndexLayers:
 
     def test_invalid_construction_arguments(self):
         with pytest.raises(ValueError):
-            FragmentIndex(toy_graph(), mode="whenever")
+            ColumnarFragment(toy_graph(), rebuild_fraction=-0.1)
+        g = toy_graph()
         with pytest.raises(ValueError):
-            FragmentIndex(toy_graph(), default_hops=0)
+            ColumnarFragment(g).sketch("alice", 0)
 
 
 class TestSketchFastPath:
     def test_isolated_node_skips_bfs(self, monkeypatch):
         g = toy_graph()
-        index = FragmentIndex(g)
+        index = ColumnarFragment(g)
 
         def boom(*args, **kwargs):  # pragma: no cover - must not run
             raise AssertionError("BFS ran for an isolated node")
 
-        monkeypatch.setattr("repro.graph.index.build_sketch", boom)
+        monkeypatch.setattr("repro.graph.columnar.build_sketch", boom)
         sketch = index.sketch("loner", 2)
         assert sketch == empty_sketch("loner", 2)
         assert sketch.total_count() == 0
@@ -134,7 +149,7 @@ class TestSketchFastPath:
 
     def test_connected_node_takes_bfs_path(self):
         g = toy_graph()
-        index = FragmentIndex(g)
+        index = ColumnarFragment(g)
         index.sketch("alice", 2)
         assert index.statistics.sketches_built == 1
         assert index.statistics.sketch_fast_paths == 0
@@ -149,7 +164,7 @@ class TestSketchFastPath:
 
 
 class TestInvalidation:
-    """A stale-index read must be impossible: refresh or raise, per mode."""
+    """A stale read must be impossible: every stale probe refreshes first."""
 
     @pytest.mark.parametrize(
         "mutate",
@@ -164,7 +179,7 @@ class TestInvalidation:
     )
     def test_refresh_mode_rebuilds_on_any_mutation(self, mutate):
         g = toy_graph()
-        index = FragmentIndex(g, mode="refresh")
+        index = ColumnarFragment(g)
         index.sketch("alice", 2)  # warm a lazy layer too
         mutate(g)
         assert index.is_stale
@@ -173,41 +188,36 @@ class TestInvalidation:
         assert not index.is_stale
         assert index.statistics.refreshes == 1
         for node in g.nodes():
-            assert dict(index.profile(node)) == adjacency_profile(g, node)
+            assert index.profile(node) == adjacency_profile(g, node)
 
     @pytest.mark.parametrize(
         "probe",
         [
             lambda index: index.nodes_with_label("cust"),
-            lambda index: index.count_nodes_with_label("cust"),
             lambda index: index.node_label("alice"),
             lambda index: index.profile("alice"),
             lambda index: index.out_neighbors("alice", "visit"),
             lambda index: index.in_neighbors("cafe", "visit"),
+            lambda index: index.neighbors("alice"),
             lambda index: index.sketch("alice", 2),
         ],
-        ids=["labels", "count", "node-label", "profile", "out", "in", "sketch"],
+        ids=["labels", "node-label", "profile", "out", "in", "neighbors", "sketch"],
     )
-    def test_raise_mode_rejects_every_probe(self, probe):
+    def test_open_dirty_batch_rejects_every_probe(self, probe):
+        """Direct probes never answer from (or compile) a half-applied state."""
         g = toy_graph()
-        index = FragmentIndex(g, mode="raise")
-        g.add_node("new", "cust")
-        with pytest.raises(StaleIndexError) as excinfo:
-            probe(index)
-        assert excinfo.value.current_version > excinfo.value.built_version
-
-    def test_raise_mode_recovers_after_explicit_refresh(self):
-        g = toy_graph()
-        index = FragmentIndex(g, mode="raise")
-        g.add_edge("bob", "alice", "friend")
-        with pytest.raises(StaleIndexError):
-            index.profile("alice")
-        index.refresh()
-        assert dict(index.profile("alice")) == adjacency_profile(g, "alice")
+        index = ColumnarFragment(g)
+        with g.batch_update() as tx:
+            probe(index)  # open but clean: still the compiled state
+            tx.add_node("new", "cust")
+            with pytest.raises(GraphError, match="batch_update is open"):
+                probe(index)
+        probe(index)  # closed: the probe refreshes and answers
+        assert not index.is_stale
 
     def test_refresh_drops_stale_sketches_and_views(self):
         g = toy_graph()
-        index = FragmentIndex(g)
+        index = ColumnarFragment(g)
         before = index.sketch("loner", 2)
         assert before.total_count() == 0
         g.add_edge("loner", "cafe", "visit")
@@ -217,23 +227,23 @@ class TestInvalidation:
 
 
 class TestRegistry:
-    def test_graph_index_is_memoised_per_graph(self):
+    def test_resident_structure_is_memoised_per_graph(self):
         g = toy_graph()
-        assert registered_index(g) is None
-        index = graph_index(g)
-        assert graph_index(g) is index
-        assert registered_index(g) is index
+        assert registered_columnar(g) is None
+        index = columnar_view(g)
+        assert columnar_view(g) is index
+        assert registered_columnar(g) is index
 
-    def test_discard_index_forgets_the_graph(self):
+    def test_discard_forgets_the_graph(self):
         g = toy_graph()
-        index = graph_index(g)
-        assert discard_index(g) is True
-        assert discard_index(g) is False
-        assert graph_index(g) is not index
+        index = columnar_view(g)
+        assert discard_columnar(g) is True
+        assert discard_columnar(g) is False
+        assert columnar_view(g) is not index
 
     def test_independent_graphs_get_independent_indexes(self):
         g1, g2 = toy_graph(), toy_graph()
-        assert graph_index(g1) is not graph_index(g2)
+        assert columnar_view(g1) is not columnar_view(g2)
 
     def test_registry_does_not_keep_graphs_alive(self):
         """The index holds its graph weakly: dropping the graph frees both."""
@@ -241,12 +251,10 @@ class TestRegistry:
         import weakref
 
         g = toy_graph()
-        index = graph_index(g)
+        index = columnar_view(g)
         graph_ref = weakref.ref(g)
         del g
         gc.collect()
         assert graph_ref() is None
-        from repro.exceptions import GraphError
-
         with pytest.raises(GraphError):
             index.profile("alice")

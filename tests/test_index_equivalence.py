@@ -1,13 +1,17 @@
 """Randomized equivalence: indexed matching == the naive reference, always.
 
-The resident :class:`repro.graph.index.FragmentIndex` is a pure memoisation,
-so every matcher probing a graph with a registered index must return
+The resident :class:`repro.graph.columnar.ColumnarFragment` is a pure
+re-encoding, so every matcher probing a resident graph must return
 byte-identical matches and match counts to
 :class:`repro.testing.ReferenceMatcher`, which probes the raw graph and
 keeps nothing.  This suite drives ~50 seeded random graph/pattern pairs
-through VF2, dual simulation and guided search on an index-resident graph,
-and additionally runs full DMine / EIP pipelines across all three execution
-backends, holding each to the reference evaluation of the same rules.
+through VF2, dual simulation and guided search on a resident graph whose
+structure has been *delta-patched* — overlays present, whole-array kernels
+suspended — so the per-node probes and the frozen adjacency views carry
+every query (tests/test_columnar_equivalence.py runs the same seeds on a
+pristine structure).  It additionally runs full DMine / EIP pipelines
+across all three execution backends, holding each to the reference
+evaluation of the same rules.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from __future__ import annotations
 import pytest
 
 from repro.datasets import generate_gpars, most_frequent_predicates, synthetic_graph
-from repro.graph import discard_columnar, graph_index
+from repro.graph import columnar_view
 from repro.identification import identify_entities
 from repro.matching import GuidedMatcher, SimulationMatcher, VF2Matcher
 from repro.metrics import evaluate_rule
@@ -29,8 +33,9 @@ SEEDS = range(50)
 def _workload(seed: int):
     """One seeded random (graph, patterns) pair, small enough to enumerate.
 
-    The graph comes back with a resident index and no columnar view, so the
-    production matchers below run their index-served probes.
+    The graph comes back resident and patched (one node and edge added after
+    the compile), so the production matchers below run their per-node,
+    view-served probes rather than the whole-array kernels.
     """
     graph = synthetic_graph(
         num_nodes=40 + (seed % 5) * 10,
@@ -39,13 +44,17 @@ def _workload(seed: int):
         num_edge_labels=3,
         seed=seed,
     )
+    resident = columnar_view(graph, rebuild_fraction=1.0)  # always patch
+    anchor = min(graph.nodes(), key=str)
+    graph.add_node("patched-in", graph.node_label(anchor))
+    graph.add_edge("patched-in", anchor, min(graph.edge_labels()))
+    resident.refresh()
+    assert not resident.pristine and resident.statistics.builds == 1
     predicate = most_frequent_predicates(graph, top=1)[0]
     rules = generate_gpars(
         graph, predicate, count=2, max_pattern_edges=3, d=2, seed=seed
     )
     patterns = [rule.antecedent for rule in rules] + [rule.pr_pattern() for rule in rules]
-    graph_index(graph)
-    discard_columnar(graph)
     return graph, patterns
 
 
@@ -73,7 +82,7 @@ def test_vf2_indexed_equals_unindexed(seed):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_simulation_indexed_equals_unindexed(seed):
     graph, patterns = _workload(seed)
-    # Dual simulation has no isomorphism reference: hold the index-served
+    # Dual simulation has no isomorphism reference: hold the view-served
     # fixpoint to the same matcher on a copy with nothing resident (the raw
     # path transient graphs take), and to the containment it must satisfy.
     bare = graph.copy()

@@ -16,14 +16,7 @@ import pytest
 
 from repro.datasets import generate_gpars, most_frequent_predicates, synthetic_graph
 from repro.exceptions import GraphError, StreamError
-from repro.graph import (
-    FragmentIndex,
-    Graph,
-    columnar_view,
-    graph_index,
-    registered_columnar,
-    registered_index,
-)
+from repro.graph import ColumnarFragment, Graph, columnar_view, registered_columnar
 from repro.identification.eip import EIPConfig
 from repro.partition import Fragment, partition_graph
 from repro.partition.lifecycle import (
@@ -60,7 +53,7 @@ def toy_graph() -> Graph:
 class TestStreamConfig:
     def test_defaults_match_module_constants(self):
         from repro.graph.graph import DELTA_LOG_SIZE
-        from repro.graph.index import DELTA_REBUILD_FRACTION
+        from repro.graph.columnar import DELTA_REBUILD_FRACTION
 
         config = StreamConfig()
         assert config.delta_log_size == DELTA_LOG_SIZE
@@ -83,7 +76,7 @@ class TestStreamConfig:
         assert str(config.state_dir) == "/tmp/somewhere"
         # Constructed graphs pick the env default up too.
         assert Graph().delta_log_size == 7
-        assert FragmentIndex(toy_graph()).rebuild_fraction == 0.5
+        assert ColumnarFragment(toy_graph()).rebuild_fraction == 0.5
 
     def test_validation(self):
         with pytest.raises(StreamError):
@@ -112,11 +105,11 @@ class TestStreamConfig:
 
     def test_index_rebuild_fraction_argument(self):
         g = synthetic_graph(40, 120, num_node_labels=4, num_edge_labels=3, seed=1)
-        eager = FragmentIndex(g, rebuild_fraction=0.0)
+        eager = ColumnarFragment(g, rebuild_fraction=0.0)
         g.add_node("fresh", "L0")
         eager.refresh()
         assert eager.statistics.builds == 2  # fraction 0: always rebuild
-        patient = FragmentIndex(g, rebuild_fraction=1.0)
+        patient = ColumnarFragment(g, rebuild_fraction=1.0)
         with g.batch_update() as tx:
             for node in sorted(g.nodes(), key=str)[:30]:
                 tx.relabel_node(node, "L1")
@@ -199,7 +192,6 @@ class TestFragmentCheckpoint:
         """Matchers probe what is registered: an install must not drop it."""
         graph, fragments, _manager = self._manager()
         indexed, bare = fragments[0], fragments[1]
-        graph_index(indexed.graph)
         columnar_view(indexed.graph)
         for fragment in (indexed, bare):
             replaced = fragment.graph
@@ -212,9 +204,7 @@ class TestFragmentCheckpoint:
                 name=replaced.name,
             ).install(fragment)
             assert fragment.graph is not replaced
-        assert registered_index(indexed.graph) is not None
         assert registered_columnar(indexed.graph) is not None
-        assert registered_index(bare.graph) is None
         assert registered_columnar(bare.graph) is None
 
     def test_catch_up_requires_a_checkpoint_reference(self):

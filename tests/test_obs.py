@@ -289,13 +289,11 @@ class TestTracer:
 class TestStatisticsProtocol:
     def _all_statistics(self):
         from repro.graph.columnar import ColumnarStatistics
-        from repro.graph.index import IndexStatistics
         from repro.matching.base import MatchStatistics
         from repro.matching.incremental import StoreStatistics
 
         return [
             MatchStatistics,
-            IndexStatistics,
             ColumnarStatistics,
             StoreStatistics,
         ]
@@ -465,6 +463,56 @@ class TestTracedStreamingTick:
         assert {r["parent_id"] for r in worker_roots} <= adoption_points
         assert any(r["parent_id"] == verify["span_id"] for r in worker_roots)
         assert verify["parent_id"] == ticks[0]["span_id"]
+
+    def test_tick_keeps_the_benchmark_instrument_names(self):
+        """The names ``benchmarks/e2e/layers.py`` reads off a traced tick.
+
+        One resident structure reports its delta and sketch-cache work under
+        the historic ``repro_index_*`` names, its filters under
+        ``repro_columnar_*``, and its one refresh per stale fragment inside
+        a ``stream.worker.index_refresh`` span.
+        """
+        from repro.graph import numpy_active
+        from repro.identification import EIPConfig
+        from repro.stream import StreamingIdentifier, random_update_batch
+
+        graph = synthetic_graph(300, 900, num_node_labels=5, num_edge_labels=3, seed=3)
+        predicate = most_frequent_predicates(graph, top=1)[0]
+        rules = generate_gpars(
+            graph, predicate, count=4, max_pattern_edges=3, d=2, seed=3
+        )
+        enable_collection()
+        tracer = install(Tracer())
+        try:
+            with StreamingIdentifier(
+                graph, rules, config=EIPConfig(eta=0.5, num_workers=2)
+            ) as identifier:
+                for seed in (31, 32):
+                    identifier.apply(random_update_batch(graph, size=4, seed=seed))
+        finally:
+            uninstall()
+            disable_collection()
+        counters = {
+            name: registry().counter_value(name)
+            for name in (
+                "repro_index_delta_applies_total",
+                "repro_index_sketches_built_total",
+                "repro_columnar_row_filters_total",
+                "repro_columnar_mask_filters_total",
+            )
+        }
+        if not numpy_active():  # the pool mask is the numpy leg's filter
+            del counters["repro_columnar_mask_filters_total"]
+        assert all(value > 0 for value in counters.values()), counters
+        records = tracer.records()
+        refreshes = [r for r in records if r["name"] == "stream.worker.index_refresh"]
+        assert refreshes
+        inner = [r for r in records if r["name"].endswith(".refresh")]
+        assert {r["name"] for r in inner} == {"columnar.refresh"}
+        # One refresh per stale fragment per tick, each under its wrapper.
+        assert sorted(r["parent_id"] for r in inner) == sorted(
+            r["span_id"] for r in refreshes
+        )
 
 
 # ----------------------------------------------------------------------

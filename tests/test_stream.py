@@ -2,9 +2,9 @@
 
 Covers the update-ingestion layer (``Graph.batch_update`` single-tick
 semantics, net-delta recording, the one-tick ``remove_node`` fix), the
-delta-maintenance layer (``FragmentIndex.apply_delta`` /
-``MatchStore.repair``), ``StaleIndexError`` behaviour under an open batch,
-and the :class:`~repro.stream.StreamingIdentifier` lifecycle.  The seeded
+delta-maintenance layer (``ColumnarFragment.apply_delta`` /
+``MatchStore.repair``), the resident structure's refusal to refresh under an
+open batch, and the :class:`~repro.stream.StreamingIdentifier` lifecycle.  The seeded
 equivalence sweeps live in ``tests/test_stream_equivalence.py``.
 """
 
@@ -13,8 +13,8 @@ from __future__ import annotations
 import pytest
 
 from repro.datasets import generate_gpars, most_frequent_predicates, synthetic_graph
-from repro.exceptions import GraphError, StaleIndexError, StreamError
-from repro.graph import FragmentIndex, Graph, registered_index
+from repro.exceptions import GraphError, StreamError
+from repro.graph import ColumnarFragment, Graph, registered_columnar
 from repro.identification.eip import EIPConfig
 from repro.graph.graph import GraphDelta
 from repro.matching import DeltaMatcher, MatchStore, VF2Matcher
@@ -210,24 +210,9 @@ class TestUpdateBatchValues:
 
 
 class TestIndexUnderBatches:
-    def test_raise_mode_raises_inside_open_batch(self):
-        g = toy_graph()
-        index = FragmentIndex(g, mode="raise")
-        with pytest.raises(StaleIndexError):
-            with g.batch_update() as tx:
-                tx.add_node("dave", "cust")
-                index.nodes_with_label("cust")
-
-    def test_raise_mode_raises_after_batch(self):
-        g = toy_graph()
-        index = FragmentIndex(g, mode="raise")
-        UpdateBatch.of(UpdateOp.add_node("dave", "cust")).apply(g)
-        with pytest.raises(StaleIndexError):
-            index.nodes_with_label("cust")
-
     def test_refresh_mode_refuses_half_applied_state(self):
         g = toy_graph()
-        index = FragmentIndex(g)
+        index = ColumnarFragment(g)
         with pytest.raises(GraphError):
             with g.batch_update() as tx:
                 tx.add_node("dave", "cust")
@@ -237,15 +222,15 @@ class TestIndexUnderBatches:
 
     def test_probe_before_any_mutation_inside_batch_is_safe(self):
         g = toy_graph()
-        index = FragmentIndex(g)
+        index = ColumnarFragment(g)
         with g.batch_update():
             assert "alice" in index.nodes_with_label("cust")
 
     def test_refresh_patches_instead_of_rebuilding(self):
         g = synthetic_graph(80, 240, num_node_labels=4, num_edge_labels=3, seed=0)
-        index = FragmentIndex(g)
+        index = ColumnarFragment(g)
         for node in sorted(g.nodes(), key=str)[:20]:
-            index.sketch(node)
+            index.sketch(node, 2)
         UpdateBatch.of(
             UpdateOp.add_node("fresh", "L0"),
             UpdateOp.add_edge("fresh", sorted(g.nodes(), key=str)[0], "e0"),
@@ -257,7 +242,7 @@ class TestIndexUnderBatches:
 
     def test_apply_delta_rejects_wrong_base(self):
         g = toy_graph()
-        index = FragmentIndex(g)
+        index = ColumnarFragment(g)
         g.add_node("d1", "cust")
         g.add_node("d2", "cust")
         deltas = g.deltas_since(index.built_version)
@@ -268,7 +253,7 @@ class TestIndexUnderBatches:
 
     def test_big_delta_falls_back_to_rebuild(self):
         g = synthetic_graph(40, 120, num_node_labels=4, num_edge_labels=3, seed=1)
-        index = FragmentIndex(g)
+        index = ColumnarFragment(g)
         with g.batch_update() as tx:
             for node in sorted(g.nodes(), key=str)[:30]:
                 tx.relabel_node(node, "L0")
@@ -440,7 +425,7 @@ class TestStreamingIdentifierLifecycle:
             graph, rules, config=EIPConfig(eta=0.5, num_workers=2)
         ) as identifier:
             fragment_graphs = [fragment.graph for fragment in identifier.fragments]
-            indexes = [registered_index(g) for g in fragment_graphs]
+            indexes = [registered_columnar(g) for g in fragment_graphs]
             assert all(index is not None for index in indexes)
             builds_before = [index.statistics.builds for index in indexes]
             identifier.apply(random_update_batch(graph, size=5, seed=7))

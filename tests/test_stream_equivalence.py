@@ -3,7 +3,7 @@
 The acceptance gate of the streaming subsystem: across 50 seeded
 (graph, update-batch) pairs,
 
-* a delta-patched :class:`~repro.graph.index.FragmentIndex` is
+* a delta-patched :class:`~repro.graph.columnar.ColumnarFragment` is
   **byte-identical** to a freshly built one — layer contents and sketches —
   and VF2 / guided / dual-simulation matchers probing it produce the same
   match sets either way;
@@ -22,7 +22,7 @@ from __future__ import annotations
 import pytest
 
 from repro.datasets import generate_gpars, most_frequent_predicates, synthetic_graph
-from repro.graph import FragmentIndex, graph_index
+from repro.graph import ColumnarFragment, columnar_view
 from repro.identification import identify_entities
 from repro.identification.eip import EIPConfig
 from repro.matching import (
@@ -85,10 +85,10 @@ def test_patched_index_is_byte_identical_to_fresh_build(seed):
         num_edge_labels=3,
         seed=seed,
     )
-    index = FragmentIndex(graph)
+    index = ColumnarFragment(graph)
     nodes = sorted(graph.nodes(), key=str)
     for node in nodes[: len(nodes) // 3]:
-        index.sketch(node)
+        index.sketch(node, 2)
         for label in sorted(graph.edge_labels()):
             index.out_neighbors(node, label)
             index.in_neighbors(node, label)
@@ -97,12 +97,12 @@ def test_patched_index_is_byte_identical_to_fresh_build(seed):
     graph.add_node(f"solo-{seed}", sorted(graph.node_labels())[0])
     index.refresh()
     assert index.statistics.builds == 1, "refresh must patch, not rebuild"
-    fresh = FragmentIndex(graph)
-    assert index._labels == fresh._labels
-    assert index._nodes_by_label == fresh._nodes_by_label
-    assert index._profiles == fresh._profiles
+    fresh = ColumnarFragment(graph)
+    assert index._buckets == fresh._buckets
     for node in sorted(graph.nodes(), key=str):
-        assert index.sketch(node) == fresh.sketch(node)
+        assert index.node_label(node) == fresh.node_label(node)
+        assert index.profile(node) == fresh.profile(node)
+        assert index.sketch(node, 2) == fresh.sketch(node, 2)
         for label in sorted(graph.edge_labels()):
             assert index.out_neighbors(node, label) == fresh.out_neighbors(node, label)
             assert index.in_neighbors(node, label) == fresh.in_neighbors(node, label)
@@ -115,7 +115,7 @@ def test_matchers_agree_on_patched_index(seed, kind):
     graph = _workload_graph(seed)
     predicate = most_frequent_predicates(graph, top=1)[0]
     rules = generate_gpars(graph, predicate, count=2, max_pattern_edges=3, d=2, seed=seed)
-    graph_index(graph)  # build + register the resident index
+    columnar_view(graph)  # compile + register the resident structure
     matcher = _matcher(kind)
     for rule in rules:  # warm the resident index with real traffic
         matcher.match_set(graph, rule.pr_pattern())
@@ -568,7 +568,7 @@ def test_dmine_on_repaired_state_equals_pristine(backend):
     """
     graph = synthetic_graph(150, 450, num_node_labels=6, num_edge_labels=4, seed=4)
     predicate = most_frequent_predicates(graph, top=1)[0]
-    graph_index(graph)  # resident index that the updates will delta-patch
+    columnar_view(graph)  # resident structure that the updates will delta-patch
     store = MatchStore(graph)
     delta_matcher = DeltaMatcher(graph, VF2Matcher(), store)
     rules = generate_gpars(graph, predicate, count=2, max_pattern_edges=2, d=2, seed=4)
@@ -578,7 +578,7 @@ def test_dmine_on_repaired_state_equals_pristine(backend):
             pattern, sorted(graph.nodes_with_label(pattern.label(pattern.x)), key=str)
         )
     _apply_batches(graph, seed=5, count=2)
-    graph_index(graph).refresh()  # delta path
+    columnar_view(graph).refresh()  # delta path
     store.repair(VF2Matcher())
     config = DMineConfig(
         k=3,

@@ -9,24 +9,33 @@ single facade both the CLI and the HTTP service (:mod:`repro.serve`) consume:
 * :func:`mine` / :func:`identify` — one-shot runs from **explicit** config
   objects (:class:`~repro.mining.DMineConfig`,
   :class:`~repro.identification.eip.EIPConfig`);
-* :func:`open_session` — a resident :class:`Session` wrapping a
-  ``StreamingIdentifier`` with the concurrency contract a serving layer
-  needs:
+* :func:`open_shared_core` — a resident :class:`SharedSessionCore` over one
+  graph (a :class:`~repro.stream.MultiTenantIdentifier` underneath) that
+  admits any number of rule sets Σ as tenant :class:`Session` objects;
+  :func:`open_session` is the k = 1 convenience (a private core with one
+  tenant).  There is one session shape, with the concurrency contract a
+  serving layer needs:
 
-  - **updates serialize** — :meth:`Session.apply` queues writers on a lock
-    (and the identifier itself rejects true re-entrancy with
+  - **updates serialize** — :meth:`SharedSessionCore.apply` (and
+    :meth:`Session.apply`, its shorthand) queues writers on the core's
+    write lock, ticks the graph once and publishes to every member (the
+    identifier itself rejects true re-entrancy with
     :class:`~repro.exceptions.StreamError`);
   - **reads never block** — :meth:`Session.answer` pages over immutable
-    snapshots pinned to the ``Graph.version`` they were assembled at, so a
-    reader paginating while a batch applies sees one consistent version
-    throughout, never the identifier's in-flight state;
+    snapshots pinned to the ``Graph.version`` they were assembled at, and
+    ``Session.rules`` is a stored tuple, so a reader paginating (or a
+    status request) while a batch applies sees one consistent version
+    throughout and never waits on the tick;
   - **answers are a feed** — every tick's :class:`SessionDelta` (per-rule
     entities that entered/left the match set, plus the identified-set
     delta) is retained in a bounded history that :meth:`Session.deltas`
-    and the server's subscription endpoint replay.
+    and the server's subscription endpoint replay;
+  - **cores are durable** — :meth:`SharedSessionCore.save_state` checkpoints
+    the core with its tenant table and :func:`restore_core` resumes it
+    (docs/lifecycle.md).
 
 The snapshot/delta histories hold references to the immutable per-tick
-``EIPResult`` objects (``_assemble`` builds a fresh one per tick), so
+``EIPResult`` objects (each projection assembles a fresh one per tick), so
 retention costs the answer sets, not graph copies.
 """
 
@@ -34,7 +43,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Hashable, Mapping, Sequence
 
@@ -46,8 +55,8 @@ from repro.mining.dmine import DMine, DMineResult
 from repro.pattern.gpar import GPAR
 from repro.pattern.pattern import Pattern
 from repro.stream.config import StreamConfig
-from repro.stream.identifier import StreamingIdentifier, StreamUpdateReport
-from repro.stream.multitenant import MultiTenantIdentifier, TenantAdmission
+from repro.stream.identifier import StreamUpdateReport
+from repro.stream.multitenant import MultiTenantIdentifier
 from repro.stream.updates import UpdateBatch
 
 NodeId = Hashable
@@ -63,11 +72,15 @@ __all__ = [
     "open_session",
     "open_shared_core",
     "parse_predicate",
+    "restore_core",
 ]
 
 #: How many (snapshot, delta) ticks a session retains for paginating readers
 #: and catching-up subscribers before evicting the oldest.
 SESSION_HISTORY_LIMIT = 64
+
+#: Tenant name of a session opened through :func:`open_session` without one.
+DEFAULT_TENANT = "default"
 
 
 class SnapshotExpired(StreamError):
@@ -237,50 +250,52 @@ def diff_results(before: EIPResult, after: EIPResult, base_version: int, version
 
 
 class Session:
-    """A resident EIP answer with serving semantics.
+    """One tenant's resident EIP answer on a :class:`SharedSessionCore`.
 
-    Wraps a running :class:`~repro.stream.StreamingIdentifier` and layers
-    the reader/writer contract on top (see the module docstring).  Obtain
-    one through :func:`open_session`; use as a context manager or call
-    :meth:`close`.
+    Every session is a tenant of a core (a solo session is the only tenant
+    of a private one, see :func:`open_session`).  The session owns the
+    *read* side — its immutable ``rules``, the bounded snapshot/delta
+    histories, pagination and the long-poll primitive — and reads each
+    tick's answer from ``core.multi.result_for(tenant)``; the write side
+    (:meth:`apply`, :meth:`close`) is the core's, so nothing a reader
+    touches ever waits on a tick.  Obtain one through :func:`open_session`
+    or :meth:`SharedSessionCore.open_session`; use as a context manager or
+    call :meth:`close`.
     """
 
     def __init__(
         self,
-        identifier: StreamingIdentifier,
+        core: "SharedSessionCore",
+        tenant: str,
         history_limit: int = SESSION_HISTORY_LIMIT,
-        tenant: str | None = None,
-        core: "SharedSessionCore | None" = None,
     ) -> None:
         if history_limit < 1:
             raise StreamError(f"history_limit must be >= 1, got {history_limit}")
-        self._identifier = identifier
-        self._history_limit = history_limit
-        self.tenant = tenant
         self._core = core
-        self._write_lock = threading.Lock()  # serializes apply()
+        self.tenant = tenant
+        #: What admitting this tenant cost (:class:`~repro.stream.TenantAdmission`).
+        self.admission = core.multi.admission_for(tenant)
+        #: This tenant's Σ — a stored tuple, so reading it never takes a lock.
+        self.rules: tuple[GPAR, ...] = self.admission.rules
+        #: Pinned for the core's lifetime (admissions never widen the balls).
+        self.max_radius = core.multi.identifier.max_radius
+        self._history_limit = history_limit
         self._state_lock = threading.Lock()  # guards the histories (briefly)
         self._tick_condition = threading.Condition(self._state_lock)
         self._snapshots: OrderedDict[int, SessionSnapshot] = OrderedDict()
         self._deltas: OrderedDict[int, SessionDelta] = OrderedDict()
-        version = identifier.graph.version
-        self._snapshots[version] = SessionSnapshot(version, identifier.result)
+        version = core.graph.version
+        self._snapshots[version] = SessionSnapshot(
+            version, core.multi.result_for(tenant)
+        )
 
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
     @property
-    def identifier(self) -> StreamingIdentifier:
-        """The underlying identifier (advanced use; do not mutate its graph)."""
-        return self._identifier
-
-    @property
-    def rules(self) -> tuple[GPAR, ...]:
-        return self._identifier.rules
-
-    @property
-    def max_radius(self) -> int:
-        return self._identifier.max_radius
+    def core(self) -> "SharedSessionCore":
+        """The core this session is a tenant of (owns writes and durability)."""
+        return self._core
 
     @property
     def graph_version(self) -> int:
@@ -342,44 +357,29 @@ class Session:
         return page, pinned.version
 
     # ------------------------------------------------------------------
-    # writes: serialized update ticks
+    # writes: the core's
     # ------------------------------------------------------------------
     def apply(self, batch: UpdateBatch) -> tuple[StreamUpdateReport, SessionDelta]:
-        """Apply one update batch as a tick; returns (report, answer delta).
+        """Apply one update batch as a tick; returns (report, this session's delta).
 
-        Writers queue on the session's write lock — concurrent callers
-        serialize rather than error (the identifier's own re-entrancy guard
-        only trips when it is driven *around* the session).  Readers are
-        never blocked: the new snapshot and delta publish atomically after
-        the repair finishes.
-
-        A tenant session on a :class:`SharedSessionCore` routes through the
-        core: the batch ticks the shared graph **once** and every sibling
-        tenant's session publishes its own projected delta.
+        Shorthand for ``core.apply(batch, origin=self)``: the batch ticks
+        the core's graph **once**, every member session publishes its own
+        projected delta, and concurrent writers queue on the core's write
+        lock.  Raises :class:`StreamError` — touching nothing — once this
+        session is closed.
         """
-        if self._core is not None:
-            return self._core.apply(batch, origin=self)
-        with self._write_lock:
-            report = self._identifier.apply(batch)
-            return report, self._publish_tick(report)
+        return self._core.apply(batch, origin=self)
 
     def _publish_tick(self, report: StreamUpdateReport) -> SessionDelta:
-        """Assemble and publish the tick the identifier just applied.
+        """Project and publish the tick the core just applied.
 
-        The caller must hold write exclusion (the session's own write lock,
-        or the shared core's when the identifier is shared).
+        The caller holds the core's write lock.
         """
         before = self.snapshot()
-        version = self._identifier.graph.version
-        result = self._identifier.result
-        delta = diff_results(before.result, result, before.version, version)
-        delta = SessionDelta(
-            version=delta.version,
-            base_version=delta.base_version,
-            rule_entered=delta.rule_entered,
-            rule_left=delta.rule_left,
-            identified_entered=delta.identified_entered,
-            identified_left=delta.identified_left,
+        version = self._core.graph.version
+        result = self._core.multi.result_for(self.tenant)
+        delta = replace(
+            diff_results(before.result, result, before.version, version),
             report=report,
         )
         with self._tick_condition:
@@ -433,23 +433,15 @@ class Session:
     # ------------------------------------------------------------------
     def recompute(self) -> EIPResult:
         """From-scratch answer on the current graph (equivalence baseline)."""
-        return self._identifier.recompute()
-
-    def save_state(self, path: Path | str | None = None) -> Path:
-        """Durable checkpoint of the underlying identifier (see its docs)."""
-        with self._write_lock:
-            return self._identifier.save_state(path)
+        return self._core.multi.recompute_for(self.tenant)
 
     def close(self) -> None:
-        """Release the identifier's worker pool; snapshots stay readable.
+        """Evict this tenant from its core; retained snapshots stay readable.
 
-        On a shared core this evicts only this session's tenant — sibling
-        tenants (and the verdict state they read) stay live.
+        Sibling tenants (and the verdict state they read) stay live; the
+        last tenant's eviction releases the core's worker pool.
         """
-        if self._core is not None:
-            self._core.close_session(self)
-        else:
-            self._identifier.close()
+        self._core.close_session(self)
 
     def __enter__(self) -> "Session":
         return self
@@ -459,97 +451,18 @@ class Session:
         return False
 
 
-def open_session(
-    graph: Graph,
-    rules: Sequence[GPAR],
-    config: EIPConfig | None = None,
-    algorithm: str = "match",
-    stream_config: StreamConfig | None = None,
-    history_limit: int = SESSION_HISTORY_LIMIT,
-    tenant: str | None = None,
-) -> Session:
-    """Start a resident streaming session over *graph* and Σ.
-
-    Owns config construction: callers hand in explicit
-    :class:`EIPConfig` / :class:`StreamConfig` objects (or take the
-    defaults).  ``tenant`` is a display identity only here; sessions that
-    *share* one resident core go through :func:`open_shared_core` instead.
-    """
-    identifier = StreamingIdentifier(
-        graph,
-        rules,
-        config=config if config is not None else EIPConfig(),
-        algorithm=algorithm,
-        stream_config=stream_config,
-    )
-    return Session(identifier, history_limit=history_limit, tenant=tenant)
-
-
-# ----------------------------------------------------------------------
-# multi-tenant: N sessions over one shared streaming core
-# ----------------------------------------------------------------------
-class _TenantIdentifier:
-    """Per-tenant facade over a shared :class:`MultiTenantIdentifier`.
-
-    Duck-types the :class:`StreamingIdentifier` surface a :class:`Session`
-    reads (graph, rules, radius, result, recompute, manager) while routing
-    every answer through the tenant's projection.  Direct writes are
-    rejected — ticks on a shared core go through
-    :meth:`SharedSessionCore.apply` so every sibling publishes.
-    """
-
-    def __init__(self, multi: MultiTenantIdentifier, tenant: str) -> None:
-        self._multi = multi
-        self.tenant = tenant
-
-    @property
-    def graph(self) -> Graph:
-        return self._multi.graph
-
-    @property
-    def rules(self) -> tuple[GPAR, ...]:
-        return self._multi.rules_for(self.tenant)
-
-    @property
-    def max_radius(self) -> int:
-        return self._multi.identifier.max_radius
-
-    @property
-    def manager(self):
-        return self._multi.identifier.manager
-
-    @property
-    def result(self) -> EIPResult:
-        return self._multi.result_for(self.tenant)
-
-    def recompute(self) -> EIPResult:
-        return self._multi.recompute_for(self.tenant)
-
-    def apply(self, batch: UpdateBatch) -> StreamUpdateReport:
-        raise StreamError(
-            "this session shares a multi-tenant core; apply updates through "
-            "Session.apply (which ticks the shared core once for all tenants)"
-        )
-
-    def save_state(self, path: Path | str | None = None) -> Path:
-        raise StreamError(
-            "checkpointing a shared multi-tenant core is not supported; "
-            "open a dedicated session to save durable state"
-        )
-
-    def close(self) -> None:
-        self._multi.evict(self.tenant)
-
-
 class SharedSessionCore:
-    """N tenant :class:`Session` objects over one resident streaming core.
+    """The resident streaming core every :class:`Session` is a tenant of.
 
-    Owns a :class:`~repro.stream.MultiTenantIdentifier` plus one write lock
-    shared by every member: an update batch applied through *any* member
-    session ticks the shared graph once — verifying each touched centre
+    Owns a :class:`~repro.stream.MultiTenantIdentifier` plus the one write
+    lock shared by every member: an update batch applied through *any*
+    member session ticks the graph once — verifying each touched centre
     once per distinct canonical antecedent across all Σ — and then every
     member publishes its own projected snapshot/delta, so each tenant's
-    subscription feed behaves exactly as if it ran a private core.
+    subscription feed behaves exactly as if it ran alone (and with one
+    tenant, it does).  Durability lives here too: :meth:`save_state`
+    checkpoints the core with its tenant table, :func:`restore_core`
+    resumes it.
     """
 
     def __init__(
@@ -560,13 +473,18 @@ class SharedSessionCore:
         stream_config: StreamConfig | None = None,
         radius_floor: int = 0,
     ) -> None:
-        self._multi = MultiTenantIdentifier(
-            graph,
-            config=config,
-            algorithm=algorithm,
-            stream_config=stream_config,
-            radius_floor=radius_floor,
+        self._adopt(
+            MultiTenantIdentifier(
+                graph,
+                config=config,
+                algorithm=algorithm,
+                stream_config=stream_config,
+                radius_floor=radius_floor,
+            )
         )
+
+    def _adopt(self, multi: MultiTenantIdentifier) -> None:
+        self._multi = multi
         self._write_lock = threading.Lock()
         self._sessions: dict[str, Session] = {}
 
@@ -579,13 +497,14 @@ class SharedSessionCore:
         return self._multi.graph
 
     @property
-    def tenants(self) -> tuple[str, ...]:
+    def sessions(self) -> dict[str, Session]:
+        """The live member sessions by tenant name, in admission order."""
         with self._write_lock:
-            return tuple(self._sessions)
+            return dict(self._sessions)
 
-    def __len__(self) -> int:
-        with self._write_lock:
-            return len(self._sessions)
+    @property
+    def tenants(self) -> tuple[str, ...]:
+        return tuple(self.sessions)
 
     def open_session(
         self,
@@ -600,29 +519,27 @@ class SharedSessionCore:
         marginal cost they paid.
         """
         with self._write_lock:
-            admission = self._multi.admit(tenant, tuple(rules))
-            session = Session(
-                _TenantIdentifier(self._multi, tenant),
-                history_limit=history_limit,
-                tenant=tenant,
-                core=self,
-            )
-            session.admission = admission
+            self._multi.admit(tenant, tuple(rules))
+            session = Session(self, tenant, history_limit)
             self._sessions[tenant] = session
             return session
-
-    def admission_for(self, tenant: str) -> TenantAdmission:
-        return self._multi.admission_for(tenant)
 
     def apply(
         self, batch: UpdateBatch, origin: Session | None = None
     ) -> tuple[StreamUpdateReport, SessionDelta | dict[str, SessionDelta]]:
-        """Tick the shared core once; publish a delta to **every** member.
+        """Tick the core once; publish a delta to **every** member.
 
         Returns ``(report, origin's delta)`` when called through a member
-        session, or ``(report, {tenant: delta})`` when driven directly.
+        session, or ``(report, {tenant: delta})`` when driven directly.  An
+        *origin* that is no longer a member (closed) is refused with
+        :class:`StreamError` before the graph is touched.
         """
         with self._write_lock:
+            if origin is not None and self._sessions.get(origin.tenant) is not origin:
+                raise StreamError(
+                    f"session {origin.tenant!r} is closed; it can no longer "
+                    "apply updates to its core"
+                )
             report = self._multi.apply(batch)
             deltas = {
                 tenant: session._publish_tick(report)
@@ -632,16 +549,24 @@ class SharedSessionCore:
             return report, deltas[origin.tenant]
         return report, deltas
 
+    def save_state(self, path: Path | str | None = None) -> Path:
+        """Durable checkpoint of the core and its tenant table.
+
+        See :meth:`repro.stream.MultiTenantIdentifier.save_state`; resume
+        with :func:`restore_core`.
+        """
+        with self._write_lock:
+            return self._multi.save_state(path)
+
     def close_session(self, session: Session) -> None:
         """Evict one tenant; sibling tenants' sessions stay live."""
         with self._write_lock:
-            tenant = session.tenant
-            if tenant is not None and self._sessions.get(tenant) is session:
-                del self._sessions[tenant]
-                self._multi.evict(tenant)
+            if self._sessions.get(session.tenant) is session:
+                del self._sessions[session.tenant]
+                self._multi.evict(session.tenant)
 
     def close(self) -> None:
-        """Evict every tenant and release the shared core."""
+        """Evict every tenant and release the core."""
         with self._write_lock:
             self._sessions.clear()
         self._multi.close()
@@ -661,9 +586,8 @@ def open_shared_core(
     stream_config: StreamConfig | None = None,
     radius_floor: int = 0,
 ) -> SharedSessionCore:
-    """Start a shared multi-tenant core over *graph*; admit Σ per tenant.
+    """Start a resident core over *graph*; admit Σ per tenant.
 
-    The multi-tenant counterpart of :func:`open_session`:
     ``core.open_session(tenant, rules)`` admits each tenant's Σ, sharing
     verification across tenants by canonical antecedent
     (docs/multitenant.md).
@@ -675,3 +599,45 @@ def open_shared_core(
         stream_config=stream_config,
         radius_floor=radius_floor,
     )
+
+
+def open_session(
+    graph: Graph,
+    rules: Sequence[GPAR],
+    config: EIPConfig | None = None,
+    algorithm: str = "match",
+    stream_config: StreamConfig | None = None,
+    history_limit: int = SESSION_HISTORY_LIMIT,
+    tenant: str | None = None,
+) -> Session:
+    """Start a resident streaming session over *graph* and Σ.
+
+    The k = 1 case of :func:`open_shared_core`: a private core with this
+    session as its only tenant, so closing the session releases the core.
+    Reach the core (``save_state``, further tenants) as ``session.core``.
+    """
+    core = SharedSessionCore(graph, config, algorithm, stream_config)
+    return core.open_session(
+        tenant if tenant is not None else DEFAULT_TENANT, rules, history_limit
+    )
+
+
+def restore_core(
+    path: Path | str,
+    backend: str | None = None,
+    executor_workers: int | None = None,
+    history_limit: int = SESSION_HISTORY_LIMIT,
+) -> SharedSessionCore:
+    """Resume a core checkpointed by :meth:`SharedSessionCore.save_state`.
+
+    Every saved tenant is back as a member session (``core.sessions``)
+    whose answer is byte-identical to the one checkpointed — no
+    verification runs — with a fresh history starting at the saved graph
+    version.  ``backend`` / ``executor_workers`` override the saved
+    :class:`EIPConfig`, as in :meth:`repro.stream.StreamingIdentifier.restore`.
+    """
+    core = SharedSessionCore.__new__(SharedSessionCore)
+    core._adopt(MultiTenantIdentifier.restore(path, backend, executor_workers))
+    for tenant in core.multi.tenants:
+        core._sessions[tenant] = Session(core, tenant, history_limit)
+    return core

@@ -706,93 +706,92 @@ def run_lifecycle_roundtrip(
     algorithm: str = "match",
     seed: int = 0,
 ) -> list[StreamRow]:
-    """Checkpoint/restart round-trip gate, per backend.
+    """Checkpoint/restart round-trip gate, per backend, through the session path.
 
-    For every backend: maintain a :class:`~repro.stream.StreamingIdentifier`
-    across the sampled sequence, ``save_state`` it, ``restore`` onto the
-    same backend, and require (a) the restored answer byte-identical to the
-    checkpointed one and (b) one further batch applied post-restart
-    byte-identical to a from-scratch recompute.  A maintained
-    :class:`~repro.stream.MaintainedMatchView` round-trips alongside (graph
-    pickled, view re-materialised, match sets compared).  Raises
-    ``AssertionError`` on any divergence.
+    For every backend: open an :func:`repro.api.open_session` session (what
+    ``repro stream`` and the HTTP service run), tick it across the sampled
+    sequence, ``session.core.save_state`` it, :func:`repro.api.restore_core`
+    onto the same backend, and require (a) every tenant's restored answer
+    byte-identical to the checkpointed one and (b) one further batch applied
+    post-restart byte-identical to a from-scratch recompute.  One more leg
+    on ``backends[0]`` round-trips a core with two overlapping tenants.  A
+    maintained :class:`~repro.stream.MaintainedMatchView` round-trips
+    alongside (graph pickled, view re-materialised, match sets compared).
+    Raises ``AssertionError`` on any divergence.
     """
     import pickle
     import tempfile
     from pathlib import Path
 
+    from repro import api
     from repro.matching import VF2Matcher
-    from repro.stream import MaintainedMatchView, StreamingIdentifier
+    from repro.stream import MaintainedMatchView
 
     batches = sample_update_batches(graph, num_batches + 1, batch_size, seed=seed)
+    legs = [(backend, {"solo": rules}) for backend in backends]
+    if len(rules) > 1:
+        legs.append((backends[0], {"first": rules[:-1], "second": rules[1:]}))
     rows: list[StreamRow] = []
-    for backend in backends:
-        stream_graph = graph.copy()
+
+    def fingerprints(core) -> dict[str, str]:
+        return {
+            tenant: _eip_result_fingerprint(session.result)
+            for tenant, session in core.sessions.items()
+        }
+
+    def row(core, backend, mode, started, applied) -> StreamRow:
+        shown = fingerprints(core)
+        tag = mode if len(shown) == 1 else f"{mode}[{len(shown)} tenants]"
+        return StreamRow(
+            dataset=dataset,
+            algorithm=algorithm,
+            parameter="backend",
+            value=backend,
+            mode=tag,
+            wall_time=time.perf_counter() - started,
+            batches=applied,
+            rechecked=0,
+            identified=sum(
+                len(session.result.identified) for session in core.sessions.values()
+            ),
+            backend=backend,
+            fingerprint="+".join(shown.values()),
+        )
+
+    for backend, tenants in legs:
+        config = EIPConfig(
+            eta=eta,
+            num_workers=num_workers,
+            backend=backend,
+            executor_workers=executor_workers,
+        )
         started = time.perf_counter()
         with tempfile.TemporaryDirectory() as scratch:
-            with StreamingIdentifier(
-                stream_graph,
-                rules,
-                config=EIPConfig(
-                    eta=eta,
-                    num_workers=num_workers,
-                    backend=backend,
-                    executor_workers=executor_workers,
-                ),
-                algorithm=algorithm,
-            ) as identifier:
+            with api.open_shared_core(graph.copy(), config, algorithm) as core:
+                for tenant, tenant_rules in tenants.items():
+                    core.open_session(tenant, tenant_rules)
                 for batch in batches[:num_batches]:
-                    identifier.apply(batch)
-                checkpointed = _eip_result_fingerprint(identifier.result)
-                identified = len(identifier.result.identified)
-                state_path = identifier.save_state(Path(scratch) / "state.pkl")
-            rows.append(
-                StreamRow(
-                    dataset=dataset,
-                    algorithm=algorithm,
-                    parameter="backend",
-                    value=backend,
-                    mode="checkpointed",
-                    wall_time=time.perf_counter() - started,
-                    batches=num_batches,
-                    rechecked=0,
-                    identified=identified,
-                    backend=backend,
-                    fingerprint=checkpointed,
-                )
-            )
+                    core.apply(batch)
+                checkpointed = fingerprints(core)
+                state_path = core.save_state(Path(scratch) / "state.pkl")
+                rows.append(row(core, backend, "checkpointed", started, num_batches))
             started = time.perf_counter()
-            with StreamingIdentifier.restore(state_path, backend=backend) as restored:
-                restored_fingerprint = _eip_result_fingerprint(restored.result)
-                if restored_fingerprint != checkpointed:
+            with api.restore_core(state_path, backend=backend) as restored:
+                if fingerprints(restored) != checkpointed:
                     raise AssertionError(
                         f"lifecycle restore diverged on {backend}: "
-                        f"{restored_fingerprint} != {checkpointed}"
+                        f"{fingerprints(restored)} != {checkpointed}"
                     )
+                rows.append(row(restored, backend, "restored", started, 1))
                 restored.apply(batches[num_batches])
-                continued = _eip_result_fingerprint(restored.result)
-                fresh = _eip_result_fingerprint(restored.recompute())
-                if continued != fresh:
-                    raise AssertionError(
-                        f"post-restart apply diverged on {backend}: "
-                        f"{continued} != {fresh}"
-                    )
-                identified = len(restored.result.identified)
-            rows.append(
-                StreamRow(
-                    dataset=dataset,
-                    algorithm=algorithm,
-                    parameter="backend",
-                    value=backend,
-                    mode="restored",
-                    wall_time=time.perf_counter() - started,
-                    batches=1,
-                    rechecked=0,
-                    identified=identified,
-                    backend=backend,
-                    fingerprint=restored_fingerprint,
-                )
-            )
+                for tenant, session in restored.sessions.items():
+                    continued = _eip_result_fingerprint(session.result)
+                    fresh = _eip_result_fingerprint(session.recompute())
+                    if continued != fresh:
+                        raise AssertionError(
+                            f"post-restart apply diverged on {backend} "
+                            f"(tenant {tenant}): {continued} != {fresh}"
+                        )
 
     # Maintained match sets round-trip.  Embedding streams hold suspended
     # generators and cannot cross a pickle boundary, so a view restarts by

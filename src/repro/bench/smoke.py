@@ -34,9 +34,10 @@ maintenance run recording resident fragment size per batch
 (``BENCH_stream_churn.json``), gated on bounded residency (shedding and
 log compaction must keep pace — see ``docs/lifecycle.md``).
 
-The ``lifecycle`` family is the checkpoint→restart gate: per backend, a
-maintained run is ``save_state``d, ``restore``d and required byte-identical
-before and after, including one further batch against a fresh recompute.
+The ``lifecycle`` family is the checkpoint→restart gate: per backend, an
+``api.open_session`` session is ``core.save_state``d, ``api.restore_core``d
+and required byte-identical before and after, including one further batch
+against a fresh recompute; one leg round-trips a two-tenant core.
 
 The ``serve`` family is the serving-contract gate of :mod:`repro.serve`:
 a loopback HTTP server hosts one session on the dense workload while 8

@@ -204,7 +204,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
                 line += f" [recompute {recompute_wall:.3f}s cumulative, identical]"
             print(line)
         if args.save_state is not None:
-            saved = session.save_state(args.save_state)
+            saved = session.core.save_state(args.save_state)
             print(f"saved stream state to {saved}")
         result = session.result
     print(result.summary())
@@ -386,8 +386,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=Path,
         default=None,
         dest="save_state",
-        help="after the last batch, write a durable stream-state pickle "
-        "that StreamingIdentifier.restore() can resume from",
+        help="after the last batch, write a durable core checkpoint that "
+        "repro.api.restore_core() (or StreamingIdentifier.restore()) resumes",
     )
     _add_backend_arguments(stream)
     stream.set_defaults(handler=_cmd_stream)

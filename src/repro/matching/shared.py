@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
+from typing import Mapping
 
 from repro.exceptions import ReproError
 from repro.matching.multi import MultiPatternMatcher
@@ -100,11 +101,20 @@ class SharedPatternPool:
     resident Σ; ``release`` retires a tenant and reports which
     representatives became unowned (their match state can be dropped from
     the shared core).  All methods are thread-safe.
+
+    ``representatives`` seeds the key → representative map (still
+    ownerless) before any registration: a pool rebuilt from a checkpoint
+    re-registers its tenants against the representatives the saved verdict
+    state is keyed by, whichever tenant — possibly evicted since —
+    introduced them.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, representatives: Mapping[str, GPAR] | None = None) -> None:
         self._lock = threading.Lock()
-        self._keys: dict[str, _KeyState] = {}
+        self._keys: dict[str, _KeyState] = {
+            key: _KeyState(representative=rule)
+            for key, rule in (representatives or {}).items()
+        }
         self._tenants: dict[str, dict[GPAR, str]] = {}
         self._prefix_owners: dict[Pattern, set[str]] = {}
         self.statistics = PoolStatistics()
@@ -117,12 +127,10 @@ class SharedPatternPool:
         with self._lock:
             return tuple(self._tenants)
 
-    def representative(self, key: str) -> GPAR:
+    def representatives(self) -> dict[str, GPAR]:
+        """The resident key → representative map (what a checkpoint saves)."""
         with self._lock:
-            state = self._keys.get(key)
-            if state is None:
-                raise KeyError(key)
-            return state.representative
+            return {key: state.representative for key, state in self._keys.items()}
 
     def register(self, tenant: str, rules: tuple[GPAR, ...] | list[GPAR]) -> TenantRegistration:
         """Admit *tenant*'s Σ; returns the sharing map for its rules."""

@@ -18,21 +18,22 @@ GET       ``/healthz``                       liveness
 Concurrency model: the event loop only parses/serializes HTTP; every
 blocking operation (session construction, ``apply``, pagination, long-poll
 waits) runs on a thread pool via ``run_in_executor``.  Updates to one
-session serialize on a per-session ``asyncio.Lock`` (and
-:meth:`repro.api.Session.apply` serializes again underneath); reads go
-straight to the session's immutable snapshots and never wait on a writer —
-every response body carries the ``graph_version`` it reflects.
+core serialize on a per-core ``asyncio.Lock`` (and
+:meth:`repro.api.SharedSessionCore.apply` serializes again underneath);
+reads go straight to the session's immutable snapshots and never wait on a
+writer — every response body carries the ``graph_version`` it reflects.
 Connections are persistent (HTTP/1.1 keep-alive, see
 :mod:`repro.serve.http`): one task serves requests off the same socket
 until the client closes, asks for ``Connection: close`` or idles past
 :data:`KEEPALIVE_IDLE_TIMEOUT`.
 
-Multi-tenancy: ``POST /sessions`` bodies naming a ``graph_path`` attach to
-one :class:`repro.api.SharedSessionCore` per distinct (path, predicate,
-config) — the graph loads and partitions once, each tenant's Σ admits
-warm against the resident canonical-antecedent pool, and one update tick
-fans out to every tenant's subscription feed (docs/multitenant.md).
-Sessions created from inline ``graph`` documents stay private.
+Every session is a tenant of one :class:`repro.api.SharedSessionCore`
+(:class:`CoreHandle`).  ``POST /sessions`` bodies naming a ``graph_path``
+attach to the core keyed by their (path, predicate, config) — the graph
+loads and partitions once, each tenant's Σ admits warm against the resident
+canonical-antecedent pool, and one update tick fans out to every tenant's
+subscription feed (docs/multitenant.md).  Inline ``graph`` documents and
+``share: false`` bodies get an anonymous core nobody else can join.
 """
 
 from __future__ import annotations
@@ -112,39 +113,46 @@ def ops_from_json(documents: list) -> UpdateBatch:
 
 
 @dataclass
-class SessionHandle:
-    """One hosted session plus its serving bookkeeping.
+class CoreHandle:
+    """One resident core plus the hosted sessions that are its tenants.
 
-    Tenant sessions on a shared core carry their ``tenant`` name, the
-    ``core_key`` of the :class:`CoreHandle` they attached to, and the
-    :class:`~repro.stream.TenantAdmission` record of what the admission
-    cost; their ``update_lock`` *is* the core's, so ticks and tenant
-    lifecycle serialize across all members.
+    ``key`` pins what tenants of one core must agree on (resident graph,
+    predicate, algorithm, configs) and registers the handle in
+    ``ReproService._cores`` so later ``graph_path`` bodies can join;
+    ``None`` marks an anonymous core (inline graph, ``share: false``) that
+    is never registered and therefore only ever has one member.
     """
+
+    key: str | None
+    core: api.SharedSessionCore | None = None
+    #: Serializes ticks and tenant lifecycle across all members.
+    update_lock: asyncio.Lock = field(default_factory=asyncio.Lock)
+    #: Member session ids (touched only on the event-loop thread).
+    members: set[str] = field(default_factory=set)
+
+
+@dataclass
+class SessionHandle:
+    """One hosted session plus its serving bookkeeping."""
 
     session: api.Session
     name: str
     algorithm: str
-    update_lock: asyncio.Lock = field(default_factory=asyncio.Lock)
+    core: CoreHandle
     batches_applied: int = 0
     #: Long-poll subscribe requests currently waiting on this session
     #: (touched only on the event-loop thread, like the registry itself).
     subscribers: int = 0
-    tenant: str | None = None
-    core_key: str | None = None
-    admission: object | None = None
 
     def resident_nodes(self) -> int:
-        """Total nodes resident across the session's fragments."""
-        return self.session.identifier.manager.resident_summary()["resident_nodes"]
-
-    def oldest_retained_version(self) -> int:
-        """Oldest snapshot version a paginating/late subscriber can still read."""
-        return self.session.oldest_retained_version
+        """Total nodes resident across the core's fragments."""
+        manager = self.session.core.multi.identifier.manager
+        return manager.resident_summary()["resident_nodes"]
 
     def info(self, session_id: str) -> dict:
         result = self.session.result
-        document = {
+        admission = self.session.admission
+        return {
             "session": session_id,
             "graph": self.name,
             "algorithm": self.algorithm,
@@ -153,30 +161,40 @@ class SessionHandle:
             "identified": len(result.identified),
             "accepted_rules": len(result.accepted_rules),
             "batches_applied": self.batches_applied,
-            "tenant": self.tenant,
-            "shared_core": self.core_key is not None,
+            "tenant": self.session.tenant,
+            "shared_core": self.core.key is not None,
+            "admission": {
+                "cold_start": admission.cold_start,
+                "novel_rules": admission.novel_rules,
+                "shared_rules": admission.shared_rules,
+                "shared_prefix_hits": admission.shared_prefix_hits,
+                "backfill_centers": admission.backfill_centers,
+            },
         }
-        if self.admission is not None:
-            document["admission"] = {
-                "cold_start": self.admission.cold_start,
-                "novel_rules": self.admission.novel_rules,
-                "shared_rules": self.admission.shared_rules,
-                "shared_prefix_hits": self.admission.shared_prefix_hits,
-                "backfill_centers": self.admission.backfill_centers,
-            }
-        return document
 
 
-@dataclass
-class CoreHandle:
-    """One shared multi-tenant core plus the sessions attached to it."""
-
-    key: str
-    graph_path: str
-    core: api.SharedSessionCore | None = None
-    update_lock: asyncio.Lock = field(default_factory=asyncio.Lock)
-    #: session_id → tenant name (touched only on the event-loop thread).
-    members: dict[str, str] = field(default_factory=dict)
+#: Per-session gauge families re-derived on every scrape:
+#: (name, help, value of one handle, whether the tenant label applies).
+SESSION_GAUGES = (
+    ("repro_session_batches_applied", "Update batches applied to the session",
+     lambda handle: handle.batches_applied, False),
+    ("repro_session_graph_version", "Newest assembled snapshot version",
+     lambda handle: handle.session.graph_version, False),
+    ("repro_session_oldest_retained_version", "Oldest snapshot version still retained",
+     lambda handle: handle.session.oldest_retained_version, False),
+    ("repro_session_resident_nodes", "Nodes resident across the session's fragments",
+     lambda handle: handle.resident_nodes(), False),
+    ("repro_session_subscribers", "Long-poll subscribers currently waiting",
+     lambda handle: handle.subscribers, False),
+    ("repro_tenant_rules", "Rules in the tenant's rule set",
+     lambda handle: len(handle.session.rules), True),
+    ("repro_tenant_session_shared_rules", "Admitted rules served by a resident canonical antecedent",
+     lambda handle: handle.session.admission.shared_rules, True),
+    ("repro_tenant_session_novel_rules", "Admitted rules that required a backfill verification",
+     lambda handle: handle.session.admission.novel_rules, True),
+    ("repro_tenant_session_backfill_centers", "Centres verified during this tenant's admission",
+     lambda handle: handle.session.admission.backfill_centers, True),
+)
 
 
 class ReproService:
@@ -357,7 +375,7 @@ class ReproService:
         oldest: int | None = None
         for handle in list(self._sessions.values()):
             resident += handle.resident_nodes()
-            version = handle.oldest_retained_version()
+            version = handle.session.oldest_retained_version
             oldest = version if oldest is None else min(oldest, version)
         return resident, oldest
 
@@ -385,77 +403,14 @@ class ReproService:
             len(self._cores),
             help="Shared multi-tenant cores currently resident",
         )
-        for name in (
-            "repro_session_batches_applied",
-            "repro_session_graph_version",
-            "repro_session_oldest_retained_version",
-            "repro_session_resident_nodes",
-            "repro_session_subscribers",
-            "repro_tenant_rules",
-            "repro_tenant_session_shared_rules",
-            "repro_tenant_session_novel_rules",
-            "repro_tenant_session_backfill_centers",
-        ):
+        for name, _help, _value, _by_tenant in SESSION_GAUGES:
             metrics.clear(name)
         for session_id, handle in sessions:
-            metrics.set_gauge(
-                "repro_session_batches_applied",
-                handle.batches_applied,
-                help="Update batches applied to the session",
-                session=session_id,
-            )
-            metrics.set_gauge(
-                "repro_session_graph_version",
-                handle.session.graph_version,
-                help="Newest assembled snapshot version",
-                session=session_id,
-            )
-            metrics.set_gauge(
-                "repro_session_oldest_retained_version",
-                handle.oldest_retained_version(),
-                help="Oldest snapshot version still retained",
-                session=session_id,
-            )
-            metrics.set_gauge(
-                "repro_session_resident_nodes",
-                handle.resident_nodes(),
-                help="Nodes resident across the session's fragments",
-                session=session_id,
-            )
-            metrics.set_gauge(
-                "repro_session_subscribers",
-                handle.subscribers,
-                help="Long-poll subscribers currently waiting",
-                session=session_id,
-            )
-            if handle.tenant is not None:
-                metrics.set_gauge(
-                    "repro_tenant_rules",
-                    len(handle.session.rules),
-                    help="Rules in the tenant's rule set",
-                    session=session_id,
-                    tenant=handle.tenant,
-                )
-            if handle.admission is not None:
-                labels = {"session": session_id, "tenant": handle.tenant or ""}
-                metrics.set_gauge(
-                    "repro_tenant_session_shared_rules",
-                    handle.admission.shared_rules,
-                    help="Admitted rules served by a resident canonical antecedent",
-                    **labels,
-                )
-                metrics.set_gauge(
-                    "repro_tenant_session_novel_rules",
-                    handle.admission.novel_rules,
-                    help="Admitted rules that required a backfill verification",
-                    **labels,
-                )
-                metrics.set_gauge(
-                    "repro_tenant_session_backfill_centers",
-                    handle.admission.backfill_centers,
-                    help="Centres verified during this tenant's admission",
-                    **labels,
-                )
+            for name, help_text, value, by_tenant in SESSION_GAUGES:
+                labels = {"session": session_id}
+                if by_tenant:
+                    labels["tenant"] = handle.session.tenant
+                metrics.set_gauge(name, value(handle), help=help_text, **labels)
 
     async def _create_session(self, request: Request) -> Response:
         body = request.json()
@@ -490,72 +445,38 @@ class ReproService:
             )
 
         session_id = f"s{next(self._ids)}"
-        shared = "graph_path" in body and bool(body.get("share", True))
-        if shared:
-            handle = await self._create_shared(
-                session_id, body, algorithm, history_limit, build_config, build_rules
+        tenant = str(body.get("tenant", session_id))
+        # The core key pins everything tenants of one core must agree on —
+        # the resident graph, predicate, algorithm and configs — while the
+        # rule-set parameters stay per-tenant.  Only graph_path bodies are
+        # joinable; everything else gets an anonymous, unregistered core.
+        key = None
+        if "graph_path" in body and bool(body.get("share", True)):
+            key = json.dumps(
+                {
+                    "graph_path": str(body["graph_path"]),
+                    "predicate": body["predicate"],
+                    "algorithm": algorithm,
+                    "eta": float(body.get("eta", 1.0)),
+                    "workers": int(body.get("workers", 4)),
+                    "seed": int(body.get("seed", 0)),
+                    "backend": body.get("backend", "sequential"),
+                    "pool_size": body.get("pool_size"),
+                    "stream": body.get("stream", {}),
+                },
+                sort_keys=True,
             )
-        else:
-
-            def build() -> SessionHandle:
-                if "graph" in body:
-                    graph = graph_from_dict(body["graph"])
-                else:
-                    graph = load_graph_json(body["graph_path"])
-                session = api.open_session(
-                    graph,
-                    build_rules(graph),
-                    config=build_config(),
-                    algorithm=algorithm,
-                    stream_config=StreamConfig(**body.get("stream", {})),
-                    history_limit=history_limit,
-                    tenant=body.get("tenant"),
-                )
-                return SessionHandle(
-                    session=session,
-                    name=graph.name,
-                    algorithm=algorithm,
-                    tenant=session.tenant,
-                )
-
-            handle = await self._offload(build)
-        self._sessions[session_id] = handle
-        return Response(201, handle.info(session_id))
-
-    async def _create_shared(
-        self, session_id, body, algorithm, history_limit, build_config, build_rules
-    ) -> SessionHandle:
-        """Attach one tenant session to the shared core for its graph_path.
-
-        The core key pins everything tenants of one core must agree on —
-        the resident graph, predicate, algorithm and EIPConfig — while the
-        rule-set parameters stay per-tenant.  Core construction and tenant
-        admission serialize on the core's update lock, so admissions never
-        race a tick's graph mutation.
-        """
-        graph_path = str(body["graph_path"])
-        key = json.dumps(
-            {
-                "graph_path": graph_path,
-                "predicate": body["predicate"],
-                "algorithm": algorithm,
-                "eta": float(body.get("eta", 1.0)),
-                "workers": int(body.get("workers", 4)),
-                "seed": int(body.get("seed", 0)),
-                "backend": body.get("backend", "sequential"),
-                "pool_size": body.get("pool_size"),
-                "stream": body.get("stream", {}),
-            },
-            sort_keys=True,
-        )
         core_handle = self._cores.get(key)
         if core_handle is None:
-            core_handle = CoreHandle(key=key, graph_path=graph_path)
-            self._cores[key] = core_handle
-        tenant = str(body.get("tenant", session_id))
+            core_handle = CoreHandle(key)
+            if key is not None:
+                self._cores[key] = core_handle
 
         def build_core() -> api.SharedSessionCore:
-            graph = load_graph_json(graph_path)
+            if "graph" in body:
+                graph = graph_from_dict(body["graph"])
+            else:
+                graph = load_graph_json(body["graph_path"])
             return api.open_shared_core(
                 graph,
                 config=build_config(),
@@ -567,16 +488,10 @@ class ReproService:
             session = core.open_session(
                 tenant, build_rules(core.graph), history_limit=history_limit
             )
-            return SessionHandle(
-                session=session,
-                name=core.graph.name,
-                algorithm=algorithm,
-                update_lock=core_handle.update_lock,
-                tenant=tenant,
-                core_key=key,
-                admission=session.admission,
-            )
+            return SessionHandle(session, core.graph.name, algorithm, core_handle)
 
+        # Core construction and tenant admission serialize on the core's
+        # update lock, so admissions never race a tick's graph mutation.
         async with core_handle.update_lock:
             try:
                 if core_handle.core is None:
@@ -586,8 +501,9 @@ class ReproService:
                 if not core_handle.members:
                     self._cores.pop(key, None)
                 raise
-            core_handle.members[session_id] = tenant
-        return handle
+            core_handle.members.add(session_id)
+            self._sessions[session_id] = handle
+        return Response(201, handle.info(session_id))
 
     async def _list_sessions(self, request: Request) -> Response:
         return Response(
@@ -600,17 +516,15 @@ class ReproService:
 
     async def _delete_session(self, request: Request, session_id: str) -> Response:
         handle = self._handle(session_id)
-        async with handle.update_lock:  # let an in-flight tick finish first
+        core_handle = handle.core
+        async with core_handle.update_lock:  # let an in-flight tick finish first
             del self._sessions[session_id]
-            # On a shared core this evicts only this tenant; sibling
-            # sessions (and the verdict state they read) stay live.
+            core_handle.members.discard(session_id)
+            # Evicts only this tenant; sibling sessions (and the verdict
+            # state they read) stay live, the last one out releases the core.
             await self._offload(handle.session.close)
-            if handle.core_key is not None:
-                core_handle = self._cores.get(handle.core_key)
-                if core_handle is not None:
-                    core_handle.members.pop(session_id, None)
-                    if not core_handle.members:
-                        self._cores.pop(handle.core_key, None)
+            if not core_handle.members:
+                self._cores.pop(core_handle.key, None)
         return Response(200, {"closed": session_id})
 
     async def _answer(self, request: Request, session_id: str) -> Response:
@@ -634,16 +548,11 @@ class ReproService:
         if not isinstance(body, dict) or "ops" not in body:
             raise ProtocolError("POST .../updates expects {'ops': [...]}")
         batch = ops_from_json(body["ops"])
-        async with handle.update_lock:
+        async with handle.core.update_lock:
             report, delta = await self._offload(handle.session.apply, batch)
-            handle.batches_applied += 1
-            if handle.core_key is not None:
-                # One tick advanced every tenant on the shared core.
-                core_handle = self._cores.get(handle.core_key)
-                members = core_handle.members if core_handle is not None else {}
-                for member_id in members:
-                    if member_id != session_id and member_id in self._sessions:
-                        self._sessions[member_id].batches_applied += 1
+            # One tick advanced every tenant of the core.
+            for member_id in handle.core.members:
+                self._sessions[member_id].batches_applied += 1
         return Response(
             200,
             {

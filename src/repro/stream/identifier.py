@@ -44,9 +44,11 @@ routes through the same census; see ``docs/lifecycle.md`` and
 
 from __future__ import annotations
 
+import os
 import pickle
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Hashable, Sequence
@@ -242,6 +244,73 @@ def _stream_verify(
         )
 
 
+# ----------------------------------------------------------------------
+# checkpoint files
+# ----------------------------------------------------------------------
+#: Keys every stream-state checkpoint carries; a shared core's checkpoint
+#: (:meth:`repro.stream.MultiTenantIdentifier.save_state`) is a superset.
+CHECKPOINT_KEYS = frozenset(
+    {
+        "graph",
+        "rules",
+        "config",
+        "stream_config",
+        "algorithm",
+        "manager",
+        "reports",
+        "batches_applied",
+    }
+)
+
+
+def write_checkpoint(path: Path, state: dict) -> Path:
+    """Pickle *state* to *path* so a crash never leaves a torn file there.
+
+    The bytes go to a sibling temp file, are flushed and fsynced, and only
+    then renamed over *path*: a reader sees the previous checkpoint or the
+    complete new one, and a failed dump leaves the previous one untouched.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    scratch = path.with_name(path.name + ".tmp")
+    try:
+        with open(scratch, "wb") as handle:
+            pickle.dump(state, handle)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(scratch, path)
+    except BaseException:
+        scratch.unlink(missing_ok=True)
+        raise
+    return path
+
+
+def read_checkpoint(path: Path | str) -> dict:
+    """Load a checkpoint dict; anything but a complete one is a :class:`StreamError`.
+
+    Unpickling a truncated or foreign file can raise nearly anything
+    (``EOFError``, ``UnpicklingError``, ``AttributeError``, ...); all of it
+    — and a well-formed pickle of the wrong shape or ``format`` — surfaces as
+    one error naming the path, before any state is built from it.
+    """
+    try:
+        with open(path, "rb") as handle:
+            state = pickle.load(handle)
+    except OSError:
+        raise
+    except Exception as exc:
+        raise StreamError(
+            f"stream-state checkpoint {path} is truncated or not a checkpoint "
+            f"({type(exc).__name__}: {exc})"
+        ) from exc
+    if (
+        not isinstance(state, dict)
+        or state.get("format") != 1
+        or not CHECKPOINT_KEYS <= state.keys()
+    ):
+        raise StreamError(f"unsupported stream-state format in {path}")
+    return state
+
+
 class StreamingIdentifier:
     """Maintain ``Σ(x, G, η)`` across graph update batches.
 
@@ -316,23 +385,13 @@ class StreamingIdentifier:
         payloads = [
             self._payload(fragment.index, recheck=None) for fragment in self.fragments
         ]
-        tracer = active()
-        with span("stream.initial_verify", fragments=len(payloads)) as init_span:
-            reports = self.runtime.run_round(stream_update_worker, payloads)
-            if tracer is not None:
-                for shipped in reports:
-                    if shipped.spans:
-                        tracer.adopt(
-                            shipped.spans,
-                            parent_id=init_span.span_id,
-                            prefix=f"t0.w{shipped.fragment_index}.",
-                        )
-                        shipped.spans = []
+        reports = self._run_round(
+            "stream.initial_verify", payloads, "t0", fragments=len(payloads)
+        )
         self._reports: dict[int, _FragmentReport] = {
             report.fragment_index: report for report in reports
         }
         self._graph_version = graph.version
-        self._result = self._assemble()
 
     # ------------------------------------------------------------------
     # construction helpers (shared with restore())
@@ -398,6 +457,7 @@ class StreamingIdentifier:
             if resident is not None:
                 resident.rebuild_fraction = self.stream_config.delta_rebuild_fraction
         self._closed = False
+        self._result: EIPResult | None = None  # assembled on read, see result
         # apply() is not re-entrant: it mutates the authoritative graph, the
         # lifecycle manager and the stored reports in sequence, so a second
         # concurrent call would interleave half-applied ticks.  The guard is
@@ -456,14 +516,61 @@ class StreamingIdentifier:
         result.timings = self.runtime.timings
         return result
 
-    @property
-    def result(self) -> EIPResult:
-        """The maintained EIP answer for the graph's current state."""
+    def check_current(self) -> None:
+        """Raise unless the stored verdicts describe the graph's current state."""
         if self.graph.version != self._graph_version:
             raise StreamError(
                 "the graph was mutated outside StreamingIdentifier.apply(); "
-                "the maintained result no longer describes it"
+                "the maintained state no longer describes it — close this "
+                "identifier and build a fresh one"
             )
+
+    @contextmanager
+    def _writing(self):
+        """Hold the (non-blocking) write guard; check what every write needs."""
+        if not self._apply_guard.acquire(blocking=False):
+            raise StreamError(
+                "another apply()/admit_rules()/retire_rules() is already in "
+                "progress on this StreamingIdentifier; writes must be "
+                "serialized (use repro.api, which queues them)"
+            )
+        try:
+            if self._closed:
+                raise StreamError("this StreamingIdentifier is closed")
+            self.check_current()
+            yield
+        finally:
+            self._apply_guard.release()
+
+    def _run_round(self, name: str, payloads: list, prefix: str, **attrs) -> list:
+        """One BSP round under span *name*; shipped worker spans are adopted
+        beneath it (the prefix keeps ids unique across ticks and fragments)."""
+        tracer = active()
+        with span(name, **attrs) as round_span:
+            reports = self.runtime.run_round(stream_update_worker, payloads)
+            if tracer is not None:
+                for shipped in reports:
+                    if shipped.spans:
+                        tracer.adopt(
+                            shipped.spans,
+                            parent_id=round_span.span_id,
+                            prefix=f"{prefix}.w{shipped.fragment_index}.",
+                        )
+                        shipped.spans = []
+        return reports
+
+    @property
+    def result(self) -> EIPResult:
+        """The maintained EIP answer for the graph's current state.
+
+        Assembled from the stored per-fragment verdicts on first read and
+        memoised until the next write (``apply`` / ``admit_rules`` /
+        ``retire_rules`` drop the memo), so a tick whose union answer nobody
+        reads — every session reads its own projection — never pays for it.
+        """
+        self.check_current()
+        if self._result is None:
+            self._result = self._assemble()
         return self._result
 
     # ------------------------------------------------------------------
@@ -474,26 +581,10 @@ class StreamingIdentifier:
         same identifier) raises :class:`StreamError` instead of interleaving
         ticks.  Serialize writers through :class:`repro.api.Session`.
         """
-        if not self._apply_guard.acquire(blocking=False):
-            raise StreamError(
-                "another apply() is already in progress on this "
-                "StreamingIdentifier; updates must be serialized (use "
-                "repro.api.Session.apply, which queues writers)"
-            )
-        try:
-            with span("stream.tick", tick=self.batches_applied + 1):
-                return self._apply_locked(batch)
-        finally:
-            self._apply_guard.release()
+        with self._writing(), span("stream.tick", tick=self.batches_applied + 1):
+            return self._apply_locked(batch)
 
     def _apply_locked(self, batch: UpdateBatch) -> StreamUpdateReport:
-        if self._closed:
-            raise StreamError("this StreamingIdentifier is closed")
-        if self.graph.version != self._graph_version:
-            raise StreamError(
-                "the graph was mutated outside StreamingIdentifier.apply(); "
-                "close this identifier and build a fresh one"
-            )
         started = time.perf_counter()
         with span("stream.apply_batch") as batch_span:
             delta = batch.apply(self.graph)
@@ -552,23 +643,12 @@ class StreamingIdentifier:
             update = plan.updates[index]
             invalidated[index] = set(update.recheck) | set(update.own_remove)
             payloads.append(self._payload(index, recheck=update.recheck))
-        tracer = active()
-        with span("stream.verify", fragments=len(payloads)) as verify_span:
-            partials = self.runtime.run_round(stream_update_worker, payloads)
-            if tracer is not None:
-                # Re-parent the shipped worker spans under this verify span;
-                # the prefix keeps ids unique across ticks and fragments.
-                for partial in partials:
-                    if partial.spans:
-                        tracer.adopt(
-                            partial.spans,
-                            parent_id=verify_span.span_id,
-                            prefix=(
-                                f"t{self.batches_applied}"
-                                f".w{partial.fragment_index}."
-                            ),
-                        )
-                        partial.spans = []
+        partials = self._run_round(
+            "stream.verify",
+            payloads,
+            f"t{self.batches_applied}",
+            fragments=len(payloads),
+        )
         # Feed the measured per-fragment worker times of this round into the
         # manager's rebalance policy: migrations then weigh owned-ball sizes
         # by observed per-node cost, not node counts alone.  Placement-only —
@@ -600,7 +680,7 @@ class StreamingIdentifier:
             summary = self.manager.resident_summary()
             report.resident_nodes = summary["resident_nodes"]
             report.log_ops = summary["log_ops"]
-            self._result = self._assemble()
+            self._result = None
         report.wall_time = time.perf_counter() - started
         self._record_tick_metrics(report)
         return report
@@ -686,25 +766,10 @@ class StreamingIdentifier:
         Not re-entrant with :meth:`apply`; serialize through the session
         layer like any other write.
         """
-        if not self._apply_guard.acquire(blocking=False):
-            raise StreamError(
-                "another apply()/admit_rules() is already in progress on this "
-                "StreamingIdentifier; writes must be serialized (use "
-                "repro.api, which queues them)"
-            )
-        try:
+        with self._writing():
             return self._admit_locked(new_rules)
-        finally:
-            self._apply_guard.release()
 
     def _admit_locked(self, new_rules: Sequence[GPAR]) -> RuleAdmissionReport:
-        if self._closed:
-            raise StreamError("this StreamingIdentifier is closed")
-        if self.graph.version != self._graph_version:
-            raise StreamError(
-                "the graph was mutated outside StreamingIdentifier.apply(); "
-                "close this identifier and build a fresh one"
-            )
         started = time.perf_counter()
         seen = set(self.rules)
         additions: list[GPAR] = []
@@ -731,18 +796,9 @@ class StreamingIdentifier:
             self._payload(fragment.index, recheck=None, rules=tuple(additions))
             for fragment in self.fragments
         ]
-        tracer = active()
-        with span("stream.admit_rules", rules=len(additions)) as admit_span:
-            partials = self.runtime.run_round(stream_update_worker, payloads)
-            if tracer is not None:
-                for partial in partials:
-                    if partial.spans:
-                        tracer.adopt(
-                            partial.spans,
-                            parent_id=admit_span.span_id,
-                            prefix=f"adm.w{partial.fragment_index}.",
-                        )
-                        partial.spans = []
+        partials = self._run_round(
+            "stream.admit_rules", payloads, "adm", rules=len(additions)
+        )
         for partial in partials:
             stored = self._reports[partial.fragment_index]
             stored.candidates_examined += partial.candidates_examined
@@ -753,7 +809,7 @@ class StreamingIdentifier:
                 stored.antecedent_sets[rule] = partial.antecedent_sets.get(rule, set())
                 stored.rule_matches[rule] = partial.rule_matches.get(rule, set())
             self._recount(stored)
-        self._result = self._assemble()
+        self._result = None
         return RuleAdmissionReport(
             admitted=tuple(additions),
             backfill_centers=sum(
@@ -770,20 +826,7 @@ class StreamingIdentifier:
         roomy).  Retiring every rule is rejected: :meth:`close` the
         identifier instead.  Returns the rules actually removed.
         """
-        if not self._apply_guard.acquire(blocking=False):
-            raise StreamError(
-                "another apply()/admit_rules() is already in progress on this "
-                "StreamingIdentifier; writes must be serialized (use "
-                "repro.api, which queues them)"
-            )
-        try:
-            if self._closed:
-                raise StreamError("this StreamingIdentifier is closed")
-            if self.graph.version != self._graph_version:
-                raise StreamError(
-                    "the graph was mutated outside StreamingIdentifier.apply(); "
-                    "close this identifier and build a fresh one"
-                )
+        with self._writing():
             removal = set(rules)
             removed = tuple(rule for rule in self.rules if rule in removal)
             if not removed:
@@ -804,37 +847,26 @@ class StreamingIdentifier:
                     stored.antecedent_counts.pop(rule, None)
                     stored.qbar_counts.pop(rule, None)
                 self._recount(stored)
-            self._result = self._assemble()
+            self._result = None
             return removed
-        finally:
-            self._apply_guard.release()
 
     # ------------------------------------------------------------------
     # durable state: checkpoint → restart
     # ------------------------------------------------------------------
-    def save_state(self, path: Path | str | None = None) -> Path:
-        """Write a durable, self-contained checkpoint of the computation.
-
-        The pickle holds the authoritative graph, Σ, both configs, the
-        manager's full lifecycle state (ownership, refcounted balls, slice
-        logs, compaction bases — on-disk bases are inlined) and the
-        maintained per-fragment reports.  :meth:`restore` resumes from it
-        with byte-identical answers, on any backend.
-        """
-        if self.graph.version != self._graph_version:
+    def checkpoint_path(self, path: Path | str | None) -> Path:
+        """Where a checkpoint goes: *path*, else ``state_dir/stream-state.pkl``."""
+        if path is not None:
+            return Path(path)
+        if self.stream_config.state_dir is None:
             raise StreamError(
-                "the graph was mutated outside StreamingIdentifier.apply(); "
-                "refusing to checkpoint an inconsistent state"
+                "save_state needs an explicit path or a configured state_dir"
             )
-        if path is None:
-            if self.stream_config.state_dir is None:
-                raise StreamError(
-                    "save_state needs an explicit path or a configured state_dir"
-                )
-            path = Path(self.stream_config.state_dir) / "stream-state.pkl"
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        state = {
+        return Path(self.stream_config.state_dir) / "stream-state.pkl"
+
+    def state_dict(self) -> dict:
+        """The picklable checkpoint of this computation (see :meth:`save_state`)."""
+        self.check_current()
+        return {
             "format": 1,
             "graph": self.graph,
             "rules": self.rules,
@@ -846,9 +878,18 @@ class StreamingIdentifier:
             "reports": self._reports,
             "batches_applied": self.batches_applied,
         }
-        with open(path, "wb") as handle:
-            pickle.dump(state, handle)
-        return path
+
+    def save_state(self, path: Path | str | None = None) -> Path:
+        """Write a durable, self-contained checkpoint of the computation.
+
+        The pickle holds the authoritative graph, Σ, both configs, the
+        manager's full lifecycle state (ownership, refcounted balls, slice
+        logs, compaction bases — on-disk bases are inlined) and the
+        maintained per-fragment reports.  :meth:`restore` resumes from it
+        with byte-identical answers, on any backend.  The file is replaced
+        atomically (:func:`write_checkpoint`).
+        """
+        return write_checkpoint(self.checkpoint_path(path), self.state_dict())
 
     @classmethod
     def restore(
@@ -863,11 +904,19 @@ class StreamingIdentifier:
         saved sequence — no re-verification runs; the restored
         :attr:`result` is byte-identical to the one checkpointed, and later
         :meth:`apply` calls continue exactly as the original would have.
+        A torn or foreign file raises :class:`StreamError` before any worker
+        pool starts.
         """
-        with open(Path(path), "rb") as handle:
-            state = pickle.load(handle)
-        if state.get("format") != 1:
-            raise StreamError(f"unsupported stream-state format in {path}")
+        return cls.from_state(read_checkpoint(path), backend, executor_workers)
+
+    @classmethod
+    def from_state(
+        cls,
+        state: dict,
+        backend: str | None = None,
+        executor_workers: int | None = None,
+    ) -> "StreamingIdentifier":
+        """Build an identifier from a :func:`read_checkpoint` dict."""
         config = state["config"]
         if backend is not None:
             config = replace(config, backend=backend)
@@ -886,16 +935,16 @@ class StreamingIdentifier:
         )
         identifier.fragments = identifier.manager.fragments
         identifier.batches_applied = state["batches_applied"]
-        identifier._start_runtime()
         identifier._reports = state["reports"]
         identifier._graph_version = identifier.graph.version
-        identifier._result = identifier._assemble()
+        identifier._start_runtime()
         return identifier
 
     # ------------------------------------------------------------------
-    def recompute(self) -> EIPResult:
+    def recompute(self, rules: Sequence[GPAR] | None = None) -> EIPResult:
         """From-scratch answer on the current graph (the repair-vs-recompute
-        baseline used by the equivalence gate and the ``stream`` benchmark).
+        baseline used by the equivalence gate and the ``stream`` benchmark),
+        for Σ or for *rules* (a tenant's projection of it).
 
         The batch solvers route disconnected rules through the same global
         census as the maintained path (:mod:`repro.identification.census`),
@@ -906,7 +955,7 @@ class StreamingIdentifier:
 
         return identify_entities(
             self.graph,
-            list(self.rules),
+            list(self.rules if rules is None else rules),
             eta=self.config.eta,
             num_workers=self.config.num_workers,
             algorithm=self.algorithm,

@@ -27,8 +27,9 @@ per-fragment verdict state:
 
 Writes are serialized internally; all tenants must share the consequent
 predicate, the :class:`~repro.identification.eip.EIPConfig` and the
-algorithm (they describe one physical core).  Checkpointing a shared core
-is not supported — evict tenants and checkpoint per-tenant cores instead.
+algorithm (they describe one physical core).  :meth:`save_state` checkpoints
+the union core together with the tenant table; :meth:`restore` resumes every
+tenant's projection without re-verifying (docs/lifecycle.md).
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Mapping, Sequence
 
 from repro.exceptions import StreamError
@@ -47,7 +49,12 @@ from repro.matching.shared import SharedPatternPool
 from repro.obs.registry import registry
 from repro.pattern.gpar import GPAR
 from repro.stream.config import StreamConfig
-from repro.stream.identifier import StreamingIdentifier, StreamUpdateReport
+from repro.stream.identifier import (
+    StreamingIdentifier,
+    StreamUpdateReport,
+    read_checkpoint,
+    write_checkpoint,
+)
 from repro.stream.updates import UpdateBatch
 
 __all__ = ["MultiTenantIdentifier", "TenantAdmission"]
@@ -93,10 +100,11 @@ class MultiTenantIdentifier:
         self.radius_floor = radius_floor
         self.pool = pool if pool is not None else SharedPatternPool()
         self._core: StreamingIdentifier | None = None
-        self._tenants: dict[str, tuple[GPAR, ...]] = {}
+        # The tenant table, in admission order: the admission record carries
+        # each tenant's Σ; the other two are derived from it and the pool.
+        self._admissions: dict[str, TenantAdmission] = {}
         self._representatives: dict[str, dict[GPAR, GPAR]] = {}
         self._census_plans: dict[str, object] = {}
-        self._admissions: dict[str, TenantAdmission] = {}
         self._lock = threading.Lock()
         self._closed = False
 
@@ -112,7 +120,7 @@ class MultiTenantIdentifier:
     @property
     def tenants(self) -> tuple[str, ...]:
         with self._lock:
-            return tuple(self._tenants)
+            return tuple(self._admissions)
 
     @property
     def union_rules(self) -> tuple[GPAR, ...]:
@@ -129,10 +137,10 @@ class MultiTenantIdentifier:
             return self._admissions[tenant]
 
     def _require(self, tenant: str) -> tuple[GPAR, ...]:
-        rules = self._tenants.get(tenant)
-        if rules is None:
+        admission = self._admissions.get(tenant)
+        if admission is None:
             raise StreamError(f"unknown tenant {tenant!r}")
-        return rules
+        return admission.rules
 
     # ------------------------------------------------------------------
     def admit(self, tenant: str, rules: Sequence[GPAR]) -> TenantAdmission:
@@ -175,9 +183,6 @@ class MultiTenantIdentifier:
             except BaseException:
                 self.pool.release(tenant)
                 raise
-            self._tenants[tenant] = tuple(rules)
-            self._representatives[tenant] = dict(registration.representatives)
-            self._census_plans[tenant] = plan_census(tuple(rules))
             admission = TenantAdmission(
                 tenant=tenant,
                 rules=tuple(rules),
@@ -188,9 +193,18 @@ class MultiTenantIdentifier:
                 cold_start=cold,
                 wall_time=time.perf_counter() - started,
             )
-            self._admissions[tenant] = admission
+            self._install(admission, registration.representatives)
             self._record_admission_metrics(admission)
             return admission
+
+    def _install(
+        self, admission: TenantAdmission, representatives: Mapping[GPAR, GPAR]
+    ) -> None:
+        """Enter one tenant into the tenant table (admission and restore)."""
+        tenant = admission.tenant
+        self._representatives[tenant] = dict(representatives)
+        self._census_plans[tenant] = plan_census(admission.rules)
+        self._admissions[tenant] = admission
 
     def evict(self, tenant: str) -> None:
         """Retire *tenant*; shared verdict state other tenants read survives.
@@ -201,13 +215,12 @@ class MultiTenantIdentifier:
         with self._lock:
             self._require(tenant)
             retired = self.pool.release(tenant)
-            del self._tenants[tenant]
             del self._representatives[tenant]
             del self._census_plans[tenant]
             del self._admissions[tenant]
             core = self._core
             if core is not None:
-                if not self._tenants:
+                if not self._admissions:
                     core.close()
                     self._core = None
                 elif retired:
@@ -227,7 +240,7 @@ class MultiTenantIdentifier:
             if core is None:
                 raise StreamError("no tenants admitted; nothing maintains this graph")
             report = core.apply(batch)
-            total_rules = sum(len(rules) for rules in self._tenants.values())
+            total_rules = sum(len(a.rules) for a in self._admissions.values())
             saved = report.rechecked_centers * max(0, total_rules - len(core.rules))
             metrics = registry()
             metrics.inc(
@@ -251,7 +264,7 @@ class MultiTenantIdentifier:
         with self._lock:
             rules = self._require(tenant)
             core = self.identifier
-            core.result  # raises if the graph was mutated outside apply()
+            core.check_current()  # the union answer itself is never assembled
             representatives = self._representatives[tenant]
             plan = self._census_plans[tenant]
         projected = [
@@ -260,10 +273,6 @@ class MultiTenantIdentifier:
         ]
         reports = apply_census(self.graph, rules, projected, plan)
         return core._solver._assemble(list(rules), reports)
-
-    def results(self) -> dict[str, EIPResult]:
-        """Every tenant's maintained answer (one projection each)."""
-        return {tenant: self.result_for(tenant) for tenant in self.tenants}
 
     @staticmethod
     def _project(
@@ -297,21 +306,70 @@ class MultiTenantIdentifier:
 
     def recompute_for(self, tenant: str) -> EIPResult:
         """From-scratch answer for *tenant* (the equivalence baseline)."""
-        from repro.identification.eip import identify_entities
-
         with self._lock:
-            rules = self._require(tenant)
-        config = self.config
-        return identify_entities(
-            self.graph,
-            list(rules),
-            eta=config.eta,
-            num_workers=config.num_workers,
-            algorithm=self.algorithm,
-            seed=config.seed,
-            backend=config.backend,
-            executor_workers=config.executor_workers,
+            rules, core = self._require(tenant), self.identifier
+        return core.recompute(rules)
+
+    # ------------------------------------------------------------------
+    # durable state: the union core's checkpoint plus the tenant table
+    # ------------------------------------------------------------------
+    def save_state(self, path: Path | str | None = None) -> Path:
+        """Checkpoint the shared core and every tenant riding on it.
+
+        One pickle: the union core's own checkpoint
+        (:meth:`StreamingIdentifier.state_dict` — so
+        :meth:`StreamingIdentifier.restore` can resume the bare union core
+        from the same file) plus ``tenants`` (the admission records, which
+        carry each tenant's Σ, in admission order) and ``representatives``
+        (the pool's key → representative map: a representative can outlive
+        the tenant that introduced it, and the saved verdicts are keyed by
+        it).  Replaced atomically, like every stream-state file.
+        """
+        with self._lock:
+            core = self.identifier
+            state = core.state_dict()
+            state["tenants"] = list(self._admissions.values())
+            state["representatives"] = self.pool.representatives()
+            return write_checkpoint(core.checkpoint_path(path), state)
+
+    @classmethod
+    def restore(
+        cls,
+        path: Path | str,
+        backend: str | None = None,
+        executor_workers: int | None = None,
+    ) -> "MultiTenantIdentifier":
+        """Resume a checkpointed shared core with all its tenants admitted.
+
+        No verification runs: the union core resumes from its stored
+        verdicts and each tenant re-registers against the saved
+        representatives, so every :meth:`result_for` is byte-identical to
+        the one checkpointed.
+        """
+        state = read_checkpoint(path)
+        if "tenants" not in state or "representatives" not in state:
+            raise StreamError(
+                f"{path} checkpoints a bare StreamingIdentifier, not a shared "
+                "core; resume it with StreamingIdentifier.restore"
+            )
+        pool = SharedPatternPool(state["representatives"])
+        registrations = [
+            (admission, pool.register(admission.tenant, admission.rules))
+            for admission in state["tenants"]
+        ]
+        core = StreamingIdentifier.from_state(state, backend, executor_workers)
+        multi = cls(
+            core.graph,
+            config=core.config,
+            algorithm=core.algorithm,
+            stream_config=core.stream_config,
+            radius_floor=core.radius_floor,
+            pool=pool,
         )
+        multi._core = core
+        for admission, registration in registrations:
+            multi._install(admission, registration.representatives)
+        return multi
 
     # ------------------------------------------------------------------
     def _record_admission_metrics(self, admission: TenantAdmission) -> None:
@@ -345,9 +403,8 @@ class MultiTenantIdentifier:
         with self._lock:
             if self._closed:
                 return
-            for tenant in tuple(self._tenants):
+            for tenant in self._admissions:
                 self.pool.release(tenant)
-            self._tenants.clear()
             self._representatives.clear()
             self._census_plans.clear()
             self._admissions.clear()

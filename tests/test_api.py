@@ -168,7 +168,7 @@ class TestApplyGuard:
             for thread in threads:
                 thread.join()
             assert not errors
-            assert session.identifier.batches_applied == 2
+            assert session.core.multi.identifier.batches_applied == 2
 
 
 class TestSessionSnapshots:

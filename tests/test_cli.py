@@ -135,3 +135,25 @@ class TestCommands:
         assert "streaming match over" in captured
         assert "identical]" in captured
         assert "repair wall over 2 batches" in captured
+
+    def test_stream_save_state_writes_a_restorable_core(self, graph_file, tmp_path, capsys):
+        from repro import api
+
+        state = tmp_path / "run.pkl"
+        exit_code = main(
+            [
+                "stream", str(graph_file),
+                "--predicate", "user:like_book:personal development",
+                "--rules", "3",
+                "--eta", "0.5",
+                "--updates", "1",
+                "--batch-size", "5",
+                "--max-edges", "2",
+                "--save-state", str(state),
+            ]
+        )
+        assert exit_code == 0 and f"saved stream state to {state}" in capsys.readouterr().out
+        with api.restore_core(state) as core:
+            (session,) = core.sessions.values()
+            assert len(session.rules) == 3
+            assert session.result.identified == session.recompute().identified

@@ -464,6 +464,57 @@ class TestSaveRestore:
                 fresh = restored.recompute()
                 assert self._fingerprint(restored.result) == self._fingerprint(fresh)
 
+    def test_torn_checkpoint_is_a_stream_error(self, tmp_path, monkeypatch):
+        """A cut, foreign or wrong-shaped file raises StreamError naming the
+        path — from both restore entry points, before any runtime starts."""
+        from repro import api
+
+        graph, identifier = self._identifier()
+        with identifier:
+            identifier.apply(random_update_batch(graph, size=7, seed=1))
+            intact = identifier.save_state(tmp_path / "state.pkl").read_bytes()
+        started = []
+        monkeypatch.setattr(
+            StreamingIdentifier, "_start_runtime", lambda self: started.append(self)
+        )
+        size = len(intact)
+        torn = {f"cut-{cut}": intact[:cut] for cut in (0, 1, 2, 17, size // 3, size // 2, size - 1)}
+        torn["garbage"] = b"this is not a pickle\n" * 4
+        torn["not-a-dict"] = pickle.dumps(["format", 1])
+        torn["wrong-format"] = pickle.dumps({**pickle.loads(intact), "format": 2})
+        torn["missing-keys"] = pickle.dumps({"format": 1, "graph": graph})
+        for name, payload in torn.items():
+            path = tmp_path / f"{name}.pkl"
+            path.write_bytes(payload)
+            for restore in (StreamingIdentifier.restore, api.restore_core):
+                with pytest.raises(StreamError, match=name):
+                    restore(path)
+        assert not started
+        with pytest.raises(FileNotFoundError):
+            StreamingIdentifier.restore(tmp_path / "absent.pkl")
+
+    def test_failed_save_keeps_the_previous_checkpoint(self, tmp_path, monkeypatch):
+        import repro.stream.identifier as module
+
+        graph, identifier = self._identifier()
+        path = tmp_path / "state.pkl"
+        with identifier:
+            identifier.apply(random_update_batch(graph, size=7, seed=1))
+            expected = self._fingerprint(identifier.result)
+            identifier.save_state(path)
+            identifier.apply(random_update_batch(graph, size=7, seed=2))
+
+            def dying_dump(state, handle):
+                handle.write(pickle.dumps(state)[:100])
+                raise OSError("disk full")
+
+            monkeypatch.setattr(module.pickle, "dump", dying_dump)
+            with pytest.raises(OSError, match="disk full"):
+                identifier.save_state(path)
+        assert [entry.name for entry in tmp_path.iterdir()] == ["state.pkl"]
+        with StreamingIdentifier.restore(path) as restored:
+            assert self._fingerprint(restored.result) == expected
+
     def test_save_state_needs_a_destination(self):
         _graph, identifier = self._identifier()
         with identifier:

@@ -44,6 +44,35 @@ def _workload(seed=3, count=8):
     return graph, rules
 
 
+def _renamed(rule, name):
+    """A structurally different, canonically equal copy of *rule*."""
+    pattern = rule.antecedent
+    fresh = {
+        node: node if node in (pattern.x, pattern.y) else f"{node}-twin"
+        for node in pattern.nodes()
+    }
+    antecedent = Pattern(
+        nodes={fresh[node]: label for node, label in pattern.node_items()},
+        edges=[
+            (fresh[edge.source], fresh[edge.target], edge.label)
+            for edge in pattern.edges()
+        ],
+        x=pattern.x,
+        y=pattern.y,
+        copies={fresh[node]: count for node, count in pattern.copy_counts().items()},
+    )
+    return rule.with_antecedent(antecedent, name=name)
+
+
+def _counters(report):
+    """A StreamUpdateReport minus its wall clock (and the delta's identity)."""
+    from dataclasses import asdict
+
+    fields = asdict(report)
+    del fields["wall_time"]
+    return fields
+
+
 def _config(**overrides):
     defaults = dict(eta=0.1, num_workers=2, seed=3)
     defaults.update(overrides)
@@ -62,7 +91,7 @@ class TestSharedPatternPool:
         assert set(second.novel) == set(rules[5:7])
         assert second.shared_prefix_hits > 0
         for rule in rules[2:5]:
-            assert pool.representative(rule_key(rule)) in rules
+            assert pool.representatives()[rule_key(rule)] in rules
             assert pool.owners_of(rule) == frozenset({"t1", "t2"})
 
     def test_release_returns_last_owner_representatives(self):
@@ -288,9 +317,166 @@ class TestSharedSessionCore:
             assert core.tenants == ("beta",)
             assert eip_fingerprint(beta.result) == eip_fingerprint(beta.recompute())
 
-    def test_shared_sessions_reject_checkpointing(self, tmp_path):
+    @pytest.mark.parametrize("backend", ["sequential", "threads", "processes"])
+    def test_core_checkpoint_round_trip(self, tmp_path, backend):
+        """save_state → restore_core keeps every tenant's answer, including a
+        representative that outlived the tenant which introduced it."""
+        graph, rules = _workload()
+        config = _config(backend=backend)
+        sigma = {
+            "alpha": tuple(rules[:5]),
+            "beta": tuple(_renamed(rule, rule.name) for rule in rules[2:5])
+            + tuple(rules[5:7]),
+        }
+        with api.open_shared_core(graph.copy(), config=config) as core:
+            alpha = core.open_session("alpha", sigma["alpha"])
+            core.open_session("beta", sigma["beta"])
+            core.apply(random_update_batch(core.graph, size=6, seed=5))
+            # beta reads rules 2..4 through alpha's rule objects (its own are
+            # renamed twins); they stay the representatives after alpha is
+            # evicted, and the stored verdicts are keyed by them — a restore
+            # that re-derived representatives from the surviving tenants
+            # would read empty match sets.
+            alpha.close()
+            assert set(rules[2:5]) <= set(core.multi.union_rules)
+            core.open_session("alpha", sigma["alpha"])
+            core.apply(random_update_batch(core.graph, size=6, seed=6))
+            saved = {
+                tenant: eip_fingerprint(session.result)
+                for tenant, session in core.sessions.items()
+            }
+            path = core.save_state(tmp_path / "core.pkl")
+        assert saved["alpha"] != saved["beta"]
+        with api.restore_core(path) as restored:
+            assert restored.tenants == ("beta", "alpha")  # admission order
+            assert restored.multi.config.backend == backend
+            for tenant, session in restored.sessions.items():
+                assert session.rules == sigma[tenant]
+                assert eip_fingerprint(session.result) == saved[tenant]
+                assert eip_fingerprint(session.recompute()) == saved[tenant]
+            restored.apply(random_update_batch(restored.graph, size=6, seed=7))
+            for session in restored.sessions.values():
+                assert eip_fingerprint(session.result) == eip_fingerprint(
+                    session.recompute()
+                )
+        # the same file resumes the bare union core
+        with StreamingIdentifier.restore(path) as union:
+            assert eip_fingerprint(union.result) == eip_fingerprint(union.recompute())
+
+    def test_bare_identifier_checkpoint_is_not_a_core(self, tmp_path):
+        graph, rules = _workload()
+        with StreamingIdentifier(graph.copy(), rules[:3], config=_config()) as bare:
+            path = bare.save_state(tmp_path / "bare.pkl")
+        with pytest.raises(StreamError, match="bare StreamingIdentifier"):
+            api.restore_core(path)
+
+    def test_solo_session_is_the_one_tenant_case(self):
+        """api.open_session == a bare StreamingIdentifier over the same
+        batches: answers, deltas and report counters (Σ carries two
+        canonically equal antecedents, which the pool dedupes)."""
+        graph, rules = _workload()
+        sigma = list(rules[:4]) + [_renamed(rules[0], "twin")]
+        assert rule_key(sigma[-1]) == rule_key(sigma[0]) and sigma[-1] != sigma[0]
+        config = _config()
+        with StreamingIdentifier(
+            graph.copy(), sigma, config=config
+        ) as bare, api.open_session(graph.copy(), sigma, config=config) as session:
+            assert session.rules == tuple(sigma)
+            assert len(session.core.multi.union_rules) == 4
+            assert session.admission.cold_start and session.admission.novel_rules == 4
+            assert eip_fingerprint(session.result) == eip_fingerprint(bare.result)
+            for seed in range(4):
+                batch = random_update_batch(bare.graph, size=6, seed=20 + seed)
+                before = bare.result
+                base_version = bare.graph.version
+                bare_report = bare.apply(batch)
+                report, delta = session.apply(batch)
+                assert eip_fingerprint(session.result) == eip_fingerprint(bare.result)
+                expected = api.diff_results(
+                    before, bare.result, base_version, bare.graph.version
+                )
+                assert delta.as_dict() == expected.as_dict()
+                assert _counters(report) == _counters(bare_report)
+
+    def test_one_assemble_per_member_none_for_the_union(self, monkeypatch):
+        from repro.identification.match import Match
+
+        assembled = []
+        original = Match._assemble
+
+        def counting(self, rules, reports):
+            assembled.append(tuple(rule.name for rule in rules))
+            return original(self, rules, reports)
+
+        monkeypatch.setattr(Match, "_assemble", counting)
         graph, rules = _workload()
         with api.open_shared_core(graph.copy(), config=_config()) as core:
-            session = core.open_session("alpha", rules[:3])
-            with pytest.raises(StreamError):
-                session.save_state(tmp_path / "state.bin")
+            alpha = core.open_session("alpha", rules[:5])
+            beta = core.open_session("beta", rules[2:7])
+            assembled.clear()
+            core.apply(random_update_batch(core.graph, size=6, seed=5))
+            assert sorted(assembled) == sorted(
+                tuple(rule.name for rule in session.rules) for session in (alpha, beta)
+            )
+        with api.open_session(graph.copy(), rules[:5], config=_config()) as solo:
+            assembled.clear()
+            solo.apply(random_update_batch(solo.core.graph, size=6, seed=5))
+            assert len(assembled) == 1
+
+    @pytest.mark.parametrize("tenants", [1, 2])
+    def test_closed_session_cannot_write(self, tenants):
+        graph, rules = _workload()
+        with api.open_shared_core(graph.copy(), config=_config()) as core:
+            sessions = [
+                core.open_session(f"t{index}", rules[index : index + 4])
+                for index in range(tenants)
+            ]
+            closed, siblings = sessions[0], sessions[1:]
+            closed.close()
+            version = core.graph.version
+            batch = random_update_batch(core.graph, size=4, seed=9)
+            with pytest.raises(StreamError, match="closed"):
+                closed.apply(batch)
+            assert core.graph.version == version  # the graph was not ticked
+            for sibling in siblings:
+                assert sibling.graph_version == version
+                sibling.apply(batch)  # still valid: nothing was applied
+
+    def test_reads_do_not_wait_for_the_tick(self):
+        """rules / result / answer return while apply holds the core's locks."""
+        import threading
+
+        graph, rules = _workload()
+        with api.open_shared_core(graph.copy(), config=_config()) as core:
+            alpha = core.open_session("alpha", rules[:5])
+            beta = core.open_session("beta", rules[2:7])
+            identifier = core.multi.identifier
+            in_tick, release = threading.Event(), threading.Event()
+            real_apply = identifier.apply
+
+            def slow_apply(batch):
+                in_tick.set()
+                release.wait(timeout=30)
+                return real_apply(batch)
+
+            identifier.apply = slow_apply
+            batch = random_update_batch(core.graph, size=4, seed=9)
+            writer = threading.Thread(target=alpha.apply, args=(batch,))
+            seen = []
+
+            def read():
+                for session in (alpha, beta):
+                    seen.append((session.rules, session.result, session.answer(limit=1)))
+
+            reader = threading.Thread(target=read, daemon=True)
+            try:
+                writer.start()
+                assert in_tick.wait(timeout=10)
+                reader.start()
+                reader.join(timeout=5)
+                stalled = reader.is_alive()
+            finally:
+                release.set()
+                writer.join(timeout=30)
+            assert not stalled and len(seen) == 2
+            assert alpha.graph_version == beta.graph_version == core.graph.version

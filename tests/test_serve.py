@@ -33,11 +33,11 @@ RULES = 5
 SEED = 3
 
 
-def _call(method: str, url: str, body: dict | None = None):
+def _call(method: str, url: str, body: dict | None = None, timeout: float = 30):
     data = json.dumps(body).encode("utf-8") if body is not None else None
     request = urllib.request.Request(url, data=data, method=method)
     try:
-        with urllib.request.urlopen(request, timeout=30) as response:
+        with urllib.request.urlopen(request, timeout=timeout) as response:
             return response.status, json.loads(response.read().decode("utf-8"))
     except urllib.error.HTTPError as error:
         return error.code, json.loads(error.read().decode("utf-8"))
@@ -516,10 +516,86 @@ class TestSharedCores:
             assert _call("DELETE", url)[0] == 200
 
     def test_inline_graph_sessions_stay_private(self, server):
+        """Inline-graph sessions are tenants of an anonymous core: same
+        session shape, but not joinable and not counted as a shared core."""
         graph, _rules, predicate_text = _workload(seed=32)
-        _status, created = _call(
-            "POST", f"{server.base_url}/sessions", _session_body(graph, predicate_text)
+        _status, before = _call("GET", f"{server.base_url}/healthz")
+        created = []
+        for _ in range(2):
+            status, document = _call(
+                "POST", f"{server.base_url}/sessions", _session_body(graph, predicate_text)
+            )
+            assert status == 201
+            assert document["shared_core"] is False
+            assert document["tenant"] == document["session"]
+            # identical bodies did not join one another: each paid a cold start
+            assert document["admission"]["cold_start"] is True
+            created.append(document["session"])
+        _status, health = _call("GET", f"{server.base_url}/healthz")
+        assert health["shared_cores"] == before["shared_cores"]
+        for sid in created:
+            _call("DELETE", f"{server.base_url}/sessions/{sid}")
+
+    def test_status_and_answer_do_not_wait_for_a_tick(self, server, tmp_path):
+        """GET /sessions/{id} and /answer complete while a slow POST
+        .../updates on the same core is still inside its tick."""
+        import threading
+
+        from repro.graph.io import save_graph_json
+
+        graph, _rules, predicate_text = _workload(seed=34)
+        path = tmp_path / "slow-core.json"
+        save_graph_json(graph, path)
+        body = {
+            "graph_path": str(path),
+            "predicate": predicate_text,
+            "seed": 34,
+            "eta": 0.1,
+            "workers": 2,
+        }
+        urls = []
+        for tenant, count in (("alpha", RULES), ("beta", 3)):
+            status, created = _call(
+                "POST", f"{server.base_url}/sessions", {**body, "rules": count, "tenant": tenant}
+            )
+            assert status == 201
+            urls.append(f"{server.base_url}/sessions/{created['session']}")
+        (core_handle,) = [
+            handle
+            for handle in server.service._cores.values()
+            if str(path) in handle.key
+        ]
+        identifier = core_handle.core.multi.identifier
+        in_tick, release = threading.Event(), threading.Event()
+        real_apply = identifier.apply
+
+        def slow_apply(batch):
+            in_tick.set()
+            release.wait(timeout=30)
+            return real_apply(batch)
+
+        identifier.apply = slow_apply
+        batch = random_update_batch(graph.copy(), size=4, seed=78)
+        ticks = []
+        writer = threading.Thread(
+            target=lambda: ticks.append(
+                _call("POST", f"{urls[0]}/updates", {"ops": [op.as_dict() for op in batch.ops]})
+            )
         )
-        assert created["shared_core"] is False
-        assert "admission" not in created
-        _call("DELETE", f"{server.base_url}/sessions/{created['session']}")
+        try:
+            writer.start()
+            assert in_tick.wait(timeout=10)
+            reads = []
+            for url in urls:
+                reads.append(_call("GET", url, timeout=5))
+                reads.append(_call("GET", f"{url}/answer?limit=2", timeout=5))
+            assert not ticks  # every read returned before the tick did
+        finally:
+            release.set()
+            writer.join(timeout=30)
+        assert [status for status, _doc in reads] == [200] * 4
+        (tick_status, tick), = ticks
+        assert tick_status == 200
+        assert all(doc["graph_version"] == tick["base_version"] for _status, doc in reads)
+        for url in urls:
+            assert _call("DELETE", url)[0] == 200

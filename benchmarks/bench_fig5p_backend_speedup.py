@@ -41,7 +41,7 @@ def test_dmine_backend_speedup(benchmark):
     rows = benchmark.pedantic(
         lambda: run_dmine_backends(
             "synthetic", graph, predicate,
-            num_workers=WORKERS, sigma=SIGMA, backends=BACKENDS,
+            workers=WORKERS, sigma=SIGMA, backends=BACKENDS,
         ),
         rounds=1,
         iterations=1,
@@ -57,7 +57,7 @@ def test_match_backend_speedup(benchmark):
     rows = benchmark.pedantic(
         lambda: run_eip_backends(
             "synthetic", graph, rules,
-            num_workers=WORKERS, algorithm="match", eta=0.5, backends=BACKENDS,
+            workers=WORKERS, algorithm="match", eta=0.5, backends=BACKENDS,
         ),
         rounds=1,
         iterations=1,

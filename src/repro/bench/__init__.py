@@ -9,15 +9,9 @@ CI perf trajectory.  ``python -m repro.bench.smoke`` runs a tiny workload per
 algorithm family as a fast regression canary for the process backend.
 """
 
-from repro.bench.workloads import (
-    eip_workload,
-    mining_workload,
-    synthetic_eip_workload,
-    synthetic_mining_workload,
-)
+from repro.bench.workloads import eip_workload, mining_workload
 from repro.bench.harness import (
-    DMineRow,
-    EIPRow,
+    Row,
     run_dmine_backends,
     run_dmine_config,
     run_eip_backends,
@@ -28,10 +22,7 @@ from repro.bench.reporting import format_rows, print_series, rows_as_json, wall_
 __all__ = [
     "mining_workload",
     "eip_workload",
-    "synthetic_mining_workload",
-    "synthetic_eip_workload",
-    "DMineRow",
-    "EIPRow",
+    "Row",
     "run_dmine_config",
     "run_eip_config",
     "run_dmine_backends",

@@ -47,11 +47,12 @@ def rows_as_json(name: str, title: str, rows: Iterable) -> str:
 
 
 def format_rows(rows: Iterable) -> str:
-    """Render a list of DMineRow/EIPRow (or dicts) as an aligned text table."""
+    """Render a list of rows (or dicts) as an aligned text table; a column
+    only some rows report is blank on the others."""
     dictionaries = [row.as_dict() if hasattr(row, "as_dict") else dict(row) for row in rows]
     if not dictionaries:
         return "(no rows)"
-    columns = list(dictionaries[0].keys())
+    columns = list(dict.fromkeys(column for entry in dictionaries for column in entry))
     widths = {
         column: max(len(str(column)), *(len(str(d.get(column, ""))) for d in dictionaries))
         for column in columns

@@ -24,7 +24,7 @@ from repro.pattern.pattern import Pattern
 POKEC_USERS = 220
 GOOGLEPLUS_USERS = 220
 SYNTHETIC_NODES = 1200
-SYNTHETIC_EDGES = 3600
+DENSE_NODES = 4000
 
 
 def _planted_predicate(graph: Graph, edge_label: str, y_label: str) -> Pattern:
@@ -39,17 +39,26 @@ def _planted_predicate(graph: Graph, edge_label: str, y_label: str) -> Pattern:
 
 @lru_cache(maxsize=None)
 def mining_workload(dataset: str, scale: int | None = None) -> tuple[Graph, Pattern]:
-    """Graph + predicate for the DMine benchmarks (Fig. 5(a)–(g))."""
+    """Graph + predicate for the DMine benchmarks (Fig. 5(a)–(g)); *scale*
+    is the user / node count (synthetic graphs have 3 × as many edges).
+
+    ``"dense"`` is the label-skewed synthetic graph of the streaming smoke
+    families: fewer node labels than ``"synthetic"`` means bigger label
+    buckets, more embeddings per centre and deeper levelwise search — the
+    regime where matching dominates the run.  Callers must ``copy()`` a
+    graph before mutating it: workloads are cached per process.
+    """
     if dataset == "pokec":
         graph = pokec_like(num_users=scale or POKEC_USERS, num_communities=8, seed=7)
         predicate = _planted_predicate(graph, "like_book", "personal development")
     elif dataset == "googleplus":
         graph = googleplus_like(num_users=scale or GOOGLEPLUS_USERS, num_circles=8, seed=7)
         predicate = _planted_predicate(graph, "major", "Computer Science")
-    elif dataset == "synthetic":
-        nodes = scale or SYNTHETIC_NODES
+    elif dataset in ("synthetic", "dense"):
+        nodes = scale or (SYNTHETIC_NODES if dataset == "synthetic" else DENSE_NODES)
+        node_labels, edge_labels = (20, 8) if dataset == "synthetic" else (8, 4)
         graph = synthetic_graph(
-            nodes, nodes * 3, num_node_labels=20, num_edge_labels=8, seed=7
+            nodes, nodes * 3, num_node_labels=node_labels, num_edge_labels=edge_labels, seed=7
         )
         predicate = most_frequent_predicates(graph, top=1)[0]
     else:
@@ -58,36 +67,25 @@ def mining_workload(dataset: str, scale: int | None = None) -> tuple[Graph, Patt
 
 
 @lru_cache(maxsize=None)
-def dense_mining_workload(scale: int = 4000) -> tuple[Graph, Pattern]:
-    """Label-skewed synthetic workload where matching dominates the run.
-
-    Fewer node labels than :func:`mining_workload` means bigger label
-    buckets, more embeddings per centre and deeper levelwise search — the
-    regime the incremental matcher (docs/incremental.md) is built for, and
-    the one its bench-smoke family measures.
-    """
-    graph = synthetic_graph(
-        scale, scale * 3, num_node_labels=8, num_edge_labels=4, seed=7
-    )
-    predicate = most_frequent_predicates(graph, top=1)[0]
-    return graph, predicate
-
-
-@lru_cache(maxsize=None)
 def dense_eip_workload(
-    scale: int = 4000, num_rules: int = 16
+    scale: int = DENSE_NODES, num_rules: int = 16
 ) -> tuple[Graph, tuple[GPAR, ...]]:
-    """Rule set Σ over the dense workload (rule pool of the tenant smoke).
+    """Rule set Σ over the dense graph — what every streaming smoke family
+    maintains (``tenant`` cuts its overlapping slices from the whole pool,
+    the solo families take a prefix).
 
     Σ is *mined* by DMine rather than sampled: a mined rule set shares
     antecedent prefixes by construction (levelwise growth from one seed) and
-    actually identifies entities on its own graph, so the smoke's
-    fingerprint gates exercise the identification outcome too — randomly
-    sampled rules match nothing at this label density.
+    actually identifies entities on its own graph (27 at the default scale
+    with η = 0.5), so the smoke's fingerprint gates compare non-empty,
+    changing answers — randomly sampled rules score 0.0 or ``inf`` at this
+    label density and identify nothing at any η.  The last rule is a
+    census-split twin of the first, so the free-node maintenance path is
+    streamed too.
     """
     from repro.mining import DMineConfig, dmine
 
-    graph, predicate = dense_mining_workload(scale)
+    graph, predicate = mining_workload("dense", scale)
     config = DMineConfig(
         k=num_rules,
         d=2,
@@ -113,7 +111,12 @@ def storm_workload(scale: int = 400, num_rules: int = 3) -> tuple[Graph, tuple[G
     frequent predicate, plus a free-node variant and an edge-carrying
     component variant of the first rule — one rule set that exercises the
     ball-local, label-census and component-census maintenance paths under
-    every storm at once.
+    every storm at once.  This Σ identifies **no** entity and every
+    rule's PR match set is empty too (sampled rules score 0.0 here), so the
+    oracle's identifier leg compares empty answers in this family; what
+    bites is its match-view leg — the antecedents match 2 / 12 / 6 centres,
+    and those sets change under the correlated-deletion and label-flip
+    storms.  A storm Σ that identifies entities is an open ROADMAP item.
     """
     graph = synthetic_graph(
         scale, scale * 3, num_node_labels=6, num_edge_labels=4, seed=11
@@ -129,88 +132,45 @@ def storm_workload(scale: int = 400, num_rules: int = 3) -> tuple[Graph, tuple[G
     )
 
 
-def _edge_component_variant(base: GPAR, predicate: Pattern) -> GPAR:
-    """A twin of *base* whose antecedent gains a disconnected q-shaped
-    component (two fresh nodes joined by the predicate's edge label) —
-    maintained via the coordinator's component census."""
+def _census_variant(base: GPAR, suffix: str, nodes: dict, edges: tuple = ()) -> GPAR:
+    """A twin of *base* whose antecedent gains *nodes* (and *edges* among
+    them) disconnected from x — the part a coordinator-side census answers."""
     expanded = base.antecedent.expanded()
-    q_edge = predicate.edges()[0]
     antecedent = Pattern(
-        nodes={
-            **{node: expanded.label(node) for node in expanded.nodes()},
-            "census_f1": predicate.label(predicate.x),
-            "census_f2": predicate.label(predicate.y),
-        },
-        edges=list(expanded.edges()) + [("census_f1", "census_f2", q_edge.label)],
+        nodes={**{node: expanded.label(node) for node in expanded.nodes()}, **nodes},
+        edges=[*expanded.edges(), *edges],
         x=expanded.x,
         y=expanded.y,
     )
     return GPAR(
         antecedent,
         consequent_label=base.consequent_label,
-        name=f"{base.name}+component",
+        name=f"{base.name}+{suffix}",
         validate=False,
+    )
+
+
+def _edge_component_variant(base: GPAR, predicate: Pattern) -> GPAR:
+    """*base* plus a disconnected q-shaped component (two fresh nodes joined
+    by the predicate's edge label) — maintained via the component census."""
+    return _census_variant(
+        base,
+        "component",
+        {"census_f1": predicate.label(predicate.x), "census_f2": predicate.label(predicate.y)},
+        (("census_f1", "census_f2", predicate.edges()[0].label),),
     )
 
 
 def _census_split_variant(base: GPAR, predicate: Pattern) -> GPAR:
-    """A census-split twin of *base*: same antecedent plus an isolated node.
+    """*base* plus an isolated node carrying the predicate's y-label.
 
-    The extra free node carries the predicate's y-label, so the antecedent
-    splits into the (shared) connected-from-x part plus a global label
-    census.  Its chain prefixes are exactly *base*'s, which keeps the
-    prefix-trie sharing of ``MultiPatternMatcher`` live under census
-    substitution (``tests/test_incremental_equivalence.py`` asserts that via
-    ``prefix_pool_hits``).
+    The antecedent splits into the (shared) connected-from-x part plus a
+    global label census.  Its chain prefixes are exactly *base*'s, which
+    keeps the prefix-trie sharing of ``MultiPatternMatcher`` live under
+    census substitution (``tests/test_incremental_equivalence.py`` asserts
+    that via ``prefix_pool_hits``).
     """
-    expanded = base.antecedent.expanded()
-    free = "census_free"
-    antecedent = Pattern(
-        nodes={**{node: expanded.label(node) for node in expanded.nodes()},
-               free: predicate.label(predicate.y)},
-        edges=list(expanded.edges()),
-        x=expanded.x,
-        y=expanded.y,
-    )
-    return GPAR(
-        antecedent,
-        consequent_label=base.consequent_label,
-        name=f"{base.name}+census",
-        validate=False,
-    )
-
-
-@lru_cache(maxsize=None)
-def stream_workload(
-    scale: int = 4000, num_rules: int = 16
-) -> tuple[Graph, tuple[GPAR, ...]]:
-    """Graph + ball-local Σ for the streaming repair-vs-recompute smoke.
-
-    Runs on the dense graph of :func:`dense_mining_workload`, but Σ is
-    *sampled from the graph's structure* (:func:`generate_gpars`) rather
-    than mined: DMine grows antecedents from the x side, so most mined
-    antecedents carry an isolated (free) ``y`` node that is matched against
-    the whole fragment's label index — exactly the non-ball-local shape a
-    :class:`repro.stream.StreamingIdentifier` rejects, because no bounded
-    ball around a centre can repair it.  Sampled rules are connected by
-    construction.  Callers must ``copy()`` the graph before mutating it:
-    workloads are cached per process and shared across benchmark families.
-    """
-    graph, predicate = dense_mining_workload(scale)
-    rules = generate_gpars(
-        graph, predicate, count=num_rules, max_pattern_edges=3, d=2, seed=11
-    )
-    return graph, tuple(rules)
-
-
-@lru_cache(maxsize=None)
-def synthetic_mining_workload(num_nodes: int, num_edges: int) -> tuple[Graph, Pattern]:
-    """Synthetic-size-sweep variant of :func:`mining_workload` (Fig. 5(f))."""
-    graph = synthetic_graph(
-        num_nodes, num_edges, num_node_labels=20, num_edge_labels=8, seed=7
-    )
-    predicate = most_frequent_predicates(graph, top=1)[0]
-    return graph, predicate
+    return _census_variant(base, "census", {"census_free": predicate.label(predicate.y)})
 
 
 @lru_cache(maxsize=None)
@@ -231,20 +191,5 @@ def eip_workload(
         max_pattern_edges=max_pattern_edges,
         d=d,
         seed=seed,
-    )
-    return graph, tuple(rules)
-
-
-@lru_cache(maxsize=None)
-def synthetic_eip_workload(
-    num_nodes: int,
-    num_edges: int,
-    num_rules: int = 8,
-    seed: int = 5,
-) -> tuple[Graph, tuple[GPAR, ...]]:
-    """Synthetic-size-sweep variant of :func:`eip_workload` (Fig. 5(o))."""
-    graph, predicate = synthetic_mining_workload(num_nodes, num_edges)
-    rules = generate_gpars(
-        graph, predicate, count=num_rules, max_pattern_edges=4, d=2, seed=seed
     )
     return graph, tuple(rules)

@@ -6,15 +6,13 @@ import pytest
 
 from repro.bench import format_rows, print_series, rows_as_json, wall_speedups
 from repro.bench.harness import (
-    DMineRow,
-    EIPRow,
-    MatchingRow,
+    Row,
     run_dmine_backends,
     run_dmine_config,
     run_eip_config,
     run_matching_traffic,
 )
-from repro.bench.workloads import eip_workload, mining_workload, synthetic_mining_workload
+from repro.bench.workloads import eip_workload, mining_workload
 from repro.datasets import most_frequent_predicates
 from repro.graph import registered_columnar
 from repro.mining import DMineConfig, dmine_auto, dmine_for_predicates
@@ -36,12 +34,17 @@ class TestReporting:
         assert format_rows([]) == "(no rows)"
 
     def test_format_rows_accepts_dataclasses(self):
-        row = EIPRow(
-            dataset="pokec", algorithm="match", parameter="n", value=4,
-            simulated_parallel_time=0.5, wall_time=1.0, identified=10,
-            candidates_examined=100,
+        row = Row(
+            "pokec", wall_time=1.0,
+            columns={"algorithm": "match", "n": 4, "sim_parallel_s": 0.5, "identified": 10},
         )
         assert "match" in format_rows([row])
+
+    def test_format_rows_shows_columns_only_some_rows_report(self):
+        rows = [Row("pokec", mode="recompute"), Row("pokec", mode="repair", columns={"speedup": 7.5})]
+        header, _rule, first, second = format_rows(rows).splitlines()
+        assert header.split() == ["dataset", "backend", "mode", "wall_s", "speedup"]
+        assert first.split()[-1] == "0.0" and second.split()[-1] == "7.5"
 
     def test_print_series_smoke(self, capsys):
         print_series("demo", [{"a": 1}])
@@ -63,15 +66,20 @@ class TestReporting:
         assert wall_speedups([{"backend": "processes", "wall_time": 1.0}]) == {}
 
     def test_rows_as_json_is_machine_readable(self):
-        row = EIPRow(
-            dataset="pokec", algorithm="match", parameter="backend", value="processes",
-            simulated_parallel_time=0.5, wall_time=1.0, identified=10,
-            candidates_examined=100, backend="processes", wall_speedup=1.7,
+        row = Row(
+            "pokec", "processes", wall_time=1.0004, fingerprint="abc",
+            columns={"algorithm": "match", "identified": 10, "wall_speedup": 1.7},
         )
         data = json.loads(rows_as_json("smoke_match", "a title", [row]))
         assert data["name"] == "smoke_match"
+        assert data["rows"] == [row.as_dict()]
         assert data["rows"][0]["backend"] == "processes"
         assert data["rows"][0]["wall_speedup"] == 1.7
+        # One as_dict for every family: shared fields under their JSON names
+        # (floats rounded), mode / fingerprint only when the row has them.
+        assert data["rows"][0]["wall_s"] == 1.0 and data["rows"][0]["fingerprint"] == "abc"
+        assert "mode" not in data["rows"][0]
+        assert "fingerprint" not in Row("pokec").as_dict()
 
 
 class TestWorkloads:
@@ -97,7 +105,7 @@ class TestWorkloads:
         assert len(signatures) == 1
 
     def test_synthetic_workload_size(self):
-        graph, predicate = synthetic_mining_workload(300, 900)
+        graph, predicate = mining_workload("synthetic", 300)
         assert graph.num_nodes == 300
         assert graph.num_edges == 900
 
@@ -106,31 +114,31 @@ class TestHarnessRunners:
     def test_run_dmine_config_row(self):
         graph, predicate = mining_workload("pokec", scale=120)
         row = run_dmine_config(
-            "pokec", graph, predicate, num_workers=2, sigma=6,
+            "pokec", graph, predicate, workers=2, sigma=6,
             optimized=True, parameter="n", value=2,
             max_edges=1, max_extensions_per_rule=5, max_rules_per_round=10,
         )
-        assert isinstance(row, DMineRow)
-        assert row.algorithm == "DMine"
-        assert row.simulated_parallel_time >= 0
+        assert isinstance(row, Row)
+        assert row["algorithm"] == "DMine"
+        assert row["sim_parallel_s"] >= 0
         assert row.as_dict()["n"] == 2
 
     def test_run_eip_config_row(self):
         graph, rules = eip_workload("pokec", num_rules=3, scale=120, seed=3)
         row = run_eip_config(
-            "pokec", graph, rules, num_workers=2, algorithm="match",
+            "pokec", graph, rules, workers=2, algorithm="match",
             parameter="n", value=2,
         )
-        assert isinstance(row, EIPRow)
-        assert row.identified >= 0
+        assert isinstance(row, Row)
+        assert row["identified"] >= 0
         assert row.as_dict()["algorithm"] == "match"
 
     def test_rows_carry_no_implementation_mode_columns(self):
         graph, rules = eip_workload("pokec", num_rules=3, scale=120, seed=3)
-        eip = run_eip_config("pokec", graph, rules, num_workers=2, algorithm="match")
+        eip = run_eip_config("pokec", graph, rules, workers=2, algorithm="match")
         traffic = run_matching_traffic("pokec", graph, rules, "guided", reps=1)
-        assert isinstance(traffic, MatchingRow)
-        assert traffic.patterns_matched == 2 * len(rules)
+        assert isinstance(traffic, Row)
+        assert traffic["patterns"] == 2 * len(rules)
         for row in (eip.as_dict(), traffic.as_dict()):
             assert not {"index", "columnar", "incremental"} & set(row)
         # The traffic row made the graph resident, as an executor would.
@@ -139,7 +147,7 @@ class TestHarnessRunners:
     def test_run_dmine_backends_annotates_speedup(self):
         graph, predicate = mining_workload("pokec", scale=120)
         rows = run_dmine_backends(
-            "pokec", graph, predicate, num_workers=2, sigma=6,
+            "pokec", graph, predicate, workers=2, sigma=6,
             backends=["processes"],
             max_edges=1, max_extensions_per_rule=5, max_rules_per_round=10,
         )
@@ -147,10 +155,10 @@ class TestHarnessRunners:
         # Same configuration on both backends must mine the same rules —
         # the fingerprint hashes rule structure + support + confidence.
         assert rows[0].fingerprint and rows[0].fingerprint == rows[1].fingerprint
-        assert rows[0].rules_discovered == rows[1].rules_discovered
-        assert rows[0].objective == pytest.approx(rows[1].objective)
-        assert rows[0].wall_speedup == pytest.approx(1.0)
-        assert rows[1].wall_speedup is None or rows[1].wall_speedup > 0
+        assert rows[0]["rules"] == rows[1]["rules"]
+        assert rows[0]["F(Lk)"] == pytest.approx(rows[1]["F(Lk)"])
+        assert rows[0]["wall_speedup"] == pytest.approx(1.0)
+        assert rows[1].columns.get("wall_speedup") is None or rows[1]["wall_speedup"] > 0
 
 
 class TestMultiPredicateMining:

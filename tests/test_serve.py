@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import socket
+import threading
 import urllib.error
 import urllib.request
 
@@ -204,6 +205,62 @@ class TestAnswerAndUpdates:
         # A fresh read reflects the ticks.
         status, head = _call("GET", f"{url}/answer?limit=1")
         assert head["graph_version"] > pinned
+        _call("DELETE", url)
+
+    def test_concurrent_readers_never_see_a_mixed_version_pass(self, server):
+        """Several reader threads paginate in a loop while the writer ticks:
+        every full pass — first page to last — reports one graph_version."""
+        graph, _rules, predicate_text = _workload(seed=4)
+        status, created = _call(
+            "POST", f"{server.base_url}/sessions", _session_body(graph, predicate_text, seed=4)
+        )
+        assert status == 201
+        url = f"{server.base_url}/sessions/{created['session']}"
+        stop = threading.Event()
+        passes: list[set[int]] = []  # list.append is atomic; one entry per pass
+        failures: list[BaseException] = []
+
+        def read_loop() -> None:
+            try:
+                while not stop.is_set():
+                    versions, cursor = set(), None
+                    while True:
+                        query = "?limit=1" + (f"&cursor={cursor}" if cursor else "")
+                        status, page = _call("GET", f"{url}/answer{query}")
+                        assert status == 200, page
+                        versions.add(page["graph_version"])
+                        cursor = page["next_cursor"]
+                        if cursor is None:
+                            break
+                    passes.append(versions)
+            except BaseException as error:  # re-raised on the main thread below
+                failures.append(error)
+
+        readers = [threading.Thread(target=read_loop, daemon=True) for _ in range(4)]
+        for reader in readers:
+            reader.start()
+        live = graph.copy()
+        ticked = set()
+        try:
+            for position in range(6):
+                batch = random_update_batch(live, size=3, seed=700 + position)
+                status, tick = _call(
+                    "POST", f"{url}/updates", {"ops": [op.as_dict() for op in batch.ops]}
+                )
+                assert status == 200
+                ticked.add(tick["graph_version"])
+                batch.apply(live)
+        finally:
+            stop.set()
+            for reader in readers:
+                reader.join(timeout=30)
+        assert not any(reader.is_alive() for reader in readers)
+        if failures:
+            raise failures[0]
+        assert len(passes) >= len(readers), "every reader must finish at least one pass"
+        assert [versions for versions in passes if len(versions) != 1] == []
+        # The passes really overlapped the ticks: some pinned a ticked version.
+        assert ticked & {version for versions in passes for version in versions}
         _call("DELETE", url)
 
     def test_bad_cursor_and_bad_ops(self, server):

@@ -126,10 +126,7 @@ def _cmd_identify(args: argparse.Namespace) -> int:
 def _stream_config_from_args(args: argparse.Namespace):
     """Build a :class:`StreamConfig` from the stream subcommand's flags.
 
-    CLI values beat environment variables beat defaults; the chosen values
-    are also exported back into the environment so worker processes (which
-    compile fragment structures with process-wide defaults) agree with the
-    coordinator.
+    CLI values beat environment variables beat defaults.
     """
     from repro.stream import StreamConfig
 
@@ -144,9 +141,7 @@ def _stream_config_from_args(args: argparse.Namespace):
         overrides["rebalance_skew"] = args.rebalance_skew
     if args.state_dir is not None:
         overrides["state_dir"] = args.state_dir
-    config = StreamConfig(**overrides)
-    config.export_env()
-    return config
+    return StreamConfig(**overrides)
 
 
 def _cmd_stream(args: argparse.Namespace) -> int:

@@ -9,10 +9,9 @@ model with the indexes the mining and matching algorithms need:
 * bounded BFS for ``Gd(vx)`` d-neighbourhood extraction (:mod:`neighborhood`),
 * k-hop label-frequency sketches used by guided search (:mod:`sketch`),
 * the one fragment-resident structure of the matching hot path,
-  :class:`ColumnarFragment` — label buckets, a profile matrix and CSR
-  adjacency over interned label ids (vectorized when numpy is available),
-  plus memoised frozen adjacency views and a k-hop sketch cache
-  (:mod:`columnar`).
+  :class:`ColumnarFragment` — label buckets and a profile matrix over
+  interned label ids (vectorized when numpy is available), plus memoised
+  frozen adjacency views and a k-hop sketch cache (:mod:`columnar`).
 """
 
 from repro.graph.graph import DELTA_LOG_SIZE, Edge, Graph, GraphBatch, GraphDelta
@@ -39,7 +38,6 @@ from repro.graph.sketch import (
     sketch_dominates,
     sketch_score,
 )
-from repro.graph.views import induced_subgraph, subgraph_from_edges
 from repro.graph.io import (
     graph_from_dict,
     graph_to_dict,
@@ -73,8 +71,6 @@ __all__ = [
     "discard_columnar",
     "registered_columnar",
     "numpy_active",
-    "induced_subgraph",
-    "subgraph_from_edges",
     "graph_from_dict",
     "graph_to_dict",
     "load_graph_json",

@@ -20,10 +20,10 @@ Stores (eager, one per quantity)
   ``(direction, edge label, neighbour label)`` triples.  The per-node check
   of the search loop (:meth:`ColumnarFragment.degree_consistent`) reads
   python ints off one row; with numpy the same buffer is viewed as a matrix
-  and a whole candidate pool is masked at once;
-* **CSR adjacency** — one compressed-sparse-row block per edge label and
-  direction (``indptr``/``indices`` over dense node positions), the substrate
-  of the dual-simulation fixpoint.
+  and a whole candidate pool is masked at once.
+
+Adjacency itself is *not* copied: the graph's dicts stay the one adjacency
+representation, read through the frozen views below.
 
 All buffers are stdlib ``array('q')``; the optional ``numpy`` fast path
 (behind a feature probe — the core stays dependency-free; set
@@ -61,10 +61,11 @@ neighbours) move into small dict *overlays* every per-node probe consults
 first, memoised adjacency views of touched nodes are dropped, and cached
 sketches are invalidated only inside the k-hop balls of the touched nodes
 (computed on the post-update graph; ``docs/streaming.md`` shows that is
-exact).  The frozen arrays are not rewritten, so the whole-array operations
-(the pool mask and the CSR simulation fixpoint) require a
-:attr:`~ColumnarFragment.pristine` structure: consumers fall back to
-per-node probes while overlays are present and regain the fast path at the
+exact).  The frozen arrays are not rewritten, so the one whole-array
+operation (the numpy pool mask of
+:meth:`ColumnarFragment.filter_candidates`) requires a
+:attr:`~ColumnarFragment.pristine` structure: the filter falls back to
+per-node row checks while overlays are present and regains the mask at the
 next compile boundary (fragment lease install, checkpoint capture, a
 refresh that rebuilds).
 
@@ -244,37 +245,10 @@ class ColumnarStatistics(StatisticsBase):
     delta_applies: int = 0
     mask_filters: int = 0
     row_filters: int = 0
-    simulations: int = 0
-    fallbacks: int = 0
     sketches_built: int = 0
     sketch_fast_paths: int = 0
     sketches_invalidated: int = 0
     stale_probes: int = 0
-
-
-def _csr_from_pairs(num_nodes: int, sources, targets, np):
-    """Counting-sort edge pairs into a ``(indptr, indices)`` CSR block."""
-    if np is not None:
-        src = np.asarray(sources, dtype=np.int64)
-        tgt = np.asarray(targets, dtype=np.int64)
-        indptr = np.zeros(num_nodes + 1, dtype=np.int64)
-        np.cumsum(np.bincount(src, minlength=num_nodes), out=indptr[1:])
-        order = np.argsort(src, kind="stable")
-        return indptr, tgt[order]
-    counts = [0] * num_nodes
-    for source in sources:
-        counts[source] += 1
-    indptr = array("q", [0] * (num_nodes + 1))
-    total = 0
-    for position, count in enumerate(counts):
-        total += count
-        indptr[position + 1] = total
-    cursor = list(indptr[:num_nodes])
-    indices = array("q", [0] * len(sources))
-    for source, target in zip(sources, targets):
-        indices[cursor[source]] = target
-        cursor[source] += 1
-    return indptr, indices
 
 
 class ColumnarFragment:
@@ -297,12 +271,9 @@ class ColumnarFragment:
         "_np",
         "_built_version",
         # stores
-        "_node_ids",
         "_pos",
         "_label_ids",
         "_buckets",
-        "_out_csr",
-        "_in_csr",
         "_columns",
         "_num_columns",
         "_counts",
@@ -312,7 +283,6 @@ class ColumnarFragment:
         "_label_array",
         "_count_matrix",
         # caches
-        "_positions_by_label",
         "_requirements",
         "_out_frozen",
         "_in_frozen",
@@ -358,47 +328,30 @@ class ColumnarFragment:
         table = graph.label_table  # shared, append-only; tops itself up
         np = numpy_or_none()
         self._np = np
-        node_ids = list(graph._labels)
-        pos = {node: position for position, node in enumerate(node_ids)}
-        num_nodes = len(node_ids)
-        label_ids = array("q", (table.intern(graph._labels[node]) for node in node_ids))
+        pos = {node: position for position, node in enumerate(graph._labels)}
+        num_nodes = len(pos)
+        label_ids = array("q", map(table.intern, graph._labels.values()))
         buckets: dict[int, frozenset] = {
             table.intern(label): frozenset(nodes)
             for label, nodes in graph._nodes_by_label.items()
         }
-        # One (sources, targets) pair list per edge-label id; the in-CSR is
-        # the same pairs with the roles swapped.
-        pairs: dict[int, tuple[array, array]] = {}
+        # Profile matrix: collect id-space profiles edge by edge, then lay
+        # out the observed triples as columns (sorted for a deterministic
+        # order).
+        profiles: list[dict[tuple[int, int, int], int]] = [{} for _ in range(num_nodes)]
         for source, by_label in graph._out.items():
             source_pos = pos[source]
+            source_label_id = label_ids[source_pos]
+            out_profile = profiles[source_pos]
             for edge_label, targets in by_label.items():
                 edge_label_id = table.intern(edge_label)
-                entry = pairs.get(edge_label_id)
-                if entry is None:
-                    entry = pairs[edge_label_id] = (array("q"), array("q"))
-                sources_arr, targets_arr = entry
+                in_key = (IN, edge_label_id, source_label_id)
                 for target in targets:
-                    sources_arr.append(source_pos)
-                    targets_arr.append(pos[target])
-        self._out_csr = {
-            edge_label_id: _csr_from_pairs(num_nodes, sources_arr, targets_arr, np)
-            for edge_label_id, (sources_arr, targets_arr) in pairs.items()
-        }
-        self._in_csr = {
-            edge_label_id: _csr_from_pairs(num_nodes, targets_arr, sources_arr, np)
-            for edge_label_id, (sources_arr, targets_arr) in pairs.items()
-        }
-        # Profile matrix: collect id-space profiles, then lay out the
-        # observed triples as columns (sorted for a deterministic order).
-        profiles: list[dict[tuple[int, int, int], int]] = [{} for _ in range(num_nodes)]
-        for edge_label_id, (sources_arr, targets_arr) in pairs.items():
-            for source_pos, target_pos in zip(sources_arr, targets_arr):
-                out_key = (OUT, edge_label_id, label_ids[target_pos])
-                profile = profiles[source_pos]
-                profile[out_key] = profile.get(out_key, 0) + 1
-                in_key = (IN, edge_label_id, label_ids[source_pos])
-                profile = profiles[target_pos]
-                profile[in_key] = profile.get(in_key, 0) + 1
+                    target_pos = pos[target]
+                    out_key = (OUT, edge_label_id, label_ids[target_pos])
+                    out_profile[out_key] = out_profile.get(out_key, 0) + 1
+                    in_profile = profiles[target_pos]
+                    in_profile[in_key] = in_profile.get(in_key, 0) + 1
         observed: set[tuple[int, int, int]] = set()
         for profile in profiles:
             observed.update(profile)
@@ -419,7 +372,6 @@ class ColumnarFragment:
         else:
             self._label_array = self._count_matrix = None
         self.labels = table
-        self._node_ids = node_ids
         self._pos = pos
         self._label_ids = label_ids
         self._buckets = buckets
@@ -428,7 +380,6 @@ class ColumnarFragment:
         self._counts = counts
         self._overlay_labels: dict[NodeId, int] = {}
         self._overlay_profiles: dict[NodeId, dict[tuple[int, int, int], int]] = {}
-        self._positions_by_label: dict[int, object] = {}
         self._requirements: dict[tuple[int, object], tuple[object, CompiledRequirement]] = {}
         self._out_frozen: dict[tuple[NodeId, Label], frozenset] = {}
         self._in_frozen: dict[tuple[NodeId, Label], frozenset] = {}
@@ -449,7 +400,7 @@ class ColumnarFragment:
 
     @property
     def pristine(self) -> bool:
-        """Whether no patch overlays are present (fully vectorizable)."""
+        """Whether no patch overlays are present (the pool mask may run)."""
         return not (self._overlay_labels or self._overlay_profiles)
 
     def refresh(self) -> None:
@@ -487,8 +438,8 @@ class ColumnarFragment:
         Requires ``delta.base_version`` to equal :attr:`built_version`
         (returns ``False``, leaving everything untouched, otherwise).  After
         the patch every probe answers exactly as a fresh compile at
-        ``delta.result_version`` would; only the whole-array fast paths
-        (:attr:`pristine`) are suspended until the next recompile.
+        ``delta.result_version`` would; only the whole-array pool mask
+        (:attr:`pristine`) is suspended until the next recompile.
         """
         if delta.base_version != self._built_version:
             return False
@@ -843,162 +794,13 @@ class ColumnarFragment:
         return sketch
 
     # ------------------------------------------------------------------
-    # probes: CSR dual simulation
-    # ------------------------------------------------------------------
-    def _positions_with_label(self, label_id: int):
-        entry = self._positions_by_label.get(label_id)
-        if entry is None:
-            np = self._np
-            if np is not None:
-                entry = np.flatnonzero(self._label_array == label_id)
-            else:
-                entry = [
-                    position
-                    for position, current in enumerate(self._label_ids)
-                    if current == label_id
-                ]
-            self._positions_by_label[label_id] = entry
-        return entry
-
-    def dual_simulation(self, pattern) -> dict | None:
-        """Maximum dual simulation of *pattern* over the CSR arrays.
-
-        Returns ``pattern node -> set of data node ids`` — exactly the
-        fixpoint :func:`repro.matching.simulation.maximum_dual_simulation`
-        computes on the dict graph — or ``None`` when the view carries patch
-        overlays (the caller falls back to the dict path; the next compile
-        boundary restores the fast path).  *pattern* must be copy-expanded.
-        """
-        self._check()
-        if not self.pristine:
-            self.statistics.fallbacks += 1
-            return None
-        self.statistics.simulations += 1
-        if self._np is not None:
-            return self._dual_simulation_numpy(pattern)
-        return self._dual_simulation_array(pattern)
-
-    def _empty_result(self, pattern) -> dict:
-        return {node: set() for node in pattern.nodes()}
-
-    def _dual_simulation_numpy(self, pattern) -> dict:
-        np = self._np
-        num_nodes = len(self._node_ids)
-        label_ids = self._label_array
-        simulation: dict = {}
-        for node in pattern.nodes():
-            label_id = self.labels.id_of(pattern.label(node))
-            if label_id is None:
-                return self._empty_result(pattern)
-            mask = label_ids == label_id
-            if not mask.any():
-                return self._empty_result(pattern)
-            simulation[node] = mask
-        pattern_nodes = list(pattern.nodes())
-        changed = True
-        while changed:
-            changed = False
-            for node in pattern_nodes:
-                mask = simulation[node]
-                for edge in pattern.out_edges(node):
-                    mask = mask & self._csr_any(
-                        self._out_csr.get(self.labels.id_of(edge.label)),
-                        simulation[edge.target],
-                        num_nodes,
-                    )
-                for edge in pattern.in_edges(node):
-                    mask = mask & self._csr_any(
-                        self._in_csr.get(self.labels.id_of(edge.label)),
-                        simulation[edge.source],
-                        num_nodes,
-                    )
-                if not np.array_equal(mask, simulation[node]):
-                    simulation[node] = mask
-                    changed = True
-            if any(not simulation[node].any() for node in pattern_nodes):
-                return self._empty_result(pattern)
-        node_ids = self._node_ids
-        return {
-            node: {node_ids[position] for position in np.flatnonzero(mask)}
-            for node, mask in simulation.items()
-        }
-
-    def _csr_any(self, csr, target_mask, num_nodes: int):
-        """Boolean array: position has >= 1 CSR neighbour inside *target_mask*."""
-        np = self._np
-        if csr is None:
-            return np.zeros(num_nodes, dtype=bool)
-        indptr, indices = csr
-        hits = target_mask[indices]
-        cumulative = np.zeros(len(indices) + 1, dtype=np.int64)
-        np.cumsum(hits, out=cumulative[1:])
-        return (cumulative[indptr[1:]] - cumulative[indptr[:-1]]) > 0
-
-    def _dual_simulation_array(self, pattern) -> dict:
-        simulation: dict = {}
-        for node in pattern.nodes():
-            label_id = self.labels.id_of(pattern.label(node))
-            if label_id is None:
-                return self._empty_result(pattern)
-            positions = self._positions_with_label(label_id)
-            if not len(positions):
-                return self._empty_result(pattern)
-            simulation[node] = set(positions)
-        pattern_nodes = list(pattern.nodes())
-        changed = True
-        while changed:
-            changed = False
-            for node in pattern_nodes:
-                survivors = set()
-                for position in simulation[node]:
-                    if self._position_consistent(pattern, node, position, simulation):
-                        survivors.add(position)
-                if survivors != simulation[node]:
-                    simulation[node] = survivors
-                    changed = True
-            if any(not simulation[node] for node in pattern_nodes):
-                return self._empty_result(pattern)
-        node_ids = self._node_ids
-        return {
-            node: {node_ids[position] for position in positions}
-            for node, positions in simulation.items()
-        }
-
-    def _position_consistent(self, pattern, node, position: int, simulation) -> bool:
-        for edge in pattern.out_edges(node):
-            if not self._csr_row_hits(
-                self._out_csr.get(self.labels.id_of(edge.label)),
-                position,
-                simulation[edge.target],
-            ):
-                return False
-        for edge in pattern.in_edges(node):
-            if not self._csr_row_hits(
-                self._in_csr.get(self.labels.id_of(edge.label)),
-                position,
-                simulation[edge.source],
-            ):
-                return False
-        return True
-
-    @staticmethod
-    def _csr_row_hits(csr, position: int, targets: set) -> bool:
-        if csr is None:
-            return False
-        indptr, indices = csr
-        for offset in range(indptr[position], indptr[position + 1]):
-            if indices[offset] in targets:
-                return True
-        return False
-
-    # ------------------------------------------------------------------
     def __repr__(self) -> str:
         graph = self._graph_ref()
         name = graph.name if graph is not None else "<collected>"
         backend = "numpy" if self._np is not None else "array"
         return (
             f"ColumnarFragment(graph={name!r}, backend={backend}, "
-            f"version={self._built_version}, nodes={len(self._node_ids)}, "
+            f"version={self._built_version}, nodes={len(self._pos)}, "
             f"columns={self._num_columns}, pristine={self.pristine})"
         )
 

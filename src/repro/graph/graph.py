@@ -621,11 +621,6 @@ class Graph:
         targets = by_label.get(label)
         return bool(targets) and target in targets
 
-    def edge_labels_between(self, source: NodeId, target: NodeId) -> set[Label]:
-        """Set of labels of edges from *source* to *target*."""
-        by_label = self._out.get(source, {})
-        return {label for label, targets in by_label.items() if target in targets}
-
     # ------------------------------------------------------------------
     # label index
     # ------------------------------------------------------------------

@@ -73,12 +73,6 @@ def build_sketch(graph: Graph, node: NodeId, hops: int) -> KHopSketch:
     )
 
 
-def build_sketch_index(graph: Graph, hops: int, nodes=None) -> dict[NodeId, KHopSketch]:
-    """Pre-compute sketches for *nodes* (default: all nodes) of *graph*."""
-    targets = graph.nodes() if nodes is None else nodes
-    return {node: build_sketch(graph, node, hops) for node in targets}
-
-
 def sketch_dominates(candidate: KHopSketch, required: KHopSketch) -> bool:
     """Whether *candidate* has at least the label counts *required* demands.
 

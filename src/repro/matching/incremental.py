@@ -313,7 +313,6 @@ class MatchStore:
         self.statistics = StoreStatistics()
         self._entries: dict[str, MatchEntry] = {}
         self._codes: dict[Pattern, str] = {}
-        self._owners: dict[str, set[str]] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -451,56 +450,16 @@ class MatchStore:
         entry.matches = frozenset(matches)
         entry.streams = streams
 
-    def acquire(self, pattern: "Pattern | str", owner: str) -> str:
-        """Pin *pattern*'s entry (by pattern or code) on behalf of *owner*.
-
-        Owned codes survive :meth:`retain` even when the caller's keep-set
-        omits them, so one consumer's round pruning cannot evict an entry a
-        concurrent tenant still reads.  Returns the code key.
-        """
-        code = pattern if isinstance(pattern, str) else self.code_for(pattern)
-        self._owners.setdefault(code, set()).add(owner)
-        return code
-
-    def release(self, owner: str) -> int:
-        """Drop *owner*'s pins; evicts entries that became unowned.
-
-        Only entries that were owner-managed (pinned at least once) are
-        evicted on their last release — anonymous entries keep the
-        historical retain/clear lifecycle.  Returns the number of entries
-        evicted.
-        """
-        dropped = 0
-        for code in [c for c, owners in self._owners.items() if owner in owners]:
-            owners = self._owners[code]
-            owners.discard(owner)
-            if not owners:
-                del self._owners[code]
-                if self._entries.pop(code, None) is not None:
-                    dropped += 1
-        return dropped
-
-    def owners_of(self, pattern: "Pattern | str") -> frozenset[str]:
-        """Current owners pinning *pattern*'s code (empty when anonymous)."""
-        code = pattern if isinstance(pattern, str) else self.code_for(pattern)
-        return frozenset(self._owners.get(code, ()))
-
     def retain(self, codes: Iterable[str]) -> int:
-        """Drop every unowned entry whose code is not in *codes*; returns #dropped.
+        """Drop every entry whose code is not in *codes*; returns #dropped.
 
         DMine calls this after each evaluate round with the codes
         materialized *in* that round: the only parents the next level can
         ever need are this level's children, so coordinator-side beam
-        pruning translates into bounded worker-side memory.  Codes pinned
-        via :meth:`acquire` are exempt: they belong to live tenants, not to
-        the pruning caller.
+        pruning translates into bounded worker-side memory.
         """
         keep = set(codes)
-        stale = [
-            code
-            for code in self._entries
-            if code not in keep and not self._owners.get(code)
-        ]
+        stale = [code for code in self._entries if code not in keep]
         for code in stale:
             del self._entries[code]
         return len(stale)
@@ -508,7 +467,6 @@ class MatchStore:
     def clear(self) -> None:
         """Drop all entries (e.g. between unrelated runs on a shared graph)."""
         self._entries.clear()
-        self._owners.clear()
 
 
 class DeltaMatcher:

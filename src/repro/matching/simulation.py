@@ -40,19 +40,11 @@ def maximum_dual_simulation(
     Returns a mapping ``pattern node -> set of data nodes`` that simulate it;
     all sets are empty when no total simulation exists (some pattern node has
     no simulating data node).  With the graph's *resident* structure the
-    whole refinement runs over CSR ranges in interned-id space (vectorized
-    when numpy is available); the maximum simulation is unique, so the
-    result is identical to the dict fixpoint.  The CSR path requires a
-    pristine (overlay-free) structure — a patched one returns ``None`` from
-    ``dual_simulation`` and the loop below takes over until the next compile
-    boundary, with its label seeding and per-candidate neighbour probes
-    answered from the structure's frozen views instead of copied sets.
+    label seeding and the per-candidate neighbour probes are answered from
+    its frozen views instead of copied sets; the maximum simulation is
+    unique, so the result is the same either way.
     """
     expanded = pattern.expanded()
-    if resident is not None:
-        result = resident.dual_simulation(expanded)
-        if result is not None:
-            return result
     # Initial candidates: label agreement.
     labelled = resident.nodes_with_label if resident is not None else graph.nodes_with_label
     simulation: dict[Hashable, set[NodeId]] = {

@@ -58,14 +58,6 @@ class IncrementalDiversifier:
     # ------------------------------------------------------------------
     # bookkeeping
     # ------------------------------------------------------------------
-    def known_rules(self) -> set[GPAR]:
-        """Rules whose info has been registered so far."""
-        return set(self._info)
-
-    def info_for(self, rule: GPAR) -> RuleInfo:
-        """Registered info for *rule* (KeyError if unknown)."""
-        return self._info[rule]
-
     def _rules_in_queue(self) -> set[GPAR]:
         rules: set[GPAR] = set()
         for pair in self._pairs:

@@ -45,15 +45,6 @@ class RuleMessage:
     # centres matching R that still have unexplored structure at hop r + 1.
     upper_support: int = 0
 
-    def payload_size(self) -> int:
-        """Rough message size (number of ids + counters), for reporting."""
-        return (
-            7
-            + len(self.rule_matches)
-            + len(self.antecedent_matches)
-            + len(self.qbar_matches)
-        )
-
 
 @dataclass(frozen=True)
 class RuleFocus:

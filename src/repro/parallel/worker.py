@@ -9,7 +9,7 @@ worker resolves ``fragment_id`` against its local registry.
 
 The initializer also compiles each fragment's resident
 :class:`repro.graph.columnar.ColumnarFragment` (label buckets, profile
-matrix, CSR adjacency, sketch cache) unless the solver opted out, so the
+matrix, sketch cache) unless the solver opted out, so the
 matching hot path probes a warm structure that lives with the fragment for
 the pool's lifetime and never crosses the pickle boundary.
 

@@ -193,15 +193,6 @@ class FragmentCheckpoint:
         graph._delta_log.clear()
         return graph
 
-    def build_fragment(self) -> Fragment:
-        """Materialise the snapshot as a whole :class:`Fragment`."""
-        return Fragment(
-            index=self.fragment_index,
-            graph=self.build_graph(),
-            owned_centers=set(self.owned_centers),
-            sequence=self.sequence,
-        )
-
     def install(self, fragment: Fragment) -> None:
         """Replace *fragment*'s resident state with this snapshot in place.
 
@@ -391,10 +382,6 @@ class FragmentManager:
     def sequence(self) -> int:
         """Newest derived slice sequence number."""
         return self._sequence
-
-    def owner_of(self, center: NodeId) -> int | None:
-        """The fragment owning *center*, or ``None``."""
-        return self._owner.get(center)
 
     def owned_centers(self, index: int) -> set:
         """Centres currently owned by fragment *index*."""

@@ -11,7 +11,6 @@ from repro.pattern.pattern import Pattern, PatternEdge
 from repro.pattern.builder import PatternBuilder
 from repro.pattern.gpar import GPAR
 from repro.pattern.radius import pattern_radius, is_connected
-from repro.pattern.subsumption import subsumes
 from repro.pattern.automorphism import are_isomorphic, group_automorphic
 from repro.pattern.bisimulation import are_bisimilar
 from repro.pattern.canonical import canonical_code
@@ -23,7 +22,6 @@ __all__ = [
     "GPAR",
     "pattern_radius",
     "is_connected",
-    "subsumes",
     "are_isomorphic",
     "group_automorphic",
     "are_bisimilar",

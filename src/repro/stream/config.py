@@ -10,10 +10,14 @@ promotes all of them to per-run fields with a uniform override story:
 * **environment variables** (``REPRO_DELTA_LOG_SIZE``,
   ``REPRO_DELTA_REBUILD_FRACTION``, ``REPRO_CHECKPOINT_LOG_FRACTION``,
   ``REPRO_REBALANCE_SKEW``, ``REPRO_STATE_DIR``) override the defaults at
-  construction time — and, because the process pool forks/spawns with the
-  parent's environment, reach worker-side index builds too;
-* **CLI flags** on ``repro stream`` / ``repro-bench-smoke`` override both
-  (the CLI also exports the env vars so worker processes agree).
+  construction time;
+* **CLI flags** on ``repro stream`` override both.
+
+The environment is only ever *read*.  A run's values reach its workers as
+data: the delta-log size travels with the fragment graphs (pickled to pool
+workers, recorded in every ``FragmentCheckpoint``), the rebuild fraction on
+each round's ``StreamVerifyPayload`` — so one session's thresholds can never
+become another session's defaults.
 """
 
 from __future__ import annotations
@@ -119,17 +123,6 @@ class StreamConfig:
             )
         if self.state_dir is not None:
             object.__setattr__(self, "state_dir", Path(self.state_dir))
-
-    def export_env(self) -> None:
-        """Export the graph/index thresholds as env vars for worker processes.
-
-        Worker pools compile fragment structures in their initializer with the
-        process-wide defaults; the spawned/forked children inherit these
-        variables, so a per-run override reaches them without widening the
-        executor protocol.
-        """
-        os.environ["REPRO_DELTA_LOG_SIZE"] = str(self.delta_log_size)
-        os.environ["REPRO_DELTA_REBUILD_FRACTION"] = str(self.delta_rebuild_fraction)
 
     def apply_to_graph(self, graph) -> None:
         """Resize *graph*'s delta log to this config's capacity."""

@@ -60,7 +60,6 @@ from repro.graph.neighborhood import multi_source_ball
 from repro.identification.census import (
     CensusMatcher,
     apply_census,
-    census_feasible,
     max_verification_radius,
     plan_census,
     split_free_pattern,
@@ -125,6 +124,10 @@ class StreamVerifyPayload:
     centres whose verdict may have changed; ``None`` verifies every owned
     centre (the initial full round).  ``census`` maps census-split
     antecedents to their x-components (see :class:`CensusMatcher`).
+    ``rebuild_fraction`` is the run's
+    :attr:`~repro.stream.StreamConfig.delta_rebuild_fraction`: the worker
+    sets it on the fragment's resident structure before refreshing, on every
+    backend, so the threshold never has to live in process-wide state.
     """
 
     lease: FragmentLease
@@ -133,6 +136,7 @@ class StreamVerifyPayload:
     rules: tuple[GPAR, ...]
     max_radius: int
     predicate: object
+    rebuild_fraction: float
     recheck: tuple | None = None
     census: tuple = ()  # ((antecedent, x_part), ...)
     #: Whether the coordinator had an active tracer when it built the
@@ -214,9 +218,11 @@ def _stream_verify(
         fragment = catch_up(context, payload.lease)
 
     resident = registered_columnar(fragment.graph)
-    if resident is not None and resident.is_stale:
-        with span("stream.worker.index_refresh"):
-            resident.refresh()
+    if resident is not None:
+        resident.rebuild_fraction = payload.rebuild_fraction
+        if resident.is_stale:
+            with span("stream.worker.index_refresh"):
+                resident.refresh()
 
     config = payload.config
     solver = payload.solver_cls(config)
@@ -419,16 +425,6 @@ class StreamingIdentifier:
         self._census_parts: dict[GPAR, Pattern] = {
             entry.rule: entry.part for entry in self._census_plan.entries
         }
-        self._census_requirements: dict[GPAR, tuple] = {
-            entry.rule: entry.requirements
-            for entry in self._census_plan.entries
-            if entry.requirements
-        }
-        self._census_pr_requirements: dict[GPAR, tuple] = {
-            entry.rule: entry.pr_requirements
-            for entry in self._census_plan.entries
-            if entry.pr_requirements
-        }
         self._census_pairs = self._census_plan.substitutions
         self.max_radius = max(
             max_verification_radius(self.rules, self._census_plan),
@@ -436,26 +432,13 @@ class StreamingIdentifier:
         )
 
     def _start_runtime(self) -> None:
-        solver_cls = type(self._solver)
-        if self.config.backend == "processes":
-            # Pool workers compile fragment structures with the process-wide
-            # defaults; exporting before the pool forks/spawns is what makes
-            # a programmatic StreamConfig override reach them.
-            self.stream_config.export_env()
         executor = make_executor(
             self.config.backend,
             self.config.executor_workers,
-            build_resident=solver_cls._consumes_resident,
+            build_resident=type(self._solver)._consumes_resident,
         )
         self.runtime = BSPRuntime(self.fragments, executor)
         self.runtime.start_run()
-        # In-process backends share the coordinator's resident structures;
-        # honour the configured rebuild fraction on them directly (process
-        # pools inherit it through the exported environment variable).
-        for fragment in self.fragments:
-            resident = registered_columnar(fragment.graph)
-            if resident is not None:
-                resident.rebuild_fraction = self.stream_config.delta_rebuild_fraction
         self._closed = False
         self._result: EIPResult | None = None  # assembled on read, see result
         # apply() is not re-entrant: it mutates the authoritative graph, the
@@ -478,33 +461,11 @@ class StreamingIdentifier:
             rules=self.rules if rules is None else rules,
             max_radius=self.max_radius,
             predicate=self.predicate,
+            rebuild_fraction=self.stream_config.delta_rebuild_fraction,
             recheck=recheck,
             census=self._census_pairs,
             traced=tracing_enabled(),
         )
-
-    # ------------------------------------------------------------------
-    def _infeasible_rules(self) -> list[GPAR]:
-        """Census rules whose *antecedent* the current label counts cannot cover."""
-        if not self._census_requirements:
-            return []
-        counts = self.graph.node_label_counts()
-        return [
-            rule
-            for rule, requirements in self._census_requirements.items()
-            if not census_feasible(requirements, counts)
-        ]
-
-    def _pr_infeasible_rules(self) -> list[GPAR]:
-        """Census rules whose *PR pattern* the current label counts cannot cover."""
-        if not self._census_pr_requirements:
-            return []
-        counts = self.graph.node_label_counts()
-        return [
-            rule
-            for rule, requirements in self._census_pr_requirements.items()
-            if not census_feasible(requirements, counts)
-        ]
 
     def _assemble(self) -> EIPResult:
         reports = [self._reports[fragment.index] for fragment in self.fragments]

@@ -127,10 +127,6 @@ class MultiTenantIdentifier:
         """The distinct canonical representatives the core verifies."""
         return self.identifier.rules
 
-    def rules_for(self, tenant: str) -> tuple[GPAR, ...]:
-        with self._lock:
-            return self._require(tenant)
-
     def admission_for(self, tenant: str) -> TenantAdmission:
         with self._lock:
             self._require(tenant)

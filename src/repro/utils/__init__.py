@@ -1,19 +1,9 @@
-"""Small shared utilities: RNG handling, timing, validation helpers."""
+"""Small shared utilities: RNG handling and timing."""
 
 from repro.utils.rng import ensure_rng
 from repro.utils.timing import Stopwatch
-from repro.utils.validation import (
-    require_positive,
-    require_non_negative,
-    require_in_range,
-    require_type,
-)
 
 __all__ = [
     "ensure_rng",
     "Stopwatch",
-    "require_positive",
-    "require_non_negative",
-    "require_in_range",
-    "require_type",
 ]

@@ -1,10 +1,10 @@
 """Unit tests of the columnar fragment kernel (repro.graph.columnar).
 
-Covers the LabelTable interning contract, CSR construction on both the
-numpy and the pure-``array`` backend, the compiled-requirement filter
-against its dict-path definition, delta-driven patching (overlays answer
-probes exactly like a fresh compile; vectorized paths suspend until the
-next compile boundary), the probe-time staleness guard, and the
+Covers the LabelTable interning contract, the compiled-requirement filter
+against its dict-path definition on both the numpy and the pure-``array``
+backend, delta-driven patching (overlays answer probes exactly like a
+fresh compile; the vectorized pool mask suspends until the next compile
+boundary), the probe-time staleness guard, and the
 per-process registry.  Cross-implementation equivalence at scale lives in
 tests/test_columnar_equivalence.py.
 """
@@ -30,7 +30,7 @@ from repro.graph.columnar import (
 )
 from repro.matching.candidates import degree_consistent
 from repro.matching.simulation import maximum_dual_simulation
-from repro.pattern import Pattern, PatternEdge
+from repro.pattern import Pattern
 from repro.stream import random_update_batch
 
 
@@ -150,16 +150,6 @@ def test_filter_candidates_equals_dict_filter(use_numpy):
             assert view.dominates(node, requirement) == (node in set(expected))
 
 
-@pytest.mark.parametrize("use_numpy", BACKENDS)
-def test_dual_simulation_equals_dict_fixpoint(use_numpy):
-    graph = _small_graph()
-    pattern = _pattern_for(graph)
-    with numpy_disabled(not use_numpy):
-        view = ColumnarFragment(graph)
-        result = view.dual_simulation(pattern.expanded())
-    assert result == maximum_dual_simulation(pattern, graph)
-
-
 def test_unknown_pattern_label_filters_everything():
     graph = _small_graph()
     view = ColumnarFragment(graph)
@@ -167,7 +157,7 @@ def test_unknown_pattern_label_filters_everything():
     requirement = view.compile_requirement(alien, alien.x)
     assert requirement.label_id == -1
     assert view.filter_candidates(sorted(graph.nodes(), key=str), requirement) == []
-    assert view.dual_simulation(alien) == {"x": set()}
+    assert maximum_dual_simulation(alien, graph, view) == {"x": set()}
 
 
 # ----------------------------------------------------------------------
@@ -211,11 +201,17 @@ def test_patched_view_suspends_vectorized_paths_until_recompile():
         graph.add_node("overlay-probe", sorted(graph.node_labels())[0])
         view.refresh()
     assert not view.pristine
-    assert view.dual_simulation(pattern) is None  # caller falls back to dicts
-    assert view.statistics.fallbacks > 0
+    pool = sorted(graph.nodes(), key=str)
+    requirement = view.compile_requirement(pattern, pattern.x)
+    survivors = view.filter_candidates(pool, requirement)  # row checks, no mask
+    assert (view.statistics.mask_filters, view.statistics.row_filters) == (0, 1)
+    assert maximum_dual_simulation(pattern, graph, view) == maximum_dual_simulation(
+        pattern, graph
+    )
     view._build()  # the compile boundary restores the fast path
     assert view.pristine
-    assert view.dual_simulation(pattern) == maximum_dual_simulation(pattern, graph)
+    assert view.filter_candidates(pool, view.compile_requirement(pattern, pattern.x)) == survivors
+    assert view.statistics.mask_filters == (1 if numpy_active() else 0)
 
 
 def test_rebuild_fraction_zero_always_recompiles():
@@ -278,27 +274,3 @@ def test_view_holds_graph_weakly():
 
     with pytest.raises(GraphError):
         _ = view.graph
-
-
-# ----------------------------------------------------------------------
-# CSR layout sanity on a hand-built graph
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("use_numpy", BACKENDS)
-def test_csr_matches_hand_built_adjacency(use_numpy):
-    graph = Graph(name="csr-hand")
-    for node, label in [("a", "L"), ("b", "L"), ("c", "M")]:
-        graph.add_node(node, label)
-    graph.add_edge("a", "b", "e")
-    graph.add_edge("a", "c", "e")
-    graph.add_edge("b", "c", "f")
-    with numpy_disabled(not use_numpy):
-        view = ColumnarFragment(graph)
-    edge_id = view.labels.id_of("e")
-    indptr, indices = view._out_csr[edge_id]
-    position = view._pos["a"]
-    row = {view._node_ids[indices[offset]] for offset in range(indptr[position], indptr[position + 1])}
-    assert row == {"b", "c"}
-    pattern = Pattern(
-        nodes={"x": "L", "y": "M"}, edges=[PatternEdge("x", "y", "e")], x="x"
-    )
-    assert view.dual_simulation(pattern) == {"x": {"a"}, "y": {"c"}}

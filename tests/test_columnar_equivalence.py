@@ -1,7 +1,7 @@
 """Randomized equivalence: columnar matching == the naive reference, always.
 
 The resident :class:`repro.graph.columnar.ColumnarFragment` is a frozen
-re-encoding of the fragment (interned label ids, CSR adjacency, a
+re-encoding of the fragment (interned label ids, label buckets, a
 precomputed profile matrix), so every probe must agree with the dict-backed
 definitions byte for byte.  Three layers of evidence:
 
@@ -143,11 +143,9 @@ def _assert_view_matches_dicts(graph: Graph, view: ColumnarFragment, rng: random
             and degree_consistent(graph, node, expanded, pattern_node)
         ]
         assert view.filter_candidates(pool, requirement) == expected
-    vectorized = view.dual_simulation(expanded)
-    if vectorized is not None:  # patched views decline; callers fall back
-        assert vectorized == maximum_dual_simulation(pattern, graph)
-    else:
-        assert not view.pristine
+    assert maximum_dual_simulation(pattern, graph, view) == maximum_dual_simulation(
+        pattern, graph
+    )
 
 
 @pytest.mark.parametrize("use_numpy", NUMPY_MODES)
@@ -195,8 +193,9 @@ def test_batch_update_then_recompile_equals_fresh_compile(use_numpy, graph, seed
             assert view.nodes_with_label(label) == fresh.nodes_with_label(label)
         pattern = _pattern_from_graph(graph, rng)
         if pattern is not None:
-            expanded = pattern.expanded()
-            assert view.dual_simulation(expanded) == fresh.dual_simulation(expanded)
+            assert maximum_dual_simulation(pattern, graph, view) == maximum_dual_simulation(
+                pattern, graph, fresh
+            )
 
 
 def _warm_caches(graph: Graph, view: ColumnarFragment) -> None:
@@ -307,7 +306,7 @@ def test_vf2_columnar_equals_dict(seed):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_simulation_columnar_equals_dict(seed):
     graph, patterns = _workload(seed)
-    # No isomorphism reference for dual simulation: the CSR refinement must
+    # No isomorphism reference for dual simulation: the resident fixpoint must
     # equal the raw dict fixpoint (same matcher, a copy with nothing
     # resident) and contain every reference isomorphism match.
     bare = graph.copy()

@@ -85,7 +85,6 @@ class TestEdges:
     def test_parallel_edges_different_labels(self, toy):
         assert toy.has_edge("a", "r", "visit")
         assert toy.has_edge("a", "r", "like")
-        assert toy.edge_labels_between("a", "r") == {"visit", "like"}
 
     def test_has_edge_any_label(self, toy):
         assert toy.has_edge("a", "r")

@@ -1,10 +1,9 @@
-"""Tests for graph statistics and views."""
+"""Tests for graph statistics."""
 
 import pytest
 
-from repro.graph import Graph, induced_subgraph, subgraph_from_edges, summarize
+from repro.graph import Graph, summarize
 from repro.graph.statistics import degree_histogram, most_frequent_edge_patterns
-from repro.graph.views import is_subgraph
 
 
 class TestSummaries:
@@ -34,26 +33,3 @@ class TestSummaries:
         top = patterns[0]
         assert top[3] >= patterns[-1][3]
 
-
-class TestViews:
-    def test_induced_subgraph_function(self, g1):
-        sub = induced_subgraph(g1, ["cust1", "cust2", "LeBernardin"])
-        assert sub.num_nodes == 3
-        assert sub.has_edge("cust1", "cust2", "friend")
-        assert sub.has_edge("cust1", "LeBernardin", "visit")
-
-    def test_subgraph_from_edges(self, g1):
-        sub = subgraph_from_edges(g1, [("cust1", "LeBernardin", "visit")])
-        assert sub.num_nodes == 2
-        assert sub.num_edges == 1
-
-    def test_subgraph_from_edges_rejects_missing_edge(self, g1):
-        with pytest.raises(ValueError):
-            subgraph_from_edges(g1, [("cust1", "LeBernardin", "hates")])
-
-    def test_is_subgraph(self, g1):
-        sub = induced_subgraph(g1, ["cust1", "cust2"])
-        assert is_subgraph(sub, g1)
-        other = Graph()
-        other.add_node("cust1", "restaurant")
-        assert not is_subgraph(other, g1)

@@ -3,8 +3,8 @@
 Label buckets, decoded profiles, the memoised frozen adjacency views, the
 k-hop sketch cache with its isolated-node fast path, probe-time
 invalidation and the per-process registry of
-:class:`repro.graph.columnar.ColumnarFragment`; the array kernels (CSR,
-pool masks, patch overlays) are covered in tests/test_columnar.py.
+:class:`repro.graph.columnar.ColumnarFragment`; the array kernels
+(pool masks, patch overlays) are covered in tests/test_columnar.py.
 """
 
 from __future__ import annotations

@@ -50,6 +50,13 @@ def toy_graph() -> Graph:
     return g
 
 
+def _resident_thresholds(context, payload):
+    """Module-level worker: the thresholds this worker's fragment runs with."""
+    graph = context.fragment.graph
+    resident = registered_columnar(graph)
+    return resident.rebuild_fraction, graph.delta_log_size, resident.statistics.delta_applies
+
+
 class TestStreamConfig:
     def test_defaults_match_module_constants(self):
         from repro.graph.graph import DELTA_LOG_SIZE
@@ -139,7 +146,8 @@ class TestFragmentCheckpoint:
             sequence=0,
             name=fragment.graph.name,
         )
-        rebuilt = checkpoint.build_fragment()
+        rebuilt = Fragment(index=fragment.index, graph=Graph(), owned_centers=set())
+        checkpoint.install(rebuilt)
         assert rebuilt.graph.structure_equal(fragment.graph)
         assert rebuilt.owned_centers == fragment.owned_centers
         assert rebuilt.sequence == 0
@@ -521,26 +529,35 @@ class TestSaveRestore:
             with pytest.raises(StreamError):
                 identifier.save_state()  # no path, no state_dir
 
-    def test_process_backend_exports_stream_config_env(self, monkeypatch):
+    @pytest.mark.parametrize("backend", ["sequential", "processes"])
+    def test_stream_config_stays_out_of_the_environment(self, backend, monkeypatch):
         import os
+
+        from repro.graph.columnar import DELTA_REBUILD_FRACTION
+        from repro.graph.graph import DELTA_LOG_SIZE
 
         monkeypatch.delenv("REPRO_DELTA_REBUILD_FRACTION", raising=False)
         monkeypatch.delenv("REPRO_DELTA_LOG_SIZE", raising=False)
+        environment = dict(os.environ)
         graph, identifier = self._identifier(
+            # One pool process, so the probe round below reads the very
+            # structures the verify rounds refreshed.
             config=EIPConfig(
-                eta=0.5, num_workers=2, backend="processes", executor_workers=2
+                eta=0.5, num_workers=2, backend=backend, executor_workers=1
             ),
-            stream_config=StreamConfig(delta_rebuild_fraction=0.9, delta_log_size=48),
+            stream_config=StreamConfig(delta_rebuild_fraction=0.0, delta_log_size=5),
         )
         with identifier:
-            # Pool workers resolve their index thresholds from the
-            # environment; a programmatic override must land there before
-            # the pool starts.
-            assert os.environ["REPRO_DELTA_REBUILD_FRACTION"] == "0.9"
-            assert os.environ["REPRO_DELTA_LOG_SIZE"] == "48"
             identifier.apply(random_update_batch(graph, size=5, seed=2))
+            # The run's thresholds sit on the worker-side structures (0.0:
+            # every refresh recompiled, none patched)...
+            assert identifier.runtime.run_round(_resident_thresholds) == [(0.0, 5, 0)] * 2
             fresh = identifier.recompute()
             assert fresh.identified == identifier.result.identified
+        # ...and nowhere a later session would read its defaults from.
+        assert dict(os.environ) == environment
+        assert StreamConfig().delta_rebuild_fraction == DELTA_REBUILD_FRACTION
+        assert StreamConfig().delta_log_size == Graph().delta_log_size == DELTA_LOG_SIZE
 
     def test_restore_keeps_serving_on_disk_bases_and_reclaims_them(self, tmp_path):
         state_dir = tmp_path / "state"

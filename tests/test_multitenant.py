@@ -5,9 +5,8 @@ deduplication in :class:`~repro.matching.SharedPatternPool`, dynamic
 Σ admission/retirement on a live :class:`~repro.stream.StreamingIdentifier`,
 per-tenant projections of one shared core
 (:class:`~repro.stream.MultiTenantIdentifier` — gated byte-identical to
-independent runs by :func:`repro.testing.multi_tenant_check`), ownership
-pinning in :class:`~repro.matching.MatchStore`, and the session-level
-fan-out of :class:`repro.api.SharedSessionCore`.
+independent runs by :func:`repro.testing.multi_tenant_check`), and the
+session-level fan-out of :class:`repro.api.SharedSessionCore`.
 """
 
 from __future__ import annotations
@@ -18,13 +17,7 @@ from repro import api
 from repro.datasets import generate_gpars, most_frequent_predicates, synthetic_graph
 from repro.exceptions import ReproError, StreamError
 from repro.identification.eip import EIPConfig, identify_entities
-from repro.matching import (
-    DeltaMatcher,
-    MatchStore,
-    SharedPatternPool,
-    VF2Matcher,
-    rule_key,
-)
+from repro.matching import SharedPatternPool, rule_key
 from repro.pattern.gpar import GPAR
 from repro.pattern.pattern import Pattern
 from repro.stream import (
@@ -115,46 +108,6 @@ class TestSharedPatternPool:
             pool.register("t1", tuple(rules[:2]))
         with pytest.raises(ReproError):
             pool.register("t2", ())
-
-
-class TestMatchStoreOwnership:
-    def _materialized(self, seed=1):
-        graph = synthetic_graph(80, 240, num_node_labels=4, num_edge_labels=3, seed=seed)
-        predicate = most_frequent_predicates(graph, top=1)[0]
-        rules = generate_gpars(graph, predicate, count=2, max_pattern_edges=2, seed=seed)
-        store = MatchStore(graph)
-        delta_matcher = DeltaMatcher(graph, VF2Matcher(), store)
-        patterns = []
-        for rule in rules:
-            pattern = rule.pr_pattern()
-            if pattern in patterns:
-                continue
-            candidates = sorted(graph.nodes_with_label(pattern.label(pattern.x)), key=str)
-            delta_matcher.materialize(pattern, candidates)
-            patterns.append(pattern)
-        return store, patterns
-
-    def test_acquire_pins_through_retain(self):
-        store, patterns = self._materialized()
-        pinned = patterns[0]
-        store.acquire(pinned, "tenant-a")
-        dropped = store.retain([])  # a round prune that keeps nothing
-        assert dropped == len(patterns) - 1
-        assert store.get(pinned) is not None
-        assert store.owners_of(pinned) == frozenset({"tenant-a"})
-
-    def test_close_one_tenant_keeps_the_other(self):
-        # The regression the refcount exists for: two tenants pin the same
-        # entry; the first tenant's teardown must not evict it.
-        store, patterns = self._materialized()
-        shared = patterns[0]
-        store.acquire(shared, "tenant-a")
-        store.acquire(shared, "tenant-b")
-        assert store.release("tenant-a") == 0
-        assert store.get(shared) is not None
-        assert store.owners_of(shared) == frozenset({"tenant-b"})
-        assert store.release("tenant-b") == 1
-        assert store.get(shared) is None
 
 
 class TestStreamingAdmission:

@@ -13,7 +13,6 @@ from repro.graph import (
     sketch_dominates,
     sketch_score,
 )
-from repro.graph.sketch import build_sketch_index
 
 
 @pytest.fixture
@@ -126,8 +125,3 @@ class TestSketches:
         poor = build_sketch(chain, "e", 2)
         assert sketch_score(rich, poor) > 0
         assert sketch_score(poor, poor) == 0
-
-    def test_sketch_index(self, chain):
-        index = build_sketch_index(chain, 2, nodes=["a", "b"])
-        assert set(index) == {"a", "b"}
-        assert index["a"].node == "a"

@@ -6,7 +6,6 @@ from repro.exceptions import ExecutorError, PartitionError, WorkerError
 from repro.graph import ball
 from repro.parallel import (
     BSPRuntime,
-    RuleMessage,
     SequentialExecutor,
     ThreadPoolExecutorBackend,
     WorkerTask,
@@ -188,15 +187,3 @@ class TestBSPRuntime:
 
     def test_num_workers(self, g1):
         assert BSPRuntime(self._fragments(g1)).num_workers == 3
-
-
-class TestMessages:
-    def test_payload_size(self, r1):
-        message = RuleMessage(
-            rule=r1,
-            fragment_index=0,
-            rule_matches={"a", "b"},
-            antecedent_matches={"a", "b", "c"},
-            qbar_matches={"d"},
-        )
-        assert message.payload_size() == 7 + 2 + 3 + 1

@@ -5,7 +5,6 @@ import pytest
 from repro.exceptions import PatternError
 from repro.pattern import Pattern, PatternBuilder, PatternEdge
 from repro.pattern.radius import is_connected, nodes_at_hop, pattern_radius
-from repro.pattern.subsumption import embeds, subsumes
 
 
 @pytest.fixture
@@ -189,43 +188,3 @@ class TestRadiusAndConnectivity:
     def test_nodes_at_hop(self, r1):
         assert nodes_at_hop(r1.antecedent, "x", 0) == {"x"}
         assert "x2" in nodes_at_hop(r1.antecedent, "x", 1)
-
-
-class TestSubsumption:
-    def test_subsumes_shared_ids(self, q_like):
-        bigger = q_like.with_edge("x", "c", "live_in", target_label="city")
-        assert subsumes(bigger, q_like)
-        assert not subsumes(q_like, bigger)
-
-    def test_subsumes_checks_labels(self, q_like):
-        other = Pattern(nodes={"x": "city"}, edges=[], x="x")
-        assert not subsumes(q_like, other)
-
-    def test_subsumes_checks_copies(self, q_copies):
-        fewer = Pattern(
-            nodes=dict(q_copies.node_items()),
-            edges=q_copies.edges(),
-            x="x",
-            y="y",
-            copies={"fr": 2},
-        )
-        assert subsumes(q_copies, fewer)
-        assert not subsumes(fewer, q_copies)
-
-    def test_embeds_across_different_ids(self, q_like):
-        renamed = Pattern(
-            nodes={"a": "cust", "b": "restaurant"},
-            edges=[("a", "b", "like")],
-            x="a",
-            y="b",
-        )
-        assert embeds(q_like, renamed)
-
-    def test_embeds_fails_on_missing_structure(self, q_like):
-        bigger = Pattern(
-            nodes={"a": "cust", "b": "restaurant", "c": "city"},
-            edges=[("a", "b", "like"), ("a", "c", "live_in")],
-            x="a",
-            y="b",
-        )
-        assert not embeds(q_like, bigger)

@@ -1,0 +1,122 @@
+"""Guard: ``src/repro`` holds only modules a served entry point can reach.
+
+The import graph is built statically with ``ast`` (function-level imports
+included).  A package ``__init__`` is a *resolver*, not a node: ``from
+repro.pkg import Name`` becomes an edge to the module that defines ``Name``,
+found through the package's own re-export — so a module does not count as
+reachable merely because its package re-exports it.
+
+Roots are the served surface (:mod:`repro.api`, :mod:`repro.cli`, the HTTP
+service).  Every module outside ``bench/`` and ``testing/`` must be reachable
+from a root, or from a module listed — with its reason — in ``UNSERVED``.
+Adding to that table is a decision to keep code the product never runs.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+ROOTS = ("repro.api", "repro.cli", "repro.serve.app", "repro.serve.http")
+
+#: Modules kept although no served path reaches them, and why.
+UNSERVED = {
+    "repro.matching.simulation": "the paper's future-work semantics, held by the seed suite",
+    "repro.stream.matchview": "ROADMAP item 2 decides which repair mechanism survives",
+    "repro.identification.sequential": "single-machine reference oracle of the EIP tests",
+    "repro.datasets.paper_graphs": "the paper's example graphs (also roots pattern.builder)",
+}
+
+#: Harness code: allowed to exist without a served importer, never a root.
+EXEMPT = ("repro.bench", "repro.testing")
+
+
+def _module_files() -> dict[str, Path]:
+    """``dotted module name -> file`` for every module of the package tree."""
+    files = {}
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        parts = path.relative_to(SRC).with_suffix("").parts
+        if parts[-1] == "__init__":
+            parts = parts[:-1]
+        files[".".join(parts)] = path
+    return files
+
+
+FILES = _module_files()
+PACKAGES = {name for name, path in FILES.items() if path.name == "__init__.py"}
+
+
+def _imports(module: str):
+    """Yield ``(base module, imported name or None)`` for each import statement."""
+    for node in ast.walk(ast.parse(FILES[module].read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name, None
+        elif isinstance(node, ast.ImportFrom):
+            # The tree imports absolutely throughout; resolving a relative
+            # form is not implemented, so refuse one instead of missing edges.
+            assert node.level == 0, f"{module}: relative import at line {node.lineno}"
+            for alias in node.names:
+                yield node.module, alias.name
+
+
+def _defining_module(base: str, name: str | None) -> str | None:
+    """The non-package module an import of *name* from *base* lands in."""
+    if base not in FILES:
+        return None  # stdlib / third party
+    if name is not None and f"{base}.{name}" in FILES:
+        base, name = f"{base}.{name}", None
+    if base not in PACKAGES:
+        return base
+    if name is None:
+        return None  # a bare package import executes no module of interest
+    for source, imported in _imports(base):
+        if imported == name:
+            return _defining_module(source, imported)
+    return None  # defined in the __init__ itself
+
+
+def _edges(module: str) -> set[str]:
+    targets = (_defining_module(base, name) for base, name in _imports(module))
+    return {target for target in targets if target is not None}
+
+
+def _reachable(roots) -> set[str]:
+    seen, stack = set(), list(roots)
+    while stack:
+        module = stack.pop()
+        if module not in seen:
+            seen.add(module)
+            stack.extend(_edges(module))
+    return seen
+
+
+def test_resolver_follows_package_reexports():
+    assert _defining_module("repro.graph", "Graph") == "repro.graph.graph"
+    assert _defining_module("repro.graph", "columnar") == "repro.graph.columnar"
+    assert _defining_module("repro.graph.columnar", "ColumnarFragment") == "repro.graph.columnar"
+    assert _defining_module("os", "path") is None
+    assert "repro.stream.identifier" in _reachable(["repro.api"])
+
+
+def test_every_module_is_served_or_listed():
+    assert set(ROOTS) | set(UNSERVED) <= set(FILES)
+    reachable = _reachable(ROOTS + tuple(UNSERVED))
+    unreachable = sorted(
+        module
+        for module in FILES
+        if module not in PACKAGES
+        and not module.startswith(EXEMPT)
+        and module not in reachable
+    )
+    assert unreachable == [], (
+        "modules no served entry point imports (delete them, or list them in "
+        f"UNSERVED with a reason): {unreachable}"
+    )
+
+
+def test_unserved_table_lists_only_what_is_unserved():
+    served = _reachable(ROOTS)
+    assert sorted(module for module in UNSERVED if module in served) == []

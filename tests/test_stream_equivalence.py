@@ -282,34 +282,40 @@ def _dmine_fingerprint(result):
 # ----------------------------------------------------------------------
 # free-y (census-maintained) rules: whole-graph matching semantics
 # ----------------------------------------------------------------------
+def _served_antecedent_centers(identifier, rule):
+    """Centres where *rule*'s antecedent matches, as the served answer has it.
+
+    The stored reports hold x-part verdicts; ``apply_census`` — the step
+    ``_assemble`` runs on every read of ``identifier.result`` — rewrites
+    them to whole-graph verdicts.
+    """
+    from repro.identification.census import apply_census
+
+    reports = apply_census(
+        identifier.graph,
+        identifier.rules,
+        list(identifier._reports.values()),
+        identifier._census_plan,
+    )
+    return set().union(*(report.antecedent_sets.get(rule, set()) for report in reports))
+
+
 def _census_oracle_check(identifier, rules):
-    """Maintained antecedent verdicts == whole-graph reference matching.
+    """Served antecedent verdicts == whole-graph reference matching.
 
     The oracle matches each rule's *full* antecedent (free y included)
     against the whole graph — the semantics the census decomposition claims
     to reproduce, injectivity coupling and all.
     """
-    from repro.stream.identifier import census_feasible
-
     graph = identifier.graph
     oracle = ReferenceMatcher()
-    counts = graph.node_label_counts()
     for rule in rules:
         expected = {
             center
             for center in graph.nodes_with_label(rule.x_label)
             if oracle.exists_match_at(graph, rule.antecedent, center)
         }
-        maintained = set().union(
-            *(
-                report.antecedent_sets.get(rule, set())
-                for report in identifier._reports.values()
-            )
-        )
-        requirements = identifier._census_requirements.get(rule)
-        if requirements is not None and not census_feasible(requirements, counts):
-            maintained = set()
-        assert maintained == expected, rule.name
+        assert _served_antecedent_centers(identifier, rule) == expected, rule.name
 
 
 def _free_y_rules(graph, predicate, count=3):
@@ -382,15 +388,15 @@ def test_census_injectivity_couples_free_and_anchored_labels():
         # One cust total: the x-part matches at c1, but the isolated free y
         # (also cust-labelled) has no injective completion.
         assert not oracle.exists_match_at(graph, antecedent, "c1")
-        assert identifier._infeasible_rules() == [rule]
+        assert _served_antecedent_centers(identifier, rule) == set()
         _census_oracle_check(identifier, [rule])
         identifier.apply(UpdateBatch.of(UpdateOp.add_node("c2", "cust")))
         assert oracle.exists_match_at(graph, antecedent, "c1")
-        assert identifier._infeasible_rules() == []
+        assert _served_antecedent_centers(identifier, rule) == {"c1"}
         _census_oracle_check(identifier, [rule])
         # ...and dropping the second cust flips it back.
         identifier.apply(UpdateBatch.of(UpdateOp.remove_node("c2")))
-        assert identifier._infeasible_rules() == [rule]
+        assert _served_antecedent_centers(identifier, rule) == set()
         _census_oracle_check(identifier, [rule])
 
 
@@ -419,7 +425,10 @@ def test_census_rule_with_extra_isolated_free_node():
     with StreamingIdentifier(
         graph, [rule], config=EIPConfig(eta=0.5, num_workers=1)
     ) as identifier:
-        assert rule in identifier._census_pr_requirements
+        assert any(
+            entry.rule == rule and entry.pr_requirements
+            for entry in identifier._census_plan.entries
+        )
         assert oracle.exists_match_at(graph, antecedent, "c1")
         assert oracle.exists_match_at(graph, rule.pr_pattern(), "c1")
         _census_oracle_check(identifier, [rule])
@@ -429,10 +438,9 @@ def test_census_rule_with_extra_isolated_free_node():
         identifier.apply(UpdateBatch.of(UpdateOp.remove_node("p1")))
         assert not oracle.exists_match_at(graph, antecedent, "c1")
         assert not oracle.exists_match_at(graph, rule.pr_pattern(), "c1")
-        assert identifier._infeasible_rules() == [rule]
-        assert identifier._pr_infeasible_rules() == [rule]
-        _census_oracle_check(identifier, [rule])
+        assert _served_antecedent_centers(identifier, rule) == set()
         assert identifier.result.rule_matches[rule] == frozenset()
+        _census_oracle_check(identifier, [rule])
         # ...and a new promo node restores it without any recheck nearby.
         identifier.apply(UpdateBatch.of(UpdateOp.add_node("p2", "promo")))
         assert identifier.result.rule_matches[rule] == frozenset({"c1"})

@@ -10,14 +10,7 @@ from repro.exceptions import (
     NodeNotFoundError,
     ReproError,
 )
-from repro.utils import (
-    Stopwatch,
-    ensure_rng,
-    require_in_range,
-    require_non_negative,
-    require_positive,
-    require_type,
-)
+from repro.utils import Stopwatch, ensure_rng
 
 
 class TestRng:
@@ -62,31 +55,6 @@ class TestStopwatch:
         assert watch.running
         watch.stop()
         assert not watch.running
-
-
-class TestValidation:
-    def test_require_positive(self):
-        require_positive(1, "x")
-        with pytest.raises(ValueError):
-            require_positive(0, "x")
-
-    def test_require_non_negative(self):
-        require_non_negative(0, "x")
-        with pytest.raises(ValueError):
-            require_non_negative(-1, "x")
-
-    def test_require_in_range(self):
-        require_in_range(0.5, "lam", 0.0, 1.0)
-        with pytest.raises(ValueError):
-            require_in_range(1.5, "lam", 0.0, 1.0)
-
-    def test_require_type(self):
-        require_type(3, "x", int)
-        require_type("s", "x", (int, str))
-        with pytest.raises(TypeError):
-            require_type(3, "x", str)
-        with pytest.raises(TypeError):
-            require_type(3.0, "x", (int, str))
 
 
 class TestExceptionHierarchy:

@@ -19,7 +19,8 @@ gates and a one-line summary.  :func:`run_family` is the only loop:
 4. apply the generic checks: the rows of a section answer one question and
    share one fingerprint (across backends, repair vs recompute, restored vs
    checkpointed, instrumentation off vs on), and no row reports an empty
-   EIP answer — ``identified`` = 0 would make every such comparison vacuous;
+   EIP answer or an empty mined rule set — ``identified`` = 0 or ``rules`` =
+   0 would make every such comparison vacuous;
 5. apply the family's own gates.  A failed check exits non-zero.
 
 Checks that need more than the rows (maintained = fresh recompute after
@@ -273,7 +274,7 @@ class Scenario:
 SCENARIOS: dict[str, Scenario] = {
     "dmine": Scenario(
         "DMine mines the same rules on sequential and a pool backend (pickling / hang canary)",
-        "synthetic", lambda scale: mining_workload("synthetic", scale), SMOKE_SCALE,
+        "synthetic-dense", lambda scale: mining_workload("dense", scale), SMOKE_SCALE,
         run_dmine_backends, "pair",
         (Section("DMine per backend"),),
         {"sigma": 2},
@@ -376,11 +377,12 @@ def check_rows(scenario: Scenario, rows: Sequence[Row], workers: int) -> None:
             )
             raise SystemExit(f"results diverged within '{section.title}': {shown}")
     for row in rows:
-        if row.columns.get("identified") == 0:
-            raise SystemExit(
-                f"vacuous run: the {row.backend}/{row.mode} row identified no entity, "
-                f"so its equivalence checks compared empty answers"
-            )
+        for column, what in (("identified", "identified no entity"), ("rules", "mined no rule")):
+            if row.columns.get(column) == 0:
+                raise SystemExit(
+                    f"vacuous run: the {row.backend}/{row.mode} row {what}, "
+                    f"so its equivalence checks compared empty answers"
+                )
     for gate in scenario.gates:
         gate(rows, workers)
 

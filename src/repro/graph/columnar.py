@@ -602,8 +602,8 @@ class ColumnarFragment:
         """A pattern node's required profile in id/column space, memoised.
 
         The memo is keyed by the pattern *object* (entries hold the pattern,
-        so an id is never reused while its entry lives) — ``Pattern`` hashes
-        by structure, too slow for a probe made once per search state.
+        so an id is never reused while its entry lives) and lives here, not
+        on the pattern: the compiled form is in this structure's label ids.
         """
         self._check()
         key = (id(pattern), pattern_node)

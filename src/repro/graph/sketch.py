@@ -1,21 +1,26 @@
 """k-hop neighbourhood sketches for guided search (paper Section 5.2).
 
-For each node ``v`` the sketch ``K(v)`` is a list ``[(1, D1), ..., (k, Dk)]``
-where ``Di`` is the frequency distribution of node labels at exactly hop ``i``
-from ``v`` (undirected).  The optimised ``Match`` algorithm uses sketches in
-two ways:
+For each node ``v`` the sketch ``K(v)`` summarises the frequency
+distribution ``Di`` of node labels at exactly hop ``i`` from ``v``
+(undirected), for ``i = 1..k``.  The optimised ``Match`` algorithm uses
+sketches in two ways:
 
 * **pruning** — a graph node ``v`` cannot match a pattern node ``u`` if for
   some hop the pattern requires more nodes of a label than ``v`` has
   (:func:`sketch_dominates` is False);
 * **ordering** — among surviving candidates, the one with the largest label
   surplus (:func:`sketch_score`) is tried first.
+
+Both tests compare *cumulative* counts, and a sketch never changes once
+built, so a sketch stores its per-hop prefix sums ``D1 + … + Di`` and its
+total instead of the raw histograms (``distribution_at`` recovers those by
+subtraction): a comparison reads what was summed at build time and builds
+nothing.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Hashable
 
 from repro.graph.graph import Graph
@@ -26,23 +31,37 @@ NodeId = Hashable
 
 @dataclass(frozen=True)
 class KHopSketch:
-    """Per-hop node-label histograms around a node."""
+    """Cumulative per-hop node-label histograms around a node.
+
+    ``prefix[i - 1]`` counts, per label, the nodes within ``i`` hops (the
+    node itself excluded); ``total`` is ``Σ_i |Di|``, the number of nodes
+    within ``hops`` hops.
+    """
 
     node: NodeId
     hops: int
-    distributions: tuple[dict[str, int], ...] = field(default_factory=tuple)
+    prefix: tuple[dict[str, int], ...]
+    total: int
 
     def distribution_at(self, hop: int) -> dict[str, int]:
         """Label histogram at exactly *hop* (1-based); empty dict if beyond."""
         if hop < 1:
             raise ValueError(f"hop must be >= 1, got {hop}")
-        if hop > len(self.distributions):
+        if hop > len(self.prefix):
             return {}
-        return self.distributions[hop - 1]
+        within = self.prefix[hop - 1]
+        if hop == 1:
+            return dict(within)
+        nearer = self.prefix[hop - 2]
+        return {
+            label: count - nearer.get(label, 0)
+            for label, count in within.items()
+            if count > nearer.get(label, 0)
+        }
 
     def total_count(self) -> int:
         """Total number of (node, hop) occurrences summarised by the sketch."""
-        return sum(sum(dist.values()) for dist in self.distributions)
+        return self.total
 
 
 def empty_sketch(node: NodeId, hops: int) -> KHopSketch:
@@ -53,7 +72,7 @@ def empty_sketch(node: NodeId, hops: int) -> KHopSketch:
     """
     if hops < 1:
         raise ValueError(f"hops must be >= 1, got {hops}")
-    return KHopSketch(node=node, hops=hops, distributions=tuple({} for _ in range(hops)))
+    return KHopSketch(node=node, hops=hops, prefix=tuple({} for _ in range(hops)), total=0)
 
 
 def build_sketch(graph: Graph, node: NodeId, hops: int) -> KHopSketch:
@@ -61,16 +80,16 @@ def build_sketch(graph: Graph, node: NodeId, hops: int) -> KHopSketch:
     if hops < 1:
         raise ValueError(f"hops must be >= 1, got {hops}")
     distances = bfs_distances(graph, node, radius=hops, directed=False)
-    per_hop: list[Counter] = [Counter() for _ in range(hops)]
+    prefix: list[dict[str, int]] = [{} for _ in range(hops)]
     for other, distance in distances.items():
-        if distance == 0:
-            continue
-        per_hop[distance - 1][graph.node_label(other)] += 1
-    return KHopSketch(
-        node=node,
-        hops=hops,
-        distributions=tuple(dict(counter) for counter in per_hop),
-    )
+        if distance:
+            exact = prefix[distance - 1]
+            label = graph.node_label(other)
+            exact[label] = exact.get(label, 0) + 1
+    for nearer, within in zip(prefix, prefix[1:]):  # exact-hop counts -> prefix sums, in hop order
+        for label, count in nearer.items():
+            within[label] = within.get(label, 0) + count
+    return KHopSketch(node=node, hops=hops, prefix=tuple(prefix), total=len(distances) - 1)
 
 
 def sketch_dominates(candidate: KHopSketch, required: KHopSketch) -> bool:
@@ -79,16 +98,16 @@ def sketch_dominates(candidate: KHopSketch, required: KHopSketch) -> bool:
     Cumulative comparison: a pattern node's neighbour at hop ``i`` may sit at
     any hop ``<= i`` around the graph candidate (shorter paths through denser
     graph regions), so we compare prefix sums rather than exact hop slices.
-    Exact per-hop comparison would wrongly reject valid matches.
+    Exact per-hop comparison would wrongly reject valid matches.  Only the
+    *required* prefix sums are walked; past the candidate's last hop its
+    counts stay what they were there.
     """
-    hops = max(candidate.hops, required.hops)
-    candidate_cumulative: Counter = Counter()
-    required_cumulative: Counter = Counter()
-    for hop in range(1, hops + 1):
-        candidate_cumulative.update(candidate.distribution_at(hop))
-        required_cumulative.update(required.distribution_at(hop))
-        for label, needed in required_cumulative.items():
-            if candidate_cumulative.get(label, 0) < needed:
+    available = candidate.prefix
+    last = len(available) - 1
+    for hop, needed in enumerate(required.prefix):
+        within = available[hop if hop < last else last]
+        for label, count in needed.items():
+            if within.get(label, 0) < count:
                 return False
     return True
 
@@ -98,14 +117,7 @@ def sketch_score(candidate: KHopSketch, required: KHopSketch) -> int:
 
     The paper's ``f(u', v') = Σ_i (Di - D'i)``: larger means the candidate has
     more spare neighbourhood structure and is more likely to extend to a full
-    match, so guided search visits high-score candidates first.
+    match, so guided search visits high-score candidates first.  Summed over
+    every hop and label the differences telescope to the totals' difference.
     """
-    hops = max(candidate.hops, required.hops)
-    score = 0
-    for hop in range(1, hops + 1):
-        candidate_dist = candidate.distribution_at(hop)
-        required_dist = required.distribution_at(hop)
-        labels = set(candidate_dist) | set(required_dist)
-        for label in labels:
-            score += candidate_dist.get(label, 0) - required_dist.get(label, 0)
-    return score
+    return candidate.total - required.total

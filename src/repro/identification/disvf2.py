@@ -13,7 +13,6 @@ from typing import Sequence
 
 from repro.matching.base import Matcher
 from repro.matching.vf2 import VF2Matcher
-from repro.metrics.lcwa import predicate_stats_over
 from repro.identification.matchc import MatchC, _FragmentReport
 from repro.partition.fragment import Fragment
 from repro.pattern.gpar import GPAR
@@ -39,15 +38,8 @@ class DisVF2(MatchC):
         predicate,
     ) -> _FragmentReport:
         graph = fragment.graph
-        stats = predicate_stats_over(graph, predicate, fragment.owned_centers)
-        owned = set(stats.positives) | set(stats.negatives) | set(stats.unknown)
-        report = _FragmentReport(fragment_index=fragment.index)
-        local_positives = set(stats.positives)
-        local_negatives = set(stats.negatives)
-        report.positives = local_positives
-        report.negatives = local_negatives
-        report.supp_q = len(local_positives)
-        report.supp_q_bar = len(local_negatives)
+        report, owned = _FragmentReport.start(fragment, predicate)
+        local_positives, local_negatives = report.positives, report.negatives
 
         for rule in rules:
             # Two *full* enumerations per rule — every match of the

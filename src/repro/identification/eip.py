@@ -6,6 +6,7 @@ import base64
 import binascii
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Hashable, Sequence
 
@@ -75,6 +76,10 @@ class AnswerEntry:
     rule_name: str
     confidence: float
 
+    def sort_key(self) -> tuple[str, int]:
+        """Position in the answer's total order (and what a cursor encodes)."""
+        return (str(self.entity), self.rule_index)
+
     def as_dict(self) -> dict:
         """JSON-friendly form (entity rendered as a string)."""
         confidence = self.confidence
@@ -131,6 +136,10 @@ class EIPResult:
     #: Prefix-trie pool applications across all fragments; > 0 proves rules
     #: of Σ actually shared antecedent-prefix match sets.
     prefix_pool_hits: int = 0
+    #: ``(entries, their sort keys)`` in the total order, filled by the first
+    #: paginated read: a result is not mutated once it is published, and a
+    #: concurrent first read computes the same pair.
+    _ordered: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def confidence_of(self, rule: GPAR) -> float:
         """Global confidence computed for *rule* (KeyError if unknown)."""
@@ -139,6 +148,24 @@ class EIPResult:
     # ------------------------------------------------------------------
     # pagination
     # ------------------------------------------------------------------
+    def _ordered_entries(self) -> tuple[tuple[AnswerEntry, ...], list[tuple[str, int]]]:
+        ordered = self._ordered
+        if ordered is None:
+            order = {rule: index for index, rule in enumerate(self.rule_confidences)}
+            entries = [
+                AnswerEntry(
+                    entity=entity,
+                    rule_index=order[rule],
+                    rule_name=rule.name,
+                    confidence=self.rule_confidences[rule],
+                )
+                for rule in self.accepted_rules
+                for entity in self.rule_matches.get(rule, frozenset())
+            ]
+            entries.sort(key=AnswerEntry.sort_key)
+            ordered = self._ordered = (tuple(entries), [entry.sort_key() for entry in entries])
+        return ordered
+
     def answer_entries(self) -> list[AnswerEntry]:
         """Every (entity, accepted rule) pair in the deterministic total order.
 
@@ -147,49 +174,30 @@ class EIPResult:
         byte-identical entry sequences (the property the paginated serving
         layer and its consistency tests rely on).
         """
-        order = {rule: index for index, rule in enumerate(self.rule_confidences)}
-        entries = [
-            AnswerEntry(
-                entity=entity,
-                rule_index=order[rule],
-                rule_name=rule.name,
-                confidence=self.rule_confidences[rule],
-            )
-            for rule in self.accepted_rules
-            for entity in self.rule_matches.get(rule, frozenset())
-        ]
-        entries.sort(key=lambda entry: (str(entry.entity), entry.rule_index))
-        return entries
+        return list(self._ordered_entries()[0])
 
     def pages(self, cursor: str | None = None, limit: int = 100) -> AnswerPage:
         """One page of the answer, resuming after an opaque *cursor*.
 
         Entries are the ``(entity, rule)`` pairs of every accepted rule's
         match set, in the deterministic ``(entity id, rule index)`` order of
-        :meth:`answer_entries`.  The returned ``next_cursor`` encodes the
-        last entry's sort key (not an offset), so a page sequence is stable
-        under re-enumeration; ``None`` marks the final page.  Raises
-        :class:`IdentificationError` on a malformed cursor.
+        :meth:`answer_entries`, sorted once per result.  The returned
+        ``next_cursor`` encodes the last entry's sort key (not an offset), so
+        a page sequence is stable under re-enumeration; ``None`` marks the
+        final page.  Raises :class:`IdentificationError` on a malformed cursor.
         """
         if limit < 1:
             raise IdentificationError(f"page limit must be >= 1, got {limit}")
-        entries = self.answer_entries()
+        entries, keys = self._ordered_entries()
         start = 0
         if cursor is not None:
             last_entity, last_index = _decode_cursor(cursor)
-            key = (str(last_entity), int(last_index))
-            # First entry strictly after the cursor's key (bisection would
-            # need a parallel key list; answers are small enough to scan).
-            while start < len(entries):
-                entry = entries[start]
-                if (str(entry.entity), entry.rule_index) > key:
-                    break
-                start += 1
-        page = tuple(entries[start : start + limit])
+            # First entry strictly after the cursor's key.
+            start = bisect_right(keys, (str(last_entity), int(last_index)))
+        page = entries[start : start + limit]
         next_cursor = None
         if start + limit < len(entries) and page:
-            tail = page[-1]
-            next_cursor = _encode_cursor([str(tail.entity), tail.rule_index])
+            next_cursor = _encode_cursor(list(page[-1].sort_key()))
         return AnswerPage(entries=page, next_cursor=next_cursor, total=len(entries))
 
     def summary(self) -> str:

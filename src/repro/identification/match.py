@@ -21,9 +21,9 @@ from typing import Sequence
 from repro.matching.base import Matcher
 from repro.matching.guided import GuidedMatcher
 from repro.matching.multi import MultiPatternMatcher
-from repro.metrics.lcwa import predicate_stats_over
 from repro.identification.eip import EIPConfig
 from repro.identification.matchc import MatchC, _FragmentReport
+from repro.obs.stats import collection_enabled
 from repro.partition.fragment import Fragment
 from repro.pattern.gpar import GPAR
 
@@ -63,15 +63,8 @@ class Match(MatchC):
         pool once per shared prefix instead of once per rule.
         """
         graph = fragment.graph
-        stats = predicate_stats_over(graph, predicate, fragment.owned_centers)
-        owned = set(stats.positives) | set(stats.negatives) | set(stats.unknown)
-        report = _FragmentReport(fragment_index=fragment.index)
-        local_positives = set(stats.positives)
-        local_negatives = set(stats.negatives)
-        report.positives = local_positives
-        report.negatives = local_negatives
-        report.supp_q = len(local_positives)
-        report.supp_q_bar = len(local_negatives)
+        report, owned = _FragmentReport.start(fragment, predicate)
+        local_positives, local_negatives = report.positives, report.negatives
         # Every (candidate, rule) pair is decided exactly once, whether by a
         # shared prefix pool or by its own search.
         report.candidates_examined = len(owned) * len(rules)
@@ -82,6 +75,10 @@ class Match(MatchC):
         # pool keeps the trie's prefix cache valid across all of Σ.
         pr_sets = multi.match_sets(graph, rules, candidates=owned & local_positives)
         report.prefix_pool_hits = multi.statistics.prefix_pool_hits
+        if collection_enabled():
+            report.match_metrics = {
+                f"match.{name}": count for name, count in multi.statistics.snapshot().items()
+            }
         for rule in rules:
             antecedent_matches = antecedent_sets[rule]
             report.rule_matches[rule] = pr_sets[rule]

@@ -30,6 +30,8 @@ from repro.identification.census import (
     plan_census,
 )
 from repro.identification.eip import EIPConfig, EIPResult, _shared_predicate
+from repro.obs.registry import registry
+from repro.obs.stats import merge_worker_metrics
 from repro.obs.tracing import span
 from repro.parallel.executor import make_executor
 from repro.parallel.runtime import BSPRuntime
@@ -104,6 +106,35 @@ class _FragmentReport:
     #: them under its own span tree.  Empty unless the payload asked for
     #: tracing.
     spans: list = field(default_factory=list)
+    #: The verification's :class:`~repro.matching.base.MatchStatistics` as a
+    #: ``"match.<field>"`` delta, set only while ``REPRO_OBS`` collection is
+    #: on.  The statistics objects die with the call that filled them, before
+    #: the task-boundary collection could walk them, so the counts travel
+    #: here; the coordinator folds them into the registry and clears the
+    #: field — like ``spans`` it is never merged, stored or checkpointed.
+    match_metrics: dict | None = None
+
+    @classmethod
+    def start(cls, fragment: Fragment, predicate) -> tuple["_FragmentReport", set]:
+        """A report holding the LCWA classification of *fragment*'s owned
+        centres, and the set of those centres (the candidates to verify)."""
+        stats = predicate_stats_over(fragment.graph, predicate, fragment.owned_centers)
+        positives, negatives = set(stats.positives), set(stats.negatives)
+        report = cls(
+            fragment.index,
+            supp_q=len(positives),
+            supp_q_bar=len(negatives),
+            positives=positives,
+            negatives=negatives,
+        )
+        return report, positives | negatives | set(stats.unknown)
+
+
+def fold_match_metrics(reports: Sequence[_FragmentReport]) -> None:
+    """Coordinator side of ``match_metrics``: into the registry, off the reports."""
+    merge_worker_metrics(registry(), [report.match_metrics for report in reports])
+    for report in reports:
+        report.match_metrics = None
 
 
 class MatchC:
@@ -133,15 +164,8 @@ class MatchC:
     ) -> _FragmentReport:
         """Verify every owned candidate of *fragment* against every rule."""
         graph = fragment.graph
-        stats = predicate_stats_over(graph, predicate, fragment.owned_centers)
-        owned = set(stats.positives) | set(stats.negatives) | set(stats.unknown)
-        report = _FragmentReport(fragment_index=fragment.index)
-        local_positives = set(stats.positives)
-        local_negatives = set(stats.negatives)
-        report.positives = local_positives
-        report.negatives = local_negatives
-        report.supp_q = len(local_positives)
-        report.supp_q_bar = len(local_negatives)
+        report, owned = _FragmentReport.start(fragment, predicate)
+        local_positives, local_negatives = report.positives, report.negatives
 
         for rule in rules:
             rule_matches: set[NodeId] = set()
@@ -211,6 +235,7 @@ class MatchC:
                 reports = runtime.run_round(
                     verify_worker, [payload] * len(fragments)
                 )
+                fold_match_metrics(reports)
             with span("eip.assemble"):
                 reports = apply_census(graph, rules, reports, census_plan)
                 # Assemble inside the timed window so wall_time keeps covering

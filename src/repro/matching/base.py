@@ -1,4 +1,11 @@
-"""Matcher interface and shared search machinery."""
+"""Matcher interface and the one plan-driven backtracking search.
+
+A pattern's matching order (:func:`search_plan`) is compiled once per
+pattern object and kept on it; :class:`PlanMatcher` is its one reader — the
+backtracking skeleton ``VF2Matcher`` and ``GuidedMatcher`` share, which they
+specialise only in which data nodes they admit and in what order they try
+them.
+"""
 
 from __future__ import annotations
 
@@ -51,6 +58,13 @@ class _SearchPlan:
     order: list = field(default_factory=list)
     # For each position i >= 1: list of (edge, already_placed_is_source)
     connections: list = field(default_factory=list)
+    # hops -> the k-hop sketch each position requires (filled by GuidedMatcher)
+    required_sketches: dict = field(default_factory=dict)
+
+
+def search_plan(pattern: Pattern, anchor) -> _SearchPlan:
+    """The matching order of *pattern* from *anchor*, compiled once per pattern object."""
+    return pattern.derive(("search_plan", anchor), lambda p: build_search_plan(p, anchor))
 
 
 def build_search_plan(pattern: Pattern, anchor) -> _SearchPlan:
@@ -207,3 +221,112 @@ class Matcher(ABC):
         mapping = self.find_match_at(graph, pattern, anchor_value)
         if mapping is not None:
             yield mapping
+
+
+class PlanMatcher(Matcher):
+    """Anchored backtracking over the pattern's compiled search plan.
+
+    Subclasses decide which data nodes may play a pattern node
+    (:meth:`_admits`) and the order candidates are tried in
+    (:meth:`_ordered`); candidate generation from the plan's connections,
+    the edge-consistency test and the backtracking itself are shared.
+    """
+
+    def find_match_at(self, graph: Graph, pattern: Pattern, anchor_value: NodeId) -> dict | None:
+        return next(self._search(graph, pattern.expanded(), anchor_value, first_only=True), None)
+
+    def iter_matches_at(self, graph: Graph, pattern: Pattern, anchor_value: NodeId) -> Iterator[dict]:
+        yield from self._search(graph, pattern.expanded(), anchor_value, first_only=False)
+
+    # -- what a subclass chooses ------------------------------------------
+    def _admits(self, graph: Graph, resident, pattern: Pattern, plan, position: int, data_node) -> bool:
+        """Whether *data_node* may play ``plan.order[position]`` (its label already fits)."""
+        return True
+
+    @abstractmethod
+    def _ordered(self, graph: Graph, resident, pattern: Pattern, plan, position: int, candidates):
+        """*candidates* for ``plan.order[position]`` in the order to try them."""
+
+    # -- the shared search ------------------------------------------------
+    def _search(self, graph: Graph, pattern: Pattern, anchor_value: NodeId, first_only: bool):
+        if not graph.has_node(anchor_value):
+            return
+        if graph.node_label(anchor_value) != pattern.label(pattern.x):
+            return
+        resident = resident_view(graph)
+        plan = search_plan(pattern, pattern.x)
+        if not self._admits(graph, resident, pattern, plan, 0, anchor_value):
+            return
+        mapping: dict = {pattern.x: anchor_value}
+        yield from self._extend(graph, resident, pattern, plan, 1, mapping, {anchor_value}, first_only)
+
+    def _candidates(self, graph: Graph, resident, pattern: Pattern, plan, position: int, mapping: dict):
+        """Data nodes with the right label, adjacent to the placed nodes as the plan demands."""
+        node_label = pattern.label(plan.order[position])
+        source = graph if resident is None else resident
+        candidates = None
+        for edge, placed_is_source in plan.connections[position]:
+            if placed_is_source:
+                neighbors = source.out_neighbors(mapping[edge.source], edge.label)
+            else:
+                neighbors = source.in_neighbors(mapping[edge.target], edge.label)
+            candidates = neighbors if candidates is None else candidates & neighbors
+            if not candidates:
+                return ()
+        if candidates is None:
+            # Free node of a disconnected pattern: fall back to the label index.
+            return source.nodes_with_label(node_label)
+        return [node for node in candidates if graph.node_label(node) == node_label]
+
+    def _consistent(self, graph: Graph, pattern: Pattern, node, data_node, mapping: dict) -> bool:
+        """All pattern edges between *node* and already-mapped nodes must exist."""
+        for edge in pattern.out_edges(node):
+            if edge.target in mapping and not graph.has_edge(data_node, mapping[edge.target], edge.label):
+                return False
+        for edge in pattern.in_edges(node):
+            if edge.source in mapping and not graph.has_edge(mapping[edge.source], data_node, edge.label):
+                return False
+        return True
+
+    def _extend(
+        self,
+        graph: Graph,
+        resident,
+        pattern: Pattern,
+        plan,
+        position: int,
+        mapping: dict,
+        used: set,
+        first_only: bool,
+    ) -> Iterator[dict]:
+        if position == len(plan.order):
+            self.statistics.matches_found += 1
+            yield dict(mapping)
+            return
+        node = plan.order[position]
+        candidates = self._candidates(graph, resident, pattern, plan, position, mapping)
+        for data_node in self._ordered(graph, resident, pattern, plan, position, candidates):
+            if data_node in used:
+                continue
+            self.statistics.states_expanded += 1
+            if not self._admits(graph, resident, pattern, plan, position, data_node):
+                continue
+            if not self._consistent(graph, pattern, node, data_node, mapping):
+                self.statistics.backtracks += 1
+                continue
+            mapping[node] = data_node
+            used.add(data_node)
+            produced = False
+            for result in self._extend(
+                graph, resident, pattern, plan, position + 1, mapping, used, first_only
+            ):
+                produced = True
+                yield result
+                if first_only:
+                    break
+            used.discard(data_node)
+            del mapping[node]
+            if first_only and produced:
+                return
+            if not produced:
+                self.statistics.backtracks += 1

@@ -9,22 +9,28 @@
   node, the one whose k-hop neighbourhood sketch has the largest label
   surplus over the pattern's sketch is tried first, and candidates whose
   sketch fails to dominate the pattern's are pruned outright.
+
+The backtracking itself is :class:`repro.matching.base.PlanMatcher`'s.  What
+it needs of the *pattern* — the matching order from ``x`` and the sketch
+each position requires — is compiled once per pattern object: the plan is
+kept on the pattern (:func:`repro.matching.base.search_plan`), the required
+sketches on the plan.  The matcher keeps no pattern-keyed table of its own.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Iterator
+from typing import Hashable
 
 from repro.graph.graph import Graph
 from repro.graph.sketch import KHopSketch, build_sketch, sketch_dominates, sketch_score
-from repro.matching.base import Matcher, build_search_plan, resident_view
+from repro.matching.base import PlanMatcher
 from repro.matching.candidates import degree_consistent
 from repro.pattern.pattern import Pattern
 
 NodeId = Hashable
 
 
-class GuidedMatcher(Matcher):
+class GuidedMatcher(PlanMatcher):
     """Sketch-guided anchored matcher (the search core of ``Match``).
 
     Parameters
@@ -56,14 +62,9 @@ class GuidedMatcher(Matcher):
         # instead of serving stale sketches.  Only used on graphs with
         # nothing resident.
         self._data_sketches: dict[Graph, tuple[int, dict[NodeId, KHopSketch]]] = {}
-        # Pattern sketches keyed by (pattern, node); Pattern hashes by
-        # structure, so transient expanded copies reuse the right entry.
-        self._pattern_sketches: dict[tuple[Pattern, NodeId], KHopSketch] = {}
-        # Graph views of patterns, keyed by the pattern (structural hash).
-        self._pattern_graphs: dict[Pattern, Graph] = {}
 
     # ------------------------------------------------------------------
-    # sketch caches
+    # sketches
     # ------------------------------------------------------------------
     def _data_sketch(self, graph: Graph, resident, node: NodeId) -> KHopSketch:
         if resident is not None:
@@ -82,157 +83,42 @@ class GuidedMatcher(Matcher):
             cache[node] = sketch
         return sketch
 
-    def _pattern_sketch(self, pattern: Pattern, pattern_graph: Graph, node: NodeId) -> KHopSketch:
-        key = (pattern, node)
-        sketch = self._pattern_sketches.get(key)
-        if sketch is None:
-            sketch = build_sketch(pattern_graph, node, self.sketch_hops)
-            self._pattern_sketches[key] = sketch
-        return sketch
-
-    def _pattern_graph(self, pattern: Pattern) -> Graph:
-        graph = self._pattern_graphs.get(pattern)
-        if graph is None:
+    def _required(self, pattern: Pattern, plan) -> tuple[KHopSketch, ...]:
+        """The sketch each plan position requires — compiled once, kept on the plan."""
+        needed = plan.required_sketches.get(self.sketch_hops)
+        if needed is None:
             graph = pattern.to_graph()
-            self._pattern_graphs[pattern] = graph
-        return graph
+            needed = plan.required_sketches[self.sketch_hops] = tuple(
+                build_sketch(graph, node, self.sketch_hops) for node in plan.order
+            )
+        return needed
 
     def clear_caches(self) -> None:
-        """Drop all cached sketches (e.g. between benchmark repetitions)."""
+        """Drop all cached data-graph sketches (e.g. between benchmark repetitions)."""
         self._data_sketches.clear()
-        self._pattern_sketches.clear()
-        self._pattern_graphs.clear()
 
     # ------------------------------------------------------------------
-    def find_match_at(self, graph: Graph, pattern: Pattern, anchor_value: NodeId) -> dict | None:
-        expanded = pattern.expanded()
-        for mapping in self._search(graph, expanded, anchor_value, first_only=True):
-            return mapping
-        return None
+    def _admits(self, graph: Graph, resident, pattern: Pattern, plan, position: int, data_node) -> bool:
+        if position:  # deeper nodes are pruned where they are ranked, in _ordered
+            return True
+        if not degree_consistent(graph, data_node, pattern, pattern.x, resident):
+            return False
+        if self.use_sketch_pruning and not sketch_dominates(
+            self._data_sketch(graph, resident, data_node), self._required(pattern, plan)[0]
+        ):
+            self.statistics.sketch_prunes += 1
+            return False
+        return True
 
-    def iter_matches_at(self, graph: Graph, pattern: Pattern, anchor_value: NodeId) -> Iterator[dict]:
-        expanded = pattern.expanded()
-        yield from self._search(graph, expanded, anchor_value, first_only=False)
-
-    # ------------------------------------------------------------------
-    def _search(
-        self,
-        graph: Graph,
-        pattern: Pattern,
-        anchor_value: NodeId,
-        first_only: bool,
-    ) -> Iterator[dict]:
-        if not graph.has_node(anchor_value):
-            return
-        if graph.node_label(anchor_value) != pattern.label(pattern.x):
-            return
-        resident = resident_view(graph)
-        if not degree_consistent(graph, anchor_value, pattern, pattern.x, resident):
-            return
-        pattern_graph = self._pattern_graph(pattern)
-        if self.use_sketch_pruning:
-            anchor_sketch = self._data_sketch(graph, resident, anchor_value)
-            needed = self._pattern_sketch(pattern, pattern_graph, pattern.x)
-            if not sketch_dominates(anchor_sketch, needed):
-                self.statistics.sketch_prunes += 1
-                return
-        plan = build_search_plan(pattern, pattern.x)
-        mapping: dict = {pattern.x: anchor_value}
-        used: set[NodeId] = {anchor_value}
-        yield from self._extend(
-            graph, resident, pattern, pattern_graph, plan, 1, mapping, used, first_only
-        )
-
-    def _ranked_candidates(self, graph, resident, pattern, pattern_graph, plan, position, mapping):
-        node = plan.order[position]
-        node_label = pattern.label(node)
-        candidate_set = None
-        for edge, placed_is_source in plan.connections[position]:
-            if placed_is_source:
-                neighbors = (
-                    resident.out_neighbors(mapping[edge.source], edge.label)
-                    if resident is not None
-                    else graph.out_neighbors(mapping[edge.source], edge.label)
-                )
-            else:
-                neighbors = (
-                    resident.in_neighbors(mapping[edge.target], edge.label)
-                    if resident is not None
-                    else graph.in_neighbors(mapping[edge.target], edge.label)
-                )
-            candidate_set = neighbors if candidate_set is None else candidate_set & neighbors
-            if not candidate_set:
-                return []
-        if candidate_set is None:
-            # Free node of a disconnected pattern: fall back to the label index.
-            candidate_set = (
-                resident.nodes_with_label(node_label)
-                if resident is not None
-                else graph.nodes_with_label(node_label)
-            )
-        filtered = [c for c in candidate_set if graph.node_label(c) == node_label]
-        if not filtered:
-            return []
-        needed = self._pattern_sketch(pattern, pattern_graph, node)
+    def _ordered(self, graph: Graph, resident, pattern: Pattern, plan, position: int, candidates):
+        required = self._required(pattern, plan)[position]
         ranked: list[tuple[int, NodeId]] = []
-        for candidate in filtered:
+        for candidate in candidates:
             sketch = self._data_sketch(graph, resident, candidate)
-            if self.use_sketch_pruning and not sketch_dominates(sketch, needed):
+            if self.use_sketch_pruning and not sketch_dominates(sketch, required):
                 self.statistics.sketch_prunes += 1
                 continue
-            ranked.append((sketch_score(sketch, needed), candidate))
+            ranked.append((sketch_score(sketch, required), candidate))
         # Best (largest surplus) first; break ties deterministically.
         ranked.sort(key=lambda item: (-item[0], str(item[1])))
         return [candidate for _, candidate in ranked]
-
-    def _consistent(self, graph, pattern, node, data_node, mapping) -> bool:
-        for edge in pattern.out_edges(node):
-            if edge.target in mapping and not graph.has_edge(data_node, mapping[edge.target], edge.label):
-                return False
-        for edge in pattern.in_edges(node):
-            if edge.source in mapping and not graph.has_edge(mapping[edge.source], data_node, edge.label):
-                return False
-        return True
-
-    def _extend(
-        self,
-        graph: Graph,
-        resident,
-        pattern: Pattern,
-        pattern_graph: Graph,
-        plan,
-        position: int,
-        mapping: dict,
-        used: set,
-        first_only: bool,
-    ) -> Iterator[dict]:
-        if position == len(plan.order):
-            self.statistics.matches_found += 1
-            yield dict(mapping)
-            return
-        node = plan.order[position]
-        for data_node in self._ranked_candidates(
-            graph, resident, pattern, pattern_graph, plan, position, mapping
-        ):
-            if data_node in used:
-                continue
-            self.statistics.states_expanded += 1
-            if not self._consistent(graph, pattern, node, data_node, mapping):
-                self.statistics.backtracks += 1
-                continue
-            mapping[node] = data_node
-            used.add(data_node)
-            produced = False
-            for result in self._extend(
-                graph, resident, pattern, pattern_graph, plan, position + 1, mapping, used, first_only
-            ):
-                produced = True
-                yield result
-                if first_only:
-                    break
-            used.discard(data_node)
-            del mapping[node]
-            if first_only and produced:
-                return
-            if not produced:
-                self.statistics.backtracks += 1

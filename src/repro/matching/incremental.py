@@ -312,17 +312,9 @@ class MatchStore:
         self.cap = cap
         self.statistics = StoreStatistics()
         self._entries: dict[str, MatchEntry] = {}
-        self._codes: dict[Pattern, str] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    def code_for(self, pattern: Pattern) -> str:
-        """Canonical code of *pattern*, memoised per store."""
-        code = self._codes.get(pattern)
-        if code is None:
-            code = self._codes[pattern] = canonical_code(pattern)
-        return code
 
     def get(self, pattern: Pattern) -> MatchEntry | None:
         """The current entry for *pattern*, or ``None`` on any mismatch.
@@ -332,7 +324,7 @@ class MatchStore:
         caller's delta edge), or a stale graph version (the entry is
         evicted).
         """
-        code = self.code_for(pattern)
+        code = canonical_code(pattern)
         entry = self._entries.get(code)
         if entry is None:
             self.statistics.misses += 1
@@ -350,7 +342,7 @@ class MatchStore:
 
     def put(self, entry: MatchEntry) -> str:
         """Register *entry*; returns its code key."""
-        code = self.code_for(entry.pattern)
+        code = canonical_code(entry.pattern)
         self._entries[code] = entry
         return code
 

@@ -14,6 +14,12 @@ the per-pattern results are identical to rule-at-a-time evaluation.  EIP
 rule sets share their consequent (and, having been grown levelwise from
 common seeds, usually long antecedent prefixes), which is exactly the shape
 the trie rewards.
+
+The matcher keeps no table of its own: a pattern's prefix chain is a pure
+function of the pattern and is kept on it (``Pattern.derive``), together
+with the hashes, search plans and required sketches of the prefixes — so a
+Σ verified tick after tick is compiled once, and nothing is keyed by
+structure, bounded or cleared.
 """
 
 from __future__ import annotations
@@ -34,14 +40,35 @@ from repro.pattern.pattern import Pattern, PatternEdge
 
 NodeId = Hashable
 
-# Process-wide memo of prefix chains; patterns are immutable and EIP
-# workloads re-evaluate the same Σ once per fragment.  Bounded so a
-# long-lived process (persistent pool worker, embedding service) cannot
-# accumulate chains across unrelated rule sets forever — unlike MatchStore
-# (round retention) and ColumnarFragment (weakref registry) this cache has no
-# natural lifetime, so it is simply cleared when full.
-_CHAIN_CACHE: dict[Pattern, tuple] = {}
-_CHAIN_CACHE_LIMIT = 4096
+
+def _build_prefix_chain(pattern: Pattern) -> tuple[Pattern, ...]:
+    expanded = pattern.expanded()
+    covered = {expanded.x}
+    remaining = set(expanded.edges())
+    chosen: list[PatternEdge] = []
+    chain: list[Pattern] = []
+    while remaining:
+        incident = [
+            edge
+            for edge in remaining
+            if edge.source in covered or edge.target in covered
+        ]
+        if not incident:
+            break
+        edge = min(incident, key=PatternEdge.sort_key)
+        remaining.remove(edge)
+        chosen.append(edge)
+        covered.add(edge.source)
+        covered.add(edge.target)
+        chain.append(
+            Pattern(
+                nodes={node: expanded.label(node) for node in covered},
+                edges=list(chosen),
+                x=expanded.x,
+                y=expanded.y if expanded.y in covered else None,
+            )
+        )
+    return tuple(chain)
 
 
 class MultiPatternMatcher:
@@ -70,7 +97,7 @@ class MultiPatternMatcher:
 
     @staticmethod
     def _prefix_chain(pattern: Pattern) -> tuple[Pattern, ...]:
-        """Cumulative connected-from-x sub-patterns of *pattern*, memoised.
+        """Cumulative connected-from-x sub-patterns of *pattern*.
 
         Edges are consumed smallest-``sort_key``-first among those incident
         to the already-covered node set, which makes the chain deterministic
@@ -78,43 +105,12 @@ class MultiPatternMatcher:
         The chain stops at the connected-from-x frontier: components only
         reachable through uncovered nodes (a "free" y) are left to the final
         full-pattern match, where the matcher's label-index fallback already
-        handles them.  Chains depend only on the (immutable) pattern, so
-        they are memoised process-wide.
+        handles them.  A chain depends only on the (immutable) pattern, so
+        it is built once and lives on its pattern
+        (:meth:`~repro.pattern.pattern.Pattern.derive`) — and with it the
+        prefixes' own hashes, search plans and required sketches.
         """
-        cached = _CHAIN_CACHE.get(pattern)
-        if cached is not None:
-            return cached
-        expanded = pattern.expanded()
-        covered = {expanded.x}
-        remaining = set(expanded.edges())
-        chosen: list[PatternEdge] = []
-        chain: list[Pattern] = []
-        while remaining:
-            incident = [
-                edge
-                for edge in remaining
-                if edge.source in covered or edge.target in covered
-            ]
-            if not incident:
-                break
-            edge = min(incident, key=PatternEdge.sort_key)
-            remaining.remove(edge)
-            chosen.append(edge)
-            covered.add(edge.source)
-            covered.add(edge.target)
-            chain.append(
-                Pattern(
-                    nodes={node: expanded.label(node) for node in covered},
-                    edges=list(chosen),
-                    x=expanded.x,
-                    y=expanded.y if expanded.y in covered else None,
-                )
-            )
-        result = tuple(chain)
-        if len(_CHAIN_CACHE) >= _CHAIN_CACHE_LIMIT:
-            _CHAIN_CACHE.clear()
-        _CHAIN_CACHE[pattern] = result
-        return result
+        return pattern.derive("prefix_chain", _build_prefix_chain)
 
     def shared_match_sets(
         self,

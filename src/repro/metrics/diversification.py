@@ -23,12 +23,13 @@ NodeId = Hashable
 
 def jaccard_distance(first: Iterable[NodeId], second: Iterable[NodeId]) -> float:
     """``1 - |A ∩ B| / |A ∪ B|``; two empty sets have distance 0."""
-    set_a = set(first)
-    set_b = set(second)
-    union = set_a | set_b
+    set_a = first if isinstance(first, (set, frozenset)) else set(first)
+    set_b = second if isinstance(second, (set, frozenset)) else set(second)
+    shared = len(set_a & set_b)
+    union = len(set_a) + len(set_b) - shared
     if not union:
         return 0.0
-    return 1.0 - len(set_a & set_b) / len(union)
+    return 1.0 - shared / union
 
 
 def rule_difference(matches_a: Iterable[NodeId], matches_b: Iterable[NodeId]) -> float:

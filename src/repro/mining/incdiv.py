@@ -6,6 +6,13 @@ round either fill the queue greedily or replace the minimum-score pair when
 they can form a better one — so the top-k set is maintained incrementally
 instead of being recomputed from scratch every round.  The greedy pairing is
 the 2-approximation of max-sum dispersion [Gollapudi & Sharma 2009].
+
+A rule pays for its identity once: the first time it is seen it gets a dense
+id, and the info table, the queue and the in-queue set are all kept by id.
+A fresh rule is scored only against partners that can still win — those
+whose pair-score upper bound (``diff = 1``, the Lemma 3 bound) exceeds the
+queue's minimum pair score ``F'_m``; every other partner's real score is at
+most its bound, so skipping it cannot change which pair is chosen.
 """
 
 from __future__ import annotations
@@ -38,8 +45,8 @@ class RuleInfo:
 
 @dataclass
 class _Pair:
-    first: GPAR
-    second: GPAR
+    first: int  # dense rule ids
+    second: int
     score: float
 
 
@@ -53,21 +60,28 @@ class IncrementalDiversifier:
         self.k = k
         self.max_pairs = (k + 1) // 2
         self._pairs: list[_Pair] = []
-        self._info: dict[GPAR, RuleInfo] = {}
+        # Dense ids in first-insertion order: rule -> id, id -> rule / info.
+        self._ids: dict[GPAR, int] = {}
+        self._rules: list[GPAR] = []
+        self._infos: list[RuleInfo] = []
+        self._queued: set[int] = set()  # ids of the rules in self._pairs
 
     # ------------------------------------------------------------------
     # bookkeeping
     # ------------------------------------------------------------------
-    def _rules_in_queue(self) -> set[GPAR]:
-        rules: set[GPAR] = set()
-        for pair in self._pairs:
-            rules.add(pair.first)
-            rules.add(pair.second)
-        return rules
+    def _remember(self, rule: GPAR, info: RuleInfo) -> int:
+        index = self._ids.get(rule)
+        if index is None:
+            index = self._ids[rule] = len(self._rules)
+            self._rules.append(rule)
+            self._infos.append(info)
+        else:
+            self._infos[index] = info
+        return index
 
-    def _pair_score(self, first: GPAR, second: GPAR) -> float:
-        info_a = self._info[first]
-        info_b = self._info[second]
+    def _pair_score(self, first: int, second: int) -> float:
+        info_a = self._infos[first]
+        info_b = self._infos[second]
         diff = jaccard_distance(info_a.matches, info_b.matches)
         return self.objective.pair_score(info_a.confidence, info_b.confidence, diff)
 
@@ -92,70 +106,70 @@ class IncrementalDiversifier:
         """
         for rule, info in sigma.items():
             if not math.isinf(info.confidence):
-                self._info[rule] = info
-        fresh: list[GPAR] = []
-        for rule, info in delta.items():
-            if math.isinf(info.confidence):
-                continue
-            self._info[rule] = info
-            fresh.append(rule)
-
+                self._remember(rule, info)
+        fresh = [
+            self._remember(rule, info)
+            for rule, info in delta.items()
+            if not math.isinf(info.confidence)
+        ]
         self._fill_queue()
         self._replace_with(fresh)
 
     def _fill_queue(self) -> None:
-        available = [rule for rule in self._info if rule not in self._rules_in_queue()]
+        if len(self._pairs) >= self.max_pairs:
+            return
+        available = [index for index in range(len(self._rules)) if index not in self._queued]
         while len(self._pairs) < self.max_pairs and len(available) >= 2:
-            best: tuple[float, GPAR, GPAR] | None = None
-            for index, first in enumerate(available):
-                for second in available[index + 1:]:
+            best: tuple[float, int, int] | None = None
+            for position, first in enumerate(available):
+                for second in available[position + 1:]:
                     score = self._pair_score(first, second)
                     if best is None or score > best[0]:
                         best = (score, first, second)
-            if best is None:
-                break
             score, first, second = best
             self._pairs.append(_Pair(first, second, score))
+            self._queued.update((first, second))
             available.remove(first)
             available.remove(second)
 
-    def _replace_with(self, fresh: Iterable[GPAR]) -> None:
+    def _replace_with(self, fresh: Iterable[int]) -> None:
         if len(self._pairs) < self.max_pairs:
             return
+        pairs, queued, infos = self._pairs, self._queued, self._infos
+        upper_bound = self.objective.upper_bound_contribution
         for rule in fresh:
-            in_queue = self._rules_in_queue()
-            if rule in in_queue:
+            if rule in queued:
                 continue
-            best_partner: GPAR | None = None
-            best_score = -math.inf
-            for partner in self._info:
-                if partner == rule or partner in in_queue:
+            worst_index = min(range(len(pairs)), key=lambda i: pairs[i].score)
+            worst = pairs[worst_index]
+            confidence = infos[rule].confidence
+            best_partner = -1
+            best_score = worst.score
+            for partner, info in enumerate(infos):
+                if partner == rule or partner in queued:
                     continue
+                if upper_bound(confidence, info.confidence) <= worst.score:
+                    continue  # even at diff = 1 this pair cannot beat F'_m
                 score = self._pair_score(rule, partner)
                 if score > best_score:
                     best_score = score
                     best_partner = partner
-            if best_partner is None:
-                continue
-            worst_index = min(range(len(self._pairs)), key=lambda i: self._pairs[i].score)
-            if best_score > self._pairs[worst_index].score:
-                self._pairs[worst_index] = _Pair(rule, best_partner, best_score)
+            if best_partner >= 0:
+                pairs[worst_index] = _Pair(rule, best_partner, best_score)
+                queued.difference_update((worst.first, worst.second))
+                queued.update((rule, best_partner))
 
     # ------------------------------------------------------------------
     # output
     # ------------------------------------------------------------------
     def top_k(self) -> list[GPAR]:
         """The current diversified top-k rules (highest-score pairs first)."""
-        rules: list[GPAR] = []
-        for pair in sorted(self._pairs, key=lambda p: -p.score):
-            for rule in (pair.first, pair.second):
-                if rule not in rules:
-                    rules.append(rule)
-        return rules[: self.k]
+        ranked = sorted(self._pairs, key=lambda p: -p.score)
+        return [self._rules[index] for pair in ranked for index in (pair.first, pair.second)][: self.k]
 
     def objective_value(self) -> float:
         """``F(Lk)`` of the current top-k set."""
-        rules = self.top_k()
-        confidences = [self._info[rule].confidence for rule in rules]
-        match_sets = [self._info[rule].matches for rule in rules]
-        return self.objective.total_from_matches(confidences, match_sets)
+        infos = [self._infos[self._ids[rule]] for rule in self.top_k()]
+        return self.objective.total_from_matches(
+            [info.confidence for info in infos], [info.matches for info in infos]
+        )

@@ -38,6 +38,7 @@ from repro.parallel.messages import (
 )
 from repro.parallel.worker import WorkerContext
 from repro.partition.fragment import Fragment
+from repro.pattern.canonical import canonical_code
 from repro.pattern.gpar import GPAR
 from repro.pattern.pattern import Pattern
 
@@ -265,7 +266,7 @@ class LocalMiner:
             )
         for entry in (ant_entry, pr_entry):
             if entry is not None:
-                materialized.append(self.store.code_for(entry.pattern))
+                materialized.append(canonical_code(entry.pattern))
         return antecedent_matches, rule_matches
 
 

@@ -62,7 +62,14 @@ def _encode(pattern: Pattern, ordering: list) -> tuple:
 
 
 def canonical_code(pattern: Pattern) -> str:
-    """Return the canonical code of (the copy-expanded) *pattern*."""
+    """The canonical code of (the copy-expanded) *pattern*, kept on the pattern."""
+    code = pattern._code
+    if code is None:
+        code = pattern._code = _compute_code(pattern)
+    return code
+
+
+def _compute_code(pattern: Pattern) -> str:
     expanded = pattern.expanded()
     colors = _refined_colors(expanded)
 

@@ -54,7 +54,9 @@ class GPAR:
     'like'
     """
 
-    __slots__ = ("antecedent", "consequent_label", "name", "__dict__")
+    # ``__dict__`` holds the cached properties; like ``_hash`` they are
+    # derived, so ``__reduce__`` leaves them behind (see repro.pattern.pattern).
+    __slots__ = ("antecedent", "consequent_label", "name", "_hash", "__dict__")
 
     def __init__(
         self,
@@ -68,8 +70,12 @@ class GPAR:
         self.antecedent = antecedent
         self.consequent_label = consequent_label
         self.name = name or f"GPAR[{consequent_label}]"
+        self._hash: int | None = None
         if validate:
             self._validate()
+
+    def __reduce__(self):
+        return (GPAR, (self.antecedent, self.consequent_label, self.name, False))
 
     def _validate(self) -> None:
         if self.antecedent.num_edges == 0:
@@ -178,12 +184,17 @@ class GPAR:
         return (self.antecedent, self.consequent_label)
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, GPAR):
             return NotImplemented
-        return self._key() == other._key()
+        return hash(self) == hash(other) and self._key() == other._key()
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        value = self._hash
+        if value is None:
+            value = self._hash = hash(self._key())
+        return value
 
     def __repr__(self) -> str:
         nodes, edges = self.size

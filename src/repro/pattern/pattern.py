@@ -3,17 +3,30 @@
 Patterns are small (a handful of nodes) and immutable once built; mutation
 helpers return new patterns, which keeps the levelwise expansion of DMine
 free of aliasing bugs.
+
+Immutability is also what makes identity cheap: every pure function of a
+pattern is computed at most once per object and kept *on* the object — the
+structural key and its hash in slots (``__eq__`` / ``__hash__`` read them),
+the canonical code in a slot (:func:`repro.pattern.canonical.canonical_code`
+reads it) and everything else — the copy-expanded form, the edge set, and
+what :mod:`repro.matching` compiles from a pattern (search plan, required
+sketches, prefix chain) — in the per-object memo behind :meth:`Pattern.derive`.
+None of it crosses a pickle boundary: ``__reduce__`` ships the defining
+fields only, because a hash cached under one ``PYTHONHASHSEED`` is wrong in
+a process started with another, and would make an equal pattern unfindable
+in every dict there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Iterator, Mapping
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, TypeVar
 
 from repro.exceptions import PatternError
 from repro.graph.graph import Graph
 
 PatternNodeId = Hashable
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -63,7 +76,10 @@ class Pattern:
     (2, 1)
     """
 
-    __slots__ = ("_nodes", "_edges", "_copies", "x", "y", "_out", "_in", "_expanded_cache")
+    __slots__ = (
+        "_nodes", "_edges", "_copies", "x", "y", "_out", "_in",
+        "_identity", "_hash", "_code", "_derived",
+    )
 
     def __init__(
         self,
@@ -110,7 +126,32 @@ class Pattern:
             inc[edge.target].append(edge)
         self._out = out
         self._in = inc
-        self._expanded_cache: "Pattern | None" = None
+        # Filled at first use, never pickled (see the module docstring).
+        self._identity: tuple | None = None
+        self._hash: int | None = None
+        self._code: str | None = None
+        self._derived: dict | None = None
+
+    def __reduce__(self):
+        edges = tuple((edge.source, edge.target, edge.label) for edge in self._edges)
+        return (Pattern, (self._nodes, edges, self.x, self.y, self._copies or None))
+
+    def derive(self, name: Hashable, factory: Callable[[Pattern], T]) -> T:
+        """``factory(self)``, computed once per pattern object under *name*.
+
+        The one memo for pure functions of a pattern: the value lives and
+        dies with the object, so nothing is keyed by structure, bounded or
+        cleared.  Concurrent first uses may both run *factory*; the values
+        are equal and the last one stays.
+        """
+        memo = self._derived
+        if memo is None:
+            memo = self._derived = {}
+        try:
+            return memo[name]
+        except KeyError:
+            value = memo[name] = factory(self)
+            return value
 
     # ------------------------------------------------------------------
     # accessors
@@ -155,7 +196,7 @@ class Pattern:
 
     def has_edge(self, source: PatternNodeId, target: PatternNodeId, label: str) -> bool:
         """Whether the pattern contains the given labelled edge."""
-        return PatternEdge(source, target, label) in set(self._edges)
+        return PatternEdge(source, target, label) in self.derive("edge_set", lambda p: frozenset(p._edges))
 
     def copy_count(self, node: PatternNodeId) -> int:
         """``C(u)``: number of copies of *node* (1 unless set otherwise)."""
@@ -222,10 +263,9 @@ class Pattern:
         has all copy counts equal to 1 and is what the matchers operate on.
         The expanded pattern is computed once and cached.
         """
-        if not self._copies:
-            return self
-        if self._expanded_cache is not None:
-            return self._expanded_cache
+        return self.derive("expanded", Pattern._expand) if self._copies else self
+
+    def _expand(self) -> "Pattern":
         nodes = dict(self._nodes)
         edges = list(self._edges)
         for node, count in self._copies.items():
@@ -239,8 +279,7 @@ class Pattern:
                     edges.append(PatternEdge(clone, edge.target, edge.label))
                 for edge in self._in[node]:
                     edges.append(PatternEdge(edge.source, clone, edge.label))
-        self._expanded_cache = Pattern(nodes, edges, x=self.x, y=self.y)
-        return self._expanded_cache
+        return Pattern(nodes, edges, x=self.x, y=self.y)
 
     def to_graph(self, name: str = "pattern") -> Graph:
         """View the (copy-expanded) pattern as a :class:`Graph`.
@@ -260,6 +299,7 @@ class Pattern:
     # equality / hashing
     # ------------------------------------------------------------------
     def _key(self) -> tuple:
+        """Compute the structural key (once per object: ``__hash__`` keeps it)."""
         return (
             tuple(sorted((str(n), lbl) for n, lbl in self._nodes.items())),
             self._edges,
@@ -269,12 +309,18 @@ class Pattern:
         )
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, Pattern):
             return NotImplemented
-        return self._key() == other._key()
+        return hash(self) == hash(other) and self._identity == other._identity
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        value = self._hash
+        if value is None:
+            self._identity = self._key()
+            value = self._hash = hash(self._identity)
+        return value
 
     def __repr__(self) -> str:
         return (

@@ -66,7 +66,7 @@ from repro.identification.census import (
 )
 from repro.identification.eip import EIPConfig, EIPResult, _shared_predicate
 from repro.identification.match import Match
-from repro.identification.matchc import MatchC, _FragmentReport
+from repro.identification.matchc import MatchC, _FragmentReport, fold_match_metrics
 from repro.obs.registry import registry
 from repro.obs.tracing import (
     Tracer,
@@ -518,6 +518,7 @@ class StreamingIdentifier:
                             prefix=f"{prefix}.w{shipped.fragment_index}.",
                         )
                         shipped.spans = []
+        fold_match_metrics(reports)
         return reports
 
     @property

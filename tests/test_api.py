@@ -88,6 +88,21 @@ class TestPages:
         with pytest.raises(IdentificationError):
             result.pages(limit=0)
 
+    def test_order_is_sorted_once_and_callers_get_their_own_list(self):
+        graph, rules = _workload()
+        result = identify_entities(graph, rules, eta=0.1)
+        rule = result.accepted_rules[0]
+        # Two entities that render alike tie on the sort key: the order must
+        # not fall back on comparing entries.
+        result.rule_matches[rule] = frozenset(result.rule_matches[rule]) | {7, "7"}
+        first = result.answer_entries()
+        assert {entry.entity for entry in first} >= {7, "7"}
+        first.clear()  # a caller's list, not the memo
+        again = result.answer_entries()
+        assert again and result._ordered[0] == tuple(again)
+        page = result.pages(limit=len(again))
+        assert list(page.entries) == again and page.next_cursor is None
+
     def test_entries_serialize(self):
         graph, rules = _workload()
         result = identify_entities(graph, rules, eta=0.1)

@@ -121,6 +121,7 @@ def _anywhere(row):
 #: family → [(what the doctored rows break, doctor(rows) → rows, message)]
 DOCTORED = {
     "dmine": [
+        ("empty rule set", lambda rows: _doctor(rows, _anywhere, rules=0), "vacuous"),
         ("diverged backend", lambda rows: [*rows, replace(rows[0], backend="processes", fingerprint="x")],
          "diverged"),
     ],

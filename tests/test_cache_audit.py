@@ -7,7 +7,8 @@ convention enforceable:
 
 * a **registry** names every cache a matcher/solver keeps, split into
   graph-keyed caches (which MUST be version-pinned) and pattern-keyed
-  caches (patterns are immutable — exempt);
+  caches (patterns are immutable — exempt; what is compiled from a pattern
+  lives on the pattern itself, ``Pattern.derive``, not in a matcher);
 * a **discovery sweep** fails when a class grows an unregistered
   dict-shaped cache attribute, or a cache-carrying class (anything with
   ``clear_caches``) is missing from the registry — adding a cache without
@@ -40,11 +41,7 @@ from repro.stream import random_update_batch
 #: name -> (factory, graph-keyed pinned attrs, pattern-keyed exempt attrs)
 AUDITED_CACHES = {
     "vf2": (lambda: VF2Matcher(), (), ()),
-    "guided": (
-        lambda: GuidedMatcher(),
-        ("_data_sketches",),
-        ("_pattern_sketches", "_pattern_graphs"),
-    ),
+    "guided": (lambda: GuidedMatcher(), ("_data_sketches",), ()),
     "simulation": (lambda: SimulationMatcher(), ("_cache",), ("_graphs",)),
     "locality": (lambda: LocalityMatcher(VF2Matcher()), ("_ball_cache",), ()),
 }
@@ -53,7 +50,7 @@ AUDITED_CACHES = {
 #: their own dedicated suites, noted here so discovery stays exhaustive).
 AUDITED_ELSEWHERE = {
     "MatchStore",  # entry.version pinning: tests/test_stream.py, this file below
-    "MultiPatternMatcher",  # pattern-keyed chain memo only (immutable keys)
+    "MultiPatternMatcher",  # keeps nothing: prefix chains live on their patterns
     "ColumnarFragment",  # built_version pinning: tests/test_index.py + test_columnar.py, below
 }
 

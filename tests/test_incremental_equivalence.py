@@ -31,6 +31,7 @@ from repro.metrics import evaluate_rule
 from repro.mining import DMineConfig, dmine
 from repro.mining.expansion import candidate_extensions
 from repro.parallel.executor import BACKENDS
+from repro.pattern.canonical import canonical_code
 from repro.pattern.gpar import GPAR
 from repro.pattern.pattern import Pattern
 from repro.testing import ReferenceMatcher, reference_identify
@@ -244,7 +245,7 @@ class TestMatchStoreLifecycle:
             graph.nodes_with_label(rule.antecedent.label(rule.x)), key=str
         )
         _, entry = delta_matcher.materialize(rule.antecedent, candidates)
-        code = store.code_for(entry.pattern)
+        code = canonical_code(entry.pattern)
         _, pr_entry = delta_matcher.materialize(rule.pr_pattern(), candidates)
         assert len(store) == 2
         dropped = store.retain([code])
@@ -279,7 +280,7 @@ class TestMatchStoreLifecycle:
         delta_matcher.materialize(pattern, candidates)
         # Same canonical structure, different node names: the embeddings
         # would not align with a caller's delta edge, so this must miss.
-        assert store.code_for(pattern) == store.code_for(renamed)
+        assert canonical_code(pattern) == canonical_code(renamed)
         assert store.get(renamed) is None
         assert store.get(pattern) is not None
 

@@ -402,6 +402,37 @@ class TestCrossBackendCounters:
         assert sequential and any(sequential.values())
         assert processes == sequential
 
+    @staticmethod
+    def _tick_counters(backend):
+        """``repro_match_*`` after one served tick (``Match``'s statistics die
+        with each verification, so they travel on the fragment reports)."""
+        from repro import api
+        from repro.datasets import pokec_like
+        from repro.identification import EIPConfig
+        from repro.stream import random_update_batch
+
+        graph = pokec_like(40, 3, seed=7)
+        predicate = api.parse_predicate("user:like_book:personal development")
+        rules = generate_gpars(graph, predicate, count=6, max_pattern_edges=3, d=2, seed=5)
+        reset_collection()
+        registry().reset()
+        enable_collection()
+        try:
+            config = EIPConfig(eta=0.5, num_workers=2, backend=backend, executor_workers=1)
+            with api.open_session(graph, rules, config=config) as session:
+                registry().reset()  # the tick alone, not the initial verification
+                session.apply(random_update_batch(session.core.graph, size=6, seed=1))
+        finally:
+            disable_collection()
+        return registry().counters("repro_match_")
+
+    def test_streaming_tick_surfaces_match_counters_on_every_backend(self):
+        sequential = self._tick_counters("sequential")
+        processes = self._tick_counters("processes")
+        for name in ("candidates_considered", "prefix_pool_hits"):
+            assert sequential[f"repro_match_{name}_total"] > 0
+        assert processes == sequential
+
 
 # ----------------------------------------------------------------------
 # traced streaming tick (the acceptance criterion)

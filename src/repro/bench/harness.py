@@ -24,6 +24,7 @@ import pickle
 import statistics
 import tempfile
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -379,13 +380,15 @@ class Replay(NamedTuple):
 
 @dataclass(frozen=True)
 class Tick:
-    """One applied batch: the core's report, the graph size it left, and
-    every tenant's answer after it."""
+    """One applied batch: the core's report, the graph size it left, every
+    tenant's answer after it, and what the ``repro_match_*`` counters moved
+    by while it was applied (empty unless run under :func:`counting`)."""
 
     report: object  #: :class:`repro.stream.StreamUpdateReport`
     graph_nodes: int
     graph_edges: int
     answers: Mapping[str, Answer]
+    match: Mapping[str, float] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -408,6 +411,21 @@ class Maintained:
     def answers(self) -> Mapping[str, Answer]:
         """Every tenant's final answer."""
         return self.ticks[-1].answers if self.ticks else self.admitted
+
+    def matched(self, counter: str) -> int:
+        """``repro_match_<counter>_total`` summed over the ticks alone."""
+        return int(sum(tick.match.get(f"repro_match_{counter}_total", 0) for tick in self.ticks))
+
+
+@contextmanager
+def counting():
+    """Statistics collection on (from fresh watermarks) for the block."""
+    reset_collection()
+    enable_collection()
+    try:
+        yield
+    finally:
+        disable_collection()
 
 
 def _answers(core) -> dict[str, Answer]:
@@ -433,10 +451,17 @@ def tick(core, batches: Sequence, verify: bool = True) -> list[Tick]:
     """
     ticks = []
     for position, batch in enumerate(batches, start=1):
+        before = registry().counters("repro_match_")
         report, _deltas = core.apply(batch)
-        if verify:
+        moved = {
+            name: count - before.get(name, 0)
+            for name, count in registry().counters("repro_match_").items()
+        }
+        if verify:  # after the counters are read: a recompute searches too
             _require_fresh(core, f"after batch {position}")
-        ticks.append(Tick(report, core.graph.num_nodes, core.graph.num_edges, _answers(core)))
+        ticks.append(
+            Tick(report, core.graph.num_nodes, core.graph.num_edges, _answers(core), moved)
+        )
     return ticks
 
 
@@ -510,18 +535,6 @@ def _rematch(graph: Graph, patterns, kind: str, batches, maintained: bool) -> Re
     return Replay(wall, Answer(_digest(content), total), rechecked)
 
 
-def _reidentify(graph: Graph, rules, backend: str, workers: int, batches) -> Replay:
-    """A full ``identify_entities`` after every batch."""
-    live = graph.copy()
-    wall = 0.0
-    for batch in batches:
-        batch.apply(live)
-        started = time.perf_counter()
-        fresh = identify_entities(live, list(rules), eta=ETA, num_workers=workers, backend=backend)
-        wall += time.perf_counter() - started
-    return Replay(wall, Answer.of(fresh))
-
-
 def run_stream(
     dataset: str,
     graph: Graph,
@@ -532,35 +545,40 @@ def run_stream(
     num_batches: int,
     batch_size: int,
 ) -> list[Row]:
-    """One sampled update sequence replayed in *recompute* mode (a full run
-    after every batch — what a static pipeline pays) and *repair* mode.
+    """One sampled update sequence, maintained and (where that is a different
+    computation) recomputed.
 
     ``in-process`` rows, per matcher kind: every rule's PR pattern kept
     current by ``MatchStore.repair`` against re-matching the whole family
-    (``rechecked`` = centres re-decided, on both sides).  Backend rows: a
-    maintained session (verified against a recompute after every batch)
-    against ``identify_entities`` per batch.  Repair rows carry
-    ``repair_speedup`` = recompute wall / repair wall; the smoke loop holds
-    each half to one fingerprint.
+    (``rechecked`` = centres re-decided, on both sides; the repair row
+    carries ``repair_speedup`` = recompute wall / repair wall, reported
+    only).  Backend rows: a maintained session, held equal to a from-scratch
+    recompute after every batch, with what its ticks alone did in counts —
+    ``witness_hits`` positive verdicts answered by a kept witness against
+    ``matches_found`` searched ones, ``rechecked`` centres against the
+    graph's ``centres``.  The smoke loop holds each half to one fingerprint.
     """
     batches = sample_update_batches(graph, num_batches, batch_size)
     patterns = [rule.pr_pattern() for rule in rules]
-    pairs = [
-        ("in-process", kind, _rematch(graph, patterns, kind, batches, False),
-         _rematch(graph, patterns, kind, batches, True))
-        for kind in ("vf2", "guided")
-    ]
-    for backend in backends:
-        run = maintain(graph, {"solo": rules}, _config(backend, workers), batches)
-        repair = Replay(run.wall_time, run.answers["solo"], run.rechecked)
-        pairs.append((backend, "match", _reidentify(graph, rules, backend, workers, batches), repair))
     rows = []
-    for backend, algorithm, recompute, repair in pairs:
+    for kind in ("vf2", "guided"):
+        recompute = _rematch(graph, patterns, kind, batches, False)
+        repair = _rematch(graph, patterns, kind, batches, True)
         speedup = recompute.wall / repair.wall if repair.wall else float("inf")
-        rows.append(_stream_row(dataset, backend, "recompute", algorithm, len(batches), recompute))
+        rows.append(_stream_row(dataset, "in-process", "recompute", kind, len(batches), recompute))
         rows.append(
-            _stream_row(dataset, backend, "repair", algorithm, len(batches), repair,
+            _stream_row(dataset, "in-process", "repair", kind, len(batches), repair,
                         repair_speedup=speedup)
+        )
+    for backend in backends:
+        with counting():
+            run = maintain(graph, {"solo": rules}, _config(backend, workers), batches)
+        repair = Replay(run.wall_time, run.answers["solo"], run.rechecked)
+        rows.append(
+            _stream_row(dataset, backend, "repair", "match", len(batches), repair,
+                        centres=graph.count_nodes_with_label(rules[0].x_label),
+                        witness_hits=run.matched("witness_hits"),
+                        matches_found=run.matched("matches_found"))
         )
     return rows
 
@@ -860,13 +878,11 @@ def run_obs(
     for _ in range(reps):
         runs[False].append(maintain(graph, {"solo": rules}, config, batches, verify=False))
         tracer = install(Tracer())
-        reset_collection()  # fresh watermarks: each rep ships full counts
-        enable_collection()
         try:
-            runs[True].append(maintain(graph, {"solo": rules}, config, batches, verify=False))
+            with counting():  # fresh watermarks: each rep ships full counts
+                runs[True].append(maintain(graph, {"solo": rules}, config, batches, verify=False))
         finally:
             uninstall()
-            disable_collection()
     off, on = (min(runs[flag], key=lambda run: run.wall_time) for flag in (False, True))
     spans = len(tracer.records())
     cost = span_cost()
@@ -914,7 +930,10 @@ def run_storm(
     ``tests/regressions/`` for the pytest collector to replay forever.
     ``divergences`` counts first-divergences (the smoke gate fails on any),
     ``shrunk_ops`` the op count of the distilled counterexamples,
-    ``deduped`` the near-duplicates dropped.
+    ``deduped`` the near-duplicates dropped; ``identified`` is the largest
+    identified set the identifier leg compared and ``answers`` how many
+    distinct ones (the gates refuse a run that compared empty or unchanging
+    answers only).
     """
     rows: list[Row] = []
     for storm in sorted(STORM_FAMILIES):
@@ -960,6 +979,8 @@ def run_storm(
                         "divergences": len(report.divergences),
                         "shrunk_ops": shrunk_ops,
                         "deduped": deduped,
+                        "identified": max(map(len, report.answers), default=0),
+                        "answers": len(report.answers),
                     },
                 )
             )

@@ -104,31 +104,27 @@ def dense_eip_workload(
 
 
 @lru_cache(maxsize=None)
-def storm_workload(scale: int = 400, num_rules: int = 3) -> tuple[Graph, tuple[GPAR, ...]]:
+def storm_workload(
+    scale: int = 400, mined: int = 6, sampled: int = 3
+) -> tuple[Graph, tuple[GPAR, ...]]:
     """Graph + census-mixed Σ for the adversarial ``storm`` smoke family.
 
-    Σ is *num_rules* generated connected rules over the graph's most
-    frequent predicate, plus a free-node variant and an edge-carrying
-    component variant of the first rule — one rule set that exercises the
-    ball-local, label-census and component-census maintenance paths under
-    every storm at once.  This Σ identifies **no** entity and every
-    rule's PR match set is empty too (sampled rules score 0.0 here), so the
-    oracle's identifier leg compares empty answers in this family; what
-    bites is its match-view leg — the antecedents match 2 / 12 / 6 centres,
-    and those sets change under the correlated-deletion and label-flip
-    storms.  A storm Σ that identifies entities is an open ROADMAP item.
+    Both legs of the differential oracle must compare something.  The
+    *mined* best-supported rules of :func:`dense_eip_workload` identify
+    entities (5 at the default scale; the deletion, label-flip and random
+    storms move that answer), so the identifier leg — the one through the
+    witness-keeping streaming worker — bites; their antecedents are
+    disconnected, so the *sampled* connected rules (which identify nothing)
+    are what the match-view leg maintains.  A free-node and an edge-carrying
+    component variant of the first mined rule add the two census paths.
     """
-    graph = synthetic_graph(
-        scale, scale * 3, num_node_labels=6, num_edge_labels=4, seed=11
+    graph, pool = dense_eip_workload(scale)
+    _, predicate = mining_workload("dense", scale)
+    connected = generate_gpars(
+        graph, predicate, count=sampled, max_pattern_edges=2, d=2, seed=3
     )
-    predicate = most_frequent_predicates(graph, top=1)[0]
-    rules = generate_gpars(
-        graph, predicate, count=num_rules, max_pattern_edges=2, d=2, seed=3
-    )
-    base = rules[0]
-    return graph, tuple(
-        rules
-        + [_census_split_variant(base, predicate), _edge_component_variant(base, predicate)]
+    return graph, (
+        pool[:mined] + tuple(connected) + (pool[-1], _edge_component_variant(pool[0], predicate))
     )
 
 

@@ -517,7 +517,7 @@ class ColumnarFragment:
         # the *post-update* graph (exact; docs/streaming.md).
         if self._sketches:
             max_hops = max(hops for _node, hops in self._sketches)
-            distances = multi_source_distances(graph, touched, max_hops)
+            distances = multi_source_distances(graph, touched, max_hops, self._frozen_neighbors)
             stale_sketches = [
                 key
                 for key in self._sketches
@@ -761,6 +761,12 @@ class ColumnarFragment:
         touched entries (:meth:`_patch`) or the whole cache (recompile).
         """
         self._check()
+        return self._frozen_neighbors(node)
+
+    def _frozen_neighbors(self, node: NodeId) -> frozenset:
+        # No staleness guard: the frontier source of BFS runs *inside* a
+        # guarded probe (sketch) or inside _patch, where the guard would
+        # re-enter refresh(); _patch drops touched entries before reading.
         view = self._neighbors_frozen.get(node)
         if view is None:
             view = self._neighbors_frozen[node] = frozenset(self.graph.neighbors(node))
@@ -788,7 +794,7 @@ class ColumnarFragment:
                 sketch = empty_sketch(node, hops)
                 self.statistics.sketch_fast_paths += 1
             else:
-                sketch = build_sketch(graph, node, hops)
+                sketch = build_sketch(graph, node, hops, self._frozen_neighbors)
                 self.statistics.sketches_built += 1
             self._sketches[key] = sketch
         return sketch

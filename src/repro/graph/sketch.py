@@ -24,7 +24,8 @@ from dataclasses import dataclass
 from typing import Hashable
 
 from repro.graph.graph import Graph
-from repro.graph.neighborhood import bfs_distances
+from repro.exceptions import NodeNotFoundError
+from repro.graph.neighborhood import bfs_levels
 
 NodeId = Hashable
 
@@ -59,10 +60,6 @@ class KHopSketch:
             if count > nearer.get(label, 0)
         }
 
-    def total_count(self) -> int:
-        """Total number of (node, hop) occurrences summarised by the sketch."""
-        return self.total
-
 
 def empty_sketch(node: NodeId, hops: int) -> KHopSketch:
     """The sketch of a node with no neighbours: all-empty hop histograms.
@@ -75,21 +72,22 @@ def empty_sketch(node: NodeId, hops: int) -> KHopSketch:
     return KHopSketch(node=node, hops=hops, prefix=tuple({} for _ in range(hops)), total=0)
 
 
-def build_sketch(graph: Graph, node: NodeId, hops: int) -> KHopSketch:
-    """Compute the k-hop sketch of *node* in *graph*."""
+def build_sketch(graph: Graph, node: NodeId, hops: int, neighbors=None) -> KHopSketch:
+    """Compute the k-hop sketch of *node* in *graph* (*neighbors*: the BFS's
+    frontier source, see :func:`~repro.graph.neighborhood.bfs_distances`)."""
     if hops < 1:
         raise ValueError(f"hops must be >= 1, got {hops}")
-    distances = bfs_distances(graph, node, radius=hops, directed=False)
+    if not graph.has_node(node):
+        raise NodeNotFoundError(node)
+    levels = bfs_levels(graph, (node,), hops, neighbors)
     prefix: list[dict[str, int]] = [{} for _ in range(hops)]
-    for other, distance in distances.items():
-        if distance:
-            exact = prefix[distance - 1]
-            label = graph.node_label(other)
+    for exact, level in zip(prefix, levels[1:]):
+        for label in map(graph.node_label, level):
             exact[label] = exact.get(label, 0) + 1
     for nearer, within in zip(prefix, prefix[1:]):  # exact-hop counts -> prefix sums, in hop order
         for label, count in nearer.items():
             within[label] = within.get(label, 0) + count
-    return KHopSketch(node=node, hops=hops, prefix=tuple(prefix), total=len(distances) - 1)
+    return KHopSketch(node=node, hops=hops, prefix=tuple(prefix), total=sum(map(len, levels)) - 1)
 
 
 def sketch_dominates(candidate: KHopSketch, required: KHopSketch) -> bool:

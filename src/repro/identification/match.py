@@ -21,7 +21,6 @@ from typing import Sequence
 from repro.matching.base import Matcher
 from repro.matching.guided import GuidedMatcher
 from repro.matching.multi import MultiPatternMatcher
-from repro.identification.eip import EIPConfig
 from repro.identification.matchc import MatchC, _FragmentReport
 from repro.obs.stats import collection_enabled
 from repro.partition.fragment import Fragment
@@ -36,16 +35,12 @@ class Match(MatchC):
     # ball-restricted search).
     _consumes_resident = True
 
-    def __init__(self, config: EIPConfig, sketch_hops: int = 2) -> None:
-        super().__init__(config)
-        self.sketch_hops = sketch_hops
-
     def _make_matcher(self, max_radius: int) -> Matcher:
         # The fragment itself is the locality unit (it is the union of the
         # owned candidates' d-balls); running the guided matcher directly on
         # it lets the k-hop sketch cache be shared across all candidates and
         # all rules of Σ instead of being rebuilt per extracted ball.
-        return GuidedMatcher(sketch_hops=self.sketch_hops)
+        return GuidedMatcher()
 
     def _verify_fragment(
         self,

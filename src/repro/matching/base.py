@@ -13,7 +13,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Iterator
 
-from repro.exceptions import MatchingError
+from repro.exceptions import MatchingError, NodeNotFoundError
 from repro.graph.columnar import ColumnarFragment, registered_columnar
 from repro.graph.graph import Graph
 from repro.matching.candidates import columnar_filter_candidates, label_candidates
@@ -44,6 +44,10 @@ class MatchStatistics(StatisticsBase):
     sketch_prunes: int = 0
     profile_prunes: int = 0
     prefix_pool_hits: int = 0
+    #: Positive verdicts answered by a kept witness (:class:`WitnessStore`) —
+    #: ``matches_found`` counts the searched ones — and kept witnesses that broke.
+    witness_hits: int = 0
+    witness_invalidated: int = 0
 
 
 @dataclass
@@ -60,6 +64,25 @@ class _SearchPlan:
     connections: list = field(default_factory=list)
     # hops -> the k-hop sketch each position requires (filled by GuidedMatcher)
     required_sketches: dict = field(default_factory=dict)
+    # What an embedding aligned with ``order`` must satisfy, in positions:
+    # (position, node label) per pattern node, (source, target, label) per edge.
+    node_checks: tuple = ()
+    edge_checks: tuple = ()
+
+    def holds(self, graph: Graph, embedding: tuple) -> bool:
+        """Whether *embedding*, once a match, still is one in *graph*: every
+        image present with its label, every pattern edge with its label
+        (injectivity cannot break — node identities do not change)."""
+        try:
+            for position, label in self.node_checks:
+                if graph.node_label(embedding[position]) != label:
+                    return False
+        except NodeNotFoundError:
+            return False
+        for source, target, label in self.edge_checks:
+            if not graph.has_edge(embedding[source], embedding[target], label):
+                return False
+        return True
 
 
 def search_plan(pattern: Pattern, anchor) -> _SearchPlan:
@@ -104,7 +127,15 @@ def build_search_plan(pattern: Pattern, anchor) -> _SearchPlan:
         connections.append(best_links)
         placed.add(best_node)
         remaining.discard(best_node)
-    return _SearchPlan(order=order, connections=connections)
+    position = {node: index for index, node in enumerate(order)}
+    return _SearchPlan(
+        order=order,
+        connections=connections,
+        node_checks=tuple((index, pattern.label(node)) for index, node in enumerate(order)),
+        edge_checks=tuple(
+            (position[edge.source], position[edge.target], edge.label) for edge in pattern.edges()
+        ),
+    )
 
 
 def resident_view(graph: Graph) -> ColumnarFragment | None:
@@ -119,6 +150,35 @@ def resident_view(graph: Graph) -> ColumnarFragment | None:
     state.  An open batch therefore never changes whether a query answers.
     """
     return None if graph.in_batch else registered_columnar(graph)
+
+
+class WitnessStore:
+    """Kept embeddings of positive ``(pattern, anchor)`` pairs, validated on use.
+
+    ``kept[pattern][anchor]`` is the embedding the search last returned for
+    the pair, in :func:`search_plan` order.  Its one reader,
+    :meth:`PlanMatcher.exists_match_at`, re-validates the tuple in full
+    against the graph it would otherwise search: an entry can save a search,
+    never change a verdict, so nothing here invalidates and an empty store
+    means "search".  Patterns are keyed structurally — rules and tenants
+    sharing a prefix-trie node share its witnesses.  The methods only bound
+    the memory, to live patterns × owned anchors.
+    """
+
+    def __init__(self) -> None:
+        self.kept: dict[Pattern, dict[NodeId, tuple]] = {}
+
+    def __len__(self) -> int:
+        return sum(map(len, self.kept.values()))
+
+    def forget_anchors(self, anchors: Iterable[NodeId]) -> None:
+        for by_anchor in self.kept.values():
+            for anchor in anchors:
+                by_anchor.pop(anchor, None)
+
+    def keep_patterns(self, live: set) -> None:
+        for pattern in self.kept.keys() - live:
+            del self.kept[pattern]
 
 
 class Matcher(ABC):
@@ -136,6 +196,10 @@ class Matcher(ABC):
 
     #: Whether match_set may profile-prefilter the pool against a resident view.
     _columnar_prefilter = True
+    #: Where :meth:`PlanMatcher.exists_match_at` keeps witnesses; ``None``:
+    #: always search.  Set by the streaming worker, which verifies the same
+    #: pairs tick after tick — never by a one-shot run.
+    witnesses: WitnessStore | None = None
 
     def __init__(self) -> None:
         self.statistics = MatchStatistics()
@@ -228,12 +292,32 @@ class PlanMatcher(Matcher):
 
     Subclasses decide which data nodes may play a pattern node
     (:meth:`_admits`) and the order candidates are tried in
-    (:meth:`_ordered`); candidate generation from the plan's connections,
-    the edge-consistency test and the backtracking itself are shared.
+    (:meth:`_ordered`); candidate generation from the plan's connections
+    and the backtracking itself are shared.
     """
 
     def find_match_at(self, graph: Graph, pattern: Pattern, anchor_value: NodeId) -> dict | None:
         return next(self._search(graph, pattern.expanded(), anchor_value, first_only=True), None)
+
+    def exists_match_at(self, graph: Graph, pattern: Pattern, anchor_value: NodeId) -> bool:
+        store = self.witnesses
+        if store is None or graph.in_batch:  # a half-applied state is searched raw, kept nowhere
+            return self.find_match_at(graph, pattern, anchor_value) is not None
+        pattern = pattern.expanded()
+        plan = search_plan(pattern, pattern.x)
+        by_anchor = store.kept.setdefault(pattern, {})
+        witness = by_anchor.get(anchor_value)
+        if witness is not None:
+            if plan.holds(graph, witness):
+                self.statistics.witness_hits += 1
+                return True
+            self.statistics.witness_invalidated += 1
+            del by_anchor[anchor_value]
+        mapping = next(self._search(graph, pattern, anchor_value, first_only=True), None)
+        if mapping is None:
+            return False
+        by_anchor[anchor_value] = tuple(mapping[node] for node in plan.order)
+        return True
 
     def iter_matches_at(self, graph: Graph, pattern: Pattern, anchor_value: NodeId) -> Iterator[dict]:
         yield from self._search(graph, pattern.expanded(), anchor_value, first_only=False)
@@ -261,7 +345,9 @@ class PlanMatcher(Matcher):
         yield from self._extend(graph, resident, pattern, plan, 1, mapping, {anchor_value}, first_only)
 
     def _candidates(self, graph: Graph, resident, pattern: Pattern, plan, position: int, mapping: dict):
-        """Data nodes with the right label, adjacent to the placed nodes as the plan demands."""
+        """Data nodes with the right label, adjacent to the placed nodes as the
+        plan demands: its connections are *all* the pattern edges to placed
+        nodes, so a candidate needs no later edge-consistency test."""
         node_label = pattern.label(plan.order[position])
         source = graph if resident is None else resident
         candidates = None
@@ -277,16 +363,6 @@ class PlanMatcher(Matcher):
             # Free node of a disconnected pattern: fall back to the label index.
             return source.nodes_with_label(node_label)
         return [node for node in candidates if graph.node_label(node) == node_label]
-
-    def _consistent(self, graph: Graph, pattern: Pattern, node, data_node, mapping: dict) -> bool:
-        """All pattern edges between *node* and already-mapped nodes must exist."""
-        for edge in pattern.out_edges(node):
-            if edge.target in mapping and not graph.has_edge(data_node, mapping[edge.target], edge.label):
-                return False
-        for edge in pattern.in_edges(node):
-            if edge.source in mapping and not graph.has_edge(mapping[edge.source], data_node, edge.label):
-                return False
-        return True
 
     def _extend(
         self,
@@ -310,9 +386,6 @@ class PlanMatcher(Matcher):
                 continue
             self.statistics.states_expanded += 1
             if not self._admits(graph, resident, pattern, plan, position, data_node):
-                continue
-            if not self._consistent(graph, pattern, node, data_node, mapping):
-                self.statistics.backtracks += 1
                 continue
             mapping[node] = data_node
             used.add(data_node)

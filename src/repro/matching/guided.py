@@ -37,51 +37,24 @@ class GuidedMatcher(PlanMatcher):
     ----------
     sketch_hops:
         Number of hops summarised by the sketches (the paper uses 2).
-    use_sketch_pruning:
-        If ``True`` candidates whose sketch cannot dominate the pattern
-        node's sketch are discarded before the recursive search.
 
     Notes
     -----
-    On a resident graph data-node sketches come from the resident
-    structure's cache, shared by every matcher probing that graph in the
-    process; on a transient graph (an extracted d-ball) they are cached
-    privately, pinned to the ``Graph.version`` they were built at.
+    Data-node sketches come from the resident structure's cache, shared by
+    every matcher probing that graph in the process; on a graph with nothing
+    resident (or an open ``batch_update``) they are built per probe.
     """
 
-    def __init__(self, sketch_hops: int = 2, use_sketch_pruning: bool = True) -> None:
+    def __init__(self, sketch_hops: int = 2) -> None:
         super().__init__()
         if sketch_hops < 1:
             raise ValueError(f"sketch_hops must be >= 1, got {sketch_hops}")
         self.sketch_hops = sketch_hops
-        self.use_sketch_pruning = use_sketch_pruning
-        # Per data-graph sketch cache keyed by the graph object itself (not
-        # id(): holding the object avoids id reuse after garbage collection),
-        # pinned to the Graph.version it was filled at — a graph mutated
-        # between probes (repro.stream update batches) starts a fresh cache
-        # instead of serving stale sketches.  Only used on graphs with
-        # nothing resident.
-        self._data_sketches: dict[Graph, tuple[int, dict[NodeId, KHopSketch]]] = {}
 
-    # ------------------------------------------------------------------
-    # sketches
-    # ------------------------------------------------------------------
     def _data_sketch(self, graph: Graph, resident, node: NodeId) -> KHopSketch:
         if resident is not None:
             return resident.sketch(node, self.sketch_hops)
-        if graph.in_batch:  # half-applied state: compute, never cache
-            return build_sketch(graph, node, self.sketch_hops)
-        entry = self._data_sketches.get(graph)
-        if entry is None or entry[0] != graph.version:
-            cache: dict[NodeId, KHopSketch] = {}
-            self._data_sketches[graph] = (graph.version, cache)
-        else:
-            cache = entry[1]
-        sketch = cache.get(node)
-        if sketch is None:
-            sketch = build_sketch(graph, node, self.sketch_hops)
-            cache[node] = sketch
-        return sketch
+        return build_sketch(graph, node, self.sketch_hops)
 
     def _required(self, pattern: Pattern, plan) -> tuple[KHopSketch, ...]:
         """The sketch each plan position requires — compiled once, kept on the plan."""
@@ -93,17 +66,13 @@ class GuidedMatcher(PlanMatcher):
             )
         return needed
 
-    def clear_caches(self) -> None:
-        """Drop all cached data-graph sketches (e.g. between benchmark repetitions)."""
-        self._data_sketches.clear()
-
     # ------------------------------------------------------------------
     def _admits(self, graph: Graph, resident, pattern: Pattern, plan, position: int, data_node) -> bool:
         if position:  # deeper nodes are pruned where they are ranked, in _ordered
             return True
         if not degree_consistent(graph, data_node, pattern, pattern.x, resident):
             return False
-        if self.use_sketch_pruning and not sketch_dominates(
+        if not sketch_dominates(
             self._data_sketch(graph, resident, data_node), self._required(pattern, plan)[0]
         ):
             self.statistics.sketch_prunes += 1
@@ -115,7 +84,7 @@ class GuidedMatcher(PlanMatcher):
         ranked: list[tuple[int, NodeId]] = []
         for candidate in candidates:
             sketch = self._data_sketch(graph, resident, candidate)
-            if self.use_sketch_pruning and not sketch_dominates(sketch, required):
+            if not sketch_dominates(sketch, required):
                 self.statistics.sketch_prunes += 1
                 continue
             ranked.append((sketch_score(sketch, required), candidate))

@@ -408,7 +408,9 @@ class MatchStore:
         graph = self.graph
         stats = self.statistics
         resident = resident_view(graph)
-        affected = multi_source_ball(graph, touched, entry.repair_radius, resident=resident)
+        affected = multi_source_ball(
+            graph, touched, entry.repair_radius, None if resident is None else resident.neighbors
+        )
         labels = graph._labels
         matches = set()
         streams: dict[NodeId, _EmbeddingStream] = {}

@@ -29,9 +29,9 @@ class LocalityMatcher(Matcher):
     radius:
         Ball radius ``d``; when ``None`` the radius of the pattern at x is
         used per query (the tight, always-correct choice).
-    cache_balls:
-        Cache extracted neighbourhoods per (graph, node, radius); useful when
-        the same candidate is probed by many rules (EIP with a set Σ).
+
+    Extracted neighbourhoods are cached per (graph, node, radius): the same
+    candidate is probed by many rules (EIP with a set Σ).
 
     Notes
     -----
@@ -44,11 +44,10 @@ class LocalityMatcher(Matcher):
     queries still comes from the data graph's resident structure).
     """
 
-    def __init__(self, inner: Matcher, radius: int | None = None, cache_balls: bool = True) -> None:
+    def __init__(self, inner: Matcher, radius: int | None = None) -> None:
         super().__init__()
         self.inner = inner
         self.radius = radius
-        self.cache_balls = cache_balls
         # The pool prefilter of match_set must mirror the inner matcher's
         # semantics (a disVF2 inner must pay the unfiltered search).
         self._columnar_prefilter = getattr(inner, "_columnar_prefilter", True)
@@ -64,20 +63,16 @@ class LocalityMatcher(Matcher):
         # memoised frozen-neighbourhood view when the graph has one
         # (Graph.neighbors allocates a fresh set per visited node).
         resident = resident_view(graph)
-        if not self.cache_balls:
-            return d_neighborhood(graph, anchor_value, radius, resident=resident)
         key = (graph, anchor_value, radius)
         entry = self._ball_cache.get(key)
         if entry is not None and entry[0] == graph.version and not graph.in_batch:
             return entry[1]
-        ball = d_neighborhood(graph, anchor_value, radius, resident=resident)
+        ball = d_neighborhood(
+            graph, anchor_value, radius, neighbors=None if resident is None else resident.neighbors
+        )
         if not graph.in_batch:  # never pin a half-applied batch state
             self._ball_cache[key] = (graph.version, ball)
         return ball
-
-    def clear_caches(self) -> None:
-        """Drop cached neighbourhoods."""
-        self._ball_cache.clear()
 
     def find_match_at(self, graph: Graph, pattern: Pattern, anchor_value: NodeId) -> dict | None:
         if not graph.has_node(anchor_value):

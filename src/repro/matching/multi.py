@@ -29,16 +29,28 @@ from typing import Hashable, Iterable, Mapping, Sequence
 
 from repro.graph.graph import Graph
 from repro.matching.base import Matcher, MatchStatistics, resident_view
-from repro.matching.candidates import (
-    adjacency_profile,
-    columnar_filter_candidates,
-    profile_satisfies,
-    required_profile,
-)
+from repro.matching.candidates import columnar_filter_candidates
 from repro.pattern.gpar import GPAR
 from repro.pattern.pattern import Pattern, PatternEdge
 
 NodeId = Hashable
+
+
+def prefix_chain(pattern: Pattern) -> tuple[Pattern, ...]:
+    """Cumulative connected-from-x sub-patterns of *pattern*.
+
+    Edges are consumed smallest-``sort_key``-first among those incident
+    to the already-covered node set, which makes the chain deterministic
+    and maximises sharing between patterns grown from common prefixes.
+    The chain stops at the connected-from-x frontier: components only
+    reachable through uncovered nodes (a "free" y) are left to the final
+    full-pattern match, where the matcher's label-index fallback already
+    handles them.  A chain depends only on the (immutable) pattern, so
+    it is built once and lives on its pattern
+    (:meth:`~repro.pattern.pattern.Pattern.derive`) — and with it the
+    prefixes' own hashes, search plans and required sketches.
+    """
+    return pattern.derive("prefix_chain", _build_prefix_chain)
 
 
 def _build_prefix_chain(pattern: Pattern) -> tuple[Pattern, ...]:
@@ -71,6 +83,14 @@ def _build_prefix_chain(pattern: Pattern) -> tuple[Pattern, ...]:
     return tuple(chain)
 
 
+def trie_patterns(rules: Iterable[GPAR], census: Iterable[tuple] = ()) -> set[Pattern]:
+    """Every pattern verifying *rules* can hand the anchored matcher: both
+    patterns of each rule, the x-parts *census* substitutes, and their chains."""
+    patterns = [pattern for rule in rules for pattern in (rule.antecedent, rule.pr_pattern())]
+    patterns += [x_part for _pattern, x_part in census]
+    return {member for pattern in patterns for member in (pattern.expanded(), *prefix_chain(pattern))}
+
+
 class MultiPatternMatcher:
     """Evaluate ``PR(x, G)`` for every rule of a workload while sharing work.
 
@@ -85,32 +105,15 @@ class MultiPatternMatcher:
     -----
     The shared profile filter runs against the data graph's resident
     :class:`repro.graph.columnar.ColumnarFragment` when it has one — one
-    interned-id pool mask per rule — and as a python profile comparison per
-    candidate otherwise (transient graph, open ``batch_update``).  The
-    filter is a necessary condition either way, so the match sets are
-    identical.
+    interned-id pool mask per rule; otherwise (transient graph, open
+    ``batch_update``) the anchored matcher's own per-candidate profile test
+    does the same work.  The filter is a necessary condition, so the match
+    sets are identical either way.
     """
 
     def __init__(self, matcher: Matcher) -> None:
         self.matcher = matcher
         self.statistics = MatchStatistics()
-
-    @staticmethod
-    def _prefix_chain(pattern: Pattern) -> tuple[Pattern, ...]:
-        """Cumulative connected-from-x sub-patterns of *pattern*.
-
-        Edges are consumed smallest-``sort_key``-first among those incident
-        to the already-covered node set, which makes the chain deterministic
-        and maximises sharing between patterns grown from common prefixes.
-        The chain stops at the connected-from-x frontier: components only
-        reachable through uncovered nodes (a "free" y) are left to the final
-        full-pattern match, where the matcher's label-index fallback already
-        handles them.  A chain depends only on the (immutable) pattern, so
-        it is built once and lives on its pattern
-        (:meth:`~repro.pattern.pattern.Pattern.derive`) — and with it the
-        prefixes' own hashes, search plans and required sketches.
-        """
-        return pattern.derive("prefix_chain", _build_prefix_chain)
 
     def shared_match_sets(
         self,
@@ -127,7 +130,7 @@ class MultiPatternMatcher:
         the rule-at-a-time path applies.  Results equal per-pattern
         ``matcher.match_set`` calls.
         """
-        chains = {key: self._prefix_chain(pattern) for key, pattern in patterns.items()}
+        chains = {key: prefix_chain(pattern) for key, pattern in patterns.items()}
         shared: Counter = Counter()
         for chain in chains.values():
             for prefix in chain[:-1]:
@@ -149,18 +152,9 @@ class MultiPatternMatcher:
                     pool_cache[prefix] = cached
                 pool = cached
                 self.statistics.prefix_pool_hits += 1
-            if pool is not None:
+            if pool is not None and resident is not None:
                 expanded = pattern.expanded()
-                if resident is not None:
-                    pool = columnar_filter_candidates(resident, expanded, expanded.x, pool)
-                else:
-                    needed = required_profile(expanded, expanded.x)
-                    pool = [
-                        node
-                        for node in pool
-                        if graph.has_node(node)
-                        and profile_satisfies(adjacency_profile(graph, node), needed)
-                    ]
+                pool = columnar_filter_candidates(resident, expanded, expanded.x, pool)
             results[key] = self.matcher.match_set(graph, pattern, candidates=pool)
         self.statistics.merge(self.matcher.statistics)
         self.matcher.reset_statistics()

@@ -14,7 +14,7 @@ verdicts fan out to every tenant whose rule maps to that key
 (docs/multitenant.md).
 
 Prefix-level sharing is tracked too: the pool records every antecedent
-prefix from :meth:`MultiPatternMatcher._prefix_chain`, so a tenant whose
+prefix from :func:`repro.matching.multi.prefix_chain`, so a tenant whose
 rules share only a *prefix* with resident rules still registers
 ``shared_prefix_hits`` — the trie inside
 :meth:`~repro.matching.multi.MultiPatternMatcher.shared_match_sets` pools
@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from repro.exceptions import ReproError
-from repro.matching.multi import MultiPatternMatcher
+from repro.matching.multi import prefix_chain
 from repro.pattern.canonical import canonical_code
 from repro.pattern.gpar import GPAR
 from repro.pattern.pattern import Pattern
@@ -155,7 +155,7 @@ class SharedPatternPool:
                 state.owners.add(tenant)
                 keys[rule] = key
                 representatives[rule] = state.representative
-                for prefix in MultiPatternMatcher._prefix_chain(rule.antecedent):
+                for prefix in prefix_chain(rule.antecedent):
                     owners = self._prefix_owners.setdefault(prefix, set())
                     if owners - {tenant}:
                         prefix_hits += 1

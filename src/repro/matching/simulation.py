@@ -117,11 +117,6 @@ class SimulationMatcher:
             self._graphs[id(graph)] = graph  # keep the graph alive for id stability
         return simulation
 
-    def clear_caches(self) -> None:
-        """Drop cached simulations."""
-        self._cache.clear()
-        self._graphs.clear()
-
     def match_set(self, graph: Graph, pattern: Pattern, candidates=None) -> set[NodeId]:
         """Data nodes simulating the designated node x."""
         expanded = pattern.expanded()

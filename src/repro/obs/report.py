@@ -184,24 +184,22 @@ def top_report(url: str, healthz: dict, sessions: dict, metrics_text: str) -> st
             if p50 is not None:
                 quantiles = f"  p50<={1000 * p50:g}ms p99<={1000 * p99:g}ms"
             lines.append(f"  {method:<6} {route:<32} {int(count):>7}{quantiles}")
-    stream_counters = sorted(
-        (name, samples)
-        for name, samples in metrics.items()
-        if name.startswith("repro_stream_")
-    )
-    if stream_counters:
-        lines.append("stream:")
-        for name, samples in stream_counters:
-            total = sum(value for _labels, value in samples)
-            lines.append(f"  {name:<44} {total:g}")
-    tenant_counters = sorted(
-        (name, samples)
-        for name, samples in metrics.items()
-        if name.startswith(("repro_tenant_", "repro_shared_cores"))
-    )
-    if tenant_counters:
-        lines.append("tenants:")
-        for name, samples in tenant_counters:
-            total = sum(value for _labels, value in samples)
-            lines.append(f"  {name:<44} {total:g}")
+    def total(name: str) -> float:
+        return sum(value for _labels, value in metrics.get(name, ()))
+
+    def section(title: str, prefixes: tuple[str, ...]) -> None:
+        names = sorted(name for name in metrics if name.startswith(prefixes))
+        if names:
+            lines.append(f"{title}:")
+            lines.extend(f"  {name:<44} {total(name):g}" for name in names)
+
+    section("stream", ("repro_stream_",))
+    hits, searched = total("repro_match_witness_hits_total"), total("repro_match_matches_found_total")
+    if hits or searched:
+        lines.append(
+            f"matching: {hits + searched:g} positive verdicts, {hits / (hits + searched):.0%} "
+            f"by a kept witness ({total('repro_match_witness_invalidated_total'):g} invalidated), "
+            f"{total('repro_match_candidates_considered_total'):g} candidates considered"
+        )
+    section("tenants", ("repro_tenant_", "repro_shared_cores"))
     return "\n".join(lines) + "\n"

@@ -51,6 +51,7 @@ the process-resident fragment copy to the coordinator's sequence.
 
 from __future__ import annotations
 
+import functools
 import pickle
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -67,6 +68,20 @@ NodeId = Hashable
 
 #: ``WorkerContext.state`` key tracking the newest applied slice sequence.
 APPLIED_SEQUENCE_KEY = "lifecycle-applied-sequence"
+
+
+def _ordered(items) -> tuple:
+    """*items* as a tuple sorted by ``str``: what slices and snapshots ship,
+    so that they pickle small and hash stably."""
+    return tuple(sorted(items, key=str))
+
+
+def _described(graph: Graph, nodes) -> tuple:
+    """``(node, label, attrs-items)`` of *nodes*, ordered — how nodes are shipped."""
+    return _ordered(
+        (node, graph.node_label(node), tuple(sorted(graph.node_attrs(node).items())))
+        for node in nodes
+    )
 
 
 @dataclass(frozen=True)
@@ -93,28 +108,18 @@ class FragmentUpdate:
     recheck: tuple = ()
 
     @property
-    def mutates(self) -> bool:
-        """Whether replaying this slice changes the fragment graph at all."""
-        return bool(
-            self.remove_edges
-            or self.remove_nodes
-            or self.add_nodes
-            or self.add_edges
-            or self.relabels
-            or self.shed
+    def weight(self) -> int:
+        """Number of shipped operations (the compaction trigger's measure)."""
+        return sum(
+            len(ops)
+            for ops in (self.remove_edges, self.remove_nodes, self.add_nodes,
+                        self.add_edges, self.relabels, self.shed)
         )
 
     @property
-    def weight(self) -> int:
-        """Number of shipped operations (the compaction trigger's measure)."""
-        return (
-            len(self.remove_edges)
-            + len(self.remove_nodes)
-            + len(self.add_nodes)
-            + len(self.add_edges)
-            + len(self.relabels)
-            + len(self.shed)
-        )
+    def mutates(self) -> bool:
+        """Whether replaying this slice changes the fragment graph at all."""
+        return self.weight > 0
 
 
 @dataclass(frozen=True)
@@ -147,38 +152,20 @@ class FragmentCheckpoint:
         name: str,
     ) -> "FragmentCheckpoint":
         """Snapshot the induced subgraph on *node_set* of *graph*."""
-        nodes = tuple(
-            sorted(
-                (
-                    (
-                        node,
-                        graph.node_label(node),
-                        tuple(sorted(graph.node_attrs(node).items())),
-                    )
-                    for node in node_set
-                ),
-                key=str,
-            )
-        )
-        edges = tuple(
-            sorted(
-                (
-                    (node, edge.target, edge.label)
-                    for node in node_set
-                    for edge in graph.out_edges(node)
-                    if edge.target in node_set
-                ),
-                key=str,
-            )
+        edges = _ordered(
+            (node, edge.target, edge.label)
+            for node in node_set
+            for edge in graph.out_edges(node)
+            if edge.target in node_set
         )
         return cls(
             fragment_index=fragment_index,
             sequence=sequence,
             name=name,
             delta_log_size=graph.delta_log_size,
-            nodes=nodes,
+            nodes=_described(graph, node_set),
             edges=edges,
-            owned_centers=tuple(sorted(owned_centers, key=str)),
+            owned_centers=_ordered(owned_centers),
         )
 
     def build_graph(self) -> Graph:
@@ -491,6 +478,11 @@ class FragmentManager:
         self._sequence += 1
         plan = BatchPlan()
         indexes = [fragment.index for fragment in self.fragments]
+        # Every ball below is a BFS of the same post-update graph, and on a
+        # well-connected graph each visits most of it: one neighbourhood per
+        # node per batch serves them all (the memo dies with the batch).
+        neighbors = functools.cache(graph.neighbors)
+        fresh_balls: dict[NodeId, set] = {}  # centres gained in this batch
         own_add: dict[int, set] = {index: set() for index in indexes}
         own_remove: dict[int, set] = {index: set() for index in indexes}
 
@@ -498,60 +490,35 @@ class FragmentManager:
         removals: dict[int, tuple] = {}
         for index in indexes:
             node_set = self._node_sets[index]
-            remove_edges = tuple(
-                sorted(
-                    (
-                        edge
-                        for edge in delta.removed_edges
-                        if edge[0] in node_set and edge[1] in node_set
-                    ),
-                    key=str,
-                )
+            remove_edges = _ordered(
+                edge
+                for edge in delta.removed_edges
+                if edge[0] in node_set and edge[1] in node_set
             )
-            remove_nodes = tuple(
-                sorted((node for node in delta.removed_nodes if node in node_set), key=str)
-            )
-            relabels = tuple(
-                sorted(
-                    (
-                        (node, graph.node_label(node))
-                        for node in delta.relabeled_nodes
-                        if node in node_set
-                    ),
-                    key=str,
-                )
+            remove_nodes = _ordered(node for node in delta.removed_nodes if node in node_set)
+            relabels = _ordered(
+                (node, graph.node_label(node))
+                for node in delta.relabeled_nodes
+                if node in node_set
             )
             removals[index] = (remove_edges, remove_nodes, relabels)
 
-        # Refcount bookkeeping; entered/vanished are derived from the nodes
-        # whose count changed, so a release-then-retain inside one batch
-        # (a ball swap keeping the node) cancels out.
-        touched_rc: dict[int, set] = {index: set() for index in indexes}
-        before: dict[int, dict] = {index: {} for index in indexes}
+        # Refcount bookkeeping: changed[index] maps every node whose count
+        # moved to its count before the batch, so a release-then-retain
+        # inside one batch (two ball swaps both keeping the node) cancels
+        # out of the entered/vanished sets derived from it in step (5).
+        changed: dict[int, dict] = {index: {} for index in indexes}
 
-        def release(index: int, nodes) -> None:
+        def shift(index: int, nodes, step: int) -> None:
             refcounts = self._refcounts[index]
-            snapshot = before[index]
-            dirty = touched_rc[index]
+            before = changed[index]
             for node in nodes:
-                if node not in snapshot:
-                    snapshot[node] = refcounts.get(node, 0)
-                dirty.add(node)
-                count = refcounts.get(node, 0) - 1
-                if count <= 0:
-                    refcounts.pop(node, None)
+                count = refcounts.get(node, 0)
+                before.setdefault(node, count)
+                if count + step > 0:
+                    refcounts[node] = count + step
                 else:
-                    refcounts[node] = count
-
-        def retain(index: int, nodes) -> None:
-            refcounts = self._refcounts[index]
-            snapshot = before[index]
-            dirty = touched_rc[index]
-            for node in nodes:
-                if node not in snapshot:
-                    snapshot[node] = refcounts.get(node, 0)
-                dirty.add(node)
-                refcounts[node] = refcounts.get(node, 0) + 1
+                    refcounts.pop(node, None)
 
         # (2) centre-role maintenance: only touched nodes can change role.
         # A lost centre's stored ball is released from its old owner (which
@@ -564,9 +531,10 @@ class FragmentManager:
                 own_remove[owner].add(node)
                 old_ball = self._balls.pop(node, None)
                 if old_ball is not None:
-                    release(owner, old_ball)
+                    shift(owner, old_ball, -1)
             elif owner is None and is_center:
-                chosen = self._assign_owner(node)
+                fresh_balls[node] = ball(graph, node, self.max_radius, neighbors)
+                chosen = self._assign_owner(fresh_balls[node])
                 self._owner[node] = chosen
                 own_add[chosen].add(node)
         plan.owned_added = sum(len(centers) for centers in own_add.values())
@@ -583,14 +551,16 @@ class FragmentManager:
             own_remove[src].add(center)
             own_add[dst].add(center)
             moved_ball = self._balls[center]
-            release(src, moved_ball)
-            retain(dst, moved_ball)
+            shift(src, moved_ball, -1)
+            shift(dst, moved_ball, +1)
         plan.migrations = tuple(migrations)
 
         # (4) recheck centres (owned, inside the affected region): swap the
-        # stored ball for the current one.  Freshly gained centres have no
-        # stored ball yet; they are in the region by construction (only
-        # touched nodes gain the centre label, and touched ⊆ region).
+        # stored ball for the current one, by their difference — shifting a
+        # node both balls hold down and up again cancels, in the refcounts
+        # and in the entered / vanished sets alike.  Freshly gained centres
+        # have no stored ball yet; they are in the region by construction
+        # (only touched nodes gain the centre label, and touched ⊆ region).
         recheck: dict[int, set] = {index: set() for index in indexes}
         for center, owner in self._owner.items():
             if center in region:
@@ -598,42 +568,24 @@ class FragmentManager:
         for index in indexes:
             for center in sorted(recheck[index], key=str):
                 old_ball = self._balls.get(center)
-                if old_ball is not None:
-                    release(index, old_ball)
-                new_ball = ball(graph, center, self.max_radius)
+                new_ball = fresh_balls.get(center)
+                if new_ball is None:
+                    new_ball = ball(graph, center, self.max_radius, neighbors)
+                if old_ball is None:
+                    shift(index, new_ball, +1)
+                elif old_ball != new_ball:
+                    shift(index, old_ball - new_ball, -1)
+                    shift(index, new_ball - old_ball, +1)
                 self._balls[center] = new_ball
-                retain(index, new_ball)
 
         # (5) membership deltas and the shipped slices.
         for index in indexes:
             refcounts = self._refcounts[index]
             node_set = self._node_sets[index]
-            entered = set()
-            vanished = set()
-            for node in touched_rc[index]:
-                was_resident = before[index][node] > 0
-                is_resident = node in refcounts
-                if is_resident and not was_resident:
-                    entered.add(node)
-                elif was_resident and not is_resident:
-                    vanished.add(node)
+            entered = {node for node, was in changed[index].items() if not was and node in refcounts}
+            vanished = {node for node, was in changed[index].items() if was and node not in refcounts}
             remove_edges, remove_nodes, relabels = removals[index]
-            shed = tuple(
-                sorted((node for node in vanished if graph.has_node(node)), key=str)
-            )
-            add_nodes = tuple(
-                sorted(
-                    (
-                        (
-                            node,
-                            graph.node_label(node),
-                            tuple(sorted(graph.node_attrs(node).items())),
-                        )
-                        for node in entered
-                    ),
-                    key=str,
-                )
-            )
+            shed = _ordered(node for node in vanished if graph.has_node(node))
             add_edge_set = {
                 edge
                 for edge in delta.added_edges
@@ -653,13 +605,13 @@ class FragmentManager:
                 sequence=self._sequence,
                 remove_edges=remove_edges,
                 remove_nodes=remove_nodes,
-                add_nodes=add_nodes,
-                add_edges=tuple(sorted(add_edge_set, key=str)),
+                add_nodes=_described(graph, entered),
+                add_edges=_ordered(add_edge_set),
                 relabels=relabels,
                 shed=shed,
-                own_add=tuple(sorted(own_add[index], key=str)),
-                own_remove=tuple(sorted(own_remove[index], key=str)),
-                recheck=tuple(sorted(recheck[index], key=str)),
+                own_add=_ordered(own_add[index]),
+                own_remove=_ordered(own_remove[index]),
+                recheck=_ordered(recheck[index]),
             )
             self._logs[index].append(update)
             plan.updates[index] = update
@@ -669,14 +621,13 @@ class FragmentManager:
             plan.shipped_edges += len(add_edge_set) + len(remove_edges)
         return plan
 
-    def _assign_owner(self, center: NodeId) -> int:
+    def _assign_owner(self, center_ball: set) -> int:
         """Fragment for a freshly appeared centre: most of its ball resident.
 
         Ownership placement only affects which worker does the centre's
         work — never the answer — so the tie-break just balances load
         deterministically (fewest owned centres, then lowest index).
         """
-        center_ball = ball(self.graph, center, self.max_radius)
         owned_counts: dict[int, int] = {
             fragment.index: 0 for fragment in self.fragments
         }

@@ -67,6 +67,8 @@ from repro.identification.census import (
 from repro.identification.eip import EIPConfig, EIPResult, _shared_predicate
 from repro.identification.match import Match
 from repro.identification.matchc import MatchC, _FragmentReport, fold_match_metrics
+from repro.matching.base import WitnessStore
+from repro.matching.multi import trie_patterns
 from repro.obs.registry import registry
 from repro.obs.tracing import (
     Tracer,
@@ -214,6 +216,7 @@ def _stream_verify(
     context: WorkerContext, payload: StreamVerifyPayload
 ) -> _FragmentReport:
     """The actual worker body (phases traced via the ambient tracer)."""
+    owned_before = set(context.fragment.owned_centers)
     with span("stream.worker.catch_up", fragment=context.fragment.index):
         fragment = catch_up(context, payload.lease)
 
@@ -230,6 +233,18 @@ def _stream_verify(
         ("eip-matcher", payload.solver_cls, config, payload.max_radius),
         lambda: solver._make_matcher(payload.max_radius),
     )
+    # Ticks re-verify the same (centre, pattern) pairs, so this matcher keeps
+    # its witnesses (validated on use — a cold store only means "search").
+    # The store lives with the matcher in the pool-lifetime context; here it
+    # is only bounded: centres the fragment stopped owning go, and the first
+    # tick (which carries all of Σ) after Σ changed — a new ``rules`` tuple —
+    # drops the patterns no live rule's trie contains.
+    if matcher.witnesses is None:
+        matcher.witnesses = WitnessStore()
+    matcher.witnesses.forget_anchors(owned_before - fragment.owned_centers)
+    if payload.recheck is not None and context.state.get("witness-sigma") is not payload.rules:
+        context.state["witness-sigma"] = payload.rules
+        matcher.witnesses.keep_patterns(trie_patterns(payload.rules, payload.census))
     if payload.census:
         matcher = CensusMatcher(matcher, dict(payload.census))
     if payload.recheck is None:
@@ -509,6 +524,9 @@ class StreamingIdentifier:
         tracer = active()
         with span(name, **attrs) as round_span:
             reports = self.runtime.run_round(stream_update_worker, payloads)
+            # A resident session runs a round per tick for as long as it lives
+            # and reads only the newest RoundTiming: keep that one.
+            del self.runtime.timings.rounds[:-1]
             if tracer is not None:
                 for shipped in reports:
                     if shipped.spans:
@@ -650,29 +668,14 @@ class StreamingIdentifier:
     def _record_tick_metrics(self, report: StreamUpdateReport) -> None:
         """Fold one tick's outcome into the process-global metrics registry."""
         metrics = registry()
-        metrics.inc(
-            "repro_stream_ticks_total", help="Update batches applied"
-        )
-        metrics.inc(
-            "repro_stream_rechecked_centers_total",
-            report.rechecked_centers,
-            help="Centres re-verified by streaming repair",
-        )
-        metrics.inc(
-            "repro_stream_shed_nodes_total",
-            report.shed_nodes,
-            help="Resident nodes shed after deletions",
-        )
-        metrics.inc(
-            "repro_stream_migrated_centers_total",
-            report.migrated_centers,
-            help="Centres migrated between fragments",
-        )
-        metrics.inc(
-            "repro_stream_compacted_fragments_total",
-            report.compacted_fragments,
-            help="Fragment logs compacted into checkpoints",
-        )
+        for name, amount, help_text in (
+            ("ticks", 1, "Update batches applied"),
+            ("rechecked_centers", report.rechecked_centers, "Centres re-verified by streaming repair"),
+            ("shed_nodes", report.shed_nodes, "Resident nodes shed after deletions"),
+            ("migrated_centers", report.migrated_centers, "Centres migrated between fragments"),
+            ("compacted_fragments", report.compacted_fragments, "Fragment logs compacted into checkpoints"),
+        ):
+            metrics.inc(f"repro_stream_{name}_total", amount, help=help_text)
         metrics.observe(
             "repro_stream_tick_seconds",
             report.wall_time,

@@ -83,6 +83,9 @@ class OracleReport:
     batches_checked: int = 0
     combos_run: int = 0
     checks: int = 0  #: individual maintained-vs-fresh comparisons
+    #: Distinct identified sets the identifier leg compared: one empty set
+    #: means every such comparison was vacuous, one set that none changed.
+    answers: set = field(default_factory=set)
     wall_time: float = 0.0
 
     @property
@@ -293,6 +296,7 @@ class DifferentialOracle:
         maintained = eip_fingerprint(identifier.result)
         fresh = eip_fingerprint(self._fresh_result(identifier.graph))
         report.checks += 1
+        report.answers.add(fresh[0])
         if maintained != fresh:
             return mark(
                 batch_index=batch_index,

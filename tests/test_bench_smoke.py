@@ -32,12 +32,6 @@ TINY = {
     "obs": (400, {"reps": 2}),
 }
 
-#: "Sequential repair beats recompute" is a wall-clock ratio measured at the
-#: real scale (6-8x); a 400-node run is too short to hold it to, so the tiny
-#: run drops that family's gate — exercised on doctored rows below like
-#: every other, and on the real rows by test_stream_gate_holds_on_the_counter.
-WALL_CLOCK_ONLY = {"stream"}
-
 
 def test_tiny_table_covers_every_family():
     assert set(TINY) == set(SCENARIOS)
@@ -52,11 +46,7 @@ def family_runs(tmp_path_factory):
         if family not in runs:
             scale, overrides = TINY[family]
             scenario = SCENARIOS[family]
-            tiny = replace(
-                scenario,
-                params={**scenario.params, **overrides},
-                gates=() if family in WALL_CLOCK_ONLY else scenario.gates,
-            )
+            tiny = replace(scenario, params={**scenario.params, **overrides})
             out = tmp_path_factory.mktemp(family) / f"BENCH_{family}.json"
             with pytest.MonkeyPatch.context() as patch:
                 patch.setitem(SCENARIOS, family, tiny)
@@ -96,14 +86,8 @@ def _doctor(rows, where, fingerprint=None, **columns):
     return [*rows[:index], changed, *rows[index + 1 :]]
 
 
-def _repair_speedups(rows, **by_backend):
-    """Every repair row a healthy 2x, except the backends named."""
-    return [
-        replace(row, columns={**row.columns, "repair_speedup": by_backend.get(row.backend, 2.0)})
-        if row.mode == "repair"
-        else row
-        for row in rows
-    ]
+def _session_repair(row):
+    return row.mode == "repair" and row.backend == "sequential"
 
 
 def _mode(mode):
@@ -132,11 +116,17 @@ DOCTORED = {
     ],
     "stream": [
         ("empty answer", lambda rows: _doctor(rows, _mode("repair"), identified=0), "vacuous"),
-        ("repair != recompute", lambda rows: _doctor(rows, _last(rows), fingerprint="x"), "diverged"),
-        ("slow sequential repair", lambda rows: _repair_speedups(rows, sequential=0.5),
-         "sequential match repair_speedup 0.50 < 1.0"),
+        ("repair != recompute", lambda rows: _doctor(rows, _mode("repair"), fingerprint="x"), "diverged"),
+        ("slow sequential repair",
+         lambda rows: _doctor(rows, _session_repair, witness_hits=30, matches_found=10),
+         "sequential match ticks searched 10 positive pairs against 30"),
+        ("witness store never hit", lambda rows: _doctor(rows, _session_repair, witness_hits=0),
+         "against 0 answered by a kept witness"),
+        ("sequential repair re-decides everything",
+         lambda rows: _doctor(rows, _session_repair, rechecked=10**6),
+         "sequential match repair re-decided 1000000 centres"),
         ("match-view repair re-decides everything",
-         lambda rows: _doctor(_repair_speedups(rows), _mode("repair"), rechecked=10**6),
+         lambda rows: _doctor(rows, _mode("repair"), rechecked=10**6),
          "in-process vf2 repair re-decided 1000000 centres"),
     ],
     "churn": [
@@ -167,6 +157,10 @@ DOCTORED = {
     ],
     "storm": [
         ("a divergence", lambda rows: _doctor(rows, _anywhere, divergences=1), "storm regression"),
+        ("empty answer", lambda rows: _doctor(rows, _anywhere, identified=0), "vacuous"),
+        ("unchanging answer",
+         lambda rows: [replace(row, columns={**row.columns, "answers": 1}) for row in rows],
+         "no storm family changed the identified set"),
     ],
     "obs": [
         ("empty answer", lambda rows: _doctor(rows, _anywhere, identified=0), "vacuous"),
@@ -205,13 +199,20 @@ def test_stream_gate_holds_on_the_counter(family_runs):
     rematches = {row["algorithm"]: row for row in rows if row.mode == "recompute"}
     for kind in ("vf2", "guided"):
         assert 0 < repairs[kind]["rechecked"] < rematches[kind]["rechecked"]
-    check_rows(SCENARIOS["stream"], _repair_speedups(rows), WORKERS)  # wall aside, green
+    session = repairs["match"]
+    assert 0 < session["rechecked"] < session["centres"] * session["batches"]
+    assert session["witness_hits"] >= 4 * session["matches_found"] and session["witness_hits"] > 0
+    # No wall clock is left in the gate: a repair slower than recompute stays green.
+    slow = _doctor(rows, _session_repair, repair_speedup=0.5)
+    check_rows(SCENARIOS["stream"], slow, WORKERS)
 
 
 def test_stream_gate_ignores_pool_backends(family_runs):
     rows, _out = family_runs("stream")
     pooled = [replace(row, backend="threads") if row.backend == "sequential" else row for row in rows]
-    check_rows(SCENARIOS["stream"], _repair_speedups(pooled, threads=0.5), WORKERS)  # no SystemExit
+    searched = _doctor(pooled, lambda row: row.mode == "repair" and row.backend == "threads",
+                       witness_hits=0, matches_found=10**3)
+    check_rows(SCENARIOS["stream"], searched, WORKERS)  # no SystemExit
 
 
 def test_measured_obs_delta_is_reported_but_not_gated(family_runs):

@@ -5,17 +5,22 @@ worker contexts), which turned three pre-existing unversioned caches into
 bugs before they were ``Graph.version``-pinned.  This audit makes the
 convention enforceable:
 
-* a **registry** names every cache a matcher/solver keeps, split into
-  graph-keyed caches (which MUST be version-pinned) and pattern-keyed
-  caches (patterns are immutable — exempt; what is compiled from a pattern
-  lives on the pattern itself, ``Pattern.derive``, not in a matcher);
+* a **registry** names every cache a matcher/solver keeps, by staleness
+  discipline: graph-keyed caches MUST be **version-pinned**; **pattern-keyed**
+  caches are exempt (patterns are immutable; what is compiled from a
+  pattern lives on the pattern itself, ``Pattern.derive``, not in a
+  matcher); and the witness store of the streaming worker is **validated
+  on use** — it pins nothing and invalidates nothing, every read re-proves
+  the entry against the graph it is about to be used on;
 * a **discovery sweep** fails when a class grows an unregistered
-  dict-shaped cache attribute, or a cache-carrying class (anything with
-  ``clear_caches``) is missing from the registry — adding a cache without
-  auditing it breaks this file;
+  cache-shaped attribute, or a matcher class exported by ``repro.matching``
+  is missing from the registry — adding a cache without auditing it breaks
+  this file;
 * a **behavioural sweep** warms every registered matcher, mutates the
   graph through update batches, and requires warm results byte-identical
-  to a fresh instance's — served-stale answers fail loudly;
+  to a fresh instance's — served-stale answers fail loudly (for the
+  validated-on-use store this sweep *is* the audit; the adversarial cases
+  live in ``tests/test_witnesses.py``);
 * a **pinning sweep** asserts every graph-keyed cache entry left behind
   after the warm re-probe carries the current ``Graph.version``.
 """
@@ -33,15 +38,24 @@ from repro.matching import (
     SimulationMatcher,
     VF2Matcher,
 )
+from repro.matching.base import WitnessStore
 from repro.stream import random_update_batch
 
 # ----------------------------------------------------------------------
 # the registry: every matcher/solver cache, by staleness discipline
 # ----------------------------------------------------------------------
-#: name -> (factory, graph-keyed pinned attrs, pattern-keyed exempt attrs)
+def _keeping_witnesses():
+    """The guided matcher as the streaming worker runs it (``_stream_verify``)."""
+    matcher = GuidedMatcher()
+    matcher.witnesses = WitnessStore()
+    return matcher
+
+
+#: name -> (factory, graph-keyed pinned attrs, pattern-keyed or validated-on-use exempt attrs)
 AUDITED_CACHES = {
     "vf2": (lambda: VF2Matcher(), (), ()),
-    "guided": (lambda: GuidedMatcher(), ("_data_sketches",), ()),
+    "guided": (lambda: GuidedMatcher(), (), ()),
+    "guided-witnesses": (_keeping_witnesses, (), ("witnesses",)),  # validated on use
     "simulation": (lambda: SimulationMatcher(), ("_cache",), ("_graphs",)),
     "locality": (lambda: LocalityMatcher(VF2Matcher()), ("_ball_cache",), ()),
 }
@@ -54,13 +68,13 @@ AUDITED_ELSEWHERE = {
     "ColumnarFragment",  # built_version pinning: tests/test_index.py + test_columnar.py, below
 }
 
-_CACHE_HINTS = ("cache", "sketch", "memo", "graphs", "store")
+_CACHE_HINTS = ("cache", "sketch", "memo", "graphs", "store", "witness")
 
 
 def _cache_like_attributes(instance) -> set[str]:
     found = set()
     for name, value in vars(instance).items():
-        if not isinstance(value, dict):
+        if not isinstance(value, (dict, WitnessStore)):
             continue
         if any(hint in name.lower() for hint in _CACHE_HINTS):
             found.add(name)
@@ -68,7 +82,8 @@ def _cache_like_attributes(instance) -> set[str]:
 
 
 def test_registry_covers_every_cache_carrying_class():
-    """Any matching-layer class with clear_caches() must be audited."""
+    """Every concrete matcher ``repro.matching`` exports must be audited —
+    anything answering ``match_set`` can be kept warm across mutations."""
     import inspect
 
     import repro.matching as matching
@@ -76,12 +91,15 @@ def test_registry_covers_every_cache_carrying_class():
     registered_types = {
         type(factory()) for factory, _pinned, _exempt in AUDITED_CACHES.values()
     }
-    for name in matching.__all__:
-        obj = getattr(matching, name)
-        if not inspect.isclass(obj) or not hasattr(obj, "clear_caches"):
-            continue
+    matchers = [
+        obj
+        for obj in (getattr(matching, name) for name in matching.__all__)
+        if inspect.isclass(obj) and hasattr(obj, "match_set") and not inspect.isabstract(obj)
+    ]
+    assert len(matchers) >= 4, "the discovery went blind"
+    for obj in matchers:
         assert obj in registered_types or obj.__name__ in AUDITED_ELSEWHERE, (
-            f"{obj.__name__} keeps caches (has clear_caches) but is not in "
+            f"{obj.__name__} answers match_set but is not in "
             "the staleness-audit registry; register it in test_cache_audit.py"
         )
 
@@ -160,6 +178,8 @@ def test_warm_matcher_survives_mutations(name, seed, resident):
                     f"tuples, got {type(value)}"
                 )
     assert (registered_columnar(graph) is not None) == resident
+    if getattr(warm, "witnesses", None) is not None:  # the store must have been read, not bypassed
+        assert warm.statistics.witness_hits > 0 and len(warm.witnesses) > 0
 
 
 def _open_batch_query(name):

@@ -322,7 +322,7 @@ def test_diversifier_equals_the_quadratic_reference(seed, k):
 # ----------------------------------------------------------------------
 def _hop_histograms(graph, node, hops: int) -> list[Counter]:
     per_hop = [Counter() for _ in range(hops)]
-    for other, distance in bfs_distances(graph, node, radius=hops, directed=False).items():
+    for other, distance in bfs_distances(graph, node, radius=hops).items():
         if distance:
             per_hop[distance - 1][graph.node_label(other)] += 1
     return per_hop
@@ -365,7 +365,7 @@ def test_sketch_comparisons_equal_the_counter_forms(graph, seed, candidate_hops,
         slow_required = _hop_histograms(graph, second, required_hops)
         for hop in range(1, candidate_hops + 2):
             assert candidate.distribution_at(hop) == dict(_at(slow_candidate, hop))
-        assert candidate.total_count() == sum(sum(hist.values()) for hist in slow_candidate)
+        assert candidate.total == sum(sum(hist.values()) for hist in slow_candidate)
         assert sketch_dominates(candidate, required) == _dominates_by_counters(
             slow_candidate, slow_required
         )

@@ -139,7 +139,7 @@ class TestSketchFastPath:
         monkeypatch.setattr("repro.graph.columnar.build_sketch", boom)
         sketch = index.sketch("loner", 2)
         assert sketch == empty_sketch("loner", 2)
-        assert sketch.total_count() == 0
+        assert sketch.total == 0
         assert index.statistics.sketch_fast_paths == 1
         assert index.statistics.sketches_built == 0
         # Memoised as well: the second probe is a cache hit, not another
@@ -219,10 +219,10 @@ class TestInvalidation:
         g = toy_graph()
         index = ColumnarFragment(g)
         before = index.sketch("loner", 2)
-        assert before.total_count() == 0
+        assert before.total == 0
         g.add_edge("loner", "cafe", "visit")
         after = index.sketch("loner", 2)
-        assert after.total_count() > 0
+        assert after.total > 0
         assert index.out_neighbors("loner", "visit") == {"cafe"}
 
 

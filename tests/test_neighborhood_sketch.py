@@ -33,9 +33,6 @@ class TestBfs:
         distances = bfs_distances(chain, "a")
         assert distances == {"a": 0, "b": 1, "c": 2, "e": 2, "d": 3}
 
-    def test_distances_directed(self, chain):
-        assert bfs_distances(chain, "c", directed=True) == {"c": 0, "d": 1}
-
     def test_radius_bound(self, chain):
         assert set(bfs_distances(chain, "a", radius=1)) == {"a", "b"}
 
@@ -81,7 +78,7 @@ class TestSketches:
         assert sketch.distribution_at(1) == {"L": 1}
         assert sketch.distribution_at(2) == {"M": 1, "N": 1}
         assert sketch.distribution_at(5) == {}
-        assert sketch.total_count() == 3
+        assert sketch.total == 3
 
     def test_sketch_requires_positive_hops(self, chain):
         with pytest.raises(ValueError):
@@ -97,7 +94,7 @@ class TestSketches:
     def test_dominates_rejects_missing_labels(self, chain):
         rich = build_sketch(chain, "b", 2)
         poor = build_sketch(chain, "d", 2)
-        assert sketch_dominates(rich, poor) or rich.total_count() >= poor.total_count()
+        assert sketch_dominates(rich, poor) or rich.total >= poor.total
         assert not sketch_dominates(poor, rich)
 
     def test_cumulative_comparison(self):

@@ -584,3 +584,19 @@ class TestTopReport:
         assert "abc123" in report
         assert "/healthz" in report
         assert "42" in report
+        assert "matching:" not in report  # nothing verified yet: no matching row
+
+    def test_matching_row_shows_the_witness_hit_ratio(self):
+        reg = MetricsRegistry()
+        reg.inc("repro_stream_ticks_total", 3)
+        reg.inc("repro_match_witness_hits_total", 170)
+        reg.inc("repro_match_matches_found_total", 30)
+        reg.inc("repro_match_witness_invalidated_total", 12)
+        reg.inc("repro_match_candidates_considered_total", 400)
+        reg.inc("repro_tenant_admissions_total", 2)
+        report = top_report("http://127.0.0.1:1", {"ok": True}, {}, reg.render())
+        (row,) = [line for line in report.splitlines() if line.startswith("matching:")]
+        assert "200 positive verdicts" in row and "85% by a kept witness" in row
+        assert "12 invalidated" in row and "400 candidates considered" in row
+        lines = report.splitlines()
+        assert lines.index("stream:") < lines.index(row) < lines.index("tenants:")

@@ -15,6 +15,7 @@ import pytest
 from repro.datasets import generate_gpars, most_frequent_predicates, synthetic_graph
 from repro.exceptions import GraphError, StreamError
 from repro.graph import ColumnarFragment, Graph, registered_columnar
+from repro.identification import identify_entities
 from repro.identification.eip import EIPConfig
 from repro.graph.graph import GraphDelta
 from repro.matching import DeltaMatcher, MatchStore, VF2Matcher
@@ -431,6 +432,24 @@ class TestStreamingIdentifierLifecycle:
             identifier.apply(random_update_batch(graph, size=5, seed=7))
             assert [index.statistics.builds for index in indexes] == builds_before
             assert any(index.statistics.delta_applies > 0 for index in indexes)
+
+    def test_resident_session_keeps_one_round_timing(self):
+        """A session lives for as many ticks as it is served: the runtime must
+        not keep a ``RoundTiming`` (and, with ``REPRO_OBS`` on, the workers'
+        metric dicts it pins) per tick, nor hang the growing list on results."""
+        graph, rules = self._workload()
+        with StreamingIdentifier(
+            graph, rules[:2], config=EIPConfig(eta=0.5, num_workers=2)
+        ) as identifier:
+            for position in range(200):
+                identifier.apply(UpdateBatch.of(UpdateOp.add_node(f"far-{position}", "offside")))
+                if position == 100:
+                    identifier.admit_rules(rules[2:])
+            assert len(identifier.runtime.timings.rounds) <= 1
+            assert len(identifier.result.timings.rounds) <= 1
+            assert identifier.batches_applied == 200
+        batch = identify_entities(graph, rules, eta=0.5, num_workers=2)
+        assert len(batch.timings.rounds) == 1  # a batch result keeps its full per-round list
 
     def test_maintained_view_rejects_unknown_pattern(self):
         graph, rules = self._workload()

@@ -28,7 +28,6 @@ from repro.graph.columnar import (
 from repro.graph.neighborhood import (
     ball,
     bfs_distances,
-    d_neighborhood,
     eccentricity,
 )
 from repro.graph.sketch import (
@@ -57,7 +56,6 @@ __all__ = [
     "GraphBuilder",
     "ball",
     "bfs_distances",
-    "d_neighborhood",
     "eccentricity",
     "KHopSketch",
     "build_sketch",

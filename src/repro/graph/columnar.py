@@ -32,13 +32,16 @@ wraps the *same* buffers, it does not copy them.
 
 Caches (lazy, version-pinned)
 -----------------------------
-* **frozen adjacency views** — per ``(node, direction, edge label)``
-  neighbour sets and per-node undirected neighbourhoods as frozensets,
-  memoised on first use; the matchers intersect these millions of times;
+* **frozen adjacency views** — per ``node -> edge label`` neighbour sets in
+  each direction, as frozensets memoised on first use; the matchers
+  intersect these millions of times;
+* **neighbourhood kernel** — a :class:`~repro.graph.neighborhood.Neighborhoods`
+  over the graph: memoised undirected neighbourhoods (bit masks on graphs
+  small enough, frozensets otherwise) that every ball and sketch BFS runs on;
 * **k-hop sketch cache** — memoised
-  :class:`~repro.graph.sketch.KHopSketch` per ``(node, hops)``, with an
-  explicit empty-neighbourhood fast path (an isolated node's sketch is
-  materialised without a BFS round-trip);
+  :class:`~repro.graph.sketch.KHopSketch` per ``(node, hops)``, built by the
+  kernel, with an explicit empty-neighbourhood fast path (an isolated node's
+  sketch is materialised without a BFS round-trip);
 * **compiled requirements** — a pattern node's required profile in
   id/column space, memoised per pattern object.
 
@@ -90,8 +93,8 @@ from typing import Hashable, Iterable
 
 from repro.exceptions import GraphError, NodeNotFoundError
 from repro.graph.graph import Graph, GraphDelta
-from repro.graph.neighborhood import multi_source_distances
-from repro.graph.sketch import KHopSketch, build_sketch, empty_sketch
+from repro.graph.neighborhood import Neighborhoods
+from repro.graph.sketch import KHopSketch, empty_sketch
 from repro.obs.stats import StatisticsBase
 from repro.obs.tracing import span
 
@@ -116,6 +119,7 @@ DELTA_REBUILD_FRACTION = 0.25
 _REQUIREMENT_MEMO_LIMIT = 4096
 
 _EMPTY_FROZEN: frozenset = frozenset()
+_NO_VIEWS: dict = {}  # read-only stand-in for a node with no memoised view yet
 
 
 def default_rebuild_fraction() -> float:
@@ -286,7 +290,7 @@ class ColumnarFragment:
         "_requirements",
         "_out_frozen",
         "_in_frozen",
-        "_neighbors_frozen",
+        "_neighborhoods",
         "_sketches",
         "__weakref__",
     )
@@ -381,9 +385,9 @@ class ColumnarFragment:
         self._overlay_labels: dict[NodeId, int] = {}
         self._overlay_profiles: dict[NodeId, dict[tuple[int, int, int], int]] = {}
         self._requirements: dict[tuple[int, object], tuple[object, CompiledRequirement]] = {}
-        self._out_frozen: dict[tuple[NodeId, Label], frozenset] = {}
-        self._in_frozen: dict[tuple[NodeId, Label], frozenset] = {}
-        self._neighbors_frozen: dict[NodeId, frozenset] = {}
+        self._out_frozen: dict[NodeId, dict[Label, frozenset]] = {}
+        self._in_frozen: dict[NodeId, dict[Label, frozenset]] = {}
+        self._neighborhoods = Neighborhoods(graph)
         self._sketches: dict[tuple[NodeId, int], KHopSketch] = {}
         self._built_version = graph.version
         self.statistics.builds += 1
@@ -508,20 +512,18 @@ class ColumnarFragment:
         # Memoised adjacency views of touched nodes only: an untouched
         # node's neighbour sets are unchanged by definition (every edge
         # change touches both endpoints; a relabel changes no neighbour set).
-        for frozen in (self._out_frozen, self._in_frozen):
-            for key in [key for key in frozen if key[0] in touched]:
-                del frozen[key]
         for node in touched:
-            self._neighbors_frozen.pop(node, None)
+            self._out_frozen.pop(node, None)
+            self._in_frozen.pop(node, None)
+        hoods = self._neighborhoods
+        hoods.update(touched)
         # Sketches within the k-hop balls of the touched nodes, computed on
         # the *post-update* graph (exact; docs/streaming.md).
         if self._sketches:
             max_hops = max(hops for _node, hops in self._sketches)
-            distances = multi_source_distances(graph, touched, max_hops, self._frozen_neighbors)
+            within = [hoods.nodes(ring) for ring in hoods.reach(touched, max_hops)]
             stale_sketches = [
-                key
-                for key in self._sketches
-                if key[0] in touched or distances.get(key[0], max_hops + 1) <= key[1]
+                key for key in self._sketches if key[0] in touched or key[0] in within[key[1]]
             ]
             for key in stale_sketches:
                 del self._sketches[key]
@@ -730,47 +732,32 @@ class ColumnarFragment:
     def out_neighbors(self, node: NodeId, label: Label) -> frozenset:
         """Frozen ``{target : node --label--> target}`` view, memoised."""
         self._check()
-        key = (node, label)
-        view = self._out_frozen.get(key)
+        view = self._out_frozen.get(node, _NO_VIEWS).get(label)
         if view is None:
-            by_label = self.graph._out.get(node)
-            if by_label is None:
-                raise NodeNotFoundError(node)
-            view = self._out_frozen[key] = frozenset(by_label.get(label, ()))
+            view = self._freeze(self._out_frozen, self.graph._out, node, label)
         return view
 
     def in_neighbors(self, node: NodeId, label: Label) -> frozenset:
         """Frozen ``{source : source --label--> node}`` view, memoised."""
         self._check()
-        key = (node, label)
-        view = self._in_frozen.get(key)
+        view = self._in_frozen.get(node, _NO_VIEWS).get(label)
         if view is None:
-            by_label = self.graph._in.get(node)
-            if by_label is None:
-                raise NodeNotFoundError(node)
-            view = self._in_frozen[key] = frozenset(by_label.get(label, ()))
+            view = self._freeze(self._in_frozen, self.graph._in, node, label)
         return view
 
-    def neighbors(self, node: NodeId) -> frozenset:
-        """Frozen undirected neighbourhood of *node*, memoised.
+    @staticmethod
+    def _freeze(memo: dict, adjacency: dict, node: NodeId, label: Label) -> frozenset:
+        by_label = adjacency.get(node)
+        if by_label is None:
+            raise NodeNotFoundError(node)
+        view = memo.setdefault(node, {})[label] = frozenset(by_label.get(label, ()))
+        return view
 
-        ``Graph.neighbors`` allocates a fresh set (out ∪ in) on every call;
-        ball extraction and the multi-source BFS helpers probe the same nodes
-        over and over, so this view answers repeats with one dict read.
-        Version-pinned like everything else: a mutation drops exactly the
-        touched entries (:meth:`_patch`) or the whole cache (recompile).
-        """
+    def ball(self, node: NodeId, radius: int) -> set:
+        """``Nr(node)`` as a fresh set, from the neighbourhood kernel."""
         self._check()
-        return self._frozen_neighbors(node)
-
-    def _frozen_neighbors(self, node: NodeId) -> frozenset:
-        # No staleness guard: the frontier source of BFS runs *inside* a
-        # guarded probe (sketch) or inside _patch, where the guard would
-        # re-enter refresh(); _patch drops touched entries before reading.
-        view = self._neighbors_frozen.get(node)
-        if view is None:
-            view = self._neighbors_frozen[node] = frozenset(self.graph.neighbors(node))
-        return view
+        hoods = self._neighborhoods
+        return set(hoods.nodes(hoods.ball(node, radius)))
 
     # ------------------------------------------------------------------
     # caches: k-hop sketches
@@ -794,7 +781,7 @@ class ColumnarFragment:
                 sketch = empty_sketch(node, hops)
                 self.statistics.sketch_fast_paths += 1
             else:
-                sketch = build_sketch(graph, node, hops, self._frozen_neighbors)
+                sketch = self._neighborhoods.sketch(node, hops)
                 self.statistics.sketches_built += 1
             self._sketches[key] = sketch
         return sketch

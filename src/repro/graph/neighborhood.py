@@ -7,17 +7,22 @@ nodes within (undirected) distance ``d`` of ``vx`` (Sections 4.2 and 5.1).
 
 Every function here is a view of one traversal, :func:`bfs_levels`, whose
 frontiers come from a *neighbors* callable (default ``graph.neighbors``, a
-fresh set per call); callers that traverse one graph state many times pass
-a memoising one — the resident structure's frozen views, or a per-batch
-``functools.cache(graph.neighbors)``.
+fresh set per call); a :class:`~repro.pattern.Pattern` traverses as well as
+a graph.  Callers that traverse one maintained graph state many times — the
+resident structure's sketches and its patch-time invalidation, the
+coordinator's per-centre d-balls — hold a :class:`Neighborhoods` kernel
+instead, which memoises every node's neighbourhood and, on graphs small
+enough, answers in bit masks.
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import Hashable, Iterable
 
 from repro.exceptions import NodeNotFoundError
 from repro.graph.graph import Graph
+from repro.graph.sketch import KHopSketch, build_sketch
 
 NodeId = Hashable
 
@@ -47,59 +52,34 @@ def bfs_levels(
     return levels
 
 
-def _distances(levels: list[set]) -> dict[NodeId, int]:
-    return {node: hop for hop, level in enumerate(levels) for node in level}
-
-
-def bfs_distances(
-    graph: Graph, source: NodeId, radius: int | None = None, neighbors=None
-) -> dict[NodeId, int]:
+def bfs_distances(graph: Graph, source: NodeId, radius: int | None = None) -> dict[NodeId, int]:
     """Map each node within *radius* undirected hops of *source* (the paper's
     notion of radius and ``Nr(vx)``) to its distance; ``None``: the component."""
     if not graph.has_node(source):
         raise NodeNotFoundError(source)
-    return _distances(bfs_levels(graph, (source,), radius, neighbors))
+    levels = bfs_levels(graph, (source,), radius)
+    return {node: hop for hop, level in enumerate(levels) for node in level}
 
 
-def multi_source_distances(
-    graph: Graph, sources, radius: int, neighbors=None
-) -> dict[NodeId, int]:
-    """Hop distance to the nearest of *sources*, for nodes within *radius*.
+def multi_source_ball(graph: Graph, sources, radius: int | None) -> set[NodeId]:
+    """Nodes within *radius* hops of any of *sources* (undirected).
 
     Sources absent from the graph are skipped (streaming deltas legitimately
-    name removed nodes).  Edges are treated as undirected, matching the
-    paper's ball notion — and the ball-scoped invalidation lemma of
-    ``docs/streaming.md``, whose consumers (`ColumnarFragment.apply_delta`,
-    `MatchStore.repair`, `StreamingIdentifier`) all derive their affected
-    regions through this module.
+    name removed nodes); the ball-scoped invalidation lemma of
+    ``docs/streaming.md`` is stated over exactly this notion of region.
     """
-    return _distances(bfs_levels(graph, sources, radius, neighbors))
+    return set().union(*bfs_levels(graph, sources, radius))
 
 
-def multi_source_ball(graph: Graph, sources, radius: int, neighbors=None) -> set[NodeId]:
-    """Nodes within *radius* hops of any of *sources* (undirected)."""
-    return set().union(*bfs_levels(graph, sources, radius, neighbors))
-
-
-def ball(graph: Graph, center: NodeId, radius: int, neighbors=None) -> set[NodeId]:
+def ball(graph: Graph, center: NodeId, radius: int) -> set[NodeId]:
     """``Nr(vx)``: the set of nodes within *radius* hops of *center*.
 
-    Includes *center* itself (distance 0).
+    Includes *center* itself (distance 0); ``Gd(vx)``, the unit of work of
+    DMine and Match, is the subgraph the d-ball induces.
     """
     if not graph.has_node(center):
         raise NodeNotFoundError(center)
-    return multi_source_ball(graph, (center,), radius, neighbors)
-
-
-def d_neighborhood(
-    graph: Graph, center: NodeId, d: int, name: str | None = None, neighbors=None
-) -> Graph:
-    """``Gd(vx)``: the subgraph induced by ``Nd(vx)``.
-
-    This is the unit of work shipped to a worker in both DMine and Match.
-    """
-    nodes = ball(graph, center, d, neighbors)
-    return graph.induced_subgraph(nodes, name=name or f"{graph.name}|G{d}({center})")
+    return multi_source_ball(graph, (center,), radius)
 
 
 def eccentricity(graph: Graph, source: NodeId) -> int:
@@ -109,3 +89,200 @@ def eccentricity(graph: Graph, source: NodeId) -> int:
     patterns the paper allows this equals the radius ``r(Q, x)``.
     """
     return max(bfs_distances(graph, source).values())
+
+
+# ----------------------------------------------------------------------
+# the kernel of repeated traversals
+# ----------------------------------------------------------------------
+def uses_masks(num_nodes: int, num_edges: int) -> bool:
+    """Whether a graph gets bit-mask neighbourhoods: only while the
+    ``n × n/8``-byte mask table is no larger than the frozen neighbour views
+    it replaces, which cost ~200 bytes a node plus ~40 bytes per edge end
+    (``sys.getsizeof`` on CPython 3.11; see ``docs/columnar.md``)."""
+    return num_nodes * num_nodes // 8 <= 200 * num_nodes + 80 * num_edges
+
+
+def _bits(mask: int) -> list[int]:
+    """Positions of the set bits of *mask*, lowest first."""
+    positions = []
+    while mask:
+        low = mask & -mask
+        positions.append(low.bit_length() - 1)
+        mask ^= low
+    return positions
+
+
+class Neighborhoods:
+    """Neighbourhoods of one maintained graph state, for repeated traversals.
+
+    The owner calls :meth:`update` with the touched nodes of every applied
+    delta; only their neighbourhoods are dropped (an untouched node's is
+    unchanged, see :class:`~repro.graph.graph.GraphDelta`).  The
+    representation is chosen once, at construction, by :func:`uses_masks`:
+
+    * **masks** — every node owns a bit, a node's undirected adjacency is one
+      memoised int and each label one node mask.  A d-ball is an OR over
+      frontier masks, a sketch's prefix counts are
+      ``(within & label_mask).bit_count()``;
+    * **sets** — memoised frozen neighbour views under :func:`bfs_levels`
+      and :func:`~repro.graph.sketch.build_sketch`.
+
+    A reach or ball is a *handle* — an int or a set; ``&``, ``^`` and ``==``
+    mean the same on both, :meth:`size` and :meth:`nodes` read the rest.  A
+    removed node's bit is reused only by a re-index, which :meth:`update`
+    runs first thing once dead bits outnumber live nodes: every handle
+    stored before then has been swapped for one that holds no dead bit.
+    """
+
+    __slots__ = ("_graph_ref", "masks", "_views", "_bit", "_node_at", "_adjacent", "_label_masks")
+
+    def __init__(self, graph: Graph) -> None:
+        self._graph_ref = weakref.ref(graph)  # its owner keeps the graph alive
+        self.masks = uses_masks(graph.num_nodes, graph.num_edges)
+        self._views: dict[NodeId, frozenset] = {}
+        self._index(graph._labels if self.masks else ())
+
+    def _index(self, nodes) -> None:
+        self._bit: dict[NodeId, int] = {}
+        self._node_at: list = []  # keeps a removed node until the re-index, for nodes()
+        self._adjacent: list = []
+        self._label_masks: dict = {}
+        labels = self._graph_ref()._labels
+        for node in nodes:
+            self._allocate(node, labels.get(node))
+
+    def _allocate(self, node: NodeId, label) -> int:
+        bit = self._bit[node] = len(self._node_at)
+        self._node_at.append(node)
+        self._adjacent.append(None)
+        if label is not None:
+            self._label_masks[label] = self._label_masks.get(label, 0) | 1 << bit
+        return bit
+
+    def update(self, touched: Iterable[NodeId]):
+        """Drop what the *touched* nodes of one applied delta invalidate.
+
+        Returns ``None``, or — when this call re-indexed — the function that
+        re-encodes a handle stored before the call.
+        """
+        if not self.masks:
+            for node in touched:
+                self._views.pop(node, None)
+            return None
+        recode = None
+        if 2 * len(self._bit) < len(self._node_at):
+            old = self._bit
+            self._index(sorted(old, key=old.get))
+            target = {bit: self._bit[node] for node, bit in old.items()}
+
+            def recode(handle: int) -> int:
+                mask = 0
+                for bit in _bits(handle):
+                    mask |= 1 << target[bit]
+                return mask
+
+        labels, masks = self._graph_ref()._labels, self._label_masks
+        for node in touched:
+            label = labels.get(node)
+            bit = self._bit.get(node)
+            if bit is None:
+                if label is not None:
+                    self._allocate(node, label)
+                continue
+            self._adjacent[bit] = None
+            one = 1 << bit
+            for old, members in masks.items():
+                if members & one:
+                    masks[old] = members ^ one
+            if label is None:
+                del self._bit[node]
+            else:
+                masks[label] = masks.get(label, 0) | one
+        return recode
+
+    # A patch of a delta chain reads a graph the chain's later deltas already
+    # changed: a node they remove reads as isolated, a node they add gets its
+    # bit on first sight; both are touched again by the later delta's patch.
+    def _view(self, node: NodeId) -> frozenset:
+        view = self._views.get(node)
+        if view is None:
+            graph = self._graph_ref()
+            view = self._views[node] = frozenset(graph.neighbors(node) if node in graph else ())
+        return view
+
+    def _adjacency(self, bit: int) -> int:
+        graph = self._graph_ref()
+        node, mask = self._node_at[bit], 0
+        for neighbour in graph.neighbors(node) if node in graph else ():
+            other = self._bit.get(neighbour)
+            if other is None:
+                other = self._allocate(neighbour, graph._labels[neighbour])
+            mask |= 1 << other
+        self._adjacent[bit] = mask
+        return mask
+
+    def reach(self, sources: Iterable[NodeId], radius: int) -> list:
+        """``[W0, …, W_radius]``: handles of the nodes within ``i`` undirected
+        hops of *sources* (absent sources are skipped)."""
+        if radius < 0:
+            raise ValueError(f"radius must be >= 0, got {radius}")
+        if not self.masks:
+            within, seen = [], set()
+            for level in bfs_levels(self._graph_ref(), sources, radius, self._view):
+                seen = seen | level
+                within.append(seen)
+        else:
+            bits, adjacent = self._bit, self._adjacent
+            seen = 0
+            for source in sources:
+                if source in bits:
+                    seen |= 1 << bits[source]
+            within, frontier = [seen], seen
+            while frontier and len(within) <= radius:
+                step = 0
+                while frontier:
+                    low = frontier & -frontier
+                    frontier ^= low
+                    bit = low.bit_length() - 1
+                    mask = adjacent[bit]
+                    step |= mask if mask is not None else self._adjacency(bit)
+                frontier = step & ~seen
+                seen |= frontier
+                within.append(seen)
+        return within + within[-1:] * (radius + 1 - len(within))
+
+    def ball(self, center: NodeId, radius: int):
+        """Handle of ``Nr(center)`` (the nodes of :func:`ball`)."""
+        if not self._graph_ref().has_node(center):
+            raise NodeNotFoundError(center)
+        return self.reach((center,), radius)[-1]
+
+    def sketch(self, node: NodeId, hops: int) -> KHopSketch:
+        """The *hops*-hop sketch of *node*, field for field :func:`build_sketch`'s."""
+        if not self.masks:
+            return build_sketch(self._graph_ref(), node, hops, self._view)
+        if hops < 1:
+            raise ValueError(f"hops must be >= 1, got {hops}")
+        if node not in self._bit:
+            raise NodeNotFoundError(node)
+        others = ~(1 << self._bit[node])
+        within = [ring & others for ring in self.reach((node,), hops)[1:]]
+        outer = within[-1]
+        prefix = tuple({} for _ in within)
+        for label, members in self._label_masks.items():
+            if outer & members:
+                for counts, ring in zip(prefix, within):
+                    count = (ring & members).bit_count()
+                    if count:
+                        counts[label] = count
+        return KHopSketch(node=node, hops=hops, prefix=prefix, total=outer.bit_count())
+
+    def size(self, handle) -> int:
+        return handle.bit_count() if self.masks else len(handle)
+
+    def nodes(self, handle) -> set:
+        """The nodes of *handle* (a set handle is returned as is)."""
+        if not self.masks:
+            return handle
+        node_at = self._node_at
+        return {node_at[bit] for bit in _bits(handle)}

@@ -13,9 +13,10 @@ sketches in two ways:
 
 Both tests compare *cumulative* counts, and a sketch never changes once
 built, so a sketch stores its per-hop prefix sums ``D1 + … + Di`` and its
-total instead of the raw histograms (``distribution_at`` recovers those by
-subtraction): a comparison reads what was summed at build time and builds
-nothing.
+total instead of the raw histograms: a comparison reads what was summed at
+build time and builds nothing.  :func:`build_sketch` is the set-at-a-time
+reference; the resident structure builds the same sketch by popcount
+(:class:`repro.graph.neighborhood.Neighborhoods`).
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from typing import Hashable
 
 from repro.graph.graph import Graph
 from repro.exceptions import NodeNotFoundError
-from repro.graph.neighborhood import bfs_levels
 
 NodeId = Hashable
 
@@ -44,22 +44,6 @@ class KHopSketch:
     prefix: tuple[dict[str, int], ...]
     total: int
 
-    def distribution_at(self, hop: int) -> dict[str, int]:
-        """Label histogram at exactly *hop* (1-based); empty dict if beyond."""
-        if hop < 1:
-            raise ValueError(f"hop must be >= 1, got {hop}")
-        if hop > len(self.prefix):
-            return {}
-        within = self.prefix[hop - 1]
-        if hop == 1:
-            return dict(within)
-        nearer = self.prefix[hop - 2]
-        return {
-            label: count - nearer.get(label, 0)
-            for label, count in within.items()
-            if count > nearer.get(label, 0)
-        }
-
 
 def empty_sketch(node: NodeId, hops: int) -> KHopSketch:
     """The sketch of a node with no neighbours: all-empty hop histograms.
@@ -74,7 +58,9 @@ def empty_sketch(node: NodeId, hops: int) -> KHopSketch:
 
 def build_sketch(graph: Graph, node: NodeId, hops: int, neighbors=None) -> KHopSketch:
     """Compute the k-hop sketch of *node* in *graph* (*neighbors*: the BFS's
-    frontier source, see :func:`~repro.graph.neighborhood.bfs_distances`)."""
+    frontier source, see :func:`~repro.graph.neighborhood.bfs_levels`)."""
+    from repro.graph.neighborhood import bfs_levels  # that module builds on this one
+
     if hops < 1:
         raise ValueError(f"hops must be >= 1, got {hops}")
     if not graph.has_node(node):

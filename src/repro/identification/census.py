@@ -42,7 +42,7 @@ from typing import Hashable, Iterable, Mapping, Sequence
 
 from repro.exceptions import PatternError
 from repro.graph.graph import Graph
-from repro.graph.neighborhood import eccentricity
+from repro.graph.neighborhood import eccentricity, multi_source_ball
 from repro.pattern.gpar import GPAR
 from repro.pattern.pattern import Pattern
 from repro.pattern.radius import pattern_radius
@@ -69,19 +69,6 @@ NodeId = Hashable
 CENSUS_ENUMERATION_LIMIT = 4096
 
 
-def _x_component(expanded: Pattern) -> set:
-    """Nodes of *expanded* reachable (undirected) from its designated x."""
-    component: set = {expanded.x}
-    frontier = [expanded.x]
-    while frontier:
-        current = frontier.pop()
-        for neighbor in expanded.neighbors(current):
-            if neighbor not in component:
-                component.add(neighbor)
-                frontier.append(neighbor)
-    return component
-
-
 def split_pattern_components(pattern: Pattern):
     """Split *pattern* into its x-component and free-component shapes.
 
@@ -93,7 +80,7 @@ def split_pattern_components(pattern: Pattern):
     ordered by that anchor.  Returns ``None`` when the pattern is connected.
     """
     expanded = pattern.expanded()
-    component = _x_component(expanded)
+    component = multi_source_ball(expanded, (expanded.x,), None)
     free = set(expanded.nodes()) - component
     if not free:
         return None
@@ -106,15 +93,7 @@ def split_pattern_components(pattern: Pattern):
     shapes: list[Pattern] = []
     remaining = set(free)
     while remaining:
-        seed = min(remaining, key=str)
-        members = {seed}
-        frontier = [seed]
-        while frontier:
-            current = frontier.pop()
-            for neighbor in expanded.neighbors(current):
-                if neighbor in remaining and neighbor not in members:
-                    members.add(neighbor)
-                    frontier.append(neighbor)
+        members = multi_source_ball(expanded, (min(remaining, key=str),), None)
         remaining -= members
         shapes.append(
             Pattern(
@@ -150,7 +129,7 @@ def split_free_pattern(pattern: Pattern):
     if any(tuple(shape.edges()) for shape in shapes):
         return None
     expanded = pattern.expanded()
-    free = set(expanded.nodes()) - _x_component(expanded)
+    free = set(expanded.nodes()) - multi_source_ball(expanded, (expanded.x,), None)
     totals = Counter(expanded.label(node) for node in expanded.nodes())
     requirements = tuple(
         sorted((label, totals[label]) for label in {expanded.label(node) for node in free})
@@ -265,7 +244,7 @@ def _route(pattern: Pattern):
     if any(tuple(shape.edges()) for shape in shapes):
         return x_part, (), shapes
     expanded = pattern.expanded()
-    free = set(expanded.nodes()) - _x_component(expanded)
+    free = set(expanded.nodes()) - multi_source_ball(expanded, (expanded.x,), None)
     totals = Counter(expanded.label(node) for node in expanded.nodes())
     requirements = tuple(
         sorted((label, totals[label]) for label in {expanded.label(node) for node in free})

@@ -408,9 +408,7 @@ class MatchStore:
         graph = self.graph
         stats = self.statistics
         resident = resident_view(graph)
-        affected = multi_source_ball(
-            graph, touched, entry.repair_radius, None if resident is None else resident.neighbors
-        )
+        affected = multi_source_ball(graph, touched, entry.repair_radius)
         labels = graph._labels
         matches = set()
         streams: dict[NodeId, _EmbeddingStream] = {}

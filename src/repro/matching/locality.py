@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Hashable
 
 from repro.graph.graph import Graph
-from repro.graph.neighborhood import d_neighborhood
+from repro.graph.neighborhood import ball
 from repro.matching.base import Matcher, resident_view
 from repro.pattern.pattern import Pattern
 from repro.pattern.radius import pattern_radius
@@ -60,27 +60,25 @@ class LocalityMatcher(Matcher):
 
     def _ball(self, graph: Graph, anchor_value: NodeId, radius: int) -> Graph:
         # The BFS half of the extraction runs on the resident structure's
-        # memoised frozen-neighbourhood view when the graph has one
-        # (Graph.neighbors allocates a fresh set per visited node).
+        # neighbourhood kernel when the graph has one (Graph.neighbors
+        # allocates a fresh set per visited node).
         resident = resident_view(graph)
         key = (graph, anchor_value, radius)
         entry = self._ball_cache.get(key)
         if entry is not None and entry[0] == graph.version and not graph.in_batch:
             return entry[1]
-        ball = d_neighborhood(
-            graph, anchor_value, radius, neighbors=None if resident is None else resident.neighbors
-        )
+        nodes = ball(graph, anchor_value, radius) if resident is None else resident.ball(anchor_value, radius)
+        extracted = graph.induced_subgraph(nodes, name=f"{graph.name}|G{radius}({anchor_value})")
         if not graph.in_batch:  # never pin a half-applied batch state
-            self._ball_cache[key] = (graph.version, ball)
-        return ball
+            self._ball_cache[key] = (graph.version, extracted)
+        return extracted
 
     def find_match_at(self, graph: Graph, pattern: Pattern, anchor_value: NodeId) -> dict | None:
         if not graph.has_node(anchor_value):
             return None
         expanded = pattern.expanded()
         radius = self.radius if self.radius is not None else pattern_radius(expanded, expanded.x)
-        ball = self._ball(graph, anchor_value, radius)
-        mapping = self.inner.find_match_at(ball, expanded, anchor_value)
+        mapping = self.inner.find_match_at(self._ball(graph, anchor_value, radius), expanded, anchor_value)
         self.statistics.merge(self.inner.statistics)
         self.inner.reset_statistics()
         return mapping

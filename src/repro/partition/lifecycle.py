@@ -51,7 +51,6 @@ the process-resident fragment copy to the coordinator's sequence.
 
 from __future__ import annotations
 
-import functools
 import pickle
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -60,7 +59,7 @@ from typing import Hashable, Mapping, Sequence
 from repro.exceptions import StreamError
 from repro.graph.columnar import columnar_view, registered_columnar
 from repro.graph.graph import Graph
-from repro.graph.neighborhood import ball
+from repro.graph.neighborhood import Neighborhoods
 from repro.obs.tracing import event as trace_event
 from repro.partition.fragment import Fragment
 
@@ -335,7 +334,10 @@ class FragmentManager:
         self.x_label = x_label
         self.config = config
         self._owner: dict[NodeId, int] = {}
-        self._balls: dict[NodeId, set] = {}
+        # Owned centres' d-balls as kernel handles (bit masks on a graph small
+        # enough, sets otherwise); checkpoints store them as sets.
+        self._neighborhoods = hoods = Neighborhoods(graph)
+        self._balls: dict[NodeId, object] = {}
         self._refcounts: dict[int, dict[NodeId, int]] = {}
         self._node_sets: dict[int, set] = {}
         self._logs: dict[int, list[FragmentUpdate]] = {}
@@ -351,9 +353,8 @@ class FragmentManager:
             refcounts: dict[NodeId, int] = {}
             for center in fragment.owned_centers:
                 self._owner[center] = index
-                center_ball = ball(graph, center, max_radius)
-                self._balls[center] = center_ball
-                for node in center_ball:
+                center_ball = self._balls[center] = hoods.ball(center, max_radius)
+                for node in hoods.nodes(center_ball):
                     refcounts[node] = refcounts.get(node, 0) + 1
             self._refcounts[index] = refcounts
             self._node_sets[index] = set(refcounts)
@@ -388,10 +389,11 @@ class FragmentManager:
         A centre gained in the current batch has no stored ball yet and
         counts as zero until its first recheck stores one.
         """
+        size = self._neighborhoods.size
         return sum(
-            len(self._balls.get(center, ()))
+            size(self._balls[center])
             for center, owner in self._owner.items()
-            if owner == index
+            if owner == index and center in self._balls
         )
 
     #: Exponential-smoothing weight of the newest measured round in the
@@ -478,11 +480,14 @@ class FragmentManager:
         self._sequence += 1
         plan = BatchPlan()
         indexes = [fragment.index for fragment in self.fragments]
-        # Every ball below is a BFS of the same post-update graph, and on a
-        # well-connected graph each visits most of it: one neighbourhood per
-        # node per batch serves them all (the memo dies with the batch).
-        neighbors = functools.cache(graph.neighbors)
-        fresh_balls: dict[NodeId, set] = {}  # centres gained in this batch
+        # Every ball below is a BFS of the post-update graph over the
+        # kernel's memoised neighbourhoods, of which this batch invalidates
+        # only the touched nodes'.
+        hoods = self._neighborhoods
+        recode = hoods.update(delta.touched)
+        if recode is not None:
+            self._balls = {center: recode(handle) for center, handle in self._balls.items()}
+        fresh_balls: dict = {}  # centres gained in this batch
         own_add: dict[int, set] = {index: set() for index in indexes}
         own_remove: dict[int, set] = {index: set() for index in indexes}
 
@@ -531,10 +536,10 @@ class FragmentManager:
                 own_remove[owner].add(node)
                 old_ball = self._balls.pop(node, None)
                 if old_ball is not None:
-                    shift(owner, old_ball, -1)
+                    shift(owner, hoods.nodes(old_ball), -1)
             elif owner is None and is_center:
-                fresh_balls[node] = ball(graph, node, self.max_radius, neighbors)
-                chosen = self._assign_owner(fresh_balls[node])
+                fresh_balls[node] = hoods.ball(node, self.max_radius)
+                chosen = self._assign_owner(hoods.nodes(fresh_balls[node]))
                 self._owner[node] = chosen
                 own_add[chosen].add(node)
         plan.owned_added = sum(len(centers) for centers in own_add.values())
@@ -550,7 +555,7 @@ class FragmentManager:
             self._owner[center] = dst
             own_remove[src].add(center)
             own_add[dst].add(center)
-            moved_ball = self._balls[center]
+            moved_ball = hoods.nodes(self._balls[center])
             shift(src, moved_ball, -1)
             shift(dst, moved_ball, +1)
         plan.migrations = tuple(migrations)
@@ -558,7 +563,8 @@ class FragmentManager:
         # (4) recheck centres (owned, inside the affected region): swap the
         # stored ball for the current one, by their difference — shifting a
         # node both balls hold down and up again cancels, in the refcounts
-        # and in the entered / vanished sets alike.  Freshly gained centres
+        # and in the entered / vanished sets alike, so only the difference is
+        # decoded from the masks.  Freshly gained centres
         # have no stored ball yet; they are in the region by construction
         # (only touched nodes gain the centre label, and touched ⊆ region).
         recheck: dict[int, set] = {index: set() for index in indexes}
@@ -570,12 +576,13 @@ class FragmentManager:
                 old_ball = self._balls.get(center)
                 new_ball = fresh_balls.get(center)
                 if new_ball is None:
-                    new_ball = ball(graph, center, self.max_radius, neighbors)
+                    new_ball = hoods.ball(center, self.max_radius)
                 if old_ball is None:
-                    shift(index, new_ball, +1)
+                    shift(index, hoods.nodes(new_ball), +1)
                 elif old_ball != new_ball:
-                    shift(index, old_ball - new_ball, -1)
-                    shift(index, new_ball - old_ball, +1)
+                    moved = old_ball ^ new_ball
+                    shift(index, hoods.nodes(old_ball & moved), -1)
+                    shift(index, hoods.nodes(new_ball & moved), +1)
                 self._balls[center] = new_ball
 
         # (5) membership deltas and the shipped slices.
@@ -621,7 +628,7 @@ class FragmentManager:
             plan.shipped_edges += len(add_edge_set) + len(remove_edges)
         return plan
 
-    def _assign_owner(self, center_ball: set) -> int:
+    def _assign_owner(self, center_ball) -> int:
         """Fragment for a freshly appeared centre: most of its ball resident.
 
         Ownership placement only affects which worker does the centre's
@@ -637,7 +644,7 @@ class FragmentManager:
         best_cost = None
         for fragment in self.fragments:
             index = fragment.index
-            overlap = len(center_ball & self._node_sets[index])
+            overlap = len(self._node_sets[index].intersection(center_ball))
             cost = (-overlap, owned_counts.get(index, 0), index)
             if best_cost is None or cost < best_cost:
                 best_cost = cost
@@ -670,6 +677,7 @@ class FragmentManager:
             fragment.index: self.effective_load(fragment.index)
             for fragment in self.fragments
         }
+        ball_size = self._neighborhoods.size
         moves: list[tuple] = []
         moved: set = set()
         for _ in range(config.rebalance_max_moves):
@@ -684,7 +692,7 @@ class FragmentManager:
             factor_src = self.cost_factor(src)
             factor_dst = self.cost_factor(dst)
             candidates = sorted(
-                (len(self._balls[center]), str(center), center)
+                (ball_size(self._balls[center]), str(center), center)
                 for center, owner in self._owner.items()
                 if owner == src
                 and center not in region
@@ -790,7 +798,10 @@ class FragmentManager:
             "max_radius": self.max_radius,
             "x_label": self.x_label,
             "owner": dict(self._owner),
-            "balls": {center: set(nodes) for center, nodes in self._balls.items()},
+            "balls": {
+                center: set(self._neighborhoods.nodes(handle))
+                for center, handle in self._balls.items()
+            },
             "refcounts": {
                 index: dict(counts) for index, counts in self._refcounts.items()
             },
@@ -817,7 +828,9 @@ class FragmentManager:
         manager.x_label = state["x_label"]
         manager.config = config
         manager._owner = dict(state["owner"])
-        manager._balls = {center: set(nodes) for center, nodes in state["balls"].items()}
+        # Handles are rebuilt, never pickled: the kernel is a function of the graph.
+        manager._neighborhoods = hoods = Neighborhoods(graph)
+        manager._balls = {center: hoods.reach(nodes, 0)[0] for center, nodes in state["balls"].items()}
         manager._refcounts = {
             index: dict(counts) for index, counts in state["refcounts"].items()
         }

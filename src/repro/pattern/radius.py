@@ -2,23 +2,11 @@
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Hashable
 
 from repro.exceptions import PatternError
+from repro.graph.neighborhood import bfs_distances
 from repro.pattern.pattern import Pattern
-
-
-def _undirected_distances(pattern: Pattern, source: Hashable) -> dict[Hashable, int]:
-    distances = {source: 0}
-    queue = deque([source])
-    while queue:
-        current = queue.popleft()
-        for neighbor in pattern.neighbors(current):
-            if neighbor not in distances:
-                distances[neighbor] = distances[current] + 1
-                queue.append(neighbor)
-    return distances
 
 
 def pattern_radius(pattern: Pattern, node: Hashable | None = None) -> int:
@@ -30,7 +18,7 @@ def pattern_radius(pattern: Pattern, node: Hashable | None = None) -> int:
     anchor = pattern.x if node is None else node
     if not pattern.has_node(anchor):
         raise PatternError(f"{anchor!r} is not a pattern node")
-    distances = _undirected_distances(pattern, anchor)
+    distances = bfs_distances(pattern, anchor)
     if len(distances) != pattern.num_nodes:
         raise PatternError(
             "pattern radius is undefined for a disconnected pattern "
@@ -42,11 +30,11 @@ def pattern_radius(pattern: Pattern, node: Hashable | None = None) -> int:
 def is_connected(pattern: Pattern) -> bool:
     """Whether the pattern is connected when treated as undirected."""
     start = next(iter(pattern.nodes()))
-    distances = _undirected_distances(pattern, start)
+    distances = bfs_distances(pattern, start)
     return len(distances) == pattern.num_nodes
 
 
 def nodes_at_hop(pattern: Pattern, anchor: Hashable, hop: int) -> set[Hashable]:
     """Pattern nodes at exactly *hop* undirected steps from *anchor*."""
-    distances = _undirected_distances(pattern, anchor)
+    distances = bfs_distances(pattern, anchor)
     return {node for node, distance in distances.items() if distance == hop}

@@ -42,6 +42,7 @@ import asyncio
 import itertools
 import json
 import logging
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -705,12 +706,21 @@ class BackgroundServer:
         return False
 
 
+#: GIL switch interval of a serving process.  A tick holds the GIL for
+#: milliseconds at a time, and each handoff to the event-loop thread may
+#: wait out the whole interval (5 ms by default), which a read beside a tick
+#: pays several times over (docs/serving.md).
+SERVE_SWITCH_INTERVAL = 0.001
+
+
 def run_foreground(host: str = "127.0.0.1", port: int = 8337, executor_workers: int = 8) -> int:
     """Run the service until interrupted (``repro serve`` / ``repro-serve``)."""
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(SERVE_SWITCH_INTERVAL)
     server = BackgroundServer(host, port, executor_workers=executor_workers)
-    server.start()
-    print(f"serving EIP sessions on {server.base_url} (Ctrl-C to stop)")
     try:
+        server.start()
+        print(f"serving EIP sessions on {server.base_url} (Ctrl-C to stop)")
         while server._thread is not None and server._thread.is_alive():
             server._thread.join(timeout=1)
         return 1
@@ -718,6 +728,8 @@ def run_foreground(host: str = "127.0.0.1", port: int = 8337, executor_workers: 
         print("stopping")
         server.stop()
         return 0
+    finally:
+        sys.setswitchinterval(previous)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -741,6 +753,4 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
-    import sys
-
     sys.exit(main())

@@ -262,7 +262,7 @@ def test_resident_index_never_serves_stale_reads():
 
 
 def test_frozen_neighbors_view_never_serves_stale_reads():
-    """ColumnarFragment.neighbors memoises frozensets but tracks mutations.
+    """The neighbourhood kernel memoises adjacency but tracks mutations.
 
     The memo is version-pinned like every other probe: a touched
     node's entry is dropped by the delta patch, an untouched node's entry
@@ -272,13 +272,62 @@ def test_frozen_neighbors_view_never_serves_stale_reads():
     index = columnar_view(graph)
     nodes = sorted(graph.nodes(), key=str)[:10]
     for node in nodes:  # warm the memo
-        assert index.neighbors(node) == frozenset(graph.neighbors(node))
+        assert index.ball(node, 1) == graph.neighbors(node) | {node}
     source, target = nodes[0], nodes[-1]
     graph.add_edge(source, target, "audit-edge")
-    assert target in index.neighbors(source)
-    assert source in index.neighbors(target)
+    assert target in index.ball(source, 1)
+    assert source in index.ball(target, 1)
     for node in nodes:
-        assert index.neighbors(node) == frozenset(graph.neighbors(node))
+        assert index.ball(node, 1) == graph.neighbors(node) | {node}
+
+
+#: Every slot of the neighbourhood kernel the resident structure (and the
+#: coordinator's FragmentManager) keeps: its memos are version-pinned through
+#: their owner, which hands it each applied delta's touched set — the owner's
+#: pin (``ColumnarFragment.built_version``) is theirs.  A new slot must be
+#: classified here before it lands.
+NEIGHBORHOOD_SLOTS = {
+    "_views": "pinned memo: node -> frozen neighbour view (set side)",
+    "_adjacent": "pinned memo: bit -> undirected adjacency mask (mask side)",
+    "_label_masks": "pinned memo: label -> node mask (mask side)",
+    "_bit": "bit index: live node -> bit",
+    "_node_at": "bit index: bit -> node, dead ones until the re-index",
+    "_graph_ref": "the graph itself (weak)",
+    "masks": "the representation, fixed per compile",
+}
+
+
+@pytest.mark.parametrize("side", ["masks", "sets"])
+def test_neighborhood_masks_are_version_pinned(monkeypatch, side):
+    """Warm every kernel memo, mutate, probe: each memoised entry left behind
+    equals what the current graph gives, on both sides of the n/E rule."""
+    from repro.graph import neighborhood
+    from repro.graph.neighborhood import Neighborhoods
+
+    assert set(Neighborhoods.__slots__) == set(NEIGHBORHOOD_SLOTS)
+    if side == "sets":
+        monkeypatch.setattr(neighborhood, "uses_masks", lambda num_nodes, num_edges: False)
+    graph, _patterns = _workload(seed=5)
+    index = columnar_view(graph, rebuild_fraction=1.0)  # patch, never rebuild
+    kernel = index._neighborhoods
+    assert kernel.masks == (side == "masks")
+    for position in range(4):
+        for node in sorted(graph.nodes(), key=str):  # warm every memo
+            index.sketch(node, 2)
+            index.ball(node, 2)
+        random_update_batch(graph, size=8, seed=90 + position, deletion_bias=0.4).apply(graph)
+        index.ball(sorted(graph.nodes(), key=str)[0], 1)  # the probe that refreshes
+        assert index.built_version == graph.version
+        assert index._neighborhoods is kernel, "the audit must see a patched kernel, not a new one"
+        for node, view in kernel._views.items():
+            assert view == frozenset(graph.neighbors(node))
+        for bit, mask in enumerate(kernel._adjacent):
+            if mask is not None:
+                node = kernel._node_at[bit]
+                assert kernel._bit[node] == bit
+                assert kernel.nodes(mask) == graph.neighbors(node)
+        for label, mask in kernel._label_masks.items():
+            assert kernel.nodes(mask) == graph.nodes_with_label(label)
 
 
 def test_resident_columnar_view_never_serves_stale_reads():

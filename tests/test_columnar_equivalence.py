@@ -201,7 +201,7 @@ def test_batch_update_then_recompile_equals_fresh_compile(use_numpy, graph, seed
 def _warm_caches(graph: Graph, view: ColumnarFragment) -> None:
     """Fill every lazy cache, so the next patch has entries to invalidate."""
     for node in graph.nodes():
-        view.neighbors(node)
+        view.ball(node, 1)
         view.sketch(node, 1)
         view.sketch(node, 2)
         for label in EDGE_LABELS:
@@ -242,7 +242,7 @@ def test_patched_structure_equals_fresh_compile_on_every_probe(use_numpy, graph,
     for node in sorted(graph.nodes(), key=str):
         assert view.node_label(node) == fresh.node_label(node) == graph.node_label(node)
         assert view.profile(node) == fresh.profile(node)
-        assert view.neighbors(node) == fresh.neighbors(node)
+        assert view.ball(node, 2) == fresh.ball(node, 2)
         for label in EDGE_LABELS:
             assert view.out_neighbors(node, label) == fresh.out_neighbors(node, label)
             assert view.in_neighbors(node, label) == fresh.in_neighbors(node, label)
@@ -254,7 +254,7 @@ def test_patched_structure_equals_fresh_compile_on_every_probe(use_numpy, graph,
                 assert view.degree_consistent(node, expanded, pattern_node) == verdict
                 assert fresh.degree_consistent(node, expanded, pattern_node) == verdict
     for node in removed:
-        for probe in (view.node_label, view.profile, view.neighbors):
+        for probe in (view.node_label, view.profile, lambda node: view.ball(node, 1)):
             with pytest.raises(NodeNotFoundError):
                 probe(node)
 

@@ -363,8 +363,10 @@ def test_sketch_comparisons_equal_the_counter_forms(graph, seed, candidate_hops,
         required = build_sketch(graph, second, required_hops)
         slow_candidate = _hop_histograms(graph, first, candidate_hops)
         slow_required = _hop_histograms(graph, second, required_hops)
-        for hop in range(1, candidate_hops + 2):
-            assert candidate.distribution_at(hop) == dict(_at(slow_candidate, hop))
+        cumulative = Counter()
+        for hop in range(1, candidate_hops + 1):
+            cumulative.update(_at(slow_candidate, hop))
+            assert candidate.prefix[hop - 1] == dict(cumulative)
         assert candidate.total == sum(sum(hist.values()) for hist in slow_candidate)
         assert sketch_dominates(candidate, required) == _dominates_by_counters(
             slow_candidate, slow_required

@@ -22,7 +22,9 @@ from repro.graph import (
     empty_sketch,
     registered_columnar,
 )
+from repro.graph.neighborhood import Neighborhoods
 from repro.matching.candidates import adjacency_profile
+from repro.stream import random_update_batch
 
 
 def toy_graph() -> Graph:
@@ -102,14 +104,13 @@ class TestIndexLayers:
         assert index.out_neighbors("alice", "visit") == g.out_neighbors("alice", "visit")
         assert index.in_neighbors("cafe", "visit") == {"alice", "bob"}
         assert index.out_neighbors("loner", "visit") == frozenset()
-        assert index.neighbors("alice") == g.neighbors("alice")
+        assert index.ball("alice", 1) == g.neighbors("alice") | {"alice"}
         # Memoised: the same frozen object answers every repeat.
         assert index.out_neighbors("alice", "visit") is index.out_neighbors("alice", "visit")
-        assert index.neighbors("alice") is index.neighbors("alice")
         with pytest.raises(NodeNotFoundError):
             index.out_neighbors("ghost", "visit")
         with pytest.raises(NodeNotFoundError):
-            index.neighbors("ghost")
+            index.ball("ghost", 1)
 
     def test_sketches_match_direct_builds(self):
         g = synthetic_graph(40, 120, num_node_labels=4, num_edge_labels=2, seed=3)
@@ -136,7 +137,7 @@ class TestSketchFastPath:
         def boom(*args, **kwargs):  # pragma: no cover - must not run
             raise AssertionError("BFS ran for an isolated node")
 
-        monkeypatch.setattr("repro.graph.columnar.build_sketch", boom)
+        monkeypatch.setattr(Neighborhoods, "sketch", boom)
         sketch = index.sketch("loner", 2)
         assert sketch == empty_sketch("loner", 2)
         assert sketch.total == 0
@@ -157,8 +158,7 @@ class TestSketchFastPath:
     def test_empty_sketch_shape(self):
         sketch = empty_sketch("n", 3)
         assert sketch.hops == 3
-        assert sketch.distribution_at(1) == {}
-        assert sketch.distribution_at(3) == {}
+        assert sketch.prefix == ({}, {}, {})
         with pytest.raises(ValueError):
             empty_sketch("n", 0)
 
@@ -198,7 +198,7 @@ class TestInvalidation:
             lambda index: index.profile("alice"),
             lambda index: index.out_neighbors("alice", "visit"),
             lambda index: index.in_neighbors("cafe", "visit"),
-            lambda index: index.neighbors("alice"),
+            lambda index: index.ball("alice", 1),
             lambda index: index.sketch("alice", 2),
         ],
         ids=["labels", "node-label", "profile", "out", "in", "neighbors", "sketch"],
@@ -214,6 +214,35 @@ class TestInvalidation:
                 probe(index)
         probe(index)  # closed: the probe refreshes and answers
         assert not index.is_stale
+
+    def test_patch_drops_only_the_touched_nodes_views(self):
+        """Views are kept per node: a patch drops the touched nodes' and keeps
+        every other view by identity, and all of them equal a fresh compile's."""
+        g = synthetic_graph(60, 200, num_node_labels=4, num_edge_labels=3, seed=5)
+        index = ColumnarFragment(g, rebuild_fraction=1.0)
+        labels = sorted(g.edge_labels())
+        probes = (index.out_neighbors, index.in_neighbors)
+        views = {
+            (probe.__name__, node, label): probe(node, label)
+            for probe in probes
+            for node in g.nodes()
+            for label in labels
+        }
+        delta = random_update_batch(g, size=6, seed=2, deletion_bias=0.4).apply(g)
+        index.refresh()
+        assert index.statistics.delta_applies == 1
+        for memo in (index._out_frozen, index._in_frozen):
+            assert not delta.touched & set(memo)
+            assert set(memo) == set(g.nodes()) - delta.touched
+        fresh = ColumnarFragment(g)
+        for (name, node, label), view in views.items():
+            if node in delta.touched:
+                continue
+            assert getattr(index, name)(node, label) is view
+        for name in ("out_neighbors", "in_neighbors"):
+            for node in g.nodes():
+                for label in labels:
+                    assert getattr(index, name)(node, label) == getattr(fresh, name)(node, label)
 
     def test_refresh_drops_stale_sketches_and_views(self):
         g = toy_graph()

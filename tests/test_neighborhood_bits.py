@@ -1,0 +1,293 @@
+"""The neighbourhood kernel (``repro.graph.neighborhood.Neighborhoods``).
+
+The kernel answers k-hop sketches and d-balls either in bit masks or, on
+graphs where the mask table would outweigh the frozen neighbour views it
+replaces, by the set BFS of ``bfs_levels`` / ``build_sketch``.  Nothing
+selects the side but the graph's size, so every check below runs on graphs
+picked on each side of ``uses_masks`` and holds the mask side to the set
+side:
+
+* (i)   the rule itself on the repository's benchmark and smoke graph sizes;
+* (ii)  every cached sketch equals ``build_sketch`` after every patch of 50
+        seeded update streams (relabels, edge toggles, node removal and a
+        removed id re-added under another label);
+* (iii) ``FragmentManager.derive_batch`` on masks equals the set-form
+        derivation field for field, over deletion-heavy and hub storms, bit
+        index re-indexing included;
+* (iv)  fresh-id churn keeps every mask short on the coordinator and on the
+        workers;
+* (v)   a checkpoint written before the kernel existed restores onto it;
+* (vi)  the paper's guided search (§5.2) decides exactly as on the set side.
+"""
+
+from __future__ import annotations
+
+import random
+from contextlib import contextmanager
+from pathlib import Path
+
+import pytest
+
+from repro import api
+from repro.datasets import generate_gpars, pokec_like, synthetic_graph
+from repro.graph import ColumnarFragment, Graph, ball, build_sketch, columnar_view, registered_columnar
+from repro.graph import neighborhood
+from repro.graph.neighborhood import Neighborhoods, multi_source_ball, uses_masks
+from repro.identification import EIPConfig
+from repro.matching import GuidedMatcher
+from repro.matching.base import WitnessStore
+from repro.partition import partition_graph
+from repro.partition.lifecycle import FragmentManager
+from repro.stream import StreamConfig, UpdateBatch, UpdateOp, random_update_batch
+from repro.stream.identifier import read_checkpoint
+from repro.testing import eip_fingerprint
+from repro.testing.storms import correlated_deletion_storm, hub_churn_storm
+
+PREDICATE = "user:like_book:personal development"
+NODE_LABELS = ("person", "city", "shop", "item")
+EDGE_LABELS = ("knows", "lives", "buys")
+CHECKPOINT = Path(__file__).parent / "data" / "core-format1.ckpt"
+
+
+@contextmanager
+def _sets_only(monkeypatch):
+    """Every kernel compiled inside the block takes the set side."""
+    with monkeypatch.context() as patch:
+        patch.setattr(neighborhood, "uses_masks", lambda num_nodes, num_edges: False)
+        yield
+
+
+# ----------------------------------------------------------------------
+# (i) the rule
+# ----------------------------------------------------------------------
+def test_the_rule_puts_each_graph_on_its_documented_side():
+    # serve-hub, serve-local, the batch workload's mining and identify graphs
+    for nodes, edges in ((105, 723), (880, 3892), (125, 930), (630, 5783)):
+        assert uses_masks(nodes, edges)
+    # the stream smoke's 4,000-node graph and the match smoke's 100k-node row
+    assert not uses_masks(4000, 12000)
+    assert not uses_masks(100_000, 300_000)
+    assert Neighborhoods(pokec_like(40, 3, seed=1)).masks
+    assert not Neighborhoods(synthetic_graph(2000, 1000, num_node_labels=4, seed=1)).masks
+
+
+# ----------------------------------------------------------------------
+# (ii) sketches under patches
+# ----------------------------------------------------------------------
+def _stream_graph(seed: int) -> Graph:
+    if seed % 10 == 9:  # sparse and wide: past the rule, the set side
+        return synthetic_graph(2000, 1000, num_node_labels=4, num_edge_labels=3, seed=seed)
+    rng = random.Random(seed)
+    graph = Graph(name=f"stream{seed}")
+    for index in range(rng.randint(20, 60)):
+        graph.add_node(f"n{index}", rng.choice(NODE_LABELS))
+    nodes = sorted(graph.nodes(), key=str)
+    for _ in range(len(nodes) * 3):
+        source, target = rng.sample(nodes, 2)
+        graph.add_edge(source, target, rng.choice(EDGE_LABELS))
+    return graph
+
+
+def _mixed_batch(graph: Graph, rng: random.Random, removed: list) -> None:
+    """Relabels, edge toggles, removals, and removed ids back under another label."""
+    edge_labels = sorted(graph.edge_labels()) or list(EDGE_LABELS)
+    with graph.batch_update():
+        for _ in range(rng.randint(1, 6)):
+            nodes = sorted(graph.nodes(), key=str)
+            kind = rng.choice(("relabel", "toggle", "toggle", "remove", "readd"))
+            if kind == "relabel":
+                graph.relabel_node(rng.choice(nodes), rng.choice(NODE_LABELS))
+            elif kind == "toggle":
+                source, target = rng.sample(nodes, 2)
+                label = rng.choice(edge_labels)
+                if graph.has_edge(source, target, label):
+                    graph.remove_edge(source, target, label)
+                else:
+                    graph.add_edge(source, target, label)
+            elif kind == "remove" and len(nodes) > 8:
+                node = rng.choice(nodes)
+                removed.append((node, graph.node_label(node)))
+                graph.remove_node(node)
+            elif kind == "readd" and removed:
+                node, old = removed.pop(rng.randrange(len(removed)))
+                if not graph.has_node(node):
+                    graph.add_node(node, rng.choice([label for label in NODE_LABELS if label != old]))
+                    for other in rng.sample(nodes, 2):
+                        graph.add_edge(node, other, rng.choice(edge_labels))
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_cached_sketches_equal_the_set_reference_after_every_patch(seed):
+    graph = _stream_graph(seed)
+    view = ColumnarFragment(graph, rebuild_fraction=1.0)  # patch, never rebuild
+    assert view._neighborhoods.masks == (seed % 10 != 9)
+    rng = random.Random(seed)
+    removed: list = []
+    for _step in range(6):
+        for node in graph.nodes():  # warm the cache the next patch must invalidate
+            view.sketch(node, 1)
+            view.sketch(node, 2)
+        for _ in range(rng.randint(1, 2)):  # sometimes a chain of two deltas
+            _mixed_batch(graph, rng, removed)
+        view.refresh()
+        for (node, hops), cached in view._sketches.items():
+            assert graph.has_node(node), node
+            assert cached == build_sketch(graph, node, hops), (seed, node, hops)
+        for node in graph.nodes():
+            assert view.sketch(node, 3) == build_sketch(graph, node, 3), (seed, node)
+    assert view.statistics.delta_applies >= 6
+
+
+# ----------------------------------------------------------------------
+# (iii) derive_batch against the set-form derivation
+# ----------------------------------------------------------------------
+def _batches(graph: Graph, count: int, storm: bool):
+    for position in range(count):
+        if storm:
+            yield hub_churn_storm(graph, size=8, seed=position)
+        elif position % 2:  # the graph shrinks until dead bits outnumber live nodes
+            yield correlated_deletion_storm(graph, size=12, seed=position)
+        else:
+            yield random_update_batch(
+                graph, size=12, seed=700 + position, structural_fraction=0.5, deletion_bias=0.8
+            )
+
+
+@pytest.mark.parametrize("storm", [False, True], ids=["deletion-heavy", "hub-churn"])
+def test_derive_batch_on_masks_equals_the_set_form(monkeypatch, storm):
+    graph = synthetic_graph(140, 420, num_node_labels=5, num_edge_labels=3, seed=3)
+    x_label = sorted(graph.node_labels())[0]
+    radius = 2
+    fragments = partition_graph(graph, 3, centers=graph.nodes_with_label(x_label), d=radius, seed=0)
+    config = StreamConfig(rebalance_skew=0.3)
+    masks = FragmentManager(graph, fragments, radius, x_label, config)
+    with _sets_only(monkeypatch):
+        sets = FragmentManager(graph, fragments, radius, x_label, config)
+    assert masks._neighborhoods.masks and not sets._neighborhoods.masks
+    reindexed = moved = 0
+    for batch in _batches(graph, 30, storm):
+        width = len(masks._neighborhoods._node_at)
+        delta = batch.apply(graph)
+        region = multi_source_ball(graph, delta.touched, radius)
+        plan, expected = masks.derive_batch(delta, region), sets.derive_batch(delta, region)
+        reindexed += len(masks._neighborhoods._node_at) < width
+        moved += len(plan.migrations) + plan.shed_nodes
+        assert plan == expected  # every FragmentUpdate field, entered / shed counts, migrations
+        assert masks._owner == sets._owner
+        assert masks._refcounts == sets._refcounts
+        assert masks._node_sets == sets._node_sets
+        hoods = masks._neighborhoods
+        assert {center: hoods.nodes(handle) for center, handle in masks._balls.items()} == sets._balls
+        assert masks.resident_summary() == sets.resident_summary()
+        assert masks.state_dict()["balls"] == sets.state_dict()["balls"]
+    assert moved > 0, "the batches must shed or migrate"
+    assert storm or reindexed > 0, "a deletion-heavy stream must re-index the bits"
+
+
+# ----------------------------------------------------------------------
+# (iv) fresh-id churn keeps masks short
+# ----------------------------------------------------------------------
+def _guest_churn(graph: Graph, ticks: int, seed: int):
+    """Tick *i* removes ``guest{i-1}`` and wires in a new ``guest{i}``."""
+    rng = random.Random(seed)
+    users = sorted(node for node, label in graph.node_items() if label == "user")
+    for tick in range(ticks):
+        ops = [UpdateOp.remove_node(f"guest{tick - 1}")] if tick else []
+        ops.append(UpdateOp.add_node(f"guest{tick}", "user"))
+        ops.extend(UpdateOp.add_edge(f"guest{tick}", user, "follow") for user in rng.sample(users, 2))
+        yield UpdateBatch(ops=tuple(ops))
+
+
+def _kernels(identifier):
+    """``(kernel, stored handles)`` of the coordinator and of every worker fragment."""
+    manager = identifier.manager
+    yield manager._neighborhoods, list(manager._balls.values())
+    for context in identifier.runtime.executor._contexts.values():
+        yield registered_columnar(context.fragment.graph)._neighborhoods, []
+
+
+def test_fresh_id_churn_keeps_every_mask_short():
+    graph = pokec_like(40, 3, seed=7)
+    rules = generate_gpars(graph, api.parse_predicate(PREDICATE), count=4, max_pattern_edges=3, d=2, seed=5)
+    with api.open_session(graph, rules, config=EIPConfig(eta=0.5, num_workers=2)) as session:
+        identifier = session.core.multi.identifier
+        for batch in _guest_churn(graph, 500, seed=1):
+            session.apply(batch)
+            for kernel, stored in _kernels(identifier):
+                assert kernel.masks
+                bound = 2 * len(kernel._bit) + 4
+                masks = [mask for mask in kernel._adjacent if mask] + list(kernel._label_masks.values())
+                assert max(mask.bit_length() for mask in masks + stored) <= bound
+        patched = [
+            registered_columnar(context.fragment.graph).statistics.delta_applies
+            for context in identifier.runtime.executor._contexts.values()
+        ]
+        assert min(patched) > 0, "the worker kernels must have been patched, not only rebuilt"
+        assert eip_fingerprint(session.result) == eip_fingerprint(session.recompute())
+
+
+# ----------------------------------------------------------------------
+# (v) a checkpoint from before the kernel
+# ----------------------------------------------------------------------
+def test_checkpoint_written_before_the_kernel_restores_and_ticks(tmp_path):
+    """``tests/data/core-format1.ckpt`` was written by the code that stored
+    balls as plain sets.  The format is unchanged: it restores, the kernel's
+    masks are rebuilt from the stored sets, and the next tick equals a
+    recompute."""
+    state = read_checkpoint(CHECKPOINT)
+    assert state["format"] == 1
+    with api.restore_core(CHECKPOINT) as core:
+        (session,) = core.sessions.values()
+        identifier = core.multi.identifier
+        manager, graph = identifier.manager, identifier.graph
+        hoods = manager._neighborhoods
+        assert hoods.masks
+        saved = state["manager"]["balls"]
+        assert {center: hoods.nodes(handle) for center, handle in manager._balls.items()} == saved
+        for center, nodes in saved.items():
+            assert nodes == ball(graph, center, manager.max_radius)
+        for seed in range(3):
+            core.apply(random_update_batch(graph, size=6, seed=seed, deletion_bias=0.5))
+            assert eip_fingerprint(session.result) == eip_fingerprint(session.recompute())
+        again = read_checkpoint(core.save_state(tmp_path / "again.ckpt"))
+        assert again["format"] == 1
+        assert all(isinstance(nodes, set) for nodes in again["manager"]["balls"].values())
+
+
+# ----------------------------------------------------------------------
+# (vi) the paper's guided search is unchanged
+# ----------------------------------------------------------------------
+COMPARED = ("states_expanded", "sketch_prunes", "backtracks", "matches_found", "witness_hits")
+
+
+def _guided_run(build, rounds: int) -> tuple:
+    """Match sets and search counters of a witness-keeping guided matcher
+    over *rounds* probes of Σ, an update batch between rounds."""
+    graph = build()
+    rules = generate_gpars(graph, api.parse_predicate(PREDICATE), count=6, max_pattern_edges=3, d=2, seed=5)
+    patterns = [rule.antecedent for rule in rules] + [rule.pr_pattern() for rule in rules]
+    view = columnar_view(graph)
+    matcher = GuidedMatcher()
+    matcher.witnesses = WitnessStore()
+    answers = []
+    for position in range(rounds):
+        answers.append([matcher.match_set(graph, pattern) for pattern in patterns])
+        random_update_batch(graph, size=6, seed=position).apply(graph)
+    counters = {name: getattr(matcher.statistics, name) for name in COMPARED}
+    return view._neighborhoods.masks, answers, counters
+
+
+@pytest.mark.parametrize(
+    "build, rounds",
+    [(lambda: pokec_like(80, 3, seed=7), 4), (lambda: pokec_like(600, 15, seed=7), 2)],
+    ids=["hub", "batch-large"],
+)
+def test_guided_search_decides_as_on_the_set_reference(monkeypatch, build, rounds):
+    on_masks, answers, counters = _guided_run(build, rounds)
+    with _sets_only(monkeypatch):
+        on_sets, expected_answers, expected_counters = _guided_run(build, rounds)
+    assert on_masks and not on_sets
+    assert answers == expected_answers
+    assert counters == expected_counters
+    assert counters["sketch_prunes"] > 0 and counters["witness_hits"] > 0
+    assert any(matches for round_answers in answers for matches in round_answers)

@@ -8,11 +8,11 @@ from repro.graph import (
     ball,
     bfs_distances,
     build_sketch,
-    d_neighborhood,
     eccentricity,
     sketch_dominates,
     sketch_score,
 )
+from repro.graph.neighborhood import Neighborhoods
 
 
 @pytest.fixture
@@ -53,6 +53,11 @@ class TestBfs:
         assert eccentricity(chain, "b") == 2
 
 
+def d_neighborhood(graph, center, d):
+    """``Gd(vx)``: the subgraph the d-ball induces."""
+    return graph.induced_subgraph(ball(graph, center, d))
+
+
 class TestDNeighborhood:
     def test_induced_ball(self, chain):
         sub = d_neighborhood(chain, "b", 1)
@@ -75,17 +80,17 @@ class TestDNeighborhood:
 class TestSketches:
     def test_sketch_distributions(self, chain):
         sketch = build_sketch(chain, "a", 2)
-        assert sketch.distribution_at(1) == {"L": 1}
-        assert sketch.distribution_at(2) == {"M": 1, "N": 1}
-        assert sketch.distribution_at(5) == {}
+        assert sketch.prefix == ({"L": 1}, {"L": 1, "M": 1, "N": 1})
         assert sketch.total == 3
+        assert Neighborhoods(chain).sketch("a", 2) == sketch
 
     def test_sketch_requires_positive_hops(self, chain):
         with pytest.raises(ValueError):
             build_sketch(chain, "a", 0)
-        sketch = build_sketch(chain, "a", 1)
+        kernel = Neighborhoods(chain)
+        assert kernel.masks
         with pytest.raises(ValueError):
-            sketch.distribution_at(0)
+            kernel.sketch("a", 0)
 
     def test_dominates_reflexive(self, chain):
         sketch = build_sketch(chain, "a", 2)

@@ -20,7 +20,7 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from repro.graph import Graph, ball, d_neighborhood
+from repro.graph import Graph, ball
 from repro.matching import GuidedMatcher, VF2Matcher
 from repro.metrics import jaccard_distance, support
 from repro.metrics.support import rule_support
@@ -155,7 +155,7 @@ class TestMatchingInvariants:
         global_matches = matcher.match_set(graph, pattern)
         for candidate in graph.nodes_with_label(pattern.label(pattern.x)):
             local = matcher.exists_match_at(
-                d_neighborhood(graph, candidate, max(radius, 1)), pattern, candidate
+                graph.induced_subgraph(ball(graph, candidate, max(radius, 1))), pattern, candidate
             )
             assert local == (candidate in global_matches)
 

@@ -123,6 +123,52 @@ class TestWireFormats:
         assert wrong_method.value.status == 405
 
 
+class TestProcessEntry:
+    @pytest.mark.parametrize("ending", ["server-exits", "interrupted"])
+    def test_switch_interval_is_short_while_serving_and_restored_after(self, monkeypatch, ending):
+        """``run_foreground`` shortens the GIL switch interval for as long as
+        it serves and restores the old one however serving ends; importing
+        the package and ``BackgroundServer`` (as here) leave it alone."""
+        import sys
+
+        from repro.serve import app
+
+        default = sys.getswitchinterval()
+        assert app.SERVE_SWITCH_INTERVAL < default
+        seen = []
+
+        class StubThread:
+            alive = True
+
+            def is_alive(self):
+                return self.alive
+
+            def join(self, timeout=None):
+                seen.append(sys.getswitchinterval())
+                self.alive = False
+                if ending == "interrupted":
+                    raise KeyboardInterrupt
+
+        class StubServer:
+            base_url = "http://stub"
+
+            def __init__(self, *args, **kwargs):
+                self._thread = StubThread()
+
+            def start(self):
+                seen.append(sys.getswitchinterval())
+                return self
+
+            def stop(self):
+                pass
+
+        monkeypatch.setattr(app, "BackgroundServer", StubServer)
+        code = app.run_foreground(port=0)
+        assert code == (0 if ending == "interrupted" else 1)
+        assert seen == [app.SERVE_SWITCH_INTERVAL] * 2
+        assert sys.getswitchinterval() == default
+
+
 class TestSessionLifecycle:
     def test_create_info_list_delete(self, server):
         graph, rules, predicate_text = _workload()

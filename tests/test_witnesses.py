@@ -467,7 +467,8 @@ def test_ball_difference_refcounting_equals_release_all_retain_all():
         reference = {index: Counter() for index in members_before}
         for center, owner in manager._owner.items():
             fresh = ball(graph, center, radius)  # plain BFS: no memo, no difference
-            assert manager._balls[center] == fresh, (position, center)
+            stored = manager._neighborhoods.nodes(manager._balls[center])
+            assert set(stored) == fresh, (position, center)
             reference[owner].update(fresh)
         for index, counts in reference.items():
             assert manager._refcounts[index] == dict(counts), (position, index)

@@ -20,7 +20,6 @@ outside by ``BENCHMARK.json``.
 from __future__ import annotations
 
 import hashlib
-import pickle
 import statistics
 import tempfile
 import time
@@ -41,7 +40,7 @@ from repro.obs.stats import disable_collection, enable_collection, reset_collect
 from repro.pattern.canonical import canonical_code
 from repro.pattern.gpar import GPAR
 from repro.pattern.pattern import Pattern
-from repro.stream import MaintainedMatchView, random_update_batch
+from repro.stream import random_update_batch
 from repro.testing import (
     CASES_DIR,
     STORM_FAMILIES,
@@ -371,11 +370,12 @@ class Answer(NamedTuple):
 
 
 class Replay(NamedTuple):
-    """One mode of a repair-vs-recompute comparison over a batch sequence."""
+    """One maintained replay of a batch sequence: its wall, final answer and
+    the centres re-decided along the way."""
 
     wall: float
     answer: Answer
-    rechecked: int = 0  #: centres re-decided along the way
+    rechecked: int = 0
 
 
 @dataclass(frozen=True)
@@ -502,39 +502,8 @@ def _stream_row(dataset, backend, mode, algorithm, batches, replay: Replay, **ex
 
 
 # ----------------------------------------------------------------------
-# stream: repair vs recompute (maintained match sets, then the EIP answer)
+# stream: a maintained session per backend
 # ----------------------------------------------------------------------
-def _rematch(graph: Graph, patterns, kind: str, batches, maintained: bool) -> Replay:
-    """Keeping *patterns*' match sets current across *batches*: by ``MatchStore.repair`` (*maintained*) or by
-    re-running ``match_set`` for the whole family, both on a resident graph.
-
-    ``rechecked`` counts the centres each side re-decides — for repair the
-    store's ``repair_rechecks`` (x-labelled centres inside the touched
-    region), for re-matching every x-labelled centre of every pattern after
-    every batch.  The walls are ~10 ms, so the gate reads this counter.
-    """
-    live = graph.copy()
-    columnar_view(live)
-    view = MaintainedMatchView(live, patterns, _MATCHER_KINDS[kind]()) if maintained else None
-    wall, total, rechecked, content = 0.0, 0, 0, []
-    for batch in batches:
-        batch.apply(live)
-        started = time.perf_counter()
-        if view is not None:
-            view.refresh()
-            matched, lines = _match_sets(view.match_set, patterns)
-        else:
-            matcher = _MATCHER_KINDS[kind]()
-            matched, lines = _match_sets(lambda p: matcher.match_set(live, p), patterns)
-        wall += time.perf_counter() - started
-        total += matched
-        content.extend(lines)
-        rechecked += sum(live.count_nodes_with_label(p.label(p.x)) for p in patterns)
-    if view is not None:
-        rechecked = view.store.statistics.repair_rechecks
-    return Replay(wall, Answer(_digest(content), total), rechecked)
-
-
 def run_stream(
     dataset: str,
     graph: Graph,
@@ -545,31 +514,16 @@ def run_stream(
     num_batches: int,
     batch_size: int,
 ) -> list[Row]:
-    """One sampled update sequence, maintained and (where that is a different
-    computation) recomputed.
+    """One sampled update sequence through a maintained session per backend,
+    held equal to a from-scratch recompute after every batch.
 
-    ``in-process`` rows, per matcher kind: every rule's PR pattern kept
-    current by ``MatchStore.repair`` against re-matching the whole family
-    (``rechecked`` = centres re-decided, on both sides; the repair row
-    carries ``repair_speedup`` = recompute wall / repair wall, reported
-    only).  Backend rows: a maintained session, held equal to a from-scratch
-    recompute after every batch, with what its ticks alone did in counts —
-    ``witness_hits`` positive verdicts answered by a kept witness against
-    ``matches_found`` searched ones, ``rechecked`` centres against the
-    graph's ``centres``.  The smoke loop holds each half to one fingerprint.
+    Each row counts what its ticks alone did: ``witness_hits`` positive
+    verdicts answered by a kept witness against ``matches_found`` searched
+    ones, ``rechecked`` centres against the graph's ``centres``.  The smoke
+    loop holds the rows to one fingerprint.
     """
     batches = sample_update_batches(graph, num_batches, batch_size)
-    patterns = [rule.pr_pattern() for rule in rules]
     rows = []
-    for kind in ("vf2", "guided"):
-        recompute = _rematch(graph, patterns, kind, batches, False)
-        repair = _rematch(graph, patterns, kind, batches, True)
-        speedup = recompute.wall / repair.wall if repair.wall else float("inf")
-        rows.append(_stream_row(dataset, "in-process", "recompute", kind, len(batches), recompute))
-        rows.append(
-            _stream_row(dataset, "in-process", "repair", kind, len(batches), repair,
-                        repair_speedup=speedup)
-        )
     for backend in backends:
         with counting():
             run = maintain(graph, {"solo": rules}, _config(backend, workers), batches)
@@ -652,9 +606,8 @@ def run_lifecycle(
     backend, and require (a) every tenant's restored answer byte-identical
     to the checkpointed one and (b) one further batch applied post-restart
     equal to a from-scratch recompute.  One more leg on ``backends[0]``
-    round-trips a core with two overlapping tenants.  A maintained
-    :class:`~repro.stream.MaintainedMatchView` round-trips alongside.
-    Raises ``AssertionError`` on any divergence.
+    round-trips a core with two overlapping tenants.  Raises
+    ``AssertionError`` on any divergence.
     """
     *before, after = sample_update_batches(graph, num_batches + 1, batch_size)
     legs = [(backend, {"solo": rules}) for backend in backends]
@@ -691,24 +644,6 @@ def run_lifecycle(
                 rows.append(row(restored, backend, "restored", started, 1))
                 tick(restored, [after])
 
-    # Embedding streams hold suspended generators and cannot cross a pickle
-    # boundary, so a view restarts by re-materialising from the serialized
-    # graph; the gate compares the *repair-maintained* view (its store
-    # patched across every batch) against that post-restart rebuild —
-    # catching both graph serialization drift and repaired-store divergence.
-    live = graph.copy()
-    patterns = [rule.pr_pattern() for rule in rules]
-    view = MaintainedMatchView(live, patterns, VF2Matcher())
-    for batch in before:
-        view.apply(batch)
-    if not view.store.statistics.repaired_entries:
-        raise AssertionError("the maintained match view repaired nothing across the batches")
-    revived_graph = pickle.loads(pickle.dumps(live))
-    if not revived_graph.structure_equal(live):
-        raise AssertionError("graph serialization drifted across the round-trip")
-    revived = MaintainedMatchView(revived_graph, patterns, VF2Matcher())
-    if _match_sets(view.match_set, patterns) != _match_sets(revived.match_set, patterns):
-        raise AssertionError("maintained match view diverged across a round-trip")
     return rows
 
 
@@ -931,9 +866,11 @@ def run_storm(
     ``divergences`` counts first-divergences (the smoke gate fails on any),
     ``shrunk_ops`` the op count of the distilled counterexamples,
     ``deduped`` the near-duplicates dropped; ``identified`` is the largest
-    identified set the identifier leg compared and ``answers`` how many
-    distinct ones (the gates refuse a run that compared empty or unchanging
-    answers only).
+    identified set the identifier check compared and ``answers`` how many
+    distinct ones, ``matched`` the most centres the served antecedent match
+    sets held at once and ``match_answers`` how many distinct states of them
+    the matches check compared (the gates refuse a run that compared empty or
+    unchanging answers only).
     """
     rows: list[Row] = []
     for storm in sorted(STORM_FAMILIES):
@@ -981,6 +918,11 @@ def run_storm(
                         "deduped": deduped,
                         "identified": max(map(len, report.answers), default=0),
                         "answers": len(report.answers),
+                        "matched": max(
+                            (sum(len(found) for _, found in sets) for sets in report.match_answers),
+                            default=0,
+                        ),
+                        "match_answers": len(report.match_answers),
                     },
                 )
             )

@@ -17,8 +17,8 @@ gates and a one-line summary.  :func:`run_family` is the only loop:
    leaves its numbers behind — CI uploads the files as the perf trajectory;
 3. print the summary and each section's table (every column a row reports);
 4. apply the generic checks: the rows of a section answer one question and
-   share one fingerprint (across backends, repair vs recompute, restored vs
-   checkpointed, instrumentation off vs on), and no row reports an empty
+   share one fingerprint (across backends, restored vs checkpointed,
+   instrumentation off vs on), and no row reports an empty
    EIP answer or an empty mined rule set — ``identified`` = 0 or ``rules`` =
    0 would make every such comparison vacuous;
 5. apply the family's own gates.  A failed check exits non-zero.
@@ -75,8 +75,9 @@ STREAM_RULES = 12
 MATCH_LARGE_FACTOR = 250
 MATCH_LARGE_RULES = 4
 
-# Marginal admission and shared steady state at most this × the baseline;
-# the resident union at most TENANT_UNION_LIMIT × the summed tenant Σ sizes.
+# Marginal admission and shared steady state at most this × the baseline's
+# verifications; the resident union at most TENANT_UNION_LIMIT × the summed
+# tenant Σ sizes.
 TENANT_MARGINAL_LIMIT = 0.5
 TENANT_UNION_LIMIT = 0.6
 
@@ -121,30 +122,23 @@ def _stream_gate(rows: Sequence[Row], workers: int) -> None:
     wall clock is gated).  The sequential maintained-session row: its ticks
     re-decided fewer centres than re-verifying all of them after every batch
     would, and answered positive pairs from kept witnesses at least four
-    times as often as by searching.  The pool-free match-view rows: repair
-    re-decides fewer centres than re-matching.  Thread/process rows are
-    skipped: which pool process holds which fragment's witnesses
-    legitimately varies run to run."""
-    rematched = {row["algorithm"]: row["rechecked"] for row in rows if row.mode == "recompute"}
+    times as often as by searching.  Thread/process rows are skipped: which
+    pool process holds which fragment's witnesses legitimately varies run to
+    run."""
     for row in rows:
+        if row.backend != "sequential":
+            continue
         name = f"{row.backend} {row['algorithm']}"
-        if row.mode == "repair" and row.backend == "sequential":
-            if row["rechecked"] >= row["centres"] * row["batches"]:
-                raise SystemExit(
-                    f"streaming regression: {name} repair re-decided {row['rechecked']} centres "
-                    f"over {row['batches']} batches of a graph with {row['centres']}"
-                )
-            if row["witness_hits"] == 0 or row["witness_hits"] < 4 * row["matches_found"]:
-                raise SystemExit(
-                    f"streaming regression: {name} ticks searched {row['matches_found']} positive "
-                    f"pairs against {row['witness_hits']} answered by a kept witness (< 4x)"
-                )
-        if row.mode == "repair" and row.backend == "in-process":
-            if row["rechecked"] >= rematched[row["algorithm"]]:
-                raise SystemExit(
-                    f"streaming regression: {name} repair re-decided {row['rechecked']} centres, "
-                    f"re-matching only {rematched[row['algorithm']]}"
-                )
+        if row["rechecked"] >= row["centres"] * row["batches"]:
+            raise SystemExit(
+                f"streaming regression: {name} repair re-decided {row['rechecked']} centres "
+                f"over {row['batches']} batches of a graph with {row['centres']}"
+            )
+        if row["witness_hits"] == 0 or row["witness_hits"] < 4 * row["matches_found"]:
+            raise SystemExit(
+                f"streaming regression: {name} ticks searched {row['matches_found']} positive "
+                f"pairs against {row['witness_hits']} answered by a kept witness (< 4x)"
+            )
 
 
 def _churn_gate(rows: Sequence[Row], workers: int) -> None:
@@ -195,12 +189,12 @@ def _obs_gate(rows: Sequence[Row], workers: int) -> None:
 
 
 def _tenant_gate(rows: Sequence[Row], workers: int) -> None:
-    """The k-th tenant must ride the shared substrate: marginal admission
-    (wall clock *and* centre-rule verifications) at most
-    ``TENANT_MARGINAL_LIMIT ×`` the cold first admission, shared steady
-    state at most ``TENANT_MARGINAL_LIMIT × k ×`` the single-tenant baseline
-    (wall clock and per-tick verify count), a resident union at most
-    ``TENANT_UNION_LIMIT ×`` the summed tenant Σ sizes, and non-zero
+    """The k-th tenant must ride the shared substrate, in counts that cannot
+    flake (no wall clock is gated): marginal admission at most
+    ``TENANT_MARGINAL_LIMIT ×`` the cold first admission's centre-rule
+    verifications, shared steady state at most ``TENANT_MARGINAL_LIMIT × k
+    ×`` the single-tenant baseline's verified centres, a resident union at
+    most ``TENANT_UNION_LIMIT ×`` the summed tenant Σ sizes, and non-zero
     shared-prefix hits (silent canonicalization death)."""
     admits = [row for row in rows if row.mode == "admit"]
     single = next(row for row in rows if row.mode == "single")
@@ -213,15 +207,9 @@ def _tenant_gate(rows: Sequence[Row], workers: int) -> None:
     cold_work = cold["backfill_centers"] * max(1, cold["novel_rules"])
     last_work = last["backfill_centers"] * last["novel_rules"]
     held = [
-        (last.wall_time, TENANT_MARGINAL_LIMIT * cold.wall_time,
-         f"admitting tenant {last['tenants']} cost {last.wall_time:.3f}s against a cold "
-         f"admission of {cold.wall_time:.3f}s"),
         (last_work, TENANT_MARGINAL_LIMIT * cold_work,
          f"admitting tenant {last['tenants']} cost {last_work} centre-rule verifications "
          f"against {cold_work} cold"),
-        (steady.wall_time, TENANT_MARGINAL_LIMIT * k * single.wall_time,
-         f"shared steady state cost {steady.wall_time:.3f}s for {k} tenants against a "
-         f"single-tenant {single.wall_time:.3f}s"),
         (steady["verified_centers"], TENANT_MARGINAL_LIMIT * k * single["verified_centers"],
          f"shared core verified {steady['verified_centers']} centres for {k} tenants against "
          f"a single-tenant {single['verified_centers']}"),
@@ -244,11 +232,17 @@ def _storm_gate(rows: Sequence[Row], workers: int) -> None:
     distilled and (if novel) written to ``tests/regressions/`` by the runner,
     so CI both fails loudly *and* leaves the shrunk counterexample behind.
     And the silence must mean something: some storm has to move the
-    identified set (an empty one is refused by the generic checks)."""
+    identified set (an empty one is refused by the generic checks), and some
+    storm has to move the served antecedent match sets."""
     if all(row["answers"] < 2 for row in rows):
         raise SystemExit(
             "storm regression: no storm family changed the identified set, so the "
-            "identifier leg of the oracle compared one unchanging answer"
+            "identifier check of the oracle compared one unchanging answer"
+        )
+    if all(row["match_answers"] < 2 for row in rows):
+        raise SystemExit(
+            "storm regression: no storm family changed the served antecedent match "
+            "sets, so the matches check of the oracle compared one unchanging answer"
         )
     for row in rows:
         if row["divergences"]:
@@ -306,10 +300,7 @@ SCENARIOS: dict[str, Scenario] = {
         "repair does less than recompute and equals it after every batch, on every backend",
         "synthetic-dense", _solo_workload, STREAM_SCALE,
         run_stream, "all",
-        (
-            Section("maintained match sets: MatchStore.repair vs re-matching", _in_process),
-            Section("streaming EIP: a maintained session per backend, = recompute per batch", _on_backend),
-        ),
+        (Section("streaming EIP: a maintained session per backend, = recompute per batch"),),
         {"num_batches": 3, "batch_size": 8}, (_stream_gate,),
     ),
     "churn": Scenario(

@@ -109,14 +109,13 @@ def storm_workload(
 ) -> tuple[Graph, tuple[GPAR, ...]]:
     """Graph + census-mixed Σ for the adversarial ``storm`` smoke family.
 
-    Both legs of the differential oracle must compare something.  The
+    Both checks of the differential oracle must compare something.  The
     *mined* best-supported rules of :func:`dense_eip_workload` identify
     entities (5 at the default scale; the deletion, label-flip and random
-    storms move that answer), so the identifier leg — the one through the
-    witness-keeping streaming worker — bites; their antecedents are
-    disconnected, so the *sampled* connected rules (which identify nothing)
-    are what the match-view leg maintains.  A free-node and an edge-carrying
-    component variant of the first mined rule add the two census paths.
+    storms move that answer), so the identifier check bites; the *sampled*
+    connected rules identify nothing but add antecedent match sets the
+    matches check sees change.  A free-node and an edge-carrying component
+    variant of the first mined rule add the two census paths.
     """
     graph, pool = dense_eip_workload(scale)
     _, predicate = mining_workload("dense", scale)

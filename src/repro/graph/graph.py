@@ -30,10 +30,10 @@ from repro.exceptions import EdgeNotFoundError, GraphError, NodeNotFoundError
 NodeId = Hashable
 Label = str
 
-#: How many finished :class:`GraphDelta` records a graph retains.  Derived
-#: structures (``ColumnarFragment``, ``MatchStore``) repair themselves from
-#: this log; once a consumer falls further behind than the log reaches, it
-#: rebuilds from scratch instead.  Per-graph override: the ``delta_log_size``
+#: How many finished :class:`GraphDelta` records a graph retains.  The
+#: resident ``ColumnarFragment`` patches itself forward from this log; once
+#: it falls further behind than the log reaches, it rebuilds from scratch
+#: instead.  Per-graph override: the ``delta_log_size``
 #: constructor argument / :meth:`Graph.configure_delta_log`; process-wide
 #: override: the ``REPRO_DELTA_LOG_SIZE`` environment variable (also the
 #: default of :class:`repro.stream.StreamConfig`).

@@ -60,15 +60,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Iterator, Mapping
 
-from repro.exceptions import GraphError, PatternError
 from repro.graph.columnar import columnar_view
 from repro.graph.graph import Graph
-from repro.matching.base import Matcher, resident_view
-from repro.matching.candidates import columnar_filter_candidates
+from repro.matching.base import Matcher
 from repro.obs.stats import StatisticsBase
 from repro.pattern.canonical import canonical_code
 from repro.pattern.pattern import Pattern
-from repro.pattern.radius import pattern_radius
 
 NodeId = Hashable
 
@@ -210,37 +207,16 @@ class _EmbeddingStream:
         return True
 
 
-def _repairable_radius(pattern: Pattern) -> int | None:
-    """``r(pattern, x)`` when anchored matching is ball-local, else ``None``.
-
-    A disconnected pattern's "free" nodes are matched against the whole
-    graph's label index, so its match set is not a function of any bounded
-    ball around the centre — such an entry cannot be repaired after an
-    update and must be dropped instead.
-    """
-    try:
-        return pattern_radius(pattern, pattern.x)
-    except PatternError:
-        return None
-
-
 class MatchEntry:
     """Materialized matches of one pattern on one graph.
 
     ``matches`` is the (eagerly decided) match set; ``streams`` maps each
     matched centre to its :class:`_EmbeddingStream`.  ``version`` pins the
-    ``Graph.version`` the entry was built against.  ``repair_radius`` bounds
-    the data region the entry's embeddings (and their suspended producers,
-    through every ancestor stream they may still pull from) can inspect:
-    :meth:`MatchStore.repair` keeps a centre's state across an update iff no
-    touched node lies within that radius of it.  ``None`` marks an entry
-    :meth:`~MatchStore.repair` must drop rather than patch.
+    ``Graph.version`` the entry was built against; :meth:`MatchStore.get`
+    evicts the entry once the graph has moved on.
     """
 
-    __slots__ = (
-        "pattern", "node_order", "matches", "streams", "version",
-        "canonical_witness", "repair_radius",
-    )
+    __slots__ = ("pattern", "node_order", "matches", "streams", "version", "canonical_witness")
 
     def __init__(
         self,
@@ -250,7 +226,6 @@ class MatchEntry:
         streams: Mapping[NodeId, _EmbeddingStream],
         version: int,
         canonical_witness: bool,
-        repair_radius: int | None = None,
     ) -> None:
         self.pattern = pattern
         self.node_order = node_order
@@ -258,7 +233,6 @@ class MatchEntry:
         self.streams = streams
         self.version = version
         self.canonical_witness = canonical_witness
-        self.repair_radius = repair_radius
 
     def witness_for(self, center: NodeId) -> dict | None:
         """The matcher's own first-found mapping at *center*, or ``None``.
@@ -290,10 +264,6 @@ class StoreStatistics(StatisticsBase):
     stale_entries: int = 0
     delta_extensions: int = 0
     fallback_probes: int = 0
-    repaired_entries: int = 0
-    dropped_on_repair: int = 0
-    repair_rechecks: int = 0
-    repair_survivors: int = 0
 
 
 class MatchStore:
@@ -346,102 +316,6 @@ class MatchStore:
         self._entries[code] = entry
         return code
 
-    def repair(self, matcher) -> int:
-        """Repair stale entries in place after graph updates; returns #kept.
-
-        Instead of discarding the store wholesale when the graph mutates,
-        each stale entry is patched against the graph's recorded delta log
-        (:meth:`repro.graph.graph.Graph.deltas_since`):
-
-        * centres with **no** touched node within the entry's
-          ``repair_radius`` (measured on the post-update graph — exact, see
-          ``docs/streaming.md``) keep their matches *and* their lazily
-          suspended embedding streams untouched;
-        * centres inside an affected ball are re-decided by one full
-          anchored search each (only those), receiving fresh streams;
-        * removed centres drop out.
-
-        An entry is dropped — the pre-repair behaviour for the whole store —
-        only when it is unrepairable: the delta log no longer reaches back to
-        its version, its pattern is not ball-local (``repair_radius`` is
-        ``None``), or *matcher* cannot enumerate embeddings.
-
-        After ``repair``, every surviving entry is exactly what
-        :meth:`DeltaMatcher.materialize`-then-mutate-then-rematerialize would
-        have produced, so consumers need no staleness handling of their own.
-        """
-        graph = self.graph
-        if graph.in_batch:
-            raise GraphError(
-                f"cannot repair the match store of graph {graph.name!r} while "
-                "a batch_update is open: the graph is in a half-applied state"
-            )
-        stats = self.statistics
-        current = graph.version
-        iter_method = getattr(type(matcher), "iter_matches_at", None)
-        can_enumerate = iter_method is not None and iter_method is not Matcher.iter_matches_at
-        kept = 0
-        for code, entry in list(self._entries.items()):
-            if entry.version == current:
-                kept += 1
-                continue
-            deltas = graph.deltas_since(entry.version)
-            if deltas is None or entry.repair_radius is None or not can_enumerate:
-                del self._entries[code]
-                stats.stale_entries += 1
-                stats.dropped_on_repair += 1
-                continue
-            touched: set = set()
-            for delta in deltas:
-                touched.update(delta.touched)
-            if touched:
-                self._repair_entry(entry, touched, matcher)
-            entry.version = current
-            stats.repaired_entries += 1
-            kept += 1
-        return kept
-
-    def _repair_entry(self, entry: MatchEntry, touched: set, matcher) -> None:
-        """Patch one entry: keep unaffected centres, re-decide affected ones."""
-        from repro.graph.neighborhood import multi_source_ball
-
-        graph = self.graph
-        stats = self.statistics
-        resident = resident_view(graph)
-        affected = multi_source_ball(graph, touched, entry.repair_radius)
-        labels = graph._labels
-        matches = set()
-        streams: dict[NodeId, _EmbeddingStream] = {}
-        for center in entry.matches:
-            if center in labels and center not in affected:
-                matches.add(center)
-                stream = entry.streams.get(center)
-                if stream is not None:
-                    streams[center] = stream
-        stats.repair_survivors += len(matches)
-        # Only affected centres carrying the centre's search condition can
-        # have gained or lost matches; each costs one anchored search.
-        x_label = entry.pattern.label(entry.pattern.x)
-        node_order = entry.node_order
-        centers = affected & graph._nodes_by_label.get(x_label, set())
-        stats.repair_rechecks += len(centers)
-        if resident is not None and getattr(matcher, "_columnar_prefilter", True):
-            # The pool prefilter of Matcher.match_set: a centre failing the
-            # profile condition has no match, hence no stream to build.
-            expanded = entry.pattern.expanded()
-            centers = columnar_filter_candidates(resident, expanded, expanded.x, centers)
-        for center in centers:
-            producer = (
-                tuple(mapping[node] for node in node_order)
-                for mapping in matcher.iter_matches_at(graph, entry.pattern, center)
-            )
-            stream = _EmbeddingStream(producer, self.cap)
-            if stream.ensure(1):
-                matches.add(center)
-                streams[center] = stream
-        entry.matches = frozenset(matches)
-        entry.streams = streams
-
     def retain(self, codes: Iterable[str]) -> int:
         """Drop every entry whose code is not in *codes*; returns #dropped.
 
@@ -455,10 +329,6 @@ class MatchStore:
         for code in stale:
             del self._entries[code]
         return len(stale)
-
-    def clear(self) -> None:
-        """Drop all entries (e.g. between unrelated runs on a shared graph)."""
-        self._entries.clear()
 
 
 class DeltaMatcher:
@@ -476,23 +346,12 @@ class DeltaMatcher:
         does not — simulation patterns always take the fallback).
     store:
         The fragment's :class:`MatchStore`.
-    probe_depth:
-        See :data:`DEFAULT_PROBE_DEPTH`.
     """
 
-    def __init__(
-        self,
-        graph: Graph,
-        matcher,
-        store: MatchStore,
-        probe_depth: int = DEFAULT_PROBE_DEPTH,
-    ) -> None:
-        if probe_depth < 1:
-            raise ValueError(f"probe_depth must be >= 1, got {probe_depth}")
+    def __init__(self, graph: Graph, matcher, store: MatchStore) -> None:
         self.graph = graph
         self.matcher = matcher
         self.store = store
-        self.probe_depth = min(probe_depth, store.cap)
         # A match store makes *graph* resident by definition: pin its
         # resident structure (compiled here unless the executor already did)
         # for the delta probes.
@@ -552,7 +411,6 @@ class DeltaMatcher:
             streams=streams,
             version=self.graph.version,
             canonical_witness=True,
-            repair_radius=_repairable_radius(pattern),
         )
         self.store.put(entry)
         return matches, entry
@@ -580,6 +438,7 @@ class DeltaMatcher:
         pool = set(candidates)
         pool &= parent.matches
         cap = self.store.cap
+        depth = min(DEFAULT_PROBE_DEPTH, cap)
         positions = {node: i for i, node in enumerate(parent.node_order)}
         node_order = parent.node_order
         if not delta.closing:
@@ -597,7 +456,7 @@ class DeltaMatcher:
                 continue
             stats.delta_extensions += 1
             found: bool | None = None  # None = undecided
-            for position in range(self.probe_depth):
+            for position in range(depth):
                 if not parent_stream.ensure(position + 1):
                     if not parent_stream.truncated:
                         found = False  # enumeration complete: nothing extends
@@ -625,14 +484,6 @@ class DeltaMatcher:
                     )
         entry = None
         if keep_streams:
-            # A child stream pulls parent embeddings lazily, so repairing the
-            # child must protect the whole ancestor chain's data region.
-            child_radius = _repairable_radius(child)
-            repair_radius = (
-                None
-                if child_radius is None or parent.repair_radius is None
-                else max(child_radius, parent.repair_radius)
-            )
             entry = MatchEntry(
                 pattern=child,
                 node_order=node_order,
@@ -640,7 +491,6 @@ class DeltaMatcher:
                 streams=streams,
                 version=graph.version,
                 canonical_witness=False,
-                repair_radius=repair_radius,
             )
             self.store.put(entry)
         return matches, entry

@@ -14,8 +14,7 @@ forever.  :class:`FragmentManager` owns the whole life of a fragment now:
   ball for the new one; nodes whose refcount drops to zero are *shed* from
   the resident fragment (the slice carries them in
   :attr:`FragmentUpdate.shed`), which also evicts them from the resident
-  :class:`~repro.graph.columnar.ColumnarFragment` (via the graph's delta log) and
-  from any repaired :class:`~repro.matching.incremental.MatchStore` entry.
+  :class:`~repro.graph.columnar.ColumnarFragment` (via the graph's delta log).
   Shedding is exact: anchored matching of a ball-local pattern at an owned
   centre only inspects the centre's d-ball (``docs/streaming.md``), and a
   shed node lies in no owned ball.

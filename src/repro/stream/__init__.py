@@ -7,16 +7,13 @@ static pipeline into an online one:
 * :mod:`repro.stream.updates` — :class:`UpdateOp` / :class:`UpdateBatch`
   value types and the ``random_update_batch`` workload sampler; a batch is
   applied as **one** ``Graph.batch_update`` version tick;
-* :mod:`repro.stream.matchview` — :class:`MaintainedMatchView`, match sets
-  (with embeddings) repaired by
-  :meth:`repro.matching.incremental.MatchStore.repair` instead of
-  re-matched;
 * :mod:`repro.stream.identifier` — :class:`StreamingIdentifier`, an
   :class:`~repro.identification.eip.EIPResult` kept continuously correct by
   re-verifying only candidate centres inside the d-hop balls of the nodes a
   batch touched, with update slices shipped to the persistent worker pool
   so fragment-resident graphs and indexes stay in sync without re-pickling
-  graphs;
+  graphs — the one mechanism that keeps the per-rule match sets current
+  (workers re-validate a kept witness before they search);
 * :mod:`repro.stream.config` — :class:`StreamConfig`, every streaming and
   fragment-lifecycle threshold (delta-log capacity, index rebuild fraction,
   log-compaction trigger, re-partitioning skew, checkpoint ``state_dir``)
@@ -37,7 +34,6 @@ from repro.stream.updates import (
     UpdateOp,
     random_update_batch,
 )
-from repro.stream.matchview import MaintainedMatchView
 from repro.stream.identifier import (
     STREAM_ALGORITHMS,
     CensusMatcher,
@@ -56,7 +52,6 @@ __all__ = [
     "UpdateOp",
     "UpdateBatch",
     "random_update_batch",
-    "MaintainedMatchView",
     "STREAM_ALGORITHMS",
     "CensusMatcher",
     "FragmentUpdate",

@@ -42,6 +42,7 @@ from repro.testing.oracle import (
     TenantDivergence,
     eip_fingerprint,
     multi_tenant_check,
+    served_antecedent_sets,
 )
 from repro.testing.reference import ReferenceMatcher, reference_identify
 from repro.testing.storms import (
@@ -77,5 +78,6 @@ __all__ = [
     "minhash_signature",
     "multi_tenant_check",
     "reference_identify",
+    "served_antecedent_sets",
     "write_case",
 ]

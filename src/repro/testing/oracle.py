@@ -7,10 +7,11 @@ batch, on every configured backend,
   batches must report an :func:`eip_fingerprint` byte-identical to
   ``identify_entities`` re-run from scratch on a pristine copy of the
   mutated graph, and
-* a :class:`~repro.stream.MaintainedMatchView` over the maintainable
-  antecedent patterns must report match sets equal to the naive
-  :class:`~repro.testing.reference.ReferenceMatcher`'s ``match_set`` on
-  the live graph.
+* the per-rule antecedent match sets that identifier serves
+  (:func:`served_antecedent_sets`) must equal, for every rule of Σ, the
+  x-labelled nodes where the naive
+  :class:`~repro.testing.reference.ReferenceMatcher` finds the antecedent
+  on the live graph.
 
 Any exception raised by the maintained side is itself a divergence
 (``component="error"``) — a streaming path that rejects a workload the
@@ -24,14 +25,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from repro.graph.graph import Graph
 from repro.identification import identify_entities
+from repro.identification.census import apply_census
 from repro.identification.eip import EIPConfig, EIPResult
-from repro.matching import DeltaMatcher, MatchStore, VF2Matcher
 from repro.pattern.gpar import GPAR
-from repro.stream import MaintainedMatchView, StreamingIdentifier, UpdateBatch
+from repro.stream import StreamingIdentifier, UpdateBatch
 from repro.testing.reference import ReferenceMatcher
 
 #: batch_index used for the pre-batch (initial assembly) check.
@@ -59,12 +60,32 @@ def eip_fingerprint(result: EIPResult) -> tuple:
     )
 
 
+def served_antecedent_sets(identifier: StreamingIdentifier) -> dict[GPAR, frozenset]:
+    """Every rule's antecedent match set ``Q(x, G)`` as *identifier* serves it.
+
+    The stored reports hold x-part verdicts; ``apply_census`` — the step
+    ``_assemble`` runs on every read of ``identifier.result`` — rewrites them
+    to whole-graph verdicts.
+    """
+    identifier.check_current()
+    reports = apply_census(
+        identifier.graph,
+        identifier.rules,
+        list(identifier._reports.values()),
+        identifier._census_plan,
+    )
+    return {
+        rule: frozenset().union(*(report.antecedent_sets.get(rule, ()) for report in reports))
+        for rule in identifier.rules
+    }
+
+
 @dataclass(frozen=True)
 class Divergence:
     """First observed disagreement between maintained and fresh state."""
 
     batch_index: int  #: batch after which it surfaced (-1 = initial state)
-    component: str  #: "identifier", "matchview" or "error"
+    component: str  #: "identifier", "matches" or "error"
     backend: str
     detail: str
     expected: object = None  #: fresh-recompute side (fingerprint / sets)
@@ -83,9 +104,12 @@ class OracleReport:
     batches_checked: int = 0
     combos_run: int = 0
     checks: int = 0  #: individual maintained-vs-fresh comparisons
-    #: Distinct identified sets the identifier leg compared: one empty set
+    #: Distinct identified sets the identifier check compared: one empty set
     #: means every such comparison was vacuous, one set that none changed.
     answers: set = field(default_factory=set)
+    #: Distinct served antecedent match sets (all of Σ at once) the matches
+    #: check compared, read the same way.
+    match_answers: set = field(default_factory=set)
     wall_time: float = 0.0
 
     @property
@@ -111,11 +135,6 @@ class DifferentialOracle:
     backends:
         The streaming backends to exercise; the fresh side always
         recomputes sequentially on a pristine graph copy.
-    view_matcher_factory:
-        Zero-argument callable building the matcher that backs the
-        maintained match view.  The default is the real enumerating VF2
-        matcher; tests inject known-buggy shims here to prove the harness
-        catches them.
     """
 
     def __init__(
@@ -126,7 +145,6 @@ class DifferentialOracle:
         num_workers: int = 2,
         seed: int = 0,
         backends: Sequence[str] = ("sequential",),
-        view_matcher_factory: Callable[[], object] | None = None,
     ) -> None:
         self.rules = tuple(rules)
         self.algorithm = algorithm
@@ -134,7 +152,6 @@ class DifferentialOracle:
         self.num_workers = num_workers
         self.seed = seed
         self.backends = tuple(backends)
-        self.view_matcher_factory = view_matcher_factory or VF2Matcher
 
     # -- configuration ----------------------------------------------------
     def narrowed(self, divergence: Divergence) -> "DifferentialOracle":
@@ -147,7 +164,6 @@ class DifferentialOracle:
             num_workers=self.num_workers,
             seed=self.seed,
             backends=(divergence.backend,),
-            view_matcher_factory=self.view_matcher_factory,
         )
 
     def checker_for(self, divergence: Divergence):
@@ -183,26 +199,6 @@ class DifferentialOracle:
             algorithm=self.algorithm,
             seed=self.seed,
         )
-
-    def _maintainable_patterns(self, graph: Graph):
-        from repro.exceptions import PatternError
-        from repro.pattern.radius import pattern_radius
-
-        matcher = self.view_matcher_factory()
-        probe = DeltaMatcher(graph, matcher, MatchStore(graph))
-        patterns = []
-        for rule in self.rules:
-            pattern = rule.antecedent
-            try:
-                # Census-split antecedents are covered by the identifier
-                # check; materializing their embedding *products* in the
-                # view would be cartesian in the free part's witnesses.
-                pattern_radius(pattern.expanded())
-            except PatternError:
-                continue
-            if probe.supports(pattern) and pattern not in patterns:
-                patterns.append(pattern)
-        return patterns
 
     # -- the run ----------------------------------------------------------
     def run(
@@ -262,20 +258,12 @@ class DifferentialOracle:
                 actual=repr(error),
             )
         try:
-            patterns = self._maintainable_patterns(live)
-            view = (
-                MaintainedMatchView(live, patterns, self.view_matcher_factory())
-                if patterns
-                else None
-            )
-            divergence = self._compare(identifier, view, patterns, INITIAL, mark, report)
+            divergence = self._compare(identifier, INITIAL, mark, report)
             if divergence is not None:
                 return divergence
             for index, batch in enumerate(batches):
                 try:
                     identifier.apply(batch)
-                    if view is not None:
-                        view.refresh()
                 except Exception as error:
                     return mark(
                         batch_index=index,
@@ -283,7 +271,7 @@ class DifferentialOracle:
                         detail=f"maintenance raised while applying the batch: {error}",
                         actual=repr(error),
                     )
-                divergence = self._compare(identifier, view, patterns, index, mark, report)
+                divergence = self._compare(identifier, index, mark, report)
                 if divergence is not None:
                     return divergence
         finally:
@@ -291,10 +279,11 @@ class DifferentialOracle:
         return None
 
     def _compare(
-        self, identifier, view, patterns, batch_index: int, mark, report: OracleReport
+        self, identifier, batch_index: int, mark, report: OracleReport
     ) -> Divergence | None:
+        graph = identifier.graph
         maintained = eip_fingerprint(identifier.result)
-        fresh = eip_fingerprint(self._fresh_result(identifier.graph))
+        fresh = eip_fingerprint(self._fresh_result(graph))
         report.checks += 1
         report.answers.add(fresh[0])
         if maintained != fresh:
@@ -305,23 +294,25 @@ class DifferentialOracle:
                 expected=fresh,
                 actual=maintained,
             )
-        if view is not None:
-            oracle_matcher = ReferenceMatcher()
-            for pattern in patterns:
-                report.checks += 1
-                kept = view.match_set(pattern)
-                truth = frozenset(oracle_matcher.match_set(identifier.graph, pattern))
-                if kept != truth:
-                    return mark(
-                        batch_index=batch_index,
-                        component="matchview",
-                        detail=(
-                            "maintained match set differs from re-matching "
-                            f"for pattern {pattern!r}"
-                        ),
-                        expected=tuple(sorted(map(str, truth))),
-                        actual=tuple(sorted(map(str, kept))),
-                    )
+        served = served_antecedent_sets(identifier)
+        reference = ReferenceMatcher()
+        for rule, kept in served.items():
+            report.checks += 1
+            truth = frozenset(reference.match_set(graph, rule.antecedent))
+            if kept != truth:
+                return mark(
+                    batch_index=batch_index,
+                    component="matches",
+                    detail=(
+                        "served antecedent match set differs from the reference "
+                        f"for rule {rule.name!r}"
+                    ),
+                    expected=tuple(sorted(map(str, truth))),
+                    actual=tuple(sorted(map(str, kept))),
+                )
+        report.match_answers.add(
+            tuple(sorted((rule.name, tuple(sorted(map(str, found)))) for rule, found in served.items()))
+        )
         return None
 
 
@@ -446,5 +437,6 @@ __all__ = [
     "TenantDivergence",
     "eip_fingerprint",
     "multi_tenant_check",
+    "served_antecedent_sets",
     "INITIAL",
 ]

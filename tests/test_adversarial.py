@@ -5,9 +5,10 @@ Covers the ``repro.testing`` package end to end:
 * every storm family samples valid, deterministic, self-consistent batches;
 * the differential oracle reports **zero** divergences for the real code
   across all storm families (census-split rules included);
-* a deliberately buggy matcher shim is caught, the failure is distilled to
-  a handful of ops, and the distilled case fails against the shim while
-  passing against the real code — the full find→shrink→replay loop;
+* a deliberately stale-witness shim is caught by the served match-set
+  check, the failure is distilled to a handful of ops, and the distilled
+  case fails against the shim while passing against the real code — the
+  full find→shrink→replay loop;
 * regression cases round-trip through their JSON format, and MinHash
   signatures deduplicate near-identical op streams.
 """
@@ -18,7 +19,7 @@ import pytest
 
 from repro.datasets import generate_gpars, most_frequent_predicates, synthetic_graph
 from repro.graph import Graph
-from repro.matching import VF2Matcher
+from repro.matching.base import _SearchPlan
 from repro.pattern.gpar import GPAR
 from repro.pattern.pattern import Pattern
 from repro.stream import UpdateBatch, UpdateOp
@@ -149,55 +150,48 @@ def test_oracle_finds_no_divergence_in_real_code(family):
 # ----------------------------------------------------------------------
 # the find -> shrink -> replay loop, against a known-buggy shim
 # ----------------------------------------------------------------------
-class StaleRepairMatcher(VF2Matcher):
-    """Deliberately buggy: refuses to re-enumerate after the graph moves on.
-
-    Initial materialization (at the version first seen) is correct;
-    any repair probe after an update finds nothing — the classic stale-
-    cache bug the differential oracle exists to catch.
-    """
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._frozen_version: int | None = None
-
-    def iter_matches_at(self, graph, pattern, anchor_value):
-        if self._frozen_version is None:
-            self._frozen_version = graph.version
-        if graph.version != self._frozen_version:
-            return iter(())
-        return super().iter_matches_at(graph, pattern, anchor_value)
+def _stale_witnesses(patch: pytest.MonkeyPatch) -> None:
+    """Deliberately buggy: a kept witness is trusted without re-checking it
+    against the graph — the classic stale-cache bug the oracle must catch."""
+    patch.setattr(_SearchPlan, "holds", lambda plan, graph, embedding: True)
 
 
 def _shim_workload():
     graph = Graph(name="shim")
-    graph.add_node("c1", "cust")
-    graph.add_node("c2", "cust")
-    graph.add_node("m1", "shop")
+    for node, label in [("c1", "cust"), ("c2", "cust"), ("m1", "shop"), ("m2", "shop"),
+                        ("m3", "shop"), ("k1", "city"), ("k2", "city")]:
+        graph.add_node(node, label)
     graph.add_edge("c1", "m1", "visit")
-    graph.add_edge("c2", "m1", "visit")
+    graph.add_edge("m1", "k1", "in")
     graph.add_edge("c1", "m1", "wins")
+    graph.add_edge("c2", "m2", "visit")
+    graph.add_edge("m2", "k2", "in")
+    graph.add_edge("c2", "m3", "visit")
     rule = GPAR(
         Pattern(
-            nodes={"x": "cust", "y": "shop"},
-            edges=[("x", "y", "visit")],
+            nodes={"x": "cust", "y": "shop", "z": "city"},
+            edges=[("x", "y", "visit"), ("y", "z", "in")],
             x="x",
             y="y",
         ),
         consequent_label="wins",
         validate=False,
     )
-    # Batch 0 tears a maintained match down, batch 1 restores it; the shim
-    # cannot re-enumerate, so the maintained view misses the restored match.
+    # Batch 0 breaks c2's only antecedent match (and so its kept witness
+    # c2, m2, k2), batch 1 restores it.  c2 still visits a shop (m3), so its
+    # adjacency profile passes the candidate prefilter and the witness is
+    # consulted: a stale one keeps c2 matched.  c2 has no ``wins`` edge, so
+    # it is in neither the rule's matches nor its q̄ count and the EIP
+    # fingerprint does not move — only the served antecedent set shows it.
     # The padding ops are noise the distiller must strip away.
     batches = [
         UpdateBatch.of(
             UpdateOp.add_node("pad-1", "shop"),
-            UpdateOp.remove_edge("c2", "m1", "visit"),
+            UpdateOp.remove_edge("m2", "k2", "in"),
             UpdateOp.add_edge("pad-1", "m1", "visit"),
         ),
         UpdateBatch.of(
-            UpdateOp.add_edge("c2", "m1", "visit"),
+            UpdateOp.add_edge("m2", "k2", "in"),
             UpdateOp.relabel_node("pad-1", "shop"),
         ),
     ]
@@ -206,35 +200,34 @@ def _shim_workload():
 
 def test_oracle_catches_buggy_matcher_and_distills_it():
     graph, rules, batches = _shim_workload()
-    buggy = DifferentialOracle(
-        rules, num_workers=1, view_matcher_factory=StaleRepairMatcher
-    )
-    divergence = buggy.check(graph, batches)
-    assert divergence is not None, "the harness must catch the stale shim"
-    assert divergence.component == "matchview"
+    oracle = DifferentialOracle(rules, num_workers=1)
+    with pytest.MonkeyPatch.context() as patch:
+        _stale_witnesses(patch)
+        divergence = oracle.check(graph, batches)
+        assert divergence is not None, "the harness must catch the stale witness"
+        # The identifier check ran first and passed: the fingerprint held.
+        assert divergence.component == "matches"
+        assert (divergence.expected, divergence.actual) == (("c1",), ("c1", "c2"))
 
-    distilled = distill(graph, batches, buggy.checker_for(divergence), radius=1)
-    # The essence is remove + re-add of one maintained edge: <= 3 ops
-    # across <= 2 batches, on a graph peeled to the touched ball.
-    assert distilled.num_ops <= 3
-    assert len(distilled.batches) <= 2
-    assert distilled.graph.num_nodes <= graph.num_nodes
-    assert distilled.divergence.component == "matchview"
+        distilled = distill(graph, batches, oracle.checker_for(divergence), radius=1)
+        # The essence is the removal of one witness edge: <= 3 ops across
+        # <= 2 batches, on a graph peeled to the touched ball.
+        assert distilled.num_ops <= 3
+        assert len(distilled.batches) <= 2
+        assert distilled.graph.num_nodes <= graph.num_nodes
+        assert distilled.divergence.component == "matches"
 
-    case = from_distilled(
-        "stale-shim",
-        "synthetic: stale repair matcher misses restored matches",
-        distilled,
-        rules,
-        config={"num_workers": 1, "backend": "sequential"},
-    )
-    document = case_to_dict(case)
-    loaded = case_from_dict(document)
-    # Replayed against the shim: still fails.  Against the real code: clean.
-    shim_oracle = DifferentialOracle(
-        loaded.rules, num_workers=1, view_matcher_factory=StaleRepairMatcher
-    )
-    assert shim_oracle.check(loaded.graph, list(loaded.batches)) is not None
+        case = from_distilled(
+            "stale-witness",
+            "synthetic: a kept witness trusted without re-checking it",
+            distilled,
+            rules,
+            config={"num_workers": 1, "backend": "sequential"},
+        )
+        loaded = case_from_dict(case_to_dict(case))
+        # Replayed against the shim: still fails.
+        assert loaded.replay() is not None
+    # Against the real code: clean.
     assert loaded.replay() is None
 
 
@@ -251,7 +244,7 @@ def test_case_json_roundtrip(tmp_path):
         batches=tuple(batches),
         config={"num_workers": 1, "backend": "sequential"},
         signature=minhash_signature(batches),
-        divergence={"component": "matchview", "batch_index": 1},
+        divergence={"component": "matches", "batch_index": 0},
     )
     from repro.testing.cases import load_case, write_case
 

@@ -116,7 +116,10 @@ DOCTORED = {
     ],
     "stream": [
         ("empty answer", lambda rows: _doctor(rows, _mode("repair"), identified=0), "vacuous"),
-        ("repair != recompute", lambda rows: _doctor(rows, _mode("repair"), fingerprint="x"), "diverged"),
+        # Each session is held equal to a recompute in-run; across backends
+        # the rows must then agree.
+        ("repair != recompute",
+         lambda rows: [*rows, replace(rows[0], backend="processes", fingerprint="x")], "diverged"),
         ("slow sequential repair",
          lambda rows: _doctor(rows, _session_repair, witness_hits=30, matches_found=10),
          "sequential match ticks searched 10 positive pairs against 30"),
@@ -125,9 +128,6 @@ DOCTORED = {
         ("sequential repair re-decides everything",
          lambda rows: _doctor(rows, _session_repair, rechecked=10**6),
          "sequential match repair re-decided 1000000 centres"),
-        ("match-view repair re-decides everything",
-         lambda rows: _doctor(rows, _mode("repair"), rechecked=10**6),
-         "in-process vf2 repair re-decided 1000000 centres"),
     ],
     "churn": [
         ("empty answer", lambda rows: _doctor(rows, _last(rows), identified=0), "vacuous"),
@@ -161,6 +161,9 @@ DOCTORED = {
         ("unchanging answer",
          lambda rows: [replace(row, columns={**row.columns, "answers": 1}) for row in rows],
          "no storm family changed the identified set"),
+        ("unchanging match sets",
+         lambda rows: [replace(row, columns={**row.columns, "match_answers": 1}) for row in rows],
+         "no storm family changed the served antecedent match sets"),
     ],
     "obs": [
         ("empty answer", lambda rows: _doctor(rows, _anywhere, identified=0), "vacuous"),
@@ -195,16 +198,11 @@ def test_checks_fail_on_doctored_rows(family, doctor, message, family_runs):
 
 def test_stream_gate_holds_on_the_counter(family_runs):
     rows, _out = family_runs("stream")
-    repairs = {row["algorithm"]: row for row in rows if row.mode == "repair"}
-    rematches = {row["algorithm"]: row for row in rows if row.mode == "recompute"}
-    for kind in ("vf2", "guided"):
-        assert 0 < repairs[kind]["rechecked"] < rematches[kind]["rechecked"]
-    session = repairs["match"]
+    session = next(row for row in rows if _session_repair(row))
     assert 0 < session["rechecked"] < session["centres"] * session["batches"]
     assert session["witness_hits"] >= 4 * session["matches_found"] and session["witness_hits"] > 0
-    # No wall clock is left in the gate: a repair slower than recompute stays green.
-    slow = _doctor(rows, _session_repair, repair_speedup=0.5)
-    check_rows(SCENARIOS["stream"], slow, WORKERS)
+    # No wall clock is left in the gate: an arbitrarily slow session stays green.
+    check_rows(SCENARIOS["stream"], [replace(row, wall_time=1e6) for row in rows], WORKERS)
 
 
 def test_stream_gate_ignores_pool_backends(family_runs):
@@ -213,6 +211,18 @@ def test_stream_gate_ignores_pool_backends(family_runs):
     searched = _doctor(pooled, lambda row: row.mode == "repair" and row.backend == "threads",
                        witness_hits=0, matches_found=10**3)
     check_rows(SCENARIOS["stream"], searched, WORKERS)  # no SystemExit
+
+
+def test_tenant_gate_reads_no_wall_clock(family_runs):
+    rows, _out = family_runs("tenant")
+    slow = [replace(row, wall_time=1e6) if row.mode in ("admit", "steady") else row for row in rows]
+    check_rows(SCENARIOS["tenant"], slow, WORKERS)  # no SystemExit
+
+
+def test_storm_oracle_compared_changing_match_sets(family_runs):
+    rows, _out = family_runs("storm")
+    assert max(row["match_answers"] for row in rows) >= 2
+    assert all(row["matched"] > 0 for row in rows)
 
 
 def test_measured_obs_delta_is_reported_but_not_gated(family_runs):

@@ -2,9 +2,9 @@
 
 Covers the update-ingestion layer (``Graph.batch_update`` single-tick
 semantics, net-delta recording, the one-tick ``remove_node`` fix), the
-delta-maintenance layer (``ColumnarFragment.apply_delta`` /
-``MatchStore.repair``), the resident structure's refusal to refresh under an
-open batch, and the :class:`~repro.stream.StreamingIdentifier` lifecycle.  The seeded
+delta-maintenance layer (``ColumnarFragment.apply_delta``), the resident
+structure's refusal to refresh under an open batch, and the
+:class:`~repro.stream.StreamingIdentifier` lifecycle.  The seeded
 equivalence sweeps live in ``tests/test_stream_equivalence.py``.
 """
 
@@ -18,9 +18,7 @@ from repro.graph import ColumnarFragment, Graph, registered_columnar
 from repro.identification import identify_entities
 from repro.identification.eip import EIPConfig
 from repro.graph.graph import GraphDelta
-from repro.matching import DeltaMatcher, MatchStore, VF2Matcher
 from repro.stream import (
-    MaintainedMatchView,
     StreamingIdentifier,
     UpdateBatch,
     UpdateOp,
@@ -263,71 +261,6 @@ class TestIndexUnderBatches:
         assert not index.is_stale
 
 
-class TestMatchStoreRepair:
-    def _materialized(self, seed=1):
-        graph = synthetic_graph(80, 240, num_node_labels=4, num_edge_labels=3, seed=seed)
-        predicate = most_frequent_predicates(graph, top=1)[0]
-        rule = generate_gpars(graph, predicate, count=1, max_pattern_edges=2, seed=seed)[0]
-        matcher = VF2Matcher()
-        store = MatchStore(graph)
-        delta_matcher = DeltaMatcher(graph, matcher, store)
-        pattern = rule.pr_pattern()
-        candidates = sorted(graph.nodes_with_label(pattern.label(pattern.x)), key=str)
-        matches, entry = delta_matcher.materialize(pattern, candidates)
-        return graph, matcher, store, pattern, matches, entry
-
-    def test_far_away_update_keeps_everything(self):
-        graph, matcher, store, pattern, matches, entry = self._materialized()
-        graph.add_node("far-away-island", "somewhere")
-        kept = store.repair(matcher)
-        assert kept == 1
-        repaired = store.get(pattern)
-        assert repaired is entry
-        assert repaired.matches == frozenset(matches)
-        assert store.statistics.repair_rechecks == 0
-        assert store.statistics.repaired_entries == 1
-
-    def test_repair_requires_closed_batch(self):
-        graph, matcher, store, pattern, _matches, _entry = self._materialized()
-        with pytest.raises(GraphError):
-            with graph.batch_update() as tx:
-                tx.add_node("x1", "somewhere")
-                store.repair(matcher)
-
-    def test_outrun_log_drops_entry(self):
-        graph, matcher, store, pattern, _matches, _entry = self._materialized()
-        from repro.graph.graph import DELTA_LOG_SIZE
-
-        for serial in range(DELTA_LOG_SIZE + 1):
-            graph.add_node(f"spam-{serial}", "somewhere")
-        kept = store.repair(matcher)
-        assert kept == 0
-        assert store.statistics.dropped_on_repair == 1
-        assert store.get(pattern) is None
-
-    def test_non_ball_local_pattern_drops_on_repair(self):
-        from repro.pattern.pattern import Pattern
-
-        graph = synthetic_graph(40, 120, num_node_labels=3, num_edge_labels=2, seed=3)
-        labels = sorted(graph.node_labels())
-        disconnected = Pattern(
-            nodes={"x": labels[0], "y": labels[1], "v1": labels[1]},
-            edges=[("x", "v1", "e0")],
-            x="x",
-            y="y",  # y is free: matched against the whole label index
-        )
-        matcher = VF2Matcher()
-        store = MatchStore(graph)
-        delta_matcher = DeltaMatcher(graph, matcher, store)
-        _, entry = delta_matcher.materialize(
-            disconnected, sorted(graph.nodes_with_label(labels[0]), key=str)
-        )
-        assert entry is not None and entry.repair_radius is None
-        graph.add_node("new-node", labels[1])
-        assert store.repair(matcher) == 0
-        assert store.get(disconnected) is None
-
-
 class TestStreamingIdentifierLifecycle:
     def _workload(self, seed=0):
         graph = synthetic_graph(100, 300, num_node_labels=5, num_edge_labels=3, seed=seed)
@@ -450,16 +383,3 @@ class TestStreamingIdentifierLifecycle:
             assert identifier.batches_applied == 200
         batch = identify_entities(graph, rules, eta=0.5, num_workers=2)
         assert len(batch.timings.rounds) == 1  # a batch result keeps its full per-round list
-
-    def test_maintained_view_rejects_unknown_pattern(self):
-        graph, rules = self._workload()
-        view = MaintainedMatchView(graph, [rules[0].pr_pattern()], VF2Matcher())
-        with pytest.raises(StreamError):
-            view.match_set(rules[1].pr_pattern())
-
-    def test_maintained_view_rejects_non_enumerating_matcher(self):
-        from repro.matching import SimulationMatcher
-
-        graph, rules = self._workload()
-        with pytest.raises(StreamError):
-            MaintainedMatchView(graph, [rules[0].pr_pattern()], SimulationMatcher())

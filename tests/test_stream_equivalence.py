@@ -7,14 +7,14 @@ The acceptance gate of the streaming subsystem: across 50 seeded
   **byte-identical** to a freshly built one — layer contents and sketches —
   and VF2 / guided / dual-simulation matchers probing it produce the same
   match sets either way;
-* :meth:`MatchStore.repair` leaves exactly the entries a fresh
-  materialization on the mutated graph would produce;
 * a :class:`~repro.stream.StreamingIdentifier` maintained across batches
   reports identifications and confidences byte-identical to
   ``identify_entities`` re-run from scratch on the mutated graph — across
-  the sequential/threads/processes backends and both Match and Matchc;
-* DMine runs against the repaired resident state mine byte-identical rules
-  to runs on a pristine copy of the same mutated graph, on every backend.
+  the sequential/threads/processes backends and both Match and Matchc —
+  and serves per-rule antecedent match sets equal to the naive reference's;
+* DMine runs against the delta-patched resident state mine byte-identical
+  rules to runs on a pristine copy of the same mutated graph, on every
+  backend.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ from repro.matching import (
 )
 from repro.mining import DMineConfig, dmine
 from repro.parallel.executor import BACKENDS
-from repro.stream import MaintainedMatchView, StreamingIdentifier, random_update_batch
-from repro.testing import ReferenceMatcher, reference_identify
+from repro.stream import StreamingIdentifier, random_update_batch
+from repro.testing import ReferenceMatcher, reference_identify, served_antecedent_sets
 
 SEEDS = range(50)
 
@@ -129,64 +129,6 @@ def test_matchers_agree_on_patched_index(seed, kind):
             assert patched == fresh, (seed, kind, pattern)
 
 
-@pytest.mark.parametrize("kind", ["vf2", "guided"])
-@pytest.mark.parametrize("seed", SEEDS)
-def test_repaired_store_equals_fresh_materialization(seed, kind):
-    """Repaired entries == materializing from scratch on the mutated graph."""
-    graph = _workload_graph(seed)
-    predicate = most_frequent_predicates(graph, top=1)[0]
-    rules = generate_gpars(graph, predicate, count=2, max_pattern_edges=3, d=2, seed=seed)
-    matcher = _matcher(kind)
-    store = MatchStore(graph)
-    delta_matcher = DeltaMatcher(graph, matcher, store)
-    patterns = [rule.pr_pattern() for rule in rules]
-    for pattern in patterns:
-        candidates = sorted(graph.nodes_with_label(pattern.label(pattern.x)), key=str)
-        delta_matcher.materialize(pattern, candidates)
-    _apply_batches(graph, seed, count=2)
-    store.repair(matcher)
-    oracle = _matcher(kind)
-    for pattern in patterns:
-        entry = store.get(pattern)
-        if entry is None:
-            continue  # dropped as unrepairable: the exact-fallback path
-        candidates = sorted(graph.nodes_with_label(pattern.label(pattern.x)), key=str)
-        expected = oracle.match_set(graph, pattern, candidates=candidates)
-        assert entry.matches & set(candidates) == expected, (seed, kind)
-        # Complete streams must hold exactly the fresh enumeration.
-        for center in sorted(entry.matches, key=str)[:4]:
-            stream = entry.streams.get(center)
-            if stream is None:
-                continue
-            while stream.ensure(len(stream.pulled) + 1):
-                pass
-            if stream.complete:
-                fresh = {
-                    tuple(mapping[node] for node in entry.node_order)
-                    for mapping in oracle.iter_matches_at(graph, pattern, center)
-                }
-                assert set(stream.pulled) == fresh, (seed, kind, center)
-
-
-@pytest.mark.parametrize("kind", ["vf2", "guided"])
-@pytest.mark.parametrize("seed", range(0, 50, 5))
-def test_maintained_view_equals_rematching(seed, kind):
-    """MaintainedMatchView across batches == fresh match_set per batch."""
-    graph = _workload_graph(seed)
-    predicate = most_frequent_predicates(graph, top=1)[0]
-    rules = generate_gpars(graph, predicate, count=3, max_pattern_edges=3, d=2, seed=seed)
-    patterns = [rule.pr_pattern() for rule in rules]  # PR is always connected
-    view = MaintainedMatchView(graph, patterns, _matcher(kind))
-    for position in range(3):
-        batch = random_update_batch(graph, size=6, seed=seed * 31 + position)
-        view.apply(batch)
-        oracle = _matcher(kind)
-        for pattern in patterns:
-            assert view.match_set(pattern) == frozenset(
-                oracle.match_set(graph, pattern)
-            ), (seed, kind, position)
-
-
 def _eip_fingerprint(result):
     return (
         tuple(sorted(map(str, result.identified))),
@@ -205,9 +147,25 @@ def _eip_fingerprint(result):
     )
 
 
+def _served_matches_check(identifier, rules):
+    """Served antecedent match sets == whole-graph reference matching.
+
+    The reference matches each rule's *full* antecedent (free parts
+    included) against the whole graph — for a census-split rule, the
+    semantics the census decomposition claims to reproduce, injectivity
+    coupling and all.
+    """
+    graph = identifier.graph
+    oracle = ReferenceMatcher()
+    served = served_antecedent_sets(identifier)
+    for rule in rules:
+        assert served[rule] == oracle.match_set(graph, rule.antecedent), rule.name
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_streaming_identifier_equals_recompute(seed):
-    """Maintained EIP answer == from-scratch run, after every batch."""
+    """Maintained EIP answer == from-scratch run, and every served antecedent
+    match set == the reference's, after every batch."""
     graph = _workload_graph(seed)
     predicate = most_frequent_predicates(graph, top=1)[0]
     rules = generate_gpars(graph, predicate, count=3, max_pattern_edges=3, d=2, seed=seed)
@@ -217,12 +175,14 @@ def test_streaming_identifier_equals_recompute(seed):
         assert _eip_fingerprint(identifier.result) == _eip_fingerprint(
             identifier.recompute()
         )
+        _served_matches_check(identifier, rules)
         for position in range(2):
             batch = random_update_batch(graph, size=7, seed=seed * 100 + position)
             identifier.apply(batch)
             assert _eip_fingerprint(identifier.result) == _eip_fingerprint(
                 identifier.recompute()
             ), (seed, position)
+            _served_matches_check(identifier, rules)
 
 
 @pytest.mark.parametrize("against_reference", [True, False])
@@ -282,42 +242,6 @@ def _dmine_fingerprint(result):
 # ----------------------------------------------------------------------
 # free-y (census-maintained) rules: whole-graph matching semantics
 # ----------------------------------------------------------------------
-def _served_antecedent_centers(identifier, rule):
-    """Centres where *rule*'s antecedent matches, as the served answer has it.
-
-    The stored reports hold x-part verdicts; ``apply_census`` — the step
-    ``_assemble`` runs on every read of ``identifier.result`` — rewrites
-    them to whole-graph verdicts.
-    """
-    from repro.identification.census import apply_census
-
-    reports = apply_census(
-        identifier.graph,
-        identifier.rules,
-        list(identifier._reports.values()),
-        identifier._census_plan,
-    )
-    return set().union(*(report.antecedent_sets.get(rule, set()) for report in reports))
-
-
-def _census_oracle_check(identifier, rules):
-    """Served antecedent verdicts == whole-graph reference matching.
-
-    The oracle matches each rule's *full* antecedent (free y included)
-    against the whole graph — the semantics the census decomposition claims
-    to reproduce, injectivity coupling and all.
-    """
-    graph = identifier.graph
-    oracle = ReferenceMatcher()
-    for rule in rules:
-        expected = {
-            center
-            for center in graph.nodes_with_label(rule.x_label)
-            if oracle.exists_match_at(graph, rule.antecedent, center)
-        }
-        assert _served_antecedent_centers(identifier, rule) == expected, rule.name
-
-
 def _free_y_rules(graph, predicate, count=3):
     """Mine Σ with DMine and keep the free-y rules (the ROADMAP's shape)."""
     from repro.exceptions import PatternError
@@ -356,11 +280,11 @@ def test_census_maintained_free_y_rules_equal_whole_graph_matching(seed):
         graph, rules, config=EIPConfig(eta=0.5, num_workers=2 + seed % 3, seed=0)
     ) as identifier:
         assert identifier._census_parts, "mined free-y rules must census-split"
-        _census_oracle_check(identifier, rules)
+        _served_matches_check(identifier, rules)
         for position in range(3):
             batch = random_update_batch(graph, size=7, seed=seed * 100 + position)
             identifier.apply(batch)
-            _census_oracle_check(identifier, rules)
+            _served_matches_check(identifier, rules)
 
 
 def test_census_injectivity_couples_free_and_anchored_labels():
@@ -388,16 +312,16 @@ def test_census_injectivity_couples_free_and_anchored_labels():
         # One cust total: the x-part matches at c1, but the isolated free y
         # (also cust-labelled) has no injective completion.
         assert not oracle.exists_match_at(graph, antecedent, "c1")
-        assert _served_antecedent_centers(identifier, rule) == set()
-        _census_oracle_check(identifier, [rule])
+        assert served_antecedent_sets(identifier)[rule] == set()
+        _served_matches_check(identifier, [rule])
         identifier.apply(UpdateBatch.of(UpdateOp.add_node("c2", "cust")))
         assert oracle.exists_match_at(graph, antecedent, "c1")
-        assert _served_antecedent_centers(identifier, rule) == {"c1"}
-        _census_oracle_check(identifier, [rule])
+        assert served_antecedent_sets(identifier)[rule] == {"c1"}
+        _served_matches_check(identifier, [rule])
         # ...and dropping the second cust flips it back.
         identifier.apply(UpdateBatch.of(UpdateOp.remove_node("c2")))
-        assert _served_antecedent_centers(identifier, rule) == set()
-        _census_oracle_check(identifier, [rule])
+        assert served_antecedent_sets(identifier)[rule] == set()
+        _served_matches_check(identifier, [rule])
 
 
 def test_census_rule_with_extra_isolated_free_node():
@@ -431,20 +355,20 @@ def test_census_rule_with_extra_isolated_free_node():
         )
         assert oracle.exists_match_at(graph, antecedent, "c1")
         assert oracle.exists_match_at(graph, rule.pr_pattern(), "c1")
-        _census_oracle_check(identifier, [rule])
+        _served_matches_check(identifier, [rule])
         assert identifier.result.rule_matches[rule] == frozenset({"c1"})
         # Removing the only promo node starves both censuses: the rule
         # matches nowhere, exactly as whole-graph matching says.
         identifier.apply(UpdateBatch.of(UpdateOp.remove_node("p1")))
         assert not oracle.exists_match_at(graph, antecedent, "c1")
         assert not oracle.exists_match_at(graph, rule.pr_pattern(), "c1")
-        assert _served_antecedent_centers(identifier, rule) == set()
+        assert served_antecedent_sets(identifier)[rule] == set()
         assert identifier.result.rule_matches[rule] == frozenset()
-        _census_oracle_check(identifier, [rule])
+        _served_matches_check(identifier, [rule])
         # ...and a new promo node restores it without any recheck nearby.
         identifier.apply(UpdateBatch.of(UpdateOp.add_node("p2", "promo")))
         assert identifier.result.rule_matches[rule] == frozenset({"c1"})
-        _census_oracle_check(identifier, [rule])
+        _served_matches_check(identifier, [rule])
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -464,7 +388,7 @@ def test_census_rules_agree_across_backends(backend):
     ) as identifier:
         for position in range(2):
             identifier.apply(random_update_batch(graph, size=7, seed=600 + position))
-        _census_oracle_check(identifier, rules)
+        _served_matches_check(identifier, rules)
 
 
 def test_static_and_streaming_agree_on_free_pattern_rules():
@@ -568,11 +492,11 @@ def test_static_and_streaming_agree_on_mined_free_y_workload(algorithm):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_dmine_on_repaired_state_equals_pristine(backend):
-    """Mining after streaming repairs == mining a pristine mutated copy.
+    """Mining after streaming updates == mining a pristine mutated copy.
 
     The mutated graph object carries a delta-patched resident index and a
-    repaired match-store history; a fresh copy of the same graph carries
-    neither.  DMine must mine byte-identical rules from both.
+    match store materialized before the updates; a fresh copy of the same
+    graph carries neither.  DMine must mine byte-identical rules from both.
     """
     graph = synthetic_graph(150, 450, num_node_labels=6, num_edge_labels=4, seed=4)
     predicate = most_frequent_predicates(graph, top=1)[0]
@@ -587,7 +511,6 @@ def test_dmine_on_repaired_state_equals_pristine(backend):
         )
     _apply_batches(graph, seed=5, count=2)
     columnar_view(graph).refresh()  # delta path
-    store.repair(VF2Matcher())
     config = DMineConfig(
         k=3,
         d=2,

@@ -7,7 +7,8 @@ different amounts of work.
 """
 
 from repro.datasets import generate_gpars, googleplus_like, most_frequent_predicates
-from repro.identification import identify_entities, identify_sequential
+from repro.identification import identify_entities
+from repro.testing import identify_sequential
 
 
 def main() -> None:

@@ -7,8 +7,9 @@ EIP interface to produce the suspect list.
 """
 
 from repro.datasets import graph_g2, rule_r4
-from repro.identification import identify_entities, identify_sequential
+from repro.identification import identify_entities
 from repro.metrics import evaluate_rule
+from repro.testing import identify_sequential
 
 
 def main() -> None:

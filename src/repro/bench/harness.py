@@ -33,7 +33,7 @@ from repro.bench.reporting import wall_speedups
 from repro.graph.columnar import columnar_view, discard_columnar
 from repro.graph.graph import Graph
 from repro.identification import EIPConfig, identify_entities
-from repro.matching import GuidedMatcher, SimulationMatcher, VF2Matcher
+from repro.matching import GuidedMatcher, VF2Matcher
 from repro.mining import DMine, DMineConfig
 from repro.obs import Tracer, install, registry, span, uninstall
 from repro.obs.stats import disable_collection, enable_collection, reset_collection
@@ -143,10 +143,9 @@ def run_dmine_config(
     confidence): equal fingerprints mean *the same rules*, not the same count.
     """
     config = DMineConfig(
-        num_workers=workers, sigma=sigma, backend=backend, **{**MINING_DEFAULTS, **overrides}
+        num_workers=workers, sigma=sigma, optimized=optimized, backend=backend,
+        **{**MINING_DEFAULTS, **overrides},
     )
-    if not optimized:
-        config = config.without_optimizations()
     result = DMine(config).mine(graph, predicate)
     return Row(
         dataset,
@@ -254,7 +253,7 @@ def run_eip_backends(
     )
 
 
-_MATCHER_KINDS = {"vf2": VF2Matcher, "guided": GuidedMatcher, "simulation": SimulationMatcher}
+_MATCHER_KINDS = {"vf2": VF2Matcher, "guided": GuidedMatcher}
 
 
 def _match_sets(matcher_sets, patterns: Sequence[Pattern]) -> tuple[int, list[str]]:

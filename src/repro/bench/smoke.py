@@ -11,8 +11,8 @@ it takes, a backend policy, the titled sections its rows print under, its
 gates and a one-line summary.  :func:`run_family` is the only loop:
 
 1. build the workload and run it on the backends the policy selects
-   (``pair``: sequential + ``--backend``, default ``processes``; ``all``:
-   every backend, or sequential + ``--backend``; ``sequential``: just that);
+   (``pair``: sequential + ``--backend``, default ``processes``;
+   ``sequential``: just that);
 2. write ``BENCH_<family>.json`` **before** any gate, so a failing run
    leaves its numbers behind — CI uploads the files as the perf trajectory;
 3. print the summary and each section's table (every column a row reports);
@@ -122,8 +122,8 @@ def _stream_gate(rows: Sequence[Row], workers: int) -> None:
     wall clock is gated).  The sequential maintained-session row: its ticks
     re-decided fewer centres than re-verifying all of them after every batch
     would, and answered positive pairs from kept witnesses at least four
-    times as often as by searching.  Thread/process rows are skipped: which
-    pool process holds which fragment's witnesses legitimately varies run to
+    times as often as by searching.  Process rows are skipped: which pool
+    process holds which fragment's witnesses legitimately varies run to
     run."""
     for row in rows:
         if row.backend != "sequential":
@@ -273,7 +273,7 @@ class Scenario:
     workload: Callable[[int], tuple]  #: scale → the runner's positional inputs
     scale: int
     runner: Callable[..., list[Row]]
-    backends: str  #: "pair" | "all" | "sequential"
+    backends: str  #: "pair" | "sequential"
     sections: tuple[Section, ...]
     params: Mapping[str, object] = field(default_factory=dict)
     gates: tuple[Callable[[Sequence[Row], int], None], ...] = ()
@@ -299,7 +299,7 @@ SCENARIOS: dict[str, Scenario] = {
     "stream": Scenario(
         "repair does less than recompute and equals it after every batch, on every backend",
         "synthetic-dense", _solo_workload, STREAM_SCALE,
-        run_stream, "all",
+        run_stream, "pair",
         (Section("streaming EIP: a maintained session per backend, = recompute per batch"),),
         {"num_batches": 3, "batch_size": 8}, (_stream_gate,),
     ),
@@ -313,7 +313,7 @@ SCENARIOS: dict[str, Scenario] = {
     "lifecycle": Scenario(
         "checkpoint -> restart -> byte-identical answers, solo and two-tenant",
         "synthetic-dense", _solo_workload, STREAM_SCALE,
-        run_lifecycle, "all",
+        run_lifecycle, "pair",
         (
             Section("solo core per backend", lambda row: "[" not in row.mode),
             Section("two-tenant core", lambda row: "[" in row.mode),
@@ -323,7 +323,7 @@ SCENARIOS: dict[str, Scenario] = {
     "tenant": Scenario(
         "the k-th overlapping rule set rides the shared core; every projection = its own run",
         "synthetic-dense", dense_eip_workload, STREAM_SCALE,
-        run_tenant, "all",
+        run_tenant, "pair",
         (
             Section("admissions, one tenant at a time", _mode("admit"), agree=False),
             Section("steady state vs the single-tenant baseline", _mode("single", "steady")),
@@ -336,7 +336,7 @@ SCENARIOS: dict[str, Scenario] = {
     "storm": Scenario(
         "every adversarial churn generator x backend leaves the differential oracle silent",
         "synthetic-dense", storm_workload, SMOKE_SCALE,
-        run_storm, "all",
+        run_storm, "pair",
         (Section("adversarial churn x differential oracle"),),
         {"num_batches": 4, "batch_size": 12}, (_storm_gate,),
     ),
@@ -360,9 +360,7 @@ SCENARIOS: dict[str, Scenario] = {
 def _select_backends(policy: str, backend: str | None) -> tuple[str, ...]:
     if policy == "sequential":
         return ("sequential",)
-    if backend is None:
-        return BACKENDS if policy == "all" else ("sequential", "processes")
-    return tuple(dict.fromkeys(("sequential", backend)))
+    return tuple(dict.fromkeys(("sequential", backend or "processes")))
 
 
 def check_rows(scenario: Scenario, rows: Sequence[Row], workers: int) -> None:
@@ -432,8 +430,7 @@ def main(argv: list[str] | None = None) -> int:
         "--backend",
         choices=list(BACKENDS),
         default=None,
-        help="backend to compare against sequential (default: processes for dmine/match, "
-        "every backend for the families that cross-check them all)",
+        help="backend to compare against sequential (default: processes)",
     )
     parser.add_argument("--workers", type=int, default=2, help="fragments / BSP workers")
     parser.add_argument(

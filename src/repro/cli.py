@@ -441,7 +441,7 @@ def _add_backend_arguments(subparser: argparse.ArgumentParser) -> None:
         type=int,
         default=None,
         dest="pool_size",
-        help="thread/process pool size (default: min(workers, cpu count))",
+        help="process pool size (default: min(workers, cpu count))",
     )
     subparser.add_argument(
         "--trace-out",

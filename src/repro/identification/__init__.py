@@ -19,8 +19,9 @@ Algorithms
     The ``disVF2`` baseline: per rule, enumerate *all* matches of PR and of
     Qq̄ in each fragment with an unfiltered VF2 — the cost the paper's
     optimisations avoid.
-:func:`identify_sequential`
-    Single-machine reference implementation used as the test oracle.
+
+The single-machine reference the algorithms are held to is
+:func:`repro.testing.identify_sequential`.
 """
 
 from repro.identification.eip import (
@@ -33,7 +34,6 @@ from repro.identification.eip import (
 from repro.identification.matchc import MatchC
 from repro.identification.match import Match
 from repro.identification.disvf2 import DisVF2
-from repro.identification.sequential import identify_sequential
 
 __all__ = [
     "AnswerEntry",
@@ -44,5 +44,4 @@ __all__ = [
     "MatchC",
     "Match",
     "DisVF2",
-    "identify_sequential",
 ]

@@ -12,7 +12,7 @@ from typing import Hashable, Sequence
 
 from repro.exceptions import IdentificationError
 from repro.graph.graph import Graph
-from repro.parallel.executor import BACKENDS
+from repro.parallel.executor import BACKENDS, valid_pool_size
 from repro.parallel.runtime import RunTimings
 from repro.pattern.gpar import GPAR
 
@@ -33,12 +33,12 @@ class EIPConfig:
     seed:
         Partitioning tie-break seed.
     backend:
-        Execution backend: ``"sequential"`` (default), ``"threads"`` or
-        ``"processes"`` (real multi-core parallelism).  All backends
-        produce identical matches.
+        Execution backend: ``"sequential"`` (default) or ``"processes"``
+        (real multi-core parallelism).  Both backends produce identical
+        matches.
     executor_workers:
-        Pool size for the thread/process backends; ``None`` sizes the pool
-        to ``min(num_workers, cpu_count)``.
+        Pool size (an ``int``) for the process backend; ``None`` sizes the
+        pool to ``min(num_workers, cpu_count)``.
     """
 
     eta: float = 1.0
@@ -56,9 +56,9 @@ class EIPConfig:
             raise IdentificationError(
                 f"backend must be one of {BACKENDS}, got {self.backend!r}"
             )
-        if self.executor_workers is not None and self.executor_workers < 1:
+        if not valid_pool_size(self.executor_workers):
             raise IdentificationError(
-                f"executor_workers must be >= 1, got {self.executor_workers}"
+                f"executor_workers must be an int >= 1, got {self.executor_workers!r}"
             )
 
 

@@ -25,6 +25,9 @@ state is never compiled or cached).  The answers are identical;
 
 Matchers
 --------
+Every matcher answers the paper's semantics: non-induced subgraph
+isomorphism.
+
 :class:`VF2Matcher`
     Plain backtracking subgraph isomorphism with candidate filtering, in the
     spirit of VF2 [Cordella et al. 2004].
@@ -73,11 +76,6 @@ from repro.matching.vf2 import VF2Matcher
 from repro.matching.guided import GuidedMatcher
 from repro.matching.locality import LocalityMatcher
 from repro.matching.multi import MultiPatternMatcher
-from repro.matching.simulation import (
-    SimulationMatcher,
-    maximum_dual_simulation,
-    simulation_match_set,
-)
 
 __all__ = [
     "Matcher",
@@ -86,7 +84,6 @@ __all__ = [
     "GuidedMatcher",
     "LocalityMatcher",
     "MultiPatternMatcher",
-    "SimulationMatcher",
     "DeltaEdge",
     "DeltaMatcher",
     "MatchEntry",
@@ -96,8 +93,6 @@ __all__ = [
     "TenantRegistration",
     "rule_key",
     "single_edge_delta",
-    "maximum_dual_simulation",
-    "simulation_match_set",
     "label_candidates",
     "adjacency_profile",
     "columnar_filter_candidates",

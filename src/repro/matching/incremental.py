@@ -43,7 +43,7 @@ back the same way: a rule that arrives without a materialized parent
 (cross-level dedup picked an automorphic sibling, diversification re-seeded
 the beam, a process-pool worker with a cold store), a graph that mutated
 since materialization (checked against ``Graph.version``), or a matcher
-without embedding semantics (dual simulation).
+that does not enumerate embeddings (see :meth:`DeltaMatcher.supports`).
 
 Witness canonicality
 --------------------
@@ -340,10 +340,9 @@ class DeltaMatcher:
         The (fragment) data graph.
     matcher:
         The anchored matcher used for full materialization and for every
-        fallback probe.  Any object with ``match_set``/``exists_match_at``
-        works; embedding materialization additionally needs
-        ``iter_matches_at`` (the exact matchers have it, dual simulation
-        does not — simulation patterns always take the fallback).
+        fallback probe (DMine's is a :class:`~repro.matching.VF2Matcher`);
+        embedding materialization needs one that overrides
+        ``iter_matches_at`` (see :meth:`supports`).
     store:
         The fragment's :class:`MatchStore`.
     """
@@ -366,12 +365,11 @@ class DeltaMatcher:
         ``iter_matches_at`` that yields at most one mapping, which would
         make an exhausted stream look complete after its first embedding —
         only matchers overriding it (VF2, guided) qualify; everything else
-        (dual simulation, locality wrappers) takes the exact fallback.
+        (locality wrappers) takes the exact fallback.
         """
         if pattern.copy_counts():
             return False
-        method = getattr(type(self.matcher), "iter_matches_at", None)
-        return method is not None and method is not Matcher.iter_matches_at
+        return type(self.matcher).iter_matches_at is not Matcher.iter_matches_at
 
     def materialize(
         self,

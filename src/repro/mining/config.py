@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.exceptions import MiningError
-from repro.parallel.executor import BACKENDS
+from repro.parallel.executor import BACKENDS, valid_pool_size
 
 
 @dataclass(frozen=True)
@@ -27,10 +27,8 @@ class DMineConfig:
     max_edges:
         Maximum number of antecedent edges (bounds the levelwise growth; the
         paper bounds growth by radius only, but unbounded edge growth is not
-        meaningful on dense graphs).
-    max_rounds:
-        Number of levelwise rounds; defaults to *max_edges* (one edge is
-        added per round per surviving rule).
+        meaningful on dense graphs).  One edge is added per levelwise round,
+        so this is also the number of rounds.
     max_extensions_per_rule:
         Cap on the number of distinct extensions a worker proposes for one
         rule in one round (most-frequent extensions are kept).
@@ -39,25 +37,20 @@ class DMineConfig:
         next round's message set M (highest optimistic confidence first).
         The paper reports "up to 300 patterns" being verified; this knob
         keeps the levelwise search within the same order of magnitude.
-    matcher:
-        ``"vf2"`` (plain backtracking, the default — DMine's optimisations
-        are orthogonal to the matcher) or ``"guided"`` (sketch-guided
-        search, mainly useful on graphs with very skewed label frequencies).
-    use_incremental_diversification:
-        incDiv on/off — off means "discover then diversify" at the end.
-    use_reduction_rules:
-        The message-reduction rules of Lemma 3 on/off.
-    use_bisimulation_filter:
-        Bisimulation prefilter before exact automorphism checks on/off.
+    optimized:
+        DMine's optimisations: incDiv, the message-reduction rules of Lemma 3
+        and the bisimulation prefilter of Lemma 4 before exact automorphism
+        checks.  ``False`` is the paper's DMineno baseline ("discover then
+        diversify"); see :meth:`without_optimizations`.
     seed:
         Seed for partitioning tie-breaks.
     backend:
-        Execution backend: ``"sequential"`` (default), ``"threads"`` or
-        ``"processes"`` (real multi-core parallelism via a persistent
-        worker pool).  All backends produce identical rule sets.
+        Execution backend: ``"sequential"`` (default) or ``"processes"``
+        (real multi-core parallelism via a persistent worker pool).  Both
+        backends produce identical rule sets.
     executor_workers:
-        Pool size for the thread/process backends; ``None`` sizes the pool
-        to ``min(num_workers, cpu_count)``.
+        Pool size (an ``int``) for the process backend; ``None`` sizes the
+        pool to ``min(num_workers, cpu_count)``.
     """
 
     k: int = 10
@@ -66,13 +59,9 @@ class DMineConfig:
     lam: float = 0.5
     num_workers: int = 4
     max_edges: int = 4
-    max_rounds: int | None = None
     max_extensions_per_rule: int = 30
     max_rules_per_round: int = 60
-    matcher: str = "vf2"
-    use_incremental_diversification: bool = True
-    use_reduction_rules: bool = True
-    use_bisimulation_filter: bool = True
+    optimized: bool = True
     seed: int = 0
     backend: str = "sequential"
     executor_workers: int | None = None
@@ -94,39 +83,15 @@ class DMineConfig:
             raise MiningError(
                 f"max_rules_per_round must be >= 1, got {self.max_rules_per_round}"
             )
-        if self.matcher not in ("guided", "vf2"):
-            raise MiningError(f"matcher must be 'guided' or 'vf2', got {self.matcher!r}")
         if self.backend not in BACKENDS:
             raise MiningError(
                 f"backend must be one of {BACKENDS}, got {self.backend!r}"
             )
-        if self.executor_workers is not None and self.executor_workers < 1:
+        if not valid_pool_size(self.executor_workers):
             raise MiningError(
-                f"executor_workers must be >= 1, got {self.executor_workers}"
+                f"executor_workers must be an int >= 1, got {self.executor_workers!r}"
             )
-
-    @property
-    def rounds(self) -> int:
-        """Number of levelwise rounds to run."""
-        return self.max_rounds if self.max_rounds is not None else self.max_edges
 
     def without_optimizations(self) -> "DMineConfig":
         """The DMineno variant: identical search, all optimisations off."""
-        return DMineConfig(
-            k=self.k,
-            d=self.d,
-            sigma=self.sigma,
-            lam=self.lam,
-            num_workers=self.num_workers,
-            max_edges=self.max_edges,
-            max_rounds=self.max_rounds,
-            max_extensions_per_rule=self.max_extensions_per_rule,
-            max_rules_per_round=self.max_rules_per_round,
-            matcher="vf2",
-            use_incremental_diversification=False,
-            use_reduction_rules=False,
-            use_bisimulation_filter=False,
-            seed=self.seed,
-            backend=self.backend,
-            executor_workers=self.executor_workers,
-        )
+        return replace(self, optimized=False)

@@ -135,7 +135,7 @@ class DMine:
         rounds_executed = 0
 
         try:
-            for _round in range(config.rounds):
+            for _round in range(config.max_edges):
                 if not message_set:
                     break
                 rounds_executed += 1
@@ -223,7 +223,7 @@ class DMine:
                         }
                         sigma.update(delta)
 
-                        if config.use_incremental_diversification:
+                        if config.optimized:
                             diversifier.update(delta, sigma)
                         else:
                             # The "discover then diversify" behaviour of DMineno:
@@ -232,7 +232,7 @@ class DMine:
                             # incrementally.
                             greedy_diversify(sigma, config.k, objective)
 
-                        if config.use_reduction_rules and config.use_incremental_diversification:
+                        if config.optimized:
                             outcome = apply_reduction_rules(
                                 sigma,
                                 delta,
@@ -269,7 +269,7 @@ class DMine:
         finally:
             timings = runtime.finish_run()
 
-        if config.use_incremental_diversification:
+        if config.optimized:
             top_rules = diversifier.top_k()
             objective_value = diversifier.objective_value() if top_rules else 0.0
         else:
@@ -362,9 +362,7 @@ class DMine:
         ]
         if not fresh:
             return []
-        groups = group_automorphic(
-            fresh, use_bisimulation_filter=self.config.use_bisimulation_filter
-        )
+        groups = group_automorphic(fresh, use_bisimulation_filter=self.config.optimized)
         representatives: list[GPAR] = []
         for group in groups:
             representative = group[0]

@@ -22,8 +22,6 @@ from __future__ import annotations
 
 from typing import Hashable, Sequence
 
-from repro.matching.base import Matcher
-from repro.matching.guided import GuidedMatcher
 from repro.matching.incremental import DeltaMatcher, MatchStore, single_edge_delta
 from repro.matching.vf2 import VF2Matcher
 from repro.metrics.lcwa import predicate_stats_over
@@ -43,11 +41,6 @@ from repro.pattern.gpar import GPAR
 from repro.pattern.pattern import Pattern
 
 NodeId = Hashable
-
-
-def make_matcher(kind: str) -> Matcher:
-    """Instantiate the anchored matcher named by a config string."""
-    return GuidedMatcher() if kind == "guided" else VF2Matcher()
 
 
 def seed_rule(predicate: Pattern, name: str = "seed") -> GPAR:
@@ -79,7 +72,7 @@ class LocalMiner:
         self.fragment = fragment
         self.predicate = predicate
         self.config = config
-        self.matcher = make_matcher(config.matcher)
+        self.matcher = VF2Matcher()
         # Fragment-resident match materialization: parent levels' match sets
         # and embeddings live here between rounds so children are matched by
         # delta extension.  Like the fragment's index, the store never
@@ -231,9 +224,7 @@ class LocalMiner:
         # Materialize embeddings only for rules whose children can still be
         # proposed: a rule at the edge budget is never extended, so storing
         # its embeddings would be pure overhead.
-        want_entry = rule.antecedent.num_edges < min(
-            self.config.max_edges, self.config.rounds
-        )
+        want_entry = rule.antecedent.num_edges < self.config.max_edges
         ant_delta = pr_delta = None
         ant_parent = pr_parent = None
         if parent is not None and parent.antecedent.num_edges > 0:

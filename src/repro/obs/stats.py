@@ -12,8 +12,9 @@ environment flag, inherited by pool processes at fork/spawn), every
 statistics instance registers a weak reference at construction; at each
 task boundary :func:`collect_process_metrics` sums the live instances'
 snapshots per kind and returns the **delta since the previous collection**
-(a per-field watermark under one lock, so concurrent thread-backend tasks
-never double-count — every unit of work is counted exactly once
+(a per-field watermark under one lock, so tasks of sessions ticking at once
+on the HTTP service's thread pool never double-count — every unit of work is
+counted exactly once
 process-wide).  The executor ships that delta back with the task result and
 the coordinator folds it into the global registry as
 ``repro_<kind>_<field>_total`` counters via :func:`merge_worker_metrics` —

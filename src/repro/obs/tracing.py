@@ -20,8 +20,9 @@ path: with no tracer installed they cost one thread-local read and a
 disabled (the ``obs`` bench family CI-gates the total overhead).
 :func:`install` activates a tracer process-globally (the coordinator / CLI
 ``--trace-out`` case); :func:`override_tracer` routes one thread's spans
-into a specific tracer (the worker case — safe under the threads backend,
-where concurrent workers must not interleave into one global).
+into a specific tracer (the worker case — safe when the HTTP service ticks
+several sessions at once on its thread pool, whose sequential workers must
+not interleave into one global).
 
 Traces dump as JSON-lines (:meth:`Tracer.dump_jsonl`, one span per line)
 and load with :func:`load_trace`; ``repro trace`` renders the per-phase

@@ -16,7 +16,6 @@ from repro.parallel.executor import (
     Executor,
     ProcessPoolExecutorBackend,
     SequentialExecutor,
-    ThreadPoolExecutorBackend,
     WorkerTask,
     make_executor,
 )
@@ -34,7 +33,6 @@ __all__ = [
     "BACKENDS",
     "Executor",
     "SequentialExecutor",
-    "ThreadPoolExecutorBackend",
     "ProcessPoolExecutorBackend",
     "WorkerTask",
     "WorkerContext",

@@ -9,8 +9,6 @@ resources.  Worker functions take ``(context, payload)`` where the
 
 * :class:`SequentialExecutor` runs tasks one after another while timing
   each, which is all the simulated-parallel-time model needs (default).
-* :class:`ThreadPoolExecutorBackend` gives real concurrency when worker
-  functions release the GIL or do I/O.
 * :class:`ProcessPoolExecutorBackend` gives real multi-core parallelism: a
   persistent ``multiprocessing`` pool whose processes hold the fragments for
   the whole run, so per-round messages stay small.  Worker functions must be
@@ -27,7 +25,7 @@ import os
 import sys
 import time
 from abc import ABC, abstractmethod
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -38,7 +36,18 @@ from repro.parallel.worker import TASK_OK, WorkerContext, init_worker, run_task
 from repro.partition.fragment import Fragment
 
 #: Names accepted by :func:`make_executor` (and the ``--backend`` CLI flag).
-BACKENDS = ("sequential", "threads", "processes")
+BACKENDS = ("sequential", "processes")
+
+
+def valid_pool_size(value: object) -> bool:
+    """Whether *value* is an accepted ``executor_workers``: ``None`` or an int >= 1.
+
+    A ``bool`` is not a pool size, nor is a float (the process pool would
+    only reject it once it starts).
+    """
+    if value is None:
+        return True
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
 
 
 @dataclass(frozen=True)
@@ -46,7 +55,7 @@ class WorkerTask:
     """One unit of round work: apply *fn* to a fragment's context.
 
     ``fn`` must be a module-level callable and ``payload`` picklable for the
-    process backend; the sequential and thread backends accept anything.
+    process backend; the sequential backend accepts anything.
     """
 
     fn: Callable[[WorkerContext, object], object]
@@ -60,26 +69,16 @@ class Executor(ABC):
     ``build_resident`` (default ``True``) makes :meth:`start` compile each
     fragment's resident :class:`repro.graph.columnar.ColumnarFragment` up
     front — in the worker-pool initializer for the process backend,
-    in-process for the sequential/thread backends — so every backend begins
+    in-process for the sequential backend — so every backend begins
     its first round with warm fragments.
     """
 
     name = "abstract"
     build_resident = True
-    # The process backend compiles inside its pool initializer instead of
-    # in the coordinator process (where the fragments are never matched).
-    _warm_in_parent = True
 
+    @abstractmethod
     def start(self, fragments: Sequence[Fragment]) -> None:
         """Receive the run's fragments; called once before the first round."""
-        self._contexts = {
-            fragment.index: WorkerContext(fragment) for fragment in fragments
-        }
-        if self._warm_in_parent and self.build_resident:
-            from repro.graph.columnar import columnar_view
-
-            for fragment in fragments:
-                columnar_view(fragment.graph)
 
     def shutdown(self) -> None:
         """Release pooled resources; called once after the last round."""
@@ -95,7 +94,22 @@ class Executor(ABC):
         when ``REPRO_OBS`` collection is off.
         """
 
-    # -- shared helper for the in-process backends --------------------------
+
+class SequentialExecutor(Executor):
+    """Run tasks one at a time in this process (default backend)."""
+
+    name = "sequential"
+
+    def start(self, fragments: Sequence[Fragment]) -> None:
+        self._contexts = {
+            fragment.index: WorkerContext(fragment) for fragment in fragments
+        }
+        if self.build_resident:
+            from repro.graph.columnar import columnar_view
+
+            for fragment in fragments:
+                columnar_view(fragment.graph)
+
     def _context(self, fragment_id: int) -> WorkerContext:
         try:
             return self._contexts[fragment_id]
@@ -104,23 +118,6 @@ class Executor(ABC):
                 f"unknown fragment id {fragment_id!r}; was start() called with the run's fragments?"
             ) from None
 
-    def _run_in_process(self, task: WorkerTask) -> tuple[object, float, dict | None]:
-        context = self._context(task.fragment_id)
-        started = time.perf_counter()
-        try:
-            result = task.fn(context, task.payload)
-        except Exception as exc:
-            raise WorkerError(task.fragment_id, f"{type(exc).__name__}: {exc}") from exc
-        elapsed = time.perf_counter() - started
-        metrics = collect_process_metrics() if collection_enabled() else None
-        return result, elapsed, metrics
-
-
-class SequentialExecutor(Executor):
-    """Run tasks one at a time (default backend)."""
-
-    name = "sequential"
-
     def run(
         self, tasks: Sequence[WorkerTask]
     ) -> tuple[list[object], list[float], list[dict | None]]:
@@ -128,62 +125,16 @@ class SequentialExecutor(Executor):
         durations: list[float] = []
         metrics: list[dict | None] = []
         for task in tasks:
-            result, elapsed, delta = self._run_in_process(task)
+            context = self._context(task.fragment_id)
+            started = time.perf_counter()
+            try:
+                result = task.fn(context, task.payload)
+            except Exception as exc:
+                raise WorkerError(task.fragment_id, f"{type(exc).__name__}: {exc}") from exc
+            durations.append(time.perf_counter() - started)
             results.append(result)
-            durations.append(elapsed)
-            metrics.append(delta)
+            metrics.append(collect_process_metrics() if collection_enabled() else None)
         return results, durations, metrics
-
-
-class ThreadPoolExecutorBackend(Executor):
-    """Run tasks on a persistent thread pool.
-
-    The pool is created by :meth:`start` and reused across every round of
-    the run (mirroring the process backend, so thread-vs-process wall-clock
-    comparisons pay the same lifecycle costs).  Per-task durations are
-    measured inside each task, so the simulated parallel-time accounting
-    stays meaningful even under real concurrency.  A worker exception is
-    re-raised as :class:`WorkerError` instead of being left behind as a
-    ``None`` result.
-    """
-
-    name = "threads"
-
-    def __init__(self, max_workers: int | None = None) -> None:
-        self.max_workers = max_workers
-        self._pool: ThreadPoolExecutor | None = None
-
-    def start(self, fragments: Sequence[Fragment]) -> None:
-        super().start(fragments)
-        self.shutdown()
-        workers = self.max_workers
-        if workers is None:
-            workers = min(len(fragments) or 1, os.cpu_count() or 1)
-        self._pool = ThreadPoolExecutor(max_workers=max(1, workers))
-
-    def shutdown(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True, cancel_futures=True)
-            self._pool = None
-
-    def run(
-        self, tasks: Sequence[WorkerTask]
-    ) -> tuple[list[object], list[float], list[dict | None]]:
-        if not tasks:
-            return [], [], []
-        # Tolerate direct use without the start()/shutdown() lifecycle.
-        pool = self._pool if self._pool is not None else ThreadPoolExecutor(self.max_workers)
-        try:
-            futures = [pool.submit(self._run_in_process, task) for task in tasks]
-            outcomes = [future.result() for future in futures]
-        finally:
-            if pool is not self._pool:
-                pool.shutdown(wait=True)
-        return (
-            [result for result, _, _ in outcomes],
-            [elapsed for _, elapsed, _ in outcomes],
-            [delta for _, _, delta in outcomes],
-        )
 
 
 def _default_start_method() -> str:
@@ -210,29 +161,24 @@ class ProcessPoolExecutorBackend(Executor):
     Parameters
     ----------
     max_workers:
-        Pool size; defaults to ``min(num_fragments, cpu_count)``.
-    start_method:
-        ``multiprocessing`` start method (``fork``/``spawn``/``forkserver``);
-        defaults to ``fork`` where the platform offers it.
+        Pool size; defaults to ``min(num_fragments, cpu_count)``.  The start
+        method is :func:`_default_start_method`'s.
     """
 
     name = "processes"
-    _warm_in_parent = False
 
-    def __init__(self, max_workers: int | None = None, start_method: str | None = None) -> None:
+    def __init__(self, max_workers: int | None = None) -> None:
         self.max_workers = max_workers
-        self.start_method = start_method
         self._pool = None
 
     def start(self, fragments: Sequence[Fragment]) -> None:
-        super().start(fragments)
         self.shutdown()
         fragment_list = list(fragments)
         processes = self.max_workers
         if processes is None:
             processes = min(len(fragment_list), os.cpu_count() or 1)
         processes = max(1, min(processes, len(fragment_list) or 1))
-        context = multiprocessing.get_context(self.start_method or _default_start_method())
+        context = multiprocessing.get_context(_default_start_method())
         # concurrent.futures rather than multiprocessing.Pool: a worker that
         # dies abruptly (segfault, OOM kill) breaks the pending futures with
         # BrokenProcessPool instead of hanging result retrieval forever.
@@ -293,8 +239,6 @@ def make_executor(
     """
     if backend == "sequential":
         executor: Executor = SequentialExecutor()
-    elif backend == "threads":
-        executor = ThreadPoolExecutorBackend(max_workers=max_workers)
     elif backend == "processes":
         executor = ProcessPoolExecutorBackend(max_workers=max_workers)
     else:

@@ -62,6 +62,10 @@ from repro.graph.neighborhood import Neighborhoods
 from repro.obs.tracing import event as trace_event
 from repro.partition.fragment import Fragment
 
+#: At most this many centres migrate per update batch, so one skewed batch
+#: never triggers a fragment-sized reshuffle.
+REBALANCE_MAX_MOVES = 8
+
 NodeId = Hashable
 
 #: ``WorkerContext.state`` key tracking the newest applied slice sequence.
@@ -666,11 +670,7 @@ class FragmentManager:
         themselves carry measured timings, which only ever steer placement.
         """
         config = self.config
-        if (
-            len(self.fragments) < 2
-            or config.rebalance_max_moves <= 0
-            or config.rebalance_skew >= 1.0
-        ):
+        if len(self.fragments) < 2 or config.rebalance_skew >= 1.0:
             return []
         loads = {
             fragment.index: self.effective_load(fragment.index)
@@ -679,7 +679,7 @@ class FragmentManager:
         ball_size = self._neighborhoods.size
         moves: list[tuple] = []
         moved: set = set()
-        for _ in range(config.rebalance_max_moves):
+        for _ in range(REBALANCE_MAX_MOVES):
             src = max(loads, key=lambda index: (loads[index], index))
             dst = min(loads, key=lambda index: (loads[index], index))
             if src == dst or loads[src] <= 0:

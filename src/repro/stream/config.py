@@ -41,10 +41,6 @@ CHECKPOINT_LOG_FRACTION = 0.5
 #: sizes, the partitioner's own balance measure — exceeds this bound.
 REBALANCE_SKEW = 0.6
 
-#: At most this many centres migrate per update batch, so one skewed batch
-#: never triggers a fragment-sized reshuffle.
-REBALANCE_MAX_MOVES = 8
-
 
 def _env_float(name: str, default: float) -> float:
     raw = os.environ.get(name)
@@ -85,9 +81,9 @@ class StreamConfig:
         :data:`CHECKPOINT_LOG_FRACTION`).
     rebalance_skew:
         Churn-driven re-partitioning trigger (see :data:`REBALANCE_SKEW`);
-        ``1.0`` disables migration entirely.
-    rebalance_max_moves:
-        Per-batch migration budget.
+        ``1.0`` disables migration entirely.  The per-batch migration
+        budget is the constant
+        :data:`repro.partition.lifecycle.REBALANCE_MAX_MOVES`.
     state_dir:
         When set, fragment checkpoints are written here as pickle files and
         round payloads carry only their *paths*; without it checkpoints ship
@@ -99,7 +95,6 @@ class StreamConfig:
     delta_rebuild_fraction: float = field(default_factory=default_rebuild_fraction)
     checkpoint_log_fraction: float = field(default_factory=_default_checkpoint_fraction)
     rebalance_skew: float = field(default_factory=_default_rebalance_skew)
-    rebalance_max_moves: int = REBALANCE_MAX_MOVES
     state_dir: Path | None = field(default_factory=_default_state_dir)
 
     def __post_init__(self) -> None:
@@ -116,10 +111,6 @@ class StreamConfig:
         if not 0.0 <= self.rebalance_skew <= 1.0:
             raise StreamError(
                 f"rebalance_skew must be in [0, 1], got {self.rebalance_skew}"
-            )
-        if self.rebalance_max_moves < 0:
-            raise StreamError(
-                f"rebalance_max_moves must be >= 0, got {self.rebalance_max_moves}"
             )
         if self.state_dir is not None:
             object.__setattr__(self, "state_dir", Path(self.state_dir))

@@ -881,12 +881,17 @@ class StreamingIdentifier:
         backend: str | None = None,
         executor_workers: int | None = None,
     ) -> "StreamingIdentifier":
-        """Build an identifier from a :func:`read_checkpoint` dict."""
-        config = state["config"]
-        if backend is not None:
-            config = replace(config, backend=backend)
-        if executor_workers is not None:
-            config = replace(config, executor_workers=executor_workers)
+        """Build an identifier from a :func:`read_checkpoint` dict.
+
+        The saved config is validated again (``replace`` re-runs
+        ``EIPConfig``'s checks), so one naming a backend this version no
+        longer has is refused before any pool starts unless *backend*
+        overrides it.
+        """
+        overrides = {"backend": backend, "executor_workers": executor_workers}
+        config = replace(
+            state["config"], **{name: value for name, value in overrides.items() if value is not None}
+        )
         identifier = cls.__new__(cls)
         identifier.graph = state["graph"]
         identifier.rules = state["rules"]

@@ -12,7 +12,8 @@ this package supplies the adversarial half (see ``docs/adversarial.md``):
   tenant projections stay byte-identical to independent runs;
 * :mod:`repro.testing.reference` — :class:`ReferenceMatcher` /
   :func:`reference_identify`: the one deliberately naive implementation
-  every production matching path is held equal to;
+  every production matching path is held equal to, and
+  :func:`identify_sequential`, the unpartitioned EIP evaluation it wraps;
 * :mod:`repro.testing.distill` — greedy delta-debugging
   (:func:`distill`) plus MinHash dedup of counterexamples;
 * :mod:`repro.testing.cases` — the ``tests/regressions/*.json`` corpus:
@@ -44,7 +45,7 @@ from repro.testing.oracle import (
     multi_tenant_check,
     served_antecedent_sets,
 )
-from repro.testing.reference import ReferenceMatcher, reference_identify
+from repro.testing.reference import ReferenceMatcher, identify_sequential, reference_identify
 from repro.testing.storms import (
     STORM_FAMILIES,
     ball_burst_storm,
@@ -70,6 +71,7 @@ __all__ = [
     "estimated_similarity",
     "from_distilled",
     "hub_churn_storm",
+    "identify_sequential",
     "is_duplicate",
     "is_known",
     "iter_case_paths",

@@ -17,8 +17,11 @@ from __future__ import annotations
 from typing import Hashable, Iterable, Iterator, Sequence
 
 from repro.graph.graph import Graph
-from repro.identification.eip import EIPResult
-from repro.identification.sequential import identify_sequential
+from repro.identification.eip import EIPResult, _shared_predicate
+from repro.matching.base import Matcher
+from repro.matching.vf2 import VF2Matcher
+from repro.metrics.confidence import evaluate_rule
+from repro.metrics.lcwa import predicate_stats
 from repro.pattern.gpar import GPAR
 from repro.pattern.pattern import Pattern
 
@@ -118,11 +121,40 @@ class ReferenceMatcher:
         return results
 
 
+def identify_sequential(
+    graph: Graph,
+    rules: Sequence[GPAR],
+    eta: float = 1.0,
+    matcher: Matcher | None = None,
+) -> EIPResult:
+    """``Σ(x, G, η)`` by a plain sequential evaluation (the EIP test oracle).
+
+    Evaluates each rule globally with :func:`repro.metrics.evaluate_rule`
+    and applies the confidence bound — no partitioning, no parallel runtime.
+    The parallel algorithms must agree with this on every input.  *matcher*
+    defaults to :class:`repro.matching.VF2Matcher`.
+    """
+    representative = _shared_predicate(rules)
+    engine = matcher if matcher is not None else VF2Matcher()
+    stats = predicate_stats(graph, representative.q_pattern())
+
+    result = EIPResult()
+    for rule in rules:
+        evaluation = evaluate_rule(graph, rule, matcher=engine, stats=stats)
+        result.rule_confidences[rule] = evaluation.confidence
+        result.rule_matches[rule] = evaluation.rule_matches
+        result.candidates_examined += evaluation.supp_antecedent
+        if evaluation.confidence >= eta and evaluation.supp_r > 0:
+            result.accepted_rules.append(rule)
+            result.identified.update(evaluation.rule_matches)
+    return result
+
+
 def reference_identify(graph: Graph, rules: Sequence[GPAR], eta: float) -> EIPResult:
     """``Σ(x, G, η)`` straight from the definition, on the whole graph.
 
     No partitioning, no workers, no sharing across Σ: the sequential
-    evaluation (:func:`repro.identification.identify_sequential`, one
+    evaluation (:func:`identify_sequential`, one
     :func:`repro.metrics.evaluate_rule` per rule) with a
     :class:`ReferenceMatcher` doing all the matching.
     """

@@ -1,6 +1,6 @@
 """Backend equivalence and message picklability.
 
-The contract behind ``--backend``: sequential, thread and process execution
+The contract behind ``--backend``: sequential and process execution
 produce *identical* mined rule sets and identical EIP matches, because all
 cross-round state lives at the coordinator and worker functions are pure in
 ``(fragment, payload)``.  These tests pin that contract on the synthetic
@@ -19,6 +19,7 @@ from repro.exceptions import ExecutorError, WorkerError
 from repro.identification import identify_entities
 from repro.mining import DMineConfig, dmine
 from repro.parallel import (
+    BACKENDS,
     EvaluatePayload,
     ProcessPoolExecutorBackend,
     Proposal,
@@ -33,8 +34,6 @@ from repro.identification.eip import EIPConfig
 from repro.identification.match import Match
 from repro.mining.local_mine import seed_rule
 from repro.partition import partition_graph
-
-BACKENDS = ["sequential", "threads", "processes"]
 
 
 @pytest.fixture(scope="module")
@@ -206,8 +205,10 @@ class TestProcessBackend:
             backend.run([WorkerTask(_raise_in_worker, 0, None)])
 
     def test_make_executor_rejects_unknown_backend(self):
-        with pytest.raises(ExecutorError):
-            make_executor("gpu")
+        assert BACKENDS == ("sequential", "processes")
+        for name in ("gpu", "threads"):  # the GIL-bound thread backend is gone
+            with pytest.raises(ExecutorError, match=name):
+                make_executor(name)
 
     def test_pool_survives_many_rounds(self, g1):
         """The pool is persistent: repeated run() calls reuse warm workers."""

@@ -55,12 +55,12 @@ class TestReporting:
         rows = [
             {"backend": "sequential", "wall_time": 2.0},
             {"backend": "processes", "wall_time": 0.5},
-            {"backend": "threads", "wall_time": 0.0},
+            {"backend": "unmeasured", "wall_time": 0.0},
         ]
         speedups = wall_speedups(rows)
         assert speedups["sequential"] == pytest.approx(1.0)
         assert speedups["processes"] == pytest.approx(4.0)
-        assert "threads" not in speedups  # zero wall time is dropped
+        assert "unmeasured" not in speedups  # zero wall time is dropped
 
     def test_wall_speedups_without_baseline(self):
         assert wall_speedups([{"backend": "processes", "wall_time": 1.0}]) == {}

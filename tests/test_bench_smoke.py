@@ -111,7 +111,7 @@ DOCTORED = {
     ],
     "match": [
         ("empty answer", lambda rows: _doctor(rows, _anywhere, identified=0), "vacuous"),
-        ("diverged backend", lambda rows: [*rows, replace(rows[0], backend="threads", fingerprint="x")],
+        ("diverged backend", lambda rows: [*rows, replace(rows[0], backend="processes", fingerprint="x")],
          "diverged"),
     ],
     "stream": [
@@ -207,8 +207,8 @@ def test_stream_gate_holds_on_the_counter(family_runs):
 
 def test_stream_gate_ignores_pool_backends(family_runs):
     rows, _out = family_runs("stream")
-    pooled = [replace(row, backend="threads") if row.backend == "sequential" else row for row in rows]
-    searched = _doctor(pooled, lambda row: row.mode == "repair" and row.backend == "threads",
+    pooled = [replace(row, backend="processes") if row.backend == "sequential" else row for row in rows]
+    searched = _doctor(pooled, lambda row: row.mode == "repair" and row.backend == "processes",
                        witness_hits=0, matches_found=10**3)
     check_rows(SCENARIOS["stream"], searched, WORKERS)  # no SystemExit
 
@@ -246,11 +246,10 @@ def test_json_is_written_before_a_failing_gate(tmp_path, monkeypatch, family_run
 def test_backend_policies():
     select = smoke._select_backends
     assert select("pair", None) == ("sequential", "processes")
-    assert select("pair", "threads") == ("sequential", "threads")
-    assert select("all", None) == ("sequential", "threads", "processes")
-    assert select("all", "processes") == ("sequential", "processes")
-    assert select("all", "sequential") == ("sequential",)
+    assert select("pair", "processes") == ("sequential", "processes")
+    assert select("pair", "sequential") == ("sequential",)
     assert select("sequential", "processes") == ("sequential",)
+    assert {scenario.backends for scenario in SCENARIOS.values()} == {"pair", "sequential"}
 
 
 def test_cli_surface_is_five_flags(capsys):

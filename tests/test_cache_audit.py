@@ -35,7 +35,6 @@ from repro.matching import (
     GuidedMatcher,
     LocalityMatcher,
     MatchStore,
-    SimulationMatcher,
     VF2Matcher,
 )
 from repro.matching.base import WitnessStore
@@ -56,7 +55,6 @@ AUDITED_CACHES = {
     "vf2": (lambda: VF2Matcher(), (), ()),
     "guided": (lambda: GuidedMatcher(), (), ()),
     "guided-witnesses": (_keeping_witnesses, (), ("witnesses",)),  # validated on use
-    "simulation": (lambda: SimulationMatcher(), ("_cache",), ("_graphs",)),
     "locality": (lambda: LocalityMatcher(VF2Matcher()), ("_ball_cache",), ()),
 }
 
@@ -96,7 +94,7 @@ def test_registry_covers_every_cache_carrying_class():
         for obj in (getattr(matching, name) for name in matching.__all__)
         if inspect.isclass(obj) and hasattr(obj, "match_set") and not inspect.isabstract(obj)
     ]
-    assert len(matchers) >= 4, "the discovery went blind"
+    assert len(matchers) >= 3, "the discovery went blind"
     for obj in matchers:
         assert obj in registered_types or obj.__name__ in AUDITED_ELSEWHERE, (
             f"{obj.__name__} answers match_set but is not in "
@@ -183,7 +181,7 @@ def test_warm_matcher_survives_mutations(name, seed, resident):
 
 
 def _open_batch_query(name):
-    """``(rules, run)``: one of the four ``match_set`` surfaces on G1's rules."""
+    """``(rules, run)``: one of the three ``match_set`` surfaces on G1's rules."""
     from repro.datasets.paper_graphs import rule_r1, rule_r5
     from repro.matching import MultiPatternMatcher
 
@@ -198,7 +196,7 @@ def _open_batch_query(name):
 
 
 @pytest.mark.parametrize("resident", [False, True], ids=["raw", "resident"])
-@pytest.mark.parametrize("name", ["vf2", "guided", "simulation", "multi"])
+@pytest.mark.parametrize("name", ["vf2", "guided", "multi"])
 def test_open_batch_never_changes_whether_a_query_answers(name, resident):
     """Inside an open, dirty ``batch_update`` every matcher probes raw.
 

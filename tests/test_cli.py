@@ -82,25 +82,27 @@ class TestCommands:
         assert "F(Lk)" in output
 
     def test_match_alias_with_thread_backend(self, graph_file, capsys):
+        # Named for the retired thread backend; the alias now runs on processes.
         exit_code = main(
             [
                 "match", str(graph_file),
                 "--predicate", "user:like_book:personal development",
-                "--rules", "3", "--workers", "2", "--backend", "threads",
+                "--rules", "3", "--workers", "2", "--backend", "processes",
             ]
         )
         assert exit_code == 0
         assert "potential customers" in capsys.readouterr().out
 
     def test_backend_choice_is_validated(self, graph_file):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                [
-                    "mine", str(graph_file),
-                    "--predicate", "user:like_book:personal development",
-                    "--backend", "gpu",
-                ]
-            )
+        for command, backend in (("mine", "gpu"), ("identify", "threads")):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(
+                    [
+                        command, str(graph_file),
+                        "--predicate", "user:like_book:personal development",
+                        "--backend", backend,
+                    ]
+                )
 
     @pytest.mark.parametrize("structure", ["index", "columnar", "incremental"])
     @pytest.mark.parametrize("command", ["mine", "identify", "stream"])

@@ -28,10 +28,11 @@ from repro.graph.columnar import (
     numpy_or_none,
     registered_columnar,
 )
+from repro.matching import VF2Matcher
 from repro.matching.candidates import degree_consistent
-from repro.matching.simulation import maximum_dual_simulation
 from repro.pattern import Pattern
 from repro.stream import random_update_batch
+from repro.testing import ReferenceMatcher
 
 
 @contextmanager
@@ -152,12 +153,15 @@ def test_filter_candidates_equals_dict_filter(use_numpy):
 
 def test_unknown_pattern_label_filters_everything():
     graph = _small_graph()
-    view = ColumnarFragment(graph)
+    view = columnar_view(graph)
     alien = Pattern(nodes={"x": "label-not-in-graph"}, edges=[], x="x")
     requirement = view.compile_requirement(alien, alien.x)
     assert requirement.label_id == -1
-    assert view.filter_candidates(sorted(graph.nodes(), key=str), requirement) == []
-    assert maximum_dual_simulation(alien, graph, view) == {"x": set()}
+    pool = sorted(graph.nodes(), key=str)
+    assert view.filter_candidates(pool, requirement) == []
+    # A matcher served by the view agrees with the raw reference: no match.
+    assert VF2Matcher().match_set(graph, alien, candidates=pool) == set()
+    assert ReferenceMatcher().match_set(graph, alien, candidates=pool) == set()
 
 
 # ----------------------------------------------------------------------
@@ -192,7 +196,7 @@ def test_patched_view_answers_like_a_fresh_compile(use_numpy):
 def test_patched_view_suspends_vectorized_paths_until_recompile():
     graph = _small_graph(seed=6)
     pattern = _pattern_for(graph).expanded()
-    view = ColumnarFragment(graph, rebuild_fraction=1.0)
+    view = columnar_view(graph, rebuild_fraction=1.0)  # registered: matchers probe it
     assert view.pristine
     batch = random_update_batch(graph, size=6, seed=9)
     batch.apply(graph)
@@ -205,9 +209,8 @@ def test_patched_view_suspends_vectorized_paths_until_recompile():
     requirement = view.compile_requirement(pattern, pattern.x)
     survivors = view.filter_candidates(pool, requirement)  # row checks, no mask
     assert (view.statistics.mask_filters, view.statistics.row_filters) == (0, 1)
-    assert maximum_dual_simulation(pattern, graph, view) == maximum_dual_simulation(
-        pattern, graph
-    )
+    assert VF2Matcher().match_set(graph, pattern) == ReferenceMatcher().match_set(graph, pattern)
+    assert view.statistics.mask_filters == 0, "a patched view must not take the mask path"
     view._build()  # the compile boundary restores the fast path
     assert view.pristine
     assert view.filter_candidates(pool, view.compile_requirement(pattern, pattern.x)) == survivors

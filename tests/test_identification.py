@@ -10,9 +10,9 @@ from repro.identification import (
     Match,
     MatchC,
     identify_entities,
-    identify_sequential,
 )
 from repro.metrics import evaluate_rule, predicate_stats
+from repro.testing import identify_sequential
 
 
 class TestConfig:
@@ -27,6 +27,14 @@ class TestConfig:
     def test_invalid_workers(self):
         with pytest.raises(IdentificationError):
             EIPConfig(eta=1.0, num_workers=0)
+        # The pool size is refused here, not deep inside the process pool;
+        # a bool is not a pool size.
+        for pool_size in (1.5, True, "2", 0):
+            with pytest.raises(IdentificationError, match="executor_workers"):
+                EIPConfig(backend="processes", executor_workers=pool_size)
+        with pytest.raises(IdentificationError, match="'threads'"):
+            EIPConfig(backend="threads")
+        assert EIPConfig(executor_workers=2).executor_workers == 2
 
     def test_unknown_algorithm(self, g1, r1):
         with pytest.raises(IdentificationError):

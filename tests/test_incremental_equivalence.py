@@ -3,10 +3,10 @@
 The incremental matcher (:mod:`repro.matching.incremental`) materializes a
 parent pattern's matches and produces every one-edge child's match set by
 probing only the new edge — with exact fallback whenever it can't.  This
-suite drives ~50 seeded random graph/pattern pairs through VF2, guided
-search and dual simulation, asserting the delta-extended match sets are
+suite drives ~50 seeded random graph/pattern pairs through VF2 and guided
+search, asserting the delta-extended match sets are
 byte-identical to a full re-match, and additionally runs DMine / EIP
-pipelines across all three execution backends, holding the store-routed /
+pipelines across both execution backends, holding the store-routed /
 prefix-shared results to the naive reference evaluation of the same rules
 (:mod:`repro.testing.reference`).  A dedicated class exercises the
 :class:`MatchStore` lifecycle: ``Graph.version`` invalidation, canonical
@@ -23,7 +23,6 @@ from repro.matching import (
     DeltaMatcher,
     GuidedMatcher,
     MatchStore,
-    SimulationMatcher,
     VF2Matcher,
     single_edge_delta,
 )
@@ -106,30 +105,6 @@ def test_delta_extension_equals_full_rematch(seed, kind):
             checked += 1
     if pairs:
         assert checked > 0
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_simulation_falls_back_exactly(seed):
-    """Dual simulation has no embeddings: the incremental wrapper must defer.
-
-    ``materialize`` returns no entry (nothing to delta-extend later) and the
-    match set must be the plain simulation match set.
-    """
-    graph, pairs = _workload(seed)
-    matcher = SimulationMatcher()
-    oracle = SimulationMatcher()
-    store = MatchStore(graph)
-    delta_matcher = DeltaMatcher(graph, matcher, store)
-    for parent, _child in pairs[:2]:
-        pattern = parent.antecedent
-        assert not delta_matcher.supports(pattern)
-        candidates = sorted(
-            graph.nodes_with_label(pattern.label(pattern.x)), key=str
-        )
-        matches, entry = delta_matcher.materialize(pattern, candidates)
-        assert entry is None
-        assert matches == oracle.match_set(graph, pattern, candidates=candidates)
-        assert len(store) == 0
 
 
 def test_non_enumerating_matchers_are_not_materialized():

@@ -5,12 +5,12 @@ re-encoding, so every matcher probing a resident graph must return
 byte-identical matches and match counts to
 :class:`repro.testing.ReferenceMatcher`, which probes the raw graph and
 keeps nothing.  This suite drives ~50 seeded random graph/pattern pairs
-through VF2, dual simulation and guided search on a resident graph whose
+through VF2 and guided search on a resident graph whose
 structure has been *delta-patched* — overlays present, whole-array kernels
 suspended — so the per-node probes and the frozen adjacency views carry
 every query (tests/test_columnar_equivalence.py runs the same seeds on a
 pristine structure).  It additionally runs full DMine / EIP pipelines
-across all three execution backends, holding each to the reference
+across both execution backends, holding each to the reference
 evaluation of the same rules.
 """
 
@@ -21,7 +21,7 @@ import pytest
 from repro.datasets import generate_gpars, most_frequent_predicates, synthetic_graph
 from repro.graph import columnar_view
 from repro.identification import identify_entities
-from repro.matching import GuidedMatcher, SimulationMatcher, VF2Matcher
+from repro.matching import GuidedMatcher, VF2Matcher
 from repro.metrics import evaluate_rule
 from repro.mining import DMineConfig, dmine
 from repro.parallel.executor import BACKENDS
@@ -77,22 +77,6 @@ def test_vf2_indexed_equals_unindexed(seed):
         actual = indexed.find_all(graph, pattern)
         assert len(actual) == len(expected)
         assert _canonical_mappings(actual) == _canonical_mappings(expected)
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_simulation_indexed_equals_unindexed(seed):
-    graph, patterns = _workload(seed)
-    # Dual simulation has no isomorphism reference: hold the view-served
-    # fixpoint to the same matcher on a copy with nothing resident (the raw
-    # path transient graphs take), and to the containment it must satisfy.
-    bare = graph.copy()
-    plain = SimulationMatcher()
-    indexed = SimulationMatcher()
-    reference = ReferenceMatcher()
-    for pattern in patterns:
-        simulated = indexed.match_set(graph, pattern)
-        assert simulated == plain.match_set(bare, pattern)
-        assert reference.match_set(graph, pattern) <= simulated
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -462,15 +462,14 @@ class TestSaveRestore:
             identifier.apply(random_update_batch(graph, size=7, seed=1))
             expected = self._fingerprint(identifier.result)
             path = identifier.save_state(tmp_path / "state.pkl")
-        for backend in ("threads", "processes"):
-            with StreamingIdentifier.restore(
-                path, backend=backend, executor_workers=2
-            ) as restored:
-                assert restored.config.backend == backend
-                assert self._fingerprint(restored.result) == expected
-                restored.apply(random_update_batch(restored.graph, size=7, seed=55))
-                fresh = restored.recompute()
-                assert self._fingerprint(restored.result) == self._fingerprint(fresh)
+        with StreamingIdentifier.restore(
+            path, backend="processes", executor_workers=2
+        ) as restored:
+            assert restored.config.backend == "processes"
+            assert self._fingerprint(restored.result) == expected
+            restored.apply(random_update_batch(restored.graph, size=7, seed=55))
+            fresh = restored.recompute()
+            assert self._fingerprint(restored.result) == self._fingerprint(fresh)
 
     def test_torn_checkpoint_is_a_stream_error(self, tmp_path, monkeypatch):
         """A cut, foreign or wrong-shaped file raises StreamError naming the
@@ -500,6 +499,47 @@ class TestSaveRestore:
         assert not started
         with pytest.raises(FileNotFoundError):
             StreamingIdentifier.restore(tmp_path / "absent.pkl")
+
+    def test_checkpoint_naming_the_retired_thread_backend(self, tmp_path, monkeypatch):
+        """A core checkpoint whose pickled EIPConfig says ``backend="threads"``
+        (as ``repro stream --backend threads --save-state`` wrote it before that
+        backend was retired) is refused by name before any pool starts, and
+        restores byte-identically once a remaining backend is named.  The
+        fixture's pickled StreamConfig also carries a field that no longer
+        exists; it restores regardless."""
+        from pathlib import Path
+
+        from repro import api
+        from repro.exceptions import IdentificationError
+        from repro.stream.identifier import read_checkpoint, write_checkpoint
+        from repro.testing import eip_fingerprint
+
+        fixture = Path(__file__).parent / "data" / "core-format1.ckpt"
+        state = read_checkpoint(fixture)
+        object.__setattr__(state["config"], "backend", "threads")  # unpickling skips validation too
+        path = write_checkpoint(tmp_path / "threads.ckpt", state)
+        started = []
+        with monkeypatch.context() as patch:
+            patch.setattr(StreamingIdentifier, "_start_runtime", lambda self: started.append(self))
+            with pytest.raises(IdentificationError, match="'threads'"):
+                api.restore_core(path)
+        assert not started
+
+        def answers(core):
+            return {
+                tenant: (
+                    [entry.as_dict() for entry in session.result.answer_entries()],
+                    eip_fingerprint(session.result),
+                )
+                for tenant, session in core.sessions.items()
+            }
+
+        with api.restore_core(fixture) as original:
+            expected = answers(original)
+        assert any(entries for entries, _ in expected.values()), "the gate compares a real answer"
+        with api.restore_core(path, backend="sequential") as restored:
+            assert restored.multi.identifier.config.backend == "sequential"
+            assert answers(restored) == expected
 
     def test_failed_save_keeps_the_previous_checkpoint(self, tmp_path, monkeypatch):
         import repro.stream.identifier as module

@@ -27,7 +27,7 @@ from repro.pattern.radius import pattern_radius
 class TestConfig:
     def test_defaults_are_valid(self):
         config = DMineConfig()
-        assert config.rounds == config.max_edges
+        assert config.optimized and config.max_edges == 4
 
     def test_invalid_values_rejected(self):
         with pytest.raises(MiningError):
@@ -41,16 +41,20 @@ class TestConfig:
         with pytest.raises(MiningError):
             DMineConfig(num_workers=0)
         with pytest.raises(MiningError):
-            DMineConfig(matcher="magic")
+            DMineConfig(max_edges=0)
         with pytest.raises(MiningError):
             DMineConfig(max_rules_per_round=0)
+        with pytest.raises(MiningError, match="'threads'"):
+            DMineConfig(backend="threads")
+        for pool_size in (1.5, True, 0):
+            with pytest.raises(MiningError, match="executor_workers"):
+                DMineConfig(backend="processes", executor_workers=pool_size)
 
     def test_without_optimizations(self):
         config = DMineConfig(k=5, d=2).without_optimizations()
-        assert not config.use_incremental_diversification
-        assert not config.use_reduction_rules
-        assert not config.use_bisimulation_filter
+        assert not config.optimized
         assert config.k == 5
+        assert config == DMineConfig(k=5, d=2, optimized=False)
 
 
 class TestSeedAndExpansion:

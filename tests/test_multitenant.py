@@ -213,7 +213,7 @@ class TestMultiTenantIdentifier:
             eta=0.1,
             num_workers=2,
             seed=3,
-            backends=("sequential", "threads"),
+            backends=("sequential", "processes"),
         )
         assert divergences == []
 
@@ -270,7 +270,7 @@ class TestSharedSessionCore:
             assert core.tenants == ("beta",)
             assert eip_fingerprint(beta.result) == eip_fingerprint(beta.recompute())
 
-    @pytest.mark.parametrize("backend", ["sequential", "threads", "processes"])
+    @pytest.mark.parametrize("backend", ["sequential", "processes"])
     def test_core_checkpoint_round_trip(self, tmp_path, backend):
         """save_state → restore_core keeps every tenant's answer, including a
         representative that outlived the tenant which introduced it."""

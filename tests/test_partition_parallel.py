@@ -7,7 +7,6 @@ from repro.graph import ball
 from repro.parallel import (
     BSPRuntime,
     SequentialExecutor,
-    ThreadPoolExecutorBackend,
     WorkerTask,
 )
 from repro.partition import fragmentation_report, partition_graph
@@ -116,18 +115,8 @@ class TestExecutors:
         assert all(duration >= 0 for duration in durations)
         assert metrics == [None, None]  # REPRO_OBS collection is off
 
-    def test_thread_pool_executor(self, g1):
-        executor, fragments = self._started(ThreadPoolExecutorBackend(max_workers=2), g1)
-        tasks = [WorkerTask(_echo_payload, f.index, "p") for f in fragments]
-        results, durations, _metrics = executor.run(tasks)
-        assert results == [(0, "p"), (1, "p")]
-        assert len(durations) == 2
-
-    def test_thread_pool_empty(self):
-        assert ThreadPoolExecutorBackend().run([]) == ([], [], [])
-
-    def test_thread_pool_propagates_worker_errors(self, g1):
-        executor, fragments = self._started(ThreadPoolExecutorBackend(max_workers=2), g1)
+    def test_sequential_executor_propagates_worker_errors(self, g1):
+        executor, fragments = self._started(SequentialExecutor(), g1)
         with pytest.raises(WorkerError) as excinfo:
             executor.run([WorkerTask(_boom, fragments[1].index, None)])
         assert excinfo.value.fragment_id == fragments[1].index

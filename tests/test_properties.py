@@ -228,7 +228,8 @@ class TestEndToEndAgreement:
     @settings(max_examples=10, deadline=None)
     def test_parallel_eip_agrees_with_sequential(self, seed):
         from repro.datasets import generate_gpars, most_frequent_predicates, pokec_like
-        from repro.identification import identify_entities, identify_sequential
+        from repro.identification import identify_entities
+        from repro.testing import identify_sequential
 
         graph = pokec_like(num_users=60, num_communities=4, seed=seed % 7)
         predicates = [

@@ -205,6 +205,17 @@ class TestSessionLifecycle:
             "POST", f"{base}/sessions", _session_body(graph, "not-a-predicate")
         )
         assert status == 400
+        # pool_size reaches EIPConfig.executor_workers as sent: a non-integer
+        # is refused by name, not inside the pool (nor ignored on sequential).
+        for extra, named in (
+            ({"pool_size": 1.5}, "executor_workers"),
+            ({"pool_size": True, "backend": "processes"}, "executor_workers"),
+            ({"backend": "threads"}, "threads"),
+        ):
+            status, doc = _call(
+                "POST", f"{base}/sessions", _session_body(graph, predicate_text, **extra)
+            )
+            assert status == 400 and named in doc["error"], extra
 
     def test_malformed_http_gets_400(self, server):
         with socket.create_connection(("127.0.0.1", server.port), timeout=10) as raw:

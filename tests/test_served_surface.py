@@ -23,8 +23,6 @@ ROOTS = ("repro.api", "repro.cli", "repro.serve.app", "repro.serve.http")
 
 #: Modules kept although no served path reaches them, and why.
 UNSERVED = {
-    "repro.matching.simulation": "the paper's future-work semantics, held by the seed suite",
-    "repro.identification.sequential": "single-machine reference oracle of the EIP tests",
     "repro.datasets.paper_graphs": "the paper's example graphs (also roots pattern.builder)",
 }
 

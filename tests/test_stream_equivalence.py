@@ -5,12 +5,12 @@ The acceptance gate of the streaming subsystem: across 50 seeded
 
 * a delta-patched :class:`~repro.graph.columnar.ColumnarFragment` is
   **byte-identical** to a freshly built one — layer contents and sketches —
-  and VF2 / guided / dual-simulation matchers probing it produce the same
+  and VF2 / guided matchers probing it produce the same
   match sets either way;
 * a :class:`~repro.stream.StreamingIdentifier` maintained across batches
   reports identifications and confidences byte-identical to
   ``identify_entities`` re-run from scratch on the mutated graph — across
-  the sequential/threads/processes backends and both Match and Matchc —
+  the sequential/processes backends and both Match and Matchc —
   and serves per-rule antecedent match sets equal to the naive reference's;
 * DMine runs against the delta-patched resident state mine byte-identical
   rules to runs on a pristine copy of the same mutated graph, on every
@@ -29,7 +29,6 @@ from repro.matching import (
     DeltaMatcher,
     GuidedMatcher,
     MatchStore,
-    SimulationMatcher,
     VF2Matcher,
 )
 from repro.mining import DMineConfig, dmine
@@ -64,8 +63,6 @@ def _apply_batches(graph, seed: int, count: int, size: int = 7):
 def _matcher(kind: str):
     if kind == "guided":
         return GuidedMatcher()
-    if kind == "simulation":
-        return SimulationMatcher()
     return VF2Matcher()
 
 
@@ -108,7 +105,7 @@ def test_patched_index_is_byte_identical_to_fresh_build(seed):
             assert index.in_neighbors(node, label) == fresh.in_neighbors(node, label)
 
 
-@pytest.mark.parametrize("kind", ["vf2", "guided", "simulation"])
+@pytest.mark.parametrize("kind", ["vf2", "guided"])
 @pytest.mark.parametrize("seed", range(0, 50, 2))
 def test_matchers_agree_on_patched_index(seed, kind):
     """Match sets probed through a patched index == raw probes of a fresh copy."""

@@ -22,6 +22,7 @@ from repro.identification import identify_entities
 from repro.matching import (
     DeltaMatcher,
     GuidedMatcher,
+    LocalityMatcher,
     MatchStore,
     VF2Matcher,
     single_edge_delta,
@@ -107,6 +108,32 @@ def test_delta_extension_equals_full_rematch(seed, kind):
         assert checked > 0
 
 
+@pytest.mark.parametrize("seed", SEEDS)
+def test_simulation_falls_back_exactly(seed):
+    """A matcher without embeddings to enumerate: the incremental wrapper defers.
+
+    (The id is from dual simulation, the first such matcher; a d-locality
+    wrapper is the one that remains.)  ``materialize`` returns no entry
+    (nothing to delta-extend later), stores nothing, and the match set is
+    the wrapped matcher's own.
+    """
+    graph, pairs = _workload(seed)
+    matcher = LocalityMatcher(VF2Matcher(), radius=2)
+    oracle = LocalityMatcher(VF2Matcher(), radius=2)
+    store = MatchStore(graph)
+    delta_matcher = DeltaMatcher(graph, matcher, store)
+    for parent, _child in pairs[:2]:
+        pattern = parent.antecedent
+        assert not delta_matcher.supports(pattern)
+        candidates = sorted(
+            graph.nodes_with_label(pattern.label(pattern.x)), key=str
+        )
+        matches, entry = delta_matcher.materialize(pattern, candidates)
+        assert entry is None
+        assert matches == oracle.match_set(graph, pattern, candidates=candidates)
+        assert len(store) == 0
+
+
 def test_non_enumerating_matchers_are_not_materialized():
     """Matchers inheriting the base one-match ``iter_matches_at`` must defer.
 
@@ -114,8 +141,6 @@ def test_non_enumerating_matchers_are_not_materialized():
     look provably complete after its first embedding; only genuine
     enumerators (VF2, guided) may feed the store.
     """
-    from repro.matching import LocalityMatcher
-
     graph = synthetic_graph(40, 120, num_node_labels=4, num_edge_labels=3, seed=0)
     predicate = most_frequent_predicates(graph, top=1)[0]
     rule = generate_gpars(graph, predicate, count=1, max_pattern_edges=2, seed=0)[0]

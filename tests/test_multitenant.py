@@ -15,9 +15,10 @@ import pytest
 
 from repro import api
 from repro.datasets import generate_gpars, most_frequent_predicates, synthetic_graph
-from repro.exceptions import ReproError, StreamError
+from repro.exceptions import IdentificationError, ReproError, StreamError
 from repro.identification.eip import EIPConfig, identify_entities
 from repro.matching import SharedPatternPool, rule_key
+from repro.parallel.executor import BACKENDS
 from repro.pattern.gpar import GPAR
 from repro.pattern.pattern import Pattern
 from repro.stream import (
@@ -25,6 +26,7 @@ from repro.stream import (
     StreamingIdentifier,
     random_update_batch,
 )
+from repro.stream.identifier import read_checkpoint, write_checkpoint
 from repro.testing import eip_fingerprint, multi_tenant_check
 
 
@@ -270,12 +272,18 @@ class TestSharedSessionCore:
             assert core.tenants == ("beta",)
             assert eip_fingerprint(beta.result) == eip_fingerprint(beta.recompute())
 
-    @pytest.mark.parametrize("backend", ["sequential", "processes"])
+    @pytest.mark.parametrize("backend", [*BACKENDS, "threads"])
     def test_core_checkpoint_round_trip(self, tmp_path, backend):
         """save_state → restore_core keeps every tenant's answer, including a
-        representative that outlived the tenant which introduced it."""
+        representative that outlived the tenant which introduced it.
+
+        The ``threads`` leg saves the checkpoint the retired thread backend
+        would have written: a plain restore refuses it by name, and one that
+        names ``sequential`` round-trips it like any other."""
         graph, rules = _workload()
-        config = _config(backend=backend)
+        retired = backend not in BACKENDS
+        resume_on = "sequential" if retired else None
+        config = _config(backend=resume_on or backend)
         sigma = {
             "alpha": tuple(rules[:5]),
             "beta": tuple(_renamed(rule, rule.name) for rule in rules[2:5])
@@ -300,9 +308,15 @@ class TestSharedSessionCore:
             }
             path = core.save_state(tmp_path / "core.pkl")
         assert saved["alpha"] != saved["beta"]
-        with api.restore_core(path) as restored:
+        if retired:
+            state = read_checkpoint(path)
+            object.__setattr__(state["config"], "backend", backend)  # as pickled then
+            write_checkpoint(path, state)
+            with pytest.raises(IdentificationError, match=f"'{backend}'"):
+                api.restore_core(path)
+        with api.restore_core(path, backend=resume_on) as restored:
             assert restored.tenants == ("beta", "alpha")  # admission order
-            assert restored.multi.config.backend == backend
+            assert restored.multi.config.backend == (resume_on or backend)
             for tenant, session in restored.sessions.items():
                 assert session.rules == sigma[tenant]
                 assert eip_fingerprint(session.result) == saved[tenant]
@@ -313,7 +327,7 @@ class TestSharedSessionCore:
                     session.recompute()
                 )
         # the same file resumes the bare union core
-        with StreamingIdentifier.restore(path) as union:
+        with StreamingIdentifier.restore(path, backend=resume_on) as union:
             assert eip_fingerprint(union.result) == eip_fingerprint(union.recompute())
 
     def test_bare_identifier_checkpoint_is_not_a_core(self, tmp_path):

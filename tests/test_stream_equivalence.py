@@ -22,6 +22,7 @@ from __future__ import annotations
 import pytest
 
 from repro.datasets import generate_gpars, most_frequent_predicates, synthetic_graph
+from repro.exceptions import IdentificationError
 from repro.graph import ColumnarFragment, columnar_view
 from repro.identification import identify_entities
 from repro.identification.eip import EIPConfig
@@ -34,6 +35,7 @@ from repro.matching import (
 from repro.mining import DMineConfig, dmine
 from repro.parallel.executor import BACKENDS
 from repro.stream import StreamingIdentifier, random_update_batch
+from repro.stream.identifier import read_checkpoint, write_checkpoint
 from repro.testing import ReferenceMatcher, reference_identify, served_antecedent_sets
 
 SEEDS = range(50)
@@ -183,9 +185,11 @@ def test_streaming_identifier_equals_recompute(seed):
 
 
 @pytest.mark.parametrize("against_reference", [True, False])
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", [*BACKENDS, "threads"])
 @pytest.mark.parametrize("algorithm", ["match", "matchc"])
-def test_streaming_identifier_across_backends(backend, algorithm, against_reference):
+def test_streaming_identifier_across_backends(
+    backend, algorithm, against_reference, tmp_path
+):
     """Every backend and solver maintains the same answer over one sequence.
 
     One leg holds the maintained answer to the naive whole-graph reference
@@ -193,22 +197,31 @@ def test_streaming_identifier_across_backends(backend, algorithm, against_refere
     the production solver: one fingerprint across backend x solver x both.
     The ``matchc`` legs keep the matchers' private (non-resident) caches
     warm across mutations — its d-balls are never indexed — which is the
-    staleness path worker contexts keep alive between batches.
+    staleness path worker contexts keep alive between batches.  The
+    ``threads`` legs run on ``sequential`` and, between the two batches,
+    move through a checkpoint naming the retired thread backend.
     """
     base = synthetic_graph(120, 360, num_node_labels=5, num_edge_labels=3, seed=9)
     predicate = most_frequent_predicates(base, top=1)[0]
     rules = generate_gpars(base, predicate, count=4, max_pattern_edges=3, d=2, seed=9)
-    graph = base.copy()
-    with StreamingIdentifier(
-        graph,
+    retired = backend not in BACKENDS
+    identifier = StreamingIdentifier(
+        base.copy(),
         rules,
         config=EIPConfig(
-            eta=0.5, num_workers=3, seed=0, backend=backend, executor_workers=2
+            eta=0.5,
+            num_workers=3,
+            seed=0,
+            backend="sequential" if retired else backend,
+            executor_workers=2,
         ),
         algorithm=algorithm,
-    ) as identifier:
+    )
+    try:
         for position in range(2):
-            batch = random_update_batch(graph, size=7, seed=900 + position)
+            if retired and position == 1:
+                identifier = _resumed_off_retired_backend(identifier, backend, tmp_path)
+            batch = random_update_batch(identifier.graph, size=7, seed=900 + position)
             identifier.apply(batch)
         maintained = _eip_fingerprint(identifier.result)
         if against_reference:
@@ -221,7 +234,26 @@ def test_streaming_identifier_across_backends(backend, algorithm, against_refere
                 num_workers=3,
                 algorithm=algorithm,
             )
+    finally:
+        identifier.close()
     assert maintained == _eip_fingerprint(fresh), (backend, algorithm)
+
+
+def _resumed_off_retired_backend(identifier, retired, tmp_path):
+    """Checkpoint *identifier* as the *retired* backend would have pickled it
+    and resume it: a plain restore is refused by name before any pool
+    starts; one naming ``sequential`` resumes the same answer."""
+    expected = _eip_fingerprint(identifier.result)
+    path = identifier.save_state(tmp_path / "state.ckpt")
+    identifier.close()
+    state = read_checkpoint(path)
+    object.__setattr__(state["config"], "backend", retired)
+    write_checkpoint(path, state)
+    with pytest.raises(IdentificationError, match=f"'{retired}'"):
+        StreamingIdentifier.restore(path)
+    restored = StreamingIdentifier.restore(path, backend="sequential")
+    assert _eip_fingerprint(restored.result) == expected
+    return restored
 
 
 def _dmine_fingerprint(result):

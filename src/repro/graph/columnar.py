@@ -38,10 +38,10 @@ Caches (lazy, version-pinned)
 * **neighbourhood kernel** — a :class:`~repro.graph.neighborhood.Neighborhoods`
   over the graph: memoised undirected neighbourhoods (bit masks on graphs
   small enough, frozensets otherwise) that every ball and sketch BFS runs on;
-* **k-hop sketch cache** — memoised
-  :class:`~repro.graph.sketch.KHopSketch` per ``(node, hops)``, built by the
-  kernel, with an explicit empty-neighbourhood fast path (an isolated node's
-  sketch is materialised without a BFS round-trip);
+* **k-hop sketch cache** — the kernel's sketch handle per ``(node, hops)``:
+  the hop rings on the mask side (labels are read when a test needs them,
+  so a relabel keeps them), a :class:`~repro.graph.sketch.KHopSketch` on the
+  set side; an isolated node's is materialised without a BFS round-trip;
 * **compiled requirements** — a pattern node's required profile in
   id/column space, memoised per pattern object.
 
@@ -59,12 +59,12 @@ probe the raw graph, see :func:`repro.matching.base.resident_view`).
 delta log (:meth:`repro.graph.graph.Graph.deltas_since`) reaches back to the
 pinned version and the touched region stays under ``rebuild_fraction`` of
 the graph, :meth:`ColumnarFragment.apply_delta` patches forward — label
-buckets are rewritten, touched nodes (and the profile rows of their
-neighbours) move into small dict *overlays* every per-node probe consults
-first, memoised adjacency views of touched nodes are dropped, and cached
-sketches are invalidated only inside the k-hop balls of the touched nodes
-(computed on the post-update graph; ``docs/streaming.md`` shows that is
-exact).  The frozen arrays are not rewritten, so the one whole-array
+buckets are rewritten, touched nodes (and the profile rows of a relabelled
+node's neighbours) move into small dict *overlays* every per-node probe
+consults first, memoised adjacency views of touched nodes are dropped, and
+cached sketches are invalidated only where they can have changed (computed
+on the post-update graph; ``docs/columnar.md`` shows that is exact).  The
+frozen arrays are not rewritten, so the one whole-array
 operation (the numpy pool mask of
 :meth:`ColumnarFragment.filter_candidates`) requires a
 :attr:`~ColumnarFragment.pristine` structure: the filter falls back to
@@ -89,12 +89,13 @@ import threading
 import weakref
 from array import array
 from dataclasses import dataclass
+from itertools import chain
 from typing import Hashable, Iterable
 
 from repro.exceptions import GraphError, NodeNotFoundError
 from repro.graph.graph import Graph, GraphDelta
 from repro.graph.neighborhood import Neighborhoods
-from repro.graph.sketch import KHopSketch, empty_sketch
+from repro.graph.sketch import KHopSketch
 from repro.obs.stats import StatisticsBase
 from repro.obs.tracing import span
 
@@ -119,7 +120,7 @@ DELTA_REBUILD_FRACTION = 0.25
 _REQUIREMENT_MEMO_LIMIT = 4096
 
 _EMPTY_FROZEN: frozenset = frozenset()
-_NO_VIEWS: dict = {}  # read-only stand-in for a node with no memoised view yet
+_NO_VIEWS: dict = {}  # read-only stand-in for a key with nothing memoised yet
 
 
 def default_rebuild_fraction() -> float:
@@ -288,6 +289,7 @@ class ColumnarFragment:
         "_count_matrix",
         # caches
         "_requirements",
+        "_requirements_labels",
         "_out_frozen",
         "_in_frozen",
         "_neighborhoods",
@@ -385,10 +387,11 @@ class ColumnarFragment:
         self._overlay_labels: dict[NodeId, int] = {}
         self._overlay_profiles: dict[NodeId, dict[tuple[int, int, int], int]] = {}
         self._requirements: dict[tuple[int, object], tuple[object, CompiledRequirement]] = {}
+        self._requirements_labels = len(table)
         self._out_frozen: dict[NodeId, dict[Label, frozenset]] = {}
         self._in_frozen: dict[NodeId, dict[Label, frozenset]] = {}
         self._neighborhoods = Neighborhoods(graph)
-        self._sketches: dict[tuple[NodeId, int], KHopSketch] = {}
+        self._sketches: dict[int, dict[NodeId, object]] = {}  # hops -> node -> handle
         self._built_version = graph.version
         self.statistics.builds += 1
 
@@ -454,13 +457,13 @@ class ColumnarFragment:
                 "while a batch_update is open: the graph is in a half-applied state"
             )
         if not delta.net_empty:
-            self._patch(delta.touched)
+            self._patch(delta)
         self._built_version = delta.result_version
         self.statistics.delta_applies += 1
         return True
 
-    def _patch(self, touched: frozenset) -> None:
-        """Recompute the touched region of every store and cache.
+    def _patch(self, delta: GraphDelta) -> None:
+        """Recompute the region of every store and cache *delta* changed.
 
         Later deltas of a chain may already be reflected in the graph; that
         is fine — patching reads the *current* state, so applying a chain in
@@ -471,6 +474,7 @@ class ColumnarFragment:
         graph = self.graph
         table = graph.label_table
         labels = graph._labels
+        touched = delta.touched
         # Label buckets + label overlay for the touched nodes.
         for node in touched:
             old_id = self._label_id_of(node)
@@ -486,16 +490,13 @@ class ColumnarFragment:
                 if new_id >= 0:
                     self._buckets[new_id] = self._buckets.get(new_id, _EMPTY_FROZEN) | {node}
             self._overlay_labels[node] = new_id
-        # Profile rows of the touched nodes and their current neighbours (a
-        # relabelled node changes the profiles of everything adjacent to it;
-        # removed endpoints are touched already).
-        recompute: set = set()
-        for node in touched:
-            if node in labels:
-                recompute.add(node)
-                recompute.update(graph.neighbors(node))
-            else:
-                self._overlay_profiles.pop(node, None)
+        # Profile rows of the touched nodes (an edge change touches both
+        # endpoints) and of a relabelled node's current neighbours.
+        recompute = {node for node in touched if node in labels}
+        for node in touched - recompute:
+            self._overlay_profiles.pop(node, None)
+        for node in delta.relabeled_nodes & recompute:
+            recompute.update(graph.neighbors(node))
         for node in recompute:
             profile: dict[tuple[int, int, int], int] = {}
             for edge_label, targets in graph._out[node].items():
@@ -515,21 +516,27 @@ class ColumnarFragment:
         for node in touched:
             self._out_frozen.pop(node, None)
             self._in_frozen.pop(node, None)
-        hoods = self._neighborhoods
-        hoods.update(touched)
-        # Sketches within the k-hop balls of the touched nodes, computed on
-        # the *post-update* graph (exact; docs/streaming.md).
-        if self._sketches:
-            max_hops = max(hops for _node, hops in self._sketches)
-            within = [hoods.nodes(ring) for ring in hoods.reach(touched, max_hops)]
-            stale_sketches = [
-                key for key in self._sketches if key[0] in touched or key[0] in within[key[1]]
-            ]
-            for key in stale_sketches:
-                del self._sketches[key]
-            self.statistics.sketches_invalidated += len(stale_sketches)
-        # A patch can intern labels a compiled requirement saw as unknown.
-        self._requirements.clear()
+        # The kernel drops the touched nodes' neighbourhoods (a re-index: every
+        # ring too); sketch handles go where they can have changed, on the
+        # *post-update* graph (exact; docs/columnar.md): a histogram within k
+        # hops of any touched node; rings, which carry no labels, within k - 1
+        # hops of a changed edge's endpoints.
+        hoods, invalidated = self._neighborhoods, 0
+        if hoods.update(touched) is not None:
+            invalidated = sum(map(len, self._sketches.values()))
+            self._sketches.clear()
+        elif self._sketches:
+            ends = {node for edge in delta.added_edges | delta.removed_edges for node in edge[:2]}
+            sources, offset = (ends, 1) if hoods.masks else (touched, 0)
+            within = hoods.reach(sources, max(self._sketches) - offset)
+            for hops, cached in self._sketches.items():
+                for node in chain(delta.removed_nodes, hoods.nodes(within[hops - offset])):
+                    invalidated += cached.pop(node, None) is not None
+        self.statistics.sketches_invalidated += invalidated
+        # A compiled requirement may have seen a label the table lacked.
+        if len(table) != self._requirements_labels:
+            self._requirements.clear()
+            self._requirements_labels = len(table)
 
     def _check(self) -> None:
         """Probe guard: refresh if the graph has mutated since compile."""
@@ -757,34 +764,42 @@ class ColumnarFragment:
         """``Nr(node)`` as a fresh set, from the neighbourhood kernel."""
         self._check()
         hoods = self._neighborhoods
-        return set(hoods.nodes(hoods.ball(node, radius)))
+        return set(hoods.nodes(hoods.balls((node,), radius)[node]))
 
     # ------------------------------------------------------------------
     # caches: k-hop sketches
     # ------------------------------------------------------------------
     def sketch(self, node: NodeId, hops: int) -> KHopSketch:
-        """Memoised *hops*-hop sketch of *node*.
+        """The *hops*-hop sketch of *node*, from the memoised handle."""
+        self._check()
+        return self._neighborhoods.histogram(node, self._sketch_handle(node, hops))
+
+    def sketch_test(self, node: NodeId, hops: int, required: KHopSketch) -> tuple[bool, int]:
+        """``(sketch_dominates, sketch_score)`` of *node*'s sketch against *required*."""
+        self._check()  # below, the hit path of _sketch_handle inlined: it runs per candidate
+        handle = self._sketches.get(hops, _NO_VIEWS).get(node) or self._sketch_handle(node, hops)
+        return self._neighborhoods.sketch_test(handle, required)
+
+    def _sketch_handle(self, node: NodeId, hops: int):
+        """Memoised sketch handle (:meth:`Neighborhoods.sketch_handle`).
 
         Isolated nodes take the explicit empty-neighbourhood fast path: their
-        sketch is materialised directly (all-empty hop histograms) without a
-        BFS round-trip.
+        handle is materialised directly, without a BFS round-trip.
         """
-        self._check()
-        key = (node, hops)
-        sketch = self._sketches.get(key)
-        if sketch is None:
+        handle = self._sketches.get(hops, _NO_VIEWS).get(node)
+        if handle is None:
             graph = self.graph
             by_label = graph._out.get(node)
             if by_label is None:
                 raise NodeNotFoundError(node)
-            if not by_label and not graph._in[node]:
-                sketch = empty_sketch(node, hops)
+            isolated = not by_label and not graph._in[node]
+            handle = self._neighborhoods.sketch_handle(node, hops, isolated)
+            self._sketches.setdefault(hops, {})[node] = handle
+            if isolated:
                 self.statistics.sketch_fast_paths += 1
             else:
-                sketch = self._neighborhoods.sketch(node, hops)
                 self.statistics.sketches_built += 1
-            self._sketches[key] = sketch
-        return sketch
+        return handle
 
     # ------------------------------------------------------------------
     def __repr__(self) -> str:

@@ -385,13 +385,21 @@ class Graph:
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
-    def add_node(
-        self,
-        node_id: NodeId,
-        label: Label,
-        attrs: dict[str, Any] | None = None,
-    ) -> None:
-        """Add a node with *label*; re-adding with a different label fails."""
+    @classmethod
+    def from_parts(cls, nodes: Iterable[tuple], edges: Iterable[tuple], name: str = "graph",
+                   delta_log_size: int | None = None) -> "Graph":
+        """A graph of *nodes* ``(id, label, attrs)`` and *edges* ``(source, target, label)``,
+        checked as :meth:`add_node` / :meth:`add_edge` check them.  Construction is not
+        an update: nothing is recorded (version 0, an empty delta log)."""
+        graph = cls(name=name, delta_log_size=delta_log_size)
+        for node in nodes:
+            graph._store_node(*node)
+        for edge in edges:
+            graph._store_edge(*edge)
+        return graph
+
+    def _store_node(self, node_id: NodeId, label: Label, attrs: dict | None) -> bool:
+        """Add or re-add a node, recording nothing; whether it was new (see :meth:`add_node`)."""
         if type(label) is str:
             label = sys.intern(label)
         existing = self._labels.get(node_id)
@@ -403,17 +411,44 @@ class Graph:
                 )
             if attrs:
                 self._attrs.setdefault(node_id, {}).update(attrs)
-            return
+            return False
+        self._labels[node_id] = label
+        self._out[node_id] = {}
+        self._in[node_id] = {}
+        self._nodes_by_label.setdefault(label, set()).add(node_id)
+        if attrs:
+            self._attrs[node_id] = dict(attrs)
+        return True
+
+    def _store_edge(self, source: NodeId, target: NodeId, label: Label) -> tuple | None:
+        """Add an edge, recording nothing; its key when new, ``None`` when present."""
+        if type(label) is str:
+            label = sys.intern(label)
+        if source not in self._labels:
+            raise NodeNotFoundError(source)
+        if target not in self._labels:
+            raise NodeNotFoundError(target)
+        targets = self._out[source].setdefault(label, set())
+        if target in targets:
+            return None
+        targets.add(target)
+        self._in[target].setdefault(label, set()).add(source)
+        self._num_edges += 1
+        self._edge_label_counts[label] = self._edge_label_counts.get(label, 0) + 1
+        return source, target, label
+
+    def add_node(
+        self,
+        node_id: NodeId,
+        label: Label,
+        attrs: dict[str, Any] | None = None,
+    ) -> None:
+        """Add a node with *label*; re-adding with a different label fails."""
         recorder, owns = self._open_recorder()
         try:
-            recorder.node_initial.setdefault(node_id, (False, None))
-            self._labels[node_id] = label
-            self._out[node_id] = {}
-            self._in[node_id] = {}
-            self._nodes_by_label.setdefault(label, set()).add(node_id)
-            if attrs:
-                self._attrs[node_id] = dict(attrs)
-            recorder.dirty = True
+            if self._store_node(node_id, label, attrs):
+                recorder.node_initial.setdefault(node_id, (False, None))
+                recorder.dirty = True
         finally:
             if owns:
                 self._close_recorder()
@@ -425,27 +460,16 @@ class Graph:
         new, ``False`` if an identical edge was already present (the graph is
         left unchanged in that case).
         """
-        if type(label) is str:
-            label = sys.intern(label)
-        if source not in self._labels:
-            raise NodeNotFoundError(source)
-        if target not in self._labels:
-            raise NodeNotFoundError(target)
-        targets = self._out[source].setdefault(label, set())
-        if target in targets:
-            return False
         recorder, owns = self._open_recorder()
         try:
-            recorder.edge_initial.setdefault((source, target, label), False)
-            targets.add(target)
-            self._in[target].setdefault(label, set()).add(source)
-            self._num_edges += 1
-            self._edge_label_counts[label] = self._edge_label_counts.get(label, 0) + 1
-            recorder.dirty = True
+            key = self._store_edge(source, target, label)
+            if key is not None:
+                recorder.edge_initial.setdefault(key, False)
+                recorder.dirty = True
         finally:
             if owns:
                 self._close_recorder()
-        return True
+        return key is not None
 
     def remove_edge(self, source: NodeId, target: NodeId, label: Label) -> None:
         """Remove an edge; raises :class:`EdgeNotFoundError` if absent."""
@@ -735,16 +759,12 @@ class Graph:
     # ------------------------------------------------------------------
     def copy(self, name: str | None = None) -> "Graph":
         """Return a deep structural copy of the graph (same delta-log size)."""
-        clone = Graph(name=name or self.name, delta_log_size=self._delta_log.maxlen)
-        with clone.batch_update():
-            for node_id, label in self._labels.items():
-                clone.add_node(node_id, label, self._attrs.get(node_id))
-            for edge in self.edges():
-                clone.add_edge(edge.source, edge.target, edge.label)
-        # Construction is not an update: nothing existed before it that a
-        # derived structure could patch forward from.
-        clone._delta_log.clear()
-        return clone
+        return Graph.from_parts(
+            ((node_id, label, self._attrs.get(node_id)) for node_id, label in self._labels.items()),
+            ((edge.source, edge.target, edge.label) for edge in self.edges()),
+            name=name or self.name,
+            delta_log_size=self._delta_log.maxlen,
+        )
 
     def induced_subgraph(self, node_ids: Iterable[NodeId], name: str | None = None) -> "Graph":
         """Subgraph induced by *node_ids*: keeps all edges between them."""
@@ -752,20 +772,18 @@ class Graph:
         missing = [node for node in keep if node not in self._labels]
         if missing:
             raise NodeNotFoundError(missing[0])
-        sub = Graph(
+        return Graph.from_parts(
+            ((node_id, self._labels[node_id], self._attrs.get(node_id)) for node_id in keep),
+            (
+                (node_id, target, label)
+                for node_id in keep
+                for label, targets in self._out[node_id].items()
+                for target in targets
+                if target in keep
+            ),
             name=name or f"{self.name}|induced",
             delta_log_size=self._delta_log.maxlen,
         )
-        with sub.batch_update():
-            for node_id in keep:
-                sub.add_node(node_id, self._labels[node_id], self._attrs.get(node_id))
-            for node_id in keep:
-                for label, targets in self._out[node_id].items():
-                    for target in targets:
-                        if target in keep:
-                            sub.add_edge(node_id, target, label)
-        sub._delta_log.clear()
-        return sub
 
     def descendants(self, node_id: NodeId) -> set[NodeId]:
         """All nodes reachable from *node_id* via directed paths (excluding it)."""

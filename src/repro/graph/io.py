@@ -36,15 +36,12 @@ def graph_to_dict(graph: Graph) -> dict[str, Any]:
 
 def graph_from_dict(document: dict[str, Any]) -> Graph:
     """Reconstruct a graph from :func:`graph_to_dict` output."""
-    graph = Graph(name=document.get("name", "graph"))
-    # Intern labels once at load time: every parsed label string collapses to
-    # one shared object, so dict-path comparisons afterwards are pointer
-    # checks and the columnar LabelTable is warm before the first compile.
-    for node in document["nodes"]:
-        graph.add_node(node["id"], sys.intern(node["label"]), node.get("attrs") or None)
-    for edge in document["edges"]:
-        graph.add_edge(edge["source"], edge["target"], sys.intern(edge["label"]))
-    graph.label_table
+    graph = Graph.from_parts(
+        ((node["id"], node["label"], node.get("attrs") or None) for node in document["nodes"]),
+        ((edge["source"], edge["target"], edge["label"]) for edge in document["edges"]),
+        name=document.get("name", "graph"),
+    )
+    graph.label_table  # warm before the first compile
     return graph
 
 

@@ -22,7 +22,7 @@ from typing import Hashable, Iterable
 
 from repro.exceptions import NodeNotFoundError
 from repro.graph.graph import Graph
-from repro.graph.sketch import KHopSketch, build_sketch
+from repro.graph.sketch import KHopSketch, build_sketch, empty_sketch, sketch_dominates, sketch_score
 
 NodeId = Hashable
 
@@ -122,8 +122,8 @@ class Neighborhoods:
 
     * **masks** — every node owns a bit, a node's undirected adjacency is one
       memoised int and each label one node mask.  A d-ball is an OR over
-      frontier masks, a sketch's prefix counts are
-      ``(within & label_mask).bit_count()``;
+      frontier masks, a sketch is its hop rings and a test counts
+      ``(ring & label_mask).bit_count()``;
     * **sets** — memoised frozen neighbour views under :func:`bfs_levels`
       and :func:`~repro.graph.sketch.build_sketch`.
 
@@ -134,12 +134,13 @@ class Neighborhoods:
     stored before then has been swapped for one that holds no dead bit.
     """
 
-    __slots__ = ("_graph_ref", "masks", "_views", "_bit", "_node_at", "_adjacent", "_label_masks")
+    __slots__ = ("_graph_ref", "masks", "_views", "_bit", "_node_at", "_adjacent", "_label_masks", "_relabels")
 
     def __init__(self, graph: Graph) -> None:
         self._graph_ref = weakref.ref(graph)  # its owner keeps the graph alive
         self.masks = uses_masks(graph.num_nodes, graph.num_edges)
         self._views: dict[NodeId, frozenset] = {}
+        self._relabels = 0  # label-mask moves of existing bits so far: a ring's label counts' epoch
         self._index(graph._labels if self.masks else ())
 
     def _index(self, nodes) -> None:
@@ -194,6 +195,7 @@ class Neighborhoods:
             for old, members in masks.items():
                 if members & one:
                     masks[old] = members ^ one
+                    self._relabels += old != label
             if label is None:
                 del self._bit[node]
             else:
@@ -251,31 +253,90 @@ class Neighborhoods:
                 within.append(seen)
         return within + within[-1:] * (radius + 1 - len(within))
 
-    def ball(self, center: NodeId, radius: int):
-        """Handle of ``Nr(center)`` (the nodes of :func:`ball`)."""
-        if not self._graph_ref().has_node(center):
-            raise NodeNotFoundError(center)
-        return self.reach((center,), radius)[-1]
+    def balls(self, centers: Iterable[NodeId], radius: int) -> dict:
+        """``{center: handle of Nr(center)}`` (the nodes of :func:`ball`), in one pass:
+        on the mask side ``B_r(c) = {c} ∪ ⋃_{u ∈ N(c)} B_{r−1}(u)``, each ``B_{r−1}``
+        computed once per call; the set side runs one BFS per centre."""
+        graph, adjacent, memo = self._graph_ref(), self._adjacent, [{} for _ in range(radius + 1)]
+        deep = self.masks and radius > 1
 
-    def sketch(self, node: NodeId, hops: int) -> KHopSketch:
-        """The *hops*-hop sketch of *node*, field for field :func:`build_sketch`'s."""
+        def grown(bit: int, hops: int) -> int:  # hops >= 2
+            known = memo[hops].get(bit)
+            if known is None:
+                mask = adjacent[bit]
+                rest = mask if mask is not None else self._adjacency(bit)
+                known = rest | 1 << bit
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    child = low.bit_length() - 1
+                    if hops > 2:
+                        known |= grown(child, hops - 1)
+                        continue
+                    mask = adjacent[child]  # B_1(child): its bit, already in, and its neighbours
+                    known |= mask if mask is not None else self._adjacency(child)
+                memo[hops][bit] = known
+            return known
+
+        found = {}
+        for center in centers:
+            if not graph.has_node(center):
+                raise NodeNotFoundError(center)
+            found[center] = grown(self._bit[center], radius) if deep else self.reach((center,), radius)[-1]
+        return found
+
+    def sketch_handle(self, node: NodeId, hops: int, isolated: bool = False):
+        """What the resident structure caches of *node*'s sketch (*isolated*: it has no
+        neighbour, skip the BFS): the KHopSketch on the set side; on the mask side the
+        rings (W1 … Wk) — within i hops, own bit cleared — and their total, which a
+        relabel leaves exact (no labels), plus the label counts tests took of them."""
         if not self.masks:
-            return build_sketch(self._graph_ref(), node, hops, self._view)
+            graph = self._graph_ref()
+            return empty_sketch(node, hops) if isolated else build_sketch(graph, node, hops, self._view)
         if hops < 1:
             raise ValueError(f"hops must be >= 1, got {hops}")
         if node not in self._bit:
             raise NodeNotFoundError(node)
         others = ~(1 << self._bit[node])
-        within = [ring & others for ring in self.reach((node,), hops)[1:]]
-        outer = within[-1]
-        prefix = tuple({} for _ in within)
+        rings = (0,) * hops if isolated else tuple(ring & others for ring in self.reach((node,), hops)[1:])
+        return [rings, rings[-1].bit_count(), self._relabels, [{} for _ in rings]]
+
+    def sketch_test(self, handle, required: KHopSketch) -> tuple[bool, int]:
+        """``(sketch_dominates, sketch_score)`` of a sketch handle against *required*.
+
+        A mask-side handle counts ``(W_h & label_mask).bit_count()`` when a test first
+        needs it, and keeps it until a label mask moves a bit it had (relabel, removal)."""
+        if not self.masks:
+            return sketch_dominates(handle, required), sketch_score(handle, required)
+        rings, total, relabels, counted = handle
+        if relabels != self._relabels:
+            handle[2:] = self._relabels, [{} for _ in rings]
+            counted = handle[3]
+        last = len(rings) - 1
+        for hop, needed in enumerate(required.prefix):
+            at = hop if hop < last else last
+            ring, known = rings[at], counted[at]
+            for label, count in needed.items():
+                have = known.get(label)
+                if have is None:
+                    have = known[label] = (ring & self._label_masks.get(label, 0)).bit_count()
+                if have < count:
+                    return False, total - required.total
+        return True, total - required.total
+
+    def histogram(self, node: NodeId, handle) -> KHopSketch:
+        """The :class:`KHopSketch` a sketch handle of *node* stands for, labels as of now."""
+        if not self.masks:
+            return handle
+        rings, total = handle[:2]
+        prefix = tuple({} for _ in rings)
         for label, members in self._label_masks.items():
-            if outer & members:
-                for counts, ring in zip(prefix, within):
+            if rings[-1] & members:
+                for counts, ring in zip(prefix, rings):
                     count = (ring & members).bit_count()
                     if count:
                         counts[label] = count
-        return KHopSketch(node=node, hops=hops, prefix=prefix, total=outer.bit_count())
+        return KHopSketch(node=node, hops=len(rings), prefix=prefix, total=total)
 
     def size(self, handle) -> int:
         return handle.bit_count() if self.masks else len(handle)

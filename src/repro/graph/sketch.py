@@ -11,12 +11,11 @@ sketches in two ways:
 * **ordering** — among surviving candidates, the one with the largest label
   surplus (:func:`sketch_score`) is tried first.
 
-Both tests compare *cumulative* counts, and a sketch never changes once
-built, so a sketch stores its per-hop prefix sums ``D1 + … + Di`` and its
-total instead of the raw histograms: a comparison reads what was summed at
-build time and builds nothing.  :func:`build_sketch` is the set-at-a-time
-reference; the resident structure builds the same sketch by popcount
-(:class:`repro.graph.neighborhood.Neighborhoods`).
+Both tests compare *cumulative* counts, so a sketch stores its per-hop
+prefix sums ``D1 + … + Di`` and its total instead of the raw histograms.
+:func:`build_sketch` is the set-at-a-time reference; the resident structure
+keeps a node's hop rings instead and answers both tests by popcount against
+the current label masks (:class:`repro.graph.neighborhood.Neighborhoods`).
 """
 
 from __future__ import annotations

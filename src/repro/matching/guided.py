@@ -40,9 +40,10 @@ class GuidedMatcher(PlanMatcher):
 
     Notes
     -----
-    Data-node sketches come from the resident structure's cache, shared by
-    every matcher probing that graph in the process; on a graph with nothing
-    resident (or an open ``batch_update``) they are built per probe.
+    Data-node sketch tests are answered by the resident structure from its
+    cache, shared by every matcher probing that graph in the process; on a
+    graph with nothing resident (or an open ``batch_update``) the sketch is
+    built per probe.
     """
 
     def __init__(self, sketch_hops: int = 2) -> None:
@@ -51,10 +52,12 @@ class GuidedMatcher(PlanMatcher):
             raise ValueError(f"sketch_hops must be >= 1, got {sketch_hops}")
         self.sketch_hops = sketch_hops
 
-    def _data_sketch(self, graph: Graph, resident, node: NodeId) -> KHopSketch:
+    def _test(self, graph: Graph, resident, node: NodeId, required: KHopSketch) -> tuple[bool, int]:
+        """``(sketch_dominates, sketch_score)`` of *node*'s sketch against *required*."""
         if resident is not None:
-            return resident.sketch(node, self.sketch_hops)
-        return build_sketch(graph, node, self.sketch_hops)
+            return resident.sketch_test(node, self.sketch_hops, required)
+        sketch = build_sketch(graph, node, self.sketch_hops)
+        return sketch_dominates(sketch, required), sketch_score(sketch, required)
 
     def _required(self, pattern: Pattern, plan) -> tuple[KHopSketch, ...]:
         """The sketch each plan position requires — compiled once, kept on the plan."""
@@ -72,9 +75,7 @@ class GuidedMatcher(PlanMatcher):
             return True
         if not degree_consistent(graph, data_node, pattern, pattern.x, resident):
             return False
-        if not sketch_dominates(
-            self._data_sketch(graph, resident, data_node), self._required(pattern, plan)[0]
-        ):
+        if not self._test(graph, resident, data_node, self._required(pattern, plan)[0])[0]:
             self.statistics.sketch_prunes += 1
             return False
         return True
@@ -83,11 +84,11 @@ class GuidedMatcher(PlanMatcher):
         required = self._required(pattern, plan)[position]
         ranked: list[tuple[int, NodeId]] = []
         for candidate in candidates:
-            sketch = self._data_sketch(graph, resident, candidate)
-            if not sketch_dominates(sketch, required):
+            dominates, score = self._test(graph, resident, candidate, required)
+            if not dominates:
                 self.statistics.sketch_prunes += 1
                 continue
-            ranked.append((sketch_score(sketch, required), candidate))
+            ranked.append((score, candidate))
         # Best (largest surplus) first; break ties deterministically.
         ranked.sort(key=lambda item: (-item[0], str(item[1])))
         return [candidate for _, candidate in ranked]

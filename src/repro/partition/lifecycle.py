@@ -172,15 +172,12 @@ class FragmentCheckpoint:
 
     def build_graph(self) -> Graph:
         """Materialise the snapshot as a fresh fragment graph."""
-        graph = Graph(name=self.name, delta_log_size=self.delta_log_size)
-        with graph.batch_update():
-            for node, label, attrs in self.nodes:
-                graph.add_node(node, label, dict(attrs) or None)
-            for source, target, label in self.edges:
-                graph.add_edge(source, target, label)
-        # Construction is not an update (same contract as Graph.copy).
-        graph._delta_log.clear()
-        return graph
+        return Graph.from_parts(
+            ((node, label, dict(attrs) or None) for node, label, attrs in self.nodes),
+            self.edges,
+            name=self.name,
+            delta_log_size=self.delta_log_size,
+        )
 
     def install(self, fragment: Fragment) -> None:
         """Replace *fragment*'s resident state with this snapshot in place.
@@ -340,7 +337,6 @@ class FragmentManager:
         # Owned centres' d-balls as kernel handles (bit masks on a graph small
         # enough, sets otherwise); checkpoints store them as sets.
         self._neighborhoods = hoods = Neighborhoods(graph)
-        self._balls: dict[NodeId, object] = {}
         self._refcounts: dict[int, dict[NodeId, int]] = {}
         self._node_sets: dict[int, set] = {}
         self._logs: dict[int, list[FragmentUpdate]] = {}
@@ -351,13 +347,15 @@ class FragmentManager:
         # learned from measured round worker times; see record_round_timing.
         self._cost_factors: dict[int, float] = {}
         self._sequence = 0
+        self._balls = hoods.balls(
+            [center for fragment in self.fragments for center in fragment.owned_centers], max_radius
+        )
         for fragment in self.fragments:
             index = fragment.index
             refcounts: dict[NodeId, int] = {}
             for center in fragment.owned_centers:
                 self._owner[center] = index
-                center_ball = self._balls[center] = hoods.ball(center, max_radius)
-                for node in hoods.nodes(center_ball):
+                for node in hoods.nodes(self._balls[center]):
                     refcounts[node] = refcounts.get(node, 0) + 1
             self._refcounts[index] = refcounts
             self._node_sets[index] = set(refcounts)
@@ -490,7 +488,6 @@ class FragmentManager:
         recode = hoods.update(delta.touched)
         if recode is not None:
             self._balls = {center: recode(handle) for center, handle in self._balls.items()}
-        fresh_balls: dict = {}  # centres gained in this batch
         own_add: dict[int, set] = {index: set() for index in indexes}
         own_remove: dict[int, set] = {index: set() for index in indexes}
 
@@ -541,8 +538,7 @@ class FragmentManager:
                 if old_ball is not None:
                     shift(owner, hoods.nodes(old_ball), -1)
             elif owner is None and is_center:
-                fresh_balls[node] = hoods.ball(node, self.max_radius)
-                chosen = self._assign_owner(hoods.nodes(fresh_balls[node]))
+                chosen = self._assign_owner(hoods.nodes(hoods.balls((node,), self.max_radius)[node]))
                 self._owner[node] = chosen
                 own_add[chosen].add(node)
         plan.owned_added = sum(len(centers) for centers in own_add.values())
@@ -563,23 +559,22 @@ class FragmentManager:
             shift(dst, moved_ball, +1)
         plan.migrations = tuple(migrations)
 
-        # (4) recheck centres (owned, inside the affected region): swap the
-        # stored ball for the current one, by their difference — shifting a
-        # node both balls hold down and up again cancels, in the refcounts
-        # and in the entered / vanished sets alike, so only the difference is
-        # decoded from the masks.  Freshly gained centres
-        # have no stored ball yet; they are in the region by construction
-        # (only touched nodes gain the centre label, and touched ⊆ region).
+        # (4) recheck centres (owned, inside the affected region): their
+        # current balls in one pass, each swapped for the stored one by their
+        # difference — shifting a node both balls hold down and up again
+        # cancels, in the refcounts and in the entered / vanished sets alike,
+        # so only the difference is decoded from the masks.  Freshly gained
+        # centres have no stored ball yet; they are in the region by
+        # construction (only touched nodes gain the centre label, and touched ⊆ region).
         recheck: dict[int, set] = {index: set() for index in indexes}
         for center, owner in self._owner.items():
             if center in region:
                 recheck[owner].add(center)
+        current = hoods.balls([center for centers in recheck.values() for center in centers], self.max_radius)
         for index in indexes:
             for center in sorted(recheck[index], key=str):
                 old_ball = self._balls.get(center)
-                new_ball = fresh_balls.get(center)
-                if new_ball is None:
-                    new_ball = hoods.ball(center, self.max_radius)
+                new_ball = current[center]
                 if old_ball is None:
                     shift(index, hoods.nodes(new_ball), +1)
                 elif old_ball != new_ball:
@@ -857,14 +852,7 @@ class FragmentManager:
         manager.fragments = []
         for index in sorted(manager._node_sets):
             node_set = manager._node_sets[index]
-            local = (
-                graph.induced_subgraph(node_set, name=f"{graph.name}|F{index}")
-                if node_set
-                else Graph(
-                    name=f"{graph.name}|F{index}",
-                    delta_log_size=graph.delta_log_size,
-                )
-            )
+            local = graph.induced_subgraph(node_set, name=f"{graph.name}|F{index}")
             manager.fragments.append(
                 Fragment(
                     index=index,

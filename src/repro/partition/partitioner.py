@@ -13,7 +13,7 @@ from typing import Hashable, Iterable, Sequence
 
 from repro.exceptions import PartitionError
 from repro.graph.graph import Graph
-from repro.graph.neighborhood import ball
+from repro.graph.neighborhood import Neighborhoods
 from repro.partition.fragment import Fragment, FragmentationReport
 from repro.utils.rng import ensure_rng
 
@@ -70,11 +70,13 @@ def partition_graph(
     # the fragment with the smallest accumulated *work load* (sum of owned
     # ball sizes); the resulting fragment node-set size breaks ties so that
     # storage stays even too.
+    hoods = Neighborhoods(graph)
+    balls = hoods.balls(center_list, d)
     fragment_nodes: list[set[NodeId]] = [set() for _ in range(num_fragments)]
     fragment_centers: list[set[NodeId]] = [set() for _ in range(num_fragments)]
     fragment_load: list[int] = [0] * num_fragments
     for center in center_list:
-        center_ball = ball(graph, center, d)
+        center_ball = hoods.nodes(balls[center])
         best_index = 0
         best_cost: tuple[int, int] | None = None
         for index in range(num_fragments):
@@ -89,10 +91,7 @@ def partition_graph(
 
     fragments: list[Fragment] = []
     for index in range(num_fragments):
-        nodes = fragment_nodes[index]
-        local = graph.induced_subgraph(nodes, name=f"{graph.name}|F{index}") if nodes else Graph(
-            name=f"{graph.name}|F{index}"
-        )
+        local = graph.induced_subgraph(fragment_nodes[index], name=f"{graph.name}|F{index}")
         fragments.append(
             Fragment(index=index, graph=local, owned_centers=set(fragment_centers[index]))
         )

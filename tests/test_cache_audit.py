@@ -290,6 +290,7 @@ NEIGHBORHOOD_SLOTS = {
     "_label_masks": "pinned memo: label -> node mask (mask side)",
     "_bit": "bit index: live node -> bit",
     "_node_at": "bit index: bit -> node, dead ones until the re-index",
+    "_relabels": "epoch of the label masks: a cached ring's label counts hold while it stands",
     "_graph_ref": "the graph itself (weak)",
     "masks": "the representation, fixed per compile",
 }

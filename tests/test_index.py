@@ -117,9 +117,11 @@ class TestIndexLayers:
         index = ColumnarFragment(g)
         for node in list(g.nodes())[:10]:
             assert index.sketch(node, 2) == build_sketch(g, node, 2)
-        # Memoised: the same object comes back.
+        # Memoised: a repeat probe builds nothing.
         node = next(iter(g.nodes()))
-        assert index.sketch(node, 2) is index.sketch(node, 2)
+        built = index.statistics.sketches_built
+        assert index.sketch(node, 2) == index.sketch(node, 2)
+        assert index.statistics.sketches_built == built
 
     def test_invalid_construction_arguments(self):
         with pytest.raises(ValueError):
@@ -137,7 +139,7 @@ class TestSketchFastPath:
         def boom(*args, **kwargs):  # pragma: no cover - must not run
             raise AssertionError("BFS ran for an isolated node")
 
-        monkeypatch.setattr(Neighborhoods, "sketch", boom)
+        monkeypatch.setattr(Neighborhoods, "reach", boom)
         sketch = index.sketch("loner", 2)
         assert sketch == empty_sketch("loner", 2)
         assert sketch.total == 0
@@ -145,7 +147,7 @@ class TestSketchFastPath:
         assert index.statistics.sketches_built == 0
         # Memoised as well: the second probe is a cache hit, not another
         # fast-path materialisation.
-        assert index.sketch("loner", 2) is sketch
+        assert index.sketch("loner", 2) == sketch
         assert index.statistics.sketch_fast_paths == 1
 
     def test_connected_node_takes_bfs_path(self):
@@ -243,6 +245,23 @@ class TestInvalidation:
             for node in g.nodes():
                 for label in labels:
                     assert getattr(index, name)(node, label) == getattr(fresh, name)(node, label)
+
+    def test_requirement_memo_is_cleared_only_when_a_label_is_interned(self):
+        """A compiled requirement keeps an unknown label as unknown: a patch
+        that interns a label must drop the memo, one that does not keeps it."""
+        from repro.pattern import Pattern
+
+        g = toy_graph()
+        index = ColumnarFragment(g, rebuild_fraction=1.0)
+        pattern = Pattern({"x": "cust", "v": "vip"}, [("x", "v", "friend")], x="x", y="v")
+        assert not index.degree_consistent("alice", pattern, "x")  # no vip anywhere yet
+        memo = dict(index._requirements)
+        g.relabel_node("loner", "restaurant")  # a label the table holds already
+        assert not index.degree_consistent("alice", pattern, "x")
+        assert all(index._requirements[key] is entry for key, entry in memo.items())
+        g.relabel_node("bob", "vip")  # interns "vip"
+        assert index.degree_consistent("alice", pattern, "x")
+        assert index.statistics.delta_applies == 2
 
     def test_refresh_drops_stale_sketches_and_views(self):
         g = toy_graph()

@@ -82,7 +82,8 @@ class TestSketches:
         sketch = build_sketch(chain, "a", 2)
         assert sketch.prefix == ({"L": 1}, {"L": 1, "M": 1, "N": 1})
         assert sketch.total == 3
-        assert Neighborhoods(chain).sketch("a", 2) == sketch
+        kernel = Neighborhoods(chain)
+        assert kernel.histogram("a", kernel.sketch_handle("a", 2)) == sketch
 
     def test_sketch_requires_positive_hops(self, chain):
         with pytest.raises(ValueError):
@@ -90,7 +91,7 @@ class TestSketches:
         kernel = Neighborhoods(chain)
         assert kernel.masks
         with pytest.raises(ValueError):
-            kernel.sketch("a", 0)
+            kernel.sketch_handle("a", 0)
 
     def test_dominates_reflexive(self, chain):
         sketch = build_sketch(chain, "a", 2)

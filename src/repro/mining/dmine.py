@@ -165,7 +165,8 @@ class DMine:
                             for worker_proposals in worker_results
                             for proposal in worker_proposals
                         ]
-                        return len(proposals), self._deduplicate(proposals, seen_codes)
+                        with span("dmine.dedup", proposals=len(proposals)):
+                            return len(proposals), self._deduplicate(proposals, seen_codes)
 
                     with span("dmine.propose", rules=len(rules)):
                         proposed_count, representatives = runtime.run_round(
@@ -212,49 +213,51 @@ class DMine:
 
                     def _coordinate(messages_per_worker):
                         nonlocal sigma, candidates_pruned
-                        for worker_messages in messages_per_worker:
-                            for message in worker_messages:
-                                witness[(message.fragment_index, message.rule)] = message
-                        delta = self._assemble(representatives, messages_per_worker, global_stats)
-                        delta = {
-                            rule: info
-                            for rule, info in delta.items()
-                            if info.support >= config.sigma and not math.isinf(info.confidence)
-                        }
-                        sigma.update(delta)
+                        with span("dmine.coordinate", representatives=len(representatives)):
+                            with span("dmine.coordinate.assemble"):
+                                for worker_messages in messages_per_worker:
+                                    for message in worker_messages:
+                                        witness[(message.fragment_index, message.rule)] = message
+                                delta = self._assemble(representatives, messages_per_worker, global_stats)
+                                delta = {
+                                    rule: info
+                                    for rule, info in delta.items()
+                                    if info.support >= config.sigma and not math.isinf(info.confidence)
+                                }
+                                sigma.update(delta)
+                            with span("dmine.coordinate.diversify", rules=len(delta)):
+                                if config.optimized:
+                                    diversifier.update(delta, sigma)
+                                else:
+                                    # The "discover then diversify" behaviour of DMineno:
+                                    # the top-k set is recomputed from scratch over the
+                                    # whole Σ at every round instead of being maintained
+                                    # incrementally.
+                                    greedy_diversify(sigma, config.k, objective)
+                            with span("dmine.coordinate.reduce"):
+                                if config.optimized:
+                                    outcome = apply_reduction_rules(
+                                        sigma,
+                                        delta,
+                                        objective,
+                                        diversifier.min_pair_score,
+                                        protected=set(diversifier.top_k()),
+                                    )
+                                    sigma = outcome.sigma
+                                    extendable = outcome.extendable
+                                    candidates_pruned += outcome.pruned_sigma + outcome.pruned_delta
+                                else:
+                                    extendable = {
+                                        rule: info for rule, info in delta.items() if info.extendable
+                                    }
 
-                        if config.optimized:
-                            diversifier.update(delta, sigma)
-                        else:
-                            # The "discover then diversify" behaviour of DMineno:
-                            # the top-k set is recomputed from scratch over the
-                            # whole Σ at every round instead of being maintained
-                            # incrementally.
-                            greedy_diversify(sigma, config.k, objective)
-
-                        if config.optimized:
-                            outcome = apply_reduction_rules(
-                                sigma,
-                                delta,
-                                objective,
-                                diversifier.min_pair_score,
-                                protected=set(diversifier.top_k()),
+                            # Beam: carry the most promising extendable rules into the
+                            # next round (highest optimistic confidence, then support).
+                            ranked = sorted(
+                                extendable.items(),
+                                key=lambda item: (-item[1].upper_confidence, -item[1].support),
                             )
-                            sigma = outcome.sigma
-                            extendable = outcome.extendable
-                            candidates_pruned += outcome.pruned_sigma + outcome.pruned_delta
-                        else:
-                            extendable = {
-                                rule: info for rule, info in delta.items() if info.extendable
-                            }
-
-                        # Beam: carry the most promising extendable rules into the
-                        # next round (highest optimistic confidence, then support).
-                        ranked = sorted(
-                            extendable.items(),
-                            key=lambda item: (-item[1].upper_confidence, -item[1].support),
-                        )
-                        return [rule for rule, _info in ranked[: config.max_rules_per_round]]
+                            return [rule for rule, _info in ranked[: config.max_rules_per_round]]
 
                     with span("dmine.evaluate", representatives=len(representatives)):
                         message_set = runtime.run_round(
@@ -352,12 +355,11 @@ class DMine:
         *seen_codes* holds the canonical code of every representative ever
         evaluated — including trivial or low-support ones — so the same
         structure is never regenerated and re-verified in a later round.
+        Equal proposals are dropped first: each would only join its twin's group.
         """
-        if not proposals:
-            return []
         fresh = [
             rule
-            for rule in proposals
+            for rule in dict.fromkeys(proposals)
             if canonical_code(rule.pr_pattern()) not in seen_codes
         ]
         if not fresh:

@@ -3,7 +3,7 @@
 A worker grows a GPAR by one antecedent edge at a time.  Rather than
 enumerating all label combinations, extensions are read off the data: for a
 matched centre, the antecedent match is overlaid on the fragment and every
-incident data edge that is not yet part of the pattern becomes a candidate
+incident data edge (counted off profile rows) not yet in the pattern becomes a candidate
 extension — either a *closing* edge between two already-present pattern nodes
 or a *growing* edge to a fresh pattern node carrying the data node's label.
 Extensions supported by more centres are proposed first.
@@ -11,14 +11,16 @@ Extensions supported by more centres are proposed first.
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from dataclasses import dataclass
 from typing import Hashable, Iterable
 
+from repro.graph.columnar import columnar_view
 from repro.graph.graph import Graph
 from repro.matching.base import Matcher
 from repro.pattern.gpar import GPAR
-from repro.pattern.pattern import Pattern, PatternEdge
+from repro.pattern.pattern import Pattern
 from repro.pattern.radius import pattern_radius
 
 NodeId = Hashable
@@ -56,75 +58,44 @@ def _extension_keys_for_match(
     antecedent: Pattern,
     mapping: dict,
     consequent_label: str,
+    profile,
 ) -> set[_ExtensionKey]:
-    """All single-edge extensions suggested by one antecedent match."""
-    keys: set[_ExtensionKey] = set()
+    """All single-edge extensions suggested by one antecedent match.
+
+    Read off the mapped nodes' profile rows (*profile*: data node -> the
+    ``{(direction, edge label, neighbour label): count}`` row of
+    :meth:`repro.graph.columnar.ColumnarFragment.profile`), not their edges.
+    The only edges looked at are those between two mapped nodes, found by
+    adjacency membership; they give the closing keys and, per row triple,
+    the edges into the image.  A growing key exists iff its triple counts
+    more edges than go into the image (``docs/incremental.md``, "Proposing").
+    """
     image = {data_node: pattern_node for pattern_node, data_node in mapping.items()}
-    existing_edges = set(antecedent.edges())
-    for pattern_node, data_node in mapping.items():
-        for edge in graph.out_edges(data_node):
-            other_pattern = image.get(edge.target)
-            if other_pattern is not None:
-                candidate = PatternEdge(pattern_node, other_pattern, edge.label)
-                if candidate in existing_edges or other_pattern == pattern_node:
+    labels = {data_node: graph.node_label(data_node) for data_node in image}
+    into_image: Counter = Counter()
+    keys: set[_ExtensionKey] = set()
+    for source, pattern_source in image.items():
+        for direction, edge_label, label in profile(source):
+            if direction != "out":
+                continue
+            for target, pattern_target in image.items():
+                if labels[target] != label or not graph.has_edge(source, target, edge_label):
                     continue
-                # Never re-introduce the consequent edge q(x, y).
+                into_image[source, "out", edge_label, label] += 1
+                into_image[target, "in", edge_label, labels[source]] += 1
                 if (
-                    pattern_node == antecedent.x
-                    and other_pattern == antecedent.y
-                    and edge.label == consequent_label
+                    pattern_source == pattern_target
+                    or antecedent.has_edge(pattern_source, pattern_target, edge_label)
+                    # Never re-introduce the consequent edge q(x, y).
+                    or (pattern_source, pattern_target, edge_label)
+                    == (antecedent.x, antecedent.y, consequent_label)
                 ):
                     continue
-                keys.add(
-                    _ExtensionKey(
-                        kind="closing",
-                        pattern_source=pattern_node,
-                        pattern_target=other_pattern,
-                        edge_label=edge.label,
-                    )
-                )
-            else:
-                keys.add(
-                    _ExtensionKey(
-                        kind="growing",
-                        pattern_source=pattern_node,
-                        pattern_target=None,
-                        edge_label=edge.label,
-                        other_label=graph.node_label(edge.target),
-                        outgoing=True,
-                    )
-                )
-        for edge in graph.in_edges(data_node):
-            other_pattern = image.get(edge.source)
-            if other_pattern is not None:
-                candidate = PatternEdge(other_pattern, pattern_node, edge.label)
-                if candidate in existing_edges or other_pattern == pattern_node:
-                    continue
-                if (
-                    other_pattern == antecedent.x
-                    and pattern_node == antecedent.y
-                    and edge.label == consequent_label
-                ):
-                    continue
-                keys.add(
-                    _ExtensionKey(
-                        kind="closing",
-                        pattern_source=other_pattern,
-                        pattern_target=pattern_node,
-                        edge_label=edge.label,
-                    )
-                )
-            else:
-                keys.add(
-                    _ExtensionKey(
-                        kind="growing",
-                        pattern_source=pattern_node,
-                        pattern_target=None,
-                        edge_label=edge.label,
-                        other_label=graph.node_label(edge.source),
-                        outgoing=False,
-                    )
-                )
+                keys.add(_ExtensionKey("closing", pattern_source, pattern_target, edge_label))
+    for data_node, pattern_node in image.items():
+        for (direction, edge_label, label), count in profile(data_node).items():
+            if count > into_image[data_node, direction, edge_label, label]:
+                keys.add(_ExtensionKey("growing", pattern_node, None, edge_label, label, direction == "out"))
     return keys
 
 
@@ -196,6 +167,7 @@ def candidate_extensions(
     """
     q_label = consequent_label if consequent_label is not None else rule.consequent_label
     antecedent = rule.antecedent.expanded()
+    profile = functools.cache(columnar_view(graph).profile)  # one read per node and call
     votes: Counter = Counter()
     for center in centers:
         mapping = witnesses.witness_for(center) if witnesses is not None else None
@@ -203,7 +175,7 @@ def candidate_extensions(
             mapping = matcher.find_match_at(graph, antecedent, center)
         if mapping is None:
             continue
-        for key in _extension_keys_for_match(graph, antecedent, mapping, q_label):
+        for key in _extension_keys_for_match(graph, antecedent, mapping, q_label, profile):
             votes[key] += 1
 
     # Most-supported first with a *total* tie order: Counter.most_common

@@ -12,7 +12,10 @@ id, and the info table, the queue and the in-queue set are all kept by id.
 A fresh rule is scored only against partners that can still win — those
 whose pair-score upper bound (``diff = 1``, the Lemma 3 bound) exceeds the
 queue's minimum pair score ``F'_m``; every other partner's real score is at
-most its bound, so skipping it cannot change which pair is chosen.
+most its bound, so skipping it cannot change which pair is chosen.  The
+bound is monotone in the partner's confidence (in floating point too), so
+partners are visited in falling confidence and the scan stops at the first
+bound ``<= F'_m``; equal scores go to the smaller id, as in insertion order.
 """
 
 from __future__ import annotations
@@ -137,6 +140,7 @@ class IncrementalDiversifier:
             return
         pairs, queued, infos = self._pairs, self._queued, self._infos
         upper_bound = self.objective.upper_bound_contribution
+        by_confidence = sorted(range(len(infos)), key=lambda i: (-infos[i].confidence, i))
         for rule in fresh:
             if rule in queued:
                 continue
@@ -145,13 +149,13 @@ class IncrementalDiversifier:
             confidence = infos[rule].confidence
             best_partner = -1
             best_score = worst.score
-            for partner, info in enumerate(infos):
+            for partner in by_confidence:
                 if partner == rule or partner in queued:
                     continue
-                if upper_bound(confidence, info.confidence) <= worst.score:
-                    continue  # even at diff = 1 this pair cannot beat F'_m
+                if upper_bound(confidence, infos[partner].confidence) <= worst.score:
+                    break  # even at diff = 1 neither this pair nor a later one beats F'_m
                 score = self._pair_score(rule, partner)
-                if score > best_score:
+                if score > best_score or (score == best_score and best_partner > partner):
                     best_score = score
                     best_partner = partner
             if best_partner >= 0:

@@ -2,9 +2,29 @@
 
 DMine deduplicates GPARs generated independently by different workers; two
 GPARs are "automorphic" when their rule patterns PR are isomorphic under a
-mapping that preserves the designated nodes (paper Section 4.2).  The exact
-check is exponential, so :func:`group_automorphic` first filters pairs with
-the bisimulation necessary condition (Lemma 4) and the cheap canonical code.
+mapping that preserves the designated nodes (paper Section 4.2).
+
+:func:`group_automorphic` keys groups by ``(consequent label, canonical
+code)``.  A ``canonical:`` code is a complete invariant, so within such a
+bucket no check runs at all:
+
+* *isomorphic ⇒ equal codes.*  The code is computed on the copy-expanded
+  pattern from colours seeded with ``(label, is_x, is_y)`` and refined by
+  labelled neighbourhoods — nothing reads a node's name — so an isomorphism
+  ``φ`` preserving x and y maps colour classes onto equal colour classes,
+  and the classes are ordered by their colours.  Each ordering that respects
+  the classes encodes ``P`` exactly as its image under ``φ`` encodes
+  ``φ(P)``; the code is the minimum over *all* such orderings, so both
+  patterns take the minimum over the same set of encodings.
+* *equal codes ⇒ isomorphic.*  An encoding lists, per position, the node's
+  label and x / y flags and the sorted labelled edge set over positions.
+  Two equal encodings therefore define a position-to-position bijection
+  that preserves labels, the designated nodes and every labelled edge —
+  exactly what :func:`are_isomorphic` searches for.
+
+A ``fallback:`` code (more than ``_MAX_ORDERINGS`` orderings) fixes one
+ordering by node name, so isomorphic patterns may get different codes; its
+bucket keeps the bisimulation filter (Lemma 4) and the exact check.
 """
 
 from __future__ import annotations
@@ -84,32 +104,27 @@ def group_automorphic(
 ) -> list[list[GPAR]]:
     """Partition *rules* into groups of pairwise-automorphic GPARs.
 
-    The bisimulation filter (Lemma 4: not bisimilar ⇒ not automorphic) and the
-    canonical-code filter cheaply reject most non-automorphic pairs before the
-    exponential exact check runs.
+    Groups come in order of their first member, members in input order.  A
+    rule with a ``canonical:`` code joins its bucket's one group outright;
+    under a ``fallback:`` code it joins the bucket's first group that passes
+    the bisimulation filter and the exact check (see the module docstring).
     """
     groups: list[list[GPAR]] = []
-    group_codes: list[str] = []
+    buckets: dict[tuple[str, str], list[list[GPAR]]] = {}
     for rule in rules:
         code = canonical_code(rule.pr_pattern())
-        placed = False
-        for index, group in enumerate(groups):
-            representative = group[0]
-            if rule.consequent_label != representative.consequent_label:
-                continue
-            if group_codes[index] != code:
-                continue
-            if use_bisimulation_filter and not are_bisimilar(
-                rule.pr_pattern(), representative.pr_pattern()
+        bucket = buckets.setdefault((rule.consequent_label, code), [])
+        complete = code.startswith("canonical:")
+        for group in bucket:
+            if complete or (
+                (not use_bisimulation_filter or are_bisimilar(rule.pr_pattern(), group[0].pr_pattern()))
+                and gpars_automorphic(rule, group[0])
             ):
-                continue
-            if gpars_automorphic(rule, representative):
                 group.append(rule)
-                placed = True
                 break
-        if not placed:
-            groups.append([rule])
-            group_codes.append(code)
+        else:
+            bucket.append([rule])
+            groups.append(bucket[-1])
     return groups
 
 

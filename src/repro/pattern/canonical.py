@@ -11,7 +11,9 @@ within colour classes.  Patterns in GPAR mining have a handful of nodes, so
 the exhaustive step is cheap; if the number of orderings would exceed
 ``_MAX_ORDERINGS`` we fall back to a deterministic (but possibly
 non-canonical) code — still a valid hash key because the exact isomorphism
-check runs afterwards in :mod:`repro.pattern.automorphism`.
+check runs afterwards in :mod:`repro.pattern.automorphism`.  The prefix says
+which: a ``canonical:`` code is a complete invariant (the argument is in
+that module's docstring), a ``fallback:`` code is only a bucket key.
 """
 
 from __future__ import annotations

@@ -12,8 +12,10 @@ this package supplies the adversarial half (see ``docs/adversarial.md``):
   tenant projections stay byte-identical to independent runs;
 * :mod:`repro.testing.reference` — :class:`ReferenceMatcher` /
   :func:`reference_identify`: the one deliberately naive implementation
-  every production matching path is held equal to, and
-  :func:`identify_sequential`, the unpartitioned EIP evaluation it wraps;
+  every production matching path is held equal to,
+  :func:`identify_sequential`, the unpartitioned EIP evaluation it wraps, and
+  mining's naive twins :func:`reference_extension_keys` /
+  :func:`reference_group_automorphic`;
 * :mod:`repro.testing.distill` — greedy delta-debugging
   (:func:`distill`) plus MinHash dedup of counterexamples;
 * :mod:`repro.testing.cases` — the ``tests/regressions/*.json`` corpus:
@@ -45,7 +47,13 @@ from repro.testing.oracle import (
     multi_tenant_check,
     served_antecedent_sets,
 )
-from repro.testing.reference import ReferenceMatcher, identify_sequential, reference_identify
+from repro.testing.reference import (
+    ReferenceMatcher,
+    identify_sequential,
+    reference_extension_keys,
+    reference_group_automorphic,
+    reference_identify,
+)
 from repro.testing.storms import (
     STORM_FAMILIES,
     ball_burst_storm,
@@ -79,6 +87,8 @@ __all__ = [
     "load_case",
     "minhash_signature",
     "multi_tenant_check",
+    "reference_extension_keys",
+    "reference_group_automorphic",
     "reference_identify",
     "served_antecedent_sets",
     "write_case",

@@ -10,6 +10,11 @@ the equivalence suites (``tests/test_index_equivalence.py``,
 ``test_columnar_equivalence.py``, ``test_incremental_equivalence.py``,
 ``test_stream_equivalence.py``) and the differential oracle compare the
 production path against it.
+
+Mining's coordinator and proposer have naive twins here too:
+:func:`reference_extension_keys` scans every incident edge of every mapped
+node, and :func:`reference_group_automorphic` compares each rule with every
+earlier group through the bisimulation filter and the exact check.
 """
 
 from __future__ import annotations
@@ -22,8 +27,12 @@ from repro.matching.base import Matcher
 from repro.matching.vf2 import VF2Matcher
 from repro.metrics.confidence import evaluate_rule
 from repro.metrics.lcwa import predicate_stats
+from repro.mining.expansion import _ExtensionKey
+from repro.pattern.automorphism import gpars_automorphic
+from repro.pattern.bisimulation import are_bisimilar
+from repro.pattern.canonical import canonical_code
 from repro.pattern.gpar import GPAR
-from repro.pattern.pattern import Pattern
+from repro.pattern.pattern import Pattern, PatternEdge
 
 NodeId = Hashable
 
@@ -159,3 +168,119 @@ def reference_identify(graph: Graph, rules: Sequence[GPAR], eta: float) -> EIPRe
     :class:`ReferenceMatcher` doing all the matching.
     """
     return identify_sequential(graph, rules, eta=eta, matcher=ReferenceMatcher())
+
+
+def reference_extension_keys(
+    graph: Graph,
+    antecedent: Pattern,
+    mapping: dict,
+    consequent_label: str,
+) -> set[_ExtensionKey]:
+    """All single-edge extensions suggested by one antecedent match.
+
+    Every in- and out-edge of every mapped data node is read: an edge to
+    another mapped node is a closing key (unless the pattern has it, it is a
+    self-edge or it is the consequent edge), any other a growing key.
+    """
+    keys: set[_ExtensionKey] = set()
+    image = {data_node: pattern_node for pattern_node, data_node in mapping.items()}
+    existing_edges = set(antecedent.edges())
+    for pattern_node, data_node in mapping.items():
+        for edge in graph.out_edges(data_node):
+            other_pattern = image.get(edge.target)
+            if other_pattern is not None:
+                candidate = PatternEdge(pattern_node, other_pattern, edge.label)
+                if candidate in existing_edges or other_pattern == pattern_node:
+                    continue
+                # Never re-introduce the consequent edge q(x, y).
+                if (
+                    pattern_node == antecedent.x
+                    and other_pattern == antecedent.y
+                    and edge.label == consequent_label
+                ):
+                    continue
+                keys.add(
+                    _ExtensionKey(
+                        kind="closing",
+                        pattern_source=pattern_node,
+                        pattern_target=other_pattern,
+                        edge_label=edge.label,
+                    )
+                )
+            else:
+                keys.add(
+                    _ExtensionKey(
+                        kind="growing",
+                        pattern_source=pattern_node,
+                        pattern_target=None,
+                        edge_label=edge.label,
+                        other_label=graph.node_label(edge.target),
+                        outgoing=True,
+                    )
+                )
+        for edge in graph.in_edges(data_node):
+            other_pattern = image.get(edge.source)
+            if other_pattern is not None:
+                candidate = PatternEdge(other_pattern, pattern_node, edge.label)
+                if candidate in existing_edges or other_pattern == pattern_node:
+                    continue
+                if (
+                    other_pattern == antecedent.x
+                    and pattern_node == antecedent.y
+                    and edge.label == consequent_label
+                ):
+                    continue
+                keys.add(
+                    _ExtensionKey(
+                        kind="closing",
+                        pattern_source=other_pattern,
+                        pattern_target=pattern_node,
+                        edge_label=edge.label,
+                    )
+                )
+            else:
+                keys.add(
+                    _ExtensionKey(
+                        kind="growing",
+                        pattern_source=pattern_node,
+                        pattern_target=None,
+                        edge_label=edge.label,
+                        other_label=graph.node_label(edge.source),
+                        outgoing=False,
+                    )
+                )
+    return keys
+
+
+def reference_group_automorphic(
+    rules: Sequence[GPAR],
+    use_bisimulation_filter: bool = True,
+) -> list[list[GPAR]]:
+    """Partition *rules* into groups of pairwise-automorphic GPARs.
+
+    Each rule is compared with every earlier group: same consequent, same
+    canonical code, bisimilar (Lemma 4), then the exact isomorphism check.
+    """
+    groups: list[list[GPAR]] = []
+    group_codes: list[str] = []
+    for rule in rules:
+        code = canonical_code(rule.pr_pattern())
+        placed = False
+        for index, group in enumerate(groups):
+            representative = group[0]
+            if rule.consequent_label != representative.consequent_label:
+                continue
+            if group_codes[index] != code:
+                continue
+            if use_bisimulation_filter and not are_bisimilar(
+                rule.pr_pattern(), representative.pr_pattern()
+            ):
+                continue
+            if gpars_automorphic(rule, representative):
+                group.append(rule)
+                placed = True
+                break
+        if not placed:
+            groups.append([rule])
+            group_codes.append(code)
+    return groups

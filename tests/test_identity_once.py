@@ -9,7 +9,11 @@
 * **sketches** — prefix sums stored on :class:`KHopSketch` against the
   ``Counter`` forms that rebuilt them per comparison, kept below;
 * **count gates** — deterministic call counts (no stopwatch) that fail when
-  any of the three goes back to recomputing per use.
+  any of the three goes back to recomputing per use, or when DMine's round
+  goes back to costing Σ and the hubs: a bound per rule ever seen, an exact
+  isomorphism check or a canonical code per proposal, edge scans in the
+  proposer.  Search counts are compared with a same-process run on the
+  naive oracles, not pinned: they depend on ``PYTHONHASHSEED``.
 """
 
 from __future__ import annotations
@@ -392,34 +396,101 @@ def _counting(monkeypatch, owner, name: str, calls: list, raising: bool = True) 
 #: ``jaccard_distance`` calls of the mining run below at the parent commit:
 #: 324,246 (every fresh rule against every rule ever seen); 4,206 here.
 JACCARD_CEILING = 30_000
+#: The same run's Lemma 3 bound evaluations: 323,799 when incDiv bounded every
+#: rule ever seen per fresh rule, ≈ 5,500 when the scan stops at the first
+#: partner that cannot beat ``F'_m``.
+BOUND_CEILING = 12_000
+#: Canonical codes computed: 2,816 when every proposal paid for one, ≈ 1,550
+#: when equal proposals are dropped first.
+CODE_CEILING = 1_600
+
+_MINING_ARGS = (PREDICATE, DMineConfig(k=6, d=2, sigma=4, num_workers=2, max_edges=3))
+
+
+def _mine():
+    predicate, config = _MINING_ARGS
+    return api.mine(pokec_like(80, 4, seed=7), api.parse_predicate(predicate), config)
 
 
 @pytest.fixture(scope="module")
 def mining_calls():
     """Call lists of one small ``api.mine`` run: patterns built, structural
-    keys computed, match-set distances taken by the diversifier."""
+    keys computed, match-set distances taken and pair bounds evaluated by the
+    diversifier, exact isomorphism checks and canonical codes of the dedup,
+    and the modules that asked a graph for its edges."""
     import repro.mining.incdiv as incdiv
+    import repro.pattern.automorphism as automorphism
+    import repro.pattern.canonical as canonical
 
-    calls = {"built": [], "keyed": [], "distances": []}
+    calls = {name: [] for name in ("built", "keyed", "distances", "bounds", "isomorphic", "codes")}
+    edge_readers: set[str] = set()
+
+    def reading(name):
+        original = getattr(repro.graph.Graph, name)
+
+        def read(self, node):
+            edge_readers.add(sys._getframe(1).f_globals.get("__name__"))
+            return original(self, node)
+
+        return read
+
     with pytest.MonkeyPatch.context() as monkeypatch:
         _counting(monkeypatch, Pattern, "__init__", calls["built"])
         _counting(monkeypatch, Pattern, "_key", calls["keyed"])
         _counting(monkeypatch, incdiv, "jaccard_distance", calls["distances"])
-        result = api.mine(
-            pokec_like(80, 4, seed=7),
-            api.parse_predicate(PREDICATE),
-            DMineConfig(k=6, d=2, sigma=4, num_workers=2, max_edges=3),
-        )
+        _counting(monkeypatch, DiversificationObjective, "upper_bound_contribution", calls["bounds"])
+        _counting(monkeypatch, automorphism, "are_isomorphic", calls["isomorphic"])
+        _counting(monkeypatch, canonical, "_compute_code", calls["codes"])
+        for name in ("out_edges", "in_edges"):
+            monkeypatch.setattr(repro.graph.Graph, name, reading(name))
+        result = _mine()
     assert len(result.top_k) == 6 and result.rounds_executed == 3
-    return calls
+    return calls, edge_readers, result
 
 
 def test_structural_keys_are_computed_once_per_pattern(mining_calls):
-    assert 0 < len(mining_calls["keyed"]) <= len(mining_calls["built"])
+    calls = mining_calls[0]
+    assert 0 < len(calls["keyed"]) <= len(calls["built"])
 
 
 def test_fresh_rules_are_scored_against_the_bound_only(mining_calls):
-    assert 0 < len(mining_calls["distances"]) <= JACCARD_CEILING
+    calls = mining_calls[0]
+    assert 0 < len(calls["distances"]) <= JACCARD_CEILING
+    assert len(calls["distances"]) == 4_206  # the pairs that can beat F'_m, each scored once
+    assert 0 < len(calls["bounds"]) <= BOUND_CEILING
+
+
+def test_dedup_is_keyed_by_code(mining_calls):
+    calls = mining_calls[0]
+    assert not calls["isomorphic"]  # every proposal of this run has a canonical: code
+    assert 0 < len(calls["codes"]) <= CODE_CEILING
+
+
+def test_extension_keys_are_read_off_profile_rows(mining_calls):
+    assert "repro.mining.expansion" not in mining_calls[1]
+
+
+def test_mining_counts_equal_a_run_on_the_reference_oracles(mining_calls, monkeypatch):
+    """The three rewrites change no proposal, group or pair: the search
+    counts and the top-k equal a run with the naive forms patched in."""
+    import repro.mining.expansion as expansion
+    from repro.testing import reference_extension_keys, reference_group_automorphic
+
+    monkeypatch.setattr(
+        expansion,
+        "_extension_keys_for_match",
+        lambda graph, antecedent, mapping, label, _profile: reference_extension_keys(
+            graph, antecedent, mapping, label
+        ),
+    )
+    # ``repro.mining.dmine`` the attribute is the function; patch the module.
+    monkeypatch.setattr(sys.modules["repro.mining.dmine"], "group_automorphic", reference_group_automorphic)
+    reference, fast = _mine(), mining_calls[2]
+    assert reference.candidates_generated == fast.candidates_generated
+    assert reference.candidates_pruned == fast.candidates_pruned
+    assert [(m.rule, m.support, m.confidence) for m in reference.top_k] == [
+        (m.rule, m.support, m.confidence) for m in fast.top_k
+    ]
 
 
 def test_search_plans_are_built_once_per_pattern(monkeypatch):

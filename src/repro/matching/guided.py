@@ -81,6 +81,11 @@ class GuidedMatcher(PlanMatcher):
         return True
 
     def _ordered(self, graph: Graph, resident, pattern: Pattern, plan, position: int, candidates):
+        if position == len(plan.order) - 1:
+            # Every unused candidate of the last node completes an embedding
+            # (its connections are all its pattern edges): no sketch test can
+            # prune it and no order can change the verdict.
+            return candidates
         required = self._required(pattern, plan)[position]
         ranked: list[tuple[int, NodeId]] = []
         for candidate in candidates:

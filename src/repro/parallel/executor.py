@@ -178,7 +178,14 @@ class ProcessPoolExecutorBackend(Executor):
         if processes is None:
             processes = min(len(fragment_list), os.cpu_count() or 1)
         processes = max(1, min(processes, len(fragment_list) or 1))
-        context = multiprocessing.get_context(_default_start_method())
+        method = _default_start_method()
+        if method == "fork" and self.build_resident:
+            from repro.graph.columnar import numpy_or_none
+
+            # Import numpy (unless REPRO_NO_NUMPY) once here: forked children
+            # inherit the module instead of each importing it in init_worker.
+            numpy_or_none()
+        context = multiprocessing.get_context(method)
         # concurrent.futures rather than multiprocessing.Pool: a worker that
         # dies abruptly (segfault, OOM kill) breaks the pending futures with
         # BrokenProcessPool instead of hanging result retrieval forever.

@@ -28,6 +28,7 @@ the coordinator and travels inside payloads.
 
 from __future__ import annotations
 
+import sys
 import time
 import traceback
 from dataclasses import dataclass, field
@@ -39,6 +40,8 @@ from repro.partition.fragment import Fragment
 # Registry populated once per worker process by ``init_worker``.
 _FRAGMENTS: dict[int, Fragment] = {}
 _CONTEXTS: dict[int, "WorkerContext"] = {}
+# This process's cold start, shipped with its first task's metrics delta.
+_COLD_START: dict[str, float] = {}
 
 #: Status tags of the tuples :func:`run_task` sends back to the parent.
 TASK_OK = "ok"
@@ -70,8 +73,12 @@ def init_worker(fragments: Sequence[Fragment], build_resident: bool = True) -> N
 
     With *build_resident* (the default) each fragment's resident
     :class:`~repro.graph.columnar.ColumnarFragment` is compiled here, once
-    per worker process, so every round's matching work starts warm.
+    per worker process, so every round's matching work starts warm.  It
+    times itself and notes whether the compile had to import numpy (a forked
+    child inherits the parent's): ``pool.init_seconds`` and
+    ``pool.numpy_imports``, shipped by the process's first task.
     """
+    started, had_numpy = time.perf_counter(), "numpy" in sys.modules
     from repro.graph.columnar import columnar_view
 
     _FRAGMENTS.clear()
@@ -80,6 +87,10 @@ def init_worker(fragments: Sequence[Fragment], build_resident: bool = True) -> N
         _FRAGMENTS[fragment.index] = fragment
         if build_resident:
             columnar_view(fragment.graph)
+    _COLD_START.update({
+        "pool.init_seconds": time.perf_counter() - started,
+        "pool.numpy_imports": int(not had_numpy and "numpy" in sys.modules),
+    })
 
 
 def context_for(fragment_id: int) -> WorkerContext:
@@ -113,7 +124,10 @@ def run_task(worker_fn: Callable, fragment_id: int, payload: object) -> tuple:
         started = time.perf_counter()
         result = worker_fn(context, payload)
         elapsed = time.perf_counter() - started
-        metrics = collect_process_metrics() if collection_enabled() else None
+        metrics = None
+        if collection_enabled():
+            metrics = {**(collect_process_metrics() or {}), **_COLD_START} or None
+            _COLD_START.clear()
         return (TASK_OK, result, elapsed, metrics)
     except Exception:
         return (TASK_ERROR, traceback.format_exc(), 0.0, None)

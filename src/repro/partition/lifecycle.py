@@ -384,18 +384,20 @@ class FragmentManager:
         """Total shipped operations currently retained in the slice log."""
         return sum(update.weight for update in self._logs[index])
 
-    def fragment_load(self, index: int) -> int:
-        """Sum of owned ball sizes (the partitioner's balance measure).
+    def fragment_loads(self) -> dict[int, int]:
+        """Every fragment's sum of owned ball sizes (the partitioner's balance
+        measure), in one scan over the owners.
 
         A centre gained in the current batch has no stored ball yet and
         counts as zero until its first recheck stores one.
         """
-        size = self._neighborhoods.size
-        return sum(
-            size(self._balls[center])
-            for center, owner in self._owner.items()
-            if owner == index and center in self._balls
-        )
+        size, balls = self._neighborhoods.size, self._balls
+        loads = dict.fromkeys((fragment.index for fragment in self.fragments), 0)
+        for center, owner in self._owner.items():
+            handle = balls.get(center)
+            if handle is not None:
+                loads[owner] += size(handle)
+        return loads
 
     #: Exponential-smoothing weight of the newest measured round in the
     #: per-fragment cost factors (0 < α ≤ 1; 1 = trust only the last round).
@@ -421,11 +423,12 @@ class FragmentManager:
         """
         per_unit: dict[int, float] = {}
         measured_total = 0.0
+        loads = self.fragment_loads()
         for index, seconds in worker_seconds.items():
             if index not in self._node_sets or seconds < 0:
                 continue
             measured_total += seconds
-            per_unit[index] = seconds / max(1, self.fragment_load(index))
+            per_unit[index] = seconds / max(1, loads.get(index, 0))
         if not per_unit or measured_total < self.MIN_ROUND_SECONDS:
             return
         mean = sum(per_unit.values()) / len(per_unit)
@@ -443,10 +446,6 @@ class FragmentManager:
         """Smoothed relative verification cost of fragment *index* (1.0 = average)."""
         return self._cost_factors.get(index, 1.0)
 
-    def effective_load(self, index: int) -> float:
-        """Owned-ball load weighted by the fragment's observed cost factor."""
-        return self.fragment_load(index) * self.cost_factor(index)
-
     def resident_summary(self) -> dict:
         """Coordinator-side residency metrics (the churn bench's row source)."""
         nodes = sum(len(node_set) for node_set in self._node_sets.values())
@@ -456,10 +455,7 @@ class FragmentManager:
             "resident_nodes": nodes,
             "log_ops": log_ops,
             "log_entries": log_entries,
-            "loads": {
-                fragment.index: self.fragment_load(fragment.index)
-                for fragment in self.fragments
-            },
+            "loads": self.fragment_loads(),
             "cost_factors": {
                 fragment.index: self.cost_factor(fragment.index)
                 for fragment in self.fragments
@@ -667,10 +663,7 @@ class FragmentManager:
         config = self.config
         if len(self.fragments) < 2 or config.rebalance_skew >= 1.0:
             return []
-        loads = {
-            fragment.index: self.effective_load(fragment.index)
-            for fragment in self.fragments
-        }
+        loads = {index: load * self.cost_factor(index) for index, load in self.fragment_loads().items()}
         ball_size = self._neighborhoods.size
         moves: list[tuple] = []
         moved: set = set()

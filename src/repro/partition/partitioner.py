@@ -65,37 +65,47 @@ def partition_graph(
     if rng is not None:
         rng.shuffle(center_list)
 
-    # Greedy balancing.  Worker time is dominated by per-centre verification
-    # work (proportional to the centre's d-ball), so centres are assigned to
-    # the fragment with the smallest accumulated *work load* (sum of owned
-    # ball sizes); the resulting fragment node-set size breaks ties so that
-    # storage stays even too.
-    hoods = Neighborhoods(graph)
-    balls = hoods.balls(center_list, d)
-    fragment_nodes: list[set[NodeId]] = [set() for _ in range(num_fragments)]
-    fragment_centers: list[set[NodeId]] = [set() for _ in range(num_fragments)]
-    fragment_load: list[int] = [0] * num_fragments
-    for center in center_list:
-        center_ball = hoods.nodes(balls[center])
-        best_index = 0
-        best_cost: tuple[int, int] | None = None
-        for index in range(num_fragments):
-            new_nodes = len(center_ball - fragment_nodes[index])
-            cost = (fragment_load[index] + len(center_ball), len(fragment_nodes[index]) + new_nodes)
-            if best_cost is None or cost < best_cost:
-                best_cost = cost
-                best_index = index
-        fragment_nodes[best_index].update(center_ball)
-        fragment_centers[best_index].add(center)
-        fragment_load[best_index] += len(center_ball)
-
+    fragment_nodes, fragment_centers = _balance(Neighborhoods(graph), center_list, d, num_fragments)
     fragments: list[Fragment] = []
     for index in range(num_fragments):
         local = graph.induced_subgraph(fragment_nodes[index], name=f"{graph.name}|F{index}")
         fragments.append(
-            Fragment(index=index, graph=local, owned_centers=set(fragment_centers[index]))
+            Fragment(index=index, graph=local, owned_centers=fragment_centers[index])
         )
     return fragments
+
+
+def _balance(
+    hoods: Neighborhoods, center_list: Sequence[NodeId], d: int, num_fragments: int
+) -> tuple[list[set], list[set]]:
+    """Greedy balancing: ``(node set, owned centres)`` per fragment.
+
+    Worker time is dominated by per-centre verification work (proportional
+    to the centre's d-ball), so centres, in *center_list* order, go to the
+    fragment with the smallest accumulated *work load* (sum of owned ball
+    sizes); the resulting fragment node-set size breaks ties so that storage
+    stays even too.  Balls and fragments are kernel handles, so a choice is
+    a few popcounts on the mask side; each fragment's nodes are decoded once,
+    at the end (``repro.testing.reference_balance`` decodes every ball).
+    """
+    size, balls = hoods.size, hoods.balls(center_list, d)
+    handles = [0 if hoods.masks else set() for _ in range(num_fragments)]
+    fragment_centers: list[set] = [set() for _ in range(num_fragments)]
+    fragment_load = [0] * num_fragments
+    fragment_size = [0] * num_fragments
+    for center in center_list:
+        center_ball = balls[center]
+        ball_size = size(center_ball)
+        best_index, best_cost = 0, None
+        for index in range(num_fragments):
+            new_nodes = ball_size - size(center_ball & handles[index])
+            cost = (fragment_load[index] + ball_size, fragment_size[index] + new_nodes)
+            if best_cost is None or cost < best_cost:
+                best_cost, best_index = cost, index
+        handles[best_index] |= center_ball  # in place on a set, rebinding an int
+        fragment_centers[best_index].add(center)
+        fragment_load[best_index], fragment_size[best_index] = best_cost
+    return [hoods.nodes(handle) for handle in handles], fragment_centers
 
 
 def fragmentation_report(graph: Graph, fragments: Sequence[Fragment]) -> FragmentationReport:

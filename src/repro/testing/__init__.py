@@ -15,7 +15,8 @@ this package supplies the adversarial half (see ``docs/adversarial.md``):
   every production matching path is held equal to,
   :func:`identify_sequential`, the unpartitioned EIP evaluation it wraps, and
   mining's naive twins :func:`reference_extension_keys` /
-  :func:`reference_group_automorphic`;
+  :func:`reference_group_automorphic`, and the partitioner's set-decoding
+  greedy :func:`reference_balance`;
 * :mod:`repro.testing.distill` — greedy delta-debugging
   (:func:`distill`) plus MinHash dedup of counterexamples;
 * :mod:`repro.testing.cases` — the ``tests/regressions/*.json`` corpus:
@@ -50,6 +51,7 @@ from repro.testing.oracle import (
 from repro.testing.reference import (
     ReferenceMatcher,
     identify_sequential,
+    reference_balance,
     reference_extension_keys,
     reference_group_automorphic,
     reference_identify,
@@ -87,6 +89,7 @@ __all__ = [
     "load_case",
     "minhash_signature",
     "multi_tenant_check",
+    "reference_balance",
     "reference_extension_keys",
     "reference_group_automorphic",
     "reference_identify",

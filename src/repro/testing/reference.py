@@ -14,7 +14,9 @@ production path against it.
 Mining's coordinator and proposer have naive twins here too:
 :func:`reference_extension_keys` scans every incident edge of every mapped
 node, and :func:`reference_group_automorphic` compares each rule with every
-earlier group through the bisimulation filter and the exact check.
+earlier group through the bisimulation filter and the exact check.  The
+partitioner's greedy has one as well: :func:`reference_balance` decodes every
+centre's ball into a set and compares sets.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 from typing import Hashable, Iterable, Iterator, Sequence
 
 from repro.graph.graph import Graph
+from repro.graph.neighborhood import Neighborhoods
 from repro.identification.eip import EIPResult, _shared_predicate
 from repro.matching.base import Matcher
 from repro.matching.vf2 import VF2Matcher
@@ -250,6 +253,31 @@ def reference_extension_keys(
                     )
                 )
     return keys
+
+
+def reference_balance(
+    hoods: Neighborhoods, center_list: Sequence[NodeId], d: int, num_fragments: int
+) -> tuple[list[set], list[set]]:
+    """The partitioner's greedy on decoded node sets: every centre's ball is
+    read as a set and compared with every fragment's set by difference."""
+    balls = hoods.balls(center_list, d)
+    fragment_nodes: list[set] = [set() for _ in range(num_fragments)]
+    fragment_centers: list[set] = [set() for _ in range(num_fragments)]
+    fragment_load: list[int] = [0] * num_fragments
+    for center in center_list:
+        center_ball = hoods.nodes(balls[center])
+        best_index = 0
+        best_cost: tuple[int, int] | None = None
+        for index in range(num_fragments):
+            new_nodes = len(center_ball - fragment_nodes[index])
+            cost = (fragment_load[index] + len(center_ball), len(fragment_nodes[index]) + new_nodes)
+            if best_cost is None or cost < best_cost:
+                best_cost = cost
+                best_index = index
+        fragment_nodes[best_index].update(center_ball)
+        fragment_centers[best_index].add(center)
+        fragment_load[best_index] += len(center_ball)
+    return fragment_nodes, fragment_centers
 
 
 def reference_group_automorphic(

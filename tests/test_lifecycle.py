@@ -17,6 +17,7 @@ import pytest
 from repro.datasets import generate_gpars, most_frequent_predicates, synthetic_graph
 from repro.exceptions import GraphError, StreamError
 from repro.graph import ColumnarFragment, Graph, columnar_view, registered_columnar
+from repro.graph.neighborhood import multi_source_ball
 from repro.identification.eip import EIPConfig
 from repro.partition import Fragment, partition_graph
 from repro.partition.lifecycle import (
@@ -35,6 +36,7 @@ from repro.stream import (
     UpdateOp,
     random_update_batch,
 )
+from repro.testing.storms import correlated_deletion_storm, hub_churn_storm, label_flip_storm
 
 
 def toy_graph() -> Graph:
@@ -675,13 +677,46 @@ class TestMeasuredCostRebalance:
         )
         return graph, manager
 
+    def test_fragment_loads_equal_the_per_fragment_sums_through_a_churn_storm(self, monkeypatch):
+        """One scan over the owners gives what summing each fragment's owned
+        balls gives, after every batch and where migration planning reads it
+        (mid-batch, with freshly gained centres that have no ball yet)."""
+        graph, manager = self._manager(rebalance_skew=0.3)
+
+        def summed() -> dict:
+            size, balls = manager._neighborhoods.size, manager._balls
+            return {
+                fragment.index: sum(
+                    size(balls[center])
+                    for center, owner in manager._owner.items()
+                    if owner == fragment.index and center in balls
+                )
+                for fragment in manager.fragments
+            }
+
+        planned = manager._plan_migrations
+        readings, ballless = [], 0
+
+        def checking(region):
+            nonlocal ballless
+            readings.append(manager.fragment_loads() == summed())
+            ballless += any(center not in manager._balls for center in manager._owner)
+            return planned(region)
+
+        monkeypatch.setattr(manager, "_plan_migrations", checking)
+        storms = (hub_churn_storm, label_flip_storm, correlated_deletion_storm)
+        for seed in range(24):
+            delta = storms[seed % 3](graph, size=8, seed=seed).apply(graph)
+            manager.derive_batch(delta, multi_source_ball(graph, delta.touched, 2))
+            assert manager.fragment_loads() == summed()
+            assert manager.resident_summary()["loads"] == summed()
+        assert len(readings) == 24 and all(readings)
+        assert ballless, "some batch must gain a centre before its ball is stored"
+
     def test_factors_default_to_neutral(self):
         _graph, manager = self._manager()
         for fragment in manager.fragments:
             assert manager.cost_factor(fragment.index) == 1.0
-            assert manager.effective_load(fragment.index) == manager.fragment_load(
-                fragment.index
-            )
 
     def test_uniform_per_node_cost_learns_no_skew(self):
         _graph, manager = self._manager()
@@ -689,8 +724,7 @@ class TestMeasuredCostRebalance:
         # so a uniformly fast or slow machine must not tilt placement.
         manager.record_round_timing(
             {
-                fragment.index: 0.004 * manager.fragment_load(fragment.index)
-                for fragment in manager.fragments
+                index: 0.004 * load for index, load in manager.fragment_loads().items()
             }
         )
         for fragment in manager.fragments:
@@ -699,16 +733,11 @@ class TestMeasuredCostRebalance:
     def test_skewed_times_fold_in_with_smoothing(self):
         _graph, manager = self._manager()
         slow, fast = (fragment.index for fragment in manager.fragments[:2])
-        seconds = {
-            slow: 0.012 * manager.fragment_load(slow),
-            fast: 0.004 * manager.fragment_load(fast),
-        }
+        loads = manager.fragment_loads()
+        seconds = {slow: 0.012 * loads[slow], fast: 0.004 * loads[fast]}
         manager.record_round_timing(seconds)
         first = manager.cost_factor(slow)
         assert first > 1.0 > manager.cost_factor(fast)
-        assert manager.effective_load(slow) == pytest.approx(
-            manager.fragment_load(slow) * first
-        )
         # A second identical round moves the factor further toward the
         # observed ratio (exponential smoothing, COST_SMOOTHING=0.5).
         manager.record_round_timing(seconds)
@@ -723,17 +752,11 @@ class TestMeasuredCostRebalance:
     def test_cost_skew_alone_triggers_migration_planning(self):
         _graph, manager = self._manager(rebalance_skew=0.3)
         assert manager._plan_migrations(set()) == []  # node counts balanced
-        slow = max(
-            (fragment.index for fragment in manager.fragments),
-            key=lambda index: (manager.fragment_load(index), index),
-        )
+        loads = manager.fragment_loads()
+        slow = max(loads, key=lambda index: (loads[index], index))
         for _ in range(6):  # drive the factor far above the skew threshold
             manager.record_round_timing(
-                {
-                    fragment.index: (0.02 if fragment.index == slow else 0.004)
-                    * manager.fragment_load(fragment.index)
-                    for fragment in manager.fragments
-                }
+                {index: (0.02 if index == slow else 0.004) * load for index, load in loads.items()}
             )
         moves = manager._plan_migrations(set())
         assert moves, "measured cost skew alone must trigger rebalancing"
@@ -744,9 +767,8 @@ class TestMeasuredCostRebalance:
         slow = manager.fragments[0].index
         manager.record_round_timing(
             {
-                fragment.index: (0.02 if fragment.index == slow else 0.004)
-                * manager.fragment_load(fragment.index)
-                for fragment in manager.fragments
+                index: (0.02 if index == slow else 0.004) * load
+                for index, load in manager.fragment_loads().items()
             }
         )
         state = manager.state_dict()

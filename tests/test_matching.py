@@ -5,12 +5,14 @@ graphs; the guided matcher and the locality/multi-pattern wrappers are
 checked for agreement with the VF2 matcher on the paper's graphs.
 """
 
+import random
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.datasets import graph_g1
-from repro.graph import Graph, columnar_view
+from repro.graph import Graph, columnar_view, discard_columnar
 from repro.matching import (
     GuidedMatcher,
     LocalityMatcher,
@@ -21,10 +23,11 @@ from repro.matching import (
     profile_satisfies,
     required_profile,
 )
-from repro.matching.base import build_search_plan
+from repro.matching.base import WitnessStore, build_search_plan
 from repro.matching.candidates import degree_consistent
 from repro.exceptions import MatchingError
 from repro.pattern import Pattern, PatternBuilder
+from repro.testing import ReferenceMatcher
 
 
 def brute_force_match_set(graph: Graph, pattern: Pattern) -> set:
@@ -233,6 +236,79 @@ class TestGuidedSpecifics:
     def test_invalid_sketch_hops(self):
         with pytest.raises(ValueError):
             GuidedMatcher(sketch_hops=0)
+
+
+class _LastNodeProbe(GuidedMatcher):
+    """Counts last-node candidate lists with several entries, some already used."""
+
+    crowded = 0
+
+    def _candidates(self, graph, resident, pattern, plan, position, mapping):
+        found = super()._candidates(graph, resident, pattern, plan, position, mapping)
+        if position == len(plan.order) - 1 and len(found) > 1:
+            self.crowded += bool(set(found) & set(mapping.values()))
+        return found
+
+
+def _star_case(seed: int) -> tuple[Graph, Pattern]:
+    """Two labels and two edge labels, so a star's leaves compete for the same
+    neighbours of the anchor and the last leaf's candidates hold used nodes."""
+    rng = random.Random(seed)
+    graph = Graph(name=f"star{seed}")
+    size = rng.randint(5, 14)
+    for index in range(size):
+        graph.add_node(f"n{index}", rng.choice("ab"))
+    for _ in range(rng.randint(2 * size, 6 * size)):
+        source, target = rng.sample(range(size), 2)
+        graph.add_edge(f"n{source}", f"n{target}", rng.choice("pq"))
+    nodes, edges = {"x": "a"}, []
+    shared = (rng.choice("ab"), rng.choice("pq"), rng.random() < 0.7)  # most leaves look alike
+    for index in range(rng.randint(2, 3)):
+        leaf = f"l{index}"
+        label, edge_label, outgoing = shared if rng.random() < 0.75 else (
+            rng.choice("ab"), rng.choice("pq"), rng.random() < 0.7
+        )
+        nodes[leaf] = label
+        edges.append(("x", leaf, edge_label) if outgoing else (leaf, "x", edge_label))
+    leaves = [node for node in nodes if node != "x"]
+    if rng.random() < 0.4:
+        source, target = rng.sample(leaves, 2)
+        edges.append((source, target, rng.choice("pq")))
+    return graph, Pattern(nodes, edges, x="x")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**6))
+def test_last_plan_node_unranked_decides_as_the_reference(seed):
+    """The last plan node is neither sketch-tested nor ranked: every unused
+    candidate completes an embedding, so each verdict equals the reference's,
+    with or without the resident structure and with kept witnesses."""
+    graph, pattern = _star_case(seed)
+    reference = ReferenceMatcher()
+    expected = {node: reference.exists_match_at(graph, pattern, node) for node in graph.nodes()}
+    witnessing = _LastNodeProbe()
+    witnessing.witnesses = WitnessStore()
+    for resident in (False, True):
+        if resident:
+            columnar_view(graph)
+        for matcher in (_LastNodeProbe(), witnessing):
+            assert {node: matcher.exists_match_at(graph, pattern, node) for node in graph.nodes()} == expected
+            for node, found in expected.items():
+                mapping = matcher.find_match_at(graph, pattern, node)
+                assert (mapping is not None) == found
+                if mapping is not None:
+                    assert mapping in list(reference.iter_matches_at(graph, pattern, node))
+    discard_columnar(graph)
+
+
+def test_last_plan_node_cases_crowd_the_last_node():
+    """The property above is not vacuous: its cases give the last node
+    several candidates, some of them already used, and both verdicts occur."""
+    probe, verdicts = _LastNodeProbe(), set()
+    for seed in range(60):
+        graph, pattern = _star_case(seed)
+        verdicts |= {probe.exists_match_at(graph, pattern, node) for node in graph.nodes()}
+    assert probe.crowded > 20 and verdicts == {True, False}
 
 
 class TestLocalityMatcher:

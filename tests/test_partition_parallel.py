@@ -1,15 +1,20 @@
 """Tests for graph fragmentation and the BSP runtime."""
 
+import random
+
 import pytest
 
+from repro.datasets import synthetic_graph
 from repro.exceptions import ExecutorError, PartitionError, WorkerError
-from repro.graph import ball
+from repro.graph import ball, neighborhood
+from repro.graph.neighborhood import Neighborhoods, uses_masks
 from repro.parallel import (
     BSPRuntime,
     SequentialExecutor,
     WorkerTask,
 )
-from repro.partition import fragmentation_report, partition_graph
+from repro.partition import fragmentation_report, partition_graph, partitioner
+from repro.testing import reference_balance
 
 
 def _num_nodes(context, payload):
@@ -98,6 +103,49 @@ class TestPartitioner:
         report = fragmentation_report(g1, [])
         assert report.max_size == 0
         assert report.skew == 0.0
+
+
+def _layout(fragments) -> list:
+    return [(fragment.owned_centers, set(fragment.graph.nodes())) for fragment in fragments]
+
+
+class TestBalanceOnHandles:
+    """The greedy on kernel handles against :func:`reference_balance`, which
+    decodes every ball into a set: same owned centres, same node sets."""
+
+    @staticmethod
+    def _workload(seed: int):
+        rng = random.Random(seed)
+        size = rng.randint(20, 90)
+        graph = synthetic_graph(size, rng.randint(size // 2, 3 * size), num_node_labels=3, num_edge_labels=2, seed=seed)
+        centers = sorted(graph.nodes_with_label(sorted(graph.node_labels())[0]), key=str)
+        rng.shuffle(centers)
+        return graph, centers, rng.randint(1, 4)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_graphs_on_both_kernel_sides(self, monkeypatch, seed, d):
+        graph, centers, parts = self._workload(seed)
+        for sets in (False, True):
+            with monkeypatch.context() as patch:
+                if sets:
+                    patch.setattr(neighborhood, "uses_masks", lambda num_nodes, num_edges: False)
+                hoods = Neighborhoods(graph)
+                assert hoods.masks is not sets
+                expected = reference_balance(hoods, centers, d, parts)
+                assert partitioner._balance(hoods, centers, d, parts) == expected
+                fragments = partition_graph(graph, parts, centers=centers, d=d, seed=seed)
+                patch.setattr(partitioner, "_balance", reference_balance)
+                assert _layout(fragments) == _layout(partition_graph(graph, parts, centers=centers, d=d, seed=seed))
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_a_graph_above_the_mask_rule(self, monkeypatch, d):
+        graph = synthetic_graph(2000, 1000, num_node_labels=4, seed=1)
+        assert not uses_masks(graph.num_nodes, graph.num_edges)
+        centers = graph.nodes_with_label(sorted(graph.node_labels())[0])
+        fragments = partition_graph(graph, 3, centers=centers, d=d, seed=0)
+        monkeypatch.setattr(partitioner, "_balance", reference_balance)
+        assert _layout(fragments) == _layout(partition_graph(graph, 3, centers=centers, d=d, seed=0))
 
 
 class TestExecutors:

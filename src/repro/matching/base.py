@@ -68,6 +68,8 @@ class _SearchPlan:
     # (position, node label) per pattern node, (source, target, label) per edge.
     node_checks: tuple = ()
     edge_checks: tuple = ()
+    # Per position, its self-loops' labels (no connection has them); () if none.
+    self_loops: tuple = ()
 
     def holds(self, graph: Graph, embedding: tuple) -> bool:
         """Whether *embedding*, once a match, still is one in *graph*: every
@@ -128,6 +130,7 @@ def build_search_plan(pattern: Pattern, anchor) -> _SearchPlan:
         placed.add(best_node)
         remaining.discard(best_node)
     position = {node: index for index, node in enumerate(order)}
+    loops = tuple(tuple(e.label for e in pattern.out_edges(node) if e.target == node) for node in order)
     return _SearchPlan(
         order=order,
         connections=connections,
@@ -135,6 +138,7 @@ def build_search_plan(pattern: Pattern, anchor) -> _SearchPlan:
         edge_checks=tuple(
             (position[edge.source], position[edge.target], edge.label) for edge in pattern.edges()
         ),
+        self_loops=loops if any(loops) else (),
     )
 
 
@@ -287,6 +291,11 @@ class Matcher(ABC):
             yield mapping
 
 
+def _loops_at(source, node: NodeId, labels: tuple) -> bool:
+    """Whether *node* has a self-loop of every label in *labels*."""
+    return all(node in source.out_neighbors(node, label) for label in labels)
+
+
 class PlanMatcher(Matcher):
     """Anchored backtracking over the pattern's compiled search plan.
 
@@ -339,6 +348,9 @@ class PlanMatcher(Matcher):
             return
         resident = resident_view(graph)
         plan = search_plan(pattern, pattern.x)
+        loops = plan.self_loops and plan.self_loops[0]
+        if loops and not _loops_at(graph if resident is None else resident, anchor_value, loops):
+            return
         if not self._admits(graph, resident, pattern, plan, 0, anchor_value):
             return
         mapping: dict = {pattern.x: anchor_value}
@@ -347,7 +359,8 @@ class PlanMatcher(Matcher):
     def _candidates(self, graph: Graph, resident, pattern: Pattern, plan, position: int, mapping: dict):
         """Data nodes with the right label, adjacent to the placed nodes as the
         plan demands: its connections are *all* the pattern edges to placed
-        nodes, so a candidate needs no later edge-consistency test."""
+        nodes, and its self-loops are tested here, so a candidate needs no
+        later edge-consistency test."""
         node_label = pattern.label(plan.order[position])
         source = graph if resident is None else resident
         candidates = None
@@ -361,8 +374,11 @@ class PlanMatcher(Matcher):
                 return ()
         if candidates is None:
             # Free node of a disconnected pattern: fall back to the label index.
-            return source.nodes_with_label(node_label)
-        return [node for node in candidates if graph.node_label(node) == node_label]
+            candidates = source.nodes_with_label(node_label)
+        else:
+            candidates = [node for node in candidates if graph.node_label(node) == node_label]
+        loops = plan.self_loops and plan.self_loops[position]
+        return [node for node in candidates if _loops_at(source, node, loops)] if loops else candidates
 
     def _extend(
         self,

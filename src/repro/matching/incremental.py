@@ -9,12 +9,11 @@ turns matching into an incremental computation:
   pattern **plus** its witness embeddings — compact tuples pulled lazily
   from the matcher's own enumeration, keyed by the pattern's canonical
   code — so a later level can start from them;
-* :class:`DeltaMatcher` produces a child pattern's matches from a parent
-  entry and a :class:`DeltaEdge` by probing only the new edge's endpoints:
-  a *closing* edge (both endpoints already in the parent) is one
-  membership probe per stored embedding, a *growing* edge (one fresh
-  node) is one adjacency-bucket probe per stored embedding, both answered
-  by the graph's resident :class:`repro.graph.columnar.ColumnarFragment`.
+* :class:`DeltaMatcher` matches a *sibling group* — the children of one
+  parent entry, each the parent plus one :class:`DeltaEdge` — in one pass
+  over the parent's embeddings: a *closing* edge is one membership probe
+  per embedding, a *growing* edge one profile-count comparison, both
+  answered by the graph's resident :class:`~repro.graph.columnar.ColumnarFragment`.
 
 Laziness
 --------
@@ -57,8 +56,9 @@ must check :attr:`MatchEntry.canonical_witness`.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Iterator, Mapping
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from repro.graph.columnar import columnar_view
 from repro.graph.graph import Graph
@@ -72,13 +72,6 @@ NodeId = Hashable
 #: Per-centre cap on materialized embeddings.  A centre whose stream hits
 #: the cap is marked truncated and re-verified by full search when extended.
 DEFAULT_EMBEDDING_CAP = 64
-
-#: How many parent embeddings a delta probe inspects before declaring the
-#: centre undecided and falling back to one anchored search.  Keeps the
-#: worst case (many parent embeddings, child matching none of them) at the
-#: cost the from-scratch path would pay anyway, instead of exhausting the
-#: parent's enumeration.
-DEFAULT_PROBE_DEPTH = 4
 
 #: Yielded by a child stream's producer when its parent stream truncated:
 #: the child cannot know whether further embeddings exist.
@@ -114,42 +107,30 @@ def single_edge_delta(parent: Pattern, child: Pattern) -> DeltaEdge | None:
     nodes, labels and no copy counts — callers treat ``None`` as "no delta
     available, fall back to full matching".
     """
-    if parent.copy_counts() or child.copy_counts():
+    if parent.copy_counts() or child.copy_counts() or (parent.x, parent.y) != (child.x, child.y):
         return None
-    if parent.x != child.x or parent.y != child.y:
-        return None
-    parent_edges = set(parent.edges())
-    child_edges = set(child.edges())
-    if not parent_edges <= child_edges:
-        return None
+    parent_edges, child_edges = set(parent.edges()), set(child.edges())
     extra = child_edges - parent_edges
-    if len(extra) != 1:
+    parent_labels = dict(parent.node_items())
+    fresh = [node for node in child.nodes() if node not in parent_labels]
+    if not parent_edges <= child_edges or len(extra) != 1 or len(fresh) > 1:
         return None
-    edge = next(iter(extra))
-    parent_nodes = set(parent.nodes())
-    child_nodes = set(child.nodes())
-    if not parent_nodes <= child_nodes:
-        return None  # the child dropped a (necessarily isolated) parent node
-    for node in parent_nodes:
-        if parent.label(node) != child.label(node):
-            return None
-    fresh = child_nodes - parent_nodes
+    if any(not child.has_node(node) or child.label(node) != label for node, label in parent_labels.items()):
+        return None  # a dropped (necessarily isolated) or relabelled parent node
+    (edge,) = extra
     if not fresh:
-        if edge.source not in parent_nodes or edge.target not in parent_nodes:
-            return None
         return DeltaEdge(edge.source, edge.target, edge.label)
-    if len(fresh) != 1:
-        return None
-    new_node = next(iter(fresh))
-    if new_node not in (edge.source, edge.target):
-        return None  # a floating node the new edge does not touch
-    other = edge.target if new_node == edge.source else edge.source
-    if other not in parent_nodes:
-        return None
-    return DeltaEdge(
-        edge.source, edge.target, edge.label,
-        new_node=new_node, new_label=child.label(new_node),
-    )
+    new_node = fresh[0]
+    if (edge.source == new_node) == (edge.target == new_node):
+        return None  # the new node floats, or only a loop of its own reaches it
+    return DeltaEdge(edge.source, edge.target, edge.label, new_node=new_node, new_label=child.label(new_node))
+
+
+def _growth(positions: dict, delta: DeltaEdge) -> tuple[int, tuple]:
+    """A growing edge's anchor position and ``(direction, label, new label)``."""
+    outgoing = delta.new_node == delta.target
+    anchor = positions[delta.source if outgoing else delta.target]
+    return anchor, ("out" if outgoing else "in", delta.label, delta.new_label)
 
 
 class _EmbeddingStream:
@@ -170,16 +151,6 @@ class _EmbeddingStream:
         self.cap = cap
         self._producer: Iterator[tuple] | None = producer
         self.truncated = False
-
-    @property
-    def exhausted(self) -> bool:
-        """Whether pulling more embeddings is impossible (either state)."""
-        return self._producer is None
-
-    @property
-    def complete(self) -> bool:
-        """Whether ``pulled`` provably holds *every* embedding."""
-        return self._producer is None and not self.truncated
 
     def ensure(self, count: int) -> bool:
         """Pull until at least *count* embeddings are available.
@@ -355,6 +326,7 @@ class DeltaMatcher:
         # resident structure (compiled here unless the executor already did)
         # for the delta probes.
         self._resident = columnar_view(graph)
+        self._rows = (graph.version, functools.cache(self._resident.profile))
 
     # ------------------------------------------------------------------
     def supports(self, pattern: Pattern) -> bool:
@@ -417,113 +389,126 @@ class DeltaMatcher:
     def extend(
         self,
         parent: MatchEntry,
-        child: Pattern,
-        delta: DeltaEdge,
-        candidates: Iterable[NodeId],
-        want_entry: bool = True,
-    ) -> tuple[set, MatchEntry | None]:
-        """Matches of *child* over *candidates* via one-edge delta extension.
-
-        Equals ``matcher.match_set(graph, child, candidates)`` exactly: only
-        centres in both *candidates* and the parent's match set can match
-        (anti-monotonicity); each is decided by probing the delta edge
-        against the parent's first few embeddings — an exact answer when the
-        parent has that few (the common case) — with one full anchored
-        search whenever the probe budget runs out undecided.
+        requests: Sequence[tuple[Pattern, DeltaEdge, Iterable[NodeId], bool]],
+    ) -> list[tuple[set, MatchEntry | None]]:
+        """One ``(matches, entry)`` per ``(child, delta, candidates, want_entry)`` of
+        *parent*'s children, the set equal to ``matcher.match_set(graph, child,
+        candidates)``.  At each centre of the parent's matches, its embeddings
+        are pulled once (up to the store's cap) and each sibling undecided there
+        is tested on each (:meth:`_edge_test`).  A complete stream decides the
+        rest ``False``; a truncated one, or none, leaves one anchored search each.
         """
-        graph = self.graph
-        stats = self.store.statistics
-        pool = set(candidates)
-        pool &= parent.matches
-        cap = self.store.cap
-        depth = min(DEFAULT_PROBE_DEPTH, cap)
+        graph, stats, cap = self.graph, self.store.statistics, self.store.cap
+        if self._rows[0] != graph.version:
+            self._rows = (graph.version, functools.cache(self._resident.profile))
+        row = self._rows[1]
         positions = {node: i for i, node in enumerate(parent.node_order)}
-        node_order = parent.node_order
-        if not delta.closing:
-            node_order = node_order + (delta.new_node,)
-        matches: set[NodeId] = set()
-        streams: dict[NodeId, _EmbeddingStream] = {}
-        keep_streams = want_entry and self.supports(child)
-        for center in pool:
+        siblings_at: dict[NodeId, list[int]] = {}
+        for i, (_, delta, candidates, _) in enumerate(requests):
+            pool = parent.matches.intersection(candidates)
+            anchor, triple = (None, None) if delta.closing else _growth(positions, delta)
+            if anchor == positions[parent.pattern.x]:
+                # Every embedding maps x to the centre: without one such
+                # neighbour there, none extends.
+                pool = [center for center in pool if row(center).get(triple)]
+            for center in pool:
+                siblings_at.setdefault(center, []).append(i)
+        tests = [self._edge_test(parent, positions, delta) for _, delta, _, _ in requests]
+        keep = [want and self.supports(child) for child, _, _, want in requests]
+        matches: list[set[NodeId]] = [set() for _ in requests]
+        streams: list[dict[NodeId, _EmbeddingStream]] = [{} for _ in requests]
+        for center, waiting in siblings_at.items():
             parent_stream = parent.streams.get(center)
-            if parent_stream is None:
-                # A fallback-decided ancestor left no embeddings here.
+            if parent_stream is not None:
+                stats.delta_extensions += len(waiting)
+                position = 0
+                while waiting and parent_stream.ensure(position + 1):
+                    embedding = parent_stream.pulled[position]
+                    undecided = []
+                    for i in waiting:
+                        if not tests[i](embedding):
+                            undecided.append(i)
+                            continue
+                        matches[i].add(center)
+                        if keep[i]:  # search-decided centres keep no stream
+                            streams[i][center] = _EmbeddingStream(
+                                self._producer(parent_stream, positions, requests[i][1], tests[i]), cap
+                            )
+                    waiting = undecided
+                    position += 1
+                if not parent_stream.truncated:
+                    continue  # every parent embedding was tested: no match
+            for i in waiting:
                 stats.fallback_probes += 1
-                if self.matcher.exists_match_at(graph, child, center):
-                    matches.add(center)
-                continue
-            stats.delta_extensions += 1
-            found: bool | None = None  # None = undecided
-            for position in range(depth):
-                if not parent_stream.ensure(position + 1):
-                    if not parent_stream.truncated:
-                        found = False  # enumeration complete: nothing extends
-                    break
-                extended = self._extensions(
-                    parent_stream.pulled[position], positions, delta
+                if self.matcher.exists_match_at(graph, requests[i][0], center):
+                    matches[i].add(center)
+        results = []
+        for i, (child, delta, _, _) in enumerate(requests):
+            entry = None
+            if keep[i]:
+                fresh = () if delta.closing else (delta.new_node,)
+                entry = MatchEntry(
+                    child, parent.node_order + fresh, frozenset(matches[i]), streams[i],
+                    graph.version, canonical_witness=False,
                 )
-                if any(True for _ in extended):
-                    found = True
-                    break
-            decided_by_probe = found is not None
-            if found is None:
-                # Deeper parent embeddings might still extend: one full
-                # anchored search settles it at from-scratch cost.
-                stats.fallback_probes += 1
-                found = self.matcher.exists_match_at(graph, child, center)
-            if found:
-                matches.add(center)
-                if keep_streams and decided_by_probe:
-                    # Lazy stream over *all* parent embeddings; fallback-
-                    # decided centres keep none, so their descendants fall
-                    # back too rather than trusting a partial view.
-                    streams[center] = _EmbeddingStream(
-                        self._producer(parent_stream, positions, delta), cap
-                    )
-        entry = None
-        if keep_streams:
-            entry = MatchEntry(
-                pattern=child,
-                node_order=node_order,
-                matches=frozenset(matches),
-                streams=streams,
-                version=graph.version,
-                canonical_witness=False,
-            )
-            self.store.put(entry)
-        return matches, entry
+                self.store.put(entry)
+            results.append((matches[i], entry))
+        return results
+
+    def _edge_test(
+        self, parent: MatchEntry, positions: dict, delta: DeltaEdge
+    ) -> Callable[[tuple], bool]:
+        """Whether a parent embedding extends through *delta*, scanning no neighbours:
+        a closing edge is one membership probe (of a self-loop if ``s == t``); a
+        growing edge at anchor image ``v`` extends iff ``v``'s profile count of
+        ``(direction, label, new label)`` exceeds the embedding's own (distinct:
+        it is injective) nodes among those neighbours."""
+        resident, label = self._resident, delta.label
+        if delta.closing:
+            source, target = positions[delta.source], positions[delta.target]
+            out_neighbors = resident.out_neighbors
+            return lambda embedding: embedding[target] in out_neighbors(embedding[source], label)
+        anchor, triple = _growth(positions, delta)
+        neighbors = resident.out_neighbors if triple[0] == "out" else resident.in_neighbors
+        # Only positions whose pattern label is the new one can hold a
+        # neighbour the triple counts.
+        same_label = tuple(
+            i for i, node in enumerate(parent.node_order) if parent.pattern.label(node) == delta.new_label
+        )
+        row = self._rows[1]
+
+        def test(embedding: tuple) -> bool:
+            image = embedding[anchor]
+            count = row(image).get(triple, 0)
+            if count > len(same_label):
+                return True
+            if not count:
+                return False
+            adjacent = neighbors(image, label)
+            return count > sum(embedding[i] in adjacent for i in same_label)
+
+        return test
 
     def _producer(
-        self, parent_stream: _EmbeddingStream, positions: dict, delta: DeltaEdge
+        self, parent_stream: _EmbeddingStream, positions: dict, delta: DeltaEdge, test: Callable
     ) -> Iterator[tuple]:
         """Child embeddings at one centre, drawn lazily through the delta edge."""
-        position = 0
-        while True:
-            if not parent_stream.ensure(position + 1):
-                if parent_stream.truncated:
-                    yield _TRUNCATED
-                return
-            yield from self._extensions(parent_stream.pulled[position], positions, delta)
-            position += 1
-
-    def _extensions(self, embedding: tuple, positions: dict, delta: DeltaEdge):
-        """Yield the child embeddings extending one parent *embedding*."""
         resident = self._resident
-        if delta.closing:
-            source = embedding[positions[delta.source]]
-            target = embedding[positions[delta.target]]
-            if target in resident.out_neighbors(source, delta.label):
-                yield embedding
-            return
-        if delta.new_node == delta.target:
-            neighbors = resident.out_neighbors(embedding[positions[delta.source]], delta.label)
-        else:
-            neighbors = resident.in_neighbors(embedding[positions[delta.target]], delta.label)
-        used = set(embedding)
-        label_of = resident.node_label
-        for neighbor in neighbors:
-            if neighbor in used:
-                continue  # embeddings are injective
-            if label_of(neighbor) != delta.new_label:
+        if not delta.closing:
+            anchor, (direction, label, new_label) = _growth(positions, delta)
+            neighbors = resident.out_neighbors if direction == "out" else resident.in_neighbors
+            bucket = resident.nodes_with_label(new_label)
+        position = 0
+        while parent_stream.ensure(position + 1):
+            embedding = parent_stream.pulled[position]
+            position += 1
+            if not test(embedding):
                 continue
-            yield embedding + (neighbor,)
+            if delta.closing:
+                yield embedding
+                continue
+            for neighbor in neighbors(embedding[anchor], label) & bucket:
+                if neighbor not in embedding:  # embeddings are injective
+                    yield embedding + (neighbor,)
+        if parent_stream.truncated:
+            yield _TRUNCATED

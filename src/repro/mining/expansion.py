@@ -18,10 +18,10 @@ from typing import Hashable, Iterable
 
 from repro.graph.columnar import columnar_view
 from repro.graph.graph import Graph
+from repro.graph.neighborhood import bfs_distances
 from repro.matching.base import Matcher
 from repro.pattern.gpar import GPAR
 from repro.pattern.pattern import Pattern
-from repro.pattern.radius import pattern_radius
 
 NodeId = Hashable
 
@@ -150,6 +150,8 @@ def candidate_extensions(
         fragment's owned matched centres); each contributes one witness match.
     max_radius:
         Extensions whose rule pattern exceeds this radius at x are dropped.
+        *rule*'s own rule pattern must be connected and within it (DMine's
+        seed and every rule this function returns are).
     max_extensions:
         At most this many extensions are returned, most-supported first.
     witnesses:
@@ -184,16 +186,16 @@ def candidate_extensions(
     # max_extensions truncation identical on every execution backend
     # (including spawn-based process pools).
     ranked = sorted(votes.items(), key=lambda item: (-item[1], item[0].sort_key()))
+    # An extension's radius follows from the rule's distances: a growing
+    # edge puts its new node one hop beyond its anchor, a closing edge
+    # lengthens no distance.
+    distances = bfs_distances(rule.pr_pattern(), rule.x)
     extensions: list[GPAR] = []
     for key, _count in ranked:
         candidate = _apply_extension(rule, key, name=f"{rule.name}+")
         if candidate is None:
             continue
-        try:
-            radius = pattern_radius(candidate.pr_pattern(), candidate.x)
-        except Exception:
-            continue
-        if radius > max_radius:
+        if key.kind == "growing" and distances[key.pattern_source] + 1 > max_radius:
             continue
         extensions.append(candidate)
         if len(extensions) >= max_extensions:

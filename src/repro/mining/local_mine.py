@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Hashable, Sequence
 
-from repro.matching.incremental import DeltaMatcher, MatchStore, single_edge_delta
+from repro.matching.incremental import DeltaMatcher, MatchEntry, MatchStore, single_edge_delta
 from repro.matching.vf2 import VF2Matcher
 from repro.metrics.lcwa import predicate_stats_over
 from repro.mining.config import DMineConfig
@@ -158,28 +158,41 @@ class LocalMiner:
         full candidate set.
 
         *parents* (parallel to *rules*) names the rule each entry was
-        proposed from at this fragment.  When the parent's matches are
-        materialized in the fragment's
-        :class:`~repro.matching.incremental.MatchStore`, the child's
-        antecedent and PR match sets are produced by delta-extending the
-        parent's embeddings through the one new edge instead of re-matching
-        from scratch; every miss falls back to full matching, so the
-        resulting messages are identical either way.
+        proposed from at this fragment.  Every rule's antecedent is matched
+        first, then its PR pattern over the antecedent matches that are local
+        positives.  On each side the rules whose parent pattern is resident
+        in the fragment's :class:`~repro.matching.incremental.MatchStore` are
+        delta-extended as one sibling group per parent entry; the rest are
+        matched in full, with identical messages.
         """
+        # The seed (no antecedent edge) is never evaluated, so never stored.
+        parents = [
+            parent if parent is not None and parent.antecedent.num_edges else None
+            for parent in (parents or [None] * len(rules))
+        ]
+        # Materialize embeddings only for rules whose children can still be
+        # proposed: a rule at the edge budget is never extended, so storing
+        # its embeddings would be pure overhead.
+        want = [rule.antecedent.num_edges < self.config.max_edges for rule in rules]
+        stored: list[MatchEntry | None] = []
+        antecedent_sets = self._match_side(
+            [rule.antecedent for rule in rules],
+            [None if parent is None else parent.antecedent for parent in parents],
+            [self.candidates if pool is None else set(pool) for pool in (pools or [None] * len(rules))],
+            want,
+            stored,
+        )
+        rule_sets = self._match_side(
+            [rule.pr_pattern() for rule in rules],
+            [None if parent is None else parent.pr_pattern() for parent in parents],
+            [matches & self.local_positives for matches in antecedent_sets],
+            want,
+            stored,
+        )
         messages: list[RuleMessage] = []
-        materialized: list[str] = []
         for index, rule in enumerate(rules):
-            inherited = pools[index] if pools is not None else None
-            pool = set(inherited) if inherited is not None else self.candidates
-            parent = parents[index] if parents else None
-            antecedent_matches, rule_matches = self._match_rule(
-                rule, pool, parent, materialized
-            )
+            antecedent_matches, rule_matches = antecedent_sets[index], rule_sets[index]
             qbar_matches = antecedent_matches & self.local_negatives
-            extendable = (
-                bool(rule_matches)
-                and rule.antecedent.num_edges < self.config.max_edges
-            )
             messages.append(
                 RuleMessage(
                     rule=rule,
@@ -189,7 +202,7 @@ class LocalMiner:
                     supp_q_qbar=len(qbar_matches),
                     supp_q=self.supp_q_local,
                     supp_q_bar=self.supp_q_bar_local,
-                    extendable=extendable,
+                    extendable=bool(rule_matches) and want[index],
                     rule_matches=frozenset(rule_matches),
                     antecedent_matches=frozenset(antecedent_matches),
                     qbar_matches=frozenset(qbar_matches),
@@ -205,60 +218,41 @@ class LocalMiner:
         # demand), so resident embedding memory is bounded by ancestry depth
         # (<= max_edges) x matched centres x the per-centre cap, not by the
         # entry count alone.
-        self.store.retain(materialized)
+        self.store.retain(canonical_code(entry.pattern) for entry in stored if entry is not None)
         return messages
 
-    def _match_rule(
+    def _match_side(
         self,
-        rule: GPAR,
-        pool: set[NodeId],
-        parent: GPAR | None,
-        materialized: list[str],
-    ) -> tuple[set[NodeId], set[NodeId]]:
-        """Antecedent and PR match sets of *rule* over *pool* (owned centres).
-
-        Routed through the fragment's match store: delta-extended from the
-        parent's materialized embeddings when they are resident, matched in
-        full (and materialized for the next level) otherwise.
-        """
-        # Materialize embeddings only for rules whose children can still be
-        # proposed: a rule at the edge budget is never extended, so storing
-        # its embeddings would be pure overhead.
-        want_entry = rule.antecedent.num_edges < self.config.max_edges
-        ant_delta = pr_delta = None
-        ant_parent = pr_parent = None
-        if parent is not None and parent.antecedent.num_edges > 0:
-            ant_parent = self.store.get(parent.antecedent)
-            pr_parent = self.store.get(parent.pr_pattern())
-            if ant_parent is not None or pr_parent is not None:
-                ant_delta = single_edge_delta(parent.antecedent, rule.antecedent)
-                # PR(child) = PR(parent) + the same delta edge; recomputed
-                # from the PR patterns so a surprise (copy counts, renamed
-                # nodes) degrades to the exact fallback instead of a wrong
-                # extension.
-                pr_delta = single_edge_delta(parent.pr_pattern(), rule.pr_pattern())
-
-        if ant_parent is not None and ant_delta is not None:
-            antecedent_matches, ant_entry = self.delta.extend(
-                ant_parent, rule.antecedent, ant_delta, pool, want_entry
-            )
-        else:
-            antecedent_matches, ant_entry = self.delta.materialize(
-                rule.antecedent, pool, want_entry
-            )
-        rule_pool = antecedent_matches & self.local_positives
-        if pr_parent is not None and pr_delta is not None:
-            rule_matches, pr_entry = self.delta.extend(
-                pr_parent, rule.pr_pattern(), pr_delta, rule_pool, want_entry
-            )
-        else:
-            rule_matches, pr_entry = self.delta.materialize(
-                rule.pr_pattern(), rule_pool, want_entry
-            )
-        for entry in (ant_entry, pr_entry):
-            if entry is not None:
-                materialized.append(canonical_code(entry.pattern))
-        return antecedent_matches, rule_matches
+        patterns: list[Pattern],
+        parent_patterns: list[Pattern | None],
+        pools: list[set[NodeId]],
+        want: list[bool],
+        stored: list[MatchEntry | None],
+    ) -> list[set[NodeId]]:
+        """Match sets of *patterns* over *pools*: one :meth:`DeltaMatcher.extend`
+        call per resident parent entry, a full match for the rest; each
+        pattern's entry for the next level (or ``None``) goes to *stored*."""
+        results: list[set[NodeId]] = [set() for _ in patterns]
+        entries: dict[Pattern, MatchEntry | None] = {}
+        groups: dict[Pattern, tuple[MatchEntry, list]] = {}
+        for index, (pattern, parent) in enumerate(zip(patterns, parent_patterns)):
+            if parent is not None and parent not in entries:
+                entries[parent] = self.store.get(parent)
+            entry = entries.get(parent)
+            delta = single_edge_delta(parent, pattern) if entry is not None else None
+            if delta is None:
+                results[index], kept = self.delta.materialize(pattern, pools[index], want[index])
+                stored.append(kept)
+            else:
+                groups.setdefault(parent, (entry, []))[1].append(
+                    (index, (pattern, delta, pools[index], want[index]))
+                )
+        for entry, members in groups.values():
+            outcomes = self.delta.extend(entry, [request for _, request in members])
+            for (index, _), (matches, kept) in zip(members, outcomes):
+                results[index] = matches
+                stored.append(kept)
+        return results
 
 
 # ----------------------------------------------------------------------

@@ -57,6 +57,9 @@ class ReferenceMatcher:
             return
         if graph.node_label(anchor_value) != expanded.label(expanded.x):
             return
+        loops = [edge.label for edge in expanded.out_edges(expanded.x) if edge.target == expanded.x]
+        if not all(graph.has_edge(anchor_value, anchor_value, label) for label in loops):
+            return
         order = [expanded.x] + sorted(
             (node for node in expanded.nodes() if node != expanded.x), key=str
         )
@@ -89,18 +92,17 @@ class ReferenceMatcher:
         for data_node in sorted(pool, key=str):
             if data_node in used or graph.node_label(data_node) != pattern.label(node):
                 continue
-            if any(
+            mapping[node] = data_node  # first, so a self-loop is checked below
+            if not any(
                 edge.target in mapping
                 and not graph.has_edge(data_node, mapping[edge.target], edge.label)
                 for edge in pattern.out_edges(node)
-            ) or any(
+            ) and not any(
                 edge.source in mapping
                 and not graph.has_edge(mapping[edge.source], data_node, edge.label)
                 for edge in pattern.in_edges(node)
             ):
-                continue
-            mapping[node] = data_node
-            yield from self._extend(graph, pattern, order, mapping)
+                yield from self._extend(graph, pattern, order, mapping)
             del mapping[node]
 
     def find_match_at(self, graph: Graph, pattern: Pattern, anchor_value: NodeId) -> dict | None:

@@ -12,7 +12,8 @@
   any of the three goes back to recomputing per use, or when DMine's round
   goes back to costing Σ and the hubs: a bound per rule ever seen, an exact
   isomorphism check or a canonical code per proposal, edge scans in the
-  proposer.  Search counts are compared with a same-process run on the
+  proposer, an anchored search where a parent's embeddings could decide.
+  Search counts are compared with a same-process run on the
   naive oracles, not pinned: they depend on ``PYTHONHASHSEED``.
 """
 
@@ -36,6 +37,7 @@ from repro import api
 from repro.datasets import generate_gpars, pokec_like
 from repro.graph import bfs_distances, build_sketch, sketch_dominates, sketch_score
 from repro.identification import EIPConfig
+from repro.matching import MatchStore
 from repro.metrics.diversification import DiversificationObjective, jaccard_distance
 from repro.mining import DMineConfig, IncrementalDiversifier
 from repro.mining.incdiv import RuleInfo
@@ -403,6 +405,12 @@ BOUND_CEILING = 12_000
 #: Canonical codes computed: 2,816 when every proposal paid for one, ≈ 1,550
 #: when equal proposals are dropped first.
 CODE_CEILING = 1_600
+#: Anchored searches the run's match stores fell back to: 19,157 when each
+#: child tested its parent's first four embeddings alone, ≈ 1,763 when all
+#: siblings share one read of the parent's stream up to the store's cap,
+#: ≈ 750 when a growing edge at x also drops centres whose profile row
+#: lacks its triple.
+FALLBACK_CEILING = 1_000
 
 _MINING_ARGS = (PREDICATE, DMineConfig(k=6, d=2, sigma=4, num_workers=2, max_edges=3))
 
@@ -417,12 +425,14 @@ def mining_calls():
     """Call lists of one small ``api.mine`` run: patterns built, structural
     keys computed, match-set distances taken and pair bounds evaluated by the
     diversifier, exact isomorphism checks and canonical codes of the dedup,
-    and the modules that asked a graph for its edges."""
+    the match stores built, and the modules that asked a graph for its edges."""
     import repro.mining.incdiv as incdiv
     import repro.pattern.automorphism as automorphism
     import repro.pattern.canonical as canonical
 
-    calls = {name: [] for name in ("built", "keyed", "distances", "bounds", "isomorphic", "codes")}
+    calls = {
+        name: [] for name in ("built", "keyed", "distances", "bounds", "isomorphic", "codes", "stores")
+    }
     edge_readers: set[str] = set()
 
     def reading(name):
@@ -441,6 +451,7 @@ def mining_calls():
         _counting(monkeypatch, DiversificationObjective, "upper_bound_contribution", calls["bounds"])
         _counting(monkeypatch, automorphism, "are_isomorphic", calls["isomorphic"])
         _counting(monkeypatch, canonical, "_compute_code", calls["codes"])
+        _counting(monkeypatch, MatchStore, "__init__", calls["stores"])
         for name in ("out_edges", "in_edges"):
             monkeypatch.setattr(repro.graph.Graph, name, reading(name))
         result = _mine()
@@ -464,6 +475,11 @@ def test_dedup_is_keyed_by_code(mining_calls):
     calls = mining_calls[0]
     assert not calls["isomorphic"]  # every proposal of this run has a canonical: code
     assert 0 < len(calls["codes"]) <= CODE_CEILING
+
+
+def test_sibling_groups_fall_back_to_few_anchored_searches(mining_calls):
+    stores = [args[0] for args in mining_calls[0]["stores"]]
+    assert 0 < sum(store.statistics.fallback_probes for store in stores) <= FALLBACK_CEILING
 
 
 def test_extension_keys_are_read_off_profile_rows(mining_calls):

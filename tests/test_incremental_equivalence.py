@@ -8,19 +8,26 @@ search, asserting the delta-extended match sets are
 byte-identical to a full re-match, and additionally runs DMine / EIP
 pipelines across both execution backends, holding the store-routed /
 prefix-shared results to the naive reference evaluation of the same rules
-(:mod:`repro.testing.reference`).  A dedicated class exercises the
+(:mod:`repro.testing.reference`).  The sibling-group tests extend each
+parent with all its children in one call, on graphs with self-loops, and
+hold every child to a from-scratch match.  A dedicated class exercises the
 :class:`MatchStore` lifecycle: ``Graph.version`` invalidation, canonical
 witness reuse, truncation fallback and round-based retention.
 """
 
 from __future__ import annotations
 
+import random
+from collections import Counter
+
 import pytest
 
 from repro.datasets import generate_gpars, most_frequent_predicates, synthetic_graph
+from repro.graph import Graph
 from repro.identification import identify_entities
 from repro.matching import (
     DeltaMatcher,
+    MatchEntry,
     GuidedMatcher,
     LocalityMatcher,
     MatchStore,
@@ -29,7 +36,9 @@ from repro.matching import (
 )
 from repro.metrics import evaluate_rule
 from repro.mining import DMineConfig, dmine
+from repro.matching.incremental import DEFAULT_EMBEDDING_CAP
 from repro.mining.expansion import candidate_extensions
+from repro.mining.local_mine import seed_rule
 from repro.parallel.executor import BACKENDS
 from repro.pattern.canonical import canonical_code
 from repro.pattern.gpar import GPAR
@@ -99,7 +108,7 @@ def test_delta_extension_equals_full_rematch(seed, kind):
                 graph, parent_pattern, candidates=candidates
             )
             assert entry is not None
-            child_set, _ = delta_matcher.extend(entry, child_pattern, delta, candidates)
+            [(child_set, _)] = delta_matcher.extend(entry, [(child_pattern, delta, candidates, True)])
             assert child_set == oracle.match_set(
                 graph, child_pattern, candidates=candidates
             )
@@ -191,10 +200,163 @@ def test_truncated_streams_still_exact(seed):
             graph.nodes_with_label(parent.antecedent.label(parent.x)), key=str
         )
         _, entry = delta_matcher.materialize(parent.antecedent, candidates)
-        child_set, _ = delta_matcher.extend(entry, child.antecedent, delta, candidates)
+        [(child_set, _)] = delta_matcher.extend(entry, [(child.antecedent, delta, candidates, True)])
         assert child_set == oracle.match_set(
             graph, child.antecedent, candidates=candidates
         )
+
+
+# ----------------------------------------------------------------------
+# sibling groups
+# ----------------------------------------------------------------------
+def _looped_graph(seed: int) -> Graph:
+    """Few labels, dense edges and data self-loops."""
+    rng = random.Random(seed)
+    graph = Graph(name=f"siblings-{seed}")
+    size = 22
+    for index in range(size):
+        graph.add_node(f"n{index}", rng.choice("abc"))
+    for _ in range(70):
+        graph.add_edge(f"n{rng.randrange(size)}", f"n{rng.randrange(size)}", rng.choice("pq"))
+    for index in rng.sample(range(size), 6):
+        graph.add_edge(f"n{index}", f"n{index}", rng.choice("pq"))
+    return graph
+
+
+def _all_children(graph: Graph, rule: GPAR, matcher) -> list[GPAR]:
+    """Every child the proposer finds for *rule*, plus closing self-loops at x and y."""
+    centers = sorted(matcher.match_set(graph, rule.antecedent), key=str)
+    children = candidate_extensions(
+        graph, rule, centers, matcher, max_radius=3, max_extensions=10**6
+    )
+    for node in (rule.x, rule.y):
+        for label in "pq":
+            children.append(
+                GPAR(
+                    rule.antecedent.with_edge(node, node, label),
+                    rule.consequent_label,
+                    name=f"{rule.name}+{node}{label}",
+                    validate=False,
+                )
+            )
+    return children
+
+
+def _kind(delta) -> str:
+    if delta.closing:
+        return "closing loop" if delta.source == delta.target else "closing"
+    return "growing out" if delta.new_node == delta.target else "growing in"
+
+
+def _anchor_loops(graph: Graph, entry, delta) -> bool:
+    """Whether a parent embedding's anchor image is itself a neighbour the
+    growing edge's profile count includes (a data self-loop of its label)."""
+    if delta.closing:
+        return False
+    anchor = entry.node_order.index(delta.source if delta.new_node == delta.target else delta.target)
+    return any(
+        graph.has_edge(embedding[anchor], embedding[anchor], delta.label)
+        and graph.node_label(embedding[anchor]) == delta.new_label
+        for stream in entry.streams.values()
+        for embedding in stream.pulled
+    )
+
+
+def _without_every_other_stream(entry: MatchEntry) -> MatchEntry:
+    kept = sorted(entry.streams, key=str)[::2]
+    return MatchEntry(
+        entry.pattern,
+        entry.node_order,
+        entry.matches,
+        {center: entry.streams[center] for center in kept},
+        entry.version,
+        entry.canonical_witness,
+    )
+
+
+def _check_group(delta_matcher, oracle, graph, entry, candidates, parent_pattern, children, side, seen):
+    """Extend *entry* (matched over *candidates*) with every child in one
+    call; each child's set equals a full match over its pool."""
+    requests, rules = [], []
+    for index, child in enumerate(children):
+        delta = single_edge_delta(parent_pattern, side(child))
+        if delta is None:
+            continue
+        pool = candidates[index % 3 :: 1 + index % 2]  # siblings with different pools
+        requests.append((side(child), delta, pool, index % 4 != 3))
+        rules.append(child)
+    outcomes = delta_matcher.extend(entry, requests)
+    assert len(outcomes) == len(requests)
+    kept = []
+    for (pattern, delta, pool, want), (matches, child_entry), rule in zip(requests, outcomes, rules):
+        assert matches == oracle.match_set(graph, pattern, candidates=pool), rule.name
+        assert (child_entry is not None) == want
+        seen[_kind(delta)] += 1
+        seen["anchor loop"] += _anchor_loops(graph, entry, delta)
+        if child_entry is not None:
+            kept.append((rule, child_entry, pool))
+    return kept
+
+
+ANTECEDENT_SIDE = (lambda rule: rule.antecedent, lambda rule: rule.pr_pattern())
+
+
+@pytest.mark.parametrize("cap", [DEFAULT_EMBEDDING_CAP, 1])
+def test_sibling_groups_equal_full_rematches(cap):
+    """Each parent is extended with *all* its proposed children in one call,
+    on both sides, whole and with every other stream missing; the first kept
+    children's streams are extended one level further."""
+    seen: Counter = Counter()
+    fallbacks = 0
+    for seed in range(6):
+        graph = _looped_graph(seed)
+        matcher, oracle = VF2Matcher(), VF2Matcher()
+        predicate = most_frequent_predicates(graph, top=1)[0]
+        parents = _all_children(graph, seed_rule(predicate), matcher)[:3]
+        for parent in parents:
+            children = _all_children(graph, parent, matcher)
+            for side in ANTECEDENT_SIDE:
+                store = MatchStore(graph, cap=cap)
+                delta_matcher = DeltaMatcher(graph, VF2Matcher(), store)
+                parent_pattern = side(parent)
+                candidates = sorted(graph.nodes_with_label(parent_pattern.label(parent.x)), key=str)
+                _, entry = delta_matcher.materialize(parent_pattern, candidates)
+                for parent_entry in (entry, _without_every_other_stream(entry)):
+                    kept = _check_group(
+                        delta_matcher, oracle, graph, parent_entry, candidates,
+                        parent_pattern, children, side, seen,
+                    )
+                    for rule, child_entry, pool in kept[:2]:
+                        grandchildren = _all_children(graph, rule, matcher)[:6]
+                        _check_group(
+                            delta_matcher, oracle, graph, child_entry, pool,
+                            side(rule), grandchildren, side, seen,
+                        )
+                fallbacks += store.statistics.fallback_probes
+    kinds = ("growing out", "growing in", "closing", "closing loop", "anchor loop")
+    assert min(seen[kind] for kind in kinds) > 0, seen
+    assert fallbacks > 0
+
+
+def test_growing_edge_count_subtracts_the_anchors_own_loop():
+    """``v -p-> v`` is counted by ``v``'s profile, but ``v`` is already in the
+    embedding: with no other ``p``-neighbour of its label the child fails."""
+    graph = Graph(name="anchor-loop")
+    for node, label in (("v", "a"), ("w", "b"), ("u", "a")):
+        graph.add_node(node, label)
+    graph.add_edge("v", "w", "e")
+    graph.add_edge("v", "v", "p")
+    parent = Pattern({"x": "a", "y": "b"}, [("x", "y", "e")], x="x", y="y")
+    child = parent.with_edge("x", "z", "p", target_label="a")
+    delta_matcher = DeltaMatcher(graph, VF2Matcher(), MatchStore(graph))
+    _, entry = delta_matcher.materialize(parent, ["v"])
+    delta = single_edge_delta(parent, child)
+    [(matches, _)] = delta_matcher.extend(entry, [(child, delta, ["v"], True)])
+    assert matches == set() == VF2Matcher().match_set(graph, child, candidates=["v"])
+    graph.add_edge("v", "u", "p")
+    _, entry = delta_matcher.materialize(parent, ["v"])
+    [(matches, _)] = delta_matcher.extend(entry, [(child, delta, ["v"], True)])
+    assert matches == {"v"}
 
 
 class TestMatchStoreLifecycle:

@@ -311,6 +311,84 @@ def test_last_plan_node_cases_crowd_the_last_node():
     assert probe.crowded > 20 and verdicts == {True, False}
 
 
+# ----------------------------------------------------------------------
+# pattern self-loops
+# ----------------------------------------------------------------------
+def _loop_graph(variant: str) -> Graph:
+    """``a -p-> b``; ``cycle`` adds ``b -p-> c -p-> b``, ``loop`` also ``b -p-> b``."""
+    graph = Graph(name=f"loops-{variant}")
+    for node, label in (("a", "A"), ("b", "B"), ("c", "B")):
+        graph.add_node(node, label)
+    graph.add_edge("a", "b", "p")
+    if variant != "plain":
+        graph.add_edge("b", "c", "p")
+        graph.add_edge("c", "b", "p")
+    if variant == "loop":
+        graph.add_edge("b", "b", "p")
+    return graph
+
+
+LOOP_MATCHERS = [VF2Matcher, GuidedMatcher, ReferenceMatcher]
+
+
+class TestSelfLoops:
+    PATTERN = Pattern({"x": "A", "y": "B"}, [("x", "y", "p"), ("y", "y", "p")], x="x", y="y")
+
+    @pytest.mark.parametrize("resident", [False, True])
+    @pytest.mark.parametrize("make", LOOP_MATCHERS)
+    @pytest.mark.parametrize("variant, expected", [("plain", False), ("cycle", False), ("loop", True)])
+    def test_a_loop_on_a_later_node_is_checked(self, make, variant, expected, resident):
+        graph = _loop_graph(variant)
+        if resident:
+            columnar_view(graph)
+        try:
+            assert make().exists_match_at(graph, self.PATTERN, "a") is expected
+            assert (make().find_match_at(graph, self.PATTERN, "a") is not None) is expected
+            assert brute_force_match_set(graph, self.PATTERN) == ({"a"} if expected else set())
+        finally:
+            discard_columnar(graph)
+
+    @pytest.mark.parametrize("make", LOOP_MATCHERS)
+    def test_a_loop_on_the_anchor_is_checked(self, make):
+        pattern = Pattern({"x": "B", "y": "B"}, [("x", "y", "p"), ("x", "x", "p")], x="x", y="y")
+        graph = _loop_graph("loop")
+        assert make().match_set(graph, pattern) == brute_force_match_set(graph, pattern) == {"b"}
+
+    def test_plans_compile_loops_per_position(self):
+        plan = build_search_plan(self.PATTERN, "x")
+        assert plan.self_loops == ((), ("p",))
+        loop_free = Pattern({"x": "A", "y": "B"}, [("x", "y", "p")], x="x", y="y")
+        assert build_search_plan(loop_free, "x").self_loops == ()
+
+
+def _loop_case(seed: int) -> tuple[Graph, Pattern]:
+    rng = random.Random(seed)
+    graph = Graph(name=f"loop{seed}")
+    size = rng.randint(3, 7)
+    for index in range(size):
+        graph.add_node(f"n{index}", rng.choice("ab"))
+    for _ in range(rng.randint(size, 4 * size)):
+        graph.add_edge(f"n{rng.randrange(size)}", f"n{rng.randrange(size)}", rng.choice("pq"))
+    names = ["x", "u", "w"][: rng.randint(2, 3)]
+    edges = {(names[index - 1], name, rng.choice("pq")) for index, name in enumerate(names) if index}
+    edges |= {(name, name, rng.choice("pq")) for name in rng.sample(names, rng.randint(1, len(names)))}
+    return graph, Pattern({name: rng.choice("ab") for name in names}, sorted(edges), x="x")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**6))
+def test_patterns_with_loops_match_as_brute_force(seed):
+    graph, pattern = _loop_case(seed)
+    expected = brute_force_match_set(graph, pattern)
+    for make in LOOP_MATCHERS:
+        assert make().match_set(graph, pattern) == expected
+    columnar_view(graph)
+    try:
+        assert VF2Matcher().match_set(graph, pattern) == GuidedMatcher().match_set(graph, pattern) == expected
+    finally:
+        discard_columnar(graph)
+
+
 class TestLocalityMatcher:
     def test_agrees_with_global_when_radius_sufficient(self, g1, r7):
         local = LocalityMatcher(VF2Matcher(), radius=2)

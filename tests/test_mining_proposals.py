@@ -28,8 +28,9 @@ import repro
 from repro.graph import Graph
 from repro.graph.columnar import columnar_view
 from repro.matching import VF2Matcher
-from repro.mining.expansion import _ExtensionKey, _extension_keys_for_match
+from repro.mining.expansion import _ExtensionKey, _extension_keys_for_match, candidate_extensions
 from repro.pattern import GPAR, Pattern, canonical_code, group_automorphic
+from repro.pattern.radius import pattern_radius
 from repro.testing import reference_extension_keys, reference_group_automorphic
 
 NODE_LABELS = ("a", "b")
@@ -123,6 +124,69 @@ def test_profile_row_keys_cover_every_special_case():
         _ExtensionKey("growing", "y", None, "r", "b", True),
         _ExtensionKey("growing", "y", None, "r", "b", False),
     }
+
+
+# ----------------------------------------------------------------------
+# radius cut
+# ----------------------------------------------------------------------
+def _radius_case(seed: int):
+    """A random rule whose rule pattern is connected, copy counts included,
+    and a radius bound it meets, with the graph and centres to extend it on."""
+    rng = random.Random(seed)
+    graph = _keyed_graph(rng)
+    names = ["x", "y", "u", "w"][: rng.randint(2, 4)]
+    edges = set()
+    for index in range(2, len(names)):  # each extra node hangs off an earlier one
+        other = rng.choice(names[:index])
+        pair = (names[index], other) if rng.random() < 0.5 else (other, names[index])
+        edges.add((*pair, rng.choice(EDGE_LABELS)))
+    for _ in range(rng.randint(0, 2)):
+        edges.add((rng.choice(names), rng.choice(names), rng.choice(EDGE_LABELS)))
+    copies = {names[-1]: rng.randint(2, 3)} if len(names) > 2 and rng.random() < 0.5 else {}
+    antecedent = Pattern(
+        {name: rng.choice(NODE_LABELS) for name in names}, sorted(edges), x="x", y="y", copies=copies
+    )
+    rule = GPAR(antecedent, rng.choice(EDGE_LABELS), name="r", validate=False)
+    max_radius = pattern_radius(rule.pr_pattern(), "x") + rng.randint(0, 1)
+    centers = sorted(graph.nodes_with_label(antecedent.label("x")), key=str)
+    return graph, rule, centers, max_radius
+
+
+def _extensions(graph, rule, centers, max_radius: int, limit: int) -> list[GPAR]:
+    return candidate_extensions(
+        graph, rule, centers, VF2Matcher(), max_radius=max_radius, max_extensions=limit
+    )
+
+
+def _radius_forms(seed: int, limit: int) -> tuple[list, list]:
+    """The kept extensions, and those of a cut by each candidate's own radius."""
+    graph, rule, centers, max_radius = _radius_case(seed)
+    by_radius = [
+        candidate.antecedent
+        for candidate in _extensions(graph, rule, centers, 10**6, 10**6)
+        if pattern_radius(candidate.pr_pattern(), "x") <= max_radius
+    ]
+    kept = _extensions(graph, rule, centers, max_radius, limit)
+    return [candidate.antecedent for candidate in kept], by_radius[:limit]
+
+
+@given(st.integers(0, 10**9), st.sampled_from([10**6, 3]))
+@settings(max_examples=200, deadline=None)
+def test_radius_cut_from_the_rules_distances_equals_the_pattern_radius_cut(seed, limit):
+    kept, by_radius = _radius_forms(seed, limit)
+    assert kept == by_radius
+
+
+def test_radius_cut_cases_keep_and_drop():
+    """The property above is not vacuous: its cases both keep and drop."""
+    kept = dropped = 0
+    for seed in range(80):
+        graph, rule, centers, _ = _radius_case(seed)
+        every = _extensions(graph, rule, centers, 10**6, 10**6)
+        some = _radius_forms(seed, 10**6)[0]
+        kept += len(some)
+        dropped += len(every) - len(some)
+    assert kept > 100 and dropped > 25  # ≈ 195 and ≈ 51; witnesses vary with the hash seed
 
 
 # ----------------------------------------------------------------------

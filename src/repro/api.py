@@ -181,7 +181,7 @@ class SessionDelta:
     ``version``; ``identified_entered`` / ``identified_left`` are the same
     diff on the overall identified-entity answer.  Equal by construction to
     the set-difference of from-scratch recomputes before and after the
-    batch (the property the serve bench family gates on).
+    batch (the property the serve tests and the repo benchmark check).
     """
 
     version: int

@@ -100,7 +100,7 @@ class RuleEvaluation:
         return math.isinf(self.confidence) or self.supp_q == 0
 
     def as_row(self) -> str:
-        """One-line report used by examples and the case-study bench."""
+        """One-line report used by the examples."""
         conf = "inf" if math.isinf(self.confidence) else f"{self.confidence:.3f}"
         return (
             f"{self.rule.name}: supp={self.supp_r} conf={conf} "

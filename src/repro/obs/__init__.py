@@ -12,8 +12,8 @@ Three cooperating pieces (full model in ``docs/observability.md``):
 
 Instrumentation is off the hot path when disabled: no tracer installed
 means :func:`span` costs a thread-local read; collection disabled means
-statistics construction costs one environment lookup.  The ``obs`` bench
-family CI-gates the enabled overhead at ≤5 %.
+statistics construction costs one environment lookup.  The ``obs`` smoke
+gate holds the enabled overhead to ≤5 %.
 """
 
 from repro.obs.registry import DEFAULT_BUCKETS, MetricsRegistry, registry

@@ -3,8 +3,8 @@
 Pure functions over already-fetched data — the CLI owns I/O.  Includes a
 small parser for the Prometheus text exposition produced by
 :meth:`repro.obs.registry.MetricsRegistry.render` (and served at
-``GET /metrics``), used both by ``repro top`` and by the ``obs`` bench
-family's scrape round-trip assertion.
+``GET /metrics``), used both by ``repro top`` and by the tests' scrape
+round-trip assertions.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ def parse_prometheus(text: str) -> dict[str, list[tuple[dict[str, str], float]]]
 
     Histogram series appear under their ``_bucket``/``_sum``/``_count``
     sample names, exactly as exposed.  Raises ``ValueError`` on a line that
-    is neither a comment nor a well-formed sample — the bench family uses
-    that strictness as the scrape round-trip gate.
+    is neither a comment nor a well-formed sample — the tests use that
+    strictness as the scrape round-trip gate.
     """
     out: dict[str, list[tuple[dict[str, str], float]]] = {}
     for line in text.splitlines():

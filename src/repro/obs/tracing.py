@@ -17,7 +17,7 @@ tree.
 The module-level :func:`span`/:func:`event` helpers are the no-op fast
 path: with no tracer installed they cost one thread-local read and a
 ``None`` check, which is what keeps instrumentation off the hot path when
-disabled (the ``obs`` bench family CI-gates the total overhead).
+disabled (the ``obs`` smoke gate holds the total overhead to 5 %).
 :func:`install` activates a tracer process-globally (the coordinator / CLI
 ``--trace-out`` case); :func:`override_tracer` routes one thread's spans
 into a specific tracer (the worker case — safe when the HTTP service ticks

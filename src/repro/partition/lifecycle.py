@@ -447,7 +447,7 @@ class FragmentManager:
         return self._cost_factors.get(index, 1.0)
 
     def resident_summary(self) -> dict:
-        """Coordinator-side residency metrics (the churn bench's row source)."""
+        """Coordinator-side residency metrics (a tick report's resident counts)."""
         nodes = sum(len(node_set) for node_set in self._node_sets.values())
         log_ops = sum(self.log_weight(fragment.index) for fragment in self.fragments)
         log_entries = sum(len(self._logs[fragment.index]) for fragment in self.fragments)

@@ -617,7 +617,7 @@ class ReproService:
 class BackgroundServer:
     """The service on a daemon thread with its own event loop.
 
-    Used by the tests, the serve bench family and ``repro serve`` alike:
+    Used by the tests, the repo benchmark and ``repro serve`` alike:
     ``start()`` binds (port 0 → an ephemeral port), ``base_url`` is where
     clients point, ``stop()`` tears everything down.
     """

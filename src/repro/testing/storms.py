@@ -21,7 +21,7 @@ with its churn concentrated where the repair machinery is weakest:
   single ball: fresh nodes wired in and torn out within one batch.
 
 :data:`STORM_FAMILIES` registers them (plus the uniform baseline) for the
-differential oracle, the ``storm`` bench-smoke family and the distiller.
+differential oracle, the ``storm`` smoke gate and the distiller.
 """
 
 from __future__ import annotations
@@ -258,7 +258,7 @@ def ball_burst_storm(graph: Graph, size: int = 8, seed=0) -> UpdateBatch:
 
 
 #: name -> sampler(graph, size=, seed=); the oracle, the distiller and the
-#: ``storm`` bench family iterate this registry.
+#: ``storm`` smoke gate iterate this registry.
 STORM_FAMILIES: dict[str, Callable[..., UpdateBatch]] = {
     "random": random_update_batch,
     "correlated-deletions": correlated_deletion_storm,

@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.datasets import generate_gpars
+from repro.datasets import (
+    generate_gpars,
+    googleplus_like,
+    most_frequent_predicates,
+    pokec_like,
+    synthetic_graph,
+)
 from repro.exceptions import IdentificationError
 from repro.identification import (
     DisVF2,
@@ -12,7 +18,10 @@ from repro.identification import (
     identify_entities,
 )
 from repro.metrics import evaluate_rule, predicate_stats
-from repro.testing import identify_sequential
+from repro.mining import DMineConfig, dmine
+from repro.obs import registry
+from repro.obs.stats import disable_collection, enable_collection, reset_collection
+from repro.testing import eip_fingerprint, identify_sequential
 
 
 class TestConfig:
@@ -92,13 +101,18 @@ class TestParallelAgreement:
         assert result.identified == reference.identified == {"acct1", "acct2", "acct3"}
 
     def test_worker_count_does_not_change_answer(self, g1, g1_rules, algorithm):
-        answers = set()
-        for workers in (1, 2, 4):
-            result = identify_entities(
-                g1, g1_rules, eta=0.5, num_workers=workers, algorithm=algorithm
-            )
-            answers.add(frozenset(result.identified))
-        assert len(answers) == 1
+        # Fig. 5(n)'s n-sweep on a synthetic graph, besides the paper's G1.
+        synthetic = synthetic_graph(300, 900, num_node_labels=20, num_edge_labels=8, seed=7)
+        predicate = most_frequent_predicates(synthetic, top=1)[0]
+        sampled = generate_gpars(synthetic, predicate, count=8, max_pattern_edges=4, d=2, seed=5)
+        for graph, rules, eta in ((g1, g1_rules, 0.5), (synthetic, sampled, 1.0)):
+            answers = {
+                eip_fingerprint(identify_entities(
+                    graph, rules, eta=eta, num_workers=workers, algorithm=algorithm
+                ))
+                for workers in (1, 2, 4)
+            }
+            assert len(answers) == 1
 
     def test_workload_agreement_on_social_graph(
         self, small_googleplus, googleplus_major_predicate, algorithm
@@ -115,7 +129,8 @@ class TestParallelAgreement:
         result = identify_entities(
             small_googleplus, rules, eta=1.0, num_workers=4, algorithm=algorithm
         )
-        assert result.identified == reference.identified
+        # The generator plants what the predicate looks for.
+        assert result.identified and result.identified == reference.identified
         for rule in rules:
             assert result.rule_confidences[rule] == pytest.approx(
                 reference.rule_confidences[rule]
@@ -156,3 +171,75 @@ class TestAlgorithmSpecifics:
             assert result.rule_confidences[rule] == pytest.approx(
                 evaluate_rule(g1, rule, stats=stats).confidence
             )
+
+
+def _planted_workload(dataset):
+    """Section 6's social graphs at the scale of their Fig. 5 series: the
+    graph and the predicate its generator plants."""
+    if dataset == "pokec":
+        graph = pokec_like(num_users=220, num_communities=8, seed=7)
+        edge_label, y_label = "like_book", "personal development"
+    else:
+        graph = googleplus_like(num_users=220, num_circles=8, seed=7)
+        edge_label, y_label = "major", "Computer Science"
+    predicate = next(
+        predicate for predicate in most_frequent_predicates(graph, top=30)
+        if predicate.edges()[0].label == edge_label and predicate.label(predicate.y) == y_label
+    )
+    return graph, predicate
+
+
+def _states_expanded(run):
+    """``run()``'s result and the matcher states it expanded."""
+    counter = "repro_match_states_expanded_total"
+    reset_collection()
+    enable_collection()
+    before = registry().counter_value(counter)
+    try:
+        result = run()
+    finally:
+        disable_collection()
+    return result, registry().counter_value(counter) - before
+
+
+class TestSection6Counts:
+    """The paper's cost orderings, counted rather than timed.
+
+    Measured with ``PYTHONHASHSEED=0``: Match, Matchc and disVF2 expand
+    7,361 / 24,485 / 3,093,356 states on the Pokec-like graph and 3,829 /
+    32,387 / 420,392 on the Google+-like one.  On the synthetic graph of
+    Fig. 5(n) Match expands 58 states and Matchc 50, so the ordering is
+    asserted on the two planted graphs only; see docs/parallel.md.
+    """
+
+    @pytest.mark.parametrize("dataset", ["pokec", "googleplus"])
+    def test_match_expands_least_and_dmine_prunes(self, dataset):
+        graph, predicate = _planted_workload(dataset)
+        rules = generate_gpars(graph, predicate, count=8, max_pattern_edges=4, d=2, seed=5)
+        answers, expanded = set(), []
+        for algorithm in ("match", "matchc", "disvf2"):
+            result, states = _states_expanded(
+                lambda: identify_entities(graph, rules, eta=1.0, num_workers=4, algorithm=algorithm)
+            )
+            assert result.identified
+            answers.add(eip_fingerprint(result))
+            expanded.append(states)
+        # The three algorithms differ in cost, never in answer, and neither
+        # does the fragmentation (Fig. 5(h)/(i) sweep n).
+        for workers in (2, 8):
+            answers.add(eip_fingerprint(identify_entities(graph, rules, eta=1.0, num_workers=workers)))
+        assert len(answers) == 1
+        match, matchc, disvf2 = expanded
+        assert match <= matchc <= disvf2
+
+        # DMine and DMineno generate the same candidates; only DMine prunes.
+        mined = [
+            dmine(graph, predicate, DMineConfig(
+                k=4, d=2, lam=0.5, sigma=8, num_workers=2, max_edges=2,
+                max_extensions_per_rule=8, max_rules_per_round=30, optimized=optimized,
+            ))
+            for optimized in (True, False)
+        ]
+        assert all(result.num_rules_discovered > 0 for result in mined)
+        assert mined[0].candidates_generated == mined[1].candidates_generated
+        assert mined[0].candidates_pruned > 0 and mined[1].candidates_pruned == 0

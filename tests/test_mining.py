@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from repro.datasets import most_frequent_predicates
 from repro.exceptions import MiningError
 from repro.matching import VF2Matcher
 from repro.metrics import DiversificationObjective, evaluate_rule, predicate_stats
@@ -15,7 +16,9 @@ from repro.mining import (
     candidate_extensions,
     discover_and_diversify,
     dmine,
+    dmine_auto,
     dmine_baseline,
+    dmine_for_predicates,
     greedy_diversify,
 )
 from repro.mining.incdiv import RuleInfo
@@ -374,15 +377,42 @@ class TestDMineEndToEnd:
         assert values[0] > 0 and values[1] > 0
 
     def test_mining_on_social_graph_finds_planted_rule(
-        self, small_pokec, pokec_book_predicate
+        self, small_pokec, pokec_book_predicate, small_googleplus, googleplus_major_predicate
     ):
         config = DMineConfig(
             k=2, d=1, sigma=5, num_workers=3, max_edges=2,
             max_extensions_per_rule=8, max_rules_per_round=15, seed=0,
         )
-        result = dmine(small_pokec, pokec_book_predicate, config)
-        assert result.top_k
-        # The planted regularity (profession-development readers) should give
-        # at least one rule with confidence well above 1 (positively
-        # correlated antecedent and consequent under the Bayes factor).
-        assert max(mined.confidence for mined in result.top_k) > 1.0
+        for graph, predicate in (
+            (small_pokec, pokec_book_predicate),
+            (small_googleplus, googleplus_major_predicate),
+        ):
+            result = dmine(graph, predicate, config)
+            assert result.top_k
+            # The planted regularity (profession-development readers, shared
+            # majors) should give at least one rule with confidence well
+            # above 1 (positively correlated antecedent and consequent under
+            # the Bayes factor).
+            assert max(mined.confidence for mined in result.top_k) > 1.0
+
+
+class TestMultiPredicateMining:
+    def test_dmine_for_predicates(self, g1, visit_predicate):
+        config = DMineConfig(
+            k=2, d=1, sigma=1, num_workers=2, max_edges=1,
+            max_extensions_per_rule=6, max_rules_per_round=10,
+        )
+        results = dmine_for_predicates(g1, [visit_predicate, visit_predicate], config)
+        # Duplicate predicates are mined once.
+        assert len(results) == 1
+        assert results[visit_predicate].top_k
+
+    def test_dmine_auto_uses_frequent_predicates(self, g1):
+        config = DMineConfig(
+            k=2, d=1, sigma=1, num_workers=2, max_edges=1,
+            max_extensions_per_rule=5, max_rules_per_round=10,
+        )
+        results = dmine_auto(g1, config, top_predicates=2)
+        assert len(results) == 2
+        frequent = most_frequent_predicates(g1, top=2)
+        assert set(results) == set(frequent)

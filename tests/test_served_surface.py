@@ -7,8 +7,8 @@ found through the package's own re-export — so a module does not count as
 reachable merely because its package re-exports it.
 
 Roots are the served surface (:mod:`repro.api`, :mod:`repro.cli`, the HTTP
-service).  Every module outside ``bench/`` and ``testing/`` must be reachable
-from a root, or from a module listed — with its reason — in ``UNSERVED``.
+service).  Every module outside ``testing/`` must be reachable from a root,
+or from a module listed — with its reason — in ``UNSERVED``.
 Adding to that table is a decision to keep code the product never runs.
 """
 
@@ -27,7 +27,7 @@ UNSERVED = {
 }
 
 #: Harness code: allowed to exist without a served importer, never a root.
-EXEMPT = ("repro.bench", "repro.testing")
+EXEMPT = ("repro.testing",)
 
 
 def _module_files() -> dict[str, Path]:

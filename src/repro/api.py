@@ -54,7 +54,6 @@ from repro.mining.config import DMineConfig
 from repro.mining.dmine import DMine, DMineResult
 from repro.pattern.gpar import GPAR
 from repro.pattern.pattern import Pattern
-from repro.stream.config import StreamConfig
 from repro.stream.identifier import StreamUpdateReport
 from repro.stream.multitenant import MultiTenantIdentifier
 from repro.stream.updates import UpdateBatch
@@ -470,7 +469,6 @@ class SharedSessionCore:
         graph: Graph,
         config: EIPConfig | None = None,
         algorithm: str = "match",
-        stream_config: StreamConfig | None = None,
         radius_floor: int = 0,
     ) -> None:
         self._adopt(
@@ -478,7 +476,6 @@ class SharedSessionCore:
                 graph,
                 config=config,
                 algorithm=algorithm,
-                stream_config=stream_config,
                 radius_floor=radius_floor,
             )
         )
@@ -549,7 +546,7 @@ class SharedSessionCore:
             return report, deltas[origin.tenant]
         return report, deltas
 
-    def save_state(self, path: Path | str | None = None) -> Path:
+    def save_state(self, path: Path | str) -> Path:
         """Durable checkpoint of the core and its tenant table.
 
         See :meth:`repro.stream.MultiTenantIdentifier.save_state`; resume
@@ -583,7 +580,6 @@ def open_shared_core(
     graph: Graph,
     config: EIPConfig | None = None,
     algorithm: str = "match",
-    stream_config: StreamConfig | None = None,
     radius_floor: int = 0,
 ) -> SharedSessionCore:
     """Start a resident core over *graph*; admit Σ per tenant.
@@ -596,7 +592,6 @@ def open_shared_core(
         graph,
         config=config,
         algorithm=algorithm,
-        stream_config=stream_config,
         radius_floor=radius_floor,
     )
 
@@ -606,7 +601,6 @@ def open_session(
     rules: Sequence[GPAR],
     config: EIPConfig | None = None,
     algorithm: str = "match",
-    stream_config: StreamConfig | None = None,
     history_limit: int = SESSION_HISTORY_LIMIT,
     tenant: str | None = None,
 ) -> Session:
@@ -616,7 +610,7 @@ def open_session(
     session as its only tenant, so closing the session releases the core.
     Reach the core (``save_state``, further tenants) as ``session.core``.
     """
-    core = SharedSessionCore(graph, config, algorithm, stream_config)
+    core = SharedSessionCore(graph, config, algorithm)
     return core.open_session(
         tenant if tenant is not None else DEFAULT_TENANT, rules, history_limit
     )

@@ -123,27 +123,6 @@ def _cmd_identify(args: argparse.Namespace) -> int:
     return 0
 
 
-def _stream_config_from_args(args: argparse.Namespace):
-    """Build a :class:`StreamConfig` from the stream subcommand's flags.
-
-    CLI values beat environment variables beat defaults.
-    """
-    from repro.stream import StreamConfig
-
-    overrides = {}
-    if args.delta_log_size is not None:
-        overrides["delta_log_size"] = args.delta_log_size
-    if args.rebuild_fraction is not None:
-        overrides["delta_rebuild_fraction"] = args.rebuild_fraction
-    if args.checkpoint_log_fraction is not None:
-        overrides["checkpoint_log_fraction"] = args.checkpoint_log_fraction
-    if args.rebalance_skew is not None:
-        overrides["rebalance_skew"] = args.rebalance_skew
-    if args.state_dir is not None:
-        overrides["state_dir"] = args.state_dir
-    return StreamConfig(**overrides)
-
-
 def _cmd_stream(args: argparse.Namespace) -> int:
     import time
 
@@ -158,7 +137,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         d=args.d,
         seed=args.seed,
     )
-    stream_config = _stream_config_from_args(args)
     repair_wall = 0.0
     recompute_wall = 0.0
     with api.open_session(
@@ -166,7 +144,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         rules,
         config=_eip_config_from_args(args, seed=args.seed),
         algorithm=args.algorithm,
-        stream_config=stream_config,
     ) as session:
         print(
             f"streaming {args.algorithm} over {graph.num_nodes} nodes / "
@@ -334,47 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
         dest="deletion_bias",
         help="probability that a sampled operation is forced to be a "
         "removal (deletion-heavy churn; see docs/lifecycle.md)",
-    )
-    stream.add_argument(
-        "--delta-log-size",
-        type=int,
-        default=None,
-        dest="delta_log_size",
-        help="bounded GraphDelta log capacity per managed graph "
-        "(default: REPRO_DELTA_LOG_SIZE or 32)",
-    )
-    stream.add_argument(
-        "--rebuild-fraction",
-        type=float,
-        default=None,
-        dest="rebuild_fraction",
-        help="resident structures recompile instead of delta-patching above this "
-        "touched fraction (default: REPRO_DELTA_REBUILD_FRACTION or 0.25)",
-    )
-    stream.add_argument(
-        "--checkpoint-log-fraction",
-        type=float,
-        default=None,
-        dest="checkpoint_log_fraction",
-        help="compact a fragment's update log once it outweighs this "
-        "fraction of the fragment (default: REPRO_CHECKPOINT_LOG_FRACTION "
-        "or 0.5)",
-    )
-    stream.add_argument(
-        "--rebalance-skew",
-        type=float,
-        default=None,
-        dest="rebalance_skew",
-        help="migrate centre ownership once the fragment load skew exceeds "
-        "this bound; 1.0 disables (default: REPRO_REBALANCE_SKEW or 0.6)",
-    )
-    stream.add_argument(
-        "--state-dir",
-        type=Path,
-        default=None,
-        dest="state_dir",
-        help="directory for on-disk fragment checkpoints (leases then ship "
-        "paths instead of inline snapshots; default: REPRO_STATE_DIR)",
     )
     stream.add_argument(
         "--save-state",

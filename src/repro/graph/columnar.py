@@ -57,11 +57,12 @@ probe the raw graph, see :func:`repro.matching.base.resident_view`).
 
 ``refresh()`` prefers in-place delta patching: while the graph's bounded
 delta log (:meth:`repro.graph.graph.Graph.deltas_since`) reaches back to the
-pinned version and the touched region stays under ``rebuild_fraction`` of
-the graph, :meth:`ColumnarFragment.apply_delta` patches forward — label
-buckets are rewritten, touched nodes (and the profile rows of a relabelled
-node's neighbours) move into small dict *overlays* every per-node probe
-consults first, memoised adjacency views of touched nodes are dropped, and
+pinned version and the touched region stays under
+:data:`DELTA_REBUILD_FRACTION` of the graph,
+:meth:`ColumnarFragment.apply_delta` patches forward — label buckets are
+rewritten, touched nodes (and the profile rows of a relabelled node's
+neighbours) move into small dict *overlays* every per-node probe consults
+first, memoised adjacency views of touched nodes are dropped, and
 cached sketches are invalidated only where they can have changed (computed
 on the post-update graph; ``docs/columnar.md`` shows that is exact).  The
 frozen arrays are not rewritten, so the one whole-array
@@ -109,11 +110,7 @@ _DIRECTIONS = ("out", "in")
 
 #: When the touched nodes of a pending delta chain exceed this fraction of
 #: the graph, ``refresh()`` prefers one full O(|V| + |E|) recompile over
-#: patching most of the structure anyway.  Per-structure override: the
-#: ``rebuild_fraction`` constructor argument; process-wide override: the
-#: ``REPRO_DELTA_REBUILD_FRACTION`` environment variable (also the default
-#: of :class:`repro.stream.StreamConfig`, and inherited by forked worker
-#: processes).
+#: patching most of the structure anyway.
 DELTA_REBUILD_FRACTION = 0.25
 
 #: Compiled requirements memoised per structure before the memo is cleared.
@@ -121,19 +118,6 @@ _REQUIREMENT_MEMO_LIMIT = 4096
 
 _EMPTY_FROZEN: frozenset = frozenset()
 _NO_VIEWS: dict = {}  # read-only stand-in for a key with nothing memoised yet
-
-
-def default_rebuild_fraction() -> float:
-    """Effective rebuild fraction: ``REPRO_DELTA_REBUILD_FRACTION`` or the constant."""
-    raw = os.environ.get("REPRO_DELTA_REBUILD_FRACTION")
-    if raw is None:
-        return DELTA_REBUILD_FRACTION
-    fraction = float(raw)
-    if not 0.0 <= fraction <= 1.0:
-        raise ValueError(
-            f"REPRO_DELTA_REBUILD_FRACTION must be in [0, 1], got {fraction}"
-        )
-    return fraction
 
 
 def numpy_or_none():
@@ -263,14 +247,10 @@ class ColumnarFragment:
     ----------
     graph:
         The graph (typically one fragment's local graph) to compile.
-    rebuild_fraction:
-        ``refresh()`` recompiles instead of patching above this fraction of
-        touched nodes (default: :func:`default_rebuild_fraction`).
     """
 
     __slots__ = (
         "_graph_ref",
-        "rebuild_fraction",
         "statistics",
         "labels",
         "_np",
@@ -297,14 +277,7 @@ class ColumnarFragment:
         "__weakref__",
     )
 
-    def __init__(self, graph: Graph, rebuild_fraction: float | None = None) -> None:
-        if rebuild_fraction is not None and not 0.0 <= rebuild_fraction <= 1.0:
-            raise ValueError(
-                f"rebuild_fraction must be in [0, 1], got {rebuild_fraction}"
-            )
-        self.rebuild_fraction = (
-            rebuild_fraction if rebuild_fraction is not None else default_rebuild_fraction()
-        )
+    def __init__(self, graph: Graph) -> None:
         # Weak reference only: the process-wide registry maps graph ->
         # structure with weak keys, so a strong graph reference here would
         # keep every resident graph (e.g. per-run fragment graphs) alive
@@ -430,7 +403,7 @@ class ColumnarFragment:
             touched_total = sum(len(delta.touched) for delta in deltas or ())
             if (
                 deltas is not None
-                and touched_total <= self.rebuild_fraction * max(1, graph.num_nodes)
+                and touched_total <= DELTA_REBUILD_FRACTION * max(1, graph.num_nodes)
                 and all(self.apply_delta(delta) for delta in deltas)
             ):
                 trace.set(decision="patch", touched=touched_total)
@@ -823,18 +796,17 @@ _REGISTRY: "weakref.WeakKeyDictionary[Graph, ColumnarFragment]" = weakref.WeakKe
 _REGISTRY_LOCK = threading.Lock()
 
 
-def columnar_view(graph: Graph, rebuild_fraction: float | None = None) -> ColumnarFragment:
+def columnar_view(graph: Graph) -> ColumnarFragment:
     """The process-wide resident :class:`ColumnarFragment` for *graph*.
 
-    Compiles the view on first use and memoises it against the graph object;
-    *rebuild_fraction* only applies to the first (compiling) call.
+    Compiles the view on first use and memoises it against the graph object.
     """
     view = _REGISTRY.get(graph)
     if view is None:
         with _REGISTRY_LOCK:
             view = _REGISTRY.get(graph)
             if view is None:
-                view = ColumnarFragment(graph, rebuild_fraction=rebuild_fraction)
+                view = ColumnarFragment(graph)
                 _REGISTRY[graph] = view
     return view
 

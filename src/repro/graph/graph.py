@@ -19,7 +19,6 @@ Model (paper Section 2.1)
 
 from __future__ import annotations
 
-import os
 import sys
 from collections import deque
 from dataclasses import dataclass
@@ -33,26 +32,8 @@ Label = str
 #: How many finished :class:`GraphDelta` records a graph retains.  The
 #: resident ``ColumnarFragment`` patches itself forward from this log; once
 #: it falls further behind than the log reaches, it rebuilds from scratch
-#: instead.  Per-graph override: the ``delta_log_size``
-#: constructor argument / :meth:`Graph.configure_delta_log`; process-wide
-#: override: the ``REPRO_DELTA_LOG_SIZE`` environment variable (also the
-#: default of :class:`repro.stream.StreamConfig`).
+#: instead.
 DELTA_LOG_SIZE = 32
-
-
-def default_delta_log_size() -> int:
-    """The effective delta-log size: ``REPRO_DELTA_LOG_SIZE`` or the constant.
-
-    Resolved at every graph construction (not import time) so tests and the
-    CLI can override it per run.
-    """
-    raw = os.environ.get("REPRO_DELTA_LOG_SIZE")
-    if raw is None:
-        return DELTA_LOG_SIZE
-    size = int(raw)
-    if size < 1:
-        raise GraphError(f"REPRO_DELTA_LOG_SIZE must be >= 1, got {size}")
-    return size
 
 
 @dataclass(frozen=True)
@@ -266,7 +247,7 @@ class Graph:
         "__weakref__",
     )
 
-    def __init__(self, name: str = "graph", delta_log_size: int | None = None) -> None:
+    def __init__(self, name: str = "graph") -> None:
         self.name = name
         # node id -> node label
         self._labels: dict[NodeId, Label] = {}
@@ -290,11 +271,7 @@ class Graph:
         self._recorder: _DeltaRecorder | None = None
         # Ring buffer of finished GraphDeltas (newest last); consumers patch
         # themselves forward from it via deltas_since().
-        if delta_log_size is not None and delta_log_size < 1:
-            raise GraphError(f"delta_log_size must be >= 1, got {delta_log_size}")
-        self._delta_log: deque = deque(
-            maxlen=delta_log_size if delta_log_size is not None else default_delta_log_size()
-        )
+        self._delta_log: deque = deque(maxlen=DELTA_LOG_SIZE)
         # Shared label-interning table (repro.graph.columnar.LabelTable),
         # created lazily by the label_table property.
         self._label_table = None
@@ -346,24 +323,6 @@ class Graph:
         """
         return GraphBatch(self)
 
-    @property
-    def delta_log_size(self) -> int:
-        """Capacity of the bounded delta log (see :data:`DELTA_LOG_SIZE`)."""
-        return self._delta_log.maxlen
-
-    def configure_delta_log(self, size: int) -> None:
-        """Resize the bounded delta log, keeping the newest recorded deltas.
-
-        Streaming consumers (:class:`repro.stream.StreamConfig`) use this to
-        tune how far behind a derived structure may fall before it must
-        rebuild instead of patching forward.
-        """
-        if size < 1:
-            raise GraphError(f"delta log size must be >= 1, got {size}")
-        if size == self._delta_log.maxlen:
-            return
-        self._delta_log = deque(self._delta_log, maxlen=size)
-
     def deltas_since(self, version: int) -> list[GraphDelta] | None:
         """Recorded deltas forming a contiguous chain from *version* to now.
 
@@ -386,12 +345,11 @@ class Graph:
     # construction
     # ------------------------------------------------------------------
     @classmethod
-    def from_parts(cls, nodes: Iterable[tuple], edges: Iterable[tuple], name: str = "graph",
-                   delta_log_size: int | None = None) -> "Graph":
+    def from_parts(cls, nodes: Iterable[tuple], edges: Iterable[tuple], name: str = "graph") -> "Graph":
         """A graph of *nodes* ``(id, label, attrs)`` and *edges* ``(source, target, label)``,
         checked as :meth:`add_node` / :meth:`add_edge` check them.  Construction is not
         an update: nothing is recorded (version 0, an empty delta log)."""
-        graph = cls(name=name, delta_log_size=delta_log_size)
+        graph = cls(name=name)
         for node in nodes:
             graph._store_node(*node)
         for edge in edges:
@@ -758,12 +716,11 @@ class Graph:
     # derived graphs
     # ------------------------------------------------------------------
     def copy(self, name: str | None = None) -> "Graph":
-        """Return a deep structural copy of the graph (same delta-log size)."""
+        """Return a deep structural copy of the graph."""
         return Graph.from_parts(
             ((node_id, label, self._attrs.get(node_id)) for node_id, label in self._labels.items()),
             ((edge.source, edge.target, edge.label) for edge in self.edges()),
             name=name or self.name,
-            delta_log_size=self._delta_log.maxlen,
         )
 
     def induced_subgraph(self, node_ids: Iterable[NodeId], name: str | None = None) -> "Graph":
@@ -782,7 +739,6 @@ class Graph:
                 if target in keep
             ),
             name=name or f"{self.name}|induced",
-            delta_log_size=self._delta_log.maxlen,
         )
 
     def descendants(self, node_id: NodeId) -> set[NodeId]:

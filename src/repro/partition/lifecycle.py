@@ -19,17 +19,17 @@ forever.  :class:`FragmentManager` owns the whole life of a fragment now:
   centre only inspects the centre's d-ball (``docs/streaming.md``), and a
   shed node lies in no owned ball.
 * **log compaction with checkpoints** — once a fragment's slice log
-  outweighs a configurable fraction of the fragment itself, the manager
-  snapshots the fragment from the authoritative graph (the resident copy
-  is, invariantly, the induced subgraph on the managed node set) as a
-  picklable :class:`FragmentCheckpoint` — written to ``state_dir`` when one
-  is configured, shipped inline otherwise — and truncates the log.
+  outweighs :data:`CHECKPOINT_LOG_FRACTION` of the fragment itself, the
+  manager snapshots the fragment from the authoritative graph (the resident
+  copy is, invariantly, the induced subgraph on the managed node set) as a
+  picklable :class:`FragmentCheckpoint`, shipped inline in later leases,
+  and truncates the log.
   Sequence numbers order everything: a worker process behind the
   checkpoint installs it and replays only the remaining tail, a worker
   ahead of it ignores it, so the process pool's arbitrary task routing
   stays deterministic.
 * **churn-driven re-partitioning** — when the per-fragment load skew
-  crosses a threshold, ownership of *quiescent* centres (outside the
+  crosses :data:`REBALANCE_SKEW`, ownership of *quiescent* centres (outside the
   batch's affected region, so their verdicts are provably unchanged)
   migrates from the most- to the least-loaded fragment.  Load is the sum
   of owned ball sizes (the partitioner's own balance measure) weighted by
@@ -50,9 +50,7 @@ the process-resident fragment copy to the coordinator's sequence.
 
 from __future__ import annotations
 
-import pickle
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Hashable, Mapping, Sequence
 
 from repro.exceptions import StreamError
@@ -61,6 +59,15 @@ from repro.graph.graph import Graph
 from repro.graph.neighborhood import Neighborhoods
 from repro.obs.tracing import event as trace_event
 from repro.partition.fragment import Fragment
+
+#: Compact a fragment's update-slice log once its shipped-operation weight
+#: exceeds this fraction of the fragment's own node count — past that point
+#: re-shipping the log costs more than re-shipping the fragment.
+CHECKPOINT_LOG_FRACTION = 0.5
+
+#: Re-partition (migrate centre ownership) when the per-fragment load skew
+#: ``(max - min) / max`` exceeds this bound; 1.0 disables migration.
+REBALANCE_SKEW = 0.6
 
 #: At most this many centres migrate per update batch, so one skewed batch
 #: never triggers a fragment-sized reshuffle.
@@ -138,7 +145,6 @@ class FragmentCheckpoint:
     fragment_index: int
     sequence: int
     name: str
-    delta_log_size: int
     nodes: tuple  # (node, label, attrs-items), sorted
     edges: tuple  # (source, target, label), sorted
     owned_centers: tuple
@@ -164,7 +170,6 @@ class FragmentCheckpoint:
             fragment_index=fragment_index,
             sequence=sequence,
             name=name,
-            delta_log_size=graph.delta_log_size,
             nodes=_described(graph, node_set),
             edges=edges,
             owned_centers=_ordered(owned_centers),
@@ -176,7 +181,6 @@ class FragmentCheckpoint:
             ((node, label, dict(attrs) or None) for node, label, attrs in self.nodes),
             self.edges,
             name=self.name,
-            delta_log_size=self.delta_log_size,
         )
 
     def install(self, fragment: Fragment) -> None:
@@ -194,31 +198,13 @@ class FragmentCheckpoint:
         fragment.owned_centers = set(self.owned_centers)
         fragment.sequence = self.sequence
 
-    def save(self, path: Path | str) -> Path:
-        """Write the snapshot as a pickle file; returns the path."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "wb") as handle:
-            pickle.dump(self, handle)
-        return path
-
-    @classmethod
-    def load(cls, path: Path | str) -> "FragmentCheckpoint":
-        """Read a snapshot written by :meth:`save`."""
-        with open(path, "rb") as handle:
-            checkpoint = pickle.load(handle)
-        if not isinstance(checkpoint, cls):
-            raise StreamError(f"{path} does not hold a FragmentCheckpoint")
-        return checkpoint
-
 
 @dataclass(frozen=True)
 class FragmentLease:
     """What one round ships a worker about its fragment's state.
 
     ``base_sequence`` is the sequence of the newest compaction checkpoint
-    (0 when the log still reaches back to pool start); exactly one of
-    ``checkpoint`` (inline) / ``checkpoint_path`` (``state_dir`` form) is
+    (0 when the log still reaches back to pool start); ``checkpoint`` is
     set when ``base_sequence > 0``.  ``updates`` is the slice tail after the
     base.  Any worker process — however stale its resident copy — catches
     up deterministically: install the base if behind it, replay the tail.
@@ -226,7 +212,6 @@ class FragmentLease:
 
     base_sequence: int = 0
     checkpoint: FragmentCheckpoint | None = None
-    checkpoint_path: str | None = None
     updates: tuple[FragmentUpdate, ...] = ()
 
 
@@ -268,12 +253,10 @@ def catch_up(context, lease: FragmentLease) -> Fragment:
     if applied < lease.base_sequence:
         checkpoint = lease.checkpoint
         if checkpoint is None:
-            if lease.checkpoint_path is None:
-                raise StreamError(
-                    f"fragment {fragment.index} is behind sequence "
-                    f"{lease.base_sequence} but the lease carries no checkpoint"
-                )
-            checkpoint = FragmentCheckpoint.load(lease.checkpoint_path)
+            raise StreamError(
+                f"fragment {fragment.index} is behind sequence "
+                f"{lease.base_sequence} but the lease carries no checkpoint"
+            )
         checkpoint.install(fragment)
         applied = checkpoint.sequence
     for update in lease.updates:
@@ -315,9 +298,6 @@ class FragmentManager:
     x_label:
         Search condition of the candidate centres (nodes gaining/losing this
         label join/leave the ownership map).
-    config:
-        A :class:`repro.stream.StreamConfig` (duck-typed: only the
-        lifecycle fields are read).
     """
 
     def __init__(
@@ -326,13 +306,11 @@ class FragmentManager:
         fragments: Sequence[Fragment],
         max_radius: int,
         x_label: str,
-        config,
     ) -> None:
         self.graph = graph
         self.fragments = list(fragments)
         self.max_radius = max_radius
         self.x_label = x_label
-        self.config = config
         self._owner: dict[NodeId, int] = {}
         # Owned centres' d-balls as kernel handles (bit masks on a graph small
         # enough, sets otherwise); checkpoints store them as sets.
@@ -341,7 +319,6 @@ class FragmentManager:
         self._node_sets: dict[int, set] = {}
         self._logs: dict[int, list[FragmentUpdate]] = {}
         self._bases: dict[int, FragmentCheckpoint | None] = {}
-        self._base_paths: dict[int, str | None] = {}
         self._base_sequences: dict[int, int] = {}
         # Smoothed relative verification cost per fragment (1.0 = average),
         # learned from measured round worker times; see record_round_timing.
@@ -361,7 +338,6 @@ class FragmentManager:
             self._node_sets[index] = set(refcounts)
             self._logs[index] = []
             self._bases[index] = None
-            self._base_paths[index] = None
             self._base_sequences[index] = fragment.sequence
 
     # ------------------------------------------------------------------
@@ -660,8 +636,7 @@ class FragmentManager:
         policy).  Deterministic given the manager state; the cost factors
         themselves carry measured timings, which only ever steer placement.
         """
-        config = self.config
-        if len(self.fragments) < 2 or config.rebalance_skew >= 1.0:
+        if len(self.fragments) < 2:
             return []
         loads = {index: load * self.cost_factor(index) for index, load in self.fragment_loads().items()}
         ball_size = self._neighborhoods.size
@@ -673,7 +648,7 @@ class FragmentManager:
             if src == dst or loads[src] <= 0:
                 break
             skew = (loads[src] - loads[dst]) / loads[src]
-            if skew <= config.rebalance_skew:
+            if skew <= REBALANCE_SKEW:
                 break
             gap = loads[src] - loads[dst]
             factor_src = self.cost_factor(src)
@@ -710,26 +685,22 @@ class FragmentManager:
     def maybe_compact(self) -> list[int]:
         """Checkpoint + truncate every log that outgrew its fragment.
 
-        Returns the indexes of the fragments that were compacted.  With a
-        ``state_dir`` configured the checkpoint is written to disk and only
-        its path travels in later leases; otherwise it ships inline.
+        Returns the indexes of the fragments that were compacted.
         """
         compacted: list[int] = []
-        fraction = self.config.checkpoint_log_fraction
-        state_dir = getattr(self.config, "state_dir", None)
         for fragment in self.fragments:
             index = fragment.index
             log = self._logs[index]
             if not log:
                 continue
             weight = sum(update.weight for update in log)
-            if weight <= fraction * max(1, len(self._node_sets[index])):
+            if weight <= CHECKPOINT_LOG_FRACTION * max(1, len(self._node_sets[index])):
                 continue
-            self.compact_fragment(index, state_dir)
+            self.compact_fragment(index)
             compacted.append(index)
         return compacted
 
-    def compact_fragment(self, index: int, state_dir: Path | None = None) -> FragmentCheckpoint:
+    def compact_fragment(self, index: int) -> FragmentCheckpoint:
         """Snapshot fragment *index* at the current sequence; truncate its log."""
         checkpoint = FragmentCheckpoint.capture(
             self.graph,
@@ -739,25 +710,10 @@ class FragmentManager:
             self._sequence,
             name=f"{self.graph.name}|F{index}",
         )
-        previous_path = self._base_paths[index]
-        if state_dir is not None:
-            path = Path(state_dir) / f"fragment-{index}-seq{self._sequence}.ckpt"
-            checkpoint.save(path)
-            self._bases[index] = None
-            self._base_paths[index] = str(path)
-            if previous_path and previous_path != str(path):
-                Path(previous_path).unlink(missing_ok=True)
-        else:
-            self._bases[index] = checkpoint
-            self._base_paths[index] = None
+        self._bases[index] = checkpoint
         self._base_sequences[index] = self._sequence
         self._logs[index].clear()
-        trace_event(
-            "lifecycle.checkpoint",
-            fragment=index,
-            sequence=self._sequence,
-            on_disk=state_dir is not None,
-        )
+        trace_event("lifecycle.checkpoint", fragment=index, sequence=self._sequence)
         return checkpoint
 
     def lease(self, index: int) -> FragmentLease:
@@ -765,7 +721,6 @@ class FragmentManager:
         return FragmentLease(
             base_sequence=self._base_sequences[index],
             checkpoint=self._bases[index],
-            checkpoint_path=self._base_paths[index],
             updates=tuple(self._logs[index]),
         )
 
@@ -773,14 +728,7 @@ class FragmentManager:
     # durable state (checkpoint → restart)
     # ------------------------------------------------------------------
     def state_dict(self) -> dict:
-        """Self-contained picklable state (on-disk bases are inlined)."""
-        bases: dict[int, FragmentCheckpoint | None] = {}
-        for fragment in self.fragments:
-            index = fragment.index
-            base = self._bases[index]
-            if base is None and self._base_paths[index] is not None:
-                base = FragmentCheckpoint.load(self._base_paths[index])
-            bases[index] = base
+        """Self-contained picklable state."""
         return {
             "max_radius": self.max_radius,
             "x_label": self.x_label,
@@ -794,26 +742,26 @@ class FragmentManager:
             },
             "node_sets": {index: set(nodes) for index, nodes in self._node_sets.items()},
             "logs": {index: list(log) for index, log in self._logs.items()},
-            "bases": bases,
-            "base_paths": dict(self._base_paths),
+            "bases": dict(self._bases),
             "base_sequences": dict(self._base_sequences),
             "cost_factors": dict(self._cost_factors),
             "sequence": self._sequence,
         }
 
     @classmethod
-    def from_state(cls, graph: Graph, state: dict, config) -> "FragmentManager":
+    def from_state(cls, graph: Graph, state: dict) -> "FragmentManager":
         """Rebuild a manager (and its fragments) from :meth:`state_dict`.
 
         The fragments are re-materialised from the authoritative graph at
         the saved sequence, so a restarted worker pool starts from resident
-        copies that are byte-identical to the pre-restart ones.
+        copies that are byte-identical to the pre-restart ones.  A
+        ``base_paths`` entry that older checkpoints carry is ignored: their
+        ``bases`` already hold every base inline.
         """
         manager = cls.__new__(cls)
         manager.graph = graph
         manager.max_radius = state["max_radius"]
         manager.x_label = state["x_label"]
-        manager.config = config
         manager._owner = dict(state["owner"])
         # Handles are rebuilt, never pickled: the kernel is a function of the graph.
         manager._neighborhoods = hoods = Neighborhoods(graph)
@@ -826,17 +774,6 @@ class FragmentManager:
         }
         manager._logs = {index: list(log) for index, log in state["logs"].items()}
         manager._bases = dict(state["bases"])
-        # On-disk base files that still exist keep serving leases (and get
-        # reclaimed by the next compaction); the inlined copies in `bases`
-        # cover restores onto a machine without the old state_dir.
-        manager._base_paths = {
-            index: path if path is not None and Path(path).exists() else None
-            for index, path in state.get("base_paths", {}).items()
-        }
-        for index in manager._node_sets:
-            manager._base_paths.setdefault(index, None)
-            if manager._base_paths[index] is not None:
-                manager._bases[index] = None
         manager._base_sequences = dict(state["base_sequences"])
         # Older checkpoints predate the measured-cost policy; absent factors
         # default to the neutral 1.0 (pure node-count balancing).

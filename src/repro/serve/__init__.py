@@ -11,13 +11,12 @@ streams in :mod:`repro.serve.http`; the application and the embeddable
 :class:`BackgroundServer` live in :mod:`repro.serve.app`.
 """
 
-from repro.serve.app import BackgroundServer, ReproService, main, ops_from_json, run_foreground
+from repro.serve.app import BackgroundServer, ReproService, ops_from_json, run_foreground
 from repro.serve.http import ProtocolError, Request, Response, RouteError, Router
 
 __all__ = [
     "BackgroundServer",
     "ReproService",
-    "main",
     "run_foreground",
     "ops_from_json",
     "ProtocolError",

@@ -32,8 +32,8 @@ Every session is a tenant of one :class:`repro.api.SharedSessionCore`
 attach to the core keyed by their (path, predicate, config) — the graph
 loads and partitions once, each tenant's Σ admits warm against the resident
 canonical-antecedent pool, and one update tick fans out to every tenant's
-subscription feed (docs/multitenant.md).  Inline ``graph`` documents and
-``share: false`` bodies get an anonymous core nobody else can join.
+subscription feed (docs/multitenant.md).  Inline ``graph`` documents get
+an anonymous core nobody else can join.
 """
 
 from __future__ import annotations
@@ -62,7 +62,6 @@ from repro.serve.http import (
     Router,
     read_request,
 )
-from repro.stream.config import StreamConfig
 from repro.stream.updates import OP_KINDS, UpdateBatch, UpdateOp
 
 DEFAULT_SUBSCRIBE_TIMEOUT = 30.0
@@ -120,8 +119,8 @@ class CoreHandle:
     ``key`` pins what tenants of one core must agree on (resident graph,
     predicate, algorithm, configs) and registers the handle in
     ``ReproService._cores`` so later ``graph_path`` bodies can join;
-    ``None`` marks an anonymous core (inline graph, ``share: false``) that
-    is never registered and therefore only ever has one member.
+    ``None`` marks an anonymous core (inline graph) that is never
+    registered and therefore only ever has one member.
     """
 
     key: str | None
@@ -206,7 +205,7 @@ class ReproService:
         self._cores: dict[str, CoreHandle] = {}
         self._ids = itertools.count(1)
         self._executor = ThreadPoolExecutor(
-            max_workers=executor_workers, thread_name_prefix="repro-serve"
+            max_workers=executor_workers, thread_name_prefix="serve-worker"
         )
         self.router = Router()
         self.router.add("GET", "/healthz", self._healthz)
@@ -450,9 +449,9 @@ class ReproService:
         # The core key pins everything tenants of one core must agree on —
         # the resident graph, predicate, algorithm and configs — while the
         # rule-set parameters stay per-tenant.  Only graph_path bodies are
-        # joinable; everything else gets an anonymous, unregistered core.
+        # joinable; inline graphs get an anonymous, unregistered core.
         key = None
-        if "graph_path" in body and bool(body.get("share", True)):
+        if "graph_path" in body:
             key = json.dumps(
                 {
                     "graph_path": str(body["graph_path"]),
@@ -463,7 +462,6 @@ class ReproService:
                     "seed": int(body.get("seed", 0)),
                     "backend": body.get("backend", "sequential"),
                     "pool_size": body.get("pool_size"),
-                    "stream": body.get("stream", {}),
                 },
                 sort_keys=True,
             )
@@ -482,7 +480,6 @@ class ReproService:
                 graph,
                 config=build_config(),
                 algorithm=algorithm,
-                stream_config=StreamConfig(**body.get("stream", {})),
             )
 
         def admit(core: api.SharedSessionCore) -> SessionHandle:
@@ -642,7 +639,7 @@ class BackgroundServer:
     def start(self) -> "BackgroundServer":
         if self._thread is not None:
             raise StreamError("server already started")
-        self._thread = threading.Thread(target=self._run, name="repro-serve", daemon=True)
+        self._thread = threading.Thread(target=self._run, name="serve-loop", daemon=True)
         self._thread.start()
         self._ready.wait(timeout=30)
         if self._startup_error is not None:
@@ -714,7 +711,7 @@ SERVE_SWITCH_INTERVAL = 0.001
 
 
 def run_foreground(host: str = "127.0.0.1", port: int = 8337, executor_workers: int = 8) -> int:
-    """Run the service until interrupted (``repro serve`` / ``repro-serve``)."""
+    """Run the service until interrupted (``repro serve``)."""
     previous = sys.getswitchinterval()
     sys.setswitchinterval(SERVE_SWITCH_INTERVAL)
     server = BackgroundServer(host, port, executor_workers=executor_workers)
@@ -731,26 +728,3 @@ def run_foreground(host: str = "127.0.0.1", port: int = 8337, executor_workers: 
     finally:
         sys.setswitchinterval(previous)
 
-
-def main(argv: list[str] | None = None) -> int:
-    """Standalone ``repro-serve`` entry point."""
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="repro-serve", description="EIP-as-a-service over the streaming core"
-    )
-    parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument("--port", type=int, default=8337)
-    parser.add_argument(
-        "--executor-workers",
-        type=int,
-        default=8,
-        dest="executor_workers",
-        help="thread pool size for blocking session work",
-    )
-    args = parser.parse_args(argv)
-    return run_foreground(args.host, args.port, executor_workers=args.executor_workers)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -13,11 +13,7 @@ static pipeline into an online one:
   batch touched, with update slices shipped to the persistent worker pool
   so fragment-resident graphs and indexes stay in sync without re-pickling
   graphs — the one mechanism that keeps the per-rule match sets current
-  (workers re-validate a kept witness before they search);
-* :mod:`repro.stream.config` — :class:`StreamConfig`, every streaming and
-  fragment-lifecycle threshold (delta-log capacity, index rebuild fraction,
-  log-compaction trigger, re-partitioning skew, checkpoint ``state_dir``)
-  as per-run fields with env/CLI overrides.
+  (workers re-validate a kept witness before they search).
 
 Fragment residency itself — refcounted ball membership with
 deletion-driven shedding, checkpointed log compaction, churn-driven
@@ -27,7 +23,6 @@ ball-scoped invalidation argument, and ``docs/lifecycle.md`` for the
 lifecycle layer.
 """
 
-from repro.stream.config import StreamConfig
 from repro.stream.updates import (
     OP_KINDS,
     UpdateBatch,
@@ -57,7 +52,6 @@ __all__ = [
     "FragmentUpdate",
     "MultiTenantIdentifier",
     "RuleAdmissionReport",
-    "StreamConfig",
     "TenantAdmission",
     "StreamVerifyPayload",
     "StreamUpdateReport",

@@ -90,7 +90,6 @@ from repro.partition.lifecycle import (
 from repro.partition.partitioner import partition_graph
 from repro.pattern.gpar import GPAR
 from repro.pattern.pattern import Pattern
-from repro.stream.config import StreamConfig
 from repro.stream.updates import UpdateBatch
 
 __all__ = [
@@ -126,10 +125,6 @@ class StreamVerifyPayload:
     centres whose verdict may have changed; ``None`` verifies every owned
     centre (the initial full round).  ``census`` maps census-split
     antecedents to their x-components (see :class:`CensusMatcher`).
-    ``rebuild_fraction`` is the run's
-    :attr:`~repro.stream.StreamConfig.delta_rebuild_fraction`: the worker
-    sets it on the fragment's resident structure before refreshing, on every
-    backend, so the threshold never has to live in process-wide state.
     """
 
     lease: FragmentLease
@@ -138,7 +133,6 @@ class StreamVerifyPayload:
     rules: tuple[GPAR, ...]
     max_radius: int
     predicate: object
-    rebuild_fraction: float
     recheck: tuple | None = None
     census: tuple = ()  # ((antecedent, x_part), ...)
     #: Whether the coordinator had an active tracer when it built the
@@ -221,11 +215,9 @@ def _stream_verify(
         fragment = catch_up(context, payload.lease)
 
     resident = registered_columnar(fragment.graph)
-    if resident is not None:
-        resident.rebuild_fraction = payload.rebuild_fraction
-        if resident.is_stale:
-            with span("stream.worker.index_refresh"):
-                resident.refresh()
+    if resident is not None and resident.is_stale:
+        with span("stream.worker.index_refresh"):
+            resident.refresh()
 
     config = payload.config
     solver = payload.solver_cls(config)
@@ -275,7 +267,6 @@ CHECKPOINT_KEYS = frozenset(
         "graph",
         "rules",
         "config",
-        "stream_config",
         "algorithm",
         "manager",
         "reports",
@@ -305,6 +296,22 @@ def write_checkpoint(path: Path, state: dict) -> Path:
     return path
 
 
+class _RetiredStreamConfig:
+    """What the retired ``StreamConfig`` pickled in older checkpoints loads as.
+
+    The thresholds it carried are module constants now, so restore ignores
+    it, as it ignores the lifecycle state's ``base_paths`` map of such a
+    checkpoint (its ``bases`` hold every base inline).
+    """
+
+
+class _CheckpointUnpickler(pickle.Unpickler):
+    def find_class(self, module: str, name: str):
+        if (module, name) == ("repro.stream.config", "StreamConfig"):
+            return _RetiredStreamConfig
+        return super().find_class(module, name)
+
+
 def read_checkpoint(path: Path | str) -> dict:
     """Load a checkpoint dict; anything but a complete one is a :class:`StreamError`.
 
@@ -315,7 +322,7 @@ def read_checkpoint(path: Path | str) -> dict:
     """
     try:
         with open(path, "rb") as handle:
-            state = pickle.load(handle)
+            state = _CheckpointUnpickler(handle).load()
     except OSError:
         raise
     except Exception as exc:
@@ -353,9 +360,6 @@ class StreamingIdentifier:
         and its worker pool stay up between batches.
     algorithm:
         ``"match"`` (default) or ``"matchc"``.
-    stream_config:
-        Lifecycle thresholds (:class:`repro.stream.StreamConfig`); defaults
-        resolve from the environment.
 
     Use as a context manager, or call :meth:`close` to release the pool.
     """
@@ -366,14 +370,12 @@ class StreamingIdentifier:
         rules: Sequence[GPAR],
         config: EIPConfig | None = None,
         algorithm: str = "match",
-        stream_config: StreamConfig | None = None,
         radius_floor: int = 0,
     ) -> None:
         self.graph = graph
         self.rules = tuple(rules)
         self.config = config if config is not None else EIPConfig()
         self.algorithm = algorithm
-        self.stream_config = stream_config if stream_config is not None else StreamConfig()
         # Floor on the verification radius: fragments are partitioned (and
         # their balls materialized) at max(radius(Σ), radius_floor), so a
         # later admit_rules() can bring rules up to the floor without
@@ -382,7 +384,6 @@ class StreamingIdentifier:
         self.radius_floor = radius_floor
         self._prepare_rules()
 
-        self.stream_config.apply_to_graph(graph)
         centers = graph.nodes_with_label(self.x_label)
         fragments = partition_graph(
             graph,
@@ -391,14 +392,10 @@ class StreamingIdentifier:
             d=self.max_radius,
             seed=self.config.seed,
         )
-        for fragment in fragments:
-            fragment.graph.configure_delta_log(self.stream_config.delta_log_size)
         # All residency/ownership/log truth lives in the manager, next to
         # the authoritative graph; fragment *objects* may live (and mutate)
         # in worker processes.
-        self.manager = FragmentManager(
-            graph, fragments, self.max_radius, self.x_label, self.stream_config
-        )
+        self.manager = FragmentManager(graph, fragments, self.max_radius, self.x_label)
         self.fragments = self.manager.fragments
         self.batches_applied = 0
         self._start_runtime()
@@ -476,7 +473,6 @@ class StreamingIdentifier:
             rules=self.rules if rules is None else rules,
             max_radius=self.max_radius,
             predicate=self.predicate,
-            rebuild_fraction=self.stream_config.delta_rebuild_fraction,
             recheck=recheck,
             census=self._census_pairs,
             traced=tracing_enabled(),
@@ -818,16 +814,6 @@ class StreamingIdentifier:
     # ------------------------------------------------------------------
     # durable state: checkpoint → restart
     # ------------------------------------------------------------------
-    def checkpoint_path(self, path: Path | str | None) -> Path:
-        """Where a checkpoint goes: *path*, else ``state_dir/stream-state.pkl``."""
-        if path is not None:
-            return Path(path)
-        if self.stream_config.state_dir is None:
-            raise StreamError(
-                "save_state needs an explicit path or a configured state_dir"
-            )
-        return Path(self.stream_config.state_dir) / "stream-state.pkl"
-
     def state_dict(self) -> dict:
         """The picklable checkpoint of this computation (see :meth:`save_state`)."""
         self.check_current()
@@ -836,7 +822,6 @@ class StreamingIdentifier:
             "graph": self.graph,
             "rules": self.rules,
             "config": self.config,
-            "stream_config": self.stream_config,
             "algorithm": self.algorithm,
             "radius_floor": self.radius_floor,
             "manager": self.manager.state_dict(),
@@ -844,17 +829,17 @@ class StreamingIdentifier:
             "batches_applied": self.batches_applied,
         }
 
-    def save_state(self, path: Path | str | None = None) -> Path:
+    def save_state(self, path: Path | str) -> Path:
         """Write a durable, self-contained checkpoint of the computation.
 
-        The pickle holds the authoritative graph, Σ, both configs, the
+        The pickle holds the authoritative graph, Σ, the config, the
         manager's full lifecycle state (ownership, refcounted balls, slice
-        logs, compaction bases — on-disk bases are inlined) and the
+        logs, compaction bases) and the
         maintained per-fragment reports.  :meth:`restore` resumes from it
         with byte-identical answers, on any backend.  The file is replaced
         atomically (:func:`write_checkpoint`).
         """
-        return write_checkpoint(self.checkpoint_path(path), self.state_dict())
+        return write_checkpoint(Path(path), self.state_dict())
 
     @classmethod
     def restore(
@@ -897,12 +882,9 @@ class StreamingIdentifier:
         identifier.rules = state["rules"]
         identifier.config = config
         identifier.algorithm = state["algorithm"]
-        identifier.stream_config = state["stream_config"]
         identifier.radius_floor = state.get("radius_floor", 0)
         identifier._prepare_rules()
-        identifier.manager = FragmentManager.from_state(
-            identifier.graph, state["manager"], identifier.stream_config
-        )
+        identifier.manager = FragmentManager.from_state(identifier.graph, state["manager"])
         identifier.fragments = identifier.manager.fragments
         identifier.batches_applied = state["batches_applied"]
         identifier._reports = state["reports"]

@@ -48,7 +48,6 @@ from repro.identification.matchc import _FragmentReport
 from repro.matching.shared import SharedPatternPool
 from repro.obs.registry import registry
 from repro.pattern.gpar import GPAR
-from repro.stream.config import StreamConfig
 from repro.stream.identifier import (
     StreamingIdentifier,
     StreamUpdateReport,
@@ -89,14 +88,12 @@ class MultiTenantIdentifier:
         graph: Graph,
         config: EIPConfig | None = None,
         algorithm: str = "match",
-        stream_config: StreamConfig | None = None,
         radius_floor: int = 0,
         pool: SharedPatternPool | None = None,
     ) -> None:
         self.graph = graph
         self.config = config if config is not None else EIPConfig()
         self.algorithm = algorithm
-        self.stream_config = stream_config
         self.radius_floor = radius_floor
         self.pool = pool if pool is not None else SharedPatternPool()
         self._core: StreamingIdentifier | None = None
@@ -165,7 +162,6 @@ class MultiTenantIdentifier:
                         representatives,
                         config=self.config,
                         algorithm=self.algorithm,
-                        stream_config=self.stream_config,
                         radius_floor=self.radius_floor,
                     )
                     backfill = sum(
@@ -309,7 +305,7 @@ class MultiTenantIdentifier:
     # ------------------------------------------------------------------
     # durable state: the union core's checkpoint plus the tenant table
     # ------------------------------------------------------------------
-    def save_state(self, path: Path | str | None = None) -> Path:
+    def save_state(self, path: Path | str) -> Path:
         """Checkpoint the shared core and every tenant riding on it.
 
         One pickle: the union core's own checkpoint
@@ -326,7 +322,7 @@ class MultiTenantIdentifier:
             state = core.state_dict()
             state["tenants"] = list(self._admissions.values())
             state["representatives"] = self.pool.representatives()
-            return write_checkpoint(core.checkpoint_path(path), state)
+            return write_checkpoint(Path(path), state)
 
     @classmethod
     def restore(
@@ -358,7 +354,6 @@ class MultiTenantIdentifier:
             core.graph,
             config=core.config,
             algorithm=core.algorithm,
-            stream_config=core.stream_config,
             radius_floor=core.radius_floor,
             pool=pool,
         )

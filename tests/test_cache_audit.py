@@ -30,7 +30,7 @@ from __future__ import annotations
 import pytest
 
 from repro.datasets import generate_gpars, most_frequent_predicates, synthetic_graph
-from repro.graph import columnar_view, discard_columnar, registered_columnar
+from repro.graph import columnar, columnar_view, discard_columnar, registered_columnar
 from repro.matching import (
     GuidedMatcher,
     LocalityMatcher,
@@ -306,8 +306,9 @@ def test_neighborhood_masks_are_version_pinned(monkeypatch, side):
     assert set(Neighborhoods.__slots__) == set(NEIGHBORHOOD_SLOTS)
     if side == "sets":
         monkeypatch.setattr(neighborhood, "uses_masks", lambda num_nodes, num_edges: False)
+    monkeypatch.setattr(columnar, "DELTA_REBUILD_FRACTION", 1.0)  # patch, never rebuild
     graph, _patterns = _workload(seed=5)
-    index = columnar_view(graph, rebuild_fraction=1.0)  # patch, never rebuild
+    index = columnar_view(graph)
     kernel = index._neighborhoods
     assert kernel.masks == (side == "masks")
     for position in range(4):

@@ -18,7 +18,7 @@ from contextlib import contextmanager
 import pytest
 
 from repro.datasets import most_frequent_predicates, synthetic_graph
-from repro.graph import Graph
+from repro.graph import Graph, columnar
 from repro.graph.columnar import (
     ColumnarFragment,
     LabelTable,
@@ -168,11 +168,12 @@ def test_unknown_pattern_label_filters_everything():
 # invalidation: patch overlays and recompiles
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("use_numpy", BACKENDS)
-def test_patched_view_answers_like_a_fresh_compile(use_numpy):
+def test_patched_view_answers_like_a_fresh_compile(use_numpy, monkeypatch):
+    monkeypatch.setattr(columnar, "DELTA_REBUILD_FRACTION", 1.0)  # always patch
     graph = _small_graph(seed=5)
     pattern = _pattern_for(graph).expanded()
     with numpy_disabled(not use_numpy):
-        view = ColumnarFragment(graph, rebuild_fraction=1.0)  # always patch
+        view = ColumnarFragment(graph)
         for position in range(3):
             batch = random_update_batch(graph, size=6, seed=40 + position)
             batch.apply(graph)
@@ -193,10 +194,11 @@ def test_patched_view_answers_like_a_fresh_compile(use_numpy):
                 ]
 
 
-def test_patched_view_suspends_vectorized_paths_until_recompile():
+def test_patched_view_suspends_vectorized_paths_until_recompile(monkeypatch):
+    monkeypatch.setattr(columnar, "DELTA_REBUILD_FRACTION", 1.0)
     graph = _small_graph(seed=6)
     pattern = _pattern_for(graph).expanded()
-    view = columnar_view(graph, rebuild_fraction=1.0)  # registered: matchers probe it
+    view = columnar_view(graph)  # registered: matchers probe it
     assert view.pristine
     batch = random_update_batch(graph, size=6, seed=9)
     batch.apply(graph)
@@ -217,9 +219,10 @@ def test_patched_view_suspends_vectorized_paths_until_recompile():
     assert view.statistics.mask_filters == (1 if numpy_active() else 0)
 
 
-def test_rebuild_fraction_zero_always_recompiles():
+def test_rebuild_fraction_zero_always_recompiles(monkeypatch):
+    monkeypatch.setattr(columnar, "DELTA_REBUILD_FRACTION", 0.0)
     graph = _small_graph(seed=7)
-    view = ColumnarFragment(graph, rebuild_fraction=0.0)
+    view = ColumnarFragment(graph)
     builds_before = view.statistics.builds
     graph.add_node("fresh", sorted(graph.node_labels())[0])
     view.refresh()
@@ -246,12 +249,6 @@ def test_probe_guard_refreshes_stale_views():
     before = view.nodes_with_label(label)
     graph.add_node("guard-probe", label)
     assert view.nodes_with_label(label) == before | {"guard-probe"}
-
-
-def test_rebuild_fraction_validation():
-    graph = _small_graph(seed=10)
-    with pytest.raises(ValueError):
-        ColumnarFragment(graph, rebuild_fraction=1.5)
 
 
 # ----------------------------------------------------------------------

@@ -32,6 +32,7 @@ from hypothesis import given, settings, strategies as st
 from repro.datasets import generate_gpars, most_frequent_predicates, synthetic_graph
 from repro.exceptions import NodeNotFoundError
 from repro.graph import Graph
+from repro.graph import columnar
 from repro.graph.columnar import ColumnarFragment, columnar_view, numpy_or_none
 from repro.identification import identify_entities
 from repro.matching import GuidedMatcher, VF2Matcher
@@ -159,10 +160,11 @@ def _assert_view_matches_dicts(graph: Graph, view: ColumnarFragment, rng: random
 def test_columnar_tracks_random_deltas(use_numpy, graph, seed, always_patch):
     """compile → batch_update → recompile-or-patch → equality, repeatedly."""
     rng = random.Random(seed)
-    with numpy_disabled(not use_numpy):
-        # rebuild_fraction=1.0 forces the delta-patch path, 0.0 forces a
+    with numpy_disabled(not use_numpy), pytest.MonkeyPatch.context() as patch:
+        # A rebuild fraction of 1.0 forces the delta-patch path, 0.0 forces a
         # full recompile at every refresh; both must stay exact.
-        view = columnar_view(graph, rebuild_fraction=1.0 if always_patch else 0.0)
+        patch.setattr(columnar, "DELTA_REBUILD_FRACTION", 1.0 if always_patch else 0.0)
+        view = columnar_view(graph)
         _assert_view_matches_dicts(graph, view, rng)
         for _ in range(3):
             batch = random_update_batch(
@@ -180,8 +182,9 @@ def test_columnar_tracks_random_deltas(use_numpy, graph, seed, always_patch):
 def test_batch_update_then_recompile_equals_fresh_compile(use_numpy, graph, seed):
     """A patched-then-recompiled view is indistinguishable from a fresh one."""
     rng = random.Random(seed)
-    with numpy_disabled(not use_numpy):
-        view = columnar_view(graph, rebuild_fraction=1.0)  # registered: VF2 probes it
+    with numpy_disabled(not use_numpy), pytest.MonkeyPatch.context() as patch:
+        patch.setattr(columnar, "DELTA_REBUILD_FRACTION", 1.0)
+        view = columnar_view(graph)  # registered: VF2 probes it
         batch = random_update_batch(
             graph, size=rng.randint(1, 8), seed=rng.randrange(10_000)
         )
@@ -223,9 +226,10 @@ def test_patched_structure_equals_fresh_compile_on_every_probe(use_numpy, graph,
     """
     rng = random.Random(seed)
     removed: set = set()
-    with numpy_disabled(not use_numpy):
+    with numpy_disabled(not use_numpy), pytest.MonkeyPatch.context() as patch:
         # 1.0: patch unless a batch touches more nodes than the graph keeps.
-        view = ColumnarFragment(graph, rebuild_fraction=1.0)
+        patch.setattr(columnar, "DELTA_REBUILD_FRACTION", 1.0)
+        view = ColumnarFragment(graph)
         for _ in range(3):
             _warm_caches(graph, view)
             before = set(graph.nodes())

@@ -17,6 +17,7 @@ from repro.graph import (
     ColumnarFragment,
     Graph,
     build_sketch,
+    columnar,
     columnar_view,
     discard_columnar,
     empty_sketch,
@@ -124,8 +125,6 @@ class TestIndexLayers:
         assert index.statistics.sketches_built == built
 
     def test_invalid_construction_arguments(self):
-        with pytest.raises(ValueError):
-            ColumnarFragment(toy_graph(), rebuild_fraction=-0.1)
         g = toy_graph()
         with pytest.raises(ValueError):
             ColumnarFragment(g).sketch("alice", 0)
@@ -217,11 +216,12 @@ class TestInvalidation:
         probe(index)  # closed: the probe refreshes and answers
         assert not index.is_stale
 
-    def test_patch_drops_only_the_touched_nodes_views(self):
+    def test_patch_drops_only_the_touched_nodes_views(self, monkeypatch):
         """Views are kept per node: a patch drops the touched nodes' and keeps
         every other view by identity, and all of them equal a fresh compile's."""
+        monkeypatch.setattr(columnar, "DELTA_REBUILD_FRACTION", 1.0)
         g = synthetic_graph(60, 200, num_node_labels=4, num_edge_labels=3, seed=5)
-        index = ColumnarFragment(g, rebuild_fraction=1.0)
+        index = ColumnarFragment(g)
         labels = sorted(g.edge_labels())
         probes = (index.out_neighbors, index.in_neighbors)
         views = {
@@ -246,13 +246,14 @@ class TestInvalidation:
                 for label in labels:
                     assert getattr(index, name)(node, label) == getattr(fresh, name)(node, label)
 
-    def test_requirement_memo_is_cleared_only_when_a_label_is_interned(self):
+    def test_requirement_memo_is_cleared_only_when_a_label_is_interned(self, monkeypatch):
         """A compiled requirement keeps an unknown label as unknown: a patch
         that interns a label must drop the memo, one that does not keeps it."""
         from repro.pattern import Pattern
 
+        monkeypatch.setattr(columnar, "DELTA_REBUILD_FRACTION", 1.0)
         g = toy_graph()
-        index = ColumnarFragment(g, rebuild_fraction=1.0)
+        index = ColumnarFragment(g)
         pattern = Pattern({"x": "cust", "v": "vip"}, [("x", "v", "friend")], x="x", y="v")
         assert not index.degree_consistent("alice", pattern, "x")  # no vip anywhere yet
         memo = dict(index._requirements)

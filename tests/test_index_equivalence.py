@@ -44,7 +44,7 @@ def _workload(seed: int):
         num_edge_labels=3,
         seed=seed,
     )
-    resident = columnar_view(graph, rebuild_fraction=1.0)  # always patch
+    resident = columnar_view(graph)  # a two-node delta patches at the default fraction
     anchor = min(graph.nodes(), key=str)
     graph.add_node("patched-in", graph.node_label(anchor))
     graph.add_edge("patched-in", anchor, min(graph.edge_labels()))

@@ -1,10 +1,11 @@
 """Unit tests of the fragment lifecycle subsystem (repro.partition.lifecycle).
 
-Covers the configuration surface (StreamConfig env/constructor overrides,
-per-graph delta-log sizing, per-index rebuild fraction), the checkpoint
-value type (capture/build/install/save/load), the worker catch-up protocol,
-the coordinator-side FragmentManager (refcount shedding, compaction,
-migration planning) and the StreamingIdentifier save/restore round trip.
+Covers the checkpoint value type (capture/build/install), the worker
+catch-up protocol, the coordinator-side FragmentManager (refcount shedding,
+compaction, migration planning) and the StreamingIdentifier save/restore
+round trip.  Tests that need compaction or migration to fire (or not) set
+the module constants of :mod:`repro.partition.lifecycle` with
+``monkeypatch``.
 The randomized equivalence sweeps stay in tests/test_stream_equivalence.py.
 """
 
@@ -15,11 +16,11 @@ import pickle
 import pytest
 
 from repro.datasets import generate_gpars, most_frequent_predicates, synthetic_graph
-from repro.exceptions import GraphError, StreamError
-from repro.graph import ColumnarFragment, Graph, columnar_view, registered_columnar
+from repro.exceptions import StreamError
+from repro.graph import Graph, columnar_view, registered_columnar
 from repro.graph.neighborhood import multi_source_ball
 from repro.identification.eip import EIPConfig
-from repro.partition import Fragment, partition_graph
+from repro.partition import Fragment, lifecycle, partition_graph
 from repro.partition.lifecycle import (
     APPLIED_SEQUENCE_KEY,
     FragmentCheckpoint,
@@ -30,7 +31,6 @@ from repro.partition.lifecycle import (
 )
 from repro.parallel.worker import WorkerContext
 from repro.stream import (
-    StreamConfig,
     StreamingIdentifier,
     UpdateBatch,
     UpdateOp,
@@ -52,89 +52,13 @@ def toy_graph() -> Graph:
     return g
 
 
-def _resident_thresholds(context, payload):
-    """Module-level worker: the thresholds this worker's fragment runs with."""
-    graph = context.fragment.graph
-    resident = registered_columnar(graph)
-    return resident.rebuild_fraction, graph.delta_log_size, resident.statistics.delta_applies
-
-
-class TestStreamConfig:
-    def test_defaults_match_module_constants(self):
-        from repro.graph.graph import DELTA_LOG_SIZE
-        from repro.graph.columnar import DELTA_REBUILD_FRACTION
-
-        config = StreamConfig()
-        assert config.delta_log_size == DELTA_LOG_SIZE
-        assert config.delta_rebuild_fraction == DELTA_REBUILD_FRACTION
-        assert config.checkpoint_log_fraction == 0.5
-        assert config.rebalance_skew == 0.6
-        assert config.state_dir is None
-
-    def test_env_overrides(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DELTA_LOG_SIZE", "7")
-        monkeypatch.setenv("REPRO_DELTA_REBUILD_FRACTION", "0.5")
-        monkeypatch.setenv("REPRO_CHECKPOINT_LOG_FRACTION", "0.125")
-        monkeypatch.setenv("REPRO_REBALANCE_SKEW", "0.9")
-        monkeypatch.setenv("REPRO_STATE_DIR", "/tmp/somewhere")
-        config = StreamConfig()
-        assert config.delta_log_size == 7
-        assert config.delta_rebuild_fraction == 0.5
-        assert config.checkpoint_log_fraction == 0.125
-        assert config.rebalance_skew == 0.9
-        assert str(config.state_dir) == "/tmp/somewhere"
-        # Constructed graphs pick the env default up too.
-        assert Graph().delta_log_size == 7
-        assert ColumnarFragment(toy_graph()).rebuild_fraction == 0.5
-
-    def test_validation(self):
-        with pytest.raises(StreamError):
-            StreamConfig(delta_log_size=0)
-        with pytest.raises(StreamError):
-            StreamConfig(delta_rebuild_fraction=1.5)
-        with pytest.raises(StreamError):
-            StreamConfig(checkpoint_log_fraction=0.0)
-        with pytest.raises(StreamError):
-            StreamConfig(rebalance_skew=-0.1)
-
-    def test_graph_delta_log_configuration(self):
-        g = toy_graph()
-        g.configure_delta_log(3)
-        base = g.version
-        for serial in range(5):
-            g.add_node(f"n{serial}", "cust")
-        assert g.delta_log_size == 3
-        assert g.deltas_since(base) is None  # outran the shrunk log
-        assert g.deltas_since(g.version - 3) is not None
-        # copy() and induced_subgraph() propagate the configured size.
-        assert g.copy().delta_log_size == 3
-        assert g.induced_subgraph(["alice", "bob"]).delta_log_size == 3
-        with pytest.raises(GraphError):
-            g.configure_delta_log(0)
-
-    def test_index_rebuild_fraction_argument(self):
-        g = synthetic_graph(40, 120, num_node_labels=4, num_edge_labels=3, seed=1)
-        eager = ColumnarFragment(g, rebuild_fraction=0.0)
-        g.add_node("fresh", "L0")
-        eager.refresh()
-        assert eager.statistics.builds == 2  # fraction 0: always rebuild
-        patient = ColumnarFragment(g, rebuild_fraction=1.0)
-        with g.batch_update() as tx:
-            for node in sorted(g.nodes(), key=str)[:30]:
-                tx.relabel_node(node, "L1")
-        patient.refresh()
-        assert patient.statistics.builds == 1  # fraction 1: always patch
-
-
 class TestFragmentCheckpoint:
-    def _manager(self, seed=0, num_fragments=2, config=None):
+    def _manager(self, seed=0, num_fragments=2):
         graph = synthetic_graph(80, 240, num_node_labels=4, num_edge_labels=3, seed=seed)
         label = sorted(graph.node_labels())[0]
         centers = graph.nodes_with_label(label)
         fragments = partition_graph(graph, num_fragments, centers=centers, d=2, seed=0)
-        manager = FragmentManager(
-            graph, fragments, 2, label, config or StreamConfig()
-        )
+        manager = FragmentManager(graph, fragments, 2, label)
         return graph, fragments, manager
 
     def test_capture_matches_resident_fragment(self):
@@ -153,25 +77,6 @@ class TestFragmentCheckpoint:
         assert rebuilt.graph.structure_equal(fragment.graph)
         assert rebuilt.owned_centers == fragment.owned_centers
         assert rebuilt.sequence == 0
-
-    def test_save_load_roundtrip(self, tmp_path):
-        graph, fragments, _manager = self._manager()
-        fragment = fragments[0]
-        checkpoint = FragmentCheckpoint.capture(
-            graph,
-            set(fragment.graph.nodes()),
-            fragment.owned_centers,
-            fragment.index,
-            sequence=4,
-            name="ckpt",
-        )
-        path = checkpoint.save(tmp_path / "deep" / "f0.ckpt")
-        loaded = FragmentCheckpoint.load(path)
-        assert loaded == checkpoint
-        bogus = tmp_path / "bogus.ckpt"
-        bogus.write_bytes(pickle.dumps({"not": "a checkpoint"}))
-        with pytest.raises(StreamError):
-            FragmentCheckpoint.load(bogus)
 
     def test_catch_up_installs_only_when_behind(self):
         graph, fragments, manager = self._manager()
@@ -245,7 +150,7 @@ class TestFragmentCheckpoint:
 
 
 class TestFragmentManager:
-    def _streaming(self, config=None, seed=3, num_workers=3, **overrides):
+    def _streaming(self, seed=3, num_workers=3):
         graph = synthetic_graph(
             120, 360, num_node_labels=5, num_edge_labels=3, seed=seed
         )
@@ -257,8 +162,6 @@ class TestFragmentManager:
             graph,
             rules,
             config=EIPConfig(eta=0.5, num_workers=num_workers),
-            stream_config=config,
-            **overrides,
         )
         return graph, rules, identifier
 
@@ -274,10 +177,9 @@ class TestFragmentManager:
                 assert set(refcounts) == set(fragment.graph.nodes())
                 assert all(count > 0 for count in refcounts.values())
 
-    def test_deletion_sheds_resident_nodes_and_index_entries(self):
-        graph, _rules, identifier = self._streaming(
-            config=StreamConfig(rebalance_skew=1.0)
-        )
+    def test_deletion_sheds_resident_nodes_and_index_entries(self, monkeypatch):
+        monkeypatch.setattr(lifecycle, "REBALANCE_SKEW", 1.0)
+        graph, _rules, identifier = self._streaming()
         with identifier:
             shed_total = 0
             for position in range(6):
@@ -304,7 +206,7 @@ class TestFragmentManager:
         g.add_node("m1", "shop")
         g.add_edge("c1", "m1", "visit")
         fragments = partition_graph(g, 1, centers={"c1"}, d=1, seed=0)
-        manager = FragmentManager(g, fragments, 1, "cust", StreamConfig())
+        manager = FragmentManager(g, fragments, 1, "cust")
         batch = UpdateBatch.of(UpdateOp.relabel_node("c1", "ex-cust"))
         delta = batch.apply(g)
         from repro.graph.neighborhood import multi_source_ball
@@ -315,9 +217,10 @@ class TestFragmentManager:
         assert set(update.shed) == {"c1", "m1"}  # nobody's ball covers them now
         assert manager.node_set(0) == frozenset()
 
-    def test_compaction_truncates_log_and_serves_leases(self):
-        config = StreamConfig(checkpoint_log_fraction=0.01, rebalance_skew=1.0)
-        graph, _rules, identifier = self._streaming(config=config)
+    def test_compaction_truncates_log_and_serves_leases(self, monkeypatch):
+        monkeypatch.setattr(lifecycle, "CHECKPOINT_LOG_FRACTION", 0.01)
+        monkeypatch.setattr(lifecycle, "REBALANCE_SKEW", 1.0)
+        graph, _rules, identifier = self._streaming()
         with identifier:
             compacted = 0
             for position in range(4):
@@ -339,37 +242,10 @@ class TestFragmentManager:
             fresh = identifier.recompute()
             assert fresh.identified == identifier.result.identified
 
-    def test_state_dir_checkpoints_go_to_disk(self, tmp_path):
-        config = StreamConfig(
-            checkpoint_log_fraction=0.01,
-            rebalance_skew=1.0,
-            state_dir=tmp_path / "state",
-        )
-        graph, _rules, identifier = self._streaming(config=config)
-        with identifier:
-            for position in range(4):
-                identifier.apply(random_update_batch(graph, size=8, seed=60 + position))
-            manager = identifier.manager
-            on_disk = [
-                manager.lease(fragment.index).checkpoint_path
-                for fragment in identifier.fragments
-                if manager.lease(fragment.index).base_sequence
-            ]
-            assert on_disk and all(path is not None for path in on_disk)
-            assert list((tmp_path / "state").glob("fragment-*.ckpt"))
-            # Inline payloads stay checkpoint-free (paths travel instead).
-            assert all(
-                manager.lease(fragment.index).checkpoint is None
-                for fragment in identifier.fragments
-            )
-            fresh = identifier.recompute()
-            assert fresh.identified == identifier.result.identified
-
-    def test_migration_splices_without_reverification(self):
-        config = StreamConfig(rebalance_skew=0.3, checkpoint_log_fraction=100.0)
-        graph, _rules, identifier = self._streaming(
-            config=config, seed=5, num_workers=4
-        )
+    def test_migration_splices_without_reverification(self, monkeypatch):
+        monkeypatch.setattr(lifecycle, "REBALANCE_SKEW", 0.3)
+        monkeypatch.setattr(lifecycle, "CHECKPOINT_LOG_FRACTION", 100.0)
+        graph, _rules, identifier = self._streaming(seed=5, num_workers=4)
         with identifier:
             # Collapse one fragment's ownership: relabel all but one of its
             # centres away, so the remaining fragments' loads tower over it
@@ -415,9 +291,9 @@ class TestFragmentManager:
                     assert not (left & right)
             assert set.union(*owned) == set(identifier.manager._owner)
 
-    def test_rebalance_disabled_at_skew_one(self):
-        config = StreamConfig(rebalance_skew=1.0)
-        graph, _rules, identifier = self._streaming(config=config, seed=5, num_workers=4)
+    def test_rebalance_disabled_at_skew_one(self, monkeypatch):
+        monkeypatch.setattr(lifecycle, "REBALANCE_SKEW", 1.0)
+        graph, _rules, identifier = self._streaming(seed=5, num_workers=4)
         with identifier:
             for position in range(4):
                 report = identifier.apply(
@@ -427,11 +303,11 @@ class TestFragmentManager:
 
 
 class TestSaveRestore:
-    def _identifier(self, config=EIPConfig(eta=0.5, num_workers=2), **overrides):
+    def _identifier(self, config=EIPConfig(eta=0.5, num_workers=2)):
         graph = synthetic_graph(100, 300, num_node_labels=5, num_edge_labels=3, seed=8)
         predicate = most_frequent_predicates(graph, top=1)[0]
         rules = generate_gpars(graph, predicate, count=3, max_pattern_edges=3, d=2, seed=8)
-        return graph, StreamingIdentifier(graph, rules, config=config, **overrides)
+        return graph, StreamingIdentifier(graph, rules, config=config)
 
     @staticmethod
     def _fingerprint(result):
@@ -443,15 +319,19 @@ class TestSaveRestore:
             ),
         )
 
-    def test_roundtrip_is_byte_identical_and_resumable(self, tmp_path):
-        graph, identifier = self._identifier(
-            stream_config=StreamConfig(checkpoint_log_fraction=0.05)
-        )
+    def test_roundtrip_is_byte_identical_and_resumable(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(lifecycle, "CHECKPOINT_LOG_FRACTION", 0.05)
+        graph, identifier = self._identifier()
         with identifier:
             for position in range(4):
                 identifier.apply(random_update_batch(graph, size=7, seed=position))
             expected = self._fingerprint(identifier.result)
             path = identifier.save_state(tmp_path / "state.pkl")
+        state = pickle.loads(path.read_bytes())
+        assert state["format"] == 1
+        # The retired threshold object and on-disk base map are not written.
+        assert "stream_config" not in state and "base_paths" not in state["manager"]
+        assert any(base is not None for base in state["manager"]["bases"].values())
         with StreamingIdentifier.restore(path) as restored:
             assert self._fingerprint(restored.result) == expected
             restored.apply(random_update_batch(restored.graph, size=7, seed=99))
@@ -568,81 +448,8 @@ class TestSaveRestore:
     def test_save_state_needs_a_destination(self):
         _graph, identifier = self._identifier()
         with identifier:
-            with pytest.raises(StreamError):
-                identifier.save_state()  # no path, no state_dir
-
-    @pytest.mark.parametrize("backend", ["sequential", "processes"])
-    def test_stream_config_stays_out_of_the_environment(self, backend, monkeypatch):
-        import os
-
-        from repro.graph.columnar import DELTA_REBUILD_FRACTION
-        from repro.graph.graph import DELTA_LOG_SIZE
-
-        monkeypatch.delenv("REPRO_DELTA_REBUILD_FRACTION", raising=False)
-        monkeypatch.delenv("REPRO_DELTA_LOG_SIZE", raising=False)
-        environment = dict(os.environ)
-        graph, identifier = self._identifier(
-            # One pool process, so the probe round below reads the very
-            # structures the verify rounds refreshed.
-            config=EIPConfig(
-                eta=0.5, num_workers=2, backend=backend, executor_workers=1
-            ),
-            stream_config=StreamConfig(delta_rebuild_fraction=0.0, delta_log_size=5),
-        )
-        with identifier:
-            identifier.apply(random_update_batch(graph, size=5, seed=2))
-            # The run's thresholds sit on the worker-side structures (0.0:
-            # every refresh recompiled, none patched)...
-            assert identifier.runtime.run_round(_resident_thresholds) == [(0.0, 5, 0)] * 2
-            fresh = identifier.recompute()
-            assert fresh.identified == identifier.result.identified
-        # ...and nowhere a later session would read its defaults from.
-        assert dict(os.environ) == environment
-        assert StreamConfig().delta_rebuild_fraction == DELTA_REBUILD_FRACTION
-        assert StreamConfig().delta_log_size == Graph().delta_log_size == DELTA_LOG_SIZE
-
-    def test_restore_keeps_serving_on_disk_bases_and_reclaims_them(self, tmp_path):
-        state_dir = tmp_path / "state"
-        config = StreamConfig(
-            checkpoint_log_fraction=0.01, rebalance_skew=1.0, state_dir=state_dir
-        )
-        graph, identifier = self._identifier(stream_config=config)
-        with identifier:
-            for position in range(3):
-                identifier.apply(random_update_batch(graph, size=8, seed=position))
-            path = identifier.save_state(tmp_path / "run.pkl")
-        before_files = set(state_dir.glob("fragment-*.ckpt"))
-        assert before_files
-        with StreamingIdentifier.restore(path) as restored:
-            manager = restored.manager
-            # Existing on-disk bases keep serving leases after a restore...
-            assert any(
-                manager.lease(fragment.index).checkpoint_path is not None
-                for fragment in restored.fragments
-            )
-            for position in range(3):
-                restored.apply(
-                    random_update_batch(restored.graph, size=8, seed=50 + position)
-                )
-            fresh = restored.recompute()
-            assert fresh.identified == restored.result.identified
-        # ...and later compactions reclaim the pre-restore generation
-        # instead of orphaning it.
-        after_files = set(state_dir.glob("fragment-*.ckpt"))
-        assert after_files != before_files
-        assert len(after_files) <= len(before_files) + len(restored.fragments)
-        assert before_files - after_files, "old checkpoint files were never unlinked"
-
-    def test_save_state_defaults_to_state_dir(self, tmp_path):
-        graph, identifier = self._identifier(
-            stream_config=StreamConfig(state_dir=tmp_path)
-        )
-        with identifier:
-            path = identifier.save_state()
-        assert path == tmp_path / "stream-state.pkl"
-        with StreamingIdentifier.restore(path) as restored:
-            restored.result
-
+            with pytest.raises(TypeError):
+                identifier.save_state()  # the path is required
 
 class TestDeletionBiasSampling:
     def test_bias_zero_is_byte_identical_to_historical_sampler(self):
@@ -667,21 +474,20 @@ class TestDeletionBiasSampling:
 class TestMeasuredCostRebalance:
     """record_round_timing: measured worker times steer migration planning."""
 
-    def _manager(self, **config_overrides):
+    def _manager(self):
         graph = synthetic_graph(120, 360, num_node_labels=5, num_edge_labels=3, seed=9)
         label = max(graph.node_label_counts(), key=lambda l: (graph.node_label_counts()[l], l))
         centers = set(graph.nodes_with_label(label))
         fragments = partition_graph(graph, 2, centers=centers, d=2, seed=0)
-        manager = FragmentManager(
-            graph, fragments, 2, label, StreamConfig(**config_overrides)
-        )
+        manager = FragmentManager(graph, fragments, 2, label)
         return graph, manager
 
     def test_fragment_loads_equal_the_per_fragment_sums_through_a_churn_storm(self, monkeypatch):
         """One scan over the owners gives what summing each fragment's owned
         balls gives, after every batch and where migration planning reads it
         (mid-batch, with freshly gained centres that have no ball yet)."""
-        graph, manager = self._manager(rebalance_skew=0.3)
+        monkeypatch.setattr(lifecycle, "REBALANCE_SKEW", 0.3)
+        graph, manager = self._manager()
 
         def summed() -> dict:
             size, balls = manager._neighborhoods.size, manager._balls
@@ -749,8 +555,9 @@ class TestMeasuredCostRebalance:
         manager.record_round_timing({slow: -1.0, 999: 5.0})
         assert manager.cost_factor(slow) == before
 
-    def test_cost_skew_alone_triggers_migration_planning(self):
-        _graph, manager = self._manager(rebalance_skew=0.3)
+    def test_cost_skew_alone_triggers_migration_planning(self, monkeypatch):
+        monkeypatch.setattr(lifecycle, "REBALANCE_SKEW", 0.3)
+        _graph, manager = self._manager()
         assert manager._plan_migrations(set()) == []  # node counts balanced
         loads = manager.fragment_loads()
         slow = max(loads, key=lambda index: (loads[index], index))
@@ -773,14 +580,14 @@ class TestMeasuredCostRebalance:
         )
         state = manager.state_dict()
         assert state["cost_factors"] == manager._cost_factors
-        revived = FragmentManager.from_state(graph, state, manager.config)
+        revived = FragmentManager.from_state(graph, state)
         for fragment in manager.fragments:
             assert revived.cost_factor(fragment.index) == manager.cost_factor(
                 fragment.index
             )
         # Checkpoints that predate the measured-cost policy restore neutral.
         del state["cost_factors"]
-        legacy = FragmentManager.from_state(graph, state, manager.config)
+        legacy = FragmentManager.from_state(graph, state)
         for fragment in manager.fragments:
             assert legacy.cost_factor(fragment.index) == 1.0
 

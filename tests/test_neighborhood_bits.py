@@ -45,6 +45,7 @@ from repro.graph import (
     Graph,
     ball,
     build_sketch,
+    columnar,
     columnar_view,
     registered_columnar,
     sketch_dominates,
@@ -56,8 +57,9 @@ from repro.identification import EIPConfig
 from repro.matching import GuidedMatcher
 from repro.matching.base import WitnessStore
 from repro.partition import partition_graph
+from repro.partition import lifecycle
 from repro.partition.lifecycle import FragmentManager
-from repro.stream import StreamConfig, UpdateBatch, UpdateOp, random_update_batch
+from repro.stream import UpdateBatch, UpdateOp, random_update_batch
 from repro.stream.identifier import read_checkpoint
 from repro.testing import eip_fingerprint
 from repro.testing.storms import correlated_deletion_storm, hub_churn_storm
@@ -161,7 +163,7 @@ def _exactness_run(seed: int) -> tuple[ColumnarFragment, int]:
     ghost waves; after every patch every cached handle, every sketch and
     every sketch test equals the set-at-a-time reference."""
     graph = _stream_graph(seed)
-    view = ColumnarFragment(graph, rebuild_fraction=1.0)  # patch, never rebuild
+    view = ColumnarFragment(graph)
     rng = random.Random(seed)
     removed: list = []
     reindexed = 0
@@ -198,6 +200,7 @@ def _exactness_run(seed: int) -> tuple[ColumnarFragment, int]:
 
 @pytest.mark.parametrize("seed", range(50))
 def test_cached_sketches_equal_the_set_reference_after_every_patch(monkeypatch, seed):
+    monkeypatch.setattr(columnar, "DELTA_REBUILD_FRACTION", 1.0)  # patch, never rebuild
     on_masks, reindexed = _exactness_run(seed)
     with _sets_only(monkeypatch):
         on_sets, _ = _exactness_run(seed)
@@ -226,10 +229,10 @@ def test_derive_batch_on_masks_equals_the_set_form(monkeypatch, storm):
     x_label = sorted(graph.node_labels())[0]
     radius = 2
     fragments = partition_graph(graph, 3, centers=graph.nodes_with_label(x_label), d=radius, seed=0)
-    config = StreamConfig(rebalance_skew=0.3)
-    masks = FragmentManager(graph, fragments, radius, x_label, config)
+    monkeypatch.setattr(lifecycle, "REBALANCE_SKEW", 0.3)
+    masks = FragmentManager(graph, fragments, radius, x_label)
     with _sets_only(monkeypatch):
-        sets = FragmentManager(graph, fragments, radius, x_label, config)
+        sets = FragmentManager(graph, fragments, radius, x_label)
     assert masks._neighborhoods.masks and not sets._neighborhoods.masks
     reindexed = moved = 0
     for batch in _batches(graph, 30, storm):
@@ -364,7 +367,7 @@ def test_guided_search_decides_as_on_the_set_reference(monkeypatch, build, round
 # (vii) what a patch rebuilds, counted
 # ----------------------------------------------------------------------
 def _warm_view(graph: Graph) -> ColumnarFragment:
-    view = ColumnarFragment(graph, rebuild_fraction=1.0)
+    view = ColumnarFragment(graph)
     for node in graph.nodes():
         for hops in (1, 2, 3):
             view.sketch(node, hops)
@@ -379,6 +382,7 @@ def test_a_relabel_rebuilds_no_ring(monkeypatch):
     """Rings carry no labels: a relabel-only batch invalidates nothing on the
     mask side and every sketch still equals the reference; the set side's
     histograms do move with it."""
+    monkeypatch.setattr(columnar, "DELTA_REBUILD_FRACTION", 1.0)
     for side in ("masks", "sets"):
         with monkeypatch.context() as patch:
             if side == "sets":
@@ -401,9 +405,10 @@ def test_a_relabel_rebuilds_no_ring(monkeypatch):
                 assert view.statistics.sketches_invalidated > invalidated
 
 
-def test_an_edge_toggle_invalidates_exactly_the_k_minus_one_ring():
+def test_an_edge_toggle_invalidates_exactly_the_k_minus_one_ring(monkeypatch):
     """A changed edge moves a k-hop ring only for nodes within k − 1 hops of
     one of its endpoints on the post-update graph; exactly those go."""
+    monkeypatch.setattr(columnar, "DELTA_REBUILD_FRACTION", 1.0)
     graph = pokec_like(40, 3, seed=1)
     users = sorted(node for node, label in graph.node_items() if label == "user")
     for source, target in ((users[0], users[1]), (users[2], "hobby:hiking")):

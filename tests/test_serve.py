@@ -598,10 +598,13 @@ class TestSharedCores:
         assert health["shared_cores"] == 0
 
     def test_retired_implementation_fields_do_not_fork_the_core(self, server, tmp_path):
-        """Bodies differing only by the retired index/incremental switches share.
+        """Bodies differing only by retired fields share one core.
 
-        Those fields used to take part in the core key, so a tenant sending
-        one silently got a second resident copy of the graph.
+        The index/incremental switches used to take part in the core key, so
+        a tenant sending one silently got a second resident copy of the
+        graph.  ``stream`` and ``share`` did too, and ``stream`` also let a
+        client name a server directory that compaction wrote checkpoint
+        pickles into; both are ignored now.
         """
         from repro.graph.io import save_graph_json
 
@@ -616,9 +619,14 @@ class TestSharedCores:
             "eta": 0.1,
             "workers": 2,
         }
-        retired = {f"use_{name}": False for name in ("index", "incremental")}
+        chosen_dir = tmp_path / "client-chosen"
+        retired_switches = {f"use_{name}": False for name in ("index", "incremental")}
+        retired_stream = {
+            "stream": {"state_dir": str(chosen_dir), "checkpoint_log_fraction": 0.01},
+            "share": False,
+        }
         urls = []
-        for tenant, extra in (("plain", {}), ("legacy", retired)):
+        for tenant, extra in (("plain", {}), ("legacy", retired_switches), ("knobs", retired_stream)):
             status, created = _call(
                 "POST", f"{server.base_url}/sessions", {**body, **extra, "tenant": tenant}
             )
@@ -626,6 +634,15 @@ class TestSharedCores:
             urls.append(f"{server.base_url}/sessions/{created['session']}")
         _status, health = _call("GET", f"{server.base_url}/healthz")
         assert health["shared_cores"] == 1
+        mirror = graph.copy()
+        for position in range(3):
+            batch = random_update_batch(mirror, size=8, seed=90 + position)
+            batch.apply(mirror)
+            status, _delta = _call(
+                "POST", f"{urls[-1]}/updates", {"ops": [op.as_dict() for op in batch.ops]}
+            )
+            assert status == 200
+        assert not chosen_dir.exists()
         for url in urls:
             assert _call("DELETE", url)[0] == 200
 

@@ -117,3 +117,51 @@ def test_every_module_is_served_or_listed():
 def test_unserved_table_lists_only_what_is_unserved():
     served = _reachable(ROOTS)
     assert sorted(module for module in UNSERVED if module in served) == []
+
+
+def _is_environ(node: ast.AST) -> bool:
+    return (isinstance(node, ast.Attribute) and node.attr == "environ") or (
+        isinstance(node, ast.Name) and node.id == "environ"
+    )
+
+
+def _environment_reads() -> dict[str, str]:
+    """``variable name -> first module`` for every environment key ``src/repro`` reads.
+
+    A key is a string literal or a module-level string constant; any other
+    key expression fails the scan, so a computed name cannot slip past it.
+    """
+    reads: dict[str, str] = {}
+    for module, path in FILES.items():
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        constants = {
+            target.id: node.value.value
+            for node in tree.body
+            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant)
+            for target in node.targets
+            if isinstance(target, ast.Name)
+        }
+        for node in ast.walk(tree):
+            key = None
+            if isinstance(node, ast.Call) and node.args:
+                func = node.func
+                if (isinstance(func, ast.Attribute) and _is_environ(func.value)) or (
+                    getattr(func, "attr", getattr(func, "id", None)) == "getenv"
+                ):
+                    key = node.args[0]
+            elif isinstance(node, ast.Subscript) and _is_environ(node.value):
+                key = node.slice
+            elif isinstance(node, ast.Compare) and any(map(_is_environ, node.comparators)):
+                key = node.left
+            if key is None:
+                continue
+            name = key.value if isinstance(key, ast.Constant) else constants.get(getattr(key, "id", None))
+            assert isinstance(name, str), f"{module}:{node.lineno}: environment key is not a named constant"
+            reads.setdefault(name, module)
+    return reads
+
+
+def test_no_new_environment_knobs():
+    """The environment switches diagnostics, never a threshold of the algorithms."""
+    reads = _environment_reads()
+    assert set(reads) == {"REPRO_NO_NUMPY", "REPRO_OBS"}, reads

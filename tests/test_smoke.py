@@ -39,10 +39,11 @@ from repro.matching import GuidedMatcher
 from repro.mining import DMineConfig, dmine
 from repro.obs import Tracer, install, registry, span, uninstall
 from repro.obs.stats import disable_collection, enable_collection, reset_collection
+from repro.partition.lifecycle import CHECKPOINT_LOG_FRACTION
 from repro.pattern.canonical import canonical_code
 from repro.pattern.gpar import GPAR
 from repro.pattern.pattern import Pattern
-from repro.stream import StreamConfig, random_update_batch
+from repro.stream import random_update_batch
 from repro.testing import (
     CASES_DIR,
     STORM_FAMILIES,
@@ -322,10 +323,9 @@ def test_churn_keeps_resident_state_bounded(smoke):
     early = max(report.resident_nodes for report in reports[:quarter])
     assert max(report.resident_nodes for report in reports[-quarter:]) <= early
     # ...and every batch leaves the retained log under the compaction bound.
-    fraction = StreamConfig().checkpoint_log_fraction
-    slack = fraction * WORKERS + 1
+    slack = CHECKPOINT_LOG_FRACTION * WORKERS + 1
     for report in reports:
-        assert report.log_ops <= fraction * report.resident_nodes + slack
+        assert report.log_ops <= CHECKPOINT_LOG_FRACTION * report.resident_nodes + slack
 
 
 @CELLS

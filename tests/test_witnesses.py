@@ -38,9 +38,10 @@ from repro.matching.multi import trie_patterns
 from repro.obs import registry
 from repro.obs.stats import disable_collection, enable_collection, reset_collection
 from repro.partition.fragment import Fragment
+from repro.partition import lifecycle
 from repro.partition.lifecycle import FragmentManager, FragmentUpdate, apply_fragment_update
 from repro.pattern.pattern import Pattern
-from repro.stream import StreamConfig, StreamingIdentifier, UpdateBatch, UpdateOp, random_update_batch
+from repro.stream import StreamingIdentifier, UpdateBatch, UpdateOp, random_update_batch
 from repro.stream.identifier import read_checkpoint
 from repro.testing import eip_fingerprint
 from repro.testing.storms import label_flip_storm
@@ -309,12 +310,11 @@ def counted():
 # ----------------------------------------------------------------------
 # (i, continued) a migrated centre
 # ----------------------------------------------------------------------
-def test_migrated_centres_leave_their_witnesses_behind():
+def test_migrated_centres_leave_their_witnesses_behind(monkeypatch):
+    monkeypatch.setattr(lifecycle, "REBALANCE_SKEW", 0.3)
+    monkeypatch.setattr(lifecycle, "CHECKPOINT_LOG_FRACTION", 100.0)
     graph = pokec_like(40, 4, seed=5)
-    config = StreamConfig(rebalance_skew=0.3, checkpoint_log_fraction=100.0)
-    with StreamingIdentifier(
-        graph, _sigma(graph), config=EIPConfig(eta=0.5, num_workers=3), stream_config=config
-    ) as identifier:
+    with StreamingIdentifier(graph, _sigma(graph), config=EIPConfig(eta=0.5, num_workers=3)) as identifier:
         manager = identifier.manager
         victim = identifier.fragments[0].index
         doomed = sorted(manager.owned_centers(victim), key=str)[1:]
@@ -456,7 +456,7 @@ def test_ball_difference_refcounting_equals_release_all_retain_all():
     x_label = most_frequent_predicates(graph, top=1)[0].label("x")
     radius = 2
     fragments = partition_graph(graph, 3, centers=graph.nodes_with_label(x_label), d=radius, seed=0)
-    manager = FragmentManager(graph, fragments, radius, x_label, StreamConfig())
+    manager = FragmentManager(graph, fragments, radius, x_label)
     shed_total = entered_total = 0
     for position in range(30):
         batch = random_update_batch(graph, size=10, seed=500 + position, deletion_bias=0.6)

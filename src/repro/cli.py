@@ -235,7 +235,7 @@ def _cmd_top(args: argparse.Namespace) -> int:
 def build_parser() -> argparse.ArgumentParser:
     """Build the top-level argument parser (exposed for testing)."""
     parser = argparse.ArgumentParser(
-        prog="repro-gpar",
+        prog="repro",
         description="Graph-pattern association rules: mining (DMP) and entity identification (EIP).",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)

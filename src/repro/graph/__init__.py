@@ -10,7 +10,7 @@ model with the indexes the mining and matching algorithms need:
 * k-hop label-frequency sketches used by guided search (:mod:`sketch`),
 * the one fragment-resident structure of the matching hot path,
   :class:`ColumnarFragment` — label buckets and a profile matrix over
-  interned label ids (vectorized when numpy is available), plus memoised
+  interned label ids (stdlib ``array('q')`` buffers), plus memoised
   frozen adjacency views and a k-hop sketch cache (:mod:`columnar`).
 """
 
@@ -22,7 +22,6 @@ from repro.graph.columnar import (
     LabelTable,
     columnar_view,
     discard_columnar,
-    numpy_active,
     registered_columnar,
 )
 from repro.graph.neighborhood import (
@@ -68,7 +67,6 @@ __all__ = [
     "columnar_view",
     "discard_columnar",
     "registered_columnar",
-    "numpy_active",
     "graph_from_dict",
     "graph_to_dict",
     "load_graph_json",

@@ -18,17 +18,14 @@ Stores (eager, one per quantity)
   :func:`repro.matching.candidates.adjacency_profile`, laid out as one flat
   ``|V| x |columns|`` count buffer whose columns are the observed
   ``(direction, edge label, neighbour label)`` triples.  The per-node check
-  of the search loop (:meth:`ColumnarFragment.degree_consistent`) reads
-  python ints off one row; with numpy the same buffer is viewed as a matrix
-  and a whole candidate pool is masked at once.
+  of the search loop (:meth:`ColumnarFragment.degree_consistent`) and the
+  pool filter (:meth:`ColumnarFragment.filter_candidates`) read python ints
+  off one row.
 
 Adjacency itself is *not* copied: the graph's dicts stay the one adjacency
 representation, read through the frozen views below.
 
-All buffers are stdlib ``array('q')``; the optional ``numpy`` fast path
-(behind a feature probe — the core stays dependency-free; set
-``REPRO_NO_NUMPY=1`` to force the stdlib path even when numpy is importable)
-wraps the *same* buffers, it does not copy them.
+All buffers are stdlib ``array('q')``: the core is dependency-free.
 
 Caches (lazy, version-pinned)
 -----------------------------
@@ -65,11 +62,7 @@ neighbours) move into small dict *overlays* every per-node probe consults
 first, memoised adjacency views of touched nodes are dropped, and
 cached sketches are invalidated only where they can have changed (computed
 on the post-update graph; ``docs/columnar.md`` shows that is exact).  The
-frozen arrays are not rewritten, so the one whole-array
-operation (the numpy pool mask of
-:meth:`ColumnarFragment.filter_candidates`) requires a
-:attr:`~ColumnarFragment.pristine` structure: the filter falls back to
-per-node row checks while overlays are present and regains the mask at the
+frozen arrays are not rewritten; the overlays fold back into them at the
 next compile boundary (fragment lease install, checkpoint capture, a
 refresh that rebuilds).
 
@@ -84,7 +77,6 @@ fragments' structures inside the worker-pool initializer
 
 from __future__ import annotations
 
-import os
 import sys
 import threading
 import weakref
@@ -118,28 +110,6 @@ _REQUIREMENT_MEMO_LIMIT = 4096
 
 _EMPTY_FROZEN: frozenset = frozenset()
 _NO_VIEWS: dict = {}  # read-only stand-in for a key with nothing memoised yet
-
-
-def numpy_or_none():
-    """The ``numpy`` module, or ``None`` when absent or disabled.
-
-    The probe honours the ``REPRO_NO_NUMPY`` environment variable (any
-    non-empty value forces the stdlib ``array`` path) so both code paths are
-    testable on a machine that has numpy installed.  Resolved at every view
-    compile, not at import time.
-    """
-    if os.environ.get("REPRO_NO_NUMPY"):
-        return None
-    try:
-        import numpy
-    except ImportError:  # pragma: no cover - depends on the environment
-        return None
-    return numpy
-
-
-def numpy_active() -> bool:
-    """Whether views compiled now would take the numpy fast path."""
-    return numpy_or_none() is not None
 
 
 class LabelTable:
@@ -232,7 +202,6 @@ class ColumnarStatistics(StatisticsBase):
     builds: int = 0
     refreshes: int = 0
     delta_applies: int = 0
-    mask_filters: int = 0
     row_filters: int = 0
     sketches_built: int = 0
     sketch_fast_paths: int = 0
@@ -253,7 +222,6 @@ class ColumnarFragment:
         "_graph_ref",
         "statistics",
         "labels",
-        "_np",
         "_built_version",
         # stores
         "_pos",
@@ -264,9 +232,6 @@ class ColumnarFragment:
         "_counts",
         "_overlay_labels",
         "_overlay_profiles",
-        # numpy views over the _label_ids / _counts buffers (None without numpy)
-        "_label_array",
-        "_count_matrix",
         # caches
         "_requirements",
         "_requirements_labels",
@@ -305,8 +270,6 @@ class ColumnarFragment:
     def _compile(self) -> None:
         graph = self.graph
         table = graph.label_table  # shared, append-only; tops itself up
-        np = numpy_or_none()
-        self._np = np
         pos = {node: position for position, node in enumerate(graph._labels)}
         num_nodes = len(pos)
         label_ids = array("q", map(table.intern, graph._labels.values()))
@@ -341,15 +304,6 @@ class ColumnarFragment:
             base = position * num_columns
             for triple, count in profile.items():
                 counts[base + columns[triple]] = count
-        if np is not None:
-            # Views, not copies: per-node probes read python ints off the
-            # array('q') buffers, whole-pool operations go through these.
-            self._label_array = np.frombuffer(label_ids, dtype=np.int64)
-            self._count_matrix = np.frombuffer(counts, dtype=np.int64).reshape(
-                num_nodes, num_columns
-            )
-        else:
-            self._label_array = self._count_matrix = None
         self.labels = table
         self._pos = pos
         self._label_ids = label_ids
@@ -377,11 +331,6 @@ class ColumnarFragment:
     def is_stale(self) -> bool:
         """Whether the graph has mutated since the last compile or patch."""
         return self.graph.version != self._built_version
-
-    @property
-    def pristine(self) -> bool:
-        """Whether no patch overlays are present (the pool mask may run)."""
-        return not (self._overlay_labels or self._overlay_profiles)
 
     def refresh(self) -> None:
         """Bring every store and cache up to date with the graph.
@@ -418,8 +367,7 @@ class ColumnarFragment:
         Requires ``delta.base_version`` to equal :attr:`built_version`
         (returns ``False``, leaving everything untouched, otherwise).  After
         the patch every probe answers exactly as a fresh compile at
-        ``delta.result_version`` would; only the whole-array pool mask
-        (:attr:`pristine`) is suspended until the next recompile.
+        ``delta.result_version`` would.
         """
         if delta.base_version != self._built_version:
             return False
@@ -676,33 +624,13 @@ class ColumnarFragment:
         """Pool members whose label + profile satisfy *requirement*.
 
         A necessary-condition filter: every returned node may still fail the
-        full search, but no dropped node could have matched.  With numpy and
-        a pristine structure the whole pool is masked in a few array
-        operations; otherwise each member gets an int row comparison (still
-        no string hashing).
+        full search, but no dropped node could have matched.  Each member
+        gets an int row comparison (no string hashing); the survivors keep
+        pool order.
         """
         self._check()
         if requirement.label_id < 0:
             return []
-        np = self._np
-        if np is not None and self.pristine and not requirement.missing:
-            pool_list = list(pool)
-            positions = np.fromiter(
-                (self._pos.get(node, -1) for node in pool_list),
-                dtype=np.int64,
-                count=len(pool_list),
-            )
-            known = positions >= 0
-            safe = np.where(known, positions, 0)
-            keep = known & (self._label_array[safe] == requirement.label_id)
-            if requirement.pairs:
-                cols, needs = zip(*requirement.pairs)
-                keep &= (
-                    self._count_matrix[safe][:, np.asarray(cols, dtype=np.int64)]
-                    >= np.asarray(needs, dtype=np.int64)
-                ).all(axis=1)
-            self.statistics.mask_filters += 1
-            return [node for node, ok in zip(pool_list, keep) if ok]
         self.statistics.row_filters += 1
         return [node for node in pool if self._dominates_unchecked(node, requirement)]
 
@@ -778,11 +706,9 @@ class ColumnarFragment:
     def __repr__(self) -> str:
         graph = self._graph_ref()
         name = graph.name if graph is not None else "<collected>"
-        backend = "numpy" if self._np is not None else "array"
         return (
-            f"ColumnarFragment(graph={name!r}, backend={backend}, "
-            f"version={self._built_version}, nodes={len(self._pos)}, "
-            f"columns={self._num_columns}, pristine={self.pristine})"
+            f"ColumnarFragment(graph={name!r}, version={self._built_version}, "
+            f"nodes={len(self._pos)}, columns={self._num_columns})"
         )
 
 

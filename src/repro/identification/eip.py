@@ -48,7 +48,7 @@ class EIPConfig:
     executor_workers: int | None = None
 
     def __post_init__(self) -> None:
-        if self.eta <= 0:
+        if not self.eta > 0:  # also NaN, which no confidence reaches
             raise IdentificationError(f"eta must be > 0, got {self.eta}")
         if self.num_workers < 1:
             raise IdentificationError(f"num_workers must be >= 1, got {self.num_workers}")

@@ -13,8 +13,8 @@ registered a :class:`repro.graph.columnar.ColumnarFragment` (the executors
 do, for every fragment they start) label candidate sets, labelled neighbour
 sets and k-hop sketches are dict lookups, the per-state degree check is an
 int row comparison against a precomputed profile matrix, anchored
-``match_set`` pools are label-bucketed and profile-prefiltered — vectorized
-when numpy is available (docs/columnar.md).  A transient graph with
+``match_set`` pools are label-bucketed and profile-prefiltered by the same
+row comparison (docs/columnar.md).  A transient graph with
 nothing registered (an extracted d-ball, the coordinator's authoritative
 graph) is probed raw, and
 so is any graph while a ``batch_update`` is open on it (a half-applied

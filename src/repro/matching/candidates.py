@@ -3,8 +3,8 @@
 Every helper accepts the graph's optional resident structure
 (:class:`repro.graph.columnar.ColumnarFragment`); when one is supplied the
 probe is answered from it — a frozen label bucket, an int row comparison
-against the precomputed profile matrix, with numpy one mask over a whole
-pool — instead of being re-derived from the raw graph (an O(degree) walk).
+against the precomputed profile matrix — instead of being re-derived from
+the raw graph (an O(degree) walk).
 The results are identical by construction: the structure is a re-encoding
 of exactly these quantities, and the label and profile-domination checks
 are necessary conditions for an isomorphism match, so filtering never

@@ -28,7 +28,6 @@ the coordinator and travels inside payloads.
 
 from __future__ import annotations
 
-import sys
 import time
 import traceback
 from dataclasses import dataclass, field
@@ -74,11 +73,9 @@ def init_worker(fragments: Sequence[Fragment], build_resident: bool = True) -> N
     With *build_resident* (the default) each fragment's resident
     :class:`~repro.graph.columnar.ColumnarFragment` is compiled here, once
     per worker process, so every round's matching work starts warm.  It
-    times itself and notes whether the compile had to import numpy (a forked
-    child inherits the parent's): ``pool.init_seconds`` and
-    ``pool.numpy_imports``, shipped by the process's first task.
+    times itself: ``pool.init_seconds``, shipped by the process's first task.
     """
-    started, had_numpy = time.perf_counter(), "numpy" in sys.modules
+    started = time.perf_counter()
     from repro.graph.columnar import columnar_view
 
     _FRAGMENTS.clear()
@@ -87,10 +84,7 @@ def init_worker(fragments: Sequence[Fragment], build_resident: bool = True) -> N
         _FRAGMENTS[fragment.index] = fragment
         if build_resident:
             columnar_view(fragment.graph)
-    _COLD_START.update({
-        "pool.init_seconds": time.perf_counter() - started,
-        "pool.numpy_imports": int(not had_numpy and "numpy" in sys.modules),
-    })
+    _COLD_START["pool.init_seconds"] = time.perf_counter() - started
 
 
 def context_for(fragment_id: int) -> WorkerContext:

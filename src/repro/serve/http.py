@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Any, Awaitable, Callable
@@ -90,9 +91,12 @@ class Request:
         if raw is None:
             return default
         try:
-            return float(raw)
+            value = float(raw)
         except ValueError:
             raise ProtocolError(f"query parameter {name!r} must be a number, got {raw!r}") from None
+        if not math.isfinite(value):  # a NaN long-poll timeout never expires
+            raise ProtocolError(f"query parameter {name!r} must be finite, got {raw!r}")
+        return value
 
 
 @dataclass

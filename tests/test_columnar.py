@@ -1,19 +1,16 @@
 """Unit tests of the columnar fragment kernel (repro.graph.columnar).
 
 Covers the LabelTable interning contract, the compiled-requirement filter
-against its dict-path definition on both the numpy and the pure-``array``
-backend, delta-driven patching (overlays answer probes exactly like a
-fresh compile; the vectorized pool mask suspends until the next compile
-boundary), the probe-time staleness guard, and the
+against its dict-path definition, delta-driven patching (overlays answer
+probes exactly like a fresh compile and fold back into the arrays at the
+next compile boundary), the probe-time staleness guard, and the
 per-process registry.  Cross-implementation equivalence at scale lives in
 tests/test_columnar_equivalence.py.
 """
 
 from __future__ import annotations
 
-import os
 import pickle
-from contextlib import contextmanager
 
 import pytest
 
@@ -24,8 +21,6 @@ from repro.graph.columnar import (
     LabelTable,
     columnar_view,
     discard_columnar,
-    numpy_active,
-    numpy_or_none,
     registered_columnar,
 )
 from repro.matching import VF2Matcher
@@ -33,27 +28,6 @@ from repro.matching.candidates import degree_consistent
 from repro.pattern import Pattern
 from repro.stream import random_update_batch
 from repro.testing import ReferenceMatcher
-
-
-@contextmanager
-def numpy_disabled(disabled: bool = True):
-    """Force the pure-``array`` code path for compiles inside the block."""
-    if not disabled:
-        yield
-        return
-    previous = os.environ.get("REPRO_NO_NUMPY")
-    os.environ["REPRO_NO_NUMPY"] = "1"
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_NO_NUMPY", None)
-        else:
-            os.environ["REPRO_NO_NUMPY"] = previous
-
-
-#: Both compile backends when numpy is importable, else just the stdlib one.
-BACKENDS = [True, False] if numpy_or_none() is not None else [False]
 
 
 def _small_graph(seed: int = 3) -> Graph:
@@ -101,41 +75,20 @@ class TestLabelTable:
 
 
 # ----------------------------------------------------------------------
-# numpy feature probe
-# ----------------------------------------------------------------------
-def test_probe_honours_disable_env():
-    with numpy_disabled():
-        assert numpy_or_none() is None
-        assert not numpy_active()
-
-
-@pytest.mark.parametrize("use_numpy", BACKENDS)
-def test_compile_backend_follows_probe(use_numpy):
-    graph = _small_graph()
-    with numpy_disabled(not use_numpy):
-        view = ColumnarFragment(graph)
-    assert ("numpy" in repr(view)) == use_numpy
-
-
-# ----------------------------------------------------------------------
 # probes against the dict-path definitions
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("use_numpy", BACKENDS)
-def test_buckets_match_graph(use_numpy):
+def test_buckets_match_graph():
     graph = _small_graph()
-    with numpy_disabled(not use_numpy):
-        view = ColumnarFragment(graph)
+    view = ColumnarFragment(graph)
     for label in graph.node_labels():
         assert view.nodes_with_label(label) == graph.nodes_with_label(label)
     assert view.nodes_with_label("no-such-label") == frozenset()
 
 
-@pytest.mark.parametrize("use_numpy", BACKENDS)
-def test_filter_candidates_equals_dict_filter(use_numpy):
+def test_filter_candidates_equals_dict_filter():
     graph = _small_graph()
     pattern = _pattern_for(graph).expanded()
-    with numpy_disabled(not use_numpy):
-        view = ColumnarFragment(graph)
+    view = ColumnarFragment(graph)
     pool = sorted(graph.nodes(), key=str)
     for pattern_node in pattern.nodes():
         requirement = view.compile_requirement(pattern, pattern_node)
@@ -167,56 +120,49 @@ def test_unknown_pattern_label_filters_everything():
 # ----------------------------------------------------------------------
 # invalidation: patch overlays and recompiles
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("use_numpy", BACKENDS)
-def test_patched_view_answers_like_a_fresh_compile(use_numpy, monkeypatch):
+def test_patched_view_answers_like_a_fresh_compile(monkeypatch):
     monkeypatch.setattr(columnar, "DELTA_REBUILD_FRACTION", 1.0)  # always patch
     graph = _small_graph(seed=5)
     pattern = _pattern_for(graph).expanded()
-    with numpy_disabled(not use_numpy):
-        view = ColumnarFragment(graph)
-        for position in range(3):
-            batch = random_update_batch(graph, size=6, seed=40 + position)
-            batch.apply(graph)
-            view.refresh()
-            assert view.built_version == graph.version
-            assert view.statistics.delta_applies > 0
-            assert not view.is_stale
-            for label in graph.node_labels():
-                assert view.nodes_with_label(label) == graph.nodes_with_label(label)
-            pool = sorted(graph.nodes(), key=str)
-            for pattern_node in pattern.nodes():
-                requirement = view.compile_requirement(pattern, pattern_node)
-                assert view.filter_candidates(pool, requirement) == [
-                    node
-                    for node in pool
-                    if graph.node_label(node) == pattern.label(pattern_node)
-                    and degree_consistent(graph, node, pattern, pattern_node)
-                ]
+    view = ColumnarFragment(graph)
+    for position in range(3):
+        batch = random_update_batch(graph, size=6, seed=40 + position)
+        batch.apply(graph)
+        view.refresh()
+        assert view.built_version == graph.version
+        assert view.statistics.delta_applies > 0
+        assert not view.is_stale
+        for label in graph.node_labels():
+            assert view.nodes_with_label(label) == graph.nodes_with_label(label)
+        pool = sorted(graph.nodes(), key=str)
+        for pattern_node in pattern.nodes():
+            requirement = view.compile_requirement(pattern, pattern_node)
+            assert view.filter_candidates(pool, requirement) == [
+                node
+                for node in pool
+                if graph.node_label(node) == pattern.label(pattern_node)
+                and degree_consistent(graph, node, pattern, pattern_node)
+            ]
 
 
-def test_patched_view_suspends_vectorized_paths_until_recompile(monkeypatch):
+def test_compile_boundary_folds_overlays_into_the_arrays(monkeypatch):
     monkeypatch.setattr(columnar, "DELTA_REBUILD_FRACTION", 1.0)
     graph = _small_graph(seed=6)
     pattern = _pattern_for(graph).expanded()
     view = columnar_view(graph)  # registered: matchers probe it
-    assert view.pristine
     batch = random_update_batch(graph, size=6, seed=9)
     batch.apply(graph)
     view.refresh()
-    if view.pristine:  # a net-empty batch leaves no overlays; force one
+    if not view._overlay_labels:  # a net-empty batch leaves no overlays; force one
         graph.add_node("overlay-probe", sorted(graph.node_labels())[0])
         view.refresh()
-    assert not view.pristine
+    assert view._overlay_labels and view.statistics.builds == 1
     pool = sorted(graph.nodes(), key=str)
-    requirement = view.compile_requirement(pattern, pattern.x)
-    survivors = view.filter_candidates(pool, requirement)  # row checks, no mask
-    assert (view.statistics.mask_filters, view.statistics.row_filters) == (0, 1)
+    survivors = view.filter_candidates(pool, view.compile_requirement(pattern, pattern.x))
     assert VF2Matcher().match_set(graph, pattern) == ReferenceMatcher().match_set(graph, pattern)
-    assert view.statistics.mask_filters == 0, "a patched view must not take the mask path"
-    view._build()  # the compile boundary restores the fast path
-    assert view.pristine
+    view._build()  # the compile boundary: every row back in the arrays
+    assert not (view._overlay_labels or view._overlay_profiles)
     assert view.filter_candidates(pool, view.compile_requirement(pattern, pattern.x)) == survivors
-    assert view.statistics.mask_filters == (1 if numpy_active() else 0)
 
 
 def test_rebuild_fraction_zero_always_recompiles(monkeypatch):
@@ -227,7 +173,7 @@ def test_rebuild_fraction_zero_always_recompiles(monkeypatch):
     graph.add_node("fresh", sorted(graph.node_labels())[0])
     view.refresh()
     assert view.statistics.builds == builds_before + 1
-    assert view.pristine and view.built_version == graph.version
+    assert not view._overlay_labels and view.built_version == graph.version
 
 
 def test_apply_delta_rejects_wrong_base_version():

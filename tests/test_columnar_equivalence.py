@@ -10,21 +10,18 @@ definitions byte for byte.  Three layers of evidence:
   label buckets, candidate filtering and view-served VF2 match sets against
   the dict-path oracles after every step — and, after a chain of patches, every
   probe (stores and lazily filled caches alike) against a fresh compile of
-  the final graph — on both the numpy and the pure-array backend;
+  the final graph;
 * ~50 seeded random graph/pattern pairs run VF2 and guided
   search on a resident graph, requiring the
   matches of :class:`repro.testing.ReferenceMatcher` (raw probes, nothing
   resident);
-* full DMine / EIP pipelines run across both execution backends ×
-  numpy {available, disabled}, each held to the reference evaluation of the
-  same rules.
+* full DMine / EIP pipelines run across the execution backends, each held
+  to the reference evaluation of the same rules.
 """
 
 from __future__ import annotations
 
-import os
 import random
-from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,7 +30,7 @@ from repro.datasets import generate_gpars, most_frequent_predicates, synthetic_g
 from repro.exceptions import NodeNotFoundError
 from repro.graph import Graph
 from repro.graph import columnar
-from repro.graph.columnar import ColumnarFragment, columnar_view, numpy_or_none
+from repro.graph.columnar import ColumnarFragment, columnar_view
 from repro.identification import identify_entities
 from repro.matching import GuidedMatcher, VF2Matcher
 from repro.matching.candidates import degree_consistent
@@ -48,33 +45,6 @@ SEEDS = range(50)
 
 NODE_LABELS = ["person", "city", "shop", "item"]
 EDGE_LABELS = ["knows", "lives", "buys", "sells"]
-
-
-@contextmanager
-def numpy_disabled(disabled: bool = True):
-    """Force the pure-``array`` code path for compiles inside the block.
-
-    The probe re-resolves per compile, so flipping the environment variable
-    is enough — no reimport needed.  (A plain context manager instead of
-    monkeypatch: hypothesis forbids function-scoped fixtures under @given.)
-    """
-    if not disabled:
-        yield
-        return
-    previous = os.environ.get("REPRO_NO_NUMPY")
-    os.environ["REPRO_NO_NUMPY"] = "1"
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_NO_NUMPY", None)
-        else:
-            os.environ["REPRO_NO_NUMPY"] = previous
-
-
-#: numpy-mode legs worth running: the pure-array path always, the numpy
-#: path whenever the interpreter has numpy importable.
-NUMPY_MODES = [True, False] if numpy_or_none() is not None else [False]
 
 
 # ----------------------------------------------------------------------
@@ -150,17 +120,16 @@ def _assert_view_matches_dicts(graph: Graph, view: ColumnarFragment, rng: random
     assert VF2Matcher().match_set(graph, pattern) == ReferenceMatcher().match_set(graph, pattern)
 
 
-@pytest.mark.parametrize("use_numpy", NUMPY_MODES)
 @given(
     graph=random_graphs(),
     seed=st.integers(min_value=0, max_value=10_000),
     always_patch=st.booleans(),
 )
 @settings(max_examples=30, deadline=None)
-def test_columnar_tracks_random_deltas(use_numpy, graph, seed, always_patch):
+def test_columnar_tracks_random_deltas(graph, seed, always_patch):
     """compile → batch_update → recompile-or-patch → equality, repeatedly."""
     rng = random.Random(seed)
-    with numpy_disabled(not use_numpy), pytest.MonkeyPatch.context() as patch:
+    with pytest.MonkeyPatch.context() as patch:
         # A rebuild fraction of 1.0 forces the delta-patch path, 0.0 forces a
         # full recompile at every refresh; both must stay exact.
         patch.setattr(columnar, "DELTA_REBUILD_FRACTION", 1.0 if always_patch else 0.0)
@@ -176,13 +145,12 @@ def test_columnar_tracks_random_deltas(use_numpy, graph, seed, always_patch):
             _assert_view_matches_dicts(graph, view, rng)
 
 
-@pytest.mark.parametrize("use_numpy", NUMPY_MODES)
 @given(graph=random_graphs(), seed=st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=20, deadline=None)
-def test_batch_update_then_recompile_equals_fresh_compile(use_numpy, graph, seed):
+def test_batch_update_then_recompile_equals_fresh_compile(graph, seed):
     """A patched-then-recompiled view is indistinguishable from a fresh one."""
     rng = random.Random(seed)
-    with numpy_disabled(not use_numpy), pytest.MonkeyPatch.context() as patch:
+    with pytest.MonkeyPatch.context() as patch:
         patch.setattr(columnar, "DELTA_REBUILD_FRACTION", 1.0)
         view = columnar_view(graph)  # registered: VF2 probes it
         batch = random_update_batch(
@@ -192,7 +160,7 @@ def test_batch_update_then_recompile_equals_fresh_compile(use_numpy, graph, seed
         view.refresh()
         view._build()  # the lifecycle-owned compile boundary
         fresh = ColumnarFragment(graph)
-        assert view.pristine and fresh.pristine
+        assert not (view._overlay_labels or view._overlay_profiles)
         for label in graph.node_labels():
             assert view.nodes_with_label(label) == fresh.nodes_with_label(label)
         pattern = _pattern_from_graph(graph, rng)
@@ -213,10 +181,9 @@ def _warm_caches(graph: Graph, view: ColumnarFragment) -> None:
             view.in_neighbors(node, label)
 
 
-@pytest.mark.parametrize("use_numpy", NUMPY_MODES)
 @given(graph=random_graphs(), seed=st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=25, deadline=None)
-def test_patched_structure_equals_fresh_compile_on_every_probe(use_numpy, graph, seed):
+def test_patched_structure_equals_fresh_compile_on_every_probe(graph, seed):
     """A chain of patches leaves *every* probe equal to a fresh compile's.
 
     Stores and caches alike: label buckets, node labels, decoded profiles
@@ -226,7 +193,7 @@ def test_patched_structure_equals_fresh_compile_on_every_probe(use_numpy, graph,
     """
     rng = random.Random(seed)
     removed: set = set()
-    with numpy_disabled(not use_numpy), pytest.MonkeyPatch.context() as patch:
+    with pytest.MonkeyPatch.context() as patch:
         # 1.0: patch unless a batch touches more nodes than the graph keeps.
         patch.setattr(columnar, "DELTA_REBUILD_FRACTION", 1.0)
         view = ColumnarFragment(graph)
@@ -271,7 +238,7 @@ def _workload(seed: int):
     """One seeded random (graph, patterns) pair, small enough to enumerate.
 
     The graph comes back resident the way an executor leaves a fragment:
-    its (pristine) structure registered.
+    its freshly compiled structure registered.
     """
     graph = synthetic_graph(
         num_nodes=40 + (seed % 5) * 10,
@@ -318,7 +285,7 @@ def test_guided_columnar_equals_dict(seed):
 
 
 # ----------------------------------------------------------------------
-# full pipelines: backends × numpy modes, each equal to the reference
+# full pipelines: every backend equal to the reference
 # ----------------------------------------------------------------------
 def _eip_fingerprint(result):
     return (
@@ -340,24 +307,22 @@ def test_eip_one_fingerprint_across_backends_columnar_and_numpy_modes():
     rules = generate_gpars(graph, predicate, count=3, max_pattern_edges=3, d=2, seed=0)
 
     expected = _eip_fingerprint(reference_identify(graph, rules, eta=0.5))
-    for use_numpy in NUMPY_MODES:
-        with numpy_disabled(not use_numpy):
-            for backend in BACKENDS:
-                result = identify_entities(
-                    graph,
-                    rules,
-                    eta=0.5,
-                    num_workers=2,
-                    algorithm="match",
-                    backend=backend,
-                    executor_workers=2,
-                )
-                assert _eip_fingerprint(result) == expected, (use_numpy, backend)
+    for backend in BACKENDS:
+        result = identify_entities(
+            graph,
+            rules,
+            eta=0.5,
+            num_workers=2,
+            algorithm="match",
+            backend=backend,
+            executor_workers=2,
+        )
+        assert _eip_fingerprint(result) == expected, backend
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_dmine_equivalent_across_columnar_modes(backend):
-    """Mined rules carry their reference supports, numpy on or off."""
+    """Mined rules carry their reference supports on every backend."""
     graph = synthetic_graph(150, 450, num_node_labels=6, num_edge_labels=4, seed=2)
     predicate = most_frequent_predicates(graph, top=1)[0]
     config = DMineConfig(
@@ -372,12 +337,10 @@ def test_dmine_equivalent_across_columnar_modes(backend):
         executor_workers=2,
     )
     reference = ReferenceMatcher()
-    for use_numpy in NUMPY_MODES:
-        with numpy_disabled(not use_numpy):
-            result = dmine(graph, predicate, config)
-        assert result.all_rules
-        for rule, info in result.all_rules.items():
-            evaluation = evaluate_rule(graph, rule, matcher=reference)
-            assert info.support == evaluation.supp_r, (use_numpy, rule.name)
-            assert frozenset(info.matches) == evaluation.rule_matches, rule.name
-            assert info.confidence == pytest.approx(evaluation.confidence), rule.name
+    result = dmine(graph, predicate, config)
+    assert result.all_rules
+    for rule, info in result.all_rules.items():
+        evaluation = evaluate_rule(graph, rule, matcher=reference)
+        assert info.support == evaluation.supp_r, rule.name
+        assert frozenset(info.matches) == evaluation.rule_matches, rule.name
+        assert info.confidence == pytest.approx(evaluation.confidence), rule.name

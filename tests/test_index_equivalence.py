@@ -6,10 +6,10 @@ byte-identical matches and match counts to
 :class:`repro.testing.ReferenceMatcher`, which probes the raw graph and
 keeps nothing.  This suite drives ~50 seeded random graph/pattern pairs
 through VF2 and guided search on a resident graph whose
-structure has been *delta-patched* — overlays present, whole-array kernels
-suspended — so the per-node probes and the frozen adjacency views carry
-every query (tests/test_columnar_equivalence.py runs the same seeds on a
-pristine structure).  It additionally runs full DMine / EIP pipelines
+structure has been *delta-patched* — overlays present — so the overlay
+rows and the frozen adjacency views carry the touched nodes' queries
+(tests/test_columnar_equivalence.py runs the same seeds on a freshly
+compiled structure).  It additionally runs full DMine / EIP pipelines
 across both execution backends, holding each to the reference
 evaluation of the same rules.
 """
@@ -34,8 +34,8 @@ def _workload(seed: int):
     """One seeded random (graph, patterns) pair, small enough to enumerate.
 
     The graph comes back resident and patched (one node and edge added after
-    the compile), so the production matchers below run their per-node,
-    view-served probes rather than the whole-array kernels.
+    the compile), so the production matchers below read overlay rows beside
+    the compiled arrays.
     """
     graph = synthetic_graph(
         num_nodes=40 + (seed % 5) * 10,
@@ -49,7 +49,7 @@ def _workload(seed: int):
     graph.add_node("patched-in", graph.node_label(anchor))
     graph.add_edge("patched-in", anchor, min(graph.edge_labels()))
     resident.refresh()
-    assert not resident.pristine and resident.statistics.builds == 1
+    assert resident._overlay_labels and resident.statistics.builds == 1
     predicate = most_frequent_predicates(graph, top=1)[0]
     rules = generate_gpars(
         graph, predicate, count=2, max_pattern_edges=3, d=2, seed=seed

@@ -503,7 +503,6 @@ class TestTracedStreamingTick:
         ``repro_columnar_*``, and its one refresh per stale fragment inside
         a ``stream.worker.index_refresh`` span.
         """
-        from repro.graph import numpy_active
         from repro.identification import EIPConfig
         from repro.stream import StreamingIdentifier, random_update_batch
 
@@ -529,11 +528,8 @@ class TestTracedStreamingTick:
                 "repro_index_delta_applies_total",
                 "repro_index_sketches_built_total",
                 "repro_columnar_row_filters_total",
-                "repro_columnar_mask_filters_total",
             )
         }
-        if not numpy_active():  # the pool mask is the numpy leg's filter
-            del counters["repro_columnar_mask_filters_total"]
         assert all(value > 0 for value in counters.values()), counters
         records = tracer.records()
         refreshes = [r for r in records if r["name"] == "stream.worker.index_refresh"]

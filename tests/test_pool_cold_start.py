@@ -1,17 +1,16 @@
-"""A process pool's cold start, counted: ``repro_pool_*_total``.
+"""No process imports numpy; a process pool's cold start is counted.
 
-``init_worker`` times itself and notes whether compiling the resident
-structures made it import numpy; each pool process ships both with its first
-task's metrics delta while ``REPRO_OBS`` is on.  A forked child inherits
-numpy from the parent, which imports it before starting a pool that will
-build resident structures, so after a processes-backend run on Linux with
-numpy installed the pool has imported numpy zero times.
+The core is dependency-free, so nothing on the paths a deployment runs
+— mining, a processes-backend identify (whose forked pool workers compile
+their fragments' resident structures), a streaming session's tick — may
+import numpy, even where it is installed.  Each leg runs in a fresh
+interpreter whose ``sys.path`` starts with a stub ``numpy`` package: the stub
+records every import attempt to a file (from whichever process made it)
+and then raises ``ImportError``.  The record must stay empty.
 
-Every leg starts from an interpreter that has not loaded numpy, and sets
-``REPRO_NO_NUMPY`` itself: one identify with numpy enabled (the parent loads
-it, the children do not), one with ``REPRO_NO_NUMPY=1`` (nobody loads it),
-and one pool initializer run straight in such an interpreter, which has to
-import numpy itself and says so.
+``init_worker`` times itself, and each pool process ships
+``pool.init_seconds`` with its first task's metrics delta while
+``REPRO_OBS`` is on (``repro_pool_init_seconds_total``).
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from pathlib import Path
 
 import pytest
 
-pytest.importorskip("numpy")
 pytestmark = pytest.mark.skipif(
     not sys.platform.startswith("linux"), reason="the pool forks only on Linux"
 )
@@ -32,50 +30,53 @@ pytestmark = pytest.mark.skipif(
 PREDICATE = "user:like_book:personal development"
 ROOT = Path(__file__).resolve().parents[1]
 
-_IDENTIFY = """
+_STUB = """
+import os
+with open({record!r}, "a") as record:
+    record.write(f"{{os.getpid()}}\\n")
+raise ImportError("numpy is stubbed out in this interpreter")
+"""
+
+_PIPELINE = """
 import json, sys
 from repro import api
 from repro.datasets import generate_gpars, pokec_like
 from repro.identification import EIPConfig
+from repro.mining import DMineConfig
 from repro.obs import registry
+from repro.stream import random_update_batch
 
 graph = pokec_like(40, 3, seed=7)
-rules = generate_gpars(graph, api.parse_predicate(sys.argv[1]), count=4, max_pattern_edges=3, d=2, seed=5)
-loaded_before = "numpy" in sys.modules
+predicate = api.parse_predicate(sys.argv[1])
+api.mine(graph, predicate, DMineConfig(k=2, sigma=2, max_edges=2))
+rules = generate_gpars(graph, predicate, count=4, max_pattern_edges=3, d=2, seed=5)
 api.identify(graph, rules, EIPConfig(eta=0.5, num_workers=2, backend="processes", executor_workers=2))
-print(json.dumps({
-    "loaded_before": loaded_before,
-    "loaded_after": "numpy" in sys.modules,
-    "counters": registry().counters("repro_pool_"),
-}))
+with api.open_session(graph, rules, config=EIPConfig(eta=0.5)) as session:
+    session.apply(random_update_batch(graph, size=3, seed=11))
+print(json.dumps({"counters": registry().counters("repro_pool_")}))
 """
 
 _INITIALIZER = """
-import json, sys
+import json
 from repro.datasets import pokec_like
 from repro.parallel.worker import init_worker, run_task
 from repro.partition import partition_graph
 
 graph = pokec_like(40, 3, seed=7)
 fragments = partition_graph(graph, 2, centers=graph.nodes_with_label("user"), d=2)
-loaded_before = "numpy" in sys.modules
 init_worker(fragments)
 first = run_task(lambda context, payload: None, 0, None)[3]
 second = run_task(lambda context, payload: None, 1, None)[3] or {}
-print(json.dumps({"loaded_before": loaded_before, "first": first, "second": second}))
+print(json.dumps({"first": first, "second": second}))
 """
 
 
-def _run(script: str, *args: str, no_numpy: bool = False) -> dict:
-    environment = {
-        key: value for key, value in os.environ.items() if key != "REPRO_NO_NUMPY"
-    }
+def _run(script: str, *args: str, stub: Path) -> dict:
+    environment = dict(os.environ)
     environment["REPRO_OBS"] = "1"
     environment["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
+        filter(None, [str(stub), str(ROOT / "src"), os.environ.get("PYTHONPATH")])
     )
-    if no_numpy:
-        environment["REPRO_NO_NUMPY"] = "1"
     child = subprocess.run(
         [sys.executable, "-c", script, *args],
         env=environment, capture_output=True, text=True, timeout=120,
@@ -84,25 +85,27 @@ def _run(script: str, *args: str, no_numpy: bool = False) -> dict:
     return json.loads(child.stdout)
 
 
-def test_forked_children_inherit_numpy_from_the_parent():
-    run = _run(_IDENTIFY, PREDICATE)
-    assert not run["loaded_before"], "the leg must start without numpy"
-    assert run["loaded_after"], "the parent imports numpy before it forks"
-    assert run["counters"]["repro_pool_numpy_imports_total"] == 0
+@pytest.fixture
+def numpy_stub(tmp_path) -> tuple[Path, Path]:
+    """``(sys.path entry holding a stub numpy, file it records imports to)``."""
+    record = tmp_path / "numpy-imports.txt"
+    record.touch()
+    package = tmp_path / "stub" / "numpy"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text(_STUB.format(record=str(record)))
+    return package.parent, record
+
+
+def test_no_process_imports_numpy(numpy_stub):
+    stub, record = numpy_stub
+    run = _run(_PIPELINE, PREDICATE, stub=stub)
+    assert record.read_text() == "", "these processes imported numpy"
     assert run["counters"]["repro_pool_init_seconds_total"] > 0
 
 
-def test_no_numpy_keeps_numpy_out_of_the_parent():
-    run = _run(_IDENTIFY, PREDICATE, no_numpy=True)
-    assert not run["loaded_before"] and not run["loaded_after"]
-    assert run["counters"]["repro_pool_numpy_imports_total"] == 0
-
-
-def test_an_initializer_that_imports_numpy_says_so_once():
-    """What every forked child paid before the parent imported numpy: the
-    counter reads 1 for it, and only the process's first task ships it."""
-    run = _run(_INITIALIZER)
-    assert not run["loaded_before"]
-    assert run["first"]["pool.numpy_imports"] == 1
+def test_only_a_process_first_task_ships_its_cold_start(numpy_stub):
+    stub, record = numpy_stub
+    run = _run(_INITIALIZER, stub=stub)
+    assert record.read_text() == ""
     assert run["first"]["pool.init_seconds"] > 0
     assert not any(key.startswith("pool.") for key in run["second"])

@@ -197,10 +197,11 @@ class TestSessionLifecycle:
         status, doc = _call("POST", f"{base}/sessions", {"predicate": "a:b:c"})
         assert status == 400 and "graph" in doc["error"]
         graph, _rules, predicate_text = _workload()
-        status, doc = _call(
-            "POST", f"{base}/sessions", _session_body(graph, predicate_text, eta=-1)
-        )
-        assert status == 400 and "eta" in doc["error"]
+        for eta in (-1, float("nan")):  # json.dumps spells NaN, json.loads reads it
+            status, doc = _call(
+                "POST", f"{base}/sessions", _session_body(graph, predicate_text, eta=eta)
+            )
+            assert status == 400 and "eta" in doc["error"], eta
         status, doc = _call(
             "POST", f"{base}/sessions", _session_body(graph, "not-a-predicate")
         )
@@ -330,6 +331,9 @@ class TestAnswerAndUpdates:
         assert _call("GET", f"{url}/answer?limit=zero")[0] == 400
         assert _call("POST", f"{url}/updates", {"ops": [{"kind": "explode"}]})[0] == 400
         assert _call("POST", f"{url}/updates", {"not_ops": []})[0] == 400
+        # A NaN long-poll timeout never expires: refused, not waited on.
+        since = created["graph_version"]
+        assert _call("GET", f"{url}/subscribe?since={since}&timeout=nan", timeout=10)[0] == 400
         _call("DELETE", url)
 
 

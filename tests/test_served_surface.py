@@ -164,4 +164,4 @@ def _environment_reads() -> dict[str, str]:
 def test_no_new_environment_knobs():
     """The environment switches diagnostics, never a threshold of the algorithms."""
     reads = _environment_reads()
-    assert set(reads) == {"REPRO_NO_NUMPY", "REPRO_OBS"}, reads
+    assert set(reads) == {"REPRO_OBS"}, reads

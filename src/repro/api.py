@@ -344,8 +344,8 @@ class Session:
             pinned = self.snapshot()
             inner = None
         else:
-            version, inner = _decode_cursor(cursor)
-            pinned = self.snapshot(int(version))
+            version, inner = _decode_cursor(cursor, (int,), (str, type(None)))
+            pinned = self.snapshot(version)
         page = pinned.result.pages(cursor=inner, limit=limit)
         if page.next_cursor is not None:
             page = AnswerPage(

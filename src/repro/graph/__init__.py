@@ -34,7 +34,6 @@ from repro.graph.sketch import (
     build_sketch,
     empty_sketch,
     sketch_dominates,
-    sketch_score,
 )
 from repro.graph.io import (
     graph_from_dict,
@@ -60,7 +59,6 @@ __all__ = [
     "build_sketch",
     "empty_sketch",
     "sketch_dominates",
-    "sketch_score",
     "ColumnarFragment",
     "ColumnarStatistics",
     "LabelTable",

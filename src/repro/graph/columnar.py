@@ -675,8 +675,8 @@ class ColumnarFragment:
         self._check()
         return self._neighborhoods.histogram(node, self._sketch_handle(node, hops))
 
-    def sketch_test(self, node: NodeId, hops: int, required: KHopSketch) -> tuple[bool, int]:
-        """``(sketch_dominates, sketch_score)`` of *node*'s sketch against *required*."""
+    def sketch_test(self, node: NodeId, hops: int, required: KHopSketch) -> bool:
+        """Whether *node*'s sketch dominates *required* (:func:`~repro.graph.sketch.sketch_dominates`)."""
         self._check()  # below, the hit path of _sketch_handle inlined: it runs per candidate
         handle = self._sketches.get(hops, _NO_VIEWS).get(node) or self._sketch_handle(node, hops)
         return self._neighborhoods.sketch_test(handle, required)

@@ -724,22 +724,32 @@ class Graph:
         )
 
     def induced_subgraph(self, node_ids: Iterable[NodeId], name: str | None = None) -> "Graph":
-        """Subgraph induced by *node_ids*: keeps all edges between them."""
+        """Subgraph induced by *node_ids*: keeps all edges between them.
+
+        Copied a row at a time: each kept node's out and in rows restricted to
+        the kept set (``targets & keep``, a fresh set — the subgraph shares no
+        set with this graph, and either may be mutated alone)."""
         keep = set(node_ids)
         missing = [node for node in keep if node not in self._labels]
         if missing:
             raise NodeNotFoundError(missing[0])
-        return Graph.from_parts(
-            ((node_id, self._labels[node_id], self._attrs.get(node_id)) for node_id in keep),
-            (
-                (node_id, target, label)
-                for node_id in keep
-                for label, targets in self._out[node_id].items()
-                for target in targets
-                if target in keep
-            ),
-            name=name or f"{self.name}|induced",
-        )
+        graph = Graph(name=name or f"{self.name}|induced")
+        counts = graph._edge_label_counts
+        for node_id in keep:
+            graph._store_node(node_id, self._labels[node_id], self._attrs.get(node_id))
+        for node_id in keep:
+            out, into = graph._out[node_id], graph._in[node_id]
+            for label, targets in self._out[node_id].items():
+                row = targets & keep
+                if row:
+                    out[label] = row
+                    counts[label] = counts.get(label, 0) + len(row)
+            for label, sources in self._in[node_id].items():
+                row = sources & keep
+                if row:
+                    into[label] = row
+        graph._num_edges = sum(counts.values())
+        return graph
 
     def descendants(self, node_id: NodeId) -> set[NodeId]:
         """All nodes reachable from *node_id* via directed paths (excluding it)."""

@@ -22,7 +22,7 @@ from typing import Hashable, Iterable
 
 from repro.exceptions import NodeNotFoundError
 from repro.graph.graph import Graph
-from repro.graph.sketch import KHopSketch, build_sketch, empty_sketch, sketch_dominates, sketch_score
+from repro.graph.sketch import KHopSketch, build_sketch, empty_sketch, sketch_dominates
 
 NodeId = Hashable
 
@@ -288,8 +288,8 @@ class Neighborhoods:
     def sketch_handle(self, node: NodeId, hops: int, isolated: bool = False):
         """What the resident structure caches of *node*'s sketch (*isolated*: it has no
         neighbour, skip the BFS): the KHopSketch on the set side; on the mask side the
-        rings (W1 … Wk) — within i hops, own bit cleared — and their total, which a
-        relabel leaves exact (no labels), plus the label counts tests took of them."""
+        rings (W1 … Wk) — within i hops, own bit cleared — which a relabel leaves
+        exact (no labels), plus the label counts tests took of them."""
         if not self.masks:
             graph = self._graph_ref()
             return empty_sketch(node, hops) if isolated else build_sketch(graph, node, hops, self._view)
@@ -299,19 +299,19 @@ class Neighborhoods:
             raise NodeNotFoundError(node)
         others = ~(1 << self._bit[node])
         rings = (0,) * hops if isolated else tuple(ring & others for ring in self.reach((node,), hops)[1:])
-        return [rings, rings[-1].bit_count(), self._relabels, [{} for _ in rings]]
+        return [rings, self._relabels, [{} for _ in rings]]
 
-    def sketch_test(self, handle, required: KHopSketch) -> tuple[bool, int]:
-        """``(sketch_dominates, sketch_score)`` of a sketch handle against *required*.
+    def sketch_test(self, handle, required: KHopSketch) -> bool:
+        """:func:`~repro.graph.sketch.sketch_dominates` of a sketch handle against *required*.
 
         A mask-side handle counts ``(W_h & label_mask).bit_count()`` when a test first
         needs it, and keeps it until a label mask moves a bit it had (relabel, removal)."""
         if not self.masks:
-            return sketch_dominates(handle, required), sketch_score(handle, required)
-        rings, total, relabels, counted = handle
+            return sketch_dominates(handle, required)
+        rings, relabels, counted = handle
         if relabels != self._relabels:
-            handle[2:] = self._relabels, [{} for _ in rings]
-            counted = handle[3]
+            handle[1:] = self._relabels, [{} for _ in rings]
+            counted = handle[2]
         last = len(rings) - 1
         for hop, needed in enumerate(required.prefix):
             at = hop if hop < last else last
@@ -321,14 +321,14 @@ class Neighborhoods:
                 if have is None:
                     have = known[label] = (ring & self._label_masks.get(label, 0)).bit_count()
                 if have < count:
-                    return False, total - required.total
-        return True, total - required.total
+                    return False
+        return True
 
     def histogram(self, node: NodeId, handle) -> KHopSketch:
         """The :class:`KHopSketch` a sketch handle of *node* stands for, labels as of now."""
         if not self.masks:
             return handle
-        rings, total = handle[:2]
+        rings = handle[0]
         prefix = tuple({} for _ in rings)
         for label, members in self._label_masks.items():
             if rings[-1] & members:
@@ -336,7 +336,7 @@ class Neighborhoods:
                     count = (ring & members).bit_count()
                     if count:
                         counts[label] = count
-        return KHopSketch(node=node, hops=len(rings), prefix=prefix, total=total)
+        return KHopSketch(node=node, hops=len(rings), prefix=prefix, total=rings[-1].bit_count())
 
     def size(self, handle) -> int:
         return handle.bit_count() if self.masks else len(handle)

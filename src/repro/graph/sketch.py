@@ -3,18 +3,16 @@
 For each node ``v`` the sketch ``K(v)`` summarises the frequency
 distribution ``Di`` of node labels at exactly hop ``i`` from ``v``
 (undirected), for ``i = 1..k``.  The optimised ``Match`` algorithm uses
-sketches in two ways:
+sketches for **pruning**: a graph node ``v`` cannot match a pattern node
+``u`` if for some hop the pattern requires more nodes of a label than ``v``
+has (:func:`sketch_dominates` is False).  The paper's second use, trying
+the candidate with the largest label surplus ``f(u′, v′)`` first, is not
+applied (see :mod:`repro.matching.guided`).
 
-* **pruning** — a graph node ``v`` cannot match a pattern node ``u`` if for
-  some hop the pattern requires more nodes of a label than ``v`` has
-  (:func:`sketch_dominates` is False);
-* **ordering** — among surviving candidates, the one with the largest label
-  surplus (:func:`sketch_score`) is tried first.
-
-Both tests compare *cumulative* counts, so a sketch stores its per-hop
+The test compares *cumulative* counts, so a sketch stores its per-hop
 prefix sums ``D1 + … + Di`` and its total instead of the raw histograms.
 :func:`build_sketch` is the set-at-a-time reference; the resident structure
-keeps a node's hop rings instead and answers both tests by popcount against
+keeps a node's hop rings instead and answers the test by popcount against
 the current label masks (:class:`repro.graph.neighborhood.Neighborhoods`).
 """
 
@@ -94,13 +92,3 @@ def sketch_dominates(candidate: KHopSketch, required: KHopSketch) -> bool:
                 return False
     return True
 
-
-def sketch_score(candidate: KHopSketch, required: KHopSketch) -> int:
-    """Total label-frequency surplus of *candidate* over *required*.
-
-    The paper's ``f(u', v') = Σ_i (Di - D'i)``: larger means the candidate has
-    more spare neighbourhood structure and is more likely to extend to a full
-    match, so guided search visits high-score candidates first.  Summed over
-    every hop and label the differences telescope to the totals' difference.
-    """
-    return candidate.total - required.total

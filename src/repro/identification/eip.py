@@ -112,13 +112,21 @@ def _encode_cursor(payload: list) -> str:
     return base64.urlsafe_b64encode(raw).decode("ascii")
 
 
-def _decode_cursor(cursor: str) -> list:
+def _decode_cursor(cursor: str, first: tuple, second: tuple) -> list:
+    """The ``[a, b]`` pair *cursor* encodes, ``type(a)`` in *first* and ``type(b)``
+    in *second* (exact types: a bool or a float is no int); otherwise
+    :class:`IdentificationError`."""
     try:
         raw = base64.urlsafe_b64decode(cursor.encode("ascii"))
         payload = json.loads(raw.decode("utf-8"))
     except (ValueError, binascii.Error, UnicodeDecodeError) as exc:
         raise IdentificationError(f"malformed answer cursor {cursor!r}") from exc
-    if not isinstance(payload, list) or len(payload) != 2:
+    if (
+        not isinstance(payload, list)
+        or len(payload) != 2
+        or type(payload[0]) not in first
+        or type(payload[1]) not in second
+    ):
         raise IdentificationError(f"malformed answer cursor {cursor!r}")
     return payload
 
@@ -191,9 +199,9 @@ class EIPResult:
         entries, keys = self._ordered_entries()
         start = 0
         if cursor is not None:
-            last_entity, last_index = _decode_cursor(cursor)
+            last_entity, last_index = _decode_cursor(cursor, (str,), (int,))
             # First entry strictly after the cursor's key.
-            start = bisect_right(keys, (str(last_entity), int(last_index)))
+            start = bisect_right(keys, (last_entity, last_index))
         page = entries[start : start + limit]
         next_cursor = None
         if start + limit < len(entries) and page:

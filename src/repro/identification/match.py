@@ -5,8 +5,9 @@ Three optimisations over :class:`repro.identification.MatchC`:
 * **early termination** — candidates are accepted on the first witnessing
   match (inherited from the anchored matcher interface, but here combined
   with the pruning below so far fewer search states are expanded);
-* **guided search** — the sketch-guided matcher orders and prunes candidate
-  assignments by k-hop neighbourhood sketches;
+* **guided search** — the sketch-guided matcher prunes candidate
+  assignments by k-hop neighbourhood sketches when it tries them (the
+  paper's surplus order is not applied, see :mod:`repro.matching.guided`);
 * **shared work across Σ** — antecedent prefixes common to several rules
   are matched once and their match sets reused as candidate pools, and each
   pool is checked against the rule's required adjacency profile (a

@@ -62,7 +62,9 @@ class _SearchPlan:
     order: list = field(default_factory=list)
     # For each position i >= 1: list of (edge, already_placed_is_source)
     connections: list = field(default_factory=list)
-    # hops -> the k-hop sketch each position requires (filled by GuidedMatcher)
+    # hops -> (when the profile test implies the anchor's sketch test, the
+    # self-loop labels that void it, else None; the sketch each position
+    # requires), filled by GuidedMatcher
     required_sketches: dict = field(default_factory=dict)
     # What an embedding aligned with ``order`` must satisfy, in positions:
     # (position, node label) per pattern node, (source, target, label) per edge.
@@ -300,13 +302,20 @@ class PlanMatcher(Matcher):
     """Anchored backtracking over the pattern's compiled search plan.
 
     Subclasses decide which data nodes may play a pattern node
-    (:meth:`_admits`) and the order candidates are tried in
+    (:meth:`_screen`, :meth:`_admits`) and the order candidates are tried in
     (:meth:`_ordered`); candidate generation from the plan's connections
-    and the backtracking itself are shared.
+    and the backtracking itself are shared.  A first match is one plain
+    recursion (:meth:`_first`); only full enumeration is a generator
+    (:meth:`_extend`).  Both try candidates in the same order and count the
+    same states, backtracks and matches up to the first match.
     """
 
     def find_match_at(self, graph: Graph, pattern: Pattern, anchor_value: NodeId) -> dict | None:
-        return next(self._search(graph, pattern.expanded(), anchor_value, first_only=True), None)
+        pattern = pattern.expanded()
+        start = self._start(graph, pattern, anchor_value)
+        if start is None:
+            return None
+        return self._first(graph, *start, 1, {pattern.x: anchor_value}, {anchor_value})
 
     def exists_match_at(self, graph: Graph, pattern: Pattern, anchor_value: NodeId) -> bool:
         store = self.witnesses
@@ -322,39 +331,46 @@ class PlanMatcher(Matcher):
                 return True
             self.statistics.witness_invalidated += 1
             del by_anchor[anchor_value]
-        mapping = next(self._search(graph, pattern, anchor_value, first_only=True), None)
+        mapping = self.find_match_at(graph, pattern, anchor_value)
         if mapping is None:
             return False
         by_anchor[anchor_value] = tuple(mapping[node] for node in plan.order)
         return True
 
     def iter_matches_at(self, graph: Graph, pattern: Pattern, anchor_value: NodeId) -> Iterator[dict]:
-        yield from self._search(graph, pattern.expanded(), anchor_value, first_only=False)
+        pattern = pattern.expanded()
+        start = self._start(graph, pattern, anchor_value)
+        if start is not None:
+            yield from self._extend(graph, *start, 1, {pattern.x: anchor_value}, {anchor_value})
 
     # -- what a subclass chooses ------------------------------------------
     def _admits(self, graph: Graph, resident, pattern: Pattern, plan, position: int, data_node) -> bool:
-        """Whether *data_node* may play ``plan.order[position]`` (its label already fits)."""
+        """Whether *data_node* may play ``plan.order[position]`` (its label already fits).
+        Past the anchor, a candidate it rejects still counts as a search state."""
         return True
 
-    @abstractmethod
+    def _screen(self, graph: Graph, resident, pattern: Pattern, plan, position: int):
+        """``None``, or the test each candidate for ``plan.order[position]`` must pass
+        when it is tried — before it counts as a search state."""
+        return None
+
     def _ordered(self, graph: Graph, resident, pattern: Pattern, plan, position: int, candidates):
         """*candidates* for ``plan.order[position]`` in the order to try them."""
+        return candidates
 
     # -- the shared search ------------------------------------------------
-    def _search(self, graph: Graph, pattern: Pattern, anchor_value: NodeId, first_only: bool):
-        if not graph.has_node(anchor_value):
-            return
-        if graph.node_label(anchor_value) != pattern.label(pattern.x):
-            return
+    def _start(self, graph: Graph, pattern: Pattern, anchor_value: NodeId):
+        """``(resident, pattern, plan)`` when *anchor_value* may play x, else ``None``."""
+        if not graph.has_node(anchor_value) or graph.node_label(anchor_value) != pattern.label(pattern.x):
+            return None
         resident = resident_view(graph)
         plan = search_plan(pattern, pattern.x)
         loops = plan.self_loops and plan.self_loops[0]
         if loops and not _loops_at(graph if resident is None else resident, anchor_value, loops):
-            return
+            return None
         if not self._admits(graph, resident, pattern, plan, 0, anchor_value):
-            return
-        mapping: dict = {pattern.x: anchor_value}
-        yield from self._extend(graph, resident, pattern, plan, 1, mapping, {anchor_value}, first_only)
+            return None
+        return resident, pattern, plan
 
     def _candidates(self, graph: Graph, resident, pattern: Pattern, plan, position: int, mapping: dict):
         """Data nodes with the right label, adjacent to the placed nodes as the
@@ -378,27 +394,46 @@ class PlanMatcher(Matcher):
         else:
             candidates = [node for node in candidates if graph.node_label(node) == node_label]
         loops = plan.self_loops and plan.self_loops[position]
-        return [node for node in candidates if _loops_at(source, node, loops)] if loops else candidates
+        candidates = [node for node in candidates if _loops_at(source, node, loops)] if loops else candidates
+        return self._ordered(graph, resident, pattern, plan, position, candidates)
+
+    def _first(
+        self, graph: Graph, resident, pattern: Pattern, plan, position: int, mapping: dict, used: set
+    ) -> dict | None:
+        """The first embedding extending *mapping* at *position*, or ``None``."""
+        if position == len(plan.order):
+            self.statistics.matches_found += 1
+            return dict(mapping)
+        node = plan.order[position]
+        screen = self._screen(graph, resident, pattern, plan, position)
+        for data_node in self._candidates(graph, resident, pattern, plan, position, mapping):
+            if data_node in used or screen is not None and not screen(data_node):
+                continue
+            self.statistics.states_expanded += 1
+            if not self._admits(graph, resident, pattern, plan, position, data_node):
+                continue
+            mapping[node] = data_node
+            used.add(data_node)
+            found = self._first(graph, resident, pattern, plan, position + 1, mapping, used)
+            used.discard(data_node)
+            del mapping[node]
+            if found is not None:
+                return found
+            self.statistics.backtracks += 1
+        return None
 
     def _extend(
-        self,
-        graph: Graph,
-        resident,
-        pattern: Pattern,
-        plan,
-        position: int,
-        mapping: dict,
-        used: set,
-        first_only: bool,
+        self, graph: Graph, resident, pattern: Pattern, plan, position: int, mapping: dict, used: set
     ) -> Iterator[dict]:
+        """Every embedding extending *mapping* at *position*, in :meth:`_first`'s order."""
         if position == len(plan.order):
             self.statistics.matches_found += 1
             yield dict(mapping)
             return
         node = plan.order[position]
-        candidates = self._candidates(graph, resident, pattern, plan, position, mapping)
-        for data_node in self._ordered(graph, resident, pattern, plan, position, candidates):
-            if data_node in used:
+        screen = self._screen(graph, resident, pattern, plan, position)
+        for data_node in self._candidates(graph, resident, pattern, plan, position, mapping):
+            if data_node in used or screen is not None and not screen(data_node):
                 continue
             self.statistics.states_expanded += 1
             if not self._admits(graph, resident, pattern, plan, position, data_node):
@@ -406,16 +441,10 @@ class PlanMatcher(Matcher):
             mapping[node] = data_node
             used.add(data_node)
             produced = False
-            for result in self._extend(
-                graph, resident, pattern, plan, position + 1, mapping, used, first_only
-            ):
+            for result in self._extend(graph, resident, pattern, plan, position + 1, mapping, used):
                 produced = True
                 yield result
-                if first_only:
-                    break
             used.discard(data_node)
             del mapping[node]
-            if first_only and produced:
-                return
             if not produced:
                 self.statistics.backtracks += 1

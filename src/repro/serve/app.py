@@ -76,6 +76,7 @@ KEEPALIVE_IDLE_TIMEOUT = 60.0
 #: status, duration).  Silent unless the embedding process configures the
 #: logger — ``repro serve`` wires it to stderr.
 ACCESS_LOGGER = logging.getLogger("repro.serve.access")
+LOGGER = logging.getLogger("repro.serve")
 
 
 def ops_from_json(documents: list) -> UpdateBatch:
@@ -231,7 +232,8 @@ class ReproService:
         return handle
 
     async def dispatch(self, request: Request) -> Response:
-        """Route one request, mapping library errors onto statuses.
+        """Route one request, mapping library errors onto statuses (any other
+        exception is a 500, logged on ``repro.serve``).
 
         Every request — matched or not — lands in the
         ``repro_http_requests_total``/``repro_http_request_seconds`` series
@@ -258,6 +260,9 @@ class ReproService:
             response = Response(400, {"error": str(exc)})
         except (ReproError, ValueError, KeyError, TypeError) as exc:
             response = Response(400, {"error": f"{type(exc).__name__}: {exc}"})
+        except Exception as exc:  # a handler bug: answered, logged and counted, never a dropped connection
+            LOGGER.exception("unhandled error on %s %s", request.method, request.path)
+            response = Response(500, {"error": f"internal error: {type(exc).__name__}"})
         self._observe_request(
             request, route, response.status, time.perf_counter() - started
         )

@@ -16,6 +16,7 @@ Covers the serving semantics the HTTP boundary builds on, without HTTP:
 
 from __future__ import annotations
 
+import base64
 import json
 import threading
 
@@ -42,6 +43,10 @@ def _workload(seed: int = 5, num_rules: int = 6):
     predicate = most_frequent_predicates(graph, top=1)[0]
     rules = generate_gpars(graph, predicate, count=num_rules, seed=seed + 1)
     return graph, rules
+
+
+def _cursor(payload) -> str:
+    return base64.urlsafe_b64encode(json.dumps(payload).encode()).decode()
 
 
 class TestPages:
@@ -87,6 +92,25 @@ class TestPages:
             result.pages(cursor="aGVsbG8=")  # valid b64, not a [entity, index] pair
         with pytest.raises(IdentificationError):
             result.pages(limit=0)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [[3, 5], ["x", None], ["a", "b"], ["a", 1.0], ["a", True], ["a"], ["a", 1, 2], {"a": 1}],
+        ids=["int-entity", "none-index", "str-index", "float-index", "bool-index", "short", "long", "object"],
+    )
+    def test_a_decodable_cursor_of_the_wrong_types_is_refused(self, payload):
+        """A result cursor is ``[entity key: str, rule index: int]``; anything
+        else that decodes is as malformed as a cursor that does not."""
+        graph, rules = _workload()
+        result = identify_entities(graph, rules, eta=0.1)
+        with pytest.raises(IdentificationError):
+            result.pages(cursor=_cursor(payload))
+        with api.open_session(graph, rules, config=EIPConfig(eta=0.1)) as session:
+            version = session.graph_version
+            outers = ([version, _cursor(payload)], [version, 5], [str(version), None], [float(version), None])
+            for outer in outers:
+                with pytest.raises(IdentificationError):
+                    session.answer(cursor=_cursor(outer))
 
     def test_order_is_sorted_once_and_callers_get_their_own_list(self):
         graph, rules = _workload()

@@ -1,5 +1,7 @@
 """Unit tests for the property-graph substrate."""
 
+import random
+
 import pytest
 
 from repro.exceptions import EdgeNotFoundError, GraphError, NodeNotFoundError
@@ -211,6 +213,73 @@ class TestDerivedGraphs:
 
     def test_repr_mentions_counts(self, toy):
         assert "nodes=3" in repr(toy)
+
+
+def _random_graph(seed: int) -> Graph:
+    """Seeded random labelled graph with attributes, self-loops and parallel labels."""
+    rng = random.Random(seed)
+    nodes = [(f"n{index}", rng.choice("ABC"), {"rank": index} if index % 3 else None) for index in range(40)]
+    edges = [
+        (f"n{rng.randrange(40)}", f"n{rng.randrange(40)}", rng.choice(("e", "f", "g")))
+        for _ in range(rng.randint(0, 160))
+    ]
+    return Graph.from_parts(nodes, edges)
+
+
+def _induced_per_edge(graph: Graph, keep: set) -> Graph:
+    """The oracle: the induced subgraph built one node and one edge at a time."""
+    return Graph.from_parts(
+        ((node, graph.node_label(node), graph.node_attrs(node) or None) for node in keep),
+        (
+            (edge.source, edge.target, edge.label)
+            for edge in graph.edges()
+            if edge.source in keep and edge.target in keep
+        ),
+    )
+
+
+class TestInducedSubgraphByRows:
+    """``induced_subgraph`` copies adjacency rows; it must equal the per-edge build."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_rows_equal_the_per_edge_build(self, seed):
+        graph = _random_graph(seed)
+        nodes = sorted(graph.nodes())
+        rng = random.Random(seed)
+        for keep in (set(rng.sample(nodes, rng.randint(1, len(nodes)))), set(nodes), set()):
+            fragment, expected = graph.induced_subgraph(keep), _induced_per_edge(graph, keep)
+            assert fragment.structure_equal(expected)
+            assert fragment.num_edges == expected.num_edges
+            assert fragment.edge_label_counts() == expected.edge_label_counts()
+            assert fragment.node_label_counts() == expected.node_label_counts()
+            for node in keep:
+                assert fragment.node_attrs(node) == graph.node_attrs(node)
+                assert fragment.in_neighbors(node) == expected.in_neighbors(node)
+                for label in ("e", "f", "g"):
+                    assert fragment.in_neighbors(node, label) == expected.in_neighbors(node, label)
+            assert fragment.version == 0 and fragment.deltas_since(0) == []
+
+    def test_fragment_and_parent_share_no_row(self):
+        graph = _random_graph(3)
+        keep = set(sorted(graph.nodes())[:25])
+        fragment = graph.induced_subgraph(keep)
+        parent_before, fragment_before = graph.copy(), fragment.copy()
+        edges = list(fragment.edges())
+        assert edges, "the fragment must have an edge to remove"
+        for edge in edges[::2]:
+            fragment.remove_edge(edge.source, edge.target, edge.label)
+        fragment.add_edge("n0", "n1", "h")
+        assert graph.structure_equal(parent_before) and graph.num_edges == parent_before.num_edges
+        fragment_after = fragment.copy()
+        for edge in list(graph.edges())[::2]:
+            graph.remove_edge(edge.source, edge.target, edge.label)
+        graph.add_edge("n2", "n3", "h")
+        assert fragment.structure_equal(fragment_after)
+        assert not fragment.structure_equal(fragment_before)
+        for node in keep:
+            for rows in ("_out", "_in"):
+                for label, row in getattr(fragment, rows)[node].items():
+                    assert row is not getattr(graph, rows)[node].get(label)
 
 
 class TestGraphBuilder:

@@ -35,7 +35,7 @@ from test_properties import graphs_with_patterns, random_graphs
 import repro
 from repro import api
 from repro.datasets import generate_gpars, pokec_like
-from repro.graph import bfs_distances, build_sketch, sketch_dominates, sketch_score
+from repro.graph import bfs_distances, build_sketch, sketch_dominates
 from repro.identification import EIPConfig
 from repro.matching import MatchStore
 from repro.metrics.diversification import DiversificationObjective, jaccard_distance
@@ -349,15 +349,6 @@ def _dominates_by_counters(candidate: list[Counter], required: list[Counter]) ->
     return True
 
 
-def _score_by_counters(candidate: list[Counter], required: list[Counter]) -> int:
-    score = 0
-    for hop in range(1, max(len(candidate), len(required)) + 1):
-        candidate_dist, required_dist = _at(candidate, hop), _at(required, hop)
-        for label in set(candidate_dist) | set(required_dist):
-            score += candidate_dist.get(label, 0) - required_dist.get(label, 0)
-    return score
-
-
 @given(random_graphs(), st.integers(0, 10_000), st.integers(1, 3), st.integers(1, 3))
 @settings(max_examples=80, deadline=None)
 def test_sketch_comparisons_equal_the_counter_forms(graph, seed, candidate_hops, required_hops):
@@ -377,7 +368,6 @@ def test_sketch_comparisons_equal_the_counter_forms(graph, seed, candidate_hops,
         assert sketch_dominates(candidate, required) == _dominates_by_counters(
             slow_candidate, slow_required
         )
-        assert sketch_score(candidate, required) == _score_by_counters(slow_candidate, slow_required)
 
 
 # ----------------------------------------------------------------------

@@ -9,7 +9,7 @@ side:
 
 * (i)   the rule itself on the repository's benchmark and smoke graph sizes;
 * (ii)  every cached sketch handle, every sketch and every sketch test equals
-        ``build_sketch`` / ``sketch_dominates`` / ``sketch_score`` after every
+        ``build_sketch`` / ``sketch_dominates`` after every
         patch of 50 seeded update streams on both sides (relabels, edge
         toggles, node removal, a removed id re-added under another label, and
         ghost waves that make a patch re-index the bits under cached rings);
@@ -22,8 +22,7 @@ side:
 * (vi)  the paper's guided search (§5.2) decides exactly as on the set side;
 * (vii) what a patch rebuilds, counted: a relabel no ring, an edge toggle
         exactly the rings within k − 1 hops of its endpoints, and the
-        in-process ``serve-hub`` replica at most 7,000 sketches with its
-        search counters pinned.
+        in-process ``serve-hub`` replica's sketches and search counters pinned.
 """
 
 from __future__ import annotations
@@ -49,7 +48,6 @@ from repro.graph import (
     columnar_view,
     registered_columnar,
     sketch_dominates,
-    sketch_score,
 )
 from repro.graph import neighborhood
 from repro.graph.neighborhood import Neighborhoods, multi_source_ball, uses_masks
@@ -192,8 +190,8 @@ def _exactness_run(seed: int) -> tuple[ColumnarFragment, int]:
                     expected = build_sketch(graph, node, hops)
                     assert view.sketch(node, hops) == expected, (seed, node, hops)
                     for needed in required:
-                        verdict = (sketch_dominates(expected, needed), sketch_score(expected, needed))
-                        assert view.sketch_test(node, hops, needed) == verdict, (seed, node, hops)
+                        verdict = sketch_dominates(expected, needed)
+                        assert view.sketch_test(node, hops, needed) is verdict, (seed, node, hops)
     assert view.statistics.delta_applies >= 10, "most refreshes must patch, not rebuild"
     return view, reindexed
 
@@ -464,14 +462,16 @@ with api.open_session(graph, rules, config=config) as session:
 def test_hub_replica_builds_fewer_sketches_and_searches_the_same():
     """The ``serve-hub`` workload in process (seed 7, sequential, the repo
     benchmark's 80 timed ticks) under ``PYTHONHASHSEED=0``: with histograms
-    it built 9,287 sketches, with rings 7,294, and with no sketch test on the
-    last plan node at most 7,000 (6,935).
+    it built 9,287 sketches, with rings 7,294, with no sketch test on the
+    last plan node 6,935, and testing only the candidates the search tries
+    6,368.
 
-    Skipping that test does not change a verdict, but it changes which
-    witness is kept: the last node's is now its first adjacency-consistent
-    candidate, not the best-scored one, and a few more such witnesses break
-    under later updates.  Ranked last nodes searched 12,191 states, pruned
-    120,859 candidates and found 3,176 matches."""
+    Trying candidates in adjacency order instead of by sketch surplus does
+    not change a verdict, but it changes which witness is kept.  Ranked, the
+    search expanded 12,363 states, pruned 120,929 candidates (it tested every
+    candidate of an expanded node) and found 3,224 matches; tested when
+    tried, it expands 12,344, prunes 72,948 and finds 3,228 — the rank saved
+    no state."""
     root = Path(__file__).resolve().parents[1]
     environment = {
         **os.environ,
@@ -485,7 +485,7 @@ def test_hub_replica_builds_fewer_sketches_and_searches_the_same():
     )
     assert child.returncode == 0, child.stderr
     counts = json.loads(child.stdout)
-    assert counts["index_sketches_built"] <= 7_000
-    assert counts["match_states_expanded"] == 12_363
-    assert counts["match_sketch_prunes"] == 120_929
-    assert counts["match_matches_found"] == 3_224
+    assert counts["index_sketches_built"] == 6_368
+    assert counts["match_states_expanded"] == 12_344
+    assert counts["match_sketch_prunes"] == 72_948
+    assert counts["match_matches_found"] == 3_228

@@ -10,7 +10,6 @@ from repro.graph import (
     build_sketch,
     eccentricity,
     sketch_dominates,
-    sketch_score,
 )
 from repro.graph.neighborhood import Neighborhoods
 
@@ -123,8 +122,11 @@ class TestSketches:
         assert not sketch_dominates(candidate, required)
         assert sketch_dominates(required, required)
 
-    def test_score_is_surplus(self, chain):
+    def test_a_larger_total_does_not_imply_domination(self, chain):
+        """b sees more nodes than e within two hops, but e's two L nodes (a, b)
+        are more than b's one (a): only the per-label counts decide."""
         rich = build_sketch(chain, "b", 2)
         poor = build_sketch(chain, "e", 2)
-        assert sketch_score(rich, poor) > 0
-        assert sketch_score(poor, poor) == 0
+        assert rich.total > poor.total
+        assert not sketch_dominates(rich, poor)
+        assert sketch_dominates(poor, poor)

@@ -14,7 +14,10 @@ Exercises the serving contract of docs/serving.md with a real
 
 from __future__ import annotations
 
+import asyncio
+import base64
 import json
+import logging
 import socket
 import threading
 import urllib.error
@@ -27,7 +30,10 @@ from repro.datasets import generate_gpars, most_frequent_predicates, synthetic_g
 from repro.exceptions import StreamError
 from repro.graph.io import graph_to_dict
 from repro.identification import EIPConfig
+from repro.obs.registry import registry
 from repro.serve import BackgroundServer, RouteError, Router, ops_from_json
+from repro.serve.app import ReproService
+from repro.serve.http import Request
 from repro.stream import UpdateBatch, UpdateOp, random_update_batch
 
 RULES = 5
@@ -121,6 +127,27 @@ class TestWireFormats:
         with pytest.raises(RouteError) as wrong_method:
             router.resolve("POST", "/sessions/s7/answer")
         assert wrong_method.value.status == 405
+
+
+    def test_a_handler_bug_is_a_500_not_a_dropped_connection(self, caplog):
+        """An exception no status maps is answered, logged and counted."""
+
+        async def broken(request):
+            raise AttributeError("no such thing")
+
+        service = ReproService(executor_workers=1)
+        try:
+            service.router.add("GET", "/broken", broken)
+            labels = {"method": "GET", "route": "/broken", "status": "500"}
+            before = registry().counter_value("repro_http_requests_total", **labels)
+            with caplog.at_level(logging.ERROR, logger="repro.serve"):
+                response = asyncio.run(service.dispatch(Request("GET", "/broken", {}, {})))
+            assert response.status == 500
+            assert "AttributeError" in response.payload["error"]
+            assert registry().counter_value("repro_http_requests_total", **labels) == before + 1
+            assert any(record.exc_info for record in caplog.records)
+        finally:
+            service.shutdown()
 
 
 class TestProcessEntry:
@@ -328,6 +355,9 @@ class TestAnswerAndUpdates:
         )
         url = f"{server.base_url}/sessions/{created['session']}"
         assert _call("GET", f"{url}/answer?cursor=@@@")[0] == 400
+        # Decodable but mistyped: the inner cursor is an int, not a string.
+        mistyped = base64.urlsafe_b64encode(json.dumps([created["graph_version"], 5]).encode()).decode()
+        assert _call("GET", f"{url}/answer?cursor={mistyped}")[0] == 400
         assert _call("GET", f"{url}/answer?limit=zero")[0] == 400
         assert _call("POST", f"{url}/updates", {"ops": [{"kind": "explode"}]})[0] == 400
         assert _call("POST", f"{url}/updates", {"not_ops": []})[0] == 400

@@ -12,7 +12,7 @@ from typing import Hashable, Sequence
 
 from repro.exceptions import IdentificationError
 from repro.graph.graph import Graph
-from repro.parallel.executor import BACKENDS, valid_pool_size
+from repro.parallel.executor import BACKENDS, is_int, valid_pool_size
 from repro.parallel.runtime import RunTimings
 from repro.pattern.gpar import GPAR
 
@@ -31,7 +31,8 @@ class EIPConfig:
     num_workers:
         Number of fragments / processors n.
     seed:
-        Partitioning tie-break seed.
+        Partitioning tie-break seed (an ``int``, or ``None`` for an
+        unseeded partition).
     backend:
         Execution backend: ``"sequential"`` (default) or ``"processes"``
         (real multi-core parallelism).  Both backends produce identical
@@ -43,15 +44,17 @@ class EIPConfig:
 
     eta: float = 1.0
     num_workers: int = 4
-    seed: int = 0
+    seed: int | None = 0
     backend: str = "sequential"
     executor_workers: int | None = None
 
     def __post_init__(self) -> None:
         if not self.eta > 0:  # also NaN, which no confidence reaches
             raise IdentificationError(f"eta must be > 0, got {self.eta}")
-        if self.num_workers < 1:
-            raise IdentificationError(f"num_workers must be >= 1, got {self.num_workers}")
+        if not is_int(self.num_workers) or self.num_workers < 1:
+            raise IdentificationError(f"num_workers must be an int >= 1, got {self.num_workers!r}")
+        if self.seed is not None and not is_int(self.seed):
+            raise IdentificationError(f"seed must be an int or None, got {self.seed!r}")
         if self.backend not in BACKENDS:
             raise IdentificationError(
                 f"backend must be one of {BACKENDS}, got {self.backend!r}"

@@ -1,10 +1,14 @@
 """``Match``: Matchc plus the optimisations of Section 5.2.
 
-Three optimisations over :class:`repro.identification.MatchC`:
+Four optimisations over :class:`repro.identification.MatchC`:
 
 * **early termination** — candidates are accepted on the first witnessing
   match (inherited from the anchored matcher interface, but here combined
   with the pruning below so far fewer search states are expanded);
+* **no search on a star** — where the pattern is a star at x whose leaves
+  of one label share one slot (every rule mined on the batch benchmark),
+  the candidate's label and adjacency profile decide the verdict, so the
+  profile-filtered pool is the match set (see :mod:`repro.matching.guided`);
 * **guided search** — the sketch-guided matcher prunes candidate
   assignments by k-hop neighbourhood sketches when it tries them (the
   paper's surplus order is not applied, see :mod:`repro.matching.guided`);

@@ -16,7 +16,7 @@ from typing import Hashable, Iterable, Iterator
 from repro.exceptions import MatchingError, NodeNotFoundError
 from repro.graph.columnar import ColumnarFragment, registered_columnar
 from repro.graph.graph import Graph
-from repro.matching.candidates import columnar_filter_candidates, label_candidates
+from repro.matching.candidates import columnar_filter_candidates, degree_consistent, label_candidates
 from repro.obs.stats import StatisticsBase
 from repro.pattern.pattern import Pattern, PatternEdge
 
@@ -48,6 +48,9 @@ class MatchStatistics(StatisticsBase):
     #: ``matches_found`` counts the searched ones — and kept witnesses that broke.
     witness_hits: int = 0
     witness_invalidated: int = 0
+    #: Positive verdicts the anchor's profile decided (:attr:`_SearchPlan.profile_decides`):
+    #: ``witness_hits + matches_found + profile_matches`` is every positive verdict.
+    profile_matches: int = 0
 
 
 @dataclass
@@ -72,6 +75,9 @@ class _SearchPlan:
     edge_checks: tuple = ()
     # Per position, its self-loops' labels (no connection has them); () if none.
     self_loops: tuple = ()
+    # Whether x's profile test decides a match (see _decisive_star): None if
+    # not; else () or the edge label of an anchor self-loop that voids it.
+    profile_decides: object = None
 
     def holds(self, graph: Graph, embedding: tuple) -> bool:
         """Whether *embedding*, once a match, still is one in *graph*: every
@@ -141,7 +147,31 @@ def build_search_plan(pattern: Pattern, anchor) -> _SearchPlan:
             (position[edge.source], position[edge.target], edge.label) for edge in pattern.edges()
         ),
         self_loops=loops if any(loops) else (),
+        profile_decides=None if loops[0] else _decisive_star(pattern, anchor, order[1:]),
     )
+
+
+def _decisive_star(pattern: Pattern, anchor, leaves) -> object:
+    """``None`` unless *pattern* is a star at *anchor* (which has no self-loop)
+    whose leaves of one label all hang on one ``(direction, edge label)``
+    slot; then the edge label of the slot of the anchor's own label, or ``()``.
+
+    On such a star an anchor passing the label and profile test has a match:
+    leaves of different labels take different data nodes, and the profile
+    counts a slot's distinct neighbours of the leaves' label — the anchor
+    among them only through a self-loop with that slot's edge label on a
+    slot of its own label, the one label returned (such an anchor is searched).
+    """
+    slots: dict = {}
+    for leaf in leaves:
+        edges = [*pattern.out_edges(leaf), *pattern.in_edges(leaf)]
+        if len(edges) != 1 or anchor not in (edges[0].source, edges[0].target):
+            return None
+        slot = (edges[0].source == anchor, edges[0].label)
+        if slots.setdefault(pattern.label(leaf), slot) != slot:
+            return None
+    own = slots.get(pattern.label(anchor))
+    return () if own is None else own[1]
 
 
 def resident_view(graph: Graph) -> ColumnarFragment | None:
@@ -202,6 +232,11 @@ class Matcher(ABC):
 
     #: Whether match_set may profile-prefilter the pool against a resident view.
     _columnar_prefilter = True
+    #: Whether a pattern whose plan has ``profile_decides`` is answered by the
+    #: anchor's label and profile test alone — in ``match_set`` the prefilter
+    #: is then the verdict.  Only Match's guided search opts in; the baselines
+    #: search.
+    _profile_decides = False
     #: Where :meth:`PlanMatcher.exists_match_at` keeps witnesses; ``None``:
     #: always search.  Set by the streaming worker, which verifies the same
     #: pairs tick after tick — never by a one-shot run.
@@ -243,6 +278,7 @@ class Matcher(ABC):
             pool: Iterable[NodeId] = label_candidates(graph, expanded, expanded.x, resident)
         else:
             pool = candidates
+        matched: set[NodeId] = set()
         if resident is not None and self._columnar_prefilter:
             # Interned-id label + profile-domination mask over the whole
             # pool: a necessary condition, so dropped candidates could never
@@ -251,7 +287,14 @@ class Matcher(ABC):
             pool = columnar_filter_candidates(resident, expanded, expanded.x, pool)
             if before is not None:
                 self.statistics.profile_prunes += before - len(pool)
-        matched: set[NodeId] = set()
+            loop = search_plan(expanded, expanded.x).profile_decides if self._profile_decides else None
+            if loop is not None:
+                # ... and, on a star, a sufficient one: only an anchor with
+                # the self-loop that voids it is searched.
+                matched = {node for node in pool if loop == () or not graph.has_edge(node, node, loop)}
+                self.statistics.candidates_considered += len(matched)
+                self.statistics.profile_matches += len(matched)
+                pool = [node for node in pool if node not in matched] if loop else ()
         for candidate in pool:
             self.statistics.candidates_considered += 1
             if self.exists_match_at(graph, expanded, candidate):
@@ -318,11 +361,20 @@ class PlanMatcher(Matcher):
         return self._first(graph, *start, 1, {pattern.x: anchor_value}, {anchor_value})
 
     def exists_match_at(self, graph: Graph, pattern: Pattern, anchor_value: NodeId) -> bool:
+        pattern = pattern.expanded()
+        plan = search_plan(pattern, pattern.x)
+        loop = plan.profile_decides if self._profile_decides else None
+        if loop is not None:
+            if not graph.has_node(anchor_value) or graph.node_label(anchor_value) != pattern.label(pattern.x):
+                return False
+            if loop == () or not graph.has_edge(anchor_value, anchor_value, loop):
+                if not degree_consistent(graph, anchor_value, pattern, pattern.x, resident_view(graph)):
+                    return False
+                self.statistics.profile_matches += 1
+                return True
         store = self.witnesses
         if store is None or graph.in_batch:  # a half-applied state is searched raw, kept nowhere
             return self.find_match_at(graph, pattern, anchor_value) is not None
-        pattern = pattern.expanded()
-        plan = search_plan(pattern, pattern.x)
         by_anchor = store.kept.setdefault(pattern, {})
         witness = by_anchor.get(anchor_value)
         if witness is not None:

@@ -1,10 +1,16 @@
 """Guided search with k-hop sketches and early termination (Section 5.2).
 
-``Match`` improves on the plain matcher in two ways:
+``Match`` improves on the plain matcher in three ways:
 
 * **early termination** — a candidate ``vx`` is accepted as soon as *one*
   isomorphic match anchored at it is found (inherited from the anchored
   interface of :class:`repro.matching.base.Matcher`);
+* **no search on a star** — where the pattern is a star at ``x`` whose
+  leaves of one label share one ``(direction, edge label)`` slot
+  (:attr:`~repro.matching.base._SearchPlan.profile_decides`), the anchor's
+  label and profile test is the verdict: no search, no sketch.
+  ``find_match_at`` and enumeration, which must return an embedding, still
+  search;
 * **sketch pruning** — a candidate whose k-hop neighbourhood sketch fails to
   dominate the pattern node's is pruned when the search tries it, before it
   counts as a search state.
@@ -75,6 +81,8 @@ class GuidedMatcher(PlanMatcher):
     graph with nothing resident (or an open ``batch_update``) the sketch is
     built per probe.
     """
+
+    _profile_decides = True
 
     def __init__(self, sketch_hops: int = 2) -> None:
         super().__init__()

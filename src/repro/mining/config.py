@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
+from numbers import Real
 
 from repro.exceptions import MiningError
-from repro.parallel.executor import BACKENDS, valid_pool_size
+from repro.parallel.executor import BACKENDS, is_int, valid_pool_size
+
+#: Fields that must be exact ints (``seed``, which may also be ``None``, is checked apart).
+_INT_FIELDS = ("k", "d", "num_workers", "max_edges", "max_extensions_per_rule", "max_rules_per_round")
 
 
 @dataclass(frozen=True)
@@ -43,7 +48,8 @@ class DMineConfig:
         checks.  ``False`` is the paper's DMineno baseline ("discover then
         diversify"); see :meth:`without_optimizations`.
     seed:
-        Seed for partitioning tie-breaks.
+        Seed for partitioning tie-breaks (an ``int``, or ``None`` for an
+        unseeded partition).
     backend:
         Execution backend: ``"sequential"`` (default) or ``"processes"``
         (real multi-core parallelism via a persistent worker pool).  Both
@@ -62,11 +68,18 @@ class DMineConfig:
     max_extensions_per_rule: int = 30
     max_rules_per_round: int = 60
     optimized: bool = True
-    seed: int = 0
+    seed: int | None = 0
     backend: str = "sequential"
     executor_workers: int | None = None
 
     def __post_init__(self) -> None:
+        for name in _INT_FIELDS:
+            if not is_int(getattr(self, name)):
+                raise MiningError(f"{name} must be an int, got {getattr(self, name)!r}")
+        if self.seed is not None and not is_int(self.seed):
+            raise MiningError(f"seed must be an int or None, got {self.seed!r}")
+        if isinstance(self.sigma, bool) or not isinstance(self.sigma, Real) or math.isnan(self.sigma):
+            raise MiningError(f"sigma must be a real number, got {self.sigma!r}")
         if self.k < 1:
             raise MiningError(f"k must be >= 1, got {self.k}")
         if self.d < 1:

@@ -195,10 +195,13 @@ def top_report(url: str, healthz: dict, sessions: dict, metrics_text: str) -> st
 
     section("stream", ("repro_stream_",))
     hits, searched = total("repro_match_witness_hits_total"), total("repro_match_matches_found_total")
-    if hits or searched:
+    profiled = total("repro_match_profile_matches_total")
+    positives = hits + searched + profiled
+    if positives:
         lines.append(
-            f"matching: {hits + searched:g} positive verdicts, {hits / (hits + searched):.0%} "
+            f"matching: {positives:g} positive verdicts, {hits / positives:.0%} "
             f"by a kept witness ({total('repro_match_witness_invalidated_total'):g} invalidated), "
+            f"{profiled / positives:.0%} by the anchor's profile, "
             f"{total('repro_match_candidates_considered_total'):g} candidates considered"
         )
     section("tenants", ("repro_tenant_", "repro_shared_cores"))

@@ -39,15 +39,15 @@ from repro.partition.fragment import Fragment
 BACKENDS = ("sequential", "processes")
 
 
-def valid_pool_size(value: object) -> bool:
-    """Whether *value* is an accepted ``executor_workers``: ``None`` or an int >= 1.
+def is_int(value: object) -> bool:
+    """Whether *value* is an exact ``int``: a ``bool`` is not, nor is a float
+    of integral value (code past the config would only reject it halfway)."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
-    A ``bool`` is not a pool size, nor is a float (the process pool would
-    only reject it once it starts).
-    """
-    if value is None:
-        return True
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+def valid_pool_size(value: object) -> bool:
+    """Whether *value* is an accepted ``executor_workers``: ``None`` or an int >= 1."""
+    return value is None or is_int(value) and value >= 1
 
 
 @dataclass(frozen=True)

@@ -6,13 +6,16 @@
   passes the full sketch test — on seeded random graphs with ``generate_gpars``
   patterns, on both kernel sides — and hand-made patterns that break one
   condition each are not marked;
+* a star whose plan says ``profile_decides`` gets the reference's verdicts
+  and match sets from the anchor's profile alone — raw, resident and inside
+  an open batch, with data self-loops, copy counts and voiding anchor loops —
+  and hand-made shapes that break the rule are searched;
 * a first match (the plain recursion) is the first embedding enumeration
   yields, with the same counters;
-* counted: batch identification runs no anchor sketch test and 1,836 tests
-  in all (10,089 when every candidate of an expanded node was tested and
-  ranked), with its states unchanged; and on the hub graph the guided
-  search expands fewer states than the unguided one (the claim of the
-  paper's Section 5.2).
+* counted: batch identification, whose mined patterns are all stars the
+  anchor's profile decides, runs no search and no sketch test at all; and
+  on the hub graph the guided search expands fewer states than the
+  unguided one (the claim of the paper's Section 5.2).
 """
 
 from __future__ import annotations
@@ -28,12 +31,13 @@ import pytest
 
 from repro import api
 from repro.datasets import generate_gpars, most_frequent_predicates, pokec_like, synthetic_graph
-from repro.graph import Graph, build_sketch, columnar_view, neighborhood, sketch_dominates
-from repro.matching import GuidedMatcher, VF2Matcher
+from repro.graph import Graph, build_sketch, columnar_view, discard_columnar, neighborhood, sketch_dominates
+from repro.matching import GuidedMatcher, MultiPatternMatcher, VF2Matcher
 from repro.matching.base import resident_view, search_plan
 from repro.matching.candidates import degree_consistent
 from repro.matching.guided import anchor_loop_labels
 from repro.pattern import Pattern, PatternEdge
+from repro.testing import ReferenceMatcher
 
 PREDICATE = "user:like_book:personal development"
 
@@ -150,6 +154,112 @@ def test_an_anchor_with_a_self_loop_is_still_sketch_tested():
     assert matcher.statistics.states_expanded == 0
 
 
+def _random_star(rng: random.Random, node_labels: list, edge_labels: list) -> Pattern:
+    """A star at x the profile decides: each leaf label on one random slot,
+    x's own label among the leaves often, some leaves with copy counts."""
+    own = rng.choice(node_labels)
+    slots: dict = {}
+    nodes, edges, copies = {"x": own}, [], {}
+    for index in range(rng.randint(0, 4)):
+        label = own if rng.random() < 0.4 else rng.choice(node_labels)
+        outgoing, edge_label = slots.setdefault(label, (rng.random() < 0.5, rng.choice(edge_labels)))
+        leaf = f"l{index}"
+        nodes[leaf] = label
+        edges.append(("x", leaf, edge_label) if outgoing else (leaf, "x", edge_label))
+        if rng.random() < 0.3:
+            copies[leaf] = rng.randint(2, 3)
+    return Pattern(nodes, edges, x="x", copies=copies)
+
+
+def _profile_decided_as_the_reference(graph: Graph, patterns: list[Pattern]) -> int:
+    """Assert every query surface agrees with the reference; the profile verdicts."""
+    reference = ReferenceMatcher()
+    truth = {key: reference.match_set(graph, pattern) for key, pattern in enumerate(patterns)}
+    matcher = GuidedMatcher()
+    nodes = sorted(graph.nodes(), key=str)
+    for key, pattern in enumerate(patterns):
+        assert matcher.match_set(graph, pattern) == truth[key], pattern
+        assert matcher.match_set(graph, pattern, nodes) == truth[key], pattern
+        assert {node for node in nodes if matcher.exists_match_at(graph, pattern, node)} == truth[key]
+    multi = MultiPatternMatcher(GuidedMatcher())
+    assert multi.shared_match_sets(graph, dict(enumerate(patterns))) == truth
+    assert multi.shared_match_sets(graph, dict(enumerate(patterns)), candidates=nodes) == truth
+    return matcher.statistics.profile_matches
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_profile_verdicts_equal_the_reference(seed):
+    graph = _looped_graph(seed)
+    rng = random.Random(seed)
+    node_labels, edge_labels = sorted(graph.node_labels()), sorted(graph.edge_labels())
+    patterns = [_random_star(rng, node_labels, edge_labels) for _ in range(16)]
+    assert all(search_plan(pattern.expanded(), "x").profile_decides is not None for pattern in patterns)
+    assert any(pattern.copy_counts() for pattern in patterns)
+    assert _profile_decided_as_the_reference(graph, patterns) > 0  # raw
+    columnar_view(graph)
+    try:
+        assert _profile_decided_as_the_reference(graph, patterns) > 0  # resident
+        nodes = sorted(graph.nodes(), key=str)
+        with graph.batch_update() as batch:  # probed raw, half applied
+            for node in rng.sample(nodes, 12):
+                batch.add_edge(node, node, rng.choice(edge_labels))
+            for source, target in zip(rng.sample(nodes, 12), rng.sample(nodes, 12)):
+                batch.add_edge(source, target, rng.choice(edge_labels))
+            assert _profile_decided_as_the_reference(graph, patterns) > 0
+    finally:
+        discard_columnar(graph)
+
+
+@pytest.mark.parametrize("resident", [False, True])
+@pytest.mark.parametrize("direction", ["out", "in"])
+def test_a_self_loop_on_the_anchor_voids_the_profile_verdict(direction, resident):
+    """x asks for two A leaves on ``e``; v's profile counts v itself through its
+    ``e`` loop and w, so v passes the profile test without a match, until u
+    joins the slot."""
+    pattern, plan = _star((direction, "e", "A"), (direction, "e", "A"), ("out", "f", "B"))
+    assert plan.profile_decides == "e"
+    pair = ("v", "w") if direction == "out" else ("w", "v")
+    graph = Graph.from_parts(
+        [("v", "A", None), ("w", "A", None), ("u", "A", None), ("b", "B", None)],
+        [("v", "v", "e"), (*pair, "e"), ("v", "b", "f")],
+    )
+    if resident:
+        columnar_view(graph)
+    try:
+        assert degree_consistent(graph, "v", pattern, "x", resident_view(graph))
+        for expected in (False, True):
+            matcher = GuidedMatcher()
+            assert matcher.exists_match_at(graph, pattern, "v") is expected
+            assert ("v" in matcher.match_set(graph, pattern)) is expected
+            assert ("v" in ReferenceMatcher().match_set(graph, pattern)) is expected
+            assert matcher.statistics.profile_matches == 0  # searched, twice
+            assert matcher.statistics.matches_found == (2 if expected else 0)
+            graph.add_edge(*(("v", "u") if direction == "out" else ("u", "v")), "e")
+    finally:
+        discard_columnar(graph)
+
+
+def test_shapes_the_profile_decides_and_the_ones_it_must_not():
+    assert _star(("out", "e", "L"), ("out", "e", "L"), ("in", "f", "M"))[1].profile_decides == ()
+    assert _star(("in", "f", "A"), ("out", "e", "L"))[1].profile_decides == "f"
+    assert _star()[1].profile_decides == ()
+    # Leaves of one label on two slots: one data node may fill both.
+    assert _star(("out", "e", "L"), ("out", "f", "L"))[1].profile_decides is None
+    assert _star(("out", "e", "L"), ("in", "e", "L"))[1].profile_decides is None
+    # A self-loop on x: the profile counts x itself.
+    assert _star(("out", "e", "L"), loops=("e",))[1].profile_decides is None
+
+    def plan(edges) -> object:
+        pattern = Pattern({"x": "A", "a": "L", "b": "M"}, edges, x="x")
+        return search_plan(pattern, "x").profile_decides
+
+    assert plan([("x", "a", "e"), ("a", "x", "e"), ("x", "b", "e")]) is None  # a leaf with two edges
+    assert plan([("x", "a", "e"), ("x", "b", "e"), ("a", "b", "e")]) is None  # a leaf–leaf edge
+    assert plan([("x", "a", "e"), ("x", "b", "e"), ("a", "a", "e")]) is None  # a self-loop on a leaf
+    assert plan([("x", "a", "e")]) is None  # b is not tied to x
+    assert plan([("x", "a", "e"), ("b", "x", "f")]) == ()
+
+
 def test_a_first_match_is_the_first_enumerated_one():
     graph = pokec_like(60, 3, seed=7)
     columnar_view(graph)
@@ -185,27 +295,27 @@ from batch import build_inputs, identify_config, mine_config
 from workloads import Scale
 from repro import api
 from repro.matching.guided import GuidedMatcher
+from repro.obs.registry import registry
 
 sample, large, predicate = build_inputs(7, Scale())
 rules = [entry.rule for entry in api.mine(sample, predicate, mine_config("sequential")).top_k]
-counts = {"tests": 0, "anchor_tests": 0, "states": 0}
-test, admits, anchor = GuidedMatcher._test, GuidedMatcher._admits, []
+counts = {"searches": 0, "tests": 0}
+start, test = GuidedMatcher._start, GuidedMatcher._test
+
+def counted_start(self, *args):  # every anchored search begins here
+    counts["searches"] += 1
+    return start(self, *args)
 
 def counted_test(self, *args):
     counts["tests"] += 1
-    counts["anchor_tests"] += bool(anchor)
     return test(self, *args)
 
-def counted_admits(self, graph, resident, pattern, plan, position, node):
-    counts["states"] += position > 0  # one call per expanded state
-    anchor.append(position == 0)
-    try:
-        return admits(self, graph, resident, pattern, plan, position, node)
-    finally:
-        anchor.pop()
-
-GuidedMatcher._test, GuidedMatcher._admits = counted_test, counted_admits
+GuidedMatcher._start, GuidedMatcher._test = counted_start, counted_test
+names = ("match_states_expanded", "index_sketches_built", "match_profile_matches", "match_matches_found")
+before = [registry().counter_value(f"repro_{name}_total") for name in names]
 result = api.identify(large, rules, identify_config("sequential"), algorithm="match")
+after = [registry().counter_value(f"repro_{name}_total") for name in names]
+counts.update({name: end - begin for name, end, begin in zip(names, after, before)})
 print(json.dumps({**counts, "identified": len(result.identified)}))
 """
 
@@ -213,16 +323,19 @@ print(json.dumps({**counts, "identified": len(result.identified)}))
 @pytest.mark.skipif(
     sys.version_info[:2] != (3, 11), reason="the pinned counts are CPython 3.11's string hashing"
 )
-def test_batch_identify_runs_no_anchor_sketch_test():
+def test_batch_identify_runs_no_search_and_no_sketch_test():
     """One ``api.identify`` call of the repo benchmark's batch workload (seed
-    7, sequential, ``PYTHONHASHSEED=0``).  Testing and ranking every
-    candidate of an expanded node ran 10,089 sketch tests, 3,929 of them on
-    anchors that had passed their profile test, and pruned nothing; the
-    search expands the same 5,765 states either way."""
+    7, sequential, ``PYTHONHASHSEED=0``).  Every pattern the mined Σ hands
+    the matcher is a star whose verdict the anchor's profile decides, so
+    all 3,929 positive verdicts come from the profile: no anchored search,
+    no expanded state, no sketch test and no sketch built.  Searching them
+    ran 3,929 searches over 5,765 states, 1,836 sketch tests and 388 cold
+    sketch builds, and identified the same 113 entities."""
     root = Path(__file__).resolve().parents[1]
     environment = {
         **os.environ,
         "PYTHONHASHSEED": "0",
+        "REPRO_OBS": "1",
         "PYTHONPATH": os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])),
     }
     child = subprocess.run(
@@ -230,8 +343,12 @@ def test_batch_identify_runs_no_anchor_sketch_test():
         env=environment, capture_output=True, text=True, timeout=300,
     )
     assert child.returncode == 0, child.stderr
-    counts = json.loads(child.stdout)
-    assert counts["anchor_tests"] == 0
-    assert counts["tests"] <= 1_836
-    assert counts["states"] == 5_765
-    assert counts["identified"] > 0
+    assert json.loads(child.stdout) == {
+        "searches": 0,
+        "tests": 0,
+        "match_states_expanded": 0,
+        "index_sketches_built": 0,
+        "match_profile_matches": 3_929,
+        "match_matches_found": 0,
+        "identified": 113,
+    }

@@ -45,6 +45,19 @@ class TestConfig:
             EIPConfig(backend="threads")
         assert EIPConfig(executor_workers=2).executor_workers == 2
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("num_workers", value) for value in (2.0, "2", True)]
+        + [("seed", value) for value in (1.5, "1", True)],
+    )
+    def test_integer_fields_refuse_non_ints(self, field, value):
+        """Refused at construction, not by the partitioner or the RNG later."""
+        with pytest.raises(IdentificationError, match=field):
+            EIPConfig(**{field: value})
+
+    def test_seed_may_be_none(self):
+        assert EIPConfig(seed=None).seed is None
+
     def test_unknown_algorithm(self, g1, r1):
         with pytest.raises(IdentificationError):
             identify_entities(g1, [r1], algorithm="quantum")

@@ -303,11 +303,13 @@ def test_last_plan_node_unranked_decides_as_the_reference(seed):
 
 def test_last_plan_node_cases_crowd_the_last_node():
     """The property above is not vacuous: its cases give the last node
-    several candidates, some of them already used, and both verdicts occur."""
+    several candidates, some of them already used, and both verdicts occur.
+    Probed through ``find_match_at``, which searches even the stars whose
+    ``exists_match_at`` verdict the anchor's profile decides."""
     probe, verdicts = _LastNodeProbe(), set()
     for seed in range(60):
         graph, pattern = _star_case(seed)
-        verdicts |= {probe.exists_match_at(graph, pattern, node) for node in graph.nodes()}
+        verdicts |= {probe.find_match_at(graph, pattern, node) is not None for node in graph.nodes()}
     assert probe.crowded > 20 and verdicts == {True, False}
 
 

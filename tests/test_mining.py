@@ -53,6 +53,31 @@ class TestConfig:
             with pytest.raises(MiningError, match="executor_workers"):
                 DMineConfig(backend="processes", executor_workers=pool_size)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            (name, value)
+            for name in (
+                "k", "d", "num_workers", "max_edges", "max_extensions_per_rule", "max_rules_per_round"
+            )
+            for value in (2.0, 2.5, "2", True)
+        ]
+        + [("seed", 1.5), ("seed", "1"), ("seed", True)],
+    )
+    def test_integer_fields_refuse_non_ints(self, field, value):
+        """Refused at construction, not halfway through ``api.mine``."""
+        with pytest.raises(MiningError, match=field):
+            DMineConfig(**{field: value})
+
+    @pytest.mark.parametrize("sigma", [math.nan, "2", True, None])
+    def test_sigma_must_be_a_real_number(self, sigma):
+        with pytest.raises(MiningError, match="sigma"):
+            DMineConfig(sigma=sigma)
+
+    def test_accepted_number_shapes(self):
+        assert DMineConfig(sigma=2.0).sigma == 2.0
+        assert DMineConfig(seed=None).seed is None
+
     def test_without_optimizations(self):
         config = DMineConfig(k=5, d=2).without_optimizations()
         assert not config.optimized

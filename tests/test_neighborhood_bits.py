@@ -444,7 +444,10 @@ rules = generate_gpars(
     graph, api.parse_predicate(PREDICATE), count=count, max_pattern_edges=max_edges, d=2, seed=SIGMA_SEED
 )
 config = EIPConfig(eta=inputs.spec.eta, num_workers=2, seed=SIGMA_SEED, backend="sequential")
-names = ("index_sketches_built", "match_states_expanded", "match_sketch_prunes", "match_matches_found")
+names = (
+    "index_sketches_built", "match_states_expanded", "match_sketch_prunes", "match_matches_found",
+    "match_profile_matches",
+)
 counts = lambda: [registry().counter_value(f"repro_{name}_total") for name in names]
 with api.open_session(graph, rules, config=config) as session:
     for batch in inputs.batches[:WARMUP_TICKS]:
@@ -471,7 +474,9 @@ def test_hub_replica_builds_fewer_sketches_and_searches_the_same():
     search expanded 12,363 states, pruned 120,929 candidates (it tested every
     candidate of an expanded node) and found 3,224 matches; tested when
     tried, it expands 12,344, prunes 72,948 and finds 3,228 — the rank saved
-    no state."""
+    no state.  Deciding the star patterns (the shared 1-edge prefixes) by the
+    anchor's profile leaves 12,194 states and 3,078 searched matches beside
+    14,628 profile verdicts, with the same sketches built and pruned."""
     root = Path(__file__).resolve().parents[1]
     environment = {
         **os.environ,
@@ -486,6 +491,7 @@ def test_hub_replica_builds_fewer_sketches_and_searches_the_same():
     assert child.returncode == 0, child.stderr
     counts = json.loads(child.stdout)
     assert counts["index_sketches_built"] == 6_368
-    assert counts["match_states_expanded"] == 12_344
+    assert counts["match_states_expanded"] == 12_194
     assert counts["match_sketch_prunes"] == 72_948
-    assert counts["match_matches_found"] == 3_228
+    assert counts["match_matches_found"] == 3_078
+    assert counts["match_profile_matches"] == 14_628

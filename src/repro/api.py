@@ -49,7 +49,14 @@ from typing import Hashable, Mapping, Sequence
 
 from repro.exceptions import StreamError
 from repro.graph.graph import Graph
-from repro.identification.eip import AnswerPage, EIPConfig, EIPResult, _decode_cursor, _encode_cursor
+from repro.identification.eip import (
+    AnswerPage,
+    EIPConfig,
+    EIPResult,
+    _decode_cursor,
+    _encode_cursor,
+    solver_class,
+)
 from repro.mining.config import DMineConfig
 from repro.mining.dmine import DMine, DMineResult
 from repro.pattern.gpar import GPAR
@@ -139,25 +146,13 @@ def identify(
 ) -> EIPResult:
     """Solve EIP on *graph* with an explicit config object.
 
-    The algorithm registry matches :func:`repro.identification.identify_entities`
-    (``match`` / ``matchc`` / ``disvf2``); unlike that legacy wrapper, the
-    configuration arrives as one :class:`EIPConfig` instead of a parameter
-    list.
+    *algorithm* names a batch solver of :func:`repro.identification.solver_class`
+    (``match`` / ``matchc`` / ``disvf2``); unlike the legacy
+    :func:`~repro.identification.identify_entities`, the configuration arrives
+    as one :class:`EIPConfig` instead of a parameter list.
     """
-    from repro.identification.disvf2 import DisVF2
-    from repro.identification.match import Match
-    from repro.identification.matchc import MatchC
-
-    algorithms = {"match": Match, "matchc": MatchC, "disvf2": DisVF2}
-    try:
-        implementation = algorithms[algorithm.lower()]
-    except KeyError:
-        raise StreamError(
-            f"unknown algorithm {algorithm!r}; expected one of {sorted(algorithms)}"
-        ) from None
-    return implementation(config if config is not None else EIPConfig()).identify(
-        graph, list(rules)
-    )
+    solver = solver_class(algorithm)
+    return solver(config if config is not None else EIPConfig()).identify(graph, list(rules))
 
 
 # ----------------------------------------------------------------------
@@ -468,17 +463,9 @@ class SharedSessionCore:
         self,
         graph: Graph,
         config: EIPConfig | None = None,
-        algorithm: str = "match",
         radius_floor: int = 0,
     ) -> None:
-        self._adopt(
-            MultiTenantIdentifier(
-                graph,
-                config=config,
-                algorithm=algorithm,
-                radius_floor=radius_floor,
-            )
-        )
+        self._adopt(MultiTenantIdentifier(graph, config=config, radius_floor=radius_floor))
 
     def _adopt(self, multi: MultiTenantIdentifier) -> None:
         self._multi = multi
@@ -579,7 +566,6 @@ class SharedSessionCore:
 def open_shared_core(
     graph: Graph,
     config: EIPConfig | None = None,
-    algorithm: str = "match",
     radius_floor: int = 0,
 ) -> SharedSessionCore:
     """Start a resident core over *graph*; admit Σ per tenant.
@@ -588,19 +574,13 @@ def open_shared_core(
     verification across tenants by canonical antecedent
     (docs/multitenant.md).
     """
-    return SharedSessionCore(
-        graph,
-        config=config,
-        algorithm=algorithm,
-        radius_floor=radius_floor,
-    )
+    return SharedSessionCore(graph, config=config, radius_floor=radius_floor)
 
 
 def open_session(
     graph: Graph,
     rules: Sequence[GPAR],
     config: EIPConfig | None = None,
-    algorithm: str = "match",
     history_limit: int = SESSION_HISTORY_LIMIT,
     tenant: str | None = None,
 ) -> Session:
@@ -610,7 +590,7 @@ def open_session(
     session as its only tenant, so closing the session releases the core.
     Reach the core (``save_state``, further tenants) as ``session.core``.
     """
-    core = SharedSessionCore(graph, config, algorithm)
+    core = SharedSessionCore(graph, config)
     return core.open_session(
         tenant if tenant is not None else DEFAULT_TENANT, rules, history_limit
     )

@@ -140,13 +140,10 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     repair_wall = 0.0
     recompute_wall = 0.0
     with api.open_session(
-        graph,
-        rules,
-        config=_eip_config_from_args(args, seed=args.seed),
-        algorithm=args.algorithm,
+        graph, rules, config=_eip_config_from_args(args, seed=args.seed)
     ) as session:
         print(
-            f"streaming {args.algorithm} over {graph.num_nodes} nodes / "
+            f"streaming match over {graph.num_nodes} nodes / "
             f"{graph.num_edges} edges, |Σ|={len(rules)}, d={session.max_radius} "
             f"[backend={args.backend}]"
         )
@@ -288,7 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
     stream.add_argument("--predicate", type=_parse_predicate, required=True)
     stream.add_argument("--rules", type=int, default=6, help="size of the sampled rule set Σ")
     stream.add_argument("--eta", type=float, default=1.0, help="confidence bound")
-    stream.add_argument("--algorithm", choices=["match", "matchc"], default="match")
     stream.add_argument("--workers", type=int, default=4,
                         help="number of fragments / BSP workers n")
     stream.add_argument("-d", type=int, default=2)

@@ -30,6 +30,7 @@ from repro.identification.eip import (
     EIPConfig,
     EIPResult,
     identify_entities,
+    solver_class,
 )
 from repro.identification.matchc import MatchC
 from repro.identification.match import Match
@@ -41,6 +42,7 @@ __all__ = [
     "EIPConfig",
     "EIPResult",
     "identify_entities",
+    "solver_class",
     "MatchC",
     "Match",
     "DisVF2",

@@ -253,10 +253,6 @@ def identify_entities(
     executor_workers: int | None = None,
 ) -> EIPResult:
     """Solve EIP with the named algorithm (``match``, ``matchc`` or ``disvf2``)."""
-    from repro.identification.disvf2 import DisVF2
-    from repro.identification.match import Match
-    from repro.identification.matchc import MatchC
-
     config = EIPConfig(
         eta=eta,
         num_workers=num_workers,
@@ -264,11 +260,23 @@ def identify_entities(
         backend=backend,
         executor_workers=executor_workers,
     )
-    algorithms = {"match": Match, "matchc": MatchC, "disvf2": DisVF2}
+    return solver_class(algorithm)(config).identify(graph, list(rules))
+
+
+def solver_class(algorithm: str) -> type:
+    """The batch EIP solver named *algorithm*: ``match``, ``matchc`` or ``disvf2``.
+
+    Any other name is an :class:`IdentificationError`.  Streaming runs
+    ``Match`` only.
+    """
+    from repro.identification.disvf2 import DisVF2
+    from repro.identification.match import Match
+    from repro.identification.matchc import MatchC
+
+    solvers = {"match": Match, "matchc": MatchC, "disvf2": DisVF2}
     try:
-        implementation = algorithms[algorithm.lower()]
+        return solvers[algorithm.lower()]
     except KeyError:
         raise IdentificationError(
-            f"unknown algorithm {algorithm!r}; expected one of {sorted(algorithms)}"
+            f"unknown algorithm {algorithm!r}; expected one of {sorted(solvers)}"
         ) from None
-    return implementation(config).identify(graph, list(rules))

@@ -6,11 +6,12 @@ sub-pattern extraction [32] in ``Match``.  Each pattern's edges are ordered
 into a deterministic connectivity-respecting chain from ``x``, and the match
 set of every chain prefix shared by two or more patterns is computed once
 and reused as the candidate pool of everything below it in the trie; the
-surviving pool is then filtered by the labelled adjacency profile the full
-pattern requires of ``x`` (a necessary condition) before the anchored
-isomorphism search runs.  Because a full match restricted to a prefix's
-nodes is a prefix match, pool restriction by prefix match sets is lossless —
-the per-pattern results are identical to rule-at-a-time evaluation.  EIP
+anchored matcher's ``match_set`` then filters the surviving pool by the
+labelled adjacency profile the full pattern requires of ``x`` (a necessary
+condition) before any isomorphism search runs.  Because a full match
+restricted to a prefix's nodes is a prefix match, pool restriction by prefix
+match sets is lossless — the per-pattern results are identical to
+rule-at-a-time evaluation.  EIP
 rule sets share their consequent (and, having been grown levelwise from
 common seeds, usually long antecedent prefixes), which is exactly the shape
 the trie rewards.
@@ -28,8 +29,7 @@ from collections import Counter
 from typing import Hashable, Iterable, Mapping, Sequence
 
 from repro.graph.graph import Graph
-from repro.matching.base import Matcher, MatchStatistics, resident_view
-from repro.matching.candidates import columnar_filter_candidates
+from repro.matching.base import Matcher, MatchStatistics
 from repro.pattern.gpar import GPAR
 from repro.pattern.pattern import Pattern, PatternEdge
 
@@ -103,12 +103,10 @@ class MultiPatternMatcher:
 
     Notes
     -----
-    The shared profile filter runs against the data graph's resident
-    :class:`repro.graph.columnar.ColumnarFragment` when it has one — one
-    interned-id pool mask per rule; otherwise (transient graph, open
-    ``batch_update``) the anchored matcher's own per-candidate profile test
-    does the same work.  The filter is a necessary condition, so the match
-    sets are identical either way.
+    The trie only narrows pools; each pool is profile-filtered once, by
+    the anchored matcher's ``match_set`` (against the resident
+    :class:`repro.graph.columnar.ColumnarFragment` when the graph has one,
+    per candidate otherwise), where the prunes are counted.
     """
 
     def __init__(self, matcher: Matcher) -> None:
@@ -126,9 +124,7 @@ class MultiPatternMatcher:
         Every chain prefix occurring in at least two patterns' chains is
         matched once against the pool and its match set re-used as the pool
         of everything below it; unshared suffixes jump straight to the full
-        pattern, guarded by the same adjacency-profile necessary condition
-        the rule-at-a-time path applies.  Results equal per-pattern
-        ``matcher.match_set`` calls.
+        pattern.  Results equal per-pattern ``matcher.match_set`` calls.
         """
         chains = {key: prefix_chain(pattern) for key, pattern in patterns.items()}
         shared: Counter = Counter()
@@ -136,7 +132,6 @@ class MultiPatternMatcher:
             for prefix in chain[:-1]:
                 shared[prefix] += 1
         pool_cache: dict[Pattern, frozenset] = {}
-        resident = resident_view(graph)
         base = None if candidates is None else list(candidates)
         results: dict[Hashable, set[NodeId]] = {}
         for key, pattern in patterns.items():
@@ -152,9 +147,6 @@ class MultiPatternMatcher:
                     pool_cache[prefix] = cached
                 pool = cached
                 self.statistics.prefix_pool_hits += 1
-            if pool is not None and resident is not None:
-                expanded = pattern.expanded()
-                pool = columnar_filter_candidates(resident, expanded, expanded.x, pool)
             results[key] = self.matcher.match_set(graph, pattern, candidates=pool)
         self.statistics.merge(self.matcher.statistics)
         self.matcher.reset_statistics()

@@ -161,7 +161,7 @@ def top_report(url: str, healthz: dict, sessions: dict, metrics_text: str) -> st
         lines.append("sessions:")
         for doc in session_docs:
             lines.append(
-                "  {session:<6} graph={graph} algo={algorithm} version={graph_version} "
+                "  {session:<6} graph={graph} version={graph_version} "
                 "identified={identified} batches={batches_applied}".format(**doc)
             )
     requests = metrics.get("repro_http_requests_total", [])

@@ -113,12 +113,28 @@ def ops_from_json(documents: list) -> UpdateBatch:
     return UpdateBatch.of(*ops)
 
 
+def _body_int(body: dict, name: str, default: int) -> int:
+    """Body field *name* as an exact JSON integer (a bool or a float is refused)."""
+    value = body.get(name, default)
+    if type(value) is not int:
+        raise ProtocolError(f"{name!r} must be an integer, got {value!r}")
+    return value
+
+
+def _body_number(body: dict, name: str, default: float) -> float:
+    """Body field *name* as a JSON number (a bool or a string is refused)."""
+    value = body.get(name, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ProtocolError(f"{name!r} must be a number, got {value!r}")
+    return float(value)
+
+
 @dataclass
 class CoreHandle:
     """One resident core plus the hosted sessions that are its tenants.
 
     ``key`` pins what tenants of one core must agree on (resident graph,
-    predicate, algorithm, configs) and registers the handle in
+    predicate, config) and registers the handle in
     ``ReproService._cores`` so later ``graph_path`` bodies can join;
     ``None`` marks an anonymous core (inline graph) that is never
     registered and therefore only ever has one member.
@@ -138,7 +154,6 @@ class SessionHandle:
 
     session: api.Session
     name: str
-    algorithm: str
     core: CoreHandle
     batches_applied: int = 0
     #: Long-poll subscribe requests currently waiting on this session
@@ -156,7 +171,6 @@ class SessionHandle:
         return {
             "session": session_id,
             "graph": self.name,
-            "algorithm": self.algorithm,
             "graph_version": self.session.graph_version,
             "rules": [rule.name for rule in self.session.rules],
             "identified": len(result.identified),
@@ -426,47 +440,39 @@ class ReproService:
         if "predicate" not in body:
             raise ProtocolError("'predicate' (x_label:edge_label:y_label) is required")
 
-        algorithm = body.get("algorithm", "match")
-        history_limit = int(body.get("history_limit", api.SESSION_HISTORY_LIMIT))
-
-        def build_config() -> EIPConfig:
-            return EIPConfig(
-                eta=float(body.get("eta", 1.0)),
-                num_workers=int(body.get("workers", 4)),
-                seed=int(body.get("seed", 0)),
-                backend=body.get("backend", "sequential"),
-                executor_workers=body.get("pool_size"),
-            )
+        eta = _body_number(body, "eta", 1.0)
+        workers = _body_int(body, "workers", 4)
+        seed = _body_int(body, "seed", 0)
+        rules = _body_int(body, "rules", 6)
+        max_edges = _body_int(body, "max_edges", 4)
+        d = _body_int(body, "d", 2)
+        history_limit = _body_int(body, "history_limit", api.SESSION_HISTORY_LIMIT)
+        backend = body.get("backend", "sequential")
+        pool_size = body.get("pool_size")
 
         def build_rules(graph):
             predicate = api.parse_predicate(body["predicate"])
             return generate_gpars(
-                graph,
-                predicate,
-                count=int(body.get("rules", 6)),
-                max_pattern_edges=int(body.get("max_edges", 4)),
-                d=int(body.get("d", 2)),
-                seed=int(body.get("seed", 0)),
+                graph, predicate, count=rules, max_pattern_edges=max_edges, d=d, seed=seed
             )
 
         session_id = f"s{next(self._ids)}"
         tenant = str(body.get("tenant", session_id))
         # The core key pins everything tenants of one core must agree on —
-        # the resident graph, predicate, algorithm and configs — while the
-        # rule-set parameters stay per-tenant.  Only graph_path bodies are
-        # joinable; inline graphs get an anonymous, unregistered core.
+        # the resident graph, predicate and config — while the rule-set
+        # parameters stay per-tenant.  Only graph_path bodies are joinable;
+        # inline graphs get an anonymous, unregistered core.
         key = None
         if "graph_path" in body:
             key = json.dumps(
                 {
                     "graph_path": str(body["graph_path"]),
                     "predicate": body["predicate"],
-                    "algorithm": algorithm,
-                    "eta": float(body.get("eta", 1.0)),
-                    "workers": int(body.get("workers", 4)),
-                    "seed": int(body.get("seed", 0)),
-                    "backend": body.get("backend", "sequential"),
-                    "pool_size": body.get("pool_size"),
+                    "eta": eta,
+                    "workers": workers,
+                    "seed": seed,
+                    "backend": backend,
+                    "pool_size": pool_size,
                 },
                 sort_keys=True,
             )
@@ -481,17 +487,20 @@ class ReproService:
                 graph = graph_from_dict(body["graph"])
             else:
                 graph = load_graph_json(body["graph_path"])
-            return api.open_shared_core(
-                graph,
-                config=build_config(),
-                algorithm=algorithm,
+            config = EIPConfig(
+                eta=eta,
+                num_workers=workers,
+                seed=seed,
+                backend=backend,
+                executor_workers=pool_size,
             )
+            return api.open_shared_core(graph, config=config)
 
         def admit(core: api.SharedSessionCore) -> SessionHandle:
             session = core.open_session(
                 tenant, build_rules(core.graph), history_limit=history_limit
             )
-            return SessionHandle(session, core.graph.name, algorithm, core_handle)
+            return SessionHandle(session, core.graph.name, core_handle)
 
         # Core construction and tenant admission serialize on the core's
         # update lock, so admissions never race a tick's graph mutation.

@@ -30,7 +30,6 @@ from repro.stream.updates import (
     random_update_batch,
 )
 from repro.stream.identifier import (
-    STREAM_ALGORITHMS,
     CensusMatcher,
     FragmentUpdate,
     RuleAdmissionReport,
@@ -47,7 +46,6 @@ __all__ = [
     "UpdateOp",
     "UpdateBatch",
     "random_update_batch",
-    "STREAM_ALGORITHMS",
     "CensusMatcher",
     "FragmentUpdate",
     "MultiTenantIdentifier",

@@ -1,6 +1,6 @@
 """Streaming entity identification: keep an EIP answer correct under updates.
 
-A :class:`StreamingIdentifier` runs one full Match/Matchc verification when
+A :class:`StreamingIdentifier` runs one full ``Match`` verification when
 constructed and then maintains the resulting
 :class:`~repro.identification.eip.EIPResult` across
 :class:`~repro.stream.updates.UpdateBatch` applications by repairing, not
@@ -66,8 +66,9 @@ from repro.identification.census import (
 )
 from repro.identification.eip import EIPConfig, EIPResult, _shared_predicate
 from repro.identification.match import Match
-from repro.identification.matchc import MatchC, _FragmentReport, fold_match_metrics
+from repro.identification.matchc import _FragmentReport, fold_match_metrics
 from repro.matching.base import WitnessStore
+from repro.matching.guided import GuidedMatcher
 from repro.matching.multi import trie_patterns
 from repro.obs.registry import registry
 from repro.obs.tracing import (
@@ -93,7 +94,6 @@ from repro.pattern.pattern import Pattern
 from repro.stream.updates import UpdateBatch
 
 __all__ = [
-    "STREAM_ALGORITHMS",
     "CensusMatcher",
     "FragmentUpdate",
     "RuleAdmissionReport",
@@ -105,10 +105,6 @@ __all__ = [
 ]
 
 NodeId = Hashable
-
-#: Solvers the streaming layer can drive (disVF2 enumerates whole fragments,
-#: which is not ball-local, so it stays batch-only).
-STREAM_ALGORITHMS = {"match": Match, "matchc": MatchC}
 
 
 # ----------------------------------------------------------------------
@@ -128,7 +124,6 @@ class StreamVerifyPayload:
     """
 
     lease: FragmentLease
-    solver_cls: type
     config: EIPConfig
     rules: tuple[GPAR, ...]
     max_radius: int
@@ -219,11 +214,8 @@ def _stream_verify(
         with span("stream.worker.index_refresh"):
             resident.refresh()
 
-    config = payload.config
-    solver = payload.solver_cls(config)
     matcher = context.cached(
-        ("eip-matcher", payload.solver_cls, config, payload.max_radius),
-        lambda: solver._make_matcher(payload.max_radius),
+        ("eip-matcher", payload.config, payload.max_radius), GuidedMatcher
     )
     # Ticks re-verify the same (centre, pattern) pairs, so this matcher keeps
     # its witnesses (validated on use — a cold store only means "search").
@@ -252,7 +244,7 @@ def _stream_verify(
         fragment=fragment.index,
         centers=len(target.owned_centers),
     ):
-        return solver._verify_fragment(
+        return Match(payload.config)._verify_fragment(
             target, payload.rules, matcher, payload.predicate
         )
 
@@ -267,7 +259,6 @@ CHECKPOINT_KEYS = frozenset(
         "graph",
         "rules",
         "config",
-        "algorithm",
         "manager",
         "reports",
         "batches_applied",
@@ -357,9 +348,8 @@ class StreamingIdentifier:
         see :mod:`repro.identification.census`).
     config:
         Standard :class:`~repro.identification.eip.EIPConfig`; the backend
-        and its worker pool stay up between batches.
-    algorithm:
-        ``"match"`` (default) or ``"matchc"``.
+        and its worker pool stay up between batches.  Verification runs
+        ``Match``; ``Matchc`` and disVF2 are batch-only baselines.
 
     Use as a context manager, or call :meth:`close` to release the pool.
     """
@@ -369,13 +359,11 @@ class StreamingIdentifier:
         graph: Graph,
         rules: Sequence[GPAR],
         config: EIPConfig | None = None,
-        algorithm: str = "match",
         radius_floor: int = 0,
     ) -> None:
         self.graph = graph
         self.rules = tuple(rules)
         self.config = config if config is not None else EIPConfig()
-        self.algorithm = algorithm
         # Floor on the verification radius: fragments are partitioned (and
         # their balls materialized) at max(radius(Σ), radius_floor), so a
         # later admit_rules() can bring rules up to the floor without
@@ -416,13 +404,7 @@ class StreamingIdentifier:
     # ------------------------------------------------------------------
     def _prepare_rules(self) -> None:
         """Validate Σ; derive solver, predicate, radius and census plans."""
-        if self.algorithm not in STREAM_ALGORITHMS:
-            raise StreamError(
-                f"unknown streaming algorithm {self.algorithm!r}; "
-                f"expected one of {sorted(STREAM_ALGORITHMS)}"
-            )
-        solver_cls = STREAM_ALGORITHMS[self.algorithm]
-        self._solver = solver_cls(self.config)
+        self._solver = Match(self.config)
         representative = _shared_predicate(list(self.rules))
         self.predicate = representative.q_pattern()
         self.x_label = representative.x_label
@@ -444,11 +426,7 @@ class StreamingIdentifier:
         )
 
     def _start_runtime(self) -> None:
-        executor = make_executor(
-            self.config.backend,
-            self.config.executor_workers,
-            build_resident=type(self._solver)._consumes_resident,
-        )
+        executor = make_executor(self.config.backend, self.config.executor_workers)
         self.runtime = BSPRuntime(self.fragments, executor)
         self.runtime.start_run()
         self._closed = False
@@ -468,7 +446,6 @@ class StreamingIdentifier:
     ) -> StreamVerifyPayload:
         return StreamVerifyPayload(
             lease=self.manager.lease(index),
-            solver_cls=type(self._solver),
             config=self.config,
             rules=self.rules if rules is None else rules,
             max_radius=self.max_radius,
@@ -822,7 +799,6 @@ class StreamingIdentifier:
             "graph": self.graph,
             "rules": self.rules,
             "config": self.config,
-            "algorithm": self.algorithm,
             "radius_floor": self.radius_floor,
             "manager": self.manager.state_dict(),
             "reports": self._reports,
@@ -881,7 +857,6 @@ class StreamingIdentifier:
         identifier.graph = state["graph"]
         identifier.rules = state["rules"]
         identifier.config = config
-        identifier.algorithm = state["algorithm"]
         identifier.radius_floor = state.get("radius_floor", 0)
         identifier._prepare_rules()
         identifier.manager = FragmentManager.from_state(identifier.graph, state["manager"])
@@ -910,7 +885,6 @@ class StreamingIdentifier:
             list(self.rules if rules is None else rules),
             eta=self.config.eta,
             num_workers=self.config.num_workers,
-            algorithm=self.algorithm,
             seed=self.config.seed,
             backend=self.config.backend,
             executor_workers=self.config.executor_workers,

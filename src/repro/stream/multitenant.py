@@ -26,10 +26,10 @@ per-fragment verdict state:
   without touching verdict state any remaining tenant still reads.
 
 Writes are serialized internally; all tenants must share the consequent
-predicate, the :class:`~repro.identification.eip.EIPConfig` and the
-algorithm (they describe one physical core).  :meth:`save_state` checkpoints
-the union core together with the tenant table; :meth:`restore` resumes every
-tenant's projection without re-verifying (docs/lifecycle.md).
+predicate and the :class:`~repro.identification.eip.EIPConfig` (they
+describe one physical core).  :meth:`save_state` checkpoints the union core
+together with the tenant table; :meth:`restore` resumes every tenant's
+projection without re-verifying (docs/lifecycle.md).
 """
 
 from __future__ import annotations
@@ -87,13 +87,11 @@ class MultiTenantIdentifier:
         self,
         graph: Graph,
         config: EIPConfig | None = None,
-        algorithm: str = "match",
         radius_floor: int = 0,
         pool: SharedPatternPool | None = None,
     ) -> None:
         self.graph = graph
         self.config = config if config is not None else EIPConfig()
-        self.algorithm = algorithm
         self.radius_floor = radius_floor
         self.pool = pool if pool is not None else SharedPatternPool()
         self._core: StreamingIdentifier | None = None
@@ -161,7 +159,6 @@ class MultiTenantIdentifier:
                         self.graph,
                         representatives,
                         config=self.config,
-                        algorithm=self.algorithm,
                         radius_floor=self.radius_floor,
                     )
                     backfill = sum(
@@ -353,7 +350,6 @@ class MultiTenantIdentifier:
         multi = cls(
             core.graph,
             config=core.config,
-            algorithm=core.algorithm,
             radius_floor=core.radius_floor,
             pool=pool,
         )

@@ -8,8 +8,8 @@ A case file (format 1) is fully self-contained:
       "format": 1,
       "name": "census-component-edges",
       "description": "why this case exists / what bug it pinned",
-      "config": {"algorithm": "match", "eta": 0.5, "num_workers": 2,
-                 "seed": 0, "backend": "sequential"},
+      "config": {"eta": 0.5, "num_workers": 2, "seed": 0,
+                 "backend": "sequential"},
       "graph": {"name": ..., "nodes": [...], "edges": [...]},
       "rules": [{"name": ..., "consequent_label": ...,
                  "antecedent": {"nodes": {...}, "edges": [[s, t, l], ...],
@@ -130,11 +130,14 @@ class RegressionCase:
     divergence: dict = field(default_factory=dict)
 
     def replay(self) -> Divergence | None:
-        """Re-run the differential oracle; ``None`` means the case passes."""
+        """Re-run the differential oracle; ``None`` means the case passes.
+
+        A config's ``algorithm`` (older cases carry ``"match"``) is ignored:
+        streaming runs ``Match`` only, and every solver answers alike.
+        """
         config = dict(self.config)
         oracle = DifferentialOracle(
             self.rules,
-            algorithm=config.get("algorithm", "match"),
             eta=config.get("eta", 0.5),
             num_workers=config.get("num_workers", 2),
             seed=config.get("seed", 0),

@@ -128,10 +128,10 @@ class DifferentialOracle:
     ----------
     rules:
         The Σ under test.
-    algorithm, eta, num_workers, seed:
+    eta, num_workers, seed:
         Forwarded to both the maintained identifier and the fresh
         ``identify_entities`` runs (the two sides must answer the same
-        question).
+        question; both run ``Match``).
     backends:
         The streaming backends to exercise; the fresh side always
         recomputes sequentially on a pristine graph copy.
@@ -140,14 +140,12 @@ class DifferentialOracle:
     def __init__(
         self,
         rules: Sequence[GPAR],
-        algorithm: str = "match",
         eta: float = 0.5,
         num_workers: int = 2,
         seed: int = 0,
         backends: Sequence[str] = ("sequential",),
     ) -> None:
         self.rules = tuple(rules)
-        self.algorithm = algorithm
         self.eta = eta
         self.num_workers = num_workers
         self.seed = seed
@@ -159,7 +157,6 @@ class DifferentialOracle:
         the distiller iterates with."""
         return DifferentialOracle(
             self.rules,
-            algorithm=self.algorithm,
             eta=self.eta,
             num_workers=self.num_workers,
             seed=self.seed,
@@ -196,7 +193,6 @@ class DifferentialOracle:
             list(self.rules),
             eta=self.eta,
             num_workers=self.num_workers,
-            algorithm=self.algorithm,
             seed=self.seed,
         )
 
@@ -248,7 +244,6 @@ class DifferentialOracle:
                 live,
                 list(self.rules),
                 config=self._config(backend),
-                algorithm=self.algorithm,
             )
         except Exception as error:  # semantics gap: streaming rejects Σ
             return mark(
@@ -342,7 +337,6 @@ def multi_tenant_check(
     *,
     eta: float = 0.5,
     num_workers: int = 2,
-    algorithm: str = "match",
     seed: int = 0,
     backends: Sequence[str] = ("sequential",),
     radius_floor: int = 0,
@@ -365,12 +359,7 @@ def multi_tenant_check(
     for backend in backends:
         config = EIPConfig(eta=eta, num_workers=num_workers, seed=seed, backend=backend)
         mark = lambda **kw: TenantDivergence(backend=backend, **kw)  # noqa: E731
-        multi = MultiTenantIdentifier(
-            graph.copy(),
-            config=config,
-            algorithm=algorithm,
-            radius_floor=radius_floor,
-        )
+        multi = MultiTenantIdentifier(graph.copy(), config=config, radius_floor=radius_floor)
         try:
             divergence = _run_tenant_combo(multi, tenants, batches, mark)
         finally:

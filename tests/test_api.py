@@ -148,9 +148,15 @@ class TestFacades:
         assert result.rule_confidences == baseline.rule_confidences
 
     def test_identify_rejects_unknown_algorithm(self):
+        """One batch solver registry, one refusal: both entry points raise
+        the batch error, not a streaming one."""
         graph, rules = _workload()
-        with pytest.raises(StreamError):
-            api.identify(graph, rules, algorithm="nope")
+        for identify in (
+            lambda: api.identify(graph, rules, algorithm="nope"),
+            lambda: identify_entities(graph, rules, algorithm="nope"),
+        ):
+            with pytest.raises(IdentificationError, match="'nope'"):
+                identify()
 
     def test_parse_predicate(self):
         predicate = api.parse_predicate("user:like_book:self help")

@@ -394,7 +394,6 @@ class TestSaveRestore:
         from repro import api
         from repro.exceptions import IdentificationError
         from repro.stream.identifier import read_checkpoint, write_checkpoint
-        from repro.testing import eip_fingerprint
 
         fixture = Path(__file__).parent / "data" / "core-format1.ckpt"
         state = read_checkpoint(fixture)
@@ -407,21 +406,55 @@ class TestSaveRestore:
                 api.restore_core(path)
         assert not started
 
-        def answers(core):
-            return {
-                tenant: (
-                    [entry.as_dict() for entry in session.result.answer_entries()],
-                    eip_fingerprint(session.result),
-                )
-                for tenant, session in core.sessions.items()
-            }
-
         with api.restore_core(fixture) as original:
-            expected = answers(original)
+            expected = self._answers(original)
         assert any(entries for entries, _ in expected.values()), "the gate compares a real answer"
         with api.restore_core(path, backend="sequential") as restored:
             assert restored.multi.identifier.config.backend == "sequential"
-            assert answers(restored) == expected
+            assert self._answers(restored) == expected
+
+    def test_checkpoint_naming_matchc_restores_and_ticks(self, tmp_path):
+        """Streaming runs Match only, so checkpoints no longer name a solver;
+        a copy of the fixture naming ``algorithm: "matchc"`` (as a session
+        opened with that option saved it) restores regardless — a checkpoint
+        stores verdict sets, and every solver computes the same ones.  It
+        serves the fixture's answer byte-identically, its next tick equals a
+        recompute, and the fixture itself still restores byte-identically."""
+        from pathlib import Path
+
+        from repro import api
+        from repro.stream.identifier import read_checkpoint, write_checkpoint
+        from repro.testing import eip_fingerprint
+
+        fixture = Path(__file__).parent / "data" / "core-format1.ckpt"
+        state = read_checkpoint(fixture)
+        assert state["algorithm"] == "match"
+        path = write_checkpoint(tmp_path / "matchc.ckpt", {**state, "algorithm": "matchc"})
+        with api.restore_core(fixture) as original:
+            expected = self._answers(original)
+            for session in original.sessions.values():
+                assert eip_fingerprint(session.result) == eip_fingerprint(session.recompute())
+            resaved = read_checkpoint(original.save_state(tmp_path / "resaved.ckpt"))
+        assert "algorithm" not in resaved
+        assert any(entries for entries, _ in expected.values()), "the gate compares a real answer"
+        with api.restore_core(path) as restored:
+            assert self._answers(restored) == expected
+            restored.apply(random_update_batch(restored.graph, size=6, seed=1, deletion_bias=0.5))
+            for session in restored.sessions.values():
+                assert eip_fingerprint(session.result) == eip_fingerprint(session.recompute())
+
+    @staticmethod
+    def _answers(core) -> dict:
+        """Every tenant's answer entries and fingerprint."""
+        from repro.testing import eip_fingerprint
+
+        return {
+            tenant: (
+                [entry.as_dict() for entry in session.result.answer_entries()],
+                eip_fingerprint(session.result),
+            )
+            for tenant, session in core.sessions.items()
+        }
 
     def test_failed_save_keeps_the_previous_checkpoint(self, tmp_path, monkeypatch):
         import repro.stream.identifier as module

@@ -433,6 +433,48 @@ class TestMultiPatternMatcher:
         columnar_view(resident)
         assert multi.match_sets(resident, list(g1_rules), candidates=candidates) == expected
 
+    def test_each_pool_is_profile_filtered_once(self, monkeypatch):
+        """The trie only narrows pools: the anchored matcher's ``match_set``
+        filters each one, once, and counts every candidate it drops."""
+        from repro.datasets import generate_gpars, most_frequent_predicates, synthetic_graph
+        from repro.graph.columnar import ColumnarFragment
+
+        graph = synthetic_graph(300, 1200, num_node_labels=5, num_edge_labels=3, seed=5)
+        predicate = most_frequent_predicates(graph, top=1)[0]
+        rules = generate_gpars(graph, predicate, count=6, max_pattern_edges=3, d=2, seed=5)
+        candidates = sorted(graph.nodes_with_label(predicate.label(predicate.x)))
+        resident = columnar_view(graph)
+        filtered = []  # (pool size, survivors) of every row filter
+        original_filter = ColumnarFragment.filter_candidates
+
+        def recording_filter(self, pool, requirement):
+            pool = list(pool)
+            survivors = original_filter(self, pool, requirement)
+            filtered.append((len(pool), len(survivors)))
+            return survivors
+
+        monkeypatch.setattr(ColumnarFragment, "filter_candidates", recording_filter)
+        matcher = GuidedMatcher()
+        pooled = []
+        original_match_set = matcher.match_set
+
+        def recording_match_set(graph, pattern, candidates=None):
+            pooled.append(candidates is not None)
+            return original_match_set(graph, pattern, candidates=candidates)
+
+        matcher.match_set = recording_match_set
+        multi = MultiPatternMatcher(matcher)
+        before = resident.statistics.row_filters
+        result = multi.match_sets(graph, rules, candidates=candidates)
+        assert all(pooled) and multi.statistics.prefix_pool_hits > 0
+        assert resident.statistics.row_filters - before == len(pooled) == len(filtered)
+        dropped = sum(size - survivors for size, survivors in filtered)
+        assert dropped > 0
+        assert multi.statistics.profile_prunes == dropped
+        reference = ReferenceMatcher()
+        for rule in rules:
+            assert result[rule] == reference.match_set(graph, rule.pr_pattern()) & set(candidates)
+
     def test_candidate_restriction(self, g1, r1):
         multi = MultiPatternMatcher(VF2Matcher())
         result = multi.match_sets(g1, [r1], candidates=["cust1", "cust5"])

@@ -567,7 +567,6 @@ class TestTopReport:
                     {
                         "session": "abc123",
                         "graph": "synthetic",
-                        "algorithm": "match",
                         "graph_version": 9,
                         "identified": 4,
                         "batches_applied": 2,

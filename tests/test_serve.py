@@ -245,6 +245,32 @@ class TestSessionLifecycle:
             )
             assert status == 400 and named in doc["error"], extra
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("workers", 2.7),
+            ("workers", True),
+            ("workers", "3"),
+            ("seed", 1.9),
+            ("seed", True),
+            ("history_limit", 2.5),
+            ("rules", 5.0),
+            ("max_edges", "4"),
+            ("d", 2.0),
+            ("eta", True),
+            ("eta", "0.1"),
+        ],
+    )
+    def test_numeric_fields_are_not_coerced(self, server, name, value):
+        """Counts are exact JSON integers and ``eta`` a JSON number: a float,
+        bool or string is refused by name, not converted (``workers: 2.7``
+        used to run — and join a shared core — as ``workers: 2``)."""
+        graph, _rules, predicate_text = _workload()
+        status, doc = _call(
+            "POST", f"{server.base_url}/sessions", _session_body(graph, predicate_text, **{name: value})
+        )
+        assert status == 400 and repr(name) in doc["error"], doc
+
     def test_malformed_http_gets_400(self, server):
         with socket.create_connection(("127.0.0.1", server.port), timeout=10) as raw:
             raw.sendall(b"GIBBERISH\r\n\r\n")

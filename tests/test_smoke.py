@@ -420,7 +420,7 @@ def _distill_into_corpus(graph, batches, rules, oracle, report, name: str) -> No
             distilled,
             rules,
             config={
-                "algorithm": oracle.algorithm, "eta": ETA, "num_workers": WORKERS,
+                "eta": ETA, "num_workers": WORKERS,
                 "seed": oracle.seed, "backend": oracle.backends[0],
             },
         )

@@ -268,11 +268,6 @@ class TestStreamingIdentifierLifecycle:
         rules = generate_gpars(graph, predicate, count=3, max_pattern_edges=3, d=2, seed=seed)
         return graph, rules
 
-    def test_rejects_unknown_algorithm(self):
-        graph, rules = self._workload()
-        with pytest.raises(StreamError):
-            StreamingIdentifier(graph, rules, algorithm="disvf2")
-
     def test_edged_free_component_is_maintained_via_component_census(self):
         graph, _rules = self._workload()
         from repro.pattern.pattern import Pattern

@@ -186,19 +186,16 @@ def test_streaming_identifier_equals_recompute(seed):
 
 @pytest.mark.parametrize("against_reference", [True, False])
 @pytest.mark.parametrize("backend", [*BACKENDS, "threads"])
-@pytest.mark.parametrize("algorithm", ["match", "matchc"])
+@pytest.mark.parametrize("algorithm", ["match"])
 def test_streaming_identifier_across_backends(
     backend, algorithm, against_reference, tmp_path
 ):
-    """Every backend and solver maintains the same answer over one sequence.
+    """Every backend maintains the same answer over one sequence.
 
     One leg holds the maintained answer to the naive whole-graph reference
     (``reference_identify``), the other to a sequential from-scratch run of
-    the production solver: one fingerprint across backend x solver x both.
-    The ``matchc`` legs keep the matchers' private (non-resident) caches
-    warm across mutations — its d-balls are never indexed — which is the
-    staleness path worker contexts keep alive between batches.  The
-    ``threads`` legs run on ``sequential`` and, between the two batches,
+    the batch solver *algorithm*: one fingerprint across backend x both.
+    The ``threads`` legs run on ``sequential`` and, between the two batches,
     move through a checkpoint naming the retired thread backend.
     """
     base = synthetic_graph(120, 360, num_node_labels=5, num_edge_labels=3, seed=9)
@@ -215,7 +212,6 @@ def test_streaming_identifier_across_backends(
             backend="sequential" if retired else backend,
             executor_workers=2,
         ),
-        algorithm=algorithm,
     )
     try:
         for position in range(2):
@@ -481,26 +477,27 @@ def test_static_and_streaming_agree_on_free_pattern_rules():
     for rule in rules:
         assert oracle.match_set(graph, rule.antecedent) == {"c1", "c2"}
         assert oracle.match_set(graph, rule.pr_pattern()) == {"c1"}
-    for algorithm in ("match", "matchc"):
-        static = identify_entities(
+    statics = {
+        algorithm: identify_entities(
             graph.copy(), rules, eta=0.5, num_workers=2, algorithm=algorithm
         )
+        for algorithm in ("match", "matchc")
+    }
+    for algorithm, static in statics.items():
         for rule in rules:
             # c2 contributes a global-census q̄-match, so supp(Qq̄) = 1 and
             # conf = 1·1/(1·1); per-fragment resolution missed it (conf=inf).
             assert static.rule_matches[rule] == frozenset({"c1"}), algorithm
             assert static.rule_confidences[rule] == 1.0, algorithm
-        with StreamingIdentifier(
-            graph.copy(),
-            rules,
-            config=EIPConfig(eta=0.5, num_workers=2),
-            algorithm=algorithm,
-        ) as identifier:
+    with StreamingIdentifier(
+        graph.copy(), rules, config=EIPConfig(eta=0.5, num_workers=2)
+    ) as identifier:
+        for static in statics.values():
             assert _eip_fingerprint(static) == _eip_fingerprint(identifier.result)
             assert static.rule_confidences == identifier.result.rule_confidences
 
 
-@pytest.mark.parametrize("algorithm", ["match", "matchc"])
+@pytest.mark.parametrize("algorithm", ["match"])
 def test_static_and_streaming_agree_on_mined_free_y_workload(algorithm):
     """Cross-path agreement on a *mined* Σ with splittable free-y rules."""
     base = _workload_graph(40)  # seed 40 is known to mine splittable free-y rules
@@ -509,7 +506,7 @@ def test_static_and_streaming_agree_on_mined_free_y_workload(algorithm):
     assert rules, "seed 40 must mine free-y rules (workload drifted?)"
     graph = base.copy()
     with StreamingIdentifier(
-        graph, rules, config=EIPConfig(eta=0.5, num_workers=3), algorithm=algorithm
+        graph, rules, config=EIPConfig(eta=0.5, num_workers=3)
     ) as identifier:
         identifier.apply(random_update_batch(graph, size=7, seed=601))
         static = identify_entities(

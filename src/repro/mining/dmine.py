@@ -3,9 +3,11 @@
 Round structure (one BSP super-step per levelwise round):
 
 1. **propose** — every worker extends the rules in the coordinator's message
-   set M by one antecedent edge, guided by its local data;
-2. **deduplicate** — the coordinator groups automorphic proposals (with the
-   bisimulation prefilter of Lemma 4) and keeps one representative each;
+   set M by one antecedent edge, guided by its local data, and ships each
+   extension as a ``(rule index, key)`` pair;
+2. **deduplicate** — the coordinator builds each distinct pair once, groups
+   automorphic proposals (with the bisimulation prefilter of Lemma 4) and
+   keeps one representative each;
 3. **evaluate** — every worker evaluates the representatives on its fragment
    and reports ``<R, conf, flag>`` messages over its owned centres;
 4. **assemble** — the coordinator sums local supports, unions match sets,
@@ -31,6 +33,7 @@ from repro.metrics.diversification import DiversificationObjective
 from repro.metrics.lcwa import predicate_stats
 from repro.mining.config import DMineConfig
 from repro.mining.diversify import greedy_diversify
+from repro.mining.expansion import _apply_extension
 from repro.mining.incdiv import IncrementalDiversifier, RuleInfo
 from repro.mining.local_mine import evaluate_worker, propose_worker, seed_rule
 from repro.mining.reduction import apply_reduction_rules
@@ -159,10 +162,17 @@ class DMine:
                     proposals_per_worker: list[list[Proposal]] = []
 
                     def _dedup_phase(worker_results):
-                        proposals_per_worker.extend(worker_results)
+                        # Workers propose (parent index, key) pairs; each
+                        # distinct one is built once, on the coordinator's
+                        # own parent object.
+                        distinct = dict.fromkeys(pair for pairs in worker_results for pair in pairs)
+                        built = {pair: _apply_extension(rules[pair[0]], pair[1]) for pair in distinct}
+                        proposals_per_worker.extend(
+                            [Proposal(built[pair], pair[0]) for pair in pairs] for pairs in worker_results
+                        )
                         proposals = [
                             proposal.rule
-                            for worker_proposals in worker_results
+                            for worker_proposals in proposals_per_worker
                             for proposal in worker_proposals
                         ]
                         with span("dmine.dedup", proposals=len(proposals)):
@@ -217,7 +227,8 @@ class DMine:
                             with span("dmine.coordinate.assemble"):
                                 for worker_messages in messages_per_worker:
                                     for message in worker_messages:
-                                        witness[(message.fragment_index, message.rule)] = message
+                                        rule = representatives[message.rule_index]
+                                        witness[(message.fragment_index, rule)] = message
                                 delta = self._assemble(representatives, messages_per_worker, global_stats)
                                 delta = {
                                     rule: info
@@ -356,6 +367,7 @@ class DMine:
         evaluated — including trivial or low-support ones — so the same
         structure is never regenerated and re-verified in a later round.
         Equal proposals are dropped first: each would only join its twin's group.
+        Each representative is renamed ``R<n>`` in place.
         """
         fresh = [
             rule
@@ -372,13 +384,10 @@ class DMine:
             if code in seen_codes:
                 continue
             seen_codes.add(code)
-            renamed = GPAR(
-                representative.antecedent,
-                representative.consequent_label,
-                name=f"R{len(seen_codes)}",
-                validate=False,
-            )
-            representatives.append(renamed)
+            # Proposals are the coordinator's own objects (built in the
+            # dedup phase): renamed in place, a rule keeps its memoised PR.
+            representative.name = f"R{len(seen_codes)}"
+            representatives.append(representative)
         return representatives
 
     def _assemble(
@@ -388,23 +397,22 @@ class DMine:
         global_stats,
     ) -> dict[GPAR, RuleInfo]:
         """Assemble global supports/confidence from fragment-local messages."""
-        by_rule: dict[GPAR, list[RuleMessage]] = {rule: [] for rule in rules}
+        by_rule: list[list[RuleMessage]] = [[] for _ in rules]
         for worker_messages in messages_per_worker:
             for message in worker_messages:
-                by_rule.setdefault(message.rule, []).append(message)
+                by_rule[message.rule_index].append(message)
 
         assembled: dict[GPAR, RuleInfo] = {}
         supp_q = global_stats.supp_q
         supp_q_bar = global_stats.supp_q_bar
-        for rule, messages in by_rule.items():
+        for rule, messages in zip(rules, by_rule):
             supp_r = sum(message.supp_r for message in messages)
             supp_q_qbar = sum(message.supp_q_qbar for message in messages)
-            matches = frozenset().union(*(message.rule_matches for message in messages)) if messages else frozenset()
-            upper_support = sum(message.upper_support for message in messages)
+            matches = frozenset().union(*(message.rule_matches for message in messages))
             confidence = bayes_factor_confidence(supp_r, supp_q_bar, supp_q_qbar, supp_q)
-            upper_confidence = (
-                (upper_support * supp_q_bar) / supp_q if supp_q else math.inf
-            )
+            # Anti-monotone upper bound for the message-reduction rules
+            # (Lemma 3): no extension of the rule reaches more than supp_r.
+            upper_confidence = (supp_r * supp_q_bar) / supp_q if supp_q else math.inf
             assembled[rule] = RuleInfo(
                 confidence=confidence,
                 support=supp_r,

@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import functools
 from collections import Counter
-from dataclasses import dataclass
-from typing import Hashable, Iterable
+from typing import Hashable, Iterable, NamedTuple
 
 from repro.graph.columnar import columnar_view
 from repro.graph.graph import Graph
@@ -26,8 +25,7 @@ from repro.pattern.pattern import Pattern
 NodeId = Hashable
 
 
-@dataclass(frozen=True)
-class _ExtensionKey:
+class _ExtensionKey(NamedTuple):
     """Structural identity of a candidate extension.
 
     ``closing`` extensions connect two existing pattern nodes; ``growing``
@@ -99,39 +97,25 @@ def _extension_keys_for_match(
     return keys
 
 
-def _apply_extension(rule: GPAR, key: _ExtensionKey, name: str) -> GPAR | None:
-    """Materialise an extension key into a new GPAR (None if invalid).
-
-    Extensions are applied to the *unexpanded* antecedent; keys that refer to
-    copy-expansion sibling nodes (which only exist in the expanded view) are
-    rejected, as are extensions that would not change the pattern.
-    """
+def _apply_extension(rule: GPAR, key: tuple) -> GPAR:
+    """Materialise a valid extension key (see :func:`extension_keys`), an
+    :class:`_ExtensionKey` or its plain tuple, into a GPAR named ``<rule's name>+``."""
+    kind, source, target, edge_label, other_label, outgoing = key
     antecedent = rule.antecedent
-    try:
-        if key.kind == "closing":
-            new_antecedent = antecedent.with_edge(
-                key.pattern_source, key.pattern_target, key.edge_label
-            )
+    if kind == "closing":
+        new_antecedent = antecedent.with_edge(source, target, edge_label)
+    else:
+        new_node = f"v{antecedent.num_nodes}"
+        while antecedent.has_node(new_node):
+            new_node = new_node + "_"
+        if outgoing:
+            new_antecedent = antecedent.with_edge(source, new_node, edge_label, target_label=other_label)
         else:
-            new_node = f"v{antecedent.num_nodes}"
-            while antecedent.has_node(new_node):
-                new_node = new_node + "_"
-            if key.outgoing:
-                new_antecedent = antecedent.with_edge(
-                    key.pattern_source, new_node, key.edge_label, target_label=key.other_label
-                )
-            else:
-                new_antecedent = antecedent.with_edge(
-                    new_node, key.pattern_source, key.edge_label, source_label=key.other_label
-                )
-        if new_antecedent == antecedent:
-            return None
-        return GPAR(new_antecedent, rule.consequent_label, name=name, validate=False)
-    except Exception:
-        return None
+            new_antecedent = antecedent.with_edge(new_node, source, edge_label, source_label=other_label)
+    return GPAR(new_antecedent, rule.consequent_label, name=f"{rule.name}+", validate=False)
 
 
-def candidate_extensions(
+def extension_keys(
     graph: Graph,
     rule: GPAR,
     centers: Iterable[NodeId],
@@ -140,8 +124,10 @@ def candidate_extensions(
     max_extensions: int = 30,
     consequent_label: str | None = None,
     witnesses=None,
-) -> list[GPAR]:
-    """Single-edge extensions of *rule* suggested by *graph* around *centers*.
+) -> list[_ExtensionKey]:
+    """The keys of the single-edge extensions of *rule* suggested by *graph*
+    around *centers*: valid ones only, most-supported first, at most
+    *max_extensions*.
 
     Parameters
     ----------
@@ -153,7 +139,7 @@ def candidate_extensions(
         *rule*'s own rule pattern must be connected and within it (DMine's
         seed and every rule this function returns are).
     max_extensions:
-        At most this many extensions are returned, most-supported first.
+        At most this many keys are returned.
     witnesses:
         Optional materialized witness source (an object with
         ``witness_for(center) -> mapping | None``, e.g. a canonical
@@ -161,11 +147,6 @@ def candidate_extensions(
         A stored witness replaces the fresh ``find_match_at`` probe; it must
         be the *same* mapping the probe would return (canonical entries
         guarantee this), so the proposed extensions are unchanged.
-
-    Returns
-    -------
-    list[GPAR]
-        New rules, each exactly one antecedent edge larger than *rule*.
     """
     q_label = consequent_label if consequent_label is not None else rule.consequent_label
     antecedent = rule.antecedent.expanded()
@@ -186,18 +167,31 @@ def candidate_extensions(
     # max_extensions truncation identical on every execution backend
     # (including spawn-based process pools).
     ranked = sorted(votes.items(), key=lambda item: (-item[1], item[0].sort_key()))
-    # An extension's radius follows from the rule's distances: a growing
-    # edge puts its new node one hop beyond its anchor, a closing edge
-    # lengthens no distance.
+    # Keys are read off the *expanded* antecedent: one naming a copy-expansion
+    # sibling is invalid, and so is a closing edge the unexpanded antecedent
+    # has.  An extension's radius follows from the rule's distances: a
+    # growing edge puts its new node one hop beyond its anchor, a closing
+    # edge lengthens no distance.
+    unexpanded = rule.antecedent
     distances = bfs_distances(rule.pr_pattern(), rule.x)
-    extensions: list[GPAR] = []
+    keys: list[_ExtensionKey] = []
     for key, _count in ranked:
-        candidate = _apply_extension(rule, key, name=f"{rule.name}+")
-        if candidate is None:
+        source = key.pattern_source
+        if not unexpanded.has_node(source):
             continue
-        if key.kind == "growing" and distances[key.pattern_source] + 1 > max_radius:
+        if key.kind == "closing":
+            target = key.pattern_target
+            if not unexpanded.has_node(target) or unexpanded.has_edge(source, target, key.edge_label):
+                continue
+        elif distances[source] + 1 > max_radius:
             continue
-        extensions.append(candidate)
-        if len(extensions) >= max_extensions:
+        keys.append(key)
+        if len(keys) >= max_extensions:
             break
-    return extensions
+    return keys
+
+
+def candidate_extensions(graph: Graph, rule: GPAR, *args, **kwargs) -> list[GPAR]:
+    """The new rules, each one antecedent edge larger than *rule*, of the
+    keys :func:`extension_keys` returns for the same arguments."""
+    return [_apply_extension(rule, key) for key in extension_keys(graph, rule, *args, **kwargs)]

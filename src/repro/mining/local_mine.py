@@ -26,14 +26,8 @@ from repro.matching.incremental import DeltaMatcher, MatchEntry, MatchStore, sin
 from repro.matching.vf2 import VF2Matcher
 from repro.metrics.lcwa import predicate_stats_over
 from repro.mining.config import DMineConfig
-from repro.mining.expansion import candidate_extensions
-from repro.parallel.messages import (
-    EvaluatePayload,
-    Proposal,
-    ProposePayload,
-    RuleFocus,
-    RuleMessage,
-)
+from repro.mining.expansion import extension_keys
+from repro.parallel.messages import EvaluatePayload, ProposePayload, RuleFocus, RuleMessage
 from repro.parallel.worker import WorkerContext
 from repro.partition.fragment import Fragment
 from repro.pattern.canonical import canonical_code
@@ -87,33 +81,24 @@ class LocalMiner:
         self.candidates: set[NodeId] = (
             set(stats.positives) | set(stats.negatives) | set(stats.unknown)
         )
+        # Fragment-local supp(q, F_i) / supp(q̄, F_i) are their sizes.
         self.local_positives: set[NodeId] = set(stats.positives)
         self.local_negatives: set[NodeId] = set(stats.negatives)
 
     # ------------------------------------------------------------------
-    @property
-    def supp_q_local(self) -> int:
-        """Fragment-local ``supp(q, F_i)`` over owned centres."""
-        return len(self.local_positives)
-
-    @property
-    def supp_q_bar_local(self) -> int:
-        """Fragment-local ``supp(q̄, F_i)`` over owned centres."""
-        return len(self.local_negatives)
-
-    # ------------------------------------------------------------------
     def propose(
         self, rules: Sequence[GPAR], focus: Sequence[RuleFocus] | None = None
-    ) -> list[Proposal]:
-        """Propose single-edge extensions for every rule in *rules*.
+    ) -> list[tuple[int, tuple]]:
+        """Propose single-edge extensions for every rule in *rules*, as
+        ``(index into rules, extension key as a plain tuple)`` pairs.
 
         *focus* (parallel to *rules*) carries the previous round's witness
         sets at this fragment: expansion starts from the centres that
-        matched the rule, and each proposal is tagged with its parent's index
-        so the coordinator can hand the evaluation the parent's anti-monotone
-        candidate pool.
+        matched the rule.  The parent's index lets the coordinator build the
+        child on its own parent object and hand the evaluation the parent's
+        anti-monotone candidate pool.
         """
-        proposals: list[Proposal] = []
+        proposals: list[tuple[int, tuple]] = []
         for index, rule in enumerate(rules):
             entry = focus[index] if focus is not None else RuleFocus()
             if rule.antecedent.num_edges == 0 or entry.centers is None:
@@ -131,7 +116,7 @@ class LocalMiner:
                 # the witness comes from the store or from a fresh probe.
                 if entry is not None and entry.canonical_witness:
                     witnesses = entry
-            extensions = candidate_extensions(
+            keys = extension_keys(
                 self.fragment.graph,
                 rule,
                 sorted(centers, key=str),
@@ -140,7 +125,7 @@ class LocalMiner:
                 max_extensions=self.config.max_extensions_per_rule,
                 witnesses=witnesses,
             )
-            proposals.extend(Proposal(extension, index) for extension in extensions)
+            proposals.extend((index, tuple(key)) for key in keys)
         return proposals
 
     def evaluate(
@@ -189,28 +174,18 @@ class LocalMiner:
             want,
             stored,
         )
-        messages: list[RuleMessage] = []
-        for index, rule in enumerate(rules):
-            antecedent_matches, rule_matches = antecedent_sets[index], rule_sets[index]
-            qbar_matches = antecedent_matches & self.local_negatives
-            messages.append(
-                RuleMessage(
-                    rule=rule,
-                    fragment_index=self.fragment.index,
-                    supp_r=len(rule_matches),
-                    supp_antecedent=len(antecedent_matches),
-                    supp_q_qbar=len(qbar_matches),
-                    supp_q=self.supp_q_local,
-                    supp_q_bar=self.supp_q_bar_local,
-                    extendable=bool(rule_matches) and want[index],
-                    rule_matches=frozenset(rule_matches),
-                    antecedent_matches=frozenset(antecedent_matches),
-                    qbar_matches=frozenset(qbar_matches),
-                    # Anti-monotone upper bound on the support any extension
-                    # of this rule can reach at this fragment.
-                    upper_support=len(rule_matches),
-                )
+        messages = [
+            RuleMessage(
+                rule_index=index,
+                fragment_index=self.fragment.index,
+                supp_r=len(rule_sets[index]),
+                supp_q_qbar=len(antecedent_sets[index] & self.local_negatives),
+                extendable=bool(rule_sets[index]) and want[index],
+                rule_matches=frozenset(rule_sets[index]),
+                antecedent_matches=frozenset(antecedent_sets[index]),
             )
+            for index in range(len(rules))
+        ]
         # The only parents the next level can need are this level's
         # children: evict everything else.  The store itself then holds one
         # level of entries; note that a child's lazy embedding streams keep
@@ -266,7 +241,7 @@ def miner_for(context: WorkerContext, predicate: Pattern, config: DMineConfig) -
     )
 
 
-def propose_worker(context: WorkerContext, payload: ProposePayload) -> list[Proposal]:
+def propose_worker(context: WorkerContext, payload: ProposePayload) -> list[tuple[int, tuple]]:
     """BSP worker function for the propose half-round."""
     miner = miner_for(context, payload.predicate, payload.config)
     return miner.propose(payload.rules, payload.focus)

@@ -1,18 +1,27 @@
 """Messages exchanged between workers and the coordinator (Section 4.2).
 
-A worker reports, for every GPAR it generated or evaluated locally, the
-triple ``<R, conf, flag>`` of the paper: the rule, the local support counts
-needed to assemble the global confidence, and whether the rule can still be
-extended at this worker.  The local match sets of the designated node are
-included so the coordinator can compute the diversification distance
-``diff(R, R')`` (Jaccard over match sets) — exactly the information shown in
-the message tables of Example 9.
+A worker reports, for every GPAR it evaluated locally, the triple
+``<R, conf, flag>`` of the paper as a :class:`RuleMessage`: the rule, the
+local support counts needed to assemble the global confidence, and whether
+the rule can still be extended at this worker.  The local match sets of the
+designated node are included so the coordinator can compute the
+diversification distance ``diff(R, R')`` (Jaccard over match sets) —
+exactly the information shown in the message tables of Example 9.
 
-Everything in this module is a frozen dataclass built from picklable parts
-(patterns, frozensets, ints) so the same messages can cross a process
-boundary on the multiprocessing backend.  The payload types describe one
-round's worth of coordinator → worker instructions; they carry witness
-*sets of node ids*, never graphs, which keeps per-round IPC small.
+What crosses the process boundary names rules the coordinator already holds
+rather than rebuilding them:
+
+* a worker's proposals are ``(parent_index, key)`` pairs — the index of the
+  message-set rule extended and the plain tuple of an extension key
+  (:func:`repro.mining.expansion.extension_keys`).  The coordinator
+  materialises each distinct pair once, on its own parent object, into a
+  :class:`Proposal`;
+* a :class:`RuleMessage` names its rule by ``rule_index``, the position in
+  the :class:`EvaluatePayload`'s ``rules``.
+
+Payloads are frozen dataclasses built from picklable parts (rules,
+frozensets, ints); they carry witness *sets of node ids*, never graphs,
+which keeps per-round IPC small.
 """
 
 from __future__ import annotations
@@ -27,23 +36,17 @@ NodeId = Hashable
 
 @dataclass(frozen=True)
 class RuleMessage:
-    """Per-rule, per-fragment message ``<R, conf, flag>``."""
+    """Per-rule, per-fragment message ``<R, conf, flag>``; the rule is
+    ``rules[rule_index]`` of the evaluated payload."""
 
-    rule: GPAR
+    rule_index: int
     fragment_index: int
     supp_r: int = 0
-    supp_antecedent: int = 0
     supp_q_qbar: int = 0
-    supp_q: int = 0
-    supp_q_bar: int = 0
     extendable: bool = False
     # Witness sets (owned centres only), used for diff() and for Σ(x, G, η).
     rule_matches: frozenset = frozenset()
     antecedent_matches: frozenset = frozenset()
-    qbar_matches: frozenset = frozenset()
-    # Upper-bound support for the message-reduction rules (Lemma 3): owned
-    # centres matching R that still have unexplored structure at hop r + 1.
-    upper_support: int = 0
 
 
 @dataclass(frozen=True)
@@ -63,7 +66,8 @@ class RuleFocus:
 
 @dataclass(frozen=True)
 class Proposal:
-    """One proposed extension, tagged with the message-set rule it extends."""
+    """One proposed extension, tagged with the message-set rule it extends
+    (built by the coordinator from a worker's ``(parent_index, key)``)."""
 
     rule: GPAR
     parent_index: int

@@ -28,6 +28,7 @@ the coordinator and travels inside payloads.
 
 from __future__ import annotations
 
+import gc
 import time
 import traceback
 from dataclasses import dataclass, field
@@ -75,6 +76,9 @@ def init_worker(fragments: Sequence[Fragment], build_resident: bool = True) -> N
     per worker process, so every round's matching work starts warm.  It
     times itself: ``pool.init_seconds``, shipped by the process's first task.
     """
+    # A forked worker shares the coordinator's heap copy-on-write: frozen, it is
+    # never traversed by this process's collections, so its pages stay shared.
+    gc.freeze()
     started = time.perf_counter()
     from repro.graph.columnar import columnar_view
 

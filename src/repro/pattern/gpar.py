@@ -112,15 +112,7 @@ class GPAR:
 
     @cached_property
     def _pr(self) -> Pattern:
-        edges = list(self.antecedent.edges())
-        edges.append(PatternEdge(self.antecedent.x, self.antecedent.y, self.consequent_label))
-        return Pattern(
-            nodes=dict(self.antecedent.node_items()),
-            edges=edges,
-            x=self.antecedent.x,
-            y=self.antecedent.y,
-            copies=self.antecedent.copy_counts(),
-        )
+        return self.antecedent.with_edge(self.antecedent.x, self.antecedent.y, self.consequent_label)
 
     def pr_pattern(self) -> Pattern:
         """``PR``: the antecedent extended with the consequent edge."""

@@ -11,16 +11,17 @@ the canonical code in a slot (:func:`repro.pattern.canonical.canonical_code`
 reads it) and everything else — the copy-expanded form, the edge set, and
 what :mod:`repro.matching` compiles from a pattern (search plan, required
 sketches, prefix chain) — in the per-object memo behind :meth:`Pattern.derive`.
-None of it crosses a pickle boundary: ``__reduce__`` ships the defining
-fields only, because a hash cached under one ``PYTHONHASHSEED`` is wrong in
-a process started with another, and would make an equal pattern unfindable
-in every dict there.
+``__reduce__`` ships the normalised defining fields and the canonical code,
+a string no hash seed enters; the structural key, its hash and the memo stay
+behind, because a hash cached under one ``PYTHONHASHSEED`` is wrong in a
+process started with another, and would make an equal pattern unfindable in
+every dict there.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Iterator, Mapping, TypeVar
+import bisect
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple, TypeVar
 
 from repro.exceptions import PatternError
 from repro.graph.graph import Graph
@@ -29,8 +30,7 @@ PatternNodeId = Hashable
 T = TypeVar("T")
 
 
-@dataclass(frozen=True)
-class PatternEdge:
+class PatternEdge(NamedTuple):
     """A directed labelled pattern edge."""
 
     source: PatternNodeId
@@ -40,6 +40,14 @@ class PatternEdge:
     def sort_key(self) -> tuple[str, str, str]:
         """A total order usable even when node ids mix types (copy nodes)."""
         return (str(self.source), str(self.target), self.label)
+
+
+def _from_parts(nodes, edges, x, y, copies, code=None) -> "Pattern":
+    """A pattern from normalised parts (see :meth:`Pattern._init`), not
+    validated again: what unpickling and the one-edge derivations build."""
+    pattern = Pattern.__new__(Pattern)
+    pattern._init(nodes, edges, x, y, copies, code)
+    return pattern
 
 
 class Pattern:
@@ -91,50 +99,58 @@ class Pattern:
     ) -> None:
         if not nodes:
             raise PatternError("a pattern must have at least one node")
-        self._nodes: dict[PatternNodeId, str] = dict(nodes)
+        nodes = dict(nodes)
         normalized: list[PatternEdge] = []
         for item in edges:
             edge = item if isinstance(item, PatternEdge) else PatternEdge(*item)
-            if edge.source not in self._nodes:
+            if edge.source not in nodes:
                 raise PatternError(f"edge source {edge.source!r} is not a pattern node")
-            if edge.target not in self._nodes:
+            if edge.target not in nodes:
                 raise PatternError(f"edge target {edge.target!r} is not a pattern node")
             normalized.append(edge)
-        deduped = sorted(set(normalized), key=PatternEdge.sort_key)
-        self._edges: tuple[PatternEdge, ...] = tuple(deduped)
-        if x not in self._nodes:
+        if x not in nodes:
             raise PatternError(f"designated node x={x!r} is not a pattern node")
-        if y is not None and y not in self._nodes:
+        if y is not None and y not in nodes:
             raise PatternError(f"designated node y={y!r} is not a pattern node")
-        self.x = x
-        self.y = y
-        self._copies: dict[PatternNodeId, int] = {}
+        kept: dict[PatternNodeId, int] = {}
         for node, count in (copies or {}).items():
-            if node not in self._nodes:
+            if node not in nodes:
                 raise PatternError(f"copy count given for unknown node {node!r}")
             if count < 1:
                 raise PatternError(f"copy count for {node!r} must be >= 1, got {count}")
             if count > 1 and node in (x, y):
                 raise PatternError("designated nodes cannot carry a copy count > 1")
             if count > 1:
-                self._copies[node] = count
+                kept[node] = count
+        edges = tuple(sorted(set(normalized), key=PatternEdge.sort_key))
+        self._init(nodes, edges, x, y, kept)
+
+    def _init(self, nodes, edges, x, y, copies, code=None) -> None:
+        """Fill the slots from normalised parts: the one constructor every
+        pattern goes through.  *edges* is a sorted, duplicate-free tuple over
+        *nodes*; *copies* holds counts > 1 only; *code* is the canonical code
+        if known."""
+        self._nodes: dict[PatternNodeId, str] = nodes
+        self._edges: tuple[PatternEdge, ...] = edges
+        self.x = x
+        self.y = y
+        self._copies: dict[PatternNodeId, int] = copies
         # adjacency caches (pattern-level, before copy expansion)
-        out: dict[PatternNodeId, list[PatternEdge]] = {node: [] for node in self._nodes}
-        inc: dict[PatternNodeId, list[PatternEdge]] = {node: [] for node in self._nodes}
-        for edge in self._edges:
+        out: dict[PatternNodeId, list[PatternEdge]] = {node: [] for node in nodes}
+        inc: dict[PatternNodeId, list[PatternEdge]] = {node: [] for node in nodes}
+        for edge in edges:
             out[edge.source].append(edge)
             inc[edge.target].append(edge)
         self._out = out
         self._in = inc
-        # Filled at first use, never pickled (see the module docstring).
+        # Filled at first use; of these only the code is pickled.
         self._identity: tuple | None = None
         self._hash: int | None = None
-        self._code: str | None = None
+        self._code: str | None = code
         self._derived: dict | None = None
 
     def __reduce__(self):
-        edges = tuple((edge.source, edge.target, edge.label) for edge in self._edges)
-        return (Pattern, (self._nodes, edges, self.x, self.y, self._copies or None))
+        return (_from_parts, (self._nodes, self._edges, self.x, self.y, self._copies, self._code))
 
     def derive(self, name: Hashable, factory: Callable[[Pattern], T]) -> T:
         """``factory(self)``, computed once per pattern object under *name*.
@@ -234,17 +250,18 @@ class Pattern:
         target_label: str | None = None,
     ) -> "Pattern":
         """Return a new pattern with one more edge (and nodes if labels given)."""
-        nodes = dict(self._nodes)
-        if source not in nodes:
-            if source_label is None:
-                raise PatternError(f"new node {source!r} needs a label")
-            nodes[source] = source_label
-        if target not in nodes:
-            if target_label is None:
-                raise PatternError(f"new node {target!r} needs a label")
-            nodes[target] = target_label
-        edges = list(self._edges) + [PatternEdge(source, target, label)]
-        return Pattern(nodes, edges, x=self.x, y=self.y, copies=self._copies)
+        nodes = self._nodes
+        for node, node_label in ((source, source_label), (target, target_label)):
+            if node not in nodes:
+                if node_label is None:
+                    raise PatternError(f"new node {node!r} needs a label")
+                nodes = {**nodes, node: node_label}
+        edge = PatternEdge(source, target, label)
+        edges = list(self._edges)
+        if edge not in self._out.get(source, ()):
+            bisect.insort(edges, edge, key=PatternEdge.sort_key)
+        # Both dicts are shared, never mutated: patterns are immutable.
+        return _from_parts(nodes, tuple(edges), self.x, self.y, self._copies)
 
     def without_node(self, node: PatternNodeId) -> "Pattern":
         """Return a new pattern with *node* and its incident edges removed."""

@@ -4,8 +4,8 @@ The contract behind ``--backend``: sequential and process execution
 produce *identical* mined rule sets and identical EIP matches, because all
 cross-round state lives at the coordinator and worker functions are pure in
 ``(fragment, payload)``.  These tests pin that contract on the synthetic
-dataset, and pin picklability of every type that crosses the process
-boundary.
+dataset, pin picklability of every type that crosses the process
+boundary, and bound the bytes one DMine run ships.
 """
 
 from __future__ import annotations
@@ -14,7 +14,8 @@ import pickle
 
 import pytest
 
-from repro.datasets import generate_gpars, most_frequent_predicates, synthetic_graph
+from repro import api
+from repro.datasets import generate_gpars, most_frequent_predicates, pokec_like, synthetic_graph
 from repro.exceptions import ExecutorError, WorkerError
 from repro.identification import identify_entities
 from repro.mining import DMineConfig, dmine
@@ -33,6 +34,7 @@ from repro.identification.matchc import VerifyPayload, _FragmentReport
 from repro.identification.eip import EIPConfig
 from repro.identification.match import Match
 from repro.mining.local_mine import seed_rule
+from repro.parallel.runtime import BSPRuntime
 from repro.partition import partition_graph
 
 
@@ -113,19 +115,21 @@ class TestMessagePickling:
         assert type(clone) is type(value)
         return clone
 
-    def test_rule_message(self, r1):
+    def test_rule_message(self):
         message = RuleMessage(
-            rule=r1,
+            rule_index=4,
             fragment_index=2,
             supp_r=3,
+            supp_q_qbar=1,
             extendable=True,
             rule_matches=frozenset({"a", "b"}),
             antecedent_matches=frozenset({"a", "b", "c"}),
-            qbar_matches=frozenset({"d"}),
         )
         clone = self._roundtrip(message)
         assert clone == message
-        assert clone.rule == r1
+        assert (clone.rule_index, clone.supp_q_qbar) == (4, 1)
+        # The message names its rule by index: no rule object crosses.
+        assert b"GPAR" not in pickle.dumps(message)
 
     def test_round_payloads(self, r1, visit_predicate):
         config = DMineConfig(num_workers=2)
@@ -180,6 +184,34 @@ class TestMessagePickling:
         assert sorted(map(str, clone.graph.nodes())) == sorted(
             map(str, fragments[0].graph.nodes())
         )
+
+
+#: Pickled bytes of the propose and evaluate payloads and results of one
+#: ``mine`` of the repo benchmark's sample (12 tasks): 976,871 when workers
+#: shipped full proposed rules and messages carried their rule; 557,892
+#: (PYTHONHASHSEED=0) with proposals as (parent index, key) pairs and
+#: messages naming their rule by index.
+ROUND_TRAFFIC_CEILING = 600_000
+
+
+def test_mine_round_traffic_stays_under_its_bound(monkeypatch):
+    sizes: list[int] = []
+    run_round = BSPRuntime.run_round
+
+    def measured(self, worker_fn, payloads, coordinate):
+        def measure(results):
+            sizes.extend(len(pickle.dumps(value)) for value in (*payloads, *results))
+            return coordinate(results)
+
+        return run_round(self, worker_fn, payloads, measure)
+
+    monkeypatch.setattr(BSPRuntime, "run_round", measured)
+    config = DMineConfig(k=8, d=2, sigma=5, num_workers=2, max_edges=3)
+    sample = pokec_like(100, 4, seed=7, name="sample")
+    result = api.mine(sample, api.parse_predicate("user:like_book:personal development"), config)
+    assert result.top_k and result.rounds_executed == 3
+    assert len(sizes) == 24  # a payload and a result per task
+    assert sum(sizes) <= ROUND_TRAFFIC_CEILING
 
 
 def _raise_in_worker(context, payload):

@@ -2,8 +2,9 @@
 
 * **pattern identity** — ``Pattern`` / ``GPAR`` keep their structural key,
   hash and canonical code on the object: the cached forms must agree with
-  recomputation on equal and unequal patterns, and must never cross a pickle
-  boundary (a hash taken under one ``PYTHONHASHSEED`` is wrong under another);
+  recomputation on equal and unequal patterns.  Of them only the canonical
+  code crosses a pickle boundary: it equals the code recomputed under
+  another ``PYTHONHASHSEED``, where a carried hash would be wrong;
 * **incDiv** — the bound-pruned, id-keyed :class:`IncrementalDiversifier`
   against the parent commit's quadratic one, kept below as the reference;
 * **sketches** — prefix sums stored on :class:`KHopSketch` against the
@@ -87,7 +88,7 @@ def test_cached_identity_agrees_with_recomputation(first, second):
 
 
 # ----------------------------------------------------------------------
-# (2) derived state never crosses a pickle boundary
+# (2) of the derived state only the canonical code crosses a pickle boundary
 # ----------------------------------------------------------------------
 def _spec(rule: GPAR) -> tuple:
     """The defining fields of *rule* as plain builtins."""
@@ -171,14 +172,70 @@ def test_unpickled_under_another_hash_seed_equal_patterns_are_found(tmp_path):
     assert pickle.loads((tmp_path / "out.pkl").read_bytes()) == saved
 
 
+_CODES_CHILD = """
+import pickle, sys
+from repro.pattern import Pattern
+from repro.pattern.canonical import _compute_code
+
+with open(sys.argv[1], "rb") as handle:
+    batch = pickle.load(handle)
+for position, (spec, pattern) in enumerate(batch):
+    nodes, edges, x, y, copies = spec
+    fresh = Pattern(nodes, edges, x=x, y=y, copies=copies)
+    assert pattern._code is not None, f"pattern {position} crossed without its code"
+    assert pattern._code == _compute_code(fresh), f"pattern {position}: code differs here"
+    assert pattern._hash is None, f"pattern {position} carried its hash"
+    assert hash(pattern) == hash(fresh) == hash(pattern._key()) and pattern == fresh
+"""
+
+
+def test_canonical_codes_cross_into_another_hash_seed(tmp_path):
+    graph = pokec_like(40, 3, seed=7)
+    rules = generate_gpars(
+        graph, api.parse_predicate(PREDICATE), count=6, max_pattern_edges=3, d=2, seed=5
+    )
+    copied = Pattern(
+        {"x": "user", "f": "user", "y": "book"},
+        [("x", "f", "follow"), ("f", "y", "like_book")],
+        x="x", y="y", copies={"f": 2},
+    )
+    patterns = [copied, *(rule.antecedent for rule in rules), *(rule.pr_pattern() for rule in rules)]
+    batch = []
+    for pattern in patterns:
+        hash(pattern), canonical_code(pattern)
+        spec = (dict(pattern.node_items()), list(pattern.edges()), pattern.x, pattern.y, pattern.copy_counts())
+        batch.append((spec, pattern))
+    (tmp_path / "codes.pkl").write_bytes(pickle.dumps(batch))
+
+    own_seed = os.environ.get("PYTHONHASHSEED")
+    src = str(Path(repro.__file__).resolve().parents[1])
+    environment = {
+        **os.environ,
+        "PYTHONHASHSEED": "4321" if own_seed != "4321" else "1234",
+        "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+    }
+    child = subprocess.run(
+        [sys.executable, "-c", _CODES_CHILD, str(tmp_path / "codes.pkl")],
+        env=environment, capture_output=True, text=True, timeout=120,
+    )
+    assert child.returncode == 0, child.stderr
+
+
 def test_pickles_carry_defining_fields_only():
+    """The defining fields and the canonical code cross; the structural key,
+    its hash and the memo stay behind."""
     pattern = Pattern({"x": "user", "y": "book"}, [("x", "y", "like")], x="x", y="y")
+    bare = len(pickle.dumps(pattern))
     hash(pattern), canonical_code(pattern), pattern.has_edge("x", "y", "like")
     payload = pickle.dumps(pattern)
-    assert len(payload) <= 250  # the parent's size, which shipped _out / _in too
+    # 125 B bare (99 B at the parent commit, which shipped edges as plain
+    # triples; a PatternEdge names its class once per pickle), plus the code.
+    assert bare <= 130
+    assert len(payload) <= bare + len(canonical_code(pattern)) + 4
     clone = pickle.loads(payload)
+    assert clone._code == canonical_code(pattern)
+    assert clone._hash is None and clone._identity is None and clone._derived is None
     assert clone == pattern and clone is not pattern
-    assert clone._code is None and clone._derived is None
 
     rule = GPAR(Pattern({"x": "user", "y": "book", "z": "user"}, [("x", "z", "follow")], "x", "y"), "like")
     hash(rule), rule.pr_pattern(), rule.radius
@@ -435,7 +492,7 @@ def mining_calls():
         return read
 
     with pytest.MonkeyPatch.context() as monkeypatch:
-        _counting(monkeypatch, Pattern, "__init__", calls["built"])
+        _counting(monkeypatch, Pattern, "_init", calls["built"])
         _counting(monkeypatch, Pattern, "_key", calls["keyed"])
         _counting(monkeypatch, incdiv, "jaccard_distance", calls["distances"])
         _counting(monkeypatch, DiversificationObjective, "upper_bound_contribution", calls["bounds"])
@@ -450,6 +507,8 @@ def mining_calls():
 
 
 def test_structural_keys_are_computed_once_per_pattern(mining_calls):
+    """Patterns are counted at ``Pattern._init``, the constructor that built,
+    derived (``with_edge``) and unpickled patterns all go through."""
     calls = mining_calls[0]
     assert 0 < len(calls["keyed"]) <= len(calls["built"])
 

@@ -136,8 +136,8 @@ class TestLocalMiner:
             g1, 3, centers=g1.nodes_with_label("cust"), d=2, seed=0
         )
         miners = [LocalMiner(fragment, visit_predicate, config) for fragment in fragments]
-        assert sum(miner.supp_q_local for miner in miners) == 5
-        assert sum(miner.supp_q_bar_local for miner in miners) == 1
+        assert sum(len(miner.local_positives) for miner in miners) == 5
+        assert sum(len(miner.local_negatives) for miner in miners) == 1
 
     def test_evaluate_message_fields(self, g1, r7, visit_predicate):
         config = DMineConfig(k=2, d=2, num_workers=2)

@@ -6,6 +6,8 @@
   graphs with parallel edges of different labels, edges both ways between
   mapped nodes, self-loops, the consequent edge and copy-expanded
   antecedents;
+* **keys on the wire** — the extensions equal their keys applied on the
+  coordinator after the keys crossed a pickle as plain tuples;
 * **grouping** — :func:`group_automorphic`, keyed by canonical code, must
   return the pairwise reference's groups in the same order, with members in
   the same order, ``fallback:`` codes included;
@@ -17,6 +19,7 @@
 from __future__ import annotations
 
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -28,7 +31,13 @@ import repro
 from repro.graph import Graph
 from repro.graph.columnar import columnar_view
 from repro.matching import VF2Matcher
-from repro.mining.expansion import _ExtensionKey, _extension_keys_for_match, candidate_extensions
+from repro.mining.expansion import (
+    _apply_extension,
+    _ExtensionKey,
+    _extension_keys_for_match,
+    candidate_extensions,
+    extension_keys,
+)
 from repro.pattern import GPAR, Pattern, canonical_code, group_automorphic
 from repro.pattern.radius import pattern_radius
 from repro.testing import reference_extension_keys, reference_group_automorphic
@@ -175,6 +184,27 @@ def _radius_forms(seed: int, limit: int) -> tuple[list, list]:
 def test_radius_cut_from_the_rules_distances_equals_the_pattern_radius_cut(seed, limit):
     kept, by_radius = _radius_forms(seed, limit)
     assert kept == by_radius
+
+
+@given(st.integers(0, 10**9), st.sampled_from([10**6, 3]))
+@settings(max_examples=200, deadline=None)
+def test_extensions_are_their_keys_applied(seed, limit):
+    """What a worker ships — the key list, as plain tuples through a pickle —
+    rebuilds on the coordinator into exactly the extensions, copy-expanded
+    antecedents included; every key names unexpanded nodes and adds one edge."""
+    graph, rule, centers, max_radius = _radius_case(seed)
+    keys = extension_keys(
+        graph, rule, centers, VF2Matcher(), max_radius=max_radius, max_extensions=limit
+    )
+    extensions = _extensions(graph, rule, centers, max_radius, limit)
+    shipped = pickle.loads(pickle.dumps([tuple(key) for key in keys]))
+    rebuilt = [_apply_extension(rule, key) for key in shipped]
+    assert rebuilt == extensions
+    assert [child.name for child in rebuilt] == [child.name for child in extensions]
+    for key, child in zip(keys, extensions):
+        assert rule.antecedent.has_node(key.pattern_source)
+        assert key.kind == "growing" or rule.antecedent.has_node(key.pattern_target)
+        assert child.antecedent.num_edges == rule.antecedent.num_edges + 1
 
 
 def test_radius_cut_cases_keep_and_drop():

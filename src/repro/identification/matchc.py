@@ -3,7 +3,9 @@
 Steps (Section 5.1):
 
 1. **Partitioning** — fragment G so that every candidate centre's d-ball is
-   local to one fragment (d = the largest rule radius in Σ).
+   local to one fragment (d = the largest rule radius in Σ).  G is
+   fragmented once per version: a later call on the unchanged graph reuses
+   the fragments and their compiled resident structures.
 2. **Matching** — each worker verifies, for every owned candidate ``vx`` and
    every rule R, whether ``vx ∈ PR(x, Gd(vx))`` and ``vx ∈ Q(x, Gd(vx))``,
    and classifies vx against the predicate (positive / LCWA-negative).
@@ -17,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Hashable, Sequence
 
+from repro.graph.columnar import columnar_view
 from repro.graph.graph import Graph
 from repro.matching.base import Matcher
 from repro.matching.locality import LocalityMatcher
@@ -31,13 +34,13 @@ from repro.identification.census import (
 )
 from repro.identification.eip import EIPConfig, EIPResult, _shared_predicate
 from repro.obs.registry import registry
-from repro.obs.stats import merge_worker_metrics
+from repro.obs.stats import collect_process_metrics, collection_enabled, merge_worker_metrics
 from repro.obs.tracing import span
 from repro.parallel.executor import make_executor
 from repro.parallel.runtime import BSPRuntime
 from repro.parallel.worker import WorkerContext
 from repro.partition.fragment import Fragment
-from repro.partition.partitioner import partition_graph
+from repro.partition.partitioner import partition_graph, shared_fragments
 from repro.pattern.gpar import GPAR
 
 NodeId = Hashable
@@ -202,18 +205,24 @@ class MatchC:
         # Fragments must preserve a ball large enough to verify both PR and
         # the antecedent Q at every owned candidate.
         max_radius = max_verification_radius(rules, census_plan)
-        centers = graph.nodes_with_label(representative.x_label)
 
-        with span(
-            "eip.partition", workers=self.config.num_workers, centers=len(centers)
-        ):
-            fragments = partition_graph(
+        x_label, workers, seed = representative.x_label, self.config.num_workers, self.config.seed
+        with span("eip.partition", workers=workers) as trace:
+            fragments, reused = shared_fragments(
                 graph,
-                self.config.num_workers,
-                centers=centers,
-                d=max_radius,
-                seed=self.config.seed,
+                (x_label, workers, max_radius, seed),
+                lambda: partition_graph(
+                    graph, workers, graph.nodes_with_label(x_label), d=max_radius, seed=seed
+                ),
             )
+            trace.set(reused=reused, centers=sum(len(f.owned_centers) for f in fragments))
+            if self._consumes_resident:
+                # Compiled here, once per fragmentation: a forked pool worker
+                # inherits the views, so only a spawned one compiles its own.
+                for fragment in fragments:
+                    columnar_view(fragment.graph)
+                if collection_enabled():  # count the compiles once, before the fork
+                    merge_worker_metrics(registry(), [collect_process_metrics()])
         executor = make_executor(
             self.config.backend,
             self.config.executor_workers,

@@ -7,11 +7,13 @@ registry.  Every subsequent round ships only a small picklable
 ``(worker_fn, fragment_id, payload)`` descriptor — never the graph — and the
 worker resolves ``fragment_id`` against its local registry.
 
-The initializer also compiles each fragment's resident
+The initializer also gets each fragment's resident
 :class:`repro.graph.columnar.ColumnarFragment` (label buckets, profile
-matrix, sketch cache) unless the solver opted out, so the
+matrix, sketch cache) built unless the solver opted out, so the
 matching hot path probes a warm structure that lives with the fragment for
-the pool's lifetime and never crosses the pickle boundary.
+the pool's lifetime and never crosses the pickle boundary.  A forked worker
+inherits the views its coordinator compiled (batch identification compiles
+them before the fork); a spawned one compiles its own.
 
 Per-fragment scratch state (a ``LocalMiner``, a matcher with warm caches,
 the incremental :class:`repro.matching.incremental.MatchStore` holding the
@@ -72,9 +74,10 @@ def init_worker(fragments: Sequence[Fragment], build_resident: bool = True) -> N
     """Pool initializer: install *fragments* in this process's registry.
 
     With *build_resident* (the default) each fragment's resident
-    :class:`~repro.graph.columnar.ColumnarFragment` is compiled here, once
-    per worker process, so every round's matching work starts warm.  It
-    times itself: ``pool.init_seconds``, shipped by the process's first task.
+    :class:`~repro.graph.columnar.ColumnarFragment` is looked up here, once
+    per worker process, so every round's matching work starts warm: a
+    view inherited by fork is found built, any other is compiled.  It times
+    itself: ``pool.init_seconds``, shipped by the process's first task.
     """
     # A forked worker shares the coordinator's heap copy-on-write: frozen, it is
     # never traversed by this process's collections, so its pages stay shared.

@@ -18,7 +18,7 @@ from repro.partition.lifecycle import (
     FragmentManager,
     FragmentUpdate,
 )
-from repro.partition.partitioner import fragmentation_report, partition_graph
+from repro.partition.partitioner import fragmentation_report, partition_graph, shared_fragments
 
 __all__ = [
     "Fragment",
@@ -28,5 +28,6 @@ __all__ = [
     "FragmentManager",
     "FragmentUpdate",
     "partition_graph",
+    "shared_fragments",
     "fragmentation_report",
 ]

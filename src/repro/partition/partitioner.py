@@ -9,11 +9,14 @@ d-neighbourhoods.  Border nodes are replicated, centre ownership is not.
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Sequence
+import threading
+import weakref
+from typing import Callable, Hashable, Iterable, Sequence
 
 from repro.exceptions import PartitionError
 from repro.graph.graph import Graph
 from repro.graph.neighborhood import Neighborhoods
+from repro.obs.registry import registry
 from repro.partition.fragment import Fragment, FragmentationReport
 from repro.utils.rng import ensure_rng
 
@@ -48,13 +51,15 @@ def partition_graph(
     -------
     list[Fragment]
         Exactly *num_fragments* fragments (some may own no centre when there
-        are fewer centres than fragments).
+        are fewer centres than fragments).  A centre listed twice is owned once.
     """
-    if num_fragments < 1:
-        raise PartitionError(f"num_fragments must be >= 1, got {num_fragments}")
-    if d < 0:
-        raise PartitionError(f"d must be >= 0, got {d}")
-    center_list = [node for node in centers]
+    from repro.parallel.executor import is_int  # repro.parallel imports this package
+
+    if not is_int(num_fragments) or num_fragments < 1:
+        raise PartitionError(f"num_fragments must be an int >= 1, got {num_fragments!r}")
+    if not is_int(d) or d < 0:
+        raise PartitionError(f"d must be an int >= 0, got {d!r}")
+    center_list = list(dict.fromkeys(centers))
     for node in center_list:
         if not graph.has_node(node):
             raise PartitionError(f"center {node!r} is not a node of the graph")
@@ -72,7 +77,43 @@ def partition_graph(
         fragments.append(
             Fragment(index=index, graph=local, owned_centers=fragment_centers[index])
         )
+    registry().inc("repro_partition_built_total", help="Fragmentations partition_graph built")
     return fragments
+
+
+# The last fragmentation shared_fragments built, per graph object: weak keys, so
+# the memo never keeps a graph alive.  Read and written only outside an open
+# batch_update (the open-batch rule of docs/columnar.md).
+_SHARED: "weakref.WeakKeyDictionary[Graph, tuple]" = weakref.WeakKeyDictionary()
+_SHARED_LOCK = threading.Lock()
+
+
+def shared_fragments(
+    graph: Graph, key: tuple, build: Callable[[], list[Fragment]]
+) -> tuple[list[Fragment], bool]:
+    """``(fragments, reused)``: what ``build()`` returned for *key* on an
+    earlier call at the current ``graph.version``, else ``build()``'s result,
+    which replaces *graph*'s entry.
+
+    The fragments are shared by every caller: read them, never mutate them.
+    An entry whose fragment graphs have moved since it was stored is not
+    served.  Callers that mutate their fragments call :func:`partition_graph`.
+    """
+    key = (graph.version, *key)
+    memoised = not graph.in_batch
+    if memoised:
+        with _SHARED_LOCK:
+            entry = _SHARED.get(graph)
+        if entry is not None and entry[0] == key and all(
+            f.graph.version == v for f, v in zip(entry[1], entry[2])
+        ):
+            registry().inc("repro_partition_reused_total", help="Fragmentations reused")
+            return entry[1], True
+    fragments = build()
+    if memoised:
+        with _SHARED_LOCK:
+            _SHARED[graph] = (key, fragments, [f.graph.version for f in fragments])
+    return fragments, False
 
 
 def _balance(

@@ -22,13 +22,15 @@ convention enforceable:
   validated-on-use store this sweep *is* the audit; the adversarial cases
   live in ``tests/test_witnesses.py``);
 * a **pinning sweep** asserts every graph-keyed cache entry left behind
-  after the warm re-probe carries the current ``Graph.version``.
+  after the warm re-probe carries the current ``Graph.version`` — batch
+  identification's per-graph fragmentation (``MODULE_CACHES``) included.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro import api
 from repro.datasets import generate_gpars, most_frequent_predicates, synthetic_graph
 from repro.graph import columnar, columnar_view, discard_columnar, registered_columnar
 from repro.matching import (
@@ -37,8 +39,11 @@ from repro.matching import (
     MatchStore,
     VF2Matcher,
 )
+from repro.identification import EIPConfig
 from repro.matching.base import WitnessStore
+from repro.partition import partitioner
 from repro.stream import random_update_batch
+from repro.testing import eip_fingerprint
 
 # ----------------------------------------------------------------------
 # the registry: every matcher/solver cache, by staleness discipline
@@ -64,6 +69,17 @@ AUDITED_ELSEWHERE = {
     "MatchStore",  # entry.version pinning: tests/test_stream.py, this file below
     "MultiPatternMatcher",  # keeps nothing: prefix chains live on their patterns
     "ColumnarFragment",  # built_version pinning: tests/test_index.py + test_columnar.py, below
+}
+
+#: Process-wide caches kept in module globals, keyed by graph object (weak
+#: keys).  The discovery sweep below finds every weak-keyed map a ``repro``
+#: module holds; a new one must be classified here before it lands.
+MODULE_CACHES = {
+    # built_version pinning, refreshed on probe: tests/test_columnar.py, below
+    "repro.graph.columnar._REGISTRY": "graph -> ColumnarFragment",
+    # version-pinned: served only while graph.version equals the key's and no
+    # fragment graph moved; never read or written inside an open batch
+    "repro.partition.partitioner._SHARED": "graph -> (key, fragments, fragment versions)",
 }
 
 _CACHE_HINTS = ("cache", "sketch", "memo", "graphs", "store", "witness")
@@ -100,6 +116,28 @@ def test_registry_covers_every_cache_carrying_class():
             f"{obj.__name__} answers match_set but is not in "
             "the staleness-audit registry; register it in test_cache_audit.py"
         )
+
+
+def test_every_module_level_graph_cache_is_registered():
+    import importlib
+    import pkgutil
+    import weakref
+
+    import repro
+
+    found = {}  # id -> where it was seen (a re-export names the same object)
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        module = importlib.import_module(info.name)
+        for name, value in vars(module).items():
+            if isinstance(value, weakref.WeakKeyDictionary):
+                found.setdefault(id(value), f"{info.name}.{name}")
+    registered = {}
+    for path in MODULE_CACHES:
+        module, _, name = path.rpartition(".")
+        registered[id(getattr(importlib.import_module(module), name))] = path
+    unregistered = sorted(found[key] for key in found.keys() - registered.keys())
+    assert not unregistered, f"classify {unregistered} in MODULE_CACHES"
+    assert registered.keys() <= found.keys(), "the discovery went blind"
 
 
 @pytest.mark.parametrize("name", sorted(AUDITED_CACHES))
@@ -220,6 +258,44 @@ def test_open_batch_never_changes_whether_a_query_answers(name, resident):
     assert inside == after == _open_batch_query(name)[1](graph.copy())
     assert any(before)  # the gate is not vacuous: G1 has matches
     assert (registered_columnar(graph) is not None) == resident
+
+
+def _identify_workload(seed: int):
+    graph = synthetic_graph(80, 240, num_node_labels=4, num_edge_labels=3, seed=seed)
+    predicate = most_frequent_predicates(graph, top=1)[0]
+    rules = generate_gpars(graph, predicate, count=3, max_pattern_edges=3, d=2, seed=seed)
+    return graph, rules, lambda target: eip_fingerprint(
+        api.identify(target, rules, EIPConfig(eta=0.5, num_workers=2))
+    )
+
+
+def test_open_batch_never_reads_or_writes_shared_fragments():
+    """Batch identification inside an open, dirty ``batch_update`` fragments
+    the half-applied graph afresh: the graph's version has not moved yet, so
+    the memo's entry would serve the pre-batch fragments."""
+    graph, rules, identify = _identify_workload(seed=6)
+    before = identify(graph)
+    entry = partitioner._SHARED[graph]
+    with graph.batch_update() as batch:
+        for node in sorted(graph.nodes_with_label(rules[0].x_label), key=str)[:3]:
+            batch.remove_node(node)
+        inside = identify(graph)
+        assert partitioner._SHARED[graph] is entry
+    assert inside == identify(graph) == identify(graph.copy()) != before
+    assert any(before[2]) and partitioner._SHARED[graph][0][0] == graph.version
+
+
+def test_shared_fragments_entries_are_version_pinned():
+    """After a warm re-identify, the memo's entry carries the current
+    ``Graph.version``, and its fragment graphs the versions it stored."""
+    graph, rules, identify = _identify_workload(seed=7)
+    for position in range(3):
+        identify(graph)
+        random_update_batch(graph, size=6, seed=position).apply(graph)
+        assert identify(graph) == identify(graph) == identify(graph.copy())
+        key, fragments, versions = partitioner._SHARED[graph]
+        assert key[0] == graph.version
+        assert [fragment.graph.version for fragment in fragments] == versions
 
 
 def test_match_store_entries_are_version_pinned():

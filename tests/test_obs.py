@@ -426,6 +426,31 @@ class TestCrossBackendCounters:
             disable_collection()
         return registry().counters("repro_match_")
 
+    @pytest.mark.parametrize("backend", ["sequential", "processes"])
+    def test_a_warm_identify_reports_its_reused_fragmentation(self, backend):
+        """The partition counters and the span's ``reused`` attribute; the
+        resident compiles are counted once, by the coordinator, on both
+        backends (a forked worker inherits the views, not their counts)."""
+        from repro import api
+        from repro.identification import EIPConfig
+
+        graph = synthetic_graph(120, 360, num_node_labels=5, num_edge_labels=3, seed=4)
+        predicate = most_frequent_predicates(graph, top=1)[0]
+        rules = generate_gpars(graph, predicate, count=4, max_pattern_edges=3, d=2, seed=5)
+        config = EIPConfig(eta=0.5, num_workers=2, backend=backend, executor_workers=1)
+        tracer = install(Tracer())
+        enable_collection()
+        for _ in range(2):
+            api.identify(graph, rules, config)
+        disable_collection()
+        partitions = [record for record in tracer.records() if record["name"] == "eip.partition"]
+        assert [record["attrs"]["reused"] for record in partitions] == [False, True]
+        assert registry().counters("repro_partition_") == {
+            "repro_partition_built_total": 1,
+            "repro_partition_reused_total": 1,
+        }
+        assert registry().counter_value("repro_columnar_builds_total") == 2
+
     def test_streaming_tick_surfaces_match_counters_on_every_backend(self):
         sequential = self._tick_counters("sequential")
         processes = self._tick_counters("processes")

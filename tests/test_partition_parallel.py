@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.datasets import synthetic_graph
+from repro.datasets import pokec_like, synthetic_graph
 from repro.exceptions import ExecutorError, PartitionError, WorkerError
 from repro.graph import ball, neighborhood
 from repro.graph.neighborhood import Neighborhoods, uses_masks
@@ -74,6 +74,23 @@ class TestPartitioner:
             partition_graph(g1, 2, centers=["cust1"], d=-1)
         with pytest.raises(PartitionError):
             partition_graph(g1, 2, centers=["ghost"], d=1)
+
+    @pytest.mark.parametrize("num_fragments, d", [(True, 1), (2.5, 1), (2.0, 1), (2, False), (2, 1.5), (2, "1")])
+    def test_counts_must_be_exact_ints(self, g1, num_fragments, d):
+        """``True`` used to pass as one fragment and ``2.5`` raised a bare TypeError."""
+        with pytest.raises(PartitionError):
+            partition_graph(g1, num_fragments, centers=["cust1"], d=d)
+
+    def test_a_repeated_center_is_owned_once(self):
+        """Ownership stays disjoint, so support sums never count a centre twice."""
+        graph = pokec_like(40, 2, seed=1)
+        users = sorted(graph.nodes_with_label("user"), key=str)[:5]
+        fragments = partition_graph(graph, 2, centers=users * 2, d=1)
+        owned = [center for fragment in fragments for center in fragment.owned_centers]
+        assert sorted(owned) == sorted(users)
+        assert [f.owned_centers for f in fragments] == [
+            f.owned_centers for f in partition_graph(graph, 2, centers=users, d=1)
+        ]
 
     def test_deterministic_for_fixed_seed(self, g1):
         centers = g1.nodes_with_label("cust")

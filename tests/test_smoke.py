@@ -271,6 +271,11 @@ def test_match_backends_identify_one_answer_and_large_matching_completes(smoke):
         result = identify_entities(graph, rules, eta=ETA, num_workers=WORKERS, backend=backend)
         assert result.identified
         identified.add(eip_fingerprint(result))
+    # A warm call (on the pool in the smoke cell) reuses the fragmentation.
+    reused = registry().counter_value("repro_partition_reused_total")
+    again = identify_entities(graph, rules, eta=ETA, num_workers=WORKERS, backend=backend)
+    assert registry().counter_value("repro_partition_reused_total") == reused + 1
+    identified.add(eip_fingerprint(again))
     assert len(identified) == 1
 
     # Scale coverage: guided matching on a dense graph 250x as large (100k

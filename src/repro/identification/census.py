@@ -43,6 +43,8 @@ from typing import Hashable, Iterable, Mapping, Sequence
 from repro.exceptions import PatternError
 from repro.graph.graph import Graph
 from repro.graph.neighborhood import eccentricity, multi_source_ball
+from repro.matching.base import MatchStatistics
+from repro.matching.vf2 import VF2Matcher
 from repro.pattern.gpar import GPAR
 from repro.pattern.pattern import Pattern
 from repro.pattern.radius import pattern_radius
@@ -50,6 +52,7 @@ from repro.pattern.radius import pattern_radius
 __all__ = [
     "CensusMatcher",
     "CensusPlan",
+    "CensusStatistics",
     "RuleCensus",
     "apply_census",
     "census_feasible",
@@ -67,6 +70,13 @@ NodeId = Hashable
 #: cap can bite; a truncated census that fails to pack merely falls back to
 #: exact per-centre probes.
 CENSUS_ENUMERATION_LIMIT = 4096
+
+
+class CensusStatistics(MatchStatistics):
+    """The coordinator's census searches, collected as ``repro_census_*``: kept
+    out of ``repro_match_*``, whose verdict counts are the workers'."""
+
+    _metric_kind = "census"
 
 
 def split_pattern_components(pattern: Pattern):
@@ -393,9 +403,8 @@ def apply_census(graph: Graph, rules: Sequence[GPAR], reports, plan: CensusPlan,
     pr_removals: dict[GPAR, set | None] = {}
     if component_entries:
         if matcher is None:
-            from repro.matching.vf2 import VF2Matcher
-
             matcher = VF2Matcher()
+            matcher.statistics = CensusStatistics()
         censuses: dict[Pattern, frozenset] = {}
         for entry in component_entries:
             for shape in entry.components + entry.pr_components:

@@ -27,7 +27,6 @@ from repro.matching.base import Matcher
 from repro.matching.guided import GuidedMatcher
 from repro.matching.multi import MultiPatternMatcher
 from repro.identification.matchc import MatchC, _FragmentReport
-from repro.obs.stats import collection_enabled
 from repro.partition.fragment import Fragment
 from repro.pattern.gpar import GPAR
 
@@ -75,10 +74,6 @@ class Match(MatchC):
         # pool keeps the trie's prefix cache valid across all of Σ.
         pr_sets = multi.match_sets(graph, rules, candidates=owned & local_positives)
         report.prefix_pool_hits = multi.statistics.prefix_pool_hits
-        if collection_enabled():
-            report.match_metrics = {
-                f"match.{name}": count for name, count in multi.statistics.snapshot().items()
-            }
         for rule in rules:
             antecedent_matches = antecedent_sets[rule]
             report.rule_matches[rule] = pr_sets[rule]

@@ -33,8 +33,6 @@ from repro.identification.census import (
     plan_census,
 )
 from repro.identification.eip import EIPConfig, EIPResult, _shared_predicate
-from repro.obs.registry import registry
-from repro.obs.stats import collect_process_metrics, collection_enabled, merge_worker_metrics
 from repro.obs.tracing import span
 from repro.parallel.executor import make_executor
 from repro.parallel.runtime import BSPRuntime
@@ -109,13 +107,6 @@ class _FragmentReport:
     #: them under its own span tree.  Empty unless the payload asked for
     #: tracing.
     spans: list = field(default_factory=list)
-    #: The verification's :class:`~repro.matching.base.MatchStatistics` as a
-    #: ``"match.<field>"`` delta, set only while ``REPRO_OBS`` collection is
-    #: on.  The statistics objects die with the call that filled them, before
-    #: the task-boundary collection could walk them, so the counts travel
-    #: here; the coordinator folds them into the registry and clears the
-    #: field — like ``spans`` it is never merged, stored or checkpointed.
-    match_metrics: dict | None = None
 
     @classmethod
     def start(cls, fragment: Fragment, predicate) -> tuple["_FragmentReport", set]:
@@ -131,13 +122,6 @@ class _FragmentReport:
             negatives=negatives,
         )
         return report, positives | negatives | set(stats.unknown)
-
-
-def fold_match_metrics(reports: Sequence[_FragmentReport]) -> None:
-    """Coordinator side of ``match_metrics``: into the registry, off the reports."""
-    merge_worker_metrics(registry(), [report.match_metrics for report in reports])
-    for report in reports:
-        report.match_metrics = None
 
 
 class MatchC:
@@ -221,8 +205,6 @@ class MatchC:
                 # inherits the views, so only a spawned one compiles its own.
                 for fragment in fragments:
                     columnar_view(fragment.graph)
-                if collection_enabled():  # count the compiles once, before the fork
-                    merge_worker_metrics(registry(), [collect_process_metrics()])
         executor = make_executor(
             self.config.backend,
             self.config.executor_workers,
@@ -241,10 +223,7 @@ class MatchC:
         )
         try:
             with span("eip.verify", rules=len(rules), backend=self.config.backend):
-                reports = runtime.run_round(
-                    verify_worker, [payload] * len(fragments)
-                )
-                fold_match_metrics(reports)
+                reports = runtime.run_round(verify_worker, [payload] * len(fragments))
             with span("eip.assemble"):
                 reports = apply_census(graph, rules, reports, census_plan)
                 # Assemble inside the timed window so wall_time keeps covering

@@ -6,9 +6,10 @@ Three cooperating pieces (full model in ``docs/observability.md``):
   ``snapshot()``/``merge()`` composition and Prometheus text exposition;
 * :mod:`repro.obs.tracing` — deterministic-id span tracer with a module
   level no-op fallback, JSON-lines dumps and worker-span adoption;
-* :mod:`repro.obs.stats` — the snapshot/merge protocol of the four
-  ``*Statistics`` dataclasses plus watermarked cross-process collection
-  (``REPRO_OBS``), shipped per task and merged coordinator-side.
+* :mod:`repro.obs.stats` — the snapshot/merge protocol of the
+  ``*Statistics`` dataclasses plus collection (``REPRO_OBS``): every object
+  ships what it counted exactly once, pulled by the global registry on read
+  or shipped by a pool worker with its task result.
 
 Instrumentation is off the hot path when disabled: no tracer installed
 means :func:`span` costs a thread-local read; collection disabled means
@@ -29,9 +30,7 @@ from repro.obs.stats import (
     collection_enabled,
     disable_collection,
     enable_collection,
-    merge_worker_metrics,
-    register_collector,
-    reset_collection,
+    merge_shipped_counts,
 )
 from repro.obs.tracing import (
     Tracer,
@@ -58,13 +57,11 @@ __all__ = [
     "event",
     "install",
     "load_trace",
-    "merge_worker_metrics",
+    "merge_shipped_counts",
     "override_tracer",
     "parse_prometheus",
     "quantile_from_buckets",
-    "register_collector",
     "registry",
-    "reset_collection",
     "span",
     "top_report",
     "trace_breakdown",

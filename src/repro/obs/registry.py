@@ -14,16 +14,17 @@ Two operations make the registry composable across processes:
 :meth:`MetricsRegistry.snapshot` produces a plain picklable dict and
 :meth:`MetricsRegistry.merge` folds such a snapshot back in — additively for
 counters and histograms (bucket-wise, which is what makes histogram merging
-associative), last-write-wins for gauges.  Worker processes ship snapshots
-(deltas, see :mod:`repro.obs.stats`) back inside round results and the
-coordinator merges them, so a processes-backend run aggregates exactly like
-a sequential one.
+associative), last-write-wins for gauges.
+
+The process-global registry pulls on read: :meth:`counters`,
+:meth:`counter_value`, :meth:`snapshot`, :meth:`render` and :meth:`reset`
+(which then drops them) first fold in the statistics this process counted
+and nobody collected yet (:mod:`repro.obs.stats`).
 
 Everything is guarded by one registry-level lock; individual increments are
 a dict lookup plus an integer add, cheap enough for per-round and
 per-request call sites (per-candidate hot loops keep using the plain
-``*Statistics`` dataclasses, which this registry absorbs only at collection
-points).
+``*Statistics`` dataclasses, which this registry absorbs when it is read).
 """
 
 from __future__ import annotations
@@ -31,6 +32,8 @@ from __future__ import annotations
 import threading
 from bisect import bisect_left
 from typing import Iterable, Mapping
+
+from repro.obs.stats import collect_process_metrics, merge_shipped_counts
 
 __all__ = [
     "DEFAULT_BUCKETS",
@@ -180,8 +183,14 @@ class MetricsRegistry:
                 series = family.series[key] = _Histogram(len(family.buckets))
             series.observe(family.buckets, value)
 
+    def _pull_uncollected(self) -> None:
+        """The global registry's reads first take in this process's counts."""
+        if self is _GLOBAL:
+            merge_shipped_counts(self, [collect_process_metrics()])
+
     def counter_value(self, name: str, **labels) -> float:
         """Current value of a counter series (0 when absent)."""
+        self._pull_uncollected()
         with self._lock:
             family = self._families.get(name)
             if family is None:
@@ -190,6 +199,7 @@ class MetricsRegistry:
 
     def counters(self, prefix: str = "") -> dict[str, float]:
         """Flat ``{name{label=...}: value}`` view of counters under *prefix*."""
+        self._pull_uncollected()
         out: dict[str, float] = {}
         with self._lock:
             for family in self._families.values():
@@ -207,6 +217,7 @@ class MetricsRegistry:
     # ------------------------------------------------------------------
     def snapshot(self) -> dict:
         """Picklable copy of every family: feed to :meth:`merge`."""
+        self._pull_uncollected()
         with self._lock:
             out: dict = {}
             for family in self._families.values():
@@ -253,6 +264,7 @@ class MetricsRegistry:
 
     def reset(self) -> None:
         """Drop every family (tests and fresh benchmark phases)."""
+        self._pull_uncollected()
         with self._lock:
             self._families.clear()
 
@@ -273,6 +285,7 @@ class MetricsRegistry:
     # ------------------------------------------------------------------
     def render(self) -> str:
         """Prometheus text exposition (version 0.0.4) of the whole registry."""
+        self._pull_uncollected()
         lines: list[str] = []
         with self._lock:
             for name in sorted(self._families):

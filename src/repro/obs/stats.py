@@ -1,28 +1,26 @@
-"""The ``snapshot()``/``merge()`` protocol and cross-process collection.
+"""The ``snapshot()``/``merge()`` protocol and the one collection channel.
 
 :class:`StatisticsBase` is the mixin behind every ``*Statistics`` dataclass
 (:class:`~repro.matching.base.MatchStatistics`,
 :class:`~repro.graph.columnar.ColumnarStatistics`,
 :class:`~repro.matching.incremental.StoreStatistics`): ``snapshot()`` is a
-plain field dict, ``merge()`` adds one field-wise — replacing the ad-hoc
-hand-written accumulation those classes and their consumers used to carry.
+plain field dict, ``merge()`` adds one field-wise.
 
-On top of the protocol sits *collection*: when enabled (the ``REPRO_OBS``
-environment flag, inherited by pool processes at fork/spawn), every
-statistics instance registers a weak reference at construction; at each
-task boundary :func:`collect_process_metrics` sums the live instances'
-snapshots per kind and returns the **delta since the previous collection**
-(a per-field watermark under one lock, so tasks of sessions ticking at once
-on the HTTP service's thread pool never double-count — every unit of work is
-counted exactly once
-process-wide).  The executor ships that delta back with the task result and
-the coordinator folds it into the global registry as
-``repro_<kind>_<field>_total`` counters via :func:`merge_worker_metrics` —
-which is what makes a processes-backend run report the same aggregate
-counters as a sequential one.
+On top sits *collection*, which ships every count exactly once.  When the
+``REPRO_OBS`` environment flag is on (pool processes inherit it), a
+statistics object registers at construction and remembers what it has
+shipped; :func:`collect_process_metrics` returns what every registered object
+counted since it last shipped.  An object that dies first leaves its
+unshipped tail behind, and ``merge()`` moves counts (the source is marked
+shipped for what it handed over), so no count depends on how long its object
+lived and none ships twice.  Counts reach a registry one way: the global
+registry pulls this process's on read (:mod:`repro.obs.registry`), and a pool
+worker ships its own with each task result, merged by
+:func:`merge_shipped_counts`.  A forked process drops what it inherited:
+those counts are its parent's to ship.
 
-When collection is disabled (the default) nothing registers and nothing is
-walked: construction cost is one environment lookup.
+``REPRO_OBS`` decides only whether new objects register; off (the default),
+construction costs one environment lookup.
 """
 
 from __future__ import annotations
@@ -31,9 +29,10 @@ import dataclasses
 import os
 import threading
 import weakref
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
-from repro.obs.registry import MetricsRegistry
+if TYPE_CHECKING:
+    from repro.obs.registry import MetricsRegistry
 
 __all__ = [
     "StatisticsBase",
@@ -41,9 +40,7 @@ __all__ = [
     "collection_enabled",
     "disable_collection",
     "enable_collection",
-    "merge_worker_metrics",
-    "register_collector",
-    "reset_collection",
+    "merge_shipped_counts",
 ]
 
 #: Environment flag gating statistics collection; exported (not just kept in
@@ -53,12 +50,18 @@ ENV_FLAG = "REPRO_OBS"
 _FALSEY = ("", "0", "off", "false", "no")
 
 _lock = threading.Lock()
-_collectors: list[tuple[str, weakref.ref]] = []
-_watermarks: dict[tuple[str, str], float] = {}
+#: ``id(values) -> (((field, "kind.field"), ...), values, shipped)`` per
+#: registered object; ``values`` is its ``__dict__``, which outlives it.
+_live: dict[int, tuple[tuple, dict, dict]] = {}
+#: Keys of entries whose object died, appended by a finalizer without the
+#: lock: the garbage collector may run it inside a collection.
+_dead: list[int] = []
+#: Dead objects' tails, drained from ``_live``, not yet collected.
+_pending: dict[str, float] = {}
 
 
 def collection_enabled() -> bool:
-    """Whether statistics instances register for cross-process collection."""
+    """Whether new statistics instances register for collection."""
     return os.environ.get(ENV_FLAG, "").strip().lower() not in _FALSEY
 
 
@@ -68,71 +71,53 @@ def enable_collection() -> None:
 
 
 def disable_collection() -> None:
-    """Turn collection off (already-registered instances stop being walked
-    only once garbage collected; their totals stop shipping immediately)."""
+    """Stop registering new instances; registered ones still ship their counts."""
     os.environ[ENV_FLAG] = "0"
 
 
-def reset_collection() -> None:
-    """Forget every registered collector and watermark.
-
-    Watermarks survive the collectors they tracked: a *new* run in the same
-    process starts its totals from zero and would see its early increments
-    swallowed by the previous run's high-water marks.  Tests and benchmark
-    runners call this between runs so each one ships full counts.
-    """
-    with _lock:
-        _collectors.clear()
-        _watermarks.clear()
+def _ship(entry: tuple, out: dict[str, float]) -> None:
+    keys, values, shipped = entry
+    for name, key in keys:
+        value = values[name]
+        if value != shipped[name]:
+            out[key] = out.get(key, 0) + value - shipped[name]
+            shipped[name] = value
 
 
-def register_collector(kind: str, stats: "StatisticsBase") -> None:
-    """Track *stats* (weakly) under *kind* for process-total collection."""
-    ref = weakref.ref(stats)
-    with _lock:
-        _collectors.append((kind, ref))
-        # Amortized pruning keeps a long-lived process from accumulating
-        # dead references across many runs.
-        if len(_collectors) % 256 == 0:
-            _collectors[:] = [entry for entry in _collectors if entry[1]() is not None]
+def _drain() -> None:
+    """Move dead objects' tails to ``_pending`` (the caller holds the lock)."""
+    while _dead:
+        _ship(_live.pop(_dead.pop()), _pending)
 
 
 def collect_process_metrics() -> dict[str, float] | None:
-    """Delta of live-collector totals since the last call, or ``None``.
-
-    Keys are ``"<kind>.<field>"``.  Totals are watermarked per field: the
-    caller gets each increment exactly once, however many threads collect.
-    A collector garbage-collected between calls takes its not-yet-collected
-    tail with it (the watermark stays put until totals grow past it again) —
-    deterministic and identical across backends, since task boundaries are
-    collection points and task-live collectors are always reachable.
-    """
+    """``{"<kind>.<field>": count}`` counted in this process since the last
+    call, or ``None``: each increment once, however many threads collect."""
+    global _pending
     with _lock:
-        totals: dict[tuple[str, str], float] = {}
-        alive: list[tuple[str, weakref.ref]] = []
-        for kind, ref in _collectors:
-            stats = ref()
-            if stats is None:
-                continue
-            alive.append((kind, ref))
-            field_kinds = stats._field_kinds
-            for name, value in stats.snapshot().items():
-                key = (field_kinds.get(name, kind), name)
-                totals[key] = totals.get(key, 0) + value
-        _collectors[:] = alive
-        delta: dict[str, float] = {}
-        for key, value in totals.items():
-            previous = _watermarks.get(key, 0)
-            if value > previous:
-                delta[f"{key[0]}.{key[1]}"] = value - previous
-                _watermarks[key] = value
-        return delta or None
+        _drain()
+        for entry in _live.values():
+            _ship(entry, _pending)
+        delta, _pending = _pending, {}
+    return delta or None
 
 
-def merge_worker_metrics(
-    registry: MetricsRegistry, metrics: Iterable[dict | None]
+def _drop_inherited() -> None:
+    """In a forked child: replace the lock (a parent thread may have held it
+    across the fork) and mark everything inherited shipped."""
+    global _lock
+    _lock = threading.Lock()
+    collect_process_metrics()
+
+
+if hasattr(os, "register_at_fork"):  # POSIX; elsewhere pools spawn
+    os.register_at_fork(after_in_child=_drop_inherited)
+
+
+def merge_shipped_counts(
+    registry: "MetricsRegistry", metrics: Iterable[dict | None]
 ) -> None:
-    """Fold shipped per-task deltas into *registry* as ``repro_*_total``."""
+    """Fold collected counts into *registry* as ``repro_<kind>_<field>_total``."""
     for delta in metrics:
         if not delta:
             continue
@@ -160,22 +145,41 @@ class StatisticsBase:
     _field_kinds = {}
 
     def __post_init__(self) -> None:
-        if collection_enabled():
-            register_collector(self._metric_kind, self)
+        if not collection_enabled():
+            return
+        values, names = self.__dict__, self._fields()
+        kinds = self._field_kinds
+        keys = tuple((name, f"{kinds.get(name, self._metric_kind)}.{name}") for name in names)
+        weakref.finalize(self, _dead.append, id(values)).atexit = False
+        with _lock:
+            _live[id(values)] = (keys, values, dict.fromkeys(names, 0))
+            if len(_dead) >= 256:  # bounded in a process that never collects
+                _drain()
+
+    @classmethod
+    def _fields(cls) -> tuple[str, ...]:
+        names = cls.__dict__.get("_snapshot_fields")
+        if names is None:  # cached per class: dataclass reflection is slow
+            names = cls._snapshot_fields = tuple(field.name for field in dataclasses.fields(cls))
+        return names
 
     def snapshot(self) -> dict[str, float]:
         """Plain picklable ``{field: value}`` dict of every counter."""
-        names = type(self).__dict__.get("_snapshot_fields")
-        if names is None:
-            # Cached per concrete class: snapshot() runs at every task
-            # boundary while collection is on, and dataclass reflection is
-            # too slow for that loop.
-            names = tuple(field.name for field in dataclasses.fields(self))
-            type(self)._snapshot_fields = names
-        return {name: getattr(self, name) for name in names}
+        return {name: getattr(self, name) for name in self._fields()}
 
     def merge(self, other) -> None:
-        """Accumulate counters from another instance (or a snapshot dict)."""
-        values = other.snapshot() if hasattr(other, "snapshot") else other
-        for name, value in values.items():
-            setattr(self, name, getattr(self, name) + value)
+        """Accumulate counters from another instance (or a snapshot dict).
+
+        From an instance the counts move: what *other* had shipped counts as
+        shipped here, and *other* ships none of them again.
+        """
+        values = other.snapshot() if isinstance(other, StatisticsBase) else other
+        with _lock:
+            for name, value in values.items():
+                setattr(self, name, getattr(self, name) + value)
+            target = _live.get(id(self.__dict__))
+            source = _live.get(id(other.__dict__)) if isinstance(other, StatisticsBase) else None
+            if target is not None and source is not None:
+                for name, _ in source[0]:
+                    target[2][name] += source[2][name]
+                    source[2][name] = values[name]

@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from repro.exceptions import ExecutorError, WorkerError
-from repro.obs.stats import collect_process_metrics, collection_enabled
 from repro.parallel.worker import TASK_OK, WorkerContext, init_worker, run_task
 from repro.partition.fragment import Fragment
 
@@ -87,11 +86,12 @@ class Executor(ABC):
     def run(
         self, tasks: Sequence[WorkerTask]
     ) -> tuple[list[object], list[float], list[dict | None]]:
-        """Execute *tasks*; return (results, per-task seconds, metric deltas).
+        """Execute *tasks*; return (results, per-task seconds, shipped counts).
 
-        The third list carries each task's shipped statistics delta
-        (:func:`repro.obs.stats.collect_process_metrics`), ``None`` entries
-        when ``REPRO_OBS`` collection is off.
+        The third list carries what each task's pool process counted
+        (:func:`repro.obs.stats.collect_process_metrics`); the sequential
+        backend's entries are ``None``: the global registry pulls in-process
+        counts on read.
         """
 
 
@@ -123,7 +123,6 @@ class SequentialExecutor(Executor):
     ) -> tuple[list[object], list[float], list[dict | None]]:
         results: list[object] = []
         durations: list[float] = []
-        metrics: list[dict | None] = []
         for task in tasks:
             context = self._context(task.fragment_id)
             started = time.perf_counter()
@@ -133,8 +132,7 @@ class SequentialExecutor(Executor):
                 raise WorkerError(task.fragment_id, f"{type(exc).__name__}: {exc}") from exc
             durations.append(time.perf_counter() - started)
             results.append(result)
-            metrics.append(collect_process_metrics() if collection_enabled() else None)
-        return results, durations, metrics
+        return results, durations, [None] * len(tasks)
 
 
 def _default_start_method() -> str:

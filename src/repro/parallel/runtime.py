@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from repro.obs.registry import registry
-from repro.obs.stats import merge_worker_metrics
+from repro.obs.stats import merge_shipped_counts
 from repro.parallel.executor import Executor, SequentialExecutor, WorkerTask
 from repro.parallel.worker import WorkerContext
 from repro.partition.fragment import Fragment
@@ -15,18 +15,11 @@ from repro.partition.fragment import Fragment
 
 @dataclass(frozen=True)
 class RoundTiming:
-    """Timing of one BSP round.
-
-    ``worker_metrics`` carries each worker's shipped statistics delta for
-    the round (``None`` entries when ``REPRO_OBS`` collection is off) — the
-    per-round view behind the aggregated ``repro_*_total`` counters the
-    runtime merges into the process-global registry.
-    """
+    """Timing of one BSP round."""
 
     round_index: int
     worker_times: tuple[float, ...]
     coordinator_time: float
-    worker_metrics: tuple = ()
 
     @property
     def parallel_time(self) -> float:
@@ -165,8 +158,7 @@ class BSPRuntime:
             for fragment, payload in zip(self.fragments, payloads)
         ]
         worker_results, durations, metrics = self.executor.run(tasks)
-        if any(metrics):
-            merge_worker_metrics(registry(), metrics)
+        merge_shipped_counts(registry(), metrics)
         coordinator_started = time.perf_counter()
         outcome: object = worker_results
         if coordinator_fn is not None:
@@ -177,7 +169,6 @@ class BSPRuntime:
                 round_index=len(self.timings.rounds),
                 worker_times=tuple(durations),
                 coordinator_time=coordinator_elapsed,
-                worker_metrics=tuple(metrics),
             )
         )
         return outcome

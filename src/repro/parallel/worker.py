@@ -36,18 +36,28 @@ import traceback
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from repro.obs.stats import collect_process_metrics, collection_enabled
+from repro.obs.stats import StatisticsBase, collect_process_metrics
 from repro.partition.fragment import Fragment
 
 # Registry populated once per worker process by ``init_worker``.
 _FRAGMENTS: dict[int, Fragment] = {}
 _CONTEXTS: dict[int, "WorkerContext"] = {}
-# This process's cold start, shipped with its first task's metrics delta.
-_COLD_START: dict[str, float] = {}
 
 #: Status tags of the tuples :func:`run_task` sends back to the parent.
 TASK_OK = "ok"
 TASK_ERROR = "error"
+
+
+@dataclass
+class WorkerStatistics(StatisticsBase):
+    """A pool process's cold start (``repro_pool_*_total``): counted by
+    :func:`init_worker` and shipped like any statistics, with the process's
+    first task."""
+
+    _metric_kind = "pool"
+
+    initializations: int = 0
+    init_seconds: float = 0.0
 
 
 @dataclass
@@ -76,8 +86,8 @@ def init_worker(fragments: Sequence[Fragment], build_resident: bool = True) -> N
     With *build_resident* (the default) each fragment's resident
     :class:`~repro.graph.columnar.ColumnarFragment` is looked up here, once
     per worker process, so every round's matching work starts warm: a
-    view inherited by fork is found built, any other is compiled.  It times
-    itself: ``pool.init_seconds``, shipped by the process's first task.
+    view inherited by fork is found built, any other is compiled.  It counts
+    itself in a :class:`WorkerStatistics`.
     """
     # A forked worker shares the coordinator's heap copy-on-write: frozen, it is
     # never traversed by this process's collections, so its pages stay shared.
@@ -91,7 +101,8 @@ def init_worker(fragments: Sequence[Fragment], build_resident: bool = True) -> N
         _FRAGMENTS[fragment.index] = fragment
         if build_resident:
             columnar_view(fragment.graph)
-    _COLD_START["pool.init_seconds"] = time.perf_counter() - started
+    # Dropped at once: the counts wait, unshipped, for the first task.
+    WorkerStatistics(initializations=1, init_seconds=time.perf_counter() - started)
 
 
 def context_for(fragment_id: int) -> WorkerContext:
@@ -111,11 +122,10 @@ def run_task(worker_fn: Callable, fragment_id: int, payload: object) -> tuple:
     survive pickling; the parent wraps them in
     :class:`repro.exceptions.WorkerError`.
 
-    ``metrics`` is the process's watermarked statistics delta
-    (:func:`repro.obs.stats.collect_process_metrics`) when ``REPRO_OBS``
-    collection is on, else ``None`` — the coordinator merges the shipped
-    deltas into its global registry so process-pool runs aggregate exactly
-    like sequential ones.
+    ``metrics`` is what this process counted since its previous task
+    (:func:`repro.obs.stats.collect_process_metrics`; ``None`` when nothing
+    was) — the coordinator merges it into its global registry, so a
+    process-pool run reports its workers' counts like a sequential one.
 
     The duration is measured *around the worker function only*, so the
     simulated parallel-time accounting excludes pool dispatch and IPC.
@@ -125,10 +135,6 @@ def run_task(worker_fn: Callable, fragment_id: int, payload: object) -> tuple:
         started = time.perf_counter()
         result = worker_fn(context, payload)
         elapsed = time.perf_counter() - started
-        metrics = None
-        if collection_enabled():
-            metrics = {**(collect_process_metrics() or {}), **_COLD_START} or None
-            _COLD_START.clear()
-        return (TASK_OK, result, elapsed, metrics)
+        return (TASK_OK, result, elapsed, collect_process_metrics())
     except Exception:
         return (TASK_ERROR, traceback.format_exc(), 0.0, None)

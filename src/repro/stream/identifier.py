@@ -66,7 +66,7 @@ from repro.identification.census import (
 )
 from repro.identification.eip import EIPConfig, EIPResult, _shared_predicate
 from repro.identification.match import Match
-from repro.identification.matchc import _FragmentReport, fold_match_metrics
+from repro.identification.matchc import _FragmentReport
 from repro.matching.base import WitnessStore
 from repro.matching.guided import GuidedMatcher
 from repro.matching.multi import trie_patterns
@@ -509,7 +509,6 @@ class StreamingIdentifier:
                             prefix=f"{prefix}.w{shipped.fragment_index}.",
                         )
                         shipped.spans = []
-        fold_match_metrics(reports)
         return reports
 
     @property

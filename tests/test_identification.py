@@ -20,7 +20,7 @@ from repro.identification import (
 from repro.metrics import evaluate_rule, predicate_stats
 from repro.mining import DMineConfig, dmine
 from repro.obs import registry
-from repro.obs.stats import disable_collection, enable_collection, reset_collection
+from repro.obs.stats import disable_collection, enable_collection
 from repro.testing import eip_fingerprint, identify_sequential
 
 
@@ -205,7 +205,6 @@ def _planted_workload(dataset):
 def _states_expanded(run):
     """``run()``'s result and the matcher states it expanded."""
     counter = "repro_match_states_expanded_total"
-    reset_collection()
     enable_collection()
     before = registry().counter_value(counter)
     try:

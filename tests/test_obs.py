@@ -8,11 +8,12 @@ Covers the three cooperating pieces of docs/observability.md:
 * the span tracer — deterministic ids, per-thread parent stacks, worker
   record adoption, the JSON-lines round-trip, and the module-level no-op
   fast path used when nothing is installed;
-* cross-process statistics collection — the ``snapshot()``/``merge()``
-  protocol on the four ``*Statistics`` dataclasses, watermarked deltas,
-  and the headline contract: a processes-backend DMine run reports the
-  **same aggregate matching counters** as a sequential run of the same
-  configuration.
+* statistics collection — the ``snapshot()``/``merge()`` protocol on the
+  ``*Statistics`` dataclasses, every count shipped exactly once (by a dead
+  object too, under merges and concurrent collectors), the global registry
+  pulling on read, and the headline contract: a processes-backend run
+  reports the **same aggregate counters** as a sequential run of the same
+  configuration (with a pool of one process).
 
 A traced streaming tick is pinned against the acceptance criterion that
 coordinator and worker phases appear in one tree whose summed child time
@@ -21,7 +22,12 @@ never exceeds its parent span's time.
 
 from __future__ import annotations
 
+import gc
 import math
+import sys
+import threading
+
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,6 +36,7 @@ from repro.datasets import generate_gpars, most_frequent_predicates, synthetic_g
 from repro.mining import DMineConfig, dmine
 from repro.obs import (
     MetricsRegistry,
+    StatisticsBase,
     Tracer,
     active,
     collect_process_metrics,
@@ -37,12 +44,11 @@ from repro.obs import (
     enable_collection,
     install,
     load_trace,
-    merge_worker_metrics,
+    merge_shipped_counts,
     override_tracer,
     parse_prometheus,
     quantile_from_buckets,
     registry,
-    reset_collection,
     span,
     top_report,
     trace_breakdown,
@@ -57,12 +63,10 @@ def _pristine_observability():
     """Every test starts and ends with observability fully off."""
     uninstall()
     disable_collection()
-    reset_collection()
     registry().reset()
     yield
     uninstall()
     disable_collection()
-    reset_collection()
     registry().reset()
 
 
@@ -318,7 +322,7 @@ class TestStatisticsProtocol:
         stats.candidates_considered = 5
         delta = collect_process_metrics()
         assert delta["match.candidates_considered"] == 5
-        assert collect_process_metrics() is None  # watermarked: no re-ship
+        assert collect_process_metrics() is None  # no re-ship
         stats.candidates_considered += 2
         assert collect_process_metrics() == {"match.candidates_considered": 2}
 
@@ -332,7 +336,7 @@ class TestStatisticsProtocol:
 
     def test_merge_worker_metrics_folds_into_counters(self):
         reg = MetricsRegistry()
-        merge_worker_metrics(
+        merge_shipped_counts(
             reg,
             [
                 {"match.candidates_considered": 4},
@@ -343,19 +347,100 @@ class TestStatisticsProtocol:
         assert reg.counter_value("repro_match_candidates_considered_total") == 6
         assert reg.counter_value("repro_index_builds_total") == 1
 
-    def test_reset_collection_clears_watermarks(self):
+    def test_a_successor_ships_in_full_without_a_reset(self):
         from repro.matching.base import MatchStatistics
 
         enable_collection()
         stats = MatchStatistics()
-        stats.candidates_considered = 5
+        stats.candidates_considered = 100
         collect_process_metrics()
         del stats
-        reset_collection()
-        fresh = MatchStatistics()
-        fresh.candidates_considered = 2
-        # Without the reset the old watermark (5) would swallow this delta.
-        assert collect_process_metrics() == {"match.candidates_considered": 2}
+        successor = MatchStatistics()
+        successor.candidates_considered = 50
+        # A high-water mark of 100 swallowed all 50.
+        assert collect_process_metrics() == {"match.candidates_considered": 50}
+
+    def test_a_dead_object_ships_its_tail(self):
+        from repro.matching.base import MatchStatistics
+
+        enable_collection()
+        stats = MatchStatistics()
+        stats.states_expanded = 3
+        collect_process_metrics()
+        stats.states_expanded += 4
+        del stats
+        assert collect_process_metrics() == {"match.states_expanded": 4}
+
+    def test_merge_moves_counts(self):
+        from repro.matching.base import MatchStatistics
+
+        enable_collection()
+        outer, inner = MatchStatistics(), MatchStatistics()
+        inner.states_expanded = 5
+        assert collect_process_metrics() == {"match.states_expanded": 5}
+        inner.states_expanded += 2
+        outer.merge(inner)
+        del inner
+        outer.states_expanded += 1
+        assert outer.states_expanded == 8
+        assert collect_process_metrics() == {"match.states_expanded": 3}
+        assert collect_process_metrics() is None
+
+    def test_the_global_registry_pulls_on_read(self):
+        from repro.matching.base import MatchStatistics
+
+        enable_collection()
+        stats = MatchStatistics()
+        stats.backtracks = 2
+        assert registry().counter_value("repro_match_backtracks_total") == 2
+        stats.backtracks += 1
+        assert "repro_match_backtracks_total 3" in registry().render()
+        stats.backtracks += 4
+        registry().reset()  # drops what it pulls
+        assert registry().counters("repro_match_") == {}
+        assert collect_process_metrics() is None
+        assert MetricsRegistry().counters() == {}  # another registry pulls nothing
+
+    def test_threads_creating_dropping_and_collecting_ship_exact_totals(self):
+        from repro.matching.base import MatchStatistics
+
+        enable_collection()
+        collected: list = []
+        kept: list = []
+        start = threading.Barrier(4)
+
+        def work(seed: int) -> None:
+            outer = MatchStatistics()
+            start.wait()
+            for round_ in range(300):
+                # Each object dies when the next replaces it: unshipped, or
+                # after a ship mid-count; every seventh lives to the end, and
+                # every fourth hands its count to ``outer`` first.
+                stats = MatchStatistics()
+                for _ in range(seed + 1):
+                    stats.states_expanded += 1
+                    if round_ % 3 == 0:
+                        collected.append(collect_process_metrics())
+                if round_ % 4 == 0:
+                    outer.merge(stats)
+                if round_ % 7 == 0:
+                    kept.append(stats)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(seed,)) for seed in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        gc.collect()
+        collected.append(collect_process_metrics())
+        shipped = sum((delta or {}).get("match.states_expanded", 0) for delta in collected)
+        assert shipped == 300 * (1 + 2 + 3 + 4)
 
 
 class TestCrossBackendCounters:
@@ -368,7 +453,6 @@ class TestCrossBackendCounters:
         return graph, predicate
 
     def _mine_counters(self, graph, predicate, backend):
-        reset_collection()
         registry().reset()
         enable_collection()
         try:
@@ -405,7 +489,7 @@ class TestCrossBackendCounters:
     @staticmethod
     def _tick_counters(backend):
         """``repro_match_*`` after one served tick (``Match``'s statistics die
-        with each verification, so they travel on the fragment reports)."""
+        with each verification: their tails ship all the same)."""
         from repro import api
         from repro.datasets import pokec_like
         from repro.identification import EIPConfig
@@ -414,7 +498,6 @@ class TestCrossBackendCounters:
         graph = pokec_like(40, 3, seed=7)
         predicate = api.parse_predicate("user:like_book:personal development")
         rules = generate_gpars(graph, predicate, count=6, max_pattern_edges=3, d=2, seed=5)
-        reset_collection()
         registry().reset()
         enable_collection()
         try:
@@ -457,6 +540,108 @@ class TestCrossBackendCounters:
         for name in ("candidates_considered", "prefix_pool_hits"):
             assert sequential[f"repro_match_{name}_total"] > 0
         assert processes == sequential
+
+
+@dataclass
+class _Probe(StatisticsBase):
+    """Counts nothing but what a test sets: a marker for one count's path."""
+
+    _metric_kind = "probe"
+
+    pending: int = 0
+
+
+class TestOneChannel:
+    """Every run ships all it counted, whatever ran before it in the process
+    and on either backend; a forked pool never ships its parent's counts."""
+
+    KINDS = ("repro_match_", "repro_index_", "repro_columnar_", "repro_store_")
+
+    @pytest.fixture(scope="class")
+    def workload(self):
+        from repro import api
+        from repro.datasets import pokec_like
+
+        graph = pokec_like(40, 3, seed=7)
+        predicate = api.parse_predicate("user:like_book:personal development")
+        rules = generate_gpars(graph, predicate, count=6, max_pattern_edges=3, d=2, seed=5)
+        return graph, predicate, rules
+
+    def _moved(self, run) -> dict:
+        """The counters *run* moved, with collection on."""
+        registry().reset()
+        enable_collection()
+        try:
+            run()
+        finally:
+            disable_collection()
+        moved: dict = {}
+        for kind in self.KINDS:
+            moved.update(registry().counters(kind))
+        return moved
+
+    @staticmethod
+    def _session(workload, backend="sequential"):
+        from repro import api
+        from repro.identification import EIPConfig
+        from repro.stream import random_update_batch
+
+        graph, _predicate, rules = workload
+        config = EIPConfig(eta=0.5, num_workers=2, backend=backend, executor_workers=1)
+        with api.open_session(graph.copy(), rules, config=config) as session:
+            session.apply(random_update_batch(session.core.graph, size=6, seed=1))
+
+    @staticmethod
+    def _mine(workload, backend="sequential"):
+        from repro import api
+
+        graph, predicate, _rules = workload
+        api.mine(graph, predicate, DMineConfig(
+            k=2, sigma=2, max_edges=2, num_workers=2, backend=backend, executor_workers=1,
+        ))
+
+    @staticmethod
+    def _identify(workload, backend="sequential"):
+        from repro import api
+        from repro.identification import EIPConfig
+
+        graph, _predicate, rules = workload
+        config = EIPConfig(eta=0.5, num_workers=2, backend=backend, executor_workers=1)
+        api.identify(graph.copy(), rules, config)
+
+    def test_identical_sessions_move_equal_counters(self, workload):
+        runs = [self._moved(lambda: self._session(workload)) for _ in range(3)]
+        assert runs[0]["repro_index_sketches_built_total"] > 0
+        assert runs[0] == runs[1] == runs[2]
+
+    def test_identical_mines_move_equal_counters(self, workload):
+        runs = [self._moved(lambda: self._mine(workload)) for _ in range(3)]
+        assert runs[0]["repro_store_delta_extensions_total"] > 0
+        assert runs[0] == runs[1] == runs[2]
+
+    def test_a_mixed_sequence_counts_alike_on_both_backends(self, workload):
+        def mixed(backend):
+            self._session(workload, backend)
+            self._identify(workload, backend)
+            self._mine(workload, backend)
+
+        sequential = self._moved(lambda: mixed("sequential"))
+        processes = self._moved(lambda: mixed("processes"))
+        assert sequential["repro_columnar_builds_total"] > 0
+        assert processes == sequential
+
+    @pytest.mark.parametrize("run", ["_mine", "_session"])
+    def test_pools_do_not_reship_the_coordinators_pending_counts(self, workload, run):
+        registry().reset()
+        enable_collection()
+        try:
+            alive = _Probe(pending=7)
+            _Probe(pending=5)  # dies at once: its tail waits in the queue
+            getattr(self, run)(workload, "processes")
+        finally:
+            disable_collection()
+        assert registry().counter_value("repro_probe_pending_total") == 12
+        del alive
 
 
 # ----------------------------------------------------------------------

@@ -8,9 +8,10 @@ interpreter whose ``sys.path`` starts with a stub ``numpy`` package: the stub
 records every import attempt to a file (from whichever process made it)
 and then raises ``ImportError``.  The record must stay empty.
 
-``init_worker`` times itself, and each pool process ships
-``pool.init_seconds`` with its first task's metrics delta while
-``REPRO_OBS`` is on (``repro_pool_init_seconds_total``).
+``init_worker`` counts itself in a ``pool`` statistics object, which each
+pool process ships with its first task while ``REPRO_OBS`` is on
+(``repro_pool_initializations_total``, ``repro_pool_init_seconds_total``).
+The count is asserted, not the seconds: a timer may read 0.
 """
 
 from __future__ import annotations
@@ -100,12 +101,13 @@ def test_no_process_imports_numpy(numpy_stub):
     stub, record = numpy_stub
     run = _run(_PIPELINE, PREDICATE, stub=stub)
     assert record.read_text() == "", "these processes imported numpy"
-    assert run["counters"]["repro_pool_init_seconds_total"] > 0
+    # The processes identify's pool of two; mine and the session run in process.
+    assert run["counters"]["repro_pool_initializations_total"] == 2
 
 
 def test_only_a_process_first_task_ships_its_cold_start(numpy_stub):
     stub, record = numpy_stub
     run = _run(_INITIALIZER, stub=stub)
     assert record.read_text() == ""
-    assert run["first"]["pool.init_seconds"] > 0
+    assert run["first"]["pool.initializations"] == 1
     assert not any(key.startswith("pool.") for key in run["second"])

@@ -38,7 +38,7 @@ from repro.identification import EIPConfig, identify_entities
 from repro.matching import GuidedMatcher
 from repro.mining import DMineConfig, dmine
 from repro.obs import Tracer, install, registry, span, uninstall
-from repro.obs.stats import disable_collection, enable_collection, reset_collection
+from repro.obs.stats import disable_collection, enable_collection
 from repro.partition.lifecycle import CHECKPOINT_LOG_FRACTION
 from repro.pattern.canonical import canonical_code
 from repro.pattern.gpar import GPAR
@@ -232,8 +232,7 @@ def maintain(graph, tenants: dict, eip_config: EIPConfig, batches, verify: bool 
 
 @contextmanager
 def counting():
-    """Statistics collection on, from fresh watermarks, for the block."""
-    reset_collection()
+    """Statistics collection on for the block."""
     enable_collection()
     try:
         yield

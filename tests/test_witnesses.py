@@ -36,7 +36,7 @@ from repro.matching import GuidedMatcher, VF2Matcher
 from repro.matching.base import Matcher, PlanMatcher, WitnessStore, search_plan
 from repro.matching.multi import trie_patterns
 from repro.obs import registry
-from repro.obs.stats import disable_collection, enable_collection, reset_collection
+from repro.obs.stats import disable_collection, enable_collection
 from repro.partition.fragment import Fragment
 from repro.partition import lifecycle
 from repro.partition.lifecycle import FragmentManager, FragmentUpdate, apply_fragment_update
@@ -298,12 +298,10 @@ def perturb_and_revert(graph: Graph, count: int, seed: int, toggles: int = 3) ->
 @pytest.fixture
 def counted():
     """Statistics collection on for the test, the registry clean on both sides."""
-    reset_collection()
     registry().reset()
     enable_collection()
     yield lambda name: registry().counters("repro_match_").get(f"repro_match_{name}_total", 0)
     disable_collection()
-    reset_collection()
     registry().reset()
 
 

@@ -3,7 +3,7 @@
 The package implements graph-pattern association rules (GPARs) end to end:
 
 * :mod:`repro.graph` — the property-graph substrate;
-* :mod:`repro.pattern` — patterns, GPARs, automorphism/bisimulation;
+* :mod:`repro.pattern` — patterns, GPARs, canonical codes and automorphic grouping;
 * :mod:`repro.matching` — subgraph-isomorphism matchers;
 * :mod:`repro.metrics` — topological support, LCWA Bayes-factor confidence,
   diversification objective;

@@ -84,8 +84,9 @@ def generate_gpars(
         *graph* by construction.  Raises :class:`DatasetError` when the graph
         has no positive centre for the predicate.
     """
-    if count < 1:
-        raise DatasetError(f"count must be >= 1, got {count}")
+    for name, value in (("count", count), ("max_pattern_edges", max_pattern_edges), ("d", d)):
+        if value < 1:
+            raise DatasetError(f"{name} must be >= 1, got {value}")
     rng = ensure_rng(seed)
     x_label, q_label, y_label = _predicate_parts(predicate)
 

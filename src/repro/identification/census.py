@@ -58,7 +58,6 @@ __all__ = [
     "census_feasible",
     "component_census",
     "plan_census",
-    "split_free_pattern",
     "split_pattern_components",
 ]
 
@@ -113,38 +112,6 @@ def split_pattern_components(pattern: Pattern):
             )
         )
     return x_part, tuple(shapes)
-
-
-def split_free_pattern(pattern: Pattern):
-    """Split *pattern* into its x-component and free-label requirements.
-
-    Returns ``(x_part, requirements)`` when every node disconnected from
-    ``x`` is *isolated* (carries no edges) — ``requirements`` are the sorted
-    ``(label, needed)`` pairs such that the whole pattern matches at a
-    centre iff the x-component matches there and every free label's global
-    node count reaches ``needed``.  Exact for injective, label-equality
-    matchers (VF2/guided): any x-component embedding uses exactly the
-    component's label multiset, so an injective completion over the isolated
-    free nodes exists iff each label's count covers the whole pattern's
-    demand.
-
-    Returns ``None`` when the disconnected part has edges (use the
-    component census of :func:`plan_census` instead) or the pattern is
-    connected (nothing to do).
-    """
-    split = split_pattern_components(pattern)
-    if split is None:
-        return None
-    x_part, shapes = split
-    if any(tuple(shape.edges()) for shape in shapes):
-        return None
-    expanded = pattern.expanded()
-    free = set(expanded.nodes()) - multi_source_ball(expanded, (expanded.x,), None)
-    totals = Counter(expanded.label(node) for node in expanded.nodes())
-    requirements = tuple(
-        sorted((label, totals[label]) for label in {expanded.label(node) for node in free})
-    )
-    return x_part, requirements
 
 
 def census_feasible(requirements, label_counts: Mapping) -> bool:

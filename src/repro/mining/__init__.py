@@ -4,8 +4,8 @@
 loop that grows rule antecedents levelwise from the predicate ``q(x, y)``,
 assembles supports and Bayes-factor confidences from fragment-local counts,
 maintains the top-k diversified set incrementally (``incDiv``), and prunes
-non-promising rules with the reduction rules of Lemma 3 and bisimulation
-based automorphism grouping.  ``DMineNo`` (the paper's ``DMineno``) is the
+non-promising rules with the reduction rules of Lemma 3, grouping automorphic
+proposals by canonical code.  ``DMineNo`` (the paper's ``DMineno``) is the
 same miner with every optimisation disabled, used as the baseline in the
 Exp-1 benchmarks.
 """

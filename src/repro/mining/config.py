@@ -43,10 +43,11 @@ class DMineConfig:
         The paper reports "up to 300 patterns" being verified; this knob
         keeps the levelwise search within the same order of magnitude.
     optimized:
-        DMine's optimisations: incDiv, the message-reduction rules of Lemma 3
-        and the bisimulation prefilter of Lemma 4 before exact automorphism
-        checks.  ``False`` is the paper's DMineno baseline ("discover then
-        diversify"); see :meth:`without_optimizations`.
+        DMine's optimisations: incDiv and the message-reduction rules of
+        Lemma 3.  ``False`` is the paper's DMineno baseline ("discover then
+        diversify"); see :meth:`without_optimizations`.  Automorphic
+        proposals group by canonical code either way, which leaves Lemma 4's
+        bisimulation filter no pairwise check to prune.
     seed:
         Seed for partitioning tie-breaks (an ``int``, or ``None`` for an
         unseeded partition).

@@ -6,8 +6,8 @@ Round structure (one BSP super-step per levelwise round):
    set M by one antecedent edge, guided by its local data, and ships each
    extension as a ``(rule index, key)`` pair;
 2. **deduplicate** — the coordinator builds each distinct pair once, groups
-   automorphic proposals (with the bisimulation prefilter of Lemma 4) and
-   keeps one representative each;
+   automorphic proposals by canonical code and keeps one representative
+   each;
 3. **evaluate** — every worker evaluates the representatives on its fragment
    and reports ``<R, conf, flag>`` messages over its owned centres;
 4. **assemble** — the coordinator sums local supports, unions match sets,
@@ -374,20 +374,12 @@ class DMine:
             for rule in dict.fromkeys(proposals)
             if canonical_code(rule.pr_pattern()) not in seen_codes
         ]
-        if not fresh:
-            return []
-        groups = group_automorphic(fresh, use_bisimulation_filter=self.config.optimized)
-        representatives: list[GPAR] = []
-        for group in groups:
-            representative = group[0]
-            code = canonical_code(representative.pr_pattern())
-            if code in seen_codes:
-                continue
-            seen_codes.add(code)
+        representatives = [group[0] for group in group_automorphic(fresh)]
+        for representative in representatives:
+            seen_codes.add(canonical_code(representative.pr_pattern()))
             # Proposals are the coordinator's own objects (built in the
             # dedup phase): renamed in place, a rule keeps its memoised PR.
             representative.name = f"R{len(seen_codes)}"
-            representatives.append(representative)
         return representatives
 
     def _assemble(

@@ -11,8 +11,7 @@ from repro.pattern.pattern import Pattern, PatternEdge
 from repro.pattern.builder import PatternBuilder
 from repro.pattern.gpar import GPAR
 from repro.pattern.radius import pattern_radius, is_connected
-from repro.pattern.automorphism import are_isomorphic, group_automorphic
-from repro.pattern.bisimulation import are_bisimilar
+from repro.pattern.automorphism import group_automorphic
 from repro.pattern.canonical import canonical_code
 
 __all__ = [
@@ -22,8 +21,6 @@ __all__ = [
     "GPAR",
     "pattern_radius",
     "is_connected",
-    "are_isomorphic",
     "group_automorphic",
-    "are_bisimilar",
     "canonical_code",
 ]

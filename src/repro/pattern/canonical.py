@@ -2,18 +2,27 @@
 
 A canonical code is a string that is identical for isomorphic patterns
 (designated nodes respected) and — up to a documented size cutoff — different
-for non-isomorphic ones.  It gives DMine a dictionary key for grouping
-candidate GPARs before the exact automorphism test.
+for non-isomorphic ones.  It is DMine's one automorphism test: rules group
+by ``(consequent label, code)`` in :mod:`repro.pattern.automorphism`, which
+also gives the argument that equal codes imply an isomorphism.
 
 The code is computed by Weisfeiler–Lehman style colour refinement seeded with
 ``(label, is_x, is_y)`` followed by an exhaustive minimisation over orderings
 within colour classes.  Patterns in GPAR mining have a handful of nodes, so
 the exhaustive step is cheap; if the number of orderings would exceed
-``_MAX_ORDERINGS`` we fall back to a deterministic (but possibly
-non-canonical) code — still a valid hash key because the exact isomorphism
-check runs afterwards in :mod:`repro.pattern.automorphism`.  The prefix says
-which: a ``canonical:`` code is a complete invariant (the argument is in
-that module's docstring), a ``fallback:`` code is only a bucket key.
+``_MAX_ORDERINGS`` we fall back to a deterministic encoding under one
+ordering by node name.  The prefix says which: a ``canonical:`` code is a
+complete invariant, a ``fallback:`` code is not.
+
+The limit past the cap: isomorphic patterns whose large colour classes are
+not twins (interchangeable nodes) can get different ``fallback:`` codes, and
+then stay in separate automorphism groups.  Example: x with ``f``-edges to
+six ``c`` nodes, each ``g``-wired to a distinct ``d`` node — two different
+wirings are isomorphic, but both classes have six members (518,400
+orderings) and the name order encodes the wirings differently.  That
+pattern has 12 antecedent edges; mining grows at most ``max_edges`` (4 by
+default).  Equal ``fallback:`` codes still imply an isomorphism, so a
+group never joins rules that are not automorphic.
 """
 
 from __future__ import annotations

@@ -302,7 +302,7 @@ class Pattern:
         """View the (copy-expanded) pattern as a :class:`Graph`.
 
         Pattern node labels become graph node labels, which lets the graph
-        utilities (BFS, sketches, bisimulation) run on patterns unchanged.
+        utilities (BFS, sketches) run on patterns unchanged.
         """
         expanded = self.expanded()
         graph = Graph(name=name)

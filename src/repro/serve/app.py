@@ -113,11 +113,14 @@ def ops_from_json(documents: list) -> UpdateBatch:
     return UpdateBatch.of(*ops)
 
 
-def _body_int(body: dict, name: str, default: int) -> int:
-    """Body field *name* as an exact JSON integer (a bool or a float is refused)."""
+def _body_int(body: dict, name: str, default: int, minimum: int | None = None) -> int:
+    """Body field *name* as an exact JSON integer (a bool or a float is
+    refused), at least *minimum* when one is given."""
     value = body.get(name, default)
     if type(value) is not int:
         raise ProtocolError(f"{name!r} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ProtocolError(f"{name!r} must be >= {minimum}, got {value}")
     return value
 
 
@@ -443,9 +446,9 @@ class ReproService:
         eta = _body_number(body, "eta", 1.0)
         workers = _body_int(body, "workers", 4)
         seed = _body_int(body, "seed", 0)
-        rules = _body_int(body, "rules", 6)
-        max_edges = _body_int(body, "max_edges", 4)
-        d = _body_int(body, "d", 2)
+        rules = _body_int(body, "rules", 6, minimum=1)
+        max_edges = _body_int(body, "max_edges", 4, minimum=1)
+        d = _body_int(body, "d", 2, minimum=1)
         history_limit = _body_int(body, "history_limit", api.SESSION_HISTORY_LIMIT)
         backend = body.get("backend", "sequential")
         pool_size = body.get("pool_size")

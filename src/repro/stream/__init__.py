@@ -36,7 +36,6 @@ from repro.stream.identifier import (
     StreamUpdateReport,
     StreamVerifyPayload,
     StreamingIdentifier,
-    split_free_pattern,
     stream_update_worker,
 )
 from repro.stream.multitenant import MultiTenantIdentifier, TenantAdmission
@@ -54,6 +53,5 @@ __all__ = [
     "StreamVerifyPayload",
     "StreamUpdateReport",
     "StreamingIdentifier",
-    "split_free_pattern",
     "stream_update_worker",
 ]

@@ -62,7 +62,6 @@ from repro.identification.census import (
     apply_census,
     max_verification_radius,
     plan_census,
-    split_free_pattern,
 )
 from repro.identification.eip import EIPConfig, EIPResult, _shared_predicate
 from repro.identification.match import Match
@@ -100,7 +99,6 @@ __all__ = [
     "StreamUpdateReport",
     "StreamVerifyPayload",
     "StreamingIdentifier",
-    "split_free_pattern",
     "stream_update_worker",
 ]
 

@@ -15,8 +15,9 @@ this package supplies the adversarial half (see ``docs/adversarial.md``):
   every production matching path is held equal to,
   :func:`identify_sequential`, the unpartitioned EIP evaluation it wraps, and
   mining's naive twins :func:`reference_extension_keys` /
-  :func:`reference_group_automorphic`, and the partitioner's set-decoding
-  greedy :func:`reference_balance`;
+  :func:`reference_group_automorphic` (exact isomorphism by
+  :func:`are_isomorphic` / :func:`gpars_automorphic`), and the
+  partitioner's set-decoding greedy :func:`reference_balance`;
 * :mod:`repro.testing.distill` — greedy delta-debugging
   (:func:`distill`) plus MinHash dedup of counterexamples;
 * :mod:`repro.testing.cases` — the ``tests/regressions/*.json`` corpus:
@@ -50,6 +51,8 @@ from repro.testing.oracle import (
 )
 from repro.testing.reference import (
     ReferenceMatcher,
+    are_isomorphic,
+    gpars_automorphic,
     identify_sequential,
     reference_balance,
     reference_extension_keys,
@@ -74,12 +77,14 @@ __all__ = [
     "RegressionCase",
     "STORM_FAMILIES",
     "TenantDivergence",
+    "are_isomorphic",
     "ball_burst_storm",
     "correlated_deletion_storm",
     "distill",
     "eip_fingerprint",
     "estimated_similarity",
     "from_distilled",
+    "gpars_automorphic",
     "hub_churn_storm",
     "identify_sequential",
     "is_duplicate",

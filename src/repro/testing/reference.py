@@ -14,9 +14,10 @@ production path against it.
 Mining's coordinator and proposer have naive twins here too:
 :func:`reference_extension_keys` scans every incident edge of every mapped
 node, and :func:`reference_group_automorphic` compares each rule with every
-earlier group through the bisimulation filter and the exact check.  The
-partitioner's greedy has one as well: :func:`reference_balance` decodes every
-centre's ball into a set and compares sets.
+earlier group by an exact isomorphism search (:func:`gpars_automorphic`),
+reading no canonical code.  The partitioner's greedy has one as well:
+:func:`reference_balance` decodes every centre's ball into a set and
+compares sets.
 """
 
 from __future__ import annotations
@@ -31,9 +32,6 @@ from repro.matching.vf2 import VF2Matcher
 from repro.metrics.confidence import evaluate_rule
 from repro.metrics.lcwa import predicate_stats
 from repro.mining.expansion import _ExtensionKey
-from repro.pattern.automorphism import gpars_automorphic
-from repro.pattern.bisimulation import are_bisimilar
-from repro.pattern.canonical import canonical_code
 from repro.pattern.gpar import GPAR
 from repro.pattern.pattern import Pattern, PatternEdge
 
@@ -282,35 +280,94 @@ def reference_balance(
     return fragment_nodes, fragment_centers
 
 
-def reference_group_automorphic(
-    rules: Sequence[GPAR],
-    use_bisimulation_filter: bool = True,
-) -> list[list[GPAR]]:
+def are_isomorphic(first: Pattern, second: Pattern) -> bool:
+    """Designated-node-preserving isomorphism between two patterns.
+
+    Both patterns are copy-expanded first.  The mapping must send x to x and
+    y to y (when present), preserve node labels, and induce a bijection
+    between the edge sets with matching labels.
+    """
+    a = first.expanded()
+    b = second.expanded()
+    if a.num_nodes != b.num_nodes or a.num_edges != b.num_edges:
+        return False
+    if (a.y is None) != (b.y is None):
+        return False
+
+    b_nodes_by_label: dict[str, list] = {}
+    for node, label in b.node_items():
+        b_nodes_by_label.setdefault(label, []).append(node)
+    a_nodes = sorted(a.nodes(), key=lambda n: (n != a.x, n != a.y, str(n)))
+    b_edge_set = {(e.source, e.target, e.label) for e in b.edges()}
+    a_edges = a.edges()
+
+    def consistent(mapping: dict) -> bool:
+        for edge in a_edges:
+            if edge.source in mapping and edge.target in mapping:
+                if (mapping[edge.source], mapping[edge.target], edge.label) not in b_edge_set:
+                    return False
+        return True
+
+    def backtrack(index: int, mapping: dict, used: set) -> bool:
+        if index == len(a_nodes):
+            return True
+        node = a_nodes[index]
+        if node == a.x:
+            candidates = [b.x]
+        elif a.y is not None and node == a.y:
+            candidates = [b.y]
+        else:
+            candidates = b_nodes_by_label.get(a.label(node), [])
+        for candidate in candidates:
+            if candidate in used:
+                continue
+            if b.label(candidate) != a.label(node):
+                continue
+            mapping[node] = candidate
+            used.add(candidate)
+            if consistent(mapping) and backtrack(index + 1, mapping, used):
+                return True
+            used.discard(candidate)
+            del mapping[node]
+        return False
+
+    return backtrack(0, {}, set())
+
+
+def gpars_automorphic(first: GPAR, second: GPAR) -> bool:
+    """Whether two GPARs have the same consequent and isomorphic PR patterns."""
+    if first.consequent_label != second.consequent_label:
+        return False
+    return are_isomorphic(first.pr_pattern(), second.pr_pattern())
+
+
+def _isomorphism_invariants(rule: GPAR) -> tuple:
+    """Consequent label, node-label multiset and labelled-edge-triple multiset
+    of the expanded PR: equal for automorphic rules, and read off no code."""
+    pattern = rule.pr_pattern().expanded()
+    return (
+        rule.consequent_label,
+        sorted(label for _node, label in pattern.node_items()),
+        sorted((pattern.label(e.source), e.label, pattern.label(e.target)) for e in pattern.edges()),
+    )
+
+
+def reference_group_automorphic(rules: Sequence[GPAR]) -> list[list[GPAR]]:
     """Partition *rules* into groups of pairwise-automorphic GPARs.
 
-    Each rule is compared with every earlier group: same consequent, same
-    canonical code, bisimilar (Lemma 4), then the exact isomorphism check.
+    Each rule is compared with every earlier group's first member by the
+    exact isomorphism search, after a rejection on invariants that every
+    isomorphism preserves; no canonical code is read.
     """
     groups: list[list[GPAR]] = []
-    group_codes: list[str] = []
+    invariants: list[tuple] = []
     for rule in rules:
-        code = canonical_code(rule.pr_pattern())
-        placed = False
+        invariant = _isomorphism_invariants(rule)
         for index, group in enumerate(groups):
-            representative = group[0]
-            if rule.consequent_label != representative.consequent_label:
-                continue
-            if group_codes[index] != code:
-                continue
-            if use_bisimulation_filter and not are_bisimilar(
-                rule.pr_pattern(), representative.pr_pattern()
-            ):
-                continue
-            if gpars_automorphic(rule, representative):
+            if invariants[index] == invariant and gpars_automorphic(rule, group[0]):
                 group.append(rule)
-                placed = True
                 break
-        if not placed:
+        else:
             groups.append([rule])
-            group_codes.append(code)
+            invariants.append(invariant)
     return groups

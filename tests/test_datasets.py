@@ -157,6 +157,13 @@ class TestWorkloads:
         second = generate_gpars(small_pokec, pokec_book_predicate, count=4, seed=3)
         assert first == second
 
+    @pytest.mark.parametrize("name, value", [("max_pattern_edges", 0), ("d", -1), ("d", 0)])
+    def test_rule_shape_below_one_is_refused_up_front(
+        self, small_pokec, pokec_book_predicate, name, value
+    ):
+        with pytest.raises(DatasetError, match=f"{name} must be >= 1"):
+            generate_gpars(small_pokec, pokec_book_predicate, count=2, **{name: value})
+
     def test_invalid_requests(self, small_pokec, pokec_book_predicate):
         with pytest.raises(DatasetError):
             generate_gpars(small_pokec, pokec_book_predicate, count=0)

@@ -471,14 +471,13 @@ def _mine():
 def mining_calls():
     """Call lists of one small ``api.mine`` run: patterns built, structural
     keys computed, match-set distances taken and pair bounds evaluated by the
-    diversifier, exact isomorphism checks and canonical codes of the dedup,
+    diversifier, canonical codes of the dedup,
     the match stores built, and the modules that asked a graph for its edges."""
     import repro.mining.incdiv as incdiv
-    import repro.pattern.automorphism as automorphism
     import repro.pattern.canonical as canonical
 
     calls = {
-        name: [] for name in ("built", "keyed", "distances", "bounds", "isomorphic", "codes", "stores")
+        name: [] for name in ("built", "keyed", "distances", "bounds", "codes", "stores")
     }
     edge_readers: set[str] = set()
 
@@ -496,7 +495,6 @@ def mining_calls():
         _counting(monkeypatch, Pattern, "_key", calls["keyed"])
         _counting(monkeypatch, incdiv, "jaccard_distance", calls["distances"])
         _counting(monkeypatch, DiversificationObjective, "upper_bound_contribution", calls["bounds"])
-        _counting(monkeypatch, automorphism, "are_isomorphic", calls["isomorphic"])
         _counting(monkeypatch, canonical, "_compute_code", calls["codes"])
         _counting(monkeypatch, MatchStore, "__init__", calls["stores"])
         for name in ("out_edges", "in_edges"):
@@ -521,9 +519,7 @@ def test_fresh_rules_are_scored_against_the_bound_only(mining_calls):
 
 
 def test_dedup_is_keyed_by_code(mining_calls):
-    calls = mining_calls[0]
-    assert not calls["isomorphic"]  # every proposal of this run has a canonical: code
-    assert 0 < len(calls["codes"]) <= CODE_CEILING
+    assert 0 < len(mining_calls[0]["codes"]) <= CODE_CEILING
 
 
 def test_sibling_groups_fall_back_to_few_anchored_searches(mining_calls):

@@ -271,6 +271,20 @@ class TestSessionLifecycle:
         )
         assert status == 400 and repr(name) in doc["error"], doc
 
+    @pytest.mark.parametrize(
+        "name, value", [("max_edges", 0), ("d", -1), ("d", 0), ("rules", 0)]
+    )
+    def test_rule_shape_fields_below_one_are_refused_by_name(self, server, name, value):
+        """Rule sampling needs at least one edge, radius and rule: a smaller
+        value is a 400 naming the field, before any sampling (``d: 0`` used
+        to spend 300 attempts first, ``max_edges: 0`` to fail in
+        ``randrange``)."""
+        graph, _rules, predicate_text = _workload()
+        status, doc = _call(
+            "POST", f"{server.base_url}/sessions", _session_body(graph, predicate_text, **{name: value})
+        )
+        assert status == 400 and f"{name!r} must be >= 1" in doc["error"], doc
+
     def test_malformed_http_gets_400(self, server):
         with socket.create_connection(("127.0.0.1", server.port), timeout=10) as raw:
             raw.sendall(b"GIBBERISH\r\n\r\n")

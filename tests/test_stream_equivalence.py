@@ -268,10 +268,9 @@ def _dmine_fingerprint(result):
 # free-y (census-maintained) rules: whole-graph matching semantics
 # ----------------------------------------------------------------------
 def _free_y_rules(graph, predicate, count=3):
-    """Mine Σ with DMine and keep the free-y rules (the ROADMAP's shape)."""
-    from repro.exceptions import PatternError
-    from repro.pattern.radius import pattern_radius
-    from repro.stream import split_free_pattern
+    """Mine Σ with DMine and keep the free-y rules (the ROADMAP's shape): the
+    census plan's entries whose free parts are isolated nodes."""
+    from repro.identification.census import plan_census
 
     config = DMineConfig(
         k=6,
@@ -283,14 +282,8 @@ def _free_y_rules(graph, predicate, count=3):
         max_rules_per_round=10,
     )
     result = dmine(graph, predicate, config)
-    free = []
-    for rule in sorted(result.all_rules, key=lambda r: r.name):
-        try:
-            pattern_radius(rule.antecedent, rule.antecedent.x)
-        except PatternError:
-            if split_free_pattern(rule.antecedent) is not None:
-                free.append(rule)
-    return free[:count]
+    plan = plan_census(sorted(result.all_rules, key=lambda r: r.name))
+    return [entry.rule for entry in plan.entries if not entry.components][:count]
 
 
 @pytest.mark.parametrize("seed", range(0, 50, 10))

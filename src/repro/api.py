@@ -186,16 +186,6 @@ class SessionDelta:
     identified_left: frozenset
     report: StreamUpdateReport | None = field(default=None, compare=False)
 
-    @property
-    def empty(self) -> bool:
-        """Whether the tick changed nothing in the answer."""
-        return (
-            not self.identified_entered
-            and not self.identified_left
-            and not any(self.rule_entered.values())
-            and not any(self.rule_left.values())
-        )
-
     def as_dict(self) -> dict:
         """JSON-friendly form (entities rendered as sorted strings)."""
         return {
@@ -263,8 +253,6 @@ class Session:
         tenant: str,
         history_limit: int = SESSION_HISTORY_LIMIT,
     ) -> None:
-        if history_limit < 1:
-            raise StreamError(f"history_limit must be >= 1, got {history_limit}")
         self._core = core
         self.tenant = tenant
         #: What admitting this tenant cost (:class:`~repro.stream.TenantAdmission`).
@@ -445,6 +433,11 @@ class Session:
         return False
 
 
+def _check_history_limit(history_limit: int) -> None:
+    if history_limit < 1:
+        raise StreamError(f"history_limit must be >= 1, got {history_limit}")
+
+
 class SharedSessionCore:
     """The resident streaming core every :class:`Session` is a tenant of.
 
@@ -486,10 +479,6 @@ class SharedSessionCore:
         with self._write_lock:
             return dict(self._sessions)
 
-    @property
-    def tenants(self) -> tuple[str, ...]:
-        return tuple(self.sessions)
-
     def open_session(
         self,
         tenant: str,
@@ -500,8 +489,9 @@ class SharedSessionCore:
 
         The admission record lands on ``session.admission`` (a
         :class:`~repro.stream.TenantAdmission`) so callers can observe the
-        marginal cost they paid.
+        marginal cost they paid.  A refused call admits nothing.
         """
+        _check_history_limit(history_limit)
         with self._write_lock:
             self._multi.admit(tenant, tuple(rules))
             session = Session(self, tenant, history_limit)
@@ -591,9 +581,13 @@ def open_session(
     Reach the core (``save_state``, further tenants) as ``session.core``.
     """
     core = SharedSessionCore(graph, config)
-    return core.open_session(
-        tenant if tenant is not None else DEFAULT_TENANT, rules, history_limit
-    )
+    try:
+        return core.open_session(
+            tenant if tenant is not None else DEFAULT_TENANT, rules, history_limit
+        )
+    except BaseException:
+        core.close()
+        raise
 
 
 def restore_core(
@@ -610,6 +604,7 @@ def restore_core(
     version.  ``backend`` / ``executor_workers`` override the saved
     :class:`EIPConfig`, as in :meth:`repro.stream.StreamingIdentifier.restore`.
     """
+    _check_history_limit(history_limit)
     core = SharedSessionCore.__new__(SharedSessionCore)
     core._adopt(MultiTenantIdentifier.restore(path, backend, executor_workers))
     for tenant in core.multi.tenants:

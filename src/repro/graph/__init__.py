@@ -21,7 +21,6 @@ from repro.graph.columnar import (
     ColumnarStatistics,
     LabelTable,
     columnar_view,
-    discard_columnar,
     registered_columnar,
 )
 from repro.graph.neighborhood import (
@@ -40,10 +39,7 @@ from repro.graph.io import (
     graph_to_dict,
     load_graph_json,
     save_graph_json,
-    load_edge_list,
-    save_edge_list,
 )
-from repro.graph.statistics import GraphSummary, summarize
 
 __all__ = [
     "DELTA_LOG_SIZE",
@@ -63,14 +59,9 @@ __all__ = [
     "ColumnarStatistics",
     "LabelTable",
     "columnar_view",
-    "discard_columnar",
     "registered_columnar",
     "graph_from_dict",
     "graph_to_dict",
     "load_graph_json",
     "save_graph_json",
-    "load_edge_list",
-    "save_edge_list",
-    "GraphSummary",
-    "summarize",
 ]

@@ -323,11 +323,6 @@ class ColumnarFragment:
         self.statistics.builds += 1
 
     @property
-    def built_version(self) -> int:
-        """Graph version the current contents were compiled from."""
-        return self._built_version
-
-    @property
     def is_stale(self) -> bool:
         """Whether the graph has mutated since the last compile or patch."""
         return self.graph.version != self._built_version
@@ -336,7 +331,7 @@ class ColumnarFragment:
         """Bring every store and cache up to date with the graph.
 
         Prefers in-place delta patching: when the graph's recorded delta log
-        still reaches back to :attr:`built_version` and the touched region is
+        still reaches back to ``_built_version`` and the touched region is
         small relative to the graph, every pending
         :class:`~repro.graph.graph.GraphDelta` is applied via
         :meth:`apply_delta`; otherwise the structure recompiles from scratch.
@@ -364,7 +359,7 @@ class ColumnarFragment:
     def apply_delta(self, delta: GraphDelta) -> bool:
         """Patch the structure in place with one recorded graph delta.
 
-        Requires ``delta.base_version`` to equal :attr:`built_version`
+        Requires ``delta.base_version`` to equal ``_built_version``
         (returns ``False``, leaving everything untouched, otherwise).  After
         the patch every probe answers exactly as a fresh compile at
         ``delta.result_version`` would.
@@ -492,14 +487,6 @@ class ColumnarFragment:
             return _EMPTY_FROZEN
         return self._buckets.get(label_id, _EMPTY_FROZEN)
 
-    def node_label(self, node: NodeId) -> Label:
-        """Label of *node* (same contract as ``Graph.node_label``)."""
-        self._check()
-        label_id = self._label_id_of(node)
-        if label_id is None or label_id < 0:
-            raise NodeNotFoundError(node)
-        return self.labels.label_of(label_id)
-
     # ------------------------------------------------------------------
     # probes: profile matrix
     # ------------------------------------------------------------------
@@ -606,11 +593,6 @@ class ColumnarFragment:
                 return False
         return True
 
-    def dominates(self, node: NodeId, requirement: CompiledRequirement) -> bool:
-        """Whether *node*'s label + profile satisfy *requirement*."""
-        self._check()
-        return self._dominates_unchecked(node, requirement)
-
     def _dominates_unchecked(self, node: NodeId, requirement: CompiledRequirement) -> bool:
         return (
             requirement.label_id >= 0
@@ -670,11 +652,6 @@ class ColumnarFragment:
     # ------------------------------------------------------------------
     # caches: k-hop sketches
     # ------------------------------------------------------------------
-    def sketch(self, node: NodeId, hops: int) -> KHopSketch:
-        """The *hops*-hop sketch of *node*, from the memoised handle."""
-        self._check()
-        return self._neighborhoods.histogram(node, self._sketch_handle(node, hops))
-
     def sketch_test(self, node: NodeId, hops: int, required: KHopSketch) -> bool:
         """Whether *node*'s sketch dominates *required* (:func:`~repro.graph.sketch.sketch_dominates`)."""
         self._check()  # below, the hit path of _sketch_handle inlined: it runs per candidate
@@ -735,12 +712,6 @@ def columnar_view(graph: Graph) -> ColumnarFragment:
                 view = ColumnarFragment(graph)
                 _REGISTRY[graph] = view
     return view
-
-
-def discard_columnar(graph: Graph) -> bool:
-    """Drop the registered view of *graph*, if any; returns whether one existed."""
-    with _REGISTRY_LOCK:
-        return _REGISTRY.pop(graph, None) is not None
 
 
 def registered_columnar(graph: Graph) -> ColumnarFragment | None:

@@ -44,10 +44,6 @@ class Edge:
     target: NodeId
     label: Label
 
-    def reversed(self) -> "Edge":
-        """Return the edge with source and target swapped (same label)."""
-        return Edge(self.target, self.source, self.label)
-
 
 @dataclass(frozen=True)
 class GraphDelta:
@@ -204,11 +200,6 @@ class GraphBatch:
                 "its delta is available only after the outermost block exits"
             )
         return self._delta
-
-    @property
-    def touched(self) -> frozenset:
-        """Net touched-node set of the batch (see :class:`GraphDelta`)."""
-        return self.delta.touched
 
 
 class Graph:
@@ -522,11 +513,6 @@ class Graph:
         return self._num_edges
 
     @property
-    def size(self) -> int:
-        """The paper's size measure ``|G| = |V| + |E|``."""
-        return self.num_nodes + self._num_edges
-
-    @property
     def version(self) -> int:
         """Monotonic mutation counter (see :mod:`repro.graph.columnar`)."""
         return self._version
@@ -610,10 +596,6 @@ class Graph:
         """Return (a copy of) the set of nodes carrying *label*."""
         return set(self._nodes_by_label.get(label, ()))
 
-    def count_nodes_with_label(self, label: Label) -> int:
-        """Number of nodes carrying *label* (no copy)."""
-        return len(self._nodes_by_label.get(label, ()))
-
     def node_labels(self) -> set[Label]:
         """The set of distinct node labels present in the graph."""
         return set(self._nodes_by_label)
@@ -625,10 +607,6 @@ class Graph:
     def node_label_counts(self) -> dict[Label, int]:
         """Histogram of node labels."""
         return {label: len(nodes) for label, nodes in self._nodes_by_label.items()}
-
-    def edge_label_counts(self) -> dict[Label, int]:
-        """Histogram of edge labels."""
-        return dict(self._edge_label_counts)
 
     # ------------------------------------------------------------------
     # adjacency
@@ -679,39 +657,6 @@ class Graph:
             for source in sources:
                 yield Edge(source, node_id, label)
 
-    def out_degree(self, node_id: NodeId, label: Label | None = None) -> int:
-        """Number of out-edges of *node_id* (optionally of a given label)."""
-        by_label = self._out.get(node_id)
-        if by_label is None:
-            raise NodeNotFoundError(node_id)
-        if label is not None:
-            return len(by_label.get(label, ()))
-        return sum(len(targets) for targets in by_label.values())
-
-    def in_degree(self, node_id: NodeId, label: Label | None = None) -> int:
-        """Number of in-edges of *node_id* (optionally of a given label)."""
-        by_label = self._in.get(node_id)
-        if by_label is None:
-            raise NodeNotFoundError(node_id)
-        if label is not None:
-            return len(by_label.get(label, ()))
-        return sum(len(sources) for sources in by_label.values())
-
-    def degree(self, node_id: NodeId) -> int:
-        """Total degree (in + out) of *node_id*."""
-        return self.out_degree(node_id) + self.in_degree(node_id)
-
-    def has_out_edge_labeled(self, node_id: NodeId, label: Label) -> bool:
-        """Whether *node_id* has at least one out-edge with *label*.
-
-        Used by the LCWA statistics: a node is a "negative" example for a
-        predicate ``q`` only if it has *some* edge of type ``q``.
-        """
-        by_label = self._out.get(node_id)
-        if by_label is None:
-            raise NodeNotFoundError(node_id)
-        return bool(by_label.get(label))
-
     # ------------------------------------------------------------------
     # derived graphs
     # ------------------------------------------------------------------
@@ -751,20 +696,6 @@ class Graph:
         graph._num_edges = sum(counts.values())
         return graph
 
-    def descendants(self, node_id: NodeId) -> set[NodeId]:
-        """All nodes reachable from *node_id* via directed paths (excluding it)."""
-        if node_id not in self._labels:
-            raise NodeNotFoundError(node_id)
-        seen: set[NodeId] = set()
-        frontier = [node_id]
-        while frontier:
-            current = frontier.pop()
-            for target in self.out_neighbors(current):
-                if target not in seen and target != node_id:
-                    seen.add(target)
-                    frontier.append(target)
-        return seen
-
     # ------------------------------------------------------------------
     # dunder helpers
     # ------------------------------------------------------------------
@@ -773,22 +704,3 @@ class Graph:
             f"Graph(name={self.name!r}, nodes={self.num_nodes}, "
             f"edges={self.num_edges})"
         )
-
-    def structure_equal(self, other: "Graph") -> bool:
-        """Exact structural equality: same node ids, labels and edges.
-
-        This is *not* isomorphism — node identity matters.  Used by tests and
-        by the fragment/partition round-trip checks.
-        """
-        if not isinstance(other, Graph):
-            return False
-        if self._labels != other._labels:
-            return False
-        if self._num_edges != other._num_edges:
-            return False
-        for source, by_label in self._out.items():
-            other_by_label = other._out.get(source, {})
-            for label, targets in by_label.items():
-                if targets != other_by_label.get(label, set()):
-                    return False
-        return True

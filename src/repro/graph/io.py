@@ -1,9 +1,8 @@
-"""Serialisation of graphs to/from JSON documents and edge-list files."""
+"""Serialisation of graphs to/from JSON documents."""
 
 from __future__ import annotations
 
 import json
-import sys
 from pathlib import Path
 from typing import Any
 
@@ -57,45 +56,3 @@ def load_graph_json(path: str | Path) -> Graph:
     with open(path, "r", encoding="utf-8") as handle:
         document = json.load(handle)
     return graph_from_dict(document)
-
-
-def save_edge_list(graph: Graph, path: str | Path, separator: str = "\t") -> None:
-    """Write a labelled edge list: ``src src_label dst dst_label edge_label``."""
-    with open(path, "w", encoding="utf-8") as handle:
-        for edge in graph.edges():
-            row = separator.join(
-                str(field)
-                for field in (
-                    edge.source,
-                    graph.node_label(edge.source),
-                    edge.target,
-                    graph.node_label(edge.target),
-                    edge.label,
-                )
-            )
-            handle.write(row + "\n")
-
-
-def load_edge_list(path: str | Path, separator: str = "\t", name: str | None = None) -> Graph:
-    """Load a graph from :func:`save_edge_list` output.
-
-    Node ids are read back as strings; isolated nodes are not representable
-    in this format (use the JSON format when they matter).
-    """
-    graph = Graph(name=name or Path(path).stem)
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(separator)
-            if len(parts) != 5:
-                raise ValueError(
-                    f"{path}:{line_number}: expected 5 fields, got {len(parts)}"
-                )
-            source, source_label, target, target_label, edge_label = parts
-            graph.add_node(source, sys.intern(source_label))
-            graph.add_node(target, sys.intern(target_label))
-            graph.add_edge(source, target, sys.intern(edge_label))
-    graph.label_table
-    return graph

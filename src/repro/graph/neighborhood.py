@@ -324,20 +324,6 @@ class Neighborhoods:
                     return False
         return True
 
-    def histogram(self, node: NodeId, handle) -> KHopSketch:
-        """The :class:`KHopSketch` a sketch handle of *node* stands for, labels as of now."""
-        if not self.masks:
-            return handle
-        rings = handle[0]
-        prefix = tuple({} for _ in rings)
-        for label, members in self._label_masks.items():
-            if rings[-1] & members:
-                for counts, ring in zip(prefix, rings):
-                    count = (ring & members).bit_count()
-                    if count:
-                        counts[label] = count
-        return KHopSketch(node=node, hops=len(rings), prefix=prefix, total=rings[-1].bit_count())
-
     def size(self, handle) -> int:
         return handle.bit_count() if self.masks else len(handle)
 

@@ -1,61 +1,11 @@
-"""Descriptive statistics over graphs, used in reports and benchmarks."""
+"""Descriptive statistics over graphs: the single-edge pattern ranking
+behind :func:`repro.datasets.most_frequent_predicates`."""
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
 from repro.graph.graph import Graph
-
-
-@dataclass(frozen=True)
-class GraphSummary:
-    """A compact structural summary of a graph."""
-
-    name: str
-    num_nodes: int
-    num_edges: int
-    num_node_labels: int
-    num_edge_labels: int
-    avg_out_degree: float
-    max_out_degree: int
-    max_in_degree: int
-
-    def as_row(self) -> str:
-        """One-line human-readable description."""
-        return (
-            f"{self.name}: |V|={self.num_nodes} |E|={self.num_edges} "
-            f"node labels={self.num_node_labels} edge labels={self.num_edge_labels} "
-            f"avg out-degree={self.avg_out_degree:.2f}"
-        )
-
-
-def summarize(graph: Graph) -> GraphSummary:
-    """Compute a :class:`GraphSummary` for *graph*."""
-    max_out = 0
-    max_in = 0
-    for node in graph.nodes():
-        max_out = max(max_out, graph.out_degree(node))
-        max_in = max(max_in, graph.in_degree(node))
-    avg_out = graph.num_edges / graph.num_nodes if graph.num_nodes else 0.0
-    return GraphSummary(
-        name=graph.name,
-        num_nodes=graph.num_nodes,
-        num_edges=graph.num_edges,
-        num_node_labels=len(graph.node_labels()),
-        num_edge_labels=len(graph.edge_labels()),
-        avg_out_degree=avg_out,
-        max_out_degree=max_out,
-        max_in_degree=max_in,
-    )
-
-
-def degree_histogram(graph: Graph) -> dict[int, int]:
-    """Histogram of total degree -> number of nodes with that degree."""
-    counter: Counter = Counter()
-    for node in graph.nodes():
-        counter[graph.degree(node)] += 1
-    return dict(counter)
 
 
 def most_frequent_edge_patterns(graph: Graph, top: int = 20) -> list[tuple[str, str, str, int]]:

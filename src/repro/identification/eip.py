@@ -152,10 +152,6 @@ class EIPResult:
     #: concurrent first read computes the same pair.
     _ordered: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
-    def confidence_of(self, rule: GPAR) -> float:
-        """Global confidence computed for *rule* (KeyError if unknown)."""
-        return self.rule_confidences[rule]
-
     # ------------------------------------------------------------------
     # pagination
     # ------------------------------------------------------------------

@@ -78,15 +78,6 @@ class PoolStatistics:
     shared_prefix_hits: int = 0
     released: int = 0
 
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "registrations": self.registrations,
-            "shared_rules": self.shared_rules,
-            "novel_rules": self.novel_rules,
-            "shared_prefix_hits": self.shared_prefix_hits,
-            "released": self.released,
-        }
-
 
 @dataclass
 class _KeyState:
@@ -121,11 +112,6 @@ class SharedPatternPool:
 
     def __len__(self) -> int:
         return len(self._keys)
-
-    @property
-    def tenants(self) -> tuple[str, ...]:
-        with self._lock:
-            return tuple(self._tenants)
 
     def representatives(self) -> dict[str, GPAR]:
         """The resident key → representative map (what a checkpoint saves)."""
@@ -197,9 +183,3 @@ class SharedPatternPool:
                     del self._prefix_owners[prefix]
             self.statistics.released += 1
             return tuple(retired)
-
-    def owners_of(self, rule: GPAR) -> frozenset[str]:
-        """Tenants whose Σ contains a rule canonically equal to *rule*."""
-        with self._lock:
-            state = self._keys.get(rule_key(rule))
-            return frozenset(state.owners) if state is not None else frozenset()

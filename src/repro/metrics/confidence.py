@@ -14,16 +14,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Hashable
 
 from repro.graph.graph import Graph
 from repro.matching.base import Matcher
 from repro.matching.vf2 import VF2Matcher
 from repro.metrics.lcwa import PredicateStats, predicate_stats, q_bar_intersection
-from repro.metrics.support import minimum_image_support
 from repro.pattern.gpar import GPAR
-
-NodeId = Hashable
 
 
 def bayes_factor_confidence(
@@ -94,11 +90,6 @@ class RuleEvaluation:
     rule_matches: frozenset
     antecedent_matches: frozenset
 
-    @property
-    def is_trivial(self) -> bool:
-        """Trivial per Section 3: infinite confidence or an empty predicate."""
-        return math.isinf(self.confidence) or self.supp_q == 0
-
     def as_row(self) -> str:
         """One-line report used by the examples."""
         conf = "inf" if math.isinf(self.confidence) else f"{self.confidence:.3f}"
@@ -154,24 +145,4 @@ def evaluate_rule(
         conventional=conventional_confidence(len(rule_matches), len(antecedent_matches)),
         rule_matches=frozenset(rule_matches),
         antecedent_matches=frozenset(antecedent_matches),
-    )
-
-
-def evaluate_rule_image_based(
-    graph: Graph,
-    rule: GPAR,
-    matcher: Matcher | None = None,
-    stats: PredicateStats | None = None,
-    max_matches: int = 10_000,
-) -> float:
-    """Image-based confidence ``Iconf`` of Exp-2 (expensive; small graphs only)."""
-    engine = matcher if matcher is not None else VF2Matcher()
-    predicate = stats if stats is not None else predicate_stats(graph, rule.q_pattern())
-    antecedent_matches = engine.match_set(graph, rule.antecedent)
-    supp_q_qbar = len(q_bar_intersection(predicate.negatives, antecedent_matches))
-    image_supp = minimum_image_support(
-        rule.pr_pattern(), graph, matcher=engine, max_matches=max_matches
-    )
-    return image_based_confidence(
-        image_supp, predicate.supp_q_bar, supp_q_qbar, predicate.supp_q
     )

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Hashable
 
 from repro.graph.graph import Graph
-from repro.pattern.gpar import GPAR
 from repro.pattern.pattern import Pattern
 
 NodeId = Hashable
@@ -55,24 +54,6 @@ class PredicateStats:
     def supp_q_bar(self) -> int:
         """``supp(q̄, G)``: number of LCWA-negative nodes."""
         return len(self.negatives)
-
-    @property
-    def num_candidates(self) -> int:
-        """Total number of nodes carrying the x-label."""
-        return len(self.positives) + len(self.negatives) + len(self.unknown)
-
-    def classify(self, node: NodeId) -> str:
-        """Return ``"positive"``, ``"negative"`` or ``"unknown"`` for *node*.
-
-        Raises :class:`KeyError` for nodes that do not carry the x-label.
-        """
-        if node in self.positives:
-            return "positive"
-        if node in self.negatives:
-            return "negative"
-        if node in self.unknown:
-            return "unknown"
-        raise KeyError(f"{node!r} does not satisfy the search condition on x")
 
     @property
     def normalizer(self) -> int:
@@ -162,11 +143,6 @@ def predicate_stats_over(
         negatives=frozenset(negatives),
         unknown=frozenset(unknown),
     )
-
-
-def predicate_stats_for_rule(graph: Graph, rule: GPAR) -> PredicateStats:
-    """Convenience wrapper: LCWA statistics for a rule's consequent predicate."""
-    return predicate_stats(graph, rule.q_pattern())
 
 
 def q_bar_intersection(q_bar_nodes: frozenset, antecedent_matches: set) -> set:

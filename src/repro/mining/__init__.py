@@ -20,8 +20,7 @@ from repro.mining.dmine import (
     dmine_baseline,
     dmine_for_predicates,
 )
-from repro.mining.diversify import discover_and_diversify, greedy_diversify
-from repro.mining.expansion import candidate_extensions
+from repro.mining.diversify import greedy_diversify
 from repro.mining.incdiv import IncrementalDiversifier
 from repro.mining.local_mine import LocalMiner
 from repro.mining.reduction import apply_reduction_rules
@@ -37,8 +36,6 @@ __all__ = [
     "dmine_auto",
     "LocalMiner",
     "IncrementalDiversifier",
-    "candidate_extensions",
     "apply_reduction_rules",
     "greedy_diversify",
-    "discover_and_diversify",
 ]

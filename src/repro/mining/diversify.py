@@ -1,9 +1,8 @@
 """Batch diversification: the "discover then diversify" strategy.
 
 The greedy pairing below is the classical 2-approximation for max-sum
-dispersion; it is used (a) as the final step of the unoptimised miner
-``DMineno``, which collects all candidate rules first, and (b) as a
-standalone baseline for comparing against the incremental ``incDiv``.
+dispersion; it is the final step of the unoptimised miner ``DMineno``,
+which collects all candidate rules first.
 """
 
 from __future__ import annotations
@@ -54,20 +53,3 @@ def greedy_diversify(
         available.remove(first)
         available.remove(second)
     return chosen[:k]
-
-
-def discover_and_diversify(
-    infos: Mapping[GPAR, RuleInfo],
-    k: int,
-    objective: DiversificationObjective,
-) -> tuple[list[GPAR], float]:
-    """The naive two-phase strategy: diversify a fully materialised rule set.
-
-    Returns the chosen rules and the value of the full objective F on them.
-    """
-    chosen = greedy_diversify(infos, k, objective)
-    value = objective.total_from_matches(
-        [infos[rule].confidence for rule in chosen],
-        [infos[rule].matches for rule in chosen],
-    )
-    return chosen, value

@@ -189,9 +189,3 @@ def extension_keys(
         if len(keys) >= max_extensions:
             break
     return keys
-
-
-def candidate_extensions(graph: Graph, rule: GPAR, *args, **kwargs) -> list[GPAR]:
-    """The new rules, each one antecedent edge larger than *rule*, of the
-    keys :func:`extension_keys` returns for the same arguments."""
-    return [_apply_extension(rule, key) for key in extension_keys(graph, rule, *args, **kwargs)]

@@ -28,7 +28,6 @@ from repro.obs.stats import (
     StatisticsBase,
     collect_process_metrics,
     collection_enabled,
-    disable_collection,
     enable_collection,
     merge_shipped_counts,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "active",
     "collect_process_metrics",
     "collection_enabled",
-    "disable_collection",
     "enable_collection",
     "event",
     "install",

@@ -10,16 +10,13 @@ One :class:`MetricsRegistry` (usually the process-global one returned by
 * **histogram** — observation counts over *fixed* bucket boundaries chosen
   at family creation, plus a running sum and count.
 
-Two operations make the registry composable across processes:
-:meth:`MetricsRegistry.snapshot` produces a plain picklable dict and
-:meth:`MetricsRegistry.merge` folds such a snapshot back in — additively for
-counters and histograms (bucket-wise, which is what makes histogram merging
-associative), last-write-wins for gauges.
+:meth:`MetricsRegistry.snapshot` produces a plain picklable dict of every
+family.  Counts cross processes as ``*Statistics`` deltas
+(:func:`repro.obs.stats.merge_shipped_counts`), not as registry snapshots.
 
-The process-global registry pulls on read: :meth:`counters`,
-:meth:`counter_value`, :meth:`snapshot`, :meth:`render` and :meth:`reset`
-(which then drops them) first fold in the statistics this process counted
-and nobody collected yet (:mod:`repro.obs.stats`).
+The process-global registry pulls on read: :meth:`snapshot` and
+:meth:`render` first fold in the statistics this process counted and
+nobody collected yet (:mod:`repro.obs.stats`).
 
 Everything is guarded by one registry-level lock; individual increments are
 a dict lookup plus an integer add, cheap enough for per-round and
@@ -188,30 +185,6 @@ class MetricsRegistry:
         if self is _GLOBAL:
             merge_shipped_counts(self, [collect_process_metrics()])
 
-    def counter_value(self, name: str, **labels) -> float:
-        """Current value of a counter series (0 when absent)."""
-        self._pull_uncollected()
-        with self._lock:
-            family = self._families.get(name)
-            if family is None:
-                return 0
-            return family.series.get(tuple(str(labels[k]) for k in family.labelnames), 0)
-
-    def counters(self, prefix: str = "") -> dict[str, float]:
-        """Flat ``{name{label=...}: value}`` view of counters under *prefix*."""
-        self._pull_uncollected()
-        out: dict[str, float] = {}
-        with self._lock:
-            for family in self._families.values():
-                if family.kind != "counter" or not family.name.startswith(prefix):
-                    continue
-                for key, value in family.series.items():
-                    labels = ",".join(
-                        f'{n}="{v}"' for n, v in zip(family.labelnames, key)
-                    )
-                    out[f"{family.name}{{{labels}}}" if labels else family.name] = value
-        return out
-
     # ------------------------------------------------------------------
     # snapshot / merge
     # ------------------------------------------------------------------
@@ -239,34 +212,6 @@ class MetricsRegistry:
                     "series": series,
                 }
             return out
-
-    def merge(self, snapshot: dict) -> None:
-        """Fold a :meth:`snapshot` in: counters/histograms add, gauges overwrite."""
-        with self._lock:
-            for name, doc in snapshot.items():
-                family = self._family(
-                    name, doc["kind"], doc["help"], doc["labelnames"], doc["buckets"]
-                )
-                for key, value in doc["series"].items():
-                    key = tuple(key)
-                    if family.kind == "counter":
-                        family.series[key] = family.series.get(key, 0) + value
-                    elif family.kind == "gauge":
-                        family.series[key] = value
-                    else:
-                        series = family.series.get(key)
-                        if series is None:
-                            series = family.series[key] = _Histogram(len(family.buckets))
-                        for position, count in enumerate(value["counts"]):
-                            series.counts[position] += count
-                        series.sum += value["sum"]
-                        series.count += value["count"]
-
-    def reset(self) -> None:
-        """Drop every family (tests and fresh benchmark phases)."""
-        self._pull_uncollected()
-        with self._lock:
-            self._families.clear()
 
     def clear(self, name: str) -> None:
         """Drop every series of family *name* (stale labelled gauges).

@@ -38,7 +38,6 @@ __all__ = [
     "StatisticsBase",
     "collect_process_metrics",
     "collection_enabled",
-    "disable_collection",
     "enable_collection",
     "merge_shipped_counts",
 ]
@@ -68,11 +67,6 @@ def collection_enabled() -> bool:
 def enable_collection() -> None:
     """Turn collection on for this process and any pool it starts later."""
     os.environ[ENV_FLAG] = "1"
-
-
-def disable_collection() -> None:
-    """Stop registering new instances; registered ones still ship their counts."""
-    os.environ[ENV_FLAG] = "0"
 
 
 def _ship(entry: tuple, out: dict[str, float]) -> None:

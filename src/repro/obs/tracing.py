@@ -58,7 +58,6 @@ class _NoopSpan:
 
     __slots__ = ()
     span_id = ""
-    elapsed = 0.0
 
     def set(self, **attrs) -> "_NoopSpan":
         return self
@@ -68,7 +67,7 @@ NOOP_SPAN = _NoopSpan()
 
 
 class SpanHandle:
-    """Live handle of an open span: attach attributes, peek elapsed time."""
+    """Live handle of an open span: attach attributes to it."""
 
     __slots__ = ("name", "span_id", "parent_id", "attrs", "_watch")
 
@@ -83,11 +82,6 @@ class SpanHandle:
         """Attach attributes (JSON-scalar values) to the span; returns self."""
         self.attrs.update(attrs)
         return self
-
-    @property
-    def elapsed(self) -> float:
-        """Seconds since the span opened (non-destructive)."""
-        return self._watch.peek()
 
 
 class Tracer:

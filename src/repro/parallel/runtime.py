@@ -28,11 +28,6 @@ class RoundTiming:
         return slowest + self.coordinator_time
 
     @property
-    def sequential_time(self) -> float:
-        """Total work of the round if it ran on one processor."""
-        return sum(self.worker_times) + self.coordinator_time
-
-    @property
     def skew(self) -> float:
         """``(max - min) / max`` of worker times (0 when perfectly even)."""
         if not self.worker_times:
@@ -54,28 +49,6 @@ class RunTimings:
     def simulated_parallel_time(self) -> float:
         """Σ over rounds of (max worker time + coordinator time)."""
         return sum(round_timing.parallel_time for round_timing in self.rounds)
-
-    @property
-    def sequential_time(self) -> float:
-        """Σ over rounds of (Σ worker times + coordinator time)."""
-        return sum(round_timing.sequential_time for round_timing in self.rounds)
-
-    @property
-    def speedup(self) -> float:
-        """Sequential / simulated-parallel time (≥ 1 for balanced work)."""
-        parallel = self.simulated_parallel_time
-        if parallel == 0:
-            return 1.0
-        return self.sequential_time / parallel
-
-    @property
-    def num_rounds(self) -> int:
-        """Number of BSP rounds executed."""
-        return len(self.rounds)
-
-    def max_worker_skew(self) -> float:
-        """Worst per-round worker-time skew (the paper reports ≤ 14.4%)."""
-        return max((round_timing.skew for round_timing in self.rounds), default=0.0)
 
 
 class BSPRuntime:
@@ -103,11 +76,6 @@ class BSPRuntime:
         self.timings = RunTimings()
         self._run_started: float | None = None
         self._executor_started = False
-
-    @property
-    def num_workers(self) -> int:
-        """Number of workers (= fragments)."""
-        return len(self.fragments)
 
     def start_run(self) -> None:
         """Mark the start of the run and bring up the execution backend."""

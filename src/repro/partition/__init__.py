@@ -11,23 +11,21 @@ Candidate *ownership* is disjoint across fragments, so global supports are
 the plain sums of fragment-local supports.
 """
 
-from repro.partition.fragment import Fragment, FragmentationReport
+from repro.partition.fragment import Fragment
 from repro.partition.lifecycle import (
     FragmentCheckpoint,
     FragmentLease,
     FragmentManager,
     FragmentUpdate,
 )
-from repro.partition.partitioner import fragmentation_report, partition_graph, shared_fragments
+from repro.partition.partitioner import partition_graph, shared_fragments
 
 __all__ = [
     "Fragment",
-    "FragmentationReport",
     "FragmentCheckpoint",
     "FragmentLease",
     "FragmentManager",
     "FragmentUpdate",
     "partition_graph",
     "shared_fragments",
-    "fragmentation_report",
 ]

@@ -39,47 +39,8 @@ class Fragment:
     owned_centers: set = field(default_factory=set)
     sequence: int = 0
 
-    @property
-    def size(self) -> int:
-        """``|F_i| = |V_i| + |E_i|`` of the local graph."""
-        return self.graph.size
-
     def __repr__(self) -> str:
         return (
             f"Fragment(index={self.index}, |V|={self.graph.num_nodes}, "
             f"|E|={self.graph.num_edges}, owned={len(self.owned_centers)})"
-        )
-
-
-@dataclass(frozen=True)
-class FragmentationReport:
-    """Summary of a fragmentation, used by the skew benchmark."""
-
-    num_fragments: int
-    sizes: tuple[int, ...]
-    owned_counts: tuple[int, ...]
-    replicated_nodes: int
-
-    @property
-    def max_size(self) -> int:
-        """Largest fragment size."""
-        return max(self.sizes) if self.sizes else 0
-
-    @property
-    def min_size(self) -> int:
-        """Smallest fragment size."""
-        return min(self.sizes) if self.sizes else 0
-
-    @property
-    def skew(self) -> float:
-        """``(max - min) / max`` fragment-size skew, 0 for perfectly even."""
-        if not self.sizes or self.max_size == 0:
-            return 0.0
-        return (self.max_size - self.min_size) / self.max_size
-
-    def as_row(self) -> str:
-        """One-line human-readable summary."""
-        return (
-            f"fragments={self.num_fragments} sizes=[{self.min_size}..{self.max_size}] "
-            f"skew={self.skew:.3f} replicated_nodes={self.replicated_nodes}"
         )

@@ -343,18 +343,9 @@ class FragmentManager:
     # ------------------------------------------------------------------
     # membership / ownership accessors
     # ------------------------------------------------------------------
-    @property
-    def sequence(self) -> int:
-        """Newest derived slice sequence number."""
-        return self._sequence
-
     def owned_centers(self, index: int) -> set:
         """Centres currently owned by fragment *index*."""
         return {center for center, owner in self._owner.items() if owner == index}
-
-    def node_set(self, index: int) -> frozenset:
-        """Current resident node set of fragment *index* (read-only view)."""
-        return frozenset(self._node_sets[index])
 
     def log_weight(self, index: int) -> int:
         """Total shipped operations currently retained in the slice log."""

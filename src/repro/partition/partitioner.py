@@ -17,7 +17,7 @@ from repro.exceptions import PartitionError
 from repro.graph.graph import Graph
 from repro.graph.neighborhood import Neighborhoods
 from repro.obs.registry import registry
-from repro.partition.fragment import Fragment, FragmentationReport
+from repro.partition.fragment import Fragment
 from repro.utils.rng import ensure_rng
 
 NodeId = Hashable
@@ -147,17 +147,3 @@ def _balance(
         fragment_centers[best_index].add(center)
         fragment_load[best_index], fragment_size[best_index] = best_cost
     return [hoods.nodes(handle) for handle in handles], fragment_centers
-
-
-def fragmentation_report(graph: Graph, fragments: Sequence[Fragment]) -> FragmentationReport:
-    """Compute size/ownership/replication statistics for a fragmentation."""
-    sizes = tuple(fragment.size for fragment in fragments)
-    owned = tuple(len(fragment.owned_centers) for fragment in fragments)
-    total_local_nodes = sum(fragment.graph.num_nodes for fragment in fragments)
-    distinct_nodes = len({node for fragment in fragments for node in fragment.graph.nodes()})
-    return FragmentationReport(
-        num_fragments=len(fragments),
-        sizes=sizes,
-        owned_counts=owned,
-        replicated_nodes=total_local_nodes - distinct_nodes,
-    )

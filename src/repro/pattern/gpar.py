@@ -158,18 +158,6 @@ class GPAR:
         return self.pr_pattern().size
 
     # ------------------------------------------------------------------
-    # derivation
-    # ------------------------------------------------------------------
-    def with_antecedent(self, antecedent: Pattern, name: str | None = None) -> "GPAR":
-        """Return a GPAR with the same consequent but a new antecedent."""
-        return GPAR(
-            antecedent,
-            consequent_label=self.consequent_label,
-            name=name or self.name,
-            validate=False,
-        )
-
-    # ------------------------------------------------------------------
     # equality / hashing (structural, name-insensitive)
     # ------------------------------------------------------------------
     def _key(self) -> tuple:

@@ -263,15 +263,6 @@ class Pattern:
         # Both dicts are shared, never mutated: patterns are immutable.
         return _from_parts(nodes, tuple(edges), self.x, self.y, self._copies)
 
-    def without_node(self, node: PatternNodeId) -> "Pattern":
-        """Return a new pattern with *node* and its incident edges removed."""
-        if node in (self.x, self.y):
-            raise PatternError("cannot remove a designated node")
-        nodes = {n: lbl for n, lbl in self._nodes.items() if n != node}
-        edges = [e for e in self._edges if node not in (e.source, e.target)]
-        copies = {n: c for n, c in self._copies.items() if n != node}
-        return Pattern(nodes, edges, x=self.x, y=self.y, copies=copies)
-
     def expanded(self) -> "Pattern":
         """Materialise copy counts into explicit sibling nodes.
 

@@ -32,9 +32,3 @@ def is_connected(pattern: Pattern) -> bool:
     start = next(iter(pattern.nodes()))
     distances = bfs_distances(pattern, start)
     return len(distances) == pattern.num_nodes
-
-
-def nodes_at_hop(pattern: Pattern, anchor: Hashable, hop: int) -> set[Hashable]:
-    """Pattern nodes at exactly *hop* undirected steps from *anchor*."""
-    distances = bfs_distances(pattern, anchor)
-    return {node for node, distance in distances.items() if distance == hop}

@@ -449,7 +449,7 @@ class ReproService:
         rules = _body_int(body, "rules", 6, minimum=1)
         max_edges = _body_int(body, "max_edges", 4, minimum=1)
         d = _body_int(body, "d", 2, minimum=1)
-        history_limit = _body_int(body, "history_limit", api.SESSION_HISTORY_LIMIT)
+        history_limit = _body_int(body, "history_limit", api.SESSION_HISTORY_LIMIT, minimum=1)
         backend = body.get("backend", "sequential")
         pool_size = body.get("pool_size")
 
@@ -515,6 +515,9 @@ class ReproService:
             except BaseException:
                 if not core_handle.members:
                     self._cores.pop(key, None)
+                    if core_handle.core is not None:  # built for this request alone
+                        core, core_handle.core = core_handle.core, None
+                        await self._offload(core.close)
                 raise
             core_handle.members.add(session_id)
             self._sessions[session_id] = handle

@@ -18,6 +18,10 @@ this package supplies the adversarial half (see ``docs/adversarial.md``):
   :func:`reference_group_automorphic` (exact isomorphism by
   :func:`are_isomorphic` / :func:`gpars_automorphic`), and the
   partitioner's set-decoding greedy :func:`reference_balance`;
+* :mod:`repro.testing.probes` — read-only probes of production objects
+  (:func:`structure_equal`, registry reads, resident labels and sketches) and the
+  resets between cases (:func:`reset_metrics`, :func:`discard_columnar`,
+  :func:`disable_collection`);
 * :mod:`repro.testing.distill` — greedy delta-debugging
   (:func:`distill`) plus MinHash dedup of counterexamples;
 * :mod:`repro.testing.cases` — the ``tests/regressions/*.json`` corpus:
@@ -49,9 +53,21 @@ from repro.testing.oracle import (
     multi_tenant_check,
     served_antecedent_sets,
 )
+from repro.testing.probes import (
+    counter_value,
+    counters,
+    decoded_sketch,
+    disable_collection,
+    discard_columnar,
+    reset_metrics,
+    resident_label,
+    resident_sketch,
+    structure_equal,
+)
 from repro.testing.reference import (
     ReferenceMatcher,
     are_isomorphic,
+    candidate_extensions,
     gpars_automorphic,
     identify_sequential,
     reference_balance,
@@ -79,7 +95,13 @@ __all__ = [
     "TenantDivergence",
     "are_isomorphic",
     "ball_burst_storm",
+    "candidate_extensions",
     "correlated_deletion_storm",
+    "counter_value",
+    "counters",
+    "decoded_sketch",
+    "disable_collection",
+    "discard_columnar",
     "distill",
     "eip_fingerprint",
     "estimated_similarity",
@@ -98,6 +120,10 @@ __all__ = [
     "reference_extension_keys",
     "reference_group_automorphic",
     "reference_identify",
+    "reset_metrics",
+    "resident_label",
+    "resident_sketch",
     "served_antecedent_sets",
+    "structure_equal",
     "write_case",
 ]

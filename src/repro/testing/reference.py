@@ -11,7 +11,8 @@ the equivalence suites (``tests/test_index_equivalence.py``,
 ``test_stream_equivalence.py``) and the differential oracle compare the
 production path against it.
 
-Mining's coordinator and proposer have naive twins here too:
+Mining's coordinator and proposer have naive twins here too
+(:func:`candidate_extensions` materialises production's keys as rules):
 :func:`reference_extension_keys` scans every incident edge of every mapped
 node, and :func:`reference_group_automorphic` compares each rule with every
 earlier group by an exact isomorphism search (:func:`gpars_automorphic`),
@@ -31,7 +32,7 @@ from repro.matching.base import Matcher
 from repro.matching.vf2 import VF2Matcher
 from repro.metrics.confidence import evaluate_rule
 from repro.metrics.lcwa import predicate_stats
-from repro.mining.expansion import _ExtensionKey
+from repro.mining.expansion import _apply_extension, _ExtensionKey, extension_keys
 from repro.pattern.gpar import GPAR
 from repro.pattern.pattern import Pattern, PatternEdge
 
@@ -171,6 +172,13 @@ def reference_identify(graph: Graph, rules: Sequence[GPAR], eta: float) -> EIPRe
     :class:`ReferenceMatcher` doing all the matching.
     """
     return identify_sequential(graph, rules, eta=eta, matcher=ReferenceMatcher())
+
+
+def candidate_extensions(graph: Graph, rule: GPAR, *args, **kwargs) -> list[GPAR]:
+    """The new rules, each one antecedent edge larger than *rule*, of the
+    keys production's :func:`~repro.mining.expansion.extension_keys` returns
+    for the same arguments."""
+    return [_apply_extension(rule, key) for key in extension_keys(graph, rule, *args, **kwargs)]
 
 
 def reference_extension_keys(

@@ -32,8 +32,8 @@ class Stopwatch:
         if self._started_at is None:
             raise RuntimeError(
                 "Stopwatch.stop() called while not running: either start() "
-                "was never called or the interval was already stopped; check "
-                "`running` first, or use peek() for a non-destructive read"
+                "was never called or the interval was already stopped; use "
+                "peek() for a non-destructive read"
             )
         elapsed = time.perf_counter() - self._started_at
         self.total += elapsed
@@ -55,8 +55,3 @@ class Stopwatch:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.stop()
-
-    @property
-    def running(self) -> bool:
-        """Whether the stopwatch is currently timing an interval."""
-        return self._started_at is not None

@@ -32,7 +32,7 @@ import pytest
 
 from repro import api
 from repro.datasets import generate_gpars, most_frequent_predicates, synthetic_graph
-from repro.graph import columnar, columnar_view, discard_columnar, registered_columnar
+from repro.graph import columnar, columnar_view, registered_columnar
 from repro.matching import (
     GuidedMatcher,
     LocalityMatcher,
@@ -43,7 +43,7 @@ from repro.identification import EIPConfig
 from repro.matching.base import WitnessStore
 from repro.partition import partitioner
 from repro.stream import random_update_batch
-from repro.testing import eip_fingerprint
+from repro.testing import discard_columnar, eip_fingerprint, resident_label, resident_sketch
 
 # ----------------------------------------------------------------------
 # the registry: every matcher/solver cache, by staleness discipline
@@ -323,15 +323,15 @@ def test_resident_index_never_serves_stale_reads():
     label = sorted(graph.node_labels())[0]
     anchor = sorted(graph.nodes(), key=str)[0]
     before = set(index.nodes_with_label(label))
-    index.sketch(anchor, 2)  # warm the caches the mutation must reach
+    resident_sketch(index, anchor, 2)  # warm the caches the mutation must reach
     index.in_neighbors(anchor, "audit-edge")
     fresh_node = "audit-fresh"
     graph.add_node(fresh_node, label)
     graph.add_edge(fresh_node, anchor, "audit-edge")
     assert set(index.nodes_with_label(label)) == before | {fresh_node}
-    assert index.node_label(fresh_node) == label
+    assert resident_label(index, fresh_node) == label
     assert index.in_neighbors(anchor, "audit-edge") == {fresh_node}
-    assert index.sketch(anchor, 2) == build_sketch(graph, anchor, 2)
+    assert resident_sketch(index, anchor, 2) == build_sketch(graph, anchor, 2)
     assert registered_columnar(graph) is index
 
 
@@ -358,7 +358,7 @@ def test_frozen_neighbors_view_never_serves_stale_reads():
 #: Every slot of the neighbourhood kernel the resident structure (and the
 #: coordinator's FragmentManager) keeps: its memos are version-pinned through
 #: their owner, which hands it each applied delta's touched set — the owner's
-#: pin (``ColumnarFragment.built_version``) is theirs.  A new slot must be
+#: pin (``ColumnarFragment._built_version``) is theirs.  A new slot must be
 #: classified here before it lands.
 NEIGHBORHOOD_SLOTS = {
     "_views": "pinned memo: node -> frozen neighbour view (set side)",
@@ -389,11 +389,11 @@ def test_neighborhood_masks_are_version_pinned(monkeypatch, side):
     assert kernel.masks == (side == "masks")
     for position in range(4):
         for node in sorted(graph.nodes(), key=str):  # warm every memo
-            index.sketch(node, 2)
+            resident_sketch(index, node, 2)
             index.ball(node, 2)
         random_update_batch(graph, size=8, seed=90 + position, deletion_bias=0.4).apply(graph)
         index.ball(sorted(graph.nodes(), key=str)[0], 1)  # the probe that refreshes
-        assert index.built_version == graph.version
+        assert index._built_version == graph.version
         assert index._neighborhoods is kernel, "the audit must see a patched kernel, not a new one"
         for node, view in kernel._views.items():
             assert view == frozenset(graph.neighbors(node))
@@ -415,5 +415,5 @@ def test_resident_columnar_view_never_serves_stale_reads():
     fresh_node = "audit-columnar-fresh"
     graph.add_node(fresh_node, label)
     assert view.nodes_with_label(label) == before | {fresh_node}
-    assert view.built_version == graph.version
+    assert view._built_version == graph.version
     assert registered_columnar(graph) is view

@@ -20,14 +20,13 @@ from repro.graph.columnar import (
     ColumnarFragment,
     LabelTable,
     columnar_view,
-    discard_columnar,
     registered_columnar,
 )
 from repro.matching import VF2Matcher
 from repro.matching.candidates import degree_consistent
 from repro.pattern import Pattern
 from repro.stream import random_update_batch
-from repro.testing import ReferenceMatcher
+from repro.testing import ReferenceMatcher, discard_columnar
 
 
 def _small_graph(seed: int = 3) -> Graph:
@@ -70,7 +69,7 @@ class TestLabelTable:
         assert table is graph.label_table  # memoised
         for label in graph.node_labels():
             assert table.id_of(label) is not None
-        for label in graph.edge_label_counts():
+        for label in graph.edge_labels():
             assert table.id_of(label) is not None
 
 
@@ -101,7 +100,7 @@ def test_filter_candidates_equals_dict_filter():
         ]
         assert survivors == expected
         for node in pool:
-            assert view.dominates(node, requirement) == (node in set(expected))
+            assert view._dominates_unchecked(node, requirement) == (node in set(expected))
 
 
 def test_unknown_pattern_label_filters_everything():
@@ -129,7 +128,7 @@ def test_patched_view_answers_like_a_fresh_compile(monkeypatch):
         batch = random_update_batch(graph, size=6, seed=40 + position)
         batch.apply(graph)
         view.refresh()
-        assert view.built_version == graph.version
+        assert view._built_version == graph.version
         assert view.statistics.delta_applies > 0
         assert not view.is_stale
         for label in graph.node_labels():
@@ -173,7 +172,7 @@ def test_rebuild_fraction_zero_always_recompiles(monkeypatch):
     graph.add_node("fresh", sorted(graph.node_labels())[0])
     view.refresh()
     assert view.statistics.builds == builds_before + 1
-    assert not view._overlay_labels and view.built_version == graph.version
+    assert not view._overlay_labels and view._built_version == graph.version
 
 
 def test_apply_delta_rejects_wrong_base_version():
@@ -181,11 +180,11 @@ def test_apply_delta_rejects_wrong_base_version():
     view = ColumnarFragment(graph)
     graph.add_node("one", sorted(graph.node_labels())[0])
     graph.add_node("two", sorted(graph.node_labels())[0])
-    deltas = graph.deltas_since(view.built_version)
+    deltas = graph.deltas_since(view._built_version)
     assert deltas is not None and len(deltas) == 2
     assert not view.apply_delta(deltas[1])  # skips a version: refused
     assert view.apply_delta(deltas[0]) and view.apply_delta(deltas[1])
-    assert view.built_version == graph.version
+    assert view._built_version == graph.version
 
 
 def test_probe_guard_refreshes_stale_views():

@@ -39,7 +39,7 @@ from repro.mining import DMineConfig, dmine
 from repro.parallel.executor import BACKENDS
 from repro.pattern import Pattern, PatternEdge
 from repro.stream import random_update_batch
-from repro.testing import ReferenceMatcher, reference_identify
+from repro.testing import ReferenceMatcher, reference_identify, resident_label, resident_sketch
 
 SEEDS = range(50)
 
@@ -70,7 +70,7 @@ def random_graphs(draw, max_nodes: int = 14, max_extra_edges: int = 25) -> Graph
 
 def _pattern_from_graph(graph: Graph, rng: random.Random, max_edges: int = 3) -> Pattern | None:
     """Lift a small connected subgraph of *graph* into a pattern."""
-    anchors = [node for node in graph.nodes() if graph.degree(node) > 0]
+    anchors = [node for node in graph.nodes() if graph.neighbors(node)]
     if not anchors:
         return None
     anchor = rng.choice(sorted(anchors, key=str))
@@ -141,7 +141,7 @@ def test_columnar_tracks_random_deltas(graph, seed, always_patch):
             )
             batch.apply(graph)
             view.refresh()
-            assert view.built_version == graph.version
+            assert view._built_version == graph.version
             _assert_view_matches_dicts(graph, view, rng)
 
 
@@ -174,8 +174,8 @@ def _warm_caches(graph: Graph, view: ColumnarFragment) -> None:
     """Fill every lazy cache, so the next patch has entries to invalidate."""
     for node in graph.nodes():
         view.ball(node, 1)
-        view.sketch(node, 1)
-        view.sketch(node, 2)
+        resident_sketch(view, node, 1)
+        resident_sketch(view, node, 2)
         for label in EDGE_LABELS:
             view.out_neighbors(node, label)
             view.in_neighbors(node, label)
@@ -212,21 +212,21 @@ def test_patched_structure_equals_fresh_compile_on_every_probe(graph, seed):
     pattern = _pattern_from_graph(graph, rng)
     expanded = pattern.expanded() if pattern is not None else None
     for node in sorted(graph.nodes(), key=str):
-        assert view.node_label(node) == fresh.node_label(node) == graph.node_label(node)
+        assert resident_label(view, node) == resident_label(fresh, node) == graph.node_label(node)
         assert view.profile(node) == fresh.profile(node)
         assert view.ball(node, 2) == fresh.ball(node, 2)
         for label in EDGE_LABELS:
             assert view.out_neighbors(node, label) == fresh.out_neighbors(node, label)
             assert view.in_neighbors(node, label) == fresh.in_neighbors(node, label)
         for hops in (1, 2):
-            assert view.sketch(node, hops) == fresh.sketch(node, hops)
+            assert resident_sketch(view, node, hops) == resident_sketch(fresh, node, hops)
         if expanded is not None:
             for pattern_node in expanded.nodes():
                 verdict = degree_consistent(graph, node, expanded, pattern_node)
                 assert view.degree_consistent(node, expanded, pattern_node) == verdict
                 assert fresh.degree_consistent(node, expanded, pattern_node) == verdict
     for node in removed:
-        for probe in (view.node_label, view.profile, lambda node: view.ball(node, 1)):
+        for probe in (lambda node: resident_label(view, node), view.profile, lambda node: view.ball(node, 1)):
             with pytest.raises(NodeNotFoundError):
                 probe(node)
 

@@ -13,22 +13,23 @@ from repro.datasets import (
 )
 from repro.exceptions import DatasetError
 from repro.metrics import evaluate_rule, predicate_stats
+from repro.testing import structure_equal
 
 
 class TestPaperGraphs:
     def test_g1_basic_shape(self, g1):
-        assert g1.count_nodes_with_label("cust") == 6
-        assert g1.count_nodes_with_label("city") == 2
-        assert g1.count_nodes_with_label("French restaurant") == 9
+        assert len(g1.nodes_with_label("cust")) == 6
+        assert len(g1.nodes_with_label("city")) == 2
+        assert len(g1.nodes_with_label("French restaurant")) == 9
 
     def test_g1_is_deterministic(self):
-        assert graph_g1().structure_equal(graph_g1())
+        assert structure_equal(graph_g1(), graph_g1())
 
     def test_g2_basic_shape(self, g2):
-        assert g2.count_nodes_with_label("acct") == 4
-        assert g2.count_nodes_with_label("blog") == 7
-        assert g2.count_nodes_with_label("keyword") == 2
-        assert graph_g2().structure_equal(graph_g2())
+        assert len(g2.nodes_with_label("acct")) == 4
+        assert len(g2.nodes_with_label("blog")) == 7
+        assert len(g2.nodes_with_label("keyword")) == 2
+        assert structure_equal(graph_g2(), graph_g2())
 
     def test_example3_q1_matches(self, g1, r1):
         evaluation = evaluate_rule(g1, r1)
@@ -58,14 +59,10 @@ class TestSyntheticGenerator:
         assert graph.num_edges == 500
 
     def test_deterministic_with_seed(self):
-        assert synthetic_graph(100, 200, seed=5).structure_equal(
-            synthetic_graph(100, 200, seed=5)
-        )
+        assert structure_equal(synthetic_graph(100, 200, seed=5), synthetic_graph(100, 200, seed=5))
 
     def test_different_seeds_differ(self):
-        assert not synthetic_graph(100, 200, seed=1).structure_equal(
-            synthetic_graph(100, 200, seed=2)
-        )
+        assert not structure_equal(synthetic_graph(100, 200, seed=1), synthetic_graph(100, 200, seed=2))
 
     def test_label_alphabets(self):
         graph = synthetic_graph(100, 300, num_node_labels=5, num_edge_labels=3, seed=0)
@@ -96,12 +93,12 @@ class TestSyntheticGenerator:
 
 class TestSocialGenerators:
     def test_pokec_like_shape(self, small_pokec):
-        assert small_pokec.count_nodes_with_label("user") == 120
+        assert len(small_pokec.nodes_with_label("user")) == 120
         assert "follow" in small_pokec.edge_labels()
         assert "like_book" in small_pokec.edge_labels()
 
     def test_pokec_deterministic(self):
-        assert pokec_like(80, seed=4).structure_equal(pokec_like(80, seed=4))
+        assert structure_equal(pokec_like(80, seed=4), pokec_like(80, seed=4))
 
     def test_pokec_planted_predicate_is_nondegenerate(self, small_pokec, pokec_book_predicate):
         stats = predicate_stats(small_pokec, pokec_book_predicate)
@@ -109,7 +106,7 @@ class TestSocialGenerators:
         assert stats.supp_q_bar > 0
 
     def test_googleplus_shape(self, small_googleplus):
-        assert small_googleplus.count_nodes_with_label("user") == 120
+        assert len(small_googleplus.nodes_with_label("user")) == 120
         assert "major" in small_googleplus.edge_labels()
 
     def test_googleplus_planted_predicate(self, small_googleplus, googleplus_major_predicate):

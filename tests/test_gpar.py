@@ -84,16 +84,6 @@ class TestDerivedPatterns:
         q = r4.q_pattern()
         assert q.label(q.y) == "fake"
 
-    def test_with_antecedent(self, simple_antecedent):
-        rule = GPAR(simple_antecedent, consequent_label="visit", name="orig")
-        extended = rule.with_antecedent(
-            simple_antecedent.with_edge("x", "c", "live_in", target_label="city"),
-            name="ext",
-        )
-        assert extended.consequent_label == "visit"
-        assert extended.antecedent.num_edges == simple_antecedent.num_edges + 1
-        assert extended.name == "ext"
-
 
 class TestRadii:
     def test_pr_radius(self, r1):

@@ -9,11 +9,10 @@ from repro.graph import (
     Graph,
     graph_from_dict,
     graph_to_dict,
-    load_edge_list,
     load_graph_json,
-    save_edge_list,
     save_graph_json,
 )
+from repro.testing import resident_label, resident_sketch, structure_equal
 
 
 @pytest.fixture
@@ -31,7 +30,7 @@ def sample() -> Graph:
 class TestDictRoundTrip:
     def test_roundtrip_preserves_structure(self, sample):
         rebuilt = graph_from_dict(graph_to_dict(sample))
-        assert rebuilt.structure_equal(sample)
+        assert structure_equal(rebuilt, sample)
         assert rebuilt.name == "sample"
 
     def test_roundtrip_preserves_attrs(self, sample):
@@ -49,35 +48,12 @@ class TestJsonFiles:
         path = tmp_path / "graph.json"
         save_graph_json(sample, path)
         loaded = load_graph_json(path)
-        assert loaded.structure_equal(sample)
+        assert structure_equal(loaded, sample)
 
     def test_json_file_is_readable_text(self, sample, tmp_path):
         path = tmp_path / "graph.json"
         save_graph_json(sample, path)
         assert '"label": "user"' in path.read_text()
-
-
-class TestEdgeListFiles:
-    def test_edge_list_roundtrip(self, sample, tmp_path):
-        path = tmp_path / "graph.tsv"
-        save_edge_list(sample, path)
-        loaded = load_edge_list(path)
-        # Edge-list format stores endpoints as strings; structure must agree.
-        assert loaded.num_nodes == sample.num_nodes
-        assert loaded.num_edges == sample.num_edges
-        assert loaded.has_edge("u1", "u2", "follow")
-
-    def test_edge_list_skips_comments_and_blank_lines(self, tmp_path):
-        path = tmp_path / "graph.tsv"
-        path.write_text("# comment\n\nu1\tuser\tu2\tuser\tfollow\n")
-        loaded = load_edge_list(path)
-        assert loaded.num_edges == 1
-
-    def test_edge_list_malformed_row(self, tmp_path):
-        path = tmp_path / "bad.tsv"
-        path.write_text("u1\tuser\tu2\n")
-        with pytest.raises(ValueError):
-            load_edge_list(path)
 
 
 def _per_op(nodes, edges, name: str) -> Graph:
@@ -98,10 +74,10 @@ def _probes(graph: Graph) -> tuple:
         {label: view.nodes_with_label(label) for label in graph.node_labels()},
         [
             (
-                view.node_label(node),
+                resident_label(view, node),
                 view.profile(node),
                 view.ball(node, 2),
-                view.sketch(node, 2),
+                resident_sketch(view, node, 2),
                 [(view.out_neighbors(node, label), view.in_neighbors(node, label)) for label in edge_labels],
             )
             for node in sorted(graph.nodes(), key=str)
@@ -128,7 +104,7 @@ class TestConstructionIsNotAnUpdate:
             ),
         ]
         for built, reference in cases:
-            assert built.structure_equal(reference) and reference.structure_equal(built)
+            assert structure_equal(built, reference) and structure_equal(reference, built)
             assert built.version == 0 and not built._delta_log  # nothing was recorded
             assert _probes(built) == _probes(reference)
 

@@ -31,13 +31,13 @@ import pytest
 
 from repro import api
 from repro.datasets import generate_gpars, most_frequent_predicates, pokec_like, synthetic_graph
-from repro.graph import Graph, build_sketch, columnar_view, discard_columnar, neighborhood, sketch_dominates
+from repro.graph import Graph, build_sketch, columnar_view, neighborhood, sketch_dominates
 from repro.matching import GuidedMatcher, MultiPatternMatcher, VF2Matcher
 from repro.matching.base import resident_view, search_plan
 from repro.matching.candidates import degree_consistent
 from repro.matching.guided import anchor_loop_labels
 from repro.pattern import Pattern, PatternEdge
-from repro.testing import ReferenceMatcher
+from repro.testing import ReferenceMatcher, discard_columnar
 
 PREDICATE = "user:like_book:personal development"
 
@@ -296,6 +296,7 @@ from workloads import Scale
 from repro import api
 from repro.matching.guided import GuidedMatcher
 from repro.obs.registry import registry
+from repro.testing import counter_value
 
 sample, large, predicate = build_inputs(7, Scale())
 rules = [entry.rule for entry in api.mine(sample, predicate, mine_config("sequential")).top_k]
@@ -312,9 +313,9 @@ def counted_test(self, *args):
 
 GuidedMatcher._start, GuidedMatcher._test = counted_start, counted_test
 names = ("match_states_expanded", "index_sketches_built", "match_profile_matches", "match_matches_found")
-before = [registry().counter_value(f"repro_{name}_total") for name in names]
+before = [counter_value(registry(), f"repro_{name}_total") for name in names]
 result = api.identify(large, rules, identify_config("sequential"), algorithm="match")
-after = [registry().counter_value(f"repro_{name}_total") for name in names]
+after = [counter_value(registry(), f"repro_{name}_total") for name in names]
 counts.update({name: end - begin for name, end, begin in zip(names, after, before)})
 print(json.dumps({**counts, "identified": len(result.identified)}))
 """

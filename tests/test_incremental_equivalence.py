@@ -37,13 +37,12 @@ from repro.matching import (
 from repro.metrics import evaluate_rule
 from repro.mining import DMineConfig, dmine
 from repro.matching.incremental import DEFAULT_EMBEDDING_CAP
-from repro.mining.expansion import candidate_extensions
 from repro.mining.local_mine import seed_rule
 from repro.parallel.executor import BACKENDS
 from repro.pattern.canonical import canonical_code
 from repro.pattern.gpar import GPAR
 from repro.pattern.pattern import Pattern
-from repro.testing import ReferenceMatcher, reference_identify
+from repro.testing import ReferenceMatcher, candidate_extensions, reference_identify
 
 SEEDS = range(50)
 

@@ -19,13 +19,13 @@ from repro.graph import (
     build_sketch,
     columnar,
     columnar_view,
-    discard_columnar,
     empty_sketch,
     registered_columnar,
 )
 from repro.graph.neighborhood import Neighborhoods
 from repro.matching.candidates import adjacency_profile
 from repro.stream import random_update_batch
+from repro.testing import discard_columnar, resident_label, resident_sketch
 
 
 def toy_graph() -> Graph:
@@ -86,9 +86,9 @@ class TestIndexLayers:
         assert index.nodes_with_label("cust") == g.nodes_with_label("cust")
         assert len(index.nodes_with_label("restaurant")) == 1
         assert index.nodes_with_label("missing") == frozenset()
-        assert index.node_label("cafe") == "restaurant"
+        assert resident_label(index, "cafe") == "restaurant"
         with pytest.raises(NodeNotFoundError):
-            index.node_label("ghost")
+            resident_label(index, "ghost")
 
     def test_profiles_match_unindexed_computation(self):
         g = synthetic_graph(60, 180, num_node_labels=5, num_edge_labels=3, seed=11)
@@ -117,17 +117,17 @@ class TestIndexLayers:
         g = synthetic_graph(40, 120, num_node_labels=4, num_edge_labels=2, seed=3)
         index = ColumnarFragment(g)
         for node in list(g.nodes())[:10]:
-            assert index.sketch(node, 2) == build_sketch(g, node, 2)
+            assert resident_sketch(index, node, 2) == build_sketch(g, node, 2)
         # Memoised: a repeat probe builds nothing.
         node = next(iter(g.nodes()))
         built = index.statistics.sketches_built
-        assert index.sketch(node, 2) == index.sketch(node, 2)
+        assert resident_sketch(index, node, 2) == resident_sketch(index, node, 2)
         assert index.statistics.sketches_built == built
 
     def test_invalid_construction_arguments(self):
         g = toy_graph()
         with pytest.raises(ValueError):
-            ColumnarFragment(g).sketch("alice", 0)
+            resident_sketch(ColumnarFragment(g), "alice", 0)
 
 
 class TestSketchFastPath:
@@ -139,20 +139,20 @@ class TestSketchFastPath:
             raise AssertionError("BFS ran for an isolated node")
 
         monkeypatch.setattr(Neighborhoods, "reach", boom)
-        sketch = index.sketch("loner", 2)
+        sketch = resident_sketch(index, "loner", 2)
         assert sketch == empty_sketch("loner", 2)
         assert sketch.total == 0
         assert index.statistics.sketch_fast_paths == 1
         assert index.statistics.sketches_built == 0
         # Memoised as well: the second probe is a cache hit, not another
         # fast-path materialisation.
-        assert index.sketch("loner", 2) == sketch
+        assert resident_sketch(index, "loner", 2) == sketch
         assert index.statistics.sketch_fast_paths == 1
 
     def test_connected_node_takes_bfs_path(self):
         g = toy_graph()
         index = ColumnarFragment(g)
-        index.sketch("alice", 2)
+        resident_sketch(index, "alice", 2)
         assert index.statistics.sketches_built == 1
         assert index.statistics.sketch_fast_paths == 0
 
@@ -181,7 +181,7 @@ class TestInvalidation:
     def test_refresh_mode_rebuilds_on_any_mutation(self, mutate):
         g = toy_graph()
         index = ColumnarFragment(g)
-        index.sketch("alice", 2)  # warm a lazy layer too
+        resident_sketch(index, "alice", 2)  # warm a lazy layer too
         mutate(g)
         assert index.is_stale
         # Any probe refreshes; the answer reflects the mutated graph.
@@ -195,12 +195,12 @@ class TestInvalidation:
         "probe",
         [
             lambda index: index.nodes_with_label("cust"),
-            lambda index: index.node_label("alice"),
+            lambda index: resident_label(index, "alice"),
             lambda index: index.profile("alice"),
             lambda index: index.out_neighbors("alice", "visit"),
             lambda index: index.in_neighbors("cafe", "visit"),
             lambda index: index.ball("alice", 1),
-            lambda index: index.sketch("alice", 2),
+            lambda index: resident_sketch(index, "alice", 2),
         ],
         ids=["labels", "node-label", "profile", "out", "in", "neighbors", "sketch"],
     )
@@ -267,10 +267,10 @@ class TestInvalidation:
     def test_refresh_drops_stale_sketches_and_views(self):
         g = toy_graph()
         index = ColumnarFragment(g)
-        before = index.sketch("loner", 2)
+        before = resident_sketch(index, "loner", 2)
         assert before.total == 0
         g.add_edge("loner", "cafe", "visit")
-        after = index.sketch("loner", 2)
+        after = resident_sketch(index, "loner", 2)
         assert after.total > 0
         assert index.out_neighbors("loner", "visit") == {"cafe"}
 

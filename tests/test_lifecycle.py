@@ -37,6 +37,7 @@ from repro.stream import (
     random_update_batch,
 )
 from repro.testing.storms import correlated_deletion_storm, hub_churn_storm, label_flip_storm
+from repro.testing import structure_equal
 
 
 def toy_graph() -> Graph:
@@ -74,7 +75,7 @@ class TestFragmentCheckpoint:
         )
         rebuilt = Fragment(index=fragment.index, graph=Graph(), owned_centers=set())
         checkpoint.install(rebuilt)
-        assert rebuilt.graph.structure_equal(fragment.graph)
+        assert structure_equal(rebuilt.graph, fragment.graph)
         assert rebuilt.owned_centers == fragment.owned_centers
         assert rebuilt.sequence == 0
 
@@ -100,7 +101,7 @@ class TestFragmentCheckpoint:
         cold.state.clear()
         catch_up(cold, FragmentLease(base_sequence=5, checkpoint=checkpoint))
         assert fragment.graph is not resident
-        assert fragment.graph.structure_equal(resident)
+        assert structure_equal(fragment.graph, resident)
         assert cold.state[APPLIED_SEQUENCE_KEY] == 5
 
     def test_install_carries_residency_to_the_new_graph(self):
@@ -170,7 +171,7 @@ class TestFragmentManager:
         with identifier:
             manager = identifier.manager
             for fragment in identifier.fragments:
-                assert manager.node_set(fragment.index) == frozenset(
+                assert frozenset(manager._node_sets[fragment.index]) == frozenset(
                     fragment.graph.nodes()
                 )
                 refcounts = manager._refcounts[fragment.index]
@@ -189,7 +190,7 @@ class TestFragmentManager:
                 report = identifier.apply(batch)
                 shed_total += report.shed_nodes
                 for fragment in identifier.fragments:
-                    members = identifier.manager.node_set(fragment.index)
+                    members = frozenset(identifier.manager._node_sets[fragment.index])
                     # Resident copy tracks the managed membership exactly...
                     assert frozenset(fragment.graph.nodes()) == members
                     # ...and every member is covered by some owned ball.
@@ -215,7 +216,7 @@ class TestFragmentManager:
         update = plan.updates[0]
         assert update.own_remove == ("c1",)
         assert set(update.shed) == {"c1", "m1"}  # nobody's ball covers them now
-        assert manager.node_set(0) == frozenset()
+        assert frozenset(manager._node_sets[0]) == frozenset()
 
     def test_compaction_truncates_log_and_serves_leases(self, monkeypatch):
         monkeypatch.setattr(lifecycle, "CHECKPOINT_LOG_FRACTION", 0.01)

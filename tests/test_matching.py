@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.datasets import graph_g1
-from repro.graph import Graph, columnar_view, discard_columnar
+from repro.graph import Graph, columnar_view
 from repro.matching import (
     GuidedMatcher,
     LocalityMatcher,
@@ -27,7 +27,7 @@ from repro.matching.base import WitnessStore, build_search_plan
 from repro.matching.candidates import degree_consistent
 from repro.exceptions import MatchingError
 from repro.pattern import Pattern, PatternBuilder
-from repro.testing import ReferenceMatcher
+from repro.testing import ReferenceMatcher, discard_columnar
 
 
 def brute_force_match_set(graph: Graph, pattern: Pattern) -> set:

@@ -21,8 +21,8 @@ from repro.metrics import (
     rule_support,
     support,
 )
-from repro.metrics.confidence import conventional_confidence, evaluate_rule_image_based
-from repro.metrics.lcwa import predicate_stats_for_rule, q_bar_intersection
+from repro.metrics.confidence import conventional_confidence
+from repro.metrics.lcwa import q_bar_intersection
 from repro.pattern import Pattern
 
 
@@ -81,19 +81,19 @@ class TestLCWA:
         assert stats.normalizer == 5
 
     def test_example7_classification(self, g_ecuador, r2):
-        stats = predicate_stats_for_rule(g_ecuador, r2)
-        assert stats.classify("v1") == "positive"
-        assert stats.classify("v2") == "negative"
-        assert stats.classify("v3") == "unknown"
-        with pytest.raises(KeyError):
-            stats.classify("u1")  # fans do not carry the x label
+        stats = predicate_stats(g_ecuador, r2.q_pattern())
+        assert stats.positives == {"v1"}
+        assert stats.negatives == {"v2"}
+        assert stats.unknown == {"v3"}  # fans (u1, ...) do not carry the x label
 
     def test_num_candidates(self, g_ecuador, r2):
-        stats = predicate_stats_for_rule(g_ecuador, r2)
-        assert stats.num_candidates == 3
+        """The LCWA splits every x-labelled node, and only those, three ways."""
+        stats = predicate_stats(g_ecuador, r2.q_pattern())
+        candidates = stats.positives | stats.negatives | stats.unknown
+        assert len(candidates) == 3 and candidates == g_ecuador.nodes_with_label(r2.x_label)
 
     def test_qbar_intersection(self, g1, r1):
-        stats = predicate_stats_for_rule(g1, r1)
+        stats = predicate_stats(g1, r1.q_pattern())
         _count, antecedent = antecedent_support(r1, g1)
         assert q_bar_intersection(stats.negatives, antecedent) == {"cust5"}
 
@@ -155,14 +155,22 @@ class TestRuleEvaluation:
             assert evaluation.rule_matches <= evaluation.antecedent_matches
 
     def test_is_trivial_flag(self, g1, r1):
-        assert not evaluate_rule(g1, r1).is_trivial
+        """R1 is not trivial in the sense of Section 3: finite confidence, supp(q) > 0."""
+        evaluation = evaluate_rule(g1, r1)
+        assert not math.isinf(evaluation.confidence) and evaluation.supp_q > 0
 
     def test_as_row_readable(self, g1, r1):
         row = evaluate_rule(g1, r1).as_row()
         assert "R1" in row and "conf=0.600" in row
 
     def test_image_based_evaluation(self, g1, r7):
-        iconf = evaluate_rule_image_based(g1, r7)
+        """Exp-2's Iconf: the Bayes-factor formula over minimum-image support."""
+        evaluation = evaluate_rule(g1, r7)
+        image_support = minimum_image_support(r7.pr_pattern(), g1)
+        iconf = image_based_confidence(
+            image_support, evaluation.supp_q_bar, evaluation.supp_q_qbar, evaluation.supp_q
+        )
+        assert 0 < image_support <= evaluation.supp_r
         assert iconf >= 0.0
 
 

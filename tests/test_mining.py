@@ -13,8 +13,6 @@ from repro.mining import (
     DMineConfig,
     IncrementalDiversifier,
     apply_reduction_rules,
-    candidate_extensions,
-    discover_and_diversify,
     dmine,
     dmine_auto,
     dmine_baseline,
@@ -25,6 +23,7 @@ from repro.mining.incdiv import RuleInfo
 from repro.mining.local_mine import LocalMiner, seed_rule
 from repro.partition import partition_graph
 from repro.pattern.radius import pattern_radius
+from repro.testing import candidate_extensions
 
 
 class TestConfig:
@@ -301,7 +300,10 @@ class TestGreedyDiversify:
             r7: self._info(0.6, {"cust1", "cust2", "cust3"}),
             r8: self._info(0.2, {"cust6"}),
         }
-        chosen, value = discover_and_diversify(infos, 2, objective)
+        chosen = greedy_diversify(infos, 2, objective)
+        value = objective.total_from_matches(
+            [infos[rule].confidence for rule in chosen], [infos[rule].matches for rule in chosen]
+        )
         assert r8 in chosen
         assert value == pytest.approx(1.08)
 

@@ -36,12 +36,11 @@ from repro.mining.expansion import (
     _apply_extension,
     _ExtensionKey,
     _extension_keys_for_match,
-    candidate_extensions,
     extension_keys,
 )
 from repro.pattern import GPAR, Pattern, canonical_code, group_automorphic
 from repro.pattern.radius import pattern_radius
-from repro.testing import reference_extension_keys, reference_group_automorphic
+from repro.testing import candidate_extensions, reference_extension_keys, reference_group_automorphic
 
 NODE_LABELS = ("a", "b")
 EDGE_LABELS = ("p", "q", "r")

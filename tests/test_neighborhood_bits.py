@@ -59,7 +59,7 @@ from repro.partition import lifecycle
 from repro.partition.lifecycle import FragmentManager
 from repro.stream import UpdateBatch, UpdateOp, random_update_batch
 from repro.stream.identifier import read_checkpoint
-from repro.testing import eip_fingerprint
+from repro.testing import decoded_sketch, eip_fingerprint, resident_sketch
 from repro.testing.storms import correlated_deletion_storm, hub_churn_storm
 
 PREDICATE = "user:like_book:personal development"
@@ -174,7 +174,7 @@ def _exactness_run(seed: int) -> tuple[ColumnarFragment, int]:
         for mutate in (mixed, lambda: _ghost_wave(graph, step)):
             for node in graph.nodes():  # warm the cache the next patch must invalidate
                 for hops in (1, 2, 3):
-                    view.sketch(node, hops)
+                    resident_sketch(view, node, hops)
             kernel = view._neighborhoods
             width = len(kernel._node_at)
             mutate()
@@ -182,13 +182,13 @@ def _exactness_run(seed: int) -> tuple[ColumnarFragment, int]:
             reindexed += view._neighborhoods is kernel and len(kernel._node_at) < width
             for hops, cached in view._sketches.items():  # what the patch kept
                 for node, handle in cached.items():
-                    decoded = view._neighborhoods.histogram(node, handle)
+                    decoded = decoded_sketch(view._neighborhoods, node, handle)
                     assert decoded == build_sketch(graph, node, hops), (seed, node)
             required = _required_sketches(graph, rng)
             for node in graph.nodes():
                 for hops in (1, 2, 3):
                     expected = build_sketch(graph, node, hops)
-                    assert view.sketch(node, hops) == expected, (seed, node, hops)
+                    assert resident_sketch(view, node, hops) == expected, (seed, node, hops)
                     for needed in required:
                         verdict = sketch_dominates(expected, needed)
                         assert view.sketch_test(node, hops, needed) is verdict, (seed, node, hops)
@@ -368,7 +368,7 @@ def _warm_view(graph: Graph) -> ColumnarFragment:
     view = ColumnarFragment(graph)
     for node in graph.nodes():
         for hops in (1, 2, 3):
-            view.sketch(node, hops)
+            resident_sketch(view, node, hops)
     return view
 
 
@@ -394,7 +394,7 @@ def test_a_relabel_rebuilds_no_ring(monkeypatch):
                     graph.relabel_node(user, "dormant")
             for node in graph.nodes():
                 for hops in (1, 2, 3):
-                    assert view.sketch(node, hops) == build_sketch(graph, node, hops)
+                    assert resident_sketch(view, node, hops) == build_sketch(graph, node, hops)
             assert view.statistics.delta_applies == 1
             if side == "masks":
                 assert view.statistics.sketches_built == built
@@ -436,6 +436,7 @@ from repro.datasets import generate_gpars
 from repro.graph.io import graph_from_dict
 from repro.identification import EIPConfig
 from repro.obs.registry import registry
+from repro.testing import counter_value
 
 inputs = build_serve_inputs("serve-hub", 7, 10, Scale(), lambda: 0.0)
 graph = graph_from_dict(inputs.graph_doc)
@@ -448,7 +449,7 @@ names = (
     "index_sketches_built", "match_states_expanded", "match_sketch_prunes", "match_matches_found",
     "match_profile_matches",
 )
-counts = lambda: [registry().counter_value(f"repro_{name}_total") for name in names]
+counts = lambda: [counter_value(registry(), f"repro_{name}_total") for name in names]
 with api.open_session(graph, rules, config=config) as session:
     for batch in inputs.batches[:WARMUP_TICKS]:
         session.apply(batch)

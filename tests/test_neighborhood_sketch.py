@@ -12,6 +12,7 @@ from repro.graph import (
     sketch_dominates,
 )
 from repro.graph.neighborhood import Neighborhoods
+from repro.testing import decoded_sketch
 
 
 @pytest.fixture
@@ -82,7 +83,7 @@ class TestSketches:
         assert sketch.prefix == ({"L": 1}, {"L": 1, "M": 1, "N": 1})
         assert sketch.total == 3
         kernel = Neighborhoods(chain)
-        assert kernel.histogram("a", kernel.sketch_handle("a", 2)) == sketch
+        assert decoded_sketch(kernel, "a", kernel.sketch_handle("a", 2)) == sketch
 
     def test_sketch_requires_positive_hops(self, chain):
         with pytest.raises(ValueError):

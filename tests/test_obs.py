@@ -30,7 +30,6 @@ import threading
 from dataclasses import dataclass
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.datasets import generate_gpars, most_frequent_predicates, synthetic_graph
 from repro.mining import DMineConfig, dmine
@@ -40,7 +39,6 @@ from repro.obs import (
     Tracer,
     active,
     collect_process_metrics,
-    disable_collection,
     enable_collection,
     install,
     load_trace,
@@ -56,6 +54,7 @@ from repro.obs import (
     uninstall,
 )
 from repro.obs.tracing import NOOP_SPAN
+from repro.testing import counter_value, counters, disable_collection, reset_metrics
 
 
 @pytest.fixture(autouse=True)
@@ -63,11 +62,11 @@ def _pristine_observability():
     """Every test starts and ends with observability fully off."""
     uninstall()
     disable_collection()
-    registry().reset()
+    reset_metrics(registry())
     yield
     uninstall()
     disable_collection()
-    registry().reset()
+    reset_metrics(registry())
 
 
 # ----------------------------------------------------------------------
@@ -79,10 +78,10 @@ class TestRegistry:
         reg.inc("requests_total", route="/a", method="GET")
         reg.inc("requests_total", 2, route="/a", method="GET")
         reg.inc("requests_total", route="/b", method="GET")
-        assert reg.counter_value("requests_total", route="/a", method="GET") == 3
-        assert reg.counter_value("requests_total", route="/b", method="GET") == 1
-        assert reg.counter_value("requests_total", route="/c", method="GET") == 0
-        assert reg.counter_value("absent_total") == 0
+        assert counter_value(reg, "requests_total", route="/a", method="GET") == 3
+        assert counter_value(reg, "requests_total", route="/b", method="GET") == 1
+        assert counter_value(reg, "requests_total", route="/c", method="GET") == 0
+        assert counter_value(reg, "absent_total") == 0
 
     def test_label_names_are_fixed_at_family_creation(self):
         reg = MetricsRegistry()
@@ -145,59 +144,7 @@ class TestRegistry:
         reg.clear("per_session")
         reg.clear("never_existed")  # no-op, not an error
         assert reg.snapshot()["per_session"]["series"] == {}
-        assert reg.counter_value("kept_total") == 1
-
-    def test_snapshot_merge_counters_add_gauges_overwrite(self):
-        left, right = MetricsRegistry(), MetricsRegistry()
-        left.inc("a_total", 2)
-        left.set_gauge("g", 1)
-        right.inc("a_total", 3)
-        right.set_gauge("g", 7)
-        left.merge(right.snapshot())
-        assert left.counter_value("a_total") == 5
-        assert left.snapshot()["g"]["series"][()] == 7
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        st.lists(st.floats(0, 20), max_size=30),
-        st.lists(st.floats(0, 20), max_size=30),
-        st.lists(st.floats(0, 20), max_size=30),
-    )
-    def test_histogram_merge_is_associative(self, a, b, c):
-        """(A ⊕ B) ⊕ C == A ⊕ (B ⊕ C): exact on bucket counts, approximate
-        on the float sums."""
-
-        def observed(values):
-            reg = MetricsRegistry()
-            for value in values:
-                reg.observe("h_seconds", value)
-                reg.inc("n_total")
-            return reg
-
-        regs = [observed(values) for values in (a, b, c)]
-
-        left = MetricsRegistry()
-        left.merge(regs[0].snapshot())
-        left.merge(regs[1].snapshot())
-        left.merge(regs[2].snapshot())
-
-        bc = MetricsRegistry()
-        bc.merge(regs[1].snapshot())
-        bc.merge(regs[2].snapshot())
-        right = MetricsRegistry()
-        right.merge(regs[0].snapshot())
-        right.merge(bc.snapshot())
-
-        left_series = left.snapshot().get("h_seconds", {}).get("series", {})
-        right_series = right.snapshot().get("h_seconds", {}).get("series", {})
-        assert set(left_series) == set(right_series)
-        for key, series in left_series.items():
-            other = right_series[key]
-            assert series["counts"] == other["counts"]
-            assert series["count"] == other["count"]
-            assert series["sum"] == pytest.approx(other["sum"])
-        assert left.counter_value("n_total") == right.counter_value("n_total")
-        assert left.counter_value("n_total") == len(a) + len(b) + len(c)
+        assert counter_value(reg, "kept_total") == 1
 
 
 # ----------------------------------------------------------------------
@@ -209,7 +156,6 @@ class TestTracer:
         with tracer.span("outer", phase=1) as outer:
             with tracer.span("inner") as inner:
                 inner.set(rows=3)
-            assert outer.elapsed >= 0.0
         records = tracer.records()
         assert [r["name"] for r in records] == ["inner", "outer"]
         inner_rec, outer_rec = records
@@ -262,7 +208,6 @@ class TestTracer:
         with span("anything", x=1) as handle:
             assert handle is NOOP_SPAN
             assert handle.set(y=2) is NOOP_SPAN
-            assert handle.elapsed == 0.0
 
     def test_install_and_override_precedence(self):
         installed = Tracer()
@@ -344,8 +289,8 @@ class TestStatisticsProtocol:
                 {"match.candidates_considered": 2, "index.builds": 1},
             ],
         )
-        assert reg.counter_value("repro_match_candidates_considered_total") == 6
-        assert reg.counter_value("repro_index_builds_total") == 1
+        assert counter_value(reg, "repro_match_candidates_considered_total") == 6
+        assert counter_value(reg, "repro_index_builds_total") == 1
 
     def test_a_successor_ships_in_full_without_a_reset(self):
         from repro.matching.base import MatchStatistics
@@ -392,14 +337,14 @@ class TestStatisticsProtocol:
         enable_collection()
         stats = MatchStatistics()
         stats.backtracks = 2
-        assert registry().counter_value("repro_match_backtracks_total") == 2
+        assert counter_value(registry(), "repro_match_backtracks_total") == 2
         stats.backtracks += 1
         assert "repro_match_backtracks_total 3" in registry().render()
         stats.backtracks += 4
-        registry().reset()  # drops what it pulls
-        assert registry().counters("repro_match_") == {}
+        reset_metrics(registry())  # drops what it pulls
+        assert counters(registry(), "repro_match_") == {}
         assert collect_process_metrics() is None
-        assert MetricsRegistry().counters() == {}  # another registry pulls nothing
+        assert counters(MetricsRegistry()) == {}  # another registry pulls nothing
 
     def test_threads_creating_dropping_and_collecting_ship_exact_totals(self):
         from repro.matching.base import MatchStatistics
@@ -453,7 +398,7 @@ class TestCrossBackendCounters:
         return graph, predicate
 
     def _mine_counters(self, graph, predicate, backend):
-        registry().reset()
+        reset_metrics(registry())
         enable_collection()
         try:
             dmine(
@@ -477,7 +422,7 @@ class TestCrossBackendCounters:
             )
         finally:
             disable_collection()
-        return registry().counters("repro_match_")
+        return counters(registry(), "repro_match_")
 
     def test_processes_report_identical_match_counters(self, workload):
         graph, predicate = workload
@@ -498,16 +443,16 @@ class TestCrossBackendCounters:
         graph = pokec_like(40, 3, seed=7)
         predicate = api.parse_predicate("user:like_book:personal development")
         rules = generate_gpars(graph, predicate, count=6, max_pattern_edges=3, d=2, seed=5)
-        registry().reset()
+        reset_metrics(registry())
         enable_collection()
         try:
             config = EIPConfig(eta=0.5, num_workers=2, backend=backend, executor_workers=1)
             with api.open_session(graph, rules, config=config) as session:
-                registry().reset()  # the tick alone, not the initial verification
+                reset_metrics(registry())  # the tick alone, not the initial verification
                 session.apply(random_update_batch(session.core.graph, size=6, seed=1))
         finally:
             disable_collection()
-        return registry().counters("repro_match_")
+        return counters(registry(), "repro_match_")
 
     @pytest.mark.parametrize("backend", ["sequential", "processes"])
     def test_a_warm_identify_reports_its_reused_fragmentation(self, backend):
@@ -528,11 +473,11 @@ class TestCrossBackendCounters:
         disable_collection()
         partitions = [record for record in tracer.records() if record["name"] == "eip.partition"]
         assert [record["attrs"]["reused"] for record in partitions] == [False, True]
-        assert registry().counters("repro_partition_") == {
+        assert counters(registry(), "repro_partition_") == {
             "repro_partition_built_total": 1,
             "repro_partition_reused_total": 1,
         }
-        assert registry().counter_value("repro_columnar_builds_total") == 2
+        assert counter_value(registry(), "repro_columnar_builds_total") == 2
 
     def test_streaming_tick_surfaces_match_counters_on_every_backend(self):
         sequential = self._tick_counters("sequential")
@@ -569,7 +514,7 @@ class TestOneChannel:
 
     def _moved(self, run) -> dict:
         """The counters *run* moved, with collection on."""
-        registry().reset()
+        reset_metrics(registry())
         enable_collection()
         try:
             run()
@@ -577,7 +522,7 @@ class TestOneChannel:
             disable_collection()
         moved: dict = {}
         for kind in self.KINDS:
-            moved.update(registry().counters(kind))
+            moved.update(counters(registry(), kind))
         return moved
 
     @staticmethod
@@ -632,7 +577,7 @@ class TestOneChannel:
 
     @pytest.mark.parametrize("run", ["_mine", "_session"])
     def test_pools_do_not_reship_the_coordinators_pending_counts(self, workload, run):
-        registry().reset()
+        reset_metrics(registry())
         enable_collection()
         try:
             alive = _Probe(pending=7)
@@ -640,7 +585,7 @@ class TestOneChannel:
             getattr(self, run)(workload, "processes")
         finally:
             disable_collection()
-        assert registry().counter_value("repro_probe_pending_total") == 12
+        assert counter_value(registry(), "repro_probe_pending_total") == 12
         del alive
 
 
@@ -733,7 +678,7 @@ class TestTracedStreamingTick:
             uninstall()
             disable_collection()
         counters = {
-            name: registry().counter_value(name)
+            name: counter_value(registry(), name)
             for name in (
                 "repro_index_delta_applies_total",
                 "repro_index_sketches_built_total",

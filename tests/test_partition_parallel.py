@@ -13,7 +13,7 @@ from repro.parallel import (
     SequentialExecutor,
     WorkerTask,
 )
-from repro.partition import fragmentation_report, partition_graph, partitioner
+from repro.partition import partition_graph, partitioner
 from repro.testing import reference_balance
 
 
@@ -101,25 +101,10 @@ class TestPartitioner:
     def test_balance_on_social_graph(self, small_pokec):
         centers = small_pokec.nodes_with_label("user")
         fragments = partition_graph(small_pokec, 4, centers=centers, d=1, seed=0)
-        report = fragmentation_report(small_pokec, fragments)
-        assert report.num_fragments == 4
-        assert report.max_size > 0
+        sizes = [fragment.graph.num_nodes + fragment.graph.num_edges for fragment in fragments]
+        assert len(sizes) == 4 and max(sizes) > 0
         # Greedy balancing keeps the skew moderate (paper reports <= 14.4%).
-        assert report.skew <= 0.5
-        assert "fragments=4" in report.as_row()
-
-    def test_report_counts_replication(self, g1):
-        fragments = partition_graph(g1, 3, centers=g1.nodes_with_label("cust"), d=2, seed=0)
-        report = fragmentation_report(g1, fragments)
-        total_local = sum(fragment.graph.num_nodes for fragment in fragments)
-        assert report.replicated_nodes == total_local - len(
-            {node for fragment in fragments for node in fragment.graph.nodes()}
-        )
-
-    def test_empty_report(self, g1):
-        report = fragmentation_report(g1, [])
-        assert report.max_size == 0
-        assert report.skew == 0.0
+        assert (max(sizes) - min(sizes)) / max(sizes) <= 0.5
 
 
 def _layout(fragments) -> list:
@@ -224,11 +209,9 @@ class TestBSPRuntime:
         runtime.run_round(_num_nodes)
         runtime.run_round(_num_edges)
         timings = runtime.finish_run()
-        assert timings.num_rounds == 2
-        assert timings.simulated_parallel_time <= timings.sequential_time + 1e-9
-        assert timings.speedup >= 1.0
+        assert len(timings.rounds) == 2
         assert timings.wall_time > 0
-        assert 0.0 <= timings.max_worker_skew() <= 1.0
+        assert all(0.0 <= round_timing.skew <= 1.0 for round_timing in timings.rounds)
 
     def test_round_timing_properties(self, g1):
         runtime = BSPRuntime(self._fragments(g1))
@@ -237,7 +220,3 @@ class TestBSPRuntime:
         assert round_timing.parallel_time == pytest.approx(
             max(round_timing.worker_times) + round_timing.coordinator_time
         )
-        assert round_timing.sequential_time >= round_timing.parallel_time
-
-    def test_num_workers(self, g1):
-        assert BSPRuntime(self._fragments(g1)).num_workers == 3

@@ -54,7 +54,8 @@ rules = generate_gpars(graph, predicate, count=4, max_pattern_edges=3, d=2, seed
 api.identify(graph, rules, EIPConfig(eta=0.5, num_workers=2, backend="processes", executor_workers=2))
 with api.open_session(graph, rules, config=EIPConfig(eta=0.5)) as session:
     session.apply(random_update_batch(graph, size=3, seed=11))
-print(json.dumps({"counters": registry().counters("repro_pool_")}))
+pool = {name: family for name, family in registry().snapshot().items() if name.startswith("repro_pool_")}
+print(json.dumps({"counters": {name: sum(family["series"].values()) for name, family in pool.items()}}))
 """
 
 _INITIALIZER = """

@@ -35,6 +35,7 @@ from repro.serve import BackgroundServer, RouteError, Router, ops_from_json
 from repro.serve.app import ReproService
 from repro.serve.http import Request
 from repro.stream import UpdateBatch, UpdateOp, random_update_batch
+from repro.testing import counter_value
 
 RULES = 5
 SEED = 3
@@ -139,12 +140,12 @@ class TestWireFormats:
         try:
             service.router.add("GET", "/broken", broken)
             labels = {"method": "GET", "route": "/broken", "status": "500"}
-            before = registry().counter_value("repro_http_requests_total", **labels)
+            before = counter_value(registry(), "repro_http_requests_total", **labels)
             with caplog.at_level(logging.ERROR, logger="repro.serve"):
                 response = asyncio.run(service.dispatch(Request("GET", "/broken", {}, {})))
             assert response.status == 500
             assert "AttributeError" in response.payload["error"]
-            assert registry().counter_value("repro_http_requests_total", **labels) == before + 1
+            assert counter_value(registry(), "repro_http_requests_total", **labels) == before + 1
             assert any(record.exc_info for record in caplog.records)
         finally:
             service.shutdown()
@@ -670,6 +671,40 @@ class TestSharedCores:
         assert _call("DELETE", beta_url)[0] == 200
         _status, health = _call("GET", f"{server.base_url}/healthz")
         assert health["shared_cores"] == 0
+
+    def test_refused_admission_leaves_the_shared_core_as_it_was(self, server, tmp_path):
+        """``history_limit: 0`` on a joinable core is a 400 naming the field:
+        the member's answer is unchanged and the tenant name stays free."""
+        from repro.graph.io import save_graph_json
+
+        graph, _rules, predicate_text = _workload(seed=32)
+        path = tmp_path / "refused-graph.json"
+        save_graph_json(graph, path)
+        base = {
+            "graph_path": str(path),
+            "predicate": predicate_text,
+            "rules": RULES,
+            "max_edges": 4,
+            "d": 2,
+            "seed": 32,
+            "eta": 0.1,
+            "workers": 2,
+        }
+        status, alpha = _call("POST", f"{server.base_url}/sessions", {**base, "tenant": "alpha"})
+        assert status == 201
+        alpha_url = f"{server.base_url}/sessions/{alpha['session']}"
+        answer = _call("GET", f"{alpha_url}/answer?limit=1000")
+        _status, health = _call("GET", f"{server.base_url}/healthz")
+        status, doc = _call(
+            "POST", f"{server.base_url}/sessions", {**base, "tenant": "ghost", "history_limit": 0}
+        )
+        assert status == 400 and "'history_limit' must be >= 1" in doc["error"], doc
+        assert _call("GET", f"{alpha_url}/answer?limit=1000") == answer
+        status, ghost = _call("POST", f"{server.base_url}/sessions", {**base, "tenant": "ghost"})
+        assert status == 201 and ghost["tenant"] == "ghost", ghost
+        assert _call("GET", f"{server.base_url}/healthz")[1]["shared_cores"] == health["shared_cores"]
+        for created in (alpha, ghost):
+            assert _call("DELETE", f"{server.base_url}/sessions/{created['session']}")[0] == 200
 
     def test_retired_implementation_fields_do_not_fork_the_core(self, server, tmp_path):
         """Bodies differing only by retired fields share one core.

@@ -24,6 +24,7 @@ ROOTS = ("repro.api", "repro.cli", "repro.serve.app", "repro.serve.http")
 #: Modules kept although no served path reaches them, and why.
 UNSERVED = {
     "repro.datasets.paper_graphs": "the paper's example graphs (also roots pattern.builder)",
+    "repro.metrics.support": "the paper's supp(Q, G), supp(R, G) and Exp-2's minimum-image support",
 }
 
 #: Harness code: allowed to exist without a served importer, never a root.

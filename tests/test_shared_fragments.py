@@ -32,6 +32,7 @@ from repro.obs import registry
 from repro.parallel.runtime import RunTimings
 from repro.partition import partition_graph, partitioner, shared_fragments
 from repro.stream import random_update_batch
+from repro.testing import counter_value
 
 PREDICATE = "user:like_book:personal development"
 BACKENDS = ("sequential", "processes")
@@ -62,11 +63,11 @@ def _fresh(graph, rules, backend="sequential"):
 
 
 def _built() -> float:
-    return registry().counter_value("repro_partition_built_total")
+    return counter_value(registry(), "repro_partition_built_total")
 
 
 def _reused() -> float:
-    return registry().counter_value("repro_partition_reused_total")
+    return counter_value(registry(), "repro_partition_reused_total")
 
 
 @pytest.fixture

@@ -39,7 +39,7 @@ from repro.identification import EIPConfig, identify_entities
 from repro.matching import GuidedMatcher
 from repro.mining import DMineConfig, dmine
 from repro.obs import Tracer, install, registry, span, uninstall
-from repro.obs.stats import disable_collection, enable_collection
+from repro.obs.stats import enable_collection
 from repro.partition.lifecycle import CHECKPOINT_LOG_FRACTION
 from repro.pattern.canonical import canonical_code
 from repro.pattern.gpar import GPAR
@@ -47,9 +47,12 @@ from repro.pattern.pattern import Pattern
 from repro.stream import UpdateBatch, UpdateOp, random_update_batch
 from repro.testing import (
     CASES_DIR,
-    STORM_FAMILIES,
     DifferentialOracle,
     ReferenceMatcher,
+    STORM_FAMILIES,
+    counter_value,
+    counters,
+    disable_collection,
     distill,
     eip_fingerprint,
     from_distilled,
@@ -212,11 +215,11 @@ class Tick:
 def tick(core, batches, verify: bool = True) -> list[Tick]:
     ticks = []
     for batch in batches:
-        before = registry().counters("repro_match_")
+        before = counters(registry(), "repro_match_")
         report, _deltas = core.apply(batch)
         moved = {
             name: count - before.get(name, 0)
-            for name, count in registry().counters("repro_match_").items()
+            for name, count in counters(registry(), "repro_match_").items()
         }
         if verify:  # after the counters are read: a recompute searches too
             assert_fresh(core)
@@ -300,9 +303,9 @@ def test_match_backends_identify_one_answer_and_large_matching_completes(smoke):
         assert result.identified
         identified.add(eip_fingerprint(result))
     # A warm call (on the pool in the smoke cell) reuses the fragmentation.
-    reused = registry().counter_value("repro_partition_reused_total")
+    reused = counter_value(registry(), "repro_partition_reused_total")
     again = identify_entities(graph, rules, eta=ETA, num_workers=WORKERS, backend=backend)
-    assert registry().counter_value("repro_partition_reused_total") == reused + 1
+    assert counter_value(registry(), "repro_partition_reused_total") == reused + 1
     identified.add(eip_fingerprint(again))
     assert len(identified) == 1
 
@@ -339,7 +342,7 @@ def test_stream_repair_equals_recompute_and_does_less(smoke):
         # Repair re-decides fewer centres than recomputing after every batch
         # would, and answers positive pairs from kept witnesses at least 4x
         # as often as by searching, which it does.
-        centres = graph.count_nodes_with_label(rules[0].x_label)
+        centres = len(graph.nodes_with_label(rules[0].x_label))
         assert run.rechecked < centres * len(batches)
         hits, searched = run.matched("witness_hits"), run.matched("matches_found")
         assert searched > 0 and hits >= 4 * searched

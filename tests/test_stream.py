@@ -24,6 +24,7 @@ from repro.stream import (
     UpdateOp,
     random_update_batch,
 )
+from repro.testing import resident_sketch
 
 
 def toy_graph() -> Graph:
@@ -48,7 +49,7 @@ class TestBatchUpdate:
             tx.remove_edge("alice", "bob", "friend")
             tx.relabel_node("carol", "vip")
         assert g.version == before + 1
-        assert tx.touched == {"alice", "bob", "carol", "cafe"}
+        assert tx.delta.touched == {"alice", "bob", "carol", "cafe"}
         delta = tx.delta
         assert delta.added_edges == {("carol", "cafe", "visit")}
         assert delta.removed_edges == {("alice", "bob", "friend")}
@@ -93,7 +94,7 @@ class TestBatchUpdate:
             with pytest.raises(GraphError):
                 inner.delta  # joined the outer batch: no delta of its own
         assert g.version == before + 1
-        assert outer.touched == {"carol", "cafe"}
+        assert outer.delta.touched == {"carol", "cafe"}
 
     def test_delta_unavailable_while_open(self):
         g = toy_graph()
@@ -229,7 +230,7 @@ class TestIndexUnderBatches:
         g = synthetic_graph(80, 240, num_node_labels=4, num_edge_labels=3, seed=0)
         index = ColumnarFragment(g)
         for node in sorted(g.nodes(), key=str)[:20]:
-            index.sketch(node, 2)
+            resident_sketch(index, node, 2)
         UpdateBatch.of(
             UpdateOp.add_node("fresh", "L0"),
             UpdateOp.add_edge("fresh", sorted(g.nodes(), key=str)[0], "e0"),
@@ -244,7 +245,7 @@ class TestIndexUnderBatches:
         index = ColumnarFragment(g)
         g.add_node("d1", "cust")
         g.add_node("d2", "cust")
-        deltas = g.deltas_since(index.built_version)
+        deltas = g.deltas_since(index._built_version)
         assert index.apply_delta(deltas[1]) is False  # out of order
         assert index.apply_delta(deltas[0]) is True
         assert index.apply_delta(deltas[1]) is True

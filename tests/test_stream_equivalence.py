@@ -36,7 +36,13 @@ from repro.mining import DMineConfig, dmine
 from repro.parallel.executor import BACKENDS
 from repro.stream import StreamingIdentifier, random_update_batch
 from repro.stream.identifier import read_checkpoint, write_checkpoint
-from repro.testing import ReferenceMatcher, reference_identify, served_antecedent_sets
+from repro.testing import (
+    ReferenceMatcher,
+    reference_identify,
+    resident_label,
+    resident_sketch,
+    served_antecedent_sets,
+)
 
 SEEDS = range(50)
 
@@ -87,7 +93,7 @@ def test_patched_index_is_byte_identical_to_fresh_build(seed):
     index = ColumnarFragment(graph)
     nodes = sorted(graph.nodes(), key=str)
     for node in nodes[: len(nodes) // 3]:
-        index.sketch(node, 2)
+        resident_sketch(index, node, 2)
         for label in sorted(graph.edge_labels()):
             index.out_neighbors(node, label)
             index.in_neighbors(node, label)
@@ -99,9 +105,9 @@ def test_patched_index_is_byte_identical_to_fresh_build(seed):
     fresh = ColumnarFragment(graph)
     assert index._buckets == fresh._buckets
     for node in sorted(graph.nodes(), key=str):
-        assert index.node_label(node) == fresh.node_label(node)
+        assert resident_label(index, node) == resident_label(fresh, node)
         assert index.profile(node) == fresh.profile(node)
-        assert index.sketch(node, 2) == fresh.sketch(node, 2)
+        assert resident_sketch(index, node, 2) == resident_sketch(fresh, node, 2)
         for label in sorted(graph.edge_labels()):
             assert index.out_neighbors(node, label) == fresh.out_neighbors(node, label)
             assert index.in_neighbors(node, label) == fresh.in_neighbors(node, label)
@@ -267,9 +273,33 @@ def _dmine_fingerprint(result):
 # ----------------------------------------------------------------------
 # free-y (census-maintained) rules: whole-graph matching semantics
 # ----------------------------------------------------------------------
+def _without_y_edges(rule):
+    """*rule* with the antecedent edges incident to y dropped: y turns free."""
+    from repro.pattern.gpar import GPAR
+    from repro.pattern.pattern import Pattern
+
+    pattern = rule.antecedent
+    antecedent = Pattern(
+        dict(pattern.node_items()),
+        [
+            (edge.source, edge.target, edge.label)
+            for edge in pattern.edges()
+            if pattern.y not in (edge.source, edge.target)
+        ],
+        x=pattern.x,
+        y=pattern.y,
+        copies=pattern.copy_counts(),
+    )
+    return GPAR(
+        antecedent, consequent_label=rule.consequent_label, name=f"{rule.name}-free-y", validate=False
+    )
+
+
 def _free_y_rules(graph, predicate, count=3):
     """Mine Σ with DMine and keep the free-y rules (the ROADMAP's shape): the
-    census plan's entries whose free parts are isolated nodes."""
+    census plan's entries whose free parts are isolated nodes.  A seed that
+    mines none derives one from the first mined rule whose x keeps an edge
+    once the edges incident to y are dropped."""
     from repro.identification.census import plan_census
 
     config = DMineConfig(
@@ -282,22 +312,33 @@ def _free_y_rules(graph, predicate, count=3):
         max_rules_per_round=10,
     )
     result = dmine(graph, predicate, config)
-    plan = plan_census(sorted(result.all_rules, key=lambda r: r.name))
-    return [entry.rule for entry in plan.entries if not entry.components][:count]
+    mined = sorted(result.all_rules, key=lambda r: r.name)
+    plan = plan_census(mined)
+    free = [entry.rule for entry in plan.entries if not entry.components][:count]
+    if free:
+        return free
+    derived = [_without_y_edges(rule) for rule in mined]
+    return [
+        next(
+            rule
+            for rule in derived
+            if any(rule.antecedent.out_edges(rule.x)) or any(rule.antecedent.in_edges(rule.x))
+            if not plan_census([rule]).entries[0].components
+        )
+    ]
 
 
 @pytest.mark.parametrize("seed", range(0, 50, 10))
 def test_census_maintained_free_y_rules_equal_whole_graph_matching(seed):
-    """Mined free-y Σ is maintained under updates with global semantics."""
+    """Mined (or, where a seed mines none, derived) free-y Σ is maintained
+    under updates with global semantics."""
     graph = _workload_graph(seed)
     predicate = most_frequent_predicates(graph, top=1)[0]
     rules = _free_y_rules(graph, predicate)
-    if not rules:
-        pytest.skip("this seed mined no free-y rules")
     with StreamingIdentifier(
         graph, rules, config=EIPConfig(eta=0.5, num_workers=2 + seed % 3, seed=0)
     ) as identifier:
-        assert identifier._census_parts, "mined free-y rules must census-split"
+        assert identifier._census_parts, "free-y rules must census-split"
         _served_matches_check(identifier, rules)
         for position in range(3):
             batch = random_update_batch(graph, size=7, seed=seed * 100 + position)

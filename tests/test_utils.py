@@ -48,13 +48,7 @@ class TestStopwatch:
         with watch:
             pass
         assert watch.total >= 0.0
-        assert not watch.running
-
-    def test_running_flag(self):
-        watch = Stopwatch().start()
-        assert watch.running
-        watch.stop()
-        assert not watch.running
+        assert watch.peek() == 0.0
 
 
 class TestExceptionHierarchy:

@@ -36,14 +36,14 @@ from repro.matching import GuidedMatcher, VF2Matcher
 from repro.matching.base import Matcher, PlanMatcher, WitnessStore, search_plan
 from repro.matching.multi import trie_patterns
 from repro.obs import registry
-from repro.obs.stats import disable_collection, enable_collection
+from repro.obs.stats import enable_collection
 from repro.partition.fragment import Fragment
 from repro.partition import lifecycle
 from repro.partition.lifecycle import FragmentManager, FragmentUpdate, apply_fragment_update
 from repro.pattern.pattern import Pattern
 from repro.stream import StreamingIdentifier, UpdateBatch, UpdateOp, random_update_batch
 from repro.stream.identifier import read_checkpoint
-from repro.testing import eip_fingerprint
+from repro.testing import counters, disable_collection, eip_fingerprint, reset_metrics
 from repro.testing.storms import label_flip_storm
 
 PREDICATE = "user:like_book:personal development"
@@ -298,11 +298,11 @@ def perturb_and_revert(graph: Graph, count: int, seed: int, toggles: int = 3) ->
 @pytest.fixture
 def counted():
     """Statistics collection on for the test, the registry clean on both sides."""
-    registry().reset()
+    reset_metrics(registry())
     enable_collection()
-    yield lambda name: registry().counters("repro_match_").get(f"repro_match_{name}_total", 0)
+    yield lambda name: counters(registry(), "repro_match_").get(f"repro_match_{name}_total", 0)
     disable_collection()
-    registry().reset()
+    reset_metrics(registry())
 
 
 # ----------------------------------------------------------------------
@@ -372,7 +372,7 @@ def test_restored_core_rebuilds_its_witnesses(tmp_path, counted):
         for batch in batches[:4]:
             session.apply(batch)
         path = session.core.save_state(tmp_path / "state.pkl")
-        registry().reset()
+        reset_metrics(registry())
         session.apply(batches[4])  # the same tick, on the session that kept its witnesses
         warm_hits, warm_found = counted("witness_hits"), counted("matches_found")
         assert warm_hits > warm_found
@@ -382,14 +382,14 @@ def test_restored_core_rebuilds_its_witnesses(tmp_path, counted):
         (session,) = restored.sessions.values()
         identifier = restored.multi.identifier
         assert _stores(identifier) == {}, "a restored core starts with new worker contexts"
-        registry().reset()
+        reset_metrics(registry())
         restored.apply(batches[4])
         cold_hits, cold_found = counted("witness_hits"), counted("matches_found")
         assert cold_hits + cold_found == warm_hits + warm_found, "same verdicts either way"
         assert cold_found > warm_found and cold_hits < warm_hits
         assert cold_found >= sum(len(store) for store in _stores(identifier).values()) > 0
         assert eip_fingerprint(session.result) == eip_fingerprint(session.recompute())
-        registry().reset()
+        reset_metrics(registry())
         restored.apply(batches[5])
         assert counted("witness_hits") > counted("matches_found")
         assert eip_fingerprint(session.result) == eip_fingerprint(session.recompute())
@@ -470,7 +470,7 @@ def test_ball_difference_refcounting_equals_release_all_retain_all():
             reference[owner].update(fresh)
         for index, counts in reference.items():
             assert manager._refcounts[index] == dict(counts), (position, index)
-            assert manager.node_set(index) == frozenset(counts)
+            assert frozenset(manager._node_sets[index]) == frozenset(counts)
             update = plan.updates[index]
             entered = set(counts) - members_before[index]
             vanished = members_before[index] - set(counts)
@@ -500,7 +500,7 @@ def _tick_counts(graph, rules, batches, counted):
     with api.open_session(graph.copy(), rules, config=EIPConfig(eta=0.5, num_workers=2)) as session:
         session.apply(batches[0])  # warm-up, as in the repo benchmark
         for batch in batches[1:]:
-            registry().reset()
+            reset_metrics(registry())
             session.apply(batch)
             out.append((
                 counted("witness_hits"), counted("matches_found"), counted("profile_matches"),

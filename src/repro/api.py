@@ -10,15 +10,16 @@ single facade both the CLI and the HTTP service (:mod:`repro.serve`) consume:
   objects (:class:`~repro.mining.DMineConfig`,
   :class:`~repro.identification.eip.EIPConfig`);
 * :func:`open_shared_core` — a resident :class:`SharedSessionCore` over one
-  graph (a :class:`~repro.stream.MultiTenantIdentifier` underneath) that
-  admits any number of rule sets Σ as tenant :class:`Session` objects;
-  :func:`open_session` is the k = 1 convenience (a private core with one
-  tenant).  There is one session shape, with the concurrency contract a
-  serving layer needs:
+  graph that admits any number of rule sets Σ as tenant :class:`Session`
+  objects, verifying the union of their distinct canonical antecedents in
+  one :class:`~repro.stream.StreamingIdentifier`; :func:`open_session` is
+  the k = 1 convenience (a private core with one tenant).  There is one
+  session shape, with the concurrency contract a serving layer needs:
 
   - **updates serialize** — :meth:`SharedSessionCore.apply` (and
-    :meth:`Session.apply`, its shorthand) queues writers on the core's
-    write lock, ticks the graph once and publishes to every member (the
+    :meth:`Session.apply`, its shorthand) queues writers on the core's one
+    lock, which also covers admission, eviction, checkpoint and close; a
+    write ticks the graph once and publishes to every member (the
     identifier itself rejects true re-entrancy with
     :class:`~repro.exceptions.StreamError`);
   - **reads never block** — :meth:`Session.answer` pages over immutable
@@ -42,6 +43,7 @@ retention costs the answer sets, not graph copies.
 from __future__ import annotations
 
 import threading
+import time
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -49,6 +51,7 @@ from typing import Hashable, Mapping, Sequence
 
 from repro.exceptions import StreamError
 from repro.graph.graph import Graph
+from repro.identification.census import apply_census, plan_census
 from repro.identification.eip import (
     AnswerPage,
     EIPConfig,
@@ -57,12 +60,20 @@ from repro.identification.eip import (
     _encode_cursor,
     solver_class,
 )
+from repro.identification.matchc import _FragmentReport
+from repro.matching.shared import SharedPatternPool
 from repro.mining.config import DMineConfig
 from repro.mining.dmine import DMine, DMineResult
+from repro.obs.registry import registry
 from repro.pattern.gpar import GPAR
 from repro.pattern.pattern import Pattern
-from repro.stream.identifier import StreamUpdateReport
-from repro.stream.multitenant import MultiTenantIdentifier
+from repro.stream.identifier import (
+    StreamingIdentifier,
+    StreamUpdateReport,
+    read_checkpoint,
+    write_checkpoint,
+)
+from repro.stream.multitenant import TenantAdmission
 from repro.stream.updates import UpdateBatch
 
 NodeId = Hashable
@@ -237,39 +248,43 @@ class Session:
     """One tenant's resident EIP answer on a :class:`SharedSessionCore`.
 
     Every session is a tenant of a core (a solo session is the only tenant
-    of a private one, see :func:`open_session`).  The session owns the
-    *read* side — its immutable ``rules``, the bounded snapshot/delta
-    histories, pagination and the long-poll primitive — and reads each
-    tick's answer from ``core.multi.result_for(tenant)``; the write side
-    (:meth:`apply`, :meth:`close`) is the core's, so nothing a reader
-    touches ever waits on a tick.  Obtain one through :func:`open_session`
-    or :meth:`SharedSessionCore.open_session`; use as a context manager or
-    call :meth:`close`.
+    of a private one, see :func:`open_session`) and is the core's tenant
+    table entry: it carries the tenant's :class:`~repro.stream.TenantAdmission`,
+    the pool representative each rule reads its verdicts from and the
+    tenant's census plan.  The session owns the *read* side — its immutable
+    ``rules``, the bounded snapshot/delta histories, pagination and the
+    long-poll primitive — and reads each tick's answer from
+    ``core.result_for(tenant)``; the write side (:meth:`apply`,
+    :meth:`close`) is the core's, so nothing a reader touches ever waits on
+    a tick.  Obtain one through :func:`open_session` or
+    :meth:`SharedSessionCore.open_session`; use as a context manager or call
+    :meth:`close`.
     """
 
     def __init__(
         self,
         core: "SharedSessionCore",
-        tenant: str,
+        admission: TenantAdmission,
+        representatives: Mapping[GPAR, GPAR],
         history_limit: int = SESSION_HISTORY_LIMIT,
     ) -> None:
         self._core = core
-        self.tenant = tenant
+        self.tenant = admission.tenant
         #: What admitting this tenant cost (:class:`~repro.stream.TenantAdmission`).
-        self.admission = core.multi.admission_for(tenant)
+        self.admission = admission
         #: This tenant's Σ — a stored tuple, so reading it never takes a lock.
-        self.rules: tuple[GPAR, ...] = self.admission.rules
+        self.rules: tuple[GPAR, ...] = admission.rules
+        self._representatives = dict(representatives)
+        self._census_plan = plan_census(self.rules)
         #: Pinned for the core's lifetime (admissions never widen the balls).
-        self.max_radius = core.multi.identifier.max_radius
+        self.max_radius = core.identifier.max_radius
         self._history_limit = history_limit
         self._state_lock = threading.Lock()  # guards the histories (briefly)
         self._tick_condition = threading.Condition(self._state_lock)
         self._snapshots: OrderedDict[int, SessionSnapshot] = OrderedDict()
         self._deltas: OrderedDict[int, SessionDelta] = OrderedDict()
         version = core.graph.version
-        self._snapshots[version] = SessionSnapshot(
-            version, core.multi.result_for(tenant)
-        )
+        self._snapshots[version] = SessionSnapshot(version, core._project(self))
 
     # ------------------------------------------------------------------
     # introspection
@@ -346,7 +361,7 @@ class Session:
 
         Shorthand for ``core.apply(batch, origin=self)``: the batch ticks
         the core's graph **once**, every member session publishes its own
-        projected delta, and concurrent writers queue on the core's write
+        projected delta, and concurrent writers queue on the core's
         lock.  Raises :class:`StreamError` — touching nothing — once this
         session is closed.
         """
@@ -355,11 +370,11 @@ class Session:
     def _publish_tick(self, report: StreamUpdateReport) -> SessionDelta:
         """Project and publish the tick the core just applied.
 
-        The caller holds the core's write lock.
+        The caller holds the core's lock.
         """
         before = self.snapshot()
         version = self._core.graph.version
-        result = self._core.multi.result_for(self.tenant)
+        result = self._core.result_for(self.tenant)
         delta = replace(
             diff_results(before.result, result, before.version, version),
             report=report,
@@ -415,7 +430,7 @@ class Session:
     # ------------------------------------------------------------------
     def recompute(self) -> EIPResult:
         """From-scratch answer on the current graph (equivalence baseline)."""
-        return self._core.multi.recompute_for(self.tenant)
+        return self._core.identifier.recompute(self.rules)
 
     def close(self) -> None:
         """Evict this tenant from its core; retained snapshots stay readable.
@@ -441,13 +456,34 @@ def _check_history_limit(history_limit: int) -> None:
 class SharedSessionCore:
     """The resident streaming core every :class:`Session` is a tenant of.
 
-    Owns a :class:`~repro.stream.MultiTenantIdentifier` plus the one write
-    lock shared by every member: an update batch applied through *any*
-    member session ticks the graph once — verifying each touched centre
-    once per distinct canonical antecedent across all Σ — and then every
-    member publishes its own projected snapshot/delta, so each tenant's
-    subscription feed behaves exactly as if it ran alone (and with one
-    tenant, it does).  Durability lives here too: :meth:`save_state`
+    N tenant rule sets Σ share **one** :class:`StreamingIdentifier` whose Σ
+    is the union of their distinct canonical antecedents (deduplicated by
+    the core's :class:`~repro.matching.SharedPatternPool`), so a tick
+    verifies each touched centre once per distinct antecedent — not once
+    per tenant — and each tenant's answer is a *projection* of the shared
+    per-fragment verdicts:
+
+    * admission (:meth:`open_session`) registers the tenant's Σ in the pool;
+      the first tenant builds the identifier (cold full verify), a later one
+      backfills only its novel keys through
+      :meth:`StreamingIdentifier.admit_rules` (warm admission) and a fully
+      resident Σ admits with zero verification;
+    * :meth:`result_for` rebinds each tenant rule to its representative's
+      witness sets, re-runs the tenant's census plan over the projected
+      reports and assembles with the tenant's rules — byte-identical to an
+      independent :func:`~repro.identification.eip.identify_entities` run,
+      because anchored match sets are invariant under antecedent isomorphism
+      that preserves the x/y designation (what canonical codes quotient by);
+    * eviction (:meth:`close_session`) releases the tenant's pool references
+      and retires representatives that lost their last owner, without
+      touching verdicts a remaining tenant reads.
+
+    One lock covers admission, eviction, the tick plus its publish to every
+    member, checkpoint and close; the tenant table is :attr:`sessions` (each
+    :class:`Session` carries its admission, representatives and census
+    plan).  All tenants share the consequent predicate and the
+    :class:`~repro.identification.eip.EIPConfig`.  ``radius_floor`` gives
+    the balls headroom for tenants admitted later.  :meth:`save_state`
     checkpoints the core with its tenant table, :func:`restore_core`
     resumes it.
     """
@@ -458,25 +494,27 @@ class SharedSessionCore:
         config: EIPConfig | None = None,
         radius_floor: int = 0,
     ) -> None:
-        self._adopt(MultiTenantIdentifier(graph, config=config, radius_floor=radius_floor))
-
-    def _adopt(self, multi: MultiTenantIdentifier) -> None:
-        self._multi = multi
-        self._write_lock = threading.Lock()
+        self.graph = graph
+        self.config = config if config is not None else EIPConfig()
+        self.radius_floor = radius_floor
+        self.pool = SharedPatternPool()
+        self._identifier: StreamingIdentifier | None = None
+        self._lock = threading.Lock()
         self._sessions: dict[str, Session] = {}
+        self._closed = False
 
     @property
-    def multi(self) -> MultiTenantIdentifier:
-        return self._multi
-
-    @property
-    def graph(self) -> Graph:
-        return self._multi.graph
+    def identifier(self) -> StreamingIdentifier:
+        """The union streaming engine (raises while no tenant is admitted)."""
+        identifier = self._identifier
+        if identifier is None:
+            raise StreamError("no tenant is admitted; this core maintains nothing")
+        return identifier
 
     @property
     def sessions(self) -> dict[str, Session]:
         """The live member sessions by tenant name, in admission order."""
-        with self._write_lock:
+        with self._lock:
             return dict(self._sessions)
 
     def open_session(
@@ -489,32 +527,88 @@ class SharedSessionCore:
 
         The admission record lands on ``session.admission`` (a
         :class:`~repro.stream.TenantAdmission`) so callers can observe the
-        marginal cost they paid.  A refused call admits nothing.
+        marginal cost they paid.  A refused call admits nothing; a closed
+        core refuses every call.
         """
         _check_history_limit(history_limit)
-        with self._write_lock:
-            self._multi.admit(tenant, tuple(rules))
-            session = Session(self, tenant, history_limit)
+        rules = tuple(rules)
+        with self._lock:
+            if self._closed:
+                raise StreamError("this core is closed; it admits no tenants")
+            started = time.perf_counter()
+            registration = self.pool.register(tenant, rules)
+            novel = registration.novel
+            cold = self._identifier is None
+            try:
+                if cold:
+                    representatives = dict.fromkeys(
+                        registration.representatives[rule] for rule in rules
+                    )
+                    self._identifier = StreamingIdentifier(
+                        self.graph,
+                        tuple(representatives),
+                        config=self.config,
+                        radius_floor=self.radius_floor,
+                    )
+                    backfill = sum(
+                        len(fragment.owned_centers)
+                        for fragment in self._identifier.fragments
+                    )
+                elif novel:
+                    backfill = self._identifier.admit_rules(novel).backfill_centers
+                else:
+                    backfill = 0
+            except BaseException:
+                self.pool.release(tenant)
+                raise
+            admission = TenantAdmission(
+                tenant=tenant,
+                rules=rules,
+                shared_rules=len(registration.shared),
+                novel_rules=len(novel),
+                shared_prefix_hits=registration.shared_prefix_hits,
+                backfill_centers=backfill,
+                cold_start=cold,
+                wall_time=time.perf_counter() - started,
+            )
+            _count_admission(admission)
+            session = Session(self, admission, registration.representatives, history_limit)
             self._sessions[tenant] = session
             return session
+
+    # The benchmark's wrap table (benchmarks/e2e/wraps.py) names this entry
+    # point ``MultiTenantIdentifier.admit`` too; see repro.stream.multitenant.
+    admit = open_session
 
     def apply(
         self, batch: UpdateBatch, origin: Session | None = None
     ) -> tuple[StreamUpdateReport, SessionDelta | dict[str, SessionDelta]]:
         """Tick the core once; publish a delta to **every** member.
 
-        Returns ``(report, origin's delta)`` when called through a member
-        session, or ``(report, {tenant: delta})`` when driven directly.  An
-        *origin* that is no longer a member (closed) is refused with
-        :class:`StreamError` before the graph is touched.
+        One verification per distinct canonical antecedent; the verdicts fan
+        out at publish time.  Returns ``(report, origin's delta)`` when
+        called through a member session, or ``(report, {tenant: delta})``
+        when driven directly.  An *origin* that is no longer a member
+        (closed) is refused with :class:`StreamError` before the graph is
+        touched, and so is any call while no tenant is admitted.
         """
-        with self._write_lock:
+        with self._lock:
             if origin is not None and self._sessions.get(origin.tenant) is not origin:
                 raise StreamError(
                     f"session {origin.tenant!r} is closed; it can no longer "
                     "apply updates to its core"
                 )
-            report = self._multi.apply(batch)
+            identifier = self.identifier
+            report = identifier.apply(batch)
+            total_rules = sum(len(session.rules) for session in self._sessions.values())
+            registry().inc(
+                "repro_tenant_overlay_verdicts_total",
+                report.rechecked_centers * max(0, total_rules - len(identifier.rules)),
+                help=(
+                    "Per-tenant centre verdicts served from the shared "
+                    "substrate instead of being re-verified"
+                ),
+            )
             deltas = {
                 tenant: session._publish_tick(report)
                 for tenant, session in self._sessions.items()
@@ -523,27 +617,75 @@ class SharedSessionCore:
             return report, deltas[origin.tenant]
         return report, deltas
 
+    def result_for(self, tenant: str) -> EIPResult:
+        """The maintained answer for *tenant*'s Σ on the current graph.
+
+        Byte-identical to an independent
+        :func:`~repro.identification.eip.identify_entities` run with the
+        tenant's rules.  Raises :class:`StreamError` for a non-member.
+        """
+        session = self._sessions.get(tenant)
+        if session is None:
+            raise StreamError(f"unknown tenant {tenant!r}")
+        return self._project(session)
+
+    def _project(self, session: Session) -> EIPResult:
+        identifier = self.identifier
+        identifier.check_current()  # the union answer itself is never assembled
+        projected = [
+            _rebind(identifier._reports[fragment.index], session.rules, session._representatives)
+            for fragment in identifier.fragments
+        ]
+        reports = apply_census(self.graph, session.rules, projected, session._census_plan)
+        return identifier._solver._assemble(list(session.rules), reports)
+
     def save_state(self, path: Path | str) -> Path:
         """Durable checkpoint of the core and its tenant table.
 
-        See :meth:`repro.stream.MultiTenantIdentifier.save_state`; resume
-        with :func:`restore_core`.
+        One pickle: the union engine's own checkpoint
+        (:meth:`StreamingIdentifier.state_dict` — so
+        :meth:`StreamingIdentifier.restore` can resume the bare engine from
+        the same file) plus ``tenants`` (the admission records, which carry
+        each tenant's Σ, in admission order) and ``representatives`` (the
+        pool's key → representative map: a representative can outlive the
+        tenant that introduced it, and the saved verdicts are keyed by it).
+        Replaced atomically, like every stream-state file; resume with
+        :func:`restore_core`.
         """
-        with self._write_lock:
-            return self._multi.save_state(path)
+        with self._lock:
+            state = self.identifier.state_dict()
+            state["tenants"] = [session.admission for session in self._sessions.values()]
+            state["representatives"] = self.pool.representatives()
+            return write_checkpoint(Path(path), state)
 
     def close_session(self, session: Session) -> None:
-        """Evict one tenant; sibling tenants' sessions stay live."""
-        with self._write_lock:
-            if self._sessions.get(session.tenant) is session:
-                del self._sessions[session.tenant]
-                self._multi.evict(session.tenant)
+        """Evict one tenant; sibling tenants' sessions stay live.
+
+        Representatives that lost their last owner leave the identifier;
+        the last tenant's eviction closes it (a later admission starts cold).
+        """
+        with self._lock:
+            if self._sessions.get(session.tenant) is not session:
+                return
+            del self._sessions[session.tenant]
+            retired = self.pool.release(session.tenant)
+            if not self._sessions:
+                self._identifier.close()
+                self._identifier = None
+            elif retired:
+                self._identifier.retire_rules(retired)
+            registry().inc(
+                "repro_tenant_evictions_total", help="Tenants evicted from shared cores"
+            )
 
     def close(self) -> None:
-        """Evict every tenant and release the core."""
-        with self._write_lock:
+        """Evict every tenant and release the core; it admits no tenant again."""
+        with self._lock:
+            self._closed = True
             self._sessions.clear()
-        self._multi.close()
+            if self._identifier is not None:
+                self._identifier.close()
+                self._identifier = None
 
     def __enter__(self) -> "SharedSessionCore":
         return self
@@ -551,6 +693,55 @@ class SharedSessionCore:
     def __exit__(self, exc_type, exc, tb) -> bool:
         self.close()
         return False
+
+
+def _rebind(
+    stored: _FragmentReport,
+    rules: tuple[GPAR, ...],
+    representatives: Mapping[GPAR, GPAR],
+) -> _FragmentReport:
+    """Rebind one fragment's shared verdicts to a tenant's rule objects."""
+    projected = _FragmentReport(
+        fragment_index=stored.fragment_index,
+        supp_q=stored.supp_q,
+        supp_q_bar=stored.supp_q_bar,
+        candidates_examined=stored.candidates_examined,
+        prefix_pool_hits=stored.prefix_pool_hits,
+        positives=stored.positives,
+        negatives=stored.negatives,
+    )
+    for rule in rules:
+        representative = representatives[rule]
+        projected.rule_matches[rule] = stored.rule_matches.get(representative, set())
+        projected.antecedent_sets[rule] = stored.antecedent_sets.get(representative, set())
+        projected.antecedent_counts[rule] = stored.antecedent_counts.get(representative, 0)
+        projected.qbar_counts[rule] = stored.qbar_counts.get(representative, 0)
+    return projected
+
+
+def _count_admission(admission: TenantAdmission) -> None:
+    metrics = registry()
+    metrics.inc("repro_tenant_admissions_total", help="Tenants admitted to shared cores")
+    metrics.inc(
+        "repro_tenant_shared_rules_total",
+        admission.shared_rules,
+        help="Admitted rules fully served by a resident canonical antecedent",
+    )
+    metrics.inc(
+        "repro_tenant_novel_rules_total",
+        admission.novel_rules,
+        help="Admitted rules that required a backfill verification",
+    )
+    metrics.inc(
+        "repro_tenant_shared_prefix_hits_total",
+        admission.shared_prefix_hits,
+        help="Antecedent prefixes already resident for another tenant",
+    )
+    metrics.inc(
+        "repro_tenant_admission_backfill_centers_total",
+        admission.backfill_centers,
+        help="Centres verified during admission backfills (0 = fully warm)",
+    )
 
 
 def open_shared_core(
@@ -600,13 +791,31 @@ def restore_core(
 
     Every saved tenant is back as a member session (``core.sessions``)
     whose answer is byte-identical to the one checkpointed — no
-    verification runs — with a fresh history starting at the saved graph
-    version.  ``backend`` / ``executor_workers`` override the saved
-    :class:`EIPConfig`, as in :meth:`repro.stream.StreamingIdentifier.restore`.
+    verification runs: the union engine resumes from its stored verdicts
+    and each tenant re-registers against the saved representatives — with
+    a fresh history starting at the saved graph version.  ``backend`` /
+    ``executor_workers`` override the saved :class:`EIPConfig`, as in
+    :meth:`repro.stream.StreamingIdentifier.restore`.
     """
     _check_history_limit(history_limit)
-    core = SharedSessionCore.__new__(SharedSessionCore)
-    core._adopt(MultiTenantIdentifier.restore(path, backend, executor_workers))
-    for tenant in core.multi.tenants:
-        core._sessions[tenant] = Session(core, tenant, history_limit)
+    state = read_checkpoint(path)
+    if "tenants" not in state or "representatives" not in state:
+        raise StreamError(
+            f"{path} checkpoints a bare StreamingIdentifier, not a shared "
+            "core; resume it with StreamingIdentifier.restore"
+        )
+    pool = SharedPatternPool(state["representatives"])
+    registrations = [
+        (admission, pool.register(admission.tenant, admission.rules))
+        for admission in state["tenants"]
+    ]
+    identifier = StreamingIdentifier.from_state(state, backend, executor_workers)
+    core = SharedSessionCore(
+        identifier.graph, config=identifier.config, radius_floor=identifier.radius_floor
+    )
+    core.pool, core._identifier = pool, identifier
+    for admission, registration in registrations:
+        core._sessions[admission.tenant] = Session(
+            core, admission, registration.representatives, history_limit
+        )
     return core

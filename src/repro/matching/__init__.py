@@ -67,7 +67,6 @@ from repro.matching.incremental import (
     single_edge_delta,
 )
 from repro.matching.shared import (
-    PoolStatistics,
     SharedPatternPool,
     TenantRegistration,
     rule_key,
@@ -88,7 +87,6 @@ __all__ = [
     "DeltaMatcher",
     "MatchEntry",
     "MatchStore",
-    "PoolStatistics",
     "SharedPatternPool",
     "TenantRegistration",
     "rule_key",

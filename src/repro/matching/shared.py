@@ -21,7 +21,8 @@ rules share only a *prefix* with resident rules still registers
 exactly those prefixes at verify time.
 
 The pool itself is pure bookkeeping (no graph access, thread-safe); the
-verification reuse happens in :class:`repro.stream.MultiTenantIdentifier`.
+verification reuse happens in :class:`repro.api.SharedSessionCore`, which
+records the ``repro_tenant_*`` metrics from each tenant's admission record.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from repro.pattern.canonical import canonical_code
 from repro.pattern.gpar import GPAR
 from repro.pattern.pattern import Pattern
 
-__all__ = ["PoolStatistics", "SharedPatternPool", "TenantRegistration", "rule_key"]
+__all__ = ["SharedPatternPool", "TenantRegistration", "rule_key"]
 
 
 def rule_key(rule: GPAR) -> str:
@@ -60,23 +61,10 @@ class TenantRegistration:
     ``shared`` the rules fully served by an already-resident key.
     """
 
-    tenant: str
-    keys: dict[GPAR, str]
     representatives: dict[GPAR, GPAR]
     novel: tuple[GPAR, ...]
     shared: tuple[GPAR, ...]
     shared_prefix_hits: int
-
-
-@dataclass
-class PoolStatistics:
-    """Counters mirrored into ``repro_tenant_*`` metrics by the admitters."""
-
-    registrations: int = 0
-    shared_rules: int = 0
-    novel_rules: int = 0
-    shared_prefix_hits: int = 0
-    released: int = 0
 
 
 @dataclass
@@ -108,7 +96,6 @@ class SharedPatternPool:
         }
         self._tenants: dict[str, dict[GPAR, str]] = {}
         self._prefix_owners: dict[Pattern, set[str]] = {}
-        self.statistics = PoolStatistics()
 
     def __len__(self) -> int:
         return len(self._keys)
@@ -147,14 +134,7 @@ class SharedPatternPool:
                         prefix_hits += 1
                     owners.add(tenant)
             self._tenants[tenant] = keys
-            stats = self.statistics
-            stats.registrations += 1
-            stats.shared_rules += len(shared)
-            stats.novel_rules += len(novel)
-            stats.shared_prefix_hits += prefix_hits
             return TenantRegistration(
-                tenant=tenant,
-                keys=keys,
                 representatives=representatives,
                 novel=tuple(novel),
                 shared=tuple(shared),
@@ -181,5 +161,4 @@ class SharedPatternPool:
                 owners.discard(tenant)
                 if not owners:
                     del self._prefix_owners[prefix]
-            self.statistics.released += 1
             return tuple(retired)

@@ -31,7 +31,9 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from repro.exceptions import ExecutorError, WorkerError
-from repro.parallel.worker import TASK_OK, WorkerContext, init_worker, run_task
+from repro.obs.registry import registry
+from repro.obs.stats import merge_shipped_counts
+from repro.parallel.worker import TASK_OK, WorkerContext, init_worker, prime_worker, run_task
 from repro.partition.fragment import Fragment
 
 #: Names accepted by :func:`make_executor` (and the ``--backend`` CLI flag).
@@ -154,7 +156,9 @@ class ProcessPoolExecutorBackend(Executor):
     The pool is created by :meth:`start` with the fragments shipped once via
     the :func:`repro.parallel.worker.init_worker` initializer; it stays warm
     until :meth:`shutdown`, so a multi-round BSP run pays the fork/pickle
-    cost once rather than per round.
+    cost once rather than per round.  :meth:`start` returns once every
+    process has initialized and shipped its cold start through one
+    :func:`~repro.parallel.worker.prime_worker` task each.
 
     Parameters
     ----------
@@ -184,8 +188,16 @@ class ProcessPoolExecutorBackend(Executor):
             max_workers=processes,
             mp_context=context,
             initializer=init_worker,
-            initargs=(fragment_list, self.build_resident),
+            initargs=(fragment_list, self.build_resident, context.Barrier(processes)),
         )
+        # Without this a process that never wins a task never ships its
+        # initialization, and the pool counts would follow task placement.
+        primed = [self._pool.submit(prime_worker) for _ in range(processes)]
+        try:
+            merge_shipped_counts(registry(), [future.result() for future in primed])
+        except BrokenProcessPool as exc:
+            self.shutdown()
+            raise ExecutorError(f"a pool process died while starting: {exc}") from exc
 
     def shutdown(self) -> None:
         if self._pool is not None:

@@ -42,6 +42,8 @@ from repro.partition.fragment import Fragment
 # Registry populated once per worker process by ``init_worker``.
 _FRAGMENTS: dict[int, Fragment] = {}
 _CONTEXTS: dict[int, "WorkerContext"] = {}
+#: The pool's start barrier, installed by ``init_worker`` (see prime_worker).
+_START_BARRIER = None
 
 #: Status tags of the tuples :func:`run_task` sends back to the parent.
 TASK_OK = "ok"
@@ -52,7 +54,7 @@ TASK_ERROR = "error"
 class WorkerStatistics(StatisticsBase):
     """A pool process's cold start (``repro_pool_*_total``): counted by
     :func:`init_worker` and shipped like any statistics, with the process's
-    first task."""
+    first task (:func:`prime_worker` in a pool)."""
 
     _metric_kind = "pool"
 
@@ -80,15 +82,20 @@ class WorkerContext:
             return value
 
 
-def init_worker(fragments: Sequence[Fragment], build_resident: bool = True) -> None:
+def init_worker(
+    fragments: Sequence[Fragment], build_resident: bool = True, start_barrier=None
+) -> None:
     """Pool initializer: install *fragments* in this process's registry.
 
     With *build_resident* (the default) each fragment's resident
     :class:`~repro.graph.columnar.ColumnarFragment` is looked up here, once
     per worker process, so every round's matching work starts warm: a
     view inherited by fork is found built, any other is compiled.  It counts
-    itself in a :class:`WorkerStatistics`.
+    itself in a :class:`WorkerStatistics`.  *start_barrier* is the pool's
+    ``multiprocessing.Barrier`` that :func:`prime_worker` waits on.
     """
+    global _START_BARRIER
+    _START_BARRIER = start_barrier
     # A forked worker shares the coordinator's heap copy-on-write: frozen, it is
     # never traversed by this process's collections, so its pages stay shared.
     gc.freeze()
@@ -103,6 +110,18 @@ def init_worker(fragments: Sequence[Fragment], build_resident: bool = True) -> N
             columnar_view(fragment.graph)
     # Dropped at once: the counts wait, unshipped, for the first task.
     WorkerStatistics(initializations=1, init_seconds=time.perf_counter() - started)
+
+
+def prime_worker() -> dict | None:
+    """A pool process's first task: wait at the start barrier until every
+    process of the pool holds one such task, then return what this process
+    counted (its cold start) for the coordinator to merge.
+
+    A process blocked at the barrier takes no second task, so each process
+    runs exactly one: every cold start ships, however the later tasks spread.
+    """
+    _START_BARRIER.wait()
+    return collect_process_metrics()
 
 
 def context_for(fragment_id: int) -> WorkerContext:

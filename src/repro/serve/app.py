@@ -17,11 +17,13 @@ GET       ``/healthz``                       liveness
 
 Concurrency model: the event loop only parses/serializes HTTP; every
 blocking operation (session construction, ``apply``, pagination, long-poll
-waits) runs on a thread pool via ``run_in_executor``.  Updates to one
-core serialize on a per-core ``asyncio.Lock`` (and
-:meth:`repro.api.SharedSessionCore.apply` serializes again underneath);
-reads go straight to the session's immutable snapshots and never wait on a
-writer — every response body carries the ``graph_version`` it reflects.
+waits) runs on a thread pool via ``run_in_executor``.  Updates and
+admissions to one core queue on a per-core ``asyncio.Lock`` in the event
+loop, so a waiting writer parks a coroutine rather than an executor thread;
+underneath, the core's one lock (:class:`repro.api.SharedSessionCore`)
+serializes the same work for any other caller.  Reads go straight to the
+session's immutable snapshots and never wait on a writer — every response
+body carries the ``graph_version`` it reflects.
 Connections are persistent (HTTP/1.1 keep-alive, see
 :mod:`repro.serve.http`): one task serves requests off the same socket
 until the client closes, asks for ``Connection: close`` or idles past
@@ -165,7 +167,7 @@ class SessionHandle:
 
     def resident_nodes(self) -> int:
         """Total nodes resident across the core's fragments."""
-        manager = self.session.core.multi.identifier.manager
+        manager = self.session.core.identifier.manager
         return manager.resident_summary()["resident_nodes"]
 
     def info(self, session_id: str) -> dict:

@@ -38,7 +38,7 @@ from repro.stream.identifier import (
     StreamingIdentifier,
     stream_update_worker,
 )
-from repro.stream.multitenant import MultiTenantIdentifier, TenantAdmission
+from repro.stream.multitenant import TenantAdmission
 
 __all__ = [
     "OP_KINDS",
@@ -47,7 +47,6 @@ __all__ = [
     "random_update_batch",
     "CensusMatcher",
     "FragmentUpdate",
-    "MultiTenantIdentifier",
     "RuleAdmissionReport",
     "TenantAdmission",
     "StreamVerifyPayload",

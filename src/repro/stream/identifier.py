@@ -251,7 +251,7 @@ def _stream_verify(
 # checkpoint files
 # ----------------------------------------------------------------------
 #: Keys every stream-state checkpoint carries; a shared core's checkpoint
-#: (:meth:`repro.stream.MultiTenantIdentifier.save_state`) is a superset.
+#: (:meth:`repro.api.SharedSessionCore.save_state`) is a superset.
 CHECKPOINT_KEYS = frozenset(
     {
         "graph",

@@ -344,40 +344,41 @@ def multi_tenant_check(
     """Cross-Σ correctness: shared-core projections vs independent runs.
 
     For every backend, admits every tenant into
-    one :class:`~repro.stream.MultiTenantIdentifier` over a copy of *graph*,
+    one :class:`~repro.api.SharedSessionCore` over a copy of *graph*,
     then — initially and after **each** batch — asserts every tenant's
-    :meth:`result_for` projection is :func:`eip_fingerprint`-identical to an
+    :meth:`~repro.api.SharedSessionCore.result_for` projection is
+    :func:`eip_fingerprint`-identical to an
     independent ``identify_entities`` run with that tenant's rules on the
     same (mutated) graph.  Backends stay independent (own graph copy); the
     first divergence per backend is reported, one entry per backend at most,
     and an empty list means the shared substrate is answer-preserving on
     all of them.
     """
-    from repro.stream import MultiTenantIdentifier
+    from repro.api import SharedSessionCore
 
     divergences: list[TenantDivergence] = []
     for backend in backends:
         config = EIPConfig(eta=eta, num_workers=num_workers, seed=seed, backend=backend)
         mark = lambda **kw: TenantDivergence(backend=backend, **kw)  # noqa: E731
-        multi = MultiTenantIdentifier(graph.copy(), config=config, radius_floor=radius_floor)
+        core = SharedSessionCore(graph.copy(), config=config, radius_floor=radius_floor)
         try:
-            divergence = _run_tenant_combo(multi, tenants, batches, mark)
+            divergence = _run_tenant_combo(core, tenants, batches, mark)
         finally:
-            multi.close()
+            core.close()
         if divergence is not None:
             divergences.append(divergence)
     return divergences
 
 
 def _run_tenant_combo(
-    multi,
+    core,
     tenants: Mapping[str, Sequence[GPAR]],
     batches: Sequence[UpdateBatch],
     mark,
 ) -> TenantDivergence | None:
     try:
         for tenant, rules in tenants.items():
-            multi.admit(tenant, tuple(rules))
+            core.admit(tenant, tuple(rules))
     except Exception as error:  # semantics gap: shared core rejects a Σ
         return mark(
             batch_index=INITIAL,
@@ -385,12 +386,12 @@ def _run_tenant_combo(
             detail=f"admission rejected a tenant rule set: {error}",
             actual=repr(error),
         )
-    divergence = _compare_tenants(multi, INITIAL, mark)
+    divergence = _compare_tenants(core, INITIAL, mark)
     if divergence is not None:
         return divergence
     for index, batch in enumerate(batches):
         try:
-            multi.apply(batch)
+            core.apply(batch)
         except Exception as error:
             return mark(
                 batch_index=index,
@@ -398,16 +399,16 @@ def _run_tenant_combo(
                 detail=f"shared core raised while applying the batch: {error}",
                 actual=repr(error),
             )
-        divergence = _compare_tenants(multi, index, mark)
+        divergence = _compare_tenants(core, index, mark)
         if divergence is not None:
             return divergence
     return None
 
 
-def _compare_tenants(multi, batch_index: int, mark) -> TenantDivergence | None:
-    for tenant in multi.tenants:
-        projected = eip_fingerprint(multi.result_for(tenant))
-        fresh = eip_fingerprint(multi.recompute_for(tenant))
+def _compare_tenants(core, batch_index: int, mark) -> TenantDivergence | None:
+    for tenant, session in core.sessions.items():
+        projected = eip_fingerprint(core.result_for(tenant))
+        fresh = eip_fingerprint(session.recompute())
         if projected != fresh:
             return mark(
                 batch_index=batch_index,

@@ -213,7 +213,7 @@ class TestApplyGuard:
             for thread in threads:
                 thread.join()
             assert not errors
-            assert session.core.multi.identifier.batches_applied == 2
+            assert session.core.identifier.batches_applied == 2
 
 
 class TestSessionSnapshots:

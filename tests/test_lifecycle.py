@@ -411,7 +411,7 @@ class TestSaveRestore:
             expected = self._answers(original)
         assert any(entries for entries, _ in expected.values()), "the gate compares a real answer"
         with api.restore_core(path, backend="sequential") as restored:
-            assert restored.multi.identifier.config.backend == "sequential"
+            assert restored.identifier.config.backend == "sequential"
             assert self._answers(restored) == expected
 
     def test_checkpoint_naming_matchc_restores_and_ticks(self, tmp_path):

@@ -3,10 +3,10 @@
 Covers the cross-rule-set sharing layer end to end: canonical-key
 deduplication in :class:`~repro.matching.SharedPatternPool`, dynamic
 Σ admission/retirement on a live :class:`~repro.stream.StreamingIdentifier`,
-per-tenant projections of one shared core
-(:class:`~repro.stream.MultiTenantIdentifier` — gated byte-identical to
-independent runs by :func:`repro.testing.multi_tenant_check`), and the
-session-level fan-out of :class:`repro.api.SharedSessionCore`.
+and the one shared core, :class:`repro.api.SharedSessionCore`: its
+per-tenant projections (gated byte-identical to independent runs by
+:func:`repro.testing.multi_tenant_check`), its session fan-out, its
+checkpoint and its one lock.
 """
 
 from __future__ import annotations
@@ -21,11 +21,7 @@ from repro.matching import SharedPatternPool, rule_key
 from repro.parallel.executor import BACKENDS
 from repro.pattern.gpar import GPAR
 from repro.pattern.pattern import Pattern
-from repro.stream import (
-    MultiTenantIdentifier,
-    StreamingIdentifier,
-    random_update_batch,
-)
+from repro.stream import StreamingIdentifier, random_update_batch
 from repro.stream.identifier import read_checkpoint, write_checkpoint
 from repro.testing import eip_fingerprint, multi_tenant_check
 
@@ -189,16 +185,16 @@ class TestStreamingAdmission:
 class TestMultiTenantIdentifier:
     def test_warm_admission_pays_only_the_novel_suffix(self):
         graph, rules = _workload()
-        with MultiTenantIdentifier(graph.copy(), config=_config()) as multi:
-            first = multi.admit("t1", tuple(rules[:5]))
+        with api.open_shared_core(graph.copy(), config=_config()) as core:
+            first = core.admit("t1", tuple(rules[:5])).admission
             assert first.cold_start and first.novel_rules == 5
             assert first.backfill_centers > 0
-            second = multi.admit("t2", tuple(rules[2:7]))
+            second = core.admit("t2", tuple(rules[2:7])).admission
             assert not second.cold_start
             assert second.shared_rules == 3 and second.novel_rules == 2
-            third = multi.admit("t3", tuple(rules[2:5]))  # fully resident
+            third = core.admit("t3", tuple(rules[2:5])).admission  # fully resident
             assert third.novel_rules == 0 and third.backfill_centers == 0
-            assert len(multi.union_rules) == 7
+            assert len(core.identifier.rules) == 7
 
     def test_projections_match_independent_runs_under_churn(self):
         graph, rules = _workload()
@@ -219,31 +215,31 @@ class TestMultiTenantIdentifier:
 
     def test_evict_keeps_remaining_tenants_exact(self):
         graph, rules = _workload()
-        with MultiTenantIdentifier(graph.copy(), config=_config()) as multi:
-            multi.admit("t1", tuple(rules[:5]))
-            multi.admit("t2", tuple(rules[2:7]))
-            multi.apply(random_update_batch(multi.graph, size=6, seed=7))
-            multi.evict("t1")
-            assert multi.tenants == ("t2",)
-            assert eip_fingerprint(multi.result_for("t2")) == eip_fingerprint(
-                multi.recompute_for("t2")
+        with api.open_shared_core(graph.copy(), config=_config()) as core:
+            first = core.admit("t1", tuple(rules[:5]))
+            second = core.admit("t2", tuple(rules[2:7]))
+            core.apply(random_update_batch(core.graph, size=6, seed=7))
+            first.close()
+            assert tuple(core.sessions) == ("t2",)
+            assert eip_fingerprint(core.result_for("t2")) == eip_fingerprint(
+                second.recompute()
             )
             with pytest.raises(StreamError):
-                multi.result_for("t1")
+                core.result_for("t1")
 
     def test_lifecycle_guards(self):
         graph, rules = _workload()
-        multi = MultiTenantIdentifier(graph.copy(), config=_config())
+        core = api.open_shared_core(graph.copy(), config=_config())
         with pytest.raises(StreamError):
-            multi.apply(random_update_batch(graph.copy(), size=4, seed=1))
-        multi.admit("t1", tuple(rules[:3]))
+            core.apply(random_update_batch(graph.copy(), size=4, seed=1))
+        first = core.admit("t1", tuple(rules[:3]))
         with pytest.raises(ReproError):
-            multi.admit("t1", tuple(rules[:3]))  # duplicate tenant
-        multi.evict("t1")
-        assert multi._core is None  # last eviction closes the core
-        multi.close()
+            core.admit("t1", tuple(rules[:3]))  # duplicate tenant
+        first.close()
+        assert core._identifier is None  # last eviction closes the engine
+        core.close()
         with pytest.raises(StreamError):
-            multi.admit("t2", tuple(rules[:3]))
+            core.admit("t2", tuple(rules[:3]))
 
 
 class TestSharedSessionCore:
@@ -297,7 +293,7 @@ class TestSharedSessionCore:
             # that re-derived representatives from the surviving tenants
             # would read empty match sets.
             alpha.close()
-            assert set(rules[2:5]) <= set(core.multi.union_rules)
+            assert set(rules[2:5]) <= set(core.identifier.rules)
             core.open_session("alpha", sigma["alpha"])
             core.apply(random_update_batch(core.graph, size=6, seed=6))
             saved = {
@@ -314,7 +310,7 @@ class TestSharedSessionCore:
                 api.restore_core(path)
         with api.restore_core(path, backend=resume_on) as restored:
             assert tuple(restored.sessions) == ("beta", "alpha")  # admission order
-            assert restored.multi.config.backend == (resume_on or backend)
+            assert restored.config.backend == (resume_on or backend)
             for tenant, session in restored.sessions.items():
                 assert session.rules == sigma[tenant]
                 assert eip_fingerprint(session.result) == saved[tenant]
@@ -347,7 +343,7 @@ class TestSharedSessionCore:
             graph.copy(), sigma, config=config
         ) as bare, api.open_session(graph.copy(), sigma, config=config) as session:
             assert session.rules == tuple(sigma)
-            assert len(session.core.multi.union_rules) == 4
+            assert len(session.core.identifier.rules) == 4
             assert session.admission.cold_start and session.admission.novel_rules == 4
             assert eip_fingerprint(session.result) == eip_fingerprint(bare.result)
             for seed in range(4):
@@ -413,10 +409,10 @@ class TestSharedSessionCore:
         graph, rules = _workload()
         with api.open_shared_core(graph.copy(), config=_config()) as core:
             member = core.open_session("alpha", rules[:4])
-            tenants = core.multi.tenants
+            tenants = tuple(core.sessions)
             with pytest.raises(StreamError, match="history_limit"):
                 core.open_session("ghost", rules[4:], history_limit=0)
-            assert core.multi.tenants == tenants
+            assert tuple(core.sessions) == tenants
             assert core.open_session("ghost", rules[4:]).tenant == "ghost"
             assert member.tenant in core.sessions
 
@@ -430,14 +426,14 @@ class TestSharedSessionCore:
         assert len(closed) == 1
 
     def test_reads_do_not_wait_for_the_tick(self):
-        """rules / result / answer return while apply holds the core's locks."""
+        """rules / result / answer return while apply holds the core's lock."""
         import threading
 
         graph, rules = _workload()
         with api.open_shared_core(graph.copy(), config=_config()) as core:
             alpha = core.open_session("alpha", rules[:5])
             beta = core.open_session("beta", rules[2:7])
-            identifier = core.multi.identifier
+            identifier = core.identifier
             in_tick, release = threading.Event(), threading.Event()
             real_apply = identifier.apply
 
@@ -467,3 +463,43 @@ class TestSharedSessionCore:
                 writer.join(timeout=30)
             assert not stalled and len(seen) == 2
             assert alpha.graph_version == beta.graph_version == core.graph.version
+
+    def test_open_racing_close_is_refused(self):
+        """An admission that lands while ``close`` is mid-way waits for it and
+        is refused: no caller is left holding a session on a closed core."""
+        import threading
+
+        graph, rules = _workload()
+        core = api.open_shared_core(graph.copy(), config=_config())
+        core.open_session("alpha", rules[:4])
+        identifier = core.identifier
+        closing, release = threading.Event(), threading.Event()
+        real_close = identifier.close
+
+        def held_close():
+            closing.set()
+            release.wait(timeout=30)
+            real_close()
+
+        identifier.close = held_close
+        closer = threading.Thread(target=core.close)
+        outcome = []
+
+        def admit():
+            try:
+                outcome.append(core.open_session("late", rules[4:]))
+            except StreamError as error:
+                outcome.append(error)
+
+        opener = threading.Thread(target=admit)
+        try:
+            closer.start()
+            assert closing.wait(timeout=10)
+            opener.start()
+            opener.join(timeout=0.5)
+        finally:
+            release.set()
+            closer.join(timeout=30)
+            opener.join(timeout=30)
+        assert len(outcome) == 1 and isinstance(outcome[0], StreamError), outcome
+        assert core.sessions == {}

@@ -278,7 +278,7 @@ def test_fresh_id_churn_keeps_every_mask_short():
     graph = pokec_like(40, 3, seed=7)
     rules = generate_gpars(graph, api.parse_predicate(PREDICATE), count=4, max_pattern_edges=3, d=2, seed=5)
     with api.open_session(graph, rules, config=EIPConfig(eta=0.5, num_workers=2)) as session:
-        identifier = session.core.multi.identifier
+        identifier = session.core.identifier
         for batch in _guest_churn(graph, 500, seed=1):
             session.apply(batch)
             for kernel, stored in _kernels(identifier):
@@ -306,7 +306,7 @@ def test_checkpoint_written_before_the_kernel_restores_and_ticks(tmp_path):
     assert state["format"] == 1
     with api.restore_core(CHECKPOINT) as core:
         (session,) = core.sessions.values()
-        identifier = core.multi.identifier
+        identifier = core.identifier
         manager, graph = identifier.manager, identifier.graph
         hoods = manager._neighborhoods
         assert hoods.masks

@@ -11,7 +11,9 @@ and then raises ``ImportError``.  The record must stay empty.
 ``init_worker`` counts itself in a ``pool`` statistics object, which each
 pool process ships with its first task while ``REPRO_OBS`` is on
 (``repro_pool_initializations_total``, ``repro_pool_init_seconds_total``).
-The count is asserted, not the seconds: a timer may read 0.
+A pool's first tasks are one ``prime_worker`` per process, held at a start
+barrier, so the count does not follow how the real tasks spread.  The count
+is asserted, not the seconds: a timer may read 0.
 """
 
 from __future__ import annotations
@@ -73,6 +75,36 @@ print(json.dumps({"first": first, "second": second}))
 """
 
 
+_SKEWED = """
+import json, os, sys, time
+from repro import api
+from repro.datasets import generate_gpars, pokec_like
+from repro.identification import EIPConfig
+from repro.obs import registry
+from repro.parallel import executor
+
+flag, initialize = sys.argv[2], executor.init_worker
+
+def late_for_one(*args):
+    # The first process to get here initializes a second late, so the
+    # other one could take every task of the round.
+    try:
+        os.close(os.open(flag, os.O_CREAT | os.O_EXCL))
+        time.sleep(1.0)
+    except FileExistsError:
+        pass
+    initialize(*args)
+
+executor.init_worker = late_for_one
+graph = pokec_like(40, 3, seed=7)
+predicate = api.parse_predicate(sys.argv[1])
+rules = generate_gpars(graph, predicate, count=4, max_pattern_edges=3, d=2, seed=5)
+api.identify(graph, rules, EIPConfig(eta=0.5, num_workers=2, backend="processes", executor_workers=2))
+pool = registry().snapshot()["repro_pool_initializations_total"]
+print(json.dumps({"initializations": sum(pool["series"].values())}))
+"""
+
+
 def _run(script: str, *args: str, stub: Path) -> dict:
     environment = dict(os.environ)
     environment["REPRO_OBS"] = "1"
@@ -112,3 +144,9 @@ def test_only_a_process_first_task_ships_its_cold_start(numpy_stub):
     assert record.read_text() == ""
     assert run["first"]["pool.initializations"] == 1
     assert not any(key.startswith("pool.") for key in run["second"])
+
+
+def test_a_process_that_wins_no_task_still_ships_its_cold_start(numpy_stub, tmp_path):
+    stub, _record = numpy_stub
+    run = _run(_SKEWED, PREDICATE, str(tmp_path / "late"), stub=stub)
+    assert run["initializations"] == 2

@@ -24,7 +24,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "repro"
 
 #: Entry points kept without a production caller, ``(module.qualified name,
-#: reason)``: the paper's definitions and baselines, and the call that resumes
+#: reason)``: the paper's definitions and baselines, and the calls that resume
 #: a checkpoint ``repro stream --save-state`` writes.
 ENTRY_POINTS = (
     ("repro.datasets.paper_graphs.example7_graph", "the graph of Examples 6/7 (LCWA's three classes)"),
@@ -36,6 +36,10 @@ ENTRY_POINTS = (
     ("repro.mining.dmine.dmine_baseline", "DMineno, the unoptimised miner of Exp-1"),
     ("repro.mining.dmine.dmine_auto", "mining with no predicate given (Section 4.2, Remarks)"),
     ("repro.api.restore_core", "resumes a saved core; the CLI's --save-state help names it"),
+    (
+        "repro.stream.identifier.StreamingIdentifier.restore",
+        "resumes the bare union engine from a saved core; the CLI's --save-state help names it",
+    ),
 )
 
 #: Trees whose reads count besides production's own.

@@ -805,7 +805,7 @@ class TestSharedCores:
             for handle in server.service._cores.values()
             if str(path) in handle.key
         ]
-        identifier = core_handle.core.multi.identifier
+        identifier = core_handle.core.identifier
         in_tick, release = threading.Event(), threading.Event()
         real_apply = identifier.apply
 

@@ -208,7 +208,7 @@ def test_a_streaming_session_owns_its_fragments():
     shared = partitioner._SHARED[graph][1]
     versions = [fragment.graph.version for fragment in shared]
     with api.open_session(graph, rules, config=_config()) as session:
-        owned = session.core.multi.identifier.fragments
+        owned = session.core.identifier.fragments
         shared_ids = {id(f) for f in shared} | {id(f.graph) for f in shared}
         assert not shared_ids & ({id(f) for f in owned} | {id(f.graph) for f in owned})
         session.apply(random_update_batch(graph, size=4, seed=1))

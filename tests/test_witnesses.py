@@ -380,7 +380,7 @@ def test_restored_core_rebuilds_its_witnesses(tmp_path, counted):
     assert state["format"] == 1 and not any("witness" in str(key).lower() for key in state)
     with api.restore_core(path) as restored:
         (session,) = restored.sessions.values()
-        identifier = restored.multi.identifier
+        identifier = restored.identifier
         assert _stores(identifier) == {}, "a restored core starts with new worker contexts"
         reset_metrics(registry())
         restored.apply(batches[4])
@@ -405,7 +405,7 @@ def test_store_is_bounded_by_live_patterns_and_owned_centres():
     with api.open_shared_core(graph, EIPConfig(eta=0.5, num_workers=2), radius_floor=3) as core:
         core.open_session("stays", rules[:5])
         leaving = core.open_session("leaves", rules[4:])
-        identifier = core.multi.identifier
+        identifier = core.identifier
 
         def live():
             return trie_patterns(identifier.rules, identifier._census_pairs)

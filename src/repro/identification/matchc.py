@@ -5,7 +5,10 @@ Steps (Section 5.1):
 1. **Partitioning** — fragment G so that every candidate centre's d-ball is
    local to one fragment (d = the largest rule radius in Σ).  G is
    fragmented once per version: a later call on the unchanged graph reuses
-   the fragments and their compiled resident structures.
+   the fragments, their compiled resident structures and, on the
+   ``processes`` backend, the worker pool forked with them
+   (:class:`repro.parallel.executor.PooledFragments`): only the per-query
+   round moves.
 2. **Matching** — each worker verifies, for every owned candidate ``vx`` and
    every rule R, whether ``vx ∈ PR(x, Gd(vx))`` and ``vx ∈ Q(x, Gd(vx))``,
    and classifies vx against the predicate (positive / LCWA-negative).
@@ -34,7 +37,6 @@ from repro.identification.census import (
 )
 from repro.identification.eip import EIPConfig, EIPResult, _shared_predicate
 from repro.obs.tracing import span
-from repro.parallel.executor import make_executor
 from repro.parallel.runtime import BSPRuntime
 from repro.parallel.worker import WorkerContext
 from repro.partition.fragment import Fragment
@@ -68,8 +70,10 @@ class VerifyPayload:
 def verify_worker(context: WorkerContext, payload: VerifyPayload) -> "_FragmentReport":
     """BSP worker function: verify one fragment's owned candidates."""
     solver = payload.solver_cls(payload.config)
+    # Kept as long as the pool, which outlives the call: keyed by what the
+    # matcher is built from, so calls that differ in η share one.
     matcher = context.cached(
-        ("eip-matcher", payload.solver_cls, payload.config, payload.max_radius),
+        ("eip-matcher", payload.solver_cls, payload.max_radius),
         lambda: solver._make_matcher(payload.max_radius),
     )
     if payload.census:
@@ -205,13 +209,10 @@ class MatchC:
                 # inherits the views, so only a spawned one compiles its own.
                 for fragment in fragments:
                     columnar_view(fragment.graph)
-        executor = make_executor(
-            self.config.backend,
-            self.config.executor_workers,
-            build_resident=self._consumes_resident,
+        executor = fragments.pool.lease(
+            self.config.backend, self.config.executor_workers, self._consumes_resident
         )
         runtime = BSPRuntime(fragments, executor)
-        runtime.start_run()
 
         payload = VerifyPayload(
             solver_cls=type(self),
@@ -221,7 +222,9 @@ class MatchC:
             predicate=predicate,
             census=census_plan.substitutions,
         )
+        failed = True
         try:
+            runtime.start_run()
             with span("eip.verify", rules=len(rules), backend=self.config.backend):
                 reports = runtime.run_round(verify_worker, [payload] * len(fragments))
             with span("eip.assemble"):
@@ -229,8 +232,11 @@ class MatchC:
                 # Assemble inside the timed window so wall_time keeps covering
                 # the coordinator's assembling phase, as it always has.
                 result = self._assemble(rules, reports)
+            failed = False
         finally:
             timings = runtime.finish_run()
+            # A run that raised retires the pool: the next call forks anew.
+            fragments.pool.release(executor, failed)
         result.timings = timings
         return result
 

@@ -1,7 +1,7 @@
 """Execution backends for the BSP runtime.
 
 All backends share one contract: :meth:`Executor.start` receives the
-fragments once per run, :meth:`Executor.run` executes a batch of
+fragments once, :meth:`Executor.run` executes a batch of
 :class:`WorkerTask` descriptors — ``(worker_fn, fragment_id, payload)``, no
 closures over graphs — and :meth:`Executor.shutdown` releases any pooled
 resources.  Worker functions take ``(context, payload)`` where the
@@ -10,9 +10,17 @@ resources.  Worker functions take ``(context, payload)`` where the
 * :class:`SequentialExecutor` runs tasks one after another while timing
   each, which is all the simulated-parallel-time model needs (default).
 * :class:`ProcessPoolExecutorBackend` gives real multi-core parallelism: a
-  persistent ``multiprocessing`` pool whose processes hold the fragments for
-  the whole run, so per-round messages stay small.  Worker functions must be
-  module-level (picklable by reference) and payloads picklable.
+  persistent ``multiprocessing`` pool whose processes hold the fragments
+  from :meth:`~Executor.start` to :meth:`~Executor.shutdown`, so per-round
+  messages stay small.  Worker functions must be module-level (picklable by
+  reference) and payloads picklable.
+
+DMine and a streaming session start a pool for their run and shut it down
+at its end.  Batch identification keeps one per fragmentation instead:
+:class:`PooledFragments` is the list ``shared_fragments`` memoises, and its
+:class:`FragmentPool` keeps the pool forked with those fragments for as long
+as the list lives, so only the first ``processes`` call on a graph version
+pays the fork.
 
 Worker exceptions are wrapped in :class:`repro.exceptions.WorkerError`
 carrying the fragment id, on every backend.
@@ -23,17 +31,21 @@ from __future__ import annotations
 import multiprocessing
 import os
 import sys
+import threading
 import time
+import weakref
 from abc import ABC, abstractmethod
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from repro.exceptions import ExecutorError, WorkerError
 from repro.obs.registry import registry
 from repro.obs.stats import merge_shipped_counts
 from repro.parallel.worker import TASK_OK, WorkerContext, init_worker, prime_worker, run_task
+from repro.parallel.worker import open_descriptors
 from repro.partition.fragment import Fragment
 
 #: Names accepted by :func:`make_executor` (and the ``--backend`` CLI flag).
@@ -76,6 +88,11 @@ class Executor(ABC):
 
     name = "abstract"
     build_resident = True
+
+    @property
+    def running(self) -> bool:
+        """Whether :meth:`run` needs no :meth:`start` first (a started, unbroken pool)."""
+        return False
 
     @abstractmethod
     def start(self, fragments: Sequence[Fragment]) -> None:
@@ -173,6 +190,12 @@ class ProcessPoolExecutorBackend(Executor):
         self.max_workers = max_workers
         self._pool = None
 
+    @property
+    def running(self) -> bool:
+        # A pool that lost a process stays broken (the stdlib marks it so and
+        # fails every later submit): it has to be replaced, not reused.
+        return self._pool is not None and not self._pool._broken
+
     def start(self, fragments: Sequence[Fragment]) -> None:
         self.shutdown()
         fragment_list = list(fragments)
@@ -180,7 +203,10 @@ class ProcessPoolExecutorBackend(Executor):
         if processes is None:
             processes = min(len(fragment_list), os.cpu_count() or 1)
         processes = max(1, min(processes, len(fragment_list) or 1))
-        context = multiprocessing.get_context(_default_start_method())
+        method = _default_start_method()
+        context = multiprocessing.get_context(method)
+        # Listed before the pool makes its own pipes: what a forked worker lets go of.
+        inherited = open_descriptors() if method == "fork" else ()
         # concurrent.futures rather than multiprocessing.Pool: a worker that
         # dies abruptly (segfault, OOM kill) breaks the pending futures with
         # BrokenProcessPool instead of hanging result retrieval forever.
@@ -188,7 +214,7 @@ class ProcessPoolExecutorBackend(Executor):
             max_workers=processes,
             mp_context=context,
             initializer=init_worker,
-            initargs=(fragment_list, self.build_resident, context.Barrier(processes)),
+            initargs=(fragment_list, self.build_resident, context.Barrier(processes), inherited),
         )
         # Without this a process that never wins a task never ships its
         # initialization, and the pool counts would follow task placement.
@@ -255,3 +281,74 @@ def make_executor(
         raise ExecutorError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
     executor.build_resident = build_resident
     return executor
+
+
+class FragmentPool:
+    """The executor kept with one fragmentation (see :class:`PooledFragments`).
+
+    :meth:`lease` hands out an executor for ``(backend, max_workers,
+    build_resident)``: on ``sequential`` a new one, which the run starts and
+    drops; on ``processes`` the kept pool, started by the first lease that
+    needs it (under the lock, so racing first calls start one) and shared by
+    concurrent runs.  The pool leaves service when a lease for another key or
+    one that finds it broken replaces it, when a run on it fails and at
+    :meth:`close`; it is shut down and joined once no run holds it.
+    """
+
+    def __init__(self, fragments: Sequence[Fragment]) -> None:
+        # A copy: holding the owning list would keep it alive through its finalizer.
+        self._fragments = list(fragments)
+        self._lock = threading.Lock()
+        self._key: tuple | None = None
+        self._pool: Executor | None = None
+        self._leases: Counter = Counter()
+
+    def lease(self, backend: str, max_workers: int | None, build_resident: bool) -> Executor:
+        key = (backend, max_workers, build_resident)
+        if backend != "processes":
+            return make_executor(*key)
+        with self._lock:
+            if self._key != key or self._pool is None or not self._pool.running:
+                self._retire(self._pool)
+                pool = make_executor(*key)
+                pool.start(self._fragments)
+                self._key, self._pool = key, pool
+            self._leases[self._pool] += 1
+            return self._pool
+
+    def release(self, executor: Executor, failed: bool = False) -> None:
+        """End one run's lease of *executor*; a *failed* run retires it."""
+        with self._lock:
+            if executor not in self._leases:
+                return  # a sequential executor: nothing was kept
+            self._leases[executor] -= 1
+            if failed or executor is not self._pool:
+                self._retire(executor)
+
+    def close(self) -> None:
+        """Retire the kept pool (a run still holding it finishes first)."""
+        with self._lock:
+            self._retire(self._pool)
+
+    def _retire(self, pool: Executor | None) -> None:
+        if pool is self._pool:
+            self._pool = None
+        if pool is not None and not self._leases[pool]:
+            del self._leases[pool]
+            pool.shutdown()
+
+
+class PooledFragments(list):
+    """A fragmentation that owns the process pool forked with it.
+
+    The list of fragments, plus :attr:`pool`, their :class:`FragmentPool`.
+    The pool lives as long as the list: once the list is collected (its
+    ``shared_fragments`` entry was replaced or its graph collected, and no
+    call holds it) or the interpreter exits, a finalizer closes the pool.
+    The finalizer holds the pool, never the list or a graph.
+    """
+
+    def __init__(self, fragments: Iterable[Fragment]) -> None:
+        super().__init__(fragments)
+        self.pool = FragmentPool(self)
+        weakref.finalize(self, self.pool.close)

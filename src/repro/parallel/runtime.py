@@ -67,7 +67,10 @@ class BSPRuntime:
         The fragments produced by :func:`repro.partition.partition_graph`;
         worker i holds ``fragments[i]`` for the whole run.
     executor:
-        Execution backend; defaults to :class:`SequentialExecutor`.
+        Execution backend; defaults to :class:`SequentialExecutor`.  The
+        runtime starts it unless it is already running, and shuts down only
+        an executor it started itself: a kept pool is its owner's
+        (:class:`repro.parallel.executor.FragmentPool`).
     """
 
     def __init__(self, fragments: Sequence[Fragment], executor: Executor | None = None) -> None:
@@ -75,18 +78,18 @@ class BSPRuntime:
         self.executor = executor if executor is not None else SequentialExecutor()
         self.timings = RunTimings()
         self._run_started: float | None = None
-        self._executor_started = False
+        self._owns_executor = False
 
     def start_run(self) -> None:
         """Mark the start of the run and bring up the execution backend."""
         self._run_started = time.perf_counter()
         self.timings = RunTimings()
-        if not self._executor_started:
+        if not (self._owns_executor or self.executor.running):
             self.executor.start(self.fragments)
-            self._executor_started = True
+            self._owns_executor = True
 
     def finish_run(self) -> RunTimings:
-        """Close the run, release the backend and return the timings.
+        """Close the run, shut down a backend it started and return the timings.
 
         Safe to call from a ``finally`` block: a second call is a no-op that
         returns the already-closed timings.
@@ -94,9 +97,9 @@ class BSPRuntime:
         if self._run_started is not None:
             self.timings.wall_time = time.perf_counter() - self._run_started
             self._run_started = None
-        if self._executor_started:
+        if self._owns_executor:
             self.executor.shutdown()
-            self._executor_started = False
+            self._owns_executor = False
         return self.timings
 
     def run_round(

@@ -1,9 +1,12 @@
 """Worker-side execution context and the process-pool task runner.
 
-The process backend keeps a **persistent** pool for a whole BSP run: each
-worker process receives the fragment list exactly once, at pool start, via
-the :func:`init_worker` initializer which stores them in a module-level
-registry.  Every subsequent round ships only a small picklable
+The process backend keeps a **persistent** pool for as long as its owner
+holds it — a BSP run of DMine or a streaming session, or, for batch
+identification, the fragmentation the pool was forked with (see
+:class:`repro.parallel.executor.PooledFragments`).  Each worker process
+receives the fragment list exactly once, at pool start, via the
+:func:`init_worker` initializer which stores them in a module-level
+registry.  Every round ships only a small picklable
 ``(worker_fn, fragment_id, payload)`` descriptor — never the graph — and the
 worker resolves ``fragment_id`` against its local registry.
 
@@ -18,19 +21,22 @@ them before the fork); a spawned one compiles its own.
 Per-fragment scratch state (a ``LocalMiner``, a matcher with warm caches,
 the incremental :class:`repro.matching.incremental.MatchStore` holding the
 previous level's materialized matches) lives in a :class:`WorkerContext`
-that survives across rounds for the lifetime of the pool; like the structure,
-a match store is fragment-resident and never pickled — it fills during
-evaluation and a cold worker simply falls back to full matching.  Because a pool may route any fragment's task to any
-of its processes, worker functions must treat that state strictly as a
-cache: anything stored there has to be *deterministically reconstructible*
-from the fragment and the payload, so a cache miss in a different process
-yields identical results.  Cross-round algorithm state therefore lives at
+that survives across rounds — and, in a kept batch-identification pool,
+across calls — for the lifetime of the pool; like the structure, a match
+store is fragment-resident and never pickled — it fills during evaluation
+and a cold worker simply falls back to full matching.  Because a pool may
+route any fragment's task to any of its processes, worker functions must
+treat that state strictly as a cache: anything stored there has to be
+*deterministically reconstructible* from the fragment and its key, so a
+cache miss in a different process yields identical results.  Cross-round
+algorithm state, and every report, match set or answer, therefore lives at
 the coordinator and travels inside payloads.
 """
 
 from __future__ import annotations
 
 import gc
+import os
 import time
 import traceback
 from dataclasses import dataclass, field
@@ -82,8 +88,44 @@ class WorkerContext:
             return value
 
 
+def open_descriptors() -> tuple[tuple[int, int, int], ...]:
+    """``(fd, device, inode)`` of every descriptor open in this process (Linux)."""
+    found = []
+    for name in os.listdir("/proc/self/fd"):
+        try:
+            status = os.fstat(int(name))
+        except OSError:  # the listing's own descriptor, closed by now
+            continue
+        found.append((int(name), status.st_dev, status.st_ino))
+    return tuple(found)
+
+
+def _release_descriptors(inherited: Sequence[tuple[int, int, int]]) -> None:
+    """Point each of *inherited* above stderr that still names the same file
+    at ``/dev/null``.
+
+    A forked worker starts with every descriptor its coordinator had open
+    (another subprocess's stdin, a server's socket), and a pool that outlives
+    the call would keep that pipe from reaching EOF or that port bound.  The
+    pool's own pipes were made after *inherited* was listed: other files,
+    even under a reused number, so they stay.
+    """
+    null = os.open(os.devnull, os.O_RDWR)
+    for fd, device, inode in inherited:
+        try:
+            status = os.fstat(fd)
+        except OSError:
+            continue
+        if fd > 2 and fd != null and (status.st_dev, status.st_ino) == (device, inode):
+            os.dup2(null, fd)
+    os.close(null)
+
+
 def init_worker(
-    fragments: Sequence[Fragment], build_resident: bool = True, start_barrier=None
+    fragments: Sequence[Fragment],
+    build_resident: bool = True,
+    start_barrier=None,
+    inherited: Sequence[tuple[int, int, int]] = (),
 ) -> None:
     """Pool initializer: install *fragments* in this process's registry.
 
@@ -92,10 +134,13 @@ def init_worker(
     per worker process, so every round's matching work starts warm: a
     view inherited by fork is found built, any other is compiled.  It counts
     itself in a :class:`WorkerStatistics`.  *start_barrier* is the pool's
-    ``multiprocessing.Barrier`` that :func:`prime_worker` waits on.
+    ``multiprocessing.Barrier`` that :func:`prime_worker` waits on;
+    *inherited* lists the descriptors the coordinator had open before the
+    pool (:func:`open_descriptors`), which a forked worker lets go of.
     """
     global _START_BARRIER
     _START_BARRIER = start_barrier
+    _release_descriptors(inherited)
     # A forked worker shares the coordinator's heap copy-on-write: frozen, it is
     # never traversed by this process's collections, so its pages stay shared.
     gc.freeze()

@@ -95,25 +95,42 @@ def shared_fragments(
     earlier call at the current ``graph.version``, else ``build()``'s result,
     which replaces *graph*'s entry.
 
-    The fragments are shared by every caller: read them, never mutate them.
-    An entry whose fragment graphs have moved since it was stored is not
-    served.  Callers that mutate their fragments call :func:`partition_graph`.
+    The fragments come as a :class:`repro.parallel.executor.PooledFragments`,
+    which owns the process pool forked with them: a replaced entry is
+    dropped, and with it its pool once no call holds it.  The fragments are
+    shared by every caller: read them, never mutate them.  An entry whose
+    fragment graphs have moved since it was stored is not served.  Callers
+    that mutate their fragments call :func:`partition_graph`.
     """
+    from repro.parallel.executor import PooledFragments  # repro.parallel imports this package
+
     key = (graph.version, *key)
     memoised = not graph.in_batch
     if memoised:
         with _SHARED_LOCK:
             entry = _SHARED.get(graph)
-        if entry is not None and entry[0] == key and all(
-            f.graph.version == v for f, v in zip(entry[1], entry[2])
-        ):
+        if _serves(entry, key):
             registry().inc("repro_partition_reused_total", help="Fragmentations reused")
             return entry[1], True
-    fragments = build()
+    fragments = PooledFragments(build())
     if memoised:
         with _SHARED_LOCK:
+            replaced = _SHARED.get(graph)
+            if _serves(replaced, key):
+                # A racing call stored this version's fragments first: share
+                # them, so racing calls share one pool too.
+                return replaced[1], False
             _SHARED[graph] = (key, fragments, [f.graph.version for f in fragments])
+        # Released outside the lock: dropping it may join a process pool.
+        del replaced
     return fragments, False
+
+
+def _serves(entry: tuple | None, key: tuple) -> bool:
+    """Whether memo *entry* holds *key*'s fragments, none of which has moved."""
+    return entry is not None and entry[0] == key and all(
+        f.graph.version == v for f, v in zip(entry[1], entry[2])
+    )
 
 
 def _balance(

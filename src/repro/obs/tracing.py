@@ -133,7 +133,7 @@ class Tracer:
                 )
 
     def event(self, name: str, **attrs) -> None:
-        """Record a zero-duration span (checkpoint/migration style markers)."""
+        """Record a zero-duration span (checkpoint-style markers)."""
         stack = self._stack()
         with self._lock:
             self._sequence += 1

@@ -51,6 +51,10 @@ from repro.partition.fragment import Fragment
 #: Names accepted by :func:`make_executor` (and the ``--backend`` CLI flag).
 BACKENDS = ("sequential", "processes")
 
+#: Held from a pool's descriptor listing to its fork, so that a pool started
+#: on another thread never forks holding a lifeline pipe it did not list.
+_FORKING = threading.Lock()
+
 
 def is_int(value: object) -> bool:
     """Whether *value* is an exact ``int``: a ``bool`` is not, nor is a float
@@ -177,6 +181,10 @@ class ProcessPoolExecutorBackend(Executor):
     process has initialized and shipped its cold start through one
     :func:`~repro.parallel.worker.prime_worker` task each.
 
+    A forked pool also gets a *lifeline* pipe whose write end only the
+    coordinator holds: every worker exits on its EOF, so no pool process
+    outlives a coordinator that dies without shutting the pool down.
+
     Parameters
     ----------
     max_workers:
@@ -189,6 +197,7 @@ class ProcessPoolExecutorBackend(Executor):
     def __init__(self, max_workers: int | None = None) -> None:
         self.max_workers = max_workers
         self._pool = None
+        self._lifeline: tuple[int, ...] = ()
 
     @property
     def running(self) -> bool:
@@ -205,20 +214,33 @@ class ProcessPoolExecutorBackend(Executor):
         processes = max(1, min(processes, len(fragment_list) or 1))
         method = _default_start_method()
         context = multiprocessing.get_context(method)
-        # Listed before the pool makes its own pipes: what a forked worker lets go of.
-        inherited = open_descriptors() if method == "fork" else ()
-        # concurrent.futures rather than multiprocessing.Pool: a worker that
-        # dies abruptly (segfault, OOM kill) breaks the pending futures with
-        # BrokenProcessPool instead of hanging result retrieval forever.
-        self._pool = ProcessPoolExecutor(
-            max_workers=processes,
-            mp_context=context,
-            initializer=init_worker,
-            initargs=(fragment_list, self.build_resident, context.Barrier(processes), inherited),
-        )
-        # Without this a process that never wins a task never ships its
-        # initialization, and the pool counts would follow task placement.
-        primed = [self._pool.submit(prime_worker) for _ in range(processes)]
+        with _FORKING:
+            # Listed before the pool makes its own pipes, and after the
+            # lifeline: what a forked worker (of this pool or a later one)
+            # lets go of, all but its own pool's lifeline read end.
+            inherited = ()
+            if method == "fork":
+                self._lifeline = os.pipe()
+                inherited = open_descriptors()
+            # concurrent.futures rather than multiprocessing.Pool: a worker that
+            # dies abruptly (segfault, OOM kill) breaks the pending futures with
+            # BrokenProcessPool instead of hanging result retrieval forever.
+            self._pool = ProcessPoolExecutor(
+                max_workers=processes,
+                mp_context=context,
+                initializer=init_worker,
+                initargs=(
+                    fragment_list,
+                    self.build_resident,
+                    context.Barrier(processes),
+                    inherited,
+                    self._lifeline[0] if self._lifeline else None,
+                ),
+            )
+            # Without this a process that never wins a task never ships its
+            # initialization, and the pool counts would follow task placement.
+            # A fork-context pool forks every process in the first submit.
+            primed = [self._pool.submit(prime_worker) for _ in range(processes)]
         try:
             merge_shipped_counts(registry(), [future.result() for future in primed])
         except BrokenProcessPool as exc:
@@ -229,6 +251,10 @@ class ProcessPoolExecutorBackend(Executor):
         if self._pool is not None:
             self._pool.shutdown(wait=True, cancel_futures=True)
             self._pool = None
+        # Closed after the join: a worker still running must not see EOF.
+        for fd in self._lifeline:
+            os.close(fd)
+        self._lifeline = ()
 
     def run(
         self, tasks: Sequence[WorkerTask]

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import gc
 import os
+import threading
 import time
 import traceback
 from dataclasses import dataclass, field
@@ -121,11 +122,24 @@ def _release_descriptors(inherited: Sequence[tuple[int, int, int]]) -> None:
     os.close(null)
 
 
+def _exit_with_coordinator(lifeline: int) -> None:
+    """Wait for EOF on the pool's lifeline pipe, then end this process.
+
+    The coordinator holds the only write end, so EOF means it is gone, even
+    by SIGKILL, and no task will ever arrive: the worker would otherwise
+    block on its call queue for good.  A pool shut down in order has joined
+    its workers before it closes the write end.
+    """
+    os.read(lifeline, 1)
+    os._exit(1)
+
+
 def init_worker(
     fragments: Sequence[Fragment],
     build_resident: bool = True,
     start_barrier=None,
     inherited: Sequence[tuple[int, int, int]] = (),
+    lifeline: int | None = None,
 ) -> None:
     """Pool initializer: install *fragments* in this process's registry.
 
@@ -136,11 +150,15 @@ def init_worker(
     itself in a :class:`WorkerStatistics`.  *start_barrier* is the pool's
     ``multiprocessing.Barrier`` that :func:`prime_worker` waits on;
     *inherited* lists the descriptors the coordinator had open before the
-    pool (:func:`open_descriptors`), which a forked worker lets go of.
+    pool (:func:`open_descriptors`), which a forked worker lets go of;
+    *lifeline* is the read end of the pool's lifeline pipe among them, kept
+    and watched by a daemon thread (:func:`_exit_with_coordinator`).
     """
     global _START_BARRIER
     _START_BARRIER = start_barrier
-    _release_descriptors(inherited)
+    _release_descriptors([entry for entry in inherited if entry[0] != lifeline])
+    if lifeline is not None:
+        threading.Thread(target=_exit_with_coordinator, args=(lifeline,), daemon=True).start()
     # A forked worker shares the coordinator's heap copy-on-write: frozen, it is
     # never traversed by this process's collections, so its pages stay shared.
     gc.freeze()

@@ -1,4 +1,4 @@
-"""Fragment lifecycle management: residency, compaction, shedding, migration.
+"""Fragment lifecycle management: residency, compaction, shedding, ownership.
 
 Before this module, fragment residency was smeared across four layers: the
 coordinator-side node sets and centre-ownership maps lived in
@@ -28,20 +28,11 @@ forever.  :class:`FragmentManager` owns the whole life of a fragment now:
   checkpoint installs it and replays only the remaining tail, a worker
   ahead of it ignores it, so the process pool's arbitrary task routing
   stays deterministic.
-* **churn-driven re-partitioning** — when the per-fragment load skew
-  crosses :data:`REBALANCE_SKEW`, ownership of *quiescent* centres (outside the
-  batch's affected region, so their verdicts are provably unchanged)
-  migrates from the most- to the least-loaded fragment.  Load is the sum
-  of owned ball sizes (the partitioner's own balance measure) weighted by
-  a smoothed per-fragment cost factor learned from the *measured* worker
-  times of past rounds (:meth:`FragmentManager.record_round_timing`), so
-  a fragment whose nodes are disproportionately expensive to verify —
-  denser balls, hotter labels — sheds work even when its node counts look
-  balanced.  Placement-only: verdicts never depend on which fragment
-  verifies a centre.  The coordinator splices the
-  migrated centres' stored verdict bits between the fragments' reports —
-  no re-verification, no rebuild — and the ball refcounts move with them,
-  shrinking the source fragment where the migration left nodes uncovered.
+* **fixed ownership** — a centre keeps the fragment it was given: the
+  partitioner places every initial centre and
+  :meth:`FragmentManager._assign_owner` places one that appears later.
+  Nothing re-partitions, as in the paper's parallel ``DMine`` and
+  ``Match``, which partition the graph once.
 
 The worker-side half of the protocol is :func:`catch_up`: given a
 :class:`FragmentLease` (base checkpoint reference + slice tail) it brings
@@ -51,7 +42,7 @@ the process-resident fragment copy to the coordinator's sequence.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Hashable, Mapping, Sequence
+from typing import Hashable, Sequence
 
 from repro.exceptions import StreamError
 from repro.graph.columnar import columnar_view, registered_columnar
@@ -64,14 +55,6 @@ from repro.partition.fragment import Fragment
 #: exceeds this fraction of the fragment's own node count — past that point
 #: re-shipping the log costs more than re-shipping the fragment.
 CHECKPOINT_LOG_FRACTION = 0.5
-
-#: Re-partition (migrate centre ownership) when the per-fragment load skew
-#: ``(max - min) / max`` exceeds this bound; 1.0 disables migration.
-REBALANCE_SKEW = 0.6
-
-#: At most this many centres migrate per update batch, so one skewed batch
-#: never triggers a fragment-sized reshuffle.
-REBALANCE_MAX_MOVES = 8
 
 NodeId = Hashable
 
@@ -273,7 +256,6 @@ class BatchPlan:
     """What :meth:`FragmentManager.derive_batch` decided for one batch."""
 
     updates: dict[int, FragmentUpdate] = field(default_factory=dict)
-    migrations: tuple = ()  # (center, src fragment, dst fragment)
     rechecked_centers: int = 0
     owned_added: int = 0
     owned_removed: int = 0
@@ -320,9 +302,6 @@ class FragmentManager:
         self._logs: dict[int, list[FragmentUpdate]] = {}
         self._bases: dict[int, FragmentCheckpoint | None] = {}
         self._base_sequences: dict[int, int] = {}
-        # Smoothed relative verification cost per fragment (1.0 = average),
-        # learned from measured round worker times; see record_round_timing.
-        self._cost_factors: dict[int, float] = {}
         self._sequence = 0
         self._balls = hoods.balls(
             [center for fragment in self.fragments for center in fragment.owned_centers], max_radius
@@ -351,68 +330,6 @@ class FragmentManager:
         """Total shipped operations currently retained in the slice log."""
         return sum(update.weight for update in self._logs[index])
 
-    def fragment_loads(self) -> dict[int, int]:
-        """Every fragment's sum of owned ball sizes (the partitioner's balance
-        measure), in one scan over the owners.
-
-        A centre gained in the current batch has no stored ball yet and
-        counts as zero until its first recheck stores one.
-        """
-        size, balls = self._neighborhoods.size, self._balls
-        loads = dict.fromkeys((fragment.index for fragment in self.fragments), 0)
-        for center, owner in self._owner.items():
-            handle = balls.get(center)
-            if handle is not None:
-                loads[owner] += size(handle)
-        return loads
-
-    #: Exponential-smoothing weight of the newest measured round in the
-    #: per-fragment cost factors (0 < α ≤ 1; 1 = trust only the last round).
-    COST_SMOOTHING = 0.5
-
-    #: Rounds whose summed worker time is below this carry no usable
-    #: signal — at sub-50ms scale scheduler jitter dominates the per-node
-    #: cost ratios, and letting it through makes migration planning (and
-    #: every test built on the pure node-count policy) nondeterministic.
-    MIN_ROUND_SECONDS = 0.05
-
-    def record_round_timing(self, worker_seconds: Mapping[int, float]) -> None:
-        """Fold one round's measured worker times into the cost factors.
-
-        *worker_seconds* maps fragment index → that round's measured worker
-        time.  Each fragment's cost per ball node is normalized by the round
-        mean — factors are *relative*, so a uniformly fast or slow machine
-        learns no skew — and folded into the stored factor by exponential
-        smoothing.  Rounds shorter than :data:`MIN_ROUND_SECONDS` in total
-        are discarded as noise.  :meth:`_plan_migrations` weighs owned-ball
-        sizes by these factors; the factors influence placement only, never
-        verdicts, so answer determinism is unaffected by timing noise.
-        """
-        per_unit: dict[int, float] = {}
-        measured_total = 0.0
-        loads = self.fragment_loads()
-        for index, seconds in worker_seconds.items():
-            if index not in self._node_sets or seconds < 0:
-                continue
-            measured_total += seconds
-            per_unit[index] = seconds / max(1, loads.get(index, 0))
-        if not per_unit or measured_total < self.MIN_ROUND_SECONDS:
-            return
-        mean = sum(per_unit.values()) / len(per_unit)
-        if mean <= 0:
-            return
-        for index, unit_cost in per_unit.items():
-            observed = unit_cost / mean
-            previous = self._cost_factors.get(index, 1.0)
-            self._cost_factors[index] = (
-                (1.0 - self.COST_SMOOTHING) * previous
-                + self.COST_SMOOTHING * observed
-            )
-
-    def cost_factor(self, index: int) -> float:
-        """Smoothed relative verification cost of fragment *index* (1.0 = average)."""
-        return self._cost_factors.get(index, 1.0)
-
     def resident_summary(self) -> dict:
         """Coordinator-side residency metrics (a tick report's resident counts)."""
         nodes = sum(len(node_set) for node_set in self._node_sets.values())
@@ -422,23 +339,18 @@ class FragmentManager:
             "resident_nodes": nodes,
             "log_ops": log_ops,
             "log_entries": log_entries,
-            "loads": self.fragment_loads(),
-            "cost_factors": {
-                fragment.index: self.cost_factor(fragment.index)
-                for fragment in self.fragments
-            },
         }
 
     # ------------------------------------------------------------------
     # per-batch derivation
     # ------------------------------------------------------------------
     def derive_batch(self, delta, region: set) -> BatchPlan:
-        """Digest one applied batch: ownership, migration, slices, refcounts.
+        """Digest one applied batch: ownership, slices, refcounts.
 
         *delta* is the batch's recorded :class:`~repro.graph.graph.GraphDelta`
         and *region* the d-ball of its touched set on the post-update graph.
         Appends one :class:`FragmentUpdate` per fragment to the logs and
-        returns the :class:`BatchPlan` (slices + counters + migrations).
+        returns the :class:`BatchPlan` (slices + counters).
         """
         graph = self.graph
         self._sequence += 1
@@ -474,7 +386,7 @@ class FragmentManager:
         # Refcount bookkeeping: changed[index] maps every node whose count
         # moved to its count before the batch, so a release-then-retain
         # inside one batch (two ball swaps both keeping the node) cancels
-        # out of the entered/vanished sets derived from it in step (5).
+        # out of the entered/vanished sets derived from it in step (4).
         changed: dict[int, dict] = {index: {} for index in indexes}
 
         def shift(index: int, nodes, step: int) -> None:
@@ -507,22 +419,7 @@ class FragmentManager:
         plan.owned_added = sum(len(centers) for centers in own_add.values())
         plan.owned_removed = sum(len(centers) for centers in own_remove.values())
 
-        # (3) churn-driven re-partitioning over quiescent centres: the
-        # stored ball moves wholesale (it is provably current — the centre
-        # is outside the affected region).
-        migrations = self._plan_migrations(region)
-        if migrations:
-            trace_event("lifecycle.migration", centers=len(migrations))
-        for center, src, dst in migrations:
-            self._owner[center] = dst
-            own_remove[src].add(center)
-            own_add[dst].add(center)
-            moved_ball = hoods.nodes(self._balls[center])
-            shift(src, moved_ball, -1)
-            shift(dst, moved_ball, +1)
-        plan.migrations = tuple(migrations)
-
-        # (4) recheck centres (owned, inside the affected region): their
+        # (3) recheck centres (owned, inside the affected region): their
         # current balls in one pass, each swapped for the stored one by their
         # difference — shifting a node both balls hold down and up again
         # cancels, in the refcounts and in the entered / vanished sets alike,
@@ -546,7 +443,7 @@ class FragmentManager:
                     shift(index, hoods.nodes(new_ball & moved), +1)
                 self._balls[center] = new_ball
 
-        # (5) membership deltas and the shipped slices.
+        # (4) membership deltas and the shipped slices.
         for index in indexes:
             refcounts = self._refcounts[index]
             node_set = self._node_sets[index]
@@ -613,64 +510,6 @@ class FragmentManager:
         return best_index
 
     # ------------------------------------------------------------------
-    # churn-driven re-partitioning
-    # ------------------------------------------------------------------
-    def _plan_migrations(self, region: set) -> list[tuple]:
-        """Ownership moves levelling the load skew, quiescent centres only.
-
-        A migrated centre must lie outside the batch's affected *region*:
-        its verdicts are then provably unchanged, so the coordinator can
-        splice its stored report bits between fragments instead of
-        re-verifying.  Loads are owned-ball sizes weighted by the smoothed
-        per-fragment cost factors of :meth:`record_round_timing` (all 1.0
-        until a round has been measured, reproducing the pure node-count
-        policy).  Deterministic given the manager state; the cost factors
-        themselves carry measured timings, which only ever steer placement.
-        """
-        if len(self.fragments) < 2:
-            return []
-        loads = {index: load * self.cost_factor(index) for index, load in self.fragment_loads().items()}
-        ball_size = self._neighborhoods.size
-        moves: list[tuple] = []
-        moved: set = set()
-        for _ in range(REBALANCE_MAX_MOVES):
-            src = max(loads, key=lambda index: (loads[index], index))
-            dst = min(loads, key=lambda index: (loads[index], index))
-            if src == dst or loads[src] <= 0:
-                break
-            skew = (loads[src] - loads[dst]) / loads[src]
-            if skew <= REBALANCE_SKEW:
-                break
-            gap = loads[src] - loads[dst]
-            factor_src = self.cost_factor(src)
-            factor_dst = self.cost_factor(dst)
-            candidates = sorted(
-                (ball_size(self._balls[center]), str(center), center)
-                for center, owner in self._owner.items()
-                if owner == src
-                and center not in region
-                and center not in moved
-                and center in self._balls
-            )
-            # Move the largest ball whose load shift still shrinks the gap
-            # (shed + gained ≤ gap guarantees monotone improvement, so
-            # migration never oscillates; with unit factors this is the
-            # classic 2·size ≤ gap rule).
-            chosen = None
-            for size, _, center in reversed(candidates):
-                if size * factor_src + size * factor_dst <= gap:
-                    chosen = (center, size)
-                    break
-            if chosen is None:
-                break
-            center, size = chosen
-            moves.append((center, src, dst))
-            moved.add(center)
-            loads[src] -= size * factor_src
-            loads[dst] += size * factor_dst
-        return moves
-
-    # ------------------------------------------------------------------
     # log compaction
     # ------------------------------------------------------------------
     def maybe_compact(self) -> list[int]:
@@ -735,7 +574,6 @@ class FragmentManager:
             "logs": {index: list(log) for index, log in self._logs.items()},
             "bases": dict(self._bases),
             "base_sequences": dict(self._base_sequences),
-            "cost_factors": dict(self._cost_factors),
             "sequence": self._sequence,
         }
 
@@ -746,8 +584,9 @@ class FragmentManager:
         The fragments are re-materialised from the authoritative graph at
         the saved sequence, so a restarted worker pool starts from resident
         copies that are byte-identical to the pre-restart ones.  A
-        ``base_paths`` entry that older checkpoints carry is ignored: their
-        ``bases`` already hold every base inline.
+        ``base_paths`` entry that older checkpoints carry is ignored (their
+        ``bases`` already hold every base inline), and so are the
+        per-fragment weights a retired rebalancer saved beside them.
         """
         manager = cls.__new__(cls)
         manager.graph = graph
@@ -766,9 +605,6 @@ class FragmentManager:
         manager._logs = {index: list(log) for index, log in state["logs"].items()}
         manager._bases = dict(state["bases"])
         manager._base_sequences = dict(state["base_sequences"])
-        # Older checkpoints predate the measured-cost policy; absent factors
-        # default to the neutral 1.0 (pure node-count balancing).
-        manager._cost_factors = dict(state.get("cost_factors", {}))
         manager._sequence = state["sequence"]
         manager.fragments = []
         for index in sorted(manager._node_sets):

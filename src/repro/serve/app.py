@@ -582,7 +582,8 @@ class ReproService:
                     "rechecked_centers": report.rechecked_centers,
                     "entered_nodes": report.entered_nodes,
                     "shed_nodes": report.shed_nodes,
-                    "migrated_centers": report.migrated_centers,
+                    # Retired field, always 0: benchmarks/e2e/layers.py still reads it.
+                    "migrated_centers": 0,
                     "wall_time": round(report.wall_time, 6),
                 },
                 "delta": delta.as_dict(),

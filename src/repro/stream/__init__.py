@@ -16,8 +16,8 @@ static pipeline into an online one:
   (workers re-validate a kept witness before they search).
 
 Fragment residency itself — refcounted ball membership with
-deletion-driven shedding, checkpointed log compaction, churn-driven
-ownership migration — lives in :mod:`repro.partition.lifecycle` and is
+deletion-driven shedding, checkpointed log compaction, centre ownership
+fixed at partition time — lives in :mod:`repro.partition.lifecycle` and is
 driven from here.  See ``docs/streaming.md`` for the update model and the
 ball-scoped invalidation argument, and ``docs/lifecycle.md`` for the
 lifecycle layer.

@@ -12,8 +12,7 @@ recomputing:
   :class:`~repro.partition.lifecycle.FragmentUpdate` slice per fragment —
   the fragment-local mutations, the *ball augmentation* (nodes newly within
   ``d`` hops of an owned centre), deletion-driven *shedding* (nodes whose
-  ball-membership refcount dropped to zero), centre-ownership changes and
-  churn-driven migrations;
+  ball-membership refcount dropped to zero) and centre-ownership changes;
 * each worker catches its resident copy up through
   :func:`~repro.partition.lifecycle.catch_up` — installing the newest
   compaction checkpoint if it is behind it, replaying the slice tail —
@@ -22,10 +21,8 @@ recomputing:
   owned centres within ``d`` hops of a touched node — every other centre's
   verdict is provably unchanged (see ``docs/streaming.md``);
 * the coordinator splices the partial reports into its per-fragment state
-  (migrated centres' verdict bits move between reports without any
-  re-verification) and re-assembles confidences, so :attr:`result` is at
-  all times exactly what a from-scratch run on the current graph would
-  return.
+  and re-assembles confidences, so :attr:`result` is at all times exactly
+  what a from-scratch run on the current graph would return.
 
 Rules whose antecedent is disconnected — the usual shape of DMine-mined
 rules — are maintained too: the connected x-component is verified
@@ -145,7 +142,6 @@ class StreamUpdateReport:
     owned_removed: int = 0
     entered_nodes: int = 0
     shed_nodes: int = 0
-    migrated_centers: int = 0
     compacted_fragments: int = 0
     shipped_edges: int = 0
     resident_nodes: int = 0
@@ -158,7 +154,7 @@ class StreamUpdateReport:
             f"touched={len(self.delta.touched)} rechecked={self.rechecked_centers} "
             f"owned(+{self.owned_added}/-{self.owned_removed}) "
             f"entered={self.entered_nodes} shed={self.shed_nodes} "
-            f"migrated={self.migrated_centers} compacted={self.compacted_fragments} "
+            f"compacted={self.compacted_fragments} "
             f"resident={self.resident_nodes} wall={self.wall_time:.3f}s"
         )
 
@@ -558,33 +554,7 @@ class StreamingIdentifier:
         report.owned_removed = plan.owned_removed
         report.entered_nodes = plan.entered_nodes
         report.shed_nodes = plan.shed_nodes
-        report.migrated_centers = len(plan.migrations)
         report.shipped_edges = plan.shipped_edges
-
-        # Capture migrated centres' verdict bits before the merge removes
-        # them from their source reports; their verdicts are provably
-        # unchanged (quiescent centres only), so they splice — not re-verify.
-        splices = []
-        for center, src, dst in plan.migrations:
-            stored = self._reports[src]
-            splices.append(
-                (
-                    center,
-                    dst,
-                    center in stored.positives,
-                    center in stored.negatives,
-                    {
-                        rule
-                        for rule in self.rules
-                        if center in stored.antecedent_sets.get(rule, ())
-                    },
-                    {
-                        rule
-                        for rule in self.rules
-                        if center in stored.rule_matches.get(rule, ())
-                    },
-                )
-            )
 
         payloads = []
         invalidated: dict[int, set] = {}
@@ -599,33 +569,9 @@ class StreamingIdentifier:
             f"t{self.batches_applied}",
             fragments=len(payloads),
         )
-        # Feed the measured per-fragment worker times of this round into the
-        # manager's rebalance policy: migrations then weigh owned-ball sizes
-        # by observed per-node cost, not node counts alone.  Placement-only —
-        # verdicts never depend on which fragment verifies a centre.
-        round_timing = self.runtime.timings.rounds[-1]
-        self.manager.record_round_timing(
-            {
-                fragment.index: elapsed
-                for fragment, elapsed in zip(
-                    self.fragments, round_timing.worker_times
-                )
-            }
-        )
-        with span("stream.assemble", splices=len(splices)):
+        with span("stream.assemble"):
             for partial in partials:
                 self._merge(partial, invalidated[partial.fragment_index])
-            for center, dst, positive, negative, antecedent_rules, match_rules in splices:
-                stored = self._reports[dst]
-                if positive:
-                    stored.positives.add(center)
-                if negative:
-                    stored.negatives.add(center)
-                for rule in antecedent_rules:
-                    stored.antecedent_sets.setdefault(rule, set()).add(center)
-                for rule in match_rules:
-                    stored.rule_matches.setdefault(rule, set()).add(center)
-                self._recount(stored)
             report.compacted_fragments = len(self.manager.maybe_compact())
             summary = self.manager.resident_summary()
             report.resident_nodes = summary["resident_nodes"]
@@ -642,7 +588,6 @@ class StreamingIdentifier:
             ("ticks", 1, "Update batches applied"),
             ("rechecked_centers", report.rechecked_centers, "Centres re-verified by streaming repair"),
             ("shed_nodes", report.shed_nodes, "Resident nodes shed after deletions"),
-            ("migrated_centers", report.migrated_centers, "Centres migrated between fragments"),
             ("compacted_fragments", report.compacted_fragments, "Fragment logs compacted into checkpoints"),
         ):
             metrics.inc(f"repro_stream_{name}_total", amount, help=help_text)

@@ -16,7 +16,7 @@ with its churn concentrated where the repair machinery is weakest:
   buckets and the global label census;
 * :func:`hub_churn_storm` — incident-edge churn on the highest-degree
   node, occasionally deleting and replacing the hub itself, the worst case
-  for delta-patched indexes and migration;
+  for delta-patched indexes and ball refcounts;
 * :func:`ball_burst_storm` — interleaved add/remove bursts aimed at a
   single ball: fresh nodes wired in and torn out within one batch.
 

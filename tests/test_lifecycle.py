@@ -2,10 +2,9 @@
 
 Covers the checkpoint value type (capture/build/install), the worker
 catch-up protocol, the coordinator-side FragmentManager (refcount shedding,
-compaction, migration planning) and the StreamingIdentifier save/restore
-round trip.  Tests that need compaction or migration to fire (or not) set
-the module constants of :mod:`repro.partition.lifecycle` with
-``monkeypatch``.
+compaction, fixed ownership) and the StreamingIdentifier save/restore
+round trip.  Tests that need compaction to fire set the module constants
+of :mod:`repro.partition.lifecycle` with ``monkeypatch``.
 The randomized equivalence sweeps stay in tests/test_stream_equivalence.py.
 """
 
@@ -15,7 +14,8 @@ import pickle
 
 import pytest
 
-from repro.datasets import generate_gpars, most_frequent_predicates, synthetic_graph
+from repro import api
+from repro.datasets import generate_gpars, most_frequent_predicates, pokec_like, synthetic_graph
 from repro.exceptions import StreamError
 from repro.graph import Graph, columnar_view, registered_columnar
 from repro.graph.neighborhood import multi_source_ball
@@ -36,8 +36,7 @@ from repro.stream import (
     UpdateOp,
     random_update_batch,
 )
-from repro.testing.storms import correlated_deletion_storm, hub_churn_storm, label_flip_storm
-from repro.testing import structure_equal
+from repro.testing import eip_fingerprint, structure_equal
 
 
 def toy_graph() -> Graph:
@@ -179,7 +178,6 @@ class TestFragmentManager:
                 assert all(count > 0 for count in refcounts.values())
 
     def test_deletion_sheds_resident_nodes_and_index_entries(self, monkeypatch):
-        monkeypatch.setattr(lifecycle, "REBALANCE_SKEW", 1.0)
         graph, _rules, identifier = self._streaming()
         with identifier:
             shed_total = 0
@@ -210,8 +208,6 @@ class TestFragmentManager:
         manager = FragmentManager(g, fragments, 1, "cust")
         batch = UpdateBatch.of(UpdateOp.relabel_node("c1", "ex-cust"))
         delta = batch.apply(g)
-        from repro.graph.neighborhood import multi_source_ball
-
         plan = manager.derive_batch(delta, multi_source_ball(g, delta.touched, 1))
         update = plan.updates[0]
         assert update.own_remove == ("c1",)
@@ -220,7 +216,6 @@ class TestFragmentManager:
 
     def test_compaction_truncates_log_and_serves_leases(self, monkeypatch):
         monkeypatch.setattr(lifecycle, "CHECKPOINT_LOG_FRACTION", 0.01)
-        monkeypatch.setattr(lifecycle, "REBALANCE_SKEW", 1.0)
         graph, _rules, identifier = self._streaming()
         with identifier:
             compacted = 0
@@ -243,64 +238,40 @@ class TestFragmentManager:
             fresh = identifier.recompute()
             assert fresh.identified == identifier.result.identified
 
-    def test_migration_splices_without_reverification(self, monkeypatch):
-        monkeypatch.setattr(lifecycle, "REBALANCE_SKEW", 0.3)
-        monkeypatch.setattr(lifecycle, "CHECKPOINT_LOG_FRACTION", 100.0)
-        graph, _rules, identifier = self._streaming(seed=5, num_workers=4)
-        with identifier:
-            # Collapse one fragment's ownership: relabel all but one of its
-            # centres away, so the remaining fragments' loads tower over it
-            # and the next batches must migrate quiescent centres into it.
+    def test_collapsed_ownership_stays_correct_under_churn(self):
+        """Ownership is fixed at partition time: after a fragment's centres
+        are relabelled away and random churn follows, the (non-empty,
+        changing) answer equals a recompute after every batch, and ownership
+        stays disjoint and complete."""
+        graph = pokec_like(60, 3, seed=7)
+        predicate = api.parse_predicate("user:like_book:personal development")
+        rules = generate_gpars(graph, predicate, count=4, max_pattern_edges=3, d=2, seed=5)
+        config = EIPConfig(eta=0.5, num_workers=4)
+        with StreamingIdentifier(graph, rules, config=config) as identifier:
             manager = identifier.manager
             victim = identifier.fragments[0].index
             doomed = sorted(manager.owned_centers(victim), key=str)[1:]
-            identifier.apply(
-                UpdateBatch.of(
-                    *(UpdateOp.relabel_node(center, "retired") for center in doomed)
-                )
-            )
-            # Batches touching only a far-away fresh node keep every centre
-            # quiescent (the affected region is just that node), so the
-            # skew-triggered migration fires deterministically regardless of
-            # hash seed; random churn batches then exercise the mixed case.
-            migrated = 0
-            for position in range(4):
-                report = identifier.apply(
-                    UpdateBatch.of(UpdateOp.add_node(f"far-{position}", "offside"))
-                )
-                migrated += report.migrated_centers
-                fresh = identifier.recompute()
-                assert fresh.identified == identifier.result.identified
-                assert fresh.rule_confidences == identifier.result.rule_confidences
-            assert migrated > 0, "collapsed ownership must trigger migration"
+            answers = set()
+
+            def tick(batch) -> None:
+                identifier.apply(batch)
+                maintained = eip_fingerprint(identifier.result)
+                assert maintained == eip_fingerprint(identifier.recompute())
+                assert maintained[0], "the gate compares a real answer"
+                answers.add(maintained)
+
+            tick(UpdateBatch.of(*(UpdateOp.relabel_node(center, "retired") for center in doomed)))
             for position in range(3):
-                identifier.apply(
-                    random_update_batch(
-                        graph, size=6, seed=300 + position, deletion_bias=0.3
-                    )
-                )
-                fresh = identifier.recompute()
-                assert fresh.identified == identifier.result.identified
-                assert fresh.rule_confidences == identifier.result.rule_confidences
-            # Ownership stayed disjoint and complete.
+                tick(random_update_batch(graph, size=6, seed=300 + position, deletion_bias=0.3))
+            assert len(answers) > 1, "the churn must change the answer"
             owned = [
-                identifier.manager.owned_centers(fragment.index)
+                manager.owned_centers(fragment.index)
                 for fragment in identifier.fragments
             ]
             for i, left in enumerate(owned):
                 for right in owned[i + 1 :]:
                     assert not (left & right)
-            assert set.union(*owned) == set(identifier.manager._owner)
-
-    def test_rebalance_disabled_at_skew_one(self, monkeypatch):
-        monkeypatch.setattr(lifecycle, "REBALANCE_SKEW", 1.0)
-        graph, _rules, identifier = self._streaming(seed=5, num_workers=4)
-        with identifier:
-            for position in range(4):
-                report = identifier.apply(
-                    random_update_batch(graph, size=10, seed=300 + position)
-                )
-                assert report.migrated_centers == 0
+            assert set.union(*owned) == set(manager._owner)
 
 
 class TestSaveRestore:
@@ -357,8 +328,6 @@ class TestSaveRestore:
     def test_torn_checkpoint_is_a_stream_error(self, tmp_path, monkeypatch):
         """A cut, foreign or wrong-shaped file raises StreamError naming the
         path — from both restore entry points, before any runtime starts."""
-        from repro import api
-
         graph, identifier = self._identifier()
         with identifier:
             identifier.apply(random_update_batch(graph, size=7, seed=1))
@@ -392,7 +361,6 @@ class TestSaveRestore:
         exists; it restores regardless."""
         from pathlib import Path
 
-        from repro import api
         from repro.exceptions import IdentificationError
         from repro.stream.identifier import read_checkpoint, write_checkpoint
 
@@ -423,9 +391,7 @@ class TestSaveRestore:
         recompute, and the fixture itself still restores byte-identically."""
         from pathlib import Path
 
-        from repro import api
         from repro.stream.identifier import read_checkpoint, write_checkpoint
-        from repro.testing import eip_fingerprint
 
         fixture = Path(__file__).parent / "data" / "core-format1.ckpt"
         state = read_checkpoint(fixture)
@@ -447,8 +413,6 @@ class TestSaveRestore:
     @staticmethod
     def _answers(core) -> dict:
         """Every tenant's answer entries and fingerprint."""
-        from repro.testing import eip_fingerprint
-
         return {
             tenant: (
                 [entry.as_dict() for entry in session.result.answer_entries()],
@@ -503,162 +467,3 @@ class TestDeletionBiasSampling:
     def test_bias_validation(self):
         with pytest.raises(StreamError):
             random_update_batch(toy_graph(), size=2, deletion_bias=1.5)
-
-
-class TestMeasuredCostRebalance:
-    """record_round_timing: measured worker times steer migration planning."""
-
-    def _manager(self):
-        graph = synthetic_graph(120, 360, num_node_labels=5, num_edge_labels=3, seed=9)
-        label = max(graph.node_label_counts(), key=lambda l: (graph.node_label_counts()[l], l))
-        centers = set(graph.nodes_with_label(label))
-        fragments = partition_graph(graph, 2, centers=centers, d=2, seed=0)
-        manager = FragmentManager(graph, fragments, 2, label)
-        return graph, manager
-
-    def test_fragment_loads_equal_the_per_fragment_sums_through_a_churn_storm(self, monkeypatch):
-        """One scan over the owners gives what summing each fragment's owned
-        balls gives, after every batch and where migration planning reads it
-        (mid-batch, with freshly gained centres that have no ball yet)."""
-        monkeypatch.setattr(lifecycle, "REBALANCE_SKEW", 0.3)
-        graph, manager = self._manager()
-
-        def summed() -> dict:
-            size, balls = manager._neighborhoods.size, manager._balls
-            return {
-                fragment.index: sum(
-                    size(balls[center])
-                    for center, owner in manager._owner.items()
-                    if owner == fragment.index and center in balls
-                )
-                for fragment in manager.fragments
-            }
-
-        planned = manager._plan_migrations
-        readings, ballless = [], 0
-
-        def checking(region):
-            nonlocal ballless
-            readings.append(manager.fragment_loads() == summed())
-            ballless += any(center not in manager._balls for center in manager._owner)
-            return planned(region)
-
-        monkeypatch.setattr(manager, "_plan_migrations", checking)
-        storms = (hub_churn_storm, label_flip_storm, correlated_deletion_storm)
-        for seed in range(24):
-            delta = storms[seed % 3](graph, size=8, seed=seed).apply(graph)
-            manager.derive_batch(delta, multi_source_ball(graph, delta.touched, 2))
-            assert manager.fragment_loads() == summed()
-            assert manager.resident_summary()["loads"] == summed()
-        assert len(readings) == 24 and all(readings)
-        assert ballless, "some batch must gain a centre before its ball is stored"
-
-    def test_factors_default_to_neutral(self):
-        _graph, manager = self._manager()
-        for fragment in manager.fragments:
-            assert manager.cost_factor(fragment.index) == 1.0
-
-    def test_uniform_per_node_cost_learns_no_skew(self):
-        _graph, manager = self._manager()
-        # Seconds proportional to load: per-node cost identical everywhere,
-        # so a uniformly fast or slow machine must not tilt placement.
-        manager.record_round_timing(
-            {
-                index: 0.004 * load for index, load in manager.fragment_loads().items()
-            }
-        )
-        for fragment in manager.fragments:
-            assert manager.cost_factor(fragment.index) == pytest.approx(1.0)
-
-    def test_skewed_times_fold_in_with_smoothing(self):
-        _graph, manager = self._manager()
-        slow, fast = (fragment.index for fragment in manager.fragments[:2])
-        loads = manager.fragment_loads()
-        seconds = {slow: 0.012 * loads[slow], fast: 0.004 * loads[fast]}
-        manager.record_round_timing(seconds)
-        first = manager.cost_factor(slow)
-        assert first > 1.0 > manager.cost_factor(fast)
-        # A second identical round moves the factor further toward the
-        # observed ratio (exponential smoothing, COST_SMOOTHING=0.5).
-        manager.record_round_timing(seconds)
-        second = manager.cost_factor(slow)
-        observed = 2 * first - 1.0  # first = (1 + observed) / 2
-        assert first < second <= observed + 1e-9
-        # Unknown fragments and negative readings are ignored, not folded.
-        before = manager.cost_factor(slow)
-        manager.record_round_timing({slow: -1.0, 999: 5.0})
-        assert manager.cost_factor(slow) == before
-
-    def test_cost_skew_alone_triggers_migration_planning(self, monkeypatch):
-        monkeypatch.setattr(lifecycle, "REBALANCE_SKEW", 0.3)
-        _graph, manager = self._manager()
-        assert manager._plan_migrations(set()) == []  # node counts balanced
-        loads = manager.fragment_loads()
-        slow = max(loads, key=lambda index: (loads[index], index))
-        for _ in range(6):  # drive the factor far above the skew threshold
-            manager.record_round_timing(
-                {index: (0.02 if index == slow else 0.004) * load for index, load in loads.items()}
-            )
-        moves = manager._plan_migrations(set())
-        assert moves, "measured cost skew alone must trigger rebalancing"
-        assert all(src == slow for _center, src, _dst in moves)
-
-    def test_cost_factors_survive_state_roundtrip(self):
-        graph, manager = self._manager()
-        slow = manager.fragments[0].index
-        manager.record_round_timing(
-            {
-                index: (0.02 if index == slow else 0.004) * load
-                for index, load in manager.fragment_loads().items()
-            }
-        )
-        state = manager.state_dict()
-        assert state["cost_factors"] == manager._cost_factors
-        revived = FragmentManager.from_state(graph, state)
-        for fragment in manager.fragments:
-            assert revived.cost_factor(fragment.index) == manager.cost_factor(
-                fragment.index
-            )
-        # Checkpoints that predate the measured-cost policy restore neutral.
-        del state["cost_factors"]
-        legacy = FragmentManager.from_state(graph, state)
-        for fragment in manager.fragments:
-            assert legacy.cost_factor(fragment.index) == 1.0
-
-    def test_sub_noise_floor_rounds_are_discarded(self):
-        _graph, manager = self._manager()
-        manager.record_round_timing(
-            {fragment.index: 1e-6 for fragment in manager.fragments}
-        )
-        # Microsecond rounds are scheduler jitter, not signal: factors stay
-        # neutral, so toy-scale runs keep the deterministic node-count policy.
-        assert manager._cost_factors == {}
-        for fragment in manager.fragments:
-            assert manager.cost_factor(fragment.index) == 1.0
-
-    def test_streaming_rounds_feed_the_cost_factors(self, monkeypatch):
-        graph = synthetic_graph(120, 360, num_node_labels=5, num_edge_labels=3, seed=3)
-        predicate = most_frequent_predicates(graph, top=1)[0]
-        rules = generate_gpars(graph, predicate, count=3, max_pattern_edges=3, d=2, seed=3)
-        recorded = []
-        original = FragmentManager.record_round_timing
-        monkeypatch.setattr(
-            FragmentManager,
-            "record_round_timing",
-            lambda self, seconds: (recorded.append(dict(seconds)), original(self, seconds))[1],
-        )
-        with StreamingIdentifier(
-            graph, rules, config=EIPConfig(eta=0.5, num_workers=3)
-        ) as identifier:
-            identifier.apply(random_update_batch(graph, size=6, seed=11))
-            # Every round reports one measured time per fragment...
-            assert recorded
-            fragment_indexes = {fragment.index for fragment in identifier.fragments}
-            for seconds in recorded:
-                assert set(seconds) == fragment_indexes
-                assert all(value >= 0 for value in seconds.values())
-            # ...but toy rounds sit under the noise floor, so placement
-            # still follows pure node counts here (see the test above).
-            assert all(
-                factor > 0 for factor in identifier.manager._cost_factors.values()
-            )

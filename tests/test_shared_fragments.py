@@ -413,3 +413,65 @@ def test_an_interpreter_exit_joins_a_live_pool(ending):
                 child.wait()
         assert returncode == (143 if ending == "sigterm" else 0), child.stderr.read()
     assert not [pid for pid in pids if _alive(pid)]
+
+
+_DIES_WITH_LIVE_POOLS = """
+import multiprocessing, os, signal
+from repro import api
+from repro.datasets import generate_gpars, pokec_like
+from repro.identification import EIPConfig
+
+graph = pokec_like(60, 3, seed=7)
+predicate = api.parse_predicate({predicate!r})
+rules = generate_gpars(graph, predicate, count=4, max_pattern_edges=3, d=2, seed=5)
+config = EIPConfig(eta=0.5, num_workers=2, backend="processes", executor_workers=2)
+api.identify(graph, rules, config)
+session = api.open_session(graph.copy(), rules, config=config)
+print(" ".join(str(child.pid) for child in multiprocessing.active_children()), flush=True)
+os.kill(os.getpid(), signal.SIGKILL)
+"""
+
+
+def _running(pid: int) -> bool:
+    """Whether *pid* is a process that has not exited: an orphan whose new
+    parent has not reaped it yet is a zombie, which holds no descriptor."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@fork_only
+def test_a_sigkilled_coordinator_takes_its_pools_along():
+    """A coordinator holding a kept identify pool and a streaming session's
+    pool dies by SIGKILL, so no shutdown code runs: every pool process still
+    exits on its own, and the coordinator's stdout, which the pool processes
+    inherited, reaches EOF."""
+    environment = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
+    ))
+    script = textwrap.dedent(_DIES_WITH_LIVE_POOLS.format(predicate=PREDICATE))
+    with subprocess.Popen(
+        [sys.executable, "-c", script],
+        env=environment, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    ) as child:
+        pids = []
+        try:
+            pids = [int(pid) for pid in child.stdout.readline().split()]
+            assert child.wait(timeout=60) == -signal.SIGKILL
+            assert len(pids) == 4, (pids, child.stderr.read())
+            deadline = time.monotonic() + 30
+            while [pid for pid in pids if _running(pid)] and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not [pid for pid in pids if _running(pid)]
+            readable, _, _ = select.select([child.stdout], [], [], 10)
+            assert readable and child.stdout.read() == ""
+        finally:
+            for pid in pids:  # a failed run must not leak its orphans
+                if _running(pid):
+                    os.kill(pid, signal.SIGKILL)
+            if child.poll() is None:
+                child.kill()
+                child.wait()
+

@@ -606,7 +606,9 @@ class SharedSessionCore:
                 report.rechecked_centers * max(0, total_rules - len(identifier.rules)),
                 help=(
                     "Per-tenant centre verdicts served from the shared "
-                    "substrate instead of being re-verified"
+                    "substrate instead of being re-verified (an upper bound: "
+                    "centres re-verified for some pattern x tenant rules "
+                    "served by a shared one)"
                 ),
             )
             deltas = {

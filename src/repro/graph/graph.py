@@ -72,6 +72,9 @@ class GraphDelta:
     relabeled_nodes: frozenset
     added_edges: frozenset
     removed_edges: frozenset
+    #: ``(node, label before the tick)`` of every relabelled or removed node
+    #: (a class-level default, so deltas pickled before it existed restore).
+    old_labels: frozenset = frozenset()
 
     @property
     def net_empty(self) -> bool:
@@ -103,6 +106,7 @@ class _DeltaRecorder:
         added_nodes: list[NodeId] = []
         removed_nodes: list[NodeId] = []
         relabeled: list[NodeId] = []
+        old_labels: list[tuple] = []
         touched: set[NodeId] = set()
         labels = graph._labels
         for node, (was_present, old_label) in self.node_initial.items():
@@ -110,10 +114,12 @@ class _DeltaRecorder:
             if was_present:
                 if now is None:
                     removed_nodes.append(node)
-                    touched.add(node)
                 elif now != old_label:
                     relabeled.append(node)
-                    touched.add(node)
+                else:
+                    continue
+                old_labels.append((node, old_label))
+                touched.add(node)
             elif now is not None:
                 added_nodes.append(node)
                 touched.add(node)
@@ -136,6 +142,7 @@ class _DeltaRecorder:
             relabeled_nodes=frozenset(relabeled),
             added_edges=frozenset(added_edges),
             removed_edges=frozenset(removed_edges),
+            old_labels=frozenset(old_labels),
         )
 
 

@@ -52,6 +52,7 @@ class Match(MatchC):
         rules: Sequence[GPAR],
         matcher: Matcher,
         predicate,
+        recheck: tuple | None = None,
     ) -> _FragmentReport:
         """Prefix-trie evaluation of Σ: shared antecedent-prefix match sets.
 
@@ -59,20 +60,29 @@ class Match(MatchC):
         (candidate, rule) pair on its own — pool restriction by prefix match
         sets is lossless — while rules grown from common prefixes (the
         normal shape of a mined Σ with one consequent) scan the candidate
-        pool once per shared prefix instead of once per rule.
+        pool once per shared prefix instead of once per rule.  *recheck*,
+        ``({rule index: centres}, {rule index: centres})``, narrows each
+        antecedent's and each PR's pool to the centres listed for it (a
+        streaming tick's); ``None`` pools every owned centre for every rule.
         """
         graph = fragment.graph
         report, owned = _FragmentReport.start(fragment, predicate)
         local_positives, local_negatives = report.positives, report.negatives
-        # Every (candidate, rule) pair is decided exactly once, whether by a
-        # shared prefix pool or by its own search.
-        report.candidates_examined = len(owned) * len(rules)
+        # PR matches only count at positive owned centres.
+        if recheck is None:  # one pool every key shares: the trie's prefixes need no union
+            antecedent_pools = dict.fromkeys(rules, owned)
+            pr_pools = dict.fromkeys(rules, owned & local_positives)
+        else:
+            antecedents, prs = recheck
+            antecedent_pools = {rule: owned.intersection(antecedents.get(i, ())) for i, rule in enumerate(rules)}
+            pr_pools = {rule: local_positives.intersection(prs.get(i, ())) for i, rule in enumerate(rules)}
+        # Every pooled (candidate, rule) pair is decided exactly once, whether
+        # by a shared prefix pool or by its own search.
+        report.candidates_examined = sum(len(pool) for pool in antecedent_pools.values())
 
         multi = MultiPatternMatcher(matcher)
-        antecedent_sets = multi.antecedent_match_sets(graph, rules, candidates=owned)
-        # PR matches only count at positive owned centres; one shared base
-        # pool keeps the trie's prefix cache valid across all of Σ.
-        pr_sets = multi.match_sets(graph, rules, candidates=owned & local_positives)
+        antecedent_sets = multi.antecedent_match_sets(graph, rules, antecedent_pools)
+        pr_sets = multi.match_sets(graph, rules, pr_pools)
         report.prefix_pool_hits = multi.statistics.prefix_pool_hits
         for rule in rules:
             antecedent_matches = antecedent_sets[rule]

@@ -117,36 +117,51 @@ class MultiPatternMatcher:
         self,
         graph: Graph,
         patterns: Mapping[Hashable, Pattern],
-        candidates: Iterable[NodeId] | None = None,
+        pools: Mapping[Hashable, Iterable[NodeId] | None] | None = None,
     ) -> dict[Hashable, set[NodeId]]:
-        """``{key: Q(x, G)}`` for many patterns over one candidate pool.
+        """``{key: Q(x, G) ∩ pools[key]}`` for many patterns, one pool a key.
 
-        Every chain prefix occurring in at least two patterns' chains is
-        matched once against the pool and its match set re-used as the pool
-        of everything below it; unshared suffixes jump straight to the full
+        A pool of ``None`` (or no *pools* at all) probes every node carrying
+        x's label.  Every chain prefix occurring in at least two patterns'
+        chains is matched once, over the union of the pools of the keys
+        below it, and its match set narrows the pool of everything below it
+        — a full match restricted to a prefix's nodes is a prefix match, so
+        nothing is lost; unshared suffixes jump straight to the full
         pattern.  Results equal per-pattern ``matcher.match_set`` calls.
         """
+        pools = dict.fromkeys(patterns) if pools is None else pools
         chains = {key: prefix_chain(pattern) for key, pattern in patterns.items()}
         shared: Counter = Counter()
-        for chain in chains.values():
+        below: dict[Pattern, dict] = {}  # prefix -> the distinct pools under it
+        for key, chain in chains.items():
             for prefix in chain[:-1]:
                 shared[prefix] += 1
-        pool_cache: dict[Pattern, frozenset] = {}
-        base = None if candidates is None else list(candidates)
+                below.setdefault(prefix, {})[id(pools[key])] = pools[key]
+        # prefix -> (its match set, the pool it serves)
+        pool_cache: dict[Pattern, tuple] = {}
         results: dict[Hashable, set[NodeId]] = {}
         for key, pattern in patterns.items():
-            pool: Iterable[NodeId] | None = base
+            narrowed = over = None
             for prefix in chains[key][:-1]:
                 if shared[prefix] < 2:
                     continue
                 cached = pool_cache.get(prefix)
                 if cached is None:
-                    cached = frozenset(
-                        self.matcher.match_set(graph, prefix, candidates=pool)
-                    )
-                    pool_cache[prefix] = cached
-                pool = cached
+                    members = list(below[prefix].values())
+                    # The pool this prefix serves: the one its keys share, or their union.
+                    base = members[0] if len(members) == 1 else None if None in members else set().union(*members)
+                    # narrowed ⊆ over, so a pool the previous prefix served needs no intersection.
+                    if narrowed is not None:
+                        candidates = narrowed if base is None or base is over else narrowed & base
+                    else:
+                        candidates = base
+                    found = frozenset(self.matcher.match_set(graph, prefix, candidates=candidates))
+                    cached = pool_cache[prefix] = (found, base)
+                narrowed, over = cached
                 self.statistics.prefix_pool_hits += 1
+            pool = pools[key]
+            if narrowed is not None:
+                pool = narrowed if pool is None or pool is over else narrowed.intersection(pool)
             results[key] = self.matcher.match_set(graph, pattern, candidates=pool)
         self.statistics.merge(self.matcher.statistics)
         self.matcher.reset_statistics()
@@ -156,25 +171,21 @@ class MultiPatternMatcher:
         self,
         graph: Graph,
         rules: Sequence[GPAR],
-        candidates: Iterable[NodeId] | None = None,
+        pools: Mapping[GPAR, Iterable[NodeId] | None] | None = None,
     ) -> dict[GPAR, set[NodeId]]:
-        """Return ``{rule: PR(x, G)}`` for every rule in *rules*.
+        """Return ``{rule: PR(x, G) ∩ pools[rule]}`` for every rule in *rules*.
 
-        *candidates* restricts the data nodes probed (e.g. the candidate
-        centre nodes of a fragment); by default all nodes carrying the rule's
-        x-label are probed.
+        *pools* restricts the data nodes probed per rule (e.g. the centres
+        of a fragment whose verdict may have changed); by default all nodes
+        carrying the rule's x-label are probed.
         """
-        return self.shared_match_sets(
-            graph, {rule: rule.pr_pattern() for rule in rules}, candidates=candidates
-        )
+        return self.shared_match_sets(graph, {rule: rule.pr_pattern() for rule in rules}, pools)
 
     def antecedent_match_sets(
         self,
         graph: Graph,
         rules: Sequence[GPAR],
-        candidates: Iterable[NodeId] | None = None,
+        pools: Mapping[GPAR, Iterable[NodeId] | None] | None = None,
     ) -> dict[GPAR, set[NodeId]]:
-        """Return ``{rule: Q(x, G)}`` (antecedent-only match sets)."""
-        return self.shared_match_sets(
-            graph, {rule: rule.antecedent for rule in rules}, candidates=candidates
-        )
+        """Return ``{rule: Q(x, G) ∩ pools[rule]}`` (antecedent-only match sets)."""
+        return self.shared_match_sets(graph, {rule: rule.antecedent for rule in rules}, pools)

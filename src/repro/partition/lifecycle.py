@@ -256,7 +256,6 @@ class BatchPlan:
     """What :meth:`FragmentManager.derive_batch` decided for one batch."""
 
     updates: dict[int, FragmentUpdate] = field(default_factory=dict)
-    rechecked_centers: int = 0
     owned_added: int = 0
     owned_removed: int = 0
     entered_nodes: int = 0
@@ -322,6 +321,10 @@ class FragmentManager:
     # ------------------------------------------------------------------
     # membership / ownership accessors
     # ------------------------------------------------------------------
+    def owner_of(self, center) -> int | None:
+        """Index of the fragment owning *center* (``None``: not a centre)."""
+        return self._owner.get(center)
+
     def owned_centers(self, index: int) -> set:
         """Centres currently owned by fragment *index*."""
         return {center for center, owner in self._owner.items() if owner == index}
@@ -480,7 +483,6 @@ class FragmentManager:
             )
             self._logs[index].append(update)
             plan.updates[index] = update
-            plan.rechecked_centers += len(recheck[index])
             plan.entered_nodes += len(entered)
             plan.shed_nodes += len(shed)
             plan.shipped_edges += len(add_edge_set) + len(remove_edges)

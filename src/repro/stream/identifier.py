@@ -46,6 +46,7 @@ import pickle
 import threading
 import time
 from contextlib import contextmanager
+from collections import defaultdict
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Hashable, Sequence
@@ -86,7 +87,7 @@ from repro.partition.lifecycle import (
 )
 from repro.partition.partitioner import partition_graph
 from repro.pattern.gpar import GPAR
-from repro.pattern.pattern import Pattern
+from repro.pattern.pattern import Pattern, PatternEdge
 from repro.stream.updates import UpdateBatch
 
 __all__ = [
@@ -113,8 +114,11 @@ class StreamVerifyPayload:
     update-slice tail, so any worker process — however stale its resident
     copy, including one that never served this fragment before — catches up
     deterministically.  ``recheck`` restricts re-verification to the
-    centres whose verdict may have changed; ``None`` verifies every owned
-    centre (the initial full round).  ``census`` maps census-split
+    (pattern, centre) pairs whose verdict may have changed:
+    ``({rule index: centres}, {rule index: centres}, centres)`` for the
+    antecedents and the PRs of ``rules``, and the centres whose LCWA class
+    alone is recomputed; ``None`` verifies every owned centre against every
+    rule (the initial full round).  ``census`` maps census-split
     antecedents to their x-components (see :class:`CensusMatcher`).
     """
 
@@ -137,7 +141,10 @@ class StreamUpdateReport:
     """What one :meth:`StreamingIdentifier.apply` did (measurement surface)."""
 
     delta: GraphDelta
+    #: Centres re-verified for at least one pattern.
     rechecked_centers: int = 0
+    #: (pattern, centre) pairs re-verified: antecedents and PRs.
+    verifications: int = 0
     owned_added: int = 0
     owned_removed: int = 0
     entered_nodes: int = 0
@@ -152,6 +159,7 @@ class StreamUpdateReport:
         """One-line human-readable summary used by the CLI."""
         return (
             f"touched={len(self.delta.touched)} rechecked={self.rechecked_centers} "
+            f"verifications={self.verifications} "
             f"owned(+{self.owned_added}/-{self.owned_removed}) "
             f"entered={self.entered_nodes} shed={self.shed_nodes} "
             f"compacted={self.compacted_fragments} "
@@ -166,6 +174,11 @@ class RuleAdmissionReport:
     admitted: tuple[GPAR, ...] = ()
     backfill_centers: int = 0
     wall_time: float = 0.0
+
+
+def _centres(antecedents: dict, prs: dict, classify=()) -> set:
+    """Every centre a ``recheck`` names."""
+    return set(classify).union(*antecedents.values(), *prs.values())
 
 
 def stream_update_worker(
@@ -226,21 +239,107 @@ def _stream_verify(
     if payload.census:
         matcher = CensusMatcher(matcher, dict(payload.census))
     if payload.recheck is None:
-        target = fragment
+        target, pools = fragment, None
     else:
         target = Fragment(
             index=fragment.index,
             graph=fragment.graph,
-            owned_centers=set(payload.recheck),
+            owned_centers=_centres(*payload.recheck),
         )
+        pools = payload.recheck[:2]
     with span(
         "stream.worker.verify",
         fragment=fragment.index,
         centers=len(target.owned_centers),
     ):
         return Match(payload.config)._verify_fragment(
-            target, payload.rules, matcher, payload.predicate
+            target, payload.rules, matcher, payload.predicate, pools
         )
+
+
+def walk_index(patterns: dict) -> tuple[dict, dict]:
+    """Σ's walks back to x, indexed by the label a change starts from.
+
+    Each node u of the connected, expanded *patterns* (``{key: pattern}``)
+    gets one shortest x→u path, kept as the steps back from u: ``(edge
+    label, edge points towards u, label stepped to)``.  Returns ``{edge
+    label: {(source label, path, target label, path): keys}}`` and ``{node
+    label: {path: keys}}``, so patterns sharing a walk look it up once.
+    """
+    edge_walks: dict = {}
+    node_walks: dict = {}
+    for key, pattern in patterns.items():
+        paths, queue = {pattern.x: ()}, [pattern.x]
+        for node in queue:  # breadth first: the queue grows as it is read
+            for edge in sorted(pattern.out_edges(node) + pattern.in_edges(node), key=PatternEdge.sort_key):
+                other = edge.target if edge.source == node else edge.source
+                if other not in paths:
+                    paths[other] = ((edge.label, edge.source == node, pattern.label(node)),) + paths[node]
+                    queue.append(other)
+        for node, path in paths.items():
+            node_walks.setdefault(pattern.label(node), {}).setdefault(path, []).append(key)
+        for edge in pattern.edges():
+            ends = (pattern.label(edge.source), paths[edge.source], pattern.label(edge.target), paths[edge.target])
+            edge_walks.setdefault(edge.label, {}).setdefault(ends, []).append(key)
+    return edge_walks, node_walks
+
+
+def reachable_centres(graph: Graph, delta: GraphDelta, walks: tuple, q_label) -> tuple:
+    """``({key: gained}, {key: lost}, lcwa)`` for one tick (docs/streaming.md).
+
+    *gained* / *lost* hold the centres reached by walking back along the
+    paths of *walks* (:func:`walk_index`) from each added / removed edge
+    (from both its ends) and each added / removed node or label, over the
+    post-batch graph plus the removed edges, memoised by (node, path).
+    *lcwa* holds the centres whose LCWA class may have moved: tails of
+    changed ``q`` edges and ``q``-in-neighbours of relabelled or removed nodes.
+    """
+    edge_walks, node_walks = walks
+    labels = graph._labels
+    gone: dict[tuple, list] = {}
+    for source, target, label in delta.removed_edges:
+        gone.setdefault((target, label, True), []).append(source)
+        gone.setdefault((source, label, False), []).append(target)
+
+    def step(node, label, forward):
+        near = (graph._in if forward else graph._out).get(node)
+        near = near.get(label, ()) if near else ()
+        extra = gone.get((node, label, forward))
+        return near if extra is None else [*near, *extra]
+
+    memo: dict[tuple, set] = {}
+
+    def back(node, path) -> set:
+        found = memo.get((node, path))
+        if found is None:
+            found = {node}
+            for label, forward, want in path:
+                found = {other for here in found for other in step(here, label, forward) if labels.get(other) == want}
+            memo[(node, path)] = found
+        return found
+
+    added = [(node, labels[node]) for node in delta.added_nodes | delta.relabeled_nodes]
+    gained: dict = defaultdict(set)
+    lost: dict = defaultdict(set)
+    for found, edges, nodes in (
+        (gained, delta.added_edges, added),
+        (lost, delta.removed_edges, delta.old_labels),
+    ):
+        for source, target, label in edges:
+            for (source_label, source_path, target_label, target_path), keys in edge_walks.get(label, {}).items():
+                if labels.get(source) == source_label and labels.get(target) == target_label:
+                    reach = back(source, source_path) & back(target, target_path)
+                    for key in keys if reach else ():
+                        found[key] |= reach
+        for node, label in nodes:
+            for path, keys in node_walks.get(label, {}).items():
+                reach = back(node, path)
+                for key in keys if reach else ():
+                    found[key] |= reach
+    lcwa = {edge[0] for edge in delta.added_edges | delta.removed_edges if edge[2] == q_label}
+    for node in delta.relabeled_nodes | delta.removed_nodes:
+        lcwa.update(step(node, q_label, True))
+    return gained, lost, lcwa
 
 
 # ----------------------------------------------------------------------
@@ -418,6 +517,16 @@ class StreamingIdentifier:
             max_verification_radius(self.rules, self._census_plan),
             self.radius_floor,
         )
+        # Rules with copies or a census-split part recheck the d-hop region.
+        self._q_label = self.predicate.edges()[0].label
+        walked = {
+            (kind, index): pattern.expanded()
+            for index, rule in enumerate(self.rules)
+            if rule not in self._census_plan.rules and not rule.antecedent.copy_counts()
+            for kind, pattern in enumerate((rule.antecedent, rule.pr_pattern()))
+        }
+        self._walked = frozenset(walked)
+        self._walks = walk_index(walked)
 
     def _start_runtime(self) -> None:
         executor = make_executor(self.config.backend, self.config.executor_workers)
@@ -540,29 +649,25 @@ class StreamingIdentifier:
         self._graph_version = graph.version
         self.batches_applied += 1
 
-        # Region whose centres may have changed verdicts: within d hops of a
-        # touched node, measured on the post-update graph (exact — see
-        # docs/streaming.md).
+        # Residency follows the centres within d hops of a touched node, on
+        # the post-update graph; verification follows the (pattern, centre)
+        # pairs a change reaches along that pattern's paths (both exact —
+        # see docs/streaming.md).
         with span("stream.slice_build") as slice_span:
             region = multi_source_ball(graph, delta.touched, self.max_radius)
             plan = self.manager.derive_batch(delta, region)
-            slice_span.set(
-                region=len(region), rechecked=plan.rechecked_centers
-            )
-        report.rechecked_centers = plan.rechecked_centers
+            recheck = self._recheck_pairs(delta, plan)
+            for antecedents, prs, _classify in recheck.values():
+                report.rechecked_centers += len(_centres(antecedents, prs))
+                report.verifications += sum(map(len, (*antecedents.values(), *prs.values())))
+            slice_span.set(region=len(region), rechecked=report.rechecked_centers)
         report.owned_added = plan.owned_added
         report.owned_removed = plan.owned_removed
         report.entered_nodes = plan.entered_nodes
         report.shed_nodes = plan.shed_nodes
         report.shipped_edges = plan.shipped_edges
 
-        payloads = []
-        invalidated: dict[int, set] = {}
-        for fragment in self.fragments:
-            index = fragment.index
-            update = plan.updates[index]
-            invalidated[index] = set(update.recheck) | set(update.own_remove)
-            payloads.append(self._payload(index, recheck=update.recheck))
+        payloads = [self._payload(fragment.index, recheck=recheck[fragment.index]) for fragment in self.fragments]
         partials = self._run_round(
             "stream.verify",
             payloads,
@@ -571,7 +676,8 @@ class StreamingIdentifier:
         )
         with span("stream.assemble"):
             for partial in partials:
-                self._merge(partial, invalidated[partial.fragment_index])
+                index = partial.fragment_index
+                self._merge(partial, recheck[index], plan.updates[index].own_remove)
             report.compacted_fragments = len(self.manager.maybe_compact())
             summary = self.manager.resident_summary()
             report.resident_nodes = summary["resident_nodes"]
@@ -586,7 +692,8 @@ class StreamingIdentifier:
         metrics = registry()
         for name, amount, help_text in (
             ("ticks", 1, "Update batches applied"),
-            ("rechecked_centers", report.rechecked_centers, "Centres re-verified by streaming repair"),
+            ("rechecked_centers", report.rechecked_centers, "Centres re-verified for at least one pattern by streaming repair"),
+            ("verifications", report.verifications, "(pattern, centre) pairs re-verified by streaming repair"),
             ("shed_nodes", report.shed_nodes, "Resident nodes shed after deletions"),
             ("compacted_fragments", report.compacted_fragments, "Fragment logs compacted into checkpoints"),
         ):
@@ -598,22 +705,56 @@ class StreamingIdentifier:
         )
 
     # ------------------------------------------------------------------
-    def _merge(self, partial: _FragmentReport, invalidated: set) -> None:
-        """Splice a partial re-verification into the fragment's stored report."""
+    def _recheck_pairs(self, delta: GraphDelta, plan) -> dict[int, tuple]:
+        """Per fragment, the ``recheck`` of its :class:`StreamVerifyPayload`:
+        a walked pattern's owned centres whose stored verdict a change
+        reaches that way (a negative from an added element, a positive from
+        a removed one) and the newly owned ones; else the d-hop region."""
+        gained, lost, lcwa = reachable_centres(self.graph, delta, self._walks, self._q_label)
+        reached = lcwa.union(*gained.values(), *lost.values())
+        owners = {center: self.manager.owner_of(center) for center in reached}
+        nothing: set = set()
+        pairs: dict[int, tuple] = {}
+        for fragment in self.fragments:
+            index = fragment.index
+            update = plan.updates[index]
+            stored = self._reports[index]
+            mine = {center for center in reached if owners[center] == index}
+            # A PR match implies an LCWA positive, so PR pairs need one.
+            positive = mine & (stored.positives | lcwa)
+            sides: tuple[dict, dict] = ({}, {})
+            for rule_index, rule in enumerate(self.rules):
+                kept = (stored.antecedent_sets.get(rule, nothing), stored.rule_matches.get(rule, nothing))
+                for kind, side in enumerate(sides):
+                    key = (kind, rule_index)
+                    if key in self._walked:
+                        flips = (gained.get(key, nothing) - kept[kind]) | (lost.get(key, nothing) & kept[kind])
+                        centres = (flips & (positive if kind else mine)).union(update.own_add)
+                    else:
+                        centres = update.recheck
+                    if centres:
+                        side[rule_index] = tuple(centres)
+            pairs[index] = (*sides, tuple(lcwa & mine))
+        return pairs
+
+    def _merge(self, partial: _FragmentReport, recheck: tuple, removed) -> None:
+        """Splice a partial re-verification into the fragment's stored report:
+        each verdict of a rechecked pair is replaced, those of *removed*
+        (centres the fragment stopped owning) dropped."""
         stored = self._reports[partial.fragment_index]
+        antecedents, prs, _classify = recheck
+        invalidated = _centres(*recheck).union(removed)
         stored.positives = (stored.positives - invalidated) | partial.positives
         stored.negatives = (stored.negatives - invalidated) | partial.negatives
         stored.candidates_examined += partial.candidates_examined
         stored.prefix_pool_hits += partial.prefix_pool_hits
-        for rule in self.rules:
-            antecedent = (
-                stored.antecedent_sets.get(rule, set()) - invalidated
-            ) | partial.antecedent_sets.get(rule, set())
-            matches = (
-                stored.rule_matches.get(rule, set()) - invalidated
-            ) | partial.rule_matches.get(rule, set())
-            stored.antecedent_sets[rule] = antecedent
-            stored.rule_matches[rule] = matches
+        for index, rule in enumerate(self.rules):
+            for kept, fresh, verified in (
+                (stored.antecedent_sets, partial.antecedent_sets, antecedents),
+                (stored.rule_matches, partial.rule_matches, prs),
+            ):
+                still = kept.get(rule, set()).difference(removed, verified.get(index, ()))
+                kept[rule] = still | fresh.get(rule, set())
         self._recount(stored)
 
     def _recount(self, stored: _FragmentReport) -> None:

@@ -49,6 +49,7 @@ from repro.testing.oracle import (
     Divergence,
     OracleReport,
     TenantDivergence,
+    apply_with_coverage,
     eip_fingerprint,
     multi_tenant_check,
     served_antecedent_sets,
@@ -74,6 +75,8 @@ from repro.testing.reference import (
     reference_extension_keys,
     reference_group_automorphic,
     reference_identify,
+    reference_recheck,
+    reference_recheck_pairs,
 )
 from repro.testing.storms import (
     STORM_FAMILIES,
@@ -93,6 +96,7 @@ __all__ = [
     "RegressionCase",
     "STORM_FAMILIES",
     "TenantDivergence",
+    "apply_with_coverage",
     "are_isomorphic",
     "ball_burst_storm",
     "candidate_extensions",
@@ -120,6 +124,8 @@ __all__ = [
     "reference_extension_keys",
     "reference_group_automorphic",
     "reference_identify",
+    "reference_recheck",
+    "reference_recheck_pairs",
     "reset_metrics",
     "resident_label",
     "resident_sketch",

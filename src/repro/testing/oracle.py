@@ -29,11 +29,12 @@ from typing import Mapping, Sequence
 
 from repro.graph.graph import Graph
 from repro.identification import identify_entities
-from repro.identification.census import apply_census
+from repro.identification.census import CensusMatcher, apply_census
 from repro.identification.eip import EIPConfig, EIPResult
+from repro.metrics.lcwa import predicate_stats_over
 from repro.pattern.gpar import GPAR
-from repro.stream import StreamingIdentifier, UpdateBatch
-from repro.testing.reference import ReferenceMatcher
+from repro.stream import StreamingIdentifier, StreamUpdateReport, UpdateBatch
+from repro.testing.reference import ReferenceMatcher, reference_recheck
 
 #: batch_index used for the pre-batch (initial assembly) check.
 INITIAL = -1
@@ -80,12 +81,86 @@ def served_antecedent_sets(identifier: StreamingIdentifier) -> dict[GPAR, frozen
     }
 
 
+def _verdicts(identifier: StreamingIdentifier, truth: bool) -> set:
+    """The verdicts that hold, one ``(fragment, kind, which, centre)`` fact
+    each: kind 0 / 1 for rule *which*'s antecedent / PR, ``"lcwa"`` for the
+    class ``"+"`` / ``"-"``.  Stored, or with *truth* decided afresh for
+    every owned centre by the :class:`ReferenceMatcher` on the whole graph
+    (census-split rules store their x-part's verdicts)."""
+    graph, facts = identifier.graph, set()
+    probe = CensusMatcher(ReferenceMatcher(), dict(identifier._census_pairs)).exists_match_at
+    for index, stored in identifier._reports.items():
+        if truth:
+            owned = identifier.manager.owned_centers(index)
+            stats = predicate_stats_over(graph, identifier.predicate, owned)
+            classes = {"+": stats.positives, "-": stats.negatives}
+            sides = [
+                (
+                    {center for center in owned if probe(graph, rule.antecedent, center)},
+                    {center for center in stats.positives if probe(graph, rule.pr_pattern(), center)},
+                )
+                for rule in identifier.rules
+            ]
+        else:
+            classes = {"+": stored.positives, "-": stored.negatives}
+            sides = [(stored.antecedent_sets.get(rule, ()), stored.rule_matches.get(rule, ())) for rule in identifier.rules]
+        facts.update((index, "lcwa", sign, center) for sign, centres in classes.items() for center in centres)
+        for which, pair in enumerate(sides):
+            facts.update((index, kind, which, center) for kind, centres in enumerate(pair) for center in centres)
+    return facts
+
+
+def apply_with_coverage(
+    identifier: StreamingIdentifier, batch: UpdateBatch
+) -> tuple[StreamUpdateReport, dict, list[str]]:
+    """Apply *batch*; return the tick's report, its recheck pairs (per
+    fragment, as its verification round was given them) and what it got
+    wrong.
+
+    Wrong is: a verdict that changed (stored before the tick against the
+    reference after it) at a centre still owned, whose pair — for an LCWA
+    class, whose centre — the tick did not re-verify; a stored verdict
+    differing from the reference afterwards; a re-verified centre beyond
+    :func:`reference_recheck`.
+    """
+    before = _verdicts(identifier, truth=False)
+    pairs: dict = {}
+    planned = identifier._recheck_pairs
+
+    def capture(delta, plan) -> dict:
+        pairs.update(planned(delta, plan))
+        return pairs
+
+    identifier._recheck_pairs = capture  # shadows the method for this one tick
+    try:
+        report = identifier.apply(batch)
+    finally:
+        del identifier._recheck_pairs
+    truth = _verdicts(identifier, truth=True)
+    problems = [
+        f"stored verdict differs from the reference: {fact}"
+        for fact in sorted(_verdicts(identifier, truth=False) ^ truth, key=str)
+    ]
+    region = reference_recheck(identifier, report.delta)
+    changed = sorted(before ^ truth, key=str)
+    for index, (antecedents, prs, classify) in pairs.items():
+        verified = set(classify).union(*antecedents.values(), *prs.values())
+        owned = identifier.manager.owned_centers(index)
+        problems += [f"re-verified centre {center!r} beyond d hops" for center in verified - region[index]]
+        for fact in changed:
+            fragment, kind, which, center = fact
+            rechecked = verified if kind == "lcwa" else (antecedents, prs)[kind].get(which, ())
+            if fragment == index and center in owned and center not in rechecked:
+                problems.append(f"changed verdict outside the tick's recheck pairs: {fact}")
+    return report, pairs, problems
+
+
 @dataclass(frozen=True)
 class Divergence:
     """First observed disagreement between maintained and fresh state."""
 
     batch_index: int  #: batch after which it surfaced (-1 = initial state)
-    component: str  #: "identifier", "matches" or "error"
+    component: str  #: "identifier", "matches", "coverage" or "error"
     backend: str
     detail: str
     expected: object = None  #: fresh-recompute side (fingerprint / sets)
@@ -258,7 +333,7 @@ class DifferentialOracle:
                 return divergence
             for index, batch in enumerate(batches):
                 try:
-                    identifier.apply(batch)
+                    _report, _pairs, problems = apply_with_coverage(identifier, batch)
                 except Exception as error:
                     return mark(
                         batch_index=index,
@@ -269,6 +344,14 @@ class DifferentialOracle:
                 divergence = self._compare(identifier, index, mark, report)
                 if divergence is not None:
                     return divergence
+                report.checks += 1
+                if problems:
+                    return mark(
+                        batch_index=index,
+                        component="coverage",
+                        detail=problems[0],
+                        actual=tuple(problems),
+                    )
         finally:
             identifier.close()
         return None

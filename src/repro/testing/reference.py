@@ -18,7 +18,9 @@ node, and :func:`reference_group_automorphic` compares each rule with every
 earlier group by an exact isomorphism search (:func:`gpars_automorphic`),
 reading no canonical code.  The partitioner's greedy has one as well:
 :func:`reference_balance` decodes every centre's ball into a set and
-compares sets.
+compares sets.  :func:`reference_recheck` is the streaming tick's
+coarse recheck rule: every owned centre within ``d`` hops of a change
+(:func:`reference_recheck_pairs` re-verifies Σ there).
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from __future__ import annotations
 from typing import Hashable, Iterable, Iterator, Sequence
 
 from repro.graph.graph import Graph
-from repro.graph.neighborhood import Neighborhoods
+from repro.graph.neighborhood import Neighborhoods, multi_source_ball
 from repro.identification.eip import EIPResult, _shared_predicate
 from repro.matching.base import Matcher
 from repro.matching.vf2 import VF2Matcher
@@ -379,3 +381,26 @@ def reference_group_automorphic(rules: Sequence[GPAR]) -> list[list[GPAR]]:
             groups.append([rule])
             invariants.append(invariant)
     return groups
+
+
+def reference_recheck(identifier, delta) -> dict[int, set]:
+    """Per fragment, the owned centres within ``d`` hops of a node *delta*
+    touched, on the post-update graph: by the ball lemma of
+    ``docs/streaming.md`` no other centre's verdict can have changed, so a
+    tick's recheck pairs never reach beyond them."""
+    region = multi_source_ball(identifier.graph, delta.touched, identifier.max_radius)
+    return {
+        fragment.index: identifier.manager.owned_centers(fragment.index) & region
+        for fragment in identifier.fragments
+    }
+
+
+def reference_recheck_pairs(identifier, delta, _plan) -> dict[int, tuple]:
+    """The coarse rule as a drop-in for ``StreamingIdentifier._recheck_pairs``:
+    every rule's antecedent and PR at every centre of
+    :func:`reference_recheck`, for tests about how a tick verifies a pair
+    rather than which pairs it verifies."""
+    return {
+        index: (dict.fromkeys(range(len(identifier.rules)), tuple(centres)),) * 2 + ((),)
+        for index, centres in reference_recheck(identifier, delta).items()
+    }

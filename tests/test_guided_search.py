@@ -183,7 +183,7 @@ def _profile_decided_as_the_reference(graph: Graph, patterns: list[Pattern]) -> 
         assert {node for node in nodes if matcher.exists_match_at(graph, pattern, node)} == truth[key]
     multi = MultiPatternMatcher(GuidedMatcher())
     assert multi.shared_match_sets(graph, dict(enumerate(patterns))) == truth
-    assert multi.shared_match_sets(graph, dict(enumerate(patterns)), candidates=nodes) == truth
+    assert multi.shared_match_sets(graph, dict(enumerate(patterns)), dict.fromkeys(range(len(patterns)), nodes)) == truth
     return matcher.statistics.profile_matches
 
 

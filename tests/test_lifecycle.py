@@ -150,19 +150,18 @@ class TestFragmentCheckpoint:
 
 
 class TestFragmentManager:
-    def _streaming(self, seed=3, num_workers=3):
-        graph = synthetic_graph(
-            120, 360, num_node_labels=5, num_edge_labels=3, seed=seed
-        )
-        predicate = most_frequent_predicates(graph, top=1)[0]
-        rules = generate_gpars(
-            graph, predicate, count=3, max_pattern_edges=3, d=2, seed=seed
-        )
+    def _streaming(self, num_workers=3):
+        """A session whose answer is non-empty: the planted serving predicate
+        of a pokec-like graph with a generated Σ."""
+        graph = pokec_like(60, 3, seed=7)
+        predicate = api.parse_predicate("user:like_book:personal development")
+        rules = generate_gpars(graph, predicate, count=4, max_pattern_edges=3, d=2, seed=5)
         identifier = StreamingIdentifier(
             graph,
             rules,
             config=EIPConfig(eta=0.5, num_workers=num_workers),
         )
+        assert identifier.result.identified, "the fixture must serve a real answer"
         return graph, rules, identifier
 
     def test_initial_membership_equals_refcounted_balls(self):
@@ -181,12 +180,16 @@ class TestFragmentManager:
         graph, _rules, identifier = self._streaming()
         with identifier:
             shed_total = 0
+            answers = {eip_fingerprint(identifier.result)}
             for position in range(6):
                 batch = random_update_batch(
                     graph, size=9, seed=70 + position, deletion_bias=0.6
                 )
                 report = identifier.apply(batch)
                 shed_total += report.shed_nodes
+                maintained = eip_fingerprint(identifier.result)
+                assert maintained == eip_fingerprint(identifier.recompute())
+                answers.add(maintained)
                 for fragment in identifier.fragments:
                     members = frozenset(identifier.manager._node_sets[fragment.index])
                     # Resident copy tracks the managed membership exactly...
@@ -195,6 +198,7 @@ class TestFragmentManager:
                     refcounts = identifier.manager._refcounts[fragment.index]
                     assert set(refcounts) == set(members)
             assert shed_total > 0, "deletion churn must shed uncovered nodes"
+            assert all(answer[0] for answer in answers) and len(answers) > 1, "the churn must change a non-empty answer"
             fresh = identifier.recompute()
             assert fresh.identified == identifier.result.identified
             assert fresh.rule_confidences == identifier.result.rule_confidences
@@ -219,12 +223,17 @@ class TestFragmentManager:
         graph, _rules, identifier = self._streaming()
         with identifier:
             compacted = 0
+            answers = {eip_fingerprint(identifier.result)}
             for position in range(4):
                 report = identifier.apply(
                     random_update_batch(graph, size=8, seed=40 + position)
                 )
                 compacted += report.compacted_fragments
+                maintained = eip_fingerprint(identifier.result)
+                assert maintained == eip_fingerprint(identifier.recompute())
+                answers.add(maintained)
             assert compacted > 0
+            assert all(answer[0] for answer in answers) and len(answers) > 1, "the churn must change a non-empty answer"
             manager = identifier.manager
             for fragment in identifier.fragments:
                 lease = manager.lease(fragment.index)

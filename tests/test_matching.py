@@ -428,10 +428,11 @@ class TestMultiPatternMatcher:
         }
         candidates = sorted(g1.nodes_with_label(g1_rules[0].x_label))
         multi = MultiPatternMatcher(VF2Matcher())
-        assert multi.match_sets(g1, list(g1_rules), candidates=candidates) == expected
+        pools = dict.fromkeys(g1_rules, candidates)
+        assert multi.match_sets(g1, list(g1_rules), pools) == expected
         resident = g1.copy()
         columnar_view(resident)
-        assert multi.match_sets(resident, list(g1_rules), candidates=candidates) == expected
+        assert multi.match_sets(resident, list(g1_rules), pools) == expected
 
     def test_each_pool_is_profile_filtered_once(self, monkeypatch):
         """The trie only narrows pools: the anchored matcher's ``match_set``
@@ -465,7 +466,7 @@ class TestMultiPatternMatcher:
         matcher.match_set = recording_match_set
         multi = MultiPatternMatcher(matcher)
         before = resident.statistics.row_filters
-        result = multi.match_sets(graph, rules, candidates=candidates)
+        result = multi.match_sets(graph, rules, dict.fromkeys(rules, candidates))
         assert all(pooled) and multi.statistics.prefix_pool_hits > 0
         assert resident.statistics.row_filters - before == len(pooled) == len(filtered)
         dropped = sum(size - survivors for size, survivors in filtered)
@@ -477,8 +478,29 @@ class TestMultiPatternMatcher:
 
     def test_candidate_restriction(self, g1, r1):
         multi = MultiPatternMatcher(VF2Matcher())
-        result = multi.match_sets(g1, [r1], candidates=["cust1", "cust5"])
+        result = multi.match_sets(g1, [r1], {r1: ["cust1", "cust5"]})
         assert result[r1] == {"cust1"}
+
+    def test_one_pool_per_key(self):
+        """Keys under one shared prefix keep their own pools: each result is
+        its pattern's match set inside its pool, however the pools overlap."""
+        from repro.api import parse_predicate
+        from repro.datasets import generate_gpars, pokec_like
+
+        graph = pokec_like(60, 3, seed=7)
+        predicate = parse_predicate("user:like_book:personal development")
+        rules = generate_gpars(graph, predicate, count=8, max_pattern_edges=3, d=2, seed=0)
+        centres = sorted(graph.nodes_with_label(predicate.label(predicate.x)), key=str)
+        rng = random.Random(11)
+        pools = {rule: rng.sample(centres, len(centres) // 3) for rule in rules}
+        pools[rules[0]] = None
+        multi = MultiPatternMatcher(GuidedMatcher())
+        result = multi.antecedent_match_sets(graph, rules, pools)
+        assert multi.statistics.prefix_pool_hits > 0
+        reference = ReferenceMatcher()
+        for rule, pool in pools.items():
+            truth = reference.match_set(graph, rule.antecedent)
+            assert result[rule] == (truth if pool is None else truth & set(pool))
 
     def test_antecedent_match_sets(self, g1, r1):
         multi = MultiPatternMatcher(VF2Matcher())

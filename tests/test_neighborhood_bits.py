@@ -478,7 +478,12 @@ def test_hub_replica_builds_fewer_sketches_and_searches_the_same():
     tried, it expands 12,344, prunes 72,948 and finds 3,228 — the rank saved
     no state.  Deciding the star patterns (the shared 1-edge prefixes) by the
     anchor's profile leaves 12,194 states and 3,078 searched matches beside
-    14,628 profile verdicts, with the same sketches built and pruned."""
+    14,628 profile verdicts, with the same sketches built and pruned.
+    Re-verifying only the (pattern, centre) pairs a change reaches along
+    that pattern's paths builds 4,225 sketches, expands 10,002 states,
+    prunes 34,666 candidates and decides 4,128 verdicts by the profile: the
+    pairs it skips are the ones no search was run for, so the 3,078
+    searched matches stay."""
     root = Path(__file__).resolve().parents[1]
     environment = {
         **os.environ,
@@ -492,8 +497,8 @@ def test_hub_replica_builds_fewer_sketches_and_searches_the_same():
     )
     assert child.returncode == 0, child.stderr
     counts = json.loads(child.stdout)
-    assert counts["index_sketches_built"] == 6_368
-    assert counts["match_states_expanded"] == 12_194
-    assert counts["match_sketch_prunes"] == 72_948
+    assert counts["index_sketches_built"] == 4_225
+    assert counts["match_states_expanded"] == 10_002
+    assert counts["match_sketch_prunes"] == 34_666
     assert counts["match_matches_found"] == 3_078
-    assert counts["match_profile_matches"] == 14_628
+    assert counts["match_profile_matches"] == 4_128

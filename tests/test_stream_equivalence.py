@@ -38,6 +38,7 @@ from repro.stream import StreamingIdentifier, random_update_batch
 from repro.stream.identifier import read_checkpoint, write_checkpoint
 from repro.testing import (
     ReferenceMatcher,
+    apply_with_coverage,
     reference_identify,
     resident_label,
     resident_sketch,
@@ -45,6 +46,14 @@ from repro.testing import (
 )
 
 SEEDS = range(50)
+
+
+def _covered(identifier, batch):
+    """Apply *batch*; every verdict it changed was re-verified (and each
+    stored verdict equals the reference's afterwards)."""
+    report, _pairs, problems = apply_with_coverage(identifier, batch)
+    assert not problems, problems[:5]
+    return report
 
 
 def _workload_graph(seed: int):
@@ -183,7 +192,7 @@ def test_streaming_identifier_equals_recompute(seed):
         _served_matches_check(identifier, rules)
         for position in range(2):
             batch = random_update_batch(graph, size=7, seed=seed * 100 + position)
-            identifier.apply(batch)
+            _covered(identifier, batch)
             assert _eip_fingerprint(identifier.result) == _eip_fingerprint(
                 identifier.recompute()
             ), (seed, position)
@@ -224,7 +233,7 @@ def test_streaming_identifier_across_backends(
             if retired and position == 1:
                 identifier = _resumed_off_retired_backend(identifier, backend, tmp_path)
             batch = random_update_batch(identifier.graph, size=7, seed=900 + position)
-            identifier.apply(batch)
+            _covered(identifier, batch)
         maintained = _eip_fingerprint(identifier.result)
         if against_reference:
             fresh = reference_identify(identifier.graph, rules, eta=0.5)
@@ -342,7 +351,7 @@ def test_census_maintained_free_y_rules_equal_whole_graph_matching(seed):
         _served_matches_check(identifier, rules)
         for position in range(3):
             batch = random_update_batch(graph, size=7, seed=seed * 100 + position)
-            identifier.apply(batch)
+            _covered(identifier, batch)
             _served_matches_check(identifier, rules)
 
 
@@ -446,7 +455,7 @@ def test_census_rules_agree_across_backends(backend):
         ),
     ) as identifier:
         for position in range(2):
-            identifier.apply(random_update_batch(graph, size=7, seed=600 + position))
+            _covered(identifier, random_update_batch(graph, size=7, seed=600 + position))
         _served_matches_check(identifier, rules)
 
 

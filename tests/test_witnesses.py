@@ -42,7 +42,13 @@ from repro.partition.lifecycle import FragmentManager, FragmentUpdate, apply_fra
 from repro.pattern.pattern import Pattern
 from repro.stream import StreamingIdentifier, UpdateBatch, UpdateOp, random_update_batch
 from repro.stream.identifier import read_checkpoint
-from repro.testing import counters, disable_collection, eip_fingerprint, reset_metrics
+from repro.testing import (
+    counters,
+    disable_collection,
+    eip_fingerprint,
+    reference_recheck_pairs,
+    reset_metrics,
+)
 from repro.testing.storms import label_flip_storm
 
 PREDICATE = "user:like_book:personal development"
@@ -331,12 +337,16 @@ def test_warm_identifier_equals_fresh_under_label_flip_heavy_streams(backend):
 # ----------------------------------------------------------------------
 # (iii) checkpoints carry no witnesses
 # ----------------------------------------------------------------------
-def test_restored_core_rebuilds_its_witnesses(tmp_path, counted):
+def test_restored_core_rebuilds_its_witnesses(tmp_path, counted, monkeypatch):
     """Witnesses are rebuilt, not checkpointed (``format: 1`` unchanged): the
     first tick after a restore starts from empty stores and searches for
     every witness it ends up holding.  (It can still count a few hits: a
     prefix the antecedent pass searched is probed again by the PR pass of
-    the same round — hits on witnesses written moments earlier.)"""
+    the same round — hits on witnesses written moments earlier.)  The ticks
+    re-verify by the coarse rule, every pair within d hops of a change, so
+    that kept witnesses are probed at all: the tick's own walk skips the
+    positives no change can reach."""
+    monkeypatch.setattr(StreamingIdentifier, "_recheck_pairs", reference_recheck_pairs)
     graph = pokec_like(40, 3, seed=7)
     batches = perturb_and_revert(graph, 6, seed=1)
     config = EIPConfig(eta=0.5, num_workers=2)
@@ -481,20 +491,27 @@ def _tick_counts(graph, rules, batches, counted):
 
 
 def test_ticks_answer_positives_from_kept_witnesses(counted):
-    """Over 20 perturb-and-revert ticks the positive verdicts decided
+    """Over 20 perturb-and-revert ticks that re-verify by the coarse rule
+    (every pair within d hops of a change) the positive verdicts decided
     without a search — by a kept witness or by the anchor's profile — are
     at least 4x the searched ones
     (``witness_hits + profile_matches >= 4 x matches_found``), and
     ``witness_hits + matches_found + profile_matches`` is the number of
     positive verdicts each tick decided — what ``matches_found`` reads when
-    every pair is searched."""
+    every pair is searched.  The tick's own walk re-verifies a subset of
+    those pairs — fewer positive verdicts — and serves the same answers."""
     graph, rules, batches = _hub_session()
-    kept = _tick_counts(graph, rules, batches, counted)
-    assert kept == _tick_counts(graph, rules, batches, counted), "sequential counts must repeat"
-    with pytest.MonkeyPatch.context() as patch:  # no witness, no profile verdict: every pair searched
-        patch.setattr(PlanMatcher, "exists_match_at", Matcher.exists_match_at)
-        patch.setattr(GuidedMatcher, "_profile_decides", False)
-        searched = _tick_counts(graph, rules, batches, counted)
+    walked = _tick_counts(graph, rules, batches, counted)
+    with pytest.MonkeyPatch.context() as coarse:
+        coarse.setattr(StreamingIdentifier, "_recheck_pairs", reference_recheck_pairs)
+        kept = _tick_counts(graph, rules, batches, counted)
+        assert kept == _tick_counts(graph, rules, batches, counted), "sequential counts must repeat"
+        with pytest.MonkeyPatch.context() as patch:  # no witness, no profile verdict: every pair searched
+            patch.setattr(PlanMatcher, "exists_match_at", Matcher.exists_match_at)
+            patch.setattr(GuidedMatcher, "_profile_decides", False)
+            searched = _tick_counts(graph, rules, batches, counted)
+    assert [tick[3] for tick in walked] == [tick[3] for tick in kept]
+    assert sum(sum(tick[:3]) for tick in walked) < sum(sum(tick[:3]) for tick in kept)
     assert len(kept) == len(searched) == 20
     for (hits, found, profiled, answer), (no_hits, everything, no_profiled, same) in zip(kept, searched):
         assert no_hits == no_profiled == 0 and answer == same

@@ -438,7 +438,7 @@ class ColumnarFragment:
         # hops of any touched node; rings, which carry no labels, within k - 1
         # hops of a changed edge's endpoints.
         hoods, invalidated = self._neighborhoods, 0
-        if hoods.update(touched) is not None:
+        if hoods.update(touched):
             invalidated = sum(map(len, self._sketches.values()))
             self._sketches.clear()
         elif self._sketches:

@@ -10,7 +10,7 @@ frontiers come from a *neighbors* callable (default ``graph.neighbors``, a
 fresh set per call); a :class:`~repro.pattern.Pattern` traverses as well as
 a graph.  Callers that traverse one maintained graph state many times — the
 resident structure's sketches and its patch-time invalidation, the
-coordinator's per-centre d-balls — hold a :class:`Neighborhoods` kernel
+coordinator's fragment memberships — hold a :class:`Neighborhoods` kernel
 instead, which memoises every node's neighbourhood and, on graphs small
 enough, answers in bit masks.
 """
@@ -130,8 +130,10 @@ class Neighborhoods:
     A reach or ball is a *handle* — an int or a set; ``&``, ``^`` and ``==``
     mean the same on both, :meth:`size` and :meth:`nodes` read the rest.  A
     removed node's bit is reused only by a re-index, which :meth:`update`
-    runs first thing once dead bits outnumber live nodes: every handle
-    stored before then has been swapped for one that holds no dead bit.
+    runs first thing once dead bits outnumber live nodes and then reports
+    with ``True``: every handle stored before that call is void (the
+    resident structure drops its cached rings, the fragment manager
+    rebuilds its node-set masks).
     """
 
     __slots__ = ("_graph_ref", "masks", "_views", "_bit", "_node_at", "_adjacent", "_label_masks", "_relabels")
@@ -160,28 +162,17 @@ class Neighborhoods:
             self._label_masks[label] = self._label_masks.get(label, 0) | 1 << bit
         return bit
 
-    def update(self, touched: Iterable[NodeId]):
-        """Drop what the *touched* nodes of one applied delta invalidate.
-
-        Returns ``None``, or — when this call re-indexed — the function that
-        re-encodes a handle stored before the call.
-        """
+    def update(self, touched: Iterable[NodeId]) -> bool:
+        """Drop what the *touched* nodes of one applied delta invalidate;
+        returns whether this call re-indexed (every stored handle is void)."""
         if not self.masks:
             for node in touched:
                 self._views.pop(node, None)
-            return None
-        recode = None
-        if 2 * len(self._bit) < len(self._node_at):
+            return False
+        reindexed = 2 * len(self._bit) < len(self._node_at)
+        if reindexed:
             old = self._bit
             self._index(sorted(old, key=old.get))
-            target = {bit: self._bit[node] for node, bit in old.items()}
-
-            def recode(handle: int) -> int:
-                mask = 0
-                for bit in _bits(handle):
-                    mask |= 1 << target[bit]
-                return mask
-
         labels, masks = self._graph_ref()._labels, self._label_masks
         for node in touched:
             label = labels.get(node)
@@ -200,7 +191,7 @@ class Neighborhoods:
                 del self._bit[node]
             else:
                 masks[label] = masks.get(label, 0) | one
-        return recode
+        return reindexed
 
     # A patch of a delta chain reads a graph the chain's later deltas already
     # changed: a node they remove reads as isolated, a node they add gets its
@@ -242,10 +233,7 @@ class Neighborhoods:
             within, frontier = [seen], seen
             while frontier and len(within) <= radius:
                 step = 0
-                while frontier:
-                    low = frontier & -frontier
-                    frontier ^= low
-                    bit = low.bit_length() - 1
+                for bit in _bits(frontier):
                     mask = adjacent[bit]
                     step |= mask if mask is not None else self._adjacency(bit)
                 frontier = step & ~seen
@@ -326,6 +314,13 @@ class Neighborhoods:
 
     def size(self, handle) -> int:
         return handle.bit_count() if self.masks else len(handle)
+
+    def members(self, handle, nodes) -> set:
+        """The nodes of *nodes* that *handle* holds, without decoding it."""
+        if not self.masks:
+            return handle.intersection(nodes)
+        bits = self._bit
+        return {node for node in nodes if node in bits and handle >> bits[node] & 1}
 
     def nodes(self, handle) -> set:
         """The nodes of *handle* (a set handle is returned as is)."""

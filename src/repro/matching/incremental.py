@@ -7,8 +7,8 @@ turns matching into an incremental computation:
 
 * :class:`MatchStore` materializes, per fragment graph, the match set of a
   pattern **plus** its witness embeddings — compact tuples pulled lazily
-  from the matcher's own enumeration, keyed by the pattern's canonical
-  code — so a later level can start from them;
+  from the matcher's own enumeration, keyed by the pattern itself — so a
+  later level can start from them;
 * :class:`DeltaMatcher` matches a *sibling group* — the children of one
   parent entry, each the parent plus one :class:`DeltaEdge` — in one pass
   over the parent's embeddings: a *closing* edge is one membership probe
@@ -64,7 +64,6 @@ from repro.graph.columnar import columnar_view
 from repro.graph.graph import Graph
 from repro.matching.base import Matcher
 from repro.obs.stats import StatisticsBase
-from repro.pattern.canonical import canonical_code
 from repro.pattern.pattern import Pattern
 
 NodeId = Hashable
@@ -238,12 +237,15 @@ class StoreStatistics(StatisticsBase):
 
 
 class MatchStore:
-    """Per-graph registry of :class:`MatchEntry`, keyed by canonical code.
+    """Per-graph registry of :class:`MatchEntry`, keyed by the pattern itself.
 
-    The store is *fragment-resident*: it lives next to the fragment graph
-    inside a worker (built lazily, never pickled) and is invalidated by the
-    graph's mutation counter — a probe against a mutated graph drops the
-    stale entry and reports a miss, so a stale read is impossible.
+    Keys compare patterns structurally, node names included: an automorphic
+    sibling materialized under different names is a different key, since its
+    embeddings would not align with a caller's delta edge.  The store is
+    *fragment-resident*: it lives next to the fragment graph inside a worker
+    (built lazily, never pickled) and is invalidated by the graph's mutation
+    counter — a probe against a mutated graph drops the stale entry and
+    reports a miss, so a stale read is impossible.
     """
 
     def __init__(self, graph: Graph, cap: int = DEFAULT_EMBEDDING_CAP) -> None:
@@ -252,53 +254,42 @@ class MatchStore:
         self.graph = graph
         self.cap = cap
         self.statistics = StoreStatistics()
-        self._entries: dict[str, MatchEntry] = {}
+        self._entries: dict[Pattern, MatchEntry] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def get(self, pattern: Pattern) -> MatchEntry | None:
-        """The current entry for *pattern*, or ``None`` on any mismatch.
-
-        Misses on: unknown code, an automorphic sibling materialized under
-        different node names (its embeddings would not align with the
-        caller's delta edge), or a stale graph version (the entry is
-        evicted).
-        """
-        code = canonical_code(pattern)
-        entry = self._entries.get(code)
+        """The current entry for *pattern*, or ``None`` on a miss: an unknown
+        pattern or a stale graph version (the entry is evicted)."""
+        entry = self._entries.get(pattern)
         if entry is None:
             self.statistics.misses += 1
             return None
         if entry.version != self.graph.version:
             self.statistics.stale_entries += 1
             self.statistics.misses += 1
-            del self._entries[code]
-            return None
-        if entry.pattern != pattern:
-            self.statistics.misses += 1
+            del self._entries[pattern]
             return None
         self.statistics.hits += 1
         return entry
 
-    def put(self, entry: MatchEntry) -> str:
-        """Register *entry*; returns its code key."""
-        code = canonical_code(entry.pattern)
-        self._entries[code] = entry
-        return code
+    def put(self, entry: MatchEntry) -> None:
+        """Register *entry* under its pattern."""
+        self._entries[entry.pattern] = entry
 
-    def retain(self, codes: Iterable[str]) -> int:
-        """Drop every entry whose code is not in *codes*; returns #dropped.
+    def retain(self, patterns: Iterable[Pattern]) -> int:
+        """Drop every entry whose pattern is not in *patterns*; returns #dropped.
 
-        DMine calls this after each evaluate round with the codes
+        DMine calls this after each evaluate round with the patterns
         materialized *in* that round: the only parents the next level can
         ever need are this level's children, so coordinator-side beam
         pruning translates into bounded worker-side memory.
         """
-        keep = set(codes)
-        stale = [code for code in self._entries if code not in keep]
-        for code in stale:
-            del self._entries[code]
+        keep = set(patterns)
+        stale = [pattern for pattern in self._entries if pattern not in keep]
+        for pattern in stale:
+            del self._entries[pattern]
         return len(stale)
 
 

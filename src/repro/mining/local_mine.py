@@ -30,7 +30,6 @@ from repro.mining.expansion import extension_keys
 from repro.parallel.messages import EvaluatePayload, ProposePayload, RuleFocus, RuleMessage
 from repro.parallel.worker import WorkerContext
 from repro.partition.fragment import Fragment
-from repro.pattern.canonical import canonical_code
 from repro.pattern.gpar import GPAR
 from repro.pattern.pattern import Pattern
 
@@ -193,7 +192,7 @@ class LocalMiner:
         # demand), so resident embedding memory is bounded by ancestry depth
         # (<= max_edges) x matched centres x the per-centre cap, not by the
         # entry count alone.
-        self.store.retain(canonical_code(entry.pattern) for entry in stored if entry is not None)
+        self.store.retain(entry.pattern for entry in stored if entry is not None)
         return messages
 
     def _match_side(

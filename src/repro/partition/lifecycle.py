@@ -8,12 +8,14 @@ logs grew without bound next to them, the resident copies mutated inside
 that left every owned centre's d-ball after deletions stayed resident
 forever.  :class:`FragmentManager` owns the whole life of a fragment now:
 
-* **membership via ball refcounts** — for every fragment the manager keeps
-  each owned centre's current d-ball and a per-node refcount (how many
-  owned balls contain the node).  A batch's recheck centres swap their old
-  ball for the new one; nodes whose refcount drops to zero are *shed* from
-  the resident fragment (the slice carries them in
-  :attr:`FragmentUpdate.shed`), which also evicts them from the resident
+* **membership as one ball per fragment** — for every fragment the manager
+  keeps its owned centres and its node set, invariantly the d-ball of the
+  owned set on the current graph.  A batch recomputes membership only on
+  the area within d hops of what it changed (edge endpoints, added nodes,
+  centres that joined or left a fragment; ``docs/lifecycle.md`` proves no
+  node outside it can move); nodes that left are *shed* from the resident
+  fragment (the slice carries them in :attr:`FragmentUpdate.shed`), which
+  also evicts them from the resident
   :class:`~repro.graph.columnar.ColumnarFragment` (via the graph's delta log).
   Shedding is exact: anchored matching of a ball-local pattern at an owned
   centre only inspects the centre's d-ball (``docs/streaming.md``), and a
@@ -97,7 +99,6 @@ class FragmentUpdate:
     shed: tuple = ()
     own_add: tuple = ()
     own_remove: tuple = ()
-    recheck: tuple = ()
 
     @property
     def weight(self) -> int:
@@ -128,8 +129,8 @@ class FragmentCheckpoint:
     fragment_index: int
     sequence: int
     name: str
-    nodes: tuple  # (node, label, attrs-items), sorted
-    edges: tuple  # (source, target, label), sorted
+    nodes: tuple  # (node, label, attrs-items), ordered by str(node)
+    edges: tuple  # (source, target, label), ordered by the endpoints' node order
     owned_centers: tuple
 
     @classmethod
@@ -142,19 +143,31 @@ class FragmentCheckpoint:
         sequence: int,
         name: str,
     ) -> "FragmentCheckpoint":
-        """Snapshot the induced subgraph on *node_set* of *graph*."""
-        edges = _ordered(
-            (node, edge.target, edge.label)
-            for node in node_set
-            for edge in graph.out_edges(node)
-            if edge.target in node_set
-        )
+        """Snapshot the induced subgraph on *node_set* of *graph*.
+
+        Nodes are ordered by ``str`` once and edges by their endpoints'
+        positions in that order, then label: no ``str`` of a whole tuple.
+        """
+        nodes = sorted(node_set, key=str)
+        rank = {node: position for position, node in enumerate(nodes)}
+        edges: list = []
+        for node in nodes:
+            row = sorted(
+                (rank[target], label, target)
+                for label, targets in graph._out[node].items()
+                for target in targets
+                if target in rank
+            )
+            edges.extend((node, target, label) for _rank, label, target in row)
         return cls(
             fragment_index=fragment_index,
             sequence=sequence,
             name=name,
-            nodes=_described(graph, node_set),
-            edges=edges,
+            nodes=tuple(
+                (node, graph.node_label(node), tuple(sorted(graph.node_attrs(node).items())))
+                for node in nodes
+            ),
+            edges=tuple(edges),
             owned_centers=_ordered(owned_centers),
         )
 
@@ -261,6 +274,7 @@ class BatchPlan:
     entered_nodes: int = 0
     shed_nodes: int = 0
     shipped_edges: int = 0
+    area: int = 0
 
 
 class FragmentManager:
@@ -272,8 +286,8 @@ class FragmentManager:
         The authoritative data graph (already partitioned).
     fragments:
         The fragments of :func:`repro.partition.partition_graph`; their node
-        sets must equal the union of their owned centres' d-balls (the
-        partitioner's contract), which seeds the refcounts.
+        sets equal the union of their owned centres' d-balls (the
+        partitioner's contract), which the manager recomputes once here.
     max_radius:
         Ball radius ``d`` every fragment preserves around its owned centres.
     x_label:
@@ -293,27 +307,21 @@ class FragmentManager:
         self.max_radius = max_radius
         self.x_label = x_label
         self._owner: dict[NodeId, int] = {}
-        # Owned centres' d-balls as kernel handles (bit masks on a graph small
-        # enough, sets otherwise); checkpoints store them as sets.
+        self._owned: dict[int, set] = {}
+        # Balls on bit masks when the graph is small enough, sets otherwise.
         self._neighborhoods = hoods = Neighborhoods(graph)
-        self._refcounts: dict[int, dict[NodeId, int]] = {}
         self._node_sets: dict[int, set] = {}
+        self._masks: dict[int, int] = {}  # node sets as bit masks, see _resident
         self._logs: dict[int, list[FragmentUpdate]] = {}
         self._bases: dict[int, FragmentCheckpoint | None] = {}
         self._base_sequences: dict[int, int] = {}
         self._sequence = 0
-        self._balls = hoods.balls(
-            [center for fragment in self.fragments for center in fragment.owned_centers], max_radius
-        )
         for fragment in self.fragments:
             index = fragment.index
-            refcounts: dict[NodeId, int] = {}
-            for center in fragment.owned_centers:
+            owned = self._owned[index] = set(fragment.owned_centers)
+            for center in owned:
                 self._owner[center] = index
-                for node in hoods.nodes(self._balls[center]):
-                    refcounts[node] = refcounts.get(node, 0) + 1
-            self._refcounts[index] = refcounts
-            self._node_sets[index] = set(refcounts)
+            self._node_sets[index] = set(hoods.nodes(hoods.reach(owned, max_radius)[-1]))
             self._logs[index] = []
             self._bases[index] = None
             self._base_sequences[index] = fragment.sequence
@@ -326,8 +334,21 @@ class FragmentManager:
         return self._owner.get(center)
 
     def owned_centers(self, index: int) -> set:
-        """Centres currently owned by fragment *index*."""
-        return {center for center, owner in self._owner.items() if owner == index}
+        """Centres currently owned by fragment *index* (a copy)."""
+        return set(self._owned[index])
+
+    def _resident(self, index: int):
+        """Fragment *index*'s node set as a kernel handle: on the set side
+        the node set itself, on the mask side a mask kept beside it and
+        rebuilt after a re-index.  A removed node's bit stays in the mask
+        until then; no area holds a dead bit, so it never moves."""
+        hoods = self._neighborhoods
+        if not hoods.masks:
+            return self._node_sets[index]
+        mask = self._masks.get(index)
+        if mask is None:
+            mask = self._masks[index] = hoods.reach(self._node_sets[index], 0)[0]
+        return mask
 
     def log_weight(self, index: int) -> int:
         """Total shipped operations currently retained in the slice log."""
@@ -347,25 +368,24 @@ class FragmentManager:
     # ------------------------------------------------------------------
     # per-batch derivation
     # ------------------------------------------------------------------
-    def derive_batch(self, delta, region: set) -> BatchPlan:
-        """Digest one applied batch: ownership, slices, refcounts.
+    def derive_batch(self, delta) -> BatchPlan:
+        """Digest one applied batch: ownership, membership, slices.
 
-        *delta* is the batch's recorded :class:`~repro.graph.graph.GraphDelta`
-        and *region* the d-ball of its touched set on the post-update graph.
+        *delta* is the batch's recorded :class:`~repro.graph.graph.GraphDelta`.
         Appends one :class:`FragmentUpdate` per fragment to the logs and
-        returns the :class:`BatchPlan` (slices + counters).
+        returns the :class:`BatchPlan` (slices + counters);
+        :attr:`BatchPlan.area` is the size of the recomputed area.
         """
         graph = self.graph
+        radius = self.max_radius
         self._sequence += 1
         plan = BatchPlan()
         indexes = [fragment.index for fragment in self.fragments]
-        # Every ball below is a BFS of the post-update graph over the
-        # kernel's memoised neighbourhoods, of which this batch invalidates
-        # only the touched nodes'.
+        # Balls below run over the kernel's memoised neighbourhoods, of which
+        # this batch invalidates only the touched nodes'.
         hoods = self._neighborhoods
-        recode = hoods.update(delta.touched)
-        if recode is not None:
-            self._balls = {center: recode(handle) for center, handle in self._balls.items()}
+        if hoods.update(delta.touched):
+            self._masks.clear()
         own_add: dict[int, set] = {index: set() for index in indexes}
         own_remove: dict[int, set] = {index: set() for index in indexes}
 
@@ -386,89 +406,60 @@ class FragmentManager:
             )
             removals[index] = (remove_edges, remove_nodes, relabels)
 
-        # Refcount bookkeeping: changed[index] maps every node whose count
-        # moved to its count before the batch, so a release-then-retain
-        # inside one batch (two ball swaps both keeping the node) cancels
-        # out of the entered/vanished sets derived from it in step (4).
-        changed: dict[int, dict] = {index: {} for index in indexes}
-
-        def shift(index: int, nodes, step: int) -> None:
-            refcounts = self._refcounts[index]
-            before = changed[index]
-            for node in nodes:
-                count = refcounts.get(node, 0)
-                before.setdefault(node, count)
-                if count + step > 0:
-                    refcounts[node] = count + step
-                else:
-                    refcounts.pop(node, None)
-
         # (2) centre-role maintenance: only touched nodes can change role.
-        # A lost centre's stored ball is released from its old owner (which
-        # may shed the nodes only it was covering).
         for node in sorted(delta.touched, key=str):
             owner = self._owner.get(node)
             is_center = graph.has_node(node) and graph.node_label(node) == self.x_label
             if owner is not None and not is_center:
                 del self._owner[node]
+                self._owned[owner].discard(node)
                 own_remove[owner].add(node)
-                old_ball = self._balls.pop(node, None)
-                if old_ball is not None:
-                    shift(owner, hoods.nodes(old_ball), -1)
             elif owner is None and is_center:
-                chosen = self._assign_owner(hoods.nodes(hoods.balls((node,), self.max_radius)[node]))
+                chosen = self._assign_owner(hoods.nodes(hoods.balls((node,), radius)[node]))
                 self._owner[node] = chosen
+                self._owned[chosen].add(node)
                 own_add[chosen].add(node)
         plan.owned_added = sum(len(centers) for centers in own_add.values())
         plan.owned_removed = sum(len(centers) for centers in own_remove.values())
 
-        # (3) recheck centres (owned, inside the affected region): their
-        # current balls in one pass, each swapped for the stored one by their
-        # difference — shifting a node both balls hold down and up again
-        # cancels, in the refcounts and in the entered / vanished sets alike,
-        # so only the difference is decoded from the masks.  Freshly gained
-        # centres have no stored ball yet; they are in the region by
-        # construction (only touched nodes gain the centre label, and touched ⊆ region).
-        recheck: dict[int, set] = {index: set() for index in indexes}
-        for center, owner in self._owner.items():
-            if center in region:
-                recheck[owner].add(center)
-        current = hoods.balls([center for centers in recheck.values() for center in centers], self.max_radius)
-        for index in indexes:
-            for center in sorted(recheck[index], key=str):
-                old_ball = self._balls.get(center)
-                new_ball = current[center]
-                if old_ball is None:
-                    shift(index, hoods.nodes(new_ball), +1)
-                elif old_ball != new_ball:
-                    moved = old_ball ^ new_ball
-                    shift(index, hoods.nodes(old_ball & moved), -1)
-                    shift(index, hoods.nodes(new_ball & moved), +1)
-                self._balls[center] = new_ball
+        # (3) membership moves only inside the area A = B_d(C), C the changed
+        # elements on the post-batch graph (docs/lifecycle.md, the area
+        # lemma); there it is B_d(owned ∩ B_d(A)) ∩ A.
+        changed = set(delta.added_nodes).union(*own_add.values(), *own_remove.values())
+        for edges in (delta.added_edges, delta.removed_edges):
+            for source, target, _label in edges:
+                changed.add(source)
+                changed.add(target)
+        within = hoods.reach((node for node in changed if graph.has_node(node)), 2 * radius)
+        area = within[radius]
+        plan.area = hoods.size(area)
 
-        # (4) membership deltas and the shipped slices.
+        # (4) membership deltas and the shipped slices: only the nodes whose
+        # membership moved are decoded from the masks.
         for index in indexes:
-            refcounts = self._refcounts[index]
             node_set = self._node_sets[index]
-            entered = {node for node, was in changed[index].items() if not was and node in refcounts}
-            vanished = {node for node, was in changed[index].items() if was and node not in refcounts}
+            inside = self._resident(index) & area
+            fresh = hoods.reach(hoods.members(within[-1], self._owned[index]), radius)[-1] & area
+            moved = inside ^ fresh
+            entered, shed = hoods.nodes(fresh & moved), hoods.nodes(inside & moved)
             remove_edges, remove_nodes, relabels = removals[index]
-            shed = _ordered(node for node in vanished if graph.has_node(node))
+            node_set -= shed
+            node_set.difference_update(remove_nodes)
+            node_set |= entered
+            if index in self._masks:
+                self._masks[index] ^= moved
             add_edge_set = {
                 edge
                 for edge in delta.added_edges
-                if edge[0] in refcounts and edge[1] in refcounts
+                if edge[0] in node_set and edge[1] in node_set
             }
             for node in entered:
                 for edge in graph.out_edges(node):
-                    if edge.target in refcounts:
+                    if edge.target in node_set:
                         add_edge_set.add((node, edge.target, edge.label))
                 for edge in graph.in_edges(node):
-                    if edge.source in refcounts:
+                    if edge.source in node_set:
                         add_edge_set.add((edge.source, node, edge.label))
-            node_set.difference_update(vanished)
-            node_set.difference_update(remove_nodes)
-            node_set.update(entered)
             update = FragmentUpdate(
                 sequence=self._sequence,
                 remove_edges=remove_edges,
@@ -476,10 +467,9 @@ class FragmentManager:
                 add_nodes=_described(graph, entered),
                 add_edges=_ordered(add_edge_set),
                 relabels=relabels,
-                shed=shed,
+                shed=_ordered(shed),
                 own_add=_ordered(own_add[index]),
                 own_remove=_ordered(own_remove[index]),
-                recheck=_ordered(recheck[index]),
             )
             self._logs[index].append(update)
             plan.updates[index] = update
@@ -495,21 +485,14 @@ class FragmentManager:
         work — never the answer — so the tie-break just balances load
         deterministically (fewest owned centres, then lowest index).
         """
-        owned_counts: dict[int, int] = {
-            fragment.index: 0 for fragment in self.fragments
-        }
-        for owner in self._owner.values():
-            owned_counts[owner] = owned_counts.get(owner, 0) + 1
-        best_index = None
-        best_cost = None
-        for fragment in self.fragments:
-            index = fragment.index
-            overlap = len(self._node_sets[index].intersection(center_ball))
-            cost = (-overlap, owned_counts.get(index, 0), index)
-            if best_cost is None or cost < best_cost:
-                best_cost = cost
-                best_index = index
-        return best_index
+        return min(
+            (fragment.index for fragment in self.fragments),
+            key=lambda index: (
+                -len(self._node_sets[index].intersection(center_ball)),
+                len(self._owned[index]),
+                index,
+            ),
+        )
 
     # ------------------------------------------------------------------
     # log compaction
@@ -537,7 +520,7 @@ class FragmentManager:
         checkpoint = FragmentCheckpoint.capture(
             self.graph,
             self._node_sets[index],
-            self.owned_centers(index),
+            self._owned[index],
             index,
             self._sequence,
             name=f"{self.graph.name}|F{index}",
@@ -565,13 +548,6 @@ class FragmentManager:
             "max_radius": self.max_radius,
             "x_label": self.x_label,
             "owner": dict(self._owner),
-            "balls": {
-                center: set(self._neighborhoods.nodes(handle))
-                for center, handle in self._balls.items()
-            },
-            "refcounts": {
-                index: dict(counts) for index, counts in self._refcounts.items()
-            },
             "node_sets": {index: set(nodes) for index, nodes in self._node_sets.items()},
             "logs": {index: list(log) for index, log in self._logs.items()},
             "bases": dict(self._bases),
@@ -588,22 +564,23 @@ class FragmentManager:
         copies that are byte-identical to the pre-restart ones.  A
         ``base_paths`` entry that older checkpoints carry is ignored (their
         ``bases`` already hold every base inline), and so are the
-        per-fragment weights a retired rebalancer saved beside them.
+        per-fragment weights a retired rebalancer saved beside them and the
+        per-centre ``balls`` / ``refcounts`` of older membership bookkeeping
+        (the node sets alone satisfy the membership invariant).
         """
         manager = cls.__new__(cls)
         manager.graph = graph
         manager.max_radius = state["max_radius"]
         manager.x_label = state["x_label"]
         manager._owner = dict(state["owner"])
-        # Handles are rebuilt, never pickled: the kernel is a function of the graph.
-        manager._neighborhoods = hoods = Neighborhoods(graph)
-        manager._balls = {center: hoods.reach(nodes, 0)[0] for center, nodes in state["balls"].items()}
-        manager._refcounts = {
-            index: dict(counts) for index, counts in state["refcounts"].items()
-        }
+        manager._neighborhoods = Neighborhoods(graph)
+        manager._masks = {}
         manager._node_sets = {
             index: set(nodes) for index, nodes in state["node_sets"].items()
         }
+        manager._owned = {index: set() for index in manager._node_sets}
+        for center, index in manager._owner.items():
+            manager._owned[index].add(center)
         manager._logs = {index: list(log) for index, log in state["logs"].items()}
         manager._bases = dict(state["bases"])
         manager._base_sequences = dict(state["base_sequences"])

@@ -9,13 +9,14 @@ static pipeline into an online one:
   applied as **one** ``Graph.batch_update`` version tick;
 * :mod:`repro.stream.identifier` — :class:`StreamingIdentifier`, an
   :class:`~repro.identification.eip.EIPResult` kept continuously correct by
-  re-verifying only candidate centres inside the d-hop balls of the nodes a
-  batch touched, with update slices shipped to the persistent worker pool
+  re-verifying only the (pattern, centre) pairs a batch can reach, with
+  update slices shipped to the persistent worker pool
   so fragment-resident graphs and indexes stay in sync without re-pickling
   graphs — the one mechanism that keeps the per-rule match sets current
   (workers re-validate a kept witness before they search).
 
-Fragment residency itself — refcounted ball membership with
+Fragment residency itself — membership as the d-ball of each fragment's
+owned centres, recomputed only near what a batch changed, with
 deletion-driven shedding, checkpointed log compaction, centre ownership
 fixed at partition time — lives in :mod:`repro.partition.lifecycle` and is
 driven from here.  See ``docs/streaming.md`` for the update model and the

@@ -11,14 +11,14 @@ recomputing:
   :class:`~repro.partition.lifecycle.FragmentManager`, which derives one
   :class:`~repro.partition.lifecycle.FragmentUpdate` slice per fragment —
   the fragment-local mutations, the *ball augmentation* (nodes newly within
-  ``d`` hops of an owned centre), deletion-driven *shedding* (nodes whose
-  ball-membership refcount dropped to zero) and centre-ownership changes;
+  ``d`` hops of an owned centre), deletion-driven *shedding* (nodes no
+  longer within ``d`` hops of any owned centre) and centre-ownership changes;
 * each worker catches its resident copy up through
   :func:`~repro.partition.lifecycle.catch_up` — installing the newest
   compaction checkpoint if it is behind it, replaying the slice tail —
   lets the resident :class:`~repro.graph.columnar.ColumnarFragment` patch
   itself forward from the graph's recorded deltas, and re-verifies **only** the
-  owned centres within ``d`` hops of a touched node — every other centre's
+  (pattern, owned centre) pairs a change can reach — every other stored
   verdict is provably unchanged (see ``docs/streaming.md``);
 * the coordinator splices the partial reports into its per-fragment state
   and re-assembles confidences, so :attr:`result` is at all times exactly
@@ -649,18 +649,18 @@ class StreamingIdentifier:
         self._graph_version = graph.version
         self.batches_applied += 1
 
-        # Residency follows the centres within d hops of a touched node, on
-        # the post-update graph; verification follows the (pattern, centre)
-        # pairs a change reaches along that pattern's paths (both exact —
-        # see docs/streaming.md).
+        # Residency moves only within d hops of a changed element, on the
+        # post-update graph (docs/lifecycle.md); verification follows the
+        # (pattern, centre) pairs a change reaches along that pattern's paths,
+        # and the owned centres within d hops of a touched node for a rule
+        # that is not walked (both exact — see docs/streaming.md).
         with span("stream.slice_build") as slice_span:
-            region = multi_source_ball(graph, delta.touched, self.max_radius)
-            plan = self.manager.derive_batch(delta, region)
+            plan = self.manager.derive_batch(delta)
             recheck = self._recheck_pairs(delta, plan)
             for antecedents, prs, _classify in recheck.values():
                 report.rechecked_centers += len(_centres(antecedents, prs))
                 report.verifications += sum(map(len, (*antecedents.values(), *prs.values())))
-            slice_span.set(region=len(region), rechecked=report.rechecked_centers)
+            slice_span.set(region=plan.area, rechecked=report.rechecked_centers)
         report.owned_added = plan.owned_added
         report.owned_removed = plan.owned_removed
         report.entered_nodes = plan.entered_nodes
@@ -709,7 +709,11 @@ class StreamingIdentifier:
         """Per fragment, the ``recheck`` of its :class:`StreamVerifyPayload`:
         a walked pattern's owned centres whose stored verdict a change
         reaches that way (a negative from an added element, a positive from
-        a removed one) and the newly owned ones; else the d-hop region."""
+        a removed one) and the newly owned ones; else the owned centres of
+        the d-hop region, built only while some pattern is not walked."""
+        region = None
+        if len(self._walked) < 2 * len(self.rules):
+            region = multi_source_ball(self.graph, delta.touched, self.max_radius)
         gained, lost, lcwa = reachable_centres(self.graph, delta, self._walks, self._q_label)
         reached = lcwa.union(*gained.values(), *lost.values())
         owners = {center: self.manager.owner_of(center) for center in reached}
@@ -722,6 +726,7 @@ class StreamingIdentifier:
             mine = {center for center in reached if owners[center] == index}
             # A PR match implies an LCWA positive, so PR pairs need one.
             positive = mine & (stored.positives | lcwa)
+            regional = () if region is None else sorted(self.manager.owned_centers(index) & region, key=str)
             sides: tuple[dict, dict] = ({}, {})
             for rule_index, rule in enumerate(self.rules):
                 kept = (stored.antecedent_sets.get(rule, nothing), stored.rule_matches.get(rule, nothing))
@@ -731,7 +736,7 @@ class StreamingIdentifier:
                         flips = (gained.get(key, nothing) - kept[kind]) | (lost.get(key, nothing) & kept[kind])
                         centres = (flips & (positive if kind else mine)).union(update.own_add)
                     else:
-                        centres = update.recheck
+                        centres = regional
                     if centres:
                         side[rule_index] = tuple(centres)
             pairs[index] = (*sides, tuple(lcwa & mine))
@@ -892,7 +897,7 @@ class StreamingIdentifier:
         """Write a durable, self-contained checkpoint of the computation.
 
         The pickle holds the authoritative graph, Σ, the config, the
-        manager's full lifecycle state (ownership, refcounted balls, slice
+        manager's full lifecycle state (ownership, node sets, slice
         logs, compaction bases) and the
         maintained per-fragment reports.  :meth:`restore` resumes from it
         with byte-identical answers, on any backend.  The file is replaced

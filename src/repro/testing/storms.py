@@ -9,14 +9,14 @@ the same batch invalidated), valid against the graph's current state — but
 with its churn concentrated where the repair machinery is weakest:
 
 * :func:`correlated_deletion_storm` — deletions clustered inside one
-  2-ball, the regime where ball-membership refcounts and census counts
-  drop in bulk;
+  2-ball, the regime where fragment membership and census counts drop in
+  bulk;
 * :func:`label_flip_storm` — a small victim set relabelled repeatedly
   (several flips of the *same* node per tick), stressing label-index
   buckets and the global label census;
 * :func:`hub_churn_storm` — incident-edge churn on the highest-degree
   node, occasionally deleting and replacing the hub itself, the worst case
-  for delta-patched indexes and ball refcounts;
+  for delta-patched indexes and fragment membership;
 * :func:`ball_burst_storm` — interleaved add/remove bursts aimed at a
   single ball: fresh nodes wired in and torn out within one batch.
 

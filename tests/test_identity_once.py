@@ -564,6 +564,32 @@ def test_mining_counts_equal_a_run_on_the_reference_oracles(mining_calls, monkey
     ]
 
 
+def test_workers_compute_no_canonical_code(monkeypatch):
+    """Worker-side mining keys its match store by the pattern: one mine of
+    the repo benchmark's batch sample (``benchmarks/e2e/batch.py``'s
+    ``mine_config``, sequential) computes no canonical code with
+    ``LocalMiner`` or ``MatchStore`` on the stack; the dedup still does."""
+    import repro.pattern.canonical as canonical
+
+    callers: list[set] = []
+    compute = canonical._compute_code
+
+    def counted(pattern):
+        frame, modules = sys._getframe(1), set()
+        while frame is not None:
+            modules.add(frame.f_globals.get("__name__"))
+            frame = frame.f_back
+        callers.append(modules)
+        return compute(pattern)
+
+    monkeypatch.setattr(canonical, "_compute_code", counted)
+    config = DMineConfig(k=8, d=2, sigma=5, num_workers=2, max_edges=3, backend="sequential")
+    result = api.mine(pokec_like(100, 4, seed=7, name="sample"), api.parse_predicate(PREDICATE), config)
+    assert result.top_k and callers
+    workers = {"repro.mining.local_mine", "repro.matching.incremental"}
+    assert not [modules & workers for modules in callers if modules & workers]
+
+
 def test_search_plans_are_built_once_per_pattern(monkeypatch):
     import repro.matching.base
     import repro.matching.guided

@@ -406,10 +406,9 @@ class TestMatchStoreLifecycle:
             graph.nodes_with_label(rule.antecedent.label(rule.x)), key=str
         )
         _, entry = delta_matcher.materialize(rule.antecedent, candidates)
-        code = canonical_code(entry.pattern)
         _, pr_entry = delta_matcher.materialize(rule.pr_pattern(), candidates)
         assert len(store) == 2
-        dropped = store.retain([code])
+        dropped = store.retain([entry.pattern])
         assert dropped == 1
         assert store.get(rule.antecedent) is entry
         assert store.get(rule.pr_pattern()) is None

@@ -1,7 +1,7 @@
 """Unit tests of the fragment lifecycle subsystem (repro.partition.lifecycle).
 
 Covers the checkpoint value type (capture/build/install), the worker
-catch-up protocol, the coordinator-side FragmentManager (refcount shedding,
+catch-up protocol, the coordinator-side FragmentManager (membership shedding,
 compaction, fixed ownership) and the StreamingIdentifier save/restore
 round trip.  Tests that need compaction to fire set the module constants
 of :mod:`repro.partition.lifecycle` with ``monkeypatch``.
@@ -10,14 +10,22 @@ The randomized equivalence sweeps stay in tests/test_stream_equivalence.py.
 
 from __future__ import annotations
 
+import itertools
+import os
 import pickle
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import api
 from repro.datasets import generate_gpars, most_frequent_predicates, pokec_like, synthetic_graph
 from repro.exceptions import StreamError
 from repro.graph import Graph, columnar_view, registered_columnar
+from repro.graph import neighborhood
 from repro.graph.neighborhood import multi_source_ball
 from repro.identification.eip import EIPConfig
 from repro.partition import Fragment, lifecycle, partition_graph
@@ -27,6 +35,7 @@ from repro.partition.lifecycle import (
     FragmentLease,
     FragmentManager,
     FragmentUpdate,
+    apply_fragment_update,
     catch_up,
 )
 from repro.parallel.worker import WorkerContext
@@ -164,7 +173,7 @@ class TestFragmentManager:
         assert identifier.result.identified, "the fixture must serve a real answer"
         return graph, rules, identifier
 
-    def test_initial_membership_equals_refcounted_balls(self):
+    def test_initial_membership_equals_the_owned_ball(self):
         graph, _rules, identifier = self._streaming()
         with identifier:
             manager = identifier.manager
@@ -172,9 +181,9 @@ class TestFragmentManager:
                 assert frozenset(manager._node_sets[fragment.index]) == frozenset(
                     fragment.graph.nodes()
                 )
-                refcounts = manager._refcounts[fragment.index]
-                assert set(refcounts) == set(fragment.graph.nodes())
-                assert all(count > 0 for count in refcounts.values())
+                owned = manager.owned_centers(fragment.index)
+                assert owned and owned == fragment.owned_centers
+                assert manager._node_sets[fragment.index] == multi_source_ball(graph, owned, manager.max_radius)
 
     def test_deletion_sheds_resident_nodes_and_index_entries(self, monkeypatch):
         graph, _rules, identifier = self._streaming()
@@ -194,9 +203,9 @@ class TestFragmentManager:
                     members = frozenset(identifier.manager._node_sets[fragment.index])
                     # Resident copy tracks the managed membership exactly...
                     assert frozenset(fragment.graph.nodes()) == members
-                    # ...and every member is covered by some owned ball.
-                    refcounts = identifier.manager._refcounts[fragment.index]
-                    assert set(refcounts) == set(members)
+                    # ...and is exactly the d-ball of the owned centres.
+                    owned = identifier.manager.owned_centers(fragment.index)
+                    assert members == multi_source_ball(graph, owned, identifier.max_radius)
             assert shed_total > 0, "deletion churn must shed uncovered nodes"
             assert all(answer[0] for answer in answers) and len(answers) > 1, "the churn must change a non-empty answer"
             fresh = identifier.recompute()
@@ -212,7 +221,7 @@ class TestFragmentManager:
         manager = FragmentManager(g, fragments, 1, "cust")
         batch = UpdateBatch.of(UpdateOp.relabel_node("c1", "ex-cust"))
         delta = batch.apply(g)
-        plan = manager.derive_batch(delta, multi_source_ball(g, delta.touched, 1))
+        plan = manager.derive_batch(delta)
         update = plan.updates[0]
         assert update.own_remove == ("c1",)
         assert set(update.shed) == {"c1", "m1"}  # nobody's ball covers them now
@@ -281,6 +290,129 @@ class TestFragmentManager:
                 for right in owned[i + 1 :]:
                     assert not (left & right)
             assert set.union(*owned) == set(manager._owner)
+
+
+# ----------------------------------------------------------------------
+# the area lemma: membership moves only within d hops of a change
+# ----------------------------------------------------------------------
+_LABELS = ("c", "a", "b")  # "c" is the centre label
+
+
+def _random_tick(graph: Graph, rng: random.Random, fresh) -> object:
+    """One batch of edge toggles, relabels that gain or lose centres, node
+    additions (wired in) and removals; returns its delta."""
+    with graph.batch_update() as tx:
+        for _ in range(rng.randint(1, 6)):
+            nodes = sorted(graph.nodes(), key=str)
+            kind = rng.choice(("toggle", "toggle", "relabel", "add", "remove"))
+            if kind == "toggle" and len(nodes) > 1:
+                source, target = rng.sample(nodes, 2)
+                label = rng.choice(("e", "f"))
+                if graph.has_edge(source, target, label):
+                    tx.remove_edge(source, target, label)
+                else:
+                    tx.add_edge(source, target, label)
+            elif kind == "relabel" and nodes:
+                node = rng.choice(nodes)
+                gains = graph.node_label(node) != "c"
+                tx.relabel_node(node, "c" if gains else rng.choice(_LABELS[1:]))
+            elif kind == "add":
+                node = f"fresh{next(fresh)}"
+                tx.add_node(node, rng.choice(_LABELS))
+                for other in rng.sample(nodes, min(len(nodes), rng.randint(0, 2))):
+                    tx.add_edge(node, other, "e")
+            elif kind == "remove" and nodes:
+                tx.remove_node(rng.choice(nodes))
+    return tx.delta
+
+
+class TestAreaLemma:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=100_000),
+        masks=st.booleans(),
+        radius=st.integers(min_value=1, max_value=2),
+        parts=st.integers(min_value=1, max_value=3),
+    )
+    def test_membership_moves_only_inside_the_area(self, seed, masks, radius, parts):
+        """After every tick each fragment's node set is the d-ball of its
+        owned centres rebuilt from nothing, its resident copy (the slices
+        replayed) is the induced subgraph, and no node outside the area
+        ``B_d(C)`` changed membership — on both sides of the kernel."""
+        rng = random.Random(seed)
+        graph = Graph(name=f"area{seed}")
+        size = rng.randint(4, 14)
+        for index in range(size):
+            graph.add_node(f"n{index}", rng.choice(_LABELS))
+        for _ in range(rng.randint(size, 3 * size)):
+            source, target = rng.sample(range(size), 2)
+            graph.add_edge(f"n{source}", f"n{target}", rng.choice(("e", "f")))
+        with pytest.MonkeyPatch.context() as patch:
+            if not masks:
+                patch.setattr(neighborhood, "uses_masks", lambda num_nodes, num_edges: False)
+            fragments = partition_graph(graph, parts, centers=graph.nodes_with_label("c"), d=radius, seed=0)
+            manager = FragmentManager(graph, fragments, radius, "c")
+            assert manager._neighborhoods.masks == masks
+            fresh = itertools.count()
+            for _ in range(4):
+                before = {index: set(nodes) for index, nodes in manager._node_sets.items()}
+                delta = _random_tick(graph, rng, fresh)
+                plan = manager.derive_batch(delta)
+                changed = set(delta.added_nodes)
+                for source, target, _label in delta.added_edges | delta.removed_edges:
+                    changed.update((source, target))
+                for update in plan.updates.values():
+                    changed.update(update.own_add, update.own_remove)
+                area = multi_source_ball(graph, changed, radius)
+                owned_all = set()
+                for fragment in manager.fragments:
+                    index = fragment.index
+                    apply_fragment_update(fragment, plan.updates[index])
+                    owned = manager.owned_centers(index)
+                    owned_all |= owned
+                    members = manager._node_sets[index]
+                    assert fragment.owned_centers == owned
+                    assert members == multi_source_ball(graph, owned, radius)
+                    assert structure_equal(fragment.graph, graph.induced_subgraph(members))
+                    assert (members ^ before[index]) - delta.removed_nodes <= area
+                assert owned_all == graph.nodes_with_label("c")
+
+
+_CAPTURE = """
+import hashlib, pickle, sys
+from repro.datasets import synthetic_graph
+from repro.partition import partition_graph
+from repro.partition.lifecycle import FragmentManager
+from repro.stream import random_update_batch
+
+graph = synthetic_graph(80, 240, num_node_labels=4, num_edge_labels=3, seed=2)
+label = sorted(graph.node_labels())[0]
+fragments = partition_graph(graph, 3, centers=graph.nodes_with_label(label), d=2, seed=0)
+manager = FragmentManager(graph, fragments, 2, label)
+for seed in range(3):
+    manager.derive_batch(random_update_batch(graph, size=8, seed=seed, deletion_bias=0.5).apply(graph))
+digest = hashlib.sha256()
+for fragment in manager.fragments:
+    digest.update(pickle.dumps(manager.compact_fragment(fragment.index)))
+print(digest.hexdigest())
+"""
+
+
+def test_checkpoints_are_byte_identical_under_any_hash_seed():
+    root = Path(__file__).resolve().parents[1]
+    digests = set()
+    for hash_seed in ("0", "1"):
+        environment = {
+            **os.environ,
+            "PYTHONHASHSEED": hash_seed,
+            "PYTHONPATH": os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])),
+        }
+        child = subprocess.run(
+            [sys.executable, "-c", _CAPTURE], env=environment, capture_output=True, text=True, timeout=120
+        )
+        assert child.returncode == 0, child.stderr
+        digests.add(child.stdout.strip())
+    assert len(digests) == 1
 
 
 class TestSaveRestore:

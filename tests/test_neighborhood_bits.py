@@ -234,18 +234,16 @@ def test_derive_batch_on_masks_equals_the_set_form(monkeypatch, storm):
     for batch in _batches(graph, 30, storm):
         width = len(masks._neighborhoods._node_at)
         delta = batch.apply(graph)
-        region = multi_source_ball(graph, delta.touched, radius)
-        plan, expected = masks.derive_batch(delta, region), sets.derive_batch(delta, region)
+        plan, expected = masks.derive_batch(delta), sets.derive_batch(delta)
         reindexed += len(masks._neighborhoods._node_at) < width
         shed += plan.shed_nodes
         assert plan == expected  # every FragmentUpdate field, entered / shed counts
-        assert masks._owner == sets._owner
-        assert masks._refcounts == sets._refcounts
+        assert masks._owner == sets._owner and masks._owned == sets._owned
         assert masks._node_sets == sets._node_sets
-        hoods = masks._neighborhoods
-        assert {center: hoods.nodes(handle) for center, handle in masks._balls.items()} == sets._balls
+        for index, owned in masks._owned.items():
+            assert masks._node_sets[index] == multi_source_ball(graph, owned, radius)
         assert masks.resident_summary() == sets.resident_summary()
-        assert masks.state_dict()["balls"] == sets.state_dict()["balls"]
+        assert masks.state_dict()["node_sets"] == sets.state_dict()["node_sets"]
     assert shed > 0, "the batches must shed"
     assert storm or reindexed > 0, "a deletion-heavy stream must re-index the bits"
 
@@ -267,7 +265,7 @@ def _guest_churn(graph: Graph, ticks: int, seed: int):
 def _kernels(identifier):
     """``(kernel, stored handles)`` of the coordinator and of every worker fragment."""
     manager = identifier.manager
-    yield manager._neighborhoods, list(manager._balls.values())
+    yield manager._neighborhoods, list(manager._masks.values())
     for context in identifier.runtime.executor._contexts.values():
         yield registered_columnar(context.fragment.graph)._neighborhoods, []
 
@@ -297,30 +295,32 @@ def test_fresh_id_churn_keeps_every_mask_short():
 # ----------------------------------------------------------------------
 def test_checkpoint_written_before_the_kernel_restores_and_ticks(tmp_path):
     """``tests/data/core-format1.ckpt`` was written by the code that stored
-    balls as plain sets, and by the code that learned per-fragment cost
-    factors for migration.  The format is unchanged: it restores, the
-    kernel's masks are rebuilt from the stored sets, the retired factors are
+    per-centre balls as plain sets with per-node refcounts, and by the code
+    that learned per-fragment cost factors for migration.  The format is
+    unchanged: it restores onto the kernel, its node sets satisfy the
+    membership invariant, the retired balls, refcounts and factors are
     ignored and not written again, and the next ticks equal a recompute."""
     state = read_checkpoint(CHECKPOINT)
     assert state["format"] == 1
-    assert "cost_factors" in state["manager"]
+    assert {"cost_factors", "balls", "refcounts"} <= set(state["manager"])
     with api.restore_core(CHECKPOINT) as core:
         (session,) = core.sessions.values()
         identifier = core.identifier
         manager, graph = identifier.manager, identifier.graph
-        hoods = manager._neighborhoods
-        assert hoods.masks
+        assert manager._neighborhoods.masks
         saved = state["manager"]["balls"]
-        assert {center: hoods.nodes(handle) for center, handle in manager._balls.items()} == saved
-        for center, nodes in saved.items():
-            assert nodes == ball(graph, center, manager.max_radius)
+        assert set(saved) == set(manager._owner)
+        for index, members in manager._node_sets.items():
+            owned = manager.owned_centers(index)
+            assert members == set().union(*(saved[center] for center in owned))
+            assert members == multi_source_ball(graph, owned, manager.max_radius)
         for seed in range(3):
             core.apply(random_update_batch(graph, size=6, seed=seed, deletion_bias=0.5))
             assert eip_fingerprint(session.result) == eip_fingerprint(session.recompute())
         again = read_checkpoint(core.save_state(tmp_path / "again.ckpt"))
         assert again["format"] == 1
-        assert "cost_factors" not in again["manager"]
-        assert all(isinstance(nodes, set) for nodes in again["manager"]["balls"].values())
+        assert not {"cost_factors", "balls", "refcounts"} & set(again["manager"])
+        assert all(isinstance(nodes, set) for nodes in again["manager"]["node_sets"].values())
 
 
 # ----------------------------------------------------------------------

@@ -15,7 +15,7 @@ longer a match.  This file attacks exactly that:
 (iii) checkpoints carry no witnesses: a restored core searches once, then hits;
 (iv)  the store is bounded by live trie patterns × owned centres, across
       retirement, removal, shedding and a 100-tick churn;
-(v)   ball-difference refcounting == refcounts rebuilt from nothing;
+(v)   area-recomputed membership == membership rebuilt from nothing;
 (vi)  the count gates of the change: ticks answer positives from witnesses,
       and a batch reads each node's neighbourhood once.
 """
@@ -30,7 +30,7 @@ import pytest
 from repro import api
 from repro.datasets import generate_gpars, pokec_like
 from repro.graph import Graph, columnar_view
-from repro.graph.neighborhood import ball, multi_source_ball
+from repro.graph.neighborhood import ball
 from repro.identification import EIPConfig, identify_entities
 from repro.matching import GuidedMatcher, VF2Matcher
 from repro.matching.base import Matcher, PlanMatcher, WitnessStore, search_plan
@@ -422,13 +422,13 @@ def test_store_is_bounded_by_live_patterns_and_owned_centres():
 
 
 # ----------------------------------------------------------------------
-# (v) ball-difference refcounting == refcounts rebuilt from nothing
+# (v) area-recomputed membership == membership rebuilt from nothing
 # ----------------------------------------------------------------------
-def test_ball_difference_refcounting_equals_release_all_retain_all():
-    """The reference form, kept here: release every ball, retain every ball —
-    i.e. refcounts and membership rebuilt from each owned centre's freshly
-    computed ball — must agree with what ``derive_batch`` maintained by ball
-    differences, on 30 deletion-heavy batches."""
+def test_area_membership_equals_the_owned_balls_rebuilt_from_nothing():
+    """The reference form, kept here: membership rebuilt from each owned
+    centre's freshly computed ball must agree with what ``derive_batch``
+    maintained by recomputing only the area near the change, and the
+    slices must carry exactly the difference, on 30 deletion-heavy batches."""
     from repro.datasets import most_frequent_predicates, synthetic_graph
     from repro.partition import partition_graph
 
@@ -442,27 +442,23 @@ def test_ball_difference_refcounting_equals_release_all_retain_all():
         batch = random_update_batch(graph, size=10, seed=500 + position, deletion_bias=0.6)
         members_before = {index: set(nodes) for index, nodes in manager._node_sets.items()}
         delta = batch.apply(graph)
-        plan = manager.derive_batch(delta, multi_source_ball(graph, delta.touched, radius))
+        plan = manager.derive_batch(delta)
 
-        reference = {index: Counter() for index in members_before}
+        reference = {index: set() for index in members_before}
         for center, owner in manager._owner.items():
-            fresh = ball(graph, center, radius)  # plain BFS: no memo, no difference
-            stored = manager._neighborhoods.nodes(manager._balls[center])
-            assert set(stored) == fresh, (position, center)
-            reference[owner].update(fresh)
-        for index, counts in reference.items():
-            assert manager._refcounts[index] == dict(counts), (position, index)
-            assert frozenset(manager._node_sets[index]) == frozenset(counts)
+            reference[owner] |= ball(graph, center, radius)  # plain BFS: no memo, no area
+        for index, members in reference.items():
+            assert manager._node_sets[index] == members, (position, index)
             update = plan.updates[index]
-            entered = set(counts) - members_before[index]
-            vanished = members_before[index] - set(counts)
+            entered = members - members_before[index]
+            vanished = members_before[index] - members
             assert {node for node, _label, _attrs in update.add_nodes} == entered
             assert set(update.shed) == {node for node in vanished if graph.has_node(node)}
             assert set(update.remove_nodes) == {node for node in vanished if not graph.has_node(node)}
             shed_total += len(update.shed)
             entered_total += len(entered)
         summary = manager.resident_summary()
-        assert summary["resident_nodes"] == sum(len(counts) for counts in reference.values())
+        assert summary["resident_nodes"] == sum(len(members) for members in reference.values())
         assert plan.shed_nodes == sum(len(update.shed) for update in plan.updates.values())
     assert shed_total > 0 and entered_total > 0, "the batches must have shed and admitted nodes"
 
@@ -533,10 +529,10 @@ def test_derive_batch_reads_each_neighbourhood_once_per_tick(monkeypatch):
             calls[node] += 1
         return original_neighbors(self, node)
 
-    def bracketed_derive(self, delta, region):
+    def bracketed_derive(self, delta):
         inside.append(True)
         try:
-            return original_derive(self, delta, region)
+            return original_derive(self, delta)
         finally:
             inside.pop()
 

@@ -33,7 +33,7 @@ single facade both the CLI and the HTTP service (:mod:`repro.serve`) consume:
     and the server's subscription endpoint replay;
   - **cores are durable** — :meth:`SharedSessionCore.save_state` checkpoints
     the core with its tenant table and :func:`restore_core` resumes it
-    (docs/lifecycle.md).
+    (docs/streaming.md).
 
 The snapshot/delta histories hold references to the immutable per-tick
 ``EIPResult`` objects (each projection assembles a fresh one per tick), so
@@ -276,7 +276,7 @@ class Session:
         self.rules: tuple[GPAR, ...] = admission.rules
         self._representatives = dict(representatives)
         self._census_plan = plan_census(self.rules)
-        #: Pinned for the core's lifetime (admissions never widen the balls).
+        #: Pinned for the core's lifetime (admissions never widen the radius).
         self.max_radius = core.identifier.max_radius
         self._history_limit = history_limit
         self._state_lock = threading.Lock()  # guards the histories (briefly)
@@ -436,7 +436,7 @@ class Session:
         """Evict this tenant from its core; retained snapshots stay readable.
 
         Sibling tenants (and the verdict state they read) stay live; the
-        last tenant's eviction releases the core's worker pool.
+        last tenant's eviction closes the core's identifier.
         """
         self._core.close_session(self)
 
@@ -483,7 +483,7 @@ class SharedSessionCore:
     :class:`Session` carries its admission, representatives and census
     plan).  All tenants share the consequent predicate and the
     :class:`~repro.identification.eip.EIPConfig`.  ``radius_floor`` gives
-    the balls headroom for tenants admitted later.  :meth:`save_state`
+    the pinned verification radius headroom for tenants admitted later.  :meth:`save_state`
     checkpoints the core with its tenant table, :func:`restore_core`
     resumes it.
     """
@@ -550,10 +550,7 @@ class SharedSessionCore:
                         config=self.config,
                         radius_floor=self.radius_floor,
                     )
-                    backfill = sum(
-                        len(fragment.owned_centers)
-                        for fragment in self._identifier.fragments
-                    )
+                    backfill = len(self.graph.nodes_with_label(self._identifier.x_label))
                 elif novel:
                     backfill = self._identifier.admit_rules(novel).backfill_centers
                 else:
@@ -634,11 +631,8 @@ class SharedSessionCore:
     def _project(self, session: Session) -> EIPResult:
         identifier = self.identifier
         identifier.check_current()  # the union answer itself is never assembled
-        projected = [
-            _rebind(identifier._reports[fragment.index], session.rules, session._representatives)
-            for fragment in identifier.fragments
-        ]
-        reports = apply_census(self.graph, session.rules, projected, session._census_plan)
+        projected = _rebind(identifier._report, session.rules, session._representatives)
+        reports = apply_census(self.graph, session.rules, [projected], session._census_plan)
         return identifier._solver._assemble(list(session.rules), reports)
 
     def save_state(self, path: Path | str) -> Path:
@@ -702,7 +696,7 @@ def _rebind(
     rules: tuple[GPAR, ...],
     representatives: Mapping[GPAR, GPAR],
 ) -> _FragmentReport:
-    """Rebind one fragment's shared verdicts to a tenant's rule objects."""
+    """Rebind the shared verdicts to a tenant's rule objects."""
     projected = _FragmentReport(
         fragment_index=stored.fragment_index,
         supp_q=stored.supp_q,
@@ -796,7 +790,8 @@ def restore_core(
     verification runs: the union engine resumes from its stored verdicts
     and each tenant re-registers against the saved representatives — with
     a fresh history starting at the saved graph version.  ``backend`` /
-    ``executor_workers`` override the saved :class:`EIPConfig`, as in
+    ``executor_workers`` override the saved :class:`EIPConfig` (they steer
+    only ``recompute``), as in
     :meth:`repro.stream.StreamingIdentifier.restore`.
     """
     _check_history_limit(history_limit)

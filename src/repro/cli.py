@@ -145,7 +145,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         print(
             f"streaming match over {graph.num_nodes} nodes / "
             f"{graph.num_edges} edges, |Σ|={len(rules)}, d={session.max_radius} "
-            f"[backend={args.backend}]"
+            f"[recompute backend={args.backend}]"
         )
         print(f"initial: {session.result.summary().splitlines()[0]}")
         for position in range(args.updates):
@@ -286,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     stream.add_argument("--rules", type=int, default=6, help="size of the sampled rule set Σ")
     stream.add_argument("--eta", type=float, default=1.0, help="confidence bound")
     stream.add_argument("--workers", type=int, default=4,
-                        help="number of fragments / BSP workers n")
+                        help="fragments of the --verify recompute (ticks run in process, unpartitioned)")
     stream.add_argument("-d", type=int, default=2)
     stream.add_argument("--max-edges", type=int, default=4, dest="max_edges")
     stream.add_argument("--seed", type=int, default=0)
@@ -306,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=0.0,
         dest="deletion_bias",
         help="probability that a sampled operation is forced to be a "
-        "removal (deletion-heavy churn; see docs/lifecycle.md)",
+        "removal (deletion-heavy churn; see docs/streaming.md)",
     )
     stream.add_argument(
         "--save-state",

@@ -12,20 +12,10 @@ the plain sums of fragment-local supports.
 """
 
 from repro.partition.fragment import Fragment
-from repro.partition.lifecycle import (
-    FragmentCheckpoint,
-    FragmentLease,
-    FragmentManager,
-    FragmentUpdate,
-)
 from repro.partition.partitioner import partition_graph, shared_fragments
 
 __all__ = [
     "Fragment",
-    "FragmentCheckpoint",
-    "FragmentLease",
-    "FragmentManager",
-    "FragmentUpdate",
     "partition_graph",
     "shared_fragments",
 ]

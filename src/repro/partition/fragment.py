@@ -26,18 +26,11 @@ class Fragment:
         The candidate centre nodes *owned* by this fragment.  Ownership is
         disjoint across fragments, so counting owned centres never double
         counts a node in global support sums.
-    sequence:
-        The update-slice sequence number this resident copy reflects
-        (see :mod:`repro.partition.lifecycle`); 0 for a fresh partition.
-        A worker's applied-sequence counter initialises from it, so
-        fragments re-materialised from a lifecycle checkpoint never replay
-        slices they already contain.
     """
 
     index: int
     graph: Graph
     owned_centers: set = field(default_factory=set)
-    sequence: int = 0
 
     def __repr__(self) -> str:
         return (

@@ -166,9 +166,8 @@ class SessionHandle:
     subscribers: int = 0
 
     def resident_nodes(self) -> int:
-        """Total nodes resident across the core's fragments."""
-        manager = self.session.core.identifier.manager
-        return manager.resident_summary()["resident_nodes"]
+        """Nodes resident for the core: its one graph, never copied."""
+        return self.session.core.graph.num_nodes
 
     def info(self, session_id: str) -> dict:
         result = self.session.result
@@ -202,7 +201,7 @@ SESSION_GAUGES = (
      lambda handle: handle.session.graph_version, False),
     ("repro_session_oldest_retained_version", "Oldest snapshot version still retained",
      lambda handle: handle.session.oldest_retained_version, False),
-    ("repro_session_resident_nodes", "Nodes resident across the session's fragments",
+    ("repro_session_resident_nodes", "Nodes resident for the session's core (its graph)",
      lambda handle: handle.resident_nodes(), False),
     ("repro_session_subscribers", "Long-poll subscribers currently waiting",
      lambda handle: handle.subscribers, False),
@@ -580,9 +579,10 @@ class ReproService:
                 "base_version": delta.base_version,
                 "report": {
                     "rechecked_centers": report.rechecked_centers,
-                    "entered_nodes": report.entered_nodes,
-                    "shed_nodes": report.shed_nodes,
-                    # Retired field, always 0: benchmarks/e2e/layers.py still reads it.
+                    # Retired fields, always 0 (a session keeps no fragments):
+                    # benchmarks/e2e/layers.py still reads them.
+                    "entered_nodes": 0,
+                    "shed_nodes": 0,
                     "migrated_centers": 0,
                     "wall_time": round(report.wall_time, 6),
                 },

@@ -9,19 +9,15 @@ static pipeline into an online one:
   applied as **one** ``Graph.batch_update`` version tick;
 * :mod:`repro.stream.identifier` — :class:`StreamingIdentifier`, an
   :class:`~repro.identification.eip.EIPResult` kept continuously correct by
-  re-verifying only the (pattern, centre) pairs a batch can reach, with
-  update slices shipped to the persistent worker pool
-  so fragment-resident graphs and indexes stay in sync without re-pickling
-  graphs — the one mechanism that keeps the per-rule match sets current
-  (workers re-validate a kept witness before they search).
+  re-verifying only the (pattern, centre) pairs a batch can reach, in
+  process, over the graph itself and its one resident structure — the one
+  mechanism that keeps the per-rule match sets current (the kept matcher
+  re-validates a witness before it searches).
 
-Fragment residency itself — membership as the d-ball of each fragment's
-owned centres, recomputed only near what a batch changed, with
-deletion-driven shedding, checkpointed log compaction, centre ownership
-fixed at partition time — lives in :mod:`repro.partition.lifecycle` and is
-driven from here.  See ``docs/streaming.md`` for the update model and the
-ball-scoped invalidation argument, and ``docs/lifecycle.md`` for the
-lifecycle layer.
+A session is one graph in one process: it partitions nothing and starts no
+worker pool (fragments are the batch ``Match`` / ``DMine`` setting of
+:mod:`repro.partition`).  See ``docs/streaming.md`` for the update model,
+the recheck argument and checkpoints.
 """
 
 from repro.stream.updates import (
@@ -32,12 +28,9 @@ from repro.stream.updates import (
 )
 from repro.stream.identifier import (
     CensusMatcher,
-    FragmentUpdate,
     RuleAdmissionReport,
     StreamUpdateReport,
-    StreamVerifyPayload,
     StreamingIdentifier,
-    stream_update_worker,
 )
 from repro.stream.multitenant import TenantAdmission
 
@@ -47,11 +40,8 @@ __all__ = [
     "UpdateBatch",
     "random_update_batch",
     "CensusMatcher",
-    "FragmentUpdate",
     "RuleAdmissionReport",
     "TenantAdmission",
-    "StreamVerifyPayload",
     "StreamUpdateReport",
     "StreamingIdentifier",
-    "stream_update_worker",
 ]

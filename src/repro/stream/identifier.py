@@ -6,28 +6,28 @@ constructed and then maintains the resulting
 :class:`~repro.stream.updates.UpdateBatch` applications by repairing, not
 recomputing:
 
-* the coordinator applies the batch to the authoritative graph (one version
-  tick) and hands the recorded delta to its
-  :class:`~repro.partition.lifecycle.FragmentManager`, which derives one
-  :class:`~repro.partition.lifecycle.FragmentUpdate` slice per fragment —
-  the fragment-local mutations, the *ball augmentation* (nodes newly within
-  ``d`` hops of an owned centre), deletion-driven *shedding* (nodes no
-  longer within ``d`` hops of any owned centre) and centre-ownership changes;
-* each worker catches its resident copy up through
-  :func:`~repro.partition.lifecycle.catch_up` — installing the newest
-  compaction checkpoint if it is behind it, replaying the slice tail —
-  lets the resident :class:`~repro.graph.columnar.ColumnarFragment` patch
-  itself forward from the graph's recorded deltas, and re-verifies **only** the
-  (pattern, owned centre) pairs a change can reach — every other stored
-  verdict is provably unchanged (see ``docs/streaming.md``);
-* the coordinator splices the partial reports into its per-fragment state
-  and re-assembles confidences, so :attr:`result` is at all times exactly
-  what a from-scratch run on the current graph would return.
+* the identifier applies the batch to its graph (one version tick);
+* it finds the (pattern, centre) pairs a change can reach along that
+  pattern's paths (:func:`reachable_centres`) — every other stored verdict
+  is provably unchanged (see ``docs/streaming.md``);
+* it re-verifies exactly those pairs, in process, over the graph itself and
+  its one resident :class:`~repro.graph.columnar.ColumnarFragment`, which
+  patches itself forward from the graph's recorded deltas, with a kept
+  :class:`~repro.matching.guided.GuidedMatcher` whose witnesses survive
+  between ticks;
+* it splices the partial report into its one stored report, so
+  :attr:`result` is at all times exactly what a from-scratch run on the
+  current graph would return.  A tick whose verify or merge raises is
+  recovered in the same call by re-verifying every centre, as opening does.
+
+The graph is not partitioned: fragments exist so that the paper's batch
+``Match`` and ``DMine`` run in parallel (:mod:`repro.partition`), and one
+process verifying a tick gains nothing from them.
 
 Rules whose antecedent is disconnected — the usual shape of DMine-mined
 rules — are maintained too: the connected x-component is verified
-ball-locally as usual, and the free part is checked by the coordinator
-against the authoritative graph.  Isolated free nodes (the mined free-``y``
+ball-locally as usual, and the free part is checked against the whole
+graph.  Isolated free nodes (the mined free-``y``
 shape) use the **global label census** (the feasibility condition
 ``count(L) >= #antecedent nodes labelled L`` for each free label, exact for
 injective label-equality matching); free components that carry edges use
@@ -35,7 +35,7 @@ the **component census** — per-shape embedding enumeration with an exact
 per-centre fallback (see :mod:`repro.identification.census`).  The
 maintained answer for such rules follows whole-graph matching semantics and
 agrees with :func:`repro.identification.eip.identify_entities`, which
-routes through the same census; see ``docs/lifecycle.md`` and
+routes through the same census; see ``docs/streaming.md`` and
 ``docs/adversarial.md``.
 """
 
@@ -52,7 +52,7 @@ from pathlib import Path
 from typing import Hashable, Sequence
 
 from repro.exceptions import StreamError
-from repro.graph.columnar import registered_columnar
+from repro.graph.columnar import columnar_view
 from repro.graph.graph import Graph, GraphDelta
 from repro.graph.neighborhood import multi_source_ball
 from repro.identification.census import (
@@ -68,72 +68,25 @@ from repro.matching.base import WitnessStore
 from repro.matching.guided import GuidedMatcher
 from repro.matching.multi import trie_patterns
 from repro.obs.registry import registry
-from repro.obs.tracing import (
-    Tracer,
-    active,
-    override_tracer,
-    span,
-    tracing_enabled,
-)
-from repro.parallel.executor import make_executor
-from repro.parallel.runtime import BSPRuntime
-from repro.parallel.worker import WorkerContext
+from repro.obs.tracing import span
 from repro.partition.fragment import Fragment
-from repro.partition.lifecycle import (
-    FragmentLease,
-    FragmentManager,
-    FragmentUpdate,
-    catch_up,
-)
-from repro.partition.partitioner import partition_graph
+# Bound here only because the repo benchmark's wrap table
+# (benchmarks/e2e/wraps.py) names ``repro.stream.identifier.partition_graph``;
+# nothing in this module calls it.  ROADMAP 1(c) retargets that table and
+# deletes this import.
+from repro.partition.partitioner import partition_graph  # noqa: F401
 from repro.pattern.gpar import GPAR
 from repro.pattern.pattern import Pattern, PatternEdge
 from repro.stream.updates import UpdateBatch
 
 __all__ = [
     "CensusMatcher",
-    "FragmentUpdate",
     "RuleAdmissionReport",
     "StreamUpdateReport",
-    "StreamVerifyPayload",
     "StreamingIdentifier",
-    "stream_update_worker",
 ]
 
 NodeId = Hashable
-
-
-# ----------------------------------------------------------------------
-# round payloads and the worker function
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class StreamVerifyPayload:
-    """Round payload of one streaming verification (coordinator → worker).
-
-    ``lease`` carries the fragment's base checkpoint reference plus the
-    update-slice tail, so any worker process — however stale its resident
-    copy, including one that never served this fragment before — catches up
-    deterministically.  ``recheck`` restricts re-verification to the
-    (pattern, centre) pairs whose verdict may have changed:
-    ``({rule index: centres}, {rule index: centres}, centres)`` for the
-    antecedents and the PRs of ``rules``, and the centres whose LCWA class
-    alone is recomputed; ``None`` verifies every owned centre against every
-    rule (the initial full round).  ``census`` maps census-split
-    antecedents to their x-components (see :class:`CensusMatcher`).
-    """
-
-    lease: FragmentLease
-    config: EIPConfig
-    rules: tuple[GPAR, ...]
-    max_radius: int
-    predicate: object
-    recheck: tuple | None = None
-    census: tuple = ()  # ((antecedent, x_part), ...)
-    #: Whether the coordinator had an active tracer when it built the
-    #: payload: workers then record their phases into a fragment-local
-    #: :class:`~repro.obs.tracing.Tracer` and ship the records back on
-    #: ``_FragmentReport.spans`` for adoption under the coordinator's tree.
-    traced: bool = False
 
 
 @dataclass
@@ -145,25 +98,13 @@ class StreamUpdateReport:
     rechecked_centers: int = 0
     #: (pattern, centre) pairs re-verified: antecedents and PRs.
     verifications: int = 0
-    owned_added: int = 0
-    owned_removed: int = 0
-    entered_nodes: int = 0
-    shed_nodes: int = 0
-    compacted_fragments: int = 0
-    shipped_edges: int = 0
-    resident_nodes: int = 0
-    log_ops: int = 0
     wall_time: float = 0.0
 
     def as_row(self) -> str:
         """One-line human-readable summary used by the CLI."""
         return (
             f"touched={len(self.delta.touched)} rechecked={self.rechecked_centers} "
-            f"verifications={self.verifications} "
-            f"owned(+{self.owned_added}/-{self.owned_removed}) "
-            f"entered={self.entered_nodes} shed={self.shed_nodes} "
-            f"compacted={self.compacted_fragments} "
-            f"resident={self.resident_nodes} wall={self.wall_time:.3f}s"
+            f"verifications={self.verifications} wall={self.wall_time:.3f}s"
         )
 
 
@@ -179,82 +120,6 @@ class RuleAdmissionReport:
 def _centres(antecedents: dict, prs: dict, classify=()) -> set:
     """Every centre a ``recheck`` names."""
     return set(classify).union(*antecedents.values(), *prs.values())
-
-
-def stream_update_worker(
-    context: WorkerContext, payload: StreamVerifyPayload
-) -> _FragmentReport:
-    """BSP worker function: catch up on fragment state, verify the recheck set.
-
-    Catch-up runs through :func:`repro.partition.lifecycle.catch_up`: a
-    resident copy behind the lease's base checkpoint installs it, then the
-    missed slice tail replays (the applied-sequence counter lives in the
-    pool-lifetime :class:`~repro.parallel.worker.WorkerContext`).  The
-    resident structure is patched forward from the graph's recorded deltas
-    rather than rebuilt.
-
-    When the payload asks for tracing, the worker records its phases into a
-    fragment-local :class:`~repro.obs.tracing.Tracer` (installed as the
-    thread-local override, so nested module-level spans — the resident
-    structure's refresh — land in it too, on every backend) and ships the records back
-    on ``report.spans`` for the coordinator to adopt.
-    """
-    if not payload.traced:
-        return _stream_verify(context, payload)
-    tracer = Tracer()
-    with override_tracer(tracer):
-        report = _stream_verify(context, payload)
-    report.spans = tracer.records()
-    return report
-
-
-def _stream_verify(
-    context: WorkerContext, payload: StreamVerifyPayload
-) -> _FragmentReport:
-    """The actual worker body (phases traced via the ambient tracer)."""
-    owned_before = set(context.fragment.owned_centers)
-    with span("stream.worker.catch_up", fragment=context.fragment.index):
-        fragment = catch_up(context, payload.lease)
-
-    resident = registered_columnar(fragment.graph)
-    if resident is not None and resident.is_stale:
-        with span("stream.worker.index_refresh"):
-            resident.refresh()
-
-    matcher = context.cached(
-        ("eip-matcher", payload.config, payload.max_radius), GuidedMatcher
-    )
-    # Ticks re-verify the same (centre, pattern) pairs, so this matcher keeps
-    # its witnesses (validated on use — a cold store only means "search").
-    # The store lives with the matcher in the pool-lifetime context; here it
-    # is only bounded: centres the fragment stopped owning go, and the first
-    # tick (which carries all of Σ) after Σ changed — a new ``rules`` tuple —
-    # drops the patterns no live rule's trie contains.
-    if matcher.witnesses is None:
-        matcher.witnesses = WitnessStore()
-    matcher.witnesses.forget_anchors(owned_before - fragment.owned_centers)
-    if payload.recheck is not None and context.state.get("witness-sigma") is not payload.rules:
-        context.state["witness-sigma"] = payload.rules
-        matcher.witnesses.keep_patterns(trie_patterns(payload.rules, payload.census))
-    if payload.census:
-        matcher = CensusMatcher(matcher, dict(payload.census))
-    if payload.recheck is None:
-        target, pools = fragment, None
-    else:
-        target = Fragment(
-            index=fragment.index,
-            graph=fragment.graph,
-            owned_centers=_centres(*payload.recheck),
-        )
-        pools = payload.recheck[:2]
-    with span(
-        "stream.worker.verify",
-        fragment=fragment.index,
-        centers=len(target.owned_centers),
-    ):
-        return Match(payload.config)._verify_fragment(
-            target, payload.rules, matcher, payload.predicate, pools
-        )
 
 
 def walk_index(patterns: dict) -> tuple[dict, dict]:
@@ -346,17 +211,31 @@ def reachable_centres(graph: Graph, delta: GraphDelta, walks: tuple, q_label) ->
 # checkpoint files
 # ----------------------------------------------------------------------
 #: Keys every stream-state checkpoint carries; a shared core's checkpoint
-#: (:meth:`repro.api.SharedSessionCore.save_state`) is a superset.
+#: (:meth:`repro.api.SharedSessionCore.save_state`) is a superset.  Files
+#: written while sessions were partitioned also carry a ``manager`` (the
+#: fragments' residency), which restore ignores.
 CHECKPOINT_KEYS = frozenset(
     {
         "graph",
         "rules",
         "config",
-        "manager",
         "reports",
         "batches_applied",
     }
 )
+
+
+class _CanonicalPickler(pickle._Pickler):
+    """Pickles every set in ``str`` order, so no hash seed reaches the bytes.
+
+    The pure-Python pickler: the C one writes sets without consulting
+    ``reducer_override``.
+    """
+
+    def reducer_override(self, obj):
+        if type(obj) in (set, frozenset):
+            return type(obj), (sorted(obj, key=str),)
+        return NotImplemented
 
 
 def write_checkpoint(path: Path, state: dict) -> Path:
@@ -365,12 +244,14 @@ def write_checkpoint(path: Path, state: dict) -> Path:
     The bytes go to a sibling temp file, are flushed and fsynced, and only
     then renamed over *path*: a reader sees the previous checkpoint or the
     complete new one, and a failed dump leaves the previous one untouched.
+    Sets are written in ``str`` order, so equal states write equal bytes
+    under any ``PYTHONHASHSEED``.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
     scratch = path.with_name(path.name + ".tmp")
     try:
         with open(scratch, "wb") as handle:
-            pickle.dump(state, handle)
+            _CanonicalPickler(handle).dump(state)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(scratch, path)
@@ -380,19 +261,26 @@ def write_checkpoint(path: Path, state: dict) -> Path:
     return path
 
 
-class _RetiredStreamConfig:
-    """What the retired ``StreamConfig`` pickled in older checkpoints loads as.
+class _Retired:
+    """What a retired class pickled in older checkpoints loads as.
 
-    The thresholds it carried are module constants now, so restore ignores
-    it, as it ignores the lifecycle state's ``base_paths`` map of such a
-    checkpoint (its ``bases`` hold every base inline).
+    The ``StreamConfig`` thresholds are module constants now, and the
+    fragment lifecycle's slices and snapshots (``manager``) describe
+    fragments sessions no longer keep: restore ignores both.
     """
+
+
+_RETIRED = {
+    ("repro.stream.config", "StreamConfig"),
+    ("repro.partition.lifecycle", "FragmentUpdate"),
+    ("repro.partition.lifecycle", "FragmentCheckpoint"),
+}
 
 
 class _CheckpointUnpickler(pickle.Unpickler):
     def find_class(self, module: str, name: str):
-        if (module, name) == ("repro.stream.config", "StreamConfig"):
-            return _RetiredStreamConfig
+        if (module, name) in _RETIRED:
+            return _Retired
         return super().find_class(module, name)
 
 
@@ -437,14 +325,15 @@ class StreamingIdentifier:
         antecedents whose only disconnection is isolated free nodes (the
         mined free-``y`` shape) are maintained via the global label census;
         disconnected components that carry edges are maintained via the
-        coordinator-held component census (exact, whole-graph semantics —
+        component census (exact, whole-graph semantics —
         see :mod:`repro.identification.census`).
     config:
-        Standard :class:`~repro.identification.eip.EIPConfig`; the backend
-        and its worker pool stay up between batches.  Verification runs
-        ``Match``; ``Matchc`` and disVF2 are batch-only baselines.
+        Standard :class:`~repro.identification.eip.EIPConfig`.  Verification
+        runs ``Match`` in this process; ``num_workers``, ``backend`` and
+        ``executor_workers`` steer only :meth:`recompute`, the batch
+        baseline.  ``Matchc`` and disVF2 are batch-only baselines.
 
-    Use as a context manager, or call :meth:`close` to release the pool.
+    Use as a context manager, or call :meth:`close` to stop accepting writes.
     """
 
     def __init__(
@@ -457,39 +346,15 @@ class StreamingIdentifier:
         self.graph = graph
         self.rules = tuple(rules)
         self.config = config if config is not None else EIPConfig()
-        # Floor on the verification radius: fragments are partitioned (and
-        # their balls materialized) at max(radius(Σ), radius_floor), so a
-        # later admit_rules() can bring rules up to the floor without
-        # repartitioning.  admit/retire raise the floor to the pinned radius
-        # so the resident balls never shrink under live verdicts.
+        # Floor on the verification radius, so a later admit_rules() can
+        # bring rules up to it.  admit/retire raise the floor to the pinned
+        # radius: the d-hop recheck region never shrinks under live verdicts.
         self.radius_floor = radius_floor
         self._prepare_rules()
-
-        centers = graph.nodes_with_label(self.x_label)
-        fragments = partition_graph(
-            graph,
-            self.config.num_workers,
-            centers=centers,
-            d=self.max_radius,
-            seed=self.config.seed,
-        )
-        # All residency/ownership/log truth lives in the manager, next to
-        # the authoritative graph; fragment *objects* may live (and mutate)
-        # in worker processes.
-        self.manager = FragmentManager(graph, fragments, self.max_radius, self.x_label)
-        self.fragments = self.manager.fragments
         self.batches_applied = 0
-        self._start_runtime()
-
-        payloads = [
-            self._payload(fragment.index, recheck=None) for fragment in self.fragments
-        ]
-        reports = self._run_round(
-            "stream.initial_verify", payloads, "t0", fragments=len(payloads)
-        )
-        self._reports: dict[int, _FragmentReport] = {
-            report.fragment_index: report for report in reports
-        }
+        self._open()
+        with span("stream.initial_verify"):
+            self._report = self._verify(self.rules, None)
         self._graph_version = graph.version
 
     # ------------------------------------------------------------------
@@ -502,8 +367,8 @@ class StreamingIdentifier:
         self.predicate = representative.q_pattern()
         self.x_label = representative.x_label
         # One census plan shared (by construction) with the static solvers:
-        # workers verify x-components via CensusMatcher substitution, the
-        # coordinator applies the global half at assembly time.  PR = the
+        # the verify checks x-components via CensusMatcher substitution, the
+        # global half applies at assembly time.  PR = the
         # antecedent + the q(x, y) edge, so a free y reattaches in PR while
         # any other free part census-splits PR too; rule.verification_radius
         # — which needs a connected PR — is replaced by the x-reachable
@@ -528,48 +393,57 @@ class StreamingIdentifier:
         self._walked = frozenset(walked)
         self._walks = walk_index(walked)
 
-    def _start_runtime(self) -> None:
-        executor = make_executor(self.config.backend, self.config.executor_workers)
-        self.runtime = BSPRuntime(self.fragments, executor)
-        self.runtime.start_run()
+    def _open(self) -> None:
+        """Compile the graph's resident structure and a witness-keeping matcher."""
+        self._view = columnar_view(self.graph)
+        # Ticks re-verify the same (centre, pattern) pairs, so the matcher
+        # keeps its witnesses (validated on use — a cold store only means
+        # "search"); the store is only bounded, to live patterns x centres.
+        self._matcher = GuidedMatcher()
+        self._matcher.witnesses = WitnessStore()
         self._closed = False
         self._result: EIPResult | None = None  # assembled on read, see result
-        # apply() is not re-entrant: it mutates the authoritative graph, the
-        # lifecycle manager and the stored reports in sequence, so a second
-        # concurrent call would interleave half-applied ticks.  The guard is
-        # non-blocking — concurrent writers are a caller bug (serialize
-        # through repro.api.Session.apply), not something to silently queue.
+        # apply() is not re-entrant: it mutates the graph and the stored
+        # report in sequence, so a second concurrent call would interleave
+        # half-applied ticks.  The guard is non-blocking — concurrent writers
+        # are a caller bug (serialize through repro.api.Session.apply), not
+        # something to silently queue.
         self._apply_guard = threading.Lock()
 
-    def _payload(
-        self,
-        index: int,
-        recheck: tuple | None,
-        rules: tuple[GPAR, ...] | None = None,
-    ) -> StreamVerifyPayload:
-        return StreamVerifyPayload(
-            lease=self.manager.lease(index),
-            config=self.config,
-            rules=self.rules if rules is None else rules,
-            max_radius=self.max_radius,
-            predicate=self.predicate,
-            recheck=recheck,
-            census=self._census_pairs,
-            traced=tracing_enabled(),
-        )
+    def _verify(self, rules: tuple[GPAR, ...], recheck: tuple | None) -> _FragmentReport:
+        """One ``Match`` verification of *rules* over the graph: every centre
+        when *recheck* is ``None``, else the pairs it names —
+        ``({rule index: centres}, {rule index: centres}, centres)`` for the
+        antecedents and the PRs of ``rules``, and the centres whose LCWA
+        class alone is recomputed."""
+        if self._view.is_stale:
+            with span("stream.worker.index_refresh"):
+                self._view.refresh()
+        matcher = self._matcher
+        if self._census_pairs:
+            matcher = CensusMatcher(matcher, dict(self._census_pairs))
+        if recheck is None:
+            centres, pools = self.graph.nodes_with_label(self.x_label), None
+        else:
+            centres, pools = _centres(*recheck), recheck[:2]
+        target = Fragment(index=0, graph=self.graph, owned_centers=centres)
+        with span("stream.worker.verify", centers=len(centres)):
+            return self._solver._verify_fragment(target, rules, matcher, self.predicate, pools)
 
     def _assemble(self) -> EIPResult:
-        reports = [self._reports[fragment.index] for fragment in self.fragments]
-        # The maintained reports hold x-part verdicts; the census rewrites
-        # them to whole-graph verdicts on *copies*, so a census that becomes
+        # The maintained report holds x-part verdicts; the census rewrites
+        # them to whole-graph verdicts on a *copy*, so a census that becomes
         # satisfiable again on a later tick re-reads the intact x-part sets.
-        reports = apply_census(self.graph, self.rules, reports, self._census_plan)
-        result = self._solver._assemble(list(self.rules), reports)
-        result.timings = self.runtime.timings
-        return result
+        reports = apply_census(self.graph, self.rules, [self._report], self._census_plan)
+        return self._solver._assemble(list(self.rules), reports)
 
     def check_current(self) -> None:
         """Raise unless the stored verdicts describe the graph's current state."""
+        if self._report is None:
+            raise StreamError(
+                "this StreamingIdentifier closed after a tick it could not "
+                "recover; build a fresh one"
+            )
         if self.graph.version != self._graph_version:
             raise StreamError(
                 "the graph was mutated outside StreamingIdentifier.apply(); "
@@ -594,31 +468,11 @@ class StreamingIdentifier:
         finally:
             self._apply_guard.release()
 
-    def _run_round(self, name: str, payloads: list, prefix: str, **attrs) -> list:
-        """One BSP round under span *name*; shipped worker spans are adopted
-        beneath it (the prefix keeps ids unique across ticks and fragments)."""
-        tracer = active()
-        with span(name, **attrs) as round_span:
-            reports = self.runtime.run_round(stream_update_worker, payloads)
-            # A resident session runs a round per tick for as long as it lives
-            # and reads only the newest RoundTiming: keep that one.
-            del self.runtime.timings.rounds[:-1]
-            if tracer is not None:
-                for shipped in reports:
-                    if shipped.spans:
-                        tracer.adopt(
-                            shipped.spans,
-                            parent_id=round_span.span_id,
-                            prefix=f"{prefix}.w{shipped.fragment_index}.",
-                        )
-                        shipped.spans = []
-        return reports
-
     @property
     def result(self) -> EIPResult:
         """The maintained EIP answer for the graph's current state.
 
-        Assembled from the stored per-fragment verdicts on first read and
+        Assembled from the stored verdicts on first read and
         memoised until the next write (``apply`` / ``admit_rules`` /
         ``retire_rules`` drop the memo), so a tick whose union answer nobody
         reads — every session reads its own projection — never pays for it.
@@ -634,7 +488,11 @@ class StreamingIdentifier:
 
         Not re-entrant: a second concurrent call (another thread driving the
         same identifier) raises :class:`StreamError` instead of interleaving
-        ticks.  Serialize writers through :class:`repro.api.Session`.
+        ticks.  Serialize writers through :class:`repro.api.Session`.  A tick
+        whose verify or merge raises re-verifies every centre instead
+        (counted in ``repro_stream_recovered_ticks_total``); if that raises
+        too, the identifier closes and this call, and every later read and
+        write, raises :class:`StreamError`.
         """
         with self._writing(), span("stream.tick", tick=self.batches_applied + 1):
             return self._apply_locked(batch)
@@ -645,47 +503,59 @@ class StreamingIdentifier:
             delta = batch.apply(self.graph)
             batch_span.set(touched=len(delta.touched))
         report = StreamUpdateReport(delta=delta)
-        graph = self.graph
-        self._graph_version = graph.version
+        self._graph_version = self.graph.version
         self.batches_applied += 1
 
-        # Residency moves only within d hops of a changed element, on the
-        # post-update graph (docs/lifecycle.md); verification follows the
-        # (pattern, centre) pairs a change reaches along that pattern's paths,
-        # and the owned centres within d hops of a touched node for a rule
-        # that is not walked (both exact — see docs/streaming.md).
+        # Verification follows the (pattern, centre) pairs a change reaches
+        # along that pattern's paths, and the centres within d hops of a
+        # touched node for a rule that is not walked (both exact — see
+        # docs/streaming.md).
         with span("stream.slice_build") as slice_span:
-            plan = self.manager.derive_batch(delta)
-            recheck = self._recheck_pairs(delta, plan)
-            for antecedents, prs, _classify in recheck.values():
-                report.rechecked_centers += len(_centres(antecedents, prs))
-                report.verifications += sum(map(len, (*antecedents.values(), *prs.values())))
-            slice_span.set(region=plan.area, rechecked=report.rechecked_centers)
-        report.owned_added = plan.owned_added
-        report.owned_removed = plan.owned_removed
-        report.entered_nodes = plan.entered_nodes
-        report.shed_nodes = plan.shed_nodes
-        report.shipped_edges = plan.shipped_edges
-
-        payloads = [self._payload(fragment.index, recheck=recheck[fragment.index]) for fragment in self.fragments]
-        partials = self._run_round(
-            "stream.verify",
-            payloads,
-            f"t{self.batches_applied}",
-            fragments=len(payloads),
-        )
-        with span("stream.assemble"):
-            for partial in partials:
-                index = partial.fragment_index
-                self._merge(partial, recheck[index], plan.updates[index].own_remove)
-            report.compacted_fragments = len(self.manager.maybe_compact())
-            summary = self.manager.resident_summary()
-            report.resident_nodes = summary["resident_nodes"]
-            report.log_ops = summary["log_ops"]
-            self._result = None
+            region = None
+            if len(self._walked) < 2 * len(self.rules):
+                region = multi_source_ball(self.graph, delta.touched, self.max_radius)
+            recheck = self._recheck_pairs(delta, region)
+            antecedents, prs, _classify = recheck
+            report.rechecked_centers = len(_centres(antecedents, prs))
+            report.verifications = sum(map(len, (*antecedents.values(), *prs.values())))
+            slice_span.set(region=0 if region is None else len(region), rechecked=report.rechecked_centers)
+        # Centres the batch removed or relabelled away: their verdicts go.
+        removed = {node for node, label in delta.old_labels if label == self.x_label}
+        try:
+            with span("stream.verify"):
+                self._matcher.witnesses.forget_anchors(removed)
+                partial = self._verify(self.rules, recheck)
+            with span("stream.assemble"):
+                self._merge(partial, recheck, removed)
+        except Exception as failure:
+            self._rebuild(failure)
+        self._result = None
         report.wall_time = time.perf_counter() - started
         self._record_tick_metrics(report)
         return report
+
+    def _rebuild(self, failure: Exception) -> None:
+        """Recover a tick whose verify or merge raised: recompile the resident
+        structure, start a new matcher and re-verify every centre from the
+        current graph, as opening does.  If that raises too, close."""
+        with span("stream.recover"):
+            try:
+                self._view._build()
+                self._matcher = GuidedMatcher()
+                self._matcher.witnesses = WitnessStore()
+                self._report = self._verify(self.rules, None)
+            except Exception as exc:
+                self._report = None
+                self.close()
+                raise StreamError(
+                    f"a tick failed ({type(failure).__name__}: {failure}) and "
+                    f"re-verifying every centre failed too ({type(exc).__name__}: "
+                    f"{exc}); this StreamingIdentifier is closed"
+                ) from exc
+        registry().inc(
+            "repro_stream_recovered_ticks_total",
+            help="Ticks whose verify or merge raised, recovered by re-verifying every centre",
+        )
 
     def _record_tick_metrics(self, report: StreamUpdateReport) -> None:
         """Fold one tick's outcome into the process-global metrics registry."""
@@ -694,8 +564,6 @@ class StreamingIdentifier:
             ("ticks", 1, "Update batches applied"),
             ("rechecked_centers", report.rechecked_centers, "Centres re-verified for at least one pattern by streaming repair"),
             ("verifications", report.verifications, "(pattern, centre) pairs re-verified by streaming repair"),
-            ("shed_nodes", report.shed_nodes, "Resident nodes shed after deletions"),
-            ("compacted_fragments", report.compacted_fragments, "Fragment logs compacted into checkpoints"),
         ):
             metrics.inc(f"repro_stream_{name}_total", amount, help=help_text)
         metrics.observe(
@@ -705,48 +573,42 @@ class StreamingIdentifier:
         )
 
     # ------------------------------------------------------------------
-    def _recheck_pairs(self, delta: GraphDelta, plan) -> dict[int, tuple]:
-        """Per fragment, the ``recheck`` of its :class:`StreamVerifyPayload`:
-        a walked pattern's owned centres whose stored verdict a change
-        reaches that way (a negative from an added element, a positive from
-        a removed one) and the newly owned ones; else the owned centres of
-        the d-hop region, built only while some pattern is not walked."""
-        region = None
-        if len(self._walked) < 2 * len(self.rules):
-            region = multi_source_ball(self.graph, delta.touched, self.max_radius)
+    def _recheck_pairs(self, delta: GraphDelta, region: set | None) -> tuple:
+        """The ``recheck`` of one tick's verification (see :meth:`_verify`):
+        a walked pattern's centres whose stored verdict a change reaches
+        that way (a negative from an added element, a positive from a
+        removed one) and the centres the batch added or relabelled to x;
+        else the centres of the d-hop *region*, built only while some
+        pattern is not walked."""
         gained, lost, lcwa = reachable_centres(self.graph, delta, self._walks, self._q_label)
+        labels, x_label = self.graph._labels, self.x_label
         reached = lcwa.union(*gained.values(), *lost.values())
-        owners = {center: self.manager.owner_of(center) for center in reached}
+        mine = {center for center in reached if labels.get(center) == x_label}
+        fresh = {node for node in delta.added_nodes | delta.relabeled_nodes if labels[node] == x_label}
+        stored = self._report
+        # A PR match implies an LCWA positive, so PR pairs need one.
+        positive = mine & (stored.positives | lcwa)
+        regional = () if region is None else sorted((node for node in region if labels.get(node) == x_label), key=str)
         nothing: set = set()
-        pairs: dict[int, tuple] = {}
-        for fragment in self.fragments:
-            index = fragment.index
-            update = plan.updates[index]
-            stored = self._reports[index]
-            mine = {center for center in reached if owners[center] == index}
-            # A PR match implies an LCWA positive, so PR pairs need one.
-            positive = mine & (stored.positives | lcwa)
-            regional = () if region is None else sorted(self.manager.owned_centers(index) & region, key=str)
-            sides: tuple[dict, dict] = ({}, {})
-            for rule_index, rule in enumerate(self.rules):
-                kept = (stored.antecedent_sets.get(rule, nothing), stored.rule_matches.get(rule, nothing))
-                for kind, side in enumerate(sides):
-                    key = (kind, rule_index)
-                    if key in self._walked:
-                        flips = (gained.get(key, nothing) - kept[kind]) | (lost.get(key, nothing) & kept[kind])
-                        centres = (flips & (positive if kind else mine)).union(update.own_add)
-                    else:
-                        centres = regional
-                    if centres:
-                        side[rule_index] = tuple(centres)
-            pairs[index] = (*sides, tuple(lcwa & mine))
-        return pairs
+        sides: tuple[dict, dict] = ({}, {})
+        for rule_index, rule in enumerate(self.rules):
+            kept = (stored.antecedent_sets.get(rule, nothing), stored.rule_matches.get(rule, nothing))
+            for kind, side in enumerate(sides):
+                key = (kind, rule_index)
+                if key in self._walked:
+                    flips = (gained.get(key, nothing) - kept[kind]) | (lost.get(key, nothing) & kept[kind])
+                    centres = (flips & (positive if kind else mine)) | fresh
+                else:
+                    centres = regional
+                if centres:
+                    side[rule_index] = tuple(centres)
+        return (*sides, tuple(lcwa & mine))
 
     def _merge(self, partial: _FragmentReport, recheck: tuple, removed) -> None:
-        """Splice a partial re-verification into the fragment's stored report:
-        each verdict of a rechecked pair is replaced, those of *removed*
-        (centres the fragment stopped owning) dropped."""
-        stored = self._reports[partial.fragment_index]
+        """Splice a partial re-verification into the stored report: each
+        verdict of a rechecked pair is replaced, those of *removed* (centres
+        that are centres no more) dropped."""
+        stored = self._report
         antecedents, prs, _classify = recheck
         invalidated = _centres(*recheck).union(removed)
         stored.positives = (stored.positives - invalidated) | partial.positives
@@ -777,17 +639,15 @@ class StreamingIdentifier:
     def admit_rules(self, new_rules: Sequence[GPAR]) -> RuleAdmissionReport:
         """Extend Σ in place; backfill **only** the new rules' verdicts.
 
-        The resident fragments, their materialized d-balls and every
-        existing rule's verdict survive untouched: one verification round
-        runs with the additions alone over all owned centres, and its
-        per-rule sets merge into the stored reports.  Rules already in Σ
+        Every existing rule's verdict survives untouched: one verification
+        runs with the additions alone over all centres, and its per-rule
+        sets merge into the stored report.  Rules already in Σ
         (structural :class:`~repro.pattern.gpar.GPAR` equality) are skipped
         — that is the warm-admission fast path of docs/multitenant.md.
 
         The verification radius is pinned: a new rule needing a larger
-        radius than the balls were materialized with is rejected (build a
-        core with a bigger ``radius_floor`` instead of silently serving it
-        from truncated neighbourhoods).
+        radius than the identifier was opened with is rejected (build a
+        core with a bigger ``radius_floor`` instead).
 
         Not re-entrant with :meth:`apply`; serialize through the session
         layer like any other write.
@@ -812,44 +672,36 @@ class StreamingIdentifier:
         if needed > pinned:
             raise StreamError(
                 f"cannot admit rules needing verification radius {needed}: "
-                f"the resident fragment balls were materialized at d={pinned}; "
+                f"this identifier's radius is pinned at d={pinned}; "
                 f"open a separate core (or rebuild with radius_floor={needed})"
             )
         self.radius_floor = max(self.radius_floor, pinned)
         self.rules = union
         self._prepare_rules()
-        payloads = [
-            self._payload(fragment.index, recheck=None, rules=tuple(additions))
-            for fragment in self.fragments
-        ]
-        partials = self._run_round(
-            "stream.admit_rules", payloads, "adm", rules=len(additions)
-        )
-        for partial in partials:
-            stored = self._reports[partial.fragment_index]
-            stored.candidates_examined += partial.candidates_examined
-            stored.prefix_pool_hits += partial.prefix_pool_hits
-            # positives/negatives are Σ-independent predicate verdicts over
-            # the same owned centres — already held by the stored report.
-            for rule in additions:
-                stored.antecedent_sets[rule] = partial.antecedent_sets.get(rule, set())
-                stored.rule_matches[rule] = partial.rule_matches.get(rule, set())
-            self._recount(stored)
+        with span("stream.admit_rules", rules=len(additions)):
+            partial = self._verify(tuple(additions), None)
+        stored = self._report
+        stored.candidates_examined += partial.candidates_examined
+        stored.prefix_pool_hits += partial.prefix_pool_hits
+        # positives/negatives are Σ-independent predicate verdicts over the
+        # same centres — already held by the stored report.
+        for rule in additions:
+            stored.antecedent_sets[rule] = partial.antecedent_sets.get(rule, set())
+            stored.rule_matches[rule] = partial.rule_matches.get(rule, set())
+        self._recount(stored)
         self._result = None
         return RuleAdmissionReport(
             admitted=tuple(additions),
-            backfill_centers=sum(
-                len(fragment.owned_centers) for fragment in self.fragments
-            ),
+            backfill_centers=len(self.graph.nodes_with_label(self.x_label)),
             wall_time=time.perf_counter() - started,
         )
 
     def retire_rules(self, rules: Sequence[GPAR]) -> tuple[GPAR, ...]:
         """Shrink Σ in place, dropping the retired rules' stored verdicts.
 
-        No verification runs and the radius stays pinned (the resident
-        balls may be larger than the remaining Σ needs — correct, just
-        roomy).  Retiring every rule is rejected: :meth:`close` the
+        No verification runs and the radius stays pinned (the d-hop
+        recheck region may be larger than the remaining Σ needs — correct,
+        just roomy).  Retiring every rule is rejected: :meth:`close` the
         identifier instead.  Returns the rules actually removed.
         """
         with self._writing():
@@ -866,13 +718,14 @@ class StreamingIdentifier:
             self.radius_floor = max(self.radius_floor, self.max_radius)
             self.rules = remaining
             self._prepare_rules()
-            for stored in self._reports.values():
-                for rule in removed:
-                    stored.antecedent_sets.pop(rule, None)
-                    stored.rule_matches.pop(rule, None)
-                    stored.antecedent_counts.pop(rule, None)
-                    stored.qbar_counts.pop(rule, None)
-                self._recount(stored)
+            self._matcher.witnesses.keep_patterns(trie_patterns(self.rules, self._census_pairs))
+            stored = self._report
+            for rule in removed:
+                stored.antecedent_sets.pop(rule, None)
+                stored.rule_matches.pop(rule, None)
+                stored.antecedent_counts.pop(rule, None)
+                stored.qbar_counts.pop(rule, None)
+            self._recount(stored)
             self._result = None
             return removed
 
@@ -888,20 +741,16 @@ class StreamingIdentifier:
             "rules": self.rules,
             "config": self.config,
             "radius_floor": self.radius_floor,
-            "manager": self.manager.state_dict(),
-            "reports": self._reports,
+            "reports": {0: self._report},
             "batches_applied": self.batches_applied,
         }
 
     def save_state(self, path: Path | str) -> Path:
         """Write a durable, self-contained checkpoint of the computation.
 
-        The pickle holds the authoritative graph, Σ, the config, the
-        manager's full lifecycle state (ownership, node sets, slice
-        logs, compaction bases) and the
-        maintained per-fragment reports.  :meth:`restore` resumes from it
-        with byte-identical answers, on any backend.  The file is replaced
-        atomically (:func:`write_checkpoint`).
+        The pickle holds the graph, Σ, the config and the maintained
+        verdicts.  :meth:`restore` resumes from it with byte-identical
+        answers.  The file is replaced atomically (:func:`write_checkpoint`).
         """
         return write_checkpoint(Path(path), self.state_dict())
 
@@ -912,14 +761,13 @@ class StreamingIdentifier:
         backend: str | None = None,
         executor_workers: int | None = None,
     ) -> "StreamingIdentifier":
-        """Resume a checkpointed identifier (optionally on another backend).
+        """Resume a checkpointed identifier (optionally naming another backend
+        for :meth:`recompute`).
 
-        Fragments are re-materialised from the saved lifecycle state at the
-        saved sequence — no re-verification runs; the restored
-        :attr:`result` is byte-identical to the one checkpointed, and later
-        :meth:`apply` calls continue exactly as the original would have.
-        A torn or foreign file raises :class:`StreamError` before any worker
-        pool starts.
+        No re-verification runs; the restored :attr:`result` is
+        byte-identical to the one checkpointed, and later :meth:`apply`
+        calls continue exactly as the original would have.  A torn or
+        foreign file raises :class:`StreamError` before any state is built.
         """
         return cls.from_state(read_checkpoint(path), backend, executor_workers)
 
@@ -934,8 +782,10 @@ class StreamingIdentifier:
 
         The saved config is validated again (``replace`` re-runs
         ``EIPConfig``'s checks), so one naming a backend this version no
-        longer has is refused before any pool starts unless *backend*
-        overrides it.
+        longer has is refused before anything acts on it unless *backend*
+        overrides it.  A file written while sessions were partitioned holds
+        one report per fragment; ownership was disjoint, so they merge by
+        set union.
         """
         overrides = {"backend": backend, "executor_workers": executor_workers}
         config = replace(
@@ -947,12 +797,23 @@ class StreamingIdentifier:
         identifier.config = config
         identifier.radius_floor = state.get("radius_floor", 0)
         identifier._prepare_rules()
-        identifier.manager = FragmentManager.from_state(identifier.graph, state["manager"])
-        identifier.fragments = identifier.manager.fragments
         identifier.batches_applied = state["batches_applied"]
-        identifier._reports = state["reports"]
+        merged = _FragmentReport(0)
+        for report in state["reports"].values():
+            merged.positives |= report.positives
+            merged.negatives |= report.negatives
+            merged.candidates_examined += report.candidates_examined
+            merged.prefix_pool_hits += report.prefix_pool_hits
+            for rule in identifier.rules:
+                for kept, saved in (
+                    (merged.antecedent_sets, report.antecedent_sets),
+                    (merged.rule_matches, report.rule_matches),
+                ):
+                    kept[rule] = kept.get(rule, set()) | saved.get(rule, set())
+        identifier._recount(merged)
+        identifier._report = merged
         identifier._graph_version = identifier.graph.version
-        identifier._start_runtime()
+        identifier._open()
         return identifier
 
     # ------------------------------------------------------------------
@@ -961,10 +822,12 @@ class StreamingIdentifier:
         baseline used by the equivalence gate and the ``stream`` benchmark),
         for Σ or for *rules* (a tenant's projection of it).
 
-        The batch solvers route disconnected rules through the same global
-        census as the maintained path (:mod:`repro.identification.census`),
-        so this baseline is partition-independent and byte-comparable to
-        :attr:`result` for every Σ, free-pattern rules included.
+        This is the batch ``identify_entities``, partitioned into
+        ``config.num_workers`` fragments on ``config.backend``.  The batch
+        solvers route disconnected rules through the same global census as
+        the maintained path (:mod:`repro.identification.census`), so this
+        baseline is byte-comparable to :attr:`result` for every Σ,
+        free-pattern rules included.
         """
         from repro.identification.eip import identify_entities
 
@@ -979,10 +842,8 @@ class StreamingIdentifier:
         )
 
     def close(self) -> None:
-        """Release the worker pool; the maintained result stays readable."""
-        if not self._closed:
-            self.runtime.finish_run()
-            self._closed = True
+        """Stop accepting writes; the maintained result stays readable."""
+        self._closed = True
 
     def __enter__(self) -> "StreamingIdentifier":
         return self

@@ -184,10 +184,10 @@ def random_update_batch(
 
     *deletion_bias* skews the workload towards shrinkage: with that
     probability an operation is forced to be a removal (an existing edge,
-    or — one time in four — a whole node), modelling the deletion-heavy
-    deployments the fragment lifecycle layer (``docs/lifecycle.md``) must
-    keep bounded.  ``0.0`` (the default) leaves the historical sampling
-    byte-identical.
+    or — one time in four — a whole node), modelling deletion-heavy
+    deployments, where recheck pairs come from removed elements
+    (``docs/streaming.md``).  ``0.0`` (the default) leaves the historical
+    sampling byte-identical.
     """
     if size < 1:
         raise StreamError(f"size must be >= 1, got {size}")

@@ -69,89 +69,87 @@ def served_antecedent_sets(identifier: StreamingIdentifier) -> dict[GPAR, frozen
     to whole-graph verdicts.
     """
     identifier.check_current()
-    reports = apply_census(
+    (report,) = apply_census(
         identifier.graph,
         identifier.rules,
-        list(identifier._reports.values()),
+        [identifier._report],
         identifier._census_plan,
     )
-    return {
-        rule: frozenset().union(*(report.antecedent_sets.get(rule, ()) for report in reports))
-        for rule in identifier.rules
-    }
+    return {rule: frozenset(report.antecedent_sets.get(rule, ())) for rule in identifier.rules}
 
 
 def _verdicts(identifier: StreamingIdentifier, truth: bool) -> set:
-    """The verdicts that hold, one ``(fragment, kind, which, centre)`` fact
-    each: kind 0 / 1 for rule *which*'s antecedent / PR, ``"lcwa"`` for the
-    class ``"+"`` / ``"-"``.  Stored, or with *truth* decided afresh for
-    every owned centre by the :class:`ReferenceMatcher` on the whole graph
-    (census-split rules store their x-part's verdicts)."""
+    """The verdicts that hold, one ``(kind, which, centre)`` fact each: kind
+    0 / 1 for rule *which*'s antecedent / PR, ``"lcwa"`` for the class
+    ``"+"`` / ``"-"``.  Stored, or with *truth* decided afresh for every
+    centre (x-labelled node) by the :class:`ReferenceMatcher` on the whole
+    graph (census-split rules store their x-part's verdicts)."""
     graph, facts = identifier.graph, set()
-    probe = CensusMatcher(ReferenceMatcher(), dict(identifier._census_pairs)).exists_match_at
-    for index, stored in identifier._reports.items():
-        if truth:
-            owned = identifier.manager.owned_centers(index)
-            stats = predicate_stats_over(graph, identifier.predicate, owned)
-            classes = {"+": stats.positives, "-": stats.negatives}
-            sides = [
-                (
-                    {center for center in owned if probe(graph, rule.antecedent, center)},
-                    {center for center in stats.positives if probe(graph, rule.pr_pattern(), center)},
-                )
-                for rule in identifier.rules
-            ]
-        else:
-            classes = {"+": stored.positives, "-": stored.negatives}
-            sides = [(stored.antecedent_sets.get(rule, ()), stored.rule_matches.get(rule, ())) for rule in identifier.rules]
-        facts.update((index, "lcwa", sign, center) for sign, centres in classes.items() for center in centres)
-        for which, pair in enumerate(sides):
-            facts.update((index, kind, which, center) for kind, centres in enumerate(pair) for center in centres)
+    if truth:
+        probe = CensusMatcher(ReferenceMatcher(), dict(identifier._census_pairs)).exists_match_at
+        centres = graph.nodes_with_label(identifier.x_label)
+        stats = predicate_stats_over(graph, identifier.predicate, centres)
+        classes = {"+": stats.positives, "-": stats.negatives}
+        sides = [
+            (
+                {center for center in centres if probe(graph, rule.antecedent, center)},
+                {center for center in stats.positives if probe(graph, rule.pr_pattern(), center)},
+            )
+            for rule in identifier.rules
+        ]
+    else:
+        stored = identifier._report
+        classes = {"+": stored.positives, "-": stored.negatives}
+        sides = [(stored.antecedent_sets.get(rule, ()), stored.rule_matches.get(rule, ())) for rule in identifier.rules]
+    facts.update(("lcwa", sign, center) for sign, centres in classes.items() for center in centres)
+    for which, pair in enumerate(sides):
+        facts.update((kind, which, center) for kind, centres in enumerate(pair) for center in centres)
     return facts
 
 
 def apply_with_coverage(
     identifier: StreamingIdentifier, batch: UpdateBatch
 ) -> tuple[StreamUpdateReport, dict, list[str]]:
-    """Apply *batch*; return the tick's report, its recheck pairs (per
-    fragment, as its verification round was given them) and what it got
-    wrong.
+    """Apply *batch*; return the tick's report, its recheck pairs (as its
+    verification was given them) and what it got wrong.
 
     Wrong is: a verdict that changed (stored before the tick against the
-    reference after it) at a centre still owned, whose pair — for an LCWA
+    reference after it) at a node still a centre, whose pair — for an LCWA
     class, whose centre — the tick did not re-verify; a stored verdict
     differing from the reference afterwards; a re-verified centre beyond
     :func:`reference_recheck`.
     """
     before = _verdicts(identifier, truth=False)
-    pairs: dict = {}
+    captured: list = []
     planned = identifier._recheck_pairs
 
-    def capture(delta, plan) -> dict:
-        pairs.update(planned(delta, plan))
-        return pairs
+    def capture(delta, region) -> tuple:
+        captured.append(planned(delta, region))
+        return captured[-1]
 
     identifier._recheck_pairs = capture  # shadows the method for this one tick
     try:
         report = identifier.apply(batch)
     finally:
         del identifier._recheck_pairs
+    (pairs,) = captured
     truth = _verdicts(identifier, truth=True)
     problems = [
         f"stored verdict differs from the reference: {fact}"
         for fact in sorted(_verdicts(identifier, truth=False) ^ truth, key=str)
     ]
-    region = reference_recheck(identifier, report.delta)
-    changed = sorted(before ^ truth, key=str)
-    for index, (antecedents, prs, classify) in pairs.items():
-        verified = set(classify).union(*antecedents.values(), *prs.values())
-        owned = identifier.manager.owned_centers(index)
-        problems += [f"re-verified centre {center!r} beyond d hops" for center in verified - region[index]]
-        for fact in changed:
-            fragment, kind, which, center = fact
-            rechecked = verified if kind == "lcwa" else (antecedents, prs)[kind].get(which, ())
-            if fragment == index and center in owned and center not in rechecked:
-                problems.append(f"changed verdict outside the tick's recheck pairs: {fact}")
+    antecedents, prs, classify = pairs
+    verified = set(classify).union(*antecedents.values(), *prs.values())
+    centres = identifier.graph.nodes_with_label(identifier.x_label)
+    problems += [
+        f"re-verified centre {center!r} beyond d hops"
+        for center in verified - reference_recheck(identifier, report.delta)
+    ]
+    for fact in sorted(before ^ truth, key=str):
+        kind, which, center = fact
+        rechecked = verified if kind == "lcwa" else (antecedents, prs)[kind].get(which, ())
+        if center in centres and center not in rechecked:
+            problems.append(f"changed verdict outside the tick's recheck pairs: {fact}")
     return report, pairs, problems
 
 

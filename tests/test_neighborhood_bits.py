@@ -13,14 +13,10 @@ side:
         patch of 50 seeded update streams on both sides (relabels, edge
         toggles, node removal, a removed id re-added under another label, and
         ghost waves that make a patch re-index the bits under cached rings);
-* (iii) ``FragmentManager.derive_batch`` on masks equals the set-form
-        derivation field for field, over deletion-heavy and hub storms, bit
-        index re-indexing included;
-* (iv)  fresh-id churn keeps every mask short on the coordinator and on the
-        workers;
-* (v)   a checkpoint written before the kernel existed restores onto it;
-* (vi)  the paper's guided search (§5.2) decides exactly as on the set side;
-* (vii) what a patch rebuilds, counted: a relabel no ring, an edge toggle
+* (iii) fresh-id churn keeps every mask of a session's kernel short;
+* (iv)  a checkpoint written before the kernel existed restores onto it;
+* (v)   the paper's guided search (§5.2) decides exactly as on the set side;
+* (vi)  what a patch rebuilds, counted: a relabel no ring, an edge toggle
         exactly the rings within k − 1 hops of its endpoints, and the
         in-process ``serve-hub`` replica's sketches and search counters pinned.
 """
@@ -54,12 +50,9 @@ from repro.graph.neighborhood import Neighborhoods, multi_source_ball, uses_mask
 from repro.identification import EIPConfig
 from repro.matching import GuidedMatcher
 from repro.matching.base import WitnessStore
-from repro.partition import partition_graph
-from repro.partition.lifecycle import FragmentManager
 from repro.stream import UpdateBatch, UpdateOp, random_update_batch
 from repro.stream.identifier import read_checkpoint
 from repro.testing import decoded_sketch, eip_fingerprint, resident_sketch
-from repro.testing.storms import correlated_deletion_storm, hub_churn_storm
 
 PREDICATE = "user:like_book:personal development"
 NODE_LABELS = ("person", "city", "shop", "item")
@@ -206,50 +199,7 @@ def test_cached_sketches_equal_the_set_reference_after_every_patch(monkeypatch, 
 
 
 # ----------------------------------------------------------------------
-# (iii) derive_batch against the set-form derivation
-# ----------------------------------------------------------------------
-def _batches(graph: Graph, count: int, storm: bool):
-    for position in range(count):
-        if storm:
-            yield hub_churn_storm(graph, size=8, seed=position)
-        elif position % 2:  # the graph shrinks until dead bits outnumber live nodes
-            yield correlated_deletion_storm(graph, size=12, seed=position)
-        else:
-            yield random_update_batch(
-                graph, size=12, seed=700 + position, structural_fraction=0.5, deletion_bias=0.8
-            )
-
-
-@pytest.mark.parametrize("storm", [False, True], ids=["deletion-heavy", "hub-churn"])
-def test_derive_batch_on_masks_equals_the_set_form(monkeypatch, storm):
-    graph = synthetic_graph(140, 420, num_node_labels=5, num_edge_labels=3, seed=3)
-    x_label = sorted(graph.node_labels())[0]
-    radius = 2
-    fragments = partition_graph(graph, 3, centers=graph.nodes_with_label(x_label), d=radius, seed=0)
-    masks = FragmentManager(graph, fragments, radius, x_label)
-    with _sets_only(monkeypatch):
-        sets = FragmentManager(graph, fragments, radius, x_label)
-    assert masks._neighborhoods.masks and not sets._neighborhoods.masks
-    reindexed = shed = 0
-    for batch in _batches(graph, 30, storm):
-        width = len(masks._neighborhoods._node_at)
-        delta = batch.apply(graph)
-        plan, expected = masks.derive_batch(delta), sets.derive_batch(delta)
-        reindexed += len(masks._neighborhoods._node_at) < width
-        shed += plan.shed_nodes
-        assert plan == expected  # every FragmentUpdate field, entered / shed counts
-        assert masks._owner == sets._owner and masks._owned == sets._owned
-        assert masks._node_sets == sets._node_sets
-        for index, owned in masks._owned.items():
-            assert masks._node_sets[index] == multi_source_ball(graph, owned, radius)
-        assert masks.resident_summary() == sets.resident_summary()
-        assert masks.state_dict()["node_sets"] == sets.state_dict()["node_sets"]
-    assert shed > 0, "the batches must shed"
-    assert storm or reindexed > 0, "a deletion-heavy stream must re-index the bits"
-
-
-# ----------------------------------------------------------------------
-# (iv) fresh-id churn keeps masks short
+# (iii) fresh-id churn keeps masks short
 # ----------------------------------------------------------------------
 def _guest_churn(graph: Graph, ticks: int, seed: int):
     """Tick *i* removes ``guest{i-1}`` and wires in a new ``guest{i}``."""
@@ -262,69 +212,49 @@ def _guest_churn(graph: Graph, ticks: int, seed: int):
         yield UpdateBatch(ops=tuple(ops))
 
 
-def _kernels(identifier):
-    """``(kernel, stored handles)`` of the coordinator and of every worker fragment."""
-    manager = identifier.manager
-    yield manager._neighborhoods, list(manager._masks.values())
-    for context in identifier.runtime.executor._contexts.values():
-        yield registered_columnar(context.fragment.graph)._neighborhoods, []
-
-
 def test_fresh_id_churn_keeps_every_mask_short():
     graph = pokec_like(40, 3, seed=7)
     rules = generate_gpars(graph, api.parse_predicate(PREDICATE), count=4, max_pattern_edges=3, d=2, seed=5)
     with api.open_session(graph, rules, config=EIPConfig(eta=0.5, num_workers=2)) as session:
-        identifier = session.core.identifier
+        view = registered_columnar(graph)
         for batch in _guest_churn(graph, 500, seed=1):
             session.apply(batch)
-            for kernel, stored in _kernels(identifier):
-                assert kernel.masks
-                bound = 2 * len(kernel._bit) + 4
-                masks = [mask for mask in kernel._adjacent if mask] + list(kernel._label_masks.values())
-                assert max(mask.bit_length() for mask in masks + stored) <= bound
-        patched = [
-            registered_columnar(context.fragment.graph).statistics.delta_applies
-            for context in identifier.runtime.executor._contexts.values()
-        ]
-        assert min(patched) > 0, "the worker kernels must have been patched, not only rebuilt"
+            kernel = view._neighborhoods
+            assert kernel.masks
+            bound = 2 * len(kernel._bit) + 4
+            masks = [mask for mask in kernel._adjacent if mask] + list(kernel._label_masks.values())
+            assert max(mask.bit_length() for mask in masks) <= bound
+        assert view.statistics.delta_applies > 0, "the kernel must have been patched, not only rebuilt"
         assert eip_fingerprint(session.result) == eip_fingerprint(session.recompute())
 
 
 # ----------------------------------------------------------------------
-# (v) a checkpoint from before the kernel
+# (iv) a checkpoint from before the kernel
 # ----------------------------------------------------------------------
 def test_checkpoint_written_before_the_kernel_restores_and_ticks(tmp_path):
     """``tests/data/core-format1.ckpt`` was written by the code that stored
-    per-centre balls as plain sets with per-node refcounts, and by the code
-    that learned per-fragment cost factors for migration.  The format is
-    unchanged: it restores onto the kernel, its node sets satisfy the
-    membership invariant, the retired balls, refcounts and factors are
-    ignored and not written again, and the next ticks equal a recompute."""
+    per-centre balls as plain sets with per-node refcounts, by the code
+    that learned per-fragment cost factors for migration, and while
+    sessions kept fragments at all.  The format is unchanged: it restores
+    onto the kernel, its fragment state is ignored and not written again,
+    and the next ticks equal a recompute."""
     state = read_checkpoint(CHECKPOINT)
     assert state["format"] == 1
     assert {"cost_factors", "balls", "refcounts"} <= set(state["manager"])
     with api.restore_core(CHECKPOINT) as core:
         (session,) = core.sessions.values()
-        identifier = core.identifier
-        manager, graph = identifier.manager, identifier.graph
-        assert manager._neighborhoods.masks
-        saved = state["manager"]["balls"]
-        assert set(saved) == set(manager._owner)
-        for index, members in manager._node_sets.items():
-            owned = manager.owned_centers(index)
-            assert members == set().union(*(saved[center] for center in owned))
-            assert members == multi_source_ball(graph, owned, manager.max_radius)
+        graph = core.identifier.graph
+        assert registered_columnar(graph)._neighborhoods.masks
         for seed in range(3):
             core.apply(random_update_batch(graph, size=6, seed=seed, deletion_bias=0.5))
             assert eip_fingerprint(session.result) == eip_fingerprint(session.recompute())
         again = read_checkpoint(core.save_state(tmp_path / "again.ckpt"))
         assert again["format"] == 1
-        assert not {"cost_factors", "balls", "refcounts"} & set(again["manager"])
-        assert all(isinstance(nodes, set) for nodes in again["manager"]["node_sets"].values())
+        assert "manager" not in again and list(again["reports"]) == [0]
 
 
 # ----------------------------------------------------------------------
-# (vi) the paper's guided search is unchanged
+# (v) the paper's guided search is unchanged
 # ----------------------------------------------------------------------
 COMPARED = ("states_expanded", "sketch_prunes", "backtracks", "matches_found", "witness_hits")
 
@@ -363,7 +293,7 @@ def test_guided_search_decides_as_on_the_set_reference(monkeypatch, build, round
 
 
 # ----------------------------------------------------------------------
-# (vii) what a patch rebuilds, counted
+# (vi) what a patch rebuilds, counted
 # ----------------------------------------------------------------------
 def _warm_view(graph: Graph) -> ColumnarFragment:
     view = ColumnarFragment(graph)
@@ -483,7 +413,12 @@ def test_hub_replica_builds_fewer_sketches_and_searches_the_same():
     that pattern's paths builds 4,225 sketches, expands 10,002 states,
     prunes 34,666 candidates and decides 4,128 verdicts by the profile: the
     pairs it skips are the ones no search was run for, so the 3,078
-    searched matches stay."""
+    searched matches stay.  Verifying over the session's one graph instead
+    of two fragment copies builds 3,065 sketches (a node's sketch was built
+    once per fragment holding it), expands 9,993 states, prunes 34,586
+    candidates and finds 3,072 matches (witnesses kept from searches over
+    the whole graph, whose adjacency order is not the copies'), with the
+    same 4,128 profile verdicts."""
     root = Path(__file__).resolve().parents[1]
     environment = {
         **os.environ,
@@ -497,8 +432,8 @@ def test_hub_replica_builds_fewer_sketches_and_searches_the_same():
     )
     assert child.returncode == 0, child.stderr
     counts = json.loads(child.stdout)
-    assert counts["index_sketches_built"] == 4_225
-    assert counts["match_states_expanded"] == 10_002
-    assert counts["match_sketch_prunes"] == 34_666
-    assert counts["match_matches_found"] == 3_078
+    assert counts["index_sketches_built"] == 3_065
+    assert counts["match_states_expanded"] == 9_993
+    assert counts["match_sketch_prunes"] == 34_586
+    assert counts["match_matches_found"] == 3_072
     assert counts["match_profile_matches"] == 4_128

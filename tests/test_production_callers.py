@@ -40,6 +40,28 @@ ENTRY_POINTS = (
         "repro.stream.identifier.StreamingIdentifier.restore",
         "resumes the bare union engine from a saved core; the CLI's --save-state help names it",
     ),
+    (
+        "repro.stream.identifier._CanonicalPickler.reducer_override",
+        "the pickler's own hook, called for every object a checkpoint writes",
+    ),
+    (
+        "repro.partition.lifecycle.FragmentManager",
+        "a retired stub benchmarks/e2e/wraps.py names by string; ROADMAP 1(c) deletes both",
+    ),
+    (
+        "repro.obs.tracing.Tracer.adopt",
+        "re-parents shipped worker spans (docs/observability.md); the session pool that shipped them is "
+        "gone, ROADMAP 8 ships batch pool workers' spans next",
+    ),
+    (
+        "repro.obs.tracing.override_tracer",
+        "routes a worker's spans into its own tracer beside active()'s per-thread override, which every "
+        "batch span still reads; ROADMAP 8's pool workers are its next caller",
+    ),
+    (
+        "repro.obs.tracing.tracing_enabled",
+        "whether a worker should ship spans (docs/observability.md); ROADMAP 8's pool workers are its next caller",
+    ),
 )
 
 #: Trees whose reads count besides production's own.

@@ -130,15 +130,15 @@ def test_copies_and_census_rules_keep_the_d_hop_region(backend):
         for _tick in range(4):
             report, pairs = _assert_covered(identifier, _churn(mirror, rng, 4))
             region = reference_recheck(identifier, report.delta)
-            for index, (antecedents, prs, _classify) in pairs.items():
-                for rule_index, rule in enumerate(rules):
-                    for side in (antecedents, prs):
-                        centres = set(side.get(rule_index, ()))
-                        if rule in fallback:
-                            assert centres == region[index], rule.name
-                        else:
-                            assert centres <= region[index], rule.name
-                            smaller += len(centres) < len(region[index])
+            antecedents, prs, _classify = pairs
+            for rule_index, rule in enumerate(rules):
+                for side in (antecedents, prs):
+                    centres = set(side.get(rule_index, ()))
+                    if rule in fallback:
+                        assert centres == region, rule.name
+                    else:
+                        assert centres <= region, rule.name
+                        smaller += len(centres) < len(region)
             fresh = api.identify(identifier.graph.copy(), rules, config=EIPConfig(eta=0.5, num_workers=2, seed=0))
             assert eip_fingerprint(identifier.result) == eip_fingerprint(fresh)
     assert smaller, "the walked rules must recheck fewer centres than the region somewhere"
@@ -153,17 +153,12 @@ def test_verifications_count_the_pairs_a_tick_rechecks():
         reported = region = 0
         for _tick in range(6):
             before = counter_value(registry(), "repro_stream_verifications_total")
-            report, by_fragment = _assert_covered(identifier, _churn(mirror, rng, 4))
+            report, (antecedents, prs, _) = _assert_covered(identifier, _churn(mirror, rng, 4))
             assert counter_value(registry(), "repro_stream_verifications_total") - before == report.verifications
-            pairs = by_fragment.values()
-            assert report.verifications == sum(
-                len(centres) for antecedents, prs, _ in pairs for centres in (*antecedents.values(), *prs.values())
-            )
-            assert report.rechecked_centers == sum(
-                len(set().union(*antecedents.values(), *prs.values())) for antecedents, prs, _ in pairs
-            )
+            assert report.verifications == sum(len(centres) for centres in (*antecedents.values(), *prs.values()))
+            assert report.rechecked_centers == len(set().union(*antecedents.values(), *prs.values()))
             reported += report.verifications
-            region += 2 * len(rules) * sum(map(len, reference_recheck(identifier, report.delta).values()))
+            region += 2 * len(rules) * len(reference_recheck(identifier, report.delta))
         assert 0 < reported < region
 
 

@@ -25,6 +25,7 @@ ROOTS = ("repro.api", "repro.cli", "repro.serve.app", "repro.serve.http")
 UNSERVED = {
     "repro.datasets.paper_graphs": "the paper's example graphs (also roots pattern.builder)",
     "repro.metrics.support": "the paper's supp(Q, G), supp(R, G) and Exp-2's minimum-image support",
+    "repro.partition.lifecycle": "a retired stub benchmarks/e2e/wraps.py names; ROADMAP 1(c) deletes both",
 }
 
 #: Harness code: allowed to exist without a served importer, never a root.

@@ -5,9 +5,8 @@ nodes and runs in tier-1.  ``smoke`` is CI scale — 400-node mining,
 matching and storm graphs, the 4,000-node dense streaming graph, a
 100k-node guided-matching pass — on sequential and processes with 2
 workers; it is deselected by default and CI runs it with ``pytest -m
-smoke``.  The churn and obs cells stay sequential at both scales: churn is
-about resident state, obs compares the no-op span path against the traced
-one on a pool-free run.
+smoke``.  The obs cells stay sequential at both scales: obs compares the
+no-op span path against the traced one on a pool-free run.
 
 Every answer a gate compares must be non-empty — no gate accepts an
 identified set or a mined rule set that is empty, as every equivalence
@@ -40,7 +39,6 @@ from repro.matching import GuidedMatcher
 from repro.mining import DMineConfig, dmine
 from repro.obs import Tracer, install, registry, span, uninstall
 from repro.obs.stats import enable_collection
-from repro.partition.lifecycle import CHECKPOINT_LOG_FRACTION
 from repro.pattern.canonical import canonical_code
 from repro.pattern.gpar import GPAR
 from repro.pattern.pattern import Pattern
@@ -347,23 +345,6 @@ def test_stream_repair_equals_recompute_and_does_less(smoke):
         hits, searched = run.matched("witness_hits"), run.matched("matches_found")
         assert searched > 0 and hits >= 4 * searched
     assert len(final) == 1
-
-
-@CELLS
-def test_churn_keeps_resident_state_bounded(smoke):
-    graph, rules = solo_sigma(4000 if smoke else 400)
-    batches = sample_update_batches(graph, 50 if smoke else 8, 16, deletion_bias=0.7)
-    run = maintain(graph, {"solo": rules}, config(), batches)
-    assert all(applied.answers["solo"].identified > 0 for applied in run.ticks)
-    reports = [applied.report for applied in run.ticks]
-    # Shedding and checkpointing keep pace with a shrinking graph...
-    quarter = max(1, len(reports) // 4)
-    early = max(report.resident_nodes for report in reports[:quarter])
-    assert max(report.resident_nodes for report in reports[-quarter:]) <= early
-    # ...and every batch leaves the retained log under the compaction bound.
-    slack = CHECKPOINT_LOG_FRACTION * WORKERS + 1
-    for report in reports:
-        assert report.log_ops <= CHECKPOINT_LOG_FRACTION * report.resident_nodes + slack
 
 
 @CELLS

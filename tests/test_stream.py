@@ -354,18 +354,17 @@ class TestStreamingIdentifierLifecycle:
         with StreamingIdentifier(
             graph, rules, config=EIPConfig(eta=0.5, num_workers=2)
         ) as identifier:
-            fragment_graphs = [fragment.graph for fragment in identifier.fragments]
-            indexes = [registered_columnar(g) for g in fragment_graphs]
-            assert all(index is not None for index in indexes)
-            builds_before = [index.statistics.builds for index in indexes]
+            index = registered_columnar(graph)
+            assert index is not None
+            builds_before = index.statistics.builds
             identifier.apply(random_update_batch(graph, size=5, seed=7))
-            assert [index.statistics.builds for index in indexes] == builds_before
-            assert any(index.statistics.delta_applies > 0 for index in indexes)
+            assert index.statistics.builds == builds_before
+            assert index.statistics.delta_applies > 0
 
     def test_resident_session_keeps_one_round_timing(self):
-        """A session lives for as many ticks as it is served: the runtime must
-        not keep a ``RoundTiming`` (and, with ``REPRO_OBS`` on, the workers'
-        metric dicts it pins) per tick, nor hang the growing list on results."""
+        """A session lives for as many ticks as it is served: its results must
+        not hang a growing list of ``RoundTiming`` records (a session runs no
+        BSP round at all)."""
         graph, rules = self._workload()
         with StreamingIdentifier(
             graph, rules[:2], config=EIPConfig(eta=0.5, num_workers=2)
@@ -374,7 +373,6 @@ class TestStreamingIdentifierLifecycle:
                 identifier.apply(UpdateBatch.of(UpdateOp.add_node(f"far-{position}", "offside")))
                 if position == 100:
                     identifier.admit_rules(rules[2:])
-            assert len(identifier.runtime.timings.rounds) <= 1
             assert len(identifier.result.timings.rounds) <= 1
             assert identifier.batches_applied == 200
         batch = identify_entities(graph, rules, eta=0.5, num_workers=2)

@@ -1,6 +1,6 @@
-"""Kept witnesses and shared neighbourhoods on the tick path.
+"""Kept witnesses on the tick path.
 
-A streaming worker keeps, for every positive ``(pattern, centre)`` verdict,
+A streaming session keeps, for every positive ``(pattern, centre)`` verdict,
 the embedding its search returned (:class:`repro.matching.base.WitnessStore`)
 and answers the next probe of the pair by re-validating that tuple in full.
 The store is a cache **validated on use**: nothing invalidates it, so the
@@ -8,37 +8,31 @@ only way it can be wrong is a validation that accepts a tuple which is no
 longer a match.  This file attacks exactly that:
 
 (i)   adversarial unit cases — relabel away and back, same id under another
-      label, a witness edge lost while a second embedding survives, a shed
-      witness node, a probe inside an open batch;
+      label, a witness edge lost while a second embedding survives, a probe
+      inside an open batch;
 (ii)  a differential property test: warm identifier == fresh recompute after
       every batch of label-flip-heavy streams, sequential and processes;
 (iii) checkpoints carry no witnesses: a restored core searches once, then hits;
-(iv)  the store is bounded by live trie patterns × owned centres, across
-      retirement, removal, shedding and a 100-tick churn;
-(v)   area-recomputed membership == membership rebuilt from nothing;
-(vi)  the count gates of the change: ticks answer positives from witnesses,
-      and a batch reads each node's neighbourhood once.
+(iv)  the store is bounded by live trie patterns × centres, across
+      retirement, removal and a 100-tick churn;
+(v)   the count gate of the change: ticks answer positives from witnesses.
 """
 
 from __future__ import annotations
 
 import random
-from collections import Counter
 
 import pytest
 
 from repro import api
 from repro.datasets import generate_gpars, pokec_like
 from repro.graph import Graph, columnar_view
-from repro.graph.neighborhood import ball
 from repro.identification import EIPConfig, identify_entities
 from repro.matching import GuidedMatcher, VF2Matcher
 from repro.matching.base import Matcher, PlanMatcher, WitnessStore, search_plan
 from repro.matching.multi import trie_patterns
 from repro.obs import registry
 from repro.obs.stats import enable_collection
-from repro.partition.fragment import Fragment
-from repro.partition.lifecycle import FragmentManager, FragmentUpdate, apply_fragment_update
 from repro.pattern.pattern import Pattern
 from repro.stream import StreamingIdentifier, UpdateBatch, UpdateOp, random_update_batch
 from repro.stream.identifier import read_checkpoint
@@ -171,18 +165,6 @@ class TestAdversarialCases:
         assert _kept(matcher)["v"] != first, "the broken witness must have been replaced"
         assert matcher.statistics.witness_invalidated == 1 and matcher.statistics.matches_found == 2
 
-    def test_witness_node_shed_while_the_centre_stays_owned(self, matcher):
-        graph = _graph(resident=True)
-        fragment = Fragment(index=0, graph=graph, owned_centers={"c"})
-        assert _probe(matcher, graph)
-        first = _kept(matcher)["v"]
-        apply_fragment_update(fragment, FragmentUpdate(sequence=1, shed=(first,)))
-        assert "c" in fragment.owned_centers and not graph.has_node(first)
-        assert _probe(matcher, graph)  # through the restaurant that stayed resident
-        assert _kept(matcher)["v"] != first
-        apply_fragment_update(fragment, FragmentUpdate(sequence=2, shed=(_kept(matcher)["v"],)))
-        assert not _probe(matcher, graph) and len(matcher.witnesses) == 0
-
     @pytest.mark.parametrize("broken", [True, False], ids=["witness-broken", "witness-intact"])
     def test_open_batch_neither_reads_nor_writes_the_store(self, matcher, resident, broken):
         graph = _graph(resident)
@@ -243,14 +225,9 @@ def _sigma(graph, count=6, seed=5):
     return generate_gpars(graph, predicate, count=count, max_pattern_edges=3, d=2, seed=seed)
 
 
-def _stores(identifier) -> dict[int, WitnessStore]:
-    """fragment index → its worker's store (in-process backends keep the contexts)."""
-    found = {}
-    for index, context in identifier.runtime.executor._contexts.items():
-        for key, value in context.state.items():
-            if isinstance(key, tuple) and key[0] == "eip-matcher":
-                found[index] = value.witnesses
-    return found
+def _store(identifier) -> WitnessStore:
+    """The session's one store, on its kept matcher."""
+    return identifier._matcher.witnesses
 
 
 def _fresh(identifier):
@@ -328,10 +305,9 @@ def test_warm_identifier_equals_fresh_under_label_flip_heavy_streams(backend):
                 maintained = eip_fingerprint(identifier.result)
                 assert maintained == eip_fingerprint(_fresh(identifier)), (backend, stream, position)
                 answered += bool(maintained[0])
-            if backend == "sequential":
-                hits += sum(len(store) for store in _stores(identifier).values())
+            hits += len(_store(identifier))
     assert answered > 40, "the streams must mostly compare non-empty answers"
-    assert backend != "sequential" or hits > 0
+    assert hits > 0
 
 
 # ----------------------------------------------------------------------
@@ -363,13 +339,13 @@ def test_restored_core_rebuilds_its_witnesses(tmp_path, counted, monkeypatch):
     with api.restore_core(path) as restored:
         (session,) = restored.sessions.values()
         identifier = restored.identifier
-        assert _stores(identifier) == {}, "a restored core starts with new worker contexts"
+        assert len(_store(identifier)) == 0, "a restored core starts with an empty store"
         reset_metrics(registry())
         restored.apply(batches[4])
         cold_hits, cold_found = counted("witness_hits"), counted("matches_found")
         assert cold_hits + cold_found == warm_hits + warm_found, "same verdicts either way"
         assert cold_found > warm_found and cold_hits < warm_hits
-        assert cold_found >= sum(len(store) for store in _stores(identifier).values()) > 0
+        assert cold_found >= len(_store(identifier)) > 0
         assert eip_fingerprint(session.result) == eip_fingerprint(session.recompute())
         reset_metrics(registry())
         restored.apply(batches[5])
@@ -381,6 +357,7 @@ def test_restored_core_rebuilds_its_witnesses(tmp_path, counted, monkeypatch):
 # (iv) the store is bounded
 # ----------------------------------------------------------------------
 def test_store_is_bounded_by_live_patterns_and_owned_centres():
+    """Owned centres are every centre: a session keeps one store."""
     graph = pokec_like(40, 3, seed=7)
     rules = _sigma(graph, count=10)
     batches = perturb_and_revert(graph, 100, seed=4)
@@ -393,78 +370,35 @@ def test_store_is_bounded_by_live_patterns_and_owned_centres():
             return trie_patterns(identifier.rules, identifier._census_pairs)
 
         def check_bound():
-            for index, store in _stores(identifier).items():
-                owned = identifier.manager.owned_centers(index)
-                assert set(store.kept) <= live()
-                assert all(set(by_anchor) <= owned for by_anchor in store.kept.values())
-                assert len(store) <= len(live()) * len(owned)
+            store = _store(identifier)
+            owned = graph.nodes_with_label(identifier.x_label)
+            assert set(store.kept) <= live()
+            assert all(set(by_anchor) <= owned for by_anchor in store.kept.values())
+            assert len(store) <= len(live()) * len(owned)
 
         for batch in batches[:40]:
             core.apply(batch)
         check_bound()
         before = live()
-        kept_before = set().union(*(store.kept for store in _stores(identifier).values()))
+        kept_before = set(_store(identifier).kept)
         core.close_session(leaving)
         retired = before - live()
         assert retired & kept_before, "the leaving tenant must have had witnesses of its own"
         for batch in batches[40:]:
             core.apply(batch)
             check_bound()
-        kept_after = set().union(*(store.kept for store in _stores(identifier).values()))
+        kept_after = set(_store(identifier).kept)
         assert not retired & kept_after
         assert all(  # the hundred guests of the churn left nothing behind
             not str(anchor).startswith("guest") or graph.has_node(anchor)
-            for store in _stores(identifier).values()
-            for by_anchor in store.kept.values()
+            for by_anchor in _store(identifier).kept.values()
             for anchor in by_anchor
         )
-        assert sum(len(store) for store in _stores(identifier).values()) > 0
+        assert len(_store(identifier)) > 0
 
 
 # ----------------------------------------------------------------------
-# (v) area-recomputed membership == membership rebuilt from nothing
-# ----------------------------------------------------------------------
-def test_area_membership_equals_the_owned_balls_rebuilt_from_nothing():
-    """The reference form, kept here: membership rebuilt from each owned
-    centre's freshly computed ball must agree with what ``derive_batch``
-    maintained by recomputing only the area near the change, and the
-    slices must carry exactly the difference, on 30 deletion-heavy batches."""
-    from repro.datasets import most_frequent_predicates, synthetic_graph
-    from repro.partition import partition_graph
-
-    graph = synthetic_graph(140, 420, num_node_labels=5, num_edge_labels=3, seed=3)
-    x_label = most_frequent_predicates(graph, top=1)[0].label("x")
-    radius = 2
-    fragments = partition_graph(graph, 3, centers=graph.nodes_with_label(x_label), d=radius, seed=0)
-    manager = FragmentManager(graph, fragments, radius, x_label)
-    shed_total = entered_total = 0
-    for position in range(30):
-        batch = random_update_batch(graph, size=10, seed=500 + position, deletion_bias=0.6)
-        members_before = {index: set(nodes) for index, nodes in manager._node_sets.items()}
-        delta = batch.apply(graph)
-        plan = manager.derive_batch(delta)
-
-        reference = {index: set() for index in members_before}
-        for center, owner in manager._owner.items():
-            reference[owner] |= ball(graph, center, radius)  # plain BFS: no memo, no area
-        for index, members in reference.items():
-            assert manager._node_sets[index] == members, (position, index)
-            update = plan.updates[index]
-            entered = members - members_before[index]
-            vanished = members_before[index] - members
-            assert {node for node, _label, _attrs in update.add_nodes} == entered
-            assert set(update.shed) == {node for node in vanished if graph.has_node(node)}
-            assert set(update.remove_nodes) == {node for node in vanished if not graph.has_node(node)}
-            shed_total += len(update.shed)
-            entered_total += len(entered)
-        summary = manager.resident_summary()
-        assert summary["resident_nodes"] == sum(len(members) for members in reference.values())
-        assert plan.shed_nodes == sum(len(update.shed) for update in plan.updates.values())
-    assert shed_total > 0 and entered_total > 0, "the batches must have shed and admitted nodes"
-
-
-# ----------------------------------------------------------------------
-# (vi) the count gates
+# (v) the count gate
 # ----------------------------------------------------------------------
 def _hub_session():
     graph = pokec_like(80, 3, seed=7)
@@ -515,32 +449,3 @@ def test_ticks_answer_positives_from_kept_witnesses(counted):
     hits, found, profiled = (sum(tick[i] for tick in kept) for i in range(3))
     assert found > 0 and hits > 0 and hits + profiled >= 4 * found, (hits, found, profiled)
     assert len({tick[3][0] for tick in kept}) > 1, "the identified set must change along the way"
-
-
-def test_derive_batch_reads_each_neighbourhood_once_per_tick(monkeypatch):
-    graph, rules, batches = _hub_session()
-    calls: Counter = Counter()
-    inside = []
-    original_neighbors = Graph.neighbors
-    original_derive = FragmentManager.derive_batch
-
-    def counting_neighbors(self, node):
-        if inside:
-            calls[node] += 1
-        return original_neighbors(self, node)
-
-    def bracketed_derive(self, delta):
-        inside.append(True)
-        try:
-            return original_derive(self, delta)
-        finally:
-            inside.pop()
-
-    monkeypatch.setattr(Graph, "neighbors", counting_neighbors)
-    monkeypatch.setattr(FragmentManager, "derive_batch", bracketed_derive)
-    with api.open_session(graph.copy(), rules, config=EIPConfig(eta=0.5, num_workers=2)) as session:
-        for batch in batches:
-            calls.clear()
-            report, _delta = session.apply(batch)
-            assert report.rechecked_centers > 40, "a hub tick must recheck most centres"
-            assert calls and max(calls.values()) == 1, calls.most_common(3)

@@ -56,11 +56,12 @@ from repro.identification.eip import (
     AnswerPage,
     EIPConfig,
     EIPResult,
+    Verdicts,
     _decode_cursor,
     _encode_cursor,
+    assemble,
     solver_class,
 )
-from repro.identification.matchc import _FragmentReport
 from repro.matching.shared import SharedPatternPool
 from repro.mining.config import DMineConfig
 from repro.mining.dmine import DMine, DMineResult
@@ -633,7 +634,7 @@ class SharedSessionCore:
         identifier.check_current()  # the union answer itself is never assembled
         projected = _rebind(identifier._report, session.rules, session._representatives)
         reports = apply_census(self.graph, session.rules, [projected], session._census_plan)
-        return identifier._solver._assemble(list(session.rules), reports)
+        return assemble(session.rules, reports, identifier.config.eta)
 
     def save_state(self, path: Path | str) -> Path:
         """Durable checkpoint of the core and its tenant table.
@@ -692,27 +693,17 @@ class SharedSessionCore:
 
 
 def _rebind(
-    stored: _FragmentReport,
+    stored: Verdicts,
     rules: tuple[GPAR, ...],
     representatives: Mapping[GPAR, GPAR],
-) -> _FragmentReport:
+) -> Verdicts:
     """Rebind the shared verdicts to a tenant's rule objects."""
-    projected = _FragmentReport(
-        fragment_index=stored.fragment_index,
-        supp_q=stored.supp_q,
-        supp_q_bar=stored.supp_q_bar,
-        candidates_examined=stored.candidates_examined,
-        prefix_pool_hits=stored.prefix_pool_hits,
-        positives=stored.positives,
-        negatives=stored.negatives,
+    nothing: set = set()
+    return replace(
+        stored,
+        antecedent_sets={rule: stored.antecedent_sets.get(representatives[rule], nothing) for rule in rules},
+        rule_matches={rule: stored.rule_matches.get(representatives[rule], nothing) for rule in rules},
     )
-    for rule in rules:
-        representative = representatives[rule]
-        projected.rule_matches[rule] = stored.rule_matches.get(representative, set())
-        projected.antecedent_sets[rule] = stored.antecedent_sets.get(representative, set())
-        projected.antecedent_counts[rule] = stored.antecedent_counts.get(representative, 0)
-        projected.qbar_counts[rule] = stored.qbar_counts.get(representative, 0)
-    return projected
 
 
 def _count_admission(admission: TenantAdmission) -> None:

@@ -314,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         dest="save_state",
         help="after the last batch, write a durable core checkpoint that "
-        "repro.api.restore_core() (or StreamingIdentifier.restore()) resumes",
+        "repro.api.restore_core() resumes",
     )
     _add_backend_arguments(stream)
     stream.set_defaults(handler=_cmd_stream)

@@ -63,8 +63,8 @@ first, memoised adjacency views of touched nodes are dropped, and
 cached sketches are invalidated only where they can have changed (computed
 on the post-update graph; ``docs/columnar.md`` shows that is exact).  The
 frozen arrays are not rewritten; the overlays fold back into them at the
-next compile boundary (fragment lease install, checkpoint capture, a
-refresh that rebuilds).
+next compile boundary (a refresh that rebuilds, or a streaming session
+recovering a failed tick).
 
 Residency
 ---------

@@ -10,7 +10,7 @@ frontiers come from a *neighbors* callable (default ``graph.neighbors``, a
 fresh set per call); a :class:`~repro.pattern.Pattern` traverses as well as
 a graph.  Callers that traverse one maintained graph state many times — the
 resident structure's sketches and its patch-time invalidation, the
-coordinator's fragment memberships — hold a :class:`Neighborhoods` kernel
+partitioner's balls — hold a :class:`Neighborhoods` kernel
 instead, which memoises every node's neighbourhood and, on graphs small
 enough, answers in bit masks.
 """
@@ -314,13 +314,6 @@ class Neighborhoods:
 
     def size(self, handle) -> int:
         return handle.bit_count() if self.masks else len(handle)
-
-    def members(self, handle, nodes) -> set:
-        """The nodes of *nodes* that *handle* holds, without decoding it."""
-        if not self.masks:
-            return handle.intersection(nodes)
-        bits = self._bit
-        return {node for node in nodes if node in bits and handle >> bits[node] & 1}
 
     def nodes(self, handle) -> set:
         """The nodes of *handle* (a set handle is returned as is)."""

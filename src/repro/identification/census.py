@@ -340,11 +340,11 @@ def _component_failures(
 
 
 def apply_census(graph: Graph, rules: Sequence[GPAR], reports, plan: CensusPlan, matcher=None):
-    """Rewrite fragment *reports* from x-part verdicts to whole-graph verdicts.
+    """Rewrite verdict *reports* from x-part verdicts to whole-graph verdicts.
 
     Label-census rules whose free labels the current counts cannot cover get
-    their antecedent-side numbers (and, for an uncoverable PR, their match
-    set) zeroed; component-census rules get per-centre verdicts decided
+    their antecedent set (and, for an uncoverable PR, their match set)
+    emptied; component-census rules get per-centre verdicts decided
     against the authoritative graph.  Reports are copied, never mutated —
     the streaming identifier keeps the originals as its maintained x-part
     state, under which the census may become satisfiable again later.
@@ -402,21 +402,16 @@ def apply_census(graph: Graph, rules: Sequence[GPAR], reports, plan: CensusPlan,
         return list(reports)
     adjusted = []
     for stored in reports:
-        qbar = dict(stored.qbar_counts)
-        antecedent_counts = dict(stored.antecedent_counts)
         antecedent_sets = dict(stored.antecedent_sets)
         rule_matches = dict(stored.rule_matches)
         for rule in infeasible:
-            qbar[rule] = 0
-            antecedent_counts[rule] = 0
             antecedent_sets[rule] = set()
         for rule in pr_infeasible:
             rule_matches[rule] = set()
         for rule, failed in removals.items():
-            kept = set() if failed is None else antecedent_sets.get(rule, set()) - failed
-            antecedent_sets[rule] = kept
-            antecedent_counts[rule] = len(kept)
-            qbar[rule] = len(kept & stored.negatives)
+            antecedent_sets[rule] = (
+                set() if failed is None else antecedent_sets.get(rule, set()) - failed
+            )
             # A full-antecedent failure implies a full-PR failure (PR embeds
             # the antecedent), so the rule's match set shrinks with it.
             rule_matches[rule] = (
@@ -427,12 +422,6 @@ def apply_census(graph: Graph, rules: Sequence[GPAR], reports, plan: CensusPlan,
                 set() if failed is None else rule_matches.get(rule, set()) - failed
             )
         adjusted.append(
-            replace(
-                stored,
-                qbar_counts=qbar,
-                antecedent_counts=antecedent_counts,
-                antecedent_sets=antecedent_sets,
-                rule_matches=rule_matches,
-            )
+            replace(stored, antecedent_sets=antecedent_sets, rule_matches=rule_matches)
         )
     return adjusted

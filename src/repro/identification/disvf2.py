@@ -11,10 +11,11 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from repro.graph.graph import Graph
+from repro.identification.eip import Verdicts
+from repro.identification.matchc import MatchC
 from repro.matching.base import Matcher
 from repro.matching.vf2 import VF2Matcher
-from repro.identification.matchc import MatchC, _FragmentReport
-from repro.partition.fragment import Fragment
 from repro.pattern.gpar import GPAR
 
 
@@ -32,14 +33,13 @@ class DisVF2(MatchC):
 
     def _verify_fragment(
         self,
-        fragment: Fragment,
+        graph: Graph,
+        centres,
         rules: Sequence[GPAR],
         matcher: Matcher,
         predicate,
-    ) -> _FragmentReport:
-        graph = fragment.graph
-        report, owned = _FragmentReport.start(fragment, predicate)
-        local_positives, local_negatives = report.positives, report.negatives
+    ) -> Verdicts:
+        report, owned = Verdicts.start(graph, centres, predicate)
 
         for rule in rules:
             # Two *full* enumerations per rule — every match of the
@@ -55,9 +55,6 @@ class DisVF2(MatchC):
                 mapping[rule.x]
                 for mapping in matcher.find_all(graph, rule.pr_pattern())
             } & owned
-            rule_matches = pr_matches & local_positives
-            report.rule_matches[rule] = rule_matches
+            report.rule_matches[rule] = pr_matches & report.positives
             report.antecedent_sets[rule] = antecedent_matches
-            report.antecedent_counts[rule] = len(antecedent_matches)
-            report.qbar_counts[rule] = len(antecedent_matches & local_negatives)
         return report

@@ -12,6 +12,8 @@ from typing import Hashable, Sequence
 
 from repro.exceptions import IdentificationError
 from repro.graph.graph import Graph
+from repro.metrics.confidence import bayes_factor_confidence
+from repro.metrics.lcwa import predicate_stats_over
 from repro.parallel.executor import BACKENDS, is_int, valid_pool_size
 from repro.parallel.runtime import RunTimings
 from repro.pattern.gpar import GPAR
@@ -221,6 +223,66 @@ class EIPResult:
                 f"  {rule.name}: conf={conf} matches={len(self.rule_matches[rule])}"
             )
         return "\n".join(lines)
+
+
+@dataclass
+class Verdicts:
+    """The per-centre verdict sets one verification reports.
+
+    ``positives`` / ``negatives`` are the LCWA classes of the verified
+    centres; per rule, ``antecedent_sets`` holds the centres matching its
+    antecedent Q and ``rule_matches`` the positives matching its PR.  The
+    supports of Section 5.1 are sizes of these sets, taken by
+    :func:`assemble` when an answer is read, so a streaming session splices
+    re-verified centres into the sets and never keeps a count beside them.
+    """
+
+    positives: set = field(default_factory=set)
+    negatives: set = field(default_factory=set)
+    antecedent_sets: dict[GPAR, set] = field(default_factory=dict)
+    rule_matches: dict[GPAR, set] = field(default_factory=dict)
+    candidates_examined: int = 0
+    #: Prefix-trie pool applications; > 0 proves rules of Σ actually shared
+    #: antecedent-prefix match sets.
+    prefix_pool_hits: int = 0
+
+    @classmethod
+    def start(cls, graph: Graph, centres, predicate) -> tuple["Verdicts", set]:
+        """A record holding the LCWA classification of *centres* in *graph*,
+        and the set of those centres (the candidates to verify)."""
+        stats = predicate_stats_over(graph, predicate, centres)
+        verdicts = cls(positives=set(stats.positives), negatives=set(stats.negatives))
+        return verdicts, verdicts.positives | verdicts.negatives | set(stats.unknown)
+
+
+def assemble(rules: Sequence[GPAR], reports: Sequence[Verdicts], eta: float) -> EIPResult:
+    """Matchc's assembling step: ``conf(R, G)`` per rule from the verdict sets
+    of disjoint centre sets, and the matches of every rule reaching *eta*.
+
+    supp(q) = Σ|positives|, supp(q̄) = Σ|negatives|, supp(Qq̄) =
+    Σ|antecedent ∩ negatives| and supp(R) = Σ|rule matches|.
+    """
+    supp_q = sum(len(report.positives) for report in reports)
+    supp_q_bar = sum(len(report.negatives) for report in reports)
+    result = EIPResult()
+    result.candidates_examined = sum(report.candidates_examined for report in reports)
+    result.prefix_pool_hits = sum(report.prefix_pool_hits for report in reports)
+    nothing: set = set()
+    for rule in rules:
+        matched = [report.rule_matches.get(rule, nothing) for report in reports]
+        supp_r = sum(map(len, matched))
+        supp_q_qbar = sum(
+            len(report.negatives.intersection(report.antecedent_sets.get(rule, nothing)))
+            for report in reports
+        )
+        matches = frozenset().union(*matched)
+        confidence = bayes_factor_confidence(supp_r, supp_q_bar, supp_q_qbar, supp_q)
+        result.rule_confidences[rule] = confidence
+        result.rule_matches[rule] = matches
+        if confidence >= eta and supp_r > 0:
+            result.accepted_rules.append(rule)
+            result.identified.update(matches)
+    return result
 
 
 def _shared_predicate(rules: Sequence[GPAR]) -> GPAR:

@@ -23,11 +23,12 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from repro.graph.graph import Graph
+from repro.identification.eip import Verdicts
+from repro.identification.matchc import MatchC
 from repro.matching.base import Matcher
 from repro.matching.guided import GuidedMatcher
 from repro.matching.multi import MultiPatternMatcher
-from repro.identification.matchc import MatchC, _FragmentReport
-from repro.partition.fragment import Fragment
 from repro.pattern.gpar import GPAR
 
 
@@ -48,27 +49,27 @@ class Match(MatchC):
 
     def _verify_fragment(
         self,
-        fragment: Fragment,
+        graph: Graph,
+        centres,
         rules: Sequence[GPAR],
         matcher: Matcher,
         predicate,
         recheck: tuple | None = None,
-    ) -> _FragmentReport:
+    ) -> Verdicts:
         """Prefix-trie evaluation of Σ: shared antecedent-prefix match sets.
 
-        Produces the same counts and witness sets as verifying every
-        (candidate, rule) pair on its own — pool restriction by prefix match
-        sets is lossless — while rules grown from common prefixes (the
-        normal shape of a mined Σ with one consequent) scan the candidate
-        pool once per shared prefix instead of once per rule.  *recheck*,
+        Produces the same verdict sets as verifying every (candidate, rule)
+        pair on its own — pool restriction by prefix match sets is lossless —
+        while rules grown from common prefixes (the normal shape of a mined Σ
+        with one consequent) scan the candidate pool once per shared prefix
+        instead of once per rule.  *recheck*,
         ``({rule index: centres}, {rule index: centres})``, narrows each
         antecedent's and each PR's pool to the centres listed for it (a
-        streaming tick's); ``None`` pools every owned centre for every rule.
+        streaming tick's); ``None`` pools every one of *centres* for every rule.
         """
-        graph = fragment.graph
-        report, owned = _FragmentReport.start(fragment, predicate)
-        local_positives, local_negatives = report.positives, report.negatives
-        # PR matches only count at positive owned centres.
+        report, owned = Verdicts.start(graph, centres, predicate)
+        local_positives = report.positives
+        # PR matches only count at positive centres.
         if recheck is None:  # one pool every key shares: the trie's prefixes need no union
             antecedent_pools = dict.fromkeys(rules, owned)
             pr_pools = dict.fromkeys(rules, owned & local_positives)
@@ -84,10 +85,6 @@ class Match(MatchC):
         antecedent_sets = multi.antecedent_match_sets(graph, rules, antecedent_pools)
         pr_sets = multi.match_sets(graph, rules, pr_pools)
         report.prefix_pool_hits = multi.statistics.prefix_pool_hits
-        for rule in rules:
-            antecedent_matches = antecedent_sets[rule]
-            report.rule_matches[rule] = pr_sets[rule]
-            report.antecedent_sets[rule] = antecedent_matches
-            report.antecedent_counts[rule] = len(antecedent_matches)
-            report.qbar_counts[rule] = len(antecedent_matches & local_negatives)
+        report.antecedent_sets = {rule: antecedent_sets[rule] for rule in rules}
+        report.rule_matches = {rule: pr_sets[rule] for rule in rules}
         return report

@@ -12,14 +12,15 @@ Steps (Section 5.1):
 2. **Matching** — each worker verifies, for every owned candidate ``vx`` and
    every rule R, whether ``vx ∈ PR(x, Gd(vx))`` and ``vx ∈ Q(x, Gd(vx))``,
    and classifies vx against the predicate (positive / LCWA-negative).
-3. **Assembling** — the coordinator sums the fragment-local counts into
-   ``conf(R, G)`` per rule and outputs the matches of rules whose confidence
-   reaches η.
+3. **Assembling** — the coordinator takes the supports as sizes of the
+   fragments' verdict sets (:func:`repro.identification.eip.assemble`),
+   derives ``conf(R, G)`` per rule and outputs the matches of rules whose
+   confidence reaches η.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Hashable, Sequence
 
 from repro.graph.columnar import columnar_view
@@ -27,19 +28,16 @@ from repro.graph.graph import Graph
 from repro.matching.base import Matcher
 from repro.matching.locality import LocalityMatcher
 from repro.matching.vf2 import VF2Matcher
-from repro.metrics.confidence import bayes_factor_confidence
-from repro.metrics.lcwa import predicate_stats_over
 from repro.identification.census import (
     CensusMatcher,
     apply_census,
     max_verification_radius,
     plan_census,
 )
-from repro.identification.eip import EIPConfig, EIPResult, _shared_predicate
+from repro.identification.eip import EIPConfig, EIPResult, Verdicts, _shared_predicate, assemble
 from repro.obs.tracing import span
 from repro.parallel.runtime import BSPRuntime
 from repro.parallel.worker import WorkerContext
-from repro.partition.fragment import Fragment
 from repro.partition.partitioner import partition_graph, shared_fragments
 from repro.pattern.gpar import GPAR
 
@@ -67,7 +65,7 @@ class VerifyPayload:
     census: tuple = ()  # ((pattern, x_part), ...)
 
 
-def verify_worker(context: WorkerContext, payload: VerifyPayload) -> "_FragmentReport":
+def verify_worker(context: WorkerContext, payload: VerifyPayload) -> Verdicts:
     """BSP worker function: verify one fragment's owned candidates."""
     solver = payload.solver_cls(payload.config)
     # Kept as long as the pool, which outlives the call: keyed by what the
@@ -78,54 +76,10 @@ def verify_worker(context: WorkerContext, payload: VerifyPayload) -> "_FragmentR
     )
     if payload.census:
         matcher = CensusMatcher(matcher, dict(payload.census))
+    fragment = context.fragment
     return solver._verify_fragment(
-        context.fragment, payload.rules, matcher, payload.predicate
+        fragment.graph, fragment.owned_centers, payload.rules, matcher, payload.predicate
     )
-
-
-@dataclass
-class _FragmentReport:
-    """Per-fragment counts and witness sets returned to the coordinator.
-
-    Beyond the counts the assembling step sums, the report carries the
-    per-centre *sets* behind them (``positives``/``negatives`` from the LCWA
-    classification and ``antecedent_sets`` per rule): the streaming
-    subsystem (:mod:`repro.stream`) merges partial re-verifications into a
-    maintained report, which requires replacing individual centres'
-    contributions rather than adjusting opaque sums.
-    """
-
-    fragment_index: int
-    supp_q: int = 0
-    supp_q_bar: int = 0
-    candidates_examined: int = 0
-    prefix_pool_hits: int = 0
-    rule_matches: dict[GPAR, set] = field(default_factory=dict)
-    antecedent_counts: dict[GPAR, int] = field(default_factory=dict)
-    qbar_counts: dict[GPAR, int] = field(default_factory=dict)
-    positives: set = field(default_factory=set)
-    negatives: set = field(default_factory=set)
-    antecedent_sets: dict[GPAR, set] = field(default_factory=dict)
-    #: Trace records captured inside the worker (see
-    #: :mod:`repro.obs.tracing`); shipped back so the coordinator can adopt
-    #: them under its own span tree.  Empty unless the payload asked for
-    #: tracing.
-    spans: list = field(default_factory=list)
-
-    @classmethod
-    def start(cls, fragment: Fragment, predicate) -> tuple["_FragmentReport", set]:
-        """A report holding the LCWA classification of *fragment*'s owned
-        centres, and the set of those centres (the candidates to verify)."""
-        stats = predicate_stats_over(fragment.graph, predicate, fragment.owned_centers)
-        positives, negatives = set(stats.positives), set(stats.negatives)
-        report = cls(
-            fragment.index,
-            supp_q=len(positives),
-            supp_q_bar=len(negatives),
-            positives=positives,
-            negatives=negatives,
-        )
-        return report, positives | negatives | set(stats.unknown)
 
 
 class MatchC:
@@ -148,36 +102,31 @@ class MatchC:
 
     def _verify_fragment(
         self,
-        fragment: Fragment,
+        graph: Graph,
+        centres,
         rules: Sequence[GPAR],
         matcher: Matcher,
         predicate,
-    ) -> _FragmentReport:
-        """Verify every owned candidate of *fragment* against every rule."""
-        graph = fragment.graph
-        report, owned = _FragmentReport.start(fragment, predicate)
-        local_positives, local_negatives = report.positives, report.negatives
+    ) -> Verdicts:
+        """Verify every one of *centres* in *graph* against every rule."""
+        report, owned = Verdicts.start(graph, centres, predicate)
+        local_positives = report.positives
 
         for rule in rules:
             rule_matches: set[NodeId] = set()
             antecedent_matches: set[NodeId] = set()
-            qbar_count = 0
             for candidate in owned:
                 report.candidates_examined += 1
                 in_antecedent = matcher.exists_match_at(graph, rule.antecedent, candidate)
                 if not in_antecedent:
                     continue
                 antecedent_matches.add(candidate)
-                if candidate in local_negatives:
-                    qbar_count += 1
                 if candidate in local_positives and matcher.exists_match_at(
                     graph, rule.pr_pattern(), candidate
                 ):
                     rule_matches.add(candidate)
             report.rule_matches[rule] = rule_matches
             report.antecedent_sets[rule] = antecedent_matches
-            report.antecedent_counts[rule] = len(antecedent_matches)
-            report.qbar_counts[rule] = qbar_count
         return report
 
     # ----------------------------------------------------------------------
@@ -231,31 +180,11 @@ class MatchC:
                 reports = apply_census(graph, rules, reports, census_plan)
                 # Assemble inside the timed window so wall_time keeps covering
                 # the coordinator's assembling phase, as it always has.
-                result = self._assemble(rules, reports)
+                result = assemble(rules, reports, self.config.eta)
             failed = False
         finally:
             timings = runtime.finish_run()
             # A run that raised retires the pool: the next call forks anew.
             fragments.pool.release(executor, failed)
         result.timings = timings
-        return result
-
-    def _assemble(self, rules: Sequence[GPAR], reports: Sequence[_FragmentReport]) -> EIPResult:
-        supp_q = sum(report.supp_q for report in reports)
-        supp_q_bar = sum(report.supp_q_bar for report in reports)
-        result = EIPResult()
-        result.candidates_examined = sum(report.candidates_examined for report in reports)
-        result.prefix_pool_hits = sum(report.prefix_pool_hits for report in reports)
-        for rule in rules:
-            supp_r = sum(len(report.rule_matches.get(rule, ())) for report in reports)
-            supp_q_qbar = sum(report.qbar_counts.get(rule, 0) for report in reports)
-            matches = frozenset().union(
-                *(report.rule_matches.get(rule, set()) for report in reports)
-            )
-            confidence = bayes_factor_confidence(supp_r, supp_q_bar, supp_q_qbar, supp_q)
-            result.rule_confidences[rule] = confidence
-            result.rule_matches[rule] = matches
-            if confidence >= self.config.eta and supp_r > 0:
-                result.accepted_rules.append(rule)
-                result.identified.update(matches)
         return result

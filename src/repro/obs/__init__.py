@@ -5,14 +5,14 @@ Three cooperating pieces (full model in ``docs/observability.md``):
 * :mod:`repro.obs.registry` — process-wide counters/gauges/histograms with
   ``snapshot()``/``merge()`` composition and Prometheus text exposition;
 * :mod:`repro.obs.tracing` — deterministic-id span tracer with a module
-  level no-op fallback, JSON-lines dumps and worker-span adoption;
+  level no-op fallback and JSON-lines dumps;
 * :mod:`repro.obs.stats` — the snapshot/merge protocol of the
   ``*Statistics`` dataclasses plus collection (``REPRO_OBS``): every object
   ships what it counted exactly once, pulled by the global registry on read
   or shipped by a pool worker with its task result.
 
 Instrumentation is off the hot path when disabled: no tracer installed
-means :func:`span` costs a thread-local read; collection disabled means
+means :func:`span` costs a global read; collection disabled means
 statistics construction costs one environment lookup.  The ``obs`` smoke
 gate holds the enabled overhead to ≤5 %.
 """
@@ -37,9 +37,7 @@ from repro.obs.tracing import (
     event,
     install,
     load_trace,
-    override_tracer,
     span,
-    tracing_enabled,
     uninstall,
 )
 
@@ -56,13 +54,11 @@ __all__ = [
     "install",
     "load_trace",
     "merge_shipped_counts",
-    "override_tracer",
     "parse_prometheus",
     "quantile_from_buckets",
     "registry",
     "span",
     "top_report",
     "trace_breakdown",
-    "tracing_enabled",
     "uninstall",
 ]

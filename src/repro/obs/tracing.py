@@ -8,21 +8,14 @@ explicit parent ids — as plain dicts, one per completed span:
 Ids are deterministic per tracer (``s1``, ``s2``, … in completion order of
 allocation — a counter, never wall clock or randomness), parents come from a
 per-thread stack, and ``start`` is the offset in seconds from the tracer's
-creation.  Worker processes build their own short-lived tracer, ship its
-records back inside the round result, and the coordinator re-parents them
-under the enclosing round span via :meth:`Tracer.adopt` with an id prefix —
-so one trace file covers coordinator and worker phases with a consistent
-tree.
+creation.  Only the process that installed a tracer records spans: a pool
+worker's are not collected.
 
 The module-level :func:`span`/:func:`event` helpers are the no-op fast
-path: with no tracer installed they cost one thread-local read and a
-``None`` check, which is what keeps instrumentation off the hot path when
-disabled (the ``obs`` smoke gate holds the total overhead to 5 %).
-:func:`install` activates a tracer process-globally (the coordinator / CLI
-``--trace-out`` case); :func:`override_tracer` routes one thread's spans
-into a specific tracer (the worker case — safe when the HTTP service ticks
-several sessions at once on its thread pool, whose sequential workers must
-not interleave into one global).
+path: with no tracer installed they cost one global read and a ``None``
+check, which is what keeps instrumentation off the hot path when disabled
+(the ``obs`` smoke gate holds the total overhead to 5 %).  :func:`install`
+activates a tracer process-globally (the CLI ``--trace-out`` case).
 
 Traces dump as JSON-lines (:meth:`Tracer.dump_jsonl`, one span per line)
 and load with :func:`load_trace`; ``repro trace`` renders the per-phase
@@ -44,13 +37,9 @@ __all__ = [
     "event",
     "install",
     "load_trace",
-    "override_tracer",
     "span",
-    "tracing_enabled",
     "uninstall",
 ]
-
-_MISSING = object()
 
 
 class _NoopSpan:
@@ -85,7 +74,7 @@ class SpanHandle:
 
 
 class Tracer:
-    """Collects span records; one per traced run (or per traced worker call)."""
+    """Collects span records; one per traced run."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
@@ -148,26 +137,6 @@ class Tracer:
                 }
             )
 
-    def adopt(
-        self, records: list[dict], parent_id: str | None = None, prefix: str = ""
-    ) -> None:
-        """Append shipped records, re-parenting their roots under *parent_id*.
-
-        Every adopted id gains *prefix* (callers make it unique per worker
-        and tick, e.g. ``"t3.w1."``), so one coordinator trace can absorb
-        many workers' records without id collisions; non-root parents are
-        rewritten with the same prefix to keep the subtree intact.
-        """
-        with self._lock:
-            for record in records:
-                adopted = dict(record)
-                adopted["span_id"] = prefix + record["span_id"]
-                original_parent = record.get("parent_id")
-                adopted["parent_id"] = (
-                    prefix + original_parent if original_parent else parent_id
-                )
-                self._records.append(adopted)
-
     # ------------------------------------------------------------------
     def records(self) -> list[dict]:
         """Copy of the completed span records (dicts, JSON-ready)."""
@@ -199,20 +168,11 @@ def load_trace(path: Path | str) -> list[dict]:
 # module-level no-op fallback (the disabled-by-default fast path)
 # ----------------------------------------------------------------------
 _ACTIVE: Tracer | None = None
-_LOCAL = threading.local()
 
 
 def active() -> Tracer | None:
-    """This thread's tracer: the override if set, else the installed one."""
-    override = getattr(_LOCAL, "tracer", _MISSING)
-    if override is not _MISSING:
-        return override
+    """The installed tracer (``None`` when idle)."""
     return _ACTIVE
-
-
-def tracing_enabled() -> bool:
-    """Whether spans recorded on this thread go anywhere."""
-    return active() is not None
 
 
 def install(tracer: Tracer) -> Tracer:
@@ -227,25 +187,6 @@ def uninstall() -> Tracer | None:
     global _ACTIVE
     tracer, _ACTIVE = _ACTIVE, None
     return tracer
-
-
-@contextmanager
-def override_tracer(tracer: Tracer | None):
-    """Route this thread's module-level spans into *tracer* for the block.
-
-    Used by traced worker functions: each concurrent worker records into its
-    own tracer (shipped back with the round result) instead of interleaving
-    into the coordinator's installed tracer.
-    """
-    previous = getattr(_LOCAL, "tracer", _MISSING)
-    _LOCAL.tracer = tracer
-    try:
-        yield tracer
-    finally:
-        if previous is _MISSING:
-            del _LOCAL.tracer
-        else:
-            _LOCAL.tracer = previous
 
 
 @contextmanager

@@ -15,12 +15,12 @@ resources.  Worker functions take ``(context, payload)`` where the
   messages stay small.  Worker functions must be module-level (picklable by
   reference) and payloads picklable.
 
-DMine and a streaming session start a pool for their run and shut it down
-at its end.  Batch identification keeps one per fragmentation instead:
-:class:`PooledFragments` is the list ``shared_fragments`` memoises, and its
-:class:`FragmentPool` keeps the pool forked with those fragments for as long
-as the list lives, so only the first ``processes`` call on a graph version
-pays the fork.
+DMine starts a pool for its run and shuts it down at its end; a streaming
+session verifies in its own process and starts none.  Batch identification
+keeps one per fragmentation instead: :class:`PooledFragments` is the list
+``shared_fragments`` memoises, and its :class:`FragmentPool` keeps the pool
+forked with those fragments for as long as the list lives, so only the first
+``processes`` call on a graph version pays the fork.
 
 Worker exceptions are wrapped in :class:`repro.exceptions.WorkerError`
 carrying the fragment id, on every backend.

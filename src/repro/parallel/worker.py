@@ -1,8 +1,8 @@
 """Worker-side execution context and the process-pool task runner.
 
 The process backend keeps a **persistent** pool for as long as its owner
-holds it — a BSP run of DMine or a streaming session, or, for batch
-identification, the fragmentation the pool was forked with (see
+holds it — a BSP run of DMine, or, for batch identification, the
+fragmentation the pool was forked with (see
 :class:`repro.parallel.executor.PooledFragments`).  Each worker process
 receives the fragment list exactly once, at pool start, via the
 :func:`init_worker` initializer which stores them in a module-level

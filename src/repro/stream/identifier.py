@@ -61,15 +61,13 @@ from repro.identification.census import (
     max_verification_radius,
     plan_census,
 )
-from repro.identification.eip import EIPConfig, EIPResult, _shared_predicate
+from repro.identification.eip import EIPConfig, EIPResult, Verdicts, _shared_predicate, assemble
 from repro.identification.match import Match
-from repro.identification.matchc import _FragmentReport
 from repro.matching.base import WitnessStore
 from repro.matching.guided import GuidedMatcher
 from repro.matching.multi import trie_patterns
 from repro.obs.registry import registry
 from repro.obs.tracing import span
-from repro.partition.fragment import Fragment
 # Bound here only because the repo benchmark's wrap table
 # (benchmarks/e2e/wraps.py) names ``repro.stream.identifier.partition_graph``;
 # nothing in this module calls it.  ROADMAP 1(c) retargets that table and
@@ -276,12 +274,17 @@ _RETIRED = {
     ("repro.partition.lifecycle", "FragmentCheckpoint"),
 }
 
+#: Renamed classes: older checkpoints pickled the verdict record under the
+#: batch solver's private name, with counts beside its sets that
+#: :meth:`StreamingIdentifier.from_state` never reads.
+_RENAMED = {("repro.identification.matchc", "_FragmentReport"): Verdicts}
+
 
 class _CheckpointUnpickler(pickle.Unpickler):
     def find_class(self, module: str, name: str):
         if (module, name) in _RETIRED:
             return _Retired
-        return super().find_class(module, name)
+        return _RENAMED.get((module, name)) or super().find_class(module, name)
 
 
 def read_checkpoint(path: Path | str) -> dict:
@@ -410,32 +413,35 @@ class StreamingIdentifier:
         # something to silently queue.
         self._apply_guard = threading.Lock()
 
-    def _verify(self, rules: tuple[GPAR, ...], recheck: tuple | None) -> _FragmentReport:
+    def _verify(
+        self, rules: tuple[GPAR, ...], recheck: tuple | None, census: tuple | None = None
+    ) -> Verdicts:
         """One ``Match`` verification of *rules* over the graph: every centre
         when *recheck* is ``None``, else the pairs it names —
         ``({rule index: centres}, {rule index: centres}, centres)`` for the
         antecedents and the PRs of ``rules``, and the centres whose LCWA
-        class alone is recomputed."""
+        class alone is recomputed.  *census* (census substitutions covering
+        *rules*) defaults to Σ's."""
         if self._view.is_stale:
             with span("stream.worker.index_refresh"):
                 self._view.refresh()
         matcher = self._matcher
-        if self._census_pairs:
-            matcher = CensusMatcher(matcher, dict(self._census_pairs))
+        census = self._census_pairs if census is None else census
+        if census:
+            matcher = CensusMatcher(matcher, dict(census))
         if recheck is None:
             centres, pools = self.graph.nodes_with_label(self.x_label), None
         else:
             centres, pools = _centres(*recheck), recheck[:2]
-        target = Fragment(index=0, graph=self.graph, owned_centers=centres)
         with span("stream.worker.verify", centers=len(centres)):
-            return self._solver._verify_fragment(target, rules, matcher, self.predicate, pools)
+            return self._solver._verify_fragment(self.graph, centres, rules, matcher, self.predicate, pools)
 
     def _assemble(self) -> EIPResult:
         # The maintained report holds x-part verdicts; the census rewrites
         # them to whole-graph verdicts on a *copy*, so a census that becomes
         # satisfiable again on a later tick re-reads the intact x-part sets.
         reports = apply_census(self.graph, self.rules, [self._report], self._census_plan)
-        return self._solver._assemble(list(self.rules), reports)
+        return assemble(self.rules, reports, self.config.eta)
 
     def check_current(self) -> None:
         """Raise unless the stored verdicts describe the graph's current state."""
@@ -604,7 +610,7 @@ class StreamingIdentifier:
                     side[rule_index] = tuple(centres)
         return (*sides, tuple(lcwa & mine))
 
-    def _merge(self, partial: _FragmentReport, recheck: tuple, removed) -> None:
+    def _merge(self, partial: Verdicts, recheck: tuple, removed) -> None:
         """Splice a partial re-verification into the stored report: each
         verdict of a rechecked pair is replaced, those of *removed* (centres
         that are centres no more) dropped."""
@@ -622,16 +628,6 @@ class StreamingIdentifier:
             ):
                 still = kept.get(rule, set()).difference(removed, verified.get(index, ()))
                 kept[rule] = still | fresh.get(rule, set())
-        self._recount(stored)
-
-    def _recount(self, stored: _FragmentReport) -> None:
-        """Recompute every derived count of a stored report from its sets."""
-        stored.supp_q = len(stored.positives)
-        stored.supp_q_bar = len(stored.negatives)
-        for rule in self.rules:
-            antecedent = stored.antecedent_sets.get(rule, set())
-            stored.antecedent_counts[rule] = len(antecedent)
-            stored.qbar_counts[rule] = len(antecedent & stored.negatives)
 
     # ------------------------------------------------------------------
     # dynamic Σ: warm rule admission / retirement (multi-tenant serving)
@@ -668,18 +664,22 @@ class StreamingIdentifier:
         pinned = self.max_radius
         union = self.rules + tuple(additions)
         _shared_predicate(list(union))
-        needed = max_verification_radius(union, plan_census(union))
+        census = plan_census(union)
+        needed = max_verification_radius(union, census)
         if needed > pinned:
             raise StreamError(
                 f"cannot admit rules needing verification radius {needed}: "
                 f"this identifier's radius is pinned at d={pinned}; "
                 f"open a separate core (or rebuild with radius_floor={needed})"
             )
+        # Σ, the floor and the plans change only once the backfill returned:
+        # one that raises leaves the identifier as it was, and a retried
+        # admission backfills the same rules again.
+        with span("stream.admit_rules", rules=len(additions)):
+            partial = self._verify(tuple(additions), None, census.substitutions)
         self.radius_floor = max(self.radius_floor, pinned)
         self.rules = union
         self._prepare_rules()
-        with span("stream.admit_rules", rules=len(additions)):
-            partial = self._verify(tuple(additions), None)
         stored = self._report
         stored.candidates_examined += partial.candidates_examined
         stored.prefix_pool_hits += partial.prefix_pool_hits
@@ -688,7 +688,6 @@ class StreamingIdentifier:
         for rule in additions:
             stored.antecedent_sets[rule] = partial.antecedent_sets.get(rule, set())
             stored.rule_matches[rule] = partial.rule_matches.get(rule, set())
-        self._recount(stored)
         self._result = None
         return RuleAdmissionReport(
             admitted=tuple(additions),
@@ -723,9 +722,6 @@ class StreamingIdentifier:
             for rule in removed:
                 stored.antecedent_sets.pop(rule, None)
                 stored.rule_matches.pop(rule, None)
-                stored.antecedent_counts.pop(rule, None)
-                stored.qbar_counts.pop(rule, None)
-            self._recount(stored)
             self._result = None
             return removed
 
@@ -798,7 +794,7 @@ class StreamingIdentifier:
         identifier.radius_floor = state.get("radius_floor", 0)
         identifier._prepare_rules()
         identifier.batches_applied = state["batches_applied"]
-        merged = _FragmentReport(0)
+        merged = Verdicts()
         for report in state["reports"].values():
             merged.positives |= report.positives
             merged.negatives |= report.negatives
@@ -810,7 +806,6 @@ class StreamingIdentifier:
                     (merged.rule_matches, report.rule_matches),
                 ):
                     kept[rule] = kept.get(rule, set()) | saved.get(rule, set())
-        identifier._recount(merged)
         identifier._report = merged
         identifier._graph_version = identifier.graph.version
         identifier._open()

@@ -30,8 +30,8 @@ from repro.parallel import (
     WorkerTask,
     make_executor,
 )
-from repro.identification.matchc import VerifyPayload, _FragmentReport
-from repro.identification.eip import EIPConfig
+from repro.identification.matchc import VerifyPayload
+from repro.identification.eip import EIPConfig, Verdicts
 from repro.identification.match import Match
 from repro.mining.local_mine import seed_rule
 from repro.parallel.runtime import BSPRuntime
@@ -170,9 +170,16 @@ class TestMessagePickling:
         assert clone.solver_cls is Match
         assert clone.rules[0] == r1
 
-        report = _FragmentReport(fragment_index=1, supp_q=2)
-        report.rule_matches[r1] = {"a"}
+        report = Verdicts(
+            positives={"a", "b"},
+            negatives={"c"},
+            antecedent_sets={r1: {"a", "c"}},
+            rule_matches={r1: {"a"}},
+            candidates_examined=3,
+            prefix_pool_hits=1,
+        )
         clone = self._roundtrip(report)
+        assert clone == report
         assert clone.rule_matches[r1] == {"a"}
 
     def test_fragment(self, g1):

@@ -252,3 +252,35 @@ class TestSection6Counts:
         assert all(result.num_rules_discovered > 0 for result in mined)
         assert mined[0].candidates_generated == mined[1].candidates_generated
         assert mined[0].candidates_pruned > 0 and mined[1].candidates_pruned == 0
+
+
+@pytest.mark.parametrize("shape", ["census", "connected"])
+def test_assemble_over_one_record_equals_identify_entities(shape):
+    """One ``Verdicts`` record over every centre, assembled, is the batch
+    answer and the sequential oracle's (which takes no set sizes): the
+    supports are sizes of its sets, on a mined (disconnected, census-split)
+    Σ and on a sampled connected one."""
+    from repro.api import parse_predicate
+    from repro.identification.census import CensusMatcher, apply_census, plan_census
+    from repro.identification.eip import assemble
+    from repro.matching.guided import GuidedMatcher
+
+    graph = pokec_like(120, 4, seed=3)
+    predicate = parse_predicate("user:like_book:personal development")
+    if shape == "census":
+        mined = dmine(graph, predicate, DMineConfig(k=4, d=2, sigma=2, num_workers=2, max_edges=2))
+        rules = list(mined.all_rules)
+    else:
+        rules = generate_gpars(graph, predicate, count=6, max_pattern_edges=3, d=2, seed=5)
+    plan = plan_census(rules)
+    assert bool(plan.entries) == (shape == "census")
+    config = EIPConfig(eta=0.5, num_workers=3)
+    matcher = CensusMatcher(GuidedMatcher(), dict(plan.substitutions))
+    centres = graph.nodes_with_label(rules[0].x_label)
+    verdicts = Match(config)._verify_fragment(graph, centres, rules, matcher, rules[0].q_pattern())
+    assembled = assemble(rules, apply_census(graph, rules, [verdicts], plan), config.eta)
+    batch = identify_entities(graph, rules, eta=config.eta, num_workers=config.num_workers)
+    assert batch.identified, "the gate compares a real answer"
+    for expected in (batch, identify_sequential(graph, rules, eta=config.eta)):
+        assert eip_fingerprint(assembled) == eip_fingerprint(expected)
+        assert assembled.rule_confidences == expected.rule_confidences

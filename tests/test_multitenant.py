@@ -364,16 +364,17 @@ class TestSharedSessionCore:
                 assert _counters(report) == _counters(bare_report)
 
     def test_one_assemble_per_member_none_for_the_union(self, monkeypatch):
-        from repro.identification.match import Match
+        import repro.stream.identifier
+        from repro.identification.eip import assemble
 
         assembled = []
-        original = Match._assemble
 
-        def counting(self, rules, reports):
+        def counting(rules, reports, eta):
             assembled.append(tuple(rule.name for rule in rules))
-            return original(self, rules, reports)
+            return assemble(rules, reports, eta)
 
-        monkeypatch.setattr(Match, "_assemble", counting)
+        for module in (api, repro.stream.identifier):
+            monkeypatch.setattr(module, "assemble", counting)
         graph, rules = _workload()
         with api.open_shared_core(graph.copy(), config=_config()) as core:
             alpha = core.open_session("alpha", rules[:5])

@@ -38,7 +38,7 @@ ENTRY_POINTS = (
     ("repro.api.restore_core", "resumes a saved core; the CLI's --save-state help names it"),
     (
         "repro.stream.identifier.StreamingIdentifier.restore",
-        "resumes the bare union engine from a saved core; the CLI's --save-state help names it",
+        "resumes the bare union engine from a saved core (docs/streaming.md, Checkpoints)",
     ),
     (
         "repro.stream.identifier._CanonicalPickler.reducer_override",
@@ -47,20 +47,6 @@ ENTRY_POINTS = (
     (
         "repro.partition.lifecycle.FragmentManager",
         "a retired stub benchmarks/e2e/wraps.py names by string; ROADMAP 1(c) deletes both",
-    ),
-    (
-        "repro.obs.tracing.Tracer.adopt",
-        "re-parents shipped worker spans (docs/observability.md); the session pool that shipped them is "
-        "gone, ROADMAP 8 ships batch pool workers' spans next",
-    ),
-    (
-        "repro.obs.tracing.override_tracer",
-        "routes a worker's spans into its own tracer beside active()'s per-thread override, which every "
-        "batch span still reads; ROADMAP 8's pool workers are its next caller",
-    ),
-    (
-        "repro.obs.tracing.tracing_enabled",
-        "whether a worker should ship spans (docs/observability.md); ROADMAP 8's pool workers are its next caller",
     ),
 )
 

@@ -5,6 +5,8 @@
   still equals a fresh ``api.identify``;
 * when the rebuild raises too, the identifier closes and every later read
   and write is a :class:`~repro.exceptions.StreamError`;
+* an admission whose backfill verify raises admits nothing, so its retry
+  backfills the same rules again;
 * a session configured for the ``processes`` backend starts no process:
   ``backend`` / ``num_workers`` steer only the batch recompute.
 """
@@ -43,11 +45,11 @@ def _failing(monkeypatch, calls: int) -> list:
     failed: list = []
     original = Match._verify_fragment
 
-    def verify(self, *args, **kwargs):
+    def verify(self, graph, centres, rules, matcher, predicate, recheck=None):
         if len(failed) < calls:
             failed.append(True)
             raise MemoryError("injected")
-        return original(self, *args, **kwargs)
+        return original(self, graph, centres, rules, matcher, predicate, recheck)
 
     monkeypatch.setattr(Match, "_verify_fragment", verify)
     return failed
@@ -89,6 +91,29 @@ def test_a_failed_rebuild_closes_the_identifier(monkeypatch):
         ):
             with pytest.raises(StreamError):
                 attempt()
+
+
+def test_a_failed_admission_backfill_admits_nothing(monkeypatch):
+    """A tenant whose backfill verify raises leaves Σ as it was: its retried
+    admission backfills the same rules again, and both tenants' answers
+    equal a fresh ``api.identify``."""
+    graph = pokec_like(200, 6, seed=1)
+    predicate = api.parse_predicate(PREDICATE)
+    rules = generate_gpars(pokec_like(100, 4), predicate, count=10, max_pattern_edges=3, d=2, seed=7)
+    with api.open_shared_core(graph, CONFIG, radius_floor=6) as core:
+        first = core.open_session("a", rules[:5])
+        resident = core.identifier.rules
+        failed = _failing(monkeypatch, calls=1)
+        with pytest.raises(MemoryError):
+            core.open_session("b", rules[5:])
+        assert failed == [True]
+        assert core.identifier.rules == resident
+        second = core.open_session("b", rules[5:])
+        assert second.admission.novel_rules == 5
+        for session, sigma in ((first, rules[:5]), (second, rules[5:])):
+            fresh = api.identify(graph.copy(), sigma, CONFIG)
+            assert fresh.identified, "the gate compares a real answer"
+            assert eip_fingerprint(session.result) == eip_fingerprint(fresh), session.tenant
 
 
 def test_a_processes_session_starts_no_process():
